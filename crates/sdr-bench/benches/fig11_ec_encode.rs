@@ -5,9 +5,7 @@
 //! single-thread MDS encode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sdr_erasure::{
-    encode_parallel_into, encode_parallel_into_spawn, ErasureCode, Kernel, ReedSolomon, XorCode,
-};
+use sdr_erasure::{encode_parallel_into, ErasureCode, Kernel, ReedSolomon, XorCode};
 use std::hint::black_box;
 
 const CHUNK: usize = 64 * 1024;
@@ -88,9 +86,7 @@ fn bench_encode(c: &mut Criterion) {
     g.bench_function("mds_serial", |b| {
         b.iter(|| black_box(rs.encode(black_box(&refs))))
     });
-    // `*_2threads` rows dispatch through the persistent EncodePool;
-    // `*_2threads_spawn` keeps the per-call `thread::scope` baseline so
-    // the pool's dispatch saving stays measurable PR over PR.
+    // `*_2threads` rows dispatch through the persistent EncodePool.
     let mut parity_xor = vec![vec![0u8; CHUNK]; M];
     let mut parity_rs = vec![vec![0u8; CHUNK]; M];
     g.bench_function("xor_2threads", |b| {
@@ -100,25 +96,11 @@ fn bench_encode(c: &mut Criterion) {
             encode_parallel_into(&xor, black_box(&refs), black_box(&mut views), 2);
         })
     });
-    g.bench_function("xor_2threads_spawn", |b| {
-        b.iter(|| {
-            let mut views: Vec<&mut [u8]> =
-                parity_xor.iter_mut().map(|p| p.as_mut_slice()).collect();
-            encode_parallel_into_spawn(&xor, black_box(&refs), black_box(&mut views), 2);
-        })
-    });
     g.bench_function("mds_2threads", |b| {
         b.iter(|| {
             let mut views: Vec<&mut [u8]> =
                 parity_rs.iter_mut().map(|p| p.as_mut_slice()).collect();
             encode_parallel_into(&rs, black_box(&refs), black_box(&mut views), 2);
-        })
-    });
-    g.bench_function("mds_2threads_spawn", |b| {
-        b.iter(|| {
-            let mut views: Vec<&mut [u8]> =
-                parity_rs.iter_mut().map(|p| p.as_mut_slice()).collect();
-            encode_parallel_into_spawn(&rs, black_box(&refs), black_box(&mut views), 2);
         })
     });
     g.finish();

@@ -4,12 +4,10 @@
 //!
 //! Paper setup: 128 MiB buffer, 64 KiB chunks, (k, m) = (32, 8), Xeon 8580.
 //! Substitution: our from-scratch Reed–Solomon vs the XOR modulo-group code
-//! on the host CPU. Two pipeline measurements ride along:
-//!
-//! * persistent [`EncodePool`] dispatch vs the per-call `thread::scope`
-//!   spawn baseline (the `*_2threads` rows of the paper's figure), and
-//! * EC sender wall-clock time-to-first-byte: streamed encode→inject
-//!   pipeline vs stage-all-parity-upfront.
+//! on the host CPU. The EC sender's wall-clock time-to-first-byte under
+//! the streamed encode→inject pipeline rides along (its wins over
+//! stage-all-parity-upfront, and the pool's over per-call thread spawns,
+//! are recorded in CHANGES.md PR 2; those baselines are gone).
 //!
 //! Emits machine-readable `BENCH_fig11.json` next to the working directory
 //! so successive PRs can track the perf trajectory.
@@ -21,12 +19,10 @@ use std::time::Instant;
 use sdr_bench::{fmt, logspace, table_header, table_row};
 use sdr_core::testkit::{pattern, sdr_pair};
 use sdr_core::SdrConfig;
-use sdr_erasure::{
-    encode_parallel_into, encode_parallel_into_spawn, ErasureCode, ReedSolomon, XorCode,
-};
+use sdr_erasure::{encode_parallel_into, ErasureCode, ReedSolomon, XorCode};
 use sdr_model::{p_fallback, Channel, EcConfig};
 use sdr_reliability::{
-    ControlEndpoint, EcCodeChoice, EcProtoConfig, EcReceiver, EcReport, EcSender, EcStaging,
+    ControlEndpoint, EcCodeChoice, EcProtoConfig, EcReceiver, EcReport, EcSender,
 };
 use sdr_sim::LinkConfig;
 
@@ -34,16 +30,9 @@ const CHUNK: usize = 64 * 1024;
 const K: usize = 32;
 const M: usize = 8;
 
-type EncodeInto = fn(&dyn ErasureCode, &[&[u8]], &mut [&mut [u8]], usize);
-
-fn encode_throughput(
-    code: &dyn ErasureCode,
-    threads: usize,
-    submessages: usize,
-    encode: EncodeInto,
-) -> f64 {
+fn encode_throughput(code: &dyn ErasureCode, threads: usize, submessages: usize) -> f64 {
     // One submessage = 32 × 64 KiB = 2 MiB of data; parity buffers are
-    // reused so both paths measure dispatch + encode, not allocation.
+    // reused so the loop measures dispatch + encode, not allocation.
     let data: Vec<Vec<u8>> = (0..K)
         .map(|i| {
             (0..CHUNK)
@@ -56,7 +45,7 @@ fn encode_throughput(
     let mut run = |n: usize| {
         for _ in 0..n {
             let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-            encode(code, &refs, &mut views, threads);
+            encode_parallel_into(code, &refs, &mut views, threads);
             std::hint::black_box(&parity);
         }
     };
@@ -67,9 +56,9 @@ fn encode_throughput(
     (submessages * K * CHUNK) as f64 * 8.0 / secs // encoded data bits/s
 }
 
-/// Wall-clock TTFB of the EC sender under a staging mode and stripe
-/// width, through the real protocol stack over a simulated channel.
-fn measure_ttfb_striped(staging: EcStaging, msg: u64, stripes: usize) -> EcReport {
+/// Wall-clock TTFB of the EC sender at a stripe width, through the real
+/// protocol stack over a simulated channel.
+fn measure_ttfb_striped(msg: u64, stripes: usize) -> EcReport {
     let link = LinkConfig::wan(50.0, 8e9, 0.0).with_seed(42);
     let cfg = SdrConfig {
         max_msg_bytes: 64 << 20,
@@ -88,7 +77,6 @@ fn measure_ttfb_striped(staging: EcStaging, msg: u64, stripes: usize) -> EcRepor
     let ctrl_b = Rc::new(ControlEndpoint::new(&p.fabric, p.node_b));
     let model_ch = Channel::new(8e9, rtt.as_secs_f64(), 0.0);
     let mut proto = EcProtoConfig::for_channel(K, M, EcCodeChoice::Mds, &model_ch, msg, rtt);
-    proto.staging = staging;
     proto.encode_stripes = stripes;
     let rep = Rc::new(RefCell::new(None));
     let r2 = rep.clone();
@@ -158,12 +146,9 @@ fn main() {
     let rs = ReedSolomon::new(K, M);
     json.push_str("  \"encode_threads\": [\n");
     let sweep = [1usize, 2, 4, 8];
-    // Pooled rates, measured once and reused by the pool-vs-spawn table.
-    let mut pooled: Vec<(usize, f64, f64)> = Vec::new();
     for (n, threads) in sweep.into_iter().enumerate() {
-        let tx = encode_throughput(&xor, threads, submessages, encode_parallel_into) / 1e9;
-        let tm = encode_throughput(&rs, threads, submessages, encode_parallel_into) / 1e9;
-        pooled.push((threads, tx, tm));
+        let tx = encode_throughput(&xor, threads, submessages) / 1e9;
+        let tm = encode_throughput(&rs, threads, submessages) / 1e9;
         table_row(&[threads.to_string(), fmt(tx), fmt(tm), fmt(tx / tm)]);
         json.push_str(&format!(
             "    {{\"threads\": {threads}, \"xor_gbps\": {tx:.3}, \"mds_gbps\": {tm:.3}}}{}\n",
@@ -177,70 +162,25 @@ fn main() {
          the host CPU; scaling flattens beyond the physical core count."
     );
 
-    table_header(
-        "Persistent EncodePool vs per-call thread spawn (MDS 32,8 / XOR 32,8)",
-        &[
-            "threads",
-            "MDS spawn",
-            "MDS pool",
-            "speedup",
-            "XOR spawn",
-            "XOR pool",
-            "speedup",
-        ],
-    );
-    json.push_str("  \"pool_vs_spawn\": [\n");
-    let spawn_sweep: Vec<&(usize, f64, f64)> = pooled.iter().filter(|(t, _, _)| *t > 1).collect();
-    for (n, &&(threads, xp, mp)) in spawn_sweep.iter().enumerate() {
-        let ms = encode_throughput(&rs, threads, submessages, encode_parallel_into_spawn) / 1e9;
-        let xs = encode_throughput(&xor, threads, submessages, encode_parallel_into_spawn) / 1e9;
-        table_row(&[
-            threads.to_string(),
-            fmt(ms),
-            fmt(mp),
-            fmt(mp / ms),
-            fmt(xs),
-            fmt(xp),
-            fmt(xp / xs),
-        ]);
-        json.push_str(&format!(
-            "    {{\"threads\": {threads}, \"mds_spawn_gbps\": {ms:.3}, \"mds_pool_gbps\": {mp:.3}, \
-             \"xor_spawn_gbps\": {xs:.3}, \"xor_pool_gbps\": {xp:.3}}}{}\n",
-            if n + 1 < spawn_sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    println!(
-        "Expected shape: the pool wins at every width — it pays one channel\n\
-         enqueue per stripe instead of a thread spawn + join. The gap widens\n\
-         with submessage rate, not size."
-    );
-
-    // Time-to-first-byte: streamed encode→inject pipeline vs upfront
-    // staging, through the real sender over a simulated WAN.
+    // Time-to-first-byte of the streamed encode→inject pipeline, through
+    // the real sender over a simulated WAN.
     let ttfb_msg: u64 = if smoke { 8 << 20 } else { 32 << 20 };
-    let streamed = measure_ttfb_striped(EcStaging::Streamed, ttfb_msg, 1);
-    let upfront = measure_ttfb_striped(EcStaging::Upfront, ttfb_msg, 1);
+    let streamed = measure_ttfb_striped(ttfb_msg, 1);
     table_header(
         "EC sender wall-clock time-to-first-byte (MDS 32,8)",
         &["staging", "TTFB [µs]"],
     );
     table_row(&[
-        "upfront (stage all parity)".into(),
-        fmt(upfront.ttfb_wall.as_secs_f64() * 1e6),
-    ]);
-    table_row(&[
         "streamed (pipeline)".into(),
         fmt(streamed.ttfb_wall.as_secs_f64() * 1e6),
     ]);
     println!(
-        "Expected shape: upfront TTFB grows with the full message's parity\n\
-         encode; streamed TTFB is ~one pool submission (data needs no\n\
-         encode; submessage i+1 encodes while i injects)."
+        "Expected shape: TTFB is ~one pool submission, independent of the\n\
+         message size (data needs no encode; submessage i+1 encodes while i\n\
+         injects)."
     );
     json.push_str(&format!(
-        "  \"ttfb\": {{\"msg_bytes\": {ttfb_msg}, \"upfront_us\": {:.1}, \"streamed_us\": {:.1}}},\n",
-        upfront.ttfb_wall.as_secs_f64() * 1e6,
+        "  \"ttfb\": {{\"msg_bytes\": {ttfb_msg}, \"streamed_us\": {:.1}}},\n",
         streamed.ttfb_wall.as_secs_f64() * 1e6
     ));
 
@@ -256,7 +196,7 @@ fn main() {
     let stripe_sweep = [1usize, 2, 4];
     for (n, stripes) in stripe_sweep.into_iter().enumerate() {
         let wall = Instant::now();
-        let rep = measure_ttfb_striped(EcStaging::Streamed, ttfb_msg, stripes);
+        let rep = measure_ttfb_striped(ttfb_msg, stripes);
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         table_row(&[
             stripes.to_string(),

@@ -15,7 +15,7 @@
 //!   length — no addresses or keys (§3.1.3).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
@@ -73,11 +73,8 @@ struct RecvSlot {
     /// before decoding, catching corrupted wire duplicates that landed
     /// after the original clean packet was recorded.
     arrival_crcs: Vec<Option<u32>>,
-    /// Kept for diagnostics; the datapath resolves through the root key.
-    #[allow(dead_code)]
+    /// Posted length, re-announced when a lost CTS is re-issued.
     buf_len: u64,
-    #[allow(dead_code)]
-    buf_mkey: MkeyId,
 }
 
 impl RecvSlot {
@@ -90,7 +87,6 @@ impl RecvSlot {
             buf_addr: 0,
             arrival_crcs: Vec::new(),
             buf_len: 0,
-            buf_mkey: MkeyId(u32::MAX),
         }
     }
 }
@@ -126,9 +122,6 @@ struct QpInner {
     root_mkeys: Vec<MkeyId>,
     null_mkey: MkeyId,
     ctrl_qp: QpNum,
-    /// Base address of the pre-posted control buffers (diagnostics).
-    #[allow(dead_code)]
-    ctrl_buf_base: u64,
     remote: Option<SdrQpInfo>,
     recv_slots: Vec<RecvSlot>,
     recv_seq: u64,
@@ -194,7 +187,6 @@ impl SdrQp {
                 root_mkeys,
                 null_mkey,
                 ctrl_qp,
-                ctrl_buf_base,
                 remote: None,
                 recv_slots: (0..cfg.msg_slots).map(|_| RecvSlot::empty()).collect(),
                 recv_seq: 0,
@@ -324,13 +316,10 @@ impl SdrQp {
             total_packets,
             i.cfg.packets_per_chunk() as u32,
         ));
-        let (node, root, null) = (i.node, i.root_mkeys[gen as usize], i.null_mkey);
-        let buf_mkey = i.fabric.node_mut(node, |n| {
+        let (node, root) = (i.node, i.root_mkeys[gen as usize]);
+        i.fabric.node_mut(node, |n| {
             let mk = n.reg_mr(addr, len);
             n.set_indirect_slot(root, slot, Some(mk));
-            // Defensive: make sure no other generation still points here.
-            let _ = null;
-            mk
         });
         i.recv_slots[slot] = RecvSlot {
             seq,
@@ -344,7 +333,6 @@ impl SdrQp {
                 Vec::new()
             },
             buf_len: len,
-            buf_mkey,
         };
         i.stats.recvs_posted += 1;
 
@@ -975,7 +963,3 @@ impl QpInner {
         }
     }
 }
-
-/// Keeps `VecDeque` import alive for future pending-send queues.
-#[allow(dead_code)]
-type PendingQueue = VecDeque<u64>;

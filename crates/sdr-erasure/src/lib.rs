@@ -26,8 +26,6 @@
 //!   (Figure 11); dispatches stripes to the pool (no per-call thread
 //!   spawn); the `_into` form writes caller-owned parity buffers and
 //!   allocates nothing in the single-thread path.
-//!   [`encode_parallel_into_spawn`] keeps the per-call `thread::scope`
-//!   baseline for A/B benches.
 //! * [`crc32c`] — runtime-dispatched CRC32C (Castagnoli) behind the
 //!   [`Crc32c`] vtable: the x86_64 `CRC32` instruction tier (8.0 GiB/s)
 //!   over the portable slice-by-8 fallback (1.46 GiB/s), pinnable via
@@ -71,7 +69,7 @@ pub use codec::{EcError, ErasureCode};
 pub use crc32c::{crc32c, Crc32c, Crc32cHasher};
 pub use kernel::Kernel;
 pub use matrix::Matrix;
-pub use parallel::{encode_parallel, encode_parallel_into, encode_parallel_into_spawn};
+pub use parallel::{encode_parallel, encode_parallel_into};
 pub use pool::{EncodeJob, EncodePool, PendingEncode};
 pub use rs::{decode_cache_default_capacity, set_decode_cache_default_capacity, ReedSolomon};
 pub use xor::XorCode;

@@ -6,29 +6,12 @@
 //! split the shard length into per-thread stripes and encode each stripe
 //! concurrently on the persistent [`EncodePool`] — no locks, no shared
 //! mutable state, and no per-call thread spawn.
-//!
-//! [`encode_parallel_into_spawn`] keeps the original per-call
-//! `std::thread::scope` implementation as the A/B baseline: the fig11
-//! bench pits it against the pooled path to measure the dispatch saving.
 
 use crate::codec::ErasureCode;
 use crate::pool::EncodePool;
 
 /// Stripe alignment: keep per-thread slices cache-line aligned.
 const STRIPE_ALIGN: usize = 64;
-
-/// Splits every mutable slice in `views` at `at`, returning the heads and
-/// keeping the tails in `views`.
-fn split_all<'a>(views: &mut Vec<&'a mut [u8]>, at: usize) -> Vec<&'a mut [u8]> {
-    let mut heads = Vec::with_capacity(views.len());
-    for v in views.iter_mut() {
-        let taken = std::mem::take(v);
-        let (head, tail) = taken.split_at_mut(at);
-        heads.push(head);
-        *v = tail;
-    }
-    heads
-}
 
 /// Encodes `data` with `code` into **caller-owned** parity buffers using up
 /// to `threads` worker threads — the zero-steady-state-allocation encode
@@ -64,62 +47,6 @@ pub fn encode_parallel_into(
     }
 
     EncodePool::global().encode_striped(code, data, parity, threads);
-}
-
-/// The pre-pool implementation of [`encode_parallel_into`]: spawns fresh
-/// `std::thread::scope` threads on every call. Kept as the per-call-spawn
-/// baseline the fig11 bench compares the persistent pool against; not used
-/// on any production path.
-///
-/// # Panics
-/// Panics when shard counts or lengths are inconsistent.
-pub fn encode_parallel_into_spawn(
-    code: &dyn ErasureCode,
-    data: &[&[u8]],
-    parity: &mut [&mut [u8]],
-    threads: usize,
-) {
-    assert_eq!(data.len(), code.data_shards());
-    assert_eq!(parity.len(), code.parity_shards());
-    let len = data.first().map_or(0, |d| d.len());
-    assert!(data.iter().all(|d| d.len() == len), "ragged data shards");
-    assert!(
-        parity.iter().all(|p| p.len() == len),
-        "ragged parity shards"
-    );
-    let threads = threads.max(1);
-
-    if threads == 1 || len < threads * STRIPE_ALIGN {
-        code.encode_into(data, parity);
-        return;
-    }
-
-    // Carve [0, len) into `threads` stripes aligned to STRIPE_ALIGN.
-    let base = len / threads / STRIPE_ALIGN * STRIPE_ALIGN;
-    let mut bounds = Vec::with_capacity(threads);
-    let mut used = 0;
-    for i in 0..threads {
-        let size = if i == threads - 1 { len - used } else { base };
-        bounds.push(size);
-        used += size;
-    }
-
-    let mut parity_tails: Vec<&mut [u8]> = parity.iter_mut().map(|p| &mut **p).collect();
-    std::thread::scope(|scope| {
-        let mut offset = 0usize;
-        for &size in &bounds {
-            if size == 0 {
-                continue;
-            }
-            let parity_stripe = split_all(&mut parity_tails, size);
-            let data_stripe: Vec<&[u8]> = data.iter().map(|d| &d[offset..offset + size]).collect();
-            offset += size;
-            scope.spawn(move || {
-                let mut views = parity_stripe;
-                code.encode_into(&data_stripe, &mut views);
-            });
-        }
-    });
 }
 
 /// Encodes `data` with `code` using up to `threads` worker threads,
@@ -212,24 +139,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_path_matches_spawn_baseline() {
+    fn pooled_path_matches_serial_reference() {
         let code = ReedSolomon::new(8, 3);
         let data = random_data(8, 96 * 1024 + 31);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        let mut serial = vec![vec![0u8; 96 * 1024 + 31]; 3];
+        {
+            let mut views: Vec<&mut [u8]> = serial.iter_mut().map(|p| p.as_mut_slice()).collect();
+            code.encode_into(&refs, &mut views);
+        }
         for threads in [2, 3, 8] {
             let mut pooled = vec![vec![0u8; 96 * 1024 + 31]; 3];
-            let mut spawned = vec![vec![0u8; 96 * 1024 + 31]; 3];
             {
                 let mut views: Vec<&mut [u8]> =
                     pooled.iter_mut().map(|p| p.as_mut_slice()).collect();
                 encode_parallel_into(&code, &refs, &mut views, threads);
             }
-            {
-                let mut views: Vec<&mut [u8]> =
-                    spawned.iter_mut().map(|p| p.as_mut_slice()).collect();
-                encode_parallel_into_spawn(&code, &refs, &mut views, threads);
-            }
-            assert_eq!(pooled, spawned, "threads={threads}");
+            assert_eq!(pooled, serial, "threads={threads}");
         }
     }
 

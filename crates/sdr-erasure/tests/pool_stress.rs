@@ -106,7 +106,7 @@ fn worker_panic_is_contained_and_pool_survives() {
 }
 
 /// The pooled `encode_parallel_into` propagates shape panics to the
-/// caller (contract parity with the spawn baseline) without wedging the
+/// caller (as a plain `encode_into` would) without wedging the
 /// global pool for later calls.
 #[test]
 fn striped_shape_panic_propagates_and_pool_recovers() {

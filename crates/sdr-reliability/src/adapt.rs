@@ -430,7 +430,6 @@ struct PendingSwitch {
 
 /// Keeps a live segment's protocol object alive; its callbacks drive
 /// everything, so the handle itself is never read.
-#[allow(dead_code)]
 enum SegSender {
     Sr(SrSender),
     Ec(EcSender),
@@ -440,7 +439,6 @@ enum SegSender {
 struct TxSeg {
     epoch: u32,
     gate: Rc<EpochGate>,
-    #[allow(dead_code)]
     sender: SegSender,
 }
 
@@ -1117,13 +1115,6 @@ impl AdaptiveController {
             i.cfg.seed ^ ((next_unstarted as u64) << 8),
         );
         let target = spec_from_scheme(&rec.scheme);
-        if std::env::var_os("SDR_ADAPT_DEBUG").is_some() {
-            eprintln!(
-                "  [ctl {:.1}ms] next={next_unstarted} loss={loss:.2e} rtt={rtt:.4} rem={remaining} -> {target} (cur {})",
-                now.as_secs_f64() * 1e3,
-                i.current_spec
-            );
-        }
         if target == i.current_spec {
             return Tick::Again;
         }
@@ -1173,12 +1164,6 @@ impl AdaptiveController {
             // on it would suppress exactly the handover this rule is
             // meant to harden.
             let conservative = stronger_split(target);
-            if std::env::var_os("SDR_ADAPT_DEBUG").is_some() {
-                eprintln!(
-                    "  [ctl {:.1}ms] fresh upward step: strengthening {target} -> {conservative}",
-                    now.as_secs_f64() * 1e3
-                );
-            }
             target = conservative;
         }
         // Propose, targeting a pipeline-lead's worth of segments ahead of
@@ -1576,8 +1561,6 @@ impl SegReceiver {
 
 struct RxSeg {
     epoch: u32,
-    #[allow(dead_code)]
-    gate: Rc<EpochGate>,
     recv: SegReceiver,
     complete: bool,
 }
@@ -1984,7 +1967,7 @@ impl AdaptiveController {
                 i.est.clone(),
             )
         };
-        let path: Rc<dyn CtrlPath> = gate.clone();
+        let path: Rc<dyn CtrlPath> = gate;
         let recv = match spec {
             SchemeSpec::SrRto | SchemeSpec::SrNack => {
                 let proto = sr_proto(&spec, &cfg);
@@ -2032,7 +2015,6 @@ impl AdaptiveController {
         };
         inner.borrow_mut().live.push(RxSeg {
             epoch,
-            gate,
             recv,
             complete: false,
         });
@@ -2253,14 +2235,6 @@ impl AdaptiveController {
         let (report, done) = {
             let i = inner.borrow();
             let counters = i.est.borrow().counters();
-            if std::env::var_os("SDR_ADAPT_DEBUG").is_some() {
-                eprintln!(
-                    "  [rx {:.1}ms] telemetry seen={} lost={}",
-                    eng.now().as_secs_f64() * 1e3,
-                    counters.seen,
-                    counters.lost
-                );
-            }
             (counters, i.done_at.is_some())
         };
         if done {

@@ -27,8 +27,8 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use sdr_sim::{
-    Counter, CqId, Engine, Fabric, FlightRecorder, NodeId, QpAddr, QpNum, QpType, RecvWqe,
-    Registry, Waker,
+    Counter, Engine, Fabric, FlightRecorder, NodeId, QpAddr, QpNum, QpType, RecvWqe, Registry,
+    Waker,
 };
 
 use crate::ack::{CtrlMsg, CtrlStamp};
@@ -174,8 +174,6 @@ pub struct ControlEndpoint {
     fabric: Fabric,
     node: NodeId,
     qp: QpNum,
-    #[allow(dead_code)]
-    cq: CqId,
     handler: Rc<RefCell<Option<CtrlHandler>>>,
     /// Demultiplexed handler for [`FLOW_XFER_BIT`]-stamped datagrams.
     flow_handler: Rc<RefCell<Option<FlowCtrlHandler>>>,
@@ -374,7 +372,6 @@ impl ControlEndpoint {
             fabric: fabric.clone(),
             node,
             qp,
-            cq,
             handler,
             flow_handler,
             sent: Rc::new(RefCell::new(0)),

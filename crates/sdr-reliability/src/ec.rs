@@ -34,12 +34,10 @@
 //! Two pooled buffer sets cycle through the pipeline (double buffering):
 //! while submessage *i*'s buffers travel through the pool, submessage
 //! *i−1*'s set is harvested, its parity copied to the staging region, and
-//! the set resubmitted for submessage *i+1*. [`EcStaging::Upfront`] keeps
-//! the stage-everything-first behavior as the measurable A/B baseline; both
-//! modes stage byte-identical parity. `encode_stripes` additionally splits
-//! each in-flight submessage's shard length across the pool's workers
-//! (`EncodePool::submit(job, n)`), shortening the per-submessage encode
-//! latency on multi-core hosts.
+//! the set resubmitted for submessage *i+1*. `encode_stripes` additionally
+//! splits each in-flight submessage's shard length across the pool's
+//! workers (`EncodePool::submit(job, n)`), shortening the per-submessage
+//! encode latency on multi-core hosts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,7 +51,8 @@ use sdr_sim::{Engine, QpAddr, SimTime};
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
 use crate::runtime::{
-    begin_on_cts, wire_ctrl, AbortReason, Completion, RxCommon, RxDriver, RxScheme, TransferOutcome,
+    begin_on_cts, wire_ctrl, AbortReason, Completion, CtrlSink, RxCommon, RxDriver, RxScheme,
+    RxStep, TransferOutcome,
 };
 use crate::telemetry::ChannelEstimator;
 
@@ -64,20 +63,6 @@ pub enum EcCodeChoice {
     Mds,
     /// XOR modulo-group code: one drop per group recoverable.
     Xor,
-}
-
-/// How the sender stages parity relative to injection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EcStaging {
-    /// Encode every submessage before the first injection — the
-    /// pre-pipeline behavior, kept as the A/B baseline. Time-to-first-byte
-    /// is O(total parity encode).
-    Upfront,
-    /// Stream: submit submessage *i+1*'s encode to the [`EncodePool`]
-    /// while submessage *i* injects. Time-to-first-byte is O(1) — data
-    /// needs no encoding and the first parity encode overlaps the data
-    /// injections.
-    Streamed,
 }
 
 /// EC protocol tuning.
@@ -95,8 +80,6 @@ pub struct EcProtoConfig {
     pub fto: SimTime,
     /// Final-ACK repeats before releasing buffers.
     pub linger_acks: u32,
-    /// Parity staging discipline (default: [`EcStaging::Streamed`]).
-    pub staging: EcStaging,
     /// Stripes per in-flight submessage encode: `> 1` splits each
     /// submessage's shard length across the [`EncodePool`] workers,
     /// shortening the per-submessage encode latency the fig11 TTFB row
@@ -125,7 +108,6 @@ impl EcProtoConfig {
             poll_interval: rtt / 8,
             fto: SimTime::from_secs_f64(fto_s),
             linger_acks: 25,
-            staging: EcStaging::Streamed,
             encode_stripes: 1,
         }
     }
@@ -161,28 +143,32 @@ fn geometry(total_chunks: u64, k: usize, m: usize, code: EcCodeChoice) -> Vec<Su
         .collect()
 }
 
-fn make_code(choice: EcCodeChoice, k_eff: usize, m_eff: usize) -> Arc<dyn ErasureCode> {
-    match choice {
-        EcCodeChoice::Mds => Arc::new(ReedSolomon::new(k_eff, m_eff)),
-        EcCodeChoice::Xor => Arc::new(XorCode::new(k_eff, m_eff)),
-    }
-}
+/// Code instances by `(family, k_eff, m_eff)`.
+pub(crate) type CodeCache = Vec<((EcCodeChoice, usize, usize), Arc<dyn ErasureCode>)>;
 
 /// One shared code instance per distinct `(k_eff, m_eff)` shape — a message
 /// has at most two (full submessages and the tail), and building a
 /// [`ReedSolomon`] involves a Vandermonde construction plus a matrix
 /// inversion that must not run per submessage, let alone per bitmap poll.
-/// (`Arc`, not `Rc`: the sender ships codes to the encode pool's workers.)
-fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Arc<dyn ErasureCode>> {
-    let mut cache: Vec<((usize, usize), Arc<dyn ErasureCode>)> = Vec::new();
+/// A host running many transfers passes one long-lived `cache` so the
+/// inversion does not run per transfer either. (`Arc`, not `Rc`: the
+/// sender ships codes to the encode pool's workers.)
+fn codes_for(
+    choice: EcCodeChoice,
+    geoms: &[SubGeom],
+    cache: &mut CodeCache,
+) -> Vec<Arc<dyn ErasureCode>> {
     geoms
         .iter()
         .map(|g| {
-            let shape = (g.k_eff, g.m_eff);
+            let shape = (choice, g.k_eff, g.m_eff);
             if let Some((_, c)) = cache.iter().find(|(s, _)| *s == shape) {
                 return c.clone();
             }
-            let c = make_code(choice, g.k_eff, g.m_eff);
+            let c: Arc<dyn ErasureCode> = match choice {
+                EcCodeChoice::Mds => Arc::new(ReedSolomon::new(g.k_eff, g.m_eff)),
+                EcCodeChoice::Xor => Arc::new(XorCode::new(g.k_eff, g.m_eff)),
+            };
             cache.push((shape, c.clone()));
             c
         })
@@ -236,10 +222,10 @@ pub struct EcScratch {
     pub(crate) pool: BufPool,
     /// Shard table reused across decodes.
     pub(crate) shards: Vec<Option<Vec<u8>>>,
-    /// Per-chunk presence flags reused across polls.
-    pub(crate) data_present: Vec<bool>,
-    pub(crate) parity_present: Vec<bool>,
+    /// Per-shard presence flags (data then parity) reused across polls.
     pub(crate) present: Vec<bool>,
+    /// Codes built so far: receivers sharing this scratch share them too.
+    pub(crate) codes: CodeCache,
 }
 
 impl EcScratch {
@@ -252,17 +238,6 @@ impl EcScratch {
             },
             ..EcScratch::default()
         }
-    }
-
-    /// Rents a zeroed `len`-byte buffer, reusing a pooled one when
-    /// available.
-    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
-        self.pool.take(len)
-    }
-
-    /// Returns a buffer to the pool (dropped when the pool is at cap).
-    pub(crate) fn put(&mut self, b: Vec<u8>) {
-        self.pool.put(b);
     }
 
     /// Buffers currently pooled (test observability).
@@ -280,61 +255,115 @@ pub struct EcReport {
     pub fallback_rounds: u64,
     /// Wall-clock time from `EcSender::start` entry to the first data
     /// injection — the host-side cost paid before the first byte leaves.
-    /// [`EcStaging::Upfront`] pays the full parity encode here;
-    /// [`EcStaging::Streamed`] pays ~one pool submission.
+    /// The streaming pipeline pays ~one pool submission here, not the
+    /// parity encode.
     pub ttfb_wall: Duration,
     /// How the transfer ended ([`TransferOutcome::Aborted`] after
     /// [`EcSender::abort`]; `duration` then covers start → abort).
     pub outcome: TransferOutcome,
 }
 
-struct EcSenderInner {
-    qp: SdrQp,
+/// The sender's parity pipeline: the staging region in local memory and
+/// the double-buffered encode jobs that fill it one submessage ahead of
+/// the sends. Plain state over the shared [`EncodePool`] — whoever owns
+/// the sends ([`EcSender`]'s CTS pump, the flow manager's stream starts)
+/// calls [`staged`](Self::staged) right before injecting a parity
+/// submessage.
+pub(crate) struct ParityStager {
     ctx: SdrContext,
-    cfg: EcProtoConfig,
     local_addr: u64,
     chunk_bytes: u64,
+    stripes: usize,
     geoms: Vec<SubGeom>,
     /// One code instance per submessage, shared across identical shapes.
     codes: Vec<Arc<dyn ErasureCode>>,
     parity_addr: u64,
     parity_offsets: Vec<u64>,
     parity_total_bytes: u64,
-    data_hdls: Vec<Option<SendHandle>>,
-    parity_sent: Vec<bool>,
-    next_send_seq: u64,
-    started_wall: Instant,
-    ttfb_wall: Option<Duration>,
-    fallback_rounds: u64,
-    completion: Completion<EcReport>,
-    // --- streaming encode pipeline state ---
     /// Parity submessages already copied into the staging region.
-    pl_staged: Vec<bool>,
+    is_staged: Vec<bool>,
     /// Next submessage index to submit to the encode pool.
-    pl_next_submit: usize,
+    next_submit: usize,
     /// The (single) in-flight encode: submessage index + pool handle.
-    pl_pending: Option<(usize, PendingEncode)>,
+    pending: Option<(usize, PendingEncode)>,
     /// Recycled chunk-sized buffers cycling through encode jobs
     /// (double-buffered: one set in flight, one being staged).
-    pl_chunks: Vec<Vec<u8>>,
+    chunks: Vec<Vec<u8>>,
     /// Recycled `Vec<Vec<u8>>` containers for job data/parity tables.
-    pl_containers: Vec<Vec<Vec<u8>>>,
+    containers: Vec<Vec<Vec<u8>>>,
 }
 
-impl EcSenderInner {
+impl ParityStager {
+    /// Allocates the staging region for the `msg_bytes` message at
+    /// `local_addr` and primes the pipeline: submessage 0's encode starts
+    /// on the pool before any CTS lands.
+    pub(crate) fn new(
+        ctx: &SdrContext,
+        local_addr: u64,
+        msg_bytes: u64,
+        chunk_bytes: u64,
+        cfg: &EcProtoConfig,
+        cache: &mut CodeCache,
+    ) -> Self {
+        assert!(
+            msg_bytes.is_multiple_of(chunk_bytes),
+            "EC layer requires chunk-aligned messages"
+        );
+        let geoms = geometry(msg_bytes / chunk_bytes, cfg.k, cfg.m, cfg.code);
+        let codes = codes_for(cfg.code, &geoms, cache);
+        let mut parity_offsets = Vec::with_capacity(geoms.len());
+        let mut off = 0u64;
+        for g in &geoms {
+            parity_offsets.push(off);
+            off += g.m_eff as u64 * chunk_bytes;
+        }
+        let mut stager = ParityStager {
+            ctx: ctx.clone(),
+            local_addr,
+            chunk_bytes,
+            stripes: cfg.encode_stripes.max(1),
+            is_staged: vec![false; geoms.len()],
+            geoms,
+            codes,
+            parity_addr: ctx.alloc_buffer(off),
+            parity_offsets,
+            parity_total_bytes: off,
+            next_submit: 0,
+            pending: None,
+            chunks: Vec::new(),
+            containers: Vec::new(),
+        };
+        stager.submit_next_encode();
+        stager
+    }
+
+    /// Submessages in the message.
+    pub(crate) fn submessages(&self) -> usize {
+        self.geoms.len()
+    }
+
+    /// `(addr, len)` of data submessage `idx` in the user buffer.
+    fn data(&self, idx: usize) -> (u64, u64) {
+        let g = self.geoms[idx];
+        (
+            self.local_addr + g.chunk_start * self.chunk_bytes,
+            g.k_eff as u64 * self.chunk_bytes,
+        )
+    }
+
     /// Submits the next submessage's encode to the pool: rent buffers,
     /// snapshot the data chunks, ship the job. No-op once all submitted.
     fn submit_next_encode(&mut self) {
-        let idx = self.pl_next_submit;
+        let idx = self.next_submit;
         if idx >= self.geoms.len() {
             return;
         }
-        debug_assert!(self.pl_pending.is_none(), "single in-flight encode");
+        debug_assert!(self.pending.is_none(), "single in-flight encode");
         let g = self.geoms[idx];
         let chunk_len = self.chunk_bytes as usize;
-        let mut data = self.pl_containers.pop().unwrap_or_default();
+        let mut data = self.containers.pop().unwrap_or_default();
         for j in 0..g.k_eff {
-            let mut b = self.pl_chunks.pop().unwrap_or_default();
+            let mut b = self.chunks.pop().unwrap_or_default();
             b.resize(chunk_len, 0);
             self.ctx.read_buffer_into(
                 self.local_addr + (g.chunk_start + j as u64) * self.chunk_bytes,
@@ -342,9 +371,9 @@ impl EcSenderInner {
             );
             data.push(b);
         }
-        let mut parity = self.pl_containers.pop().unwrap_or_default();
+        let mut parity = self.containers.pop().unwrap_or_default();
         for _ in 0..g.m_eff {
-            let mut b = self.pl_chunks.pop().unwrap_or_default();
+            let mut b = self.chunks.pop().unwrap_or_default();
             b.resize(chunk_len, 0);
             parity.push(b);
         }
@@ -353,16 +382,15 @@ impl EcSenderInner {
             data,
             parity,
         };
-        let stripes = self.cfg.encode_stripes.max(1);
-        self.pl_pending = Some((idx, EncodePool::global().submit(job, stripes)));
-        self.pl_next_submit = idx + 1;
+        self.pending = Some((idx, EncodePool::global().submit(job, self.stripes)));
+        self.next_submit = idx + 1;
     }
 
     /// Harvests the in-flight encode: wait for the pool, copy parity into
     /// the staging region, recycle the buffers, and immediately submit the
     /// next submessage so its encode overlaps the injection of this one.
     fn harvest_one(&mut self) {
-        let (idx, pending) = self.pl_pending.take().expect("an encode is in flight");
+        let (idx, pending) = self.pending.take().expect("an encode is in flight");
         let EncodeJob {
             code: _,
             mut data,
@@ -373,22 +401,39 @@ impl EcSenderInner {
             self.ctx
                 .write_buffer(self.parity_addr + off + p as u64 * self.chunk_bytes, shard);
         }
-        self.pl_staged[idx] = true;
-        self.pl_chunks.append(&mut data);
-        self.pl_chunks.append(&mut parity);
-        self.pl_containers.push(data);
-        self.pl_containers.push(parity);
+        self.is_staged[idx] = true;
+        self.chunks.append(&mut data);
+        self.chunks.append(&mut parity);
+        self.containers.push(data);
+        self.containers.push(parity);
         self.submit_next_encode();
     }
 
-    /// Drains the pipeline until submessage `p`'s parity is staged.
-    /// Submissions are strictly in order, so this harvests at most
-    /// `p − staged_count + 1` encodes.
-    fn ensure_parity_staged(&mut self, p: usize) {
-        while !self.pl_staged[p] {
+    /// Drains the pipeline until submessage `p`'s parity is staged and
+    /// returns its `(addr, len)` in the staging region. Submissions are
+    /// strictly in order, so this harvests at most `p − staged + 1`
+    /// encodes.
+    pub(crate) fn staged(&mut self, p: usize) -> (u64, u64) {
+        while !self.is_staged[p] {
             self.harvest_one();
         }
+        (
+            self.parity_addr + self.parity_offsets[p],
+            self.geoms[p].m_eff as u64 * self.chunk_bytes,
+        )
     }
+}
+
+struct EcSenderInner {
+    qp: SdrQp,
+    stager: ParityStager,
+    data_hdls: Vec<Option<SendHandle>>,
+    parity_sent: Vec<bool>,
+    next_send_seq: u64,
+    started_wall: Instant,
+    ttfb_wall: Option<Duration>,
+    fallback_rounds: u64,
+    completion: Completion<EcReport>,
 }
 
 /// The EC sender protocol object.
@@ -414,42 +459,24 @@ impl EcSender {
     ) -> EcSender {
         let started_wall = Instant::now();
         let chunk_bytes = qp.config().chunk_bytes;
-        assert!(
-            msg_bytes.is_multiple_of(chunk_bytes),
-            "EC layer requires chunk-aligned messages"
+        // Parity lands in the stager's region as the pipeline harvests
+        // encodes, one submessage ahead of the sends.
+        let stager = ParityStager::new(
+            ctx,
+            local_addr,
+            msg_bytes,
+            chunk_bytes,
+            &cfg,
+            &mut CodeCache::new(),
         );
-        let total_chunks = msg_bytes / chunk_bytes;
-        let geoms = geometry(total_chunks, cfg.k, cfg.m, cfg.code);
+        let l = stager.submessages();
         assert!(
-            geoms.len() * 2 <= qp.config().msg_slots,
+            l * 2 <= qp.config().msg_slots,
             "need 2L ≤ msg_slots in-flight descriptors"
         );
-
-        // Parity staging region in local memory. Parity lands here as the
-        // pipeline harvests encodes — streamed one submessage ahead of the
-        // sends by default, or all up front under `EcStaging::Upfront`.
-        let codes = codes_for(cfg.code, &geoms);
-        let total_parity_chunks: u64 = geoms.iter().map(|g| g.m_eff as u64).sum();
-        let parity_addr = ctx.alloc_buffer(total_parity_chunks * chunk_bytes);
-        let mut parity_offsets = Vec::with_capacity(geoms.len());
-        let mut off = 0u64;
-        for g in &geoms {
-            parity_offsets.push(off);
-            off += g.m_eff as u64 * chunk_bytes;
-        }
-
-        let l = geoms.len();
         let inner = Rc::new(RefCell::new(EcSenderInner {
             qp: qp.clone(),
-            ctx: ctx.clone(),
-            cfg,
-            local_addr,
-            chunk_bytes,
-            geoms,
-            codes,
-            parity_addr,
-            parity_offsets,
-            parity_total_bytes: total_parity_chunks * chunk_bytes,
+            stager,
             data_hdls: vec![None; l],
             parity_sent: vec![false; l],
             next_send_seq: qp.next_send_seq(),
@@ -457,28 +484,13 @@ impl EcSender {
             ttfb_wall: None,
             fallback_rounds: 0,
             completion: Completion::new(done),
-            pl_staged: vec![false; l],
-            pl_next_submit: 0,
-            pl_pending: None,
-            pl_chunks: Vec::new(),
-            pl_containers: Vec::new(),
         }));
-
-        // Prime the pipeline: submessage 0's encode starts on the pool
-        // before any CTS lands. Upfront mode drains it all here (the
-        // pre-pipeline behavior): the first byte then waits on the entire
-        // parity encode.
-        {
-            let mut i = inner.borrow_mut();
-            i.submit_next_encode();
-            if cfg.staging == EcStaging::Upfront && l > 0 {
-                i.ensure_parity_staged(l - 1);
-            }
-        }
 
         // Control handler: positive ACK finishes; NACK selective-repeats.
         wire_ctrl(&ctrl, &inner, |me, eng, _src, msg| match msg {
-            CtrlMsg::EcAck => Self::on_ack(me, eng),
+            CtrlMsg::EcAck => {
+                Self::finish(me, eng, TransferOutcome::Delivered);
+            }
             CtrlMsg::EcNack { failed } => Self::on_nack(me, eng, &failed),
             _ => {}
         });
@@ -498,18 +510,15 @@ impl EcSender {
 
     /// Raw bytes of the whole parity staging region, draining the encode
     /// pipeline first so every submessage's parity is staged. Test
-    /// observability: the streamed and upfront senders must stage
-    /// byte-identical parity.
+    /// observability: the pipeline must stage exactly what a serial
+    /// encode of the same data yields.
     pub fn staged_parity(&self) -> Vec<u8> {
-        let mut i = self.inner.borrow_mut();
-        while i.pl_pending.is_some() || i.pl_next_submit < i.geoms.len() {
-            if i.pl_pending.is_none() {
-                i.submit_next_encode();
-            }
-            i.harvest_one();
+        let st = &mut self.inner.borrow_mut().stager;
+        if let Some(last) = st.submessages().checked_sub(1) {
+            st.staged(last);
         }
-        let (addr, len) = (i.parity_addr, i.parity_total_bytes);
-        i.ctx.read_buffer(addr, len as usize)
+        st.ctx
+            .read_buffer(st.parity_addr, st.parity_total_bytes as usize)
     }
 
     fn pump_sends(inner: &Rc<RefCell<EcSenderInner>>, eng: &mut Engine) {
@@ -517,7 +526,7 @@ impl EcSender {
         if i.completion.is_done() {
             return;
         }
-        let l = i.geoms.len();
+        let l = i.stager.submessages();
         let base_seq = i.next_send_seq
             + (i.data_hdls.iter().filter(|h| h.is_some()).count()
                 + i.parity_sent.iter().filter(|&&s| s).count()) as u64;
@@ -531,9 +540,7 @@ impl EcSender {
                 // Data submessage idx as a streaming send. Data needs no
                 // encoding, so the first byte leaves while submessage 0's
                 // parity is still encoding on the pool.
-                let g = i.geoms[idx];
-                let addr = i.local_addr + g.chunk_start * i.chunk_bytes;
-                let len = g.k_eff as u64 * i.chunk_bytes;
+                let (addr, len) = i.stager.data(idx);
                 let hdl =
                     i.qp.send_stream_start(eng, addr, len, None)
                         .expect("CTS checked");
@@ -546,13 +553,10 @@ impl EcSender {
                 }
             } else {
                 // Parity submessage as a one-shot send; harvest the
-                // pipeline up to it first (streamed mode stages parity p
-                // here while p+1 encodes on the pool).
+                // pipeline up to it first (parity p is staged here while
+                // p+1 encodes on the pool).
                 let p = idx - l;
-                i.ensure_parity_staged(p);
-                let g = i.geoms[p];
-                let addr = i.parity_addr + i.parity_offsets[p];
-                let len = g.m_eff as u64 * i.chunk_bytes;
+                let (addr, len) = i.stager.staged(p);
                 i.qp.send_post(eng, addr, len, None).expect("CTS checked");
                 i.parity_sent[p] = true;
             }
@@ -568,51 +572,30 @@ impl EcSender {
         i.fallback_rounds += 1;
         for &f in failed {
             let f = f as usize;
-            if f >= i.geoms.len() {
+            if f >= i.data_hdls.len() {
                 continue;
             }
             if let Some(hdl) = i.data_hdls[f] {
-                let g = i.geoms[f];
-                let len = g.k_eff as u64 * i.chunk_bytes;
+                let (_, len) = i.stager.data(f);
                 i.qp.send_stream_continue(eng, &hdl, 0, len)
                     .expect("fallback retransmission");
             }
         }
     }
 
-    fn on_ack(inner: &Rc<RefCell<EcSenderInner>>, eng: &mut Engine) {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return;
-        }
-        for hdl in i.data_hdls.iter().flatten() {
-            let _ = i.qp.send_stream_end(hdl);
-        }
-        let report = EcReport {
-            duration: i.completion.elapsed(eng.now()),
-            fallback_rounds: i.fallback_rounds,
-            ttfb_wall: i.ttfb_wall.unwrap_or_default(),
-            outcome: TransferOutcome::Delivered,
-        };
-        let _ = &i.ctx; // staging buffer lives for the simulation's duration
-        if let Some(cb) = i.completion.finish() {
-            drop(i);
-            cb(eng, report);
-        }
-    }
-
-    /// Tears the transfer down now: every open data stream is ended, no
-    /// further CTS credit will pump a send, and the done callback fires
-    /// with [`TransferOutcome::Aborted`]. Idempotent — returns `false`
-    /// when the transfer already completed or aborted. (EC keeps no
-    /// sender-side retransmission timer; the FTO lives on the receiver,
-    /// whose teardown is [`EcReceiver::quiesce`].)
-    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
+    /// The exactly-once end of the transfer, shared by the positive ACK
+    /// and abort: every open data stream is ended (no further CTS credit
+    /// will pump a send) and the done callback fires with `outcome`.
+    fn finish(
+        inner: &Rc<RefCell<EcSenderInner>>,
+        eng: &mut Engine,
+        outcome: TransferOutcome,
+    ) -> bool {
         let (cb, report) = {
-            let mut i = self.inner.borrow_mut();
-            if i.completion.is_done() {
+            let mut i = inner.borrow_mut();
+            let Some(cb) = i.completion.finish() else {
                 return false;
-            }
+            };
             for hdl in i.data_hdls.iter().flatten() {
                 let _ = i.qp.send_stream_end(hdl);
             }
@@ -620,15 +603,20 @@ impl EcSender {
                 duration: i.completion.elapsed(eng.now()),
                 fallback_rounds: i.fallback_rounds,
                 ttfb_wall: i.ttfb_wall.unwrap_or_default(),
-                outcome: TransferOutcome::aborted(reason),
-            };
-            let Some(cb) = i.completion.finish() else {
-                return false;
+                outcome,
             };
             (cb, report)
         };
         cb(eng, report);
         true
+    }
+
+    /// Tears the transfer down now with [`TransferOutcome::Aborted`].
+    /// Idempotent — returns `false` when the transfer already completed
+    /// or aborted. (EC keeps no sender-side retransmission timer; the FTO
+    /// lives on the receiver, whose teardown is [`EcReceiver::quiesce`].)
+    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
+        Self::finish(&self.inner, eng, TransferOutcome::aborted(reason))
     }
 }
 
@@ -651,12 +639,12 @@ pub struct EcRecvStats {
 }
 
 /// The EC receive policy: per poll, resolve submessages (directly or by
-/// in-place decoding), arm/serve the FTO fallback, and emit the positive
-/// ACK once everything is resolved. Slots `0..L` are the data submessages,
-/// `L..2L` the parity scratch buffers.
-struct EcRxScheme {
+/// in-place decoding), arm/serve the FTO fallback, and report delivery once
+/// everything is resolved. Slots `0..L` are the data submessages, `L..2L`
+/// the parity scratch buffers.
+pub struct EcRxScheme {
     ctx: SdrContext,
-    cfg: EcProtoConfig,
+    fto: SimTime,
     buf_addr: u64,
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
@@ -676,10 +664,9 @@ struct EcRxScheme {
 impl RxScheme for EcRxScheme {
     type Done = EcRecvStats;
 
-    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon) -> bool {
+    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         self.poll_once(eng, rx);
         if self.resolved.iter().all(|&r| r) {
-            rx.send(eng, &CtrlMsg::EcAck);
             return true;
         }
         // Fallback timeout handling (§4.1.2): NACK the unresolved
@@ -694,11 +681,15 @@ impl RxScheme for EcRxScheme {
                     .map(|(idx, _)| idx as u32)
                     .collect();
                 self.stats.fallback_nacks += 1;
-                rx.send(eng, &CtrlMsg::EcNack { failed });
-                self.fto_deadline = Some(eng.now() + self.cfg.fto);
+                send(eng, &CtrlMsg::EcNack { failed });
+                self.fto_deadline = Some(eng.now() + self.fto);
             }
         }
         false
+    }
+
+    fn final_ack(&self) -> CtrlMsg {
+        CtrlMsg::EcAck
     }
 
     fn done_payload(&self) -> EcRecvStats {
@@ -707,6 +698,54 @@ impl RxScheme for EcRxScheme {
 }
 
 impl EcRxScheme {
+    /// Posts the data buffers (slices of the user buffer at `buf_addr`),
+    /// then the parity scratch buffers, on `common` — the same order the
+    /// sender issues sends — and returns the policy over them. Decodes
+    /// stage through `scratch`, which also caches the codes.
+    pub(crate) fn post(
+        eng: &mut Engine,
+        common: &mut RxCommon,
+        ctx: &SdrContext,
+        buf_addr: u64,
+        msg_bytes: u64,
+        cfg: &EcProtoConfig,
+        scratch: Rc<RefCell<EcScratch>>,
+    ) -> Self {
+        let chunk_bytes = common.chunk_bytes();
+        assert!(msg_bytes.is_multiple_of(chunk_bytes));
+        let geoms = geometry(msg_bytes / chunk_bytes, cfg.k, cfg.m, cfg.code);
+        let codes = codes_for(cfg.code, &geoms, &mut scratch.borrow_mut().codes);
+        for g in &geoms {
+            let addr = buf_addr + g.chunk_start * chunk_bytes;
+            common.post(eng, addr, g.k_eff as u64 * chunk_bytes);
+        }
+        let mut parity_addrs = Vec::with_capacity(geoms.len());
+        for g in &geoms {
+            let len = g.m_eff as u64 * chunk_bytes;
+            let addr = ctx.alloc_buffer(len);
+            parity_addrs.push(addr);
+            common.post(eng, addr, len);
+        }
+        EcRxScheme {
+            ctx: ctx.clone(),
+            fto: cfg.fto,
+            buf_addr,
+            chunk_bytes,
+            resolved: vec![false; geoms.len()],
+            geoms,
+            codes,
+            scratch,
+            parity_addrs,
+            fto_deadline: None,
+            stats: EcRecvStats::default(),
+        }
+    }
+
+    /// Receiver statistics so far.
+    pub(crate) fn stats(&self) -> EcRecvStats {
+        self.stats
+    }
+
     fn poll_once(&mut self, eng: &mut Engine, rx: &mut RxCommon) {
         let mut any_packet = false;
         let chunk_len = self.chunk_bytes as usize;
@@ -740,18 +779,33 @@ impl EcRxScheme {
                 self.stats.complete_submessages += 1;
                 continue;
             }
-            scratch.data_present.clear();
-            scratch.data_present.resize(g.k_eff, true);
-            let flags = &mut scratch.data_present;
+            // Shard `i` of the submessage is data chunk `i` or parity
+            // chunk `i − k`: its receive slot, its chunk index there, and
+            // where its bytes live.
+            let (k, m) = (g.k_eff, g.m_eff);
+            let shard_at = |i: usize| {
+                if i < k {
+                    let off = (g.chunk_start + i as u64) * self.chunk_bytes;
+                    (s, i, self.buf_addr + off)
+                } else {
+                    let off = (i - k) as u64 * self.chunk_bytes;
+                    (l + s, i - k, self.parity_addrs[s] + off)
+                }
+            };
+            let EcScratch {
+                pool,
+                shards,
+                present,
+                ..
+            } = scratch;
+            present.clear();
+            present.resize(k + m, true);
             data_bm
                 .chunks()
-                .for_each_missing_in_first_n(g.k_eff, |c| flags[c] = false);
-            scratch.parity_present.clear();
-            scratch.parity_present.resize(g.m_eff, true);
-            let flags = &mut scratch.parity_present;
+                .for_each_missing_in_first_n(k, |c| present[c] = false);
             parity_bm
                 .chunks()
-                .for_each_missing_in_first_n(g.m_eff, |c| flags[c] = false);
+                .for_each_missing_in_first_n(m, |c| present[k + c] = false);
             // Arrival-CRC audit: read each present chunk back and compare
             // against the CRCs recorded when its packets landed. A
             // mismatch means a corrupted duplicate overwrote the chunk
@@ -759,124 +813,71 @@ impl EcRxScheme {
             // decision reads the presence flags, so stale bytes never
             // feed a decode and never silently resolve a submessage.
             if audit {
-                let mut b = scratch.take(chunk_len);
-                for c in 0..g.k_eff {
-                    if scratch.data_present[c] {
-                        self.ctx.read_buffer_into(
-                            self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                            &mut b,
-                        );
-                        if !rx.verify_chunk(s, c, &b) {
-                            scratch.data_present[c] = false;
-                            self.stats.stale_chunks += 1;
-                        }
+                let mut b = pool.take(chunk_len);
+                for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
+                    let (slot, c, addr) = shard_at(i);
+                    self.ctx.read_buffer_into(addr, &mut b);
+                    if !rx.verify_chunk(slot, c, &b) {
+                        *p = false;
+                        self.stats.stale_chunks += 1;
                     }
                 }
-                for c in 0..g.m_eff {
-                    if scratch.parity_present[c] {
-                        self.ctx.read_buffer_into(
-                            self.parity_addrs[s] + c as u64 * self.chunk_bytes,
-                            &mut b,
-                        );
-                        if !rx.verify_chunk(l + s, c, &b) {
-                            scratch.parity_present[c] = false;
-                            self.stats.stale_chunks += 1;
-                        }
-                    }
-                }
-                scratch.put(b);
+                pool.put(b);
                 // The audited equivalent of the `first_n_set` shortcut:
                 // every data chunk landed and still matches its arrival
                 // CRCs — no decode needed.
-                if scratch.data_present.iter().all(|&p| p) {
+                if present[..k].iter().all(|&p| p) {
                     self.resolved[s] = true;
                     self.stats.complete_submessages += 1;
                     continue;
                 }
             }
             // Try in-place decoding from data + parity chunks.
-            scratch.present.clear();
-            // `present` cannot borrow `data_present`/`parity_present`
-            // directly while being extended, so split the borrows.
-            let (present, dp, pp) = (
-                &mut scratch.present,
-                &scratch.data_present,
-                &scratch.parity_present,
-            );
-            present.extend_from_slice(dp);
-            present.extend_from_slice(pp);
-            if !self.codes[s].can_recover(&scratch.present) {
+            if !self.codes[s].can_recover(present) {
                 continue;
             }
             // Stage present shards into pooled buffers (rented, not
             // allocated, once the pool is warm).
-            debug_assert!(scratch.shards.is_empty());
-            for c in 0..g.k_eff {
-                if scratch.data_present[c] {
-                    let mut b = scratch.take(chunk_len);
-                    self.ctx.read_buffer_into(
-                        self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                        &mut b,
-                    );
-                    scratch.shards.push(Some(b));
-                } else {
-                    scratch.shards.push(None);
-                }
+            debug_assert!(shards.is_empty());
+            for (i, &p) in present.iter().enumerate() {
+                shards.push(p.then(|| {
+                    let mut b = pool.take(chunk_len);
+                    self.ctx.read_buffer_into(shard_at(i).2, &mut b);
+                    b
+                }));
             }
-            for c in 0..g.m_eff {
-                if scratch.parity_present[c] {
-                    let mut b = scratch.take(chunk_len);
-                    self.ctx.read_buffer_into(
-                        self.parity_addrs[s] + c as u64 * self.chunk_bytes,
-                        &mut b,
-                    );
-                    scratch.shards.push(Some(b));
-                } else {
-                    scratch.shards.push(None);
-                }
-            }
-            {
-                // Missing shards are rebuilt into buffers rented from the
-                // same scratch pool (`reconstruct_into`), so the loss path
-                // allocates nothing once the pool is warm.
-                let EcScratch { pool, shards, .. } = scratch;
-                self.codes[s]
-                    .reconstruct_into(shards, &mut |len| pool.take(len))
-                    .expect("can_recover checked");
-            }
-            // Write recovered data chunks back into the user buffer.
-            for c in 0..g.k_eff {
-                if !scratch.data_present[c] {
-                    let shard = scratch.shards[c].as_ref().expect("reconstructed");
-                    self.ctx.write_buffer(
-                        self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                        shard,
-                    );
-                }
-            }
-            // Return every staged buffer (including freshly reconstructed
+            // Missing shards are rebuilt into buffers rented from the same
+            // pool (`reconstruct_into`), so the loss path allocates
+            // nothing once the pool is warm.
+            self.codes[s]
+                .reconstruct_into(shards, &mut |len| pool.take(len))
+                .expect("can_recover checked");
+            // Write recovered data chunks back into the user buffer, then
+            // return every staged buffer (including freshly reconstructed
             // ones) to the pool for the next decode.
-            let mut staged = std::mem::take(&mut scratch.shards);
-            for b in staged.drain(..).flatten() {
-                scratch.put(b);
+            for (i, shard) in shards.drain(..).enumerate() {
+                let shard = shard.expect("reconstructed");
+                if i < k && !present[i] {
+                    self.ctx.write_buffer(shard_at(i).2, &shard);
+                }
+                pool.put(shard);
             }
-            scratch.shards = staged; // retain capacity
             self.resolved[s] = true;
             self.stats.decoded_submessages += 1;
         }
         // Arm the FTO at the first observed arrival (§4.1.2).
         if any_packet && self.fto_deadline.is_none() {
-            self.fto_deadline = Some(eng.now() + self.cfg.fto);
+            self.fto_deadline = Some(eng.now() + self.fto);
         }
     }
 }
 
-/// The EC receiver protocol object.
-pub struct EcReceiver {
-    driver: RxDriver<EcRxScheme>,
-}
+/// The EC receiver protocol object: the per-transfer driver over the EC
+/// receive policy (`is_complete`, `is_released`, `quiesce` and
+/// `frontier` are the driver's).
+pub type EcReceiver = RxDriver<EcRxScheme>;
 
-impl EcReceiver {
+impl RxDriver<EcRxScheme> {
     /// Posts all data and parity buffers and starts the poll loop. `done`
     /// fires when every data submessage is present or decoded.
     #[allow(clippy::too_many_arguments)]
@@ -913,110 +914,18 @@ impl EcReceiver {
         done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
     ) -> EcReceiver {
         let scratch = Rc::new(RefCell::new(EcScratch::new(cfg.k, cfg.m)));
-        Self::start_with_scratch(
-            eng, qp, ctx, ctrl, peer_ctrl, buf_addr, msg_bytes, cfg, scratch, telemetry, done,
-        )
-    }
-
-    /// [`start_with_telemetry`](Self::start_with_telemetry) decoding
-    /// through a caller-owned [`EcScratch`]. A host driving many receivers
-    /// (the flow manager, a multi-segment adaptive pipeline) passes the
-    /// same handle to all of them: decodes across transfers then rent from
-    /// one warm buffer pool instead of every transfer allocating its own.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_scratch(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctx: &SdrContext,
-        ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        buf_addr: u64,
-        msg_bytes: u64,
-        cfg: EcProtoConfig,
-        scratch: Rc<RefCell<EcScratch>>,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
-        done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
-    ) -> EcReceiver {
-        let chunk_bytes = qp.config().chunk_bytes;
-        assert!(msg_bytes.is_multiple_of(chunk_bytes));
-        let total_chunks = msg_bytes / chunk_bytes;
-        let geoms = geometry(total_chunks, cfg.k, cfg.m, cfg.code);
-        let codes = codes_for(cfg.code, &geoms);
-
-        // Post data buffers (slices of the user buffer), then parity
-        // scratch buffers — the same order the sender issues sends.
-        let mut common = RxCommon::new(qp, ctrl, peer_ctrl);
-        for g in &geoms {
-            let addr = buf_addr + g.chunk_start * chunk_bytes;
-            let len = g.k_eff as u64 * chunk_bytes;
-            common.post(eng, addr, len);
-        }
-        let mut parity_addrs = Vec::with_capacity(geoms.len());
-        for g in &geoms {
-            let len = g.m_eff as u64 * chunk_bytes;
-            let addr = ctx.alloc_buffer(len);
-            parity_addrs.push(addr);
-            common.post(eng, addr, len);
-        }
+        let mut common = RxCommon::new(qp);
+        let scheme = EcRxScheme::post(eng, &mut common, ctx, buf_addr, msg_bytes, &cfg, scratch);
         if let Some(est) = telemetry {
             common.bind_estimator(est);
         }
-
-        let l = geoms.len();
-        let scheme = EcRxScheme {
-            ctx: ctx.clone(),
-            cfg,
-            buf_addr,
-            chunk_bytes,
-            geoms,
-            codes,
-            scratch,
-            parity_addrs,
-            resolved: vec![false; l],
-            fto_deadline: None,
-            stats: EcRecvStats::default(),
-        };
-        let driver = RxDriver::start(
-            eng,
-            cfg.poll_interval,
-            common,
-            scheme,
-            cfg.linger_acks,
-            done,
-        );
-        EcReceiver { driver }
-    }
-
-    /// True once every data submessage is present or decoded.
-    pub fn is_complete(&self) -> bool {
-        self.driver.is_complete()
-    }
-
-    /// True once every posted buffer has been released back to the QP.
-    pub fn is_released(&self) -> bool {
-        self.driver.is_released()
+        let rx = RxStep::new(common, scheme, cfg.linger_acks);
+        RxDriver::spawn(eng, cfg.poll_interval, ctrl, peer_ctrl, rx, done)
     }
 
     /// Receiver statistics so far.
     pub fn stats(&self) -> EcRecvStats {
-        self.driver.scheme(|s| s.stats)
-    }
-
-    /// Releases every posted slot now (exactly once) and stops the loop —
-    /// the adaptive layer's quiesce-and-rebind path.
-    pub fn quiesce(&self, eng: &mut Engine) -> bool {
-        self.driver.quiesce(eng)
-    }
-
-    /// True once any packet of this transfer has arrived.
-    pub fn any_packet(&self) -> bool {
-        self.driver.any_packet()
-    }
-
-    /// `(observed, total)` packets (the injection frontier; see
-    /// [`RxDriver::frontier`]).
-    pub fn frontier(&self) -> (u64, u64) {
-        self.driver.frontier()
+        self.scheme(|s| s.stats)
     }
 }
 
@@ -1028,26 +937,26 @@ mod tests {
     fn scratch_pool_reuses_buffers_and_caps_growth() {
         let mut s = EcScratch::new(4, 2);
         // Rent and return: the pool grows to what was returned...
-        let bufs: Vec<Vec<u8>> = (0..3).map(|_| s.take(64)).collect();
+        let bufs: Vec<Vec<u8>> = (0..3).map(|_| s.pool.take(64)).collect();
         assert_eq!(s.pooled(), 0);
         for b in bufs {
-            s.put(b);
+            s.pool.put(b);
         }
         assert_eq!(s.pooled(), 3);
         // ...subsequent rents come from the pool (and are re-zeroed even
         // after length changes).
-        let mut b = s.take(128);
+        let mut b = s.pool.take(128);
         assert_eq!(s.pooled(), 2);
         assert_eq!(b.len(), 128);
         assert!(b.iter().all(|&x| x == 0));
         b[0] = 0xFF;
-        s.put(b);
-        let b = s.take(16);
+        s.pool.put(b);
+        let b = s.pool.take(16);
         assert!(b.iter().all(|&x| x == 0), "rented buffers are zeroed");
-        s.put(b);
+        s.pool.put(b);
         // The cap (2·(k+m) = 12) bounds growth under decode-heavy load.
         for _ in 0..100 {
-            s.put(vec![0u8; 8]);
+            s.pool.put(vec![0u8; 8]);
         }
         assert_eq!(s.pooled(), 12);
     }
@@ -1058,7 +967,7 @@ mod tests {
         // submessages must share one ReedSolomon instance (one matrix
         // inversion), the tail gets its own.
         let geoms = geometry(10, 4, 2, EcCodeChoice::Mds);
-        let codes = codes_for(EcCodeChoice::Mds, &geoms);
+        let codes = codes_for(EcCodeChoice::Mds, &geoms, &mut CodeCache::new());
         assert_eq!(codes.len(), 3);
         assert!(Arc::ptr_eq(&codes[0], &codes[1]));
         assert!(!Arc::ptr_eq(&codes[0], &codes[2]));

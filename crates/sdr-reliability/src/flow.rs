@@ -49,7 +49,7 @@
 //!   pump: inject while wire <
 //!   horizon ahead ───────────────▶    poll at ack cadence:
 //!   RTO/NACK repair loop       ◀──    SrAck+Telemetry / EcNack (FTO)
-//! complete on SrAck/EcAck:
+//! complete on FlowDone:
 //!   FlowFin ─────────────────────▶    cut ACK linger short
 //! ```
 //!
@@ -59,12 +59,22 @@
 //! lost CTS heals through the receiver's poll loop exactly as in the
 //! single-flow schemes.
 //!
-//! EC flows run one submessage per flow (`k` = data chunks) with the
-//! parity staged through the shared [`EncodePool`]; the receiver decodes
-//! in place through one manager-wide [`EcScratch`] — flows rent from a
-//! single warm pool instead of each growing their own. The EC fallback
-//! NACK carries *missing data chunk indices* (chunk-granular §4.1.2
-//! selective repeat).
+//! ## What lives here, and what does not
+//!
+//! This module owns what is genuinely population-scale: admission and
+//! parking, per-shard stream-start ordering, DRR injection, the shared
+//! tick, the population-scaled cadence *values*, and the
+//! `FlowOpen/Ack/Fin/Done` handshake. It owns no protocol logic. A sender
+//! flow hosts the same [`SrTxCore`] that [`SrSender`](crate::SrSender)
+//! runs (its `resend` sink is the urgent lane instead of the stream); a
+//! receiver flow is the same [`RxStep`] over the same SR / EC receive
+//! policies that [`RxDriver`](crate::runtime::RxDriver) steps (stepped
+//! from the due index instead of a private timer). EC flows run one
+//! submessage per flow (`k` = data chunks): parity comes off the shared
+//! [`EncodePool`] through the standalone sender's `ParityStager`, the
+//! receiver decodes in place through one manager-wide [`EcScratch`], and
+//! an FTO NACK makes the sender selective-repeat the submessage's data
+//! chunks through the SR core's claim guard.
 //!
 //! [`EncodePool`]: sdr_erasure::EncodePool
 //! [`Fabric::tx_busy_until`]: sdr_sim::Fabric::tx_busy_until
@@ -73,22 +83,19 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
-use std::sync::Arc;
 
-use sdr_core::{RecvHandle, SdrConfig, SdrContext, SdrError, SdrQp, SendHandle};
-use sdr_erasure::{EncodePool, ErasureCode, ReedSolomon, XorCode};
+use sdr_core::{SdrConfig, SdrContext, SdrError, SdrQp, SendHandle};
 use sdr_sim::{
     Counter, Engine, EventKind, Fabric, FlightRecorder, Histogram, NodeId, QpAddr, SimTime,
     TimerHandle,
 };
 
-use crate::ack::{build_sr_ack, CtrlMsg, SchemeSpec};
+use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::ControlEndpoint;
-use crate::ec::EcScratch;
-use crate::runtime::{tick_loop, ChunkTimers, Tick};
-use crate::telemetry::{
-    ChannelEstimator, EstimatorRegistry, FirstPassCursor, TelemetryConfig, TelemetryCounters,
-};
+use crate::ec::{EcCodeChoice, EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
+use crate::runtime::{tick_loop, CtrlSink, RxCommon, RxScheme, RxStep, Tick};
+use crate::sr::{SrRxScheme, SrTxCore};
+use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 
 /// Work-item tag bit marking a parity-stream chunk (data chunks use the
 /// plain index).
@@ -103,8 +110,15 @@ const OPEN_BACKOFF_CAP: u32 = 6;
 /// Send a cumulative `Telemetry` report every n-th receiver poll.
 const TELEMETRY_EVERY: u32 = 4;
 
-/// Most data-chunk indices one flow-EC fallback NACK carries.
-const MAX_FLOW_NACKS: usize = 256;
+/// Final-ACK linger repeats after a receive flow resolves.
+const LINGER_ACKS: u32 = 8;
+
+/// Warm loss estimate above which new flows open under EC.
+const EC_LOSS_THRESHOLD: f64 = 2e-3;
+
+/// Parity overprovision factor:
+/// `m ≈ ceil(chunks × chunk_loss × factor) + 1`.
+const EC_PARITY_FACTOR: f64 = 3.0;
 
 // ---------------------------------------------------------------------------
 // Deficit-round-robin arbiter
@@ -248,11 +262,6 @@ impl DrrArbiter {
         }
     }
 
-    /// Bytes queued for flow `key`.
-    pub fn backlog_bytes(&self, key: u64) -> u64 {
-        self.flows.get(&key).map_or(0, |f| f.backlog_bytes)
-    }
-
     /// Bytes queued across all flows.
     pub fn total_backlog(&self) -> u64 {
         self.total_backlog
@@ -261,11 +270,6 @@ impl DrrArbiter {
     /// True when any flow has queued work.
     pub fn has_work(&self) -> bool {
         self.total_backlog > 0
-    }
-
-    /// Registered flows (backlogged or not).
-    pub fn flows(&self) -> usize {
-        self.flows.len()
     }
 }
 
@@ -317,28 +321,15 @@ impl DueIndex {
     pub fn pop(&mut self) -> Option<(SimTime, u64, FlowKey)> {
         self.heap.pop().map(|Reverse(e)| e)
     }
-
-    /// Entries queued (including stale ones awaiting lazy removal).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Configuration and reports
 // ---------------------------------------------------------------------------
 
-/// Tuning for a [`FlowManager`].
+/// Tuning for a [`FlowManager`]: the QP shape, the shard count and the
+/// link. Every cadence the manager runs at is derived from these (see
+/// `Cadence`), so there is nothing else to keep consistent with them.
 #[derive(Clone, Debug)]
 pub struct FlowCfg {
     /// Per-shard SDR QP configuration (slot table depth, chunk size…).
@@ -347,29 +338,20 @@ pub struct FlowCfg {
     pub shards: usize,
     /// Link bandwidth toward peers (pacing and FTO computation).
     pub bandwidth_bps: f64,
-    /// Nominal round-trip time (cadence defaults derive from it).
+    /// Nominal round-trip time (every cadence derives from it).
     pub rtt: SimTime,
-    /// DRR quantum in bytes (defaults to one chunk).
-    pub quantum_bytes: u64,
-    /// How far ahead of now the pacer keeps the wire busy.
-    pub pace_horizon: SimTime,
-    /// Receiver poll / ACK cadence.
-    pub ack_interval: SimTime,
-    /// Sender per-chunk retransmission timeout (ARQ flows).
-    pub rto: SimTime,
-    /// `FlowOpen` retry base interval (backed off exponentially).
-    pub open_retry: SimTime,
-    /// Final-ACK linger repeats after a receive flow resolves.
-    pub linger_acks: u32,
-    /// Estimator tuning for the per-peer registry.
-    pub telemetry: TelemetryConfig,
-    /// Registry entries untouched this long are stale.
-    pub registry_max_age: SimTime,
-    /// Warm loss estimate above which new flows open under EC.
-    pub ec_loss_threshold: f64,
-    /// Parity overprovision factor:
-    /// `m ≈ ceil(chunks × chunk_loss × factor) + 1`.
-    pub ec_parity_factor: f64,
+}
+
+impl FlowCfg {
+    /// A four-shard configuration for the given QP shape and link.
+    pub fn new(qp: SdrConfig, bandwidth_bps: f64, rtt: SimTime) -> Self {
+        FlowCfg {
+            qp,
+            shards: 4,
+            bandwidth_bps,
+            rtt,
+        }
+    }
 }
 
 /// On-the-wire cost budgeted per control datagram, in bits: a couple
@@ -391,10 +373,22 @@ fn ctrl_pacing(cfg: &FlowCfg, live: usize) -> SimTime {
     )
 }
 
-impl FlowCfg {
-    /// Defaults derived from the link: quantum = chunk, horizon = 4
-    /// chunks of serialization, cadences from the RTT.
-    ///
+/// The manager's base cadences, derived once from its [`FlowCfg`]. The
+/// population-dependent stretch ([`ctrl_pacing`]) is applied on top at the
+/// point of use; the protocol cores receive the results as arguments.
+struct Cadence {
+    /// How far ahead of now the pacer keeps the wire busy: four chunks of
+    /// serialization.
+    pace_horizon: SimTime,
+    /// Receiver poll / ACK cadence.
+    ack_interval: SimTime,
+    /// Sender per-chunk retransmission timeout (ARQ flows).
+    rto: SimTime,
+    /// `FlowOpen` retry base interval (backed off exponentially).
+    open_retry: SimTime,
+}
+
+impl Cadence {
     /// The RTO is floored by the full sent-to-acked pipeline, not just the
     /// RTT: a chunk stamped sent at *injection* still sits up to a pacing
     /// horizon in the wire queue, then one way across, then up to an ack
@@ -402,27 +396,18 @@ impl FlowCfg {
     /// short-RTT links the horizon dominates the RTT, and an RTT-only RTO
     /// expires chunks that are merely queued — a retransmit storm that
     /// feeds on its own queueing.
-    pub fn new(qp: SdrConfig, bandwidth_bps: f64, rtt: SimTime) -> Self {
-        let chunk = qp.chunk_bytes;
-        let chunk_serialize = SimTime::from_secs_f64(chunk as f64 * 8.0 / bandwidth_bps);
+    fn derive(cfg: &FlowCfg) -> Self {
+        let rtt = cfg.rtt;
+        let chunk_serialize =
+            SimTime::from_secs_f64(cfg.qp.chunk_bytes as f64 * 8.0 / cfg.bandwidth_bps);
         let pace_horizon = SimTime(chunk_serialize.0.saturating_mul(4).max(1));
         let ack_interval = SimTime((rtt.0 / 4).max(1));
         let pipeline = pace_horizon.0 + rtt.0 + ack_interval.0;
-        FlowCfg {
-            qp,
-            shards: 4,
-            bandwidth_bps,
-            rtt,
-            quantum_bytes: chunk,
+        Cadence {
             pace_horizon,
             ack_interval,
             rto: SimTime(rtt.0.saturating_mul(3).max(pipeline.saturating_mul(2))),
             open_retry: SimTime(rtt.0.saturating_mul(2)),
-            linger_acks: 8,
-            telemetry: TelemetryConfig::default(),
-            registry_max_age: SimTime(rtt.0.saturating_mul(1000)),
-            ec_loss_threshold: 2e-3,
-            ec_parity_factor: 3.0,
         }
     }
 }
@@ -521,46 +506,66 @@ struct TxFlow {
     phase: TxPhase,
     data_hdl: Option<SendHandle>,
     parity_hdl: Option<SendHandle>,
-    parity_addr: u64,
-    parity_chunks: usize,
+    /// EC flows: the parity pipeline, encoding on the shared pool since
+    /// `open_flow` and harvested when the parity stream starts.
+    parity: Option<ParityStager>,
     /// Initial work items still awaiting first injection; the RTO clock
     /// for a chunk starts at its first injection, so the flow enters the
     /// due index only once this reaches zero.
     uninjected: usize,
-    timers: ChunkTimers,
+    /// The SR sender protocol. EC flows host it too: their fallback is
+    /// selective repeat through the same claim guard.
+    sr: SrTxCore,
     est: Rc<RefCell<ChannelEstimator>>,
     last_telem: TelemetryCounters,
     opened_at: SimTime,
     open_retries: u32,
-    deadline: SimTime,
     stamp: u64,
-    retransmits: u64,
     done: Option<Box<dyn FnOnce(&mut Engine, FlowReport)>>,
+}
+
+/// The receive policy a flow was opened under — the very policies the
+/// per-transfer receivers run.
+enum FlowScheme {
+    Sr(SrRxScheme),
+    Ec(EcRxScheme),
+}
+
+impl RxScheme for FlowScheme {
+    /// True when the message resolved by erasure decode.
+    type Done = bool;
+
+    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
+        match self {
+            FlowScheme::Sr(s) => s.poll(eng, rx, send),
+            FlowScheme::Ec(s) => s.poll(eng, rx, send),
+        }
+    }
+
+    fn final_ack(&self) -> CtrlMsg {
+        match self {
+            FlowScheme::Sr(s) => s.final_ack(),
+            FlowScheme::Ec(s) => s.final_ack(),
+        }
+    }
+
+    fn done_payload(&self) -> bool {
+        matches!(self, FlowScheme::Ec(s) if s.stats().decoded_submessages > 0)
+    }
 }
 
 struct RxFlow {
     peer_ctrl: QpAddr,
     shard: usize,
     bytes: u64,
-    chunks: usize,
-    chunk_bytes: u64,
     dst_addr: u64,
-    data_h: RecvHandle,
-    parity_h: Option<RecvHandle>,
-    parity_addr: u64,
-    parity_chunks: usize,
-    code: Option<Arc<dyn ErasureCode>>,
-    data_cursor: FirstPassCursor,
-    parity_cursor: FirstPassCursor,
-    counters: TelemetryCounters,
-    est: Rc<RefCell<ChannelEstimator>>,
+    /// The same receive step the per-transfer driver runs, stepped from
+    /// the due index.
+    rx: RxStep<FlowScheme>,
     polls: u32,
-    fto: SimTime,
-    fto_deadline: Option<SimTime>,
-    resolved: bool,
-    decoded: bool,
+    /// The final acknowledgment, snapshotted at resolution for the linger
+    /// repeats: `FlowDone` doubles as the closing telemetry report.
     final_ack: Option<CtrlMsg>,
-    linger_left: u32,
     stamp: u64,
 }
 
@@ -652,9 +657,9 @@ struct Inner {
     tick: Option<TimerHandle>,
     tick_next: SimTime,
     registry: EstimatorRegistry,
-    /// One decode/staging scratch shared by every flow on this node.
+    /// One decode scratch (buffer pool + built codes) shared by every EC
+    /// flow on this node.
     scratch: Rc<RefCell<EcScratch>>,
-    codes: HashMap<(u16, u16, bool), Arc<dyn ErasureCode>>,
     finished_tx: Vec<(Box<dyn FnOnce(&mut Engine, FlowReport)>, FlowReport)>,
     finished_rx: Vec<RxFlowDone>,
     on_rx_done: Option<Box<dyn FnMut(&mut Engine, RxFlowDone)>>,
@@ -669,7 +674,43 @@ struct ManagerCore {
     ep: Rc<ControlEndpoint>,
     node: NodeId,
     cfg: FlowCfg,
+    cad: Cadence,
     inner: RefCell<Inner>,
+}
+
+impl ManagerCore {
+    /// The EC protocol config a flow of `bytes` runs under `spec`: one
+    /// submessage spanning the whole message (`k` = its chunks). `None`
+    /// for ARQ specs and for shapes EC cannot carry (unaligned, `k` not
+    /// the message's chunk count, or `k + m` past the GF(256) shard
+    /// limit) — both ends apply the same test to the same `FlowOpen`.
+    fn ec_proto(&self, spec: SchemeSpec, bytes: u64) -> Option<EcProtoConfig> {
+        let chunk = self.cfg.qp.chunk_bytes;
+        let chunks = self.cfg.qp.chunks_for(bytes) as usize;
+        let (code, k, m) = match spec {
+            SchemeSpec::EcMds { k, m } => (EcCodeChoice::Mds, k as usize, m as usize),
+            SchemeSpec::EcXor { k, m } => (EcCodeChoice::Xor, k as usize, m as usize),
+            _ => return None,
+        };
+        if k != chunks || m == 0 || chunks + m > 255 || !bytes.is_multiple_of(chunk) {
+            return None;
+        }
+        // FTO: worst-case injection of data+parity plus two RTTs.
+        let inj = SimTime::from_secs_f64(
+            (chunks + m) as f64 * chunk as f64 * 8.0 / self.cfg.bandwidth_bps,
+        );
+        Some(EcProtoConfig {
+            k,
+            m,
+            code,
+            poll_interval: self.cad.ack_interval,
+            fto: inj
+                .saturating_add(self.cfg.rtt)
+                .saturating_add(self.cfg.rtt),
+            linger_acks: LINGER_ACKS,
+            encode_stripes: 1,
+        })
+    }
 }
 
 /// The many-flow engine (see the module docs for the architecture).
@@ -683,7 +724,11 @@ impl FlowManager {
     /// protocols sharing the endpoint).
     pub fn new(fabric: &Fabric, node: NodeId, ctrl: Rc<ControlEndpoint>, cfg: FlowCfg) -> Self {
         assert!(cfg.shards >= 1, "at least one shard");
-        let registry = EstimatorRegistry::new(cfg.telemetry, cfg.registry_max_age);
+        // Registry entries untouched for a thousand RTTs are stale.
+        let registry = EstimatorRegistry::new(
+            TelemetryConfig::default(),
+            SimTime(cfg.rtt.0.saturating_mul(1000)),
+        );
         // Scratch sized generously: flows of any supported geometry rent
         // from the same capped pool.
         let scratch = Rc::new(RefCell::new(EcScratch::new(64, 32)));
@@ -692,6 +737,7 @@ impl FlowManager {
             ctx: SdrContext::new(fabric, node),
             ep: ctrl,
             node,
+            cad: Cadence::derive(&cfg),
             cfg,
             inner: RefCell::new(Inner {
                 ports: HashMap::new(),
@@ -705,7 +751,6 @@ impl FlowManager {
                 tick_next: SimTime::MAX,
                 registry,
                 scratch,
-                codes: HashMap::new(),
                 finished_tx: Vec::new(),
                 finished_rx: Vec::new(),
                 on_rx_done: None,
@@ -775,7 +820,8 @@ impl FlowManager {
             Port {
                 peer_ctrl,
                 shards,
-                arbiter: DrrArbiter::new(self.core.cfg.quantum_bytes),
+                // DRR quantum: one chunk.
+                arbiter: DrrArbiter::new(self.core.cfg.qp.chunk_bytes),
                 urgent: VecDeque::new(),
                 pump_armed: false,
             },
@@ -834,32 +880,34 @@ impl FlowManager {
             let shard = (id % core.cfg.shards as u64) as usize;
             let chunk = core.cfg.qp.chunk_bytes;
             let chunks = core.cfg.qp.chunks_for(bytes) as usize;
-            let (spec, parity_addr, parity_chunks) = match spec {
-                SchemeSpec::EcMds { m, .. } | SchemeSpec::EcXor { m, .. }
-                    if bytes.is_multiple_of(chunk) && chunks + m as usize <= 255 =>
-                {
-                    // Stage parity now through the shared encode pool so
-                    // the FlowAck handler only has to queue stream starts.
-                    let spec = match spec {
-                        SchemeSpec::EcXor { .. } => SchemeSpec::EcXor {
-                            k: chunks as u16,
-                            m,
-                        },
-                        _ => SchemeSpec::EcMds {
-                            k: chunks as u16,
-                            m,
-                        },
-                    };
-                    let addr = inner.stage_parity(core, src_addr, chunks, spec);
-                    (spec, addr, m as usize)
+            // EC flows run one submessage spanning the message.
+            let spec = match spec {
+                SchemeSpec::EcMds { m, .. } => SchemeSpec::EcMds {
+                    k: chunks as u16,
+                    m,
+                },
+                SchemeSpec::EcXor { m, .. } => SchemeSpec::EcXor {
+                    k: chunks as u16,
+                    m,
+                },
+                s => s,
+            };
+            let (spec, parity) = match core.ec_proto(spec, bytes) {
+                // Start the parity encode now on the shared pool: it
+                // overlaps the open handshake and is harvested when the
+                // parity stream starts.
+                Some(ec) => {
+                    let codes = &mut inner.scratch.borrow_mut().codes;
+                    let stager = ParityStager::new(&core.ctx, src_addr, bytes, chunk, &ec, codes);
+                    (spec, Some(stager))
                 }
                 // Unaligned or oversized messages fall back to ARQ.
-                SchemeSpec::EcMds { .. } | SchemeSpec::EcXor { .. } => (SchemeSpec::SrNack, 0, 0),
-                s => (s, 0, 0),
+                None if spec.is_ec() => (SchemeSpec::SrNack, None),
+                None => (spec, None),
             };
             let est = inner.registry.checkout(peer, now);
-            let mut timers = ChunkTimers::new(chunks);
-            timers.set_trace(inner.trace.recorder.clone(), id);
+            let mut sr = SrTxCore::new(chunks);
+            sr.set_trace(inner.trace.recorder.clone(), id);
             let flow = TxFlow {
                 peer,
                 peer_ctrl,
@@ -871,23 +919,20 @@ impl FlowManager {
                 phase: TxPhase::Opening,
                 data_hdl: None,
                 parity_hdl: None,
-                parity_addr,
-                parity_chunks,
+                parity,
                 uninjected: 0,
-                timers,
+                sr,
                 est,
                 last_telem: TelemetryCounters::default(),
                 opened_at: now,
                 open_retries: 0,
-                deadline: SimTime::MAX,
                 stamp: 0,
-                retransmits: 0,
                 done: Some(Box::new(done)),
             };
             inner.tx_flows.insert(id, flow);
             inner.stats.opened += 1;
             inner.trace.opened.inc();
-            let at = now.saturating_add(core.cfg.open_retry);
+            let at = now.saturating_add(core.cad.open_retry);
             inner.schedule(FlowKey::Tx(id), at);
             (id, peer_ctrl, at)
         };
@@ -910,15 +955,12 @@ impl FlowManager {
         let inner = core.inner.borrow();
         match inner.registry.estimate(peer, now) {
             Some((loss, _rtt))
-                if loss > core.cfg.ec_loss_threshold
-                    && bytes.is_multiple_of(chunk)
-                    && chunks + 1 < 255 =>
+                if loss > EC_LOSS_THRESHOLD && bytes.is_multiple_of(chunk) && chunks + 1 < 255 =>
             {
                 let pkts_per_chunk = (chunk / core.cfg.qp.mtu_bytes).max(1) as f64;
                 let chunk_loss = 1.0 - (1.0 - loss.min(1.0)).powf(pkts_per_chunk);
-                let m = ((chunks as f64 * chunk_loss * core.cfg.ec_parity_factor).ceil() as usize
-                    + 1)
-                .clamp(1, 255 - chunks);
+                let m = ((chunks as f64 * chunk_loss * EC_PARITY_FACTOR).ceil() as usize + 1)
+                    .clamp(1, 255 - chunks);
                 SchemeSpec::EcMds {
                     k: chunks as u16,
                     m: m as u16,
@@ -970,25 +1012,14 @@ impl FlowManager {
                     data_seq,
                     parity_seq,
                 } => inner.on_flow_ack(core, eng, flow, data_seq, parity_seq),
-                CtrlMsg::SrAck {
-                    cumulative,
-                    window_start,
-                    sack_bits,
-                    sack_len,
-                    nacks,
-                } => inner.on_sr_ack(
-                    core,
-                    eng,
-                    flow,
-                    cumulative,
-                    window_start,
-                    &sack_bits,
-                    sack_len,
-                    &nacks,
-                ),
-                CtrlMsg::FlowDone { seen, lost } => inner.on_flow_done(core, eng, flow, seen, lost),
+                ack @ CtrlMsg::SrAck { .. } => inner.on_sr_ack(core, eng, flow, &ack),
+                CtrlMsg::FlowDone { seen, lost } => {
+                    inner.on_flow_done(core, eng, flow, TelemetryCounters { seen, lost })
+                }
                 CtrlMsg::EcNack { failed } => inner.on_ec_nack(core, eng, flow, &failed),
-                CtrlMsg::Telemetry { seen, lost } => inner.on_telemetry(eng, flow, seen, lost),
+                CtrlMsg::Telemetry { seen, lost } => {
+                    inner.on_telemetry(flow, TelemetryCounters { seen, lost })
+                }
                 // Anything else is not flow traffic; drop it.
                 _ => {}
             }
@@ -1129,7 +1160,7 @@ impl FlowManager {
         let mut inner = core.inner.borrow_mut();
         let inner = &mut *inner;
         let now = eng.now();
-        let horizon = core.cfg.pace_horizon;
+        let horizon = core.cad.pace_horizon;
         let rto = inner.tx_rto(core);
         let port = inner.ports.get_mut(&peer)?;
         loop {
@@ -1167,7 +1198,7 @@ impl FlowManager {
                     inner.stats.injected += 1;
                     inner.trace.injected.inc();
                     if item.tag & PARITY_TAG == 0 {
-                        flow.timers.record_sent(c as usize, eng.now());
+                        flow.sr.record_sent(c as usize, eng.now());
                     }
                     if flow.uninjected > 0 {
                         flow.uninjected -= 1;
@@ -1179,7 +1210,6 @@ impl FlowManager {
                             inner.next_stamp += 1;
                             let stamp = inner.next_stamp;
                             flow.stamp = stamp;
-                            flow.deadline = at;
                             inner.due.push(at, stamp, FlowKey::Tx(fid));
                         }
                     }
@@ -1190,9 +1220,7 @@ impl FlowManager {
             }
         }
     }
-}
 
-impl FlowManager {
     /// Re-arms (or pulls forward) the shared tick from the due index.
     /// `Inner` methods push deadlines while the manager borrow is held and
     /// cannot touch the engine-side timer themselves; every entry point
@@ -1220,7 +1248,7 @@ impl Inner {
     /// credits and final acks — polling thousands of flows at `rtt/4`
     /// buries the very messages that complete them.
     fn rx_ack_interval(&self, core: &ManagerCore) -> SimTime {
-        core.cfg
+        core.cad
             .ack_interval
             .max(ctrl_pacing(&core.cfg, self.rx_flows.len()))
     }
@@ -1231,7 +1259,7 @@ impl Inner {
     /// queued behind the rest of the population's.
     fn tx_rto(&self, core: &ManagerCore) -> SimTime {
         let pace = ctrl_pacing(&core.cfg, self.tx_flows.len());
-        core.cfg
+        core.cad
             .rto
             .saturating_add(SimTime(pace.0.saturating_mul(2)))
     }
@@ -1243,13 +1271,10 @@ impl Inner {
         let stamp = self.next_stamp;
         match key {
             FlowKey::Tx(id) => {
-                let f = self.tx_flows.get_mut(&id).expect("live flow");
-                f.stamp = stamp;
-                f.deadline = at;
+                self.tx_flows.get_mut(&id).expect("live flow").stamp = stamp;
             }
             FlowKey::Rx(peer, id) => {
-                let f = self.rx_flows.get_mut(&(peer, id)).expect("live flow");
-                f.stamp = stamp;
+                self.rx_flows.get_mut(&(peer, id)).expect("live flow").stamp = stamp;
             }
         }
         self.due.push(at, stamp, key);
@@ -1281,6 +1306,35 @@ impl Inner {
 
     // -- sender side --------------------------------------------------------
 
+    /// Runs `f` on sender flow `id`'s SR core with the peer's urgent lane
+    /// as the `resend(chunk)` sink, and accounts the repairs it queued.
+    fn repair<R>(
+        &mut self,
+        core: &ManagerCore,
+        id: u64,
+        f: impl FnOnce(&mut SrTxCore, &mut dyn FnMut(usize)) -> R,
+    ) -> R {
+        let flow = self.tx_flows.get_mut(&id).expect("live flow");
+        let port = self.ports.get_mut(&flow.peer).expect("port");
+        let (chunk, bytes) = (core.cfg.qp.chunk_bytes, flow.bytes);
+        let before = flow.sr.retransmitted();
+        let r = f(&mut flow.sr, &mut |c| {
+            // The last chunk may be short.
+            let bytes = chunk.min(bytes - c as u64 * chunk);
+            port.urgent.push_back((
+                id,
+                WorkItem {
+                    tag: c as u32,
+                    bytes,
+                },
+            ));
+        });
+        let queued = flow.sr.retransmitted() - before;
+        self.stats.retransmits += queued;
+        self.trace.urgent.add(queued);
+        r
+    }
+
     fn service_tx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64) {
         let now = eng.now();
         let rto = self.tx_rto(core);
@@ -1289,14 +1343,14 @@ impl Inner {
             TxPhase::Opening => {
                 flow.open_retries += 1;
                 if flow.open_retries > OPEN_RETRY_CAP {
-                    self.fail_open(core, eng, id);
+                    self.finish_tx(core, eng, id, false);
                     return;
                 }
                 self.stats.open_retries += 1;
                 let (dst, bytes, spec) = (flow.peer_ctrl, flow.bytes, flow.spec);
                 let backoff = flow.open_retries.min(OPEN_BACKOFF_CAP);
                 let at =
-                    now.saturating_add(SimTime(core.cfg.open_retry.0.saturating_mul(1 << backoff)));
+                    now.saturating_add(SimTime(core.cad.open_retry.0.saturating_mul(1 << backoff)));
                 core.ep
                     .send_flow(eng, dst, id, &CtrlMsg::FlowOpen { bytes, spec });
                 self.schedule(FlowKey::Tx(id), at);
@@ -1307,26 +1361,7 @@ impl Inner {
                 if !matches!(flow.spec, SchemeSpec::SrNack) {
                     return; // EC repair is NACK-driven
                 }
-                let peer = flow.peer;
-                let mut expired = 0u64;
-                let chunk = core.cfg.qp.chunk_bytes;
-                let bytes = flow.bytes;
-                let port = self.ports.get_mut(&peer).expect("port");
-                let next = flow.timers.take_expired(now, rto, |c| {
-                    let off = c as u64 * chunk;
-                    let len = chunk.min(bytes - off);
-                    port.urgent.push_back((
-                        id,
-                        WorkItem {
-                            tag: c as u32,
-                            bytes: len,
-                        },
-                    ));
-                    expired += 1;
-                });
-                flow.retransmits += expired;
-                self.stats.retransmits += expired;
-                self.trace.urgent.add(expired);
+                let next = self.repair(core, id, |sr, resend| sr.on_tick(now, rto, resend));
                 if let Some(at) = next {
                     self.schedule(FlowKey::Tx(id), at.max(now.saturating_add(SimTime(1))));
                 }
@@ -1351,11 +1386,10 @@ impl Inner {
         flow.phase = TxPhase::Starting;
         // Park the deadline: open retries stop, CTS healing is the
         // receiver's job from here.
-        flow.deadline = SimTime::MAX;
         flow.stamp = u64::MAX;
         let peer = flow.peer;
         let shard_idx = flow.shard;
-        let has_parity = flow.parity_chunks > 0;
+        let has_parity = flow.parity.is_some();
         let port = self.ports.get_mut(&peer).expect("port");
         port.arbiter.register(id, 1);
         let shard = &mut port.shards[shard_idx];
@@ -1401,7 +1435,8 @@ impl Inner {
             let parity = entry.parity;
             let flow = self.tx_flows.get_mut(&fid).expect("started flow is live");
             let (addr, len) = if parity {
-                (flow.parity_addr, flow.parity_chunks as u64 * chunk)
+                // Harvest the encode started at `open_flow`.
+                flow.parity.as_mut().expect("ec flow").staged(0)
             } else {
                 (flow.src_addr, flow.bytes)
             };
@@ -1412,7 +1447,7 @@ impl Inner {
             sh.starts.remove(&seq);
             if parity {
                 flow.parity_hdl = Some(hdl);
-                for c in 0..flow.parity_chunks {
+                for c in 0..(len / chunk) as usize {
                     port.arbiter.enqueue(
                         fid,
                         WorkItem {
@@ -1442,18 +1477,14 @@ impl Inner {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_sr_ack(
-        &mut self,
-        core: &Rc<ManagerCore>,
-        eng: &mut Engine,
-        id: u64,
-        cumulative: u32,
-        window_start: u32,
-        sack_bits: &[u64],
-        sack_len: u32,
-        nacks: &[u32],
-    ) {
+    /// One `SrAck` for sender flow `id`: the SR core applies it; what is
+    /// population-scale here is the inputs — the RTO widened by control
+    /// pacing, a claim guard that covers the pacing horizon on top of half
+    /// an RTO (a repair can legitimately sit that long in the wire queue
+    /// before the receiver could have seen it), NACKs honoured only once
+    /// the first pass is fully injected — and the resend sink, the urgent
+    /// lane.
+    fn on_sr_ack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, ack: &CtrlMsg) {
         let now = eng.now();
         let rto = self.tx_rto(core);
         let Some(flow) = self.tx_flows.get_mut(&id) else {
@@ -1462,60 +1493,19 @@ impl Inner {
         if flow.phase != TxPhase::Streaming {
             return;
         }
-        // At most one RTT sample per ACK, Karn-gated.
-        let mut rtt_sample = None;
-        if let Some(first) = flow.timers.first_unacked() {
-            if first < cumulative as usize {
-                rtt_sample = flow.timers.rtt_sample(first, now);
-            }
+        let guard = SimTime(rto.0 / 2 + core.cad.pace_horizon.0);
+        let nack_guard = (flow.uninjected == 0).then_some(guard);
+        let est = flow.est.clone();
+        let p = self.repair(core, id, |sr, resend| {
+            sr.on_ctrl(now, ack, rto, nack_guard, resend)
+        });
+        if let Some(s) = p.ack_rtt {
+            est.borrow_mut().observe_rtt(s);
         }
-        flow.timers.ack_prefix(cumulative as usize);
-        for b in 0..(sack_len as usize) {
-            if sack_bits
-                .get(b / 64)
-                .is_some_and(|w| w >> (b % 64) & 1 == 1)
-            {
-                let c = window_start as usize + b;
-                if flow.timers.mark_acked(c) && rtt_sample.is_none() {
-                    rtt_sample = flow.timers.rtt_sample(c, now);
-                }
-            }
-        }
-        if let Some(s) = rtt_sample {
-            flow.est.borrow_mut().observe_rtt(s);
-        }
-        flow.est.borrow_mut().note_progress(now);
-        if flow.timers.is_complete() {
+        if p.complete {
             self.finish_tx(core, eng, id, true);
-            return;
-        }
-        // NACK fast path: claim-and-requeue reported holes into the
-        // urgent lane. The claim guard covers the pacing horizon on top
-        // of half an RTO — a repair can legitimately sit that long in the
-        // wire queue before the receiver could have seen it.
-        if !nacks.is_empty() && flow.uninjected == 0 {
-            let guard = SimTime(rto.0 / 2 + core.cfg.pace_horizon.0);
-            let chunk = core.cfg.qp.chunk_bytes;
-            let bytes = flow.bytes;
-            let peer = flow.peer;
-            let mut claimed = 0u64;
-            let port = self.ports.get_mut(&peer).expect("port");
-            for &c in nacks {
-                if flow.timers.claim_for_resend(c as usize, now, guard) {
-                    let off = c as u64 * chunk;
-                    port.urgent.push_back((
-                        id,
-                        WorkItem {
-                            tag: c,
-                            bytes: chunk.min(bytes - off),
-                        },
-                    ));
-                    claimed += 1;
-                }
-            }
-            flow.retransmits += claimed;
-            self.stats.retransmits += claimed;
-            self.trace.urgent.add(claimed);
+        } else if let Some(at) = p.rearm {
+            self.schedule(FlowKey::Tx(id), at);
         }
     }
 
@@ -1528,77 +1518,43 @@ impl Inner {
         core: &Rc<ManagerCore>,
         eng: &mut Engine,
         id: u64,
-        seen: u64,
-        lost: u64,
+        report: TelemetryCounters,
     ) {
-        let now = eng.now();
-        let Some(flow) = self.tx_flows.get_mut(&id) else {
-            return; // linger repeat after completion
-        };
-        if flow.phase != TxPhase::Streaming {
-            return;
+        if self
+            .tx_flows
+            .get(&id)
+            .is_some_and(|f| f.phase == TxPhase::Streaming)
+        {
+            self.on_telemetry(id, report);
+            self.finish_tx(core, eng, id, true);
         }
-        let d_seen = seen.saturating_sub(flow.last_telem.seen);
-        let d_lost = lost.saturating_sub(flow.last_telem.lost).min(d_seen);
-        if d_seen > 0 {
-            flow.last_telem = TelemetryCounters { seen, lost };
-            let mut est = flow.est.borrow_mut();
-            est.observe_packets(d_seen, d_lost);
-            est.note_progress(now);
-        }
-        self.finish_tx(core, eng, id, true);
     }
 
-    /// Flow-EC fallback: `failed` carries missing *data chunk* indices;
-    /// selective-repeat exactly those (claim-guarded against NACK storms).
+    /// Flow-EC fallback (§4.1.2): the flow's one submessage failed to
+    /// resolve by the FTO, so selective-repeat its data chunks — through
+    /// the SR core's claim guard, which also absorbs NACK storms.
     fn on_ec_nack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, failed: &[u32]) {
         let now = eng.now();
         let rto = self.tx_rto(core);
         let Some(flow) = self.tx_flows.get_mut(&id) else {
             return;
         };
-        if flow.phase != TxPhase::Streaming || flow.uninjected > 0 {
+        if flow.phase != TxPhase::Streaming || flow.uninjected > 0 || !failed.contains(&0) {
             return;
         }
-        let Some(port) = self.ports.get_mut(&flow.peer) else {
-            return;
-        };
-        let chunk = core.cfg.qp.chunk_bytes;
-        let guard = SimTime(rto.0 / 2 + core.cfg.pace_horizon.0);
-        let mut claimed = 0u64;
-        for &c in failed {
-            if flow.timers.claim_for_resend(c as usize, now, guard) {
-                let off = c as u64 * chunk;
-                port.urgent.push_back((
-                    id,
-                    WorkItem {
-                        tag: c,
-                        bytes: chunk.min(flow.bytes - off),
-                    },
-                ));
-                claimed += 1;
-            }
-        }
-        flow.retransmits += claimed;
-        self.stats.retransmits += claimed;
-        self.trace.urgent.add(claimed);
-        flow.est.borrow_mut().note_progress(now);
+        let guard = SimTime(rto.0 / 2 + core.cad.pace_horizon.0);
+        let chunks = 0..flow.chunks as u32;
+        self.repair(core, id, |sr, resend| sr.claim(now, guard, chunks, resend));
     }
 
-    fn on_telemetry(&mut self, eng: &mut Engine, id: u64, seen: u64, lost: u64) {
-        let now = eng.now();
+    /// Per-flow cumulative report → delta, then into the *shared* per-peer
+    /// estimator (its own absorb would conflate many flows' counters).
+    fn on_telemetry(&mut self, id: u64, report: TelemetryCounters) {
         let Some(flow) = self.tx_flows.get_mut(&id) else {
             return;
         };
-        // Per-flow cumulative → delta, then into the *shared* per-peer
-        // estimator (its own absorb would conflate many flows' counters).
-        let d_seen = seen.saturating_sub(flow.last_telem.seen);
-        let d_lost = lost.saturating_sub(flow.last_telem.lost).min(d_seen);
-        if d_seen > 0 {
-            flow.last_telem = TelemetryCounters { seen, lost };
-            let mut est = flow.est.borrow_mut();
-            est.observe_packets(d_seen, d_lost);
-            est.note_progress(now);
+        if let Some((seen, lost)) = flow.last_telem.advance(report) {
+            flow.est.borrow_mut().observe_packets(seen, lost);
         }
     }
 
@@ -1629,7 +1585,7 @@ impl Inner {
                 spec: flow.spec,
                 opened_at: flow.opened_at,
                 done_at: eng.now(),
-                retransmits: flow.retransmits,
+                retransmits: flow.sr.retransmitted(),
                 open_retries: flow.open_retries,
                 delivered,
             },
@@ -1641,10 +1597,6 @@ impl Inner {
             let us = eng.now().saturating_sub(flow.opened_at).as_picos() / 1_000_000;
             self.trace.completion_us.record(us);
         }
-    }
-
-    fn fail_open(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64) {
-        self.finish_tx(core, eng, id, false);
     }
 
     // -- receiver side ------------------------------------------------------
@@ -1661,11 +1613,7 @@ impl Inner {
         let peer_node = src.node;
         if let Some(flow) = self.rx_flows.get(&(peer_node, id)) {
             // Duplicate open (our FlowAck was lost): re-send the snapshot.
-            let ack = CtrlMsg::FlowAck {
-                data_seq: flow.data_h.seq(),
-                parity_seq: flow.parity_h.as_ref().map_or(u64::MAX, |h| h.seq()),
-            };
-            core.ep.send_flow(eng, src, id, &ack);
+            core.ep.send_flow(eng, src, id, &flow_ack(flow.rx.common()));
             return;
         }
         if self.parked.contains(&(peer_node, id)) {
@@ -1700,84 +1648,57 @@ impl Inner {
     /// `false` when the shard's slot table cannot take the posts.
     fn try_admit(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, open: &PendingOpen) -> bool {
         let now = eng.now();
-        let chunk = core.cfg.qp.chunk_bytes;
-        let chunks = core.cfg.qp.chunks_for(open.bytes) as usize;
         let shard_idx = (open.flow % core.cfg.shards as u64) as usize;
-        let (parity_chunks, code) = match open.spec {
-            SchemeSpec::EcMds { k, m }
-                if k as usize == chunks && m >= 1 && open.bytes.is_multiple_of(chunk) =>
-            {
-                (m as usize, Some(self.code_for(k, m, false)))
-            }
-            SchemeSpec::EcXor { k, m }
-                if k as usize == chunks && m >= 1 && open.bytes.is_multiple_of(chunk) =>
-            {
-                (m as usize, Some(self.code_for(k, m, true)))
-            }
-            _ => (0, None),
-        };
-        let needed = if code.is_some() { 2 } else { 1 };
+        let ec = core.ec_proto(open.spec, open.bytes);
+        let needed = if ec.is_some() { 2 } else { 1 };
         let Some(port) = self.ports.get_mut(&open.peer_node) else {
             return false; // no port to that peer (mis-addressed open)
         };
-        let shard = &mut port.shards[shard_idx];
-        if shard.qp.recv_slots_free() < needed {
+        let qp = &port.shards[shard_idx].qp;
+        if qp.recv_slots_free() < needed {
             return false;
         }
         let dst_addr = match &mut self.rx_alloc {
             Some(f) => f(open.bytes),
             None => core.ctx.alloc_buffer(open.bytes),
         };
-        let data_h = shard
-            .qp
-            .recv_post(eng, dst_addr, open.bytes)
-            .expect("slot availability checked");
-        let (parity_h, parity_addr) = if code.is_some() {
-            let len = parity_chunks as u64 * chunk;
-            let addr = core.ctx.alloc_buffer(len);
-            let h = shard
-                .qp
-                .recv_post(eng, addr, len)
-                .expect("slot availability checked");
-            (Some(h), addr)
-        } else {
-            (None, 0)
-        };
+        // The same receive policies the per-transfer receivers run, over
+        // this flow's freshly posted slot(s).
+        let mut common = RxCommon::new(qp);
         let est = self.registry.checkout(open.peer_node, now);
-        // FTO: worst-case injection of data+parity plus two RTTs.
-        let inj = SimTime::from_secs_f64(
-            (chunks + parity_chunks) as f64 * chunk as f64 * 8.0 / core.cfg.bandwidth_bps,
-        );
-        let fto = inj
-            .saturating_add(core.cfg.rtt)
-            .saturating_add(core.cfg.rtt);
-        let ack = CtrlMsg::FlowAck {
-            data_seq: data_h.seq(),
-            parity_seq: parity_h.as_ref().map_or(u64::MAX, |h| h.seq()),
+        let scheme = match ec {
+            Some(ec) => {
+                let scratch = self.scratch.clone();
+                let (ctx, bytes) = (&core.ctx, open.bytes);
+                FlowScheme::Ec(EcRxScheme::post(
+                    eng,
+                    &mut common,
+                    ctx,
+                    dst_addr,
+                    bytes,
+                    &ec,
+                    scratch,
+                ))
+            }
+            None => {
+                common.post(eng, dst_addr, open.bytes);
+                FlowScheme::Sr(SrRxScheme {
+                    total_chunks: core.cfg.qp.chunks_for(open.bytes) as usize,
+                    nack: true,
+                })
+            }
         };
+        common.bind_estimator(est);
+        let rx = RxStep::new(common, scheme, LINGER_ACKS);
+        let ack = flow_ack(rx.common());
         let flow = RxFlow {
             peer_ctrl: open.src,
             shard: shard_idx,
             bytes: open.bytes,
-            chunks,
-            chunk_bytes: chunk,
             dst_addr,
-            data_h,
-            parity_h,
-            parity_addr,
-            parity_chunks,
-            code,
-            data_cursor: FirstPassCursor::default(),
-            parity_cursor: FirstPassCursor::default(),
-            counters: TelemetryCounters::default(),
-            est,
+            rx,
             polls: 0,
-            fto,
-            fto_deadline: None,
-            resolved: false,
-            decoded: false,
             final_ack: None,
-            linger_left: core.cfg.linger_acks,
             stamp: 0,
         };
         self.rx_flows.insert((open.peer_node, open.flow), flow);
@@ -1827,329 +1748,84 @@ impl Inner {
         }
     }
 
+    /// One due receive flow: run the shared receive step, at the
+    /// population-scaled interval, with the flow-stamped endpoint as its
+    /// sink. Flow-only behaviour wraps it: slots are the admission
+    /// currency, so they are released at resolution rather than after the
+    /// linger; the final ACK is `FlowDone` (closing telemetry included);
+    /// and every few polls a cumulative `Telemetry` report rides along.
     fn service_rx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, peer: NodeId, id: u64) {
-        let now = eng.now();
+        let next = eng.now().saturating_add(self.rx_ack_interval(core));
         let key = (peer, id);
-        // Linger: repeat the final ACK so a lost one cannot wedge the
-        // sender; FlowFin (or the countdown) retires the flow.
-        let linger = {
-            let Some(flow) = self.rx_flows.get_mut(&key) else {
-                return;
-            };
-            if flow.resolved {
-                if flow.linger_left == 0 {
-                    self.rx_flows.remove(&key);
-                    return;
-                }
-                flow.linger_left -= 1;
-                Some((flow.peer_ctrl, flow.final_ack.clone().expect("resolved")))
-            } else {
-                None
-            }
-        };
-        if let Some((dst, ack)) = linger {
-            core.ep.send_flow(eng, dst, id, &ack);
-            let iv = self.rx_ack_interval(core);
-            self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv));
+        let Some(flow) = self.rx_flows.get_mut(&key) else {
             return;
-        }
-        // First-pass loss telemetry, CTS healing and the resolution check.
-        let (data_done, dst, is_ec) = {
-            let flow = self.rx_flows.get_mut(&key).expect("live");
-            flow.polls += 1;
-            let qp = &self.ports[&peer].shards[flow.shard].qp;
-            let mut seen = 0u64;
-            let mut lost = 0u64;
-            if let Ok(bm) = qp.recv_bitmap(&flow.data_h) {
-                let (s, l) = flow.data_cursor.scan(bm.packets());
-                seen += s;
-                lost += l;
-            }
-            if let Some(ph) = &flow.parity_h {
-                if let Ok(bm) = qp.recv_bitmap(ph) {
-                    let (s, l) = flow.parity_cursor.scan(bm.packets());
-                    seen += s;
-                    lost += l;
-                }
-            }
-            if seen > 0 {
-                flow.counters.seen += seen;
-                flow.counters.lost += lost;
-                let mut est = flow.est.borrow_mut();
-                est.observe_packets(seen, lost);
-                est.note_progress(now);
-                if flow.fto_deadline.is_none() && flow.code.is_some() {
-                    flow.fto_deadline = Some(now.saturating_add(flow.fto));
-                }
-            }
-            if flow.counters.seen == 0 {
-                // Nothing arrived at all: the CTS (or every first-pass
-                // packet) may have been lost — heal both credits.
-                let _ = qp.resend_cts(eng, &flow.data_h);
-                if let Some(ph) = &flow.parity_h {
-                    let _ = qp.resend_cts(eng, ph);
-                }
-            }
-            let data_done = qp
-                .recv_bitmap(&flow.data_h)
-                .map(|bm| bm.chunks().first_n_set(flow.chunks))
-                .unwrap_or(false);
-            (data_done, flow.peer_ctrl, flow.code.is_some())
         };
-        let decoded = if !data_done && is_ec {
-            self.try_decode(core, peer, id)
-        } else {
-            false
-        };
-        if data_done || decoded {
-            self.rx_flows.get_mut(&key).expect("live").decoded = decoded;
-            self.resolve_rx(core, eng, peer, id);
-            return;
-        }
-        // Not resolved: scheme-specific repair nudge.
-        if !is_ec {
-            let ack = {
-                let flow = &self.rx_flows[&key];
-                let qp = &self.ports[&peer].shards[flow.shard].qp;
-                let bm = qp.recv_bitmap(&flow.data_h).expect("slot active");
-                build_sr_ack(bm.chunks(), flow.chunks, true)
-            };
-            core.ep.send_flow(eng, dst, id, &ack);
-        } else {
-            // FTO expiry: NACK the missing data chunks for §4.1.2
-            // chunk-granular selective repeat, then re-arm the FTO.
-            let nack = {
-                let flow = self.rx_flows.get_mut(&key).expect("live");
-                if flow.fto_deadline.is_some_and(|d| now >= d) {
-                    flow.fto_deadline = Some(now.saturating_add(flow.fto));
-                    let qp = &self.ports[&peer].shards[flow.shard].qp;
-                    let mut failed = Vec::new();
-                    if let Ok(bm) = qp.recv_bitmap(&flow.data_h) {
-                        bm.chunks().for_each_missing_in_first_n(flow.chunks, |c| {
-                            if failed.len() < MAX_FLOW_NACKS {
-                                failed.push(c as u32);
-                            }
-                        });
-                    }
-                    Some(CtrlMsg::EcNack { failed })
-                } else {
-                    None
-                }
-            };
-            if let Some(n) = nack {
-                core.ep.send_flow(eng, dst, id, &n);
-            }
-        }
-        let telem = {
-            let flow = &self.rx_flows[&key];
-            if flow.polls.is_multiple_of(TELEMETRY_EVERY) {
-                Some(CtrlMsg::Telemetry {
-                    seen: flow.counters.seen,
-                    lost: flow.counters.lost,
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(t) = telem {
-            core.ep.send_flow(eng, dst, id, &t);
-        }
-        let iv = self.rx_ack_interval(core);
-        self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv));
-    }
-
-    /// Attempts an in-place erasure decode of the flow's single
-    /// submessage through the manager-shared scratch. `true` when the
-    /// message is now fully present in the destination buffer.
-    fn try_decode(&mut self, core: &Rc<ManagerCore>, peer: NodeId, id: u64) -> bool {
-        let key = (peer, id);
-        let flow = self.rx_flows.get(&key).expect("live");
-        let qp = &self.ports[&peer].shards[flow.shard].qp;
-        let Ok(data_bm) = qp.recv_bitmap(&flow.data_h) else {
-            return false;
-        };
-        let Ok(parity_bm) = qp.recv_bitmap(flow.parity_h.as_ref().expect("ec flow")) else {
-            return false;
-        };
-        let code = flow.code.as_ref().expect("ec flow").clone();
-        let k = flow.chunks;
-        let m = flow.parity_chunks;
-        let chunk_len = flow.chunk_bytes as usize;
-        let (dst_addr, parity_addr) = (flow.dst_addr, flow.parity_addr);
-        let scratch_rc = self.scratch.clone();
-        let mut scratch_guard = scratch_rc.borrow_mut();
-        let scratch = &mut *scratch_guard;
-        scratch.data_present.clear();
-        scratch.data_present.resize(k, true);
-        let flags = &mut scratch.data_present;
-        data_bm
-            .chunks()
-            .for_each_missing_in_first_n(k, |c| flags[c] = false);
-        scratch.parity_present.clear();
-        scratch.parity_present.resize(m, true);
-        let flags = &mut scratch.parity_present;
-        parity_bm
-            .chunks()
-            .for_each_missing_in_first_n(m, |c| flags[c] = false);
-        scratch.present.clear();
-        let (present, dp, pp) = (
-            &mut scratch.present,
-            &scratch.data_present,
-            &scratch.parity_present,
-        );
-        present.extend_from_slice(dp);
-        present.extend_from_slice(pp);
-        if !code.can_recover(&scratch.present) {
-            return false;
-        }
-        debug_assert!(scratch.shards.is_empty());
-        for c in 0..k {
-            if scratch.data_present[c] {
-                let mut b = scratch.take(chunk_len);
-                core.ctx
-                    .read_buffer_into(dst_addr + c as u64 * chunk_len as u64, &mut b);
-                scratch.shards.push(Some(b));
-            } else {
-                scratch.shards.push(None);
-            }
-        }
-        for c in 0..m {
-            if scratch.parity_present[c] {
-                let mut b = scratch.take(chunk_len);
-                core.ctx
-                    .read_buffer_into(parity_addr + c as u64 * chunk_len as u64, &mut b);
-                scratch.shards.push(Some(b));
-            } else {
-                scratch.shards.push(None);
-            }
-        }
-        {
-            let EcScratch { pool, shards, .. } = scratch;
-            code.reconstruct_into(shards, &mut |len| pool.take(len))
-                .expect("can_recover checked");
-        }
-        for c in 0..k {
-            if !scratch.data_present[c] {
-                let shard = scratch.shards[c].as_ref().expect("reconstructed");
-                core.ctx
-                    .write_buffer(dst_addr + c as u64 * chunk_len as u64, shard);
-            }
-        }
-        let mut staged = std::mem::take(&mut scratch.shards);
-        for b in staged.drain(..).flatten() {
-            scratch.put(b);
-        }
-        scratch.shards = staged;
-        self.stats.decoded += 1;
-        true
-    }
-
-    /// The flow's message is fully present: release the slots (freeing
-    /// admission capacity), snapshot the final ACK for the linger loop,
-    /// notify, and start lingering.
-    fn resolve_rx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, peer: NodeId, id: u64) {
-        let now = eng.now();
-        let key = (peer, id);
-        let flow = self.rx_flows.get_mut(&key).expect("live");
-        let shard = flow.shard;
-        // Final ack + closing telemetry in one message (cheap to clone
-        // for linger repeats).
-        let final_ack = CtrlMsg::FlowDone {
-            seen: flow.counters.seen,
-            lost: flow.counters.lost,
-        };
-        {
-            let qp = &self.ports[&peer].shards[shard].qp;
-            qp.recv_complete(eng, &flow.data_h).expect("live slot");
-            if let Some(ph) = &flow.parity_h {
-                qp.recv_complete(eng, ph).expect("live slot");
-            }
-        }
-        flow.resolved = true;
-        flow.final_ack = Some(final_ack.clone());
         let dst = flow.peer_ctrl;
-        let done = RxFlowDone {
-            id,
-            peer,
-            addr: flow.dst_addr,
-            bytes: flow.bytes,
-            at: now,
-            decoded: flow.decoded,
-        };
-        core.ep.send_flow(eng, dst, id, &final_ack);
-        let iv = self.rx_ack_interval(core);
-        self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv));
-        self.stats.rx_done += 1;
-        self.finished_rx.push(done);
-        // Freed slots: admit whoever was parked on this shard.
-        self.admit_pending(core, eng, peer, shard);
+        let mut send = |eng: &mut Engine, msg: &CtrlMsg| core.ep.send_flow(eng, dst, id, msg);
+        let first = flow.rx.completed_at().is_none();
+        if !flow.rx.poll(eng, &mut send) {
+            flow.polls += 1;
+            if flow.polls.is_multiple_of(TELEMETRY_EVERY) {
+                let TelemetryCounters { seen, lost } = flow.rx.common().counters();
+                send(eng, &CtrlMsg::Telemetry { seen, lost });
+            }
+            self.schedule(FlowKey::Rx(peer, id), next);
+            return;
+        }
+        if first {
+            // The message is fully present: free the slots (admission
+            // capacity), snapshot the final ACK for the linger, notify.
+            flow.rx.release(eng);
+            let TelemetryCounters { seen, lost } = flow.rx.common().counters();
+            flow.final_ack = Some(CtrlMsg::FlowDone { seen, lost });
+            let decoded = flow.rx.scheme().done_payload();
+            self.stats.rx_done += 1;
+            self.stats.decoded += u64::from(decoded);
+            self.finished_rx.push(RxFlowDone {
+                id,
+                peer,
+                addr: flow.dst_addr,
+                bytes: flow.bytes,
+                at: eng.now(),
+                decoded,
+            });
+        }
+        // Repeat the final ACK so a lost one cannot wedge the sender;
+        // FlowFin (or the countdown) retires the flow.
+        send(eng, flow.final_ack.as_ref().expect("resolved"));
+        let shard = flow.shard;
+        match flow.rx.linger(eng) {
+            Tick::Stop => {
+                self.rx_flows.remove(&key);
+            }
+            _ => self.schedule(FlowKey::Rx(peer, id), next),
+        }
+        if first {
+            // Freed slots: admit whoever was parked on this shard.
+            self.admit_pending(core, eng, peer, shard);
+        }
     }
 
     fn on_flow_fin(&mut self, src: QpAddr, id: u64) {
         // The sender is satisfied: no more final-ACK repeats needed.
         if let Some(f) = self.rx_flows.get(&(src.node, id)) {
-            if f.resolved {
+            if f.rx.completed_at().is_some() {
                 self.rx_flows.remove(&(src.node, id));
             }
         }
     }
+}
 
-    // -- EC helpers ---------------------------------------------------------
-
-    fn code_for(&mut self, k: u16, m: u16, xor: bool) -> Arc<dyn ErasureCode> {
-        self.codes
-            .entry((k, m, xor))
-            .or_insert_with(|| {
-                if xor {
-                    Arc::new(XorCode::new(k as usize, m as usize))
-                } else {
-                    Arc::new(ReedSolomon::new(k as usize, m as usize))
-                }
-            })
-            .clone()
-    }
-
-    /// Stages the flow's parity into a fresh buffer via the shared encode
-    /// pool, renting every staging buffer from the manager scratch.
-    fn stage_parity(
-        &mut self,
-        core: &Rc<ManagerCore>,
-        src_addr: u64,
-        chunks: usize,
-        spec: SchemeSpec,
-    ) -> u64 {
-        let chunk = core.cfg.qp.chunk_bytes as usize;
-        let (m, xor) = match spec {
-            SchemeSpec::EcMds { m, .. } => (m as usize, false),
-            SchemeSpec::EcXor { m, .. } => (m as usize, true),
-            _ => unreachable!("parity staging is EC-only"),
-        };
-        let code = self.code_for(chunks as u16, m as u16, xor);
-        let parity_addr = core.ctx.alloc_buffer((m * chunk) as u64);
-        let scratch_rc = self.scratch.clone();
-        let mut scratch_guard = scratch_rc.borrow_mut();
-        let scratch = &mut *scratch_guard;
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(chunks);
-        for c in 0..chunks {
-            let mut b = scratch.take(chunk);
-            core.ctx
-                .read_buffer_into(src_addr + (c * chunk) as u64, &mut b);
-            data.push(b);
-        }
-        let mut parity: Vec<Vec<u8>> = (0..m).map(|_| scratch.take(chunk)).collect();
-        {
-            let data_refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
-            let mut parity_refs: Vec<&mut [u8]> =
-                parity.iter_mut().map(|b| b.as_mut_slice()).collect();
-            EncodePool::global().encode_striped(code.as_ref(), &data_refs, &mut parity_refs, 1);
-        }
-        for (c, b) in parity.iter().enumerate() {
-            core.ctx.write_buffer(parity_addr + (c * chunk) as u64, b);
-        }
-        for b in data.into_iter().chain(parity) {
-            scratch.put(b);
-        }
-        parity_addr
+/// The admission snapshot: the receive seqs the flow's slots consumed
+/// (`u64::MAX` for the parity seq of an ARQ flow).
+fn flow_ack(rx: &RxCommon) -> CtrlMsg {
+    CtrlMsg::FlowAck {
+        data_seq: rx.slot_seq(0),
+        parity_seq: if rx.slots() > 1 {
+            rx.slot_seq(1)
+        } else {
+            u64::MAX
+        },
     }
 }
 

@@ -25,13 +25,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::SdrQp;
-use sdr_sim::{Engine, EventKind, FlightRecorder, QpAddr, SimTime, TimerHandle};
+use sdr_sim::{Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
 use crate::runtime::{
-    begin_on_cts, tick_loop, wire_ctrl, AbortReason, ChunkTimers, Completion, RxCommon, RxDriver,
-    RxScheme, StreamTx, Tick, TransferOutcome, RTO_BACKOFF_CAP,
+    ChunkTimers, CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome,
+    TxDriver, TxProgress, TxScheme, RTO_BACKOFF_CAP,
 };
 use crate::telemetry::ChannelEstimator;
 
@@ -84,8 +84,9 @@ pub struct GbnReport {
     pub outcome: TransferOutcome,
 }
 
-struct SenderInner {
-    stream: StreamTx,
+/// The GBN send policy: one [`ChunkTimers`] table used only for its
+/// cumulative cursor, and a single base timer.
+pub struct GbnTx {
     timers: ChunkTimers,
     cfg: GbnProtoConfig,
     /// The single GBN timer: (re)armed at begin, on every rewind and on
@@ -97,33 +98,101 @@ struct SenderInner {
     /// at [`RTO_BACKOFF_CAP`]); a base advance resets it — so a blackout
     /// costs O(log outage/RTO) window rewinds instead of outage/RTO.
     backoff: u32,
-    /// The base-timer loop: sleeps to `timer_armed_at + rto`
-    /// ([`Tick::Until`]), is pushed out by ack-restarts and cancelled at
-    /// completion.
-    tick: Option<TimerHandle>,
     retransmitted: u64,
     rewinds: u64,
     acks: u64,
-    completion: Completion<GbnReport>,
     /// Optional flight-recorder binding `(recorder, transfer id)`: window
     /// rewinds record `rto-fire`/`rto-backoff` events like the SR sender's
     /// [`ChunkTimers`] trace does.
     trace: Option<(FlightRecorder, u64)>,
 }
 
-impl SenderInner {
+impl GbnTx {
     /// The base RTO scaled by the current backoff exponent.
     fn rto_effective(&self) -> SimTime {
         self.cfg.rto * (1u64 << self.backoff)
     }
 }
 
-/// The GBN sender protocol object.
-pub struct GbnSender {
-    inner: Rc<RefCell<SenderInner>>,
+impl TxScheme for GbnTx {
+    type Report = GbnReport;
+
+    fn on_begin(&mut self, now: SimTime) -> SimTime {
+        self.timers.all_sent_at(now);
+        self.timer_armed_at = now;
+        // GBN keeps exactly one timer, so the driver's loop sleeps
+        // straight to its expiry; ack-restarts push it out.
+        self.cfg.rto
+    }
+
+    /// The GBN repair rule: when the base timer expires, rewind — re-inject
+    /// the entire window from the first unacked chunk and restart the
+    /// timer. No selective state: a later hole waits its own full RTO
+    /// after the earlier one repairs (the serialization the model charges).
+    fn on_tick(&mut self, eng: &mut Engine, stream: &StreamTx) -> Option<SimTime> {
+        let now = eng.now();
+        let base = self.timers.first_unacked()?;
+        // Effective RTO: doubled per rewind while the base is not moving
+        // (capped), reset by the ack-restart in `on_ctrl` — the exponential
+        // backoff that keeps a blackout from charging one rewind per RTO.
+        if now.saturating_sub(self.timer_armed_at) >= self.rto_effective() {
+            let sent = stream.resend_window(eng, base, self.cfg.window_chunks);
+            self.timer_armed_at = now;
+            self.backoff = (self.backoff + 1).min(RTO_BACKOFF_CAP);
+            self.retransmitted += sent as u64;
+            self.rewinds += 1;
+            if let Some((rec, id)) = &self.trace {
+                rec.record(now.as_picos(), EventKind::RtoFire, *id, sent as u64);
+                rec.record(
+                    now.as_picos(),
+                    EventKind::RtoBackoff,
+                    *id,
+                    self.backoff as u64,
+                );
+            }
+        }
+        Some(self.timer_armed_at.saturating_add(self.rto_effective()))
+    }
+
+    fn on_ctrl(&mut self, eng: &mut Engine, _stream: &StreamTx, msg: CtrlMsg) -> TxProgress {
+        // Cumulative ACKs only.
+        let CtrlMsg::GbnAck { cumulative } = msg else {
+            return TxProgress::default();
+        };
+        self.acks += 1;
+        let base_before = self.timers.first_unacked();
+        self.timers.ack_prefix(cumulative as usize);
+        // Base advanced → the in-order prefix is moving: restart the timer
+        // (the classic GBN ack-restart rule, which restarts the backoff
+        // with it) and push the sleeping watch out to the new deadline.
+        let advanced = self.timers.first_unacked() != base_before;
+        if advanced {
+            self.timer_armed_at = eng.now();
+            self.backoff = 0;
+        }
+        TxProgress {
+            complete: self.timers.is_complete(),
+            rearm: advanced.then(|| self.timer_armed_at.saturating_add(self.cfg.rto)),
+            ack_rtt: None,
+        }
+    }
+
+    fn report(&self, duration: SimTime, outcome: TransferOutcome) -> GbnReport {
+        GbnReport {
+            duration,
+            retransmitted: self.retransmitted,
+            rewinds: self.rewinds,
+            acks: self.acks,
+            outcome,
+        }
+    }
 }
 
-impl GbnSender {
+/// The GBN sender protocol object: the per-transfer driver over [`GbnTx`]
+/// (`is_done` and `abort` are the driver's).
+pub type GbnSender = TxDriver<GbnTx>;
+
+impl TxDriver<GbnTx> {
     /// Starts a GBN-protected transfer of `[local_addr, local_addr +
     /// msg_bytes)` to the connected peer. `done` fires at completion with
     /// the sender-side report. The receiver must run [`GbnReceiver`].
@@ -137,199 +206,64 @@ impl GbnSender {
         cfg: GbnProtoConfig,
         done: impl FnOnce(&mut Engine, GbnReport) + 'static,
     ) -> GbnSender {
-        let stream = StreamTx::new(qp, local_addr, msg_bytes);
-        let total_chunks = stream.total_chunks();
-        let inner = Rc::new(RefCell::new(SenderInner {
-            stream,
-            timers: ChunkTimers::new(total_chunks),
+        let scheme = GbnTx {
+            timers: ChunkTimers::new(qp.config().chunks_for(msg_bytes) as usize),
             cfg,
             timer_armed_at: SimTime::ZERO,
             backoff: 0,
-            tick: None,
             retransmitted: 0,
             rewinds: 0,
             acks: 0,
-            completion: Completion::new(done),
             trace: None,
-        }));
-
-        // Control-path handler: cumulative ACKs only.
-        wire_ctrl(&ctrl, &inner, |me, eng, _src, msg| {
-            if let CtrlMsg::GbnAck { cumulative } = msg {
-                Self::on_ack(me, eng, cumulative);
-            }
-        });
-        begin_on_cts(eng, qp, &inner, Self::try_begin);
-        GbnSender { inner }
-    }
-
-    /// True once the final ACK has been processed.
-    pub fn is_done(&self) -> bool {
-        self.inner.borrow().completion.is_done()
+        };
+        TxDriver::spawn(eng, qp, &ctrl, local_addr, msg_bytes, scheme, done)
     }
 
     /// Binds a flight recorder: window rewinds record `rto-fire` (b =
     /// chunks re-injected) and `rto-backoff` (b = new exponent) events
     /// under transfer `id`.
     pub fn bind_trace(&self, rec: FlightRecorder, id: u64) {
-        self.inner.borrow_mut().trace = Some((rec, id));
-    }
-
-    /// Tears the transfer down now: the base-timer loop is cancelled, the
-    /// stream slot is quiesced (exactly once), and the done callback fires
-    /// with [`TransferOutcome::Aborted`]. Idempotent — returns `false`
-    /// when the transfer already completed or aborted.
-    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
-        let (cb, report) = {
-            let mut i = self.inner.borrow_mut();
-            if i.completion.is_done() {
-                return false;
-            }
-            i.stream.quiesce();
-            if let Some(h) = i.tick.take() {
-                eng.cancel(h);
-            }
-            let report = GbnReport {
-                duration: i.completion.elapsed(eng.now()),
-                retransmitted: i.retransmitted,
-                rewinds: i.rewinds,
-                acks: i.acks,
-                outcome: TransferOutcome::aborted(reason),
-            };
-            let Some(cb) = i.completion.finish() else {
-                return false;
-            };
-            (cb, report)
-        };
-        cb(eng, report);
-        true
-    }
-
-    fn try_begin(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine) -> bool {
-        let rto = {
-            let mut i = inner.borrow_mut();
-            // A stale CTS hook may re-fire after completion (the stream is
-            // quiesced by then) — it must never re-open the stream and
-            // consume a send sequence that belongs to a later transfer.
-            if i.completion.is_done() || i.stream.is_open() {
-                return true;
-            }
-            if !i.stream.try_begin(eng) {
-                return false;
-            }
-            let now = eng.now();
-            i.completion.mark_started(now);
-            i.timers.all_sent_at(now);
-            i.timer_armed_at = now;
-            i.cfg.rto
-        };
-        // Base-timer watch: GBN keeps exactly one timer, so the loop
-        // sleeps straight to its expiry; ack-restarts push it out.
-        let me = inner.clone();
-        let h = tick_loop(eng, rto, move |eng| Self::tick(&me, eng));
-        inner.borrow_mut().tick = Some(h);
-        true
-    }
-
-    /// The GBN repair rule: when the base timer expires, rewind — re-inject
-    /// the entire window from the first unacked chunk and restart the
-    /// timer. No selective state: a later hole waits its own full RTO
-    /// after the earlier one repairs (the serialization the model charges).
-    fn tick(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine) -> Tick {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return Tick::Stop;
-        }
-        let now = eng.now();
-        let window = i.cfg.window_chunks;
-        let Some(base) = i.timers.first_unacked() else {
-            // All acked; the ACK handler is about to complete and cancel.
-            return Tick::Stop;
-        };
-        // Effective RTO: doubled per rewind while the base is not moving
-        // (capped), reset by the ack-restart in `on_ack` — the exponential
-        // backoff that keeps a blackout from charging one rewind per RTO.
-        if now.saturating_sub(i.timer_armed_at) >= i.rto_effective() {
-            let sent = i.stream.resend_window(eng, base, window);
-            i.timer_armed_at = now;
-            i.backoff = (i.backoff + 1).min(RTO_BACKOFF_CAP);
-            i.retransmitted += sent as u64;
-            i.rewinds += 1;
-            if let Some((rec, id)) = &i.trace {
-                rec.record(now.as_picos(), EventKind::RtoFire, *id, sent as u64);
-                rec.record(now.as_picos(), EventKind::RtoBackoff, *id, i.backoff as u64);
-            }
-        }
-        Tick::Until(i.timer_armed_at.saturating_add(i.rto_effective()))
-    }
-
-    fn on_ack(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine, cumulative: u32) {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return;
-        }
-        i.acks += 1;
-        let base_before = i.timers.first_unacked();
-        i.timers.ack_prefix(cumulative as usize);
-        // Base advanced → the in-order prefix is moving: restart the timer
-        // (the classic GBN ack-restart rule) and push the sleeping watch
-        // out to the new deadline.
-        if i.timers.first_unacked() != base_before {
-            i.timer_armed_at = eng.now();
-            // Progress restarts the backoff along with the timer.
-            i.backoff = 0;
-            if let Some(h) = i.tick {
-                let at = i.timer_armed_at.saturating_add(i.cfg.rto);
-                let _ = eng.reschedule(h, at);
-            }
-        }
-        if i.timers.is_complete() {
-            i.stream.quiesce();
-            if let Some(h) = i.tick.take() {
-                eng.cancel(h);
-            }
-            let report = GbnReport {
-                duration: i.completion.elapsed(eng.now()),
-                retransmitted: i.retransmitted,
-                rewinds: i.rewinds,
-                acks: i.acks,
-                outcome: TransferOutcome::Delivered,
-            };
-            if let Some(cb) = i.completion.finish() {
-                drop(i);
-                cb(eng, report);
-            }
-        }
+        self.scheme_mut(|s| s.trace = Some((rec, id)));
     }
 }
 
 /// The GBN receive policy: the ACK carries only the cumulative prefix —
 /// SDR's selective bitmap state is deliberately discarded, like an in-order
 /// commodity transport would.
-struct GbnRxScheme {
+pub struct GbnRxScheme {
     total_chunks: usize,
 }
 
 impl RxScheme for GbnRxScheme {
     type Done = ();
 
-    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon) -> bool {
+    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         let bitmap = rx.bitmap(0);
         rx.heal_cts(eng, 0, &bitmap);
-        let cumulative = bitmap.chunks().cumulative_prefix(self.total_chunks) as u32;
-        rx.send(eng, &CtrlMsg::GbnAck { cumulative });
-        cumulative as usize == self.total_chunks
+        let cumulative = bitmap.chunks().cumulative_prefix(self.total_chunks);
+        if cumulative == self.total_chunks {
+            return true;
+        }
+        let cumulative = cumulative as u32;
+        send(eng, &CtrlMsg::GbnAck { cumulative });
+        false
+    }
+
+    fn final_ack(&self) -> CtrlMsg {
+        CtrlMsg::GbnAck {
+            cumulative: self.total_chunks as u32,
+        }
     }
 
     fn done_payload(&self) {}
 }
 
-/// The GBN receiver protocol object.
-pub struct GbnReceiver {
-    driver: RxDriver<GbnRxScheme>,
-}
+/// The GBN receiver protocol object: the per-transfer driver over the GBN
+/// receive policy (`is_complete`, `is_released`, `quiesce` and
+/// `frontier` are the driver's).
+pub type GbnReceiver = RxDriver<GbnRxScheme>;
 
-impl GbnReceiver {
+impl RxDriver<GbnRxScheme> {
     /// Posts the receive buffer and starts the poll/ACK loop. `done` fires
     /// when the cumulative prefix covers the whole message.
     #[allow(clippy::too_many_arguments)]
@@ -363,7 +297,7 @@ impl GbnReceiver {
         telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
         done: impl FnOnce(&mut Engine, SimTime) + 'static,
     ) -> GbnReceiver {
-        let mut common = RxCommon::new(qp, ctrl, peer_ctrl);
+        let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
         if let Some(est) = telemetry {
             common.bind_estimator(est);
@@ -371,41 +305,14 @@ impl GbnReceiver {
         let scheme = GbnRxScheme {
             total_chunks: qp.config().chunks_for(msg_bytes) as usize,
         };
-        let driver = RxDriver::start(
+        let rx = RxStep::new(common, scheme, cfg.linger_acks);
+        RxDriver::spawn(
             eng,
             cfg.ack_interval,
-            common,
-            scheme,
-            cfg.linger_acks,
+            ctrl,
+            peer_ctrl,
+            rx,
             move |eng, t, ()| done(eng, t),
-        );
-        GbnReceiver { driver }
-    }
-
-    /// True once the whole message has arrived in order.
-    pub fn is_complete(&self) -> bool {
-        self.driver.is_complete()
-    }
-
-    /// True once the receive buffer has been released back to the QP.
-    pub fn is_released(&self) -> bool {
-        self.driver.is_released()
-    }
-
-    /// Releases the receive slot now (exactly once) and stops the loop —
-    /// the adaptive layer's quiesce-and-rebind path.
-    pub fn quiesce(&self, eng: &mut Engine) -> bool {
-        self.driver.quiesce(eng)
-    }
-
-    /// True once any packet of this transfer has arrived.
-    pub fn any_packet(&self) -> bool {
-        self.driver.any_packet()
-    }
-
-    /// `(observed, total)` packets (the injection frontier; see
-    /// [`RxDriver::frontier`]).
-    pub fn frontier(&self) -> (u64, u64) {
-        self.driver.frontier()
+        )
     }
 }

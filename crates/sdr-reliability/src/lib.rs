@@ -1,24 +1,40 @@
 //! # sdr-reliability — software-defined reliability over the SDR SDK
 //!
 //! The paper's Section 4, organized the way the paper argues reliability
-//! *should* be organized: schemes are **software-defined** — thin policies
-//! composed from a shared runtime of mechanisms, not hand-rolled protocol
-//! stacks. The crate therefore splits into two layers:
+//! *should* be organized: schemes are **software-defined** — small policies
+//! over the SDR bitmap that exist once and run wherever a transfer runs.
+//! The crate therefore splits every scheme into a **core** and puts
+//! **drivers** underneath:
 //!
-//! ## The scheme runtime ([`runtime`])
+//! ## Cores × drivers
 //!
-//! The mechanism layer every scheme is built from: recurring-tick timer
-//! management ([`runtime::tick_loop`]), per-chunk retransmission timers and
-//! ACK bookkeeping ([`runtime::ChunkTimers`]), sender message-slot
-//! lifecycle ([`runtime::StreamTx`]), control-endpoint dispatch
-//! ([`runtime::wire_ctrl`], [`runtime::begin_on_cts`]), exactly-once report
-//! plumbing ([`runtime::Completion`]) and the generic receiver driver
-//! ([`runtime::RxDriver`]) that owns poll cadence, lost-CTS healing,
-//! linger-ACK repeats and exactly-once buffer release.
+//! A *core* is the protocol as plain data: no timer, no QP handle, no
+//! callback. It takes `now` plus a decoded control message or a bitmap,
+//! emits actions through caller-supplied closure sinks (`resend(chunk)`,
+//! `send(CtrlMsg)`) and returns its next deadline. A *driver* owns
+//! scheduling — when the core runs, what its sinks are wired to, and which
+//! timeout values it is handed — and nothing else. There are two:
 //!
-//! ## The scheme policies
+//! | core | per-transfer driver | population driver |
+//! |---|---|---|
+//! | [`SrTxCore`] — ACK application, Karn RTT sample, NACK claim, RTO scan | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`], `rto`/`tick` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane, RTO and claim guard widened by the population's control pacing |
+//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, cumulative + selective ACK with holes | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: fixed `ack_interval` | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval |
+//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, FTO fallback NACK | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>` | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]) |
+//! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
+//! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the commodity baseline is never steered to) |
 //!
-//! Each scheme contributes only its ACK wire policy and repair rule:
+//! The drivers' shared parts live in [`runtime`]: [`TxDriver`] (begin now
+//! or on CTS, the timer loop, control dispatch, exactly-once finish for
+//! completion *and* abort) over a [`TxScheme`](runtime::TxScheme);
+//! [`RxStep`] (scheme poll, first-pass telemetry feed, completion, linger
+//! countdown, exactly-once slot release) over an
+//! [`RxScheme`], which [`RxDriver`] wraps in a timer and the flow manager
+//! steps itself; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
+//! [`runtime::Completion`]. What stays specific to the population driver
+//! is what is genuinely population-scale — admission and parking, DRR
+//! injection, the shared tick, `FlowOpen/Ack/Fin/Done` — see [`flow`].
+//!
+//! ## The schemes
 //!
 //! * [`SrSender`]/[`SrReceiver`] — Selective Repeat with per-chunk RTO and
 //!   cumulative + selective ACKs; optional NACK optimization (§4.1.1).
@@ -61,9 +77,9 @@
 //!
 //! ## The flow manager ([`flow`])
 //!
-//! The scheme runtime drives *one* transfer well; a real node serves
-//! thousands at once. [`FlowManager`] is the many-flow engine layered on
-//! the same primitives:
+//! The per-transfer drivers run *one* transfer well; a real node serves
+//! thousands at once. [`FlowManager`] is the population driver over the
+//! same cores:
 //!
 //! * **One control plane, one tick.** All flows to all peers multiplex
 //!   over a single [`ControlEndpoint`] (the flow id rides in the control
@@ -78,8 +94,8 @@
 //! * **Fair injection.** Senders do not write to the wire directly: every
 //!   chunk passes through a per-peer deficit-round-robin arbiter
 //!   ([`DrrArbiter`], one quantum ≈ one chunk) pumped only while the
-//!   link's busy horizon is within
-//!   [`pace_horizon`](flow::FlowCfg::pace_horizon) — elephants cannot
+//!   link's busy horizon is within a few chunks of serialization —
+//!   elephants cannot
 //!   starve mice, and fairness is measured where it is felt: a same-size
 //!   population opened together finishes nearly in lockstep
 //!   (completion-time Jain ≥ 0.95 at 1k flows). Repairs (NACK'd or
@@ -99,8 +115,7 @@
 //!   [`EstimatorRegistry`](telemetry::EstimatorRegistry) outlives the
 //!   flows that feed it (each flow's final ack carries its closing
 //!   first-pass loss counters), ages out stale peers, and steers *new*
-//!   flows: a confident loss estimate past
-//!   [`ec_loss_threshold`](flow::FlowCfg::ec_loss_threshold) opens the
+//!   flows: a confident loss estimate past the EC threshold opens the
 //!   next flow under EC with parity sized from the estimate
 //!   (chunk-loss-amplified — any lost packet erases its chunk), instead
 //!   of re-learning the channel from cold per flow.
@@ -266,17 +281,17 @@ pub use adapt::{
 };
 pub use advisor::{recommend, Candidate, Recommendation, Scheme};
 pub use control::{ControlEndpoint, CtrlFilterStats, CtrlPath};
-pub use ec::{EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender, EcStaging};
+pub use ec::{EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender};
 pub use flow::{
     DrrArbiter, DueIndex, FlowCfg, FlowKey, FlowManager, FlowReport, FlowStats, RxFlowDone,
     WorkItem,
 };
 pub use gbn::{GbnProtoConfig, GbnReceiver, GbnReport, GbnSender};
 pub use runtime::{
-    AbortReason, ChunkTimers, Completion, DeliveryManifest, RxCommon, RxDriver, RxScheme, StreamTx,
-    TransferOutcome, RTO_BACKOFF_CAP,
+    AbortReason, ChunkTimers, Completion, DeliveryManifest, RxCommon, RxDriver, RxScheme, RxStep,
+    StreamTx, TransferOutcome, TxDriver, RTO_BACKOFF_CAP,
 };
-pub use sr::{SrProtoConfig, SrReceiver, SrReport, SrSender};
+pub use sr::{SrProtoConfig, SrReceiver, SrReport, SrSender, SrTxCore};
 pub use telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 
 #[cfg(test)]

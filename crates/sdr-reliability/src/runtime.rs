@@ -5,36 +5,37 @@
 //! *software-defined*: SDR exposes a partial-completion bitmap and leaves
 //! the scheme — Selective Repeat, Erasure Coding, Go-Back-N, or anything
 //! else — to host software composed from a small set of common mechanisms.
-//! This module is that mechanism layer. Each scheme in this crate is a thin
-//! *policy* over it:
+//! This module is that mechanism layer. A scheme is a plain-data *core*
+//! (what to repair, what to say) and the code here is what *schedules* it:
 //!
 //! * [`tick_loop`] — **timer management**: one recurring engine event
 //!   (boxed once, re-armed in place) that runs until the policy says
-//!   [`Tick::Stop`]. Every scheme's retransmission scan, bitmap poll and
-//!   ACK cadence runs on it. Policies whose next action has a known time
-//!   return [`Tick::Until`] and *sleep to the deadline* — the SR sender
-//!   sleeps to its earliest chunk RTO and the GBN sender to its base
-//!   timer, instead of polling every quarter-RTT — and the returned
-//!   [`TimerHandle`] lets completion cancel the loop outright.
+//!   [`Tick::Stop`]. Policies whose next action has a known time return
+//!   [`Tick::Until`] and *sleep to the deadline* — the SR sender sleeps to
+//!   its earliest chunk RTO and the GBN sender to its base timer, instead
+//!   of polling every quarter-RTT — and the returned [`TimerHandle`] lets
+//!   completion cancel the loop outright.
 //! * [`ChunkTimers`] — **retransmission timers + ACK bookkeeping** for ARQ
 //!   senders: per-chunk last-send stamps, acked flags with a monotone
 //!   first-unacked cursor, RTO expiry scans and the NACK double-send guard.
 //! * [`StreamTx`] — **sender message-slot lifecycle**: open-on-CTS,
 //!   whole-message injection, chunk/window retransmission and stream close
 //!   over one [`SdrQp`] streaming send.
-//! * [`begin_on_cts`] / [`wire_ctrl`] — **control-endpoint dispatch**: the
-//!   begin-now-or-on-credit hook and the handler plumbing every scheme
-//!   needs to react to CTS credits and [`CtrlMsg`] datagrams.
-//! * [`Completion`] — **report plumbing**: the exactly-once done callback
-//!   with the transfer's start instant.
-//! * [`RxDriver`] + [`RxScheme`] — the **receiver driver**: posts buffers,
-//!   polls at a fixed cadence, heals lost CTS credits, fires the done
-//!   callback exactly once, repeats the final ACK for `linger` ticks to
-//!   tolerate ACK loss, and releases every receive slot exactly once.
+//! * [`TxDriver`] + [`TxScheme`] — the **per-transfer sender driver**:
+//!   begin-now-or-on-CTS, the timer loop, control dispatch, and the
+//!   exactly-once finish shared by completion and abort
+//!   ([`begin_on_cts`], [`wire_ctrl`] and [`Completion`] are its parts).
+//! * [`RxStep`] + [`RxScheme`] — the **receive step**: one scheme poll,
+//!   the first-pass telemetry feed, completion detection, the final-ACK
+//!   linger countdown and the exactly-once slot release. It is plain
+//!   state stepped by whoever owns the cadence: [`RxDriver`] wraps it in a
+//!   [`tick_loop`] for one transfer; the
+//!   [`FlowManager`](crate::flow::FlowManager) steps thousands of them
+//!   from its shared due index at a population-scaled interval.
 //!
 //! `sr.rs`, `ec.rs` and `gbn.rs` contain only what is genuinely different
 //! between the schemes: the ACK wire policy and the repair rule. Adding a
-//! new scheme means implementing [`RxScheme`] plus a sender policy — no new
+//! new scheme means implementing [`RxScheme`] plus a [`TxScheme`] — no new
 //! timer, lifecycle or control plumbing.
 
 use std::cell::RefCell;
@@ -46,7 +47,7 @@ use sdr_sim::{Engine, EventKind, FlightRecorder, QpAddr, SimTime, TimerHandle};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
-use crate::telemetry::{ChannelEstimator, FirstPassCursor};
+use crate::telemetry::{ChannelEstimator, FirstPassCursor, TelemetryCounters};
 
 // ---------------------------------------------------------------------------
 // Failure semantics
@@ -590,11 +591,6 @@ impl StreamTx {
         }
     }
 
-    /// Chunks in the message.
-    pub fn total_chunks(&self) -> usize {
-        self.total_chunks
-    }
-
     /// True once the stream is open (the CTS credit arrived and the full
     /// message was injected).
     pub fn is_open(&self) -> bool {
@@ -649,17 +645,9 @@ impl StreamTx {
         end - from
     }
 
-    /// Closes the stream (no further chunks will be injected).
-    pub fn end(&self) {
-        if let Some(hdl) = self.hdl {
-            let _ = self.qp.send_stream_end(&hdl);
-        }
-    }
-
     /// Quiesces the stream — the exactly-once close the ARQ senders run at
     /// completion and a handover teardown can run early: idempotent
-    /// (repeated calls and calls racing [`end`](Self::end) are no-ops) and
-    /// drops the send handle so no later code path can inject into the old
+    /// (repeated calls are no-ops) and drops the send handle so no later code path can inject into the old
     /// scheme's slot. Returns `true` when this call performed the close.
     pub fn quiesce(&mut self) -> bool {
         match self.hdl.take() {
@@ -713,7 +701,7 @@ pub fn begin_on_cts<T: 'static>(
 /// scheme's done callback, armed once and never re-fired.
 pub struct Completion<R> {
     started: Option<SimTime>,
-    fired: bool,
+    /// Taken by [`finish`](Self::finish): `None` means done.
     cb: Option<Box<dyn FnOnce(&mut Engine, R)>>,
 }
 
@@ -722,14 +710,13 @@ impl<R> Completion<R> {
     pub fn new(cb: impl FnOnce(&mut Engine, R) + 'static) -> Self {
         Completion {
             started: None,
-            fired: false,
             cb: Some(Box::new(cb)),
         }
     }
 
     /// True once [`finish`](Self::finish) has run.
     pub fn is_done(&self) -> bool {
-        self.fired
+        self.cb.is_none()
     }
 
     /// Records the first-injection instant (idempotent).
@@ -752,43 +739,223 @@ impl<R> Completion<R> {
     /// `RefCell` borrow of the protocol state, since the callback may
     /// re-enter the protocol object.
     pub fn finish(&mut self) -> Option<Box<dyn FnOnce(&mut Engine, R)>> {
-        if self.fired {
-            return None;
-        }
-        self.fired = true;
         self.cb.take()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Receiver driver
+// Per-transfer sender driver
 // ---------------------------------------------------------------------------
 
-/// Scheme-independent receiver state: the QP, the control path to the peer
-/// and the posted receive slots. Handed to the [`RxScheme`] on every tick.
-pub struct RxCommon {
-    qp: SdrQp,
-    ctrl: Rc<dyn CtrlPath>,
-    peer_ctrl: QpAddr,
-    hdls: Vec<RecvHandle>,
-    /// Channel telemetry, when bound: the estimator plus one first-pass
-    /// cursor per posted slot. The driver scans after every scheme poll.
-    telemetry: Option<(Rc<RefCell<ChannelEstimator>>, Vec<FirstPassCursor>)>,
+/// What a sender policy tells its scheduler after a control message.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TxProgress {
+    /// Every chunk is acknowledged: the transfer is delivered.
+    pub complete: bool,
+    /// Move the retransmission timer to this deadline (an ack-restart, or
+    /// the pull-back after backed-off silence ended).
+    pub rearm: Option<SimTime>,
+    /// ACK round-trip of a never-retransmitted chunk this message newly
+    /// acknowledged (Karn's rule) — the estimator's RTT feed.
+    pub ack_rtt: Option<SimTime>,
 }
 
-impl RxCommon {
-    /// Receiver plumbing over `qp` talking to `peer_ctrl` via `ctrl`.
-    pub fn new(qp: &SdrQp, ctrl: Rc<dyn CtrlPath>, peer_ctrl: QpAddr) -> Self {
-        RxCommon {
-            qp: qp.clone(),
-            ctrl,
-            peer_ctrl,
-            hdls: Vec::new(),
-            telemetry: None,
+/// A sender policy under the per-transfer [`TxDriver`]: the timers and the
+/// repair rule over one [`StreamTx`]. The driver owns when things run —
+/// begin-on-CTS, the timer loop, control dispatch, completion and abort.
+pub trait TxScheme: 'static {
+    /// The sender-side report handed to the done callback.
+    type Report;
+
+    /// The stream just opened and the whole message was injected at `now`:
+    /// stamp the timers. Returns the first timer interval.
+    fn on_begin(&mut self, now: SimTime) -> SimTime;
+
+    /// One timer wake: retransmit whatever expired through `stream` and
+    /// return the next deadline (`None` once nothing is left to time).
+    fn on_tick(&mut self, eng: &mut Engine, stream: &StreamTx) -> Option<SimTime>;
+
+    /// One control message from the peer.
+    fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress;
+
+    /// The report for a transfer that ended `outcome` after `duration`.
+    fn report(&self, duration: SimTime, outcome: TransferOutcome) -> Self::Report;
+}
+
+struct TxState<S: TxScheme> {
+    stream: StreamTx,
+    scheme: S,
+    completion: Completion<S::Report>,
+    /// The retransmission loop, once armed: it sleeps to the deadline the
+    /// scheme returns ([`Tick::Until`]) and is cancelled the moment the
+    /// transfer ends, so no stale wake outlives it.
+    tick: Option<TimerHandle>,
+}
+
+/// The per-transfer sender driver: begins as soon as the CTS credit
+/// allows, runs the scheme's timer, feeds it control messages, and ends
+/// the transfer exactly once — delivered or aborted.
+pub struct TxDriver<S: TxScheme> {
+    inner: Rc<RefCell<TxState<S>>>,
+}
+
+impl<S: TxScheme> TxDriver<S> {
+    /// Starts sending `[local_addr, local_addr + msg_bytes)` under
+    /// `scheme`; `done` fires exactly once with the scheme's report.
+    pub fn spawn(
+        eng: &mut Engine,
+        qp: &SdrQp,
+        ctrl: &Rc<dyn CtrlPath>,
+        local_addr: u64,
+        msg_bytes: u64,
+        scheme: S,
+        done: impl FnOnce(&mut Engine, S::Report) + 'static,
+    ) -> Self {
+        let inner = Rc::new(RefCell::new(TxState {
+            stream: StreamTx::new(qp, local_addr, msg_bytes),
+            scheme,
+            completion: Completion::new(done),
+            tick: None,
+        }));
+        wire_ctrl(ctrl, &inner, |me, eng, _src, msg| {
+            Self::on_ctrl(me, eng, msg)
+        });
+        begin_on_cts(eng, qp, &inner, Self::try_begin);
+        TxDriver { inner }
+    }
+
+    /// True once the transfer completed or aborted.
+    pub fn is_done(&self) -> bool {
+        self.inner.borrow().completion.is_done()
+    }
+
+    /// Tears the transfer down now: the timer is cancelled, the stream
+    /// slot is quiesced (exactly once), and the done callback fires with
+    /// [`TransferOutcome::Aborted`]. Idempotent — returns `false` when the
+    /// transfer already completed or aborted. Local only: propagating the
+    /// abort to the peer is the control plane's job (the adaptive layer
+    /// announces it via `CtrlMsg::Abort`).
+    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
+        Self::finish(&self.inner, eng, TransferOutcome::aborted(reason))
+    }
+
+    /// Mutates scheme state (trace binding).
+    pub fn scheme_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        f(&mut self.inner.borrow_mut().scheme)
+    }
+
+    fn try_begin(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine) -> bool {
+        let first = {
+            let mut i = inner.borrow_mut();
+            // A stale CTS hook may re-fire after completion (the stream is
+            // quiesced by then) — it must never re-open the stream and
+            // consume a send sequence that belongs to a later transfer.
+            if i.completion.is_done() || i.stream.is_open() {
+                return true;
+            }
+            if !i.stream.try_begin(eng) {
+                return false;
+            }
+            let now = eng.now();
+            i.completion.mark_started(now);
+            i.scheme.on_begin(now)
+        };
+        // The whole message was just injected, so the first deadline is
+        // one interval out; after that every wake sleeps to the scheme's
+        // next deadline. ACKs are event-driven and never wait on this loop.
+        let me = inner.clone();
+        let h = tick_loop(eng, first, move |eng| {
+            let mut i = me.borrow_mut();
+            if i.completion.is_done() {
+                return Tick::Stop;
+            }
+            let TxState { stream, scheme, .. } = &mut *i;
+            // `None`: everything is acked and the ACK handler is about to
+            // finish (and cancel this loop).
+            scheme.on_tick(eng, stream).map_or(Tick::Stop, Tick::Until)
+        });
+        inner.borrow_mut().tick = Some(h);
+        true
+    }
+
+    fn on_ctrl(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine, msg: CtrlMsg) {
+        let complete = {
+            let mut i = inner.borrow_mut();
+            if i.completion.is_done() {
+                return;
+            }
+            let TxState {
+                stream,
+                scheme,
+                tick,
+                ..
+            } = &mut *i;
+            let p = scheme.on_ctrl(eng, stream, msg);
+            if let (false, Some(at), Some(h)) = (p.complete, p.rearm, *tick) {
+                let _ = eng.reschedule(h, at);
+            }
+            p.complete
+        };
+        if complete {
+            Self::finish(inner, eng, TransferOutcome::Delivered);
         }
     }
 
-    /// Binds a channel estimator: after every poll the driver first-pass
+    /// The exactly-once end of a transfer, shared by completion and abort.
+    fn finish(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine, outcome: TransferOutcome) -> bool {
+        let (cb, report) = {
+            let mut i = inner.borrow_mut();
+            let Some(cb) = i.completion.finish() else {
+                return false;
+            };
+            i.stream.quiesce();
+            // The loop may be asleep until a far deadline: cancel it so
+            // the drained simulation ends with the transfer.
+            if let Some(h) = i.tick.take() {
+                eng.cancel(h);
+            }
+            let report = i.scheme.report(i.completion.elapsed(eng.now()), outcome);
+            (cb, report)
+        };
+        cb(eng, report);
+        true
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Receive step and per-transfer receiver driver
+// ---------------------------------------------------------------------------
+
+/// The sink a receive policy emits control messages through. The driver
+/// supplies it, so a scheme never knows which path (raw endpoint, epoch
+/// gate, flow-stamped endpoint) its traffic rides.
+pub type CtrlSink<'a> = &'a mut dyn FnMut(&mut Engine, &CtrlMsg);
+
+/// Scheme-independent receiver state: the QP, the posted receive slots and
+/// the first-pass telemetry scan. Handed to the [`RxScheme`] on every poll.
+pub struct RxCommon {
+    qp: SdrQp,
+    hdls: Vec<RecvHandle>,
+    /// Channel telemetry, when bound: the estimator plus one first-pass
+    /// cursor per posted slot. The step scans after every scheme poll.
+    telemetry: Option<(Rc<RefCell<ChannelEstimator>>, Vec<FirstPassCursor>)>,
+    /// Everything the scans fed the estimator so far — what a receiver
+    /// reports to its sender.
+    counters: TelemetryCounters,
+}
+
+impl RxCommon {
+    /// Receiver plumbing over `qp`.
+    pub fn new(qp: &SdrQp) -> Self {
+        RxCommon {
+            qp: qp.clone(),
+            hdls: Vec::new(),
+            telemetry: None,
+            counters: TelemetryCounters::default(),
+        }
+    }
+
+    /// Binds a channel estimator: after every poll the step first-pass
     /// scans each slot's packet bitmap and feeds the gap counts into it
     /// (the loss half of the telemetry loop; see
     /// [`telemetry`](crate::telemetry)).
@@ -823,17 +990,15 @@ impl RxCommon {
             }
         }
         if seen > 0 {
+            self.counters.seen += seen;
+            self.counters.lost += lost;
             est.borrow_mut().observe_packets(seen, lost);
         }
     }
 
-    /// True once any packet has landed in any posted slot.
-    pub fn any_packet(&self) -> bool {
-        self.hdls.iter().any(|h| {
-            self.qp
-                .recv_bitmap(h)
-                .is_ok_and(|bm| bm.packets().count_set() > 0)
-        })
+    /// Cumulative first-pass counters fed to the bound estimator so far.
+    pub fn counters(&self) -> TelemetryCounters {
+        self.counters
     }
 
     /// `(observed, total)` packet counts across the posted slots, where
@@ -859,6 +1024,12 @@ impl RxCommon {
         self.hdls.len()
     }
 
+    /// The receive sequence number posted slot `i` consumed (what a
+    /// sender must match its send sequence against).
+    pub fn slot_seq(&self, i: usize) -> u64 {
+        self.hdls[i].seq()
+    }
+
     /// The bitmap of posted slot `i`.
     pub fn bitmap(&self, i: usize) -> Arc<TwoLevelBitmap> {
         self.qp.recv_bitmap(&self.hdls[i]).expect("live handle")
@@ -876,6 +1047,11 @@ impl RxCommon {
         } else {
             true
         }
+    }
+
+    /// The QP's bitmap chunk size.
+    pub fn chunk_bytes(&self) -> u64 {
+        self.qp.config().chunk_bytes
     }
 
     /// Whether the QP records per-packet arrival CRCs (see
@@ -900,74 +1076,150 @@ impl RxCommon {
             .verify_packet_range(&self.hdls[i], chunk * ppc, data)
             .unwrap_or(true)
     }
-
-    /// Sends a control message to the peer.
-    pub fn send(&self, eng: &mut Engine, msg: &CtrlMsg) {
-        self.ctrl.send_ctrl(eng, self.peer_ctrl, msg);
-    }
 }
 
 /// A reliability scheme's receive policy: what to scan and what to say.
-/// The [`RxDriver`] supplies the cadence, CTS healing access, completion
-/// callback, linger repeats and the exactly-once slot release.
+/// The [`RxStep`] supplies CTS healing access, completion detection, the
+/// linger countdown and the exactly-once slot release; whoever steps it
+/// supplies the cadence and the control sink.
 pub trait RxScheme: 'static {
     /// Scheme-specific payload for the done callback (receiver statistics).
     type Done;
 
-    /// One bitmap poll: emit whatever control traffic the scheme calls for
-    /// and return `true` once the whole message is delivered. Runs once
-    /// per tick until it reports completion; must send the scheme's final
-    /// positive ACK on the completing tick.
-    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon) -> bool;
+    /// One bitmap poll: emit whatever repair traffic the scheme calls for
+    /// through `send` and return `true` once the whole message is
+    /// delivered (the stepper then sends the final ACK). Runs once per
+    /// step until it reports completion.
+    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool;
 
-    /// One post-completion tick: repeat the final ACK so its loss on the
-    /// control path cannot strand the sender. Defaults to re-running
-    /// [`poll`](Self::poll), which is the right repeat for every scheme
-    /// whose completing-tick traffic *is* the final ACK.
-    fn linger(&mut self, eng: &mut Engine, rx: &mut RxCommon) {
-        let _ = self.poll(eng, rx);
-    }
+    /// The scheme's final positive ACK.
+    fn final_ack(&self) -> CtrlMsg;
 
     /// The payload handed to the done callback at the completion instant.
     fn done_payload(&self) -> Self::Done;
 }
 
-struct RxState<S: RxScheme> {
+/// One receiver's progress, stepped at the owner's cadence: poll until the
+/// scheme reports delivery, then repeat the final ACK for `linger` further
+/// steps (its loss on the control path must not strand the sender) and
+/// release every posted slot exactly once. Plain state — no timer, no
+/// callback: [`RxDriver`] steps it from a [`tick_loop`], the flow manager
+/// from its due index.
+pub struct RxStep<S: RxScheme> {
     common: RxCommon,
     scheme: S,
     completed_at: Option<SimTime>,
     lingers_left: u32,
     released: bool,
-    done_cb: Option<Box<dyn FnOnce(&mut Engine, SimTime, S::Done)>>,
-    /// The poll loop's timer, for immediate teardown on quiesce.
-    tick: Option<TimerHandle>,
 }
 
-/// The generic receiver driver: owns the poll tick, the completion
-/// callback, the linger-ACK countdown and the exactly-once buffer release.
-pub struct RxDriver<S: RxScheme> {
-    inner: Rc<RefCell<RxState<S>>>,
-}
-
-impl<S: RxScheme> RxDriver<S> {
-    /// Starts the receive loop: `scheme.poll` runs every `tick` until it
-    /// reports completion; `done` then fires exactly once; the final ACK
-    /// repeats for `linger_acks` further ticks before every posted slot is
-    /// released (exactly once) and the loop stops.
-    pub fn start(
-        eng: &mut Engine,
-        tick: SimTime,
-        common: RxCommon,
-        scheme: S,
-        linger_acks: u32,
-        done: impl FnOnce(&mut Engine, SimTime, S::Done) + 'static,
-    ) -> Self {
-        let inner = Rc::new(RefCell::new(RxState {
+impl<S: RxScheme> RxStep<S> {
+    /// A receiver over `common`'s posted slots that repeats its final ACK
+    /// `linger_acks` times after the completing step.
+    pub fn new(common: RxCommon, scheme: S, linger_acks: u32) -> Self {
+        RxStep {
             common,
             scheme,
             completed_at: None,
             lingers_left: linger_acks,
             released: false,
+        }
+    }
+
+    /// First half of a step: one scheme poll while the message is still
+    /// incomplete, then the telemetry scan of the bitmaps' new high-water
+    /// ranges (it rides the same cadence). Returns `true` from the
+    /// completing poll on — the caller then sends the final ACK and calls
+    /// [`linger`](Self::linger).
+    pub fn poll(&mut self, eng: &mut Engine, send: CtrlSink<'_>) -> bool {
+        if self.completed_at.is_none() && self.scheme.poll(eng, &mut self.common, send) {
+            self.completed_at = Some(eng.now());
+        }
+        self.common.feed_estimator();
+        self.completed_at.is_some()
+    }
+
+    /// Second half of a completed step: count one final-ACK repeat down;
+    /// when none are left, release the slots and stop.
+    pub fn linger(&mut self, eng: &mut Engine) -> Tick {
+        if self.lingers_left == 0 {
+            self.release(eng);
+            Tick::Stop
+        } else {
+            self.lingers_left -= 1;
+            Tick::Again
+        }
+    }
+
+    /// Releases every posted slot back to the QP now. Exactly once: the
+    /// latch makes a later call (the linger countdown racing a quiesce, or
+    /// an owner that frees slots at resolution) a no-op. Returns `true`
+    /// when this call performed the release.
+    pub fn release(&mut self, eng: &mut Engine) -> bool {
+        if self.released {
+            return false;
+        }
+        for h in &self.common.hdls {
+            let _ = self.common.qp.recv_complete(eng, h);
+        }
+        self.released = true;
+        true
+    }
+
+    /// The completion instant, if reached.
+    pub fn completed_at(&self) -> Option<SimTime> {
+        self.completed_at
+    }
+
+    /// True once every posted slot has been released back to the QP.
+    pub fn is_released(&self) -> bool {
+        self.released
+    }
+
+    /// The scheme's state (statistics, the final ACK).
+    pub fn scheme(&self) -> &S {
+        &self.scheme
+    }
+
+    /// The slot-level state (bitmaps, counters, frontier).
+    pub fn common(&self) -> &RxCommon {
+        &self.common
+    }
+}
+
+struct RxState<S: RxScheme> {
+    rx: RxStep<S>,
+    ctrl: Rc<dyn CtrlPath>,
+    peer_ctrl: QpAddr,
+    done_cb: Option<Box<dyn FnOnce(&mut Engine, SimTime, S::Done)>>,
+    /// The poll loop's timer, for immediate teardown on quiesce.
+    tick: Option<TimerHandle>,
+}
+
+/// The per-transfer receiver driver: steps one [`RxStep`] at a fixed
+/// cadence, sends its traffic to `peer_ctrl` over `ctrl`, and fires the
+/// completion callback exactly once.
+pub struct RxDriver<S: RxScheme> {
+    inner: Rc<RefCell<RxState<S>>>,
+}
+
+impl<S: RxScheme> RxDriver<S> {
+    /// Starts the receive loop: `rx` is stepped every `tick` until its
+    /// scheme reports completion; `done` then fires exactly once; the
+    /// final ACK repeats for the step's linger count before every posted
+    /// slot is released (exactly once) and the loop stops.
+    pub fn spawn(
+        eng: &mut Engine,
+        tick: SimTime,
+        ctrl: Rc<dyn CtrlPath>,
+        peer_ctrl: QpAddr,
+        rx: RxStep<S>,
+        done: impl FnOnce(&mut Engine, SimTime, S::Done) + 'static,
+    ) -> Self {
+        let inner = Rc::new(RefCell::new(RxState {
+            rx,
+            ctrl,
+            peer_ctrl,
             done_cb: Some(Box::new(done)),
             tick: None,
         }));
@@ -979,34 +1231,26 @@ impl<S: RxScheme> RxDriver<S> {
 
     fn tick(inner: &Rc<RefCell<RxState<S>>>, eng: &mut Engine) -> Tick {
         let mut st = inner.borrow_mut();
-        if st.released {
+        if st.rx.is_released() {
             return Tick::Stop;
         }
-        let complete = {
+        let first = st.rx.completed_at().is_none();
+        {
             let RxState {
-                common,
-                scheme,
-                completed_at,
+                rx,
+                ctrl,
+                peer_ctrl,
                 ..
             } = &mut *st;
-            let complete = if completed_at.is_some() {
-                scheme.linger(eng, common);
-                true
-            } else {
-                scheme.poll(eng, common)
-            };
-            // Telemetry rides the same cadence as the scheme poll: scan
-            // the bitmaps' new high-water ranges for first-pass gaps.
-            common.feed_estimator();
-            complete
-        };
-        if !complete {
-            return Tick::Again;
+            let mut send = |eng: &mut Engine, msg: &CtrlMsg| ctrl.send_ctrl(eng, *peer_ctrl, msg);
+            if !rx.poll(eng, &mut send) {
+                return Tick::Again;
+            }
+            send(eng, &rx.scheme().final_ack());
         }
-        if st.completed_at.is_none() {
-            st.completed_at = Some(eng.now());
+        if first {
             if let Some(cb) = st.done_cb.take() {
-                let (now, payload) = (eng.now(), st.scheme.done_payload());
+                let (now, payload) = (eng.now(), st.rx.scheme().done_payload());
                 drop(st);
                 cb(eng, now, payload);
                 st = inner.borrow_mut();
@@ -1014,47 +1258,25 @@ impl<S: RxScheme> RxDriver<S> {
         }
         // Keep re-ACKing for a while (the final ACK can drop), then release
         // the buffers — exactly once.
-        if st.lingers_left == 0 {
-            let RxState {
-                common, released, ..
-            } = &mut *st;
-            for h in &common.hdls {
-                let _ = common.qp.recv_complete(eng, h);
-            }
-            *released = true;
-            Tick::Stop
-        } else {
-            st.lingers_left -= 1;
-            Tick::Again
-        }
+        st.rx.linger(eng)
     }
 
     /// Quiesce-and-rebind support for scheme handovers: releases every
-    /// posted slot *now* (exactly once — the same `released` latch the
-    /// natural linger countdown uses, so racing the countdown is safe) and
-    /// stops the poll loop on its next tick. The adaptive receiver calls
-    /// this on a completed segment's driver once the sender's `SegDone`
-    /// watermark confirms the final ACK round-trip — from then on the
-    /// remaining linger repeats would only hold slots the successor scheme
-    /// needs. Returns `true` when this call performed the release.
+    /// posted slot *now* (exactly once — the same latch the natural linger
+    /// countdown uses, so racing the countdown is safe) and tears the poll
+    /// loop down. The adaptive receiver calls this on a completed
+    /// segment's driver once the sender's `SegDone` watermark confirms the
+    /// final ACK round-trip — from then on the remaining linger repeats
+    /// would only hold slots the successor scheme needs. Returns `true`
+    /// when this call performed the release.
     pub fn quiesce(&self, eng: &mut Engine) -> bool {
         let mut st = self.inner.borrow_mut();
-        if st.released {
+        if !st.rx.release(eng) {
             return false;
         }
-        let RxState {
-            common,
-            released,
-            tick,
-            ..
-        } = &mut *st;
-        for h in &common.hdls {
-            let _ = common.qp.recv_complete(eng, h);
-        }
-        *released = true;
         // Tear the poll loop down now instead of letting it wake once
-        // more only to observe `released`.
-        if let Some(h) = tick.take() {
+        // more only to observe the release.
+        if let Some(h) = st.tick.take() {
             eng.cancel(h);
         }
         true
@@ -1062,33 +1284,23 @@ impl<S: RxScheme> RxDriver<S> {
 
     /// True once the scheme reported completion.
     pub fn is_complete(&self) -> bool {
-        self.inner.borrow().completed_at.is_some()
-    }
-
-    /// The completion instant, if reached.
-    pub fn completed_at(&self) -> Option<SimTime> {
-        self.inner.borrow().completed_at
+        self.inner.borrow().rx.completed_at().is_some()
     }
 
     /// True once every posted slot has been released back to the QP.
     pub fn is_released(&self) -> bool {
-        self.inner.borrow().released
+        self.inner.borrow().rx.is_released()
     }
 
     /// Reads scheme-specific state (mid-run statistics).
     pub fn scheme<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.inner.borrow().scheme)
-    }
-
-    /// True once any packet has landed in any of this driver's slots.
-    pub fn any_packet(&self) -> bool {
-        self.inner.borrow().common.any_packet()
+        f(self.inner.borrow().rx.scheme())
     }
 
     /// `(observed, total)` packets across this driver's slots (see
     /// [`RxCommon::frontier`]).
     pub fn frontier(&self) -> (u64, u64) {
-        self.inner.borrow().common.frontier()
+        self.inner.borrow().rx.common().frontier()
     }
 }
 

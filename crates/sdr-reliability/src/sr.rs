@@ -17,13 +17,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::SdrQp;
-use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime, TimerHandle};
+use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::{build_sr_ack, CtrlMsg};
 use crate::control::CtrlPath;
 use crate::runtime::{
-    begin_on_cts, tick_loop, wire_ctrl, AbortReason, ChunkTimers, Completion, RxCommon, RxDriver,
-    RxScheme, StreamTx, Tick, TransferOutcome,
+    ChunkTimers, CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome,
+    TxDriver, TxProgress, TxScheme,
 };
 use crate::telemetry::ChannelEstimator;
 
@@ -59,11 +59,8 @@ impl SrProtoConfig {
     /// The paper's `SR NACK` scenario: hole reports enable 1-RTT repair.
     pub fn nack(rtt: SimTime) -> Self {
         SrProtoConfig {
-            rto: rtt * 3, // RTO stays as a safety net; NACKs do the work
-            ack_interval: rtt / 4,
-            tick: rtt / 4,
-            nack: true,
-            linger_acks: 25,
+            nack: true, // the RTO stays as a safety net; NACKs do the work
+            ..Self::rto_3rtt(rtt)
         }
     }
 }
@@ -83,29 +80,202 @@ pub struct SrReport {
     pub outcome: TransferOutcome,
 }
 
-struct SenderInner {
-    stream: StreamTx,
+/// The Selective Repeat sender protocol as plain data: ACK application,
+/// the Karn-gated RTT sample, the NACK claim and the RTO scan over one
+/// [`ChunkTimers`] table. It holds no timer and no QP — the caller passes
+/// `now`, the timeout values in force and a `resend(chunk)` sink, and
+/// schedules the deadline that comes back. One copy runs under both
+/// drivers: [`SrSender`] resends straight into its stream at the
+/// configured RTO; the [`FlowManager`](crate::flow::FlowManager) queues
+/// resends on its urgent lane at population-scaled timeouts.
+pub struct SrTxCore {
     timers: ChunkTimers,
-    cfg: SrProtoConfig,
     retransmitted: u64,
     acks: u64,
-    completion: Completion<SrReport>,
-    /// The retransmission-scan loop, once armed: it sleeps to the earliest
-    /// chunk RTO ([`Tick::Until`]) and is cancelled the moment the final
-    /// ACK lands, so no stale scan event outlives the transfer.
-    tick: Option<TimerHandle>,
+}
+
+impl SrTxCore {
+    /// A sender for a message of `total_chunks`, nothing sent yet.
+    pub fn new(total_chunks: usize) -> Self {
+        SrTxCore {
+            timers: ChunkTimers::new(total_chunks),
+            retransmitted: 0,
+            acks: 0,
+        }
+    }
+
+    /// Records RTO scans that fire as `rto-fire`/`rto-backoff` events
+    /// under transfer `id` (see [`ChunkTimers::set_trace`]).
+    pub fn set_trace(&mut self, rec: FlightRecorder, id: u64) {
+        self.timers.set_trace(rec, id);
+    }
+
+    /// The whole message was injected at `now`.
+    pub fn all_sent_at(&mut self, now: SimTime) {
+        self.timers.all_sent_at(now);
+    }
+
+    /// Chunk `c` was (re)injected at `now` (paced injection stamps chunks
+    /// one by one as they reach the wire).
+    pub fn record_sent(&mut self, c: usize, now: SimTime) {
+        self.timers.record_sent(c, now);
+    }
+
+    /// Chunks retransmitted so far (RTO expiries + NACK claims).
+    pub fn retransmitted(&self) -> u64 {
+        self.retransmitted
+    }
+
+    /// ACK datagrams applied so far.
+    pub fn acks(&self) -> u64 {
+        self.acks
+    }
+
+    /// Applies one [`CtrlMsg::SrAck`] (anything else is ignored): acks the
+    /// cumulative prefix and the selective window, then — when
+    /// `nack_guard` is `Some` — retransmits the reported holes through the
+    /// claim guard. `None` means NACKs are not honoured (yet): the scheme
+    /// runs without them, or the first pass is still being injected.
+    pub fn on_ctrl(
+        &mut self,
+        now: SimTime,
+        msg: &CtrlMsg,
+        rto: SimTime,
+        nack_guard: Option<SimTime>,
+        resend: impl FnMut(usize),
+    ) -> TxProgress {
+        let CtrlMsg::SrAck {
+            cumulative,
+            window_start,
+            sack_bits,
+            sack_len,
+            nacks,
+        } = msg
+        else {
+            return TxProgress::default();
+        };
+        self.acks += 1;
+        let backoff_before = self.timers.backoff();
+        // At most one RTT sample per ACK: the first chunk this ACK newly
+        // acknowledges, if it was never retransmitted (Karn's rule).
+        let mut rtt_sample = None;
+        if let Some(first) = self.timers.first_unacked() {
+            if first < *cumulative as usize {
+                rtt_sample = self.timers.rtt_sample(first, now);
+            }
+        }
+        self.timers.ack_prefix(*cumulative as usize);
+        for b in 0..(*sack_len as usize) {
+            if sack_bits
+                .get(b / 64)
+                .is_some_and(|w| w >> (b % 64) & 1 == 1)
+            {
+                let c = *window_start as usize + b;
+                if self.timers.mark_acked(c) && rtt_sample.is_none() {
+                    rtt_sample = self.timers.rtt_sample(c, now);
+                }
+            }
+        }
+        if let Some(guard) = nack_guard {
+            self.claim(now, guard, nacks.iter().copied(), resend);
+        }
+        let complete = self.timers.is_complete();
+        // Backoff heal: this ACK made progress after backed-off silence (a
+        // blackout just ended), so the scan may be parked at a far
+        // backed-off deadline — pull it back to one base RTO from now.
+        let healed = backoff_before > 0 && self.timers.backoff() == 0 && !complete;
+        TxProgress {
+            complete,
+            rearm: healed.then(|| now.saturating_add(rto)),
+            ack_rtt: rtt_sample,
+        }
+    }
+
+    /// The NACK fast path: retransmits each of `chunks` that is unacked
+    /// and was last sent at least `guard` ago, so duplicate reports within
+    /// the guard window don't double-send.
+    pub fn claim(
+        &mut self,
+        now: SimTime,
+        guard: SimTime,
+        chunks: impl IntoIterator<Item = u32>,
+        mut resend: impl FnMut(usize),
+    ) {
+        for c in chunks {
+            if self.timers.claim_for_resend(c as usize, now, guard) {
+                resend(c as usize);
+                self.retransmitted += 1;
+            }
+        }
+    }
+
+    /// The RTO scan: retransmits every chunk unacked for `rto` (scaled by
+    /// the backoff) and returns the earliest next expiry — `None` once
+    /// everything is acked.
+    pub fn on_tick(
+        &mut self,
+        now: SimTime,
+        rto: SimTime,
+        mut resend: impl FnMut(usize),
+    ) -> Option<SimTime> {
+        let retransmitted = &mut self.retransmitted;
+        self.timers.take_expired(now, rto, |c| {
+            resend(c);
+            *retransmitted += 1;
+        })
+    }
+}
+
+/// [`SrTxCore`] as a [`TxScheme`]: under the per-transfer driver resends
+/// go straight into the stream and the timeouts are the configured ones.
+pub struct SrTx {
+    core: SrTxCore,
+    cfg: SrProtoConfig,
     /// When bound, newly acked never-retransmitted chunks feed ACK
-    /// round-trip RTT samples into the estimator (Karn's rule applied by
-    /// [`ChunkTimers::rtt_sample`]).
+    /// round-trip RTT samples into the estimator.
     telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
 }
 
-/// The SR sender protocol object.
-pub struct SrSender {
-    inner: Rc<RefCell<SenderInner>>,
+impl TxScheme for SrTx {
+    type Report = SrReport;
+
+    fn on_begin(&mut self, now: SimTime) -> SimTime {
+        self.core.all_sent_at(now);
+        self.cfg.rto
+    }
+
+    fn on_tick(&mut self, eng: &mut Engine, stream: &StreamTx) -> Option<SimTime> {
+        let (now, rto) = (eng.now(), self.cfg.rto);
+        self.core.on_tick(now, rto, |c| stream.resend_chunk(eng, c))
+    }
+
+    fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress {
+        let guard = (self.cfg.nack && stream.is_open()).then_some(self.cfg.tick);
+        let (now, rto) = (eng.now(), self.cfg.rto);
+        let p = self
+            .core
+            .on_ctrl(now, &msg, rto, guard, |c| stream.resend_chunk(eng, c));
+        if let (Some(sample), Some(est)) = (p.ack_rtt, &self.telemetry) {
+            est.borrow_mut().observe_rtt(sample);
+        }
+        p
+    }
+
+    fn report(&self, duration: SimTime, outcome: TransferOutcome) -> SrReport {
+        SrReport {
+            duration,
+            retransmitted: self.core.retransmitted(),
+            acks: self.core.acks(),
+            outcome,
+        }
+    }
 }
 
-impl SrSender {
+/// The SR sender protocol object: the per-transfer driver over [`SrTx`]
+/// (`is_done` and `abort` are the driver's).
+pub type SrSender = TxDriver<SrTx>;
+
+impl TxDriver<SrTx> {
     /// Starts an SR-protected transfer of `[local_addr, local_addr +
     /// msg_bytes)` to the connected peer. `done` fires at completion with
     /// the sender-side report. The receiver must run [`SrReceiver`].
@@ -139,254 +309,68 @@ impl SrSender {
         telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
         done: impl FnOnce(&mut Engine, SrReport) + 'static,
     ) -> SrSender {
-        let stream = StreamTx::new(qp, local_addr, msg_bytes);
-        let total_chunks = stream.total_chunks();
-        let inner = Rc::new(RefCell::new(SenderInner {
-            stream,
-            timers: ChunkTimers::new(total_chunks),
+        let scheme = SrTx {
+            core: SrTxCore::new(qp.config().chunks_for(msg_bytes) as usize),
             cfg,
-            retransmitted: 0,
-            acks: 0,
-            completion: Completion::new(done),
-            tick: None,
             telemetry,
-        }));
-
-        // Control-path handler: apply ACKs.
-        wire_ctrl(&ctrl, &inner, |me, eng, _src, msg| {
-            if let CtrlMsg::SrAck {
-                cumulative,
-                window_start,
-                sack_bits,
-                sack_len,
-                nacks,
-            } = msg
-            {
-                Self::on_ack(
-                    me,
-                    eng,
-                    cumulative,
-                    window_start,
-                    &sack_bits,
-                    sack_len,
-                    &nacks,
-                );
-            }
-        });
-
-        // Begin now if the CTS credit is already here; otherwise hook it.
-        begin_on_cts(eng, qp, &inner, Self::try_begin);
-        SrSender { inner }
+        };
+        TxDriver::spawn(eng, qp, &ctrl, local_addr, msg_bytes, scheme, done)
     }
 
-    /// True once the final ACK has been processed.
-    pub fn is_done(&self) -> bool {
-        self.inner.borrow().completion.is_done()
-    }
-
-    /// Binds a flight recorder to the retransmission timers: RTO scans
-    /// that fire record `rto-fire`/`rto-backoff` events under transfer
-    /// `id` (see [`ChunkTimers::set_trace`]).
+    /// Binds a flight recorder to the retransmission timers (see
+    /// [`SrTxCore::set_trace`]).
     pub fn bind_trace(&self, rec: FlightRecorder, id: u64) {
-        self.inner.borrow_mut().timers.set_trace(rec, id);
-    }
-
-    /// Tears the transfer down now: the retransmission scan is cancelled,
-    /// the stream slot is quiesced (exactly once), and the done callback
-    /// fires with [`TransferOutcome::Aborted`]. Idempotent — returns
-    /// `false` when the transfer already completed or aborted. Local only:
-    /// propagating the abort to the peer is the control plane's job (the
-    /// adaptive layer announces it via `CtrlMsg::Abort`).
-    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
-        let (cb, report) = {
-            let mut i = self.inner.borrow_mut();
-            if i.completion.is_done() {
-                return false;
-            }
-            i.stream.quiesce();
-            if let Some(h) = i.tick.take() {
-                eng.cancel(h);
-            }
-            let report = SrReport {
-                duration: i.completion.elapsed(eng.now()),
-                retransmitted: i.retransmitted,
-                acks: i.acks,
-                outcome: TransferOutcome::aborted(reason),
-            };
-            let Some(cb) = i.completion.finish() else {
-                return false;
-            };
-            (cb, report)
-        };
-        cb(eng, report);
-        true
-    }
-
-    fn try_begin(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine) -> bool {
-        let rto = {
-            let mut i = inner.borrow_mut();
-            // A stale CTS hook may re-fire after completion (the stream is
-            // quiesced by then) — it must never re-open the stream and
-            // consume a send sequence that belongs to a later transfer.
-            if i.completion.is_done() || i.stream.is_open() {
-                return true;
-            }
-            if !i.stream.try_begin(eng) {
-                return false;
-            }
-            let now = eng.now();
-            i.completion.mark_started(now);
-            i.timers.all_sent_at(now);
-            i.cfg.rto
-        };
-        // Retransmission scan: the whole message was just injected, so the
-        // first deadline is one RTO out; after that every wake sleeps to
-        // the earliest unacked chunk's expiry. ACKs (and the NACK fast
-        // path) are event-driven and never wait on this loop.
-        let me = inner.clone();
-        let h = tick_loop(eng, rto, move |eng| Self::tick(&me, eng));
-        inner.borrow_mut().tick = Some(h);
-        true
-    }
-
-    fn tick(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine) -> Tick {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return Tick::Stop;
-        }
-        let now = eng.now();
-        let rto = i.cfg.rto;
-        let SenderInner {
-            stream,
-            timers,
-            retransmitted,
-            ..
-        } = &mut *i;
-        let deadline = timers.take_expired(now, rto, |c| {
-            stream.resend_chunk(eng, c);
-            *retransmitted += 1;
-        });
-        match deadline {
-            Some(d) => Tick::Until(d),
-            // Everything acked: completion is about to run (the ACK
-            // handler fires it and cancels this loop).
-            None => Tick::Stop,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_ack(
-        inner: &Rc<RefCell<SenderInner>>,
-        eng: &mut Engine,
-        cumulative: u32,
-        window_start: u32,
-        sack_bits: &[u64],
-        sack_len: u32,
-        nacks: &[u32],
-    ) {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return;
-        }
-        i.acks += 1;
-        let backoff_before = i.timers.backoff();
-        // At most one RTT sample per ACK: the first chunk this ACK newly
-        // acknowledges, if it was never retransmitted (Karn's rule).
-        let mut rtt_sample = None;
-        let now = eng.now();
-        if let Some(first) = i.timers.first_unacked() {
-            if first < cumulative as usize {
-                rtt_sample = i.timers.rtt_sample(first, now);
-            }
-        }
-        i.timers.ack_prefix(cumulative as usize);
-        for b in 0..(sack_len as usize) {
-            if sack_bits[b / 64] >> (b % 64) & 1 == 1 {
-                let c = window_start as usize + b;
-                if i.timers.mark_acked(c) && rtt_sample.is_none() {
-                    rtt_sample = i.timers.rtt_sample(c, now);
-                }
-            }
-        }
-        if let (Some(sample), Some(est)) = (rtt_sample, &i.telemetry) {
-            est.borrow_mut().observe_rtt(sample);
-        }
-        // NACK fast path: retransmit reported holes immediately, guarded so
-        // duplicate NACKs within a tick don't double-send.
-        if i.cfg.nack && i.stream.is_open() {
-            let now = eng.now();
-            let guard = i.cfg.tick;
-            let SenderInner {
-                stream,
-                timers,
-                retransmitted,
-                ..
-            } = &mut *i;
-            for &c in nacks {
-                if timers.claim_for_resend(c as usize, now, guard) {
-                    stream.resend_chunk(eng, c as usize);
-                    *retransmitted += 1;
-                }
-            }
-        }
-        // Backoff heal: this ACK made progress after backed-off silence (a
-        // blackout just ended), so the scan loop may be parked at a far
-        // backed-off deadline — pull it back to one base RTO from now.
-        if backoff_before > 0 && i.timers.backoff() == 0 && !i.timers.is_complete() {
-            if let Some(h) = i.tick {
-                let _ = eng.reschedule(h, eng.now().saturating_add(i.cfg.rto));
-            }
-        }
-        if i.timers.is_complete() {
-            i.stream.quiesce();
-            // The scan loop may be asleep until a far RTO deadline: cancel
-            // it so the drained simulation ends with the transfer.
-            if let Some(h) = i.tick.take() {
-                eng.cancel(h);
-            }
-            let report = SrReport {
-                duration: i.completion.elapsed(eng.now()),
-                retransmitted: i.retransmitted,
-                acks: i.acks,
-                outcome: TransferOutcome::Delivered,
-            };
-            if let Some(cb) = i.completion.finish() {
-                drop(i);
-                cb(eng, report);
-            }
-        }
+        self.scheme_mut(|s| s.core.set_trace(rec, id));
     }
 }
 
 /// The SR receive policy: one bitmap, one cumulative + selective ACK per
 /// poll (with holes in NACK mode).
-struct SrRxScheme {
-    total_chunks: usize,
-    nack: bool,
+pub struct SrRxScheme {
+    pub(crate) total_chunks: usize,
+    pub(crate) nack: bool,
 }
 
 impl RxScheme for SrRxScheme {
     type Done = ();
 
-    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon) -> bool {
+    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         let bitmap = rx.bitmap(0);
         // Nothing arrived yet? The CTS may have been lost on the
         // unreliable control path — re-issue it.
         rx.heal_cts(eng, 0, &bitmap);
-        let ack = build_sr_ack(bitmap.chunks(), self.total_chunks, self.nack);
-        rx.send(eng, &ack);
-        bitmap.is_complete()
+        if bitmap.is_complete() {
+            return true;
+        }
+        send(
+            eng,
+            &build_sr_ack(bitmap.chunks(), self.total_chunks, self.nack),
+        );
+        false
+    }
+
+    /// What [`build_sr_ack`] yields for a complete bitmap: everything
+    /// cumulative, an empty window (a constant, so the linger repeats
+    /// don't need the released slot's bitmap).
+    fn final_ack(&self) -> CtrlMsg {
+        CtrlMsg::SrAck {
+            cumulative: self.total_chunks as u32,
+            window_start: self.total_chunks as u32,
+            sack_bits: Vec::new(),
+            sack_len: 0,
+            nacks: Vec::new(),
+        }
     }
 
     fn done_payload(&self) {}
 }
 
-/// The SR receiver protocol object.
-pub struct SrReceiver {
-    driver: RxDriver<SrRxScheme>,
-}
+/// The SR receiver protocol object: the per-transfer driver over the SR
+/// receive policy (`is_complete`, `is_released`, `quiesce` and
+/// `frontier` are the driver's).
+pub type SrReceiver = RxDriver<SrRxScheme>;
 
-impl SrReceiver {
+impl RxDriver<SrRxScheme> {
     /// Posts the receive buffer and starts the poll/ACK loop. `done` fires
     /// when all chunks have arrived (receiver-side completion instant).
     #[allow(clippy::too_many_arguments)]
@@ -420,7 +404,7 @@ impl SrReceiver {
         telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
         done: impl FnOnce(&mut Engine, SimTime) + 'static,
     ) -> SrReceiver {
-        let mut common = RxCommon::new(qp, ctrl, peer_ctrl);
+        let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
         if let Some(est) = telemetry {
             common.bind_estimator(est);
@@ -429,41 +413,14 @@ impl SrReceiver {
             total_chunks: qp.config().chunks_for(msg_bytes) as usize,
             nack: cfg.nack,
         };
-        let driver = RxDriver::start(
+        let rx = RxStep::new(common, scheme, cfg.linger_acks);
+        RxDriver::spawn(
             eng,
             cfg.ack_interval,
-            common,
-            scheme,
-            cfg.linger_acks,
+            ctrl,
+            peer_ctrl,
+            rx,
             move |eng, t, ()| done(eng, t),
-        );
-        SrReceiver { driver }
-    }
-
-    /// True once every chunk has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.driver.is_complete()
-    }
-
-    /// True once the receive buffer has been released back to the QP.
-    pub fn is_released(&self) -> bool {
-        self.driver.is_released()
-    }
-
-    /// Releases the receive slot now (exactly once) and stops the loop —
-    /// the adaptive layer's quiesce-and-rebind path.
-    pub fn quiesce(&self, eng: &mut Engine) -> bool {
-        self.driver.quiesce(eng)
-    }
-
-    /// True once any packet of this transfer has arrived.
-    pub fn any_packet(&self) -> bool {
-        self.driver.any_packet()
-    }
-
-    /// `(observed, total)` packets (the injection frontier; see
-    /// [`RxDriver::frontier`]).
-    pub fn frontier(&self) -> (u64, u64) {
-        self.driver.frontier()
+        )
     }
 }

@@ -84,6 +84,22 @@ pub struct TelemetryCounters {
     pub lost: u64,
 }
 
+impl TelemetryCounters {
+    /// Advances these cumulative counters to a newer `report` and returns
+    /// the `(seen, lost)` delta — one observation block. `None` for a
+    /// stale or duplicate report (cumulative counters not advancing), so
+    /// datagram loss and reordering on the control path are harmless.
+    pub fn advance(&mut self, report: TelemetryCounters) -> Option<(u64, u64)> {
+        if report.seen <= self.seen {
+            return None;
+        }
+        let seen = report.seen - self.seen;
+        let lost = report.lost.saturating_sub(self.lost).min(seen);
+        *self = report;
+        Some((seen, lost))
+    }
+}
+
 /// EWMA channel estimator with confidence tracking. One instance lives on
 /// the receiver (fed by bitmap polls), one on the sender (fed by
 /// [`TelemetryCounters`] deltas and ACK round-trip RTT samples).
@@ -161,19 +177,13 @@ impl ChannelEstimator {
 
     /// Absorbs the peer's cumulative counters (a [`CtrlMsg::Telemetry`]
     /// report): the delta since the last absorbed report is fed as one
-    /// observation block. Stale or duplicate reports (cumulative counters
-    /// not advancing) are ignored, so datagram loss and reordering on the
-    /// control path are harmless.
+    /// observation block (see [`TelemetryCounters::advance`]).
     ///
     /// [`CtrlMsg::Telemetry`]: crate::ack::CtrlMsg::Telemetry
     pub fn absorb_report(&mut self, counters: TelemetryCounters) {
-        if counters.seen <= self.peer.seen {
-            return;
+        if let Some((seen, lost)) = self.peer.advance(counters) {
+            self.observe_packets(seen, lost);
         }
-        let seen = counters.seen - self.peer.seen;
-        let lost = counters.lost.saturating_sub(self.peer.lost).min(seen);
-        self.peer = counters;
-        self.observe_packets(seen, lost);
     }
 
     /// Feeds one RTT sample from a control-plane round trip.

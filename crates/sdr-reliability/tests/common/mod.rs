@@ -11,9 +11,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::testkit::{pattern, sdr_pair, SdrPair};
-use sdr_core::SdrConfig;
-use sdr_reliability::ControlEndpoint;
-use sdr_sim::{Engine, LinkConfig, SimTime};
+use sdr_core::{SdrConfig, SdrContext};
+use sdr_reliability::{ControlEndpoint, FlowCfg, FlowManager};
+use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
 
 /// Node memory given to each side of the pair.
 pub const NODE_MEM: usize = 64 << 20;
@@ -104,4 +104,42 @@ pub fn took<T>(cell: &Rc<RefCell<Option<T>>>, what: &str) -> T {
     cell.borrow_mut()
         .take()
         .unwrap_or_else(|| panic!("{what} did not complete"))
+}
+
+/// Two nodes joined by `link`, each running a [`FlowManager`] under `cfg`
+/// over its own control endpoint, connected to each other: the many-flow
+/// twin of [`ProtoHarness`].
+pub struct FlowWorld {
+    pub eng: Engine,
+    pub fabric: Fabric,
+    pub ctx_a: SdrContext,
+    pub ctx_b: SdrContext,
+    pub mgr_a: FlowManager,
+    pub mgr_b: FlowManager,
+    pub node_b: NodeId,
+}
+
+pub fn flow_world(link: LinkConfig, cfg: FlowCfg) -> FlowWorld {
+    const NODE_MEM: usize = 256 << 20;
+    let eng = Engine::new();
+    let fabric = Fabric::new();
+    let node_a = fabric.add_node(NODE_MEM);
+    let node_b = fabric.add_node(NODE_MEM);
+    fabric.link_duplex(node_a, node_b, link);
+    let ctx_a = SdrContext::new(&fabric, node_a);
+    let ctx_b = SdrContext::new(&fabric, node_b);
+    let ctrl_a = Rc::new(ControlEndpoint::new(&fabric, node_a));
+    let ctrl_b = Rc::new(ControlEndpoint::new(&fabric, node_b));
+    let mgr_a = FlowManager::new(&fabric, node_a, ctrl_a, cfg.clone());
+    let mgr_b = FlowManager::new(&fabric, node_b, ctrl_b, cfg);
+    FlowManager::connect(&mgr_a, &mgr_b);
+    FlowWorld {
+        eng,
+        fabric,
+        ctx_a,
+        ctx_b,
+        mgr_a,
+        mgr_b,
+        node_b,
+    }
 }

@@ -2,52 +2,18 @@
 //! multiplexed over one control plane, one shared tick, and a fair
 //! injection arbiter.
 
+mod common;
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use common::{flow_world as world, FlowWorld};
 use sdr_core::testkit::pattern;
-use sdr_core::{SdrConfig, SdrContext};
+use sdr_core::SdrConfig;
 use sdr_reliability::ack::SchemeSpec;
-use sdr_reliability::{ControlEndpoint, FlowCfg, FlowManager, FlowReport, RxFlowDone};
-use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
-
-const NODE_MEM: usize = 256 << 20;
-
-struct FlowWorld {
-    eng: Engine,
-    #[allow(dead_code)]
-    fabric: Fabric,
-    ctx_a: SdrContext,
-    ctx_b: SdrContext,
-    mgr_a: FlowManager,
-    mgr_b: FlowManager,
-    node_b: NodeId,
-}
-
-fn world(link: LinkConfig, cfg: FlowCfg) -> FlowWorld {
-    let eng = Engine::new();
-    let fabric = Fabric::new();
-    let node_a = fabric.add_node(NODE_MEM);
-    let node_b = fabric.add_node(NODE_MEM);
-    fabric.link_duplex(node_a, node_b, link);
-    let ctx_a = SdrContext::new(&fabric, node_a);
-    let ctx_b = SdrContext::new(&fabric, node_b);
-    let ctrl_a = Rc::new(ControlEndpoint::new(&fabric, node_a));
-    let ctrl_b = Rc::new(ControlEndpoint::new(&fabric, node_b));
-    let mgr_a = FlowManager::new(&fabric, node_a, ctrl_a, cfg.clone());
-    let mgr_b = FlowManager::new(&fabric, node_b, ctrl_b, cfg);
-    FlowManager::connect(&mgr_a, &mgr_b);
-    FlowWorld {
-        eng,
-        fabric,
-        ctx_a,
-        ctx_b,
-        mgr_a,
-        mgr_b,
-        node_b,
-    }
-}
+use sdr_reliability::{FlowCfg, FlowReport, RxFlowDone};
+use sdr_sim::{Engine, LinkConfig, SimTime};
 
 /// Shared capture for completion reports and receive notices.
 #[derive(Default)]
@@ -328,4 +294,67 @@ fn warm_registry_steers_new_flows_to_ec() {
     let later = SimTime(w.eng.now().0 + u64::MAX / 2);
     assert_eq!(w.mgr_a.sweep_registry(later), 1);
     assert!(w.mgr_a.registry_estimate(later, w.node_b).is_none());
+}
+
+/// The flow twin of `corruption.rs`'s k=4, m=2 decode-around case: one
+/// landed data chunk of an EC flow keeps getting corrupted in receiver
+/// memory (post-DMA — a stray local write, not the wire) after its bitmap
+/// bit is set. EC flows run the same receive policy as `EcReceiver`, so
+/// the arrival-CRC audit must demote the stale chunk before anything
+/// trusts it and the code must decode around it from parity: the flow
+/// resolves by decode and delivers byte-identical data. (A receiver that
+/// took the set bits at face value would deliver the poisoned byte.)
+#[test]
+fn ec_flow_stale_chunk_is_demoted_and_decoded_around() {
+    let link = LinkConfig::wan(50.0, 10e9, 0.0);
+    let rtt = SimTime::from_secs_f64(2.0 * 50.0 * 5e-6);
+    let mut w = world(link, base_cfg(10e9, rtt));
+    let cap = wire_capture(&w);
+    let len = 256u64 * 1024; // 4 chunks
+    let data = pattern(len as usize, 77);
+    let src = w.ctx_a.alloc_buffer(len);
+    w.ctx_a.write_buffer(src, &data);
+    // Pin the destination so the poke knows where chunk 0 will land.
+    let dst = w.ctx_b.alloc_buffer(len);
+    w.mgr_b.set_rx_allocator(move |_bytes| dst);
+    let c = cap.clone();
+    w.mgr_a.open_flow_with_spec(
+        &mut w.eng,
+        w.node_b,
+        src,
+        len,
+        SchemeSpec::EcMds { k: 4, m: 2 },
+        move |_eng, rep| {
+            c.reports.borrow_mut().insert(rep.id, rep);
+        },
+    );
+    // Poke one byte of chunk 0 every 2 µs. Pokes before the chunk lands
+    // are overwritten by the arriving write; the first poke *after* it
+    // lands makes the chunk stale at the next poll. Stop at resolution so
+    // the decode's repair is not re-corrupted.
+    let (ctx, c) = (w.ctx_b.clone(), cap.clone());
+    let (addr, bad) = (dst + 7, data[7] ^ 0x80);
+    w.eng
+        .schedule_recurring_at(SimTime::from_nanos(500), move |eng: &mut Engine| {
+            if !c.rx.borrow().is_empty() {
+                return None;
+            }
+            ctx.write_buffer(addr, &[bad]);
+            Some(eng.now() + SimTime::from_nanos(2_000))
+        });
+    w.eng.set_event_limit(20_000_000);
+    w.eng.run();
+
+    assert!(cap.reports.borrow()[&1].delivered, "sender completed");
+    let done = cap.rx.borrow()[&1];
+    assert!(
+        done.decoded,
+        "the stale chunk is decoded around, not trusted"
+    );
+    assert_eq!(
+        w.ctx_b.read_buffer(dst, len as usize),
+        data,
+        "decode repaired the poisoned chunk"
+    );
+    assert_eq!(w.mgr_b.live_flows(), (0, 0), "receiver fully drained");
 }

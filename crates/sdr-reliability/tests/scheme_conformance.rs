@@ -11,19 +11,26 @@
 //!   receiver releases every posted slot back to the QP — proven by
 //!   wrapping the (deliberately small) slot table with fresh posts, which
 //!   would fail with `SlotBusy` if any slot were still held.
+//!
+//! The same rows then run under the *population* driver: SR-NACK and EC as
+//! a 1-flow and a 64-flow [`FlowManager`] population. The cores are the
+//! ones the per-transfer arms just exercised; what these arms pin is that
+//! the second driver schedules them to the same contract.
 
 mod common;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::ProtoHarness;
+use common::{flow_world, FlowWorld, ProtoHarness};
+use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
+use sdr_reliability::ack::SchemeSpec;
 use sdr_reliability::{
-    EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, GbnProtoConfig, GbnReceiver, GbnSender,
-    SrProtoConfig, SrReceiver, SrSender,
+    EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, FlowCfg, GbnProtoConfig, GbnReceiver,
+    GbnSender, SrProtoConfig, SrReceiver, SrSender,
 };
-use sdr_sim::LinkConfig;
+use sdr_sim::{LinkConfig, SimTime};
 
 /// Small slot table so the release check can wrap it: EC at k=4 over a
 /// 1 MiB message uses exactly 2L = 8 slots.
@@ -248,6 +255,146 @@ fn linger_acks_tolerate_final_ack_loss() {
             assert!(o.sender_done, "{tag}: sender must complete at 10% loss");
             assert!(o.delivered_ok, "{tag}: delivery intact");
             assert!(o.receiver_released, "{tag}: buffers released");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Population-driver arm
+// ---------------------------------------------------------------------------
+
+const POPULATION_SPECS: [SchemeSpec; 2] = [SchemeSpec::SrNack, SchemeSpec::EcMds { k: 0, m: 4 }];
+/// `(flows, per-flow divisor)`: the lone flow carries the per-transfer
+/// rows' message; the 64-flow population splits a few of them.
+const POPULATIONS: [(usize, u64); 2] = [(1, 1), (64, 4)];
+
+struct PopOutcome {
+    /// Every flow of every wave landed byte-identical.
+    delivered_ok: bool,
+    /// Every sender callback fired exactly once, reporting delivery under
+    /// the requested scheme family.
+    senders_done: bool,
+    /// Both managers hold no live flow and no parked open.
+    drained: bool,
+    /// Opens that had to wait for a slot (then got one).
+    parked: u64,
+}
+
+/// Runs `waves` back-to-back populations of `flows` × `msg`-byte flows
+/// A→B under `spec` over one pair of managers (8 slots × `shards` QPs).
+fn run_population(
+    spec: SchemeSpec,
+    flows: usize,
+    (p_drop, seed): (f64, u64),
+    msg: u64,
+    shards: usize,
+    waves: usize,
+) -> PopOutcome {
+    let link = LinkConfig::wan(50.0, 8e9, p_drop).with_seed(seed);
+    let rtt = SimTime::from_secs_f64(2.0 * 50.0 * 5e-6);
+    let mut fc = FlowCfg::new(cfg(), 8e9, rtt);
+    fc.shards = shards;
+    let FlowWorld {
+        mut eng,
+        ctx_a,
+        ctx_b,
+        mgr_a,
+        mgr_b,
+        node_b: b,
+        ..
+    } = flow_world(link, fc);
+    // id → (address, length) of each resolved receive flow.
+    let landed = Rc::new(RefCell::new(std::collections::HashMap::new()));
+    let l = landed.clone();
+    mgr_b.on_rx_done(move |_e, d| {
+        l.borrow_mut().insert(d.id, (d.addr, d.bytes));
+    });
+    let reports = Rc::new(RefCell::new(Vec::new()));
+    let mut out = PopOutcome {
+        delivered_ok: true,
+        senders_done: true,
+        drained: true,
+        parked: 0,
+    };
+    for wave in 0..waves {
+        let mut ids = Vec::new();
+        for i in 0..flows {
+            let tag = (wave * flows + i) as u64;
+            let src = ctx_a.alloc_buffer(msg);
+            ctx_a.write_buffer(src, &pattern(msg as usize, tag));
+            let r = reports.clone();
+            let id = mgr_a.open_flow_with_spec(&mut eng, b, src, msg, spec, move |_e, rep| {
+                r.borrow_mut().push(rep)
+            });
+            ids.push((id, tag));
+        }
+        eng.set_event_limit(eng.executed_events() + 80_000_000);
+        eng.run();
+        for (id, tag) in ids {
+            let reps = reports.borrow();
+            let mine: Vec<_> = reps.iter().filter(|r| r.id == id).collect();
+            out.senders_done &=
+                mine.len() == 1 && mine[0].delivered && mine[0].spec.is_ec() == spec.is_ec();
+            out.delivered_ok &= landed.borrow().get(&id).is_some_and(|&(addr, len)| {
+                len == msg && ctx_b.read_buffer(addr, len as usize) == pattern(msg as usize, tag)
+            });
+        }
+        out.drained &= mgr_a.live_flows() == (0, 0)
+            && mgr_b.live_flows() == (0, 0)
+            && mgr_b.parked_opens() == 0;
+    }
+    out.parked = mgr_b.stats().parked_opens;
+    out
+}
+
+/// The population twin of `all_schemes_deliver_under_loss_seeds`.
+#[test]
+fn populations_deliver_under_loss_seeds() {
+    for spec in POPULATION_SPECS {
+        for (flows, div) in POPULATIONS {
+            for row in [(0.0, 31u64), (0.01, 32), (0.03, 33)] {
+                let o = run_population(spec, flows, row, (1 << 20) / div, 4, 1);
+                let tag = format!("{spec} × {flows} flows, (p, seed) = {row:?}");
+                assert!(o.delivered_ok, "{tag}: delivery intact");
+                assert!(o.senders_done, "{tag}: every sender done exactly once");
+                assert!(o.drained, "{tag}: managers drained");
+            }
+        }
+    }
+}
+
+/// The population twin of `released_slots_are_reusable_across_the_whole_
+/// table`: two waves through one shard's 8 slots. Slots are the admission
+/// currency, so a slot a resolved flow failed to give back would strand
+/// the parked opens queued behind it (and a wave could never drain).
+#[test]
+fn population_slots_recycle_exactly_once() {
+    for spec in POPULATION_SPECS {
+        let o = run_population(spec, 64, (0.005, 41), 256 * 1024, 1, 2);
+        assert!(o.parked > 0, "{spec}: 64 flows must queue for 8 slots");
+        assert!(o.drained, "{spec}: every parked open was admitted");
+        assert!(
+            o.delivered_ok && o.senders_done,
+            "{spec}: both waves deliver"
+        );
+    }
+}
+
+/// The population twin of `linger_acks_tolerate_final_ack_loss`: at 10 %
+/// loss every tenth `FlowDone` and `FlowFin` drops; the linger repeats
+/// must still unblock every sender and the countdown must still retire
+/// every receive flow whose `FlowFin` never came.
+#[test]
+fn population_lingers_tolerate_final_ack_loss() {
+    for spec in POPULATION_SPECS {
+        for (flows, div) in POPULATIONS {
+            for seed in [51u64, 52] {
+                let o = run_population(spec, flows, (0.10, seed), 512 * 1024 / div, 4, 1);
+                let tag = format!("{spec} × {flows} flows, seed={seed}");
+                assert!(o.senders_done, "{tag}: senders must complete at 10% loss");
+                assert!(o.delivered_ok, "{tag}: delivery intact");
+                assert!(o.drained, "{tag}: receive flows retired");
+            }
         }
     }
 }
