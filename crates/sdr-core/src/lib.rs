@@ -277,6 +277,13 @@ mod tests {
         assert!(st.payload_corrupt > 0, "rejections must be counted");
         let dropped = p.fabric.node(p.node_b, |n| n.stats().crc_skipped);
         assert!(dropped > 0, "corrupt payloads must be stopped pre-DMA");
+        // Pinned: of the 218 payloads the NIC refused, 119 were corrupt
+        // duplicates over a clean original — memory still matched the
+        // sender's CRC, so they count as duplicates, not as corruption.
+        assert_eq!(
+            (st.payload_corrupt, st.duplicate_packets, dropped),
+            (99, 413, 218)
+        );
         let wire = p.fabric.link_stats(p.node_a, p.node_b).unwrap();
         assert!(wire.corrupted > 0, "the link must actually have corrupted");
     }
@@ -499,7 +506,7 @@ mod tests {
                 imm: Some(imm),
                 crc: None,
             },
-            payload: bytes::Bytes::from_static(b"stale"),
+            payload: bytes::Bytes::from_static(b"stale").into(),
         };
         let before = p.qp_b.stats().generation_filtered;
         p.fabric.send_raw(&mut p.eng, pkt).unwrap();

@@ -13,6 +13,30 @@
 //! * One UD control QP carrying clear-to-send (CTS) signals: order-based
 //!   matching means a CTS only needs the receive sequence number and buffer
 //!   length — no addresses or keys (§3.1.3).
+//!
+//! # Life of a payload byte
+//!
+//! A payload byte is moved once and checksummed twice. `send_post` /
+//! `send_stream_continue` post one work request per packet that *names*
+//! its MTU of the send buffer ([`RegionWriteWr`]: address, length) — this
+//! QP never reads or copies it. **Pass 1:** the sending NIC takes the
+//! packet's CRC32C as the request is posted; it travels in the modeled
+//! transport header, out of the wire's reach. The bytes stay where they
+//! are until the packet is delivered: the fabric resolves the descriptor
+//! against the sender's memory (copying only to flip bits on a corrupting
+//! wire). **Pass 2:** the receiving NIC checksums that source slice
+//! against the carried CRC and, on a match, copies it straight into the
+//! posted receive buffer — the single move. The CQE carries the verdict
+//! ([`PayloadCheck`]): `Landed(crc)` is recorded as the packet's arrival
+//! CRC as is; only `Skipped` (mismatch, DMA suppressed) and `Unchecked`
+//! (no CRC carried) make this QP read landed bytes back, to tell a corrupt
+//! duplicate over a clean original from a corrupt first arrival.
+//!
+//! The send buffer must therefore stay unmodified from the post until the
+//! peer's receive completes. With `payload_checksums` on (the default) a
+//! violation is *detected*: bytes changed in flight fail pass 2 and the
+//! packet is dropped and repaired as a loss. With checksums off nothing
+//! checks, exactly as nothing checked wire corruption.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -20,7 +44,10 @@ use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sdr_sim::{CqId, Engine, Fabric, MkeyId, NodeId, QpAddr, QpNum, QpType, RecvWqe, Waker};
+use sdr_sim::{
+    CqId, Engine, Fabric, MkeyId, NodeId, PayloadCheck, QpAddr, QpNum, QpType, RecvWqe,
+    RegionWriteWr, Waker,
+};
 
 use crate::bitmap::TwoLevelBitmap;
 use crate::config::SdrConfig;
@@ -36,13 +63,13 @@ const CTS_BYTES: usize = 20;
 /// The control path rides unreliable UD across the same corrupting wire
 /// as the data path; a CTS that fails its checksum is dropped exactly
 /// like a lost one and healed by the receiver's resend cadence.
-fn seal_cts(seq: u64, len: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(CTS_BYTES);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&len.to_le_bytes());
-    let crc = sdr_erasure::crc32c(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    payload
+fn seal_cts(seq: u64, len: u64) -> Bytes {
+    let mut cts = [0u8; CTS_BYTES];
+    cts[0..8].copy_from_slice(&seq.to_le_bytes());
+    cts[8..16].copy_from_slice(&len.to_le_bytes());
+    let crc = sdr_erasure::crc32c(&cts[..16]);
+    cts[16..].copy_from_slice(&crc.to_le_bytes());
+    Bytes::copy_from_slice(&cts)
 }
 
 /// Out-of-band connection blob (the paper's `qp_info_get`): everything the
@@ -64,9 +91,13 @@ struct RecvSlot {
     active: bool,
     bitmap: Option<Arc<TwoLevelBitmap>>,
     imm_acc: UserImmAccumulator,
-    /// Base address of the posted user buffer; payload verification
-    /// reads landed bytes back from here.
+    /// Base address of the posted user buffer; the rare payload
+    /// verifications the NIC did not already settle read landed bytes back
+    /// from here.
     buf_addr: u64,
+    /// Memory key registered for the posted buffer, deregistered when the
+    /// receive completes.
+    buf_mkey: MkeyId,
     /// CRC32C of each packet's payload as it was verified on arrival,
     /// indexed by packet offset. Empty when payload checksums are off.
     /// Erasure-coded receivers re-check staged shards against these
@@ -85,6 +116,7 @@ impl RecvSlot {
             bitmap: None,
             imm_acc: UserImmAccumulator::new(),
             buf_addr: 0,
+            buf_mkey: MkeyId(u32::MAX),
             arrival_crcs: Vec::new(),
             buf_len: 0,
         }
@@ -116,9 +148,10 @@ struct QpInner {
     cfg: SdrConfig,
     recv_cq: CqId,
     send_cq: CqId,
+    /// Internal UC QPs, indexed `gen * channels + channel`; their numbers
+    /// are consecutive, so a QP number maps back to its generation by
+    /// arithmetic (see [`generation_of`](Self::generation_of)).
     uc_qps: Vec<QpNum>,
-    /// Receiver-side: internal QP number → generation.
-    qp_generation: HashMap<u32, u32>,
     root_mkeys: Vec<MkeyId>,
     null_mkey: MkeyId,
     ctrl_qp: QpNum,
@@ -149,15 +182,13 @@ impl SdrQp {
         let inner = fabric.node_mut(node, |n| {
             let recv_cq = n.create_cq();
             let send_cq = n.create_cq();
-            let mut uc_qps = Vec::new();
-            let mut qp_generation = HashMap::new();
-            for gen in 0..cfg.generations {
-                for _ch in 0..cfg.channels {
-                    let qp = n.create_qp(QpType::Uc, send_cq, recv_cq);
-                    qp_generation.insert(qp.0, gen as u32);
-                    uc_qps.push(qp);
-                }
-            }
+            let uc_qps: Vec<QpNum> = (0..cfg.generations * cfg.channels)
+                .map(|_| n.create_qp(QpType::Uc, send_cq, recv_cq))
+                .collect();
+            debug_assert!(
+                uc_qps.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+                "generation_of relies on consecutive QP numbers"
+            );
             let root_mkeys = (0..cfg.generations)
                 .map(|_| n.create_indirect_mkey(cfg.max_msg_bytes, cfg.msg_slots))
                 .collect();
@@ -183,7 +214,6 @@ impl SdrQp {
                 recv_cq,
                 send_cq,
                 uc_qps,
-                qp_generation,
                 root_mkeys,
                 null_mkey,
                 ctrl_qp,
@@ -317,9 +347,10 @@ impl SdrQp {
             i.cfg.packets_per_chunk() as u32,
         ));
         let (node, root) = (i.node, i.root_mkeys[gen as usize]);
-        i.fabric.node_mut(node, |n| {
+        let buf_mkey = i.fabric.node_mut(node, |n| {
             let mk = n.reg_mr(addr, len);
             n.set_indirect_slot(root, slot, Some(mk));
+            mk
         });
         i.recv_slots[slot] = RecvSlot {
             seq,
@@ -327,6 +358,7 @@ impl SdrQp {
             bitmap: Some(bitmap),
             imm_acc: UserImmAccumulator::new(),
             buf_addr: addr,
+            buf_mkey,
             arrival_crcs: if i.cfg.payload_checksums {
                 vec![None; total_packets]
             } else {
@@ -338,13 +370,12 @@ impl SdrQp {
 
         // Clear-to-send: order-based matching means seq + length suffice.
         let remote_ctrl = i.remote.as_ref().expect("checked").ctrl;
-        let payload = seal_cts(seq, len);
         let ctrl_src = QpAddr {
             node: i.node,
             qp: i.ctrl_qp,
         };
         i.fabric
-            .post_ud_send(eng, ctrl_src, remote_ctrl, Bytes::from(payload), None)?;
+            .post_ud_send(eng, ctrl_src, remote_ctrl, seal_cts(seq, len), None)?;
         i.stats.cts_sent += 1;
         Ok(RecvHandle { slot, seq })
     }
@@ -392,13 +423,13 @@ impl SdrQp {
             return Err(SdrError::BadHandle);
         }
         let remote_ctrl = i.remote.as_ref().ok_or(SdrError::NotConnected)?.ctrl;
-        let payload = seal_cts(hdl.seq, slot.buf_len);
         let ctrl_src = QpAddr {
             node: i.node,
             qp: i.ctrl_qp,
         };
+        let cts = seal_cts(hdl.seq, slot.buf_len);
         i.fabric
-            .post_ud_send(eng, ctrl_src, remote_ctrl, Bytes::from(payload), None)?;
+            .post_ud_send(eng, ctrl_src, remote_ctrl, cts, None)?;
         Ok(())
     }
 
@@ -503,17 +534,20 @@ impl SdrQp {
     /// Marks a receive complete (`recv_complete`), possibly early: the root
     /// slot is redirected to the NULL key so in-flight packets are discarded
     /// (stage 1), and their completions are filtered by generation/activity
-    /// (stage 2). The slot becomes reusable.
+    /// (stage 2). The buffer's own key, now unreachable, is deregistered
+    /// and the slot becomes reusable.
     pub fn recv_complete(&self, _eng: &mut Engine, hdl: &RecvHandle) -> Result<(), SdrError> {
         let mut i = self.inner.borrow_mut();
         let slot = &i.recv_slots[hdl.slot];
         if slot.seq != hdl.seq || !slot.active {
             return Err(SdrError::BadHandle);
         }
+        let buf_mkey = slot.buf_mkey;
         let gen = ((hdl.seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as usize;
         let (node, root, null) = (i.node, i.root_mkeys[gen], i.null_mkey);
         i.fabric.node_mut(node, |n| {
             n.set_indirect_slot(root, hdl.slot, Some(null));
+            n.dereg_mr(buf_mkey);
         });
         let s = &mut i.recv_slots[hdl.slot];
         s.active = false;
@@ -528,6 +562,10 @@ impl SdrQp {
     /// One-shot send (`send_post`): transmits `[addr, addr+len)` from local
     /// memory as per-packet unreliable Writes. If the CTS credit for this
     /// message has not arrived yet, injection is deferred until it does.
+    ///
+    /// The packets name the buffer; nothing is copied out of it. It must
+    /// stay unmodified until the peer's receive completes — see "Life of a
+    /// payload byte" in the [module docs](self) for what happens otherwise.
     pub fn send_post(
         &self,
         eng: &mut Engine,
@@ -640,6 +678,12 @@ impl SdrQp {
     /// Streaming send (`send_stream_continue`): injects the chunk(s) covering
     /// `[offset, offset+len)` of the message, re-sending if already sent
     /// (retransmission). `offset` must be MTU-aligned.
+    ///
+    /// Each call reads the buffer as it stands when its packets are
+    /// delivered (a retransmission carries the current bytes and a fresh
+    /// CRC), so the range must stay unmodified until the peer's receive
+    /// completes; with `payload_checksums` on a change in flight is caught
+    /// at the receiving NIC and the packet repaired as a loss.
     pub fn send_stream_continue(
         &self,
         eng: &mut Engine,
@@ -711,51 +755,40 @@ impl SdrQp {
         }
         let remote = i.remote.as_ref().ok_or(SdrError::NotConnected)?;
         let root = remote.root_mkeys[st.generation as usize];
-        let base_channel_qp = st.generation as usize * i.cfg.channels;
+        let channel_qps = &i.uc_qps[st.generation as usize * i.cfg.channels..][..i.cfg.channels];
+        let (cfg, rr) = (&i.cfg, &mut i.rr);
+        let (msg_id, user_imm, local_addr, total_len) =
+            (st.msg_id, st.user_imm, st.local_addr, st.total_len);
 
-        for pkt in first_pkt..last_pkt {
+        // One work request per packet, each naming its MTU of the send
+        // buffer; the whole range is posted under one fabric borrow.
+        let wrs = (first_pkt..last_pkt).map(|pkt| {
             let lo = pkt * mtu;
-            let hi = (lo + mtu).min(st.total_len);
-            let payload = i.fabric.node(i.node, |n| {
-                Bytes::copy_from_slice(n.mem().read(st.local_addr + lo, (hi - lo) as usize))
-            });
-            let frag = st
-                .user_imm
-                .map(|u| i.cfg.imm.user_fragment_for(u, pkt as u32))
+            let hi = (lo + mtu).min(total_len);
+            let frag = user_imm
+                .map(|u| cfg.imm.user_fragment_for(u, pkt as u32))
                 .unwrap_or(0);
-            let imm = i.cfg.imm.encode(st.msg_id, pkt as u32, frag);
-            let ch = (i.rr % i.cfg.channels as u64) as usize;
-            i.rr += 1;
-            let src_qp = i.uc_qps[base_channel_qp + ch];
-            let last = pkt == last_pkt - 1;
-            if last {
-                st.outstanding_sig += 1;
+            let ch = (*rr % channel_qps.len() as u64) as usize;
+            *rr += 1;
+            RegionWriteWr {
+                qp: channel_qps[ch],
+                local_addr: local_addr + lo,
+                len: (hi - lo) as u32,
+                remote_mkey: root,
+                remote_offset: msg_id as u64 * cfg.max_msg_bytes + lo,
+                imm: Some(cfg.imm.encode(msg_id, pkt as u32, frag)),
+                // End-to-end integrity: the per-packet payload CRC rides
+                // the modeled transport header (alongside the immediate),
+                // so wire payload corruption cannot touch it and the
+                // receiving NIC can check the payload against it.
+                checksum: cfg.payload_checksums,
+                wr_id: hdl.id,
+                signaled: pkt == last_pkt - 1,
             }
-            // End-to-end integrity: the per-packet payload CRC rides the
-            // modeled transport header (alongside the immediate), so wire
-            // payload corruption cannot touch it and the receiver can
-            // compare it against what actually landed.
-            let crc = i
-                .cfg
-                .payload_checksums
-                .then(|| sdr_erasure::crc32c(&payload));
-            i.fabric.post_uc_write(
-                eng,
-                QpAddr {
-                    node: i.node,
-                    qp: src_qp,
-                },
-                sdr_sim::WriteWr {
-                    remote_mkey: root,
-                    remote_offset: st.msg_id as u64 * i.cfg.max_msg_bytes + lo,
-                    data: payload,
-                    imm: Some(imm),
-                    crc,
-                    wr_id: hdl.id,
-                    signaled: last,
-                },
-            )?;
-        }
+        });
+        i.fabric.post_uc_region_writes(eng, i.node, wrs)?;
+        // Only the last packet of the range was signaled.
+        st.outstanding_sig += 1;
         st.injected_any = true;
         st.deferred_oneshot = false;
         Ok(())
@@ -847,6 +880,13 @@ impl SdrQp {
 }
 
 impl QpInner {
+    /// Generation of the internal UC QP that delivered a completion
+    /// (`None` for a QP that is not one of ours).
+    fn generation_of(&self, qp: QpNum) -> Option<u32> {
+        let idx = qp.0.checked_sub(self.uc_qps[0].0)? as usize;
+        (idx < self.uc_qps.len()).then(|| (idx / self.cfg.channels) as u32)
+    }
+
     /// Control-path message: CTS credit. Returns `(seq, len)` so the caller
     /// can fire callbacks outside the borrow.
     fn handle_ctrl(&mut self, cqe: sdr_sim::Cqe) -> Option<(u64, u64)> {
@@ -912,7 +952,7 @@ impl QpInner {
         }
         // Stage 2: the generation of the delivering QP must match the
         // slot's current generation.
-        let cqe_gen = *self.qp_generation.get(&cqe.qp.0).unwrap_or(&u32::MAX);
+        let cqe_gen = self.generation_of(cqe.qp);
         let slot = &mut self.recv_slots[slot_idx];
         if !slot.active {
             self.stats.inactive_slot_drops += 1;
@@ -920,7 +960,7 @@ impl QpInner {
         }
         let slot_gen =
             ((slot.seq / self.cfg.msg_slots as u64) % self.cfg.generations as u64) as u32;
-        if cqe_gen != slot_gen {
+        if cqe_gen != Some(slot_gen) {
             self.stats.generation_filtered += 1;
             return;
         }
@@ -932,23 +972,34 @@ impl QpInner {
             self.stats.bad_offset += 1;
             return;
         }
-        // End-to-end integrity: read the landed bytes back and compare
-        // their CRC32C against the sender's (carried in the modeled
-        // transport header). A mismatch reclassifies corruption as a
-        // *loss* — the bitmap bit stays clear, so the ordinary NACK/RTO
-        // repair machinery resends the packet. No corrupted payload is
-        // ever recorded as received.
+        // End-to-end integrity. The NIC verified the payload against the
+        // sender's CRC32C (carried in the modeled transport header) before
+        // its DMA committed, and its verdict rides the CQE: for a payload
+        // that landed, the CRC the NIC computed is recorded as is — the
+        // bytes are not hashed a third time. Only when the NIC vouches
+        // for nothing are the landed bytes read back and compared: it
+        // skipped the DMA over a mismatch (so a corrupt duplicate over a
+        // clean original still counts as a duplicate — memory matches the
+        // sender's CRC), or the sender carried no CRC it could have
+        // checked. A mismatch reclassifies corruption as a *loss* — the
+        // bitmap bit stays clear, so the ordinary NACK/RTO repair
+        // machinery resends the packet. No corrupted payload is ever
+        // recorded as received.
         if self.cfg.payload_checksums {
-            let base = slot.buf_addr + pkt_offset as u64 * self.cfg.mtu_bytes;
-            let landed = self.fabric.node(self.node, |n| {
-                sdr_erasure::crc32c(n.mem().read(base, cqe.byte_len as usize))
-            });
-            if let Some(wire) = cqe.crc {
-                if wire != landed {
-                    self.stats.payload_corrupt += 1;
-                    return;
+            let landed = match cqe.check {
+                PayloadCheck::Landed(crc) => crc,
+                PayloadCheck::Skipped | PayloadCheck::Unchecked => {
+                    let base = slot.buf_addr + pkt_offset as u64 * self.cfg.mtu_bytes;
+                    let landed = self.fabric.node(self.node, |n| {
+                        sdr_erasure::crc32c(n.mem().read(base, cqe.byte_len as usize))
+                    });
+                    if cqe.crc.is_some_and(|wire| wire != landed) {
+                        self.stats.payload_corrupt += 1;
+                        return;
+                    }
+                    landed
                 }
-            }
+            };
             slot.arrival_crcs[pkt_offset as usize] = Some(landed);
         }
         slot.imm_acc.absorb(&self.cfg.imm, pkt_offset, user_frag);

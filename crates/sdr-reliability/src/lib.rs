@@ -218,7 +218,16 @@
 //!      NIC's ICRC check: a corrupt payload never reaches memory (the
 //!      `crc_skipped` NIC stat), its bitmap bit stays clear, and the
 //!      scheme machinery — SR NACK/RTO, GBN rewind, EC parity — repairs
-//!      it as an ordinary loss. The [`ChannelEstimator`] consequently
+//!      it as an ordinary loss. The **NIC verifies, `SdrQp` records**:
+//!      the CRC the NIC computed rides the completion
+//!      (`sdr_sim::PayloadCheck::Landed`) and becomes the packet's
+//!      arrival CRC without a second pass over the bytes; `SdrQp`
+//!      re-reads memory only for the completions the NIC did not vouch
+//!      for. Because data packets name the send buffer and are read at
+//!      delivery, this is also the layer that catches a source range
+//!      modified *while its packets are in flight* (it no longer matches
+//!      the CRC taken at post time) — the repair re-reads the source, so
+//!      what lands is what the source holds. The [`ChannelEstimator`] consequently
 //!      *sees* corruption as loss, so the adaptive controller reacts to a
 //!      corrupting channel the same way it reacts to a lossy one: by
 //!      handing over to a stronger scheme.
@@ -233,7 +242,8 @@
 //!      [`CtrlMsg::DigestState`](ack::CtrlMsg::DigestState)) against the
 //!      sender's source buffer: match → `Delivered`, mismatch →
 //!      [`AbortReason::Corrupt`] — which also catches a *source* buffer
-//!      mutated mid-transfer, something no wire checksum can see. One
+//!      mutated after its bytes landed, something no wire checksum can
+//!      see. One
 //!      consequence: the sender's `Delivered` rides the final scheme ACK
 //!      while the receiver's waits on the digest round trip, so a
 //!      deadline expiring inside that window can legitimately leave a

@@ -5,8 +5,12 @@
 //!   link delivers byte-identical, digest-verified, with every corrupt
 //!   packet stopped before the DMA and repaired as a loss;
 //! * a **digest mismatch** — the sender's source buffer mutates after its
-//!   bytes went out, so bitmaps complete but the whole-message digest
+//!   bytes landed, so bitmaps complete but the whole-message digest
 //!   disagrees: the receiver refuses delivery with `AbortReason::Corrupt`;
+//! * a **source mutation in flight** — data packets name the send buffer
+//!   and are read at delivery, so bytes changed between post and delivery
+//!   fail the NIC's check against the post-time CRC and are repaired like
+//!   a loss: what is delivered is what the source holds, never a mix;
 //! * **EC stale shards** — post-DMA corruption of landed chunks is caught
 //!   by the arrival-CRC audit before decode, then repaired either by
 //!   decoding around the stale shard or (when too many shards are dirty
@@ -110,13 +114,13 @@ fn adaptive_40mib_delivers_byte_identical_over_corrupting_wire() {
     );
 }
 
-/// Whole-message digest mismatch: one source byte mutates *after* its
-/// segment went out. Every bitmap completes — the wire was clean — but
-/// the sender's lazily computed digest covers the mutated buffer, so the
-/// receiver's verification round trip ends in `AbortReason::Corrupt`
-/// instead of a silently wrong "Delivered".
-#[test]
-fn source_mutation_after_send_fails_the_delivery_digest() {
+/// An 8 MiB adaptive SR transfer over a clean 1000 km wire, with the
+/// first source byte flipped as soon as `when(packets posted, packets the
+/// receiver recorded)` holds (polled every 10 µs). Returns the harness,
+/// both reports and the flipped byte.
+fn adaptive_with_source_flip(
+    when: fn(u64, u64) -> bool,
+) -> (ProtoHarness, AdaptReport, AdaptRecvReport, u8) {
     let msg: u64 = 8 << 20;
     let link = LinkConfig::wan(KM, BW, 0.0).with_seed(43);
     let mut h = ProtoHarness::new(link, cfg(), msg, 0xD16E);
@@ -149,18 +153,33 @@ fn source_mutation_after_send_fails_the_delivery_digest() {
         acfg,
         move |_eng, _t, rep| *rc.borrow_mut() = Some(rep),
     );
-    // 8 MiB serializes in ~8.4 ms; at 4 ms the first segment's bytes are
-    // long gone. Flip one bit of source byte 0.
     let ctx = h.p.ctx_a.clone();
     let (src, flipped) = (h.src, h.data[0] ^ 0x20);
-    h.p.eng
-        .schedule_at(SimTime::from_secs_f64(0.004), move |_eng| {
-            ctx.write_buffer(src, &[flipped]);
-        });
+    let (fabric, a, b, qp_b) = (h.p.fabric.clone(), h.p.node_a, h.p.node_b, h.p.qp_b.clone());
+    let poll = SimTime::from_micros(10);
+    h.p.eng.schedule_recurring_in(poll, move |eng| {
+        let posted = fabric.link_stats(a, b).expect("linked").sent;
+        if !when(posted, qp_b.stats().packets_received) {
+            return Some(eng.now() + poll);
+        }
+        ctx.write_buffer(src, &[flipped]);
+        None
+    });
     h.run(120_000_000);
-
     let tx_rep = took(&tx_cell, "adaptive sender");
     let rx_rep = rx_cell.borrow_mut().take().expect("receiver reported");
+    (h, tx_rep, rx_rep, flipped)
+}
+
+/// Whole-message digest mismatch: one source byte mutates *after* its
+/// packet landed (the wire is clean and in order, so byte 0's packet is
+/// the first the receiver records). Every bitmap completes, but the
+/// sender's lazily computed digest covers the mutated buffer, so the
+/// receiver's verification round trip ends in `AbortReason::Corrupt`
+/// instead of a silently wrong "Delivered".
+#[test]
+fn source_mutation_after_send_fails_the_delivery_digest() {
+    let (h, tx_rep, rx_rep, _) = adaptive_with_source_flip(|_, recorded| recorded > 0);
     // The sender's Delivered rides the final scheme ACK, which precedes
     // the digest round trip — it legitimately reports success here; the
     // *receiver* is the end that must refuse.
@@ -176,6 +195,30 @@ fn source_mutation_after_send_fails_the_delivery_digest() {
     // The landed bytes themselves match what was originally sent — the
     // digest protects against the *source* no longer vouching for them.
     assert!(h.delivered_ok());
+}
+
+/// The zero-copy contract with payload checksums on: a data packet names
+/// the send buffer and its bytes are read at delivery, 5 ms after the
+/// post on this wire. A byte that changes in between no longer matches
+/// the CRC taken at post time, so the receiving NIC skips the DMA, the
+/// packet's bit stays clear, and the SR repair re-sends it — reading the
+/// source again. The transfer delivers exactly what the source holds.
+#[test]
+fn source_mutation_in_flight_is_caught_at_the_nic_and_repaired() {
+    let (h, tx_rep, rx_rep, flipped) = adaptive_with_source_flip(|posted, recorded| {
+        assert_eq!(recorded, 0, "the flip must land while byte 0 is in flight");
+        posted > 0
+    });
+    assert_eq!(tx_rep.outcome, TransferOutcome::Delivered);
+    assert_eq!(rx_rep.outcome, TransferOutcome::Delivered);
+    let mut now_at_source = h.data.clone();
+    now_at_source[0] = flipped;
+    assert!(
+        h.delivered() == now_at_source,
+        "the delivery is the source as it stands, not a mix of old and new"
+    );
+    assert_eq!(h.p.fabric.node(h.p.node_b, |n| n.stats().crc_skipped), 1);
+    assert_eq!(h.p.qp_b.stats().payload_corrupt, 1);
 }
 
 /// Stands up a 1 MiB EC transfer over a clean fast link and returns the

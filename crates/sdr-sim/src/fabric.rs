@@ -22,12 +22,11 @@ use bytes::Bytes;
 use sdr_trace::{EventKind, FlightRecorder, Registry};
 
 use crate::engine::Engine;
-use crate::equeue::TimerHandle;
 use crate::fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
 use crate::link::{Link, LinkConfig, LinkStats, TxOutcome};
 use crate::loss::LossModel;
-use crate::nic::{Cqe, CqeOp, Node, QpType};
-use crate::packet::{MkeyId, NodeId, Packet, PacketKind, QpAddr, WriteSeg};
+use crate::nic::{Cqe, CqeOp, Node, PayloadCheck, QpType};
+use crate::packet::{MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
 use crate::time::SimTime;
 
 /// Errors returned when posting work requests.
@@ -62,6 +61,47 @@ pub struct WriteWr {
     pub wr_id: u64,
     /// Whether to generate a send completion.
     pub signaled: bool,
+}
+
+/// An RDMA Write work request that *names* its payload instead of
+/// carrying it: `len` bytes at `local_addr` in the posting node's memory,
+/// read by the NIC when the packet is delivered — the Verbs shape
+/// (`addr`, `len`, `lkey`), with nothing copied at post time. The region
+/// must stay unmodified until the peer has the data; with `checksum` set a
+/// modification in flight is detected by the receiving NIC and the packet
+/// is dropped there like a corrupt one.
+#[derive(Clone, Copy, Debug)]
+pub struct RegionWriteWr {
+    /// Local UC QP to post on.
+    pub qp: QpNum,
+    /// Address of the payload in the posting node's memory.
+    pub local_addr: u64,
+    /// Payload length in bytes.
+    pub len: u32,
+    /// Remote memory key to target.
+    pub remote_mkey: MkeyId,
+    /// Byte offset within the remote key's range.
+    pub remote_offset: u64,
+    /// Immediate data delivered with the last packet.
+    pub imm: Option<u32>,
+    /// Have the NIC compute the payload's CRC32C as it is posted and carry
+    /// it in the header, exactly like [`WriteWr::crc`].
+    pub checksum: bool,
+    /// User cookie echoed in the send completion.
+    pub wr_id: u64,
+    /// Whether to generate a send completion.
+    pub signaled: bool,
+}
+
+/// One UC Write post, whichever way its payload is held.
+struct UcWrite {
+    remote_mkey: MkeyId,
+    remote_offset: u64,
+    data: Payload,
+    imm: Option<u32>,
+    crc: Option<u32>,
+    wr_id: u64,
+    signaled: bool,
 }
 
 struct FabricInner {
@@ -103,13 +143,6 @@ impl Default for Fabric {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// What [`Fabric::arm_pump`] decided under the borrow.
-enum PumpAct {
-    Nothing,
-    New(SimTime),
-    Retarget(TimerHandle, SimTime),
 }
 
 /// Events each node's flight recorder retains (the forensic window).
@@ -550,46 +583,29 @@ impl Fabric {
         Ok(handle)
     }
 
-    /// Makes sure the drain pump of `key` is armed at the link's earliest
-    /// pending arrival: arms a fresh recurring event for an idle link,
-    /// re-arms the existing one when a jittered/multipath arrival landed
-    /// ahead of it, and otherwise does nothing. Call after any enqueue.
-    fn arm_pump(&self, eng: &mut Engine, key: (NodeId, NodeId)) {
-        let act = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(link) = inner.links.get_mut(&key) else {
-                return;
-            };
-            match (link.drain_state(), link.next_arrival()) {
-                (_, None) => PumpAct::Nothing,
-                (None, Some(t)) => PumpAct::New(t),
-                (Some((h, armed)), Some(t)) if t < armed => PumpAct::Retarget(h, t),
-                _ => PumpAct::Nothing,
-            }
-        };
-        match act {
-            PumpAct::Nothing => {}
-            PumpAct::New(t) => {
+    /// Makes sure the drain pump of `link` (installed under `key`) is armed
+    /// at its earliest pending arrival: arms a fresh recurring event for an
+    /// idle link, re-arms the existing one when a jittered/multipath
+    /// arrival landed ahead of it, and otherwise does nothing. Call after
+    /// any enqueue, under the same borrow.
+    fn arm_pump(&self, eng: &mut Engine, key: (NodeId, NodeId), link: &mut Link) {
+        match (link.drain_state(), link.next_arrival()) {
+            (None, Some(t)) => {
                 debug_assert!(
                     t >= eng.now(),
-                    "arm_pump New in the past: key={key:?} t={t:?} now={:?}",
+                    "arm_pump in the past: key={key:?} t={t:?} now={:?}",
                     eng.now()
                 );
                 let fab = self.clone();
                 let h = eng.schedule_recurring_at(t, move |eng| fab.drain_link(eng, key));
-                if let Some(link) = self.inner.borrow_mut().links.get_mut(&key) {
-                    link.set_drain(Some((h, t)));
-                }
+                link.set_drain(Some((h, t)));
             }
-            PumpAct::Retarget(h, t) => {
-                // A `false` here means the pump is mid-fire; its own
-                // re-arm return value will pick the new head up.
-                if eng.reschedule(h, t) {
-                    if let Some(link) = self.inner.borrow_mut().links.get_mut(&key) {
-                        link.set_drain(Some((h, t)));
-                    }
-                }
+            // A `false` from `reschedule` means the pump is mid-fire; its
+            // own re-arm return value will pick the new head up.
+            (Some((h, armed)), Some(t)) if t < armed && eng.reschedule(h, t) => {
+                link.set_drain(Some((h, t)));
             }
+            _ => {}
         }
     }
 
@@ -597,18 +613,18 @@ impl Fabric {
     /// re-arm at the next pending arrival (or park until the next busy
     /// period when the queue drained).
     fn drain_link(&self, eng: &mut Engine, key: (NodeId, NodeId)) -> Option<SimTime> {
-        loop {
-            let pkt = {
-                let mut inner = self.inner.borrow_mut();
-                inner.links.get_mut(&key).and_then(|l| l.pop_due(eng.now()))
-            };
-            match pkt {
-                Some(p) => self.deliver(eng, p),
-                None => break,
-            }
-        }
         let mut inner = self.inner.borrow_mut();
-        let link = inner.links.get_mut(&key)?;
+        let FabricInner {
+            nodes,
+            links,
+            attached,
+            restart_drops,
+            ..
+        } = &mut *inner;
+        let link = links.get_mut(&key)?;
+        while let Some(pkt) = link.pop_due(eng.now(), nodes[key.0 .0 as usize].mem()) {
+            deliver(nodes, attached, restart_drops, eng, pkt);
+        }
         match link.next_arrival() {
             Some(t) => {
                 if let Some((h, _)) = link.drain_state() {
@@ -659,95 +675,164 @@ impl Fabric {
         wr: WriteWr,
         per_packet: bool,
     ) -> Result<(), PostError> {
-        let key;
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let node = &mut inner.nodes[src.node.0 as usize];
-            if node.qp_type(src.qp) != QpType::Uc {
-                return Err(PostError::WrongQpType);
-            }
-            let dst = node.qp_peer(src.qp).ok_or(PostError::NotConnected)?;
-            key = (src.node, dst.node);
-            let link = inner.links.get_mut(&key).ok_or(PostError::NoLink)?;
-            let mtu = link.config().mtu;
-
-            let total = wr.data.len();
-            let n_pkts = if total == 0 { 1 } else { total.div_ceil(mtu) };
-            for i in 0..n_pkts {
-                let lo = i * mtu;
-                let hi = ((i + 1) * mtu).min(total);
-                let payload = wr.data.slice(lo..hi);
-                let seg = if per_packet || n_pkts == 1 {
-                    WriteSeg::Only
-                } else if i == 0 {
-                    WriteSeg::First
-                } else if i == n_pkts - 1 {
-                    WriteSeg::Last
-                } else {
-                    WriteSeg::Middle
-                };
-                let (mkey, offset, imm, crc) = match seg {
-                    WriteSeg::Only => {
-                        let last = i == n_pkts - 1;
-                        (
-                            wr.remote_mkey,
-                            wr.remote_offset + lo as u64,
-                            if last { wr.imm } else { None },
-                            if last { wr.crc } else { None },
-                        )
-                    }
-                    WriteSeg::First => (wr.remote_mkey, wr.remote_offset, None, None),
-                    WriteSeg::Middle => (wr.remote_mkey, 0, None, None),
-                    WriteSeg::Last => (wr.remote_mkey, 0, wr.imm, wr.crc),
-                };
-                let pkt = Packet {
-                    src,
-                    dst,
-                    psn: node.next_psn(src.qp),
-                    kind: PacketKind::Write {
-                        seg,
-                        mkey,
-                        offset,
-                        imm,
-                        crc,
-                    },
-                    payload,
-                };
-                link.enqueue(eng.now(), pkt);
-            }
-
-            if wr.signaled {
-                // All packets of this post have been placed on paths; the
-                // local completion fires when the last of them leaves the
-                // wire.
-                let done_at = link.all_paths_free();
-                let fabric = self.clone();
-                let (cq, qp, wr_id) = (node.qp_send_cq(src.qp), src.qp, wr.wr_id);
-                let byte_len = total as u32;
-                let node_id = src.node;
-                eng.schedule_at(done_at, move |eng| {
-                    fabric.node_mut(node_id, |n| {
-                        n.push_cqe(
-                            eng,
-                            cq,
-                            Cqe {
-                                qp,
-                                op: CqeOp::SendComplete,
-                                imm: None,
-                                crc: None,
-                                byte_len,
-                                src: None,
-                                wr_id,
-                                null_write: false,
-                            },
-                        )
-                    });
-                });
-            }
-        }
-        self.arm_pump(eng, key);
+        let mut inner = self.inner.borrow_mut();
+        let FabricInner { nodes, links, .. } = &mut *inner;
+        let node = &mut nodes[src.node.0 as usize];
+        let dst = uc_peer(node, src.qp)?;
+        let key = (src.node, dst.node);
+        let link = links.get_mut(&key).ok_or(PostError::NoLink)?;
+        let write = UcWrite {
+            remote_mkey: wr.remote_mkey,
+            remote_offset: wr.remote_offset,
+            data: wr.data.into(),
+            imm: wr.imm,
+            crc: wr.crc,
+            wr_id: wr.wr_id,
+            signaled: wr.signaled,
+        };
+        self.enqueue_write(eng, node, link, src, dst, write, per_packet);
         Ok(())
+    }
+
+    /// Posts a run of single-message RDMA Writes out of `node`'s memory
+    /// (see [`RegionWriteWr`]) under one fabric borrow. Each request is
+    /// packetised, completed and pumped exactly as if it had been posted
+    /// alone through [`post_uc_write`](Self::post_uc_write) — the engine
+    /// sees the same operations in the same order — but the payload is
+    /// never copied: the packets name the memory and the receiving NIC
+    /// reads it at delivery.
+    ///
+    /// `wrs` is consumed while the fabric is borrowed, so it must not call
+    /// back into it. Requests ahead of a failing one stay posted.
+    pub fn post_uc_region_writes(
+        &self,
+        eng: &mut Engine,
+        node: NodeId,
+        wrs: impl IntoIterator<Item = RegionWriteWr>,
+    ) -> Result<(), PostError> {
+        let mut inner = self.inner.borrow_mut();
+        let FabricInner { nodes, links, .. } = &mut *inner;
+        let local = &mut nodes[node.0 as usize];
+        // The link of the previous request: a run normally has one peer.
+        let mut route: Option<(NodeId, &mut Link)> = None;
+        for wr in wrs {
+            let src = QpAddr { node, qp: wr.qp };
+            let dst = uc_peer(local, wr.qp)?;
+            if route.as_ref().map(|(to, _)| *to) != Some(dst.node) {
+                let link = links.get_mut(&(node, dst.node)).ok_or(PostError::NoLink)?;
+                route = Some((dst.node, link));
+            }
+            let link = &mut *route.as_mut().expect("set above").1;
+            let crc = wr
+                .checksum
+                .then(|| sdr_erasure::crc32c(local.mem().read(wr.local_addr, wr.len as usize)));
+            let write = UcWrite {
+                remote_mkey: wr.remote_mkey,
+                remote_offset: wr.remote_offset,
+                data: Payload::Region {
+                    node,
+                    addr: wr.local_addr,
+                    len: wr.len,
+                },
+                imm: wr.imm,
+                crc,
+                wr_id: wr.wr_id,
+                signaled: wr.signaled,
+            };
+            self.enqueue_write(eng, local, link, src, dst, write, false);
+        }
+        Ok(())
+    }
+
+    /// Fragments one write into MTU-sized packets on `link`, schedules its
+    /// send completion and makes sure the link's pump is armed.
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue_write(
+        &self,
+        eng: &mut Engine,
+        node: &mut Node,
+        link: &mut Link,
+        src: QpAddr,
+        dst: QpAddr,
+        wr: UcWrite,
+        per_packet: bool,
+    ) {
+        let mtu = link.config().mtu;
+        let total = wr.data.len();
+        let n_pkts = if total == 0 { 1 } else { total.div_ceil(mtu) };
+        for i in 0..n_pkts {
+            let lo = i * mtu;
+            let hi = ((i + 1) * mtu).min(total);
+            let payload = wr.data.slice(lo, hi);
+            let seg = if per_packet || n_pkts == 1 {
+                WriteSeg::Only
+            } else if i == 0 {
+                WriteSeg::First
+            } else if i == n_pkts - 1 {
+                WriteSeg::Last
+            } else {
+                WriteSeg::Middle
+            };
+            let (mkey, offset, imm, crc) = match seg {
+                WriteSeg::Only => {
+                    let last = i == n_pkts - 1;
+                    (
+                        wr.remote_mkey,
+                        wr.remote_offset + lo as u64,
+                        if last { wr.imm } else { None },
+                        if last { wr.crc } else { None },
+                    )
+                }
+                WriteSeg::First => (wr.remote_mkey, wr.remote_offset, None, None),
+                WriteSeg::Middle => (wr.remote_mkey, 0, None, None),
+                WriteSeg::Last => (wr.remote_mkey, 0, wr.imm, wr.crc),
+            };
+            let pkt = Packet {
+                src,
+                dst,
+                psn: node.next_psn(src.qp),
+                kind: PacketKind::Write {
+                    seg,
+                    mkey,
+                    offset,
+                    imm,
+                    crc,
+                },
+                payload,
+            };
+            link.enqueue(eng.now(), pkt);
+        }
+
+        if wr.signaled {
+            // All packets of this post have been placed on paths; the
+            // local completion fires when the last of them leaves the
+            // wire.
+            let done_at = link.all_paths_free();
+            let fabric = self.clone();
+            let (cq, qp, wr_id) = (node.qp_send_cq(src.qp), src.qp, wr.wr_id);
+            let byte_len = total as u32;
+            let node_id = src.node;
+            eng.schedule_at(done_at, move |eng| {
+                fabric.node_mut(node_id, |n| {
+                    n.push_cqe(
+                        eng,
+                        cq,
+                        Cqe {
+                            qp,
+                            op: CqeOp::SendComplete,
+                            imm: None,
+                            crc: None,
+                            byte_len,
+                            src: None,
+                            wr_id,
+                            null_write: false,
+                            check: PayloadCheck::Unchecked,
+                        },
+                    )
+                });
+            });
+        }
+        self.arm_pump(eng, (src.node, dst.node), link);
     }
 
     /// Posts a UD send (single datagram ≤ MTU) to an explicit destination.
@@ -760,27 +845,25 @@ impl Fabric {
         imm: Option<u32>,
     ) -> Result<(), PostError> {
         let key = (src.node, dst.node);
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let node = &mut inner.nodes[src.node.0 as usize];
-            if node.qp_type(src.qp) != QpType::Ud {
-                return Err(PostError::WrongQpType);
-            }
-            let link = inner.links.get_mut(&key).ok_or(PostError::NoLink)?;
-            if data.len() > link.config().mtu {
-                return Err(PostError::PayloadTooLarge);
-            }
-            let pkt = Packet {
-                src,
-                dst,
-                psn: node.next_psn(src.qp),
-                kind: PacketKind::Send { imm },
-                payload: data,
-            };
-            link.enqueue(eng.now(), pkt);
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let node = &mut inner.nodes[src.node.0 as usize];
+        if node.qp_type(src.qp) != QpType::Ud {
+            return Err(PostError::WrongQpType);
         }
-        self.arm_pump(eng, key);
+        let link = inner.links.get_mut(&key).ok_or(PostError::NoLink)?;
+        if data.len() > link.config().mtu {
+            return Err(PostError::PayloadTooLarge);
+        }
+        let pkt = Packet {
+            src,
+            dst,
+            psn: node.next_psn(src.qp),
+            kind: PacketKind::Send { imm },
+            payload: data.into(),
+        };
+        link.enqueue(eng.now(), pkt);
+        self.arm_pump(eng, key, link);
         Ok(())
     }
 
@@ -788,25 +871,58 @@ impl Fabric {
     /// Returns the transmit outcome so protocols can account wire time.
     pub fn send_raw(&self, eng: &mut Engine, pkt: Packet) -> Result<TxOutcome, PostError> {
         let key = (pkt.src.node, pkt.dst.node);
-        let out = {
-            let mut inner = self.inner.borrow_mut();
-            let link = inner.links.get_mut(&key).ok_or(PostError::NoLink)?;
-            link.enqueue(eng.now(), pkt)
-        };
-        self.arm_pump(eng, key);
+        let mut inner = self.inner.borrow_mut();
+        let link = inner.links.get_mut(&key).ok_or(PostError::NoLink)?;
+        let out = link.enqueue(eng.now(), pkt);
+        self.arm_pump(eng, key, link);
         Ok(out)
     }
+}
 
-    fn deliver(&self, eng: &mut Engine, pkt: Packet) {
-        let mut inner = self.inner.borrow_mut();
-        let idx = pkt.dst.node.0 as usize;
-        if idx < inner.nodes.len() {
-            if !inner.attached[idx] {
-                // Restart dead window: the packet reaches a dead port.
-                inner.restart_drops[idx] += 1;
-                return;
+/// The connected peer of UC QP `qp` on `node`.
+fn uc_peer(node: &Node, qp: QpNum) -> Result<QpAddr, PostError> {
+    if node.qp_type(qp) != QpType::Uc {
+        return Err(PostError::WrongQpType);
+    }
+    node.qp_peer(qp).ok_or(PostError::NotConnected)
+}
+
+/// Hands a packet that survived the wire to its destination NIC, resolving
+/// a [`Payload::Region`] against the sender's memory on the way: the
+/// receiving NIC verifies and copies straight out of the source buffer.
+fn deliver(
+    nodes: &mut [Node],
+    attached: &[bool],
+    restart_drops: &mut [u64],
+    eng: &mut Engine,
+    pkt: Packet,
+) {
+    let dst = pkt.dst.node.0 as usize;
+    if dst >= nodes.len() {
+        return;
+    }
+    if !attached[dst] {
+        // Restart dead window: the packet reaches a dead port.
+        restart_drops[dst] += 1;
+        return;
+    }
+    match &pkt.payload {
+        Payload::Owned(bytes) => nodes[dst].handle_packet(eng, &pkt, bytes),
+        Payload::Region { node, addr, len } => {
+            let (src, addr, len) = (node.0 as usize, *addr, *len as usize);
+            if src == dst {
+                // A node cannot lend its memory and be written at once.
+                let copy = nodes[src].mem().read(addr, len).to_vec();
+                nodes[dst].handle_packet(eng, &pkt, &copy);
+            } else {
+                let (lo, hi) = nodes.split_at_mut(src.max(dst));
+                let (from, to) = if src < dst {
+                    (&lo[src], &mut hi[0])
+                } else {
+                    (&hi[0], &mut lo[dst])
+                };
+                to.handle_packet(eng, &pkt, from.mem().read(addr, len));
             }
-            inner.nodes[idx].handle_packet(eng, pkt);
         }
     }
 }

@@ -37,7 +37,11 @@
 //!   wakers, and UC/UD/RC queue pairs with faithful ePSN semantics.
 //! * [`Fabric`] — ties nodes and links together and implements the
 //!   send-side datapath (fragmentation, write-with-immediate, UD sends)
-//!   plus the per-link delivery pumps.
+//!   plus the per-link delivery pumps. A Write's payload is either owned
+//!   bytes ([`WriteWr`]) or a *named* region of the sender's registered
+//!   memory ([`RegionWriteWr`], the Verbs shape): a [`Payload::Region`]
+//!   packet is resolved when it is delivered, so the receiving NIC
+//!   verifies and copies straight from the source buffer.
 //! * [`RcEndpoint`] — a go-back-N reliable connection, the commodity-NIC
 //!   baseline the paper argues is insufficient for planetary-scale RDMA.
 //!   Its RTO is a single re-armable timer: progress pushes the deadline
@@ -69,7 +73,7 @@ pub use engine::{shared, Engine, Shared};
 // the fabric owns the stack-wide registry plus one flight recorder per
 // node. Re-exported so layers above need no direct `sdr-trace` import.
 pub use equeue::{QueueKind, TimerHandle};
-pub use fabric::{Fabric, PostError, WriteWr};
+pub use fabric::{Fabric, PostError, RegionWriteWr, WriteWr};
 pub use fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
 pub use link::{
     Link, LinkConfig, LinkStats, TxOutcome, DEFAULT_HEADER_BYTES, MAX_CORRUPT_BURST,
@@ -77,8 +81,8 @@ pub use link::{
 };
 pub use loss::{LossModel, LossProcess};
 pub use memory::{AccessError, Memory, MkeyTable, MkeyTarget, Resolved};
-pub use nic::{Cq, Cqe, CqeOp, Mr, Node, NodeStats, QpType, RecvWqe, Waker};
-pub use packet::{CqId, MkeyId, NodeId, Packet, PacketKind, QpAddr, QpNum, WriteSeg};
+pub use nic::{Cq, Cqe, CqeOp, Mr, Node, NodeStats, PayloadCheck, QpType, RecvWqe, Waker};
+pub use packet::{CqId, MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
 pub use queue::{BottleneckQueue, OnOffConfig, OnOffSource, QueueStats};
 pub use rc::{RcConfig, RcEndpoint, RcStats};
 pub use sdr_trace::{

@@ -32,7 +32,8 @@ use sdr_trace::{Counter, Registry};
 
 use crate::equeue::TimerHandle;
 use crate::loss::{LossModel, LossProcess};
-use crate::packet::Packet;
+use crate::memory::Memory;
+use crate::packet::{Packet, Payload};
 use crate::time::{propagation_delay_km, tx_time, SimTime};
 
 /// Per-packet wire overhead of RoCEv2 over Ethernet: preamble-less
@@ -456,7 +457,11 @@ impl Link {
     /// delivery — time. Due packets the loss process (or an active
     /// blackout) claims are consumed here and counted in
     /// [`stats().dropped`](Self::stats).
-    pub fn pop_due(&mut self, now: SimTime) -> Option<Packet> {
+    ///
+    /// `src` is the memory of the node at the sending end of this link —
+    /// what [`Payload::Region`] payloads name. It is read only when the
+    /// wire actually flips a bit of such a payload.
+    pub fn pop_due(&mut self, now: SimTime, src: &Memory) -> Option<Packet> {
         while self.pending.front().is_some_and(|(at, _)| *at <= now) {
             let (_, mut pkt) = self.pending.pop_front().expect("front checked");
             if self.down || self.loss.drops_next() {
@@ -472,7 +477,7 @@ impl Link {
             }
             // Corruption is drawn at delivery time like loss, so a
             // corruption step applied mid-flight strikes the pipeline.
-            if self.cfg.corrupt_p > 0.0 && self.corrupt_payload(&mut pkt) {
+            if self.cfg.corrupt_p > 0.0 && self.corrupt_payload(&mut pkt, src) {
                 self.stats.corrupted += 1;
                 if let Some(t) = &self.trace {
                     t.corrupted.inc();
@@ -489,8 +494,10 @@ impl Link {
     /// flip, not one per bit. Empty payloads (pure acks) are
     /// uncorruptable by construction — their content lives entirely in
     /// the modelled header, whose corruption the per-hop ICRC turns into
-    /// loss.
-    fn corrupt_payload(&mut self, pkt: &mut Packet) -> bool {
+    /// loss. The draws depend on the payload's *length* only, so a region
+    /// payload consumes the RNG exactly like owned bytes; it is copied out
+    /// of `src` (and becomes owned) only once a flip is certain.
+    fn corrupt_payload(&mut self, pkt: &mut Packet, src: &Memory) -> bool {
         let bits = pkt.payload.len() as u64 * 8;
         if bits == 0 {
             return false;
@@ -500,7 +507,10 @@ impl Link {
         if pos >= bits {
             return false;
         }
-        let mut buf = pkt.payload.to_vec();
+        let mut buf = match &pkt.payload {
+            Payload::Owned(b) => b.to_vec(),
+            Payload::Region { addr, len, .. } => src.read(*addr, *len as usize).to_vec(),
+        };
         while pos < bits {
             let run = if self.cfg.corrupt_burst > 1 {
                 self.rng.random_range(1..=self.cfg.corrupt_burst as u64)
@@ -513,7 +523,7 @@ impl Link {
             }
             pos = end + corruption_skip(&mut self.rng, p);
         }
-        pkt.payload = Bytes::from(buf);
+        pkt.payload = Payload::Owned(Bytes::from(buf));
         true
     }
 
@@ -632,8 +642,14 @@ mod tests {
             },
             psn: tag,
             kind: PacketKind::Send { imm: Some(tag) },
-            payload: Bytes::from(vec![0u8; payload]),
+            payload: Bytes::from(vec![0u8; payload]).into(),
         }
+    }
+
+    /// `pop_due` for links whose packets all own their bytes: there is no
+    /// sender memory to name.
+    fn pop_due(link: &mut Link, now: SimTime) -> Option<Packet> {
+        link.pop_due(now, &Memory::new(0))
     }
 
     /// A miniature fabric pump: drains the link through one recurring
@@ -644,7 +660,7 @@ mod tests {
         };
         let (l, o) = (link.clone(), out.clone());
         eng.schedule_recurring_at(at, move |eng| {
-            while let Some(p) = l.borrow_mut().pop_due(eng.now()) {
+            while let Some(p) = pop_due(&mut l.borrow_mut(), eng.now()) {
                 o.borrow_mut().push((p.psn, eng.now()));
             }
             l.borrow().next_arrival()
@@ -691,7 +707,7 @@ mod tests {
     /// each fate at "delivery" (test shorthand for a full pump run).
     fn drain_all(link: &mut Link) -> usize {
         let mut delivered = 0;
-        while link.pop_due(SimTime(u64::MAX)).is_some() {
+        while pop_due(link, SimTime(u64::MAX)).is_some() {
             delivered += 1;
         }
         delivered
@@ -709,7 +725,7 @@ mod tests {
         assert_eq!(link.next_free(), SimTime::from_micros(1));
         assert_eq!(link.in_flight(), 1, "fate undecided while in flight");
         assert_eq!(link.next_arrival(), Some(out.at));
-        assert!(link.pop_due(out.at).is_none(), "claimed at delivery");
+        assert!(pop_due(&mut link, out.at).is_none(), "claimed at delivery");
         assert_eq!(link.stats().dropped, 1);
         assert_eq!(link.in_flight(), 0);
         assert_eq!(link.next_arrival(), None);
@@ -835,8 +851,11 @@ mod tests {
     /// Drains all pending packets, returning the delivered payloads.
     fn drain_payloads(link: &mut Link) -> Vec<Bytes> {
         let mut out = Vec::new();
-        while let Some(p) = link.pop_due(SimTime(u64::MAX)) {
-            out.push(p.payload);
+        while let Some(p) = pop_due(link, SimTime(u64::MAX)) {
+            let Payload::Owned(b) = p.payload else {
+                panic!("owned payloads stay owned");
+            };
+            out.push(b);
         }
         out
     }
@@ -911,6 +930,57 @@ mod tests {
             .filter(|b| b.count_ones() >= 2)
             .count();
         assert!(runs > 50, "clustered flips in {runs} bytes");
+    }
+
+    #[test]
+    fn region_payloads_corrupt_draw_for_draw_like_owned_bytes() {
+        // The same train once as owned bytes and once as descriptors of
+        // the sender's memory: identical flips (the draws see only the
+        // length), and the memory itself is never written.
+        let mut mem = Memory::new(200 * 1000);
+        let pattern: Vec<u8> = (0..200 * 1000u32).map(|i| (i % 251) as u8).collect();
+        mem.write(0, &pattern);
+        let cfg = LinkConfig::intra_dc(8e9)
+            .with_corruption_burst(2e-5, 8)
+            .with_duplication(0.2)
+            .with_seed(36);
+        let (mut owned, mut named) = (Link::new(cfg.clone()), Link::new(cfg));
+        for i in 0..200u32 {
+            let bytes = &pattern[i as usize * 1000..][..1000];
+            let mut p = pkt(i, 0);
+            p.payload = Bytes::copy_from_slice(bytes).into();
+            owned.enqueue(SimTime::ZERO, p);
+            let mut p = pkt(i, 0);
+            p.payload = Payload::Region {
+                node: NodeId(0),
+                addr: i as u64 * 1000,
+                len: 1000,
+            };
+            named.enqueue(SimTime::ZERO, p);
+        }
+        let mut untouched = 0;
+        loop {
+            let a = owned.pop_due(SimTime(u64::MAX), &mem);
+            let b = named.pop_due(SimTime(u64::MAX), &mem);
+            let (Some(a), Some(b)) = (a, b) else {
+                break;
+            };
+            assert_eq!(a.psn, b.psn);
+            let Payload::Owned(a_bytes) = a.payload else {
+                panic!("owned payloads stay owned");
+            };
+            match b.payload {
+                Payload::Owned(b_bytes) => assert_eq!(a_bytes, b_bytes, "same flips"),
+                Payload::Region { addr, len, .. } => {
+                    assert_eq!(&a_bytes[..], mem.read(addr, len as usize), "both clean");
+                    untouched += 1;
+                }
+            }
+        }
+        assert_eq!(owned.stats(), named.stats());
+        assert!(owned.stats().corrupted > 10 && owned.stats().duplicated > 10);
+        assert!(untouched > 100, "clean packets are never copied");
+        assert_eq!(mem.read(0, pattern.len()), &pattern[..]);
     }
 
     #[test]

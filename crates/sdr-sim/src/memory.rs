@@ -11,8 +11,6 @@
 //!   *discarded but still produce completions*, which is the first stage of
 //!   the paper's late-packet protection.
 
-use std::collections::HashMap;
-
 use crate::packet::MkeyId;
 
 /// Byte-addressable memory of one node, with a bump allocator for regions.
@@ -115,11 +113,13 @@ pub enum AccessError {
     TooDeep,
 }
 
-/// Per-node memory key table.
+/// Per-node memory key table: a dense slab indexed by key id, so the two
+/// translations every SDR data packet takes (root → slot → buffer) are
+/// indexed loads. Ids of [removed](Self::remove) keys are recycled.
 #[derive(Default)]
 pub struct MkeyTable {
-    map: HashMap<u32, MkeyTarget>,
-    next: u32,
+    slab: Vec<Option<MkeyTarget>>,
+    free: Vec<u32>,
 }
 
 /// Maximum depth of indirect-key chains; the SDR layout needs two levels
@@ -134,10 +134,40 @@ impl MkeyTable {
 
     /// Installs a target and returns its new key id.
     pub fn insert(&mut self, target: MkeyTarget) -> MkeyId {
-        let id = self.next;
-        self.next += 1;
-        self.map.insert(id, target);
-        MkeyId(id)
+        match self.free.pop() {
+            Some(id) => {
+                self.slab[id as usize] = Some(target);
+                MkeyId(id)
+            }
+            None => {
+                self.slab.push(Some(target));
+                MkeyId(self.slab.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// Deregisters a key, returning what it resolved to (`None` when it
+    /// was not registered). The id may be handed out again by a later
+    /// insert, so the caller must first unhook the key from any indirect
+    /// slot that still forwards to it.
+    pub fn remove(&mut self, mkey: MkeyId) -> Option<MkeyTarget> {
+        let target = self.slab.get_mut(mkey.0 as usize)?.take()?;
+        self.free.push(mkey.0);
+        Some(target)
+    }
+
+    /// Number of keys currently registered.
+    pub fn len(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    /// True when no key is registered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn get(&self, mkey: MkeyId) -> Option<&MkeyTarget> {
+        self.slab.get(mkey.0 as usize)?.as_ref()
     }
 
     /// Registers a direct region.
@@ -166,8 +196,8 @@ impl MkeyTable {
     /// Panics if `root` is not an indirect key or `slot` is out of range —
     /// these are programming errors in the layer above, not wire events.
     pub fn set_indirect_slot(&mut self, root: MkeyId, slot: usize, inner: Option<MkeyId>) {
-        match self.map.get_mut(&root.0) {
-            Some(MkeyTarget::Indirect { slots, .. }) => {
+        match self.slab.get_mut(root.0 as usize) {
+            Some(Some(MkeyTarget::Indirect { slots, .. })) => {
                 slots[slot] = inner;
             }
             _ => panic!("mkey {root:?} is not an indirect key"),
@@ -189,7 +219,7 @@ impl MkeyTable {
         if depth >= MAX_DEPTH {
             return Err(AccessError::TooDeep);
         }
-        match self.map.get(&mkey.0) {
+        match self.get(mkey) {
             None => Err(AccessError::UnknownKey(mkey)),
             Some(MkeyTarget::Null) => Ok(Resolved::Null),
             Some(MkeyTarget::Direct { base, len: rlen }) => {
@@ -281,6 +311,27 @@ mod tests {
         assert_eq!(t.resolve(root, 0, 8), Ok(Resolved::Addr(0)));
         t.set_indirect_slot(root, 0, Some(null));
         assert_eq!(t.resolve(root, 0, 8), Ok(Resolved::Null));
+    }
+
+    #[test]
+    fn removed_keys_fault_and_their_ids_are_recycled() {
+        let mut t = MkeyTable::new();
+        let a = t.insert_direct(0, 64);
+        let b = t.insert_direct(64, 64);
+        assert_eq!(t.len(), 2);
+        assert!(matches!(
+            t.remove(a),
+            Some(MkeyTarget::Direct { base: 0, len: 64 })
+        ));
+        assert!(t.remove(a).is_none(), "double removal is a no-op");
+        assert_eq!(t.resolve(a, 0, 1), Err(AccessError::UnknownKey(a)));
+        assert_eq!(t.resolve(b, 0, 1), Ok(Resolved::Addr(64)));
+        assert_eq!(t.len(), 1);
+        // The freed id is reused: the table does not grow.
+        let c = t.insert_direct(128, 64);
+        assert_eq!(c, a);
+        assert_eq!(t.resolve(c, 0, 1), Ok(Resolved::Addr(128)));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use crate::engine::Engine;
 use crate::memory::{Memory, MkeyTable, Resolved};
-use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, QpAddr, QpNum, WriteSeg};
+use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
 
 /// Transport service type of a queue pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,8 +56,24 @@ pub enum CqeOp {
     SendComplete,
 }
 
+/// What the NIC's pre-DMA payload verification found (single-packet
+/// Writes carrying a checksum; nothing else is verified).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PayloadCheck {
+    /// The NIC verified nothing: no checksum was carried, the payload went
+    /// to the NULL key, or the message spanned several packets.
+    Unchecked,
+    /// The payload matched the carried checksum and was written to memory;
+    /// this is its CRC32C as the NIC computed it, so the layer above can
+    /// record what landed without hashing it a second time.
+    Landed(u32),
+    /// The payload failed verification and the DMA was skipped: memory
+    /// holds whatever it held before the packet arrived.
+    Skipped,
+}
+
 /// A completion queue entry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cqe {
     /// QP this completion belongs to.
     pub qp: QpNum,
@@ -76,6 +92,8 @@ pub struct Cqe {
     pub wr_id: u64,
     /// The payload was discarded by the NULL memory key.
     pub null_write: bool,
+    /// The NIC's verdict on the payload (receive completions of Writes).
+    pub check: PayloadCheck,
 }
 
 /// Re-armable notification hook attached to a CQ or protocol inbox.
@@ -169,7 +187,7 @@ struct Qp {
 }
 
 /// Counters exported by a node.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Write packets whose payload landed in memory.
     pub writes_landed: u64,
@@ -308,6 +326,17 @@ impl Node {
         self.mkeys.insert_direct(addr, len)
     }
 
+    /// Deregisters a memory key; its id may be reused by a later
+    /// registration. Returns `false` when the key was not registered.
+    pub fn dereg_mr(&mut self, mkey: MkeyId) -> bool {
+        self.mkeys.remove(mkey).is_some()
+    }
+
+    /// Number of memory keys currently registered on this node.
+    pub fn mkey_count(&self) -> usize {
+        self.mkeys.len()
+    }
+
     /// Allocates a NULL memory key (discards writes, still completes).
     pub fn alloc_null_mkey(&mut self) -> MkeyId {
         self.mkeys.insert_null()
@@ -383,7 +412,10 @@ impl Node {
     }
 
     /// Receive-side packet engine: applies `pkt` to this node's state.
-    pub fn handle_packet(&mut self, eng: &mut Engine, pkt: Packet) {
+    /// `payload` is the packet's payload as bytes — the fabric resolves a
+    /// [`Payload::Region`] against the sender's memory, so this is where
+    /// the NIC's DMA reads straight from source to destination.
+    pub fn handle_packet(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
         let qp_idx = pkt.dst.qp.0 as usize;
         if qp_idx >= self.qps.len() {
             self.stats.access_faults += 1;
@@ -391,18 +423,27 @@ impl Node {
         }
         match self.qps[qp_idx].ty {
             QpType::Rc => {
-                self.qps[qp_idx].inbox.push_back(pkt);
+                // The inbox outlives the delivery instant, so it must own
+                // its bytes.
+                let owned = match &pkt.payload {
+                    Payload::Owned(b) => b.clone(),
+                    Payload::Region { .. } => bytes::Bytes::copy_from_slice(payload),
+                };
+                self.qps[qp_idx].inbox.push_back(Packet {
+                    payload: owned.into(),
+                    ..*pkt
+                });
                 if let Some(w) = &self.qps[qp_idx].inbox_waker {
                     let w = w.clone();
                     w.kick(eng);
                 }
             }
-            QpType::Ud => self.handle_ud(eng, pkt),
-            QpType::Uc => self.handle_uc(eng, pkt),
+            QpType::Ud => self.handle_ud(eng, pkt, payload),
+            QpType::Uc => self.handle_uc(eng, pkt, payload),
         }
     }
 
-    fn handle_ud(&mut self, eng: &mut Engine, pkt: Packet) {
+    fn handle_ud(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
         let qp_idx = pkt.dst.qp.0 as usize;
         let PacketKind::Send { imm } = pkt.kind else {
             // UD carries only sends in this model.
@@ -413,8 +454,8 @@ impl Node {
             self.stats.rnr_drops += 1;
             return;
         };
-        let n = pkt.payload.len().min(wqe.len as usize);
-        self.mem.write(wqe.addr, &pkt.payload[..n]);
+        let n = payload.len().min(wqe.len as usize);
+        self.mem.write(wqe.addr, &payload[..n]);
         let (recv_cq, qp) = (self.qps[qp_idx].recv_cq, pkt.dst.qp);
         self.push_cqe(
             eng,
@@ -428,11 +469,12 @@ impl Node {
                 src: Some(pkt.src),
                 wr_id: wqe.wr_id,
                 null_write: false,
+                check: PayloadCheck::Unchecked,
             },
         );
     }
 
-    fn handle_uc(&mut self, eng: &mut Engine, pkt: Packet) {
+    fn handle_uc(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
         let qp_idx = pkt.dst.qp.0 as usize;
         let PacketKind::Write {
             seg,
@@ -445,7 +487,8 @@ impl Node {
             self.stats.access_faults += 1;
             return;
         };
-        let len = pkt.payload.len() as u64;
+        let len = payload.len() as u64;
+        let unchecked = PayloadCheck::Unchecked;
         match seg {
             WriteSeg::Only => {
                 // A self-contained message: immune to ePSN state.
@@ -456,22 +499,29 @@ impl Node {
                         // the DMA commits — like ICRC, a packet that
                         // fails the check never reaches memory (a corrupt
                         // duplicate must not overwrite clean bytes whose
-                        // bitmap bit is already set). The CQE still flows
-                        // carrying the claimed checksum: the verbs layer
-                        // compares it against what memory actually holds,
-                        // sees the mismatch, and leaves the packet's bit
+                        // bitmap bit is already set). The CQE still flows,
+                        // carrying the verdict: `Landed` with the CRC the
+                        // NIC just computed (this is the second and last
+                        // pass over the payload — the verbs layer records
+                        // it instead of re-hashing memory), or `Skipped`,
+                        // on which the verbs layer leaves the packet's bit
                         // clear — corruption becomes loss.
-                        if crc.is_none_or(|c| sdr_erasure::crc32c(&pkt.payload) == c) {
-                            self.mem.write(addr, &pkt.payload);
+                        let computed = crc.map(|_| sdr_erasure::crc32c(payload));
+                        let check = if computed == crc {
+                            self.mem.write(addr, payload);
                             self.stats.writes_landed += 1;
+                            computed.map_or(unchecked, PayloadCheck::Landed)
                         } else {
                             self.stats.crc_skipped += 1;
-                        }
-                        self.complete_write(eng, pkt.dst.qp, imm, crc, len as u32, pkt.src, false);
+                            PayloadCheck::Skipped
+                        };
+                        let (qp, src) = (pkt.dst.qp, pkt.src);
+                        self.complete_write(eng, qp, src, imm, crc, len as u32, false, check);
                     }
                     Ok(Resolved::Null) => {
                         self.stats.null_writes += 1;
-                        self.complete_write(eng, pkt.dst.qp, imm, crc, len as u32, pkt.src, true);
+                        let (qp, src) = (pkt.dst.qp, pkt.src);
+                        self.complete_write(eng, qp, src, imm, crc, len as u32, true, unchecked);
                     }
                     Err(_) => self.fault(),
                 }
@@ -479,7 +529,7 @@ impl Node {
             WriteSeg::First => {
                 let state = match self.mkeys.resolve(mkey, offset, len) {
                     Ok(Resolved::Addr(addr)) => {
-                        self.mem.write(addr, &pkt.payload);
+                        self.mem.write(addr, payload);
                         self.stats.writes_landed += 1;
                         UcRecvState::Active {
                             cursor: Some(addr + len),
@@ -512,7 +562,7 @@ impl Node {
                     } if pkt.psn == epsn => {
                         let new_cursor = match cursor {
                             Some(addr) => {
-                                self.mem.write(addr, &pkt.payload);
+                                self.mem.write(addr, payload);
                                 self.stats.writes_landed += 1;
                                 Some(addr + len)
                             }
@@ -527,11 +577,12 @@ impl Node {
                             self.complete_write(
                                 eng,
                                 pkt.dst.qp,
+                                pkt.src,
                                 imm,
                                 crc,
                                 total,
-                                pkt.src,
                                 cursor.is_none(),
+                                unchecked,
                             );
                         } else {
                             self.qps[qp_idx].recv_state = UcRecvState::Active {
@@ -553,15 +604,17 @@ impl Node {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn complete_write(
         &mut self,
         eng: &mut Engine,
         qp: QpNum,
+        src: QpAddr,
         imm: Option<u32>,
         crc: Option<u32>,
         byte_len: u32,
-        src: QpAddr,
         null_write: bool,
+        check: PayloadCheck,
     ) {
         // Writes without immediate complete silently (no receive CQE),
         // exactly like Verbs.
@@ -579,6 +632,7 @@ impl Node {
                     src: Some(src),
                     wr_id: 0,
                     null_write,
+                    check,
                 },
             );
         }
@@ -598,15 +652,16 @@ impl Node {
         payload: &[u8],
         imm: Option<u32>,
     ) {
-        match self.mkeys.resolve(mkey, offset, payload.len() as u64) {
+        let len = payload.len() as u32;
+        match self.mkeys.resolve(mkey, offset, len as u64) {
             Ok(Resolved::Addr(addr)) => {
                 self.mem.write(addr, payload);
                 self.stats.writes_landed += 1;
-                self.complete_write(eng, qp, imm, None, payload.len() as u32, src, false);
+                self.complete_write(eng, qp, src, imm, None, len, false, PayloadCheck::Unchecked);
             }
             Ok(Resolved::Null) => {
                 self.stats.null_writes += 1;
-                self.complete_write(eng, qp, imm, None, payload.len() as u32, src, true);
+                self.complete_write(eng, qp, src, imm, None, len, true, PayloadCheck::Unchecked);
             }
             Err(_) => self.fault(),
         }
@@ -657,15 +712,24 @@ mod tests {
                 imm,
                 crc: None,
             },
-            payload: Bytes::copy_from_slice(data),
+            payload: Bytes::copy_from_slice(data).into(),
         }
+    }
+
+    /// Hands the node a packet that owns its bytes.
+    fn deliver(n: &mut Node, eng: &mut Engine, pkt: Packet) {
+        let Payload::Owned(bytes) = &pkt.payload else {
+            panic!("test packets own their payload");
+        };
+        n.handle_packet(eng, &pkt, bytes);
     }
 
     #[test]
     fn only_write_lands_and_completes_with_imm() {
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 0, WriteSeg::Only, mr.mkey, 16, b"hello", Some(42)),
         );
@@ -675,13 +739,42 @@ mod tests {
         assert_eq!(cqe.imm, Some(42));
         assert_eq!(cqe.byte_len, 5);
         assert!(!cqe.null_write);
+        assert_eq!(cqe.check, PayloadCheck::Unchecked, "no checksum carried");
+    }
+
+    #[test]
+    fn carried_checksum_is_verified_before_dma_and_the_verdict_rides_the_cqe() {
+        let (mut n, qp, cq, mr) = mk_node();
+        let mut eng = Engine::new();
+        let good = sdr_erasure::crc32c(b"hello");
+        let with_crc = |data: &[u8], imm| {
+            let mut p = write_pkt(qp, 0, WriteSeg::Only, mr.mkey, 0, data, Some(imm));
+            let PacketKind::Write { crc, .. } = &mut p.kind else {
+                unreachable!()
+            };
+            *crc = Some(good);
+            p
+        };
+        deliver(&mut n, &mut eng, with_crc(b"hello", 1));
+        // A corrupt duplicate: the DMA is skipped, the clean bytes stay.
+        deliver(&mut n, &mut eng, with_crc(b"hellp", 2));
+        assert_eq!(n.mem().read(mr.addr, 5), b"hello");
+        let first = n.poll_cq(cq).unwrap();
+        assert_eq!(first.check, PayloadCheck::Landed(good));
+        let second = n.poll_cq(cq).unwrap();
+        assert_eq!(
+            (second.check, second.crc),
+            (PayloadCheck::Skipped, Some(good))
+        );
+        assert_eq!((n.stats().writes_landed, n.stats().crc_skipped), (1, 1));
     }
 
     #[test]
     fn write_without_imm_is_silent() {
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 0, WriteSeg::Only, mr.mkey, 0, b"x", None),
         );
@@ -693,15 +786,18 @@ mod tests {
     fn multi_packet_message_in_order_completes_once() {
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 0, WriteSeg::First, mr.mkey, 0, b"aa", None),
         );
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 1, WriteSeg::Middle, mr.mkey, 0, b"bb", None),
         );
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 2, WriteSeg::Last, mr.mkey, 0, b"cc", Some(7)),
         );
@@ -717,12 +813,14 @@ mod tests {
         // Packet 1 of 3 lost: the message never completes (paper §2.3).
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 0, WriteSeg::First, mr.mkey, 0, b"aa", None),
         );
         // psn 1 dropped in transit; psn 2 arrives.
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 2, WriteSeg::Last, mr.mkey, 0, b"cc", Some(7)),
         );
@@ -732,11 +830,13 @@ mod tests {
         );
         assert_eq!(n.stats().poisoned_msgs, 1);
         // The next fresh message resyncs.
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 3, WriteSeg::First, mr.mkey, 8, b"dd", None),
         );
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 4, WriteSeg::Last, mr.mkey, 8, b"ee", Some(9)),
         );
@@ -749,7 +849,8 @@ mod tests {
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
         for &psn in &[3u32, 1, 2, 0] {
-            n.handle_packet(
+            deliver(
+                &mut n,
                 &mut eng,
                 write_pkt(
                     qp,
@@ -775,7 +876,8 @@ mod tests {
         let (mut n, qp, cq, _mr) = mk_node();
         let null = n.alloc_null_mkey();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(qp, 0, WriteSeg::Only, null, 1 << 40, b"junk", Some(5)),
         );
@@ -788,7 +890,8 @@ mod tests {
     fn out_of_bounds_write_faults() {
         let (mut n, qp, cq, mr) = mk_node();
         let mut eng = Engine::new();
-        n.handle_packet(
+        deliver(
+            &mut n,
             &mut eng,
             write_pkt(
                 qp,
@@ -830,16 +933,16 @@ mod tests {
             },
             psn: 0,
             kind: PacketKind::Send { imm: Some(3) },
-            payload: Bytes::from_static(b"ack!"),
+            payload: Bytes::from_static(b"ack!").into(),
         };
-        n.handle_packet(&mut eng, pkt.clone());
+        deliver(&mut n, &mut eng, pkt.clone());
         let cqe = n.poll_cq(cq).unwrap();
         assert_eq!(cqe.op, CqeOp::RecvSend);
         assert_eq!(cqe.wr_id, 77);
         assert_eq!(cqe.src.unwrap().qp, QpNum(4));
         assert_eq!(n.mem().read(mr.addr, 4), b"ack!");
         // Second send with no WQE posted → RNR drop.
-        n.handle_packet(&mut eng, pkt);
+        deliver(&mut n, &mut eng, pkt);
         assert!(n.poll_cq(cq).is_none());
         assert_eq!(n.stats().rnr_drops, 1);
     }
@@ -852,7 +955,8 @@ mod tests {
         let f2 = fired.clone();
         n.set_cq_waker(cq, Waker::new(move |_| f2.set(f2.get() + 1)));
         for psn in 0..5 {
-            n.handle_packet(
+            deliver(
+                &mut n,
                 &mut eng,
                 write_pkt(qp, psn, WriteSeg::Only, mr.mkey, 0, b"z", Some(psn)),
             );

@@ -47,7 +47,7 @@ pub enum WriteSeg {
 }
 
 /// What a packet asks the receiving NIC to do.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PacketKind {
     /// One-sided RDMA Write (optionally with immediate data).
     Write {
@@ -81,6 +81,66 @@ pub enum PacketKind {
     },
 }
 
+/// The payload of a packet in flight. Two kinds because two kinds of
+/// poster exist: callers that hold heap bytes (control datagrams, the RC
+/// baseline, [`WriteWr::data`](crate::WriteWr)) hand them over, and
+/// callers that send out of registered memory (`SdrQp`) only *name* it —
+/// like a Verbs work request's `(addr, len, lkey)`, which the NIC
+/// DMA-reads at transmit and never copies into the request.
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// Bytes owned by the packet (cheaply cloneable slice).
+    Owned(Bytes),
+    /// `len` bytes at `addr` in `node`'s registered memory, read when the
+    /// packet is delivered (or when the wire corrupts it). The region must
+    /// stay unmodified until then; a poster that attaches a payload
+    /// checksum gets a modification *detected* at the receiving NIC.
+    Region {
+        /// Node whose memory holds the bytes (the sender).
+        node: NodeId,
+        /// Address of the first byte in that node's memory.
+        addr: u64,
+        /// Length in bytes.
+        len: u32,
+    },
+}
+
+impl Payload {
+    /// Payload length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Owned(b) => b.len(),
+            Payload::Region { len, .. } => *len as usize,
+        }
+    }
+
+    /// True when the payload carries no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sub-range `[lo, hi)` of this payload, sharing its storage.
+    pub fn slice(&self, lo: usize, hi: usize) -> Payload {
+        match self {
+            Payload::Owned(b) => Payload::Owned(b.slice(lo..hi)),
+            Payload::Region { node, addr, len } => {
+                assert!(lo <= hi && hi <= *len as usize, "slice out of bounds");
+                Payload::Region {
+                    node: *node,
+                    addr: addr + lo as u64,
+                    len: (hi - lo) as u32,
+                }
+            }
+        }
+    }
+}
+
+impl From<Bytes> for Payload {
+    fn from(b: Bytes) -> Self {
+        Payload::Owned(b)
+    }
+}
+
 /// A packet in flight.
 #[derive(Clone, Debug)]
 pub struct Packet {
@@ -92,8 +152,8 @@ pub struct Packet {
     pub psn: u32,
     /// Operation requested.
     pub kind: PacketKind,
-    /// Payload bytes (cheaply cloneable slice).
-    pub payload: Bytes,
+    /// Payload: owned bytes, or a named region of the sender's memory.
+    pub payload: Payload,
 }
 
 impl Packet {
@@ -121,11 +181,27 @@ mod tests {
             },
             psn: 9,
             kind: PacketKind::Send { imm: Some(4) },
-            payload,
+            payload: payload.into(),
         };
         let q = p.clone();
         // Bytes clones share the same backing allocation.
-        assert_eq!(p.payload.as_ptr(), q.payload.as_ptr());
+        let (Payload::Owned(a), Payload::Owned(b)) = (&p.payload, &q.payload) else {
+            panic!("owned payloads stay owned");
+        };
+        assert_eq!(a.as_ptr(), b.as_ptr());
         assert_eq!(q.payload_len(), 1 << 20);
+    }
+
+    #[test]
+    fn region_payload_slices_by_address() {
+        let r = Payload::Region {
+            node: NodeId(3),
+            addr: 1000,
+            len: 100,
+        };
+        let Payload::Region { node, addr, len } = r.slice(10, 40) else {
+            panic!("a region slices to a region");
+        };
+        assert_eq!((node, addr, len), (NodeId(3), 1010, 30));
     }
 }

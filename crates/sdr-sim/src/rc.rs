@@ -18,7 +18,7 @@ use crate::engine::Engine;
 use crate::equeue::TimerHandle;
 use crate::fabric::Fabric;
 use crate::nic::Waker;
-use crate::packet::{MkeyId, Packet, PacketKind, QpAddr, WriteSeg};
+use crate::packet::{MkeyId, Packet, PacketKind, Payload, QpAddr, WriteSeg};
 use crate::time::SimTime;
 
 /// Cap on the exponential RTO backoff: the effective timeout saturates at
@@ -244,9 +244,9 @@ impl RcEndpoint {
                     imm: if last { msg.imm } else { None },
                 },
                 payload: if lo < msg.data.len() {
-                    msg.data.slice(lo..hi)
+                    msg.data.slice(lo..hi).into()
                 } else {
-                    Bytes::new()
+                    Bytes::new().into()
                 },
             };
             self.stats.data_sent += 1;
@@ -300,7 +300,13 @@ impl RcEndpoint {
                 offset,
                 imm,
                 ..
-            } => self.on_data(eng, pkt.psn, seg, mkey, offset, imm, pkt.payload),
+            } => {
+                // The NIC hands RC inboxes owned bytes only.
+                let Payload::Owned(payload) = pkt.payload else {
+                    return;
+                };
+                self.on_data(eng, pkt.psn, seg, mkey, offset, imm, payload)
+            }
             PacketKind::Send { .. } => {}
         }
     }
@@ -377,7 +383,7 @@ impl RcEndpoint {
             dst: self.peer,
             psn: 0,
             kind: PacketKind::Ack { psn, nak },
-            payload: Bytes::new(),
+            payload: Bytes::new().into(),
         };
         let _ = self.fabric.send_raw(eng, pkt);
     }
