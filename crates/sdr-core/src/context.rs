@@ -36,6 +36,21 @@ impl SdrContext {
         self.fabric.node_mut(self.node, |n| n.mem_mut().alloc(len))
     }
 
+    /// Returns a block obtained from [`alloc_buffer`](Self::alloc_buffer)
+    /// — exactly its `(addr, len)` — to the node's allocator; the next
+    /// `alloc_buffer` of that length reuses it. A receive buffer must have
+    /// completed first (`recv_complete`: nothing can write it any more); a
+    /// send buffer may go at any time — packets still in flight that name
+    /// it keep the bytes they were posted with (see
+    /// [`Fabric::free_region`]).
+    ///
+    /// # Panics
+    /// Panics on a double free or on a range that is not an allocated
+    /// block.
+    pub fn free_buffer(&self, addr: u64, len: u64) {
+        self.fabric.free_region(self.node, addr, len);
+    }
+
     /// Registers an address range for remote access (`mr_reg`).
     pub fn mr_reg(&self, addr: u64, len: u64) -> MkeyId {
         self.fabric.node_mut(self.node, |n| n.reg_mr(addr, len))

@@ -37,6 +37,12 @@
 //! violation is *detected*: bytes changed in flight fail pass 2 and the
 //! packet is dropped and repaired as a loss. With checksums off nothing
 //! checks, exactly as nothing checked wire corruption.
+//!
+//! *Returning* a send buffer to the node allocator
+//! ([`SdrContext::free_buffer`](crate::SdrContext::free_buffer)) is not a
+//! modification: packets still in flight that name it are handed their own
+//! copy of the bytes first, so a sender may free at its own end of life —
+//! acknowledged or aborted — without waiting for the wire to drain.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -58,7 +58,7 @@ impl CtrlStamp {
     }
 
     /// Parses a stamp prefix; `None` when truncated.
-    pub fn decode_from(buf: &mut Bytes) -> Option<CtrlStamp> {
+    pub fn decode_from(buf: &mut impl Buf) -> Option<CtrlStamp> {
         if buf.remaining() < CTRL_STAMP_BYTES {
             return None;
         }
@@ -120,7 +120,7 @@ impl SchemeSpec {
         b.put_u16_le(m);
     }
 
-    fn decode_from(buf: &mut Bytes) -> Option<SchemeSpec> {
+    fn decode_from(buf: &mut impl Buf) -> Option<SchemeSpec> {
         if buf.remaining() < 5 {
             return None;
         }
@@ -375,6 +375,13 @@ impl CtrlMsg {
     /// Serializes to a control datagram.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(64);
+        self.encode_into(&mut b);
+        b.freeze()
+    }
+
+    /// Appends the wire form to `b` — what [`encode`](Self::encode) wraps,
+    /// for senders that build stamp, body and trailer in one buffer.
+    pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             CtrlMsg::SrAck {
                 cumulative,
@@ -417,13 +424,13 @@ impl CtrlMsg {
                 );
                 b.put_u8(TAG_SEG);
                 b.put_u32_le(*epoch);
-                b.extend_from_slice(&inner.encode());
+                inner.encode_into(b);
             }
             CtrlMsg::SwitchPropose { seq, epoch, spec } => {
                 b.put_u8(TAG_SWITCH_PROPOSE);
                 b.put_u32_le(*seq);
                 b.put_u32_le(*epoch);
-                spec.encode_into(&mut b);
+                spec.encode_into(b);
             }
             CtrlMsg::SwitchAck { seq, epoch } => {
                 b.put_u8(TAG_SWITCH_ACK);
@@ -447,12 +454,12 @@ impl CtrlMsg {
             CtrlMsg::ResumeState { manifest, base } => {
                 b.put_u8(TAG_RESUME_STATE);
                 b.put_u64_le(*base);
-                manifest.encode_into(&mut b);
+                manifest.encode_into(b);
             }
             CtrlMsg::FlowOpen { bytes, spec } => {
                 b.put_u8(TAG_FLOW_OPEN);
                 b.put_u64_le(*bytes);
-                spec.encode_into(&mut b);
+                spec.encode_into(b);
             }
             CtrlMsg::FlowAck {
                 data_seq,
@@ -474,12 +481,11 @@ impl CtrlMsg {
                 b.put_u32_le(*crc);
             }
         }
-        b.freeze()
     }
 
     /// Parses a control datagram; `None` on malformed input (corrupt or
     /// truncated datagrams are simply dropped, like any unreliable packet).
-    pub fn decode(mut buf: Bytes) -> Option<CtrlMsg> {
+    pub fn decode(mut buf: impl Buf) -> Option<CtrlMsg> {
         if buf.remaining() < 1 {
             return None;
         }
@@ -716,6 +722,35 @@ mod tests {
             nacks: vec![18, 21],
         };
         assert_eq!(CtrlMsg::decode(msg.encode()), Some(msg));
+    }
+
+    #[test]
+    fn encode_into_appends_and_slices_decode() {
+        // What the endpoint does: body appended behind a stamp in one
+        // buffer, parsed straight from a byte slice on the other side.
+        let msgs = [
+            CtrlMsg::Seg {
+                epoch: 3,
+                inner: Box::new(CtrlMsg::SrAck {
+                    cumulative: 17,
+                    window_start: 17,
+                    sack_bits: vec![0b1011, u64::MAX],
+                    sack_len: 100,
+                    nacks: vec![18, 21],
+                }),
+            },
+            CtrlMsg::EcNack { failed: vec![0, 5] },
+            CtrlMsg::FlowFin,
+        ];
+        for msg in msgs {
+            let mut b = BytesMut::new();
+            b.put_u32_le(0xFEED_F00D);
+            msg.encode_into(&mut b);
+            assert_eq!(&b[4..], &msg.encode()[..]);
+            let mut wire: &[u8] = &b;
+            assert_eq!(wire.get_u32_le(), 0xFEED_F00D);
+            assert_eq!(CtrlMsg::decode(wire), Some(msg));
+        }
     }
 
     #[test]

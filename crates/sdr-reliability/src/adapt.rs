@@ -429,7 +429,7 @@ struct PendingSwitch {
 }
 
 /// Keeps a live segment's protocol object alive; its callbacks drive
-/// everything, so the handle itself is never read.
+/// everything.
 enum SegSender {
     Sr(SrSender),
     Ec(EcSender),
@@ -1246,6 +1246,21 @@ impl AdaptiveSender {
     /// the transfer had already finished (delivered or aborted).
     pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
         AdaptiveController::tx_abort(&self.inner, eng, reason, true)
+    }
+
+    /// `(segment, staged parity)` of every erasure-coded segment in flight
+    /// (see [`EcSender::staged_parity`]). Test observability: concurrently
+    /// live segments stage into node memory side by side, and each must
+    /// hold exactly its own segment's parity.
+    pub fn staged_parity(&self) -> Vec<(u32, Vec<u8>)> {
+        let i = self.inner.borrow();
+        i.live
+            .iter()
+            .filter_map(|seg| match &seg.sender {
+                SegSender::Ec(s) => Some((seg.epoch, s.staged_parity())),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Reads the sender-side channel estimator.

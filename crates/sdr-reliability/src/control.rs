@@ -120,6 +120,30 @@ impl PeerFilter {
     }
 }
 
+/// What the endpoint has learned of one peer endpoint from the datagrams
+/// it accepted.
+#[derive(Clone, Copy, Debug)]
+struct PeerState {
+    /// The peer's incarnation — what outgoing stamps echo back.
+    inc: u32,
+    /// Highest sequence accepted from it within `inc`, on any stream (a
+    /// peer numbers all its datagrams with one counter).
+    high: u32,
+    /// `high` as of the last [`ControlEndpoint::retire_stream`]: a
+    /// datagram at or below it cannot open a stream (see there).
+    retired: Option<u32>,
+}
+
+impl PeerState {
+    fn first(stamp: CtrlStamp) -> PeerState {
+        PeerState {
+            inc: stamp.inc,
+            high: stamp.seq,
+            retired: None,
+        }
+    }
+}
+
 /// Wire-filter drop counters (diagnostics; also what the chaos suites
 /// assert on).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -168,6 +192,125 @@ pub trait CtrlPath {
     fn install_handler(&self, f: CtrlHandler);
 }
 
+/// The receive half of an endpoint: what a frame is checked against before
+/// a handler sees it. Shared with the completion waker.
+struct RxFilter {
+    /// This endpoint's incarnation (incoming stamps must echo it).
+    inc: Cell<u32>,
+    /// Per-peer state learned from accepted datagrams.
+    peers: RefCell<HashMap<QpAddr, PeerState>>,
+    /// Replay state per live `(peer, transfer)` stream.
+    filters: RefCell<HashMap<(QpAddr, u64), PeerFilter>>,
+    drops: Cell<CtrlFilterStats>,
+    /// Registry mirrors of `drops`, summed across every endpoint of the
+    /// fabric.
+    trace: CtrlFilterTrace,
+}
+
+struct CtrlFilterTrace {
+    stale: Counter,
+    duplicates: Counter,
+    malformed: Counter,
+    corrupt: Counter,
+}
+
+/// Why a frame was dropped (the fields of [`CtrlFilterStats`]).
+#[derive(Clone, Copy)]
+enum Dropped {
+    Stale,
+    Duplicate,
+    Malformed,
+    Corrupt,
+}
+
+impl RxFilter {
+    /// Counts one dropped frame.
+    fn dropped(&self, class: Dropped) -> Option<(CtrlStamp, CtrlMsg)> {
+        let mut d = self.drops.get();
+        let (count, mirror) = match class {
+            Dropped::Stale => (&mut d.stale, &self.trace.stale),
+            Dropped::Duplicate => (&mut d.duplicates, &self.trace.duplicates),
+            Dropped::Malformed => (&mut d.malformed, &self.trace.malformed),
+            Dropped::Corrupt => (&mut d.corrupt, &self.trace.corrupt),
+        };
+        *count += 1;
+        mirror.inc();
+        self.drops.set(d);
+        None
+    }
+
+    /// Runs one received frame — read in place, straight out of the
+    /// receive buffer — through the CRC gate, the stamp filter, the
+    /// decoder and the incarnation echo, in that order. `Some` is a
+    /// message the handler must see.
+    fn admit(&self, src: QpAddr, frame: &[u8]) -> Option<(CtrlStamp, CtrlMsg)> {
+        // CRC32C trailer first: control rides the same corrupting wire as
+        // data, and a frame that fails its checksum carries no trustworthy
+        // bits at all — not even the stamp — so it dies before the replay
+        // filter and never reaches a handler.
+        let Some((mut body, crc)) = frame.split_last_chunk::<CTRL_CRC_BYTES>() else {
+            return self.dropped(Dropped::Corrupt);
+        };
+        if sdr_erasure::crc32c(body) != u32::from_le_bytes(*crc) {
+            return self.dropped(Dropped::Corrupt);
+        }
+        // Stamp filter next: stale-incarnation traffic and duplicates die
+        // before the decoder even runs.
+        let Some(stamp) = CtrlStamp::decode_from(&mut body) else {
+            return self.dropped(Dropped::Malformed);
+        };
+        let verdict = {
+            use std::collections::hash_map::Entry;
+            match self.filters.borrow_mut().entry((src, stamp.xfer)) {
+                // No state for the stream: it is new, or it was retired.
+                // Whatever a retired stream still has on the wire sits at
+                // or below the peer's retirement watermark.
+                Entry::Vacant(_)
+                    if self.peers.borrow().get(&src).is_some_and(|p| {
+                        p.inc == stamp.inc && p.retired.is_some_and(|w| stamp.seq <= w)
+                    }) =>
+                {
+                    Admit::Stale
+                }
+                // First datagram of the stream primes the filter and is
+                // delivered.
+                Entry::Vacant(v) => {
+                    v.insert(PeerFilter::first(stamp));
+                    Admit::Accept
+                }
+                Entry::Occupied(mut o) => o.get_mut().admit(stamp),
+            }
+        };
+        match verdict {
+            Admit::Accept => {}
+            Admit::Stale => return self.dropped(Dropped::Stale),
+            Admit::Duplicate => return self.dropped(Dropped::Duplicate),
+        }
+        let Some(msg) = CtrlMsg::decode(body) else {
+            return self.dropped(Dropped::Malformed);
+        };
+        // Incarnation echo: a datagram addressed to this endpoint's
+        // previous life was sent before the peer observed the crash — only
+        // the read-only resume probe may cross that boundary (it is how
+        // the peer learns the live incarnation).
+        if stamp.dst_inc != self.inc.get() && msg != CtrlMsg::ResumeQuery {
+            return self.dropped(Dropped::Stale);
+        }
+        self.peers
+            .borrow_mut()
+            .entry(src)
+            .and_modify(|p| {
+                if p.inc == stamp.inc {
+                    p.high = p.high.max(stamp.seq);
+                } else {
+                    *p = PeerState::first(stamp);
+                }
+            })
+            .or_insert(PeerState::first(stamp));
+        Some((stamp, msg))
+    }
+}
+
 /// A UD endpoint carrying stamped [`CtrlMsg`] datagrams for a reliability
 /// protocol.
 pub struct ControlEndpoint {
@@ -181,16 +324,14 @@ pub struct ControlEndpoint {
     sent: Rc<RefCell<u64>>,
     /// First receive-buffer address (for re-posting after a restart).
     buf_base: u64,
+    /// Where [`send`](Self::send) assembles stamp + body + trailer; the
+    /// wire gets one exact-size copy.
+    scratch: RefCell<BytesMut>,
     /// Stamp state for outgoing datagrams.
     xfer: Cell<u64>,
-    inc: Rc<Cell<u32>>,
     next_seq: Cell<u32>,
-    /// Peer incarnations as learned from accepted datagrams — what the
-    /// outgoing stamps echo back.
-    peer_inc: Rc<RefCell<HashMap<QpAddr, u32>>>,
-    /// Replay state per `(peer, transfer)` stream.
-    filters: Rc<RefCell<HashMap<(QpAddr, u64), PeerFilter>>>,
-    drops: Rc<Cell<CtrlFilterStats>>,
+    /// Incarnation, learned peer state, replay filters, drop counters.
+    rx: Rc<RxFilter>,
     /// This node's flight recorder (shared with every layer on the node);
     /// exposed so the adaptive machinery above can record its decisions.
     recorder: FlightRecorder,
@@ -203,11 +344,19 @@ impl ControlEndpoint {
     pub fn new(fabric: &Fabric, node: NodeId) -> Self {
         let handler: Rc<RefCell<Option<CtrlHandler>>> = Rc::new(RefCell::new(None));
         let flow_handler: Rc<RefCell<Option<FlowCtrlHandler>>> = Rc::new(RefCell::new(None));
-        let filters: Rc<RefCell<HashMap<(QpAddr, u64), PeerFilter>>> =
-            Rc::new(RefCell::new(HashMap::new()));
-        let drops: Rc<Cell<CtrlFilterStats>> = Rc::new(Cell::new(CtrlFilterStats::default()));
-        let inc: Rc<Cell<u32>> = Rc::new(Cell::new(0));
-        let peer_inc: Rc<RefCell<HashMap<QpAddr, u32>>> = Rc::new(RefCell::new(HashMap::new()));
+        let metrics = fabric.metrics();
+        let rx = Rc::new(RxFilter {
+            inc: Cell::new(0),
+            peers: RefCell::default(),
+            filters: RefCell::default(),
+            drops: Cell::default(),
+            trace: CtrlFilterTrace {
+                stale: metrics.counter("ctrl.stale"),
+                duplicates: metrics.counter("ctrl.duplicates"),
+                malformed: metrics.counter("ctrl.malformed"),
+                corrupt: metrics.counter("ctrl.corrupt"),
+            },
+        });
         let (qp, cq, buf_base) = fabric.node_mut(node, |n| {
             let cq = n.create_cq();
             let qp = n.create_qp(QpType::Ud, cq, cq);
@@ -228,19 +377,7 @@ impl ControlEndpoint {
         let fab = fabric.clone();
         let h = handler.clone();
         let fh = flow_handler.clone();
-        let flt = filters.clone();
-        let drp = drops.clone();
-        let own_inc = inc.clone();
-        let peers = peer_inc.clone();
-        // Registry mirrors of the filter drop counters, summed across
-        // every endpoint of the fabric (satellite: these were collected
-        // but never surfaced).
-        let trace: [Counter; 4] = [
-            fabric.metrics().counter("ctrl.stale"),
-            fabric.metrics().counter("ctrl.duplicates"),
-            fabric.metrics().counter("ctrl.malformed"),
-            fabric.metrics().counter("ctrl.corrupt"),
-        ];
+        let filter = rx.clone();
         fabric.node_mut(node, |n| {
             n.set_cq_waker(
                 cq,
@@ -250,10 +387,12 @@ impl ControlEndpoint {
                             continue;
                         }
                         let addr = cqe.wr_id;
-                        let payload = fab.node_mut(node, |n| {
-                            let data =
-                                Bytes::copy_from_slice(n.mem().read(addr, cqe.byte_len as usize));
-                            // Recycle the buffer immediately.
+                        let src = cqe.src.expect("UD receive has a source");
+                        // Parse the frame where it landed, then recycle
+                        // the buffer; the handler runs on the decoded
+                        // message with the fabric released.
+                        let admitted = fab.node_mut(node, |n| {
+                            let got = filter.admit(src, n.mem().read(addr, cqe.byte_len as usize));
                             n.post_recv(
                                 qp,
                                 RecvWqe {
@@ -262,84 +401,11 @@ impl ControlEndpoint {
                                     len: CTRL_BUF_BYTES,
                                 },
                             );
-                            data
+                            got
                         });
-                        let src = cqe.src.expect("UD receive has a source");
-                        let mut d = drp.get();
-                        // CRC32C trailer first: control rides the same
-                        // corrupting wire as data, and a frame that fails
-                        // its checksum carries no trustworthy bits at all
-                        // — not even the stamp — so it dies before the
-                        // replay filter and never reaches a handler.
-                        let n = payload.len();
-                        if n < CTRL_CRC_BYTES
-                            || sdr_erasure::crc32c(&payload[..n - CTRL_CRC_BYTES])
-                                != u32::from_le_bytes(
-                                    payload[n - CTRL_CRC_BYTES..]
-                                        .try_into()
-                                        .expect("length checked"),
-                                )
-                        {
-                            d.corrupt += 1;
-                            trace[3].inc();
-                            drp.set(d);
-                            continue;
-                        }
-                        let mut payload = payload.slice(0..n - CTRL_CRC_BYTES);
-                        // Stamp filter next: stale-incarnation traffic and
-                        // duplicates die before the decoder even runs.
-                        let Some(stamp) = CtrlStamp::decode_from(&mut payload) else {
-                            d.malformed += 1;
-                            trace[2].inc();
-                            drp.set(d);
+                        let Some((stamp, msg)) = admitted else {
                             continue;
                         };
-                        let verdict = {
-                            use std::collections::hash_map::Entry;
-                            let mut filters = flt.borrow_mut();
-                            match filters.entry((src, stamp.xfer)) {
-                                // First datagram of the stream primes the
-                                // filter and is delivered.
-                                Entry::Vacant(v) => {
-                                    v.insert(PeerFilter::first(stamp));
-                                    Admit::Accept
-                                }
-                                Entry::Occupied(mut o) => o.get_mut().admit(stamp),
-                            }
-                        };
-                        match verdict {
-                            Admit::Accept => {}
-                            Admit::Stale => {
-                                d.stale += 1;
-                                trace[0].inc();
-                                drp.set(d);
-                                continue;
-                            }
-                            Admit::Duplicate => {
-                                d.duplicates += 1;
-                                trace[1].inc();
-                                drp.set(d);
-                                continue;
-                            }
-                        }
-                        let Some(msg) = CtrlMsg::decode(payload) else {
-                            d.malformed += 1;
-                            trace[2].inc();
-                            drp.set(d);
-                            continue;
-                        };
-                        // Incarnation echo: a datagram addressed to this
-                        // endpoint's previous life was sent before the
-                        // peer observed the crash — only the read-only
-                        // resume probe may cross that boundary (it is how
-                        // the peer learns the live incarnation).
-                        if stamp.dst_inc != own_inc.get() && msg != CtrlMsg::ResumeQuery {
-                            d.stale += 1;
-                            trace[0].inc();
-                            drp.set(d);
-                            continue;
-                        }
-                        peers.borrow_mut().insert(src, stamp.inc);
                         // Take the handler out while calling so the handler
                         // itself may send control messages re-entrantly.
                         // Flow-stamped datagrams go to the flow handler
@@ -376,12 +442,10 @@ impl ControlEndpoint {
             flow_handler,
             sent: Rc::new(RefCell::new(0)),
             buf_base,
+            scratch: RefCell::new(BytesMut::with_capacity(128)),
             xfer: Cell::new(0),
-            inc,
             next_seq: Cell::new(0),
-            peer_inc,
-            filters,
-            drops,
+            rx,
             recorder: fabric.recorder(node),
         }
     }
@@ -438,18 +502,20 @@ impl ControlEndpoint {
         self.next_seq.set(seq.wrapping_add(1));
         let stamp = CtrlStamp {
             xfer: self.xfer.get(),
-            inc: self.inc.get(),
-            dst_inc: self.peer_inc.borrow().get(&dst).copied().unwrap_or(0),
+            inc: self.rx.inc.get(),
+            dst_inc: self.rx.peers.borrow().get(&dst).map_or(0, |p| p.inc),
             seq,
         };
-        let mut b = BytesMut::with_capacity(84);
-        stamp.encode_into(&mut b);
-        b.extend_from_slice(&msg.encode());
-        seal_ctrl_frame(&mut b);
+        let frame = {
+            let b = &mut *self.scratch.borrow_mut();
+            b.clear();
+            stamp.encode_into(b);
+            msg.encode_into(b);
+            seal_ctrl_frame(b);
+            Bytes::copy_from_slice(b)
+        };
         // Drop errors deliberately: an unroutable ACK behaves like a lost one.
-        let _ = self
-            .fabric
-            .post_ud_send(eng, self.addr(), dst, b.freeze(), None);
+        let _ = self.fabric.post_ud_send(eng, self.addr(), dst, frame, None);
     }
 
     /// Control datagrams sent so far.
@@ -472,7 +538,7 @@ impl ControlEndpoint {
 
     /// This endpoint's current incarnation.
     pub fn incarnation(&self) -> u32 {
-        self.inc.get()
+        self.rx.inc.get()
     }
 
     /// Crash/restart transition: bumps the outgoing incarnation (the
@@ -483,10 +549,35 @@ impl ControlEndpoint {
     /// learned peer incarnations — they were volatile state and did not
     /// survive the crash. Pair with [`reattach`](Self::reattach).
     pub fn bump_incarnation(&self) {
-        self.inc.set(self.inc.get().wrapping_add(1));
+        self.rx.inc.set(self.rx.inc.get().wrapping_add(1));
         self.next_seq.set(0);
-        self.filters.borrow_mut().clear();
-        self.peer_inc.borrow_mut().clear();
+        self.rx.filters.borrow_mut().clear();
+        self.rx.peers.borrow_mut().clear();
+    }
+
+    /// Forgets the replay state of the `(peer, xfer)` stream — its owner
+    /// (a finished flow) will neither send nor expect anything on it
+    /// again — so the table holds live streams only. What the stream may
+    /// still have on the wire must not open it afresh: a retried
+    /// `FlowOpen` carries a sequence no per-stream window ever saw and
+    /// would re-admit the finished flow as a receive flow nobody feeds.
+    /// Everything the peer sent for the stream before its owner finished
+    /// is numbered at or below the highest sequence accepted from that
+    /// peer so far, so that becomes the peer's watermark: at or below it
+    /// a datagram is delivered only on a stream that is already open. A
+    /// new stream's opener caught below the watermark (reordered behind
+    /// the datagram that raised it) is dropped like a lost one and its
+    /// retry, numbered afresh, passes.
+    pub fn retire_stream(&self, peer: QpAddr, xfer: u64) {
+        self.rx.filters.borrow_mut().remove(&(peer, xfer));
+        if let Some(p) = self.rx.peers.borrow_mut().get_mut(&peer) {
+            p.retired = Some(p.high);
+        }
+    }
+
+    /// Streams the replay table currently holds state for.
+    pub fn live_streams(&self) -> usize {
+        self.rx.filters.borrow().len()
     }
 
     /// Re-posts the endpoint's receive ring after a NIC restart cleared
@@ -511,7 +602,7 @@ impl ControlEndpoint {
 
     /// Wire-filter drop counters (stale, duplicate, malformed).
     pub fn filter_stats(&self) -> CtrlFilterStats {
-        self.drops.get()
+        self.rx.drops.get()
     }
 }
 
@@ -815,6 +906,70 @@ mod tests {
         eng.run();
         assert_eq!(got.borrow().len(), 2, "stale-incarnation datagram dropped");
         assert_eq!(ep_b.filter_stats().stale, 1);
+    }
+
+    #[test]
+    fn retired_streams_leave_the_table_and_cannot_be_reopened_from_the_past() {
+        let mut eng = Engine::new();
+        let fabric = Fabric::new();
+        let a = fabric.add_node(1 << 20);
+        let b = fabric.add_node(1 << 20);
+        fabric.link_duplex(a, b, LinkConfig::intra_dc(8e9));
+        let ep_a = ControlEndpoint::new(&fabric, a);
+        let ep_b = ControlEndpoint::new(&fabric, b);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        ep_b.set_handler(move |_eng, _src, msg| g.borrow_mut().push(msg));
+        // Hand-stamped datagrams, as if they had been on the wire a while.
+        let late = |eng: &mut Engine, xfer: u64, seq: u32, cumulative: u32| {
+            let mut wire = BytesMut::new();
+            CtrlStamp {
+                xfer,
+                inc: 0,
+                dst_inc: 0,
+                seq,
+            }
+            .encode_into(&mut wire);
+            CtrlMsg::GbnAck { cumulative }.encode_into(&mut wire);
+            seal_ctrl_frame(&mut wire);
+            let _ = fabric.post_ud_send(eng, ep_a.addr(), ep_b.addr(), wire.freeze(), None);
+            eng.run();
+        };
+
+        // Streams 5 and 6 interleave on A's one sequence counter: 0, 1, 3
+        // on stream 5; 2 and 4 on stream 6 (4 is held back).
+        for (xfer, cumulative) in [(5, 0), (5, 1), (6, 2), (5, 3)] {
+            ep_a.set_transfer(xfer);
+            ep_a.send(&mut eng, ep_b.addr(), &CtrlMsg::GbnAck { cumulative });
+        }
+        eng.run();
+        assert_eq!((got.borrow().len(), ep_b.live_streams()), (4, 2));
+
+        ep_b.retire_stream(ep_a.addr(), 5);
+        assert_eq!(ep_b.live_streams(), 1);
+        // A copy of stream 5's past cannot reopen it — whether the old
+        // window had seen that sequence (1) or not (2 rode stream 6)...
+        late(&mut eng, 5, 1, 91);
+        late(&mut eng, 5, 2, 92);
+        assert_eq!(ep_b.filter_stats().stale, 2);
+        assert_eq!((got.borrow().len(), ep_b.live_streams()), (4, 1));
+        // ...the live stream is judged by its own window alone...
+        late(&mut eng, 6, 2, 93);
+        assert_eq!(ep_b.filter_stats().duplicates, 1);
+        // ...and anything numbered after the retirement opens a stream.
+        late(&mut eng, 5, 4, 4);
+        late(&mut eng, 7, 5, 5);
+        assert_eq!((got.borrow().len(), ep_b.live_streams()), (6, 3));
+        assert_eq!(ep_b.filter_stats().stale, 2);
+
+        // A restarted peer numbers from zero again and is not held to the
+        // old life's watermark.
+        ep_b.retire_stream(ep_a.addr(), 7);
+        ep_a.bump_incarnation();
+        ep_a.set_transfer(8);
+        ep_a.send(&mut eng, ep_b.addr(), &CtrlMsg::GbnAck { cumulative: 6 });
+        eng.run();
+        assert_eq!(got.borrow().len(), 7, "new life, sequence 0, new stream");
     }
 
     mod mutation {

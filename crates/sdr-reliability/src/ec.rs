@@ -268,7 +268,7 @@ pub struct EcReport {
 /// the sends. Plain state over the shared [`EncodePool`] — whoever owns
 /// the sends ([`EcSender`]'s CTS pump, the flow manager's stream starts)
 /// calls [`staged`](Self::staged) right before injecting a parity
-/// submessage.
+/// submessage, and [`release`](Self::release) at the sender's end of life.
 pub(crate) struct ParityStager {
     ctx: SdrContext,
     local_addr: u64,
@@ -277,7 +277,9 @@ pub(crate) struct ParityStager {
     geoms: Vec<SubGeom>,
     /// One code instance per submessage, shared across identical shapes.
     codes: Vec<Arc<dyn ErasureCode>>,
-    parity_addr: u64,
+    /// Base of the staging region in node memory; `None` once
+    /// [`release`](Self::release) has returned it.
+    parity_addr: Option<u64>,
     parity_offsets: Vec<u64>,
     parity_total_bytes: u64,
     /// Parity submessages already copied into the staging region.
@@ -325,7 +327,7 @@ impl ParityStager {
             is_staged: vec![false; geoms.len()],
             geoms,
             codes,
-            parity_addr: ctx.alloc_buffer(off),
+            parity_addr: Some(ctx.alloc_buffer(off)),
             parity_offsets,
             parity_total_bytes: off,
             next_submit: 0,
@@ -387,9 +389,10 @@ impl ParityStager {
     }
 
     /// Harvests the in-flight encode: wait for the pool, copy parity into
-    /// the staging region, recycle the buffers, and immediately submit the
-    /// next submessage so its encode overlaps the injection of this one.
-    fn harvest_one(&mut self) {
+    /// the staging region at `base`, recycle the buffers, and immediately
+    /// submit the next submessage so its encode overlaps the injection of
+    /// this one.
+    fn harvest_one(&mut self, base: u64) {
         let (idx, pending) = self.pending.take().expect("an encode is in flight");
         let EncodeJob {
             code: _,
@@ -399,7 +402,7 @@ impl ParityStager {
         let off = self.parity_offsets[idx];
         for (p, shard) in parity.iter().enumerate() {
             self.ctx
-                .write_buffer(self.parity_addr + off + p as u64 * self.chunk_bytes, shard);
+                .write_buffer(base + off + p as u64 * self.chunk_bytes, shard);
         }
         self.is_staged[idx] = true;
         self.chunks.append(&mut data);
@@ -414,13 +417,26 @@ impl ParityStager {
     /// strictly in order, so this harvests at most `p − staged + 1`
     /// encodes.
     pub(crate) fn staged(&mut self, p: usize) -> (u64, u64) {
+        let base = self.parity_addr.expect("parity staging already released");
         while !self.is_staged[p] {
-            self.harvest_one();
+            self.harvest_one(base);
         }
         (
-            self.parity_addr + self.parity_offsets[p],
+            base + self.parity_offsets[p],
             self.geoms[p].m_eff as u64 * self.chunk_bytes,
         )
+    }
+
+    /// Returns the staging region to node memory (the next stager of the
+    /// same geometry reuses it) and drops the encode still in flight.
+    /// The sender's end of life, not `Drop`: handler closures keep the
+    /// owning state alive long after the transfer is over. Packets still
+    /// on the wire keep the parity they were posted with
+    /// ([`SdrContext::free_buffer`]).
+    pub(crate) fn release(&mut self) {
+        let base = self.parity_addr.take().expect("released once");
+        self.pending = None;
+        self.ctx.free_buffer(base, self.parity_total_bytes);
     }
 }
 
@@ -428,7 +444,7 @@ struct EcSenderInner {
     qp: SdrQp,
     stager: ParityStager,
     data_hdls: Vec<Option<SendHandle>>,
-    parity_sent: Vec<bool>,
+    parity_hdls: Vec<Option<SendHandle>>,
     next_send_seq: u64,
     started_wall: Instant,
     ttfb_wall: Option<Duration>,
@@ -478,7 +494,7 @@ impl EcSender {
             qp: qp.clone(),
             stager,
             data_hdls: vec![None; l],
-            parity_sent: vec![false; l],
+            parity_hdls: vec![None; l],
             next_send_seq: qp.next_send_seq(),
             started_wall,
             ttfb_wall: None,
@@ -512,13 +528,16 @@ impl EcSender {
     /// pipeline first so every submessage's parity is staged. Test
     /// observability: the pipeline must stage exactly what a serial
     /// encode of the same data yields.
+    ///
+    /// # Panics
+    /// Panics once the transfer has finished — the region went back to
+    /// node memory and may already belong to another transfer.
     pub fn staged_parity(&self) -> Vec<u8> {
         let st = &mut self.inner.borrow_mut().stager;
-        if let Some(last) = st.submessages().checked_sub(1) {
-            st.staged(last);
-        }
-        st.ctx
-            .read_buffer(st.parity_addr, st.parity_total_bytes as usize)
+        // The last submessage's parity ends where the region does.
+        let (addr, len) = st.staged(st.submessages() - 1);
+        let total = st.parity_total_bytes;
+        st.ctx.read_buffer(addr + len - total, total as usize)
     }
 
     fn pump_sends(inner: &Rc<RefCell<EcSenderInner>>, eng: &mut Engine) {
@@ -527,9 +546,8 @@ impl EcSender {
             return;
         }
         let l = i.stager.submessages();
-        let base_seq = i.next_send_seq
-            + (i.data_hdls.iter().filter(|h| h.is_some()).count()
-                + i.parity_sent.iter().filter(|&&s| s).count()) as u64;
+        let base_seq =
+            i.next_send_seq + i.data_hdls.iter().chain(&i.parity_hdls).flatten().count() as u64;
         let mut seq = base_seq;
         loop {
             let idx = (seq - i.next_send_seq) as usize;
@@ -557,8 +575,7 @@ impl EcSender {
                 // p+1 encodes on the pool).
                 let p = idx - l;
                 let (addr, len) = i.stager.staged(p);
-                i.qp.send_post(eng, addr, len, None).expect("CTS checked");
-                i.parity_sent[p] = true;
+                i.parity_hdls[p] = Some(i.qp.send_post(eng, addr, len, None).expect("CTS checked"));
             }
             seq += 1;
         }
@@ -585,7 +602,9 @@ impl EcSender {
 
     /// The exactly-once end of the transfer, shared by the positive ACK
     /// and abort: every open data stream is ended (no further CTS credit
-    /// will pump a send) and the done callback fires with `outcome`.
+    /// will pump a send), every send handle is released, the parity
+    /// staging goes back to node memory, and the done callback fires with
+    /// `outcome`.
     fn finish(
         inner: &Rc<RefCell<EcSenderInner>>,
         eng: &mut Engine,
@@ -596,9 +615,17 @@ impl EcSender {
             let Some(cb) = i.completion.finish() else {
                 return false;
             };
-            for hdl in i.data_hdls.iter().flatten() {
-                let _ = i.qp.send_stream_end(hdl);
+            let i = &mut *i;
+            for hdl in i
+                .data_hdls
+                .drain(..)
+                .chain(i.parity_hdls.drain(..))
+                .flatten()
+            {
+                let _ = i.qp.send_stream_end(&hdl);
+                i.qp.send_release(hdl);
             }
+            i.stager.release();
             let report = EcReport {
                 duration: i.completion.elapsed(eng.now()),
                 fallback_rounds: i.fallback_rounds,
@@ -694,6 +721,16 @@ impl RxScheme for EcRxScheme {
 
     fn done_payload(&self) -> EcRecvStats {
         self.stats
+    }
+
+    /// The parity scratch buffers go back to node memory, last first, so
+    /// the next receiver of the same geometry is handed them in posting
+    /// order.
+    fn released(&mut self) {
+        for (addr, g) in self.parity_addrs.drain(..).zip(&self.geoms).rev() {
+            self.ctx
+                .free_buffer(addr, g.m_eff as u64 * self.chunk_bytes);
+        }
     }
 }
 

@@ -16,10 +16,12 @@
 //!   the per-QP order-based CTS matching stays shallow.
 //! * **One control plane** — every flow's control traffic rides a single
 //!   [`ControlEndpoint`], demultiplexed by the
-//!   [`FLOW_XFER_BIT`](crate::control::FLOW_XFER_BIT)-tagged stamp `xfer`
+//!   [`FLOW_XFER_BIT`]-tagged stamp `xfer`
 //!   (the flow id). The stamp's replay filter is already
 //!   keyed per `(peer, xfer)`, so each flow gets its own dedup window for
-//!   free.
+//!   free — and gives it back: when the last flow of an id with a peer is
+//!   gone the manager [retires](ControlEndpoint::retire_stream) the
+//!   stream, so the table tracks live flows, not history.
 //! * **One shared tick** — a single recurring wheel timer serves *all*
 //!   flows through a [`DueIndex`] (a min-heap of per-flow deadlines with
 //!   lazy invalidation). A node with 10 000 parked flows wakes exactly
@@ -91,7 +93,7 @@ use sdr_sim::{
 };
 
 use crate::ack::{CtrlMsg, SchemeSpec};
-use crate::control::ControlEndpoint;
+use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
 use crate::ec::{EcCodeChoice, EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
 use crate::runtime::{tick_loop, CtrlSink, RxCommon, RxScheme, RxStep, Tick};
 use crate::sr::{SrRxScheme, SrTxCore};
@@ -551,6 +553,12 @@ impl RxScheme for FlowScheme {
 
     fn done_payload(&self) -> bool {
         matches!(self, FlowScheme::Ec(s) if s.stats().decoded_submessages > 0)
+    }
+
+    fn released(&mut self) {
+        if let FlowScheme::Ec(s) = self {
+            s.released();
+        }
     }
 }
 
@@ -1023,6 +1031,10 @@ impl FlowManager {
                 // Anything else is not flow traffic; drop it.
                 _ => {}
             }
+            // The datagram may have ended its flow, or have arrived for
+            // one that is long gone (a linger repeat crossing our
+            // `FlowFin`): either way the endpoint keeps no stream for it.
+            inner.retire_idle(core, src, flow);
         }
         Self::drain_finished(core, eng);
         Self::pump_kick_all(core, eng);
@@ -1558,8 +1570,26 @@ impl Inner {
         }
     }
 
+    /// Retires the control endpoint's replay stream for flow `id` with
+    /// the peer at `peer_ctrl`, unless a flow of that id is still live
+    /// with that peer in either direction (ids are per manager, so our
+    /// flow `id` to a peer and the peer's flow `id` to us share a stream).
+    fn retire_idle(&self, core: &ManagerCore, peer_ctrl: QpAddr, id: u64) {
+        let key = (peer_ctrl.node, id);
+        let live = self
+            .tx_flows
+            .get(&id)
+            .is_some_and(|f| f.peer_ctrl == peer_ctrl)
+            || self.rx_flows.contains_key(&key)
+            || self.parked.contains(&key);
+        if !live {
+            core.ep.retire_stream(peer_ctrl, FLOW_XFER_BIT | id);
+        }
+    }
+
     fn finish_tx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, delivered: bool) {
         let mut flow = self.tx_flows.remove(&id).expect("live flow");
+        self.retire_idle(core, flow.peer_ctrl, id);
         if let Some(port) = self.ports.get_mut(&flow.peer) {
             port.arbiter.deregister(id);
             let qp = &port.shards[flow.shard].qp;
@@ -1570,6 +1600,9 @@ impl Inner {
                 let _ = qp.send_stream_end(&hdl);
                 qp.send_release(hdl);
             }
+        }
+        if let Some(stager) = &mut flow.parity {
+            stager.release();
         }
         if delivered {
             // Cut the receiver's ACK linger short (best-effort, once).
@@ -1797,6 +1830,7 @@ impl Inner {
         match flow.rx.linger(eng) {
             Tick::Stop => {
                 self.rx_flows.remove(&key);
+                self.retire_idle(core, dst, id);
             }
             _ => self.schedule(FlowKey::Rx(peer, id), next),
         }

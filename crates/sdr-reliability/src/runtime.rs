@@ -202,8 +202,7 @@ impl DeliveryManifest {
 
     /// Parses a wire manifest; `None` on malformed input (bad geometry,
     /// truncation, or stray bits past the last segment).
-    pub(crate) fn decode_from(buf: &mut bytes::Bytes) -> Option<Self> {
-        use bytes::Buf;
+    pub(crate) fn decode_from(buf: &mut impl bytes::Buf) -> Option<Self> {
         if buf.remaining() < 16 {
             return None;
         }
@@ -1097,6 +1096,12 @@ pub trait RxScheme: 'static {
 
     /// The payload handed to the done callback at the completion instant.
     fn done_payload(&self) -> Self::Done;
+
+    /// Called exactly once, right after the step released its slots:
+    /// every posted buffer's key is gone and its root-table slot points at
+    /// the NULL key, so no packet can reach the bytes any more. A scheme
+    /// that allocated node memory behind its slots gives it back here.
+    fn released(&mut self) {}
 }
 
 /// One receiver's progress, stepped at the owner's cadence: poll until the
@@ -1163,6 +1168,7 @@ impl<S: RxScheme> RxStep<S> {
             let _ = self.common.qp.recv_complete(eng, h);
         }
         self.released = true;
+        self.scheme.released();
         true
     }
 

@@ -12,7 +12,8 @@ use std::rc::Rc;
 
 use sdr_core::testkit::{pattern, sdr_pair, SdrPair};
 use sdr_core::{SdrConfig, SdrContext};
-use sdr_reliability::{ControlEndpoint, FlowCfg, FlowManager};
+use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
+use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager};
 use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
 
 /// Node memory given to each side of the pair.
@@ -114,6 +115,8 @@ pub struct FlowWorld {
     pub fabric: Fabric,
     pub ctx_a: SdrContext,
     pub ctx_b: SdrContext,
+    pub ctrl_a: Rc<ControlEndpoint>,
+    pub ctrl_b: Rc<ControlEndpoint>,
     pub mgr_a: FlowManager,
     pub mgr_b: FlowManager,
     pub node_b: NodeId,
@@ -130,16 +133,38 @@ pub fn flow_world(link: LinkConfig, cfg: FlowCfg) -> FlowWorld {
     let ctx_b = SdrContext::new(&fabric, node_b);
     let ctrl_a = Rc::new(ControlEndpoint::new(&fabric, node_a));
     let ctrl_b = Rc::new(ControlEndpoint::new(&fabric, node_b));
-    let mgr_a = FlowManager::new(&fabric, node_a, ctrl_a, cfg.clone());
-    let mgr_b = FlowManager::new(&fabric, node_b, ctrl_b, cfg);
+    let mgr_a = FlowManager::new(&fabric, node_a, ctrl_a.clone(), cfg.clone());
+    let mgr_b = FlowManager::new(&fabric, node_b, ctrl_b.clone(), cfg);
     FlowManager::connect(&mgr_a, &mgr_b);
     FlowWorld {
         eng,
         fabric,
         ctx_a,
         ctx_b,
+        ctrl_a,
+        ctrl_b,
         mgr_a,
         mgr_b,
         node_b,
     }
+}
+
+/// The EC reference: every submessage of `data` (`k` chunks of `chunk`
+/// bytes, shorter tail; XOR parity clamped to the tail size) encoded
+/// serially, parity concatenated in submessage order — the layout of the
+/// sender's staging region.
+pub fn serial_parity(data: &[u8], chunk: usize, code: EcCodeChoice, k: usize, m: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for sub in data.chunks(k * chunk) {
+        let shards: Vec<&[u8]> = sub.chunks(chunk).collect();
+        let code: Box<dyn ErasureCode> = match code {
+            EcCodeChoice::Mds => Box::new(ReedSolomon::new(shards.len(), m)),
+            EcCodeChoice::Xor => Box::new(XorCode::new(shards.len(), m.min(shards.len()))),
+        };
+        let mut parity = vec![vec![0u8; chunk]; code.parity_shards()];
+        let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        code.encode_into(&shards, &mut views);
+        out.extend(parity.into_iter().flatten());
+    }
+    out
 }

@@ -358,3 +358,109 @@ fn ec_flow_stale_chunk_is_demoted_and_decoded_around() {
     );
     assert_eq!(w.mgr_b.live_flows(), (0, 0), "receiver fully drained");
 }
+
+/// The control endpoint keeps replay state per live stream only: 20 000
+/// flows through one pair of endpoints leave nothing behind (one table
+/// entry per flow, forever, at the parent of this test).
+#[test]
+fn replay_filter_table_tracks_live_flows_not_history() {
+    const ROUNDS: usize = 5_000;
+    const PER_ROUND: usize = 4;
+    const LEN: u64 = 4096;
+    let link = LinkConfig::intra_dc(100e9);
+    let mut w = world(link, base_cfg(100e9, SimTime::from_micros(4)));
+    let src = w.ctx_a.alloc_buffer(LEN);
+    let dst = w.ctx_b.alloc_buffer(LEN);
+    w.mgr_b.set_rx_allocator(move |_len| dst);
+    let delivered = Rc::new(RefCell::new(0usize));
+    let mut most = 0;
+    for _ in 0..ROUNDS {
+        for _ in 0..PER_ROUND {
+            let d = delivered.clone();
+            w.mgr_a
+                .open_flow(&mut w.eng, w.node_b, src, LEN, move |_e, rep| {
+                    *d.borrow_mut() += usize::from(rep.delivered);
+                });
+        }
+        most = most
+            .max(w.ctrl_a.live_streams())
+            .max(w.ctrl_b.live_streams());
+        w.eng.run();
+        assert_eq!(w.ctrl_a.live_streams(), 0, "sender side, drained");
+        assert_eq!(w.ctrl_b.live_streams(), 0, "receiver side, drained");
+    }
+    assert_eq!(*delivered.borrow(), ROUNDS * PER_ROUND);
+    assert!(most <= PER_ROUND, "streams {most} > live flows {PER_ROUND}");
+    assert_eq!(w.ctrl_b.filter_stats(), Default::default());
+}
+
+/// A `FlowOpen` that surfaces after its flow has come and gone — the
+/// first attempt, overtaken by its own retry — is numbered below
+/// everything the replay window of the (retired) stream ever saw, so only
+/// the peer's retirement watermark stands between it and a ghost receive
+/// flow that posts buffers and polls for data nobody will send.
+#[test]
+fn flow_open_replayed_after_fin_is_dropped() {
+    use bytes::BytesMut;
+    use sdr_reliability::ack::{CtrlMsg, CtrlStamp};
+    use sdr_reliability::control::FLOW_XFER_BIT;
+
+    const LEN: u64 = 64 * 1024;
+    let link = LinkConfig::intra_dc(100e9);
+    let mut w = world(link, base_cfg(100e9, SimTime::from_micros(4)));
+    let cap = wire_capture(&w);
+    let node_a = w.mgr_a.node();
+    // The first open (datagram 0 of A's endpoint) dies on a dark wire;
+    // the retry (datagram 1) gets through once it heals.
+    w.fabric.set_link_down(node_a, w.node_b, true);
+    let fab = w.fabric.clone();
+    let node_b = w.node_b;
+    w.eng.schedule_in(SimTime::from_micros(3), move |_e| {
+        fab.set_link_down(node_a, node_b, false);
+    });
+    let src = w.ctx_a.alloc_buffer(LEN);
+    let c = cap.clone();
+    let id = w
+        .mgr_a
+        .open_flow(&mut w.eng, w.node_b, src, LEN, move |_e, rep| {
+            c.reports.borrow_mut().insert(rep.id, rep);
+        });
+    w.eng.run();
+    let rep = cap.reports.borrow()[&id].clone();
+    assert!(rep.delivered && rep.open_retries >= 1, "{rep:?}");
+    assert_eq!(w.mgr_b.live_flows(), (0, 0), "FlowFin retired the flow");
+    assert_eq!(w.ctrl_b.live_streams(), 0);
+
+    // Datagram 0 turns up after all.
+    let mut frame = BytesMut::new();
+    CtrlStamp {
+        xfer: FLOW_XFER_BIT | id,
+        inc: 0,
+        dst_inc: 0,
+        seq: 0,
+    }
+    .encode_into(&mut frame);
+    CtrlMsg::FlowOpen {
+        bytes: LEN,
+        spec: rep.spec,
+    }
+    .encode_into(&mut frame);
+    let crc = sdr_erasure::crc32c(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    w.fabric
+        .post_ud_send(
+            &mut w.eng,
+            w.ctrl_a.addr(),
+            w.ctrl_b.addr(),
+            frame.freeze(),
+            None,
+        )
+        .unwrap();
+    w.eng.set_event_limit(w.eng.executed_events() + 100_000);
+    w.eng.run();
+    assert_eq!(w.eng.pending_events(), 0, "a ghost flow polls forever");
+    assert_eq!(w.mgr_b.live_flows(), (0, 0));
+    assert_eq!(w.mgr_b.stats().rx_done, 1, "admitted once");
+    assert_eq!(w.ctrl_b.filter_stats().stale, 1, "dropped at the endpoint");
+    assert_eq!(w.ctrl_b.live_streams(), 0);
+}

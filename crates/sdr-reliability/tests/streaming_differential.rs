@@ -1,7 +1,7 @@
 //! Differential test for the streaming EC sender: under every loss
 //! pattern it must deliver byte-identical data and stage exactly the
-//! parity a serial [`ErasureCode::encode_into`] of the same submessages
-//! yields (computed here) — the pipeline changes *when* parity is
+//! parity a serial `ErasureCode::encode_into` of the same submessages
+//! yields (`common::serial_parity`) — the pipeline changes *when* parity is
 //! encoded, never *what*.
 
 mod common;
@@ -9,9 +9,8 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{capture, took, ProtoHarness};
+use common::{capture, serial_parity, took, ProtoHarness};
 use sdr_core::SdrConfig;
-use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
 use sdr_reliability::{EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender};
 use sdr_sim::LinkConfig;
 
@@ -36,25 +35,6 @@ struct Outcome {
     sender_done: bool,
 }
 
-/// The reference: every submessage (`k` chunks, shorter tail; XOR parity
-/// clamped to the tail size) encoded serially, parity concatenated in
-/// submessage order — the layout of the sender's staging region.
-fn serial_parity(data: &[u8], code: EcCodeChoice, k: usize, m: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    for sub in data.chunks(k * CHUNK) {
-        let shards: Vec<&[u8]> = sub.chunks(CHUNK).collect();
-        let code: Box<dyn ErasureCode> = match code {
-            EcCodeChoice::Mds => Box::new(ReedSolomon::new(shards.len(), m)),
-            EcCodeChoice::Xor => Box::new(XorCode::new(shards.len(), m.min(shards.len()))),
-        };
-        let mut parity = vec![vec![0u8; CHUNK]; code.parity_shards()];
-        let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        code.encode_into(&shards, &mut views);
-        out.extend(parity.into_iter().flatten());
-    }
-    out
-}
-
 fn run_one(
     code: EcCodeChoice,
     k: usize,
@@ -73,7 +53,7 @@ fn run_one(
 
     let done = Rc::new(RefCell::new(false));
     let d = done.clone();
-    let tx = EcSender::start(
+    let tx = Rc::new(EcSender::start(
         &mut h.p.eng,
         &h.p.qp_a,
         &h.p.ctx_a,
@@ -83,8 +63,11 @@ fn run_one(
         msg,
         proto,
         move |_e, _rep| *d.borrow_mut() = true,
-    );
-    let stats = Rc::new(RefCell::new(EcRecvStats::default()));
+    ));
+    // The staging region goes back to node memory when the sender
+    // finishes, so the parity is read at the receiver's completion instant
+    // — the positive ACK has not reached the sender yet.
+    let stats = Rc::new(RefCell::new((EcRecvStats::default(), Vec::new())));
     let s2 = stats.clone();
     EcReceiver::start(
         &mut h.p.eng,
@@ -95,16 +78,16 @@ fn run_one(
         h.dst,
         msg,
         proto,
-        move |_e, _t, st| *s2.borrow_mut() = st,
+        move |_e, _t, st| *s2.borrow_mut() = (st, tx.staged_parity()),
     );
     h.run(80_000_000);
 
-    let final_stats = *stats.borrow();
+    let (final_stats, parity) = stats.take();
     let sender_done = *done.borrow();
     Outcome {
         delivered_ok: h.delivered_ok(),
         data: h.data,
-        parity: tx.staged_parity(),
+        parity,
         stats: final_stats,
         sender_done,
     }
@@ -129,7 +112,7 @@ fn streamed_sender_matches_serial_reference() {
         assert!(streamed.sender_done, "{tag}: streamed sender finished");
         assert!(streamed.delivered_ok, "{tag}: streamed delivery intact");
         assert!(
-            streamed.parity == serial_parity(&streamed.data, code, k, m),
+            streamed.parity == serial_parity(&streamed.data, CHUNK, code, k, m),
             "{tag}: staged parity differs from the serial encode"
         );
         let resolved = streamed.stats.complete_submessages + streamed.stats.decoded_submessages;
@@ -214,7 +197,7 @@ fn streamed_ttfb_does_not_pay_full_staging() {
     h.run(30_000_000);
     let streamed = took(&rep, "EC sender");
     let t0 = std::time::Instant::now();
-    std::hint::black_box(serial_parity(&h.data, EcCodeChoice::Mds, 4, 2));
+    std::hint::black_box(serial_parity(&h.data, CHUNK, EcCodeChoice::Mds, 4, 2));
     let full_encode = t0.elapsed();
     assert!(
         streamed.ttfb_wall <= full_encode + std::time::Duration::from_millis(5),

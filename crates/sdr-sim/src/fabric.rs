@@ -306,6 +306,28 @@ impl Fabric {
         f(&mut self.inner.borrow_mut().nodes[id.0 as usize])
     }
 
+    /// Returns the block `[addr, addr + len)` of `node`'s memory to its
+    /// allocator ([`Memory::free`](crate::Memory::free)) — safe at any
+    /// moment of a transfer's life: packets still in flight that name
+    /// bytes of the block (a [`Payload::Region`] is read at delivery) are
+    /// first given their own copy, so whoever is handed the block next may
+    /// rewrite it at once and the stragglers still deliver the bytes they
+    /// were posted with.
+    ///
+    /// # Panics
+    /// Panics unless `(addr, len)` is exactly a live block of that node.
+    pub fn free_region(&self, node: NodeId, addr: u64, len: u64) {
+        let mut inner = self.inner.borrow_mut();
+        let FabricInner { nodes, links, .. } = &mut *inner;
+        let mem = nodes[node.0 as usize].mem_mut();
+        for ((from, _), link) in links.iter_mut() {
+            if *from == node {
+                link.detach_region(mem, addr, len);
+            }
+        }
+        mem.free(addr, len);
+    }
+
     /// MTU of the link `src → dst`.
     pub fn mtu(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         self.inner

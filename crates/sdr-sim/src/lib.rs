@@ -34,14 +34,18 @@
 //!   the paper's Figure 2 drop-rate measurements.
 //! * [`Node`] — an endpoint with memory, memory-key translation (direct,
 //!   NULL and indirect/root keys per Figure 5), completion queues with
-//!   wakers, and UC/UD/RC queue pairs with faithful ePSN semantics.
+//!   wakers, and UC/UD/RC queue pairs with faithful ePSN semantics. Its
+//!   [`Memory`] is an allocator with lifetimes: blocks are freed and
+//!   recycled by exact length (see [`memory`] for when a block may go).
 //! * [`Fabric`] — ties nodes and links together and implements the
 //!   send-side datapath (fragmentation, write-with-immediate, UD sends)
 //!   plus the per-link delivery pumps. A Write's payload is either owned
 //!   bytes ([`WriteWr`]) or a *named* region of the sender's registered
 //!   memory ([`RegionWriteWr`], the Verbs shape): a [`Payload::Region`]
 //!   packet is resolved when it is delivered, so the receiving NIC
-//!   verifies and copies straight from the source buffer.
+//!   verifies and copies straight from the source buffer
+//!   ([`Fabric::free_region`] is how a sender lets go of a region that
+//!   packets may still name).
 //! * [`RcEndpoint`] — a go-back-N reliable connection, the commodity-NIC
 //!   baseline the paper argues is insufficient for planetary-scale RDMA.
 //!   Its RTO is a single re-armable timer: progress pushes the deadline

@@ -527,6 +527,24 @@ impl Link {
         true
     }
 
+    /// Gives every in-flight packet that names bytes of `[addr, addr + len)`
+    /// in `src` — the memory at the sending end of this link — its own
+    /// copy of them, so the block can be recycled and rewritten without
+    /// changing what those packets deliver (see
+    /// [`Fabric::free_region`](crate::Fabric::free_region)).
+    pub(crate) fn detach_region(&mut self, src: &Memory, addr: u64, len: u64) {
+        for (_, pkt) in &mut self.pending {
+            if let Payload::Region {
+                addr: a, len: l, ..
+            } = pkt.payload
+            {
+                if a < addr + len && addr < a + l as u64 {
+                    pkt.payload = Bytes::copy_from_slice(src.read(a, l as usize)).into();
+                }
+            }
+        }
+    }
+
     /// Packets currently in flight toward the receiver.
     pub fn in_flight(&self) -> usize {
         self.pending.len()

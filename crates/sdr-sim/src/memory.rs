@@ -10,13 +10,59 @@
 //! * **The NULL key** (`ibv_alloc_null_mr`) — writes targeting it are
 //!   *discarded but still produce completions*, which is the first stage of
 //!   the paper's late-packet protection.
+//!
+//! # The allocator
+//!
+//! [`Memory`] hands out blocks with [`alloc`](Memory::alloc) and takes them
+//! back with [`free`](Memory::free). One mechanism, no size classes: a
+//! freed block waits on the free list of its *exact* length and the next
+//! `alloc` of that length pops the most recently freed one (LIFO, so a
+//! back-to-back transfer gets the pages its predecessor just warmed);
+//! any other request bumps the cursor. Blocks are never split or
+//! coalesced — the callers that free (EC parity staging, one shape per
+//! transfer geometry) ask for the same lengths over and over, which is
+//! exactly when recycling pays. A block is live from `alloc` to `free`:
+//! two live blocks never overlap, and `free` panics on anything that is
+//! not a live block's exact `(base, len)` — a double or foreign free is a
+//! lifetime bug in the layer above, not a wire event.
+//!
+//! Contents are not cleared on reuse; a fresh block reads as zeroes only
+//! because the backing store starts that way.
+//!
+//! ## When a block may be freed
+//!
+//! * **Receive side.** A posted receive buffer is written by the NIC for
+//!   as long as its root-table slot resolves to it. Free it only after
+//!   `recv_complete` swapped the slot to the NULL key and deregistered the
+//!   buffer's own key — from then on no packet, however late, can reach
+//!   the bytes.
+//! * **Send side.** Data packets *name* their payload
+//!   ([`Payload::Region`](crate::Payload)) and the bytes are read at
+//!   delivery, so a send buffer must hold still until the peer's receive
+//!   completes. A sender that is done with a region earlier than that —
+//!   its transfer was acknowledged or aborted with packets still on the
+//!   wire — frees it through [`Fabric::free_region`](crate::Fabric), which
+//!   first gives every in-flight packet naming the block its own copy of
+//!   the bytes. The block can then be handed out and rewritten at once;
+//!   what the stragglers deliver is what they would have delivered had
+//!   the block never been recycled. Calling [`Memory::free`] directly
+//!   skips that step and is only sound for memory no packet names.
+
+use std::collections::HashMap;
 
 use crate::packet::MkeyId;
 
-/// Byte-addressable memory of one node, with a bump allocator for regions.
+/// Byte-addressable memory of one node and its block allocator (see the
+/// [module docs](self) for the contract).
 pub struct Memory {
     buf: Vec<u8>,
+    /// Bump cursor: every address below it has been handed out at least
+    /// once.
     next: u64,
+    /// Live blocks, base → length.
+    live: HashMap<u64, u64>,
+    /// Freed blocks by exact length, most recently freed last.
+    free: HashMap<u64, Vec<u64>>,
 }
 
 impl Memory {
@@ -25,23 +71,56 @@ impl Memory {
         Memory {
             buf: vec![0; capacity],
             next: 0,
+            live: HashMap::new(),
+            free: HashMap::new(),
         }
     }
 
-    /// Allocates a region of `len` bytes; returns its base address.
+    /// Allocates a block of `len` bytes and returns its base address: the
+    /// most recently freed block of exactly that length when there is
+    /// one, fresh memory otherwise.
     ///
     /// # Panics
     /// Panics when the memory is exhausted — simulation configs size node
     /// memory up front.
     pub fn alloc(&mut self, len: u64) -> u64 {
-        let base = self.next;
-        assert!(
-            base + len <= self.buf.len() as u64,
-            "node memory exhausted: want {len} at {base}, capacity {}",
-            self.buf.len()
-        );
-        self.next += len;
+        let base = match self.free.get_mut(&len).and_then(Vec::pop) {
+            Some(base) => base,
+            None => {
+                let base = self.next;
+                assert!(
+                    base + len <= self.buf.len() as u64,
+                    "node memory exhausted: want {len} at {base}, capacity {}",
+                    self.buf.len()
+                );
+                self.next += len;
+                base
+            }
+        };
+        self.live.insert(base, len);
         base
+    }
+
+    /// Returns the live block `[addr, addr + len)` to the allocator. See
+    /// the [module docs](self) for when that is sound.
+    ///
+    /// # Panics
+    /// Panics unless `(addr, len)` is exactly a live block — a double
+    /// free, a free of memory that was never allocated, or a partial one.
+    pub fn free(&mut self, addr: u64, len: u64) {
+        match self.live.remove(&addr) {
+            Some(l) if l == len => self.free.entry(len).or_default().push(addr),
+            found => panic!(
+                "free of [{addr}, +{len}) which is not a live block (live length there: {found:?})"
+            ),
+        }
+    }
+
+    /// One past the highest address ever handed out: how much of the
+    /// memory the node has touched. Flat across back-to-back transfers
+    /// when everything they allocate is recycled.
+    pub fn high_water(&self) -> u64 {
+        self.next
     }
 
     /// Copies `data` to `addr`.
@@ -370,5 +449,116 @@ mod tests {
     fn memory_exhaustion_panics() {
         let mut m = Memory::new(100);
         m.alloc(101);
+    }
+
+    #[test]
+    fn freed_blocks_are_reused_lifo_by_exact_length() {
+        let mut m = Memory::new(4096);
+        let a = m.alloc(256);
+        let b = m.alloc(256);
+        let c = m.alloc(512);
+        assert_eq!(m.high_water(), 1024);
+        m.free(a, 256);
+        m.free(b, 256);
+        // No size classes, no splitting: other lengths bump the cursor.
+        let d = m.alloc(128);
+        assert_eq!(d, 1024);
+        assert_eq!(m.high_water(), 1152);
+        // Equal length: most recently freed first, cursor untouched.
+        assert_eq!(m.alloc(256), b);
+        assert_eq!(m.alloc(256), a);
+        assert_eq!(m.high_water(), 1152);
+        // The list is empty again: fresh memory.
+        assert_eq!(m.alloc(256), 1152);
+        m.free(c, 512);
+        assert_eq!(m.alloc(512), c);
+        // Exhaustion is about fresh memory only: recycling still works
+        // on a full arena.
+        let mut full = Memory::new(64);
+        let x = full.alloc(64);
+        full.free(x, 64);
+        assert_eq!(full.alloc(64), x);
+    }
+
+    #[test]
+    fn recycled_blocks_keep_their_bytes() {
+        let mut m = Memory::new(256);
+        let a = m.alloc(16);
+        m.write(a, &[7; 16]);
+        m.free(a, 16);
+        assert_eq!(m.alloc(16), a);
+        assert_eq!(m.read(a, 16), &[7; 16], "reuse does not clear");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a live block")]
+    fn double_free_panics() {
+        let mut m = Memory::new(256);
+        let a = m.alloc(64);
+        m.free(a, 64);
+        m.free(a, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a live block")]
+    fn foreign_free_panics() {
+        let mut m = Memory::new(256);
+        let a = m.alloc(64);
+        m.free(a + 8, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a live block")]
+    fn partial_free_panics() {
+        let mut m = Memory::new(256);
+        let a = m.alloc(64);
+        m.free(a, 32);
+    }
+
+    mod allocator {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            /// Random alloc/free traffic over a few lengths, checked
+            /// against a model: live blocks never overlap, a freed block
+            /// is what the next equal-length alloc returns (LIFO), and the
+            /// high-water mark moves only when the free list had nothing.
+            #[test]
+            fn live_blocks_never_overlap_and_reuse_is_lifo(
+                ops in collection::vec((any::<bool>(), 0usize..4, any::<u16>()), 1..200),
+            ) {
+                const LENS: [u64; 4] = [16, 48, 64, 4096];
+                let mut m = Memory::new(200 * 4096);
+                let mut live: Vec<(u64, usize)> = Vec::new();
+                let mut freed: [Vec<u64>; 4] = Default::default();
+                for (alloc, which, pick) in ops {
+                    if alloc || live.is_empty() {
+                        let len = LENS[which];
+                        let before = m.high_water();
+                        let base = m.alloc(len);
+                        match freed[which].pop() {
+                            Some(expect) => {
+                                prop_assert_eq!(base, expect, "LIFO reuse");
+                                prop_assert_eq!(m.high_water(), before);
+                            }
+                            None => {
+                                prop_assert_eq!(base, before, "fresh memory");
+                                prop_assert_eq!(m.high_water(), before + len);
+                            }
+                        }
+                        for &(b, w) in &live {
+                            prop_assert!(base + len <= b || b + LENS[w] <= base, "overlap");
+                        }
+                        live.push((base, which));
+                    } else {
+                        let (base, which) = live.swap_remove(pick as usize % live.len());
+                        m.free(base, LENS[which]);
+                        freed[which].push(base);
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,11 +7,15 @@
 //! consumes the link's RNG streams draw for draw (loss, then corruption
 //! skips by payload *length*, wire duplicates included) and that the NIC
 //! reaches the same verdict on bytes it reads straight from the source.
+//!
+//! A third run frees the source block mid-train and lets its next owner
+//! scribble over it: [`Fabric::free_region`] hands the packets still in
+//! flight their own copy first, so that run, too, is the same wire.
 
 use bytes::Bytes;
 use sdr_sim::{
     Cqe, CqeOp, Engine, Fabric, LinkConfig, LinkStats, LossModel, NodeStats, PayloadCheck, QpAddr,
-    QpType, RegionWriteWr, WriteWr,
+    QpType, RegionWriteWr, SimTime, WriteWr,
 };
 
 const MTU: usize = 4096;
@@ -25,7 +29,18 @@ struct Outcome {
     events: u64,
 }
 
-fn run_train(named: bool) -> Outcome {
+#[derive(Clone, Copy, PartialEq)]
+enum Post {
+    /// `WriteWr` slices of heap bytes.
+    Owned,
+    /// `RegionWriteWr` descriptors of the sender's memory.
+    Named,
+    /// Named, and the source block is freed, re-allocated and overwritten
+    /// while half the train is still on the wire.
+    NamedThenRecycled,
+}
+
+fn run_train(post: Post) -> Outcome {
     let mut eng = Engine::new();
     let fab = Fabric::new();
     let a = fab.add_node(2 << 20);
@@ -58,7 +73,7 @@ fn run_train(named: bool) -> Outcome {
         src
     });
     let from = QpAddr { node: a, qp: qa };
-    if named {
+    if post != Post::Owned {
         let wrs = (0..PKTS).map(|i| RegionWriteWr {
             qp: qa,
             local_addr: src + (i * MTU) as u64,
@@ -87,15 +102,29 @@ fn run_train(named: bool) -> Outcome {
             fab.post_uc_write(&mut eng, from, wr).unwrap();
         }
     }
+    if post == Post::NamedThenRecycled {
+        // 10 km is 50 us one way and the train serializes in ~86 us: at
+        // 90 us part of it has landed and the rest is in flight.
+        eng.run_until(SimTime::from_micros(90));
+        let in_flight = fab.tx_in_flight(a, b).unwrap();
+        assert!(in_flight > PKTS / 4 && in_flight < PKTS, "{in_flight}");
+        fab.free_region(a, src, train.len() as u64);
+        fab.node_mut(a, |n| {
+            assert_eq!(n.mem_mut().alloc(train.len() as u64), src, "recycled");
+            n.mem_mut().fill(src, train.len(), 0xEE);
+        });
+    }
     eng.run();
 
     let send_done = fab.node_mut(a, |n| n.poll_cq(send_cq)).expect("signaled");
     assert_eq!(send_done.op, CqeOp::SendComplete);
-    assert_eq!(
-        fab.node(a, |n| n.mem().read(src, train.len()).to_vec()),
-        train,
-        "the wire never writes the source it reads"
-    );
+    if post != Post::NamedThenRecycled {
+        assert_eq!(
+            fab.node(a, |n| n.mem().read(src, train.len()).to_vec()),
+            train,
+            "the wire never writes the source it reads"
+        );
+    }
     Outcome {
         link: fab.link_stats(a, b).unwrap(),
         nic: fab.node(b, |n| n.stats()),
@@ -107,7 +136,7 @@ fn run_train(named: bool) -> Outcome {
 
 #[test]
 fn named_and_owned_payloads_are_the_same_wire() {
-    let (owned, named) = (run_train(false), run_train(true));
+    let (owned, named) = (run_train(Post::Owned), run_train(Post::Named));
     // The scenario must actually exercise every fate.
     let l = owned.link;
     assert!(l.dropped > 0 && l.duplicated > 0 && l.reordered > 0 && l.corrupted > 0);
@@ -119,4 +148,17 @@ fn named_and_owned_payloads_are_the_same_wire() {
     assert_eq!(owned.cqes, named.cqes, "completion sequences diverged");
     assert!(owned.landed == named.landed, "landed bytes diverged");
     assert_eq!(owned.events, named.events, "engine schedules diverged");
+}
+
+#[test]
+fn a_block_freed_under_in_flight_packets_is_still_the_same_wire() {
+    let (named, recycled) = (run_train(Post::Named), run_train(Post::NamedThenRecycled));
+    assert_eq!(named.link, recycled.link, "link RNG streams diverged");
+    assert_eq!(
+        named.nic, recycled.nic,
+        "a straggler read its block's next owner (crc_skipped) or vanished"
+    );
+    assert_eq!(named.cqes, recycled.cqes, "completion sequences diverged");
+    assert!(named.landed == recycled.landed, "landed bytes diverged");
+    assert_eq!(named.events, recycled.events, "engine schedules diverged");
 }
