@@ -10,11 +10,13 @@
 //! Scenario: 40 MiB over an 8 Gbit/s, 1000 km (6.67 ms RTT) link, 2 MiB
 //! segments. The channel starts at `P_drop = 1e-6` and steps to the row's
 //! rate at 8 ms (~20% in). Per row the table reports the adaptive
-//! transfer's delivery time, the static SR-NACK and MDS-EC(32,8) runs on
-//! the same stepped channel, the oracle (their minimum), the
-//! adaptive/oracle ratio, and the committed handovers.
+//! transfer's delivery time, static runs on the same stepped channel —
+//! SR-NACK, MDS-EC(32,8), and whatever scheme the adaptive transfer ended
+//! on (the controller's own answer to "which single scheme?", which at
+//! 1e-2 is a split in neither fixed column) — the oracle (their minimum),
+//! the adaptive/oracle ratio, and the committed handovers.
 //!
-//! All four columns are timed at the same instant — the receiver's
+//! All the columns are timed at the same instant — the receiver's
 //! digest-verified delivery — because all of them run through the same
 //! `AdaptiveController` pipeline (same segmentation, same digest round
 //! trip); the static columns simply never hand over (`min_gain = ∞`).
@@ -180,7 +182,15 @@ fn main() {
     table_header(
         "adaptive vs static oracle (delivery time, ms)",
         &[
-            "P_after", "adaptive", "SR NACK", "EC(32,8)", "oracle", "ratio", "switches", "final",
+            "P_after",
+            "adaptive",
+            "SR NACK",
+            "EC(32,8)",
+            "final static",
+            "oracle",
+            "ratio",
+            "switches",
+            "final",
         ],
     );
     let mut json = String::from("{\n  \"fig\": \"09_adaptive\",\n  \"rows\": [\n");
@@ -188,15 +198,23 @@ fn main() {
     for (n, &p_after) in steps.iter().enumerate() {
         let (adaptive, report, snapshot) = run(p_after, SchemeSpec::SrNack, true);
         last_snapshot = snapshot;
+        const EC_32_8: SchemeSpec = SchemeSpec::EcMds { k: 32, m: 8 };
         let (sr, ..) = run(p_after, SchemeSpec::SrNack, false);
-        let (ec, ..) = run(p_after, SchemeSpec::EcMds { k: 32, m: 8 }, false);
-        let oracle = sr.min(ec);
+        let (ec, ..) = run(p_after, EC_32_8, false);
+        // The scheme the adaptive run ended on, held from the first byte.
+        let fin = match report.final_spec {
+            SchemeSpec::SrNack => sr,
+            EC_32_8 => ec,
+            other => run(p_after, other, false).0,
+        };
+        let oracle = sr.min(ec).min(fin);
         let ratio = adaptive / oracle;
         table_row(&[
             format!("{p_after:.0e}"),
             fmt(adaptive * 1e3),
             fmt(sr * 1e3),
             fmt(ec * 1e3),
+            fmt(fin * 1e3),
             fmt(oracle * 1e3),
             format!("{ratio:.3}"),
             report.switches.to_string(),
@@ -204,11 +222,13 @@ fn main() {
         ]);
         json.push_str(&format!(
             "    {{\"p_after\": {p_after:e}, \"adaptive_ms\": {:.3}, \"sr_nack_ms\": {:.3}, \
-             \"ec_ms\": {:.3}, \"oracle_ms\": {:.3}, \"ratio\": {ratio:.4}, \
-             \"switches\": {}, \"proposals\": {}, \"final\": \"{}\"}}{}\n",
+             \"ec_ms\": {:.3}, \"final_static_ms\": {:.3}, \"oracle_ms\": {:.3}, \
+             \"ratio\": {ratio:.4}, \"switches\": {}, \"proposals\": {}, \
+             \"final\": \"{}\"}}{}\n",
             adaptive * 1e3,
             sr * 1e3,
             ec * 1e3,
+            fin * 1e3,
             oracle * 1e3,
             report.switches,
             report.proposals,
@@ -241,15 +261,16 @@ fn main() {
                 );
             }
         }
-        // One envelope for every row: within 1.3x of the oracle, and
-        // never ahead of it — the oracle columns ride the same pipeline
-        // and stop at the same instant, so a ratio below 1 would mean a
-        // static scheme lost to itself. The widest row is 1e-2 (measured
-        // 1.281x): its residual gap is the two-step handover (32,8) →
-        // (16,8) taken as the estimator converges on the true rate.
+        // One envelope for every row: within 1.3x of the best static
+        // scheme. A run that never handed over *is* the static SR column —
+        // same pipeline, same stopping instant — so it can only tie it. A
+        // run that did may beat every static column, and at 1e-2 does
+        // (0.889): SR while the channel is clean, then (16,8) for the rest
+        // is better than any one scheme held from the first byte, which is
+        // the point of adapting.
         assert!(
-            (0.999..=1.3).contains(&ratio),
-            "adaptive must stay within 1.0–1.3x of the oracle at {p_after:e}: {ratio:.3}"
+            ratio <= 1.3 && (report.switches > 0 || ratio >= 0.999),
+            "adaptive must stay within 1.3x of the oracle at {p_after:e}: {ratio:.3}"
         );
     }
     json.push_str("  ],\n");

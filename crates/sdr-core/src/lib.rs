@@ -183,7 +183,7 @@ mod tests {
             .send_stream_start(&mut p.eng, src, data.len() as u64, None)
             .unwrap();
         p.qp_a
-            .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64)
+            .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64, |_, _| {})
             .unwrap();
         p.eng.run();
 
@@ -203,7 +203,7 @@ mod tests {
                 let off = c as u64 * p.qp_a.config().chunk_bytes;
                 let len = p.qp_a.config().chunk_bytes.min(data.len() as u64 - off);
                 p.qp_a
-                    .send_stream_continue(&mut p.eng, &sh, off, len)
+                    .send_stream_continue(&mut p.eng, &sh, off, len, |_, _| {})
                     .unwrap();
             }
             p.eng.run();
@@ -237,7 +237,7 @@ mod tests {
             .send_stream_start(&mut p.eng, src, data.len() as u64, None)
             .unwrap();
         p.qp_a
-            .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64)
+            .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64, |_, _| {})
             .unwrap();
         p.eng.run();
 
@@ -262,7 +262,7 @@ mod tests {
                 let off = c as u64 * chunk_bytes;
                 let len = chunk_bytes.min(data.len() as u64 - off);
                 p.qp_a
-                    .send_stream_continue(&mut p.eng, &sh, off, len)
+                    .send_stream_continue(&mut p.eng, &sh, off, len, |_, _| {})
                     .unwrap();
             }
             p.eng.run();

@@ -52,7 +52,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use sdr_sim::{
     CqId, Engine, Fabric, MkeyId, NodeId, PayloadCheck, QpAddr, QpNum, QpType, RecvWqe,
-    RegionWriteWr, Waker,
+    RegionWriteWr, Registry, SimTime, Waker,
 };
 
 use crate::bitmap::TwoLevelBitmap;
@@ -322,6 +322,12 @@ impl SdrQp {
     /// The SDR configuration of this QP.
     pub fn config(&self) -> SdrConfig {
         self.inner.borrow().cfg
+    }
+
+    /// The stack-wide metrics registry, owned by the fabric this QP lives
+    /// on — where the reliability layers above bind their counters.
+    pub fn metrics(&self) -> Registry {
+        self.inner.borrow().fabric.metrics().clone()
     }
 
     // ------------------------------------------------------------------
@@ -676,7 +682,7 @@ impl SdrQp {
             }
         };
         if ready {
-            self.inject_range(eng, hdl, 0, u64::MAX)?;
+            self.inject_range(eng, hdl, 0, u64::MAX, |_, _| {})?;
         }
         Ok(())
     }
@@ -690,12 +696,21 @@ impl SdrQp {
     /// CRC), so the range must stay unmodified until the peer's receive
     /// completes; with `payload_checksums` on a change in flight is caught
     /// at the receiving NIC and the packet repaired as a loss.
+    ///
+    /// `departed(chunk, at)` is called once per bitmap chunk the range
+    /// touches, in order: `at` is the instant the last packet this call
+    /// posted for `chunk` will have left the sender's wire — behind
+    /// everything already queued on the device, so usually in the future.
+    /// It is the send-completion time a signaled request would report, and
+    /// the instant a reliability layer's round-trip clock for the chunk
+    /// starts.
     pub fn send_stream_continue(
         &self,
         eng: &mut Engine,
         hdl: &SendHandle,
         offset: u64,
         len: u64,
+        departed: impl FnMut(usize, SimTime),
     ) -> Result<(), SdrError> {
         {
             let i = self.inner.borrow();
@@ -707,7 +722,7 @@ impl SdrQp {
                 return Err(SdrError::TooLarge);
             }
         }
-        self.inject_range(eng, *hdl, offset, len)
+        self.inject_range(eng, *hdl, offset, len, departed)
     }
 
     /// Ends a streaming send (`send_stream_end`): no new chunks will follow.
@@ -736,13 +751,16 @@ impl SdrQp {
 
     /// Injects packets covering `[offset, offset+len)` (len `u64::MAX` =
     /// whole message). One unreliable Write-with-immediate per MTU,
-    /// round-robin across the generation's channels.
+    /// round-robin across the generation's channels. `departed` hears when
+    /// each chunk's last packet leaves the wire (see
+    /// [`send_stream_continue`](Self::send_stream_continue)).
     fn inject_range(
         &self,
         eng: &mut Engine,
         hdl: SendHandle,
         offset: u64,
         len: u64,
+        mut departed: impl FnMut(usize, SimTime),
     ) -> Result<(), SdrError> {
         let mut i = self.inner.borrow_mut();
         let i = &mut *i;
@@ -792,7 +810,14 @@ impl SdrQp {
                 signaled: pkt == last_pkt - 1,
             }
         });
-        i.fabric.post_uc_region_writes(eng, i.node, wrs)?;
+        let ppc = cfg.packets_per_chunk();
+        i.fabric
+            .post_uc_region_writes(eng, i.node, wrs, |nth, at| {
+                let pkt = first_pkt + nth as u64;
+                if (pkt + 1).is_multiple_of(ppc) || pkt + 1 == last_pkt {
+                    departed((pkt / ppc) as usize, at);
+                }
+            })?;
         // Only the last packet of the range was signaled.
         st.outstanding_sig += 1;
         st.injected_any = true;

@@ -97,7 +97,7 @@ fn warm_stream_continue_allocates_per_range_not_per_packet() {
             .unwrap();
         let (calls, bytes) = count_allocs(|| {
             p.qp_a
-                .send_stream_continue(&mut p.eng, &sh, 0, MSG)
+                .send_stream_continue(&mut p.eng, &sh, 0, MSG, |_, _| {})
                 .unwrap();
         });
         p.eng.run();

@@ -1,12 +1,15 @@
 //! Control-path wire formats for the example reliability layers (§4.1).
 //!
-//! The SR ACK compactly encodes the receiver's chunk bitmap in two parts
-//! (§4.1.1): a **cumulative ACK** (highest chunk for which all previous
-//! chunks arrived) and a **selective ACK** window (as much bitmap as fits in
-//! the ACK payload). The NACK variant additionally lists the holes so the
-//! sender can retransmit after one RTT instead of an RTO. The EC layer uses
-//! a positive ACK once all submessages are recoverable and a NACK listing
-//! the failed data submessages (§4.1.2).
+//! The SR ACK compactly encodes the receiver's chunk bitmap (§4.1.1): a
+//! **cumulative ACK** (highest chunk for which all previous chunks
+//! arrived) and a **selective ACK** window (as much bitmap as fits in the
+//! ACK payload). The NACK variant lists the holes below the receiver's
+//! high-water mark so the sender can retransmit after one RTT instead of
+//! an RTO, and — since a list of holes under a high-water mark *is* the
+//! bitmap — describes the whole message in one datagram, with the window
+//! as the fallback past [`MAX_NACKS`] holes ([`build_sr_ack`]). The EC
+//! layer uses a positive ACK once all submessages are recoverable and a
+//! NACK listing the failed data submessages (§4.1.2).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -642,62 +645,67 @@ impl CtrlMsg {
     }
 }
 
-/// Builds the SR ACK for the receiver's current chunk bitmap state:
-/// cumulative prefix, a selective window starting at the cumulative point,
-/// and (if `with_nacks`) the missing chunks below the high-water mark.
+/// Builds the SR ACK for the receiver's current chunk bitmap — a snapshot
+/// of the *whole* bitmap, not of a window behind the cumulative point:
+///
+/// * `cumulative`: every chunk below it arrived;
+/// * `nacks` (when `with_nacks`): the first [`MAX_NACKS`] holes below the
+///   high-water mark (one past the highest chunk that arrived) — chunks the
+///   wire's order says were lost, since something sent after them got here;
+/// * `window_start`: where that description ends — the high-water mark when
+///   every hole fit in `nacks`, else one past the last hole listed. Every
+///   chunk in `[cumulative, window_start)` that is not listed arrived;
+/// * the selective window carries the bitmap on from `window_start`, up to
+///   the high-water mark or [`MAX_SACK_BITS`], whichever is nearer. A
+///   window shorter than [`MAX_SACK_BITS`] therefore reaches the high-water
+///   mark: nothing past its end had arrived when the snapshot was taken.
+///
+/// With a handful of holes the whole message state is a cumulative point
+/// and a short list, however long the message; the window only carries
+/// bits in plain RTO mode (no hole list, so `window_start` is the
+/// cumulative point) and when more than [`MAX_NACKS`] holes are open.
 pub fn build_sr_ack(
     chunks: &sdr_core::AtomicBitmap,
     total_chunks: usize,
     with_nacks: bool,
 ) -> CtrlMsg {
     let cumulative = chunks.cumulative_prefix(total_chunks);
-    let window_start = cumulative;
-    let window_len = (total_chunks - window_start).min(MAX_SACK_BITS);
+    let high_water = chunks
+        .highest_set()
+        .map_or(0, |c| c + 1)
+        .clamp(cumulative, total_chunks);
 
-    // Start from an all-present window and clear the holes via the
-    // bitmap's allocation-free missing-bit scan — one atomic load per
-    // 64-chunk word instead of one per chunk.
-    let mut sack_bits = vec![u64::MAX; window_len.div_ceil(64)];
-    if let Some(last) = sack_bits.last_mut() {
-        let rem = window_len % 64;
-        if rem != 0 {
-            *last &= (1u64 << rem) - 1;
+    // The bitmap's allocation-free missing-bit scan — one atomic load per
+    // 64-chunk word instead of one per chunk — finds every hole below the
+    // high-water mark: the first MAX_NACKS are listed, the rest are cleared
+    // in an otherwise all-present window.
+    let list_cap = if with_nacks { MAX_NACKS } else { 0 };
+    let mut nacks = Vec::new();
+    let mut window_start = high_water;
+    let mut sack_bits = Vec::new();
+    let mut window_len = 0;
+    chunks.for_each_missing_in_first_n(high_water, |idx| {
+        if nacks.len() < list_cap {
+            nacks.push(idx as u32);
+            return;
         }
-    }
-    chunks.for_each_missing_in_first_n(window_start + window_len, |idx| {
-        // `cumulative_prefix` guarantees bits below the window are set
-        // (sets are monotonic while a message is live).
-        if idx >= window_start {
-            let i = idx - window_start;
+        if sack_bits.is_empty() {
+            // The first hole the list cannot take: the window opens behind
+            // the last one it did — without a list, at this hole, which is
+            // the cumulative point.
+            window_start = nacks.last().map_or(idx, |&last| last as usize + 1);
+            window_len = (high_water - window_start).min(MAX_SACK_BITS);
+            sack_bits = vec![u64::MAX; window_len.div_ceil(64)];
+            let rem = window_len % 64;
+            if rem != 0 {
+                *sack_bits.last_mut().expect("window_len > 0") &= (1u64 << rem) - 1;
+            }
+        }
+        let i = idx - window_start;
+        if i < window_len {
             sack_bits[i / 64] &= !(1 << (i % 64));
         }
     });
-
-    let mut nacks = Vec::new();
-    if with_nacks {
-        // High-water mark: highest present chunk in the window.
-        let high_water = sack_bits
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &w)| w != 0)
-            .map(|(wi, &w)| wi * 64 + 63 - w.leading_zeros() as usize);
-        if let Some(hw) = high_water {
-            // Holes strictly below it (pure bit scan of the snapshot).
-            'scan: for (wi, &w) in sack_bits.iter().enumerate() {
-                let mut holes = !w;
-                while holes != 0 {
-                    let b = holes.trailing_zeros() as usize;
-                    holes &= holes - 1;
-                    let i = wi * 64 + b;
-                    if i >= hw || nacks.len() >= MAX_NACKS {
-                        break 'scan;
-                    }
-                    nacks.push((window_start + i) as u32);
-                }
-            }
-        }
-    }
     CtrlMsg::SrAck {
         cumulative: cumulative as u32,
         window_start: window_start as u32,
@@ -974,10 +982,62 @@ mod tests {
     #[test]
     fn build_sr_ack_encodes_bitmap_state() {
         let bm = AtomicBitmap::new(40);
-        for i in 0..40 {
+        for i in 0..36 {
             if i != 5 && i != 20 {
                 bm.set(i);
             }
+        }
+        // Holes fit the list: the description runs to the high-water mark
+        // (36) and there is nothing left for a window to say.
+        assert_eq!(
+            build_sr_ack(&bm, 40, true),
+            CtrlMsg::SrAck {
+                cumulative: 5,
+                window_start: 36,
+                sack_bits: vec![],
+                sack_len: 0,
+                nacks: vec![5, 20],
+            }
+        );
+        // Plain RTO mode lists nothing: the window opens at the cumulative
+        // point and carries the bitmap up to the high-water mark.
+        let CtrlMsg::SrAck {
+            cumulative,
+            window_start,
+            sack_bits,
+            sack_len,
+            nacks,
+        } = build_sr_ack(&bm, 40, false)
+        else {
+            panic!()
+        };
+        assert_eq!((cumulative, window_start, sack_len), (5, 5, 31));
+        assert!(nacks.is_empty());
+        // Bit 0 of the window is chunk 5 (missing); bit 15 is chunk 20.
+        assert_eq!(sack_bits, vec![((1u64 << 31) - 1) & !1 & !(1 << 15)]);
+        // Nothing arrived yet: an empty description, not a list of holes.
+        assert_eq!(
+            build_sr_ack(&AtomicBitmap::new(40), 40, true),
+            CtrlMsg::SrAck {
+                cumulative: 0,
+                window_start: 0,
+                sack_bits: vec![],
+                sack_len: 0,
+                nacks: vec![],
+            }
+        );
+    }
+
+    #[test]
+    fn build_sr_ack_falls_back_to_list_plus_window() {
+        // Every other chunk of 3 000 missing: 1 500 holes. The list takes
+        // the first MAX_NACKS, the window the next MAX_SACK_BITS chunks,
+        // and the sender is told (sack_len at its cap) that the
+        // description stops short of the high-water mark.
+        let total = 3000;
+        let bm = AtomicBitmap::new(total);
+        for i in (1..total).step_by(2) {
+            bm.set(i);
         }
         let CtrlMsg::SrAck {
             cumulative,
@@ -985,18 +1045,17 @@ mod tests {
             sack_bits,
             sack_len,
             nacks,
-        } = build_sr_ack(&bm, 40, true)
+        } = build_sr_ack(&bm, total, true)
         else {
             panic!()
         };
-        assert_eq!(cumulative, 5);
-        assert_eq!(window_start, 5);
-        assert_eq!(sack_len, 35);
-        // Bit 0 of the window is chunk 5 (missing); bit 15 is chunk 20.
-        assert_eq!(sack_bits[0] & 1, 0);
-        assert_eq!(sack_bits[0] >> 15 & 1, 0);
-        assert_eq!(sack_bits[0] >> 1 & 1, 1);
-        assert_eq!(nacks, vec![5, 20]);
+        assert_eq!(cumulative, 0);
+        let listed: Vec<u32> = (0..MAX_NACKS as u32).map(|i| i * 2).collect();
+        assert_eq!(nacks, listed);
+        assert_eq!(window_start as usize, 2 * MAX_NACKS - 1);
+        assert_eq!(sack_len as usize, MAX_SACK_BITS);
+        // The window starts on a received chunk and alternates from there.
+        assert!(sack_bits.iter().all(|w| *w == 0x5555_5555_5555_5555));
     }
 
     #[test]

@@ -258,6 +258,11 @@ pub struct EcReport {
     /// The streaming pipeline pays ~one pool submission here, not the
     /// parity encode.
     pub ttfb_wall: Duration,
+    /// Parity submessages already harvested from the encode pipeline when
+    /// the first data byte was injected — the counted form of the same
+    /// fact: a streaming sender reads 0 here, staging up front would read
+    /// every submessage.
+    pub staged_at_first_byte: usize,
     /// How the transfer ended ([`TransferOutcome::Aborted`] after
     /// [`EcSender::abort`]; `duration` then covers start → abort).
     pub outcome: TransferOutcome,
@@ -448,6 +453,7 @@ struct EcSenderInner {
     next_send_seq: u64,
     started_wall: Instant,
     ttfb_wall: Option<Duration>,
+    staged_at_first_byte: usize,
     fallback_rounds: u64,
     completion: Completion<EcReport>,
 }
@@ -498,6 +504,7 @@ impl EcSender {
             next_send_seq: qp.next_send_seq(),
             started_wall,
             ttfb_wall: None,
+            staged_at_first_byte: 0,
             fallback_rounds: 0,
             completion: Completion::new(done),
         }));
@@ -562,12 +569,13 @@ impl EcSender {
                 let hdl =
                     i.qp.send_stream_start(eng, addr, len, None)
                         .expect("CTS checked");
-                i.qp.send_stream_continue(eng, &hdl, 0, len)
+                i.qp.send_stream_continue(eng, &hdl, 0, len, |_, _| {})
                     .expect("initial injection");
                 i.data_hdls[idx] = Some(hdl);
                 if i.completion.started().is_none() {
                     i.completion.mark_started(eng.now());
                     i.ttfb_wall = Some(i.started_wall.elapsed());
+                    i.staged_at_first_byte = i.stager.is_staged.iter().filter(|s| **s).count();
                 }
             } else {
                 // Parity submessage as a one-shot send; harvest the
@@ -594,7 +602,7 @@ impl EcSender {
             }
             if let Some(hdl) = i.data_hdls[f] {
                 let (_, len) = i.stager.data(f);
-                i.qp.send_stream_continue(eng, &hdl, 0, len)
+                i.qp.send_stream_continue(eng, &hdl, 0, len, |_, _| {})
                     .expect("fallback retransmission");
             }
         }
@@ -630,6 +638,7 @@ impl EcSender {
                 duration: i.completion.elapsed(eng.now()),
                 fallback_rounds: i.fallback_rounds,
                 ttfb_wall: i.ttfb_wall.unwrap_or_default(),
+                staged_at_first_byte: i.staged_at_first_byte,
                 outcome,
             };
             (cb, report)

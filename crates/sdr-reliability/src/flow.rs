@@ -76,7 +76,7 @@
 //! [`EncodePool`] through the standalone sender's `ParityStager`, the
 //! receiver decodes in place through one manager-wide [`EcScratch`], and
 //! an FTO NACK makes the sender selective-repeat the submessage's data
-//! chunks through the SR core's claim guard.
+//! chunks through the SR core's overdue test.
 //!
 //! [`EncodePool`]: sdr_erasure::EncodePool
 //! [`Fabric::tx_busy_until`]: sdr_sim::Fabric::tx_busy_until
@@ -96,7 +96,7 @@ use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
 use crate::ec::{EcCodeChoice, EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
 use crate::runtime::{tick_loop, CtrlSink, RxCommon, RxScheme, RxStep, Tick};
-use crate::sr::{SrRxScheme, SrTxCore};
+use crate::sr::{SrRxScheme, SrTrace, SrTxCore};
 use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 
 /// Work-item tag bit marking a parity-stream chunk (data chunks use the
@@ -392,9 +392,10 @@ struct Cadence {
 
 impl Cadence {
     /// The RTO is floored by the full sent-to-acked pipeline, not just the
-    /// RTT: a chunk stamped sent at *injection* still sits up to a pacing
-    /// horizon in the wire queue, then one way across, then up to an ack
-    /// interval at the receiver, then the ack's way back. On fat
+    /// RTT: a repair stamped when it was *queued* on the urgent lane sits
+    /// up to a pacing horizon before the pump restamps it with its
+    /// departure, then one way across, then up to an ack interval at the
+    /// receiver, then the ack's way back. On fat
     /// short-RTT links the horizon dominates the RTT, and an RTT-only RTO
     /// expires chunks that are merely queued — a retransmit storm that
     /// feeds on its own queueing.
@@ -511,12 +512,12 @@ struct TxFlow {
     /// EC flows: the parity pipeline, encoding on the shared pool since
     /// `open_flow` and harvested when the parity stream starts.
     parity: Option<ParityStager>,
-    /// Initial work items still awaiting first injection; the RTO clock
-    /// for a chunk starts at its first injection, so the flow enters the
-    /// due index only once this reaches zero.
+    /// Initial work items still awaiting first injection; a chunk's
+    /// clocks start when its injection leaves the wire, so the flow enters
+    /// the due index only once this reaches zero.
     uninjected: usize,
     /// The SR sender protocol. EC flows host it too: their fallback is
-    /// selective repeat through the same claim guard.
+    /// selective repeat through the same overdue test.
     sr: SrTxCore,
     est: Rc<RefCell<ChannelEstimator>>,
     last_telem: TelemetryCounters,
@@ -633,6 +634,9 @@ struct FlowTrace {
     /// `flow.completion_us`: per-flow open→final-ACK time (delivered
     /// flows only), microseconds.
     completion_us: Histogram,
+    /// `sr.*`: why the flows' SR cores resent, shared with every
+    /// per-transfer SR sender on the fabric.
+    sr: SrTrace,
     /// This node's flight recorder (slot park/drain events).
     recorder: FlightRecorder,
 }
@@ -648,6 +652,7 @@ impl FlowTrace {
             injected: reg.counter("flow.injected"),
             urgent: reg.counter("flow.urgent"),
             completion_us: reg.histogram("flow.completion_us"),
+            sr: SrTrace::new(reg),
             recorder: fabric.recorder(node),
         }
     }
@@ -914,7 +919,7 @@ impl FlowManager {
                 None => (spec, None),
             };
             let est = inner.registry.checkout(peer, now);
-            let mut sr = SrTxCore::new(chunks);
+            let mut sr = SrTxCore::new(chunks, inner.trace.sr.clone());
             sr.set_trace(inner.trace.recorder.clone(), id);
             let flow = TxFlow {
                 peer,
@@ -1205,13 +1210,17 @@ impl FlowManager {
             let c = (item.tag & !PARITY_TAG) as u64;
             let off = c * core.cfg.qp.chunk_bytes;
             let qp = &port.shards[flow.shard].qp;
-            match qp.send_stream_continue(eng, &hdl, off, item.bytes) {
+            let data = item.tag & PARITY_TAG == 0;
+            let sr = &mut flow.sr;
+            let sent = qp.send_stream_continue(eng, &hdl, off, item.bytes, |_, at| {
+                if data {
+                    sr.record_sent(c as usize, at);
+                }
+            });
+            match sent {
                 Ok(()) => {
                     inner.stats.injected += 1;
                     inner.trace.injected.inc();
-                    if item.tag & PARITY_TAG == 0 {
-                        flow.sr.record_sent(c as usize, eng.now());
-                    }
                     if flow.uninjected > 0 {
                         flow.uninjected -= 1;
                         if flow.uninjected == 0 && matches!(flow.spec, SchemeSpec::SrNack) {
@@ -1276,6 +1285,15 @@ impl Inner {
             .saturating_add(SimTime(pace.0.saturating_mul(2)))
     }
 
+    /// How long an ACK may lack a chunk after its latest copy was stamped
+    /// before that counts as loss (the SR core's time evidence): half the
+    /// widened RTO — this population's receiver acks no faster than the
+    /// control pacing the RTO was widened by — plus the pacing horizon a
+    /// repair can sit on the urgent lane under its provisional stamp.
+    fn tx_overdue(&self, core: &ManagerCore) -> SimTime {
+        SimTime(self.tx_rto(core).0 / 2 + core.cad.pace_horizon.0)
+    }
+
     /// Pushes a fresh due entry for `key` (lazy-invalidating any older
     /// one) and records the stamp/deadline on the flow.
     fn schedule(&mut self, key: FlowKey, at: SimTime) {
@@ -1324,7 +1342,8 @@ impl Inner {
         &mut self,
         core: &ManagerCore,
         id: u64,
-        f: impl FnOnce(&mut SrTxCore, &mut dyn FnMut(usize)) -> R,
+        now: SimTime,
+        f: impl FnOnce(&mut SrTxCore, &mut dyn FnMut(usize) -> SimTime) -> R,
     ) -> R {
         let flow = self.tx_flows.get_mut(&id).expect("live flow");
         let port = self.ports.get_mut(&flow.peer).expect("port");
@@ -1340,6 +1359,9 @@ impl Inner {
                     bytes,
                 },
             ));
+            // Provisional: the pump restamps the copy with its departure
+            // when it reaches the device.
+            now
         });
         let queued = flow.sr.retransmitted() - before;
         self.stats.retransmits += queued;
@@ -1373,7 +1395,7 @@ impl Inner {
                 if !matches!(flow.spec, SchemeSpec::SrNack) {
                     return; // EC repair is NACK-driven
                 }
-                let next = self.repair(core, id, |sr, resend| sr.on_tick(now, rto, resend));
+                let next = self.repair(core, id, now, |sr, resend| sr.on_tick(now, rto, resend));
                 if let Some(at) = next {
                     self.schedule(FlowKey::Tx(id), at.max(now.saturating_add(SimTime(1))));
                 }
@@ -1491,25 +1513,23 @@ impl Inner {
 
     /// One `SrAck` for sender flow `id`: the SR core applies it; what is
     /// population-scale here is the inputs — the RTO widened by control
-    /// pacing, a claim guard that covers the pacing horizon on top of half
-    /// an RTO (a repair can legitimately sit that long in the wire queue
-    /// before the receiver could have seen it), NACKs honoured only once
-    /// the first pass is fully injected — and the resend sink, the urgent
-    /// lane.
+    /// pacing, the overdue age of [`tx_overdue`](Self::tx_overdue), ACKs
+    /// driving repair only once the first pass is fully injected (until
+    /// then unsent chunks carry no stamp) — and the resend sink, the
+    /// urgent lane.
     fn on_sr_ack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, ack: &CtrlMsg) {
         let now = eng.now();
-        let rto = self.tx_rto(core);
+        let (rto, overdue) = (self.tx_rto(core), self.tx_overdue(core));
         let Some(flow) = self.tx_flows.get_mut(&id) else {
             return; // late ack after completion
         };
         if flow.phase != TxPhase::Streaming {
             return;
         }
-        let guard = SimTime(rto.0 / 2 + core.cad.pace_horizon.0);
-        let nack_guard = (flow.uninjected == 0).then_some(guard);
+        let overdue = (flow.uninjected == 0).then_some(overdue);
         let est = flow.est.clone();
-        let p = self.repair(core, id, |sr, resend| {
-            sr.on_ctrl(now, ack, rto, nack_guard, resend)
+        let p = self.repair(core, id, now, |sr, resend| {
+            sr.on_ctrl(now, ack, rto, overdue, resend)
         });
         if let Some(s) = p.ack_rtt {
             est.borrow_mut().observe_rtt(s);
@@ -1544,19 +1564,20 @@ impl Inner {
 
     /// Flow-EC fallback (§4.1.2): the flow's one submessage failed to
     /// resolve by the FTO, so selective-repeat its data chunks — through
-    /// the SR core's claim guard, which also absorbs NACK storms.
+    /// the SR core's overdue test, which also absorbs NACK storms.
     fn on_ec_nack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, failed: &[u32]) {
         let now = eng.now();
-        let rto = self.tx_rto(core);
+        let overdue = self.tx_overdue(core);
         let Some(flow) = self.tx_flows.get_mut(&id) else {
             return;
         };
         if flow.phase != TxPhase::Streaming || flow.uninjected > 0 || !failed.contains(&0) {
             return;
         }
-        let guard = SimTime(rto.0 / 2 + core.cad.pace_horizon.0);
         let chunks = 0..flow.chunks as u32;
-        self.repair(core, id, |sr, resend| sr.claim(now, guard, chunks, resend));
+        self.repair(core, id, now, |sr, resend| {
+            sr.claim(now, overdue, chunks, resend)
+        });
     }
 
     /// Per-flow cumulative report → delta, then into the *shared* per-peer

@@ -118,7 +118,6 @@ impl TxScheme for GbnTx {
     type Report = GbnReport;
 
     fn on_begin(&mut self, now: SimTime) -> SimTime {
-        self.timers.all_sent_at(now);
         self.timer_armed_at = now;
         // GBN keeps exactly one timer, so the driver's loop sleeps
         // straight to its expiry; ack-restarts push it out.

@@ -11,14 +11,15 @@
 //! A *core* is the protocol as plain data: no timer, no QP handle, no
 //! callback. It takes `now` plus a decoded control message or a bitmap,
 //! emits actions through caller-supplied closure sinks (`resend(chunk)`,
+//! which answers with the instant the copy leaves the wire, and
 //! `send(CtrlMsg)`) and returns its next deadline. A *driver* owns
 //! scheduling — when the core runs, what its sinks are wired to, and which
 //! timeout values it is handed — and nothing else. There are two:
 //!
 //! | core | per-transfer driver | population driver |
 //! |---|---|---|
-//! | [`SrTxCore`] — ACK application, Karn RTT sample, NACK claim, RTO scan | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`], `rto`/`tick` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane, RTO and claim guard widened by the population's control pacing |
-//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, cumulative + selective ACK with holes | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: fixed `ack_interval` | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval |
+//! | [`SrTxCore`] — ACK application, Karn RTT sample, evidence-based repair (hole by wire order → at once; lacking for a round trip since it left the wire → overdue; silence → RTO scan), `sr.retx.*` reasons | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`] and stamps the departure it returns, `rto` and overdue age `rtt + rtt/64` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane (stamped provisionally, restamped with the departure when the pump injects them), RTO and overdue age widened by the population's control pacing |
+//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: fixed `ack_interval` | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval |
 //! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, FTO fallback NACK | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>` | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]) |
 //! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
 //! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the commodity baseline is never steered to) |
@@ -37,7 +38,9 @@
 //! ## The schemes
 //!
 //! * [`SrSender`]/[`SrReceiver`] — Selective Repeat with per-chunk RTO and
-//!   cumulative + selective ACKs; optional NACK optimization (§4.1.1).
+//!   cumulative + selective ACKs; optional NACK optimization (§4.1.1): one
+//!   retransmission per wire loss, each citing order, time or silence as
+//!   its evidence (see [`sr`]).
 //! * [`EcSender`]/[`EcReceiver`] — Erasure Coding with MDS (Reed–Solomon)
 //!   or XOR codes, chunk-granular submessages, a streaming encode→inject
 //!   pipeline on the persistent encode pool, in-place receiver decoding,
@@ -301,7 +304,7 @@ pub use runtime::{
     AbortReason, ChunkTimers, Completion, DeliveryManifest, RxCommon, RxDriver, RxScheme, RxStep,
     StreamTx, TransferOutcome, TxDriver, RTO_BACKOFF_CAP,
 };
-pub use sr::{SrProtoConfig, SrReceiver, SrReport, SrSender, SrTxCore};
+pub use sr::{SrProtoConfig, SrReceiver, SrReport, SrSender, SrTrace, SrTxCore, REPAIR_MARGIN_DIV};
 pub use telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 
 #[cfg(test)]

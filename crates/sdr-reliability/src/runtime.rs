@@ -16,11 +16,18 @@
 //!   of polling every quarter-RTT — and the returned [`TimerHandle`] lets
 //!   completion cancel the loop outright.
 //! * [`ChunkTimers`] — **retransmission timers + ACK bookkeeping** for ARQ
-//!   senders: per-chunk last-send stamps, acked flags with a monotone
-//!   first-unacked cursor, RTO expiry scans and the NACK double-send guard.
+//!   senders: per-chunk *departure* stamps, acked flags with a monotone
+//!   first-unacked cursor, the RTO expiry scan and the overdue test behind
+//!   time-based repair. A stamp is the instant the chunk's last packet
+//!   leaves the sender's wire — not when it was posted: a post only parks
+//!   packets in the device FIFO, possibly milliseconds deep — so every
+//!   clock that starts from a stamp (RTO, overdue test, Karn RTT sample)
+//!   starts when the bytes do, and a chunk still queued has a stamp in the
+//!   future and is never resent.
 //! * [`StreamTx`] — **sender message-slot lifecycle**: open-on-CTS,
 //!   whole-message injection, chunk/window retransmission and stream close
-//!   over one [`SdrQp`] streaming send.
+//!   over one [`SdrQp`] streaming send; every injection reports the
+//!   departure stamps it earned.
 //! * [`TxDriver`] + [`TxScheme`] — the **per-transfer sender driver**:
 //!   begin-now-or-on-CTS, the timer loop, control dispatch, and the
 //!   exactly-once finish shared by completion and abort
@@ -354,8 +361,9 @@ pub fn tick_loop(
 // Retransmission timers
 // ---------------------------------------------------------------------------
 
-/// Per-chunk retransmission state for ARQ senders: acked flags, last-send
-/// stamps, a monotone first-unacked cursor and an exponential RTO backoff.
+/// Per-chunk retransmission state for ARQ senders: acked flags, departure
+/// stamps (when the chunk's latest copy left, or will leave, the sender's
+/// wire), a monotone first-unacked cursor and an exponential RTO backoff.
 ///
 /// Acks are monotone while a message is live, so the cursor never rewinds —
 /// the expiry scan and `first_unacked` are amortized O(1) per chunk over
@@ -433,17 +441,26 @@ impl ChunkTimers {
         self.acked_count == self.acked.len()
     }
 
-    /// Stamps every chunk as sent at `now` (the initial whole-message
-    /// injection).
-    pub fn all_sent_at(&mut self, now: SimTime) {
-        for t in self.last_sent.iter_mut() {
-            *t = now;
-        }
+    /// Stamps chunk `c`: its latest copy leaves the wire at `departs`.
+    pub fn record_sent(&mut self, c: usize, departs: SimTime) {
+        self.last_sent[c] = departs;
     }
 
-    /// Stamps chunk `c` as (re)sent at `now`.
-    pub fn record_sent(&mut self, c: usize, now: SimTime) {
-        self.last_sent[c] = now;
+    /// Stamps a retransmission of chunk `c` leaving the wire at `departs`.
+    /// From here on its ACK is ambiguous between copies (Karn's rule).
+    pub fn record_resent(&mut self, c: usize, departs: SimTime) {
+        self.last_sent[c] = departs;
+        self.resent[c] = true;
+    }
+
+    /// True when chunk `c` is in range and not acked yet.
+    pub fn is_unacked(&self, c: usize) -> bool {
+        self.acked.get(c) == Some(&false)
+    }
+
+    /// True once chunk `c` has been retransmitted at least once.
+    pub fn was_resent(&self, c: usize) -> bool {
+        self.resent[c]
     }
 
     /// Marks chunk `c` acked; returns `true` when it was newly acked.
@@ -477,37 +494,30 @@ impl ChunkTimers {
         (self.cursor < self.acked.len()).then_some(self.cursor)
     }
 
-    /// When chunk `c` has been unacked for at least `timeout` since its
-    /// last send, stamps it sent-now and returns `true` — the claim step
-    /// shared by RTO expiry and the NACK fast path (the guard keeps
-    /// duplicate reports within one tick from double-sending).
-    pub fn claim_for_resend(&mut self, c: usize, now: SimTime, timeout: SimTime) -> bool {
-        if c < self.acked.len()
-            && !self.acked[c]
-            && now.saturating_sub(self.last_sent[c]) >= timeout
-        {
-            self.last_sent[c] = now;
-            self.resent[c] = true;
-            true
-        } else {
-            false
-        }
+    /// True when chunk `c` is unacked and its latest copy left the wire at
+    /// least `age` ago — the time evidence behind a repair: an ACK that
+    /// still lacks the chunk a round trip after it departed means it (or
+    /// its repair) was lost. A copy still queued on the device (a stamp in
+    /// the future) is never overdue.
+    pub fn overdue(&self, c: usize, now: SimTime, age: SimTime) -> bool {
+        self.is_unacked(c) && now.saturating_sub(self.last_sent[c]) >= age
     }
 
-    /// Calls `f` for every unacked chunk whose timeout expired at `now`,
-    /// stamping each as resent-now (the periodic RTO scan). The timeout in
-    /// effect is `timeout << backoff`; a scan that retransmits anything
-    /// doubles the backoff (capped at [`RTO_BACKOFF_CAP`]), so consecutive
+    /// Calls `resend` for every unacked chunk whose timeout expired at
+    /// `now` and stamps it with the departure instant `resend` returns
+    /// (the periodic RTO scan). The timeout in effect is
+    /// `timeout << backoff`; a scan that retransmits anything doubles the
+    /// backoff (capped at [`RTO_BACKOFF_CAP`]), so consecutive
     /// unproductive rounds — a blackout — space out geometrically. Returns
     /// the earliest next expiry among the chunks still unacked after the
-    /// scan, computed under the *post-scan* backoff (`None` once
-    /// everything is acked) — the deadline the sender's tick loop sleeps
-    /// to instead of polling.
+    /// scan, computed from the *new* stamps under the *post-scan* backoff
+    /// (`None` once everything is acked) — the deadline the sender's tick
+    /// loop sleeps to instead of polling.
     pub fn take_expired(
         &mut self,
         now: SimTime,
         timeout: SimTime,
-        mut f: impl FnMut(usize),
+        mut resend: impl FnMut(usize) -> SimTime,
     ) -> Option<SimTime> {
         self.advance_cursor();
         let eff = self.effective_timeout(timeout);
@@ -517,11 +527,10 @@ impl ChunkTimers {
         for c in self.cursor..self.acked.len() {
             if !self.acked[c] {
                 if now.saturating_sub(self.last_sent[c]) >= eff {
-                    self.last_sent[c] = now;
-                    self.resent[c] = true;
+                    let departs = resend(c);
+                    self.record_resent(c, departs);
                     fired = true;
                     expired += 1;
-                    f(c);
                 }
                 let sent = self.last_sent[c];
                 earliest_sent = Some(earliest_sent.map_or(sent, |n: SimTime| n.min(sent)));
@@ -543,7 +552,7 @@ impl ChunkTimers {
         earliest_sent.map(|s| s.saturating_add(eff_after))
     }
 
-    /// The ACK round-trip of chunk `c` acked at `now`: `now − last_sent`,
+    /// The ACK round-trip of chunk `c` acked at `now`: `now − departure`,
     /// but only for chunks never retransmitted — a retransmitted chunk's
     /// ACK is ambiguous between copies (Karn's rule), so it yields no
     /// sample. Call right after [`mark_acked`](Self::mark_acked) reports a
@@ -596,10 +605,11 @@ impl StreamTx {
         self.hdl.is_some()
     }
 
-    /// Opens the stream and injects the whole message. Returns `false`
+    /// Opens the stream and injects the whole message; `departed(chunk,
+    /// at)` hears when each chunk will have left the wire. Returns `false`
     /// (and does nothing) while the peer's CTS credit has not arrived;
     /// `true` when the stream is (or already was) open.
-    pub fn try_begin(&mut self, eng: &mut Engine) -> bool {
+    pub fn try_begin(&mut self, eng: &mut Engine, departed: impl FnMut(usize, SimTime)) -> bool {
         if self.hdl.is_some() {
             return true;
         }
@@ -609,7 +619,7 @@ impl StreamTx {
         {
             Ok(hdl) => {
                 self.qp
-                    .send_stream_continue(eng, &hdl, 0, self.msg_bytes)
+                    .send_stream_continue(eng, &hdl, 0, self.msg_bytes, departed)
                     .expect("initial injection");
                 self.hdl = Some(hdl);
                 true
@@ -618,14 +628,17 @@ impl StreamTx {
         }
     }
 
-    /// Retransmits chunk `c`.
-    pub fn resend_chunk(&self, eng: &mut Engine, c: usize) {
+    /// Retransmits chunk `c`; returns when the copy will have left the
+    /// wire (it queues behind whatever the device still holds).
+    pub fn resend_chunk(&self, eng: &mut Engine, c: usize) -> SimTime {
         let hdl = self.hdl.expect("resend only after begin");
         let off = c as u64 * self.chunk_bytes;
         let len = self.chunk_bytes.min(self.msg_bytes - off);
+        let mut departs = eng.now();
         self.qp
-            .send_stream_continue(eng, &hdl, off, len)
+            .send_stream_continue(eng, &hdl, off, len, |_, at| departs = at)
             .expect("retransmission");
+        departs
     }
 
     /// Retransmits the window `[from, from + count)` clamped to the message
@@ -639,7 +652,7 @@ impl StreamTx {
         let off = from as u64 * self.chunk_bytes;
         let len = (end as u64 * self.chunk_bytes).min(self.msg_bytes) - off;
         self.qp
-            .send_stream_continue(eng, &hdl, off, len)
+            .send_stream_continue(eng, &hdl, off, len, |_, _| {})
             .expect("rewind retransmission");
         end - from
     }
@@ -766,8 +779,13 @@ pub trait TxScheme: 'static {
     /// The sender-side report handed to the done callback.
     type Report;
 
-    /// The stream just opened and the whole message was injected at `now`:
-    /// stamp the timers. Returns the first timer interval.
+    /// The first pass is being injected: `chunk`'s last packet leaves the
+    /// wire at `departs`. Schemes that time chunks individually stamp
+    /// their timers here.
+    fn on_sent(&mut self, _chunk: usize, _departs: SimTime) {}
+
+    /// The stream just opened and the whole message was handed to the
+    /// device at `now`. Returns the first timer interval.
     fn on_begin(&mut self, now: SimTime) -> SimTime;
 
     /// One timer wake: retransmit whatever expired through `stream` and
@@ -852,16 +870,18 @@ impl<S: TxScheme> TxDriver<S> {
             if i.completion.is_done() || i.stream.is_open() {
                 return true;
             }
-            if !i.stream.try_begin(eng) {
+            let TxState { stream, scheme, .. } = &mut *i;
+            if !stream.try_begin(eng, |c, at| scheme.on_sent(c, at)) {
                 return false;
             }
             let now = eng.now();
             i.completion.mark_started(now);
             i.scheme.on_begin(now)
         };
-        // The whole message was just injected, so the first deadline is
-        // one interval out; after that every wake sleeps to the scheme's
-        // next deadline. ACKs are event-driven and never wait on this loop.
+        // The whole message was just handed to the device, so the first
+        // deadline is at least one interval out; after that every wake
+        // sleeps to the scheme's next deadline. ACKs are event-driven and
+        // never wait on this loop.
         let me = inner.clone();
         let h = tick_loop(eng, first, move |eng| {
             let mut i = me.borrow_mut();
@@ -1331,35 +1351,48 @@ mod tests {
         assert_eq!(t.first_unacked(), None);
     }
 
+    /// Stamps every chunk as having left the wire at `at`.
+    fn all_departed(t: &mut ChunkTimers, at: SimTime) {
+        for c in 0..t.total() {
+            t.record_sent(c, at);
+        }
+    }
+
     #[test]
     fn chunk_timers_expiry_scan_and_claim_guard() {
         let mut t = ChunkTimers::new(3);
         let t0 = SimTime::from_secs_f64(1.0);
         let rto = SimTime::from_secs_f64(0.5);
-        t.all_sent_at(t0);
-        // Nothing expired right after sending; the deadline is one RTO out.
+        all_departed(&mut t, t0);
+        // Nothing expired right after departure; the deadline is one RTO out.
         let mut hits = Vec::new();
-        let next = t.take_expired(t0, rto, |c| hits.push(c));
-        assert!(hits.is_empty());
+        let next = t.take_expired(t0, rto, |_| unreachable!());
         assert_eq!(next, Some(t0 + rto), "sleep-to deadline is one RTO out");
-        // After an RTO, every unacked chunk fires once and is re-stamped.
+        // After an RTO, every unacked chunk fires once and takes the stamp
+        // its resend reports — here a device queue a quarter RTO deep.
         let t1 = t0 + rto;
+        let queue = rto / 4;
         t.mark_acked(1);
-        let next = t.take_expired(t1, rto, |c| hits.push(c));
+        let next = t.take_expired(t1, rto, |c| {
+            hits.push(c);
+            t1 + queue
+        });
         assert_eq!(hits, vec![0, 2]);
+        assert!(t.was_resent(0) && !t.was_resent(1) && t.was_resent(2));
         assert_eq!(
             next,
-            Some(t1 + rto * 2),
-            "a firing scan doubles the effective RTO (backoff)"
+            Some(t1 + queue + rto * 2),
+            "the deadline runs from the new stamps under the doubled RTO"
         );
-        hits.clear();
-        let _ = t.take_expired(t1, rto, |c| hits.push(c));
-        assert!(hits.is_empty(), "stamped chunks do not re-fire");
-        // The claim guard: a second claim within the guard window fails.
-        let t2 = t1 + rto;
-        assert!(t.claim_for_resend(0, t2, rto));
-        assert!(!t.claim_for_resend(0, t2, rto), "double-send guarded");
-        assert!(!t.claim_for_resend(1, t2, rto), "acked chunks never claim");
+        let _ = t.take_expired(t1, rto, |_| unreachable!("stamped chunks do not re-fire"));
+        // The claim guard is the overdue test: age is measured from
+        // departure, a copy still queued (stamp in the future) has none,
+        // acked chunks never qualify.
+        assert!(!t.overdue(0, t1, SimTime(1)), "still queued");
+        assert!(!t.overdue(0, t1 + queue + rto - SimTime(1), rto));
+        assert!(t.overdue(0, t1 + queue + rto, rto));
+        assert!(!t.overdue(1, t1 + rto * 9, rto), "acked chunks never claim");
+        assert!(!t.overdue(99, t1 + rto * 9, rto), "out of range ignored");
     }
 
     #[test]
@@ -1368,12 +1401,12 @@ mod tests {
         let t0 = SimTime::from_secs_f64(1.0);
         let rtt = SimTime::from_secs_f64(0.01);
         let rto = SimTime::from_secs_f64(0.05);
-        t.all_sent_at(t0);
+        all_departed(&mut t, t0);
         // Chunk 0 acked on its first transmission: clean sample.
         assert!(t.mark_acked(0));
         assert_eq!(t.rtt_sample(0, t0 + rtt), Some(rtt));
         // Chunk 1 expires and is retransmitted: its later ACK is ambiguous.
-        let _ = t.take_expired(t0 + rto, rto, |_| {});
+        let _ = t.take_expired(t0 + rto, rto, |_| t0 + rto);
         assert!(t.mark_acked(1));
         assert_eq!(t.rtt_sample(1, t0 + rto + rtt), None, "Karn's rule");
         // Out-of-range chunks never sample.
@@ -1385,7 +1418,7 @@ mod tests {
         let mut t = ChunkTimers::new(2);
         let t0 = SimTime::ZERO;
         let rto = SimTime::from_secs_f64(0.1);
-        t.all_sent_at(t0);
+        all_departed(&mut t, t0);
         assert_eq!(t.backoff(), 0);
         // Consecutive unproductive rounds: the backoff climbs one per
         // firing scan and saturates at the cap (64× the base RTO).
@@ -1393,7 +1426,10 @@ mod tests {
         for round in 1..=10u32 {
             now = now.saturating_add(t.effective_timeout(rto));
             let mut fired = 0;
-            let next = t.take_expired(now, rto, |_| fired += 1);
+            let next = t.take_expired(now, rto, |_| {
+                fired += 1;
+                now
+            });
             assert_eq!(fired, 2, "both chunks retransmit each round");
             assert_eq!(t.backoff(), round.min(RTO_BACKOFF_CAP));
             assert_eq!(next, Some(now + rto * (1u64 << t.backoff())));
@@ -1402,7 +1438,7 @@ mod tests {
         // ACK progress restarts the clock at the base timeout.
         assert!(t.mark_acked(0));
         assert_eq!(t.backoff(), 0);
-        let next = t.take_expired(now, rto, |_| {});
+        let next = t.take_expired(now, rto, |_| unreachable!());
         assert_eq!(next, Some(now + rto), "post-progress deadline is base RTO");
     }
 

@@ -3,29 +3,51 @@
 //!
 //! Sender: streaming SDR sends inject message chunks; each unacknowledged
 //! chunk carries a retransmission timeout (`RTO = RTT + α·RTT`) in a
-//! [`ChunkTimers`] table; expiry retransmits the chunk via the
-//! [`StreamTx`] slot. ACKs remove acknowledged ranges from the
-//! retransmission scan; in NACK mode reported holes retransmit immediately
-//! through the timers' claim guard (1-RTT repair instead of an RTO, §5.2.1).
+//! [`ChunkTimers`] table, stamped with the instant the chunk *leaves the
+//! wire*. ACKs remove what the receiver holds from the retransmission scan;
+//! in NACK mode they also drive repair, and every retransmission cites its
+//! evidence ([`SrTxCore`]): a hole below the receiver's high-water mark
+//! goes out at once (wire order — the 1-RTT repair of §5.2.1), anything
+//! else an ACK lacks goes out once a round trip has passed since it left
+//! (time — this is what repairs a lost repair or a lost tail), and the
+//! RTO scan remains for a silent control channel. A transfer therefore
+//! retransmits about one chunk per packet the wire dropped, which is what
+//! `sdr-model/src/sr.rs` charges and `tests/model_differential.rs` checks.
 //!
-//! Receiver: an [`RxScheme`] that, per poll, encodes the SDR chunk bitmap
-//! into a cumulative + selective ACK (plus holes in NACK mode). Poll
+//! Receiver: an [`RxScheme`] that, per poll, encodes the *whole* SDR chunk
+//! bitmap into one ACK ([`build_sr_ack`]: cumulative point, the holes
+//! below the high-water mark, a selective window as the fallback). Poll
 //! cadence, CTS healing, completion, linger-ACK repeats and buffer release
 //! all come from the shared [`RxDriver`].
+//!
+//! What each kind of evidence assumes of the wire: order assumes packets
+//! of one transfer are not overtaken (true of a link's FIFO; not under
+//! `LinkConfig::with_reordering` / `with_reorder_jitter` or multipath);
+//! time assumes the ACK's own delay stays inside the margin
+//! ([`REPAIR_MARGIN_DIV`]). When either fails the cost is one spurious
+//! chunk per mistaken verdict — the receiver's bitmap drops the duplicate —
+//! never a loss.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::SdrQp;
-use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime};
+use sdr_sim::{Counter, Engine, FlightRecorder, QpAddr, Registry, SimTime};
 
-use crate::ack::{build_sr_ack, CtrlMsg};
+use crate::ack::{build_sr_ack, CtrlMsg, MAX_SACK_BITS};
 use crate::control::CtrlPath;
 use crate::runtime::{
     ChunkTimers, CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome,
     TxDriver, TxProgress, TxScheme,
 };
 use crate::telemetry::ChannelEstimator;
+
+/// The time-evidence margin as a fraction of the RTT: a snapshot must lack
+/// a chunk `RTT + RTT/64` after it left the wire before that counts as
+/// loss. The margin covers the ACK's own serialization and queueing; it
+/// must stay far below the receiver's poll interval (RTT/4), or every
+/// repair waits one poll longer than it has to.
+pub const REPAIR_MARGIN_DIV: u64 = 64;
 
 /// Selective Repeat protocol tuning.
 #[derive(Clone, Copy, Debug)]
@@ -34,10 +56,12 @@ pub struct SrProtoConfig {
     pub rto: SimTime,
     /// Receiver bitmap-poll / ACK cadence.
     pub ack_interval: SimTime,
-    /// Sender retransmission-scan cadence.
-    pub tick: SimTime,
-    /// Enable the NACK optimization (receiver reports holes; sender
-    /// retransmits without waiting for the RTO).
+    /// Propagation round trip of the path: how long after a chunk leaves
+    /// the wire an ACK can first show it. ACK-driven repair of a chunk an
+    /// ACK lacks waits this long (plus [`REPAIR_MARGIN_DIV`]'s margin).
+    pub rtt: SimTime,
+    /// Enable the NACK optimization (the receiver lists holes and ACKs
+    /// drive repair; off, only the RTO retransmits).
     pub nack: bool,
     /// How many extra final ACKs the receiver repeats before releasing the
     /// buffer (tolerates ACK loss on the control path).
@@ -50,7 +74,7 @@ impl SrProtoConfig {
         SrProtoConfig {
             rto: rtt * 3,
             ack_interval: rtt / 4,
-            tick: rtt / 4,
+            rtt,
             nack: false,
             linger_acks: 25,
         }
@@ -80,27 +104,79 @@ pub struct SrReport {
     pub outcome: TransferOutcome,
 }
 
+/// Registry counters saying *why* each chunk was resent (`sr.retx.*`) and
+/// how many hole reports were held back (`sr.nack.stale`). Every SR sender
+/// on a fabric shares the handles, so they sum across transfers and flows;
+/// [`SrReport::retransmitted`] is one transfer's share of the three
+/// `sr.retx.*` counts.
+#[derive(Clone)]
+pub struct SrTrace {
+    /// `sr.retx.hole`: ordering evidence — the receiver holds a chunk sent
+    /// after this one, and this one had never been resent.
+    hole: Counter,
+    /// `sr.retx.overdue`: time evidence — a snapshot still lacks the chunk
+    /// a round trip after its latest copy left the wire.
+    overdue: Counter,
+    /// `sr.retx.rto`: the timer — no snapshot said anything for an RTO.
+    rto: Counter,
+    /// `sr.nack.stale`: a reported hole whose repair is still in flight.
+    stale: Counter,
+}
+
+impl SrTrace {
+    /// Binds (or retrieves) the `sr.*` family in `reg`.
+    pub fn new(reg: &Registry) -> Self {
+        SrTrace {
+            hole: reg.counter("sr.retx.hole"),
+            overdue: reg.counter("sr.retx.overdue"),
+            rto: reg.counter("sr.retx.rto"),
+            stale: reg.counter("sr.nack.stale"),
+        }
+    }
+}
+
 /// The Selective Repeat sender protocol as plain data: ACK application,
-/// the Karn-gated RTT sample, the NACK claim and the RTO scan over one
-/// [`ChunkTimers`] table. It holds no timer and no QP — the caller passes
-/// `now`, the timeout values in force and a `resend(chunk)` sink, and
-/// schedules the deadline that comes back. One copy runs under both
-/// drivers: [`SrSender`] resends straight into its stream at the
-/// configured RTO; the [`FlowManager`](crate::flow::FlowManager) queues
-/// resends on its urgent lane at population-scaled timeouts.
+/// the Karn-gated RTT sample, evidence-based repair and the RTO scan over
+/// one [`ChunkTimers`] table. It holds no timer and no QP — the caller
+/// passes `now`, the timeout values in force and a `resend(chunk)` sink
+/// that returns the copy's departure stamp, and schedules the deadline
+/// that comes back. One copy runs under both drivers: [`SrSender`] resends
+/// straight into its stream at the configured RTO; the
+/// [`FlowManager`](crate::flow::FlowManager) queues resends on its urgent
+/// lane at population-scaled timeouts.
+///
+/// **One repair rule.** Every retransmission cites evidence that the wire
+/// lost the chunk's latest copy:
+///
+/// * *order* — an ACK lists the chunk as a hole below the receiver's
+///   high-water mark and it was never resent: something sent after it
+///   arrived, so on an in-order wire it is gone. Resent at once (the
+///   paper's 1-RTT repair, §5.2.1). Under reordering the evidence can be
+///   wrong; that costs one spurious chunk, never a loss.
+/// * *time* — an ACK lacks the chunk (a hole already repaired once, or a
+///   chunk past everything the receiver has seen) and its latest copy left
+///   the wire at least `overdue` ago — one round trip plus a margin for the
+///   ACK's own queueing. The snapshot was taken after that copy would have
+///   arrived, so it did not (RACK-style detection, RFC 8985, exact because
+///   stamps are departures). This is what repairs a lost repair and a lost
+///   tail, which no hole report can name.
+/// * *silence* — nothing acked the chunk for an RTO: the scan, with its
+///   backoff, for when the control channel itself is dark.
 pub struct SrTxCore {
     timers: ChunkTimers,
     retransmitted: u64,
     acks: u64,
+    trace: SrTrace,
 }
 
 impl SrTxCore {
     /// A sender for a message of `total_chunks`, nothing sent yet.
-    pub fn new(total_chunks: usize) -> Self {
+    pub fn new(total_chunks: usize, trace: SrTrace) -> Self {
         SrTxCore {
             timers: ChunkTimers::new(total_chunks),
             retransmitted: 0,
             acks: 0,
+            trace,
         }
     }
 
@@ -110,18 +186,13 @@ impl SrTxCore {
         self.timers.set_trace(rec, id);
     }
 
-    /// The whole message was injected at `now`.
-    pub fn all_sent_at(&mut self, now: SimTime) {
-        self.timers.all_sent_at(now);
+    /// The latest copy of chunk `c` leaves the sender's wire at `departs`
+    /// (first pass or repair — whoever puts it on the device reports it).
+    pub fn record_sent(&mut self, c: usize, departs: SimTime) {
+        self.timers.record_sent(c, departs);
     }
 
-    /// Chunk `c` was (re)injected at `now` (paced injection stamps chunks
-    /// one by one as they reach the wire).
-    pub fn record_sent(&mut self, c: usize, now: SimTime) {
-        self.timers.record_sent(c, now);
-    }
-
-    /// Chunks retransmitted so far (RTO expiries + NACK claims).
+    /// Chunks retransmitted so far, whatever the evidence.
     pub fn retransmitted(&self) -> u64 {
         self.retransmitted
     }
@@ -131,18 +202,24 @@ impl SrTxCore {
         self.acks
     }
 
-    /// Applies one [`CtrlMsg::SrAck`] (anything else is ignored): acks the
-    /// cumulative prefix and the selective window, then — when
-    /// `nack_guard` is `Some` — retransmits the reported holes through the
-    /// claim guard. `None` means NACKs are not honoured (yet): the scheme
-    /// runs without them, or the first pass is still being injected.
+    /// Applies one [`CtrlMsg::SrAck`] (anything else is ignored): acks
+    /// what the snapshot holds — the cumulative prefix, every chunk below
+    /// `window_start` that is not a listed hole, the set bits of the
+    /// selective window — then, when `overdue` is `Some`, repairs what it
+    /// lacks under the rule above. `None` means ACKs do not drive repair
+    /// (yet): the scheme runs without NACKs, or the first pass is still
+    /// being injected.
+    ///
+    /// An ACK whose hole list is not ascending inside `[cumulative,
+    /// window_start)` contradicts itself and is dropped whole — acking a
+    /// hole would lose data.
     pub fn on_ctrl(
         &mut self,
         now: SimTime,
         msg: &CtrlMsg,
         rto: SimTime,
-        nack_guard: Option<SimTime>,
-        resend: impl FnMut(usize),
+        overdue: Option<SimTime>,
+        mut resend: impl FnMut(usize) -> SimTime,
     ) -> TxProgress {
         let CtrlMsg::SrAck {
             cumulative,
@@ -154,30 +231,72 @@ impl SrTxCore {
         else {
             return TxProgress::default();
         };
+        let listed_in_order = nacks.windows(2).all(|w| w[0] < w[1])
+            && nacks.first().is_none_or(|h| h >= cumulative)
+            && nacks.last().is_none_or(|h| h < window_start);
+        if window_start < cumulative || !listed_in_order {
+            return TxProgress::default();
+        }
+        // Nothing past the message exists to ack or repair, whatever a
+        // malformed ACK claims.
+        let total = self.timers.total();
+        let (cumulative, window_start) = (
+            (*cumulative as usize).min(total),
+            (*window_start as usize).min(total),
+        );
+        let window_len = (*sack_len as usize).min(total - window_start);
         self.acks += 1;
         let backoff_before = self.timers.backoff();
         // At most one RTT sample per ACK: the first chunk this ACK newly
         // acknowledges, if it was never retransmitted (Karn's rule).
         let mut rtt_sample = None;
-        if let Some(first) = self.timers.first_unacked() {
-            if first < *cumulative as usize {
-                rtt_sample = self.timers.rtt_sample(first, now);
+        let mut ack = |timers: &mut ChunkTimers, c: usize| {
+            if timers.mark_acked(c) && rtt_sample.is_none() {
+                rtt_sample = timers.rtt_sample(c, now);
+            }
+        };
+        let first = self.timers.first_unacked().unwrap_or(cumulative);
+        for c in first..cumulative {
+            ack(&mut self.timers, c);
+        }
+        let mut holes = nacks.iter().map(|&h| h as usize).peekable();
+        for c in cumulative..window_start {
+            if holes.next_if_eq(&c).is_none() {
+                ack(&mut self.timers, c);
             }
         }
-        self.timers.ack_prefix(*cumulative as usize);
-        for b in 0..(*sack_len as usize) {
+        for b in 0..window_len {
             if sack_bits
                 .get(b / 64)
                 .is_some_and(|w| w >> (b % 64) & 1 == 1)
             {
-                let c = *window_start as usize + b;
-                if self.timers.mark_acked(c) && rtt_sample.is_none() {
-                    rtt_sample = self.timers.rtt_sample(c, now);
-                }
+                ack(&mut self.timers, window_start + b);
             }
         }
-        if let Some(guard) = nack_guard {
-            self.claim(now, guard, nacks.iter().copied(), resend);
+        if let Some(overdue) = overdue {
+            for &h in nacks {
+                let h = h as usize;
+                if !self.timers.is_unacked(h) {
+                    continue; // an ACK overtaken by a later one
+                }
+                if !self.timers.was_resent(h) {
+                    self.trace.hole.inc();
+                    self.resent(h, resend(h));
+                } else if !self.repair_overdue(h, now, overdue, &mut resend) {
+                    self.trace.stale.inc();
+                }
+            }
+            // Holes the list had no room for (the window's clear bits),
+            // and — when the window stops short of its cap, so it reached
+            // the high-water mark — everything past it.
+            let lacking_end = if (*sack_len as usize) < MAX_SACK_BITS {
+                total
+            } else {
+                window_start + window_len
+            };
+            for c in window_start..lacking_end {
+                self.repair_overdue(c, now, overdue, &mut resend);
+            }
         }
         let complete = self.timers.is_complete();
         // Backoff heal: this ACK made progress after backed-off silence (a
@@ -191,38 +310,59 @@ impl SrTxCore {
         }
     }
 
-    /// The NACK fast path: retransmits each of `chunks` that is unacked
-    /// and was last sent at least `guard` ago, so duplicate reports within
-    /// the guard window don't double-send.
+    /// Time-evidence repair of a set of chunks outside any ACK (the EC
+    /// flow fallback names a whole submessage): retransmits each that is
+    /// unacked and whose latest copy left the wire at least `overdue` ago.
     pub fn claim(
         &mut self,
         now: SimTime,
-        guard: SimTime,
+        overdue: SimTime,
         chunks: impl IntoIterator<Item = u32>,
-        mut resend: impl FnMut(usize),
+        mut resend: impl FnMut(usize) -> SimTime,
     ) {
         for c in chunks {
-            if self.timers.claim_for_resend(c as usize, now, guard) {
-                resend(c as usize);
-                self.retransmitted += 1;
-            }
+            self.repair_overdue(c as usize, now, overdue, &mut resend);
         }
     }
 
     /// The RTO scan: retransmits every chunk unacked for `rto` (scaled by
-    /// the backoff) and returns the earliest next expiry — `None` once
-    /// everything is acked.
+    /// the backoff) since its latest copy left the wire and returns the
+    /// earliest next expiry — `None` once everything is acked.
     pub fn on_tick(
         &mut self,
         now: SimTime,
         rto: SimTime,
-        mut resend: impl FnMut(usize),
+        mut resend: impl FnMut(usize) -> SimTime,
     ) -> Option<SimTime> {
-        let retransmitted = &mut self.retransmitted;
-        self.timers.take_expired(now, rto, |c| {
-            resend(c);
-            *retransmitted += 1;
-        })
+        let mut fired = 0;
+        let next = self.timers.take_expired(now, rto, |c| {
+            fired += 1;
+            resend(c)
+        });
+        self.retransmitted += fired;
+        self.trace.rto.add(fired);
+        next
+    }
+
+    /// Resends `c` when the time evidence holds; `true` when it did.
+    fn repair_overdue(
+        &mut self,
+        c: usize,
+        now: SimTime,
+        overdue: SimTime,
+        resend: &mut impl FnMut(usize) -> SimTime,
+    ) -> bool {
+        let due = self.timers.overdue(c, now, overdue);
+        if due {
+            self.trace.overdue.inc();
+            self.resent(c, resend(c));
+        }
+        due
+    }
+
+    fn resent(&mut self, c: usize, departs: SimTime) {
+        self.timers.record_resent(c, departs);
+        self.retransmitted += 1;
     }
 }
 
@@ -239,8 +379,12 @@ pub struct SrTx {
 impl TxScheme for SrTx {
     type Report = SrReport;
 
-    fn on_begin(&mut self, now: SimTime) -> SimTime {
-        self.core.all_sent_at(now);
+    fn on_sent(&mut self, chunk: usize, departs: SimTime) {
+        self.core.record_sent(chunk, departs);
+    }
+
+    fn on_begin(&mut self, _now: SimTime) -> SimTime {
+        // No chunk leaves the wire before now, so none expires sooner.
         self.cfg.rto
     }
 
@@ -250,11 +394,12 @@ impl TxScheme for SrTx {
     }
 
     fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress {
-        let guard = (self.cfg.nack && stream.is_open()).then_some(self.cfg.tick);
+        let overdue = (self.cfg.nack && stream.is_open())
+            .then(|| self.cfg.rtt + self.cfg.rtt / REPAIR_MARGIN_DIV);
         let (now, rto) = (eng.now(), self.cfg.rto);
         let p = self
             .core
-            .on_ctrl(now, &msg, rto, guard, |c| stream.resend_chunk(eng, c));
+            .on_ctrl(now, &msg, rto, overdue, |c| stream.resend_chunk(eng, c));
         if let (Some(sample), Some(est)) = (p.ack_rtt, &self.telemetry) {
             est.borrow_mut().observe_rtt(sample);
         }
@@ -310,7 +455,10 @@ impl TxDriver<SrTx> {
         done: impl FnOnce(&mut Engine, SrReport) + 'static,
     ) -> SrSender {
         let scheme = SrTx {
-            core: SrTxCore::new(qp.config().chunks_for(msg_bytes) as usize),
+            core: SrTxCore::new(
+                qp.config().chunks_for(msg_bytes) as usize,
+                SrTrace::new(&qp.metrics()),
+            ),
             cfg,
             telemetry,
         };

@@ -156,11 +156,17 @@ fn chunk_timers_service_allocates_nothing() {
         let mut sink = 0u64;
         for round in 1..200u64 {
             let now = SimTime(round * 1_000_000);
-            let _ = timers.take_expired(now, SimTime(10), |c| sink += c as u64);
+            let _ = timers.take_expired(now, SimTime(10), |c| {
+                sink += c as u64;
+                now
+            });
             for c in (0..256).step_by(3) {
                 timers.record_sent(c, now);
             }
-            let _ = timers.claim_for_resend(round as usize % 256, now, SimTime(1));
+            let c = round as usize % 256;
+            if timers.overdue(c, now + SimTime(1), SimTime(1)) {
+                timers.record_resent(c, now);
+            }
         }
         assert!(sink > 0, "expiries must actually fire");
     });

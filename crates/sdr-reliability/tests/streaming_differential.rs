@@ -160,10 +160,12 @@ fn striped_encode_jobs_match_unstriped() {
     }
 }
 
-/// The streamed sender's wall-clock time-to-first-byte must not pay the
-/// message's full parity encode (what staging everything up front would
-/// cost — measured here by encoding it serially). Asserted loosely — CI
-/// containers are noisy — via the report's `ttfb_wall`.
+/// The streamed sender's time-to-first-byte must not pay the message's
+/// parity encode. Asserted as the counted fact, not as a wall-clock race
+/// against a reference encode (two `Instant` spans on shared cores lose
+/// that race by scheduling luck): when the first data byte was injected,
+/// no parity submessage had been harvested from the encode pipeline. The
+/// duration itself, `ttfb_wall`, is `fig11`'s to report.
 #[test]
 fn streamed_ttfb_does_not_pay_full_staging() {
     let msg = 1u64 << 20;
@@ -196,13 +198,9 @@ fn streamed_ttfb_does_not_pay_full_staging() {
     );
     h.run(30_000_000);
     let streamed = took(&rep, "EC sender");
-    let t0 = std::time::Instant::now();
-    std::hint::black_box(serial_parity(&h.data, CHUNK, EcCodeChoice::Mds, 4, 2));
-    let full_encode = t0.elapsed();
-    assert!(
-        streamed.ttfb_wall <= full_encode + std::time::Duration::from_millis(5),
-        "streamed TTFB {:?} should not exceed the full parity encode {:?}",
-        streamed.ttfb_wall,
-        full_encode
+    assert!(streamed.outcome.is_delivered() && h.delivered_ok());
+    assert_eq!(
+        streamed.staged_at_first_byte, 0,
+        "the first byte left before any parity was harvested"
     );
 }

@@ -724,20 +724,26 @@ impl Fabric {
     /// never copied: the packets name the memory and the receiving NIC
     /// reads it at delivery.
     ///
-    /// `wrs` is consumed while the fabric is borrowed, so it must not call
-    /// back into it. Requests ahead of a failing one stay posted.
+    /// `departs(n, at)` hears, for the `n`-th request of the run, the
+    /// instant its last packet will have left the wire behind everything
+    /// queued ahead of it — the time its send completion fires when
+    /// signaled.
+    ///
+    /// `wrs` and `departs` run while the fabric is borrowed, so they must
+    /// not call back into it. Requests ahead of a failing one stay posted.
     pub fn post_uc_region_writes(
         &self,
         eng: &mut Engine,
         node: NodeId,
         wrs: impl IntoIterator<Item = RegionWriteWr>,
+        mut departs: impl FnMut(usize, SimTime),
     ) -> Result<(), PostError> {
         let mut inner = self.inner.borrow_mut();
         let FabricInner { nodes, links, .. } = &mut *inner;
         let local = &mut nodes[node.0 as usize];
         // The link of the previous request: a run normally has one peer.
         let mut route: Option<(NodeId, &mut Link)> = None;
-        for wr in wrs {
+        for (n, wr) in wrs.into_iter().enumerate() {
             let src = QpAddr { node, qp: wr.qp };
             let dst = uc_peer(local, wr.qp)?;
             if route.as_ref().map(|(to, _)| *to) != Some(dst.node) {
@@ -761,13 +767,17 @@ impl Fabric {
                 wr_id: wr.wr_id,
                 signaled: wr.signaled,
             };
-            self.enqueue_write(eng, local, link, src, dst, write, false);
+            departs(
+                n,
+                self.enqueue_write(eng, local, link, src, dst, write, false),
+            );
         }
         Ok(())
     }
 
     /// Fragments one write into MTU-sized packets on `link`, schedules its
-    /// send completion and makes sure the link's pump is armed.
+    /// send completion and makes sure the link's pump is armed. Returns
+    /// the instant the last of those packets leaves the wire.
     #[allow(clippy::too_many_arguments)]
     fn enqueue_write(
         &self,
@@ -778,7 +788,7 @@ impl Fabric {
         dst: QpAddr,
         wr: UcWrite,
         per_packet: bool,
-    ) {
+    ) -> SimTime {
         let mtu = link.config().mtu;
         let total = wr.data.len();
         let n_pkts = if total == 0 { 1 } else { total.div_ceil(mtu) };
@@ -825,11 +835,10 @@ impl Fabric {
             link.enqueue(eng.now(), pkt);
         }
 
+        // All packets of this post have been placed on paths; the last of
+        // them leaves the wire when every path is idle again.
+        let done_at = link.all_paths_free();
         if wr.signaled {
-            // All packets of this post have been placed on paths; the
-            // local completion fires when the last of them leaves the
-            // wire.
-            let done_at = link.all_paths_free();
             let fabric = self.clone();
             let (cq, qp, wr_id) = (node.qp_send_cq(src.qp), src.qp, wr.wr_id);
             let byte_len = total as u32;
@@ -855,6 +864,7 @@ impl Fabric {
             });
         }
         self.arm_pump(eng, (src.node, dst.node), link);
+        done_at
     }
 
     /// Posts a UD send (single datagram ≤ MTU) to an explicit destination.

@@ -85,7 +85,8 @@ fn run_train(post: Post) -> Outcome {
             wr_id: i as u64,
             signaled: i == PKTS - 1,
         });
-        fab.post_uc_region_writes(&mut eng, a, wrs).unwrap();
+        fab.post_uc_region_writes(&mut eng, a, wrs, |_, _| {})
+            .unwrap();
     } else {
         let data = Bytes::from(train.clone());
         for i in 0..PKTS {

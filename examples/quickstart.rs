@@ -72,7 +72,7 @@ fn main() {
         .send_stream_start(&mut p.eng, src, data.len() as u64, None)
         .unwrap();
     p.qp_a
-        .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64)
+        .send_stream_continue(&mut p.eng, &sh, 0, data.len() as u64, |_, _| {})
         .unwrap();
     p.eng.run();
 
@@ -94,7 +94,7 @@ fn main() {
             let off = c as u64 * 64 * 1024;
             let len = (64 * 1024).min(data.len() as u64 - off);
             p.qp_a
-                .send_stream_continue(&mut p.eng, &sh, off, len)
+                .send_stream_continue(&mut p.eng, &sh, off, len, |_, _| {})
                 .unwrap();
         }
         p.eng.run();
