@@ -27,9 +27,8 @@
 //! byte-identical — silent corruption aborts the binary.
 //!
 //! Emits machine-readable `BENCH_chaos.json`. `SDR_BENCH_SMOKE=1` runs a
-//! reduced matrix for CI; `CHAOS_BENCH_CASES=<n>` pins the per-bucket
-//! case count. Each case derives from a deterministic key printed on
-//! failure, so any row reproduces exactly.
+//! reduced matrix for CI. Each case derives from a deterministic key
+//! printed on failure, so any row reproduces exactly.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -50,8 +49,7 @@ const SEG: u64 = 1 << 20;
 /// Operational deadline per transfer. Calibrated against the fault-free
 /// worst case (~40 ms: a GBN tail loss eats one full RTO backoff ramp on
 /// top of the ~12 ms nominal run), so a clean channel always survives
-/// while dense fault scripts can genuinely blow the budget. Recalibrate
-/// with `CHAOS_NO_DEADLINE=1` (prints per-case completion times).
+/// while dense fault scripts can genuinely blow the budget.
 const DEADLINE_S: f64 = 0.050;
 const EVENT_LIMIT: u64 = 120_000_000;
 
@@ -240,13 +238,7 @@ fn run_case(key: u64, density: u32, corrupt_p: f64) -> (CaseOutcome, CaseWire) {
         min_packets: 512,
         ..TelemetryConfig::default()
     };
-    // `CHAOS_NO_DEADLINE=1` is the calibration mode: no deadline, print
-    // every completion instant, so the constant above can be re-derived.
-    acfg.deadline = if std::env::var_os("CHAOS_NO_DEADLINE").is_some() {
-        None
-    } else {
-        Some(SimTime::from_secs_f64(DEADLINE_S))
-    };
+    acfg.deadline = Some(SimTime::from_secs_f64(DEADLINE_S));
 
     let tx_cell: Rc<RefCell<Option<AdaptReport>>> = Rc::new(RefCell::new(None));
     let tc = tx_cell.clone();
@@ -338,17 +330,10 @@ fn run_case(key: u64, density: u32, corrupt_p: f64) -> (CaseOutcome, CaseWire) {
                 data,
                 "case {key}: delivered but bytes differ"
             );
-            if std::env::var_os("CHAOS_NO_DEADLINE").is_none() {
-                assert!(
-                    tx.duration <= SimTime::from_secs_f64(DEADLINE_S),
-                    "case {key}: delivered past the deadline"
-                );
-            } else {
-                eprintln!(
-                    "  done: key={key} initial={initial} p_base={p_base:.1e} t={:.2}ms",
-                    rx_done.as_secs_f64() * 1e3
-                );
-            }
+            assert!(
+                tx.duration <= SimTime::from_secs_f64(DEADLINE_S),
+                "case {key}: delivered past the deadline"
+            );
             CaseOutcome::Survived(rx_done.as_secs_f64())
         }
         (TransferOutcome::Delivered, TransferOutcome::Aborted { reason: r, .. }) => {
@@ -600,14 +585,11 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some();
+    let smoke = sdr_bench::smoke();
     // 50 cases per density bound a survival-rate estimate to a ±7-point
     // 95% binomial CI — enough to distinguish the densities' rates —
     // where the old 20 (±11 points) could not.
-    let cases: u64 = std::env::var("CHAOS_BENCH_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 50 });
+    let cases: u64 = if smoke { 5 } else { 50 };
     println!("# Chaos soak — survival rate and completion tail vs fault density");
     println!(
         "deployment: {} km ({:.2} ms RTT), {} Gbit/s, 4 MiB adaptive transfers, \

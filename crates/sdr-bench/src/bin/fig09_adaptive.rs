@@ -156,7 +156,7 @@ fn run(p_after: f64, spec: SchemeSpec, adapt: bool) -> (f64, AdaptReport, String
 }
 
 fn main() {
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = sdr_bench::smoke();
     println!("# Figure 9 (adaptive) — loss steps across the SR/EC boundary, mid-transfer handover");
     println!(
         "deployment: {KM} km ({:.2} ms RTT), {} Gbit/s, {} MiB in {} MiB segments, \

@@ -128,7 +128,7 @@ fn main() {
             "pinned GF(256) kernel unavailable on this host"
         );
     }
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = sdr_bench::smoke();
     let submessages = if smoke { 2 } else { 64 }; // 128 MiB total data per measurement
 
     let mut json = String::from("{\n");

@@ -36,7 +36,7 @@ fn cfg(msg_bytes: u64, workers: usize, messages: u64, batch_budget: usize) -> Lo
 
 fn main() {
     println!("# Figure 14 — SDR loopback throughput (16 in-flight, 64 KiB chunks)");
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = sdr_bench::smoke();
     let scale = if smoke { 16 } else { 1 };
 
     table_header(

@@ -19,7 +19,7 @@ fn main() {
         ("1.6 Tbit/s", 49.0),
         ("3.2 Tbit/s", 98.0),
     ];
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = sdr_bench::smoke();
     let messages: u64 = if smoke { 48 } else { 768 };
     table_header(
         "sustained packet rate",

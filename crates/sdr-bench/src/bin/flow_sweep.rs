@@ -35,7 +35,7 @@
 //!
 //! Emits machine-readable `BENCH_flows.json` (rows + an `sdr-trace`
 //! registry snapshot of the fairness row). `SDR_BENCH_SMOKE=1` runs a
-//! reduced matrix (50/200 flows) for CI; `SDR_FLOW_GATE=1` runs the
+//! reduced matrix (50/200 flows) for CI; the `--gate` argument runs the
 //! full-size 100/1000 rows without the 10k tail — the overhead gate at
 //! production scale, CI-affordable.
 
@@ -201,11 +201,11 @@ fn main() {
     // The bench drives the kill switch itself (the overhead gate below
     // needs both states), so any ambient `SDR_TRACE` is overridden.
     set_trace_enabled(true);
-    let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some();
-    let gate_only = std::env::var_os("SDR_FLOW_GATE").is_some();
+    let smoke = sdr_bench::smoke();
+    let gate_only = std::env::args().any(|a| a == "--gate");
     // (population, flow bytes); the first row carries the goodput gate,
     // the second the fairness + tracing-overhead gates, the third the
-    // scale gate. `SDR_FLOW_GATE=1` runs the full-size first two rows
+    // scale gate. `--gate` runs the full-size first two rows
     // without the long 10k tail — the CI shape for gating the 1k-flow
     // tracing overhead at production scale.
     let rows: &[(u64, u64)] = if smoke {

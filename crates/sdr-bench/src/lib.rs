@@ -21,7 +21,19 @@
 
 #![warn(missing_docs)]
 
+use std::ffi::OsStr;
+
 use sdr_model::Channel;
+
+/// True when `SDR_BENCH_SMOKE` asks for the reduced, seconds-long matrix
+/// CI runs. Unset, empty and `0` all mean off.
+pub fn smoke() -> bool {
+    smoke_requested(std::env::var_os("SDR_BENCH_SMOKE").as_deref())
+}
+
+fn smoke_requested(var: Option<&OsStr>) -> bool {
+    var.is_some_and(|v| v != "0" && !v.is_empty())
+}
 
 /// The paper's workhorse deployment: 400 Gbit/s, 3750 km (25 ms RTT),
 /// 4 KiB MTU, 64 KiB bitmap chunks.
@@ -101,6 +113,15 @@ mod tests {
         // Log-even spacing: ratios equal.
         let r = g[1] / g[0];
         assert!((g[2] / g[1] - r).abs() < 1e-9);
+    }
+
+    #[test]
+    fn smoke_is_off_when_unset_empty_or_zero() {
+        assert!(!smoke_requested(None));
+        assert!(!smoke_requested(Some(OsStr::new(""))));
+        assert!(!smoke_requested(Some(OsStr::new("0"))));
+        assert!(smoke_requested(Some(OsStr::new("1"))));
+        assert!(smoke_requested(Some(OsStr::new("yes"))));
     }
 
     #[test]

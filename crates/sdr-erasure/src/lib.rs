@@ -71,7 +71,7 @@ pub use kernel::Kernel;
 pub use matrix::Matrix;
 pub use parallel::{encode_parallel, encode_parallel_into};
 pub use pool::{EncodeJob, EncodePool, PendingEncode};
-pub use rs::{decode_cache_default_capacity, set_decode_cache_default_capacity, ReedSolomon};
+pub use rs::ReedSolomon;
 pub use xor::XorCode;
 
 #[cfg(test)]

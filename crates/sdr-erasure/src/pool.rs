@@ -369,20 +369,12 @@ impl EncodePool {
     }
 
     /// The process-wide shared pool, sized to the host's available
-    /// parallelism (capped at 16; override with `SDR_ENCODE_POOL=<n>`).
+    /// parallelism (capped at 16).
     pub fn global() -> &'static EncodePool {
         static GLOBAL: OnceLock<EncodePool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let size = std::env::var("SDR_ENCODE_POOL")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
-                .clamp(1, 16);
-            EncodePool::new(size)
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            EncodePool::new(cores.min(16))
         })
     }
 

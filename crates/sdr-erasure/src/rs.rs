@@ -7,7 +7,7 @@
 //! by ISA-L and other storage codecs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec::{shard_len, EcError, ErasureCode};
@@ -23,23 +23,6 @@ const MAX_SHARDS: usize = 256;
 /// patterns covers almost every decode).
 const DECODE_CACHE_CAP: usize = 8;
 
-/// The capacity new shared per-shape caches are created with.
-static DEFAULT_DECODE_CACHE_CAP: AtomicUsize = AtomicUsize::new(DECODE_CACHE_CAP);
-
-/// Sets the capacity used when a `(k, m)` shape's **shared** decode cache
-/// is first created (default 8). Shapes whose cache already exists keep
-/// their capacity — configure before building codes. Per-instance
-/// overrides via [`ReedSolomon::with_decode_cache_capacity`] are
-/// unaffected.
-pub fn set_decode_cache_default_capacity(cap: usize) {
-    DEFAULT_DECODE_CACHE_CAP.store(cap, Ordering::Relaxed);
-}
-
-/// The capacity new shared per-shape decode caches are created with.
-pub fn decode_cache_default_capacity() -> usize {
-    DEFAULT_DECODE_CACHE_CAP.load(Ordering::Relaxed)
-}
-
 /// One decode cache per `(k, m)` shape, shared process-wide. The systematic
 /// encode matrix is a pure function of the shape, so two independently
 /// built `RS(k, m)` codes invert identical survivor submatrices — a striped
@@ -51,7 +34,7 @@ fn shared_decode_cache(k: usize, m: usize) -> Arc<DecodeCache> {
     let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut g = reg.lock().expect("decode-cache registry poisoned");
     g.entry((k, m))
-        .or_insert_with(|| Arc::new(DecodeCache::new(decode_cache_default_capacity())))
+        .or_insert_with(|| Arc::new(DecodeCache::new(DECODE_CACHE_CAP)))
         .clone()
 }
 
@@ -135,8 +118,8 @@ pub struct ReedSolomon {
     m: usize,
     /// Full `(k+m) × k` systematic encode matrix (top `k` rows identity).
     matrix: Matrix,
-    /// Inverted survivor submatrices — by default the process-wide cache
-    /// shared by every `RS(k, m)` of this shape (and all clones).
+    /// Inverted survivor submatrices — the process-wide cache shared by
+    /// every `RS(k, m)` of this shape (and all clones).
     decode_cache: Arc<DecodeCache>,
 }
 
@@ -163,15 +146,6 @@ impl ReedSolomon {
             matrix,
             decode_cache: shared_decode_cache(k, m),
         }
-    }
-
-    /// Overrides the decode-matrix cache with a **private** one of the
-    /// given capacity (builder style), detaching this instance (and its
-    /// clones) from the shared per-shape cache. `0` disables caching — the
-    /// uncached baseline the differential tests compare against.
-    pub fn with_decode_cache_capacity(mut self, cap: usize) -> Self {
-        self.decode_cache = Arc::new(DecodeCache::new(cap));
-        self
     }
 
     /// Decode-cache hit/miss counters (observability: a steady repeated
@@ -441,10 +415,10 @@ mod tests {
     #[test]
     fn decode_cache_differential_vs_uncached() {
         let (k, m) = (8usize, 3usize);
-        // Private cache at the default capacity: the differential must not
+        // Private cache at the shipped capacity: the differential must not
         // see hits/misses other tests feed into the shared (8,3) cache.
-        let cached = ReedSolomon::new(k, m).with_decode_cache_capacity(DECODE_CACHE_CAP);
-        let uncached = ReedSolomon::new(k, m).with_decode_cache_capacity(0);
+        let cached = with_private_cache(ReedSolomon::new(k, m), DECODE_CACHE_CAP);
+        let uncached = with_private_cache(ReedSolomon::new(k, m), 0);
         let data = random_shards(k, 513, 17);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = cached.encode(&refs);
@@ -494,11 +468,12 @@ mod tests {
         assert_eq!(uh, 0, "capacity 0 disables caching");
     }
 
-    /// Serializes the tests that read the shared registry's counters or
-    /// mutate the default capacity (tests run concurrently in one process).
-    fn registry_test_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
+    /// Detaches `code` (and its clones) onto a private decode cache of
+    /// `cap` entries; `0` caches nothing — the uncached reference the
+    /// differential compares against.
+    fn with_private_cache(mut code: ReedSolomon, cap: usize) -> ReedSolomon {
+        code.decode_cache = Arc::new(DecodeCache::new(cap));
+        code
     }
 
     /// Reconstructs with `erase`d shards through `code` (shards built from
@@ -522,14 +497,13 @@ mod tests {
     /// Two *independently built* codes of the same shape share one decode
     /// cache: a pattern inverted through one is a hit through the other,
     /// and eviction happens in the one shared LRU. (Shape (10, 2) is used
-    /// by no other test, so the counters are ours under the lock.)
+    /// by no other test, so the counters are ours.)
     #[test]
     fn shared_cache_spans_instances_of_equal_shape_and_evicts() {
-        let _g = registry_test_lock().lock().unwrap();
         let (k, m) = (10usize, 2usize);
         let a = ReedSolomon::new(k, m);
         let b = ReedSolomon::new(k, m);
-        assert_eq!(decode_cache_default_capacity(), 8, "expected default");
+        assert_eq!(a.decode_cache.cap, 8, "the shared cache's one capacity");
         let data = random_shards(k, 96, 41);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = a.encode(&refs);
@@ -556,34 +530,10 @@ mod tests {
         assert_eq!((hb, mb), (h1, m1), "one cache, one counter set");
     }
 
-    /// The shared cache's creation capacity is configurable; shapes created
-    /// under a lowered default evict sooner. (Shape (11, 2) is unique to
-    /// this test; the default is restored under the lock.)
-    #[test]
-    fn shared_cache_default_capacity_is_configurable() {
-        let _g = registry_test_lock().lock().unwrap();
-        let before = decode_cache_default_capacity();
-        set_decode_cache_default_capacity(2);
-        let code = ReedSolomon::new(11, 2);
-        set_decode_cache_default_capacity(before);
-
-        let data = random_shards(11, 64, 43);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = code.encode(&refs);
-        let (h0, m0) = code.decode_cache_stats();
-        decode_with(&code, &data, &parity, &[0, 1]); // miss
-        decode_with(&code, &data, &parity, &[2, 3]); // miss
-        decode_with(&code, &data, &parity, &[4, 5]); // miss → evicts [0,1]
-        decode_with(&code, &data, &parity, &[0, 1]); // miss again (cap 2)
-        decode_with(&code, &data, &parity, &[0, 1]); // hit
-        let (h1, m1) = code.decode_cache_stats();
-        assert_eq!((h1 - h0, m1 - m0), (1, 4));
-    }
-
     /// The LRU evicts the oldest pattern and clones share one cache.
     #[test]
     fn decode_cache_evicts_and_is_shared_across_clones() {
-        let code = ReedSolomon::new(4, 2).with_decode_cache_capacity(2);
+        let code = with_private_cache(ReedSolomon::new(4, 2), 2);
         let clone = code.clone();
         let data = random_shards(4, 64, 3);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();

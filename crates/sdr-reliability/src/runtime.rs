@@ -61,10 +61,10 @@ use crate::telemetry::{ChannelEstimator, FirstPassCursor, TelemetryCounters};
 // ---------------------------------------------------------------------------
 
 /// Maximum retransmission-timeout backoff exponent: an unacknowledged
-/// timeout at most doubles the effective RTO this many times (a 64× cap),
-/// mirroring `sdr_sim::rc::RTO_BACKOFF_CAP`. The cap bounds the post-heal
-/// discovery latency after a long blackout while still collapsing the
-/// retransmission storm to O(log blackout / RTO) copies per chunk.
+/// timeout at most doubles the effective RTO this many times (a 64× cap).
+/// The cap bounds the post-heal discovery latency after a long blackout
+/// while still collapsing the retransmission storm to
+/// O(log blackout / RTO) copies per chunk.
 pub const RTO_BACKOFF_CAP: u32 = 6;
 
 /// Why a transfer ended without delivering.

@@ -8,9 +8,7 @@
 //! The queue is a hierarchical timing wheel over picosecond ticks (see
 //! [`equeue`](crate::equeue) for the architecture: slab-backed nodes, 64
 //! slots × 11 levels spanning the whole `u64` range, zero allocation at
-//! steady state). A binary-heap reference backend is kept for differential
-//! testing and A/B measurement — select it process-wide with
-//! `SDR_SIM_QUEUE=heap` or per engine with [`Engine::with_queue`].
+//! steady state).
 //!
 //! Three event shapes are supported:
 //!
@@ -33,27 +31,15 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use sdr_trace::{Counter, Registry};
 
-use crate::equeue::{Body, EventQueue, QueueKind, TimerHandle};
+use crate::equeue::{Body, EventQueue, TimerHandle};
 use crate::time::SimTime;
 
 /// An event body: runs at its scheduled time with access to the engine so it
 /// can schedule follow-up events.
 pub type Action = Box<dyn FnOnce(&mut Engine)>;
-
-/// The process-wide default backend (`SDR_SIM_QUEUE`, read once).
-fn default_kind() -> QueueKind {
-    static KIND: OnceLock<QueueKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("SDR_SIM_QUEUE") {
-        Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-        Ok(v) if v.eq_ignore_ascii_case("wheel") || v.is_empty() => QueueKind::Wheel,
-        Ok(v) => panic!("SDR_SIM_QUEUE must be `wheel` or `heap`, got `{v}`"),
-        Err(_) => QueueKind::Wheel,
-    })
-}
 
 /// Deterministic single-threaded discrete-event executor.
 ///
@@ -81,8 +67,8 @@ pub struct Engine {
     event_limit: u64,
     stopped: bool,
     /// Substrate metrics (`engine.*`): every dispatch bumps
-    /// `engine.events`, and the wheel backend records each cascade's level
-    /// into the `engine.cascade_depth` histogram. Kill-switch gated like
+    /// `engine.events`, and the wheel records each cascade's level into
+    /// the `engine.cascade_depth` histogram. Kill-switch gated like
     /// all `sdr-trace` handles.
     metrics: Registry,
     /// Bound handle for `engine.events` (no registry lookup per dispatch).
@@ -96,19 +82,11 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine at time zero with an empty queue, on the backend
-    /// selected by `SDR_SIM_QUEUE` (the timing wheel by default).
+    /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
-        Self::with_queue(default_kind())
-    }
-
-    /// Creates an engine pinned to a specific queue backend (for
-    /// differential tests and A/B benchmarks).
-    pub fn with_queue(kind: QueueKind) -> Self {
         let metrics = Registry::new();
         let ev_counter = metrics.counter("engine.events");
-        let mut q = EventQueue::new(kind);
-        q.set_cascade_hist(metrics.histogram("engine.cascade_depth"));
+        let q = EventQueue::new(metrics.histogram("engine.cascade_depth"));
         Engine {
             now: SimTime::ZERO,
             q,
@@ -118,11 +96,6 @@ impl Engine {
             metrics,
             ev_counter,
         }
-    }
-
-    /// The queue backend this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.q.kind()
     }
 
     /// The engine's metrics registry (`engine.events` counter,
@@ -338,322 +311,297 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    fn both(f: impl Fn(&mut Engine)) {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut eng = Engine::with_queue(kind);
-            f(&mut eng);
-        }
-    }
-
     #[test]
     fn events_run_in_time_order() {
-        both(|eng| {
-            let log = shared(Vec::<u32>::new());
-            for (t, tag) in [(30u64, 3u32), (10, 1), (20, 2)] {
-                let log = log.clone();
-                eng.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(tag));
-            }
-            eng.run();
-            assert_eq!(*log.borrow(), vec![1, 2, 3]);
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u32>::new());
+        for (t, tag) in [(30u64, 3u32), (10, 1), (20, 2)] {
+            let log = log.clone();
+            eng.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(tag));
+        }
+        eng.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
     }
 
     #[test]
     fn same_time_events_run_fifo() {
-        both(|eng| {
-            let log = shared(Vec::<u32>::new());
-            for tag in 0..100u32 {
-                let log = log.clone();
-                eng.schedule_at(SimTime::from_nanos(5), move |_| log.borrow_mut().push(tag));
-            }
-            eng.run();
-            assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u32>::new());
+        for tag in 0..100u32 {
+            let log = log.clone();
+            eng.schedule_at(SimTime::from_nanos(5), move |_| log.borrow_mut().push(tag));
+        }
+        eng.run();
+        assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn events_can_schedule_events() {
-        both(|eng| {
-            let log = shared(Vec::<SimTime>::new());
-            let log2 = log.clone();
-            eng.schedule_in(SimTime::from_nanos(1), move |eng| {
-                let log3 = log2.clone();
-                eng.schedule_in(SimTime::from_nanos(2), move |eng| {
-                    log3.borrow_mut().push(eng.now());
-                });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<SimTime>::new());
+        let log2 = log.clone();
+        eng.schedule_in(SimTime::from_nanos(1), move |eng| {
+            let log3 = log2.clone();
+            eng.schedule_in(SimTime::from_nanos(2), move |eng| {
+                log3.borrow_mut().push(eng.now());
             });
-            let end = eng.run();
-            assert_eq!(end, SimTime::from_nanos(3));
-            assert_eq!(*log.borrow(), vec![SimTime::from_nanos(3)]);
         });
+        let end = eng.run();
+        assert_eq!(end, SimTime::from_nanos(3));
+        assert_eq!(*log.borrow(), vec![SimTime::from_nanos(3)]);
     }
 
     #[test]
     fn run_until_leaves_later_events_queued() {
-        both(|eng| {
-            let log = shared(Vec::<u32>::new());
-            for t in [10u64, 20, 30] {
-                let log = log.clone();
-                eng.schedule_at(SimTime::from_nanos(t), move |_| {
-                    log.borrow_mut().push(t as u32)
-                });
-            }
-            eng.run_until(SimTime::from_nanos(20));
-            assert_eq!(*log.borrow(), vec![10, 20]);
-            assert_eq!(eng.pending_events(), 1);
-            assert_eq!(eng.now(), SimTime::from_nanos(20));
-            eng.run();
-            assert_eq!(*log.borrow(), vec![10, 20, 30]);
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u32>::new());
+        for t in [10u64, 20, 30] {
+            let log = log.clone();
+            eng.schedule_at(SimTime::from_nanos(t), move |_| {
+                log.borrow_mut().push(t as u32)
+            });
+        }
+        eng.run_until(SimTime::from_nanos(20));
+        assert_eq!(*log.borrow(), vec![10, 20]);
+        assert_eq!(eng.pending_events(), 1);
+        assert_eq!(eng.now(), SimTime::from_nanos(20));
+        eng.run();
+        assert_eq!(*log.borrow(), vec![10, 20, 30]);
     }
 
     #[test]
     fn run_until_advances_time_when_idle() {
-        both(|eng| {
-            eng.run_until(SimTime::from_millis(5));
-            assert_eq!(eng.now(), SimTime::from_millis(5));
-        });
+        let mut eng = Engine::new();
+        eng.run_until(SimTime::from_millis(5));
+        assert_eq!(eng.now(), SimTime::from_millis(5));
     }
 
     #[test]
     fn run_until_then_schedule_before_pending() {
         // A run_until that stops short of the next event must leave the
         // queue able to accept events earlier than that event.
-        both(|eng| {
-            let log = shared(Vec::<u32>::new());
-            let l = log.clone();
-            eng.schedule_at(SimTime::from_nanos(100), move |_| l.borrow_mut().push(100));
-            eng.run_until(SimTime::from_nanos(50));
-            let l = log.clone();
-            eng.schedule_at(SimTime::from_nanos(60), move |_| l.borrow_mut().push(60));
-            eng.run();
-            assert_eq!(*log.borrow(), vec![60, 100]);
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u32>::new());
+        let l = log.clone();
+        eng.schedule_at(SimTime::from_nanos(100), move |_| l.borrow_mut().push(100));
+        eng.run_until(SimTime::from_nanos(50));
+        let l = log.clone();
+        eng.schedule_at(SimTime::from_nanos(60), move |_| l.borrow_mut().push(60));
+        eng.run();
+        assert_eq!(*log.borrow(), vec![60, 100]);
     }
 
     #[test]
     fn stop_halts_run() {
-        both(|eng| {
-            let log = shared(0u32);
-            let l1 = log.clone();
-            eng.schedule_at(SimTime::from_nanos(1), move |eng| {
-                *l1.borrow_mut() += 1;
-                eng.stop();
-            });
-            let l2 = log.clone();
-            eng.schedule_at(SimTime::from_nanos(2), move |_| *l2.borrow_mut() += 1);
-            eng.run();
-            assert_eq!(*log.borrow(), 1);
-            eng.run();
-            assert_eq!(*log.borrow(), 2);
+        let mut eng = Engine::new();
+        let log = shared(0u32);
+        let l1 = log.clone();
+        eng.schedule_at(SimTime::from_nanos(1), move |eng| {
+            *l1.borrow_mut() += 1;
+            eng.stop();
         });
+        let l2 = log.clone();
+        eng.schedule_at(SimTime::from_nanos(2), move |_| *l2.borrow_mut() += 1);
+        eng.run();
+        assert_eq!(*log.borrow(), 1);
+        eng.run();
+        assert_eq!(*log.borrow(), 2);
     }
 
     #[test]
     fn event_limit_caps_execution() {
-        both(|eng| {
-            eng.set_event_limit(3);
-            // A self-perpetuating event chain.
-            fn tick(eng: &mut Engine) {
-                eng.schedule_in(SimTime::from_nanos(1), tick);
-            }
+        let mut eng = Engine::new();
+        eng.set_event_limit(3);
+        // A self-perpetuating event chain.
+        fn tick(eng: &mut Engine) {
             eng.schedule_in(SimTime::from_nanos(1), tick);
-            eng.run();
-            assert_eq!(eng.executed_events(), 3);
-        });
+        }
+        eng.schedule_in(SimTime::from_nanos(1), tick);
+        eng.run();
+        assert_eq!(eng.executed_events(), 3);
     }
 
     #[test]
     fn far_future_events_park_in_the_overflow_level() {
-        both(|eng| {
-            let hit = Rc::new(Cell::new(false));
-            let h1 = hit.clone();
-            // Beyond level 5 (~68 ms), level 7 (~4.4 s) and deep into the
-            // top level.
-            eng.schedule_at(SimTime::from_secs(3600), move |_| h1.set(true));
-            let infinite = eng.schedule_at_handle(SimTime::MAX, |_| panic!("never"));
-            eng.schedule_at(SimTime::from_nanos(1), |_| {});
-            eng.run_until(SimTime::from_secs(1));
-            assert!(!hit.get());
-            assert!(eng.cancel(infinite));
-            eng.run();
-            assert!(hit.get());
-            assert_eq!(eng.now(), SimTime::from_secs(3600));
-        });
+        let mut eng = Engine::new();
+        let hit = Rc::new(Cell::new(false));
+        let h1 = hit.clone();
+        // Beyond level 5 (~68 ms), level 7 (~4.4 s) and deep into the
+        // top level.
+        eng.schedule_at(SimTime::from_secs(3600), move |_| h1.set(true));
+        let infinite = eng.schedule_at_handle(SimTime::MAX, |_| panic!("never"));
+        eng.schedule_at(SimTime::from_nanos(1), |_| {});
+        eng.run_until(SimTime::from_secs(1));
+        assert!(!hit.get());
+        assert!(eng.cancel(infinite));
+        eng.run();
+        assert!(hit.get());
+        assert_eq!(eng.now(), SimTime::from_secs(3600));
     }
 
     #[test]
     fn cancelled_events_neither_run_nor_count() {
-        both(|eng| {
-            let hits = shared(0u32);
-            let h = hits.clone();
-            let a = eng.schedule_at_handle(SimTime::from_nanos(10), move |_| *h.borrow_mut() += 1);
-            let h = hits.clone();
-            let _b = eng.schedule_at_handle(SimTime::from_nanos(20), move |_| *h.borrow_mut() += 1);
-            assert_eq!(eng.pending_events(), 2);
-            assert!(eng.cancel(a));
-            assert_eq!(eng.pending_events(), 1, "cancelled timers are not pending");
-            assert!(!eng.cancel(a), "double cancel is stale");
-            // The cancelled event must not be charged against the limit.
-            eng.set_event_limit(1);
-            eng.run();
-            assert_eq!(*hits.borrow(), 1);
-            assert_eq!(eng.executed_events(), 1);
-        });
+        let mut eng = Engine::new();
+        let hits = shared(0u32);
+        let h = hits.clone();
+        let a = eng.schedule_at_handle(SimTime::from_nanos(10), move |_| *h.borrow_mut() += 1);
+        let h = hits.clone();
+        let _b = eng.schedule_at_handle(SimTime::from_nanos(20), move |_| *h.borrow_mut() += 1);
+        assert_eq!(eng.pending_events(), 2);
+        assert!(eng.cancel(a));
+        assert_eq!(eng.pending_events(), 1, "cancelled timers are not pending");
+        assert!(!eng.cancel(a), "double cancel is stale");
+        // The cancelled event must not be charged against the limit.
+        eng.set_event_limit(1);
+        eng.run();
+        assert_eq!(*hits.borrow(), 1);
+        assert_eq!(eng.executed_events(), 1);
     }
 
     #[test]
     fn cancel_of_fired_handle_is_stale() {
-        both(|eng| {
-            let h = eng.schedule_at_handle(SimTime::from_nanos(5), |_| {});
-            assert!(eng.is_scheduled(h));
-            eng.run();
-            assert!(!eng.is_scheduled(h));
-            assert!(!eng.cancel(h));
-        });
+        let mut eng = Engine::new();
+        let h = eng.schedule_at_handle(SimTime::from_nanos(5), |_| {});
+        assert!(eng.is_scheduled(h));
+        eng.run();
+        assert!(!eng.is_scheduled(h));
+        assert!(!eng.cancel(h));
     }
 
     #[test]
     fn reschedule_moves_events_both_directions() {
-        both(|eng| {
-            let log = shared(Vec::<(u32, SimTime)>::new());
-            let l = log.clone();
-            let a = eng.schedule_at_handle(SimTime::from_nanos(100), move |e| {
-                l.borrow_mut().push((1, e.now()))
-            });
-            let l = log.clone();
-            let b = eng.schedule_at_handle(SimTime::from_nanos(50), move |e| {
-                l.borrow_mut().push((2, e.now()))
-            });
-            // Push a later, pull b earlier.
-            assert!(eng.reschedule(a, SimTime::from_nanos(200)));
-            assert!(eng.reschedule(b, SimTime::from_nanos(10)));
-            eng.run();
-            assert_eq!(
-                *log.borrow(),
-                vec![(2, SimTime::from_nanos(10)), (1, SimTime::from_nanos(200)),]
-            );
+        let mut eng = Engine::new();
+        let log = shared(Vec::<(u32, SimTime)>::new());
+        let l = log.clone();
+        let a = eng.schedule_at_handle(SimTime::from_nanos(100), move |e| {
+            l.borrow_mut().push((1, e.now()))
         });
+        let l = log.clone();
+        let b = eng.schedule_at_handle(SimTime::from_nanos(50), move |e| {
+            l.borrow_mut().push((2, e.now()))
+        });
+        // Push a later, pull b earlier.
+        assert!(eng.reschedule(a, SimTime::from_nanos(200)));
+        assert!(eng.reschedule(b, SimTime::from_nanos(10)));
+        eng.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![(2, SimTime::from_nanos(10)), (1, SimTime::from_nanos(200)),]
+        );
     }
 
     #[test]
     fn reschedule_to_same_time_requeues_in_fifo_order() {
-        both(|eng| {
-            let log = shared(Vec::<u32>::new());
-            let l = log.clone();
-            let a = eng.schedule_at_handle(SimTime::from_nanos(5), move |_| l.borrow_mut().push(1));
-            let l = log.clone();
-            eng.schedule_at_handle(SimTime::from_nanos(5), move |_| l.borrow_mut().push(2));
-            // Re-arming `a` at the same instant demotes it behind 2 (a
-            // reschedule ranks like a fresh schedule).
-            assert!(eng.reschedule(a, SimTime::from_nanos(5)));
-            eng.run();
-            assert_eq!(*log.borrow(), vec![2, 1]);
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u32>::new());
+        let l = log.clone();
+        let a = eng.schedule_at_handle(SimTime::from_nanos(5), move |_| l.borrow_mut().push(1));
+        let l = log.clone();
+        eng.schedule_at_handle(SimTime::from_nanos(5), move |_| l.borrow_mut().push(2));
+        // Re-arming `a` at the same instant demotes it behind 2 (a
+        // reschedule ranks like a fresh schedule).
+        assert!(eng.reschedule(a, SimTime::from_nanos(5)));
+        eng.run();
+        assert_eq!(*log.borrow(), vec![2, 1]);
     }
 
     #[test]
     fn recurring_event_rearms_and_stops() {
-        both(|eng| {
-            let log = shared(Vec::<SimTime>::new());
-            let l = log.clone();
-            let mut left = 3u32;
-            eng.schedule_recurring_in(SimTime::from_nanos(10), move |eng| {
-                l.borrow_mut().push(eng.now());
-                left -= 1;
-                (left > 0).then(|| eng.now() + SimTime::from_nanos(5))
-            });
-            eng.run();
-            assert_eq!(
-                *log.borrow(),
-                vec![
-                    SimTime::from_nanos(10),
-                    SimTime::from_nanos(15),
-                    SimTime::from_nanos(20)
-                ]
-            );
-            assert_eq!(eng.pending_events(), 0);
+        let mut eng = Engine::new();
+        let log = shared(Vec::<SimTime>::new());
+        let l = log.clone();
+        let mut left = 3u32;
+        eng.schedule_recurring_in(SimTime::from_nanos(10), move |eng| {
+            l.borrow_mut().push(eng.now());
+            left -= 1;
+            (left > 0).then(|| eng.now() + SimTime::from_nanos(5))
         });
+        eng.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                SimTime::from_nanos(10),
+                SimTime::from_nanos(15),
+                SimTime::from_nanos(20)
+            ]
+        );
+        assert_eq!(eng.pending_events(), 0);
     }
 
     #[test]
     fn recurring_event_cancel_while_firing() {
-        both(|eng| {
-            let fires = Rc::new(Cell::new(0u32));
-            let f = fires.clone();
-            let slot: Rc<Cell<Option<TimerHandle>>> = Rc::new(Cell::new(None));
-            let s = slot.clone();
-            let h = eng.schedule_recurring_in(SimTime::from_nanos(1), move |eng| {
-                f.set(f.get() + 1);
-                if f.get() == 2 {
-                    // Self-cancel mid-fire: the re-arm below must be
-                    // ignored.
-                    assert!(eng.cancel(s.get().expect("handle stored")));
-                }
-                Some(eng.now() + SimTime::from_nanos(1))
-            });
-            slot.set(Some(h));
-            eng.run();
-            assert_eq!(fires.get(), 2, "self-cancel stops the recurrence");
-            assert_eq!(eng.pending_events(), 0);
+        let mut eng = Engine::new();
+        let fires = Rc::new(Cell::new(0u32));
+        let f = fires.clone();
+        let slot: Rc<Cell<Option<TimerHandle>>> = Rc::new(Cell::new(None));
+        let s = slot.clone();
+        let h = eng.schedule_recurring_in(SimTime::from_nanos(1), move |eng| {
+            f.set(f.get() + 1);
+            if f.get() == 2 {
+                // Self-cancel mid-fire: the re-arm below must be
+                // ignored.
+                assert!(eng.cancel(s.get().expect("handle stored")));
+            }
+            Some(eng.now() + SimTime::from_nanos(1))
         });
+        slot.set(Some(h));
+        eng.run();
+        assert_eq!(fires.get(), 2, "self-cancel stops the recurrence");
+        assert_eq!(eng.pending_events(), 0);
     }
 
     #[test]
     fn same_instant_cancel_prevents_execution() {
-        both(|eng| {
-            // A fires first (same instant, earlier schedule) and cancels B.
-            let slot: Rc<Cell<Option<TimerHandle>>> = Rc::new(Cell::new(None));
-            let s = slot.clone();
-            eng.schedule_at(SimTime::from_nanos(7), move |eng| {
-                assert!(eng.cancel(s.get().expect("B scheduled")));
-            });
-            let b = eng.schedule_at_handle(SimTime::from_nanos(7), |_| {
-                panic!("B was cancelled by A at the same instant")
-            });
-            slot.set(Some(b));
-            eng.run();
-            assert_eq!(eng.executed_events(), 1);
+        let mut eng = Engine::new();
+        // A fires first (same instant, earlier schedule) and cancels B.
+        let slot: Rc<Cell<Option<TimerHandle>>> = Rc::new(Cell::new(None));
+        let s = slot.clone();
+        eng.schedule_at(SimTime::from_nanos(7), move |eng| {
+            assert!(eng.cancel(s.get().expect("B scheduled")));
         });
+        let b = eng.schedule_at_handle(SimTime::from_nanos(7), |_| {
+            panic!("B was cancelled by A at the same instant")
+        });
+        slot.set(Some(b));
+        eng.run();
+        assert_eq!(eng.executed_events(), 1);
     }
 
     #[test]
     fn rc_callback_fires_like_a_oneshot() {
-        both(|eng| {
-            let hits = Rc::new(Cell::new(0u32));
-            let h = hits.clone();
-            let cb: Rc<dyn Fn(&mut Engine)> = Rc::new(move |_| h.set(h.get() + 1));
-            eng.schedule_rc_at(SimTime::from_nanos(1), cb.clone());
-            eng.schedule_rc_at(SimTime::from_nanos(2), cb);
-            eng.run();
-            assert_eq!(hits.get(), 2);
-        });
+        let mut eng = Engine::new();
+        let hits = Rc::new(Cell::new(0u32));
+        let h = hits.clone();
+        let cb: Rc<dyn Fn(&mut Engine)> = Rc::new(move |_| h.set(h.get() + 1));
+        eng.schedule_rc_at(SimTime::from_nanos(1), cb.clone());
+        eng.schedule_rc_at(SimTime::from_nanos(2), cb);
+        eng.run();
+        assert_eq!(hits.get(), 2);
     }
 
     #[test]
     fn dense_and_sparse_mix_pops_in_order() {
         // Exercises cascades: times spread across many wheel levels, mixed
         // with same-instant runs.
-        both(|eng| {
-            let log = shared(Vec::<u64>::new());
-            let mut times = Vec::new();
-            let mut x = 0x243F_6A88_85A3_08D3u64;
-            for _ in 0..500 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                times.push(x % 50_000_000); // up to 50 us, hits levels 0..5
-            }
-            times.extend([0, 0, 1, 1, 63, 64, 65, 4095, 4096, 4097]);
-            for &t in &times {
-                let l = log.clone();
-                eng.schedule_at(SimTime(t), move |e| l.borrow_mut().push(e.now().0));
-            }
-            eng.run();
-            let got = log.borrow().clone();
-            let mut want = times.clone();
-            want.sort_unstable();
-            assert_eq!(got, want);
-        });
+        let mut eng = Engine::new();
+        let log = shared(Vec::<u64>::new());
+        let mut times = Vec::new();
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        for _ in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            times.push(x % 50_000_000); // up to 50 us, hits levels 0..5
+        }
+        times.extend([0, 0, 1, 1, 63, 64, 65, 4095, 4096, 4097]);
+        for &t in &times {
+            let l = log.clone();
+            eng.schedule_at(SimTime(t), move |e| l.borrow_mut().push(e.now().0));
+        }
+        eng.run();
+        let got = log.borrow().clone();
+        let mut want = times.clone();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 }

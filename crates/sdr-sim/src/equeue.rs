@@ -1,18 +1,16 @@
-//! The engine's event queue: a hierarchical timing wheel (default) with a
-//! kept binary-heap reference backend, over a shared slab of event nodes.
+//! The engine's event queue: a hierarchical timing wheel over a slab of
+//! event nodes.
 //!
 //! # Why a wheel
 //!
 //! Every packet serialization, propagation arrival, protocol timer and
 //! scheme tick in the workspace flows through this queue; at the paper's
 //! scales (multi-hundred-Gbit/s goodput over 1000 km RTTs) a single figure
-//! run executes tens of millions of events. The original engine kept a
-//! `BinaryHeap<Box<dyn FnOnce>>`: every event paid an allocation, an
-//! O(log n) sift against a loaded heap, and cancellation was impossible —
-//! timer users compensated with generation counters whose stale events
-//! still fired (and still counted against the event limit) as no-ops.
-//!
-//! The wheel replaces all of that:
+//! run executes tens of millions of events. A binary heap of boxed
+//! closures charges each of them an allocation and an O(log n) sift
+//! against a loaded heap, and cannot cancel: timer users end up with
+//! generation counters whose stale events still fire (and still count
+//! against the event limit) as no-ops. The wheel avoids all of that:
 //!
 //! * **Slab nodes, free-listed** ([`TimerHandle`] = slot index +
 //!   generation): steady-state scheduling allocates nothing; recurring
@@ -21,19 +19,18 @@
 //! * **O(1) amortized insert/pop**: an event at distance `d` from now sits
 //!   at level `⌈log₆₄ d⌉` and is touched once per level as time advances
 //!   toward it (at most [`LEVELS`] times ever).
-//! * **Cancel / re-arm**: [`EventQueue::cancel`] drops the closure
-//!   immediately and uncounts the event from `pending_events`; cancelled
-//!   nodes are reaped lazily when their slot comes due, never execute, and
-//!   never charge the event limit. [`EventQueue::reschedule`] moves a
-//!   pending event to a new deadline in place. Slot lists are doubly
-//!   linked (a separate `prev` array), so both operations unlink in O(1)
-//!   regardless of slot occupancy.
+//! * **Cancel / re-arm**: [`EventQueue::cancel`] unlinks the node and
+//!   drops the closure immediately; a cancelled event never executes,
+//!   stops counting in `pending_events` and never charges the event limit.
+//!   [`EventQueue::reschedule`] moves a pending event to a new deadline in
+//!   place. Slot lists are doubly linked (a separate `prev` array), so
+//!   both operations unlink in O(1) regardless of slot occupancy.
 //! * **Structure-of-arrays layout**: deadlines (`at`) and slot links
 //!   (`link`) live in dense parallel arrays so the wheel's walk — slot
 //!   appends, cascades, due-scans — stays within compact, mostly
 //!   cache-resident arrays instead of dirtying a wide node record per
-//!   hop; the wide record (closure, generation, sequence) is only touched
-//!   when an event actually fires. (Measured on the loaded microbench:
+//!   hop; the wide record (closure, generation, placement) is only touched
+//!   when an event actually fires. (Measured on a loaded microbenchmark:
 //!   this split beats both the all-in-one node layout and a merged
 //!   16-byte `{at, link}` record — the 4-byte link array is the single
 //!   hottest structure and keeping it tiny keeps it in cache.)
@@ -42,14 +39,15 @@
 //!
 //! The wheel ticks at exactly one **picosecond** — the engine's native
 //! [`SimTime`] unit — so a level-0 slot holds events of a *single* instant
-//! and slot order is insertion order. That choice is what makes the wheel
-//! bit-compatible with the heap: execution order is exactly `(time, seq)`
-//! where `seq` is the global schedule order, the same total order the heap
-//! produces. Two facts keep same-time events FIFO across cascades:
+//! and slot order is insertion order. That choice is what makes execution
+//! order exactly `(time, schedule order)` — a re-arm or a reschedule
+//! counting as a fresh schedule — with no per-event sequence number: a
+//! node's rank among its instant's events *is* its position in the slot
+//! list. Two facts keep same-time events FIFO across cascades:
 //!
 //! 1. For a given cursor position, a time `t` maps to exactly one
 //!    `(level, slot)` — so all nodes of one instant are always in one
-//!    list, appended in `seq` order.
+//!    list, appended in schedule order.
 //! 2. A slot is cascaded exactly when the cursor enters its window, and
 //!    after that no insert can target it (an insert for a time inside the
 //!    window now lands at a lower level). Cascades re-append in list
@@ -60,18 +58,9 @@
 //! *is* the far-future overflow level — `SimTime::MAX` "infinite"
 //! deadlines park there and cost nothing until cancelled.
 //!
-//! # Backend selection
-//!
-//! `SDR_SIM_QUEUE=heap` selects the reference binary-heap backend
-//! process-wide (`wheel` — the default — selects the wheel);
-//! [`Engine::with_queue`](crate::Engine::with_queue) pins one engine
-//! explicitly. Both backends share the slab, the sequence counter and the
-//! cancel/re-arm semantics, and `tests/queue_differential.rs` proves they
-//! execute identical `(time, seq)` orders over randomized
-//! schedule/cancel/re-arm workloads.
+//! `tests/queue_differential.rs` holds that order to an independent
+//! sorted-map model over randomized schedule/cancel/re-arm programs.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use sdr_trace::Histogram;
@@ -88,16 +77,6 @@ const SLOTS: usize = 1 << BITS;
 const LEVELS: usize = 11;
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
-
-/// Which queue implementation an engine runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The hierarchical timing wheel (default).
-    Wheel,
-    /// The binary-heap reference implementation (`SDR_SIM_QUEUE=heap`),
-    /// kept for A/B differential testing.
-    Heap,
-}
 
 /// A handle to a scheduled event, returned by the `schedule_*_handle`
 /// methods on [`Engine`](crate::Engine). Handles are `Copy` and
@@ -130,51 +109,21 @@ enum State {
     /// Popped for execution; the body is with the dispatcher. A cancel in
     /// this window marks the node so a recurring body is not re-armed.
     Firing,
-    /// Cancelled while queued: still linked (or heap-referenced), reaped
-    /// lazily, never executed.
+    /// Cancelled while firing: freed instead of re-armed when the body
+    /// returns. (A cancelled *queued* node is unlinked and freed at once,
+    /// so a linked node is never in this state.)
     Cancelled,
 }
 
 /// The cold per-node record: everything the wheel's walk does not need
-/// until an event actually fires (plus the reschedule-only placement).
+/// until an event actually fires (plus the placement an unlink needs).
 struct Node {
     gen: u32,
     state: State,
-    /// Wheel placement, for eager unlink on reschedule.
+    /// Wheel placement, for eager unlink on cancel and reschedule.
     level: u8,
     slot: u8,
-    /// Global schedule order (ties at equal `at` run FIFO by this).
-    seq: u64,
     body: Option<Body>,
-}
-
-/// Max-heap entry inverted into a min-heap on `(at, seq)`; `idx` points
-/// into the shared slab. Reschedules push a fresh entry and leave the old
-/// one stale (detected by `seq` mismatch and skipped).
-struct HeapEntry {
-    at: u64,
-    seq: u64,
-    idx: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A slot's list endpoints, kept adjacent so an append touches one line.
@@ -221,15 +170,8 @@ impl Wheel {
     }
 }
 
-enum Backend {
-    // Boxed: the wheel's slot table is ~5.7 KiB and engines move by value.
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<HeapEntry>),
-}
-
-/// The engine's event queue: shared node slab + selected backend. Hot
-/// per-node fields (`at`, `link`) are parallel arrays — see the module
-/// docs.
+/// The engine's event queue: node slab + wheel. Hot per-node fields (`at`,
+/// `link`) are parallel arrays — see the module docs.
 pub(crate) struct EventQueue {
     /// Absolute deadline per node, in picoseconds.
     at: Vec<u64>,
@@ -243,18 +185,18 @@ pub(crate) struct EventQueue {
     prev: Vec<u32>,
     nodes: Vec<Node>,
     free_head: u32,
-    /// Queued, not-cancelled events (what `pending_events` reports).
+    /// Queued events (what `pending_events` reports).
     live: usize,
-    seq: u64,
-    backend: Backend,
+    wheel: Wheel,
     /// Level of each wheel cascade (`engine.cascade_depth`): how far up
-    /// the hierarchy the due-scan had to reach. Bound by the engine at
-    /// construction; recording is kill-switch gated inside `sdr-trace`.
-    cascade: Option<Histogram>,
+    /// the hierarchy the due-scan had to reach. Recording is kill-switch
+    /// gated inside `sdr-trace`.
+    cascade: Histogram,
 }
 
 impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> Self {
+    /// An empty queue recording cascade depths into `cascade`.
+    pub(crate) fn new(cascade: Histogram) -> Self {
         EventQueue {
             at: Vec::new(),
             link: Vec::new(),
@@ -262,25 +204,8 @@ impl EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
             live: 0,
-            seq: 0,
-            backend: match kind {
-                QueueKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
-                QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            },
-            cascade: None,
-        }
-    }
-
-    /// Binds the cascade-depth histogram (wheel backend only; the heap
-    /// never cascades and records nothing).
-    pub(crate) fn set_cascade_hist(&mut self, h: Histogram) {
-        self.cascade = Some(h);
-    }
-
-    pub(crate) fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Wheel(_) => QueueKind::Wheel,
-            Backend::Heap(_) => QueueKind::Heap,
+            wheel: Wheel::new(),
+            cascade,
         }
     }
 
@@ -288,7 +213,7 @@ impl EventQueue {
         self.live
     }
 
-    fn alloc(&mut self, at: u64, seq: u64, body: Body) -> u32 {
+    fn alloc(&mut self, at: u64, body: Body) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             self.free_head = self.link[idx as usize];
@@ -297,7 +222,6 @@ impl EventQueue {
             self.prev[idx as usize] = NIL;
             let n = &mut self.nodes[idx as usize];
             n.state = State::Queued;
-            n.seq = seq;
             n.body = Some(body);
             idx
         } else {
@@ -310,7 +234,6 @@ impl EventQueue {
                 state: State::Queued,
                 level: 0,
                 slot: 0,
-                seq,
                 body: Some(body),
             });
             idx
@@ -328,59 +251,46 @@ impl EventQueue {
         self.free_head = idx;
     }
 
-    /// Appends node `idx` to its backend position for `at[idx]`.
+    /// Appends node `idx` to the tail of the slot `at[idx]` maps to: the
+    /// tail is what makes every schedule, re-arm and reschedule rank after
+    /// everything already waiting for the same instant.
     fn insert(&mut self, idx: u32) {
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                let t = self.at[idx as usize];
-                debug_assert!(
-                    t >= w.current,
-                    "insert into the past: t={} current={}",
-                    t,
-                    w.current
-                );
-                let (level, slot) = w.place(t);
-                let s = level * SLOTS + slot;
-                {
-                    let n = &mut self.nodes[idx as usize];
-                    n.level = level as u8;
-                    n.slot = slot as u8;
-                }
-                // SAFETY: `s < LEVELS * SLOTS` (level < LEVELS from
-                // `place`, slot < SLOTS by masking); idx and a non-NIL
-                // tail are live slab indices (direct field access: a
-                // method call here would re-borrow all of self while the
-                // wheel is mutably borrowed).
-                unsafe {
-                    let ends = w.slots.get_unchecked_mut(s);
-                    let tail = ends.tail;
-                    ends.tail = idx;
-                    if tail == NIL {
-                        ends.head = idx;
-                    } else {
-                        *self.link.get_unchecked_mut(tail as usize) = idx;
-                    }
-                    *self.link.get_unchecked_mut(idx as usize) = NIL;
-                    *self.prev.get_unchecked_mut(idx as usize) = tail;
-                }
-                w.occ[level] |= 1u64 << slot;
-            }
-            Backend::Heap(h) => {
-                h.push(HeapEntry {
-                    at: self.at[idx as usize],
-                    seq: self.nodes[idx as usize].seq,
-                    idx,
-                });
-            }
+        let w = &mut self.wheel;
+        let t = self.at[idx as usize];
+        debug_assert!(
+            t >= w.current,
+            "insert into the past: t={} current={}",
+            t,
+            w.current
+        );
+        let (level, slot) = w.place(t);
+        let s = level * SLOTS + slot;
+        {
+            let n = &mut self.nodes[idx as usize];
+            n.level = level as u8;
+            n.slot = slot as u8;
         }
+        // SAFETY: `s < LEVELS * SLOTS` (level < LEVELS from `place`, slot <
+        // SLOTS by masking); idx and a non-NIL tail are live slab indices.
+        unsafe {
+            let ends = w.slots.get_unchecked_mut(s);
+            let tail = ends.tail;
+            ends.tail = idx;
+            if tail == NIL {
+                ends.head = idx;
+            } else {
+                *self.link.get_unchecked_mut(tail as usize) = idx;
+            }
+            *self.link.get_unchecked_mut(idx as usize) = NIL;
+            *self.prev.get_unchecked_mut(idx as usize) = tail;
+        }
+        w.occ[level] |= 1u64 << slot;
     }
 
     /// Schedules `body` at absolute tick `at`; the caller has already
     /// clamped `at` to be `>=` the engine's now.
     pub(crate) fn schedule(&mut self, at: u64, body: Body) -> TimerHandle {
-        self.seq += 1;
-        let seq = self.seq;
-        let idx = self.alloc(at, seq, body);
+        let idx = self.alloc(at, body);
         self.insert(idx);
         self.live += 1;
         TimerHandle {
@@ -394,12 +304,11 @@ impl EventQueue {
     /// counting as pending or against the event limit. Returns `false`
     /// for stale handles.
     ///
-    /// On the wheel backend a queued node is unlinked and freed eagerly:
-    /// leaving it in its slot as a tombstone would let a cascade jump the
-    /// cursor to the *cancelled* node's deadline, stranding the cursor
-    /// ahead of the engine clock when the queue then drains (a later
-    /// `schedule` at `now + d` would insert "into the past"). The heap
-    /// backend keeps lazy reaping (entries can't be removed mid-heap).
+    /// A queued node is unlinked and freed eagerly: leaving it in its slot
+    /// as a tombstone would let a cascade jump the cursor to the
+    /// *cancelled* node's deadline, stranding the cursor ahead of the
+    /// engine clock when the queue then drains (a later `schedule` at
+    /// `now + d` would insert "into the past").
     pub(crate) fn cancel(&mut self, h: TimerHandle) -> bool {
         let Some(n) = self.nodes.get(h.idx as usize) else {
             return false;
@@ -409,14 +318,8 @@ impl EventQueue {
         }
         match n.state {
             State::Queued => {
-                if let Backend::Wheel(_) = self.backend {
-                    self.unlink(h.idx);
-                    self.free(h.idx);
-                } else {
-                    let n = &mut self.nodes[h.idx as usize];
-                    n.state = State::Cancelled;
-                    n.body = None;
-                }
+                self.unlink(h.idx);
+                self.free(h.idx);
                 self.live -= 1;
                 true
             }
@@ -442,15 +345,9 @@ impl EventQueue {
         if n.gen != h.gen || n.state != State::Queued {
             return false;
         }
-        if let Backend::Wheel(_) = self.backend {
-            self.unlink(h.idx);
-        }
-        self.seq += 1;
+        self.unlink(h.idx);
         self.at[h.idx as usize] = at;
-        self.nodes[h.idx as usize].seq = self.seq;
         self.insert(h.idx);
-        // Heap: the old entry is now stale (seq mismatch) and is skipped
-        // at pop; `insert` pushed the live one.
         true
     }
 
@@ -469,9 +366,7 @@ impl EventQueue {
             let n = &self.nodes[idx as usize];
             (n.level as usize, n.slot as usize)
         };
-        let Backend::Wheel(w) = &mut self.backend else {
-            unreachable!("unlink is wheel-only");
-        };
+        let w = &mut self.wheel;
         let s = level * SLOTS + slot;
         let p = self.prev[idx as usize];
         let n = self.link[idx as usize];
@@ -494,21 +389,12 @@ impl EventQueue {
         self.prev[idx as usize] = NIL;
     }
 
-    /// Pops the next due event with `at <= bound`, reaping cancelled nodes
-    /// along the way. The returned node is left in `Firing` state with its
-    /// body still attached (take it with [`begin_fire`](Self::begin_fire)).
+    /// Pops the next due event with `at <= bound`. The returned node is
+    /// left in `Firing` state with its body still attached (take it with
+    /// [`begin_fire`](Self::begin_fire)).
     pub(crate) fn pop_due(&mut self, bound: u64) -> Option<u32> {
-        match &self.backend {
-            Backend::Wheel(_) => self.pop_due_wheel(bound),
-            Backend::Heap(_) => self.pop_due_heap(bound),
-        }
-    }
-
-    fn pop_due_wheel(&mut self, bound: u64) -> Option<u32> {
         loop {
-            let Backend::Wheel(w) = &mut self.backend else {
-                unreachable!()
-            };
+            let w = &mut self.wheel;
             // Level 0: exact instants. Slots below the cursor's index
             // cannot be occupied (nothing schedules into the past).
             let idx0 = (w.current & (SLOTS as u64 - 1)) as usize;
@@ -539,18 +425,11 @@ impl EventQueue {
                     }
                 }
                 w.current = t;
-                match self.nodes[idx as usize].state {
-                    State::Cancelled => {
-                        self.free(idx);
-                        continue;
-                    }
-                    State::Queued => {
-                        self.nodes[idx as usize].state = State::Firing;
-                        self.live -= 1;
-                        return Some(idx);
-                    }
-                    State::Free | State::Firing => unreachable!("linked node in bad state"),
-                }
+                let n = &mut self.nodes[idx as usize];
+                assert_eq!(n.state, State::Queued, "linked node in bad state");
+                n.state = State::Firing;
+                self.live -= 1;
+                return Some(idx);
             }
             // Higher levels: find the earliest occupied slot and cascade
             // it. The slot holding the cursor itself is always empty (it
@@ -586,10 +465,10 @@ impl EventQueue {
                 // `>= t_min`, so the jump is safe — and it lets a sparse
                 // event skip the intermediate levels entirely (one
                 // cascade instead of one per level), keeping small idle
-                // simulations as cheap as they were on the heap. Big
-                // slots (the loaded regime) skip the extra deadline walk:
-                // their density makes window-start cascades efficient
-                // already, and the pre-pass would double the cold misses.
+                // simulations cheap. Big slots (the loaded regime) skip
+                // the extra deadline walk: their density makes
+                // window-start cascades efficient already, and the
+                // pre-pass would double the cold misses.
                 const JUMP_WALK_CAP: u32 = 4;
                 let mut t_min = u64::MAX;
                 let mut walked = 0u32;
@@ -622,54 +501,18 @@ impl EventQueue {
                 while cur != NIL {
                     // SAFETY: slot lists hold live slab indices.
                     let next = unsafe { *self.link.get_unchecked(cur as usize) };
-                    match self.nodes[cur as usize].state {
-                        State::Cancelled => self.free(cur),
-                        State::Queued => self.insert(cur),
-                        State::Free | State::Firing => {
-                            unreachable!("linked node in bad state")
-                        }
-                    }
+                    let state = self.nodes[cur as usize].state;
+                    assert_eq!(state, State::Queued, "linked node in bad state");
+                    self.insert(cur);
                     cur = next;
                 }
-                if let Some(h) = &self.cascade {
-                    h.record(level as u64);
-                }
+                self.cascade.record(level as u64);
                 cascaded = true;
                 break;
             }
             if !cascaded {
                 return None; // queue empty
             }
-        }
-    }
-
-    fn pop_due_heap(&mut self, bound: u64) -> Option<u32> {
-        loop {
-            let Backend::Heap(h) = &mut self.backend else {
-                unreachable!()
-            };
-            let e = h.peek()?;
-            let idx = e.idx;
-            let (eat, eseq) = (e.at, e.seq);
-            let placed = self.at[idx as usize] == eat && self.nodes[idx as usize].seq == eseq;
-            let state = self.nodes[idx as usize].state;
-            let is_live = state == State::Queued && placed;
-            let is_cancelled_live = state == State::Cancelled && placed;
-            if is_live {
-                if eat > bound {
-                    return None;
-                }
-                h.pop();
-                self.nodes[idx as usize].state = State::Firing;
-                self.live -= 1;
-                return Some(idx);
-            }
-            h.pop();
-            if is_cancelled_live {
-                // The entry matching the node's last placement: reap it.
-                self.free(idx);
-            }
-            // Otherwise a stale entry from a reschedule: drop it.
         }
     }
 
@@ -694,12 +537,9 @@ impl EventQueue {
         let state = self.nodes[idx as usize].state;
         match (state, next) {
             (State::Firing, Some(at)) => {
-                self.seq += 1;
-                let seq = self.seq;
                 self.at[idx as usize] = at;
                 let n = &mut self.nodes[idx as usize];
                 n.state = State::Queued;
-                n.seq = seq;
                 n.body = Some(body);
                 self.live += 1;
                 self.insert(idx);

@@ -193,7 +193,7 @@ impl Fabric {
     }
 
     /// Crashes and restarts an endpoint: the node's incarnation is bumped,
-    /// all its volatile NIC state (posted receives, inboxes, unpolled
+    /// all its volatile NIC state (posted receives, unpolled
     /// completions, reassembly) is dropped, and the NIC stays detached —
     /// packets reaching the port, including everything in flight toward
     /// it, die there — until `dead_time` later. Registered memory
@@ -899,8 +899,9 @@ impl Fabric {
         Ok(())
     }
 
-    /// Injects a raw packet (used by the RC go-back-N protocol objects).
-    /// Returns the transmit outcome so protocols can account wire time.
+    /// Injects a hand-built packet, bypassing the post paths' QP checks
+    /// (how tests put a stale or malformed packet on the wire). Returns
+    /// the transmit outcome.
     pub fn send_raw(&self, eng: &mut Engine, pkt: Packet) -> Result<TxOutcome, PostError> {
         let key = (pkt.src.node, pkt.dst.node);
         let mut inner = self.inner.borrow_mut();

@@ -55,7 +55,7 @@ pub enum FaultEvent {
     },
     /// Endpoint crash/restart: at `at`, the chosen endpoint of the pair
     /// crashes — its incarnation is bumped, every packet in flight toward
-    /// it and all volatile NIC state at it (posted recvs, inboxes,
+    /// it and all volatile NIC state at it (posted recvs,
     /// unpolled completions, in-progress receive reassembly) is dropped —
     /// and the NIC re-attaches after `dead_time`. Packets arriving during
     /// the dead window are dropped at the NIC port. Registered memory

@@ -6,7 +6,7 @@
 //! reliability layers interact with:
 //!
 //! * [`Engine`] — a deterministic event executor with picosecond time.
-//!   Since PR 5 the queue is a **hierarchical timing wheel** (11 levels of
+//!   The queue is a **hierarchical timing wheel** (11 levels of
 //!   64 one-picosecond-granularity slots spanning the whole `u64` range;
 //!   the top level is the far-future overflow level) over a slab of
 //!   free-listed event nodes: steady-state scheduling allocates nothing,
@@ -14,10 +14,9 @@
 //!   node in place, and [`TimerHandle`]s make timers cancellable and
 //!   re-armable ([`Engine::cancel`] / [`Engine::reschedule`]) so stale
 //!   timers neither fire as no-ops nor count as pending. Execution order
-//!   is exactly `(time, schedule order)` — identical to the retained
-//!   binary-heap reference backend, provable with `SDR_SIM_QUEUE=heap`
-//!   (see [`equeue`] for the architecture and the determinism argument,
-//!   and `tests/queue_differential.rs` for the proof harness).
+//!   is exactly `(time, schedule order)` (see [`equeue`] for the
+//!   architecture and the determinism argument; `tests/queue_differential.rs`
+//!   holds it to an independent sorted-map model).
 //! * [`Link`]/[`LinkConfig`] — serialization at line rate, propagation
 //!   delay from distance (paper convention: 3750 km ⇒ 25 ms RTT), i.i.d.
 //!   or Gilbert–Elliott loss, and optional reorder jitter. Deliveries are
@@ -34,7 +33,7 @@
 //!   the paper's Figure 2 drop-rate measurements.
 //! * [`Node`] — an endpoint with memory, memory-key translation (direct,
 //!   NULL and indirect/root keys per Figure 5), completion queues with
-//!   wakers, and UC/UD/RC queue pairs with faithful ePSN semantics. Its
+//!   wakers, and UC/UD queue pairs with faithful ePSN semantics. Its
 //!   [`Memory`] is an allocator with lifetimes: blocks are freed and
 //!   recycled by exact length (see [`memory`] for when a block may go).
 //! * [`Fabric`] — ties nodes and links together and implements the
@@ -46,16 +45,13 @@
 //!   verifies and copies straight from the source buffer
 //!   ([`Fabric::free_region`] is how a sender lets go of a region that
 //!   packets may still name).
-//! * [`RcEndpoint`] — a go-back-N reliable connection, the commodity-NIC
-//!   baseline the paper argues is insufficient for planetary-scale RDMA.
-//!   Its RTO is a single re-armable timer: progress pushes the deadline
-//!   out instead of minting generation-stamped no-op events.
+//!
+//! The commodity-NIC go-back-N baseline the paper argues against is a
+//! reliability scheme like the others and lives with them
+//! (`sdr-reliability`'s `gbn`), not in the substrate.
 //!
 //! Everything is seeded and single-threaded: a simulation with the same
-//! inputs produces bit-identical outputs. `SDR_SIM_QUEUE=wheel|heap`
-//! selects the queue backend process-wide (wheel is the default; the two
-//! backends execute identical event orders, so this is an A/B instrument,
-//! not a semantic switch).
+//! inputs produces bit-identical outputs.
 
 #![warn(missing_docs)]
 
@@ -69,14 +65,10 @@ pub mod memory;
 pub mod nic;
 pub mod packet;
 pub mod queue;
-pub mod rc;
 pub mod time;
 
 pub use engine::{shared, Engine, Shared};
-// The observability substrate: the engine owns an `engine.*` registry,
-// the fabric owns the stack-wide registry plus one flight recorder per
-// node. Re-exported so layers above need no direct `sdr-trace` import.
-pub use equeue::{QueueKind, TimerHandle};
+pub use equeue::TimerHandle;
 pub use fabric::{Fabric, PostError, RegionWriteWr, WriteWr};
 pub use fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
 pub use link::{
@@ -88,7 +80,9 @@ pub use memory::{AccessError, Memory, MkeyTable, MkeyTarget, Resolved};
 pub use nic::{Cq, Cqe, CqeOp, Mr, Node, NodeStats, PayloadCheck, QpType, RecvWqe, Waker};
 pub use packet::{CqId, MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
 pub use queue::{BottleneckQueue, OnOffConfig, OnOffSource, QueueStats};
-pub use rc::{RcConfig, RcEndpoint, RcStats};
+// The observability substrate: the engine owns an `engine.*` registry,
+// the fabric owns the stack-wide registry plus one flight recorder per
+// node. Re-exported so layers above need no direct `sdr-trace` import.
 pub use sdr_trace::{
     enabled as trace_enabled, set_enabled as set_trace_enabled, Counter, Event, EventKind,
     FlightRecorder, Gauge, Histogram, Registry, Snapshot,

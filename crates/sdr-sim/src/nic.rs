@@ -11,8 +11,6 @@
 //!   SDR issues one Write-with-immediate per packet.
 //! * **UD queue pairs** — per-packet two-sided datagrams consuming posted
 //!   receive WQEs (used by reliability layers for ACK/CTS control traffic).
-//! * **RC queue pairs** — raw packets are routed to a protocol inbox so the
-//!   go-back-N baseline in [`crate::rc`] can implement NIC-style reliability.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -20,7 +18,7 @@ use std::rc::Rc;
 
 use crate::engine::Engine;
 use crate::memory::{Memory, MkeyTable, Resolved};
-use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
+use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, QpAddr, QpNum, WriteSeg};
 
 /// Transport service type of a queue pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,9 +27,6 @@ pub enum QpType {
     Uc,
     /// Unreliable Datagram: two-sided per-packet sends.
     Ud,
-    /// Reliable Connected: packets routed to a protocol inbox
-    /// (go-back-N baseline lives in [`crate::rc`]).
-    Rc,
 }
 
 /// A posted receive buffer (consumed by UD sends).
@@ -96,7 +91,7 @@ pub struct Cqe {
     pub check: PayloadCheck,
 }
 
-/// Re-armable notification hook attached to a CQ or protocol inbox.
+/// Re-armable notification hook attached to a CQ.
 ///
 /// When an entry is pushed and the waker is not already armed, a zero-delay
 /// event is scheduled that disarms and invokes the callback. The callback
@@ -181,9 +176,6 @@ struct Qp {
     npsn: u32,
     recv_state: UcRecvState,
     rq: VecDeque<RecvWqe>,
-    /// Raw packet inbox for RC protocol objects.
-    inbox: VecDeque<Packet>,
-    inbox_waker: Option<Waker>,
 }
 
 /// Counters exported by a node.
@@ -263,8 +255,6 @@ impl Node {
             npsn: 0,
             recv_state: UcRecvState::Idle,
             rq: VecDeque::new(),
-            inbox: VecDeque::new(),
-            inbox_waker: None,
         });
         QpNum(self.qps.len() as u32 - 1)
     }
@@ -274,8 +264,8 @@ impl Node {
         self.qps[qp.0 as usize].peer = Some(peer);
     }
 
-    /// Drops every piece of volatile NIC state — posted receives, protocol
-    /// inboxes, unpolled completions, in-progress UC reassembly — the way
+    /// Drops every piece of volatile NIC state — posted receives,
+    /// unpolled completions, in-progress UC reassembly — the way
     /// an endpoint crash would. Registered memory, key tables and QP/CQ
     /// identities survive (host state the layer above may have
     /// checkpointed, and the addressing the peer reconnects to); so do
@@ -283,7 +273,6 @@ impl Node {
     pub fn reset_volatile(&mut self) {
         for qp in &mut self.qps {
             qp.rq.clear();
-            qp.inbox.clear();
             qp.recv_state = UcRecvState::Idle;
         }
         for cq in &mut self.cqs {
@@ -377,16 +366,6 @@ impl Node {
         self.cqs[cq.0 as usize].waker = Some(waker);
     }
 
-    /// Installs a notification hook on an RC QP's raw inbox.
-    pub fn set_inbox_waker(&mut self, qp: QpNum, waker: Waker) {
-        self.qps[qp.0 as usize].inbox_waker = Some(waker);
-    }
-
-    /// Pops a raw packet from an RC QP's inbox.
-    pub fn pop_inbox(&mut self, qp: QpNum) -> Option<Packet> {
-        self.qps[qp.0 as usize].inbox.pop_front()
-    }
-
     /// Immutable access to node memory.
     pub fn mem(&self) -> &Memory {
         &self.mem
@@ -413,8 +392,9 @@ impl Node {
 
     /// Receive-side packet engine: applies `pkt` to this node's state.
     /// `payload` is the packet's payload as bytes — the fabric resolves a
-    /// [`Payload::Region`] against the sender's memory, so this is where
-    /// the NIC's DMA reads straight from source to destination.
+    /// [`Payload::Region`](crate::Payload::Region) against the sender's
+    /// memory, so this is where the NIC's DMA reads straight from source to
+    /// destination.
     pub fn handle_packet(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
         let qp_idx = pkt.dst.qp.0 as usize;
         if qp_idx >= self.qps.len() {
@@ -422,22 +402,6 @@ impl Node {
             return;
         }
         match self.qps[qp_idx].ty {
-            QpType::Rc => {
-                // The inbox outlives the delivery instant, so it must own
-                // its bytes.
-                let owned = match &pkt.payload {
-                    Payload::Owned(b) => b.clone(),
-                    Payload::Region { .. } => bytes::Bytes::copy_from_slice(payload),
-                };
-                self.qps[qp_idx].inbox.push_back(Packet {
-                    payload: owned.into(),
-                    ..*pkt
-                });
-                if let Some(w) = &self.qps[qp_idx].inbox_waker {
-                    let w = w.clone();
-                    w.kick(eng);
-                }
-            }
             QpType::Ud => self.handle_ud(eng, pkt, payload),
             QpType::Uc => self.handle_uc(eng, pkt, payload),
         }
@@ -638,35 +602,6 @@ impl Node {
         }
     }
 
-    /// Lands an already-sequenced write payload. Protocol objects that do
-    /// their own ordering (e.g. the RC go-back-N baseline) use this to reuse
-    /// the NIC's key translation and completion path without re-entering the
-    /// ePSN state machine.
-    pub fn land_write(
-        &mut self,
-        eng: &mut Engine,
-        qp: QpNum,
-        src: QpAddr,
-        mkey: MkeyId,
-        offset: u64,
-        payload: &[u8],
-        imm: Option<u32>,
-    ) {
-        let len = payload.len() as u32;
-        match self.mkeys.resolve(mkey, offset, len as u64) {
-            Ok(Resolved::Addr(addr)) => {
-                self.mem.write(addr, payload);
-                self.stats.writes_landed += 1;
-                self.complete_write(eng, qp, src, imm, None, len, false, PayloadCheck::Unchecked);
-            }
-            Ok(Resolved::Null) => {
-                self.stats.null_writes += 1;
-                self.complete_write(eng, qp, src, imm, None, len, true, PayloadCheck::Unchecked);
-            }
-            Err(_) => self.fault(),
-        }
-    }
-
     fn fault(&mut self) {
         self.stats.access_faults += 1;
     }
@@ -675,6 +610,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Payload;
     use bytes::Bytes;
 
     fn mk_node() -> (Node, QpNum, CqId, Mr) {

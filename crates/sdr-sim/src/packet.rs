@@ -32,8 +32,8 @@ pub struct QpAddr {
 /// SDR issues one Write-with-immediate *per packet* (`Only`), precisely to
 /// avoid the UC expected-PSN behaviour that discards whole multi-packet
 /// messages on reordering or loss (paper §3.2.1). `First/Middle/Last` exist
-/// so the simulator can also model that conventional behaviour, both for the
-/// RC baseline and for the ablation experiment.
+/// so the simulator can also model that conventional behaviour, for the
+/// ePSN ablation experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteSeg {
     /// A single-packet message.
@@ -71,19 +71,11 @@ pub enum PacketKind {
         /// Immediate data, if any.
         imm: Option<u32>,
     },
-    /// Transport-level acknowledgment (used by the RC baseline).
-    Ack {
-        /// Cumulative acknowledgment: all PSNs `< psn` received.
-        psn: u32,
-        /// `true` if this is a negative acknowledgment requesting a
-        /// go-back-N rewind to `psn`.
-        nak: bool,
-    },
 }
 
 /// The payload of a packet in flight. Two kinds because two kinds of
-/// poster exist: callers that hold heap bytes (control datagrams, the RC
-/// baseline, [`WriteWr::data`](crate::WriteWr)) hand them over, and
+/// poster exist: callers that hold heap bytes (control datagrams,
+/// [`WriteWr::data`](crate::WriteWr)) hand them over, and
 /// callers that send out of registered memory (`SdrQp`) only *name* it —
 /// like a Verbs work request's `(addr, len, lkey)`, which the NIC
 /// DMA-reads at transmit and never copies into the request.

@@ -1,23 +1,32 @@
-//! Differential proof that the timing-wheel and binary-heap engine
-//! backends execute identical `(time, seq)` orders.
+//! Differential proof that the engine's timing wheel executes exactly
+//! `(time, schedule order)`.
 //!
-//! The wheel replaced the heap as the default queue in PR 5; the heap is
-//! retained (`SDR_SIM_QUEUE=heap`, [`Engine::with_queue`]) precisely so
-//! this suite can keep proving the two are observationally equivalent —
-//! over randomized workloads of one-shot schedules, nested schedules,
-//! recurring events, cancels and re-arms, the full execution trace
-//! (fire time + firing order + executed/pending counters) must match
+//! The reference is the model at the bottom of this file — a
+//! `BTreeMap<(deadline, rank), event>` with one rank counter, sharing no
+//! code with the engine — interpreting the same randomized programs of
+//! one-shot schedules, nested schedules, recurring events, cancels
+//! (queued and mid-fire) and re-arms: the full execution trace (fire time,
+//! firing order, executed/pending counters, final clock) must match
 //! exactly. A second set of directed tests stresses the cancel-while-firing
 //! window and the cancelled-timer accounting rules.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use sdr_sim::{Engine, QueueKind, SimTime, TimerHandle};
+use sdr_sim::{Engine, SimTime, TimerHandle};
 
-/// One step of a randomized queue workload, interpreted identically on
-/// both backends.
+/// The driver's cadence. Half the generated delays are snapped to it so
+/// events tie with each other and with the driver's re-arm: rank shows only
+/// in a tie, and delays uniform over picoseconds never produce one.
+const GRID: u64 = 100_000;
+
+/// `(log of (fire-time, tag), executed, pending, final now)`.
+type Trace = (Vec<(u64, u32)>, u64, usize, u64);
+
+/// One step of a randomized queue workload, interpreted identically by the
+/// engine and by the model.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// Schedule a one-shot at `now + dt` that logs `tag`.
@@ -26,7 +35,9 @@ enum Op {
     /// fires, schedules a nested one-shot `dt2` later logging `tag + 1`.
     Nested { dt: u64, dt2: u64, tag: u32 },
     /// Schedule a recurring event at `now + dt` with period `period`,
-    /// firing `count` times, logging `tag` each fire.
+    /// firing `count` times, logging `tag` each fire. An odd `tag` ends it
+    /// the hard way: the last fire cancels itself and still asks for a
+    /// re-arm, which the cancel must suppress.
     Recurring {
         dt: u64,
         period: u64,
@@ -41,32 +52,38 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> + Clone {
     (0u32..6, 0u64..5_000_000, 0u64..600_000, 0usize..64, 1u32..5).prop_map(
-        |(which, dt, dt2, k, count)| match which {
-            0 | 1 => Op::Once {
-                dt,
-                tag: dt as u32 ^ 0x5151,
-            },
-            2 => Op::Nested {
-                dt,
-                dt2,
-                tag: dt as u32 ^ 0xA3A3,
-            },
-            3 => Op::Recurring {
-                dt,
-                period: dt2 + 1,
-                count,
-                tag: dt as u32 ^ 0x77,
-            },
-            4 => Op::Cancel { k },
-            _ => Op::Reschedule { k, dt },
+        |(which, raw, dt2, k, count)| {
+            // Tags come from the unsnapped draw, so tied events differ.
+            let snap = |d: u64| d - if d & 1 == 0 { d % GRID } else { 0 };
+            let (dt, dt2) = (snap(raw), snap(dt2));
+            match which {
+                0 | 1 => Op::Once {
+                    dt,
+                    tag: raw as u32 ^ 0x5151,
+                },
+                2 => Op::Nested {
+                    dt,
+                    dt2,
+                    tag: raw as u32 ^ 0xA3A3,
+                },
+                3 => Op::Recurring {
+                    dt,
+                    period: dt2.max(1),
+                    count,
+                    tag: raw as u32 ^ 0x77,
+                },
+                4 => Op::Cancel { k },
+                _ => Op::Reschedule { k, dt },
+            }
         },
     )
 }
 
-/// Executes the op program on one backend and returns the trace:
-/// `(log of (fire-time, tag), executed, pending, final now)`.
-fn run_program(kind: QueueKind, ops: &[Op]) -> (Vec<(u64, u32)>, u64, usize, u64) {
-    let mut eng = Engine::with_queue(kind);
+/// Executes the op program on the engine and returns the trace.
+fn run_program(ops: &[Op]) -> Trace {
+    let mut eng = Engine::new();
+    // A self-cancel that fails re-arms forever: a mismatch, not a hang.
+    eng.set_event_limit(10_000);
     let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
     let handles: Rc<RefCell<Vec<TimerHandle>>> = Rc::new(RefCell::new(Vec::new()));
 
@@ -80,6 +97,8 @@ fn run_program(kind: QueueKind, ops: &[Op]) -> (Vec<(u64, u32)>, u64, usize, u64
     eng.schedule_recurring_at(SimTime(0), move |eng| {
         let op = ops[i];
         i += 1;
+        // The k-th handle so far (modulo their count), once there is one.
+        let nth = |k: usize| h.borrow().get(k % h.borrow().len().max(1)).copied();
         match op {
             Op::Once { dt, tag } => {
                 let l = l.clone();
@@ -107,58 +126,53 @@ fn run_program(kind: QueueKind, ops: &[Op]) -> (Vec<(u64, u32)>, u64, usize, u64
             } => {
                 let l = l.clone();
                 let mut left = count;
+                // Its own handle is the next one pushed.
+                let (hs, me) = (h.clone(), h.borrow().len());
                 let hd = eng.schedule_recurring_in(SimTime(dt), move |e| {
                     l.borrow_mut().push((e.now().0, tag));
-                    left -= 1;
-                    (left > 0).then(|| e.now() + SimTime(period))
+                    left = left.saturating_sub(1);
+                    if left == 0 && tag % 2 == 1 {
+                        e.cancel(hs.borrow()[me]);
+                    }
+                    (left > 0 || tag % 2 == 1).then(|| e.now() + SimTime(period))
                 });
                 h.borrow_mut().push(hd);
             }
             Op::Cancel { k } => {
-                let hs = h.borrow();
-                if !hs.is_empty() {
-                    let hd = hs[k % hs.len()];
-                    drop(hs);
+                if let Some(hd) = nth(k) {
                     eng.cancel(hd);
                 }
             }
             Op::Reschedule { k, dt } => {
-                let hs = h.borrow();
-                if !hs.is_empty() {
-                    let hd = hs[k % hs.len()];
-                    drop(hs);
+                if let Some(hd) = nth(k) {
                     eng.reschedule(hd, eng.now() + SimTime(dt));
                 }
             }
         }
-        (i < ops.len()).then(|| eng.now() + SimTime(100_000))
+        (i < ops.len()).then(|| eng.now() + SimTime(GRID))
     });
 
     eng.run();
-    let trace = log.borrow().clone();
-    (
-        trace,
-        eng.executed_events(),
-        eng.pending_events(),
-        eng.now().0,
-    )
+    let (trace, executed) = (log.borrow().clone(), eng.executed_events());
+    (trace, executed, eng.pending_events(), eng.now().0)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The backbone differential: arbitrary schedule/cancel/re-arm
-    /// programs produce byte-identical execution traces on both backends.
+    /// programs produce byte-identical execution traces on the engine and
+    /// on the model.
     #[test]
-    fn wheel_and_heap_execute_identical_orders(
+    fn wheel_matches_the_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        let wheel = run_program(QueueKind::Wheel, &ops);
-        let heap = run_program(QueueKind::Heap, &ops);
-        prop_assert_eq!(&wheel.0, &heap.0, "fire traces diverge");
-        prop_assert_eq!(wheel.1, heap.1, "executed-event counts diverge");
-        prop_assert_eq!(wheel.2, heap.2, "pending counts diverge");
-        prop_assert_eq!(wheel.3, heap.3, "final times diverge");
+        let wheel = run_program(&ops);
+        let model = run_model(&ops);
+        prop_assert_eq!(&wheel.0, &model.0, "fire traces diverge");
+        prop_assert_eq!(wheel.1, model.1, "executed-event counts diverge");
+        prop_assert_eq!(wheel.2, model.2, "pending counts diverge");
+        prop_assert_eq!(wheel.3, model.3, "final times diverge");
     }
 
     /// Loaded-queue ordering: N events at random times (many collisions)
@@ -167,7 +181,7 @@ proptest! {
     fn loaded_wheel_pops_sorted_stable(
         times in proptest::collection::vec(0u64..2_000_000, 1..400),
     ) {
-        let mut eng = Engine::with_queue(QueueKind::Wheel);
+        let mut eng = Engine::new();
         let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, &t) in times.iter().enumerate() {
             let l = log.clone();
@@ -187,40 +201,32 @@ proptest! {
 // Directed cancel / accounting stress
 // ---------------------------------------------------------------------------
 
-fn on_both(f: impl Fn(&mut Engine)) {
-    for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        let mut eng = Engine::with_queue(kind);
-        f(&mut eng);
-    }
-}
-
 /// A same-instant chain where each firing event cancels the next: only
-/// every other event runs, on both backends, and the cancelled ones are
-/// neither executed nor charged.
+/// every other event runs, and the cancelled ones are neither executed nor
+/// charged.
 #[test]
 fn cancel_chain_at_one_instant() {
-    on_both(|eng| {
-        let t = SimTime::from_nanos(5);
-        let handles: Rc<RefCell<Vec<TimerHandle>>> = Rc::new(RefCell::new(Vec::new()));
-        let fired: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..10 {
-            let (h, f) = (handles.clone(), fired.clone());
-            let hd = eng.schedule_at_handle(t, move |e| {
-                f.borrow_mut().push(i);
-                // Cancel the successor (if any): it must not fire.
-                let hs = h.borrow();
-                if let Some(&next) = hs.get(i + 1) {
-                    drop(hs);
-                    assert!(e.cancel(next), "successor was pending");
-                }
-            });
-            handles.borrow_mut().push(hd);
-        }
-        eng.run();
-        assert_eq!(*fired.borrow(), vec![0, 2, 4, 6, 8]);
-        assert_eq!(eng.executed_events(), 5, "cancelled events are not charged");
-        assert_eq!(eng.pending_events(), 0);
-    });
+    let mut eng = Engine::new();
+    let t = SimTime::from_nanos(5);
+    let handles: Rc<RefCell<Vec<TimerHandle>>> = Rc::new(RefCell::new(Vec::new()));
+    let fired: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..10 {
+        let (h, f) = (handles.clone(), fired.clone());
+        let hd = eng.schedule_at_handle(t, move |e| {
+            f.borrow_mut().push(i);
+            // Cancel the successor (if any): it must not fire.
+            let hs = h.borrow();
+            if let Some(&next) = hs.get(i + 1) {
+                drop(hs);
+                assert!(e.cancel(next), "successor was pending");
+            }
+        });
+        handles.borrow_mut().push(hd);
+    }
+    eng.run();
+    assert_eq!(*fired.borrow(), vec![0, 2, 4, 6, 8]);
+    assert_eq!(eng.executed_events(), 5, "cancelled events are not charged");
+    assert_eq!(eng.pending_events(), 0);
 }
 
 /// Cancel-while-firing: a recurring event is cancelled *by another event*
@@ -228,122 +234,236 @@ fn cancel_chain_at_one_instant() {
 /// instant. The re-arm must be suppressed.
 #[test]
 fn cancel_while_firing_suppresses_rearm() {
-    on_both(|eng| {
-        let slot: Rc<RefCell<Option<TimerHandle>>> = Rc::new(RefCell::new(None));
-        let fires = Rc::new(RefCell::new(0u32));
-        let f = fires.clone();
-        let s = slot.clone();
-        // The recurring event fires first (scheduled first at t), then the
-        // killer — then the recurrence would fire again one period later
-        // if the cancel failed to reach the firing node.
-        let h = eng.schedule_recurring_at(SimTime::from_nanos(10), move |e| {
-            *f.borrow_mut() += 1;
-            // Schedule the killer at the same instant, *after* this body
-            // began executing: it runs within the same tick.
-            let s2 = s.clone();
-            e.schedule_at(e.now(), move |e| {
-                let h = s2.borrow().expect("stored");
-                assert!(e.cancel(h), "firing node is cancellable");
-                assert!(!e.cancel(h), "second cancel is stale");
-            });
-            Some(e.now() + SimTime::from_nanos(10))
+    let mut eng = Engine::new();
+    let slot: Rc<RefCell<Option<TimerHandle>>> = Rc::new(RefCell::new(None));
+    let fires = Rc::new(RefCell::new(0u32));
+    let f = fires.clone();
+    let s = slot.clone();
+    // The recurring event fires first (scheduled first at t), then the
+    // killer — then the recurrence would fire again one period later
+    // if the cancel failed to reach the firing node.
+    let h = eng.schedule_recurring_at(SimTime::from_nanos(10), move |e| {
+        *f.borrow_mut() += 1;
+        // Schedule the killer at the same instant, *after* this body
+        // began executing: it runs within the same tick.
+        let s2 = s.clone();
+        e.schedule_at(e.now(), move |e| {
+            let h = s2.borrow().expect("stored");
+            assert!(e.cancel(h), "firing node is cancellable");
+            assert!(!e.cancel(h), "second cancel is stale");
         });
-        *slot.borrow_mut() = Some(h);
-        eng.run();
-        assert_eq!(*fires.borrow(), 1, "cancel mid-fire kills the recurrence");
-        assert_eq!(eng.pending_events(), 0);
+        Some(e.now() + SimTime::from_nanos(10))
     });
+    *slot.borrow_mut() = Some(h);
+    eng.run();
+    assert_eq!(*fires.borrow(), 1, "cancel mid-fire kills the recurrence");
+    assert_eq!(eng.pending_events(), 0);
 }
 
 /// Dense churn around cancel/re-arm of *many* timers parked in one far
-/// slot: exercises tombstone reaping in cascades.
+/// slot: exercises O(1) unlinking from a dense slot and the cascade of
+/// what is left.
 #[test]
-fn mass_cancel_in_far_slots_reaps_lazily() {
-    on_both(|eng| {
-        let fired = Rc::new(RefCell::new(0u32));
-        let mut handles = Vec::new();
-        // 1000 timers parked several wheel levels out.
-        for i in 0..1000u64 {
-            let f = fired.clone();
-            handles.push(
-                eng.schedule_at_handle(SimTime::from_micros(100) + SimTime(i), move |_| {
-                    *f.borrow_mut() += 1
-                }),
-            );
-        }
-        assert_eq!(eng.pending_events(), 1000);
-        // Cancel three quarters of them before time moves at all.
-        for (i, h) in handles.iter().enumerate() {
-            if i % 4 != 0 {
-                assert!(eng.cancel(*h));
-            }
-        }
-        assert_eq!(eng.pending_events(), 250);
-        eng.set_event_limit(250);
-        eng.run();
-        assert_eq!(
-            *fired.borrow(),
-            250,
-            "every survivor fires within the limit"
+fn mass_cancel_in_far_slots_unlinks_eagerly() {
+    let mut eng = Engine::new();
+    let fired = Rc::new(RefCell::new(0u32));
+    let mut handles = Vec::new();
+    // 1000 timers parked several wheel levels out.
+    for i in 0..1000u64 {
+        let f = fired.clone();
+        handles.push(
+            eng.schedule_at_handle(SimTime::from_micros(100) + SimTime(i), move |_| {
+                *f.borrow_mut() += 1
+            }),
         );
-        assert_eq!(eng.executed_events(), 250);
-        assert_eq!(eng.pending_events(), 0);
-    });
+    }
+    assert_eq!(eng.pending_events(), 1000);
+    // Cancel three quarters of them before time moves at all.
+    for (i, h) in handles.iter().enumerate() {
+        if i % 4 != 0 {
+            assert!(eng.cancel(*h));
+        }
+    }
+    assert_eq!(eng.pending_events(), 250);
+    eng.set_event_limit(250);
+    eng.run();
+    assert_eq!(
+        *fired.borrow(),
+        250,
+        "every survivor fires within the limit"
+    );
+    assert_eq!(eng.executed_events(), 250);
+    assert_eq!(eng.pending_events(), 0);
 }
 
 /// Re-arm storms: a timer rescheduled many times fires exactly once, at
 /// the last deadline, in fresh FIFO rank.
 #[test]
 fn rearm_storm_fires_once_at_final_deadline() {
-    on_both(|eng| {
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let h = eng.schedule_at_handle(SimTime::from_nanos(10), move |_| l.borrow_mut().push(1));
-        // Bounce it across levels, ending at 777ns.
-        for t in [5_000u64, 80, 2_000_000, 40, 777] {
-            assert!(eng.reschedule(h, SimTime::from_nanos(t)));
-        }
-        let l = log.clone();
-        eng.schedule_at(SimTime::from_nanos(777), move |_| l.borrow_mut().push(2));
-        eng.run();
-        // Handle re-ranked at its last reschedule: the plain event at the
-        // same instant was scheduled after it, so fires after it.
-        assert_eq!(*log.borrow(), vec![1, 2]);
-        assert_eq!(eng.executed_events(), 2);
-        assert!(
-            !eng.reschedule(h, SimTime::from_nanos(9999)),
-            "fired handle is stale"
-        );
-    });
+    let mut eng = Engine::new();
+    let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    let l = log.clone();
+    let h = eng.schedule_at_handle(SimTime::from_nanos(10), move |_| l.borrow_mut().push(1));
+    // Bounce it across levels, ending at 777ns.
+    for t in [5_000u64, 80, 2_000_000, 40, 777] {
+        assert!(eng.reschedule(h, SimTime::from_nanos(t)));
+    }
+    let l = log.clone();
+    eng.schedule_at(SimTime::from_nanos(777), move |_| l.borrow_mut().push(2));
+    eng.run();
+    // Handle re-ranked at its last reschedule: the plain event at the
+    // same instant was scheduled after it, so fires after it.
+    assert_eq!(*log.borrow(), vec![1, 2]);
+    assert_eq!(eng.executed_events(), 2);
+    assert!(
+        !eng.reschedule(h, SimTime::from_nanos(9999)),
+        "fired handle is stale"
+    );
 }
 
 /// The event limit interacts with cancellation: a runaway chain is capped
 /// by executed events only — parked cancelled timers do not eat budget.
 #[test]
 fn event_limit_counts_only_real_executions() {
-    on_both(|eng| {
-        // 100 far-future timers, all cancelled.
-        let doomed: Vec<TimerHandle> = (0..100)
-            .map(|_| eng.schedule_at_handle(SimTime::from_secs(5), |_| panic!("cancelled")))
-            .collect();
-        for h in doomed {
-            eng.cancel(h);
+    let mut eng = Engine::new();
+    // 100 far-future timers, all cancelled.
+    let doomed: Vec<TimerHandle> = (0..100)
+        .map(|_| eng.schedule_at_handle(SimTime::from_secs(5), |_| panic!("cancelled")))
+        .collect();
+    for h in doomed {
+        eng.cancel(h);
+    }
+    // A 10-deep chain under a limit of 10 completes fully.
+    let depth = Rc::new(RefCell::new(0u32));
+    fn chain(eng: &mut Engine, d: Rc<RefCell<u32>>, left: u32) {
+        if left == 0 {
+            return;
         }
-        // A 10-deep chain under a limit of 10 completes fully.
-        let depth = Rc::new(RefCell::new(0u32));
-        fn chain(eng: &mut Engine, d: Rc<RefCell<u32>>, left: u32) {
-            if left == 0 {
-                return;
+        eng.schedule_in(SimTime::from_nanos(1), move |e| {
+            *d.borrow_mut() += 1;
+            let d2 = d.clone();
+            chain(e, d2, left - 1);
+        });
+    }
+    chain(&mut eng, depth.clone(), 10);
+    eng.set_event_limit(10);
+    eng.run();
+    assert_eq!(*depth.borrow(), 10, "the cancelled timers cost no budget");
+}
+
+/// The reference model. What one of its events does when it fires — the
+/// engine run's closures, as data.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Interprets the next op and re-arms one `GRID` later.
+    Driver,
+    /// `(tag, nested)`: logs `tag`; `nested` delays a follow-up logging `tag + 1`.
+    Once(u32, Option<u64>),
+    /// `(tag, period, left)`: logs `tag`, with `left` fires to go.
+    Recur(u32, u64, u32),
+}
+
+/// Where a model handle stands: pending under a queue key, firing, or dead.
+/// Handles are never reused, so a dead one stays dead.
+#[derive(Clone, Copy)]
+enum St {
+    Pending((u64, u64)),
+    Firing,
+    Dead,
+}
+
+/// `(time, schedule order)`, literally: a sorted map keyed by
+/// `(deadline, rank)`, the rank drawn from one counter at every schedule,
+/// re-arm and reschedule.
+#[derive(Default)]
+struct Model {
+    q: BTreeMap<(u64, u64), (usize, Ev)>,
+    st: Vec<St>,
+    rank: u64,
+}
+
+impl Model {
+    fn arm(&mut self, id: usize, at: u64, ev: Ev) {
+        self.rank += 1;
+        self.q.insert((at, self.rank), (id, ev));
+        self.st[id] = St::Pending((at, self.rank));
+    }
+
+    fn schedule(&mut self, at: u64, ev: Ev) -> usize {
+        self.st.push(St::Dead);
+        self.arm(self.st.len() - 1, at, ev);
+        self.st.len() - 1
+    }
+
+    fn cancel(&mut self, id: usize) {
+        if let St::Pending(key) = self.st[id] {
+            self.q.remove(&key);
+        }
+        // On a firing event this is what suppresses the re-arm.
+        self.st[id] = St::Dead;
+    }
+
+    fn reschedule(&mut self, id: usize, at: u64) {
+        if let St::Pending(key) = self.st[id] {
+            let (_, ev) = self.q.remove(&key).expect("pending is queued");
+            self.arm(id, at, ev);
+        }
+    }
+}
+
+/// Interprets the op program on the model and returns the trace.
+fn run_model(ops: &[Op]) -> Trace {
+    let mut m = Model::default();
+    let (mut log, mut handles) = (Vec::new(), Vec::<usize>::new());
+    let (mut executed, mut now, mut i) = (0u64, 0u64, 0usize);
+    m.schedule(0, Ev::Driver);
+    while let Some(((at, _), (id, ev))) = m.q.pop_first() {
+        (now, executed) = (at, executed + 1);
+        m.st[id] = St::Firing;
+        let next = match ev {
+            Ev::Driver => {
+                let nth = |k: usize| handles.get(k % handles.len().max(1)).copied();
+                match ops[i] {
+                    Op::Once { dt, tag } => handles.push(m.schedule(at + dt, Ev::Once(tag, None))),
+                    Op::Nested { dt, dt2, tag } => {
+                        handles.push(m.schedule(at + dt, Ev::Once(tag, Some(dt2))));
+                    }
+                    Op::Recurring {
+                        dt,
+                        period,
+                        count,
+                        tag,
+                    } => handles.push(m.schedule(at + dt, Ev::Recur(tag, period, count))),
+                    Op::Cancel { k } => nth(k).into_iter().for_each(|id| m.cancel(id)),
+                    Op::Reschedule { k, dt } => {
+                        nth(k).into_iter().for_each(|id| m.reschedule(id, at + dt));
+                    }
+                }
+                i += 1;
+                (i < ops.len()).then_some((at + GRID, Ev::Driver))
             }
-            eng.schedule_in(SimTime::from_nanos(1), move |e| {
-                *d.borrow_mut() += 1;
-                let d2 = d.clone();
-                chain(e, d2, left - 1);
-            });
+            Ev::Once(tag, nested) => {
+                // A one-shot's handle goes stale before its body runs.
+                m.st[id] = St::Dead;
+                log.push((at, tag));
+                if let Some(dt2) = nested {
+                    m.schedule(at + dt2, Ev::Once(tag.wrapping_add(1), None));
+                }
+                None
+            }
+            Ev::Recur(tag, period, left) => {
+                log.push((at, tag));
+                let (left, hard_stop) = (left - 1, tag % 2 == 1);
+                if left == 0 && hard_stop {
+                    m.cancel(id);
+                }
+                (left > 0 || hard_stop).then_some((at + period, Ev::Recur(tag, period, left)))
+            }
+        };
+        match (m.st[id], next) {
+            (St::Firing, Some((at, ev))) => m.arm(id, at, ev),
+            _ => m.st[id] = St::Dead,
         }
-        chain(eng, depth.clone(), 10);
-        eng.set_event_limit(10);
-        eng.run();
-        assert_eq!(*depth.borrow(), 10, "the cancelled timers cost no budget");
-    });
+    }
+    (log, executed, m.q.len(), now)
 }
