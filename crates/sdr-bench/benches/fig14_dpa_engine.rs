@@ -14,7 +14,6 @@ fn cfg(msg_bytes: u64, messages: u64) -> LoopbackConfig {
             msg_slots: 64,
             ring_capacity: 8192,
             layout: ImmLayout::default(),
-            batch_budget: 256,
         },
         msg_bytes,
         mtu_bytes: 4096,

@@ -23,7 +23,6 @@ fn bench_scaling(c: &mut Criterion) {
                         msg_slots: 64,
                         ring_capacity: 16384,
                         layout: ImmLayout::default(),
-                        batch_budget: 256,
                     },
                     msg_bytes: 64 * PKTS_PER_MSG,
                     mtu_bytes: 64,

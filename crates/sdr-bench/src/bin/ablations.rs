@@ -1,4 +1,4 @@
-//! Ablations of SDR design choices called out in DESIGN.md:
+//! Ablations of the SDR design choices the paper argues for:
 //!
 //! 1. **Per-packet Writes vs multi-packet UC messages** (§3.2.1): how often
 //!    does a whole message die under loss/reordering with conventional ePSN

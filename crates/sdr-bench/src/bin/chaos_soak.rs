@@ -236,7 +236,6 @@ fn run_case(key: u64, density: u32, corrupt_p: f64) -> (CaseOutcome, CaseWire) {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 512,
-        ..TelemetryConfig::default()
     };
     acfg.deadline = Some(SimTime::from_secs_f64(DEADLINE_S));
 
@@ -427,7 +426,6 @@ fn run_restart_case(key: u64) -> RestartStats {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 512,
-        ..TelemetryConfig::default()
     };
     // Undeadlined: the plan is finite, so the resume must always land.
     acfg.deadline = None;

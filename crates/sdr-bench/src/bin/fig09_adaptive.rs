@@ -103,7 +103,6 @@ fn run(p_after: f64, spec: SchemeSpec, adapt: bool) -> (f64, AdaptReport, String
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 768,
-        ..TelemetryConfig::default()
     };
     if !adapt {
         // No predicted gain is ever worth a handshake: a static column.

@@ -14,14 +14,13 @@ use sdr_bench::{bytes_label, fmt, table_header, table_row};
 use sdr_core::ImmLayout;
 use sdr_dpa::{run_loopback, DpaConfig, LoopbackConfig};
 
-fn cfg(msg_bytes: u64, workers: usize, messages: u64, batch_budget: usize) -> LoopbackConfig {
+fn cfg(msg_bytes: u64, workers: usize, messages: u64) -> LoopbackConfig {
     LoopbackConfig {
         dpa: DpaConfig {
             workers,
             msg_slots: 64,
             ring_capacity: 8192,
             layout: ImmLayout::default(),
-            batch_budget,
         },
         msg_bytes,
         mtu_bytes: 4096,
@@ -47,7 +46,7 @@ fn main() {
         let msg = 1u64 << shift;
         // Scale message count so each row runs ~the same volume.
         let messages = (((1u64 << 32) / msg) / scale).clamp(8, 4096);
-        let r = run_loopback(cfg(msg, 2, messages, 256));
+        let r = run_loopback(cfg(msg, 2, messages));
         table_row(&[
             bytes_label(msg),
             fmt(r.goodput_gbps),
@@ -67,7 +66,7 @@ fn main() {
         &["receive workers", "goodput [Gbit/s]", "pkts/s [M]"],
     );
     for workers in [1usize, 2, 4, 8] {
-        let r = run_loopback(cfg(16 << 20, workers, 192 / scale, 256));
+        let r = run_loopback(cfg(16 << 20, workers, 192 / scale));
         table_row(&[
             workers.to_string(),
             fmt(r.goodput_gbps),
@@ -77,23 +76,5 @@ fn main() {
     println!(
         "Expected shape: near-linear scaling up to the physical core count\n\
          (2 on this host); beyond that, oversubscription flattens the curve."
-    );
-
-    table_header(
-        "Batched completion A/B at 16 MiB, 2 workers (budget = CQEs per poll)",
-        &["batch budget", "goodput [Gbit/s]", "pkts/s [M]"],
-    );
-    for budget in [1usize, 32, 256] {
-        let r = run_loopback(cfg(16 << 20, 2, 192 / scale, budget));
-        table_row(&[
-            budget.to_string(),
-            fmt(r.goodput_gbps),
-            fmt(r.pkts_per_sec / 1e6),
-        ]);
-    }
-    println!(
-        "Expected shape: budget 1 reproduces the one-CQE-at-a-time baseline\n\
-         (one lock acquisition + two atomic RMWs per packet); larger budgets\n\
-         coalesce bitmap words and chunk publishes per message (§3.4.2)."
     );
 }

@@ -29,7 +29,6 @@ fn main() {
                 msg_slots: 64,
                 ring_capacity: 8192,
                 layout: ImmLayout::default(),
-                batch_budget: 256,
             },
             // 16 Ki packets per message keeps the repost path off the
             // critical path regardless of chunk size.

@@ -32,7 +32,6 @@ fn main() {
                 msg_slots: 64,
                 ring_capacity: 16384,
                 layout: ImmLayout::default(),
-                batch_budget: 256,
             },
             msg_bytes: 64 * 16384,
             mtu_bytes: 64,
@@ -60,40 +59,6 @@ fn main() {
          32 of 256 DPA threads and ~3.2 Tbit/s with 128)."
     );
 
-    // The §3.4.2 batching ablation at the packet-rate extreme: 64 B writes
-    // maximize CQEs per byte, so per-CQE overheads dominate and the
-    // coalesced path shows its full effect.
-    table_header(
-        "batched completion A/B (2 workers, 64 B writes)",
-        &["batch budget", "pkts/s [M]"],
-    );
-    for budget in [1usize, 32, 256, 1024] {
-        let cfg = LoopbackConfig {
-            dpa: DpaConfig {
-                workers: 2,
-                msg_slots: 64,
-                ring_capacity: 16384,
-                layout: ImmLayout::default(),
-                batch_budget: budget,
-            },
-            msg_bytes: 64 * 16384,
-            mtu_bytes: 64,
-            chunk_bytes: 64 * 1024,
-            inflight: 16,
-            messages,
-            drop_rate: 0.0,
-            seed: 3,
-            batch_repost: false,
-        };
-        let r = run_loopback(cfg);
-        table_row(&[budget.to_string(), fmt(r.pkts_per_sec / 1e6)]);
-    }
-    println!(
-        "Expected shape: rate climbs with the budget as ring pops, message\n\
-         lookups, bitmap words and chunk publishes amortize per batch, then\n\
-         plateaus once batches cover the ring's typical occupancy."
-    );
-
     // The §5.4.1 repost ablation: with receive-side completion batched,
     // small messages are bound by repost work (slot reallocation + bitmap
     // cleanup). The batched repost path retires every completed slot per
@@ -111,7 +76,6 @@ fn main() {
                 msg_slots: 64,
                 ring_capacity: 16384,
                 layout: ImmLayout::default(),
-                batch_budget: 256,
             },
             // Figure 14's left panel: one packet per message, so the
             // msgs/s rate is pure slot-lifecycle (repost) cost.

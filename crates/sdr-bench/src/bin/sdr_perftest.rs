@@ -55,7 +55,6 @@ fn run_loopback_mode(opts: &HashMap<String, String>) {
             msg_slots: 64,
             ring_capacity: 8192,
             layout: ImmLayout::default(),
-            batch_budget: 256,
         },
         msg_bytes: get(opts, "msg-bytes", 16u64 << 20),
         mtu_bytes: get(opts, "mtu", 4096u64),

@@ -5,8 +5,8 @@
 //! §3.4.2 datapath — generation validation, per-packet bitmap update, chunk
 //! publication. The BlueField-3 DPA has 256 energy-efficient hardware
 //! threads; this host-side stand-in scales with physical cores instead, so
-//! thread counts beyond the machine's cores measure oversubscription (noted
-//! in EXPERIMENTS.md).
+//! thread counts beyond the machine's cores measure oversubscription (the
+//! fig14 / fig16 binaries say so next to the rows it affects).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,6 +17,12 @@ use sdr_trace::{Counter, Histogram, Registry};
 
 use crate::ring::{CqeRing, DpaCqe};
 use crate::table::{DpaMsgTable, ProcessStats};
+
+/// CQEs drained per ring poll (§3.4.2's batched bitmap publishes): each
+/// drained batch goes through
+/// [`process_batch`](crate::DpaMsgTable::process_batch), which coalesces
+/// bitmap-word updates and chunk publishes per message.
+const BATCH_BUDGET: usize = 256;
 
 /// Configuration of a DPA engine instance.
 #[derive(Clone, Copy, Debug)]
@@ -29,12 +35,6 @@ pub struct DpaConfig {
     pub ring_capacity: usize,
     /// Immediate layout.
     pub layout: ImmLayout,
-    /// CQEs drained per ring poll (§3.4.2's batched bitmap publishes):
-    /// each drained batch goes through
-    /// [`process_batch`](crate::DpaMsgTable::process_batch), which
-    /// coalesces bitmap-word updates and chunk publishes per message.
-    /// `1` reproduces the one-at-a-time baseline for A/B runs.
-    pub batch_budget: usize,
 }
 
 impl Default for DpaConfig {
@@ -44,7 +44,6 @@ impl Default for DpaConfig {
             msg_slots: 64,
             ring_capacity: 4096,
             layout: ImmLayout::default(),
-            batch_budget: 256,
         }
     }
 }
@@ -73,7 +72,6 @@ impl DpaEngine {
     /// are plain atomics, shared safely across the worker threads.
     pub fn start_with_metrics(cfg: DpaConfig, metrics: Registry) -> Self {
         assert!(cfg.workers >= 1);
-        assert!(cfg.batch_budget >= 1);
         let table = DpaMsgTable::new(cfg.msg_slots, cfg.layout);
         let rings: Vec<Arc<CqeRing>> = (0..cfg.workers)
             .map(|_| CqeRing::new(cfg.ring_capacity))
@@ -88,13 +86,12 @@ impl DpaEngine {
                 let ring = ring.clone();
                 let table = table.clone();
                 let stop = stop.clone();
-                let budget = cfg.batch_budget;
                 let trace = WorkerTrace {
                     polls: polls.clone(),
                     completions: completions.clone(),
                     batch: batch_hist.clone(),
                 };
-                std::thread::spawn(move || worker_loop(&table, &ring, &stop, budget, &trace))
+                std::thread::spawn(move || worker_loop(&table, &ring, &stop, &trace))
             })
             .collect();
         DpaEngine {
@@ -165,15 +162,14 @@ fn worker_loop(
     table: &DpaMsgTable,
     ring: &CqeRing,
     stop: &AtomicBool,
-    budget: usize,
     trace: &WorkerTrace,
 ) -> ProcessStats {
     let mut stats = ProcessStats::default();
-    let mut batch: Vec<crate::ring::DpaCqe> = Vec::with_capacity(budget);
+    let mut batch: Vec<crate::ring::DpaCqe> = Vec::with_capacity(BATCH_BUDGET);
     let mut idle: u32 = 0;
     loop {
         batch.clear();
-        let n = ring.pop_batch(&mut batch, budget);
+        let n = ring.pop_batch(&mut batch, BATCH_BUDGET);
         if n > 0 {
             idle = 0;
             trace.polls.inc();
@@ -206,7 +202,6 @@ mod tests {
             msg_slots: 8,
             ring_capacity: 1024,
             layout: ImmLayout::default(),
-            batch_budget: 256,
         }
     }
 

@@ -217,7 +217,6 @@ mod tests {
                 msg_slots: 8,
                 ring_capacity: 2048,
                 layout: ImmLayout::default(),
-                batch_budget: 256,
             },
             msg_bytes: 256 * 1024,
             mtu_bytes: 4096,

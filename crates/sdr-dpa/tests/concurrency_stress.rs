@@ -18,7 +18,6 @@ fn random_interleavings_with_drops_and_duplicates() {
             msg_slots: 8,
             ring_capacity: 8192,
             layout: ImmLayout::default(),
-            batch_budget: 256,
         });
         let l = eng.table().layout();
         let total = 2048usize;
@@ -80,7 +79,6 @@ fn parallel_messages_do_not_interfere() {
         msg_slots: 16,
         ring_capacity: 8192,
         layout: ImmLayout::default(),
-        batch_budget: 256,
     });
     let l = eng.table().layout();
     // 16 concurrent messages, interleaved packet streams.
@@ -169,21 +167,19 @@ fn process_batch_matches_single_cqe_reference() {
     }
 }
 
-/// Engine-level A/B: a batch budget of 1 (the pre-batching behavior) and
-/// the default budget land the same final state under loss + duplication.
+/// The drain size is an engine constant, not an outcome: the same
+/// completions fed to the table one at a time (the pre-batching behavior)
+/// and in slices of the engine's 256 land the same final state under loss
+/// and duplication.
 #[test]
 fn batch_budget_does_not_change_outcomes() {
+    use sdr_dpa::{DpaMsgTable, ProcessStats};
+
     for budget in [1usize, 4, 256] {
-        let eng = DpaEngine::start(DpaConfig {
-            workers: 4,
-            msg_slots: 8,
-            ring_capacity: 8192,
-            layout: ImmLayout::default(),
-            batch_budget: budget,
-        });
-        let l = eng.table().layout();
+        let l = ImmLayout::default();
+        let table = DpaMsgTable::new(8, l);
         let total = 2048usize;
-        eng.table().post(1, 2, total, 16);
+        table.post(1, 2, total, 16);
         let mut rng = SmallRng::seed_from_u64(77);
         let mut stream: Vec<DpaCqe> = Vec::new();
         let mut expect_missing: Vec<usize> = Vec::new();
@@ -205,19 +201,11 @@ fn batch_budget_does_not_change_outcomes() {
             }
         }
         stream.shuffle(&mut rng);
-        for cqe in stream {
-            eng.dispatch(cqe);
+        let mut st = ProcessStats::default();
+        for slice in stream.chunks(budget) {
+            table.process_batch(slice, &mut st);
         }
-        while eng.backlog() > 0 {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(
-            eng.table().missing_packets(1),
-            expect_missing,
-            "budget {budget}"
-        );
-        let st = eng.shutdown();
+        assert_eq!(table.missing_packets(1), expect_missing, "budget {budget}");
         assert_eq!(
             st.packets as usize,
             total - expect_missing.len(),
@@ -241,7 +229,6 @@ fn batched_repost_races_with_workers() {
         msg_slots: 4,
         ring_capacity: 8192,
         layout: ImmLayout::default(),
-        batch_budget: 64,
     });
     let l = eng.table().layout();
     let total = 256usize;

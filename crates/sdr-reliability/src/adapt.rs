@@ -16,21 +16,23 @@
 //!    [`CtrlMsg::Telemetry`] datagrams to the sender, whose own estimator
 //!    adds RTT samples from ACK round-trips (SR chunk ACKs under Karn's
 //!    rule, `SwitchPropose → SwitchAck` handshakes).
-//! 2. **Advise**: on the controller cadence the sender re-runs
-//!    [`advisor::recommend`] against the *live* estimate for the bytes
-//!    still ahead. A recommendation that crosses the SR ⇄ EC divide must
-//!    additionally clear the Figure 9 boundary
-//!    ([`sdr_model::fig09_boundary_p_packet`]) by the configured
-//!    [`hysteresis`](AdaptConfig::hysteresis) factor, and the estimator
-//!    must be [confident](ChannelEstimator::is_confident) — a cold or
-//!    noisy estimate hovering at the boundary cannot flap the scheme.
+//! 2. **Advise**: on the controller cadence (`rtt / CADENCE_DIV`) the
+//!    sender re-runs [`advisor::recommend`] against the *live* estimate
+//!    for the bytes still ahead. A recommendation that crosses the SR ⇄ EC
+//!    divide must additionally clear the Figure 9 boundary
+//!    ([`SchemeSpec::fig09_boundary`]) by the `HYSTERESIS` factor, and the
+//!    estimator must be [confident](ChannelEstimator::is_confident) — a
+//!    cold or noisy estimate hovering at the boundary cannot flap the
+//!    scheme.
 //! 3. **Hand over**: the transfer runs as a pipeline of *segments*
 //!    (submessages of [`segment_bytes`](AdaptConfig::segment_bytes)), each
-//!    a complete run of one scheme over the shared runtime. The receiver
-//!    throttles the pipeline: it posts the next segment's buffers (whose
-//!    CTS credits are what allow the sender to inject) whenever less than
-//!    [`pipeline_lead_rtts`](AdaptConfig::pipeline_lead_rtts) worth of
-//!    data is outstanding, so the wire never idles across boundaries. A
+//!    a complete run of one scheme started through the
+//!    [scheme table](crate::scheme) — the controller never learns which
+//!    protocol object a spec stands for. The receiver throttles the
+//!    pipeline: it posts the next segment's buffers (whose CTS credits are
+//!    what allow the sender to inject) whenever less than
+//!    `PIPELINE_LEAD_RTTS` round trips' worth of data at line rate
+//!    is outstanding, so the wire never idles across boundaries. A
 //!    switch is a two-message handshake: [`CtrlMsg::SwitchPropose`] names
 //!    the first not-yet-started segment, [`CtrlMsg::SwitchAck`] commits it
 //!    (the receiver bumps the epoch past segments it already started, and
@@ -63,52 +65,70 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::{SdrContext, SdrQp};
-use sdr_model::{fig09_boundary_p_packet, Channel, EcConfig};
+use sdr_model::Channel;
 use sdr_sim::{Engine, EventKind, Gauge, QpAddr, SimTime, TimerHandle};
 
 use crate::ack::{CtrlMsg, SchemeSpec};
-use crate::advisor::{self, Scheme};
+use crate::advisor;
 use crate::control::{ControlEndpoint, CtrlHandler, CtrlPath};
-use crate::ec::{EcCodeChoice, EcProtoConfig, EcReceiver, EcSender};
-use crate::gbn::{GbnProtoConfig, GbnReceiver, GbnSender};
 use crate::runtime::{tick_loop, AbortReason, Completion, DeliveryManifest, Tick, TransferOutcome};
-use crate::sr::{SrProtoConfig, SrReceiver, SrSender};
+use crate::scheme::{self, SchemeEnv, SchemeReceiver, SchemeSender};
 use crate::telemetry::{ChannelEstimator, TelemetryConfig, TelemetryCounters};
 
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Both control loops tick every `rtt / CADENCE_DIV`: the sender's
+/// controller (advisor re-runs, proposal re-sends, the segment-creation
+/// pump) and the receiver's housekeeping (telemetry reports, pipeline
+/// posting, quiescing).
+const CADENCE_DIV: u64 = 4;
+
+/// How much data, in RTTs at line rate, the receiver keeps posted ahead of
+/// the observed injection frontier. 1.5 keeps the wire full across segment
+/// boundaries; more would deepen the pipeline and slow the reaction to a
+/// committed switch (a switch first applies to a segment nothing has been
+/// posted for).
+const PIPELINE_LEAD_RTTS: f64 = 1.5;
+
+/// SR ⇄ EC hysteresis factor: switch toward EC only when the loss estimate
+/// exceeds the fig09 boundary by this factor, back to SR only when it
+/// falls below boundary ÷ factor.
+const HYSTERESIS: f64 = 2.0;
+
+/// Stochastic trials per advisor candidate on each controller tick, and
+/// the seed of that evaluation (mixed with the segment index per run).
+const ADVISOR_TRIALS: usize = 300;
+const ADVISOR_SEED: u64 = 0x5D12;
+
+/// The sender's blackout detector trips after this many nominal RTTs
+/// without a single control datagram (ACK, telemetry, anything): the
+/// controller then decays the estimator's confidence once — a pre-outage
+/// loss estimate says nothing about the channel that comes back — and
+/// proposes no handovers until traffic resumes and the estimator re-earns
+/// confidence on post-heal observations.
+const BLACKOUT_RTTS: u64 = 8;
+
 /// Tuning for an adaptive transfer. Both endpoints must be constructed
 /// with the same values (like a static deployment agrees on protocol
-/// configs out-of-band).
+/// configs out-of-band). Everything else about the control loop — its
+/// cadence, pipeline lead, hysteresis, advisor sampling and blackout
+/// threshold — is a constant of this module, and each segment's protocol
+/// config is what [`scheme`] derives from the nominal
+/// channel given here.
 #[derive(Clone, Debug)]
 pub struct AdaptConfig {
     /// Nominal line rate (the advisor's bandwidth input and the pipeline
     /// lead calculation).
     pub bandwidth_bps: f64,
-    /// Nominal RTT; protocol configs derive from it, and the controller
-    /// uses it until live RTT samples take over.
+    /// Nominal RTT; protocol configs and the control cadences derive from
+    /// it, and the controller uses it until live RTT samples take over.
     pub rtt: SimTime,
     /// Segment (submessage) size — the handover granularity. Must be a
     /// multiple of the QP's chunk size; every scheme change takes effect
     /// at a segment boundary, after in-flight segments drain.
     pub segment_bytes: u64,
-    /// Controller cadence: advisor re-runs, proposal re-sends, and the
-    /// sender's segment-creation pump.
-    pub decide_interval: SimTime,
-    /// Receiver cadence: telemetry reports, pipeline posting, quiescing.
-    pub telemetry_interval: SimTime,
-    /// How much data (in RTT-at-line-rate units) the receiver keeps posted
-    /// ahead of the observed injection frontier. ~1.5 keeps the wire full
-    /// across segment boundaries; larger values deepen the pipeline and
-    /// slow the reaction to a committed switch (a switch first applies to
-    /// a segment nothing has been posted for).
-    pub pipeline_lead_rtts: f64,
-    /// SR ⇄ EC hysteresis factor (≥ 1): switch toward EC only when the
-    /// loss estimate exceeds the fig09 boundary by this factor, back to SR
-    /// only when it falls below boundary ÷ factor.
-    pub hysteresis: f64,
     /// Minimum predicted improvement before proposing any handover: the
     /// running scheme's predicted mean must exceed the recommended
     /// scheme's by this factor. Near-tie flips (SR-RTO ⇄ SR-NACK on a
@@ -116,14 +136,8 @@ pub struct AdaptConfig {
     /// single in-flight handshake slot right when a real shift may need
     /// it.
     pub min_gain: f64,
-    /// Stochastic trials per advisor candidate on each controller tick.
-    pub trials: usize,
     /// Estimator tuning (shared by both endpoints' estimators).
     pub telemetry: TelemetryConfig,
-    /// Final-ACK linger repeats per segment (see the scheme configs).
-    pub linger_acks: u32,
-    /// Seed for the advisor's stochastic candidate evaluation.
-    pub seed: u64,
     /// Optional transfer deadline, measured from each endpoint's own start
     /// instant. When it expires before completion the endpoint aborts
     /// locally — timers cancelled, slots released exactly once, the
@@ -135,114 +149,34 @@ pub struct AdaptConfig {
     /// the very blackout that caused the miss, so neither end waits to be
     /// told. `None` (the default) = no deadline.
     pub deadline: Option<SimTime>,
-    /// Silence threshold for the sender's blackout detector: when no
-    /// control datagram (ACK, telemetry, anything) has arrived for this
-    /// long, the controller enters blackout mode — it decays the
-    /// estimator's confidence once (a pre-outage loss estimate says
-    /// nothing about the channel that comes back) and proposes no
-    /// handovers until traffic resumes and the estimator re-earns
-    /// confidence on post-heal observations.
-    pub blackout_after: SimTime,
 }
 
 impl AdaptConfig {
-    /// Defaults for a deployment: quarter-RTT control cadences, a 1.5 RTT
-    /// pipeline lead, 2× hysteresis around the fig09 boundary.
+    /// Defaults for a deployment: a 3 % minimum predicted gain, the
+    /// default estimator, no deadline.
     pub fn new(bandwidth_bps: f64, rtt: SimTime, segment_bytes: u64) -> Self {
         AdaptConfig {
             bandwidth_bps,
             rtt,
             segment_bytes,
-            decide_interval: rtt / 4,
-            telemetry_interval: rtt / 4,
-            pipeline_lead_rtts: 1.5,
-            hysteresis: 2.0,
             min_gain: 1.03,
-            trials: 300,
             telemetry: TelemetryConfig::default(),
-            linger_acks: 25,
-            seed: 0x5D12,
             deadline: None,
-            blackout_after: rtt * 8,
         }
-    }
-
-    /// The nominal model channel (loss overridden per query), with the
-    /// QP's packet/chunk geometry.
-    fn channel(&self, qp: &SdrQp, p_drop_packet: f64) -> Channel {
-        let qcfg = qp.config();
-        Channel::new(self.bandwidth_bps, self.rtt.as_secs_f64(), p_drop_packet)
-            .with_mtu_bytes(qcfg.mtu_bytes)
-            .with_chunk_bytes(qcfg.chunk_bytes)
     }
 
     /// The pipeline lead in packets.
     fn lead_packets(&self, qp: &SdrQp) -> u64 {
-        let bytes = self.pipeline_lead_rtts * self.rtt.as_secs_f64() * self.bandwidth_bps / 8.0;
+        let bytes = PIPELINE_LEAD_RTTS * self.rtt.as_secs_f64() * self.bandwidth_bps / 8.0;
         (bytes / qp.config().mtu_bytes as f64).ceil() as u64
     }
 }
 
-/// Maps the advisor's recommendation onto a wire-codable [`SchemeSpec`].
-pub fn spec_from_scheme(s: &Scheme) -> SchemeSpec {
-    match *s {
-        Scheme::SrRto { .. } => SchemeSpec::SrRto,
-        Scheme::SrNack => SchemeSpec::SrNack,
-        Scheme::EcMds { k, m } => SchemeSpec::EcMds {
-            k: k as u16,
-            m: m as u16,
-        },
-        Scheme::EcXor { k, m } => SchemeSpec::EcXor {
-            k: k as u16,
-            m: m as u16,
-        },
-        Scheme::Gbn { .. } => SchemeSpec::Gbn,
-    }
-}
-
-/// Encodes a [`SchemeSpec`] as the compact `u64` flight-recorder events
-/// carry in their `b` payload: `1`=SR-RTO, `2`=SR-NACK, `3`=GBN, and
-/// `4_000_000 + k·1000 + m` / `5_000_000 + k·1000 + m` for EC-MDS /
-/// EC-XOR splits — e.g. `4032004` reads as MDS(32,4).
-pub fn spec_code(spec: &SchemeSpec) -> u64 {
-    match *spec {
-        SchemeSpec::SrRto => 1,
-        SchemeSpec::SrNack => 2,
-        SchemeSpec::Gbn => 3,
-        SchemeSpec::EcMds { k, m } => 4_000_000 + k as u64 * 1000 + m as u64,
-        SchemeSpec::EcXor { k, m } => 5_000_000 + k as u64 * 1000 + m as u64,
-    }
-}
-
-/// The next-stronger EC split on the advisor's candidate ladder (ordered
-/// by parity fraction `m/k`), used by the conservative first-split rule:
-/// when the controller commits its *first* EC split while the loss
-/// estimate is still climbing through a fresh upward step
-/// ([`ChannelEstimator::loss_step_fresh`]), the advisor's point estimate
-/// was computed against an underestimate — e.g. a step to 1e-2 read as
-/// ~2e-3 recommends (32,4) whose per-submessage drop budget the real
-/// channel blows through, and the refinement handshake lands too late in
-/// the transfer. Committing one rung stronger costs a few percent of
-/// parity overhead; committing one rung too weak costs RTO-bound repair
-/// rounds. XOR strengthens to the MDS code of the same shape (XOR only
-/// corrects a single erasure per group).
-pub fn stronger_split(spec: SchemeSpec) -> SchemeSpec {
-    match spec {
-        SchemeSpec::EcMds { k: 32, m: 4 } => SchemeSpec::EcMds { k: 32, m: 8 },
-        SchemeSpec::EcMds { k: 32, m: 8 } => SchemeSpec::EcMds { k: 16, m: 8 },
-        SchemeSpec::EcMds { k: 16, m: 8 } => SchemeSpec::EcMds { k: 8, m: 8 },
-        SchemeSpec::EcXor { k, m } => SchemeSpec::EcMds { k, m },
-        other => other,
-    }
-}
-
-/// The model-side EC config of an EC spec (for boundary queries).
-fn model_ec_config(spec: &SchemeSpec) -> Option<EcConfig> {
-    match *spec {
-        SchemeSpec::EcMds { k, m } => Some(EcConfig::mds(k as u32, m as u32)),
-        SchemeSpec::EcXor { k, m } => Some(EcConfig::xor(k as u32, m as u32)),
-        _ => None,
-    }
+/// Records a scheme event (start, handover, proposal, ack) for `epoch` in
+/// the node's flight recorder, with the spec as its trace code.
+fn note_scheme(ep: &ControlEndpoint, eng: &Engine, kind: EventKind, epoch: u32, spec: SchemeSpec) {
+    let rec = ep.recorder();
+    rec.record(eng.now().as_picos(), kind, epoch as u64, spec.trace_code());
 }
 
 /// Segment table: `(offset, len)` partitioning `[0, msg_bytes)`.
@@ -278,20 +212,6 @@ fn message_digest(ctx: &SdrContext, base: u64, len: u64) -> u32 {
         left -= n as u64;
     }
     h.finalize()
-}
-
-/// SDR sends a segment consumes: one streaming send for the ARQ schemes,
-/// `2L` (data + parity submessages) for EC. The sender uses this to know
-/// each segment's first send sequence — and therefore which CTS credit
-/// signals that the receiver posted the segment.
-fn sends_for(spec: &SchemeSpec, seg_bytes: u64, chunk_bytes: u64) -> u64 {
-    match *spec {
-        SchemeSpec::EcMds { k, .. } | SchemeSpec::EcXor { k, .. } => {
-            let chunks = seg_bytes.div_ceil(chunk_bytes);
-            2 * chunks.div_ceil(k as u64)
-        }
-        _ => 1,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,39 +270,6 @@ impl CtrlPath for EpochGate {
 }
 
 // ---------------------------------------------------------------------------
-// Per-segment scheme construction (shared by both endpoints)
-// ---------------------------------------------------------------------------
-
-fn sr_proto(spec: &SchemeSpec, cfg: &AdaptConfig) -> SrProtoConfig {
-    let mut p = if matches!(spec, SchemeSpec::SrNack) {
-        SrProtoConfig::nack(cfg.rtt)
-    } else {
-        SrProtoConfig::rto_3rtt(cfg.rtt)
-    };
-    p.linger_acks = cfg.linger_acks;
-    p
-}
-
-fn ec_proto(spec: &SchemeSpec, cfg: &AdaptConfig, qp: &SdrQp, seg_bytes: u64) -> EcProtoConfig {
-    let (k, m, code) = match *spec {
-        SchemeSpec::EcMds { k, m } => (k as usize, m as usize, EcCodeChoice::Mds),
-        SchemeSpec::EcXor { k, m } => (k as usize, m as usize, EcCodeChoice::Xor),
-        _ => unreachable!("ec_proto called for an EC spec"),
-    };
-    let ch = cfg.channel(qp, 0.0);
-    let mut p = EcProtoConfig::for_channel(k, m, code, &ch, seg_bytes, cfg.rtt);
-    p.linger_acks = cfg.linger_acks;
-    p
-}
-
-fn gbn_proto(cfg: &AdaptConfig, qp: &SdrQp) -> GbnProtoConfig {
-    let ch = cfg.channel(qp, 0.0);
-    let mut p = GbnProtoConfig::bdp_window(&ch, cfg.rtt, 3.0);
-    p.linger_acks = cfg.linger_acks;
-    p
-}
-
-// ---------------------------------------------------------------------------
 // Sender: the adaptive controller
 // ---------------------------------------------------------------------------
 
@@ -412,6 +299,25 @@ pub struct AdaptReport {
     pub retransmits: u64,
 }
 
+impl AdaptReport {
+    /// The report of a life that moved nothing: a resume handshake that
+    /// found the manifest already complete, or ran out its deadline
+    /// unanswered. A running transfer fills the counters in over it
+    /// ([`TxInner::report`]).
+    fn idle(duration: SimTime, final_spec: SchemeSpec, outcome: TransferOutcome) -> Self {
+        AdaptReport {
+            duration,
+            segments: 0,
+            proposals: 0,
+            switches: 0,
+            history: Vec::new(),
+            final_spec,
+            outcome,
+            retransmits: 0,
+        }
+    }
+}
+
 /// An in-flight handover handshake (sender side).
 struct PendingSwitch {
     seq: u32,
@@ -428,18 +334,12 @@ struct PendingSwitch {
     resent: bool,
 }
 
-/// Keeps a live segment's protocol object alive; its callbacks drive
-/// everything.
-enum SegSender {
-    Sr(SrSender),
-    Ec(EcSender),
-    Gbn(GbnSender),
-}
-
 struct TxSeg {
     epoch: u32,
     gate: Rc<EpochGate>,
-    sender: SegSender,
+    /// Keeps the segment's protocol object alive; its callbacks drive
+    /// everything.
+    sender: Box<dyn SchemeSender>,
 }
 
 struct TxInner {
@@ -490,6 +390,20 @@ struct TxInner {
     g_loss: Gauge,
     /// `adapt.rtt_us`: the live RTT estimate in microseconds, ditto.
     g_rtt: Gauge,
+}
+
+impl TxInner {
+    /// The report of this transfer ending `outcome` at `now` with
+    /// `segments` of them complete.
+    fn report(&self, now: SimTime, segments: u32, outcome: TransferOutcome) -> AdaptReport {
+        let mut r = AdaptReport::idle(self.completion.elapsed(now), self.current_spec, outcome);
+        r.segments = segments;
+        r.proposals = self.proposals;
+        r.switches = self.switches;
+        r.history = self.history.clone();
+        r.retransmits = self.retransmits;
+        r
+    }
 }
 
 /// The adaptive sender: runs the transfer as a receiver-throttled pipeline
@@ -558,7 +472,6 @@ impl AdaptiveController {
             cfg.segment_bytes <= qcfg.max_msg_bytes,
             "segment fits a slot"
         );
-        assert!(cfg.hysteresis >= 1.0, "hysteresis is a ≥1 factor");
     }
 
     /// The plan-parameterized sender core: `segs` is the list of
@@ -584,7 +497,7 @@ impl AdaptiveController {
     ) -> AdaptiveSender {
         let est = Rc::new(RefCell::new(ChannelEstimator::new(cfg.telemetry)));
         est.borrow_mut().seed(seed.0, seed.1);
-        let decide = cfg.decide_interval;
+        let decide = cfg.rtt / CADENCE_DIV;
         let first_seq = qp.next_send_seq();
         let reg = ep.metrics();
         let (g_loss, g_rtt) = (reg.gauge("adapt.loss_ppm"), reg.gauge("adapt.rtt_us"));
@@ -653,118 +566,46 @@ impl AdaptiveController {
     /// Creates the scheme sender for segment `next_create` under the
     /// scheme committed for it.
     fn tx_create_segment(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine) {
-        let (gate, spec, off, len, epoch) = {
-            let mut i = inner.borrow_mut();
-            let e = i.next_create as usize;
-            debug_assert!(e < i.segs.len());
-            // Commit a handover that applies from this segment.
-            if let Some(p) = &i.pending {
-                if p.acked && p.epoch == i.next_create {
-                    i.current_spec = p.spec;
-                    i.switches += 1;
-                    i.pending = None;
-                    i.ep.recorder().record(
-                        eng.now().as_picos(),
-                        EventKind::SchemeHandover,
-                        i.next_create as u64,
-                        spec_code(&i.current_spec),
-                    );
-                }
-            }
-            let gate = EpochGate::new(i.next_create, i.ep.clone());
-            let (off, len) = i.segs[e];
-            let entry = (eng.now(), i.next_create, i.current_spec);
-            i.history.push(entry);
-            i.ep.recorder().record(
-                eng.now().as_picos(),
-                EventKind::SchemeStart,
-                i.next_create as u64,
-                spec_code(&i.current_spec),
-            );
-            i.next_first_seq += sends_for(&i.current_spec, len, i.qp.config().chunk_bytes);
-            i.next_create += 1;
-            (gate, i.current_spec, off, len, i.next_create - 1)
-        };
-        let me = inner.clone();
-        let seg_done = move |eng: &mut Engine| Self::tx_on_segment_done(&me, eng, epoch);
-        let (qp, ctx, peer, addr, cfg, est) = {
-            let i = inner.borrow();
-            (
-                i.qp.clone(),
-                i.ctx.clone(),
-                i.peer,
-                i.local_addr + off,
-                i.cfg.clone(),
-                i.est.clone(),
-            )
-        };
-        let path: Rc<dyn CtrlPath> = gate.clone();
-        let sender = match spec {
-            SchemeSpec::SrRto | SchemeSpec::SrNack => {
-                let proto = sr_proto(&spec, &cfg);
-                let acc = inner.clone();
-                SegSender::Sr(SrSender::start_with_telemetry(
-                    eng,
-                    &qp,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    Some(est),
-                    move |eng, rep| {
-                        acc.borrow_mut().retransmits += rep.retransmitted;
-                        seg_done(eng)
-                    },
-                ))
-            }
-            SchemeSpec::EcMds { .. } | SchemeSpec::EcXor { .. } => {
-                let proto = ec_proto(&spec, &cfg, &qp, len);
-                let acc = inner.clone();
-                SegSender::Ec(EcSender::start(
-                    eng,
-                    &qp,
-                    &ctx,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    move |eng, rep| {
-                        acc.borrow_mut().retransmits += rep.fallback_rounds;
-                        seg_done(eng)
-                    },
-                ))
-            }
-            SchemeSpec::Gbn => {
-                let proto = gbn_proto(&cfg, &qp);
-                let acc = inner.clone();
-                SegSender::Gbn(GbnSender::start(
-                    eng,
-                    &qp,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    move |eng, rep| {
-                        acc.borrow_mut().retransmits += rep.retransmitted;
-                        seg_done(eng)
-                    },
-                ))
-            }
-        };
-        // SR and GBN senders expose their RTO clock: bind the node's
-        // recorder so a chaos timeline shows which segment's timers fired.
-        {
-            let rec = inner.borrow().ep.recorder().clone();
-            match &sender {
-                SegSender::Sr(s) => s.bind_trace(rec, epoch as u64),
-                SegSender::Gbn(s) => s.bind_trace(rec, epoch as u64),
-                SegSender::Ec(_) => {}
+        let mut i = inner.borrow_mut();
+        let epoch = i.next_create;
+        debug_assert!((epoch as usize) < i.segs.len());
+        // Commit a handover that applies from this segment.
+        if let Some(p) = &i.pending {
+            if p.acked && p.epoch == epoch {
+                i.current_spec = p.spec;
+                i.switches += 1;
+                i.pending = None;
+                note_scheme(&i.ep, eng, EventKind::SchemeHandover, epoch, i.current_spec);
             }
         }
-        inner.borrow_mut().live.push(TxSeg {
+        let spec = i.current_spec;
+        let gate = EpochGate::new(epoch, i.ep.clone());
+        let (off, len) = i.segs[epoch as usize];
+        i.history.push((eng.now(), epoch, spec));
+        note_scheme(&i.ep, eng, EventKind::SchemeStart, epoch, spec);
+        i.next_first_seq += spec.sends(len, i.qp.config().chunk_bytes);
+        i.next_create += 1;
+        let env = SchemeEnv {
+            qp: &i.qp,
+            ctx: &i.ctx,
+            ctrl: gate.clone(),
+            peer: i.peer,
+            addr: i.local_addr + off,
+            bytes: len,
+            bandwidth_bps: i.cfg.bandwidth_bps,
+            rtt: i.cfg.rtt,
+            // A chaos timeline then shows which segment's timers fired.
+            trace: Some((i.ep.recorder().clone(), epoch as u64)),
+        };
+        // Starting a scheme schedules events and installs handlers; it never
+        // calls back into its host, so the borrow stays open across it.
+        let me = inner.clone();
+        let sender =
+            scheme::start_sender(eng, spec, env, Some(i.est.clone()), move |eng, repairs| {
+                me.borrow_mut().retransmits += repairs;
+                Self::tx_on_segment_done(&me, eng, epoch)
+            });
+        i.live.push(TxSeg {
             epoch,
             gate,
             sender,
@@ -814,16 +655,7 @@ impl AdaptiveController {
         if finished {
             let (cb, timer) = {
                 let mut i = inner.borrow_mut();
-                let report = AdaptReport {
-                    duration: i.completion.elapsed(eng.now()),
-                    segments: i.segs.len() as u32,
-                    proposals: i.proposals,
-                    switches: i.switches,
-                    history: i.history.clone(),
-                    final_spec: i.current_spec,
-                    outcome: TransferOutcome::Delivered,
-                    retransmits: i.retransmits,
-                };
+                let report = i.report(eng.now(), i.segs.len() as u32, TransferOutcome::Delivered);
                 let cb = i.completion.finish().map(|cb| (cb, report));
                 (cb, i.deadline_timer.take())
             };
@@ -869,16 +701,7 @@ impl AdaptiveController {
             if i.completion.is_done() {
                 return false;
             }
-            let report = AdaptReport {
-                duration: i.completion.elapsed(eng.now()),
-                segments: i.done_count,
-                proposals: i.proposals,
-                switches: i.switches,
-                history: i.history.clone(),
-                final_spec: i.current_spec,
-                outcome: TransferOutcome::aborted(reason),
-                retransmits: i.retransmits,
-            };
+            let report = i.report(eng.now(), i.done_count, TransferOutcome::aborted(reason));
             let cb = i.completion.finish().map(|cb| (cb, report));
             let live = std::mem::take(&mut i.live);
             let timers = [i.ctl_timer.take(), i.deadline_timer.take()];
@@ -894,17 +717,7 @@ impl AdaptiveController {
             eng.cancel(t);
         }
         for seg in &live {
-            match &seg.sender {
-                SegSender::Sr(s) => {
-                    s.abort(eng, reason);
-                }
-                SegSender::Ec(s) => {
-                    s.abort(eng, reason);
-                }
-                SegSender::Gbn(s) => {
-                    s.abort(eng, reason);
-                }
-            }
+            seg.sender.abort(eng, reason);
         }
         drop(live);
         if notify_peer {
@@ -1053,7 +866,7 @@ impl AdaptiveController {
         // exactly once — the pre-outage loss estimate says nothing about
         // the channel that comes back — which also closes the proposal
         // gates below until post-heal traffic re-earns confidence.
-        let dark = i.est.borrow().blackout(now, i.cfg.blackout_after);
+        let dark = i.est.borrow().blackout(now, i.cfg.rtt * BLACKOUT_RTTS);
         if dark && !i.in_blackout {
             i.in_blackout = true;
             i.est.borrow_mut().decay_confidence();
@@ -1108,13 +921,9 @@ impl AdaptiveController {
         let ch = Channel::new(i.cfg.bandwidth_bps, rtt, loss)
             .with_mtu_bytes(i.qp.config().mtu_bytes)
             .with_chunk_bytes(i.qp.config().chunk_bytes);
-        let rec = advisor::recommend(
-            &ch,
-            remaining,
-            i.cfg.trials,
-            i.cfg.seed ^ ((next_unstarted as u64) << 8),
-        );
-        let target = spec_from_scheme(&rec.scheme);
+        let seed = ADVISOR_SEED ^ ((next_unstarted as u64) << 8);
+        let rec = advisor::recommend(&ch, remaining, ADVISOR_TRIALS, seed);
+        let mut target = rec.scheme;
         if target == i.current_spec {
             return Tick::Again;
         }
@@ -1123,7 +932,7 @@ impl AdaptiveController {
         let current_mean = rec
             .candidates
             .iter()
-            .find(|c| spec_from_scheme(&c.scheme) == i.current_spec)
+            .find(|c| c.scheme == i.current_spec)
             .map(|c| c.summary.mean);
         if let Some(cm) = current_mean {
             if cm <= rec.summary.mean * i.cfg.min_gain {
@@ -1133,25 +942,21 @@ impl AdaptiveController {
         // Crossing the SR ⇄ EC boundary needs hysteresis clearance; moves
         // that do not cross it (SR-RTO ⇄ SR-NACK, leaving GBN) only need
         // the confidence gate already applied above.
-        let mut target = target;
         let to_ec = target.is_ec() && !i.current_spec.is_ec();
         let from_ec = i.current_spec.is_ec() && !target.is_ec();
         if to_ec {
-            let Some(b) = model_ec_config(&target).and_then(|ec| {
-                fig09_boundary_p_packet(i.cfg.bandwidth_bps, rtt, remaining, &ec, 3.0)
-            }) else {
+            let Some(b) = target.fig09_boundary(i.cfg.bandwidth_bps, rtt, remaining) else {
                 return Tick::Again; // no crossing in range: stay put
             };
-            if loss <= b * i.cfg.hysteresis {
+            if loss <= b * HYSTERESIS {
                 return Tick::Again; // not decisively past the boundary
             }
         } else if from_ec {
-            if let Some(b) = model_ec_config(&i.current_spec).and_then(|ec| {
-                fig09_boundary_p_packet(i.cfg.bandwidth_bps, rtt, remaining, &ec, 3.0)
-            }) {
-                if loss >= b / i.cfg.hysteresis {
-                    return Tick::Again;
-                }
+            let boundary = i
+                .current_spec
+                .fig09_boundary(i.cfg.bandwidth_bps, rtt, remaining);
+            if boundary.is_some_and(|b| loss >= b / HYSTERESIS) {
+                return Tick::Again;
             }
         }
         if to_ec && i.est.borrow().loss_step_fresh() {
@@ -1163,8 +968,7 @@ impl AdaptiveController {
             // a stronger code's boundary sits at higher loss, and gating
             // on it would suppress exactly the handover this rule is
             // meant to harden.
-            let conservative = stronger_split(target);
-            target = conservative;
+            target = target.stronger();
         }
         // Propose, targeting a pipeline-lead's worth of segments ahead of
         // the next unstarted one: the handshake RTT then overlaps segments
@@ -1195,12 +999,7 @@ impl AdaptiveController {
             epoch: target_epoch,
             spec: target,
         };
-        i.ep.recorder().record(
-            now.as_picos(),
-            EventKind::SwitchPropose,
-            target_epoch as u64,
-            spec_code(&target),
-        );
+        note_scheme(&i.ep, eng, EventKind::SwitchPropose, target_epoch, target);
         let (ep, peer) = (i.ep.clone(), i.peer);
         ep.send(eng, peer, &msg);
         Tick::Again
@@ -1249,17 +1048,14 @@ impl AdaptiveSender {
     }
 
     /// `(segment, staged parity)` of every erasure-coded segment in flight
-    /// (see [`EcSender::staged_parity`]). Test observability: concurrently
+    /// (see [`SchemeSender::staged_parity`]). Test observability: concurrently
     /// live segments stage into node memory side by side, and each must
     /// hold exactly its own segment's parity.
     pub fn staged_parity(&self) -> Vec<(u32, Vec<u8>)> {
         let i = self.inner.borrow();
         i.live
             .iter()
-            .filter_map(|seg| match &seg.sender {
-                SegSender::Ec(s) => Some((seg.epoch, s.staged_parity())),
-                _ => None,
-            })
+            .filter_map(|seg| Some((seg.epoch, seg.sender.staged_parity()?)))
             .collect()
     }
 
@@ -1401,19 +1197,9 @@ impl AdaptiveController {
                 if let Some(t) = timer {
                     eng.cancel(t);
                 }
-                (p.done)(
-                    eng,
-                    AdaptReport {
-                        duration: eng.now().saturating_sub(p.start),
-                        segments: 0,
-                        proposals: 0,
-                        switches: 0,
-                        history: Vec::new(),
-                        final_spec: p.initial,
-                        outcome: TransferOutcome::aborted(AbortReason::Deadline),
-                        retransmits: 0,
-                    },
-                );
+                let waited = eng.now().saturating_sub(p.start);
+                let outcome = TransferOutcome::aborted(AbortReason::Deadline);
+                (p.done)(eng, AdaptReport::idle(waited, p.initial, outcome));
             });
             state.borrow_mut().deadline_timer = Some(h);
         }
@@ -1467,18 +1253,10 @@ impl AdaptiveController {
                     answer_ep.send(eng, src, &CtrlMsg::DigestState { crc });
                 }
             });
+            let waited = eng.now().saturating_sub(p.start);
             (p.done)(
                 eng,
-                AdaptReport {
-                    duration: eng.now().saturating_sub(p.start),
-                    segments: 0,
-                    proposals: 0,
-                    switches: 0,
-                    history: Vec::new(),
-                    final_spec: p.initial,
-                    outcome: TransferOutcome::Delivered,
-                    retransmits: 0,
-                },
+                AdaptReport::idle(waited, p.initial, TransferOutcome::Delivered),
             );
             return;
         }
@@ -1550,33 +1328,9 @@ pub struct AdaptRecvReport {
     pub outcome: TransferOutcome,
 }
 
-enum SegReceiver {
-    Sr(SrReceiver),
-    Ec(EcReceiver),
-    Gbn(GbnReceiver),
-}
-
-impl SegReceiver {
-    fn quiesce(&self, eng: &mut Engine) -> bool {
-        match self {
-            SegReceiver::Sr(r) => r.quiesce(eng),
-            SegReceiver::Ec(r) => r.quiesce(eng),
-            SegReceiver::Gbn(r) => r.quiesce(eng),
-        }
-    }
-
-    fn frontier(&self) -> (u64, u64) {
-        match self {
-            SegReceiver::Sr(r) => r.frontier(),
-            SegReceiver::Ec(r) => r.frontier(),
-            SegReceiver::Gbn(r) => r.frontier(),
-        }
-    }
-}
-
 struct RxSeg {
     epoch: u32,
-    recv: SegReceiver,
+    recv: SchemeReceiver,
     complete: bool,
 }
 
@@ -1756,7 +1510,7 @@ impl AdaptiveController {
         done: Box<dyn FnOnce(&mut Engine, SimTime, AdaptRecvReport)>,
     ) -> AdaptiveReceiver {
         let est = Rc::new(RefCell::new(ChannelEstimator::new(cfg.telemetry)));
-        let telemetry_interval = cfg.telemetry_interval;
+        let telemetry_interval = cfg.rtt / CADENCE_DIV;
         // Captured before the first post: the plan's k-th buffer gets
         // sequence `resume_seq_base + k`, and the peer's k-th stream must
         // meet it.
@@ -1928,7 +1682,7 @@ impl AdaptiveController {
                     Some((_, pe, spec)) if pe == i.next_start => spec,
                     _ => i.current_spec,
                 };
-                let slots = sends_for(&spec, i.segs[e].1, i.qp.config().chunk_bytes);
+                let slots = spec.sends(i.segs[e].1, i.qp.config().chunk_bytes);
                 outstanding < lead && i.qp.can_recv_post(slots)
             };
             if !start {
@@ -1939,96 +1693,40 @@ impl AdaptiveController {
     }
 
     fn rx_start_segment(inner: &Rc<RefCell<RxInner>>, eng: &mut Engine) {
-        let (gate, spec, off, len, epoch) = {
-            let mut i = inner.borrow_mut();
-            let e = i.next_start as usize;
-            debug_assert!(e < i.segs.len());
-            if let Some((seq, pe, spec)) = i.pending {
-                debug_assert!(pe >= i.next_start, "pending switch cannot target the past");
-                if pe == i.next_start {
-                    i.current_spec = spec;
-                    i.committed = Some((seq, pe, spec));
-                    i.switches += 1;
-                    i.pending = None;
-                    i.ep.recorder().record(
-                        eng.now().as_picos(),
-                        EventKind::SchemeHandover,
-                        pe as u64,
-                        spec_code(&spec),
-                    );
-                }
+        let mut i = inner.borrow_mut();
+        let epoch = i.next_start;
+        debug_assert!((epoch as usize) < i.segs.len());
+        if let Some((seq, pe, spec)) = i.pending {
+            debug_assert!(pe >= epoch, "pending switch cannot target the past");
+            if pe == epoch {
+                i.current_spec = spec;
+                i.committed = Some((seq, pe, spec));
+                i.switches += 1;
+                i.pending = None;
+                note_scheme(&i.ep, eng, EventKind::SchemeHandover, pe, spec);
             }
-            let gate = EpochGate::new(i.next_start, i.ep.clone());
-            let (off, len) = i.segs[e];
-            i.ep.recorder().record(
-                eng.now().as_picos(),
-                EventKind::SchemeStart,
-                i.next_start as u64,
-                spec_code(&i.current_spec),
-            );
-            i.next_start += 1;
-            (gate, i.current_spec, off, len, i.next_start - 1)
+        }
+        let spec = i.current_spec;
+        let (off, len) = i.segs[epoch as usize];
+        note_scheme(&i.ep, eng, EventKind::SchemeStart, epoch, spec);
+        i.next_start += 1;
+        let env = SchemeEnv {
+            qp: &i.qp,
+            ctx: &i.ctx,
+            ctrl: EpochGate::new(epoch, i.ep.clone()),
+            peer: i.peer,
+            addr: i.buf_addr + off,
+            bytes: len,
+            bandwidth_bps: i.cfg.bandwidth_bps,
+            rtt: i.cfg.rtt,
+            trace: None,
         };
+        // (The borrow stays open across the start: see tx_create_segment.)
         let me = inner.clone();
-        let seg_done = move |eng: &mut Engine| Self::rx_on_segment_done(&me, eng, epoch);
-        let (qp, ctx, peer, addr, cfg, est) = {
-            let i = inner.borrow();
-            (
-                i.qp.clone(),
-                i.ctx.clone(),
-                i.peer,
-                i.buf_addr + off,
-                i.cfg.clone(),
-                i.est.clone(),
-            )
-        };
-        let path: Rc<dyn CtrlPath> = gate;
-        let recv = match spec {
-            SchemeSpec::SrRto | SchemeSpec::SrNack => {
-                let proto = sr_proto(&spec, &cfg);
-                SegReceiver::Sr(SrReceiver::start_with_telemetry(
-                    eng,
-                    &qp,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    Some(est),
-                    move |eng, _t| seg_done(eng),
-                ))
-            }
-            SchemeSpec::EcMds { .. } | SchemeSpec::EcXor { .. } => {
-                let proto = ec_proto(&spec, &cfg, &qp, len);
-                SegReceiver::Ec(EcReceiver::start_with_telemetry(
-                    eng,
-                    &qp,
-                    &ctx,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    Some(est),
-                    move |eng, _t, _st| seg_done(eng),
-                ))
-            }
-            SchemeSpec::Gbn => {
-                let proto = gbn_proto(&cfg, &qp);
-                SegReceiver::Gbn(GbnReceiver::start_with_telemetry(
-                    eng,
-                    &qp,
-                    path,
-                    peer,
-                    addr,
-                    len,
-                    proto,
-                    Some(est),
-                    move |eng, _t| seg_done(eng),
-                ))
-            }
-        };
-        inner.borrow_mut().live.push(RxSeg {
+        let recv = scheme::start_receiver(eng, spec, env, Some(i.est.clone()), move |eng, _at| {
+            Self::rx_on_segment_done(&me, eng, epoch)
+        });
+        i.live.push(RxSeg {
             epoch,
             recv,
             complete: false,
@@ -2221,12 +1919,7 @@ impl AdaptiveController {
                     e
                 }
             };
-            i.ep.recorder().record(
-                eng.now().as_picos(),
-                EventKind::SwitchAck,
-                effective as u64,
-                spec_code(&spec),
-            );
+            note_scheme(&i.ep, eng, EventKind::SwitchAck, effective, spec);
             CtrlMsg::SwitchAck {
                 seq,
                 epoch: effective,
@@ -2330,49 +2023,5 @@ mod tests {
         let segs = segments(1 << 20, 256 * 1024);
         assert_eq!(segs.len(), 4);
         assert_eq!(segs.iter().map(|s| s.1).sum::<u64>(), 1 << 20);
-    }
-
-    #[test]
-    fn advisor_schemes_map_onto_wire_specs() {
-        assert_eq!(
-            spec_from_scheme(&Scheme::SrRto { rto_rtts: 3.0 }),
-            SchemeSpec::SrRto
-        );
-        assert_eq!(spec_from_scheme(&Scheme::SrNack), SchemeSpec::SrNack);
-        assert_eq!(
-            spec_from_scheme(&Scheme::EcMds { k: 32, m: 8 }),
-            SchemeSpec::EcMds { k: 32, m: 8 }
-        );
-        assert_eq!(
-            spec_from_scheme(&Scheme::EcXor { k: 16, m: 4 }),
-            SchemeSpec::EcXor { k: 16, m: 4 }
-        );
-        assert_eq!(
-            spec_from_scheme(&Scheme::Gbn { rto_rtts: 3.0 }),
-            SchemeSpec::Gbn
-        );
-    }
-
-    #[test]
-    fn segment_send_counts_cover_ec_geometry() {
-        let chunk = 64 * 1024;
-        // ARQ schemes: one streaming send per segment.
-        assert_eq!(sends_for(&SchemeSpec::SrNack, 1 << 20, chunk), 1);
-        assert_eq!(sends_for(&SchemeSpec::Gbn, 1 << 20, chunk), 1);
-        // EC: 2L sends. 1 MiB = 16 chunks; k=4 → L=4 → 8 sends.
-        assert_eq!(
-            sends_for(&SchemeSpec::EcMds { k: 4, m: 2 }, 1 << 20, chunk),
-            8
-        );
-        // Tail rounding: 17 chunks at k=4 → L=5 → 10.
-        assert_eq!(
-            sends_for(&SchemeSpec::EcMds { k: 4, m: 2 }, 17 * chunk, chunk),
-            10
-        );
-        // k larger than the segment: one submessage.
-        assert_eq!(
-            sends_for(&SchemeSpec::EcXor { k: 32, m: 8 }, 1 << 20, chunk),
-            2
-        );
     }
 }

@@ -10,73 +10,15 @@
 //! erasure coding pays a real CPU cost for encoding (and decoding under
 //! drops, Figure 11) that the latency model does not see.
 
-use sdr_model::{
-    ec_summary, gbn_summary, sr_summary, Channel, EcConfig, GbnConfig, SrConfig, Summary,
-};
+use sdr_model::{Channel, Summary};
 
-/// A candidate reliability scheme.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Scheme {
-    /// Selective Repeat with `RTO = rto_rtts · RTT`.
-    SrRto {
-        /// Timeout multiplier (3 in the paper's `SR RTO`).
-        rto_rtts: f64,
-    },
-    /// Selective Repeat with the NACK optimization (1-RTT repair).
-    SrNack,
-    /// MDS erasure coding with the given data/parity split.
-    EcMds {
-        /// Data chunks per submessage.
-        k: u32,
-        /// Parity chunks per submessage.
-        m: u32,
-    },
-    /// XOR erasure coding with the given split.
-    EcXor {
-        /// Data chunks per submessage.
-        k: u32,
-        /// Parity chunks per submessage.
-        m: u32,
-    },
-    /// Go-Back-N with a BDP-sized window — the commodity-NIC baseline.
-    /// Evaluated so the ranking always exhibits the Bertsekas–Gallager gap
-    /// (§4); it is dominated by SR and never chosen over it.
-    Gbn {
-        /// RTO multiplier (matches the SR RTO scenario for comparability).
-        rto_rtts: f64,
-    },
-}
-
-impl Scheme {
-    /// True for Selective Repeat variants (the ARQ representative the
-    /// tie-break prefers; GBN, though also ARQ, is the dominated baseline).
-    pub fn is_sr(&self) -> bool {
-        matches!(self, Scheme::SrRto { .. } | Scheme::SrNack)
-    }
-
-    /// True for the Go-Back-N baseline.
-    pub fn is_gbn(&self) -> bool {
-        matches!(self, Scheme::Gbn { .. })
-    }
-}
-
-impl std::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Scheme::SrRto { rto_rtts } => write!(f, "SR RTO({rto_rtts} RTT)"),
-            Scheme::SrNack => write!(f, "SR NACK"),
-            Scheme::EcMds { k, m } => write!(f, "MDS EC({k},{m})"),
-            Scheme::EcXor { k, m } => write!(f, "XOR EC({k},{m})"),
-            Scheme::Gbn { rto_rtts } => write!(f, "GBN RTO({rto_rtts} RTT)"),
-        }
-    }
-}
+use crate::ack::SchemeSpec;
 
 /// An evaluated candidate.
 #[derive(Clone, Copy, Debug)]
 pub struct Candidate {
     /// The scheme evaluated.
-    pub scheme: Scheme,
+    pub scheme: SchemeSpec,
     /// Predicted completion-time statistics.
     pub summary: Summary,
 }
@@ -85,7 +27,7 @@ pub struct Candidate {
 #[derive(Clone, Debug)]
 pub struct Recommendation {
     /// The chosen scheme.
-    pub scheme: Scheme,
+    pub scheme: SchemeSpec,
     /// Predicted statistics of the chosen scheme.
     pub summary: Summary,
     /// All evaluated candidates, sorted by mean completion time.
@@ -96,50 +38,19 @@ pub struct Recommendation {
 /// recommend SR anyway (encode/decode CPU cost, §5.2.2).
 const EC_ADVANTAGE_THRESHOLD: f64 = 1.05;
 
-/// Evaluates the standard candidate set and recommends a scheme for
-/// `message_bytes` on `ch`. `trials` stochastic samples per candidate
-/// (≥ 2000 recommended for stable tails).
+/// Evaluates the standard candidate set ([`SchemeSpec::candidates`]) and
+/// recommends a scheme for `message_bytes` on `ch`. `trials` stochastic
+/// samples per candidate (≥ 2000 recommended for stable tails).
 pub fn recommend(ch: &Channel, message_bytes: u64, trials: usize, seed: u64) -> Recommendation {
-    let sr_rto = SrConfig::rto_multiple(ch, 3.0);
-    let sr_nack = SrConfig::nack(ch);
-    let mut candidates = vec![
-        Candidate {
-            scheme: Scheme::SrRto { rto_rtts: 3.0 },
-            summary: sr_summary(ch, message_bytes, &sr_rto, trials, seed),
-        },
-        Candidate {
-            scheme: Scheme::SrNack,
-            summary: sr_summary(ch, message_bytes, &sr_nack, trials, seed ^ 1),
-        },
-    ];
-    // The paper's MDS splits (Figure 10d) plus the XOR alternative.
-    for (k, m) in [(32u32, 8u32), (32, 4), (16, 8), (8, 8)] {
-        let cfg = EcConfig::mds(k, m);
-        candidates.push(Candidate {
-            scheme: Scheme::EcMds { k, m },
-            summary: ec_summary(ch, message_bytes, &cfg, &sr_rto, trials, seed ^ 2),
-        });
-    }
-    let xor = EcConfig::xor(32, 8);
-    candidates.push(Candidate {
-        scheme: Scheme::EcXor { k: 32, m: 8 },
-        summary: ec_summary(ch, message_bytes, &xor, &sr_rto, trials, seed ^ 3),
-    });
-    // The commodity-NIC baseline: always ranked so the report shows the
-    // SR-vs-GBN gap, never recommended over SR (it is dominated; on exact
-    // ties the stable sort keeps SR first, and near-ties fall to the SR
-    // tie-break below like a marginal EC win would).
-    candidates.push(Candidate {
-        scheme: Scheme::Gbn { rto_rtts: 3.0 },
-        summary: gbn_summary(
-            ch,
-            message_bytes,
-            &GbnConfig::bdp_window(ch, 3.0),
-            trials,
-            seed ^ 4,
-        ),
-    });
-
+    let mut candidates: Vec<Candidate> = SchemeSpec::candidates()
+        .map(|scheme| Candidate {
+            scheme,
+            summary: scheme.model_summary(ch, message_bytes, trials, seed),
+        })
+        .collect();
+    // GBN is dominated, so it never comes first alone: on exact ties the
+    // stable sort keeps SR ahead of it, and near-ties fall to the SR
+    // tie-break below like a marginal EC win would.
     candidates.sort_by(|a, b| a.summary.mean.total_cmp(&b.summary.mean));
     let best = candidates[0];
     let best_sr = candidates
@@ -174,7 +85,7 @@ mod tests {
         let ch = Channel::new(400e9, 0.025, 1e-4);
         let rec = recommend(&ch, 128 << 20, 2000, 1);
         assert!(
-            matches!(rec.scheme, Scheme::EcMds { .. }),
+            matches!(rec.scheme, SchemeSpec::EcMds { .. }),
             "expected MDS EC, got {}",
             rec.scheme
         );
@@ -223,7 +134,7 @@ mod tests {
             let gbn = rec
                 .candidates
                 .iter()
-                .find(|c| c.scheme.is_gbn())
+                .find(|c| c.scheme == SchemeSpec::Gbn)
                 .expect("GBN always evaluated");
             let best_sr = rec
                 .candidates
@@ -236,7 +147,7 @@ mod tests {
                 gbn.summary.mean,
                 best_sr.summary.mean
             );
-            assert!(!rec.scheme.is_gbn(), "p={p}: GBN never recommended");
+            assert_ne!(rec.scheme, SchemeSpec::Gbn, "p={p}: GBN never recommended");
         }
     }
 }

@@ -54,7 +54,6 @@ use crate::runtime::{
     begin_on_cts, wire_ctrl, AbortReason, Completion, CtrlSink, RxCommon, RxDriver, RxScheme,
     RxStep, TransferOutcome,
 };
-use crate::telemetry::ChannelEstimator;
 
 /// Which erasure code protects the submessages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +98,7 @@ impl EcProtoConfig {
         rtt: SimTime,
     ) -> Self {
         let m_chunks = ch.chunks_for(msg_bytes);
-        let parity = m_chunks.div_ceil(k as u64) * m as u64;
+        let parity = submessages(m_chunks, k) * m as u64;
         let fto_s = (m_chunks + parity) as f64 * ch.t_inj() + 0.5 * ch.rtt_s;
         EcProtoConfig {
             k,
@@ -124,9 +123,15 @@ struct SubGeom {
     m_eff: usize,
 }
 
+/// `L`: the data submessages a message of `total_chunks` splits into at `k`
+/// chunks each. A transfer takes `2L` sends and receive slots — what
+/// [`SchemeSpec::sends`](crate::SchemeSpec::sends) tells a host.
+pub(crate) fn submessages(total_chunks: u64, k: usize) -> u64 {
+    total_chunks.div_ceil(k as u64)
+}
+
 fn geometry(total_chunks: u64, k: usize, m: usize, code: EcCodeChoice) -> Vec<SubGeom> {
-    let l = total_chunks.div_ceil(k as u64);
-    (0..l)
+    (0..submessages(total_chunks, k))
         .map(|i| {
             let chunk_start = i * k as u64;
             let k_eff = (total_chunks - chunk_start).min(k as u64) as usize;
@@ -938,33 +943,9 @@ impl RxDriver<EcRxScheme> {
         cfg: EcProtoConfig,
         done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
     ) -> EcReceiver {
-        Self::start_with_telemetry(
-            eng, qp, ctx, ctrl, peer_ctrl, buf_addr, msg_bytes, cfg, None, done,
-        )
-    }
-
-    /// [`start`](Self::start) with an optional channel estimator bound to
-    /// the driver (first-pass gap counts per poll across all data and
-    /// parity slots — the receiver half of the adaptive telemetry loop).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_telemetry(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctx: &SdrContext,
-        ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        buf_addr: u64,
-        msg_bytes: u64,
-        cfg: EcProtoConfig,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
-        done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
-    ) -> EcReceiver {
         let scratch = Rc::new(RefCell::new(EcScratch::new(cfg.k, cfg.m)));
         let mut common = RxCommon::new(qp);
         let scheme = EcRxScheme::post(eng, &mut common, ctx, buf_addr, msg_bytes, &cfg, scratch);
-        if let Some(est) = telemetry {
-            common.bind_estimator(est);
-        }
         let rx = RxStep::new(common, scheme, cfg.linger_acks);
         RxDriver::spawn(eng, cfg.poll_interval, ctrl, peer_ctrl, rx, done)
     }

@@ -94,8 +94,9 @@ use sdr_sim::{
 
 use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
-use crate::ec::{EcCodeChoice, EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
-use crate::runtime::{tick_loop, CtrlSink, RxCommon, RxScheme, RxStep, Tick};
+use crate::ec::{EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
+use crate::runtime::{tick_loop, RxCommon, RxScheme, RxStep, Tick};
+use crate::scheme::RxPolicy;
 use crate::sr::{SrRxScheme, SrTrace, SrTxCore};
 use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 
@@ -117,6 +118,10 @@ const LINGER_ACKS: u32 = 8;
 
 /// Warm loss estimate above which new flows open under EC.
 const EC_LOSS_THRESHOLD: f64 = 2e-3;
+
+/// The one ARQ scheme the manager hosts: every flow that is not EC runs it,
+/// whatever ARQ spec the caller named.
+const FLOW_ARQ: SchemeSpec = SchemeSpec::SrNack;
 
 /// Parity overprovision factor:
 /// `m ≈ ceil(chunks × chunk_loss × factor) + 1`.
@@ -527,42 +532,6 @@ struct TxFlow {
     done: Option<Box<dyn FnOnce(&mut Engine, FlowReport)>>,
 }
 
-/// The receive policy a flow was opened under — the very policies the
-/// per-transfer receivers run.
-enum FlowScheme {
-    Sr(SrRxScheme),
-    Ec(EcRxScheme),
-}
-
-impl RxScheme for FlowScheme {
-    /// True when the message resolved by erasure decode.
-    type Done = bool;
-
-    fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
-        match self {
-            FlowScheme::Sr(s) => s.poll(eng, rx, send),
-            FlowScheme::Ec(s) => s.poll(eng, rx, send),
-        }
-    }
-
-    fn final_ack(&self) -> CtrlMsg {
-        match self {
-            FlowScheme::Sr(s) => s.final_ack(),
-            FlowScheme::Ec(s) => s.final_ack(),
-        }
-    }
-
-    fn done_payload(&self) -> bool {
-        matches!(self, FlowScheme::Ec(s) if s.stats().decoded_submessages > 0)
-    }
-
-    fn released(&mut self) {
-        if let FlowScheme::Ec(s) = self {
-            s.released();
-        }
-    }
-}
-
 struct RxFlow {
     peer_ctrl: QpAddr,
     shard: usize,
@@ -570,7 +539,7 @@ struct RxFlow {
     dst_addr: u64,
     /// The same receive step the per-transfer driver runs, stepped from
     /// the due index.
-    rx: RxStep<FlowScheme>,
+    rx: RxStep<RxPolicy>,
     polls: u32,
     /// The final acknowledgment, snapshotted at resolution for the linger
     /// repeats: `FlowDone` doubles as the closing telemetry report.
@@ -700,11 +669,7 @@ impl ManagerCore {
     fn ec_proto(&self, spec: SchemeSpec, bytes: u64) -> Option<EcProtoConfig> {
         let chunk = self.cfg.qp.chunk_bytes;
         let chunks = self.cfg.qp.chunks_for(bytes) as usize;
-        let (code, k, m) = match spec {
-            SchemeSpec::EcMds { k, m } => (EcCodeChoice::Mds, k as usize, m as usize),
-            SchemeSpec::EcXor { k, m } => (EcCodeChoice::Xor, k as usize, m as usize),
-            _ => return None,
-        };
+        let (code, k, m) = spec.ec_shape()?;
         if k != chunks || m == 0 || chunks + m > 255 || !bytes.is_multiple_of(chunk) {
             return None;
         }
@@ -894,17 +859,7 @@ impl FlowManager {
             let chunk = core.cfg.qp.chunk_bytes;
             let chunks = core.cfg.qp.chunks_for(bytes) as usize;
             // EC flows run one submessage spanning the message.
-            let spec = match spec {
-                SchemeSpec::EcMds { m, .. } => SchemeSpec::EcMds {
-                    k: chunks as u16,
-                    m,
-                },
-                SchemeSpec::EcXor { m, .. } => SchemeSpec::EcXor {
-                    k: chunks as u16,
-                    m,
-                },
-                s => s,
-            };
+            let spec = spec.with_k(chunks as u16);
             let (spec, parity) = match core.ec_proto(spec, bytes) {
                 // Start the parity encode now on the shared pool: it
                 // overlaps the open handshake and is harvested when the
@@ -914,9 +869,11 @@ impl FlowManager {
                     let stager = ParityStager::new(&core.ctx, src_addr, bytes, chunk, &ec, codes);
                     (spec, Some(stager))
                 }
-                // Unaligned or oversized messages fall back to ARQ.
-                None if spec.is_ec() => (SchemeSpec::SrNack, None),
-                None => (spec, None),
+                // Everything else runs as the one ARQ scheme the manager
+                // hosts — another ARQ spec, or an EC shape it cannot carry
+                // (unaligned, oversized) — and that is the spec `FlowOpen`
+                // advertises and the report names.
+                None => (FLOW_ARQ, None),
             };
             let est = inner.registry.checkout(peer, now);
             let mut sr = SrTxCore::new(chunks, inner.trace.sr.clone());
@@ -979,7 +936,7 @@ impl FlowManager {
                     m: m as u16,
                 }
             }
-            _ => SchemeSpec::SrNack,
+            _ => FLOW_ARQ,
         }
     }
 
@@ -1223,7 +1180,7 @@ impl FlowManager {
                     inner.trace.injected.inc();
                     if flow.uninjected > 0 {
                         flow.uninjected -= 1;
-                        if flow.uninjected == 0 && matches!(flow.spec, SchemeSpec::SrNack) {
+                        if flow.uninjected == 0 && !flow.spec.is_ec() {
                             // Initial injection done: the RTO clock starts.
                             // (`retick` after this pump round arms or pulls
                             // forward the shared tick to cover it.)
@@ -1392,7 +1349,7 @@ impl Inner {
             // A lost CTS heals from the receiver side; nothing to do.
             TxPhase::Starting => {}
             TxPhase::Streaming => {
-                if !matches!(flow.spec, SchemeSpec::SrNack) {
+                if flow.spec.is_ec() {
                     return; // EC repair is NACK-driven
                 }
                 let next = self.repair(core, id, now, |sr, resend| sr.on_tick(now, rto, resend));
@@ -1724,7 +1681,7 @@ impl Inner {
             Some(ec) => {
                 let scratch = self.scratch.clone();
                 let (ctx, bytes) = (&core.ctx, open.bytes);
-                FlowScheme::Ec(EcRxScheme::post(
+                RxPolicy::Ec(EcRxScheme::post(
                     eng,
                     &mut common,
                     ctx,
@@ -1736,7 +1693,7 @@ impl Inner {
             }
             None => {
                 common.post(eng, dst_addr, open.bytes);
-                FlowScheme::Sr(SrRxScheme {
+                RxPolicy::Sr(SrRxScheme {
                     total_chunks: core.cfg.qp.chunks_for(open.bytes) as usize,
                     nack: true,
                 })

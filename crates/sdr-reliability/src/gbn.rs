@@ -21,7 +21,6 @@
 //! Validated differentially against the closed-form `sdr-model::gbn` in
 //! `tests/gbn_differential.rs`, including the SR-dominance ordering.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use sdr_core::SdrQp;
@@ -33,7 +32,6 @@ use crate::runtime::{
     ChunkTimers, CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome,
     TxDriver, TxProgress, TxScheme, RTO_BACKOFF_CAP,
 };
-use crate::telemetry::ChannelEstimator;
 
 /// Go-Back-N protocol tuning.
 #[derive(Clone, Copy, Debug)]
@@ -44,8 +42,6 @@ pub struct GbnProtoConfig {
     pub window_chunks: usize,
     /// Receiver bitmap-poll / ACK cadence.
     pub ack_interval: SimTime,
-    /// Sender base-timer scan cadence.
-    pub tick: SimTime,
     /// Final-ACK repeats before the receiver releases its buffer.
     pub linger_acks: u32,
 }
@@ -61,7 +57,6 @@ impl GbnProtoConfig {
             rto: SimTime::from_secs_f64(rto_mult * ch.rtt_s),
             window_chunks: window.max(1),
             ack_interval: rtt / 4,
-            tick: rtt / 4,
             linger_acks: 25,
         }
     }
@@ -230,7 +225,7 @@ impl TxDriver<GbnTx> {
 /// SDR's selective bitmap state is deliberately discarded, like an in-order
 /// commodity transport would.
 pub struct GbnRxScheme {
-    total_chunks: usize,
+    pub(crate) total_chunks: usize,
 }
 
 impl RxScheme for GbnRxScheme {
@@ -276,31 +271,8 @@ impl RxDriver<GbnRxScheme> {
         cfg: GbnProtoConfig,
         done: impl FnOnce(&mut Engine, SimTime) + 'static,
     ) -> GbnReceiver {
-        Self::start_with_telemetry(
-            eng, qp, ctrl, peer_ctrl, buf_addr, msg_bytes, cfg, None, done,
-        )
-    }
-
-    /// [`start`](Self::start) with an optional channel estimator bound to
-    /// the driver (first-pass gap counts per poll — the receiver half of
-    /// the adaptive telemetry loop).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_telemetry(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        buf_addr: u64,
-        msg_bytes: u64,
-        cfg: GbnProtoConfig,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
-        done: impl FnOnce(&mut Engine, SimTime) + 'static,
-    ) -> GbnReceiver {
         let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
-        if let Some(est) = telemetry {
-            common.bind_estimator(est);
-        }
         let scheme = GbnRxScheme {
             total_chunks: qp.config().chunks_for(msg_bytes) as usize,
         };

@@ -22,7 +22,7 @@
 //! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: fixed `ack_interval` | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval |
 //! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, FTO fallback NACK | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>` | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]) |
 //! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
-//! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the commodity baseline is never steered to) |
+//! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the manager hosts one ARQ scheme: a flow asked to run GBN or SR-RTO runs, and reports, SR-NACK) |
 //!
 //! The drivers' shared parts live in [`runtime`]: [`TxDriver`] (begin now
 //! or on CTS, the timer loop, control dispatch, exactly-once finish for
@@ -34,6 +34,30 @@
 //! [`runtime::Completion`]. What stays specific to the population driver
 //! is what is genuinely population-scale — admission and parking, DRR
 //! injection, the shared tick, `FlowOpen/Ack/Fin/Done` — see [`flow`].
+//!
+//! ### How a scheme is registered
+//!
+//! A scheme is described once, by a [`SchemeSpec`] value, and [`scheme`] is
+//! the only module that matches on it. Adding one takes:
+//!
+//! 1. **its own file** — an [`RxScheme`], a [`TxScheme`](runtime::TxScheme)
+//!    (or, like EC, its own sender) and the proto config they run under,
+//!    as `sr.rs`, `ec.rs` and `gbn.rs` do;
+//! 2. **one `SchemeSpec` variant** in [`ack`], with its wire tag and
+//!    `Display`;
+//! 3. **one row in `scheme.rs`** — an arm in each table function: what
+//!    `sdr-model` predicts for it ([`SchemeSpec::model_summary`], and a
+//!    place among [`SchemeSpec::candidates`] if the advisor should rank
+//!    it), how many SDR sends a run takes ([`SchemeSpec::sends`]), the
+//!    sender and config [`scheme::start_sender`] starts for it, and its
+//!    [`RxPolicy`](scheme::RxPolicy) variant, which
+//!    [`scheme::start_receiver`] posts and polls.
+//!
+//! No host changes: the adaptive controller starts every segment through
+//! those two functions and holds the [`SchemeSender`] / [`SchemeReceiver`]
+//! they return; the flow manager steps the same `RxPolicy` and asks a spec
+//! only whether it [is EC](SchemeSpec::is_ec). CI counts the lines naming
+//! a variant file by file, so a match cannot regrow in a host unnoticed.
 //!
 //! ## The schemes
 //!
@@ -69,7 +93,7 @@
 //!   over the control plane ([`CtrlMsg::SwitchPropose`] /
 //!   [`CtrlMsg::SwitchAck`], epoch-gated scheme traffic, drain semantics,
 //!   exactly-once slot release across the switch) with hysteresis around
-//!   the fig09 boundary (`sdr_model::fig09_boundary_p_packet`).
+//!   the fig09 boundary ([`SchemeSpec::fig09_boundary`]).
 //!
 //! Everything runs on the deterministic discrete-event substrate, so the
 //! protocol implementations can be validated against the closed-form models
@@ -198,8 +222,8 @@
 //!   [seed](telemetry::ChannelEstimator::seed) the new sender's estimator
 //!   so the controller need not re-earn confidence from zero.
 //! * **Blackout detection.** The sender's [`ChannelEstimator`] doubles as
-//!   a liveness monitor: any peer datagram notes progress, and silence
-//!   past [`AdaptConfig::blackout_after`](adapt::AdaptConfig) trips the
+//!   a liveness monitor: any peer datagram notes progress, and eight
+//!   nominal RTTs of silence (`adapt`'s `BLACKOUT_RTTS`) trip the
 //!   controller into blackout mode — the estimator's confidence is decayed
 //!   once (a pre-outage loss estimate says nothing about the healed
 //!   channel) and no handovers are proposed until post-heal traffic
@@ -282,6 +306,7 @@ pub mod ec;
 pub mod flow;
 pub mod gbn;
 pub mod runtime;
+pub mod scheme;
 pub mod sr;
 pub mod telemetry;
 
@@ -289,10 +314,10 @@ pub use ack::{
     build_sr_ack, CtrlMsg, CtrlStamp, SchemeSpec, CTRL_STAMP_BYTES, MAX_NACKS, MAX_SACK_BITS,
 };
 pub use adapt::{
-    spec_from_scheme, stronger_split, AdaptConfig, AdaptRecvReport, AdaptReport,
-    AdaptiveController, AdaptiveReceiver, AdaptiveSender, ResumingSender,
+    AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, AdaptiveReceiver,
+    AdaptiveSender, ResumingSender,
 };
-pub use advisor::{recommend, Candidate, Recommendation, Scheme};
+pub use advisor::{recommend, Candidate, Recommendation};
 pub use control::{ControlEndpoint, CtrlFilterStats, CtrlPath};
 pub use ec::{EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender};
 pub use flow::{
@@ -304,6 +329,7 @@ pub use runtime::{
     AbortReason, ChunkTimers, Completion, DeliveryManifest, RxCommon, RxDriver, RxScheme, RxStep,
     StreamTx, TransferOutcome, TxDriver, RTO_BACKOFF_CAP,
 };
+pub use scheme::{SchemeEnv, SchemeReceiver, SchemeSender};
 pub use sr::{SrProtoConfig, SrReceiver, SrReport, SrSender, SrTrace, SrTxCore, REPAIR_MARGIN_DIV};
 pub use telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
 

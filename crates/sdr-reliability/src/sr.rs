@@ -428,30 +428,10 @@ impl TxDriver<SrTx> {
         eng: &mut Engine,
         qp: &SdrQp,
         ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        local_addr: u64,
-        msg_bytes: u64,
-        cfg: SrProtoConfig,
-        done: impl FnOnce(&mut Engine, SrReport) + 'static,
-    ) -> SrSender {
-        Self::start_with_telemetry(
-            eng, qp, ctrl, peer_ctrl, local_addr, msg_bytes, cfg, None, done,
-        )
-    }
-
-    /// [`start`](Self::start) with an optional channel estimator bound:
-    /// ACK round-trips then feed RTT samples into it (the sender half of
-    /// the adaptive telemetry loop).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_telemetry(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctrl: Rc<dyn CtrlPath>,
         _peer_ctrl: QpAddr,
         local_addr: u64,
         msg_bytes: u64,
         cfg: SrProtoConfig,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
         done: impl FnOnce(&mut Engine, SrReport) + 'static,
     ) -> SrSender {
         let scheme = SrTx {
@@ -460,9 +440,15 @@ impl TxDriver<SrTx> {
                 SrTrace::new(&qp.metrics()),
             ),
             cfg,
-            telemetry,
+            telemetry: None,
         };
         TxDriver::spawn(eng, qp, &ctrl, local_addr, msg_bytes, scheme, done)
+    }
+
+    /// Binds a channel estimator: ACK round trips then feed RTT samples
+    /// into it (the sender half of the adaptive telemetry loop).
+    pub fn bind_estimator(&self, est: Rc<RefCell<ChannelEstimator>>) {
+        self.scheme_mut(|s| s.telemetry = Some(est));
     }
 
     /// Binds a flight recorder to the retransmission timers (see
@@ -532,31 +518,8 @@ impl RxDriver<SrRxScheme> {
         cfg: SrProtoConfig,
         done: impl FnOnce(&mut Engine, SimTime) + 'static,
     ) -> SrReceiver {
-        Self::start_with_telemetry(
-            eng, qp, ctrl, peer_ctrl, buf_addr, msg_bytes, cfg, None, done,
-        )
-    }
-
-    /// [`start`](Self::start) with an optional channel estimator bound to
-    /// the driver: every poll then feeds first-pass gap counts into it
-    /// (the receiver half of the adaptive telemetry loop).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_telemetry(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        buf_addr: u64,
-        msg_bytes: u64,
-        cfg: SrProtoConfig,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
-        done: impl FnOnce(&mut Engine, SimTime) + 'static,
-    ) -> SrReceiver {
         let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
-        if let Some(est) = telemetry {
-            common.bind_estimator(est);
-        }
         let scheme = SrRxScheme {
             total_chunks: qp.config().chunks_for(msg_bytes) as usize,
             nack: cfg.nack,

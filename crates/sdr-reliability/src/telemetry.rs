@@ -31,6 +31,20 @@
 use sdr_core::AtomicBitmap;
 use sdr_sim::SimTime;
 
+/// EWMA weight per RTT sample.
+const RTT_ALPHA: f64 = 0.25;
+
+/// RTT samples required before [`ChannelEstimator::rtt_estimate`] reports.
+const MIN_RTT_SAMPLES: u64 = 2;
+
+/// Upward-step freshness threshold: while the fast loss EWMA exceeds the
+/// slow reference EWMA (`loss_alpha / 32`) by this factor, the channel is
+/// mid-step and the fast estimate is still climbing — i.e. very likely an
+/// *under*-estimate of where the loss rate will settle.
+/// [`ChannelEstimator::loss_step_fresh`] reports this window; the adaptive
+/// controller's conservative first-split rule keys off it.
+const STEP_RATIO: f64 = 4.0;
+
 /// Tuning for the [`ChannelEstimator`].
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryConfig {
@@ -44,20 +58,6 @@ pub struct TelemetryConfig {
     ///
     /// [`loss_estimate`]: ChannelEstimator::loss_estimate
     pub min_packets: u64,
-    /// EWMA weight per RTT sample.
-    pub rtt_alpha: f64,
-    /// RTT samples required before [`rtt_estimate`] reports.
-    ///
-    /// [`rtt_estimate`]: ChannelEstimator::rtt_estimate
-    pub min_rtt_samples: u64,
-    /// Upward-step freshness threshold: while the fast loss EWMA exceeds
-    /// the slow reference EWMA (`loss_alpha / 32`) by this factor, the
-    /// channel is mid-step and the fast estimate is still climbing — i.e.
-    /// very likely an *under*-estimate of where the loss rate will settle.
-    /// [`loss_step_fresh`](ChannelEstimator::loss_step_fresh) reports this
-    /// window; the adaptive controller's conservative first-split rule
-    /// keys off it.
-    pub step_ratio: f64,
 }
 
 impl Default for TelemetryConfig {
@@ -65,9 +65,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             loss_alpha: 1.0 / 4096.0,
             min_packets: 2048,
-            rtt_alpha: 0.25,
-            min_rtt_samples: 2,
-            step_ratio: 4.0,
         }
     }
 }
@@ -192,7 +189,7 @@ impl ChannelEstimator {
         if self.rtt_samples == 0 {
             self.rtt_ewma = s;
         } else {
-            self.rtt_ewma += self.cfg.rtt_alpha * (s - self.rtt_ewma);
+            self.rtt_ewma += RTT_ALPHA * (s - self.rtt_ewma);
         }
         self.rtt_samples += 1;
     }
@@ -217,7 +214,7 @@ impl ChannelEstimator {
         }
         if let Some(r) = rtt {
             self.rtt_ewma = r.as_secs_f64();
-            self.rtt_samples = self.rtt_samples.max(self.cfg.min_rtt_samples);
+            self.rtt_samples = self.rtt_samples.max(MIN_RTT_SAMPLES);
         }
     }
 
@@ -227,10 +224,9 @@ impl ChannelEstimator {
         self.is_confident().then_some(self.loss_ewma)
     }
 
-    /// The RTT estimate, once at least `min_rtt_samples` arrived.
+    /// The RTT estimate, once `MIN_RTT_SAMPLES` samples arrived.
     pub fn rtt_estimate(&self) -> Option<SimTime> {
-        (self.rtt_samples >= self.cfg.min_rtt_samples)
-            .then(|| SimTime::from_secs_f64(self.rtt_ewma))
+        (self.rtt_samples >= MIN_RTT_SAMPLES).then(|| SimTime::from_secs_f64(self.rtt_ewma))
     }
 
     /// True once the loss estimate is confident (earned from observations
@@ -241,14 +237,14 @@ impl ChannelEstimator {
 
     /// True while a *fresh upward loss step* is still propagating through
     /// the estimator: the estimate is confident, but the fast EWMA exceeds
-    /// the slow reference by [`step_ratio`](TelemetryConfig::step_ratio) —
-    /// the estimate is still climbing toward where the channel actually
-    /// settled, so any decision made on its current value should round
-    /// *pessimistic*. Once both EWMAs converge the window closes.
+    /// the slow reference by `STEP_RATIO` — the estimate is still climbing
+    /// toward where the channel actually settled, so any decision made on
+    /// its current value should round *pessimistic*. Once both EWMAs
+    /// converge the window closes.
     pub fn loss_step_fresh(&self) -> bool {
         self.is_confident()
             && self.ewma_primed
-            && self.loss_ewma > self.loss_slow_ewma.max(1e-12) * self.cfg.step_ratio
+            && self.loss_ewma > self.loss_slow_ewma.max(1e-12) * STEP_RATIO
     }
 
     /// Records channel life at `now` — the blackout detector's heartbeat.
@@ -488,7 +484,6 @@ mod tests {
     fn seeded_estimator_is_confident_until_blackout_revokes_it() {
         let cfg = TelemetryConfig {
             min_packets: 100,
-            min_rtt_samples: 4,
             ..TelemetryConfig::default()
         };
         let mut e = ChannelEstimator::new(cfg);
@@ -561,7 +556,6 @@ mod tests {
         let cfg = TelemetryConfig {
             loss_alpha: 1.0 / 1024.0,
             min_packets: 512,
-            ..TelemetryConfig::default()
         };
         let mut e = ChannelEstimator::new(cfg);
         // A long clean-but-slightly-lossy steady phase: both EWMAs settle

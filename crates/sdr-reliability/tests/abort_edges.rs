@@ -61,7 +61,6 @@ fn deploy(p_loss: f64, seed: u64, min_packets: u64, deadline: Option<SimTime>) -
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets,
-        ..TelemetryConfig::default()
     };
     acfg.deadline = deadline;
     let (tx_cell, tx_cb) = capture::<AdaptReport>();

@@ -18,9 +18,9 @@ use std::rc::Rc;
 use common::{capture, took, ProtoHarness};
 use sdr_core::SdrConfig;
 use sdr_reliability::{
-    recommend, spec_from_scheme, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController,
-    EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, EstimatorRegistry, SchemeSpec,
-    SrProtoConfig, SrReceiver, SrSender, TelemetryConfig,
+    recommend, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, EcCodeChoice,
+    EcProtoConfig, EcReceiver, EcSender, EstimatorRegistry, SchemeSpec, SrProtoConfig, SrReceiver,
+    SrSender, TelemetryConfig,
 };
 use sdr_sim::{LinkConfig, LossModel, NodeId, SimTime};
 
@@ -45,7 +45,6 @@ fn test_telemetry(min_packets: u64) -> TelemetryConfig {
     TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets,
-        ..TelemetryConfig::default()
     }
 }
 
@@ -453,7 +452,7 @@ fn warm_registry_start_opens_under_the_advisors_pick() {
     // B (warm): initial spec from the advisor over the registry estimate.
     let ch = sdr_model::Channel::new(BW, rtt.as_secs_f64(), loss);
     let rec = recommend(&ch, 2 << 20, 2000, 7);
-    let warm_spec = spec_from_scheme(&rec.scheme);
+    let warm_spec = rec.scheme;
     assert!(
         warm_spec.is_ec(),
         "at {loss:e} the advisor must pick EC, got {warm_spec}"

@@ -362,7 +362,6 @@ fn run_chaos(case_key: u64) -> Result<String, String> {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 512,
-        ..TelemetryConfig::default()
     };
     acfg.deadline = sc.deadline;
 
@@ -779,7 +778,6 @@ fn flight_recorder_tells_the_two_node_story() {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 768,
-        ..TelemetryConfig::default()
     };
     // The same shape as the switchover acceptance scenario, but injected
     // through a FaultPlan so the fabric records the script: a loss step
@@ -899,7 +897,6 @@ fn forty_mib_receiver_restart_resumes_to_completion() {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 512,
-        ..TelemetryConfig::default()
     };
     // 40 MiB at 8 Gbps serializes in ~42 ms; the receiver's CTS credits
     // take one 5 ms one-way to reach the sender and data another 5 ms
@@ -1148,7 +1145,6 @@ fn run_handshake(case_key: u64) -> Result<(String, u64), String> {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 512,
-        ..TelemetryConfig::default()
     };
     let plan = FaultPlan::new_duplex().with(FaultEvent::PeerRestart {
         at,

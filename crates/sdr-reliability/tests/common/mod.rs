@@ -13,7 +13,8 @@ use std::rc::Rc;
 use sdr_core::testkit::{pattern, sdr_pair, SdrPair};
 use sdr_core::{SdrConfig, SdrContext};
 use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
-use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager};
+use sdr_reliability::scheme::{self, SchemeEnv, SchemeReceiver, SchemeSender};
+use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager, SchemeSpec};
 use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
 
 /// Node memory given to each side of the pair.
@@ -70,6 +71,45 @@ impl ProtoHarness {
     /// must equal the link's configured rate).
     pub fn model_channel(&self, bandwidth_bps: f64, p_drop: f64) -> sdr_model::Channel {
         sdr_model::Channel::new(bandwidth_bps, self.rtt.as_secs_f64(), p_drop)
+    }
+
+    /// Starts one run of `spec` over the whole payload, A → B, through the
+    /// production scheme table — the two functions the adaptive controller
+    /// starts every segment with — on the raw control endpoints
+    /// (`bandwidth_bps` must equal the link's configured rate). `sent`
+    /// is the sender's done callback.
+    pub fn start_scheme(
+        &mut self,
+        spec: SchemeSpec,
+        bandwidth_bps: f64,
+        sent: impl FnOnce(&mut Engine, u64) + 'static,
+    ) -> (Box<dyn SchemeSender>, SchemeReceiver) {
+        let p = &mut self.p;
+        let tx_env = SchemeEnv {
+            qp: &p.qp_a,
+            ctx: &p.ctx_a,
+            ctrl: self.ctrl_a.clone(),
+            peer: self.ctrl_b.addr(),
+            addr: self.src,
+            bytes: self.msg,
+            bandwidth_bps,
+            rtt: self.rtt,
+            trace: None,
+        };
+        let tx = scheme::start_sender(&mut p.eng, spec, tx_env, None, sent);
+        let rx_env = SchemeEnv {
+            qp: &p.qp_b,
+            ctx: &p.ctx_b,
+            ctrl: self.ctrl_b.clone(),
+            peer: self.ctrl_a.addr(),
+            addr: self.dst,
+            bytes: self.msg,
+            bandwidth_bps,
+            rtt: self.rtt,
+            trace: None,
+        };
+        let rx = scheme::start_receiver(&mut p.eng, spec, rx_env, None, |_e, _at| {});
+        (tx, rx)
     }
 
     /// Runs the simulation to quiescence under an event budget.

@@ -63,7 +63,6 @@ fn adaptive_40mib_delivers_byte_identical_over_corrupting_wire() {
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 768,
-        ..TelemetryConfig::default()
     };
     let (tx_cell, tx_cb) = capture::<AdaptReport>();
     let _tx = AdaptiveController::start_sender(

@@ -25,12 +25,10 @@ use std::rc::Rc;
 use common::{flow_world, FlowWorld, ProtoHarness};
 use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
-use sdr_reliability::ack::SchemeSpec;
-use sdr_reliability::{
-    EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, FlowCfg, GbnProtoConfig, GbnReceiver,
-    GbnSender, SrProtoConfig, SrReceiver, SrSender,
-};
+use sdr_reliability::{FlowCfg, FlowReport, SchemeSpec};
 use sdr_sim::{LinkConfig, SimTime};
+
+const BW: f64 = 8e9;
 
 /// Small slot table so the release check can wrap it: EC at k=4 over a
 /// 1 MiB message uses exactly 2L = 8 slots.
@@ -45,155 +43,37 @@ fn cfg() -> SdrConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Scheme {
-    SrRto,
-    SrNack,
-    Ec,
-    Gbn,
-}
-
-const ALL_SCHEMES: [Scheme; 4] = [Scheme::SrRto, Scheme::SrNack, Scheme::Ec, Scheme::Gbn];
+/// The per-transfer rows: one spec per scheme family, each started through
+/// the scheme table exactly as the adaptive controller starts a segment.
+const ALL_SCHEMES: [SchemeSpec; 4] = [
+    SchemeSpec::SrRto,
+    SchemeSpec::SrNack,
+    SchemeSpec::EcMds { k: 4, m: 2 },
+    SchemeSpec::Gbn,
+];
 
 struct Outcome {
     delivered_ok: bool,
     sender_done: bool,
     receiver_complete: bool,
     receiver_released: bool,
-    /// Receive slots the scheme posted (for the wrap check).
-    slots_used: usize,
 }
 
-fn run_scheme(
-    scheme: Scheme,
-    p_drop: f64,
-    seed: u64,
-    msg: u64,
-    linger: u32,
-) -> (ProtoHarness, Outcome) {
-    let link = LinkConfig::wan(50.0, 8e9, p_drop).with_seed(seed);
+fn run_scheme(spec: SchemeSpec, p_drop: f64, seed: u64, msg: u64) -> (ProtoHarness, Outcome) {
+    let link = LinkConfig::wan(50.0, BW, p_drop).with_seed(seed);
     let mut h = ProtoHarness::new(link, cfg(), msg, seed ^ 0xC0);
-    let model_ch = h.model_channel(8e9, p_drop);
-    let rtt = h.rtt;
 
     let sender_done = Rc::new(RefCell::new(0u32));
     let d = sender_done.clone();
-    let bump = move |_e: &mut sdr_sim::Engine| *d.borrow_mut() += 1;
-
-    // Start the scheme's sender/receiver pair; return the receiver probes.
-    let (complete, released, slots_used): (Box<dyn Fn() -> bool>, Box<dyn Fn() -> bool>, usize) =
-        match scheme {
-            Scheme::SrRto | Scheme::SrNack => {
-                let mut proto = if matches!(scheme, Scheme::SrNack) {
-                    SrProtoConfig::nack(rtt)
-                } else {
-                    SrProtoConfig::rto_3rtt(rtt)
-                };
-                proto.linger_acks = linger;
-                let b = bump.clone();
-                SrSender::start(
-                    &mut h.p.eng,
-                    &h.p.qp_a,
-                    h.ctrl_a.clone(),
-                    h.ctrl_b.addr(),
-                    h.src,
-                    msg,
-                    proto,
-                    move |e, _rep| b(e),
-                );
-                let rx = Rc::new(SrReceiver::start(
-                    &mut h.p.eng,
-                    &h.p.qp_b,
-                    h.ctrl_b.clone(),
-                    h.ctrl_a.addr(),
-                    h.dst,
-                    msg,
-                    proto,
-                    |_e, _t| {},
-                ));
-                let (r1, r2) = (rx.clone(), rx);
-                (
-                    Box::new(move || r1.is_complete()),
-                    Box::new(move || r2.is_released()),
-                    1,
-                )
-            }
-            Scheme::Ec => {
-                let mut proto =
-                    EcProtoConfig::for_channel(4, 2, EcCodeChoice::Mds, &model_ch, msg, rtt);
-                proto.linger_acks = linger;
-                let b = bump.clone();
-                EcSender::start(
-                    &mut h.p.eng,
-                    &h.p.qp_a,
-                    &h.p.ctx_a,
-                    h.ctrl_a.clone(),
-                    h.ctrl_b.addr(),
-                    h.src,
-                    msg,
-                    proto,
-                    move |e, _rep| b(e),
-                );
-                let rx = Rc::new(EcReceiver::start(
-                    &mut h.p.eng,
-                    &h.p.qp_b,
-                    &h.p.ctx_b,
-                    h.ctrl_b.clone(),
-                    h.ctrl_a.addr(),
-                    h.dst,
-                    msg,
-                    proto,
-                    |_e, _t, _st| {},
-                ));
-                let (r1, r2) = (rx.clone(), rx);
-                // 1 MiB / (4 × 64 KiB) = 4 submessages → 4 data + 4 parity.
-                (
-                    Box::new(move || r1.is_complete()),
-                    Box::new(move || r2.is_released()),
-                    8,
-                )
-            }
-            Scheme::Gbn => {
-                let mut proto = GbnProtoConfig::bdp_window(&model_ch, rtt, 3.0);
-                proto.linger_acks = linger;
-                let b = bump.clone();
-                GbnSender::start(
-                    &mut h.p.eng,
-                    &h.p.qp_a,
-                    h.ctrl_a.clone(),
-                    h.ctrl_b.addr(),
-                    h.src,
-                    msg,
-                    proto,
-                    move |e, _rep| b(e),
-                );
-                let rx = Rc::new(GbnReceiver::start(
-                    &mut h.p.eng,
-                    &h.p.qp_b,
-                    h.ctrl_b.clone(),
-                    h.ctrl_a.addr(),
-                    h.dst,
-                    msg,
-                    proto,
-                    |_e, _t| {},
-                ));
-                let (r1, r2) = (rx.clone(), rx);
-                (
-                    Box::new(move || r1.is_complete()),
-                    Box::new(move || r2.is_released()),
-                    1,
-                )
-            }
-        };
+    let (_tx, rx) = h.start_scheme(spec, BW, move |_e, _repairs| *d.borrow_mut() += 1);
 
     h.run(80_000_000);
 
     let outcome = Outcome {
         delivered_ok: h.delivered_ok(),
         sender_done: *sender_done.borrow() == 1,
-        receiver_complete: complete(),
-        receiver_released: released(),
-        slots_used,
+        receiver_complete: rx.is_complete(),
+        receiver_released: rx.is_released(),
     };
     (h, outcome)
 }
@@ -205,8 +85,8 @@ fn all_schemes_deliver_under_loss_seeds() {
     let msg = 1u64 << 20;
     for scheme in ALL_SCHEMES {
         for (p_drop, seed) in [(0.0, 31u64), (0.01, 32), (0.03, 33)] {
-            let (_h, o) = run_scheme(scheme, p_drop, seed, msg, 25);
-            let tag = format!("{scheme:?} p={p_drop} seed={seed}");
+            let (_h, o) = run_scheme(scheme, p_drop, seed, msg);
+            let tag = format!("{scheme} p={p_drop} seed={seed}");
             assert!(o.delivered_ok, "{tag}: delivery intact");
             assert!(o.sender_done, "{tag}: sender done exactly once");
             assert!(o.receiver_complete, "{tag}: receiver complete");
@@ -222,21 +102,21 @@ fn all_schemes_deliver_under_loss_seeds() {
 #[test]
 fn released_slots_are_reusable_across_the_whole_table() {
     for scheme in ALL_SCHEMES {
-        let (mut h, o) = run_scheme(scheme, 0.005, 41, 1 << 20, 4);
-        assert!(o.receiver_released, "{scheme:?}: released");
+        let (mut h, o) = run_scheme(scheme, 0.005, 41, 1 << 20);
+        assert!(o.receiver_released, "{scheme}: released");
         assert_eq!(
-            h.p.qp_b.stats().recvs_posted as usize,
-            o.slots_used,
-            "{scheme:?}: expected slot usage"
+            h.p.qp_b.stats().recvs_posted,
+            scheme.sends(1 << 20, cfg().chunk_bytes),
+            "{scheme}: expected slot usage"
         );
         let spare = h.p.ctx_b.alloc_buffer(64 * 1024);
-        // The receive sequence continues from `slots_used`, so `msg_slots`
+        // The receive sequence continues from the slots used, so `msg_slots`
         // fresh posts walk every slot index once — including each slot the
         // scheme itself just released. Any slot still held fails the post.
         for n in 0..cfg().msg_slots {
             h.p.qp_b
                 .recv_post(&mut h.p.eng, spare, 64 * 1024)
-                .unwrap_or_else(|e| panic!("{scheme:?}: repost {n} failed: {e:?}"));
+                .unwrap_or_else(|e| panic!("{scheme}: repost {n} failed: {e:?}"));
         }
     }
 }
@@ -250,8 +130,8 @@ fn linger_acks_tolerate_final_ack_loss() {
     let msg = 512u64 * 1024;
     for scheme in ALL_SCHEMES {
         for seed in [51u64, 52] {
-            let (_h, o) = run_scheme(scheme, 0.10, seed, msg, 60);
-            let tag = format!("{scheme:?} seed={seed}");
+            let (_h, o) = run_scheme(scheme, 0.10, seed, msg);
+            let tag = format!("{scheme} seed={seed}");
             assert!(o.sender_done, "{tag}: sender must complete at 10% loss");
             assert!(o.delivered_ok, "{tag}: delivery intact");
             assert!(o.receiver_released, "{tag}: buffers released");
@@ -278,6 +158,10 @@ struct PopOutcome {
     drained: bool,
     /// Opens that had to wait for a slot (then got one).
     parked: u64,
+    /// Every sender report, in completion order.
+    reports: Vec<FlowReport>,
+    /// When the engine ran dry after the last wave.
+    ended_at: SimTime,
 }
 
 /// Runs `waves` back-to-back populations of `flows` × `msg`-byte flows
@@ -315,6 +199,8 @@ fn run_population(
         senders_done: true,
         drained: true,
         parked: 0,
+        reports: Vec::new(),
+        ended_at: SimTime::ZERO,
     };
     for wave in 0..waves {
         let mut ids = Vec::new();
@@ -344,6 +230,8 @@ fn run_population(
             && mgr_b.parked_opens() == 0;
     }
     out.parked = mgr_b.stats().parked_opens;
+    out.reports = reports.take();
+    out.ended_at = eng.now();
     out
 }
 
@@ -396,5 +284,29 @@ fn population_lingers_tolerate_final_ack_loss() {
                 assert!(o.drained, "{tag}: receive flows retired");
             }
         }
+    }
+}
+
+/// The manager runs what it reports. It hosts SR-NACK and EC, so a
+/// population asked for any other ARQ spec runs SR-NACK — advertised in
+/// `FlowOpen`, named in the report, silence backstop armed — and is
+/// indistinguishable from one asked for SR-NACK outright. (It used to
+/// report the spec it was asked for while running SR-NACK on both ends
+/// with the RTO never armed.)
+#[test]
+fn population_asked_for_another_arq_spec_runs_and_reports_sr_nack() {
+    let run = |spec| run_population(spec, 16, (0.03, 33), 256 * 1024, 4, 1);
+    let want = run(SchemeSpec::SrNack);
+    assert!(want.delivered_ok && want.senders_done && want.drained);
+    assert!(want.reports.iter().all(|r| r.spec == SchemeSpec::SrNack));
+    for asked in [SchemeSpec::SrRto, SchemeSpec::Gbn] {
+        let got = run(asked);
+        assert!(got.delivered_ok, "{asked}: delivery intact");
+        assert_eq!(got.reports.len(), want.reports.len());
+        for (g, w) in got.reports.iter().zip(&want.reports) {
+            // `FlowReport` is not `PartialEq`; its `Debug` prints every field.
+            assert_eq!(format!("{g:?}"), format!("{w:?}"), "asked for {asked}");
+        }
+        assert_eq!(got.ended_at, want.ended_at, "{asked}: same last event");
     }
 }

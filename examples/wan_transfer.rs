@@ -250,7 +250,6 @@ fn main() {
         acfg.telemetry = TelemetryConfig {
             loss_alpha: 1.0 / 1024.0,
             min_packets: 768,
-            ..TelemetryConfig::default()
         };
         let out = Rc::new(RefCell::new(None));
         let o = out.clone();

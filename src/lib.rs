@@ -5,7 +5,7 @@
 //! Communication* (SC 2025). The facade re-exports the workspace crates:
 //!
 //! * [`sim`] — discrete-event network substrate: lossy long-haul links,
-//!   bottleneck queues, and an RDMA NIC model (UC/UD/RC, memory keys, CQs).
+//!   bottleneck queues, and an RDMA NIC model (UC/UD, memory keys, CQs).
 //! * [`erasure`] — GF(2^8), Reed–Solomon (MDS) and the paper's XOR code.
 //! * [`model`] — completion-time models: analytic Selective Repeat
 //!   (Appendix A), EC success probabilities (Appendix B), samplers.
@@ -13,8 +13,10 @@
 //!   API with chunk bitmaps, generations and multi-channel striping.
 //! * [`dpa`] — the simulated Data Path Accelerator: multi-threaded
 //!   completion processing for the line-rate experiments.
-//! * [`reliability`] — SR and EC reliability layers plus the model-guided
-//!   protocol advisor.
+//! * [`reliability`] — the reliability schemes (Selective Repeat, erasure
+//!   coding, Go-Back-N) behind one scheme table, the model-guided protocol
+//!   advisor, the adaptive controller that hands a live transfer from one
+//!   scheme to another, and the many-flow manager.
 //! * [`collectives`] — inter-datacenter ring Allreduce (model-driven and
 //!   full-stack).
 //!
