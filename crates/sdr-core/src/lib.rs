@@ -28,7 +28,9 @@
 //! * the 10+18+4-bit immediate split (message id / packet offset / user
 //!   immediate fragment), configurable to e.g. 8+22+2 (§3.2.4);
 //! * two-level bitmaps: per-packet (backend) coalesced into chunk bits
-//!   (frontend) that reliability layers poll (§3.1.1);
+//!   (frontend) that reliability layers poll (§3.1.1), each chunk
+//!   completion also published to the host as it happens
+//!   ([`SdrQp::set_chunk_hook`], §3.3) so they need not wait for a poll;
 //! * order-based matching with out-of-band clear-to-send (§3.1.3, §3.2.3);
 //! * two-stage late-packet protection: NULL-memory-key discard plus
 //!   generation-tagged internal QPs (§3.3). This implementation gives each
@@ -60,6 +62,8 @@ mod tests {
     use super::*;
     use crate::testkit::{pattern, sdr_pair, SdrPair};
     use sdr_sim::{LinkConfig, LossModel, SimTime};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn small_cfg() -> SdrConfig {
         SdrConfig {
@@ -443,6 +447,60 @@ mod tests {
         );
         // The handle is now stale.
         assert_eq!(p.qp_b.recv_bitmap(&rh).unwrap_err(), SdrError::BadHandle);
+    }
+
+    #[test]
+    fn chunk_hook_fires_once_per_chunk_and_dies_with_the_receive() {
+        // §3.3: chunk completion is published to the host. The hook hears
+        // each chunk once (from outside the QP borrow: it calls back in),
+        // nothing after `recv_complete`, and nothing of the slot's next
+        // receive.
+        let cfg = SdrConfig {
+            msg_slots: 1,
+            ..small_cfg()
+        };
+        let mut link = LinkConfig::intra_dc(8e9);
+        link.one_way_delay = SimTime::from_millis(5);
+        let mut p = sdr_pair(link, cfg, 8 << 20);
+        let data = pattern(500_000, 6);
+        let len = data.len() as u64;
+        let src = p.ctx_a.alloc_buffer(1 << 20);
+        let dst = p.ctx_b.alloc_buffer(1 << 20);
+        p.ctx_a.write_buffer(src, &data);
+
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let rh = p.qp_b.recv_post(&mut p.eng, dst, len).unwrap();
+        let (h, qp) = (heard.clone(), p.qp_b.clone());
+        p.qp_b
+            .set_chunk_hook(&rh, move |_eng, chunk| {
+                // The bit is published before the host hears of it.
+                assert!(qp.recv_bitmap(&rh).unwrap().chunks().get(chunk));
+                h.borrow_mut().push(chunk);
+            })
+            .unwrap();
+        p.qp_a.send_post(&mut p.eng, src, len, None).unwrap();
+        // Packets arrive from ~10.0 ms on, ~4.2 µs apart: stop mid-message.
+        p.eng.run_until(SimTime::from_micros(10_250));
+        let before = heard.borrow().clone();
+        let chunks = p.qp_b.recv_bitmap(&rh).unwrap().total_chunks();
+        assert!(!before.is_empty() && before.len() < chunks, "{before:?}");
+        assert_eq!(before, (0..before.len()).collect::<Vec<_>>());
+        assert_eq!(p.qp_b.stats().chunks_completed, before.len() as u64);
+
+        // Completed early: the rest of the message is late.
+        p.qp_b.recv_complete(&mut p.eng, &rh).unwrap();
+        assert_eq!(
+            p.qp_b.set_chunk_hook(&rh, |_, _| {}).unwrap_err(),
+            SdrError::BadHandle
+        );
+        // The slot's next receive completes every chunk; the old hook hears
+        // none of it.
+        let rh2 = p.qp_b.recv_post(&mut p.eng, dst, len).unwrap();
+        assert_eq!(rh2.slot(), rh.slot());
+        p.qp_a.send_post(&mut p.eng, src, len, None).unwrap();
+        p.eng.run();
+        assert!(p.qp_b.recv_is_complete(&rh2).unwrap());
+        assert_eq!(*heard.borrow(), before, "nothing after recv_complete");
     }
 
     #[test]

@@ -112,6 +112,9 @@ struct RecvSlot {
     arrival_crcs: Vec<Option<u32>>,
     /// Posted length, re-announced when a lost CTS is re-issued.
     buf_len: u64,
+    /// Host notification for this receive: run once per chunk the bitmap
+    /// completes (see [`SdrQp::set_chunk_hook`]). Gone with the receive.
+    chunk_hook: Option<ChunkHook>,
 }
 
 impl RecvSlot {
@@ -125,6 +128,7 @@ impl RecvSlot {
             buf_mkey: MkeyId(u32::MAX),
             arrival_crcs: Vec::new(),
             buf_len: 0,
+            chunk_hook: None,
         }
     }
 }
@@ -147,6 +151,20 @@ struct SendState {
 /// The callback invoked when a CTS credit arrives:
 /// `(engine, receive sequence, posted buffer length)`.
 pub type CtsCallback = Box<dyn FnMut(&mut Engine, u64, u64)>;
+
+/// The callback invoked when a posted receive completes a chunk:
+/// `(engine, chunk index)`. Shared, so the backend can run it without
+/// holding the QP borrowed.
+type ChunkHook = Rc<dyn Fn(&mut Engine, usize)>;
+
+/// What one receive-CQ completion leaves for the backend to run once the
+/// QP borrow is dropped.
+enum Notify {
+    /// A CTS credit `(seq, len)`: deferred one-shots, then the CTS callback.
+    Cts(u64, u64),
+    /// A chunk completed in a slot that has a hook.
+    Chunk(ChunkHook, usize),
+}
 
 struct QpInner {
     fabric: Fabric,
@@ -309,6 +327,29 @@ impl SdrQp {
         self.inner.borrow_mut().cts_callback = Some(Box::new(cb));
     }
 
+    /// Registers the chunk-completion notification of a posted receive —
+    /// the host half of §3.3's partial completion: `hook(engine, chunk)`
+    /// runs each time a packet completes a chunk of this receive (once per
+    /// chunk; duplicates complete nothing), from the backend's completion
+    /// processing with the QP not borrowed, so it may call back into it.
+    /// [`recv_complete`](Self::recv_complete) drops the hook with the slot:
+    /// it never fires afterwards, nor for a later receive reusing the slot.
+    /// The QP holds the hook strongly; a hook that reaches its owner
+    /// through a `Weak` keeps the two from owning each other.
+    pub fn set_chunk_hook(
+        &self,
+        hdl: &RecvHandle,
+        hook: impl Fn(&mut Engine, usize) + 'static,
+    ) -> Result<(), SdrError> {
+        let mut i = self.inner.borrow_mut();
+        let slot = &mut i.recv_slots[hdl.slot];
+        if slot.seq != hdl.seq || !slot.active {
+            return Err(SdrError::BadHandle);
+        }
+        slot.chunk_hook = Some(Rc::new(hook));
+        Ok(())
+    }
+
     /// Counters accumulated so far.
     pub fn stats(&self) -> SdrStats {
         self.inner.borrow().stats
@@ -377,6 +418,7 @@ impl SdrQp {
                 Vec::new()
             },
             buf_len: len,
+            chunk_hook: None,
         };
         i.stats.recvs_posted += 1;
 
@@ -564,6 +606,7 @@ impl SdrQp {
         let s = &mut i.recv_slots[hdl.slot];
         s.active = false;
         s.bitmap = None;
+        s.chunk_hook = None;
         Ok(())
     }
 
@@ -840,32 +883,33 @@ impl SdrQp {
         while let Some(cqe) = fabric.node_mut(node, |n| n.poll_cq(cq)) {
             // Handle the CQE while holding the borrow, collecting any user
             // callback to run unborrowed.
-            let cb: Option<(u64, u64)> = {
+            let notify = {
                 let mut i = inner.borrow_mut();
                 match cqe.op {
                     sdr_sim::CqeOp::RecvSend => i.handle_ctrl(cqe),
-                    sdr_sim::CqeOp::RecvWriteImm => {
-                        i.handle_data_cqe(cqe);
-                        None
-                    }
+                    sdr_sim::CqeOp::RecvWriteImm => i.handle_data_cqe(cqe),
                     sdr_sim::CqeOp::SendComplete => None,
                 }
             };
-            if let Some((seq, buf_len)) = cb {
-                // Fire deferred one-shots, then the user CTS callback.
-                SdrQp {
-                    inner: inner.clone(),
-                }
-                .fire_deferred(eng, seq);
-                let cb_opt = inner.borrow_mut().cts_callback.take();
-                if let Some(mut f) = cb_opt {
-                    f(eng, seq, buf_len);
-                    // Put it back unless the callback replaced it.
-                    let mut i = inner.borrow_mut();
-                    if i.cts_callback.is_none() {
-                        i.cts_callback = Some(f);
+            match notify {
+                Some(Notify::Cts(seq, buf_len)) => {
+                    // Fire deferred one-shots, then the user CTS callback.
+                    SdrQp {
+                        inner: inner.clone(),
+                    }
+                    .fire_deferred(eng, seq);
+                    let cb_opt = inner.borrow_mut().cts_callback.take();
+                    if let Some(mut f) = cb_opt {
+                        f(eng, seq, buf_len);
+                        // Put it back unless the callback replaced it.
+                        let mut i = inner.borrow_mut();
+                        if i.cts_callback.is_none() {
+                            i.cts_callback = Some(f);
+                        }
                     }
                 }
+                Some(Notify::Chunk(hook, chunk)) => hook(eng, chunk),
+                None => {}
             }
         }
     }
@@ -918,9 +962,9 @@ impl QpInner {
         (idx < self.uc_qps.len()).then(|| (idx / self.cfg.channels) as u32)
     }
 
-    /// Control-path message: CTS credit. Returns `(seq, len)` so the caller
-    /// can fire callbacks outside the borrow.
-    fn handle_ctrl(&mut self, cqe: sdr_sim::Cqe) -> Option<(u64, u64)> {
+    /// Control-path message: CTS credit. Returns it so the caller can fire
+    /// callbacks outside the borrow.
+    fn handle_ctrl(&mut self, cqe: sdr_sim::Cqe) -> Option<Notify> {
         if cqe.byte_len as usize != CTS_BYTES {
             return None;
         }
@@ -960,26 +1004,28 @@ impl QpInner {
         }
         self.cts_credits.insert(seq, len);
         self.stats.cts_received += 1;
-        Some((seq, len))
+        Some(Notify::Cts(seq, len))
     }
 
     /// Data-path completion: decode the immediate, apply the two-stage
-    /// late-packet filters, update bitmaps (§3.2.4, §3.3).
-    fn handle_data_cqe(&mut self, cqe: sdr_sim::Cqe) {
+    /// late-packet filters, update bitmaps (§3.2.4, §3.3). Returns the
+    /// slot's chunk hook when this packet completed a chunk, for the caller
+    /// to run outside the borrow.
+    fn handle_data_cqe(&mut self, cqe: sdr_sim::Cqe) -> Option<Notify> {
         // Stage 1: writes that landed on the NULL key are late packets.
         if cqe.null_write {
             self.stats.late_null_discarded += 1;
-            return;
+            return None;
         }
         let Some(imm) = cqe.imm else {
             self.stats.bad_offset += 1;
-            return;
+            return None;
         };
         let (msg_id, pkt_offset, user_frag) = self.cfg.imm.decode(imm);
         let slot_idx = msg_id as usize;
         if slot_idx >= self.recv_slots.len() {
             self.stats.bad_offset += 1;
-            return;
+            return None;
         }
         // Stage 2: the generation of the delivering QP must match the
         // slot's current generation.
@@ -987,21 +1033,21 @@ impl QpInner {
         let slot = &mut self.recv_slots[slot_idx];
         if !slot.active {
             self.stats.inactive_slot_drops += 1;
-            return;
+            return None;
         }
         let slot_gen =
             ((slot.seq / self.cfg.msg_slots as u64) % self.cfg.generations as u64) as u32;
         if cqe_gen != Some(slot_gen) {
             self.stats.generation_filtered += 1;
-            return;
+            return None;
         }
         let Some(bitmap) = &slot.bitmap else {
             self.stats.inactive_slot_drops += 1;
-            return;
+            return None;
         };
         if pkt_offset as usize >= bitmap.total_packets() {
             self.stats.bad_offset += 1;
-            return;
+            return None;
         }
         // End-to-end integrity. The NIC verified the payload against the
         // sender's CRC32C (carried in the modeled transport header) before
@@ -1026,7 +1072,7 @@ impl QpInner {
                     });
                     if cqe.crc.is_some_and(|wire| wire != landed) {
                         self.stats.payload_corrupt += 1;
-                        return;
+                        return None;
                     }
                     landed
                 }
@@ -1040,8 +1086,9 @@ impl QpInner {
         } else {
             self.stats.packets_received += 1;
         }
-        if bitmap.record_packet(pkt_offset as usize).is_some() {
-            self.stats.chunks_completed += 1;
-        }
+        let chunk = bitmap.record_packet(pkt_offset as usize)?;
+        self.stats.chunks_completed += 1;
+        let hook = slot.chunk_hook.as_ref()?;
+        Some(Notify::Chunk(hook.clone(), chunk))
     }
 }

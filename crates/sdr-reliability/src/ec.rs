@@ -7,13 +7,19 @@
 //! so failed submessages can be selective-repeated — parity as one-shots).
 //! Encoding uses the `sdr-erasure` MDS (Reed–Solomon) or XOR codes.
 //!
-//! The receiver is an [`RxScheme`]: per poll it resolves submessages (all
-//! data chunks present, or enough data+parity chunks for in-place
-//! decoding). On the first observed packet it arms the fallback timeout
-//! `FTO = (M + ⌈M/R⌉)·T_INJ + β·RTT`; expiry NACKs the unresolved
-//! submessages, switching them to Selective Repeat (the paper's fallback
-//! scheme). Poll cadence, CTS healing, the positive-ACK linger and the
-//! exactly-once buffer release come from the shared [`RxDriver`].
+//! The receiver is an [`RxScheme`] ([`EcRxScheme`]) that acts on arrivals:
+//! a submessage is resolved — all data chunks present, or enough
+//! data+parity chunks for in-place decoding — the moment the chunk that
+//! makes it decidable lands, and one the wire has moved past while it was
+//! still short is NACKed (switching it to Selective Repeat, the paper's
+//! fallback scheme) one margin later, on wire-order evidence, as the SR
+//! sender repairs on it. The paper's fallback timeout `FTO = (M +
+//! ⌈M/R⌉)·T_INJ + β·RTT`, armed at the first observed packet, survives as
+//! the timer for what order cannot see — a tail nothing follows — and a
+//! NACKed submessage is not NACKed again before its repair could have
+//! landed. The heartbeat (`poll_interval`, RTT/8), CTS healing, the
+//! positive-ACK linger and the exactly-once buffer release come from the
+//! shared [`RxDriver`].
 //!
 //! # The streaming encode→inject pipeline
 //!
@@ -44,9 +50,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdr_core::{SdrContext, SdrQp, SendHandle};
+use sdr_core::{SdrContext, SdrQp, SendHandle, TwoLevelBitmap};
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
-use sdr_sim::{Engine, QpAddr, SimTime};
+use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
@@ -54,6 +60,7 @@ use crate::runtime::{
     begin_on_cts, wire_ctrl, AbortReason, Completion, CtrlSink, RxCommon, RxDriver, RxScheme,
     RxStep, TransferOutcome,
 };
+use crate::sr::REPAIR_MARGIN_DIV;
 
 /// Which erasure code protects the submessages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +84,9 @@ pub struct EcProtoConfig {
     pub poll_interval: SimTime,
     /// Fallback timeout armed at first chunk arrival.
     pub fto: SimTime,
+    /// Propagation round trip of the path: a NACKed submessage's repair
+    /// cannot land sooner, so it is not NACKed again sooner.
+    pub rtt: SimTime,
     /// Final-ACK repeats before releasing buffers.
     pub linger_acks: u32,
     /// Stripes per in-flight submessage encode: `> 1` splits each
@@ -106,9 +116,17 @@ impl EcProtoConfig {
             code,
             poll_interval: rtt / 8,
             fto: SimTime::from_secs_f64(fto_s),
+            rtt,
             linger_acks: 25,
             encode_stripes: 1,
         }
+    }
+
+    /// The wire time the FTO allows one pass of data and parity: the FTO
+    /// less its `β·RTT` of slack. A repair is part of a pass, so it is also
+    /// the most a repair spends on the wire.
+    fn pass_time(&self) -> SimTime {
+        self.fto.saturating_sub(self.rtt / 2)
     }
 }
 
@@ -679,13 +697,79 @@ pub struct EcRecvStats {
     pub stale_chunks: u64,
 }
 
-/// The EC receive policy: per poll, resolve submessages (directly or by
-/// in-place decoding), arm/serve the FTO fallback, and report delivery once
+/// Registry counters and the recorder behind the EC receiver's early
+/// actions, so each cites its evidence as `sr.retx.*` does for the SR
+/// sender. Every EC receiver on a fabric shares the handles.
+#[derive(Clone)]
+struct EcTrace {
+    /// `ec.wake.decodable`: an arrival brought a submessage's present
+    /// chunks up to `k` and it was resolved on the spot.
+    decodable: Counter,
+    /// `ec.nack.order`: submessages NACKed because the wire moved past
+    /// their parity while they were still short.
+    nack_order: Counter,
+    /// `ec.nack.timer`: submessages NACKed on a clock — the FTO for a tail
+    /// nothing followed, or a repair that is overdue.
+    nack_timer: Counter,
+    /// One `ec-nack` event per submessage NACKed, naming the slot that
+    /// passed it when the evidence was order.
+    recorder: FlightRecorder,
+}
+
+impl EcTrace {
+    fn new(ctx: &SdrContext) -> Self {
+        let reg = ctx.fabric().metrics();
+        EcTrace {
+            decodable: reg.counter("ec.wake.decodable"),
+            nack_order: reg.counter("ec.nack.order"),
+            nack_timer: reg.counter("ec.nack.timer"),
+            recorder: ctx.fabric().recorder(ctx.node()),
+        }
+    }
+}
+
+/// The EC receive policy: resolve submessages (directly or by in-place
+/// decoding) as their chunks land, fall back to Selective Repeat for the
+/// ones the evidence says cannot resolve, and report delivery once
 /// everything is resolved. Slots `0..L` are the data submessages, `L..2L`
 /// the parity scratch buffers.
+///
+/// # When a submessage is NACKed
+///
+/// Every unresolved submessage carries the instant its NACK is due, and
+/// each step NACKs, in one datagram, the ones whose instant has come.
+/// Three things set it, the earliest wins:
+///
+/// * **order** — the submessage has been *passed*: a chunk completed at or
+///   beyond the end of its parity slot in posting order (the last chunk of
+///   `P_s`, or any chunk of a later slot). The sender posts `D0..D(L-1),
+///   P0..P(L-1)` into one device FIFO and **a link is a FIFO**, so nothing
+///   more of the first pass is coming for it; if it is still short it will
+///   stay short. Due one margin (`rtt /` [`REPAIR_MARGIN_DIV`]) after the
+///   evidence, so the submessages a pass leaves short go in one NACK.
+///   Where the assumption fails (`LinkConfig::with_reordering`, multipath)
+///   a straggler may still have resolved it: the price is one submessage
+///   resent in vain, never a loss — the same bargain as the SR sender's
+///   order rule.
+/// * **the FTO** — the paper's `(M + ⌈M/R⌉)·T_INJ + β·RTT` from the first
+///   arrival, now only the timer for what order cannot see: a tail
+///   submessage whose last parity chunk was itself lost, so nothing
+///   follows it on the wire.
+/// * **a NACK** — the repair cannot land sooner than a round trip, the
+///   margin and its own time on the wire after the NACK left, so that is
+///   the soonest the submessage is NACKed again. (Re-arming with the FTO
+///   alone re-NACKed repairs still in flight whenever `β·RTT + T_pass <
+///   RTT`, and the sender served every fallback twice.)
+///
+/// Arrival news needs a subscribed owner; stepped without it (the flow
+/// manager) the policy runs on the two clocks alone.
 pub struct EcRxScheme {
     ctx: SdrContext,
     fto: SimTime,
+    /// One NACK's batching window, and the slack on every time test.
+    margin: SimTime,
+    /// The soonest a NACKed submessage is NACKed again.
+    renack: SimTime,
     buf_addr: u64,
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
@@ -697,36 +781,109 @@ pub struct EcRxScheme {
     /// rent from one warm pool instead of each growing their own.
     scratch: Rc<RefCell<EcScratch>>,
     parity_addrs: Vec<u64>,
-    resolved: Vec<bool>,
-    fto_deadline: Option<SimTime>,
+    subs: Vec<SubState>,
+    unresolved: usize,
+    /// Every submessage below this index has been passed.
+    passed_below: usize,
+    /// The earliest NACK order evidence has made due and no step has sent.
+    order_due: Option<SimTime>,
+    fto_armed: bool,
+    trace: EcTrace,
     stats: EcRecvStats,
+}
+
+/// Where one submessage stands with the receiver.
+#[derive(Clone, Copy)]
+struct SubState {
+    resolved: bool,
+    /// When its NACK is due; `SimTime::MAX` while nothing says one will be
+    /// needed.
+    due: SimTime,
+    /// NACKed at least once: from then on only the clock that spaces its
+    /// NACKs moves `due`.
+    nacked: bool,
+    /// The slot whose arrival passed it, while its pending `due` rests on
+    /// that (order evidence); `None` when it rests on a clock.
+    passed_by: Option<u32>,
 }
 
 impl RxScheme for EcRxScheme {
     type Done = EcRecvStats;
 
+    /// The heartbeat's view: heal lost credits, arm the FTO on the first
+    /// packet seen, resolve whatever can resolve (arrivals usually got
+    /// there first), NACK what is due.
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
-        self.poll_once(eng, rx);
-        if self.resolved.iter().all(|&r| r) {
+        let l = self.geoms.len();
+        let mut any_packet = false;
+        for s in 0..l {
+            if self.subs[s].resolved {
+                continue;
+            }
+            // Possible lost CTS for this submessage — heal it. The FTO
+            // arms off *packet* observation, not chunk completion: under
+            // heavy loss a 16-packet chunk may never complete on the first
+            // pass at all, and a chunk-armed FTO would then never fire —
+            // no NACK, no retransmission, a livelock the conformance
+            // suite's heavy-loss rows exercise.
+            let (data_bm, parity_bm) = (rx.bitmap(s), rx.bitmap(l + s));
+            any_packet |= rx.heal_cts(eng, s, &data_bm);
+            any_packet |= rx.heal_cts(eng, l + s, &parity_bm);
+            self.try_resolve(rx, s, &data_bm, &parity_bm);
+        }
+        if any_packet {
+            self.arm_fto(eng.now());
+        }
+        if self.unresolved == 0 {
             return true;
         }
-        // Fallback timeout handling (§4.1.2): NACK the unresolved
-        // submessages so the sender selective-repeats them.
-        if let Some(d) = self.fto_deadline {
-            if eng.now() >= d {
-                let failed: Vec<u32> = self
-                    .resolved
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &r)| !r)
-                    .map(|(idx, _)| idx as u32)
-                    .collect();
-                self.stats.fallback_nacks += 1;
-                send(eng, &CtrlMsg::EcNack { failed });
-                self.fto_deadline = Some(eng.now() + self.fto);
+        self.nack_due(eng, send);
+        false
+    }
+
+    /// A chunk of submessage `s = slot mod L` landed. If that brings its
+    /// present chunks to `k` it is resolved here and now — the decode
+    /// happens when the last needed chunk lands, and touches this
+    /// submessage only. If the chunk lies past other submessages' parity
+    /// they have been passed: their NACK falls due one margin from now.
+    fn on_chunk(
+        &mut self,
+        rx: &RxCommon,
+        slot: usize,
+        chunk: usize,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let l = self.geoms.len();
+        let s = slot % l;
+        self.arm_fto(now);
+        if !self.subs[s].resolved {
+            let g = self.geoms[s];
+            let (data_bm, parity_bm) = (rx.bitmap(s), rx.bitmap(l + s));
+            let have = data_bm.chunks().count_set_in_first_n(g.k_eff)
+                + parity_bm.chunks().count_set_in_first_n(g.m_eff);
+            if have >= g.k_eff {
+                self.trace.decodable.inc();
+                self.try_resolve(rx, s, &data_bm, &parity_bm);
+                if self.unresolved == 0 {
+                    return Some(now);
+                }
             }
         }
-        false
+        if slot >= l {
+            let last_of_slot = chunk + 1 == self.geoms[s].m_eff;
+            let passed = if last_of_slot { s + 1 } else { s };
+            let due = now.saturating_add(self.margin);
+            for sub in self.subs.iter_mut().take(passed).skip(self.passed_below) {
+                if !sub.resolved && !sub.nacked && due < sub.due {
+                    sub.due = due;
+                    sub.passed_by = Some(slot as u32);
+                    self.order_due.get_or_insert(due);
+                }
+            }
+            self.passed_below = self.passed_below.max(passed);
+        }
+        // (The clocks' own deadlines are the heartbeat's to notice.)
+        self.order_due
     }
 
     fn final_ack(&self) -> CtrlMsg {
@@ -777,17 +934,35 @@ impl EcRxScheme {
             parity_addrs.push(addr);
             common.post(eng, addr, len);
         }
+        let margin = cfg.rtt / REPAIR_MARGIN_DIV;
         EcRxScheme {
             ctx: ctx.clone(),
             fto: cfg.fto,
+            margin,
+            renack: cfg
+                .rtt
+                .saturating_add(margin)
+                .saturating_add(cfg.pass_time()),
             buf_addr,
             chunk_bytes,
-            resolved: vec![false; geoms.len()],
+            subs: vec![
+                SubState {
+                    resolved: false,
+                    due: SimTime::MAX,
+                    nacked: false,
+                    passed_by: None,
+                };
+                geoms.len()
+            ],
+            unresolved: geoms.len(),
+            passed_below: 0,
+            order_due: None,
+            fto_armed: false,
             geoms,
             codes,
             scratch,
             parity_addrs,
-            fto_deadline: None,
+            trace: EcTrace::new(ctx),
             stats: EcRecvStats::default(),
         }
     }
@@ -797,129 +972,178 @@ impl EcRxScheme {
         self.stats
     }
 
-    fn poll_once(&mut self, eng: &mut Engine, rx: &mut RxCommon) {
-        let mut any_packet = false;
+    /// Arms the FTO at the first observed arrival (§4.1.2): from here every
+    /// submessage has a NACK due at the latest when it expires.
+    fn arm_fto(&mut self, now: SimTime) {
+        if !self.fto_armed {
+            self.fto_armed = true;
+            let expiry = now.saturating_add(self.fto);
+            for sub in &mut self.subs {
+                sub.due = expiry.min(sub.due);
+            }
+        }
+    }
+
+    /// Fallback (§4.1.2): NACKs, in one datagram, every unresolved
+    /// submessage whose NACK is due, so the sender selective-repeats them,
+    /// and holds each back until its repair has had time to land.
+    fn nack_due(&mut self, eng: &mut Engine, send: CtrlSink<'_>) {
+        let now = eng.now();
+        if !self.subs.iter().any(|sub| !sub.resolved && sub.due <= now) {
+            // Nothing to say yet. (Where the wire reorders, what order had
+            // condemned may have resolved after all: ask again only for
+            // what is still open.)
+            let condemned = |sub: &&SubState| !sub.resolved && sub.passed_by.is_some();
+            self.order_due = self.subs.iter().filter(condemned).map(|s| s.due).min();
+            return;
+        }
+        // One is due, so a NACK leaves now: it takes along every
+        // submessage order evidence has already condemned, however
+        // recently — the margin batches a burst, it is not owed to each.
+        let mut failed = Vec::new();
+        for (s, sub) in self.subs.iter_mut().enumerate() {
+            if sub.resolved || (sub.due > now && sub.passed_by.is_none()) {
+                continue;
+            }
+            let passed_by = sub.passed_by.take();
+            match passed_by {
+                Some(_) => self.trace.nack_order.inc(),
+                None => self.trace.nack_timer.inc(),
+            }
+            self.trace.recorder.record(
+                now.as_picos(),
+                EventKind::EcNack,
+                s as u64,
+                passed_by.map_or(u64::MAX, u64::from),
+            );
+            sub.due = now.saturating_add(self.renack);
+            sub.nacked = true;
+            failed.push(s as u32);
+        }
+        self.order_due = None;
+        self.stats.fallback_nacks += 1;
+        send(eng, &CtrlMsg::EcNack { failed });
+    }
+
+    /// Resolves submessage `s` if the chunks present allow it: all data
+    /// there, or enough data + parity for an in-place decode.
+    fn try_resolve(
+        &mut self,
+        rx: &RxCommon,
+        s: usize,
+        data_bm: &TwoLevelBitmap,
+        parity_bm: &TwoLevelBitmap,
+    ) {
         let chunk_len = self.chunk_bytes as usize;
         let l = self.geoms.len();
+        let g = self.geoms[s];
+        // Word-level scans (one atomic load per 64 chunks, like the SR
+        // ACK path) and retained scratch vectors: the no-loss steady
+        // state allocates nothing and touches no per-chunk atomics.
+        // Under payload checksums the shortcut is not sound — a set
+        // bit only proves a clean packet landed *once*; a corrupted
+        // duplicate may have overwritten it since — so the chunks a
+        // resolution would use go through the arrival-CRC audit below.
+        let audit = rx.payload_checksums();
+        if !audit && data_bm.chunks().first_n_set(g.k_eff) {
+            self.subs[s].resolved = true;
+            self.unresolved -= 1;
+            self.stats.complete_submessages += 1;
+            return;
+        }
+        // Shard `i` of the submessage is data chunk `i` or parity
+        // chunk `i − k`: its receive slot, its chunk index there, and
+        // where its bytes live.
+        let (k, m) = (g.k_eff, g.m_eff);
+        let shard_at = |i: usize| {
+            if i < k {
+                let off = (g.chunk_start + i as u64) * self.chunk_bytes;
+                (s, i, self.buf_addr + off)
+            } else {
+                let off = (i - k) as u64 * self.chunk_bytes;
+                (l + s, i - k, self.parity_addrs[s] + off)
+            }
+        };
         let scratch = &mut *self.scratch.borrow_mut();
-        for s in 0..l {
-            if self.resolved[s] {
-                continue;
+        let EcScratch {
+            pool,
+            shards,
+            present,
+            ..
+        } = scratch;
+        present.clear();
+        present.resize(k + m, true);
+        data_bm
+            .chunks()
+            .for_each_missing_in_first_n(k, |c| present[c] = false);
+        parity_bm
+            .chunks()
+            .for_each_missing_in_first_n(m, |c| present[k + c] = false);
+        // What the bitmaps say is an upper bound on what is usable: if
+        // even that cannot resolve, no byte needs reading.
+        if !self.codes[s].can_recover(present) {
+            return;
+        }
+        // Arrival-CRC audit of a submessage that is about to be used:
+        // read each present chunk back and compare against the CRCs
+        // recorded when its packets landed. A mismatch means a corrupted
+        // duplicate overwrote the chunk after its bits were set — demote
+        // it to absent *before* any decision reads the presence flags, so
+        // stale bytes never feed a decode and never silently resolve a
+        // submessage. The audit only ever demotes, hence the re-test.
+        if audit {
+            let mut b = pool.take(chunk_len);
+            for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
+                let (slot, c, addr) = shard_at(i);
+                self.ctx.read_buffer_into(addr, &mut b);
+                if !rx.verify_chunk(slot, c, &b) {
+                    *p = false;
+                    self.stats.stale_chunks += 1;
+                }
             }
-            let g = self.geoms[s];
-            let data_bm = rx.bitmap(s);
-            let parity_bm = rx.bitmap(l + s);
-            // Possible lost CTS for this submessage — heal it. The FTO
-            // arms off *packet* observation, not chunk completion: under
-            // heavy loss a 16-packet chunk may never complete on the first
-            // pass at all, and a chunk-armed FTO would then never fire —
-            // no NACK, no retransmission, a livelock the conformance
-            // suite's heavy-loss rows exercise.
-            any_packet |= rx.heal_cts(eng, s, &data_bm);
-            any_packet |= rx.heal_cts(eng, l + s, &parity_bm);
-            // Word-level scans (one atomic load per 64 chunks, like the SR
-            // ACK path) and retained scratch vectors: the no-loss steady
-            // state allocates nothing and touches no per-chunk atomics.
-            // Under payload checksums the shortcut is not sound — a set
-            // bit only proves a clean packet landed *once*; a corrupted
-            // duplicate may have overwritten it since — so every present
-            // chunk goes through the arrival-CRC audit below instead.
-            let audit = rx.payload_checksums();
-            if !audit && data_bm.chunks().first_n_set(g.k_eff) {
-                self.resolved[s] = true;
+            pool.put(b);
+            // The audited equivalent of the `first_n_set` shortcut:
+            // every data chunk landed and still matches its arrival
+            // CRCs — no decode needed.
+            if present[..k].iter().all(|&p| p) {
+                self.subs[s].resolved = true;
+                self.unresolved -= 1;
                 self.stats.complete_submessages += 1;
-                continue;
+                return;
             }
-            // Shard `i` of the submessage is data chunk `i` or parity
-            // chunk `i − k`: its receive slot, its chunk index there, and
-            // where its bytes live.
-            let (k, m) = (g.k_eff, g.m_eff);
-            let shard_at = |i: usize| {
-                if i < k {
-                    let off = (g.chunk_start + i as u64) * self.chunk_bytes;
-                    (s, i, self.buf_addr + off)
-                } else {
-                    let off = (i - k) as u64 * self.chunk_bytes;
-                    (l + s, i - k, self.parity_addrs[s] + off)
-                }
-            };
-            let EcScratch {
-                pool,
-                shards,
-                present,
-                ..
-            } = scratch;
-            present.clear();
-            present.resize(k + m, true);
-            data_bm
-                .chunks()
-                .for_each_missing_in_first_n(k, |c| present[c] = false);
-            parity_bm
-                .chunks()
-                .for_each_missing_in_first_n(m, |c| present[k + c] = false);
-            // Arrival-CRC audit: read each present chunk back and compare
-            // against the CRCs recorded when its packets landed. A
-            // mismatch means a corrupted duplicate overwrote the chunk
-            // after its bits were set — demote it to absent *before* any
-            // decision reads the presence flags, so stale bytes never
-            // feed a decode and never silently resolve a submessage.
-            if audit {
-                let mut b = pool.take(chunk_len);
-                for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
-                    let (slot, c, addr) = shard_at(i);
-                    self.ctx.read_buffer_into(addr, &mut b);
-                    if !rx.verify_chunk(slot, c, &b) {
-                        *p = false;
-                        self.stats.stale_chunks += 1;
-                    }
-                }
-                pool.put(b);
-                // The audited equivalent of the `first_n_set` shortcut:
-                // every data chunk landed and still matches its arrival
-                // CRCs — no decode needed.
-                if present[..k].iter().all(|&p| p) {
-                    self.resolved[s] = true;
-                    self.stats.complete_submessages += 1;
-                    continue;
-                }
-            }
-            // Try in-place decoding from data + parity chunks.
             if !self.codes[s].can_recover(present) {
-                continue;
+                return;
             }
-            // Stage present shards into pooled buffers (rented, not
-            // allocated, once the pool is warm).
-            debug_assert!(shards.is_empty());
-            for (i, &p) in present.iter().enumerate() {
-                shards.push(p.then(|| {
-                    let mut b = pool.take(chunk_len);
-                    self.ctx.read_buffer_into(shard_at(i).2, &mut b);
-                    b
-                }));
-            }
-            // Missing shards are rebuilt into buffers rented from the same
-            // pool (`reconstruct_into`), so the loss path allocates
-            // nothing once the pool is warm.
-            self.codes[s]
-                .reconstruct_into(shards, &mut |len| pool.take(len))
-                .expect("can_recover checked");
-            // Write recovered data chunks back into the user buffer, then
-            // return every staged buffer (including freshly reconstructed
-            // ones) to the pool for the next decode.
-            for (i, shard) in shards.drain(..).enumerate() {
-                let shard = shard.expect("reconstructed");
-                if i < k && !present[i] {
-                    self.ctx.write_buffer(shard_at(i).2, &shard);
-                }
-                pool.put(shard);
-            }
-            self.resolved[s] = true;
-            self.stats.decoded_submessages += 1;
         }
-        // Arm the FTO at the first observed arrival (§4.1.2).
-        if any_packet && self.fto_deadline.is_none() {
-            self.fto_deadline = Some(eng.now() + self.fto);
+        // Stage present shards into pooled buffers (rented, not
+        // allocated, once the pool is warm).
+        debug_assert!(shards.is_empty());
+        for (i, &p) in present.iter().enumerate() {
+            shards.push(p.then(|| {
+                let mut b = pool.take(chunk_len);
+                self.ctx.read_buffer_into(shard_at(i).2, &mut b);
+                b
+            }));
         }
+        // Missing shards are rebuilt into buffers rented from the same
+        // pool (`reconstruct_into`), so the loss path allocates
+        // nothing once the pool is warm.
+        self.codes[s]
+            .reconstruct_into(shards, &mut |len| pool.take(len))
+            .expect("can_recover checked");
+        // Write recovered data chunks back into the user buffer, then
+        // return every staged buffer (including freshly reconstructed
+        // ones) to the pool for the next decode.
+        for (i, shard) in shards.drain(..).enumerate() {
+            let shard = shard.expect("reconstructed");
+            if i < k && !present[i] {
+                self.ctx.write_buffer(shard_at(i).2, &shard);
+            }
+            pool.put(shard);
+        }
+        self.subs[s].resolved = true;
+        self.unresolved -= 1;
+        self.stats.decoded_submessages += 1;
     }
 }
 

@@ -685,6 +685,7 @@ impl ManagerCore {
             fto: inj
                 .saturating_add(self.cfg.rtt)
                 .saturating_add(self.cfg.rtt),
+            rtt: self.cfg.rtt,
             linger_acks: LINGER_ACKS,
             encode_stripes: 1,
         })
@@ -1681,7 +1682,7 @@ impl Inner {
             Some(ec) => {
                 let scratch = self.scratch.clone();
                 let (ctx, bytes) = (&core.ctx, open.bytes);
-                RxPolicy::Ec(EcRxScheme::post(
+                RxPolicy::Ec(Box::new(EcRxScheme::post(
                     eng,
                     &mut common,
                     ctx,
@@ -1689,14 +1690,12 @@ impl Inner {
                     bytes,
                     &ec,
                     scratch,
-                ))
+                )))
             }
             None => {
                 common.post(eng, dst_addr, open.bytes);
-                RxPolicy::Sr(SrRxScheme {
-                    total_chunks: core.cfg.qp.chunks_for(open.bytes) as usize,
-                    nack: true,
-                })
+                let chunks = core.cfg.qp.chunks_for(open.bytes) as usize;
+                RxPolicy::Sr(SrRxScheme::new(chunks, true, core.cfg.rtt))
             }
         };
         common.bind_estimator(est);

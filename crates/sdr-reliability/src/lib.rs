@@ -19,8 +19,8 @@
 //! | core | per-transfer driver | population driver |
 //! |---|---|---|
 //! | [`SrTxCore`] — ACK application, Karn RTT sample, evidence-based repair (hole by wire order → at once; lacking for a round trip since it left the wire → overdue; silence → RTO scan), `sr.retx.*` reasons | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`] and stamps the departure it returns, `rto` and overdue age `rtt + rtt/64` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane (stamped provisionally, restamped with the departure when the pump injects them), RTO and overdue age widened by the population's control pacing |
-//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: fixed `ack_interval` | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval |
-//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, FTO fallback NACK | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>` | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]) |
+//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: `ack_interval` heartbeat, stepped ahead of it on news (completion at once; a hole exposed by wire order one margin later) | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval, not subscribed to arrivals |
+//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs one margin after order evidence | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]): the two clocks only |
 //! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
 //! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the manager hosts one ARQ scheme: a flow asked to run GBN or SR-RTO runs, and reports, SR-NACK) |
 //!
@@ -29,8 +29,9 @@
 //! completion *and* abort) over a [`TxScheme`](runtime::TxScheme);
 //! [`RxStep`] (scheme poll, first-pass telemetry feed, completion, linger
 //! countdown, exactly-once slot release) over an
-//! [`RxScheme`], which [`RxDriver`] wraps in a timer and the flow manager
-//! steps itself; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
+//! [`RxScheme`], which [`RxDriver`] wraps in a heartbeat timer that its
+//! slots' chunk completions pull forward and the flow manager steps
+//! itself; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
 //! [`runtime::Completion`]. What stays specific to the population driver
 //! is what is genuinely population-scale — admission and parking, DRR
 //! injection, the shared tick, `FlowOpen/Ack/Fin/Done` — see [`flow`].

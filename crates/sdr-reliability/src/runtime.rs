@@ -35,10 +35,18 @@
 //! * [`RxStep`] + [`RxScheme`] — the **receive step**: one scheme poll,
 //!   the first-pass telemetry feed, completion detection, the final-ACK
 //!   linger countdown and the exactly-once slot release. It is plain
-//!   state stepped by whoever owns the cadence: [`RxDriver`] wraps it in a
-//!   [`tick_loop`] for one transfer; the
+//!   state stepped by whoever owns the cadence, per step: heartbeat or
+//!   news. [`RxDriver`] wraps it in a [`tick_loop`] for one transfer —
+//!   the loop is the *heartbeat*, there for silence (a lost CTS, a lost
+//!   tail, the linger repeats) — and subscribes it to its slots' chunk
+//!   completions ([`SdrQp::set_chunk_hook`]): an arrival the scheme calls
+//!   *news* ([`RxScheme::on_chunk`] — the message is complete, wire order
+//!   exposed a hole, a submessage can be decided) pulls that one timer
+//!   forward, so completion and repair are acted on when the bitmap
+//!   changes, not when a poll clock next fires. The
 //!   [`FlowManager`](crate::flow::FlowManager) steps thousands of them
-//!   from its shared due index at a population-scaled interval.
+//!   from its shared due index at a population-scaled interval and does
+//!   not subscribe.
 //!
 //! `sr.rs`, `ec.rs` and `gbn.rs` contain only what is genuinely different
 //! between the schemes: the ACK wire policy and the repair rule. Adding a
@@ -46,11 +54,11 @@
 //! timer, lifecycle or control plumbing.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use sdr_core::{RecvHandle, SdrQp, SendHandle, TwoLevelBitmap};
-use sdr_sim::{Engine, EventKind, FlightRecorder, QpAddr, SimTime, TimerHandle};
+use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, Registry, SimTime, TimerHandle};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
@@ -950,11 +958,36 @@ impl<S: TxScheme> TxDriver<S> {
 /// gate, flow-stamped endpoint) its traffic rides.
 pub type CtrlSink<'a> = &'a mut dyn FnMut(&mut Engine, &CtrlMsg);
 
+/// Registry counters for the steps a receiver takes ahead of its heartbeat
+/// (`rx.wake.*`), by the news that caused them. Every receiver on a fabric
+/// shares the handles.
+struct RxTrace {
+    /// `rx.wake.complete`: the arrival that completed the message.
+    complete: Counter,
+    /// `rx.wake.hole`: an arrival that wire order says exposed a hole.
+    hole: Counter,
+}
+
+impl RxTrace {
+    /// Binds (or retrieves) the `rx.wake.*` family in `reg`.
+    fn new(reg: &Registry) -> Self {
+        RxTrace {
+            complete: reg.counter("rx.wake.complete"),
+            hole: reg.counter("rx.wake.hole"),
+        }
+    }
+}
+
 /// Scheme-independent receiver state: the QP, the posted receive slots and
 /// the first-pass telemetry scan. Handed to the [`RxScheme`] on every poll.
 pub struct RxCommon {
     qp: SdrQp,
     hdls: Vec<RecvHandle>,
+    /// Chunks of the posted slots no arrival has reported complete yet
+    /// (see [`RxStep::arrival`]); stays at the posted total under an owner
+    /// that does not subscribe to arrivals.
+    chunks_left: usize,
+    trace: RxTrace,
     /// Channel telemetry, when bound: the estimator plus one first-pass
     /// cursor per posted slot. The step scans after every scheme poll.
     telemetry: Option<(Rc<RefCell<ChannelEstimator>>, Vec<FirstPassCursor>)>,
@@ -969,6 +1002,8 @@ impl RxCommon {
         RxCommon {
             qp: qp.clone(),
             hdls: Vec::new(),
+            chunks_left: 0,
+            trace: RxTrace::new(&qp.metrics()),
             telemetry: None,
             counters: TelemetryCounters::default(),
         }
@@ -988,6 +1023,7 @@ impl RxCommon {
     pub fn post(&mut self, eng: &mut Engine, addr: u64, len: u64) -> usize {
         let hdl = self.qp.recv_post(eng, addr, len).expect("receive post");
         self.hdls.push(hdl);
+        self.chunks_left += self.qp.config().chunks_for(len) as usize;
         if let Some((_, cursors)) = &mut self.telemetry {
             cursors.resize(self.hdls.len(), FirstPassCursor::default());
         }
@@ -1013,6 +1049,22 @@ impl RxCommon {
             self.counters.lost += lost;
             est.borrow_mut().observe_packets(seen, lost);
         }
+    }
+
+    /// The news every policy reports: `Some(now)` — step at once — when
+    /// the arrival being reported completed the last chunk the posted slots
+    /// lacked, so completion is acted on at the arrival instant.
+    pub fn wake_if_complete(&self, now: SimTime) -> Option<SimTime> {
+        (self.chunks_left == 0).then(|| {
+            self.trace.complete.inc();
+            now
+        })
+    }
+
+    /// Counts one early step taken because wire order exposed a hole
+    /// (`rx.wake.hole`).
+    pub(crate) fn note_hole_wake(&self) {
+        self.trace.hole.inc();
     }
 
     /// Cumulative first-pass counters fed to the bound estimator so far.
@@ -1108,8 +1160,29 @@ pub trait RxScheme: 'static {
     /// One bitmap poll: emit whatever repair traffic the scheme calls for
     /// through `send` and return `true` once the whole message is
     /// delivered (the stepper then sends the final ACK). Runs once per
-    /// step until it reports completion.
+    /// step — heartbeat or news — until it reports completion.
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool;
+
+    /// News from the bitmap: `chunk` of posted slot `slot` completed at
+    /// `now`. Returns when the next step should run if that is sooner than
+    /// the heartbeat would — `Some(now)` to act at the arrival instant, a
+    /// later instant to let a burst of news share one step — and `None`
+    /// when the arrival changes nothing the peer needs to hear. Only an
+    /// owner that subscribes to arrivals ([`RxDriver`]) calls it; the
+    /// answer is a hint about *when*, never about *what*: the step it
+    /// brings forward reads the bitmaps like any other.
+    ///
+    /// The default knows the one piece of news common to every scheme: the
+    /// message just became complete.
+    fn on_chunk(
+        &mut self,
+        rx: &RxCommon,
+        _slot: usize,
+        _chunk: usize,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        rx.wake_if_complete(now)
+    }
 
     /// The scheme's final positive ACK.
     fn final_ack(&self) -> CtrlMsg;
@@ -1128,14 +1201,18 @@ pub trait RxScheme: 'static {
 /// scheme reports delivery, then repeat the final ACK for `linger` further
 /// steps (its loss on the control path must not strand the sender) and
 /// release every posted slot exactly once. Plain state — no timer, no
-/// callback: [`RxDriver`] steps it from a [`tick_loop`], the flow manager
-/// from its due index.
+/// callback: [`RxDriver`] steps it from a [`tick_loop`] and feeds it
+/// its slots' arrivals, the flow manager steps it from its due index and
+/// does not.
 pub struct RxStep<S: RxScheme> {
     common: RxCommon,
     scheme: S,
     completed_at: Option<SimTime>,
     lingers_left: u32,
     released: bool,
+    /// The earliest step the scheme asked for on an arrival and no step
+    /// has served yet (see [`wake`](Self::wake)).
+    wake: Option<SimTime>,
 }
 
 impl<S: RxScheme> RxStep<S> {
@@ -1148,6 +1225,7 @@ impl<S: RxScheme> RxStep<S> {
             completed_at: None,
             lingers_left: linger_acks,
             released: false,
+            wake: None,
         }
     }
 
@@ -1157,11 +1235,36 @@ impl<S: RxScheme> RxStep<S> {
     /// completing poll on — the caller then sends the final ACK and calls
     /// [`linger`](Self::linger).
     pub fn poll(&mut self, eng: &mut Engine, send: CtrlSink<'_>) -> bool {
+        if self.wake.is_some_and(|at| at <= eng.now()) {
+            self.wake = None;
+        }
         if self.completed_at.is_none() && self.scheme.poll(eng, &mut self.common, send) {
             self.completed_at = Some(eng.now());
         }
         self.common.feed_estimator();
         self.completed_at.is_some()
+    }
+
+    /// News for a subscribed owner: `chunk` of posted slot `slot` completed
+    /// at `now`. Asks the scheme ([`RxScheme::on_chunk`]) and returns when
+    /// the next step should run, if the arrival moves it ahead of the
+    /// heartbeat; the request stays on record as [`wake`](Self::wake) until
+    /// a step serves it. Nothing is news once the message is complete.
+    pub(crate) fn arrival(&mut self, slot: usize, chunk: usize, now: SimTime) -> Option<SimTime> {
+        if self.completed_at.is_some() {
+            return None;
+        }
+        self.common.chunks_left = self.common.chunks_left.saturating_sub(1);
+        let at = self.scheme.on_chunk(&self.common, slot, chunk, now)?;
+        self.wake = Some(self.wake.map_or(at, |w| w.min(at)));
+        self.wake
+    }
+
+    /// The earliest step an arrival asked for that no step has reached
+    /// yet: an owner re-arming its heartbeat after an earlier step must not
+    /// sleep past it.
+    pub(crate) fn wake(&self) -> Option<SimTime> {
+        self.wake
     }
 
     /// Second half of a completed step: count one final-ACK repeat down;
@@ -1218,22 +1321,35 @@ struct RxState<S: RxScheme> {
     ctrl: Rc<dyn CtrlPath>,
     peer_ctrl: QpAddr,
     done_cb: Option<Box<dyn FnOnce(&mut Engine, SimTime, S::Done)>>,
-    /// The poll loop's timer, for immediate teardown on quiesce.
+    /// The step loop's one timer: news pulls it forward, quiesce cancels
+    /// it.
     tick: Option<TimerHandle>,
+    /// The heartbeat interval.
+    interval: SimTime,
+    /// When `tick` fires next, so news only ever moves it earlier.
+    next_step: SimTime,
 }
 
-/// The per-transfer receiver driver: steps one [`RxStep`] at a fixed
-/// cadence, sends its traffic to `peer_ctrl` over `ctrl`, and fires the
-/// completion callback exactly once.
+/// The per-transfer receiver driver: steps one [`RxStep`] on a heartbeat
+/// and ahead of it when an arrival is news, sends its traffic to
+/// `peer_ctrl` over `ctrl`, and fires the completion callback exactly once.
+///
+/// The heartbeat is for silence — a lost CTS, a lost tail, the linger
+/// repeats — and nothing else waits on it: every posted slot's
+/// chunk-completion hook ([`SdrQp::set_chunk_hook`]) reports to the step,
+/// and when the scheme calls the arrival news ([`RxScheme::on_chunk`]) the
+/// driver moves its *one* timer to the instant asked for. A step run early
+/// is an ordinary step; the heartbeat resumes one interval after it.
 pub struct RxDriver<S: RxScheme> {
     inner: Rc<RefCell<RxState<S>>>,
 }
 
 impl<S: RxScheme> RxDriver<S> {
-    /// Starts the receive loop: `rx` is stepped every `tick` until its
-    /// scheme reports completion; `done` then fires exactly once; the
-    /// final ACK repeats for the step's linger count before every posted
-    /// slot is released (exactly once) and the loop stops.
+    /// Starts the receive loop: `rx` is stepped every `tick`, and sooner
+    /// when its slots' arrivals are news, until its scheme reports
+    /// completion; `done` then fires exactly once; the final ACK repeats
+    /// for the step's linger count before every posted slot is released
+    /// (exactly once) and the loop stops.
     pub fn spawn(
         eng: &mut Engine,
         tick: SimTime,
@@ -1248,11 +1364,41 @@ impl<S: RxScheme> RxDriver<S> {
             peer_ctrl,
             done_cb: Some(Box::new(done)),
             tick: None,
+            interval: tick,
+            next_step: eng.now().saturating_add(tick),
         }));
         let me = inner.clone();
         let h = tick_loop(eng, tick, move |eng| Self::tick(&me, eng));
-        inner.borrow_mut().tick = Some(h);
+        let mut st = inner.borrow_mut();
+        st.tick = Some(h);
+        // The hooks live in the QP's slots and die with them
+        // (`recv_complete`); holding the driver weakly, they keep nothing
+        // alive and a stale one could do no more than miss.
+        let common = st.rx.common();
+        for (slot, hdl) in common.hdls.iter().enumerate() {
+            let me = Rc::downgrade(&inner);
+            common
+                .qp
+                .set_chunk_hook(hdl, move |eng, chunk| Self::on_chunk(&me, eng, slot, chunk))
+                .expect("freshly posted slot");
+        }
+        drop(st);
         RxDriver { inner }
+    }
+
+    /// A posted slot completed a chunk: when the step calls it news, pull
+    /// the timer forward to the instant it asks for.
+    fn on_chunk(weak: &Weak<RefCell<RxState<S>>>, eng: &mut Engine, slot: usize, chunk: usize) {
+        let Some(inner) = weak.upgrade() else { return };
+        let mut st = inner.borrow_mut();
+        let Some(at) = st.rx.arrival(slot, chunk, eng.now()) else {
+            return;
+        };
+        if let (true, Some(h)) = (at < st.next_step, st.tick) {
+            if eng.reschedule(h, at) {
+                st.next_step = at;
+            }
+        }
     }
 
     fn tick(inner: &Rc<RefCell<RxState<S>>>, eng: &mut Engine) -> Tick {
@@ -1261,15 +1407,23 @@ impl<S: RxScheme> RxDriver<S> {
             return Tick::Stop;
         }
         let first = st.rx.completed_at().is_none();
+        // Every path below that goes round again sleeps one heartbeat.
+        st.next_step = eng.now().saturating_add(st.interval);
         {
             let RxState {
                 rx,
                 ctrl,
                 peer_ctrl,
+                next_step,
                 ..
             } = &mut *st;
             let mut send = |eng: &mut Engine, msg: &CtrlMsg| ctrl.send_ctrl(eng, *peer_ctrl, msg);
             if !rx.poll(eng, &mut send) {
+                // ...unless an arrival already asked for a step before it.
+                if let Some(at) = rx.wake().filter(|at| at < next_step) {
+                    *next_step = at;
+                    return Tick::Until(at);
+                }
                 return Tick::Again;
             }
             send(eng, &rx.scheme().final_ack());

@@ -213,8 +213,9 @@ enum Proto {
 pub enum RxPolicy {
     /// Selective Repeat, with or without hole reports.
     Sr(SrRxScheme),
-    /// Erasure coding.
-    Ec(EcRxScheme),
+    /// Erasure coding (boxed: its per-submessage state dwarfs the ARQ
+    /// policies a population mostly runs).
+    Ec(Box<EcRxScheme>),
     /// Go-Back-N.
     Gbn(GbnRxScheme),
 }
@@ -228,6 +229,20 @@ impl RxScheme for RxPolicy {
             RxPolicy::Sr(s) => s.poll(eng, rx, send),
             RxPolicy::Ec(s) => s.poll(eng, rx, send),
             RxPolicy::Gbn(s) => s.poll(eng, rx, send),
+        }
+    }
+
+    fn on_chunk(
+        &mut self,
+        rx: &RxCommon,
+        slot: usize,
+        chunk: usize,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        match self {
+            RxPolicy::Sr(s) => s.on_chunk(rx, slot, chunk, now),
+            RxPolicy::Ec(s) => s.on_chunk(rx, slot, chunk, now),
+            RxPolicy::Gbn(s) => s.on_chunk(rx, slot, chunk, now),
         }
     }
 
@@ -379,14 +394,13 @@ pub fn start_receiver(
     let (policy, poll_interval, linger_acks) = match proto {
         Proto::Sr(p) => {
             common.post(eng, e.addr, e.bytes);
-            let nack = p.nack;
-            let sr = SrRxScheme { total_chunks, nack };
+            let sr = SrRxScheme::new(total_chunks, p.nack, p.rtt);
             (RxPolicy::Sr(sr), p.ack_interval, p.linger_acks)
         }
         Proto::Ec(p) => {
             let scratch = Rc::new(RefCell::new(EcScratch::new(p.k, p.m)));
             let ec = EcRxScheme::post(eng, &mut common, e.ctx, e.addr, e.bytes, &p, scratch);
-            (RxPolicy::Ec(ec), p.poll_interval, p.linger_acks)
+            (RxPolicy::Ec(Box::new(ec)), p.poll_interval, p.linger_acks)
         }
         Proto::Gbn(p) => {
             common.post(eng, e.addr, e.bytes);

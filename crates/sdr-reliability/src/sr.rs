@@ -14,19 +14,26 @@
 //! retransmits about one chunk per packet the wire dropped, which is what
 //! `sdr-model/src/sr.rs` charges and `tests/model_differential.rs` checks.
 //!
-//! Receiver: an [`RxScheme`] that, per poll, encodes the *whole* SDR chunk
-//! bitmap into one ACK ([`build_sr_ack`]: cumulative point, the holes
-//! below the high-water mark, a selective window as the fallback). Poll
-//! cadence, CTS healing, completion, linger-ACK repeats and buffer release
-//! all come from the shared [`RxDriver`].
+//! Receiver: an [`RxScheme`] that, per step — heartbeat or news — encodes
+//! the *whole* SDR chunk bitmap into one ACK ([`build_sr_ack`]: cumulative
+//! point, the holes below the high-water mark, a selective window as the
+//! fallback). The heartbeat (`ack_interval`, RTT/4) is for silence; what
+//! the sender is waiting to hear does not wait for it: in NACK mode a chunk
+//! completing past a gap is news ([`SrRxScheme`]'s `on_chunk`) and the ACK
+//! naming the hole leaves one margin later, and the arrival that completes
+//! the message is acted on at once. Arrivals in order are not news, so a
+//! clean transfer sends what the heartbeat sends. CTS healing, completion,
+//! linger-ACK repeats and buffer release all come from the shared
+//! [`RxDriver`].
 //!
-//! What each kind of evidence assumes of the wire: order assumes packets
-//! of one transfer are not overtaken (true of a link's FIFO; not under
-//! `LinkConfig::with_reordering` / `with_reorder_jitter` or multipath);
-//! time assumes the ACK's own delay stays inside the margin
-//! ([`REPAIR_MARGIN_DIV`]). When either fails the cost is one spurious
-//! chunk per mistaken verdict — the receiver's bitmap drops the duplicate —
-//! never a loss.
+//! What each kind of evidence assumes of the wire — on both sides, for the
+//! receiver's hole wake-up rests on the same order rule as the sender's
+//! at-once repair: order assumes packets of one transfer are not overtaken
+//! (**a link is a FIFO**; not so under `LinkConfig::with_reordering` /
+//! `with_reorder_jitter` or multipath); time assumes the ACK's own delay
+//! stays inside the margin ([`REPAIR_MARGIN_DIV`]). When either fails the
+//! cost is one spurious chunk per mistaken verdict — the receiver's bitmap
+//! drops the duplicate — never a loss.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,11 +49,15 @@ use crate::runtime::{
 };
 use crate::telemetry::ChannelEstimator;
 
-/// The time-evidence margin as a fraction of the RTT: a snapshot must lack
-/// a chunk `RTT + RTT/64` after it left the wire before that counts as
-/// loss. The margin covers the ACK's own serialization and queueing; it
-/// must stay far below the receiver's poll interval (RTT/4), or every
-/// repair waits one poll longer than it has to.
+/// The evidence margin as a fraction of the RTT, the one slack every
+/// evidence rule allows the wire. Time: a snapshot must lack a chunk
+/// `RTT + RTT/64` after it left the wire before that counts as loss — the
+/// margin covers the ACK's own serialization and queueing. Order: a
+/// receiver that sees the wire move past something it lacks (an SR hole,
+/// an EC submessage's parity) says so `RTT/64` later — long enough for the
+/// rest of a burst to share the datagram and for a packet displaced by a
+/// few slots to land, short enough to add 1.6 % of a round trip to a
+/// repair that costs a whole one.
 pub const REPAIR_MARGIN_DIV: u64 = 64;
 
 /// Selective Repeat protocol tuning.
@@ -459,14 +470,57 @@ impl TxDriver<SrTx> {
 }
 
 /// The SR receive policy: one bitmap, one cumulative + selective ACK per
-/// poll (with holes in NACK mode).
+/// step (with holes in NACK mode). In NACK mode a hole is news the moment
+/// wire order exposes it.
 pub struct SrRxScheme {
-    pub(crate) total_chunks: usize,
-    pub(crate) nack: bool,
+    total_chunks: usize,
+    nack: bool,
+    /// How long a hole report waits for the rest of its burst.
+    margin: SimTime,
+    /// One past the highest chunk an arrival reported complete.
+    next_expected: usize,
+}
+
+impl SrRxScheme {
+    /// The policy for a message of `total_chunks` on a path of round trip
+    /// `rtt`; `nack` turns hole reports on.
+    pub(crate) fn new(total_chunks: usize, nack: bool, rtt: SimTime) -> Self {
+        SrRxScheme {
+            total_chunks,
+            nack,
+            margin: rtt / REPAIR_MARGIN_DIV,
+            next_expected: 0,
+        }
+    }
 }
 
 impl RxScheme for SrRxScheme {
     type Done = ();
+
+    /// Completion, and in NACK mode the order evidence the sender's repair
+    /// rule acts on: a chunk completing above the next one expected means
+    /// something sent after the skipped chunks got here, so on a FIFO wire
+    /// they are lost. The ACK that says so leaves a margin later — one per
+    /// burst of holes, and the skipped chunks' own stragglers get to land
+    /// first. Arrivals in order are not news: a clean transfer sends what
+    /// the heartbeat sends. Where the wire reorders, the price is an ACK
+    /// listing a hole that is about to fill and one spurious repair.
+    fn on_chunk(
+        &mut self,
+        rx: &RxCommon,
+        _slot: usize,
+        chunk: usize,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let exposed = self.nack && chunk > self.next_expected;
+        self.next_expected = self.next_expected.max(chunk + 1);
+        rx.wake_if_complete(now).or_else(|| {
+            exposed.then(|| {
+                rx.note_hole_wake();
+                now.saturating_add(self.margin)
+            })
+        })
+    }
 
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         let bitmap = rx.bitmap(0);
@@ -520,10 +574,8 @@ impl RxDriver<SrRxScheme> {
     ) -> SrReceiver {
         let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
-        let scheme = SrRxScheme {
-            total_chunks: qp.config().chunks_for(msg_bytes) as usize,
-            nack: cfg.nack,
-        };
+        let total_chunks = qp.config().chunks_for(msg_bytes) as usize;
+        let scheme = SrRxScheme::new(total_chunks, cfg.nack, cfg.rtt);
         let rx = RxStep::new(common, scheme, cfg.linger_acks);
         RxDriver::spawn(
             eng,

@@ -15,7 +15,7 @@ use sdr_core::{SdrConfig, SdrContext};
 use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
 use sdr_reliability::scheme::{self, SchemeEnv, SchemeReceiver, SchemeSender};
 use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager, SchemeSpec};
-use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
+use sdr_sim::{tx_time, Engine, Fabric, LinkConfig, NodeId, SimTime, DEFAULT_HEADER_BYTES};
 
 /// Node memory given to each side of the pair.
 pub const NODE_MEM: usize = 64 << 20;
@@ -112,6 +112,19 @@ impl ProtoHarness {
         (tx, rx)
     }
 
+    /// Scripts a loss: the forward (A → B) direction is dark during
+    /// `[from, to)` (absolute), so exactly the packets delivered in that
+    /// window are dropped. With [`first_pass_arrival`] the window can be
+    /// put around chosen packets.
+    pub fn black_out_forward(&mut self, from: SimTime, to: SimTime) {
+        for (at, down) in [(from, true), (to, false)] {
+            let (fabric, a, b) = (self.p.fabric.clone(), self.p.node_a, self.p.node_b);
+            self.p.eng.schedule_in(at, move |_eng| {
+                fabric.set_link_down(a, b, down);
+            });
+        }
+    }
+
     /// Runs the simulation to quiescence under an event budget.
     pub fn run(&mut self, event_limit: u64) {
         self.p.eng.set_event_limit(event_limit);
@@ -127,6 +140,27 @@ impl ProtoHarness {
     pub fn delivered_ok(&self) -> bool {
         self.delivered() == self.data
     }
+}
+
+/// When the `n`-th data packet of a transfer's first pass (wire order) is
+/// delivered on a lossless `LinkConfig::wan(km, bandwidth_bps, _)` link
+/// carrying `mtu`-byte payloads, both ends started at 0: the receiver's
+/// first CTS takes one serialization and one propagation delay, and the
+/// sender streams the whole first pass from that instant without a gap.
+pub fn first_pass_arrival(km: f64, bandwidth_bps: f64, mtu: u64, n: u64) -> SimTime {
+    let one_way = sdr_sim::propagation_delay_km(km);
+    let hdr = DEFAULT_HEADER_BYTES as u64;
+    let cts = tx_time(20 + hdr, bandwidth_bps) + one_way;
+    cts + tx_time(mtu + hdr, bandwidth_bps) * (n + 1) + one_way
+}
+
+/// The forward blackout (for [`ProtoHarness::black_out_forward`]) that
+/// swallows exactly first-pass packets `from..to` on such a link: dark from
+/// half a packet before `from` lands to half a packet before `to` does.
+pub fn swallowing(km: f64, bandwidth_bps: f64, mtu: u64, from: u64, to: u64) -> (SimTime, SimTime) {
+    let half = tx_time(mtu, bandwidth_bps) / 2;
+    let lands = |n| first_pass_arrival(km, bandwidth_bps, mtu, n);
+    (lands(from) - half, lands(to) - half)
 }
 
 /// A capture cell for a protocol completion report: `capture()` yields the

@@ -4,10 +4,11 @@
 //! scheme. Three checks:
 //!
 //! * the DES completion time tracks the model mean across loss/RTT points
-//!   within ±20% — the window-aware model charges one `RTO + rewind`
+//!   within ±15% — the window-aware model charges one `RTO + rewind`
 //!   round per rewind *window* (with the first round's RTO overlapping
 //!   the base injection), so shared-window repairs no longer need the old
-//!   [0.5×, 2×] slack;
+//!   [0.5×, 2×] slack, and the receiver completes on the last arrival, not
+//!   on its next poll, so the cadence no longer needs the last 5%;
 //! * completion time is monotone in the loss rate;
 //! * the Bertsekas–Gallager dominance the paper cites (§4): on a lossy WAN
 //!   the full GBN protocol stack completes no faster than the SR stack,
@@ -107,13 +108,14 @@ fn model_mean(km: f64, p_drop: f64, msg: u64, seed: u64) -> f64 {
     gbn_summary(&ch, msg, &GbnConfig::bdp_window(&ch, 3.0), 6000, seed).mean
 }
 
-/// The DES protocol tracks the closed-form model within ±20% across a
-/// loss × RTT grid. The window-aware model repairs every hole a rewind
-/// window spans in one serialized `RTO + rewind` round (retransmitted
-/// copies re-drop independently) and overlaps the first round's RTO with
-/// the base injection — leaving only genuinely unmodeled protocol
-/// overheads (ACK cadence, per-packet headers, detection jitter), which
-/// fit comfortably inside the band.
+/// The DES protocol tracks the closed-form model within ±15% across a
+/// loss × RTT grid (it reads 1.02, 0.87, 0.98, 1.11 on the four points).
+/// The window-aware model repairs every hole a rewind window spans in one
+/// serialized `RTO + rewind` round (retransmitted copies re-drop
+/// independently) and overlaps the first round's RTO with the base
+/// injection — leaving only genuinely unmodeled protocol overheads (the
+/// cumulative ACK's RTT/4 cadence while the base is stuck, per-packet
+/// headers, detection jitter), which fit inside the band.
 #[test]
 fn gbn_protocol_tracks_model_completion_time() {
     let msg = 4u64 << 20; // 64 chunks
@@ -140,8 +142,8 @@ fn gbn_protocol_tracks_model_completion_time() {
             des / model
         );
         assert!(
-            des >= model * 0.8 && des <= model * 1.2,
-            "km={km} p={p_drop}: DES {des:.5}s vs model {model:.5}s outside ±20%"
+            des >= model * 0.85 && des <= model * 1.15,
+            "km={km} p={p_drop}: DES {des:.5}s vs model {model:.5}s outside ±15%"
         );
     }
 }

@@ -8,12 +8,15 @@
 //!   per transfer for repairs that cross an ACK already in flight): a
 //!   sender that resends what was never lost fails here however fast it
 //!   finishes;
-//! * **time** — mean completion within [0.85, 1.30] of the model's
-//!   analytic mean for SR-NACK on the same channel. The model knows no
-//!   poll cadence (the receiver notices holes and completion on its RTT/4
-//!   poll) and no headers, hence the headroom above 1; it charges a full
-//!   RTT per repair where the DES overlaps repairs with the first pass,
-//!   hence the room below.
+//! * **time** — mean completion within [0.85, 1.10] of the model's
+//!   analytic mean for SR-NACK on the same channel. The receiver acts on
+//!   arrivals — a hole is reported one margin after wire order exposes it,
+//!   completion the instant the last chunk lands — so what is left above 1
+//!   (1.06 and 1.07 on the two 400G points) is headers, the margin and
+//!   repairs queueing behind the first pass in the one device FIFO; the
+//!   model charges a full RTT per repair where the DES overlaps repairs
+//!   with the first pass, hence the room below (0.98 and 0.86 on the 8G
+//!   points).
 
 mod common;
 
@@ -150,8 +153,8 @@ fn sr_nack_retransmits_what_the_wire_lost_and_tracks_the_model() {
             des / model
         );
         assert!(
-            (0.85..=1.30).contains(&(des / model)),
-            "{}: DES {des:.6}s vs model {model:.6}s outside [0.85, 1.30]",
+            (0.85..=1.10).contains(&(des / model)),
+            "{}: DES {des:.6}s vs model {model:.6}s outside [0.85, 1.10]",
             pt.name
         );
     }

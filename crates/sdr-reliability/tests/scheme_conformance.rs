@@ -60,8 +60,16 @@ struct Outcome {
 }
 
 fn run_scheme(spec: SchemeSpec, p_drop: f64, seed: u64, msg: u64) -> (ProtoHarness, Outcome) {
-    let link = LinkConfig::wan(50.0, BW, p_drop).with_seed(seed);
-    let mut h = ProtoHarness::new(link, cfg(), msg, seed ^ 0xC0);
+    run_scheme_on(spec, LinkConfig::wan(50.0, BW, p_drop), seed, msg)
+}
+
+fn run_scheme_on(
+    spec: SchemeSpec,
+    link: LinkConfig,
+    seed: u64,
+    msg: u64,
+) -> (ProtoHarness, Outcome) {
+    let mut h = ProtoHarness::new(link.with_seed(seed), cfg(), msg, seed ^ 0xC0);
 
     let sender_done = Rc::new(RefCell::new(0u32));
     let d = sender_done.clone();
@@ -91,6 +99,39 @@ fn all_schemes_deliver_under_loss_seeds() {
             assert!(o.sender_done, "{tag}: sender done exactly once");
             assert!(o.receiver_complete, "{tag}: receiver complete");
             assert!(o.receiver_released, "{tag}: buffers released");
+        }
+    }
+}
+
+/// Receivers act on wire order (a chunk completing past a gap is news, a
+/// chunk past a submessage's parity condemns it), and order is an
+/// assumption about the wire. Where it fails — every fifth packet displaced
+/// by up to 40 of its own serialization slots, two and a half chunks — the
+/// price must be spurious repairs, never a loss: every scheme still
+/// delivers byte-identical, and the wire's disorder adds at most one
+/// spurious copy of each chunk to the duplicates the receiver drops (a
+/// chunk resent once is from then on resent only on time evidence).
+#[test]
+fn a_reordering_wire_costs_spurious_repairs_never_loss() {
+    let msg = 1u64 << 20;
+    let packets = msg / cfg().mtu_bytes;
+    for scheme in ALL_SCHEMES {
+        for (p_drop, seed) in [(0.0, 71u64), (0.01, 72)] {
+            let tag = format!("{scheme} p={p_drop} seed={seed}");
+            let duplicates = |link: LinkConfig| {
+                let (h, o) = run_scheme_on(scheme, link, seed, msg);
+                assert!(o.delivered_ok, "{tag}: delivery intact");
+                assert!(o.sender_done, "{tag}: sender done exactly once");
+                assert!(o.receiver_complete && o.receiver_released, "{tag}");
+                h.p.qp_b.stats().duplicate_packets
+            };
+            let in_order = duplicates(LinkConfig::wan(50.0, BW, p_drop));
+            let displaced = duplicates(LinkConfig::wan(50.0, BW, p_drop).with_reordering(0.2, 40));
+            assert!(
+                displaced <= in_order + packets,
+                "{tag}: {displaced} duplicate packets on the reordering wire, \
+                 {in_order} in order, {packets} in the message"
+            );
         }
     }
 }

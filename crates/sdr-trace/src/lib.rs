@@ -328,12 +328,16 @@ impl Registry {
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
         let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Counter::default()))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name} is not a counter"),
+        // Retrieval is the common case — per-transfer objects bind their
+        // handles every time one starts — and allocates nothing.
+        match slots.get(name) {
+            Some(Slot::Counter(c)) => c.clone(),
+            Some(_) => panic!("metric {name} is not a counter"),
+            None => {
+                let c = Counter::default();
+                slots.insert(name.to_string(), Slot::Counter(c.clone()));
+                c
+            }
         }
     }
 
@@ -529,6 +533,10 @@ pub enum EventKind {
     Abort,
     /// A transfer resumed. `a` = transfer/flow id, `b` = segments remaining.
     Resume,
+    /// An EC receiver NACKed a submessage. `a` = submessage, `b` = the
+    /// receive slot whose arrival passed it (order evidence), or
+    /// `u64::MAX` when a clock ran out (the FTO, an overdue repair).
+    EcNack,
 }
 
 impl EventKind {
@@ -551,6 +559,7 @@ impl EventKind {
             EventKind::Incarnation => "incarnation",
             EventKind::Abort => "abort",
             EventKind::Resume => "resume",
+            EventKind::EcNack => "ec-nack",
         }
     }
 }
@@ -684,6 +693,15 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    /// The kill switch is process-wide and the harness runs tests on
+    /// parallel threads: every test that records, and the one that flips
+    /// the switch, holds this for its duration.
+    static KILL_SWITCH: Mutex<()> = Mutex::new(());
+
+    fn recording() -> std::sync::MutexGuard<'static, ()> {
+        KILL_SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn bucket_index_is_monotone_and_continuous() {
         // Exhaustive near the linear/log boundary, sampled above.
@@ -719,6 +737,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_on_a_ramp() {
+        let _on = recording();
         let h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
@@ -735,6 +754,7 @@ mod tests {
 
     #[test]
     fn registry_is_idempotent_and_kind_checked() {
+        let _on = recording();
         let r = Registry::new();
         let c1 = r.counter("x");
         let c2 = r.counter("x");
@@ -756,6 +776,7 @@ mod tests {
 
     #[test]
     fn recorder_wraps_and_keeps_order() {
+        let _on = recording();
         let rec = FlightRecorder::new(4);
         for i in 0..10u64 {
             rec.record(i * 100, EventKind::RtoFire, i, 0);
@@ -776,6 +797,7 @@ mod tests {
 
     #[test]
     fn kill_switch_gates_recording() {
+        let _on = recording();
         set_enabled(true);
         let c = Counter::default();
         let h = Histogram::default();

@@ -218,7 +218,7 @@ fn main() {
             rep.rewinds
         );
     }
-    println!("(absolute times include ACK-poll cadence; shapes match the model)");
+    println!("(absolute times include headers and, where a timer repairs, its RTO; shapes match the model)");
 
     // ---- Adaptive run: a loss step mid-transfer -------------------------
     // A longer haul where EC pays once the channel degrades: the transfer
