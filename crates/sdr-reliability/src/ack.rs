@@ -275,9 +275,11 @@ pub enum CtrlMsg {
     },
     /// Flow sender → receiver: open flow `xfer & !FLOW_XFER_BIT` (the flow
     /// id rides in the control stamp, not the payload). Re-sent on the
-    /// sender's open-retry cadence until the matching
-    /// [`FlowAck`](CtrlMsg::FlowAck) arrives; duplicates are harmless — the
-    /// receiver answers every copy with its admission snapshot.
+    /// sender's open-retry cadence until *an answer* arrives — the
+    /// [`FlowAck`](CtrlMsg::FlowAck) of an admission or the
+    /// [`FlowParked`](CtrlMsg::FlowParked) of a queued open; after the
+    /// latter only as a slow liveness probe. Duplicates are harmless: the
+    /// receiver answers every copy with whichever of the two is true.
     FlowOpen {
         /// Message length in bytes.
         bytes: u64,
@@ -289,7 +291,10 @@ pub enum CtrlMsg {
     /// Flow receiver → sender: admission snapshot. Carries the
     /// receiver-assigned receive sequence numbers so the sender can order
     /// its stream opens correctly no matter how admissions from concurrent
-    /// flows interleaved on the receiver.
+    /// flows interleaved on the receiver. Only the receiver knows when a
+    /// parked open is admitted, so it heals this message itself: re-sent
+    /// (with the CTS) on a doubling interval until the flow's first packet
+    /// lands.
     FlowAck {
         /// Receive sequence the data message was posted under.
         data_seq: u64,
@@ -315,6 +320,13 @@ pub enum CtrlMsg {
         /// Cumulative first-pass gaps.
         lost: u64,
     },
+    /// Flow receiver → sender: the open is queued for admission (no receive
+    /// slot is free) — stop re-asking, the next move is the receiver's.
+    /// Sent when an open is parked and in answer to every duplicate of a
+    /// parked open, so its loss costs one more
+    /// [`FlowOpen`](CtrlMsg::FlowOpen) retry. Queueing is not failure: a
+    /// sender that holds one no longer counts its waiting toward giving up.
+    FlowParked,
     /// Receiver → sender: every segment's data has landed — what is the
     /// whole-message CRC32C? Paced on the receiver's tick cadence until
     /// the matching [`DigestState`](CtrlMsg::DigestState) arrives (either
@@ -352,6 +364,7 @@ const TAG_FLOW_FIN: u8 = 15;
 const TAG_FLOW_DONE: u8 = 16;
 const TAG_DIGEST_QUERY: u8 = 17;
 const TAG_DIGEST_STATE: u8 = 18;
+const TAG_FLOW_PARKED: u8 = 19;
 
 fn abort_reason_to_wire(r: AbortReason) -> u8 {
     match r {
@@ -478,6 +491,7 @@ impl CtrlMsg {
                 b.put_u64_le(*seen);
                 b.put_u64_le(*lost);
             }
+            CtrlMsg::FlowParked => b.put_u8(TAG_FLOW_PARKED),
             CtrlMsg::DigestQuery => b.put_u8(TAG_DIGEST_QUERY),
             CtrlMsg::DigestState { crc } => {
                 b.put_u8(TAG_DIGEST_STATE);
@@ -631,6 +645,7 @@ impl CtrlMsg {
                 let lost = buf.get_u64_le();
                 Some(CtrlMsg::FlowDone { seen, lost })
             }
+            TAG_FLOW_PARKED => Some(CtrlMsg::FlowParked),
             TAG_DIGEST_QUERY => Some(CtrlMsg::DigestQuery),
             TAG_DIGEST_STATE => {
                 if buf.remaining() < 4 {
@@ -865,6 +880,7 @@ mod tests {
                 seen: 1 << 33,
                 lost: 42,
             },
+            CtrlMsg::FlowParked,
         ];
         for msg in msgs {
             assert_eq!(CtrlMsg::decode(msg.encode()), Some(msg));

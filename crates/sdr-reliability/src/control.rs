@@ -1014,6 +1014,8 @@ mod tests {
                 8 => CtrlMsg::Abort {
                     reason: AbortReason::Deadline,
                 },
+                // The shortest frame there is: a tag and nothing else.
+                9 => CtrlMsg::FlowParked,
                 _ => CtrlMsg::DigestState { crc: x },
             }
         }
@@ -1044,7 +1046,7 @@ mod tests {
             /// exactly one of those happens.
             #[test]
             fn flipped_frames_die_at_the_crc_gate_and_resealed_mutants_never_panic(
-                sel in 0u64..10,
+                sel in 0u64..11,
                 x in any::<u32>(),
                 seed in 1u64..u64::MAX,
                 nflips in 1usize..=5,
@@ -1059,6 +1061,10 @@ mod tests {
                 let got = Rc::new(RefCell::new(0u64));
                 let g = got.clone();
                 ep_b.set_handler(move |_eng, _src, _msg| *g.borrow_mut() += 1);
+                // A flip of the stamp's flow bit re-routes a resealed
+                // mutant to the flow handler: delivered all the same.
+                let g = got.clone();
+                ep_b.set_flow_handler(move |_eng, _src, _flow, _msg| *g.borrow_mut() += 1);
 
                 let mut frame = BytesMut::new();
                 CtrlStamp { xfer: 0, inc: 0, dst_inc: 0, seq: 0 }.encode_into(&mut frame);

@@ -25,7 +25,13 @@
 //! * **One shared tick** — a single recurring wheel timer serves *all*
 //!   flows through a [`DueIndex`] (a min-heap of per-flow deadlines with
 //!   lazy invalidation). A node with 10 000 parked flows wakes exactly
-//!   when the earliest deadline is due, not 10 000 times per RTO.
+//!   when the earliest deadline is due, not 10 000 times per RTO. Most
+//!   flows have no deadline most of the time: a deadline is a *silence*
+//!   clock (an RTO, a handshake heal, one ACK repeat, the final-ACK
+//!   linger), and what a flow does about *news* it does when the news
+//!   arrives — a control datagram, or a chunk completing in one of its
+//!   receive slots ([`SdrQp::set_chunk_hook`]). The control plane's cost
+//!   scales with events, not with `flows × time`.
 //! * **Fair injection** — senders never write to the wire directly; they
 //!   enqueue chunk work items into a per-peer [`DrrArbiter`]
 //!   (deficit-round-robin with per-flow weights) and a pacing pump drains
@@ -43,35 +49,47 @@
 //! ```text
 //! sender                               receiver
 //! open_flow → FlowOpen ─────────────▶ admit (slots free?) or park
-//!             (retried, idempotent)    recv_post data [+ parity]
-//!           ◀───────────── FlowAck    (carries receiver's recv seqs)
-//! order stream starts by seq,
-//! start on CTS, enqueue chunks
+//!   (retried until answered)           recv_post data [+ parity]
+//!           ◀────────── FlowParked    (parked: stop re-asking)
+//!           ◀───────────── FlowAck    (admitted: the receiver's recv seqs;
+//! order stream starts by seq,          re-sent with the CTS, on a doubling
+//! start on CTS, enqueue chunks         clock, until the first packet lands)
 //! into the DRR arbiter
 //!   pump: inject while wire <
-//!   horizon ahead ───────────────▶    poll at ack cadence:
-//!   RTO/NACK repair loop       ◀──    SrAck+Telemetry / EcNack (FTO)
-//! complete on FlowDone:
-//!   FlowFin ─────────────────────▶    cut ACK linger short
+//!   horizon ahead ───────────────▶    on a chunk completing: SrAck a
+//!   ACK-driven repair, and the  ◀──    margin later, repeated once
+//!   RTO for silence                    [+ Telemetry]; EC: NACK on its FTO
+//! complete on FlowDone         ◀──    on the completing arrival: FlowDone,
+//!   FlowFin ─────────────────────▶    slots freed, next parked open admitted;
+//!                                      FlowFin cuts the FlowDone linger short
 //! ```
 //!
-//! Both directions of the handshake are idempotent against loss: the
-//! sender re-sends `FlowOpen` on a backed-off retry deadline until the
-//! `FlowAck` arrives (duplicates get the admission snapshot again), and a
-//! lost CTS heals through the receiver's poll loop exactly as in the
-//! single-flow schemes.
+//! Every message of the handshake is covered against loss by whichever
+//! end knows it is owed. The sender re-sends `FlowOpen` on a backed-off
+//! retry deadline until it is *answered* — with `FlowAck` (duplicates get
+//! the admission snapshot again) or `FlowParked` (so do they). A parked
+//! open is then the receiver's move: the sender keeps only a slow liveness
+//! probe, and the admission's `FlowAck` — like a lost CTS — is healed by
+//! the receiver, which alone knows the admission happened, until the
+//! flow's first packet shows the sender does too. From then on an ARQ
+//! flow's receiver speaks only when an arrival gives it something to say
+//! (see [`RxStep::next_step`] for why that cannot wedge); the final
+//! `FlowDone` is linger-repeated until `FlowFin`.
 //!
 //! ## What lives here, and what does not
 //!
 //! This module owns what is genuinely population-scale: admission and
 //! parking, per-shard stream-start ordering, DRR injection, the shared
 //! tick, the population-scaled cadence *values*, and the
-//! `FlowOpen/Ack/Fin/Done` handshake. It owns no protocol logic. A sender
-//! flow hosts the same [`SrTxCore`] that [`SrSender`](crate::SrSender)
-//! runs (its `resend` sink is the urgent lane instead of the stream); a
-//! receiver flow is the same [`RxStep`] over the same SR / EC receive
-//! policies that [`RxDriver`](crate::runtime::RxDriver) steps (stepped
-//! from the due index instead of a private timer). EC flows run one
+//! `FlowOpen/Parked/Ack/Fin/Done` handshake. It owns no protocol logic. A
+//! sender flow hosts the same [`SrTxCore`] that
+//! [`SrSender`](crate::SrSender) runs (its `resend` sink is the urgent
+//! lane instead of the stream); a receiver flow is the same [`RxStep`]
+//! over the same SR / EC receive policies that
+//! [`RxDriver`](crate::runtime::RxDriver) steps, subscribed to its slots'
+//! arrivals the same way — its timer is a due-index entry instead of a
+//! private loop, moved by the step's own rule, with no heartbeat added.
+//! EC flows run one
 //! submessage per flow (`k` = data chunks): parity comes off the shared
 //! [`EncodePool`] through the standalone sender's `ParityStager`, the
 //! receiver decodes in place through one manager-wide [`EcScratch`], and
@@ -81,10 +99,10 @@
 //! [`EncodePool`]: sdr_erasure::EncodePool
 //! [`Fabric::tx_busy_until`]: sdr_sim::Fabric::tx_busy_until
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use sdr_core::{SdrConfig, SdrContext, SdrError, SdrQp, SendHandle};
 use sdr_sim::{
@@ -95,7 +113,7 @@ use sdr_sim::{
 use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
 use crate::ec::{EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
-use crate::runtime::{tick_loop, RxCommon, RxScheme, RxStep, Tick};
+use crate::runtime::{backed_off, tick_loop, RxCommon, RxScheme, RxStep, Tick};
 use crate::scheme::RxPolicy;
 use crate::sr::{SrRxScheme, SrTrace, SrTxCore};
 use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
@@ -105,12 +123,16 @@ use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, Tel
 pub const PARITY_TAG: u32 = 1 << 31;
 
 /// Give up opening a flow after this many unanswered `FlowOpen` rounds.
+/// Only the short retry clock counts: an open the receiver acknowledged as
+/// parked is queued, not unanswered, however long it waits.
 const OPEN_RETRY_CAP: u32 = 64;
 
-/// Exponent cap for the open-retry backoff (`open_retry << n`).
+/// Exponent cap for the open-retry backoff (`open_retry << n`), and where
+/// a parked open's liveness probe starts doubling from.
 const OPEN_BACKOFF_CAP: u32 = 6;
 
-/// Send a cumulative `Telemetry` report every n-th receiver poll.
+/// A cumulative `Telemetry` report rides every n-th receiver step that
+/// spoke.
 const TELEMETRY_EVERY: u32 = 4;
 
 /// Final-ACK linger repeats after a receive flow resolves.
@@ -387,11 +409,13 @@ struct Cadence {
     /// How far ahead of now the pacer keeps the wire busy: four chunks of
     /// serialization.
     pace_horizon: SimTime,
-    /// Receiver poll / ACK cadence.
+    /// Receiver silence cadence (ACK repeat, handshake heal, EC
+    /// heartbeat, linger), before the population's control pacing.
     ack_interval: SimTime,
     /// Sender per-chunk retransmission timeout (ARQ flows).
     rto: SimTime,
-    /// `FlowOpen` retry base interval (backed off exponentially).
+    /// `FlowOpen` retry base interval, before the population's control
+    /// pacing is added (`Inner::tx_open_retry`); backed off exponentially.
     open_retry: SimTime,
 }
 
@@ -399,8 +423,8 @@ impl Cadence {
     /// The RTO is floored by the full sent-to-acked pipeline, not just the
     /// RTT: a repair stamped when it was *queued* on the urgent lane sits
     /// up to a pacing horizon before the pump restamps it with its
-    /// departure, then one way across, then up to an ack interval at the
-    /// receiver, then the ack's way back. On fat
+    /// departure, then one way across, then — its first ACK lost — an ack
+    /// interval until the repeat, then the ack's way back. On fat
     /// short-RTT links the horizon dominates the RTT, and an RTT-only RTO
     /// expires chunks that are merely queued — a retransmit storm that
     /// feeds on its own queueing.
@@ -437,7 +461,10 @@ pub struct FlowReport {
     pub done_at: SimTime,
     /// Chunk retransmissions (RTO + NACK repairs).
     pub retransmits: u64,
-    /// `FlowOpen` rounds beyond the first.
+    /// Unanswered `FlowOpen` rounds beyond the first (the short retry
+    /// clock). A parked open's liveness probes are not in here, nor in
+    /// [`FlowStats::open_retries`]: the registry counts them, as
+    /// `flow.open.probe`.
     pub open_retries: u32,
     /// True when the transfer fully completed; false when the open was
     /// abandoned after [`OPEN_RETRY_CAP`] unanswered rounds.
@@ -476,7 +503,8 @@ pub struct FlowStats {
     pub decoded: u64,
     /// Admissions parked for lack of slots (then admitted later).
     pub parked_opens: u64,
-    /// `FlowOpen` retry datagrams sent.
+    /// `FlowOpen` retry datagrams sent on the short retry clock (the sum
+    /// of [`FlowReport::open_retries`]; liveness probes excluded).
     pub open_retries: u64,
     /// Work items injected by the pump.
     pub injected: u64,
@@ -528,6 +556,9 @@ struct TxFlow {
     last_telem: TelemetryCounters,
     opened_at: SimTime,
     open_retries: u32,
+    /// `Some(n)` once the receiver said the open is parked: the short
+    /// retry clock is off and `n` liveness probes have gone out.
+    probes: Option<u32>,
     stamp: u64,
     done: Option<Box<dyn FnOnce(&mut Engine, FlowReport)>>,
 }
@@ -540,11 +571,16 @@ struct RxFlow {
     /// The same receive step the per-transfer driver runs, stepped from
     /// the due index.
     rx: RxStep<RxPolicy>,
-    polls: u32,
+    /// Steps that said something so far (telemetry rides every
+    /// [`TELEMETRY_EVERY`]-th).
+    spoken: u32,
     /// The final acknowledgment, snapshotted at resolution for the linger
     /// repeats: `FlowDone` doubles as the closing telemetry report.
     final_ack: Option<CtrlMsg>,
     stamp: u64,
+    /// The live due entry's deadline (`SimTime::MAX` when the flow has
+    /// none), so an arrival only ever moves it earlier.
+    due: SimTime,
 }
 
 struct StartEntry {
@@ -600,6 +636,18 @@ struct FlowTrace {
     injected: Counter,
     /// `flow.urgent`: repairs queued through the urgent fast lane.
     urgent: Counter,
+    /// `flow.ack.news`: receive steps an arrival asked for that spoke.
+    ack_news: Counter,
+    /// `flow.ack.repeat`: receive steps that spoke with nothing new to say
+    /// (the one repeat of a news ACK; an EC flow's clock-driven NACK).
+    ack_repeat: Counter,
+    /// `flow.heal.handshake`: `FlowAck`s re-sent (with the CTS) because no
+    /// packet of an admitted flow has landed yet.
+    heal_handshake: Counter,
+    /// `flow.open.parked`: `FlowParked` datagrams sent.
+    open_parked: Counter,
+    /// `flow.open.probe`: liveness probes sent for opens known parked.
+    open_probe: Counter,
     /// `flow.completion_us`: per-flow open→final-ACK time (delivered
     /// flows only), microseconds.
     completion_us: Histogram,
@@ -620,6 +668,11 @@ impl FlowTrace {
             drained: reg.counter("flow.drained"),
             injected: reg.counter("flow.injected"),
             urgent: reg.counter("flow.urgent"),
+            ack_news: reg.counter("flow.ack.news"),
+            ack_repeat: reg.counter("flow.ack.repeat"),
+            heal_handshake: reg.counter("flow.heal.handshake"),
+            open_parked: reg.counter("flow.open.parked"),
+            open_probe: reg.counter("flow.open.probe"),
             completion_us: reg.histogram("flow.completion_us"),
             sr: SrTrace::new(reg),
             recorder: fabric.recorder(node),
@@ -897,13 +950,14 @@ impl FlowManager {
                 last_telem: TelemetryCounters::default(),
                 opened_at: now,
                 open_retries: 0,
+                probes: None,
                 stamp: 0,
                 done: Some(Box::new(done)),
             };
             inner.tx_flows.insert(id, flow);
             inner.stats.opened += 1;
             inner.trace.opened.inc();
-            let at = now.saturating_add(core.cad.open_retry);
+            let at = now.saturating_add(inner.tx_open_retry(core));
             inner.schedule(FlowKey::Tx(id), at);
             (id, peer_ctrl, at)
         };
@@ -983,6 +1037,7 @@ impl FlowManager {
                     data_seq,
                     parity_seq,
                 } => inner.on_flow_ack(core, eng, flow, data_seq, parity_seq),
+                CtrlMsg::FlowParked => inner.on_flow_parked(core, eng.now(), flow),
                 ack @ CtrlMsg::SrAck { .. } => inner.on_sr_ack(core, eng, flow, &ack),
                 CtrlMsg::FlowDone { seen, lost } => {
                     inner.on_flow_done(core, eng, flow, TelemetryCounters { seen, lost })
@@ -999,6 +1054,44 @@ impl FlowManager {
             // `FlowFin`): either way the endpoint keeps no stream for it.
             inner.retire_idle(core, src, flow);
         }
+        Self::settle(core, eng);
+    }
+
+    /// A posted slot of receive flow `(peer, id)` completed a chunk. When
+    /// the flow's step calls that news, its due entry moves forward to the
+    /// instant asked for — and is served here if that is now, so the
+    /// arrival that completes a flow is the event that sends `FlowDone`,
+    /// frees its slots and admits the next parked open. The hook names the
+    /// flow, not the slot: one that outlived its flow finds nothing.
+    fn on_chunk(
+        weak: &Weak<ManagerCore>,
+        eng: &mut Engine,
+        peer: NodeId,
+        id: u64,
+        slot: usize,
+        chunk: usize,
+    ) {
+        let Some(core) = weak.upgrade() else { return };
+        let core = &core;
+        {
+            let mut inner = core.inner.borrow_mut();
+            let now = eng.now();
+            let Some(flow) = inner.rx_flows.get_mut(&(peer, id)) else {
+                return;
+            };
+            match flow.rx.arrival(slot, chunk, now) {
+                Some(at) if at < flow.due => inner.schedule(FlowKey::Rx(peer, id), at),
+                _ => return,
+            }
+            inner.run_due(core, eng);
+        }
+        Self::settle(core, eng);
+    }
+
+    /// What every entry point owes once it has released `Inner`: the
+    /// completion callbacks it queued, a kick for pumps it gave work, and
+    /// the shared tick moved to cover deadlines it pushed.
+    fn settle(core: &Rc<ManagerCore>, eng: &mut Engine) {
         Self::drain_finished(core, eng);
         Self::pump_kick_all(core, eng);
         Self::retick(core, eng);
@@ -1220,36 +1313,64 @@ impl FlowManager {
 }
 
 impl Inner {
-    /// Receiver poll cadence: the configured interval, stretched so the
-    /// whole rx population stays inside the control budget. A flow can't
-    /// learn anything new faster than its chunks arrive, and every poll
-    /// round puts an ack on the reverse path that also carries CTS
-    /// credits and final acks — polling thousands of flows at `rtt/4`
-    /// buries the very messages that complete them.
+    /// The receiver's silence cadence: the configured interval, stretched
+    /// so the whole rx population stays inside the control budget. It
+    /// spaces what a receive flow says *unprompted* — the one repeat of a
+    /// news ACK, the handshake heal (doubling from here), an EC flow's
+    /// heartbeat, the `FlowDone` linger — all per-flow timers whose
+    /// aggregate rate is `flows / interval` on the reverse path that also
+    /// carries the CTS credits and final acks that complete flows. News
+    /// ACKs need no such budget: the data paces them, one per chunk at
+    /// most.
     fn rx_ack_interval(&self, core: &ManagerCore) -> SimTime {
         core.cad
             .ack_interval
             .max(ctrl_pacing(&core.cfg, self.rx_flows.len()))
     }
 
-    /// Sender RTO widened by a round trip of control pacing: against a
-    /// large population the receiver legitimately acks this slowly, and
-    /// an unwidened RTO would expire chunks whose acks are merely
-    /// queued behind the rest of the population's.
+    /// Sender RTO widened by a round trip of control pacing. A chunk's ACK
+    /// leaves a margin after the chunk lands, but the cover for that ACK's
+    /// loss is its repeat, one population-scaled
+    /// [`rx_ack_interval`](Self::rx_ack_interval) later, and after the
+    /// repeat the receiver is silent: this RTO *is* the silence clock. It
+    /// must outlast the repeat (an unwidened one would resend chunks whose
+    /// ACK is about to be said again, for every ACK the wire drops), and
+    /// both ACKs may queue behind the population's handshake bursts.
+    /// `flow.urgent` per dropped data packet is what it was under polled
+    /// ACKs (42 / 43 against 40 / 44 over six `flows_1k` iterations).
     fn tx_rto(&self, core: &ManagerCore) -> SimTime {
+        core.cad.rto.saturating_add(self.tx_widening(core))
+    }
+
+    /// A round trip of control pacing at the sender population's size:
+    /// what every sender clock that waits for an answer is widened by.
+    fn tx_widening(&self, core: &ManagerCore) -> SimTime {
         let pace = ctrl_pacing(&core.cfg, self.tx_flows.len());
-        core.cad
-            .rto
-            .saturating_add(SimTime(pace.0.saturating_mul(2)))
+        SimTime(pace.0.saturating_mul(2))
     }
 
     /// How long an ACK may lack a chunk after its latest copy was stamped
     /// before that counts as loss (the SR core's time evidence): half the
-    /// widened RTO — this population's receiver acks no faster than the
-    /// control pacing the RTO was widened by — plus the pacing horizon a
-    /// repair can sit on the urgent lane under its provisional stamp.
+    /// widened RTO plus the pacing horizon a repair can sit on the urgent
+    /// lane under its provisional stamp. A snapshot is as old as its ACK's
+    /// way back, and the reverse path is shared with the population's
+    /// handshake bursts (an admission wave is a credit and a `FlowAck` per
+    /// flow): one population's worth of control pacing — what the RTO
+    /// carries twice — is the allowance for that queueing. Kept, not
+    /// tightened: ACKs now follow arrivals, so a chunk still missing when
+    /// a later one lands is reported as a hole (order evidence) and one
+    /// with nothing behind it is the RTO's; the time evidence is left the
+    /// lost repair, where half an RTO is already the faster clock.
     fn tx_overdue(&self, core: &ManagerCore) -> SimTime {
         SimTime(self.tx_rto(core).0 / 2 + core.cad.pace_horizon.0)
+    }
+
+    /// `FlowOpen` retry base, widened like the RTO by a round trip of
+    /// control pacing: a population opens in bursts, and an answer queued
+    /// behind the burst's own opens, credits and `FlowAck`s is not a lost
+    /// one. (Without it a lossless 1 000-flow burst re-asked 625 times.)
+    fn tx_open_retry(&self, core: &ManagerCore) -> SimTime {
+        core.cad.open_retry.saturating_add(self.tx_widening(core))
     }
 
     /// Pushes a fresh due entry for `key` (lazy-invalidating any older
@@ -1262,10 +1383,23 @@ impl Inner {
                 self.tx_flows.get_mut(&id).expect("live flow").stamp = stamp;
             }
             FlowKey::Rx(peer, id) => {
-                self.rx_flows.get_mut(&(peer, id)).expect("live flow").stamp = stamp;
+                let flow = self.rx_flows.get_mut(&(peer, id)).expect("live flow");
+                (flow.stamp, flow.due) = (stamp, at);
             }
         }
         self.due.push(at, stamp, key);
+    }
+
+    /// Moves receive flow `(peer, id)`'s due entry to `at`; `None` leaves
+    /// it without one — nothing steps it until an arrival asks.
+    fn schedule_rx(&mut self, peer: NodeId, id: u64, at: Option<SimTime>) {
+        match at {
+            Some(at) => self.schedule(FlowKey::Rx(peer, id), at),
+            None => {
+                let flow = self.rx_flows.get_mut(&(peer, id)).expect("live flow");
+                (flow.stamp, flow.due) = (u64::MAX, SimTime::MAX);
+            }
+        }
     }
 
     fn run_due(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine) {
@@ -1329,23 +1463,37 @@ impl Inner {
 
     fn service_tx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64) {
         let now = eng.now();
-        let rto = self.tx_rto(core);
+        let (rto, open_retry) = (self.tx_rto(core), self.tx_open_retry(core));
         let flow = self.tx_flows.get_mut(&id).expect("validated");
         match flow.phase {
             TxPhase::Opening => {
-                flow.open_retries += 1;
-                if flow.open_retries > OPEN_RETRY_CAP {
-                    self.finish_tx(core, eng, id, false);
-                    return;
-                }
-                self.stats.open_retries += 1;
+                let backoff = match &mut flow.probes {
+                    // Parked: the open is answered and queued, so this is a
+                    // liveness probe — it finds a receiver that lost its
+                    // state, in O(log wait) datagrams — and no evidence of
+                    // failure, however many go out.
+                    Some(sent) => {
+                        *sent += 1;
+                        self.trace.open_probe.inc();
+                        OPEN_BACKOFF_CAP + *sent
+                    }
+                    None => {
+                        flow.open_retries += 1;
+                        if flow.open_retries > OPEN_RETRY_CAP {
+                            self.finish_tx(core, eng, id, false);
+                            return;
+                        }
+                        self.stats.open_retries += 1;
+                        flow.open_retries.min(OPEN_BACKOFF_CAP)
+                    }
+                };
                 let (dst, bytes, spec) = (flow.peer_ctrl, flow.bytes, flow.spec);
-                let backoff = flow.open_retries.min(OPEN_BACKOFF_CAP);
-                let at =
-                    now.saturating_add(SimTime(core.cad.open_retry.0.saturating_mul(1 << backoff)));
                 core.ep
                     .send_flow(eng, dst, id, &CtrlMsg::FlowOpen { bytes, spec });
-                self.schedule(FlowKey::Tx(id), at);
+                self.schedule(
+                    FlowKey::Tx(id),
+                    now.saturating_add(backed_off(open_retry, backoff)),
+                );
             }
             // A lost CTS heals from the receiver side; nothing to do.
             TxPhase::Starting => {}
@@ -1358,6 +1506,22 @@ impl Inner {
                     self.schedule(FlowKey::Tx(id), at.max(now.saturating_add(SimTime(1))));
                 }
             }
+        }
+    }
+
+    /// The receiver queued our open: stop the short retry clock. From
+    /// here the next move is the receiver's (it heals its own `FlowAck`);
+    /// what stays armed is the liveness probe, doubling from the retry
+    /// clock's cap. An answer to a probe changes nothing — its clock is
+    /// already running.
+    fn on_flow_parked(&mut self, core: &ManagerCore, now: SimTime, id: u64) {
+        let first_probe = backed_off(self.tx_open_retry(core), OPEN_BACKOFF_CAP);
+        let Some(flow) = self.tx_flows.get_mut(&id) else {
+            return;
+        };
+        if flow.phase == TxPhase::Opening && flow.probes.is_none() {
+            flow.probes = Some(0);
+            self.schedule(FlowKey::Tx(id), now.saturating_add(first_probe));
         }
     }
 
@@ -1629,7 +1793,10 @@ impl Inner {
             return;
         }
         if self.parked.contains(&(peer_node, id)) {
-            return; // already queued for admission
+            // Still queued: say so again (the first answer was lost, or
+            // this is the sender's liveness probe).
+            self.send_parked(core, eng, src, id);
+            return;
         }
         let open = PendingOpen {
             src,
@@ -1651,13 +1818,20 @@ impl Inner {
                     id,
                     shard as u64,
                 );
+                self.send_parked(core, eng, src, id);
             }
         }
     }
 
-    /// Attempts to admit one open: posts the receive buffers, answers
-    /// with the admission snapshot, and schedules the flow's poll loop.
-    /// `false` when the shard's slot table cannot take the posts.
+    fn send_parked(&self, core: &ManagerCore, eng: &mut Engine, dst: QpAddr, id: u64) {
+        core.ep.send_flow(eng, dst, id, &CtrlMsg::FlowParked);
+        self.trace.open_parked.inc();
+    }
+
+    /// Attempts to admit one open: posts the receive buffers, subscribes
+    /// the flow to their arrivals, answers with the admission snapshot and
+    /// starts the handshake-heal clock. `false` when the shard's slot
+    /// table cannot take the posts.
     fn try_admit(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, open: &PendingOpen) -> bool {
         let now = eng.now();
         let shard_idx = (open.flow % core.cfg.shards as u64) as usize;
@@ -1695,28 +1869,33 @@ impl Inner {
             None => {
                 common.post(eng, dst_addr, open.bytes);
                 let chunks = core.cfg.qp.chunks_for(open.bytes) as usize;
-                RxPolicy::Sr(SrRxScheme::new(chunks, true, core.cfg.rtt))
+                // `tx_rto`, widened by the population's control pacing, is
+                // the silence clock.
+                RxPolicy::Sr(SrRxScheme::new(chunks, true, core.cfg.rtt).on_senders_clock())
             }
         };
         common.bind_estimator(est);
-        let rx = RxStep::new(common, scheme, LINGER_ACKS);
+        let (peer, id, weak) = (open.peer_node, open.flow, Rc::downgrade(core));
+        common.subscribe(move |eng, slot, chunk| {
+            FlowManager::on_chunk(&weak, eng, peer, id, slot, chunk)
+        });
+        let mut rx = RxStep::new(common, scheme, LINGER_ACKS);
         let ack = flow_ack(rx.common());
+        let iv = self.rx_ack_interval(core);
+        let first_step = rx.next_step(now, iv);
         let flow = RxFlow {
             peer_ctrl: open.src,
             shard: shard_idx,
             bytes: open.bytes,
             dst_addr,
             rx,
-            polls: 0,
+            spoken: 0,
             final_ack: None,
             stamp: 0,
+            due: SimTime::MAX,
         };
-        self.rx_flows.insert((open.peer_node, open.flow), flow);
-        let iv = self.rx_ack_interval(core);
-        self.schedule(
-            FlowKey::Rx(open.peer_node, open.flow),
-            now.saturating_add(iv),
-        );
+        self.rx_flows.insert((peer, id), flow);
+        self.schedule_rx(peer, id, first_step);
         core.ep.send_flow(eng, open.src, open.flow, &ack);
         self.trace.admitted.inc();
         true
@@ -1758,28 +1937,52 @@ impl Inner {
         }
     }
 
-    /// One due receive flow: run the shared receive step, at the
-    /// population-scaled interval, with the flow-stamped endpoint as its
-    /// sink. Flow-only behaviour wraps it: slots are the admission
-    /// currency, so they are released at resolution rather than after the
-    /// linger; the final ACK is `FlowDone` (closing telemetry included);
-    /// and every few polls a cumulative `Telemetry` report rides along.
+    /// One due receive flow: run the shared receive step with the
+    /// flow-stamped endpoint as its sink, then put the flow's due entry
+    /// where the step's own rule says ([`RxStep::next_step`], at the
+    /// population-scaled interval) — which for an ARQ flow that has said
+    /// its news and repeated it is nowhere. Flow-only behaviour wraps it:
+    /// while no packet has landed the admission's `FlowAck` is healed
+    /// along with the CTS; a cumulative `Telemetry` report rides every few
+    /// steps that spoke; slots are the admission currency, so they are
+    /// released at resolution — the completing arrival's own step — rather
+    /// than after the linger; and the final ACK is `FlowDone` (closing
+    /// telemetry included).
     fn service_rx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, peer: NodeId, id: u64) {
-        let next = eng.now().saturating_add(self.rx_ack_interval(core));
+        let iv = self.rx_ack_interval(core);
+        let now = eng.now();
         let key = (peer, id);
         let Some(flow) = self.rx_flows.get_mut(&key) else {
             return;
         };
         let dst = flow.peer_ctrl;
-        let mut send = |eng: &mut Engine, msg: &CtrlMsg| core.ep.send_flow(eng, dst, id, msg);
+        let spoke = Cell::new(false);
+        let mut send = |eng: &mut Engine, msg: &CtrlMsg| {
+            spoke.set(true);
+            core.ep.send_flow(eng, dst, id, msg)
+        };
         let first = flow.rx.completed_at().is_none();
         if !flow.rx.poll(eng, &mut send) {
-            flow.polls += 1;
-            if flow.polls.is_multiple_of(TELEMETRY_EVERY) {
-                let TelemetryCounters { seen, lost } = flow.rx.common().counters();
-                send(eng, &CtrlMsg::Telemetry { seen, lost });
+            if spoke.get() {
+                flow.spoken += 1;
+                if flow.spoken.is_multiple_of(TELEMETRY_EVERY) {
+                    let TelemetryCounters { seen, lost } = flow.rx.common().counters();
+                    send(eng, &CtrlMsg::Telemetry { seen, lost });
+                }
+                if flow.rx.on_news() {
+                    self.trace.ack_news.inc();
+                } else {
+                    self.trace.ack_repeat.inc();
+                }
             }
-            self.schedule(FlowKey::Rx(peer, id), next);
+            if !flow.rx.common().seen_packet() {
+                // Only this end knows the admission happened: until data
+                // shows the sender does too, re-send it with the credit.
+                send(eng, &flow_ack(flow.rx.common()));
+                self.trace.heal_handshake.inc();
+            }
+            let next = flow.rx.next_step(now, iv);
+            self.schedule_rx(peer, id, next);
             return;
         }
         if first {
@@ -1796,7 +1999,7 @@ impl Inner {
                 peer,
                 addr: flow.dst_addr,
                 bytes: flow.bytes,
-                at: eng.now(),
+                at: now,
                 decoded,
             });
         }
@@ -1809,7 +2012,7 @@ impl Inner {
                 self.rx_flows.remove(&key);
                 self.retire_idle(core, dst, id);
             }
-            _ => self.schedule(FlowKey::Rx(peer, id), next),
+            _ => self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv)),
         }
         if first {
             // Freed slots: admit whoever was parked on this shard.

@@ -19,8 +19,8 @@
 //! | core | per-transfer driver | population driver |
 //! |---|---|---|
 //! | [`SrTxCore`] — ACK application, Karn RTT sample, evidence-based repair (hole by wire order → at once; lacking for a round trip since it left the wire → overdue; silence → RTO scan), `sr.retx.*` reasons | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`] and stamps the departure it returns, `rto` and overdue age `rtt + rtt/64` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane (stamped provisionally, restamped with the departure when the pump injects them), RTO and overdue age widened by the population's control pacing |
-//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: `ack_interval` heartbeat, stepped ahead of it on news (completion at once; a hole exposed by wire order one margin later) | [`FlowManager`] receive flow: stepped from the due index at the population-scaled interval, not subscribed to arrivals |
-//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs one margin after order evidence | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]): the two clocks only |
+//! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: `ack_interval` heartbeat, stepped ahead of it on news (completion at once; a hole exposed by wire order one margin later) | [`FlowManager`] receive flow, heartbeat-less ([`sr::SrRxScheme`]'s sender-clocked mode): every completed chunk is news, ACKed one margin later and repeated once a population-scaled interval after; then no due entry until the next arrival — the sender's RTO times the silence |
+//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs one margin after order evidence | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]): the same arrival subscription, its heartbeat a due-index entry at the population-scaled interval |
 //! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
 //! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the manager hosts one ARQ scheme: a flow asked to run GBN or SR-RTO runs, and reports, SR-NACK) |
 //!
@@ -28,13 +28,14 @@
 //! or on CTS, the timer loop, control dispatch, exactly-once finish for
 //! completion *and* abort) over a [`TxScheme`](runtime::TxScheme);
 //! [`RxStep`] (scheme poll, first-pass telemetry feed, completion, linger
-//! countdown, exactly-once slot release) over an
-//! [`RxScheme`], which [`RxDriver`] wraps in a heartbeat timer that its
-//! slots' chunk completions pull forward and the flow manager steps
-//! itself; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
+//! countdown, exactly-once slot release, and the rule for when the next
+//! step runs) over an [`RxScheme`], which both drivers subscribe to its
+//! slots' chunk completions — [`RxDriver`] moves a heartbeat timer by the
+//! rule, the flow manager a due-index entry, with no heartbeat; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
 //! [`runtime::Completion`]. What stays specific to the population driver
 //! is what is genuinely population-scale — admission and parking, DRR
-//! injection, the shared tick, `FlowOpen/Ack/Fin/Done` — see [`flow`].
+//! injection, the shared tick, `FlowOpen/Parked/Ack/Fin/Done` — see
+//! [`flow`].
 //!
 //! ### How a scheme is registered
 //!
@@ -131,14 +132,19 @@
 //!   chunk pins a receive slot and a completion, so re-sending it beats
 //!   injecting new first-pass data that would queue *behind* the very
 //!   population that re-NACKs it.
-//! * **Population-scaled control cadence.** Every receiver poll puts an
-//!   ack on the reverse path that also carries CTS credits and final
-//!   acks, and each control datagram pays a link-header cost; polling n
-//!   flows at a fixed `rtt/4` cadence saturates the reverse link once n
-//!   is large. The manager stretches the per-flow poll interval so the
-//!   whole rx population stays inside a fixed fraction of link bandwidth,
-//!   and widens sender RTOs by the matching pacing term so slow (but
-//!   legitimate) acks don't read as losses.
+//! * **A control plane that speaks when there is news.** A receive flow
+//!   is subscribed to its slots' chunk completions: a completed chunk is
+//!   ACKed a margin later (whole bitmap, repeated once), the arrival
+//!   that completes a flow sends `FlowDone`, frees its slots and admits
+//!   the next parked open in the same event, and between arrivals an ARQ
+//!   flow has no timer at all — the sender's RTO times the silence. An
+//!   open that finds no slot is answered `FlowParked` and not re-asked.
+//!   What a flow does say unprompted (the ACK repeat, the handshake heal,
+//!   an EC flow's heartbeat, the final-ACK linger) runs at a cadence
+//!   stretched so the whole rx population stays inside a fixed fraction
+//!   of link bandwidth, and sender RTOs and open retries are widened by
+//!   the matching pacing term, so an answer queued behind the
+//!   population's own traffic does not read as a loss.
 //! * **Warm-start estimation.** A long-lived per-peer
 //!   [`EstimatorRegistry`](telemetry::EstimatorRegistry) outlives the
 //!   flows that feed it (each flow's final ack carries its closing

@@ -34,19 +34,21 @@
 //!   ([`begin_on_cts`], [`wire_ctrl`] and [`Completion`] are its parts).
 //! * [`RxStep`] + [`RxScheme`] — the **receive step**: one scheme poll,
 //!   the first-pass telemetry feed, completion detection, the final-ACK
-//!   linger countdown and the exactly-once slot release. It is plain
-//!   state stepped by whoever owns the cadence, per step: heartbeat or
-//!   news. [`RxDriver`] wraps it in a [`tick_loop`] for one transfer —
-//!   the loop is the *heartbeat*, there for silence (a lost CTS, a lost
-//!   tail, the linger repeats) — and subscribes it to its slots' chunk
-//!   completions ([`SdrQp::set_chunk_hook`]): an arrival the scheme calls
-//!   *news* ([`RxScheme::on_chunk`] — the message is complete, wire order
-//!   exposed a hole, a submessage can be decided) pulls that one timer
-//!   forward, so completion and repair are acted on when the bitmap
-//!   changes, not when a poll clock next fires. The
+//!   linger countdown, the exactly-once slot release, and the rule for
+//!   *when the next step runs* ([`RxStep::next_step`]). It is plain state
+//!   stepped by whoever owns the timer, and every owner subscribes it to
+//!   its slots' chunk completions ([`SdrQp::set_chunk_hook`]): an arrival
+//!   the scheme calls *news* ([`RxScheme::on_chunk`] — the message is
+//!   complete, wire order exposed a hole, a submessage can be decided)
+//!   pulls the owner's timer forward, so completion and repair are acted
+//!   on when the bitmap changes, not when a poll clock next fires.
+//!   [`RxDriver`] wraps it in a [`tick_loop`] for one transfer and caps
+//!   the rule with a *heartbeat*, there for silence (a lost CTS, a lost
+//!   tail, the linger repeats). The
 //!   [`FlowManager`](crate::flow::FlowManager) steps thousands of them
-//!   from its shared due index at a population-scaled interval and does
-//!   not subscribe.
+//!   from its shared due index and adds no heartbeat: a flow whose scheme
+//!   leaves silence to its sender has no timer at all between one
+//!   arrival's ACK (and its one repeat) and the next arrival.
 //!
 //! `sr.rs`, `ec.rs` and `gbn.rs` contain only what is genuinely different
 //! between the schemes: the ACK wire policy and the repair rule. Adding a
@@ -363,6 +365,15 @@ pub fn tick_loop(
         Tick::Until(t) => Some(t.max(eng.now().saturating_add(SimTime(1)))),
         Tick::Stop => None,
     })
+}
+
+/// `base << exp`, saturating: an interval after `exp` doublings of a clock
+/// that backs off without a cap.
+pub(crate) fn backed_off(base: SimTime, exp: u32) -> SimTime {
+    SimTime(
+        base.0
+            .saturating_mul(1u64.checked_shl(exp).unwrap_or(u64::MAX)),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -984,9 +995,12 @@ pub struct RxCommon {
     qp: SdrQp,
     hdls: Vec<RecvHandle>,
     /// Chunks of the posted slots no arrival has reported complete yet
-    /// (see [`RxStep::arrival`]); stays at the posted total under an owner
-    /// that does not subscribe to arrivals.
+    /// (see [`RxStep::arrival`]).
     chunks_left: usize,
+    /// A packet has landed on a posted slot: the peer holds the credit (and
+    /// whatever handshake led to it), so nothing of the receiver's is left
+    /// to heal. Learned by [`heal_cts`](Self::heal_cts) and by arrivals.
+    seen: bool,
     trace: RxTrace,
     /// Channel telemetry, when bound: the estimator plus one first-pass
     /// cursor per posted slot. The step scans after every scheme poll.
@@ -1003,6 +1017,7 @@ impl RxCommon {
             qp: qp.clone(),
             hdls: Vec::new(),
             chunks_left: 0,
+            seen: false,
             trace: RxTrace::new(&qp.metrics()),
             telemetry: None,
             counters: TelemetryCounters::default(),
@@ -1028,6 +1043,27 @@ impl RxCommon {
             cursors.resize(self.hdls.len(), FirstPassCursor::default());
         }
         self.hdls.len() - 1
+    }
+
+    /// Subscribes `hook(eng, slot, chunk)` to the chunk completions of every
+    /// posted slot. The hooks live in the QP's slots and die with them
+    /// (`recv_complete`), so an owner should reach itself through a `Weak`:
+    /// the hooks then keep nothing alive and a stale one can do no more
+    /// than miss.
+    pub fn subscribe(&self, hook: impl Fn(&mut Engine, usize, usize) + Clone + 'static) {
+        for (slot, hdl) in self.hdls.iter().enumerate() {
+            let hook = hook.clone();
+            self.qp
+                .set_chunk_hook(hdl, move |eng, chunk| hook(eng, slot, chunk))
+                .expect("freshly posted slot");
+        }
+    }
+
+    /// True once a packet has landed on a posted slot (as of the last poll
+    /// or arrival): the peer has the credit, the handshake needs no more
+    /// healing.
+    pub fn seen_packet(&self) -> bool {
+        self.seen
     }
 
     /// One telemetry pass: first-pass scan every slot's packet bitmap and
@@ -1111,11 +1147,12 @@ impl RxCommon {
     /// (CTS rides the unreliable control path). Returns `true` when the
     /// slot has seen at least one packet (schemes arm arrival-triggered
     /// timers off this).
-    pub fn heal_cts(&self, eng: &mut Engine, i: usize, bitmap: &TwoLevelBitmap) -> bool {
+    pub fn heal_cts(&mut self, eng: &mut Engine, i: usize, bitmap: &TwoLevelBitmap) -> bool {
         if bitmap.packets().count_set() == 0 {
             let _ = self.qp.resend_cts(eng, &self.hdls[i]);
             false
         } else {
+            self.seen = true;
             true
         }
     }
@@ -1167,10 +1204,9 @@ pub trait RxScheme: 'static {
     /// `now`. Returns when the next step should run if that is sooner than
     /// the heartbeat would — `Some(now)` to act at the arrival instant, a
     /// later instant to let a burst of news share one step — and `None`
-    /// when the arrival changes nothing the peer needs to hear. Only an
-    /// owner that subscribes to arrivals ([`RxDriver`]) calls it; the
-    /// answer is a hint about *when*, never about *what*: the step it
-    /// brings forward reads the bitmaps like any other.
+    /// when the arrival changes nothing the peer needs to hear. The answer
+    /// is a hint about *when*, never about *what*: the step it brings
+    /// forward reads the bitmaps like any other.
     ///
     /// The default knows the one piece of news common to every scheme: the
     /// message just became complete.
@@ -1182,6 +1218,16 @@ pub trait RxScheme: 'static {
         now: SimTime,
     ) -> Option<SimTime> {
         rx.wake_if_complete(now)
+    }
+
+    /// Whether silence is this receiver's to time. `true` — the default —
+    /// when it must keep stepping with nothing arriving: it runs a clock of
+    /// its own (EC's FTO) or its sender counts on a periodic ACK. `false`
+    /// when every step it needs is caused by an arrival and its sender's
+    /// RTO times the rest; see [`RxStep::next_step`] for what that buys and
+    /// why it cannot wedge.
+    fn times_silence(&self) -> bool {
+        true
     }
 
     /// The scheme's final positive ACK.
@@ -1201,9 +1247,10 @@ pub trait RxScheme: 'static {
 /// scheme reports delivery, then repeat the final ACK for `linger` further
 /// steps (its loss on the control path must not strand the sender) and
 /// release every posted slot exactly once. Plain state — no timer, no
-/// callback: [`RxDriver`] steps it from a [`tick_loop`] and feeds it
-/// its slots' arrivals, the flow manager steps it from its due index and
-/// does not.
+/// callback: the owner feeds it its slots' arrivals
+/// ([`arrival`](Self::arrival)), steps it, and moves its own timer —
+/// [`RxDriver`] a [`tick_loop`], the flow manager a due-index entry — to
+/// where [`next_step`](Self::next_step) says.
 pub struct RxStep<S: RxScheme> {
     common: RxCommon,
     scheme: S,
@@ -1211,8 +1258,13 @@ pub struct RxStep<S: RxScheme> {
     lingers_left: u32,
     released: bool,
     /// The earliest step the scheme asked for on an arrival and no step
-    /// has served yet (see [`wake`](Self::wake)).
+    /// has served yet.
     wake: Option<SimTime>,
+    /// The step that just ran served `wake`: an arrival had asked for it
+    /// (see [`on_news`](Self::on_news)).
+    on_news: bool,
+    /// Handshake-heal steps scheduled so far (the doubling exponent).
+    heals: u32,
 }
 
 impl<S: RxScheme> RxStep<S> {
@@ -1226,6 +1278,8 @@ impl<S: RxScheme> RxStep<S> {
             lingers_left: linger_acks,
             released: false,
             wake: None,
+            on_news: false,
+            heals: 0,
         }
     }
 
@@ -1235,7 +1289,8 @@ impl<S: RxScheme> RxStep<S> {
     /// completing poll on — the caller then sends the final ACK and calls
     /// [`linger`](Self::linger).
     pub fn poll(&mut self, eng: &mut Engine, send: CtrlSink<'_>) -> bool {
-        if self.wake.is_some_and(|at| at <= eng.now()) {
+        self.on_news = self.wake.is_some_and(|at| at <= eng.now());
+        if self.on_news {
             self.wake = None;
         }
         if self.completed_at.is_none() && self.scheme.poll(eng, &mut self.common, send) {
@@ -1245,26 +1300,74 @@ impl<S: RxScheme> RxStep<S> {
         self.completed_at.is_some()
     }
 
-    /// News for a subscribed owner: `chunk` of posted slot `slot` completed
-    /// at `now`. Asks the scheme ([`RxScheme::on_chunk`]) and returns when
-    /// the next step should run, if the arrival moves it ahead of the
-    /// heartbeat; the request stays on record as [`wake`](Self::wake) until
-    /// a step serves it. Nothing is news once the message is complete.
-    pub(crate) fn arrival(&mut self, slot: usize, chunk: usize, now: SimTime) -> Option<SimTime> {
+    /// News from the owner's subscription: `chunk` of posted slot `slot`
+    /// completed at `now`. Asks the scheme ([`RxScheme::on_chunk`]) and
+    /// returns when the next step should run, if the arrival moves it
+    /// ahead of whatever the owner's timer is set to; the request stays on
+    /// record until a step serves it, so [`next_step`](Self::next_step)
+    /// never sleeps past it. Nothing is news once the message is complete.
+    pub fn arrival(&mut self, slot: usize, chunk: usize, now: SimTime) -> Option<SimTime> {
         if self.completed_at.is_some() {
             return None;
         }
         self.common.chunks_left = self.common.chunks_left.saturating_sub(1);
+        self.common.seen = true;
         let at = self.scheme.on_chunk(&self.common, slot, chunk, now)?;
         self.wake = Some(self.wake.map_or(at, |w| w.min(at)));
         self.wake
     }
 
-    /// The earliest step an arrival asked for that no step has reached
-    /// yet: an owner re-arming its heartbeat after an earlier step must not
-    /// sleep past it.
-    pub(crate) fn wake(&self) -> Option<SimTime> {
-        self.wake
+    /// True when the step that just ran was one an arrival asked for: what
+    /// it said was news, and is owed one repeat.
+    pub fn on_news(&self) -> bool {
+        self.on_news
+    }
+
+    /// When the step after the one that just ran at `now` (and did not
+    /// complete the message) is due — the one rule every owner's timer
+    /// follows; `interval` is the owner's cadence. `None`: no step until
+    /// the next arrival asks for one.
+    ///
+    /// * **Before the first packet the receiver owns the clock.** Only it
+    ///   knows it posted: the credit — and whatever handshake of the
+    ///   owner's rides along — may be lost, and the peer, holding nothing,
+    ///   times nothing. The heal steps run on a doubling interval, so a
+    ///   peer that is merely slow to start (a long injection queue) costs
+    ///   O(log wait) of them.
+    /// * **A scheme that [times silence](RxScheme::times_silence)** steps
+    ///   every `interval`.
+    /// * **Otherwise: news, one repeat, then the sender's clock.** A step
+    ///   an arrival asked for spoke; what it said is repeated once, one
+    ///   `interval` later, to cover its own loss, and after that the
+    ///   receiver has no timer until its next arrival. This cannot wedge a
+    ///   transfer: (1) every step reports the *whole* bitmap, so the ACK of
+    ///   any later arrival stands in for every ACK lost before it; (2) what
+    ///   the receiver lacks it will never announce by itself, but the
+    ///   sender's RTO resends it after a bounded silence, and its landing
+    ///   is an arrival; (3) what the receiver holds and the sender never
+    ///   heard of — an ACK and its repeat both lost — the RTO resends
+    ///   spuriously, once per back-off step, until (1) applies or the
+    ///   message completes, and completion is not left to this rule: the
+    ///   final ACK is repeated by the linger countdown however quiet the
+    ///   wire. So two lost datagrams cost a bounded number of duplicate
+    ///   chunks, which the bitmap drops.
+    ///
+    /// Whatever the rule says, a step an arrival already asked for is
+    /// never slept past.
+    pub fn next_step(&mut self, now: SimTime, interval: SimTime) -> Option<SimTime> {
+        let clock = if !self.common.seen {
+            let wait = backed_off(interval, self.heals);
+            self.heals += 1;
+            Some(now.saturating_add(wait))
+        } else if self.scheme.times_silence() || self.on_news {
+            Some(now.saturating_add(interval))
+        } else {
+            None
+        };
+        match (self.wake, clock) {
+            (Some(wake), Some(clock)) => Some(wake.min(clock)),
+            (wake, clock) => wake.or(clock),
+        }
     }
 
     /// Second half of a completed step: count one final-ACK repeat down;
@@ -1339,7 +1442,11 @@ struct RxState<S: RxScheme> {
 /// chunk-completion hook ([`SdrQp::set_chunk_hook`]) reports to the step,
 /// and when the scheme calls the arrival news ([`RxScheme::on_chunk`]) the
 /// driver moves its *one* timer to the instant asked for. A step run early
-/// is an ordinary step; the heartbeat resumes one interval after it.
+/// is an ordinary step; the heartbeat resumes one interval after it. The
+/// heartbeat is this owner's addition: between steps the timer sits where
+/// [`RxStep::next_step`] puts it, or one interval out, whichever is sooner
+/// — a per-transfer sender's RTO is a few round trips and counts on the
+/// periodic ACK.
 pub struct RxDriver<S: RxScheme> {
     inner: Rc<RefCell<RxState<S>>>,
 }
@@ -1369,20 +1476,13 @@ impl<S: RxScheme> RxDriver<S> {
         }));
         let me = inner.clone();
         let h = tick_loop(eng, tick, move |eng| Self::tick(&me, eng));
-        let mut st = inner.borrow_mut();
-        st.tick = Some(h);
-        // The hooks live in the QP's slots and die with them
-        // (`recv_complete`); holding the driver weakly, they keep nothing
-        // alive and a stale one could do no more than miss.
-        let common = st.rx.common();
-        for (slot, hdl) in common.hdls.iter().enumerate() {
-            let me = Rc::downgrade(&inner);
-            common
-                .qp
-                .set_chunk_hook(hdl, move |eng, chunk| Self::on_chunk(&me, eng, slot, chunk))
-                .expect("freshly posted slot");
-        }
-        drop(st);
+        inner.borrow_mut().tick = Some(h);
+        let me = Rc::downgrade(&inner);
+        inner
+            .borrow()
+            .rx
+            .common()
+            .subscribe(move |eng, slot, chunk| Self::on_chunk(&me, eng, slot, chunk));
         RxDriver { inner }
     }
 
@@ -1414,17 +1514,18 @@ impl<S: RxScheme> RxDriver<S> {
                 rx,
                 ctrl,
                 peer_ctrl,
+                interval,
                 next_step,
                 ..
             } = &mut *st;
             let mut send = |eng: &mut Engine, msg: &CtrlMsg| ctrl.send_ctrl(eng, *peer_ctrl, msg);
             if !rx.poll(eng, &mut send) {
-                // ...unless an arrival already asked for a step before it.
-                if let Some(at) = rx.wake().filter(|at| at < next_step) {
-                    *next_step = at;
-                    return Tick::Until(at);
+                // ...unless the step's own rule — in practice an arrival
+                // that already asked for one — says sooner.
+                if let Some(at) = rx.next_step(eng.now(), *interval) {
+                    *next_step = at.min(*next_step);
                 }
-                return Tick::Again;
+                return Tick::Until(*next_step);
             }
             send(eng, &rx.scheme().final_ack());
         }

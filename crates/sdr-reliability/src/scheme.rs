@@ -206,10 +206,10 @@ enum Proto {
 }
 
 /// Every scheme's receive policy as one static type, dispatched by `match`
-/// — no `dyn` on the per-poll path. Both hosts run it: [`start_receiver`]
-/// under the per-transfer [`RxDriver`], the flow manager stepped from its
-/// due index (SR and EC only: the baseline is never hosted in a
-/// population).
+/// — no `dyn` on the per-poll path. Both hosts run it, subscribed to its
+/// slots' arrivals: [`start_receiver`] under the per-transfer [`RxDriver`],
+/// the flow manager stepped from its due index (SR and EC only: the
+/// baseline is never hosted in a population).
 pub enum RxPolicy {
     /// Selective Repeat, with or without hole reports.
     Sr(SrRxScheme),
@@ -243,6 +243,14 @@ impl RxScheme for RxPolicy {
             RxPolicy::Sr(s) => s.on_chunk(rx, slot, chunk, now),
             RxPolicy::Ec(s) => s.on_chunk(rx, slot, chunk, now),
             RxPolicy::Gbn(s) => s.on_chunk(rx, slot, chunk, now),
+        }
+    }
+
+    fn times_silence(&self) -> bool {
+        match self {
+            RxPolicy::Sr(s) => s.times_silence(),
+            RxPolicy::Ec(s) => s.times_silence(),
+            RxPolicy::Gbn(s) => s.times_silence(),
         }
     }
 

@@ -22,9 +22,11 @@
 //! completing past a gap is news ([`SrRxScheme`]'s `on_chunk`) and the ACK
 //! naming the hole leaves one margin later, and the arrival that completes
 //! the message is acted on at once. Arrivals in order are not news, so a
-//! clean transfer sends what the heartbeat sends. CTS healing, completion,
-//! linger-ACK repeats and buffer release all come from the shared
-//! [`RxDriver`].
+//! clean transfer sends what the heartbeat sends. (A flow population's
+//! receivers run the same policy with no heartbeat at all —
+//! `SrRxScheme::on_senders_clock` — where every completed chunk is news.)
+//! CTS healing, completion, linger-ACK repeats and buffer release all come
+//! from the shared [`RxStep`].
 //!
 //! What each kind of evidence assumes of the wire — on both sides, for the
 //! receiver's hole wake-up rests on the same order rule as the sender's
@@ -475,7 +477,10 @@ impl TxDriver<SrTx> {
 pub struct SrRxScheme {
     total_chunks: usize,
     nack: bool,
-    /// How long a hole report waits for the rest of its burst.
+    /// The sender counts on an ACK every interval (see
+    /// [`on_senders_clock`](Self::on_senders_clock) for the alternative).
+    heartbeat: bool,
+    /// How long an arrival's report waits for the rest of its burst.
     margin: SimTime,
     /// One past the highest chunk an arrival reported complete.
     next_expected: usize,
@@ -488,9 +493,21 @@ impl SrRxScheme {
         SrRxScheme {
             total_chunks,
             nack,
+            heartbeat: true,
             margin: rtt / REPAIR_MARGIN_DIV,
             next_expected: 0,
         }
+    }
+
+    /// The same policy for a sender whose RTO is wide enough to be the
+    /// silence clock (a population's, widened by its control pacing): no
+    /// heartbeat ACKs. Every chunk that completes is news instead — its ACK
+    /// leaves one margin later, so a burst shares a datagram — and the
+    /// receiver says nothing it has not been caused to say
+    /// ([`RxStep::next_step`] is the liveness argument).
+    pub(crate) fn on_senders_clock(mut self) -> Self {
+        self.heartbeat = false;
+        self
     }
 }
 
@@ -502,9 +519,11 @@ impl RxScheme for SrRxScheme {
     /// something sent after the skipped chunks got here, so on a FIFO wire
     /// they are lost. The ACK that says so leaves a margin later — one per
     /// burst of holes, and the skipped chunks' own stragglers get to land
-    /// first. Arrivals in order are not news: a clean transfer sends what
-    /// the heartbeat sends. Where the wire reorders, the price is an ACK
-    /// listing a hole that is about to fill and one spurious repair.
+    /// first. Under a heartbeat, arrivals in order are not news: a clean
+    /// transfer sends what the heartbeat sends. Without one they all are —
+    /// nothing else would ever acknowledge them. Where the wire reorders,
+    /// the price is an ACK listing a hole that is about to fill and one
+    /// spurious repair.
     fn on_chunk(
         &mut self,
         rx: &RxCommon,
@@ -515,10 +534,10 @@ impl RxScheme for SrRxScheme {
         let exposed = self.nack && chunk > self.next_expected;
         self.next_expected = self.next_expected.max(chunk + 1);
         rx.wake_if_complete(now).or_else(|| {
-            exposed.then(|| {
+            if exposed {
                 rx.note_hole_wake();
-                now.saturating_add(self.margin)
-            })
+            }
+            (exposed || !self.heartbeat).then(|| now.saturating_add(self.margin))
         })
     }
 
@@ -530,11 +549,19 @@ impl RxScheme for SrRxScheme {
         if bitmap.is_complete() {
             return true;
         }
-        send(
-            eng,
-            &build_sr_ack(bitmap.chunks(), self.total_chunks, self.nack),
-        );
+        // An ACK before any chunk completed acknowledges nothing: it is a
+        // heartbeat and only that.
+        if self.heartbeat || self.next_expected > 0 {
+            send(
+                eng,
+                &build_sr_ack(bitmap.chunks(), self.total_chunks, self.nack),
+            );
+        }
         false
+    }
+
+    fn times_silence(&self) -> bool {
+        self.heartbeat
     }
 
     /// What [`build_sr_ack`] yields for a complete bitmap: everything

@@ -196,6 +196,40 @@ pub struct FlowWorld {
     pub node_b: NodeId,
 }
 
+impl FlowWorld {
+    /// Packets the link `src → dst` has finished with — delivered or
+    /// dropped. A link is a FIFO, so the packet that was the `n`-th it
+    /// accepted (`link_stats().sent == n` right after the send) reaches
+    /// the far end at the instant this count reaches `n`.
+    pub fn resolved(&self, src: NodeId, dst: NodeId) -> u64 {
+        let s = self.fabric.link_stats(src, dst).expect("linked");
+        s.delivered + s.dropped
+    }
+
+    /// Steps the engine until `cond` holds and returns that instant.
+    pub fn step_until(&mut self, cond: impl Fn(&FlowWorld) -> bool) -> SimTime {
+        while !cond(self) {
+            assert!(self.eng.step(), "ran dry before the condition held");
+        }
+        self.eng.now()
+    }
+
+    /// Scripts a loss: the direction `src → dst` is dark for a nanosecond
+    /// either side of `at` (absolute), which swallows exactly the packet
+    /// delivered at that instant. A dry run of the same scenario — the
+    /// simulator is deterministic — finds `at` with
+    /// [`resolved`](Self::resolved) and [`step_until`](Self::step_until).
+    pub fn swallow_at(&mut self, src: NodeId, dst: NodeId, at: SimTime) {
+        let ns = SimTime::from_nanos(1);
+        for (when, down) in [(at - ns, true), (at + ns, false)] {
+            let fabric = self.fabric.clone();
+            self.eng.schedule_at(when, move |_eng| {
+                fabric.set_link_down(src, dst, down);
+            });
+        }
+    }
+}
+
 pub fn flow_world(link: LinkConfig, cfg: FlowCfg) -> FlowWorld {
     const NODE_MEM: usize = 256 << 20;
     let eng = Engine::new();
