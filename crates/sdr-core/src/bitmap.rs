@@ -183,11 +183,6 @@ impl AtomicBitmap {
             .collect()
     }
 
-    /// Number of 64-bit words backing the bitmap.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     /// Sets every bit of `mask` in word `word` with a single atomic RMW,
     /// returning the word's previous value — the batched form of
     /// [`set`](Self::set) used by the DPA batch-completion path (one

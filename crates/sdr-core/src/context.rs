@@ -1,7 +1,7 @@
 //! The SDR context (`context_create` in Table 1): per-node resources shared
 //! by queue pairs, plus buffer-management helpers.
 
-use sdr_sim::{Engine, Fabric, MkeyId, NodeId, QpAddr};
+use sdr_sim::{Fabric, MkeyId, NodeId};
 
 use crate::config::SdrConfig;
 use crate::handles::SdrError;
@@ -86,22 +86,5 @@ impl SdrContext {
     /// The underlying fabric handle.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
-    }
-
-    /// Sends a raw control datagram from a QP's control endpoint — reserved
-    /// for reliability layers that bring their own control-path protocol
-    /// (§4.1: "the SDR middleware API leaves the control path wireup logic
-    /// to the application").
-    pub fn control_send(
-        &self,
-        eng: &mut Engine,
-        from: QpAddr,
-        to: QpAddr,
-        payload: bytes::Bytes,
-        imm: Option<u32>,
-    ) -> Result<(), SdrError> {
-        self.fabric
-            .post_ud_send(eng, from, to, payload, imm)
-            .map_err(SdrError::from)
     }
 }

@@ -792,6 +792,14 @@ impl SdrQp {
         self.inner.borrow_mut().sends.remove(&hdl.id);
     }
 
+    /// Send contexts started and not yet [released](Self::send_release).
+    /// Every CTS credit walks them for deferred one-shots, so a sender that
+    /// never releases makes each credit cost more than the last; zero on a
+    /// QP whose transfers have all ended.
+    pub fn live_sends(&self) -> usize {
+        self.inner.borrow().sends.len()
+    }
+
     /// Injects packets covering `[offset, offset+len)` (len `u64::MAX` =
     /// whole message). One unreliable Write-with-immediate per MTU,
     /// round-robin across the generation's channels. `departed` hears when

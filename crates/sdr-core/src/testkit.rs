@@ -52,66 +52,6 @@ pub fn sdr_pair(link: LinkConfig, cfg: SdrConfig, mem: usize) -> SdrPair {
     }
 }
 
-/// A connected two-node SDR deployment with a *sharded* QP table: `shards`
-/// QP pairs between the same two nodes, all over one duplex link. Hosts
-/// that multiplex many concurrent transfers (the flow manager) spread
-/// flows across the shards so one slot table never serializes admissions.
-pub struct SdrShardedPair {
-    /// The discrete-event engine driving the deployment.
-    pub eng: Engine,
-    /// The shared fabric.
-    pub fabric: Fabric,
-    /// Context on node A.
-    pub ctx_a: SdrContext,
-    /// Context on node B.
-    pub ctx_b: SdrContext,
-    /// QP shards on node A; `qps_a[i]` is connected to `qps_b[i]`.
-    pub qps_a: Vec<SdrQp>,
-    /// QP shards on node B.
-    pub qps_b: Vec<SdrQp>,
-    /// Node A id.
-    pub node_a: NodeId,
-    /// Node B id.
-    pub node_b: NodeId,
-}
-
-/// Builds a connected pair carrying `shards` parallel QP pairs.
-pub fn sdr_sharded_pair(
-    link: LinkConfig,
-    cfg: SdrConfig,
-    mem: usize,
-    shards: usize,
-) -> SdrShardedPair {
-    assert!(shards >= 1, "at least one shard");
-    let eng = Engine::new();
-    let fabric = Fabric::new();
-    let node_a = fabric.add_node(mem);
-    let node_b = fabric.add_node(mem);
-    fabric.link_duplex(node_a, node_b, link);
-    let ctx_a = SdrContext::new(&fabric, node_a);
-    let ctx_b = SdrContext::new(&fabric, node_b);
-    let mut qps_a = Vec::with_capacity(shards);
-    let mut qps_b = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let qp_a = ctx_a.qp_create(cfg).expect("valid config");
-        let qp_b = ctx_b.qp_create(cfg).expect("valid config");
-        qp_a.connect(qp_b.info()).expect("shape matches");
-        qp_b.connect(qp_a.info()).expect("shape matches");
-        qps_a.push(qp_a);
-        qps_b.push(qp_b);
-    }
-    SdrShardedPair {
-        eng,
-        fabric,
-        ctx_a,
-        ctx_b,
-        qps_a,
-        qps_b,
-        node_a,
-        node_b,
-    }
-}
-
 /// Deterministic pseudo-random payload for correctness checks.
 pub fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -114,11 +114,6 @@ impl DpaEngine {
         &self.metrics
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.rings.len()
-    }
-
     /// Dispatches a packet completion round-robin across worker rings —
     /// the multi-channel striping of §3.4.1.
     #[inline]
@@ -126,12 +121,6 @@ impl DpaEngine {
         let i = self.rr.get();
         self.rr.set((i + 1) % self.rings.len());
         self.rings[i].push_blocking(cqe);
-    }
-
-    /// Dispatches to an explicit ring (tests, custom striping policies).
-    #[inline]
-    pub fn dispatch_to(&self, ring: usize, cqe: DpaCqe) {
-        self.rings[ring].push_blocking(cqe);
     }
 
     /// Completions still queued across all rings.

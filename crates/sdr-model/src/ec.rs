@@ -57,11 +57,6 @@ impl EcConfig {
         }
     }
 
-    /// Parity ratio `R = k/m`: one parity chunk per `R` data chunks.
-    pub fn parity_ratio(&self) -> f64 {
-        self.k as f64 / self.m as f64
-    }
-
     /// Bandwidth inflation factor `1 + m/k` (Figure 10d: (32,8) ⇒ 1.25,
     /// i.e. "no more than 20% of the 32+8 total is parity").
     pub fn bandwidth_inflation(&self) -> f64 {

@@ -531,11 +531,6 @@ impl ControlEndpoint {
         self.xfer.set(xfer);
     }
 
-    /// The transfer id outgoing stamps currently carry.
-    pub fn transfer_id(&self) -> u64 {
-        self.xfer.get()
-    }
-
     /// This endpoint's current incarnation.
     pub fn incarnation(&self) -> u32 {
         self.rx.inc.get()

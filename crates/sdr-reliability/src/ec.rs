@@ -3,9 +3,15 @@
 //!
 //! The sender splits the message into `L = M/k` data submessages of `k`
 //! bitmap chunks each, erasure-codes each into a parity submessage of `m`
-//! chunks, and transmits all `2L` as SDR messages (data as streaming sends —
-//! so failed submessages can be selective-repeated — parity as one-shots).
-//! Encoding uses the `sdr-erasure` MDS (Reed–Solomon) or XOR codes.
+//! chunks, and transmits all `2L` as SDR messages (data streams stay open
+//! so failed submessages can be selective-repeated; a parity submessage is
+//! injected once, whole). Encoding uses the `sdr-erasure` MDS
+//! (Reed–Solomon) or XOR codes.
+//!
+//! What lives here is EC's own: geometry, the parity pipeline, the send
+//! policy [`EcTx`] and the receive policy [`EcRxScheme`]. No send handles:
+//! opening on credit, injecting and closing every send is [`StreamTx`]'s,
+//! and [`EcSender`] is `TxDriver<EcTx>` as the ARQ senders are.
 //!
 //! The receiver is an [`RxScheme`] ([`EcRxScheme`]) that acts on arrivals:
 //! a submessage is resolved — all data chunks present, or enough
@@ -50,15 +56,15 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdr_core::{SdrContext, SdrQp, SendHandle, TwoLevelBitmap};
+use sdr_core::{SdrContext, SdrQp, TwoLevelBitmap};
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
 use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
 use crate::runtime::{
-    begin_on_cts, wire_ctrl, AbortReason, Completion, CtrlSink, RxCommon, RxDriver, RxScheme,
-    RxStep, TransferOutcome,
+    CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome, TxDriver,
+    TxProgress, TxScheme,
 };
 use crate::sr::REPAIR_MARGIN_DIV;
 
@@ -294,9 +300,10 @@ pub struct EcReport {
 /// The sender's parity pipeline: the staging region in local memory and
 /// the double-buffered encode jobs that fill it one submessage ahead of
 /// the sends. Plain state over the shared [`EncodePool`] — whoever owns
-/// the sends ([`EcSender`]'s CTS pump, the flow manager's stream starts)
-/// calls [`staged`](Self::staged) right before injecting a parity
-/// submessage, and [`release`](Self::release) at the sender's end of life.
+/// the sends ([`EcTx::span`](TxScheme::span) under the driver, the flow
+/// manager's stream starts) calls [`staged`](Self::staged) right before a
+/// parity submessage opens, and [`release`](Self::release) at the sender's
+/// end of life.
 pub(crate) struct ParityStager {
     ctx: SdrContext,
     local_addr: u64,
@@ -468,29 +475,92 @@ impl ParityStager {
     }
 }
 
-struct EcSenderInner {
-    qp: SdrQp,
+/// The EC send policy: `2L` sends — data submessages `0..L` straight from
+/// the user buffer, then parity `L..2L` out of the stager, each harvested
+/// when its credit lands — and a fallback that re-injects a NACKed data
+/// submessage whole. No timer: the FTO is the receiver's.
+pub struct EcTx {
     stager: ParityStager,
-    data_hdls: Vec<Option<SendHandle>>,
-    parity_hdls: Vec<Option<SendHandle>>,
-    next_send_seq: u64,
     started_wall: Instant,
-    ttfb_wall: Option<Duration>,
+    ttfb_wall: Duration,
     staged_at_first_byte: usize,
     fallback_rounds: u64,
-    completion: Completion<EcReport>,
 }
 
-/// The EC sender protocol object.
-pub struct EcSender {
-    inner: Rc<RefCell<EcSenderInner>>,
+impl TxScheme for EcTx {
+    type Report = EcReport;
+
+    fn sends(&self) -> usize {
+        2 * self.stager.submessages()
+    }
+
+    /// Data needs no encoding, so the first byte leaves while submessage
+    /// 0's parity is still encoding on the pool; parity `p` is staged here
+    /// while `p + 1` encodes.
+    fn span(&mut self, i: usize, _msg: (u64, u64)) -> (u64, u64) {
+        match i.checked_sub(self.stager.submessages()) {
+            None => self.stager.data(i),
+            Some(p) => self.stager.staged(p),
+        }
+    }
+
+    fn on_begin(&mut self, _now: SimTime) -> Option<SimTime> {
+        self.ttfb_wall = self.started_wall.elapsed();
+        self.staged_at_first_byte = self.stager.is_staged.iter().filter(|s| **s).count();
+        None
+    }
+
+    /// Positive ACK finishes; NACK selective-repeats the data submessages
+    /// it names (those already open — the rest have yet to go out at all).
+    fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress {
+        let mut progress = TxProgress::default();
+        match msg {
+            CtrlMsg::EcAck => progress.complete = true,
+            CtrlMsg::EcNack { failed } => {
+                self.fallback_rounds += 1;
+                let l = self.stager.submessages();
+                for f in failed.into_iter().map(|f| f as usize).filter(|&f| f < l) {
+                    stream.inject_all(eng, f, |_, _| {});
+                }
+            }
+            _ => {}
+        }
+        progress
+    }
+
+    /// The parity staging goes back to node memory.
+    fn on_end(&mut self) {
+        self.stager.release();
+    }
+
+    fn report(&self, duration: SimTime, outcome: TransferOutcome) -> EcReport {
+        EcReport {
+            duration,
+            fallback_rounds: self.fallback_rounds,
+            ttfb_wall: self.ttfb_wall,
+            staged_at_first_byte: self.staged_at_first_byte,
+            outcome,
+        }
+    }
+
+    fn staged_parity(&mut self) -> Option<Vec<u8>> {
+        let st = &mut self.stager;
+        // The last submessage's parity ends where the region does.
+        let (addr, len) = st.staged(st.submessages() - 1);
+        let total = st.parity_total_bytes;
+        Some(st.ctx.read_buffer(addr + len - total, total as usize))
+    }
 }
 
-impl EcSender {
+/// The EC sender protocol object: the per-transfer driver over [`EcTx`]
+/// (`is_done` and `abort` are the driver's; EC keeps no sender-side
+/// retransmission timer, so an abort has only the sends to close).
+pub type EcSender = TxDriver<EcTx>;
+
+impl TxDriver<EcTx> {
     /// Starts an EC-protected transfer. `msg_bytes` must be a multiple of
     /// the QP's bitmap chunk size (chunk-granular shards). The receiver
     /// must run [`EcReceiver`] with the same configuration.
-    #[allow(clippy::too_many_arguments)]
     pub fn start(
         eng: &mut Engine,
         qp: &SdrQp,
@@ -502,56 +572,22 @@ impl EcSender {
         cfg: EcProtoConfig,
         done: impl FnOnce(&mut Engine, EcReport) + 'static,
     ) -> EcSender {
-        let started_wall = Instant::now();
         let chunk_bytes = qp.config().chunk_bytes;
         // Parity lands in the stager's region as the pipeline harvests
         // encodes, one submessage ahead of the sends.
-        let stager = ParityStager::new(
-            ctx,
-            local_addr,
-            msg_bytes,
-            chunk_bytes,
-            &cfg,
-            &mut CodeCache::new(),
-        );
-        let l = stager.submessages();
-        assert!(
-            l * 2 <= qp.config().msg_slots,
-            "need 2L ≤ msg_slots in-flight descriptors"
-        );
-        let inner = Rc::new(RefCell::new(EcSenderInner {
-            qp: qp.clone(),
-            stager,
-            data_hdls: vec![None; l],
-            parity_hdls: vec![None; l],
-            next_send_seq: qp.next_send_seq(),
-            started_wall,
-            ttfb_wall: None,
+        let codes = &mut CodeCache::new();
+        let scheme = EcTx {
+            started_wall: Instant::now(),
+            stager: ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg, codes),
+            ttfb_wall: Duration::ZERO,
             staged_at_first_byte: 0,
             fallback_rounds: 0,
-            completion: Completion::new(done),
-        }));
-
-        // Control handler: positive ACK finishes; NACK selective-repeats.
-        wire_ctrl(&ctrl, &inner, |me, eng, _src, msg| match msg {
-            CtrlMsg::EcAck => {
-                Self::finish(me, eng, TransferOutcome::Delivered);
-            }
-            CtrlMsg::EcNack { failed } => Self::on_nack(me, eng, &failed),
-            _ => {}
-        });
-        // CTS pump: create sends strictly in sequence order as credits land
-        // (never "begun" from the hook's view — every credit re-pumps).
-        begin_on_cts(eng, qp, &inner, |me, eng| {
-            Self::pump_sends(me, eng);
-            false
-        });
-        EcSender { inner }
-    }
-
-    /// True once the positive ACK has been processed.
-    pub fn is_done(&self) -> bool {
-        self.inner.borrow().completion.is_done()
+        };
+        assert!(
+            scheme.sends() <= qp.config().msg_slots,
+            "need 2L ≤ msg_slots in-flight descriptors"
+        );
+        TxDriver::spawn(eng, qp, &ctrl, local_addr, msg_bytes, scheme, done)
     }
 
     /// Raw bytes of the whole parity staging region, draining the encode
@@ -563,119 +599,8 @@ impl EcSender {
     /// Panics once the transfer has finished — the region went back to
     /// node memory and may already belong to another transfer.
     pub fn staged_parity(&self) -> Vec<u8> {
-        let st = &mut self.inner.borrow_mut().stager;
-        // The last submessage's parity ends where the region does.
-        let (addr, len) = st.staged(st.submessages() - 1);
-        let total = st.parity_total_bytes;
-        st.ctx.read_buffer(addr + len - total, total as usize)
-    }
-
-    fn pump_sends(inner: &Rc<RefCell<EcSenderInner>>, eng: &mut Engine) {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return;
-        }
-        let l = i.stager.submessages();
-        let base_seq =
-            i.next_send_seq + i.data_hdls.iter().chain(&i.parity_hdls).flatten().count() as u64;
-        let mut seq = base_seq;
-        loop {
-            let idx = (seq - i.next_send_seq) as usize;
-            if idx >= 2 * l || !i.qp.has_cts(seq) {
-                break;
-            }
-            if idx < l {
-                // Data submessage idx as a streaming send. Data needs no
-                // encoding, so the first byte leaves while submessage 0's
-                // parity is still encoding on the pool.
-                let (addr, len) = i.stager.data(idx);
-                let hdl =
-                    i.qp.send_stream_start(eng, addr, len, None)
-                        .expect("CTS checked");
-                i.qp.send_stream_continue(eng, &hdl, 0, len, |_, _| {})
-                    .expect("initial injection");
-                i.data_hdls[idx] = Some(hdl);
-                if i.completion.started().is_none() {
-                    i.completion.mark_started(eng.now());
-                    i.ttfb_wall = Some(i.started_wall.elapsed());
-                    i.staged_at_first_byte = i.stager.is_staged.iter().filter(|s| **s).count();
-                }
-            } else {
-                // Parity submessage as a one-shot send; harvest the
-                // pipeline up to it first (parity p is staged here while
-                // p+1 encodes on the pool).
-                let p = idx - l;
-                let (addr, len) = i.stager.staged(p);
-                i.parity_hdls[p] = Some(i.qp.send_post(eng, addr, len, None).expect("CTS checked"));
-            }
-            seq += 1;
-        }
-    }
-
-    fn on_nack(inner: &Rc<RefCell<EcSenderInner>>, eng: &mut Engine, failed: &[u32]) {
-        let mut i = inner.borrow_mut();
-        if i.completion.is_done() {
-            return;
-        }
-        i.fallback_rounds += 1;
-        for &f in failed {
-            let f = f as usize;
-            if f >= i.data_hdls.len() {
-                continue;
-            }
-            if let Some(hdl) = i.data_hdls[f] {
-                let (_, len) = i.stager.data(f);
-                i.qp.send_stream_continue(eng, &hdl, 0, len, |_, _| {})
-                    .expect("fallback retransmission");
-            }
-        }
-    }
-
-    /// The exactly-once end of the transfer, shared by the positive ACK
-    /// and abort: every open data stream is ended (no further CTS credit
-    /// will pump a send), every send handle is released, the parity
-    /// staging goes back to node memory, and the done callback fires with
-    /// `outcome`.
-    fn finish(
-        inner: &Rc<RefCell<EcSenderInner>>,
-        eng: &mut Engine,
-        outcome: TransferOutcome,
-    ) -> bool {
-        let (cb, report) = {
-            let mut i = inner.borrow_mut();
-            let Some(cb) = i.completion.finish() else {
-                return false;
-            };
-            let i = &mut *i;
-            for hdl in i
-                .data_hdls
-                .drain(..)
-                .chain(i.parity_hdls.drain(..))
-                .flatten()
-            {
-                let _ = i.qp.send_stream_end(&hdl);
-                i.qp.send_release(hdl);
-            }
-            i.stager.release();
-            let report = EcReport {
-                duration: i.completion.elapsed(eng.now()),
-                fallback_rounds: i.fallback_rounds,
-                ttfb_wall: i.ttfb_wall.unwrap_or_default(),
-                staged_at_first_byte: i.staged_at_first_byte,
-                outcome,
-            };
-            (cb, report)
-        };
-        cb(eng, report);
-        true
-    }
-
-    /// Tears the transfer down now with [`TransferOutcome::Aborted`].
-    /// Idempotent — returns `false` when the transfer already completed
-    /// or aborted. (EC keeps no sender-side retransmission timer; the FTO
-    /// lives on the receiver, whose teardown is [`EcReceiver::quiesce`].)
-    pub fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
-        Self::finish(&self.inner, eng, TransferOutcome::aborted(reason))
+        let staged = self.scheme_mut(|s| s.staged_parity());
+        staged.expect("EC stages parity")
     }
 }
 
@@ -789,7 +714,8 @@ pub struct EcRxScheme {
     order_due: Option<SimTime>,
     fto_armed: bool,
     trace: EcTrace,
-    stats: EcRecvStats,
+    /// Receiver statistics so far.
+    pub(crate) stats: EcRecvStats,
 }
 
 /// Where one submessage stands with the receiver.
@@ -965,11 +891,6 @@ impl EcRxScheme {
             trace: EcTrace::new(ctx),
             stats: EcRecvStats::default(),
         }
-    }
-
-    /// Receiver statistics so far.
-    pub(crate) fn stats(&self) -> EcRecvStats {
-        self.stats
     }
 
     /// Arms the FTO at the first observed arrival (§4.1.2): from here every
@@ -1155,7 +1076,6 @@ pub type EcReceiver = RxDriver<EcRxScheme>;
 impl RxDriver<EcRxScheme> {
     /// Posts all data and parity buffers and starts the poll loop. `done`
     /// fires when every data submessage is present or decoded.
-    #[allow(clippy::too_many_arguments)]
     pub fn start(
         eng: &mut Engine,
         qp: &SdrQp,

@@ -81,10 +81,13 @@
 //! This module owns what is genuinely population-scale: admission and
 //! parking, per-shard stream-start ordering, DRR injection, the shared
 //! tick, the population-scaled cadence *values*, and the
-//! `FlowOpen/Parked/Ack/Fin/Done` handshake. It owns no protocol logic. A
-//! sender flow hosts the same [`SrTxCore`] that
+//! `FlowOpen/Parked/Ack/Fin/Done` handshake. It owns no protocol logic and
+//! no send handles. A sender flow hosts the same [`SrTxCore`] that
 //! [`SrSender`](crate::SrSender) runs (its `resend` sink is the urgent
-//! lane instead of the stream); a receiver flow is the same [`RxStep`]
+//! lane instead of the stream) over the same [`StreamTx`]: the shard's
+//! `starts` index says *whose* send the QP's next sequence is, the stream
+//! opens it on credit, the pump injects ranges through it, and
+//! `finish_tx` closes — ends and releases — it. A receiver flow is the same [`RxStep`]
 //! over the same SR / EC receive policies that
 //! [`RxDriver`](crate::runtime::RxDriver) steps, subscribed to its slots'
 //! arrivals the same way — its timer is a due-index entry instead of a
@@ -104,7 +107,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
-use sdr_core::{SdrConfig, SdrContext, SdrError, SdrQp, SendHandle};
+use sdr_core::{SdrConfig, SdrContext, SdrQp};
 use sdr_sim::{
     Counter, Engine, EventKind, Fabric, FlightRecorder, Histogram, NodeId, QpAddr, SimTime,
     TimerHandle,
@@ -113,7 +116,7 @@ use sdr_sim::{
 use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
 use crate::ec::{EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
-use crate::runtime::{backed_off, tick_loop, RxCommon, RxScheme, RxStep, Tick};
+use crate::runtime::{backed_off, tick_loop, RxCommon, RxScheme, RxStep, StreamTx, Tick};
 use crate::scheme::RxPolicy;
 use crate::sr::{SrRxScheme, SrTrace, SrTxCore};
 use crate::telemetry::{ChannelEstimator, EstimatorRegistry, TelemetryConfig, TelemetryCounters};
@@ -534,14 +537,14 @@ enum TxPhase {
 struct TxFlow {
     peer: NodeId,
     peer_ctrl: QpAddr,
-    shard: usize,
     src_addr: u64,
     bytes: u64,
     chunks: usize,
     spec: SchemeSpec,
     phase: TxPhase,
-    data_hdl: Option<SendHandle>,
-    parity_hdl: Option<SendHandle>,
+    /// The flow's sends on its shard's QP: the data stream, then (EC) the
+    /// parity stream.
+    stream: StreamTx,
     /// EC flows: the parity pipeline, encoding on the shared pool since
     /// `open_flow` and harvested when the parity stream starts.
     parity: Option<ParityStager>,
@@ -583,11 +586,6 @@ struct RxFlow {
     due: SimTime,
 }
 
-struct StartEntry {
-    flow: u64,
-    parity: bool,
-}
-
 struct PendingOpen {
     src: QpAddr,
     peer_node: NodeId,
@@ -598,9 +596,9 @@ struct PendingOpen {
 
 struct Shard {
     qp: SdrQp,
-    /// Stream starts pending CTS, keyed by the send seq each must consume
-    /// (`send_stream_start` consumes seqs strictly in order).
-    starts: BTreeMap<u64, StartEntry>,
+    /// Stream starts pending CTS: the flow that owns each send seq the
+    /// receiver announced (sends open strictly in seq order).
+    starts: BTreeMap<u64, u64>,
     /// Opens parked for lack of receive slots on this shard.
     pending: VecDeque<PendingOpen>,
 }
@@ -929,20 +927,20 @@ impl FlowManager {
                 // advertises and the report names.
                 None => (FLOW_ARQ, None),
             };
+            let sends = 1 + parity.is_some() as usize;
+            let stream = StreamTx::new(&port.shards[shard].qp, sends);
             let est = inner.registry.checkout(peer, now);
             let mut sr = SrTxCore::new(chunks, inner.trace.sr.clone());
             sr.set_trace(inner.trace.recorder.clone(), id);
             let flow = TxFlow {
                 peer,
                 peer_ctrl,
-                shard,
                 src_addr,
                 bytes,
                 chunks,
                 spec,
                 phase: TxPhase::Opening,
-                data_hdl: None,
-                parity_hdl: None,
+                stream,
                 parity,
                 uninjected: 0,
                 sr,
@@ -1009,6 +1007,14 @@ impl FlowManager {
     pub fn live_flows(&self) -> (usize, usize) {
         let inner = self.core.inner.borrow();
         (inner.tx_flows.len(), inner.rx_flows.len())
+    }
+
+    /// Send contexts live across every shard QP ([`SdrQp::live_sends`]):
+    /// zero once the sender flows have drained.
+    pub fn live_sends(&self) -> usize {
+        let inner = self.core.inner.borrow();
+        let shards = inner.ports.values().flat_map(|p| &p.shards);
+        shards.map(|sh| sh.qp.live_sends()).sum()
     }
 
     /// Opens parked for admission right now.
@@ -1252,43 +1258,36 @@ impl FlowManager {
             let Some(flow) = inner.tx_flows.get_mut(&fid) else {
                 continue; // completed while queued
             };
-            let hdl = if item.tag & PARITY_TAG != 0 {
-                flow.parity_hdl
-            } else {
-                flow.data_hdl
-            };
-            let Some(hdl) = hdl else { continue };
+            // Send 0 is the data stream, send 1 the parity stream.
+            let parity = item.tag & PARITY_TAG != 0;
             let c = (item.tag & !PARITY_TAG) as u64;
             let off = c * core.cfg.qp.chunk_bytes;
-            let qp = &port.shards[flow.shard].qp;
-            let data = item.tag & PARITY_TAG == 0;
             let sr = &mut flow.sr;
-            let sent = qp.send_stream_continue(eng, &hdl, off, item.bytes, |_, at| {
-                if data {
+            let stamp = |_, at| {
+                if !parity {
                     sr.record_sent(c as usize, at);
                 }
-            });
-            match sent {
-                Ok(()) => {
-                    inner.stats.injected += 1;
-                    inner.trace.injected.inc();
-                    if flow.uninjected > 0 {
-                        flow.uninjected -= 1;
-                        if flow.uninjected == 0 && !flow.spec.is_ec() {
-                            // Initial injection done: the RTO clock starts.
-                            // (`retick` after this pump round arms or pulls
-                            // forward the shared tick to cover it.)
-                            let at = eng.now().saturating_add(rto);
-                            inner.next_stamp += 1;
-                            let stamp = inner.next_stamp;
-                            flow.stamp = stamp;
-                            inner.due.push(at, stamp, FlowKey::Tx(fid));
-                        }
-                    }
+            };
+            if !flow
+                .stream
+                .inject(eng, parity as usize, off, item.bytes, stamp)
+            {
+                continue; // its stream is not open
+            }
+            inner.stats.injected += 1;
+            inner.trace.injected.inc();
+            if flow.uninjected > 0 {
+                flow.uninjected -= 1;
+                if flow.uninjected == 0 && !flow.spec.is_ec() {
+                    // Initial injection done: the RTO clock starts.
+                    // (`retick` after this pump round arms or pulls
+                    // forward the shared tick to cover it.)
+                    let at = eng.now().saturating_add(rto);
+                    inner.next_stamp += 1;
+                    let stamp = inner.next_stamp;
+                    flow.stamp = stamp;
+                    inner.due.push(at, stamp, FlowKey::Tx(fid));
                 }
-                // The stream closed under us (completion raced the queue).
-                Err(SdrError::StreamEnded) | Err(SdrError::BadHandle) => continue,
-                Err(e) => panic!("stream injection failed: {e:?}"),
             }
         }
     }
@@ -1544,35 +1543,25 @@ impl Inner {
         // receiver's job from here.
         flow.stamp = u64::MAX;
         let peer = flow.peer;
-        let shard_idx = flow.shard;
+        let shard_idx = (id % core.cfg.shards as u64) as usize;
         let has_parity = flow.parity.is_some();
         let port = self.ports.get_mut(&peer).expect("port");
         port.arbiter.register(id, 1);
         let shard = &mut port.shards[shard_idx];
-        shard.starts.insert(
-            data_seq,
-            StartEntry {
-                flow: id,
-                parity: false,
-            },
-        );
+        shard.starts.insert(data_seq, id);
         if has_parity {
-            debug_assert_ne!(parity_seq, u64::MAX, "EC ack must carry a parity seq");
-            shard.starts.insert(
-                parity_seq,
-                StartEntry {
-                    flow: id,
-                    parity: true,
-                },
-            );
+            // The receiver posts data then parity, so the flow's sends open
+            // in that order.
+            debug_assert!(data_seq < parity_seq && parity_seq != u64::MAX);
+            shard.starts.insert(parity_seq, id);
         }
         self.try_starts(core, eng, peer, shard_idx);
     }
 
     /// Opens every start at the head of the shard's seq-ordered queue
     /// whose CTS credit has arrived, and floods its chunks into the
-    /// arbiter. Starts strictly in seq order — `send_stream_start`
-    /// consumes send seqs sequentially.
+    /// arbiter. Starts strictly in seq order: the flow that owns the QP's
+    /// next send seq opens its next send, or nobody does.
     fn try_starts(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, peer: NodeId, shard: usize) {
         let chunk = core.cfg.qp.chunk_bytes;
         let Some(port) = self.ports.get_mut(&peer) else {
@@ -1581,28 +1570,23 @@ impl Inner {
         loop {
             let sh = &mut port.shards[shard];
             let seq = sh.qp.next_send_seq();
-            let Some(entry) = sh.starts.get(&seq) else {
+            let Some(&fid) = sh.starts.get(&seq) else {
                 break;
             };
-            if !sh.qp.has_cts(seq) {
-                break;
-            }
-            let fid = entry.flow;
-            let parity = entry.parity;
             let flow = self.tx_flows.get_mut(&fid).expect("started flow is live");
+            let Some(send) = flow.stream.ready() else {
+                break; // the credit has not landed
+            };
+            let parity = send == 1;
             let (addr, len) = if parity {
                 // Harvest the encode started at `open_flow`.
                 flow.parity.as_mut().expect("ec flow").staged(0)
             } else {
                 (flow.src_addr, flow.bytes)
             };
-            let hdl = sh
-                .qp
-                .send_stream_start(eng, addr, len, None)
-                .expect("CTS credit checked");
+            flow.stream.open(eng, addr, len);
             sh.starts.remove(&seq);
             if parity {
-                flow.parity_hdl = Some(hdl);
                 for c in 0..(len / chunk) as usize {
                     port.arbiter.enqueue(
                         fid,
@@ -1614,7 +1598,6 @@ impl Inner {
                     flow.uninjected += 1;
                 }
             } else {
-                flow.data_hdl = Some(hdl);
                 for c in 0..flow.chunks {
                     let off = c as u64 * chunk;
                     port.arbiter.enqueue(
@@ -1735,15 +1718,8 @@ impl Inner {
         self.retire_idle(core, flow.peer_ctrl, id);
         if let Some(port) = self.ports.get_mut(&flow.peer) {
             port.arbiter.deregister(id);
-            let qp = &port.shards[flow.shard].qp;
-            for hdl in [flow.data_hdl.take(), flow.parity_hdl.take()]
-                .into_iter()
-                .flatten()
-            {
-                let _ = qp.send_stream_end(&hdl);
-                qp.send_release(hdl);
-            }
         }
+        flow.stream.close();
         if let Some(stager) = &mut flow.parity {
             stager.release();
         }

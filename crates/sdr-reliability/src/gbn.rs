@@ -112,11 +112,11 @@ impl GbnTx {
 impl TxScheme for GbnTx {
     type Report = GbnReport;
 
-    fn on_begin(&mut self, now: SimTime) -> SimTime {
+    fn on_begin(&mut self, now: SimTime) -> Option<SimTime> {
         self.timer_armed_at = now;
         // GBN keeps exactly one timer, so the driver's loop sleeps
         // straight to its expiry; ack-restarts push it out.
-        self.cfg.rto
+        Some(self.cfg.rto)
     }
 
     /// The GBN repair rule: when the base timer expires, rewind — re-inject

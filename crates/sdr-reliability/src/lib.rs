@@ -21,7 +21,8 @@
 //! | [`SrTxCore`] — ACK application, Karn RTT sample, evidence-based repair (hole by wire order → at once; lacking for a round trip since it left the wire → overdue; silence → RTO scan), `sr.retx.*` reasons | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`] and stamps the departure it returns, `rto` and overdue age `rtt + rtt/64` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane (stamped provisionally, restamped with the departure when the pump injects them), RTO and overdue age widened by the population's control pacing |
 //! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback) | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: `ack_interval` heartbeat, stepped ahead of it on news (completion at once; a hole exposed by wire order one margin later) | [`FlowManager`] receive flow, heartbeat-less ([`sr::SrRxScheme`]'s sender-clocked mode): every completed chunk is news, ACKed one margin later and repeated once a population-scaled interval after; then no due entry until the next arrival — the sender's RTO times the silence |
 //! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs one margin after order evidence | [`FlowManager`] EC receive flow (one submessage per flow, shared [`ec::EcScratch`]): the same arrival subscription, its heartbeat a due-index entry at the population-scaled interval |
-//! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`]'s CTS pump | [`FlowManager`] EC sender flow (parity stream start) |
+//! | EC parity pipeline (`ParityStager` on the shared encode pool) | [`EcSender`] = [`TxDriver`]`<EcTx>`: `2L` sends, parity `p` harvested when its credit lands, a NACKed data submessage re-injected whole | [`FlowManager`] EC sender flow (parity stream start) |
+//! | [`StreamTx`] — every send of a transfer: open in sequence order on credit and never after the end, inject ranges, end and release exactly once; the crate's only caller of the SDR send API | [`TxDriver`]: injects a send whole the moment it opens, repairs straight into it | [`FlowManager`] sender flow: the shard's `starts` index picks whose send opens, chunks go through the DRR arbiter and the pump |
 //! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the manager hosts one ARQ scheme: a flow asked to run GBN or SR-RTO runs, and reports, SR-NACK) |
 //!
 //! The drivers' shared parts live in [`runtime`]: [`TxDriver`] (begin now
@@ -31,7 +32,7 @@
 //! countdown, exactly-once slot release, and the rule for when the next
 //! step runs) over an [`RxScheme`], which both drivers subscribe to its
 //! slots' chunk completions — [`RxDriver`] moves a heartbeat timer by the
-//! rule, the flow manager a due-index entry, with no heartbeat; plus [`runtime::ChunkTimers`], [`runtime::StreamTx`] and
+//! rule, the flow manager a due-index entry, with no heartbeat; plus [`runtime::ChunkTimers`] and
 //! [`runtime::Completion`]. What stays specific to the population driver
 //! is what is genuinely population-scale — admission and parking, DRR
 //! injection, the shared tick, `FlowOpen/Parked/Ack/Fin/Done` — see

@@ -24,14 +24,18 @@
 //!   clock that starts from a stamp (RTO, overdue test, Karn RTT sample)
 //!   starts when the bytes do, and a chunk still queued has a stamp in the
 //!   future and is never resent.
-//! * [`StreamTx`] — **sender message-slot lifecycle**: open-on-CTS,
-//!   whole-message injection, chunk/window retransmission and stream close
-//!   over one [`SdrQp`] streaming send; every injection reports the
-//!   departure stamps it earned.
+//! * [`StreamTx`] — **sender message-slot lifecycle**, for every send of a
+//!   transfer: open in send-sequence order on credit and never after the
+//!   end, inject any range (first pass and repair alike; every injection
+//!   reports the departure stamps it earned), end *and release* exactly
+//!   once. The SDR send API is called from here and nowhere else in the
+//!   crate (CI's send-lifecycle audit): the SR, GBN and EC senders and the
+//!   flow population all hold one, and differ only in who decides when a
+//!   range is injected.
 //! * [`TxDriver`] + [`TxScheme`] — the **per-transfer sender driver**:
-//!   begin-now-or-on-CTS, the timer loop, control dispatch, and the
-//!   exactly-once finish shared by completion and abort
-//!   ([`begin_on_cts`], [`wire_ctrl`] and [`Completion`] are its parts).
+//!   open-now-or-on-CTS, the timer loop, control dispatch, and the
+//!   exactly-once finish shared by completion and abort ([`Completion`]).
+//!   SR, GBN and EC senders are each a [`TxScheme`] under it.
 //! * [`RxStep`] + [`RxScheme`] — the **receive step**: one scheme poll,
 //!   the first-pass telemetry feed, completion detection, the final-ACK
 //!   linger countdown, the exactly-once slot release, and the rule for
@@ -56,6 +60,7 @@
 //! timer, lifecycle or control plumbing.
 
 use std::cell::RefCell;
+use std::num::NonZeroU64;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
@@ -592,136 +597,184 @@ impl ChunkTimers {
 // Sender message-slot lifecycle
 // ---------------------------------------------------------------------------
 
-/// One streaming SDR send with chunk-granular retransmission: the sender
-/// half of the message-slot lifecycle (open on CTS, inject, repair, close).
+/// One open send: its handle and the length it was opened over (never
+/// zero, which keeps `Option<TxSend>` two words).
+#[derive(Clone, Copy)]
+struct TxSend {
+    hdl: SendHandle,
+    len: NonZeroU64,
+}
+
+/// The sender half of the message-slot lifecycle, for every send of one
+/// transfer — and the only code in this crate that calls the SDR send API.
+///
+/// # The contract
+///
+/// A transfer is `N` SDR sends, fixed when it starts: one for an ARQ
+/// transfer, `2L` (data then parity submessages) for an EC transfer, one or
+/// two for a flow. Each send walks the same four steps, and each step has
+/// one call site, here:
+///
+/// 1. **open**, strictly in send-sequence order and only on credit.
+///    [`ready`](Self::ready) is the gate: the next unopened send, if the
+///    CTS for the QP's next send sequence has landed (§3.1.3: matching is
+///    order-based, so the n-th open answers the n-th post) — and never once
+///    the transfer is closed, so a credit that lands after the end opens
+///    nothing and the sequence it names stays free for the next transfer.
+///    The owner supplies the send's `(addr, len)` to [`open`](Self::open)
+///    only then, so bytes that are produced late (an EC parity submessage,
+///    harvested from the encode pipeline) are produced right before they
+///    are needed.
+/// 2. **inject** any range of an open send, any number of times
+///    ([`inject`](Self::inject); first pass and retransmission are the same
+///    call). Who decides *when* — the per-transfer driver at once, a flow
+///    population through its arbiter — is the owner's business: the sink.
+/// 3. **end** and
+/// 4. **release**, together, exactly once, for every send that was opened
+///    ([`close`](Self::close)). Release is part of the lifecycle, not an
+///    optimisation: an ended stream's context stays in the QP until it is
+///    released, every CTS credit walks the QP's contexts, and a sender that
+///    only ends leaves one behind per transfer for the life of the QP
+///    ([`SdrQp::live_sends`] counts them).
+///
+/// The first send lives inline: it is all an ARQ transfer or an ARQ flow
+/// has, so a flow population pays no heap allocation per open (and a flow
+/// table little memory per flow).
 pub struct StreamTx {
     qp: SdrQp,
-    local_addr: u64,
-    msg_bytes: u64,
-    chunk_bytes: u64,
-    total_chunks: usize,
-    hdl: Option<SendHandle>,
+    /// Sends the transfer makes in all (`N`).
+    planned: usize,
+    /// Sends `0..opened` have been opened.
+    opened: usize,
+    /// Send 0, while open.
+    first: Option<TxSend>,
+    /// Sends `1..`, while open (an EC transfer's, an EC flow's parity).
+    rest: Vec<TxSend>,
+    closed: bool,
 }
 
 impl StreamTx {
-    /// A not-yet-open stream for `[local_addr, local_addr + msg_bytes)`.
-    pub fn new(qp: &SdrQp, local_addr: u64, msg_bytes: u64) -> Self {
-        let chunk_bytes = qp.config().chunk_bytes;
-        let total_chunks = qp.config().chunks_for(msg_bytes) as usize;
+    /// The lifecycle of a transfer of `sends` SDR sends over `qp`, none
+    /// open yet.
+    pub fn new(qp: &SdrQp, sends: usize) -> Self {
         StreamTx {
             qp: qp.clone(),
-            local_addr,
-            msg_bytes,
-            chunk_bytes,
-            total_chunks,
-            hdl: None,
+            planned: sends,
+            opened: 0,
+            first: None,
+            rest: Vec::new(),
+            closed: false,
         }
     }
 
-    /// True once the stream is open (the CTS credit arrived and the full
-    /// message was injected).
+    /// True once every send of the transfer has been opened.
     pub fn is_open(&self) -> bool {
-        self.hdl.is_some()
+        self.opened == self.planned
     }
 
-    /// Opens the stream and injects the whole message; `departed(chunk,
-    /// at)` hears when each chunk will have left the wire. Returns `false`
-    /// (and does nothing) while the peer's CTS credit has not arrived;
-    /// `true` when the stream is (or already was) open.
-    pub fn try_begin(&mut self, eng: &mut Engine, departed: impl FnMut(usize, SimTime)) -> bool {
-        if self.hdl.is_some() {
-            return true;
-        }
-        match self
+    /// The index of the send to open next, when it may open now: the
+    /// transfer is not closed, has sends left, and the credit for the QP's
+    /// next send sequence has landed.
+    pub fn ready(&self) -> Option<usize> {
+        let due = !self.closed && self.opened < self.planned;
+        (due && self.qp.has_cts(self.qp.next_send_seq())).then_some(self.opened)
+    }
+
+    /// Opens the send [`ready`](Self::ready) just named over `[addr, addr +
+    /// len)`; nothing is injected yet.
+    pub fn open(&mut self, eng: &mut Engine, addr: u64, len: u64) {
+        debug_assert!(!self.closed && self.opened < self.planned);
+        let hdl = self
             .qp
-            .send_stream_start(eng, self.local_addr, self.msg_bytes, None)
-        {
-            Ok(hdl) => {
-                self.qp
-                    .send_stream_continue(eng, &hdl, 0, self.msg_bytes, departed)
-                    .expect("initial injection");
-                self.hdl = Some(hdl);
-                true
-            }
-            Err(_) => false,
+            .send_stream_start(eng, addr, len, None)
+            .expect("`ready` saw the credit");
+        let len = NonZeroU64::new(len).expect("the QP opens no empty send");
+        let send = TxSend { hdl, len };
+        match self.opened {
+            0 => self.first = Some(send),
+            _ => self.rest.push(send),
+        }
+        self.opened += 1;
+    }
+
+    fn send(&self, i: usize) -> Option<TxSend> {
+        match i.checked_sub(1) {
+            None => self.first,
+            Some(i) => self.rest.get(i).copied(),
         }
     }
 
-    /// Retransmits chunk `c`; returns when the copy will have left the
-    /// wire (it queues behind whatever the device still holds).
-    pub fn resend_chunk(&self, eng: &mut Engine, c: usize) -> SimTime {
-        let hdl = self.hdl.expect("resend only after begin");
-        let off = c as u64 * self.chunk_bytes;
-        let len = self.chunk_bytes.min(self.msg_bytes - off);
-        let mut departs = eng.now();
+    /// Injects `[off, off + len)` of send `i` — first pass or repair;
+    /// `departed(chunk, at)` hears when each chunk's copy will have left the
+    /// wire. Returns `false`, having done nothing, when send `i` is not
+    /// open (not yet, or the transfer is closed).
+    pub fn inject(
+        &self,
+        eng: &mut Engine,
+        i: usize,
+        off: u64,
+        len: u64,
+        departed: impl FnMut(usize, SimTime),
+    ) -> bool {
+        let Some(send) = self.send(i) else {
+            return false;
+        };
         self.qp
-            .send_stream_continue(eng, &hdl, off, len, |_, at| departs = at)
-            .expect("retransmission");
+            .send_stream_continue(eng, &send.hdl, off, len, departed)
+            .expect("a range of an open send");
+        true
+    }
+
+    /// Injects the whole of send `i` (see [`inject`](Self::inject)).
+    pub fn inject_all(
+        &self,
+        eng: &mut Engine,
+        i: usize,
+        departed: impl FnMut(usize, SimTime),
+    ) -> bool {
+        self.send(i)
+            .is_some_and(|send| self.inject(eng, i, 0, send.len.get(), departed))
+    }
+
+    /// Retransmits chunk `c` of send 0; returns when the copy will have
+    /// left the wire (it queues behind whatever the device still holds).
+    pub fn resend_chunk(&self, eng: &mut Engine, c: usize) -> SimTime {
+        let msg_bytes = self.first.expect("resend only after begin").len.get();
+        let chunk_bytes = self.qp.config().chunk_bytes;
+        let off = c as u64 * chunk_bytes;
+        let len = chunk_bytes.min(msg_bytes - off);
+        let mut departs = eng.now();
+        self.inject(eng, 0, off, len, |_, at| departs = at);
         departs
     }
 
-    /// Retransmits the window `[from, from + count)` clamped to the message
-    /// (a Go-Back-N rewind). Returns how many chunks were re-injected.
+    /// Retransmits the window `[from, from + count)` of send 0, clamped to
+    /// the message (a Go-Back-N rewind). Returns how many chunks were
+    /// re-injected.
     pub fn resend_window(&self, eng: &mut Engine, from: usize, count: usize) -> usize {
-        let hdl = self.hdl.expect("resend only after begin");
-        let end = (from + count).min(self.total_chunks);
+        let msg_bytes = self.first.expect("resend only after begin").len.get();
+        let chunk_bytes = self.qp.config().chunk_bytes;
+        let end = (from + count).min(msg_bytes.div_ceil(chunk_bytes) as usize);
         if from >= end {
             return 0;
         }
-        let off = from as u64 * self.chunk_bytes;
-        let len = (end as u64 * self.chunk_bytes).min(self.msg_bytes) - off;
-        self.qp
-            .send_stream_continue(eng, &hdl, off, len, |_, _| {})
-            .expect("rewind retransmission");
+        let off = from as u64 * chunk_bytes;
+        let len = (end as u64 * chunk_bytes).min(msg_bytes) - off;
+        self.inject(eng, 0, off, len, |_, _| {});
         end - from
     }
 
-    /// Quiesces the stream — the exactly-once close the ARQ senders run at
-    /// completion and a handover teardown can run early: idempotent
-    /// (repeated calls are no-ops) and drops the send handle so no later code path can inject into the old
-    /// scheme's slot. Returns `true` when this call performed the close.
-    pub fn quiesce(&mut self) -> bool {
-        match self.hdl.take() {
-            Some(hdl) => self.qp.send_stream_end(&hdl).is_ok(),
-            None => false,
+    /// Closes the transfer: ends and releases every open send, and opens
+    /// none from here on. The exactly-once close completion and abort share
+    /// and a handover teardown can run early — repeated calls find nothing
+    /// left to do.
+    pub fn close(&mut self) {
+        self.closed = true;
+        for send in self.first.take().into_iter().chain(self.rest.drain(..)) {
+            let _ = self.qp.send_stream_end(&send.hdl);
+            self.qp.send_release(send.hdl);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Control-endpoint dispatch
-// ---------------------------------------------------------------------------
-
-/// Installs `f` as `ep`'s control handler with the shared-state clone the
-/// schemes all need: the handler gets the protocol object's `Rc` so it can
-/// borrow it per message without keeping it borrowed across engine calls.
-/// `ep` is any [`CtrlPath`] — the raw endpoint for static deployments, the
-/// adaptive layer's epoch gate during adaptive transfers.
-pub fn wire_ctrl<T: 'static>(
-    ep: &Rc<dyn CtrlPath>,
-    inner: &Rc<RefCell<T>>,
-    mut f: impl FnMut(&Rc<RefCell<T>>, &mut Engine, QpAddr, CtrlMsg) + 'static,
-) {
-    let me = inner.clone();
-    ep.install_handler(Box::new(move |eng, src, msg| f(&me, eng, src, msg)));
-}
-
-/// Runs `begin` now and, if it reports not-ready (`false`), re-runs it on
-/// every future CTS credit — the begin-now-or-on-credit hook every sender
-/// uses to start as soon as the receiver posts its buffer.
-pub fn begin_on_cts<T: 'static>(
-    eng: &mut Engine,
-    qp: &SdrQp,
-    inner: &Rc<RefCell<T>>,
-    mut begin: impl FnMut(&Rc<RefCell<T>>, &mut Engine) -> bool + 'static,
-) {
-    if begin(inner, eng) {
-        return;
-    }
-    let me = inner.clone();
-    qp.set_cts_callback(move |eng, _seq, _len| {
-        begin(&me, eng);
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -791,35 +844,65 @@ pub struct TxProgress {
     pub ack_rtt: Option<SimTime>,
 }
 
-/// A sender policy under the per-transfer [`TxDriver`]: the timers and the
-/// repair rule over one [`StreamTx`]. The driver owns when things run —
-/// begin-on-CTS, the timer loop, control dispatch, completion and abort.
+/// A sender policy under the per-transfer [`TxDriver`]: how the message
+/// splits into sends, the timers and the repair rule over one [`StreamTx`].
+/// The driver owns when things run — opening on credit, the timer loop,
+/// control dispatch, completion and abort.
 pub trait TxScheme: 'static {
     /// The sender-side report handed to the done callback.
     type Report;
 
-    /// The first pass is being injected: `chunk`'s last packet leaves the
-    /// wire at `departs`. Schemes that time chunks individually stamp
-    /// their timers here.
-    fn on_sent(&mut self, _chunk: usize, _departs: SimTime) {}
+    /// SDR sends the message takes, opened in this order: one streaming
+    /// send unless the scheme splits the message.
+    fn sends(&self) -> usize {
+        1
+    }
 
-    /// The stream just opened and the whole message was handed to the
-    /// device at `now`. Returns the first timer interval.
-    fn on_begin(&mut self, now: SimTime) -> SimTime;
+    /// `(addr, len)` of send `i`, asked right before it opens — its credit
+    /// has landed — so a scheme that produces a send's bytes late produces
+    /// them here. `msg` is the transfer's whole message, and the default:
+    /// the one send of an unsplit message.
+    fn span(&mut self, _i: usize, msg: (u64, u64)) -> (u64, u64) {
+        msg
+    }
+
+    /// The first pass of send `send` is being injected: `chunk`'s last
+    /// packet leaves the wire at `departs`. Schemes that time chunks
+    /// individually stamp their timers here.
+    fn on_sent(&mut self, _send: usize, _chunk: usize, _departs: SimTime) {}
+
+    /// The first send just opened and was handed to the device at `now`.
+    /// Returns the first timer interval; `None` when the scheme keeps no
+    /// sender-side timer (its receiver times the silence).
+    fn on_begin(&mut self, now: SimTime) -> Option<SimTime>;
 
     /// One timer wake: retransmit whatever expired through `stream` and
     /// return the next deadline (`None` once nothing is left to time).
-    fn on_tick(&mut self, eng: &mut Engine, stream: &StreamTx) -> Option<SimTime>;
+    fn on_tick(&mut self, _eng: &mut Engine, _stream: &StreamTx) -> Option<SimTime> {
+        None
+    }
 
     /// One control message from the peer.
     fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress;
 
+    /// The transfer ended, delivered or aborted, and its sends are closed:
+    /// the scheme gives back what it held for them.
+    fn on_end(&mut self) {}
+
     /// The report for a transfer that ended `outcome` after `duration`.
     fn report(&self, duration: SimTime, outcome: TransferOutcome) -> Self::Report;
+
+    /// The parity staged for the whole message, when the scheme stages any
+    /// (test observability; see `EcSender::staged_parity`).
+    fn staged_parity(&mut self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 struct TxState<S: TxScheme> {
     stream: StreamTx,
+    /// `(addr, len)` of the whole message.
+    msg: (u64, u64),
     scheme: S,
     completion: Completion<S::Report>,
     /// The retransmission loop, once armed: it sleeps to the deadline the
@@ -828,9 +911,9 @@ struct TxState<S: TxScheme> {
     tick: Option<TimerHandle>,
 }
 
-/// The per-transfer sender driver: begins as soon as the CTS credit
-/// allows, runs the scheme's timer, feeds it control messages, and ends
-/// the transfer exactly once — delivered or aborted.
+/// The per-transfer sender driver: opens and injects each send as soon as
+/// its CTS credit allows, runs the scheme's timer, feeds it control
+/// messages, and ends the transfer exactly once — delivered or aborted.
 pub struct TxDriver<S: TxScheme> {
     inner: Rc<RefCell<TxState<S>>>,
 }
@@ -848,15 +931,24 @@ impl<S: TxScheme> TxDriver<S> {
         done: impl FnOnce(&mut Engine, S::Report) + 'static,
     ) -> Self {
         let inner = Rc::new(RefCell::new(TxState {
-            stream: StreamTx::new(qp, local_addr, msg_bytes),
+            stream: StreamTx::new(qp, scheme.sends()),
+            msg: (local_addr, msg_bytes),
             scheme,
             completion: Completion::new(done),
             tick: None,
         }));
-        wire_ctrl(ctrl, &inner, |me, eng, _src, msg| {
-            Self::on_ctrl(me, eng, msg)
-        });
-        begin_on_cts(eng, qp, &inner, Self::try_begin);
+        // The handler borrows the state per message, never across engine
+        // calls. `ctrl` is any `CtrlPath`: the raw endpoint for static
+        // deployments, the adaptive layer's epoch gate otherwise.
+        let me = inner.clone();
+        ctrl.install_handler(Box::new(move |eng, _src, msg| Self::on_ctrl(&me, eng, msg)));
+        // Open what is credited already; every later credit opens more,
+        // until all sends are.
+        Self::pump(&inner, eng);
+        if !inner.borrow().stream.is_open() {
+            let me = inner.clone();
+            qp.set_cts_callback(move |eng, _seq, _len| Self::pump(&me, eng));
+        }
         TxDriver { inner }
     }
 
@@ -865,8 +957,8 @@ impl<S: TxScheme> TxDriver<S> {
         self.inner.borrow().completion.is_done()
     }
 
-    /// Tears the transfer down now: the timer is cancelled, the stream
-    /// slot is quiesced (exactly once), and the done callback fires with
+    /// Tears the transfer down now: the timer is cancelled, every send is
+    /// closed (exactly once), and the done callback fires with
     /// [`TransferOutcome::Aborted`]. Idempotent — returns `false` when the
     /// transfer already completed or aborted. Local only: propagating the
     /// abort to the peer is the control plane's job (the adaptive layer
@@ -880,27 +972,38 @@ impl<S: TxScheme> TxDriver<S> {
         f(&mut self.inner.borrow_mut().scheme)
     }
 
-    fn try_begin(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine) -> bool {
-        let first = {
+    /// Opens, in order, every send whose credit has landed and injects its
+    /// first pass; the first one starts the transfer's clock and the
+    /// scheme's timer. A stale CTS hook may re-fire after the end — the
+    /// stream is closed by then, [`StreamTx::ready`] names nothing, and no
+    /// send sequence that belongs to a later transfer is consumed.
+    fn pump(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine) {
+        let mut first = None;
+        {
             let mut i = inner.borrow_mut();
-            // A stale CTS hook may re-fire after completion (the stream is
-            // quiesced by then) — it must never re-open the stream and
-            // consume a send sequence that belongs to a later transfer.
-            if i.completion.is_done() || i.stream.is_open() {
-                return true;
+            let TxState {
+                stream,
+                msg,
+                scheme,
+                completion,
+                ..
+            } = &mut *i;
+            while let Some(send) = stream.ready() {
+                let (addr, len) = scheme.span(send, *msg);
+                stream.open(eng, addr, len);
+                stream.inject_all(eng, send, |c, at| scheme.on_sent(send, c, at));
+                if send == 0 {
+                    let now = eng.now();
+                    completion.mark_started(now);
+                    first = scheme.on_begin(now);
+                }
             }
-            let TxState { stream, scheme, .. } = &mut *i;
-            if !stream.try_begin(eng, |c, at| scheme.on_sent(c, at)) {
-                return false;
-            }
-            let now = eng.now();
-            i.completion.mark_started(now);
-            i.scheme.on_begin(now)
-        };
-        // The whole message was just handed to the device, so the first
-        // deadline is at least one interval out; after that every wake
-        // sleeps to the scheme's next deadline. ACKs are event-driven and
-        // never wait on this loop.
+        }
+        let Some(first) = first else { return };
+        // The send was just handed to the device, so the first deadline is
+        // at least one interval out; after that every wake sleeps to the
+        // scheme's next deadline. ACKs are event-driven and never wait on
+        // this loop.
         let me = inner.clone();
         let h = tick_loop(eng, first, move |eng| {
             let mut i = me.borrow_mut();
@@ -913,7 +1016,6 @@ impl<S: TxScheme> TxDriver<S> {
             scheme.on_tick(eng, stream).map_or(Tick::Stop, Tick::Until)
         });
         inner.borrow_mut().tick = Some(h);
-        true
     }
 
     fn on_ctrl(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine, msg: CtrlMsg) {
@@ -946,12 +1048,13 @@ impl<S: TxScheme> TxDriver<S> {
             let Some(cb) = i.completion.finish() else {
                 return false;
             };
-            i.stream.quiesce();
+            i.stream.close();
             // The loop may be asleep until a far deadline: cancel it so
             // the drained simulation ends with the transfer.
             if let Some(h) = i.tick.take() {
                 eng.cancel(h);
             }
+            i.scheme.on_end();
             let report = i.scheme.report(i.completion.elapsed(eng.now()), outcome);
             (cb, report)
         };

@@ -263,7 +263,7 @@ impl RxScheme for RxPolicy {
     }
 
     fn done_payload(&self) -> bool {
-        matches!(self, RxPolicy::Ec(s) if s.stats().decoded_submessages > 0)
+        matches!(self, RxPolicy::Ec(s) if s.stats.decoded_submessages > 0)
     }
 
     fn released(&mut self) {
@@ -311,9 +311,7 @@ pub trait SchemeSender {
 
     /// The parity an erasure-coding sender staged for the whole run (see
     /// [`EcSender::staged_parity`]); `None` for ARQ senders.
-    fn staged_parity(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn staged_parity(&self) -> Option<Vec<u8>>;
 }
 
 impl<S: TxScheme> SchemeSender for TxDriver<S> {
@@ -324,19 +322,9 @@ impl<S: TxScheme> SchemeSender for TxDriver<S> {
     fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
         self.abort(eng, reason)
     }
-}
-
-impl SchemeSender for EcSender {
-    fn is_done(&self) -> bool {
-        self.is_done()
-    }
-
-    fn abort(&self, eng: &mut Engine, reason: AbortReason) -> bool {
-        self.abort(eng, reason)
-    }
 
     fn staged_parity(&self) -> Option<Vec<u8>> {
-        Some(self.staged_parity())
+        self.scheme_mut(|s| s.staged_parity())
     }
 }
 

@@ -392,13 +392,13 @@ pub struct SrTx {
 impl TxScheme for SrTx {
     type Report = SrReport;
 
-    fn on_sent(&mut self, chunk: usize, departs: SimTime) {
+    fn on_sent(&mut self, _send: usize, chunk: usize, departs: SimTime) {
         self.core.record_sent(chunk, departs);
     }
 
-    fn on_begin(&mut self, _now: SimTime) -> SimTime {
+    fn on_begin(&mut self, _now: SimTime) -> Option<SimTime> {
         // No chunk leaves the wire before now, so none expires sooner.
-        self.cfg.rto
+        Some(self.cfg.rto)
     }
 
     fn on_tick(&mut self, eng: &mut Engine, stream: &StreamTx) -> Option<SimTime> {

@@ -65,6 +65,8 @@ struct Run {
     resent_bytes: u64,
     /// The receiver's `ec-nack` events: one per submessage per NACK.
     nack_events: Vec<Event>,
+    /// Send contexts left in the sender's QP after the run.
+    live_sends: usize,
 }
 
 /// One EC transfer over `link`; the forward direction is additionally dark
@@ -133,6 +135,7 @@ fn run_ec(link: LinkConfig, seed: u64, blackouts: &[(SimTime, SimTime)]) -> Run 
             // the event existed, where the first directed test must fail.)
             .filter(|e| e.kind.label() == "ec-nack")
             .collect(),
+        live_sends: h.p.qp_a.live_sends(),
     }
 }
 
@@ -164,6 +167,9 @@ fn a_fallback_is_served_once() {
     // Nothing else was touched, and submessage 1 decodes as soon as the
     // repair has brought it two of its ten chunks back (24 + 8 = k).
     assert_eq!(r.stats.decoded_submessages, 1);
+    // All 2L = 16 sends the transfer opened — the re-injected one among
+    // them — were released when the positive ACK came.
+    assert_eq!(r.live_sends, 0, "send contexts left after delivery");
 }
 
 #[test]

@@ -10,7 +10,11 @@
 //! * **buffer release, exactly once**: after the linger countdown the
 //!   receiver releases every posted slot back to the QP — proven by
 //!   wrapping the (deliberately small) slot table with fresh posts, which
-//!   would fail with `SlotBusy` if any slot were still held.
+//!   would fail with `SlotBusy` if any slot were still held;
+//! * **send contexts have an end of life**: once a transfer is over —
+//!   delivered or aborted — the sender's QP holds none of its send
+//!   contexts (`SdrQp::live_sends`), per transfer, per adaptive segment
+//!   and per flow; and a credit that lands after the end opens nothing.
 //!
 //! The same rows then run under the *population* driver: SR-NACK and EC as
 //! a 1-flow and a 64-flow [`FlowManager`] population. The cores are the
@@ -22,11 +26,14 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{flow_world, FlowWorld, ProtoHarness};
+use common::{capture, flow_world, took, FlowWorld, ProtoHarness};
 use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
-use sdr_reliability::{FlowCfg, FlowReport, SchemeSpec};
-use sdr_sim::{LinkConfig, SimTime};
+use sdr_reliability::{
+    AbortReason, AdaptConfig, AdaptReport, AdaptiveController, FlowCfg, FlowReport, SchemeSpec,
+    TelemetryConfig,
+};
+use sdr_sim::{propagation_delay_km, tx_time, LinkConfig, SimTime, DEFAULT_HEADER_BYTES};
 
 const BW: f64 = 8e9;
 
@@ -162,6 +169,154 @@ fn released_slots_are_reusable_across_the_whole_table() {
     }
 }
 
+/// A transfer's send contexts end with it. Every send a scheme opened is
+/// ended *and released* when the transfer finishes, so the QP's context
+/// table — which every CTS credit walks — is empty again: after a delivered
+/// transfer of every scheme, and after one aborted mid-flight with sends
+/// open.
+#[test]
+fn send_contexts_are_released_when_a_transfer_ends() {
+    for scheme in ALL_SCHEMES {
+        let (h, o) = run_scheme(scheme, 0.005, 41, 1 << 20);
+        assert!(o.sender_done && o.delivered_ok, "{scheme}: delivered");
+        assert_eq!(h.p.qp_a.live_sends(), 0, "{scheme}: after delivery");
+
+        let mut h = ProtoHarness::new(LinkConfig::wan(50.0, BW, 0.0), cfg(), 1 << 20, 7);
+        let done = Rc::new(RefCell::new(0u32));
+        let d = done.clone();
+        let (tx, rx) = h.start_scheme(scheme, BW, move |_e, _| *d.borrow_mut() += 1);
+        // Half a round trip past the first credit: the first pass is on
+        // the wire, every send is open, nothing is acknowledged.
+        let mid_flight = h.rtt;
+        h.p.eng.run_until(mid_flight);
+        let sends = scheme.sends(1 << 20, cfg().chunk_bytes) as usize;
+        assert_eq!(h.p.qp_a.live_sends(), sends, "{scheme}: open mid-flight");
+        assert!(tx.abort(&mut h.p.eng, AbortReason::Requested));
+        assert_eq!(h.p.qp_a.live_sends(), 0, "{scheme}: after abort");
+        assert_eq!(*done.borrow(), 1, "{scheme}: abort reports once");
+        rx.quiesce(&mut h.p.eng);
+        h.run(1_000_000);
+        assert_eq!(h.p.eng.pending_events(), 0, "{scheme}: drained");
+    }
+}
+
+/// The adaptive twin: every segment is one scheme run, so every segment
+/// releases what it opened — across a handover too. Three 4 MiB segments
+/// (a few pipeline leads each at 100 km) opened under the GBN baseline on
+/// a lossy channel: the estimator turns confident during the first and the
+/// controller hands over to the scheme the advisor prefers.
+#[test]
+fn adaptive_segments_release_their_sends_across_a_handover() {
+    let (msg, seg) = (12u64 << 20, 4u64 << 20);
+    let cfg = SdrConfig {
+        max_msg_bytes: seg,
+        msg_slots: 64,
+        ..cfg()
+    };
+    let link = LinkConfig::wan(100.0, BW, 3e-3).with_seed(15);
+    let mut h = ProtoHarness::new(link, cfg, msg, 15);
+    let mut acfg = AdaptConfig::new(BW, h.rtt, seg);
+    acfg.telemetry = TelemetryConfig {
+        loss_alpha: 1.0 / 1024.0,
+        min_packets: 256,
+    };
+    let (report, on_sent) = capture::<AdaptReport>();
+    let _tx = AdaptiveController::start_sender(
+        &mut h.p.eng,
+        &h.p.qp_a,
+        &h.p.ctx_a,
+        h.ctrl_a.clone(),
+        h.ctrl_b.addr(),
+        h.src,
+        msg,
+        SchemeSpec::Gbn,
+        acfg.clone(),
+        on_sent,
+    );
+    let _rx = AdaptiveController::start_receiver(
+        &mut h.p.eng,
+        &h.p.qp_b,
+        &h.p.ctx_b,
+        h.ctrl_b.clone(),
+        h.ctrl_a.addr(),
+        h.dst,
+        msg,
+        SchemeSpec::Gbn,
+        acfg,
+        |_e, _at, _rep| {},
+    );
+    h.run(120_000_000);
+    let report = took(&report, "adaptive sender");
+    assert!(report.outcome.is_delivered() && h.delivered_ok());
+    let specs: Vec<_> = report.history.iter().map(|&(_, _, s)| s).collect();
+    assert!(
+        specs.len() == 3 && specs[0] == SchemeSpec::Gbn && specs[2] != SchemeSpec::Gbn,
+        "three segments with a handover between them: {specs:?}"
+    );
+    assert!(report.switches >= 1);
+    assert_eq!(h.p.qp_a.live_sends(), 0, "every segment released its sends");
+}
+
+/// A credit that lands after the end opens nothing. Every candidate spec,
+/// started as the adaptive controller starts a segment: the reverse path
+/// goes dark when a quarter of the run's credits have landed (none of an
+/// ARQ run's one, those of the first data submessages of an EC run's `2L`),
+/// the sender is aborted with the rest outstanding, the path heals and the
+/// receiver's heartbeat re-issues them.
+/// The closed sender must leave them alone — the sequence a late credit
+/// names belongs to whoever sends next on the QP. One guard serves all
+/// schemes ([`StreamTx::ready`](sdr_reliability::runtime::StreamTx::ready)
+/// under `TxDriver`); this is its regression.
+#[test]
+fn a_credit_that_lands_after_the_end_opens_nothing() {
+    const KM: f64 = 50.0;
+    let msg = 1u64 << 20;
+    let cfg = SdrConfig {
+        msg_slots: 64,
+        chunk_bytes: 16 * 1024,
+        ..cfg()
+    };
+    // When the receiver's `n`-th CTS (posted back to back at 0) lands.
+    let cts = tx_time(20 + DEFAULT_HEADER_BYTES as u64, BW);
+    let cts_lands = |n: u64| cts * (n + 1) + propagation_delay_km(KM);
+    for spec in SchemeSpec::candidates() {
+        let mut h = ProtoHarness::new(LinkConfig::wan(KM, BW, 0.0), cfg, msg, 3);
+        let sends = spec.sends(msg, cfg.chunk_bytes);
+        let landed = sends / 4;
+        let (fabric, a, b) = (h.p.fabric.clone(), h.p.node_a, h.p.node_b);
+        h.p.eng.schedule_at(cts_lands(landed) - cts / 2, move |_e| {
+            fabric.set_link_down(b, a, true);
+        });
+        let done = Rc::new(RefCell::new(0u32));
+        let d = done.clone();
+        let (tx, rx) = h.start_scheme(spec, BW, move |_e, _| *d.borrow_mut() += 1);
+
+        h.p.eng.run_until(h.rtt * 2);
+        let qp = h.p.qp_a.clone();
+        assert_eq!(qp.next_send_seq(), landed, "{spec}: one open per credit");
+        assert_eq!(qp.live_sends() as u64, landed, "{spec}");
+        assert_eq!(*done.borrow(), 0, "{spec}: still running");
+        // `start_sender`'s callback carries the repair effort, not the
+        // outcome: that it first fires inside `abort` is what says Aborted.
+        assert!(tx.abort(&mut h.p.eng, AbortReason::Requested), "{spec}");
+        assert_eq!(*done.borrow(), 1, "{spec}: the abort reports");
+        assert!(!tx.abort(&mut h.p.eng, AbortReason::Requested), "{spec}");
+        assert_eq!(qp.live_sends(), 0, "{spec}: every open send released");
+
+        h.p.fabric.set_link_down(h.p.node_b, h.p.node_a, false);
+        h.p.eng.run_until(h.rtt * 8);
+        assert!(qp.has_cts(landed), "{spec}: the next credit did land");
+        assert_eq!(qp.next_send_seq(), landed, "{spec}: and opened nothing");
+        assert_eq!(qp.live_sends(), 0, "{spec}");
+        assert_eq!(*done.borrow(), 1, "{spec}: reported exactly once");
+        assert!(tx.is_done());
+
+        rx.quiesce(&mut h.p.eng);
+        h.run(1_000_000);
+        assert_eq!(h.p.eng.pending_events(), 0, "{spec}: no live timer");
+    }
+}
+
 /// Linger-ACK tolerance: at heavy loss (10% — where a 16-packet chunk
 /// survives intact only ~19% of the time and every tenth control datagram
 /// drops) the final ACK is lost often; the linger repeats must still
@@ -195,7 +350,8 @@ struct PopOutcome {
     /// Every sender callback fired exactly once, reporting delivery under
     /// the requested scheme family.
     senders_done: bool,
-    /// Both managers hold no live flow and no parked open.
+    /// Both managers hold no live flow and no parked open, and the
+    /// sender's shard QPs no send context.
     drained: bool,
     /// Opens that had to wait for a slot (then got one).
     parked: u64,
@@ -268,7 +424,8 @@ fn run_population(
         }
         out.drained &= mgr_a.live_flows() == (0, 0)
             && mgr_b.live_flows() == (0, 0)
-            && mgr_b.parked_opens() == 0;
+            && mgr_b.parked_opens() == 0
+            && mgr_a.live_sends() == 0;
     }
     out.parked = mgr_b.stats().parked_opens;
     out.reports = reports.take();

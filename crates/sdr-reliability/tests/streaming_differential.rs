@@ -11,7 +11,9 @@ use std::rc::Rc;
 
 use common::{capture, serial_parity, took, ProtoHarness};
 use sdr_core::SdrConfig;
-use sdr_reliability::{EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender};
+use sdr_reliability::{
+    EcCodeChoice, EcProtoConfig, EcReceiver, EcRecvStats, EcReport, EcSender, SchemeSpec,
+};
 use sdr_sim::LinkConfig;
 
 const CHUNK: usize = 64 * 1024;
@@ -32,7 +34,10 @@ struct Outcome {
     delivered_ok: bool,
     parity: Vec<u8>,
     stats: EcRecvStats,
-    sender_done: bool,
+    /// The sender's report, once it finished.
+    report: Option<EcReport>,
+    /// Send contexts left in the sender's QP after the run.
+    live_sends: usize,
 }
 
 fn run_one(
@@ -51,8 +56,7 @@ fn run_one(
     proto.linger_acks = 60;
     proto.encode_stripes = stripes;
 
-    let done = Rc::new(RefCell::new(false));
-    let d = done.clone();
+    let (report, on_sent) = capture::<EcReport>();
     let tx = Rc::new(EcSender::start(
         &mut h.p.eng,
         &h.p.qp_a,
@@ -62,7 +66,7 @@ fn run_one(
         h.src,
         msg,
         proto,
-        move |_e, _rep| *d.borrow_mut() = true,
+        on_sent,
     ));
     // The staging region goes back to node memory when the sender
     // finishes, so the parity is read at the receiver's completion instant
@@ -83,13 +87,13 @@ fn run_one(
     h.run(80_000_000);
 
     let (final_stats, parity) = stats.take();
-    let sender_done = *done.borrow();
     Outcome {
         delivered_ok: h.delivered_ok(),
+        live_sends: h.p.qp_a.live_sends(),
         data: h.data,
         parity,
         stats: final_stats,
-        sender_done,
+        report: report.take(),
     }
 }
 
@@ -109,7 +113,13 @@ fn streamed_sender_matches_serial_reference() {
     for (code, k, m, p_drop, seed, msg) in cases {
         let streamed = run_one(code, k, m, p_drop, seed, msg, 1);
         let tag = format!("code={code:?} k={k} m={m} p={p_drop} seed={seed}");
-        assert!(streamed.sender_done, "{tag}: streamed sender finished");
+        let report = streamed.report.expect("streamed sender finished");
+        assert!(report.outcome.is_delivered(), "{tag}: {}", report.outcome);
+        assert_eq!(
+            report.staged_at_first_byte, 0,
+            "{tag}: the first byte left before any parity was harvested"
+        );
+        assert_eq!(streamed.live_sends, 0, "{tag}: all 2L sends released");
         assert!(streamed.delivered_ok, "{tag}: streamed delivery intact");
         assert!(
             streamed.parity == serial_parity(&streamed.data, CHUNK, code, k, m),
@@ -121,6 +131,34 @@ fn streamed_sender_matches_serial_reference() {
             msg.div_ceil((k * CHUNK) as u64),
             "{tag}: every submessage resolved exactly once"
         );
+    }
+}
+
+/// The sender the scheme table starts — what an adaptive segment runs — is
+/// the same `EcSender` behind `dyn SchemeSender`: asked for its staged
+/// parity the instant the receiver completes (the final ACK is still on the
+/// wire, so the staging is live), it answers with the serial encode, and an
+/// ARQ sender with `None`.
+#[test]
+fn scheme_table_sender_stages_the_serial_parity() {
+    let (k, m, msg) = (4usize, 2usize, 1u64 << 20);
+    for (spec, code) in [
+        (SchemeSpec::EcMds { k: 4, m: 2 }, Some(EcCodeChoice::Mds)),
+        (SchemeSpec::EcXor { k: 4, m: 2 }, Some(EcCodeChoice::Xor)),
+        (SchemeSpec::SrNack, None),
+    ] {
+        let link = LinkConfig::wan(50.0, 8e9, 0.02).with_seed(16);
+        let mut h = ProtoHarness::new(link, cfg(), msg, 16);
+        let (tx, rx) = h.start_scheme(spec, 8e9, |_e, _repairs| {});
+        while !rx.is_complete() {
+            assert!(h.p.eng.step(), "{spec}: receiver never completed");
+        }
+        assert!(!tx.is_done(), "{spec}: the final ACK is still in flight");
+        let want = code.map(|code| serial_parity(&h.data, CHUNK, code, k, m));
+        assert!(tx.staged_parity() == want, "{spec}: staged parity");
+        h.run(80_000_000);
+        assert!(tx.is_done() && h.delivered_ok(), "{spec}: delivered");
+        assert_eq!(h.p.qp_a.live_sends(), 0, "{spec}: sends released");
     }
 }
 
@@ -140,7 +178,10 @@ fn striped_encode_jobs_match_unstriped() {
         let striped = run_one(code, k, m, p_drop, seed, msg, stripes);
         let serial = run_one(code, k, m, p_drop, seed, msg, 1);
         let tag = format!("code={code:?} k={k} m={m} p={p_drop} stripes={stripes}");
-        assert!(striped.sender_done && serial.sender_done, "{tag}: finished");
+        assert!(
+            striped.report.is_some() && serial.report.is_some(),
+            "{tag}: finished"
+        );
         assert!(striped.delivered_ok, "{tag}: striped delivery intact");
         assert_eq!(
             striped.parity, serial.parity,

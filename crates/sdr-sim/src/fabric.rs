@@ -429,13 +429,6 @@ impl Fabric {
         }
     }
 
-    /// Raises or clears the hard-blackout flag in both directions.
-    pub fn set_down_duplex(&self, a: NodeId, b: NodeId, down: bool) -> bool {
-        let ab = self.set_link_down(a, b, down);
-        let ba = self.set_link_down(b, a, down);
-        ab && ba
-    }
-
     /// Applies `model` to `a → b`, and to `b → a` too when `duplex`.
     fn fault_set_loss(&self, a: NodeId, b: NodeId, duplex: bool, model: LossModel) {
         self.set_link_loss(a, b, model.clone());

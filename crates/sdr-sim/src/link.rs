@@ -550,19 +550,6 @@ impl Link {
         self.pending.len()
     }
 
-    /// Drops every packet currently in flight (counted in
-    /// [`stats().dropped`](Self::stats)) — the far endpoint crashed and
-    /// nothing on the wire toward it survives. Returns how many died.
-    pub fn drop_in_flight(&mut self) -> usize {
-        let n = self.pending.len();
-        self.stats.dropped += n as u64;
-        if let Some(t) = &self.trace {
-            t.dropped.add(n as u64);
-        }
-        self.pending.clear();
-        n
-    }
-
     /// The armed drain pump, if any (fabric bookkeeping).
     pub(crate) fn drain_state(&self) -> Option<(TimerHandle, SimTime)> {
         self.drain
@@ -571,11 +558,6 @@ impl Link {
     /// Records the drain pump state (fabric bookkeeping).
     pub(crate) fn set_drain(&mut self, d: Option<(TimerHandle, SimTime)>) {
         self.drain = d;
-    }
-
-    /// Empirical drop rate observed by the loss process.
-    pub fn observed_drop_rate(&self) -> f64 {
-        self.loss.observed_rate()
     }
 
     /// Replaces the loss model mid-simulation — the substrate for loss-step

@@ -346,11 +346,6 @@ impl Node {
         self.qps[qp.0 as usize].rq.push_back(wqe);
     }
 
-    /// Number of outstanding receive WQEs on a QP.
-    pub fn rq_len(&self, qp: QpNum) -> usize {
-        self.qps[qp.0 as usize].rq.len()
-    }
-
     /// Pops the oldest completion from a CQ.
     pub fn poll_cq(&mut self, cq: CqId) -> Option<Cqe> {
         self.cqs[cq.0 as usize].poll()

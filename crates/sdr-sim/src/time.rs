@@ -80,12 +80,6 @@ impl SimTime {
         self.0
     }
 
-    /// This time expressed in nanoseconds (floating point).
-    #[inline]
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-
     /// Saturating subtraction: returns zero instead of underflowing.
     #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
