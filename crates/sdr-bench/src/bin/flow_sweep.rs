@@ -27,11 +27,7 @@
 //! changes the event order — counters and ring writes are side effects —
 //! so the two runs should be *identical* in sim time; the gate is thus
 //! really a non-perturbation check, and the wall-clock events/s of both
-//! runs quantify what tracing costs the simulator itself. A second
-//! **checksum overhead gate** reruns the row with per-packet payload
-//! checksums off and asserts sim-time goodput within 5 % — the CRC32C
-//! work is pure computation, so the delta shows up in wall-clock
-//! events/s, not in the delivered schedule.
+//! runs quantify what tracing costs the simulator itself.
 //!
 //! Emits machine-readable `BENCH_flows.json` (rows + an `sdr-trace`
 //! registry snapshot of the fairness row). `SDR_BENCH_SMOKE=1` runs a
@@ -93,9 +89,7 @@ fn jain(xs: &[f64]) -> f64 {
 /// Runs one row: `n` flows of `bytes` each, all opened at t = 0. Verifies
 /// byte-exact delivery for every `verify_stride`-th flow and panics on
 /// any non-delivery, event-limit hit, or leftover parked open.
-/// `checksums` is the per-packet payload-checksum knob (the checksum
-/// overhead gate below needs both states).
-fn run_row(n: u64, bytes: u64, verify_stride: u64, checksums: bool) -> RowStats {
+fn run_row(n: u64, bytes: u64, verify_stride: u64) -> RowStats {
     let mut eng = Engine::new();
     let fabric = Fabric::new();
     let node_a = fabric.add_node(NODE_MEM);
@@ -106,11 +100,7 @@ fn run_row(n: u64, bytes: u64, verify_stride: u64, checksums: bool) -> RowStats 
     let ctx_b = SdrContext::new(&fabric, node_b);
     let ctrl_a = Rc::new(ControlEndpoint::new(&fabric, node_a));
     let ctrl_b = Rc::new(ControlEndpoint::new(&fabric, node_b));
-    let qp = SdrConfig {
-        payload_checksums: checksums,
-        ..qp_cfg()
-    };
-    let mut cfg = FlowCfg::new(qp, BW, rtt);
+    let mut cfg = FlowCfg::new(qp_cfg(), BW, rtt);
     cfg.shards = 16;
     let mgr_a = FlowManager::new(&fabric, node_a, ctrl_a, cfg.clone());
     let mgr_b = FlowManager::new(&fabric, node_b, ctrl_b, cfg);
@@ -237,8 +227,8 @@ fn main() {
     let mut gate_snapshot = String::from("{}");
     for (idx, &(n, bytes)) in rows.iter().enumerate() {
         // Single-flow baseline at this size anchors the ideal.
-        let single = run_row(1, bytes, 1, true);
-        let row = run_row(n, bytes, if n > 1000 { 37 } else { 1 }, true);
+        let single = run_row(1, bytes, 1);
+        let row = run_row(n, bytes, if n > 1000 { 37 } else { 1 });
         let ideal_gbps = (n as f64 * single.agg_gbps).min(BW / 1e9);
         let eff = row.agg_gbps / ideal_gbps;
         table_row(&[
@@ -293,7 +283,7 @@ fn main() {
             // perturbed the event order). Wall-clock events/s of the two
             // runs is the honest cost of tracing.
             set_trace_enabled(false);
-            let off = run_row(n, bytes, if n > 1000 { 37 } else { 1 }, true);
+            let off = run_row(n, bytes, if n > 1000 { 37 } else { 1 });
             set_trace_enabled(true);
             let ratio = row.agg_gbps / off.agg_gbps;
             println!(
@@ -310,45 +300,11 @@ fn main() {
                 row.agg_gbps,
                 off.agg_gbps
             );
-            // Checksum-overhead gate: the same row with per-packet payload
-            // checksums off. The CRC32C work (sender-side attach, NIC
-            // pre-DMA verify) is pure computation — it adds no events and
-            // shifts no timestamps — so sim-time goodput must stay within
-            // 5 % (in practice: identical on an uncorrupted wire). The
-            // wall-clock events/s delta is the honest CPU cost of
-            // checksumming every payload at this scale.
-            let plain = run_row(n, bytes, if n > 1000 { 37 } else { 1 }, false);
-            let csum_ratio = row.agg_gbps / plain.agg_gbps;
-            println!(
-                "checksum gate ({n} flows): checksums-on {:.3} Gb/s vs off {:.3} Gb/s \
-                 (ratio {csum_ratio:.4}); wall {:.2} vs {:.2} Mev/s",
-                row.agg_gbps,
-                plain.agg_gbps,
-                row.events_per_sec / 1e6,
-                plain.events_per_sec / 1e6,
-            );
-            assert!(
-                (csum_ratio - 1.0).abs() <= 0.05,
-                "payload checksums cost sim-time goodput on the {n}-flow row: \
-                 on {:.4} vs off {:.4} Gb/s",
-                row.agg_gbps,
-                plain.agg_gbps
-            );
             gate_json = format!(
                 "  \"overhead_gate\": {{\"flows\": {n}, \"on_gbps\": {:.4}, \
                  \"off_gbps\": {:.4}, \"goodput_ratio\": {ratio:.6}, \
-                 \"on_events_per_sec\": {:.0}, \"off_events_per_sec\": {:.0}}},\n  \
-                 \"checksum_gate\": {{\"flows\": {n}, \"checksums_on_gbps\": {:.4}, \
-                 \"checksums_off_gbps\": {:.4}, \"goodput_ratio\": {csum_ratio:.6}, \
                  \"on_events_per_sec\": {:.0}, \"off_events_per_sec\": {:.0}}},\n",
-                row.agg_gbps,
-                off.agg_gbps,
-                row.events_per_sec,
-                off.events_per_sec,
-                row.agg_gbps,
-                plain.agg_gbps,
-                row.events_per_sec,
-                plain.events_per_sec
+                row.agg_gbps, off.agg_gbps, row.events_per_sec, off.events_per_sec
             );
             gate_snapshot = row.snapshot.clone();
         }

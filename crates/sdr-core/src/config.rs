@@ -7,6 +7,13 @@ use crate::imm::ImmLayout;
 /// The runtime sizes its internal buffers — per-packet and chunk bitmaps,
 /// message tables, the indirect root memory keys — from the user-defined
 /// maximum message size, slot count and bitmap chunk size (§3.2.2).
+///
+/// End-to-end payload integrity is not a field: every injected packet
+/// carries a CRC32C over its payload, the receiving NIC checks it before
+/// the DMA commits, and a corrupted landing is reclassified as a *loss*
+/// (its bitmap bit stays clear), so the ordinary NACK/RTO repair
+/// machinery heals it — per-hop link CRCs cannot provide this across a
+/// multi-hop WAN path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SdrConfig {
     /// Maximum message size `M` in bytes; message `i` occupies offset range
@@ -24,15 +31,6 @@ pub struct SdrConfig {
     pub channels: usize,
     /// Number of message-ID generations for late-packet protection (§3.3.2).
     pub generations: usize,
-    /// End-to-end payload integrity: when set, every injected packet
-    /// carries a CRC32C over its payload (modeled as transport-header
-    /// content) and the receiver verifies each landing by memory
-    /// read-back before recording the packet — a corrupted packet is
-    /// reclassified as a *loss* (its bitmap bit stays clear), so the
-    /// ordinary NACK/RTO repair machinery heals it. Per-hop link CRCs
-    /// cannot provide this across a multi-hop WAN path. Off buys nothing
-    /// but an A/B baseline for the overhead gate.
-    pub payload_checksums: bool,
     /// Layout of the 32-bit transport immediate.
     pub imm: ImmLayout,
 }
@@ -46,7 +44,6 @@ impl Default for SdrConfig {
             chunk_bytes: 64 * 1024,
             channels: 2,
             generations: 4,
-            payload_checksums: true,
             imm: ImmLayout::default(),
         }
     }

@@ -73,7 +73,6 @@ mod tests {
             chunk_bytes: 16 * 4096, // 16 packets per chunk
             channels: 2,
             generations: 2,
-            payload_checksums: true,
             imm: ImmLayout::default(),
         }
     }
@@ -348,42 +347,6 @@ mod tests {
                 &after[(victim + 1) * mtu..(victim + 2) * mtu]
             )
             .unwrap());
-    }
-
-    #[test]
-    fn without_checksums_corruption_lands_silently() {
-        // The A/B baseline the overhead gate compares against: with
-        // payload_checksums off the same corrupting wire delivers a
-        // "complete" message whose bytes are wrong.
-        let cfg = SdrConfig {
-            payload_checksums: false,
-            ..small_cfg()
-        };
-        let link = LinkConfig::intra_dc(8e9).with_corruption(1e-5).with_seed(7);
-        let mut p = sdr_pair(link, cfg, 8 << 20);
-        let data = pattern(1 << 20, 12);
-        let src = p.ctx_a.alloc_buffer(1 << 20);
-        let dst = p.ctx_b.alloc_buffer(1 << 20);
-        p.ctx_a.write_buffer(src, &data);
-
-        let rh = p
-            .qp_b
-            .recv_post(&mut p.eng, dst, data.len() as u64)
-            .unwrap();
-        p.eng.run();
-        p.qp_a
-            .send_post(&mut p.eng, src, data.len() as u64, None)
-            .unwrap();
-        p.eng.run();
-
-        assert!(p.qp_b.recv_is_complete(&rh).unwrap());
-        assert_ne!(
-            p.ctx_b.read_buffer(dst, data.len()),
-            data,
-            "silent corruption: complete but wrong — this is what the \
-             checksummed datapath makes impossible"
-        );
-        assert_eq!(p.qp_b.stats().payload_corrupt, 0);
     }
 
     #[test]
@@ -669,9 +632,13 @@ mod tests {
     #[test]
     fn multipath_ecmp_delivery_is_correct() {
         // §3.4.1: spreading traffic across channel QPs lets deployments use
-        // ECMP multi-pathing. Parallel paths reorder packets; SDR's
-        // per-packet writes and offset-addressed placement must not care.
-        let link = LinkConfig::intra_dc(8e9).with_paths(4).with_seed(3);
+        // ECMP multi-pathing. Parallel paths reorder packets (modelled as
+        // displacement: one packet in four arrives up to eight packets
+        // late); SDR's per-packet writes and offset-addressed placement
+        // must not care.
+        let link = LinkConfig::intra_dc(8e9)
+            .with_reordering(0.25, 8)
+            .with_seed(3);
         let mut p = sdr_pair(link, small_cfg(), 8 << 20);
         let data = pattern(768 * 1024, 21);
         let src = p.ctx_a.alloc_buffer(1 << 20);

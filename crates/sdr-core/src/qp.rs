@@ -33,10 +33,8 @@
 //! duplicate over a clean original from a corrupt first arrival.
 //!
 //! The send buffer must therefore stay unmodified from the post until the
-//! peer's receive completes. With `payload_checksums` on (the default) a
-//! violation is *detected*: bytes changed in flight fail pass 2 and the
-//! packet is dropped and repaired as a loss. With checksums off nothing
-//! checks, exactly as nothing checked wire corruption.
+//! peer's receive completes. A violation is *detected*: bytes changed in
+//! flight fail pass 2 and the packet is dropped and repaired as a loss.
 //!
 //! *Returning* a send buffer to the node allocator
 //! ([`SdrContext::free_buffer`](crate::SdrContext::free_buffer)) is not a
@@ -105,10 +103,9 @@ struct RecvSlot {
     /// receive completes.
     buf_mkey: MkeyId,
     /// CRC32C of each packet's payload as it was verified on arrival,
-    /// indexed by packet offset. Empty when payload checksums are off.
-    /// Erasure-coded receivers re-check staged shards against these
-    /// before decoding, catching corrupted wire duplicates that landed
-    /// after the original clean packet was recorded.
+    /// indexed by packet offset. Erasure-coded receivers re-check staged
+    /// shards against these before decoding, catching corrupted wire
+    /// duplicates that landed after the original clean packet was recorded.
     arrival_crcs: Vec<Option<u32>>,
     /// Posted length, re-announced when a lost CTS is re-issued.
     buf_len: u64,
@@ -412,11 +409,7 @@ impl SdrQp {
             imm_acc: UserImmAccumulator::new(),
             buf_addr: addr,
             buf_mkey,
-            arrival_crcs: if i.cfg.payload_checksums {
-                vec![None; total_packets]
-            } else {
-                Vec::new()
-            },
+            arrival_crcs: vec![None; total_packets],
             buf_len: len,
             chunk_hook: None,
         };
@@ -556,10 +549,9 @@ impl SdrQp {
     /// was accepted. Returns `false` on any mismatch — the caller is
     /// holding bytes that no longer match what the wire delivered (a
     /// corrupted duplicate landed after the clean original was
-    /// recorded). Vacuously `true` when payload checksums are disabled
-    /// or a piece's packet has no recorded arrival. Erasure-coded
-    /// receivers run staged survivor shards through this before
-    /// feeding them to the decoder.
+    /// recorded). Vacuously `true` for a piece whose packet has no
+    /// recorded arrival. Erasure-coded receivers run staged survivor
+    /// shards through this before feeding them to the decoder.
     pub fn verify_packet_range(
         &self,
         hdl: &RecvHandle,
@@ -570,9 +562,6 @@ impl SdrQp {
         let slot = &i.recv_slots[hdl.slot];
         if slot.seq != hdl.seq {
             return Err(SdrError::BadHandle);
-        }
-        if slot.arrival_crcs.is_empty() {
-            return Ok(true);
         }
         let mtu = i.cfg.mtu_bytes as usize;
         for (k, piece) in data.chunks(mtu).enumerate() {
@@ -737,8 +726,8 @@ impl SdrQp {
     /// Each call reads the buffer as it stands when its packets are
     /// delivered (a retransmission carries the current bytes and a fresh
     /// CRC), so the range must stay unmodified until the peer's receive
-    /// completes; with `payload_checksums` on a change in flight is caught
-    /// at the receiving NIC and the packet repaired as a loss.
+    /// completes; a change in flight is caught at the receiving NIC and
+    /// the packet repaired as a loss.
     ///
     /// `departed(chunk, at)` is called once per bitmap chunk the range
     /// touches, in order: `at` is the instant the last packet this call
@@ -856,7 +845,7 @@ impl SdrQp {
                 // the modeled transport header (alongside the immediate),
                 // so wire payload corruption cannot touch it and the
                 // receiving NIC can check the payload against it.
-                checksum: cfg.payload_checksums,
+                checksum: true,
                 wr_id: hdl.id,
                 signaled: pkt == last_pkt - 1,
             }
@@ -1070,23 +1059,21 @@ impl QpInner {
         // bitmap bit stays clear, so the ordinary NACK/RTO repair
         // machinery resends the packet. No corrupted payload is ever
         // recorded as received.
-        if self.cfg.payload_checksums {
-            let landed = match cqe.check {
-                PayloadCheck::Landed(crc) => crc,
-                PayloadCheck::Skipped | PayloadCheck::Unchecked => {
-                    let base = slot.buf_addr + pkt_offset as u64 * self.cfg.mtu_bytes;
-                    let landed = self.fabric.node(self.node, |n| {
-                        sdr_erasure::crc32c(n.mem().read(base, cqe.byte_len as usize))
-                    });
-                    if cqe.crc.is_some_and(|wire| wire != landed) {
-                        self.stats.payload_corrupt += 1;
-                        return None;
-                    }
-                    landed
+        let landed = match cqe.check {
+            PayloadCheck::Landed(crc) => crc,
+            PayloadCheck::Skipped | PayloadCheck::Unchecked => {
+                let base = slot.buf_addr + pkt_offset as u64 * self.cfg.mtu_bytes;
+                let landed = self.fabric.node(self.node, |n| {
+                    sdr_erasure::crc32c(n.mem().read(base, cqe.byte_len as usize))
+                });
+                if cqe.crc.is_some_and(|wire| wire != landed) {
+                    self.stats.payload_corrupt += 1;
+                    return None;
                 }
-            };
-            slot.arrival_crcs[pkt_offset as usize] = Some(landed);
-        }
+                landed
+            }
+        };
+        slot.arrival_crcs[pkt_offset as usize] = Some(landed);
         slot.imm_acc.absorb(&self.cfg.imm, pkt_offset, user_frag);
         let before = bitmap.packets().get(pkt_offset as usize);
         if before {

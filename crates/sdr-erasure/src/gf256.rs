@@ -103,29 +103,6 @@ pub fn pow(a: u8, n: u32) -> u8 {
     EXP[l as usize]
 }
 
-/// `dst ^= src`, dispatched to the widest SIMD tier the host supports
-/// (see [`crate::kernel::Kernel`]).
-#[inline]
-pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    crate::kernel::Kernel::active().xor_slice(dst, src);
-}
-
-/// `dst[i] ^= c · src[i]` — the Reed–Solomon encode/decode kernel,
-/// dispatched to the widest SIMD tier the host supports.
-///
-/// `c == 0` is a no-op and `c == 1` degrades to [`xor_slice`].
-#[inline]
-pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    crate::kernel::Kernel::active().mul_add_slice(dst, src, c);
-}
-
-/// `dst[i] = c · src[i]`, dispatched to the widest SIMD tier the host
-/// supports.
-#[inline]
-pub fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    crate::kernel::Kernel::active().mul_slice(dst, src, c);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,30 +174,5 @@ mod tests {
     #[should_panic(expected = "zero has no inverse")]
     fn inv_zero_panics() {
         inv(0);
-    }
-
-    #[test]
-    fn slice_kernels_match_scalar() {
-        let src: Vec<u8> = (0..1003).map(|i| (i * 31 % 256) as u8).collect();
-        for c in [0u8, 1, 2, 133] {
-            let mut dst: Vec<u8> = (0..1003).map(|i| (i * 7 % 256) as u8).collect();
-            let expect: Vec<u8> = dst.iter().zip(&src).map(|(&d, &s)| d ^ mul(c, s)).collect();
-            mul_add_slice(&mut dst, &src, c);
-            assert_eq!(dst, expect, "c={c}");
-        }
-        let mut dst = vec![0u8; 1003];
-        mul_slice(&mut dst, &src, 77);
-        assert!(dst.iter().zip(&src).all(|(&d, &s)| d == mul(77, s)));
-    }
-
-    #[test]
-    fn xor_slice_is_involution() {
-        let src: Vec<u8> = (0..777).map(|i| (i % 251) as u8).collect();
-        let orig: Vec<u8> = (0..777).map(|i| (i % 13) as u8).collect();
-        let mut dst = orig.clone();
-        xor_slice(&mut dst, &src);
-        assert_ne!(dst, orig);
-        xor_slice(&mut dst, &src);
-        assert_eq!(dst, orig);
     }
 }

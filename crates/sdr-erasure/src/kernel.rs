@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for GF(2^8) slice arithmetic.
 //!
-//! The erasure hot path is `dst[i] ^= c·src[i]` over 64 KiB chunks. The
-//! classic scalar form walks a 256-byte product-table row one byte at a
+//! The erasure hot path is `dst[i] ^= Σ_j c_j·src_j[i]` over 64 KiB chunks.
+//! The classic scalar form walks a 256-byte product-table row one byte at a
 //! time; production RS codecs (ISA-L, reed-solomon-erasure) instead split
 //! every source byte into low/high nibbles and use a byte-shuffle
 //! instruction as a 16-entry parallel table lookup:
@@ -11,20 +11,20 @@
 //! ```
 //!
 //! `PSHUFB`/`VPSHUFB` (x86) and `TBL` (NEON) evaluate 16/32 such lookups
-//! per instruction. This module provides that kernel at three tiers —
-//! SIMD (SSSE3/AVX2 on x86_64, NEON on aarch64), a portable u64 SWAR
-//! fallback, and the scalar reference — selected **once** at startup into
-//! a [`Kernel`] vtable that `gf256`, `rs` and `xor` call through.
+//! per instruction; `GF2P8AFFINEQB` (GFNI) multiplies 64 bytes at once.
+//! Each tier — GFNI, AVX2, SSSE3 on x86_64, NEON on aarch64, and the scalar
+//! reference — is a [`Kernel`]: a name and the two operations the codes
+//! call, selected **once** at startup.
 //!
-//! Besides the single-source forms, the vtable carries *fused* kernels
-//! ([`Kernel::mul_add_multi`], [`Kernel::xor_multi`]) that accumulate `k`
-//! sources into one destination per memory pass: the destination strip is
-//! loaded and stored once instead of `k` times, which matters exactly when
-//! the encode is memory-bound (Figure 11's regime).
+//! Both operations are *fused*: [`Kernel::mul_add_multi`] (Reed–Solomon
+//! encode and decode) and [`Kernel::xor_multi`] (the modulo-group code)
+//! accumulate `k` sources into one destination per memory pass, so the
+//! destination strip is loaded and stored once instead of `k` times, which
+//! matters exactly when the encode is memory-bound (Figure 11's regime).
 //!
 //! Dispatch can be pinned for testing/benchmarks with the
-//! `SDR_GF256_KERNEL` environment variable (`scalar`, `swar`, or a SIMD
-//! kernel name from [`Kernel::all`]).
+//! `SDR_GF256_KERNEL` environment variable (`scalar`, or a SIMD kernel
+//! name from [`Kernel::all`]: `ssse3`, `avx2`, `gfni`, `neon`).
 
 use std::sync::OnceLock;
 
@@ -123,7 +123,8 @@ const fn build_gfni_matrices() -> [u64; 256] {
 static GFNI_MATRICES: [u64; 256] = build_gfni_matrices();
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (256-byte product-table row walk).
+// Scalar kernels (256-byte product-table row walk): the scalar tier, and
+// the sub-block tails of every SIMD kernel.
 // ---------------------------------------------------------------------------
 
 fn xor_scalar(dst: &mut [u8], src: &[u8]) {
@@ -145,19 +146,6 @@ fn mul_add_scalar(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-fn mul_scalar(dst: &mut [u8], src: &[u8], c: u8) {
-    match c {
-        0 => dst.fill(0),
-        1 => dst.copy_from_slice(src),
-        _ => {
-            let row = &crate::gf256::MUL[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = row[*s as usize];
-            }
-        }
-    }
-}
-
 fn mul_add_multi_scalar(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
     for (src, &c) in srcs.iter().zip(coeffs) {
         mul_add_scalar(dst, src, c);
@@ -171,118 +159,6 @@ fn xor_multi_scalar(dst: &mut [u8], srcs: &[&[u8]]) {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR kernels: 8 byte-lanes per u64, double-and-add over the bits of c.
-// ---------------------------------------------------------------------------
-
-/// Multiplies every byte lane of `v` by the generator `x = 2` with the
-/// 0x1D reduction applied lane-wise.
-#[inline(always)]
-fn swar_x2(v: u64) -> u64 {
-    let hi = v & 0x8080_8080_8080_8080;
-    // `hi >> 7` leaves 0x00/0x01 per lane; multiplying by 0x1D broadcasts
-    // the reduction constant into exactly the overflowing lanes.
-    ((v & 0x7F7F_7F7F_7F7F_7F7F) << 1) ^ ((hi >> 7).wrapping_mul(0x1D))
-}
-
-/// `c · v` lane-wise: binary expansion of `c`, doubling `v` per bit.
-#[inline(always)]
-fn swar_mul_word(v: u64, mut c: u8) -> u64 {
-    let mut acc = 0u64;
-    let mut cur = v;
-    while c != 0 {
-        if c & 1 != 0 {
-            acc ^= cur;
-        }
-        cur = swar_x2(cur);
-        c >>= 1;
-    }
-    acc
-}
-
-fn xor_swar(dst: &mut [u8], src: &[u8]) {
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let x = u64::from_ne_bytes(dc.try_into().unwrap());
-        let y = u64::from_ne_bytes(sc.try_into().unwrap());
-        dc.copy_from_slice(&(x ^ y).to_ne_bytes());
-    }
-    xor_scalar(d.into_remainder(), s.remainder());
-}
-
-fn mul_add_swar(dst: &mut [u8], src: &[u8], c: u8) {
-    match c {
-        0 => {}
-        1 => xor_swar(dst, src),
-        _ => {
-            let mut d = dst.chunks_exact_mut(8);
-            let mut s = src.chunks_exact(8);
-            for (dc, sc) in (&mut d).zip(&mut s) {
-                let x = u64::from_ne_bytes(dc.try_into().unwrap());
-                let y = u64::from_ne_bytes(sc.try_into().unwrap());
-                dc.copy_from_slice(&(x ^ swar_mul_word(y, c)).to_ne_bytes());
-            }
-            mul_add_scalar(d.into_remainder(), s.remainder(), c);
-        }
-    }
-}
-
-fn mul_swar(dst: &mut [u8], src: &[u8], c: u8) {
-    match c {
-        0 => dst.fill(0),
-        1 => dst.copy_from_slice(src),
-        _ => {
-            let mut d = dst.chunks_exact_mut(8);
-            let mut s = src.chunks_exact(8);
-            for (dc, sc) in (&mut d).zip(&mut s) {
-                let y = u64::from_ne_bytes(sc.try_into().unwrap());
-                dc.copy_from_slice(&swar_mul_word(y, c).to_ne_bytes());
-            }
-            mul_scalar(d.into_remainder(), s.remainder(), c);
-        }
-    }
-}
-
-fn mul_add_multi_swar(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-    let len = dst.len();
-    let words = len / 8;
-    // Fused pass: load/store each destination word once for all k sources.
-    for w in 0..words {
-        let o = w * 8;
-        let mut acc = u64::from_ne_bytes(dst[o..o + 8].try_into().unwrap());
-        for (src, &c) in srcs.iter().zip(coeffs) {
-            if c == 0 {
-                continue;
-            }
-            let y = u64::from_ne_bytes(src[o..o + 8].try_into().unwrap());
-            acc ^= if c == 1 { y } else { swar_mul_word(y, c) };
-        }
-        dst[o..o + 8].copy_from_slice(&acc.to_ne_bytes());
-    }
-    let tail = words * 8;
-    for (src, &c) in srcs.iter().zip(coeffs) {
-        mul_add_scalar(&mut dst[tail..], &src[tail..], c);
-    }
-}
-
-fn xor_multi_swar(dst: &mut [u8], srcs: &[&[u8]]) {
-    let len = dst.len();
-    let words = len / 8;
-    for w in 0..words {
-        let o = w * 8;
-        let mut acc = u64::from_ne_bytes(dst[o..o + 8].try_into().unwrap());
-        for src in srcs {
-            acc ^= u64::from_ne_bytes(src[o..o + 8].try_into().unwrap());
-        }
-        dst[o..o + 8].copy_from_slice(&acc.to_ne_bytes());
-    }
-    let tail = words * 8;
-    for src in srcs {
-        xor_scalar(&mut dst[tail..], &src[tail..]);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // x86_64 SIMD kernels (SSSE3 PSHUFB, AVX2 VPSHUFB).
 // ---------------------------------------------------------------------------
 
@@ -290,71 +166,6 @@ fn xor_multi_swar(dst: &mut [u8], srcs: &[&[u8]]) {
 mod x86 {
     use super::*;
     use core::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure SSSE3 is available.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            return;
-        }
-        let lo_t = _mm_loadu_si128(NIB_LO[c as usize].as_ptr() as *const __m128i);
-        let hi_t = _mm_loadu_si128(NIB_HI[c as usize].as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            let d = _mm_loadu_si128(dp.add(i) as *const __m128i);
-            let lo = _mm_shuffle_epi8(lo_t, _mm_and_si128(s, mask));
-            let hi = _mm_shuffle_epi8(hi_t, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-            let p = _mm_xor_si128(lo, hi);
-            _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_xor_si128(d, p));
-            i += 16;
-        }
-        mul_add_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure SSSE3 is available.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        let lo_t = _mm_loadu_si128(NIB_LO[c as usize].as_ptr() as *const __m128i);
-        let hi_t = _mm_loadu_si128(NIB_HI[c as usize].as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            let lo = _mm_shuffle_epi8(lo_t, _mm_and_si128(s, mask));
-            let hi = _mm_shuffle_epi8(hi_t, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-            _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_xor_si128(lo, hi));
-            i += 16;
-        }
-        mul_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure SSSE3 is available.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn xor_ssse3(dst: &mut [u8], src: &[u8]) {
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            let d = _mm_loadu_si128(dp.add(i) as *const __m128i);
-            _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_xor_si128(d, s));
-            i += 16;
-        }
-        xor_scalar(&mut dst[n..], &src[n..]);
-    }
 
     /// # Safety
     /// Caller must ensure SSSE3 is available. Every `srcs[j]` must be at
@@ -388,79 +199,6 @@ mod x86 {
         for (src, &c) in srcs.iter().zip(coeffs) {
             mul_add_scalar(&mut dst[n..], &src[n..], c);
         }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            return;
-        }
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            NIB_LO[c as usize].as_ptr() as *const __m128i
-        ));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            NIB_HI[c as usize].as_ptr() as *const __m128i
-        ));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = dst.len() & !31;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-            let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-            let p = _mm256_xor_si256(lo, hi);
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_xor_si256(d, p));
-            i += 32;
-        }
-        mul_add_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            NIB_LO[c as usize].as_ptr() as *const __m128i
-        ));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            NIB_HI[c as usize].as_ptr() as *const __m128i
-        ));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = dst.len() & !31;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-            let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_xor_si256(lo, hi));
-            i += 32;
-        }
-        mul_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_avx2(dst: &mut [u8], src: &[u8]) {
-        let n = dst.len() & !31;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_xor_si256(d, s));
-            i += 32;
-        }
-        xor_scalar(&mut dst[n..], &src[n..]);
     }
 
     /// # Safety
@@ -543,64 +281,6 @@ mod gfni {
     use core::arch::x86_64::*;
 
     /// # Safety
-    /// Caller must ensure GFNI + AVX-512F are available.
-    #[target_feature(enable = "gfni,avx512f")]
-    pub unsafe fn mul_add_gfni(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            return;
-        }
-        let mat = _mm512_set1_epi64(GFNI_MATRICES[c as usize] as i64);
-        let n = dst.len() & !63;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm512_loadu_si512(sp.add(i) as *const _);
-            let d = _mm512_loadu_si512(dp.add(i) as *const _);
-            let p = _mm512_gf2p8affine_epi64_epi8::<0>(s, mat);
-            _mm512_storeu_si512(dp.add(i) as *mut _, _mm512_xor_si512(d, p));
-            i += 64;
-        }
-        mul_add_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure GFNI + AVX-512F are available.
-    #[target_feature(enable = "gfni,avx512f")]
-    pub unsafe fn mul_gfni(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        let mat = _mm512_set1_epi64(GFNI_MATRICES[c as usize] as i64);
-        let n = dst.len() & !63;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm512_loadu_si512(sp.add(i) as *const _);
-            let p = _mm512_gf2p8affine_epi64_epi8::<0>(s, mat);
-            _mm512_storeu_si512(dp.add(i) as *mut _, p);
-            i += 64;
-        }
-        mul_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX-512F is available.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn xor_zmm(dst: &mut [u8], src: &[u8]) {
-        let n = dst.len() & !63;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = _mm512_loadu_si512(sp.add(i) as *const _);
-            let d = _mm512_loadu_si512(dp.add(i) as *const _);
-            _mm512_storeu_si512(dp.add(i) as *mut _, _mm512_xor_si512(d, s));
-            i += 64;
-        }
-        xor_scalar(&mut dst[n..], &src[n..]);
-    }
-
-    /// # Safety
     /// Caller must ensure GFNI + AVX-512F are available. Every `srcs[j]`
     /// must be at least `dst.len()` long (checked by the safe wrapper).
     #[target_feature(enable = "gfni,avx512f")]
@@ -652,37 +332,20 @@ mod gfni {
     }
 }
 
-// Safe wrappers: only ever installed in the vtable after feature detection.
+// Safe wrappers.
+// SAFETY (all five): each is reachable only through the private fields of
+// the tier static it is installed in — `detect_available` hands that static
+// out only after `is_x86_feature_detected!` confirmed the tier's features,
+// and `Kernel::{mul_add_multi, xor_multi}` assert every source is
+// `dst.len()` long before calling through.
 #[cfg(target_arch = "x86_64")]
 mod x86_entry {
     use super::*;
 
-    pub fn mul_add_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { x86::mul_add_ssse3(dst, src, c) }
-    }
-    pub fn mul_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { x86::mul_ssse3(dst, src, c) }
-    }
-    pub fn xor_ssse3(dst: &mut [u8], src: &[u8]) {
-        unsafe { x86::xor_ssse3(dst, src) }
-    }
     pub fn mul_add_multi_ssse3(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
         unsafe { x86::mul_add_multi_ssse3(dst, srcs, coeffs) }
     }
-    pub fn xor_multi_ssse3(dst: &mut [u8], srcs: &[&[u8]]) {
-        // 128-bit XOR gains little over SWAR; reuse the fused SWAR form.
-        xor_multi_swar(dst, srcs)
-    }
 
-    pub fn mul_add_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { x86::mul_add_avx2(dst, src, c) }
-    }
-    pub fn mul_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { x86::mul_avx2(dst, src, c) }
-    }
-    pub fn xor_avx2(dst: &mut [u8], src: &[u8]) {
-        unsafe { x86::xor_avx2(dst, src) }
-    }
     pub fn mul_add_multi_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
         unsafe { x86::mul_add_multi_avx2(dst, srcs, coeffs) }
     }
@@ -690,15 +353,6 @@ mod x86_entry {
         unsafe { x86::xor_multi_avx2(dst, srcs) }
     }
 
-    pub fn mul_add_gfni(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { gfni::mul_add_gfni(dst, src, c) }
-    }
-    pub fn mul_gfni(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { gfni::mul_gfni(dst, src, c) }
-    }
-    pub fn xor_gfni(dst: &mut [u8], src: &[u8]) {
-        unsafe { gfni::xor_zmm(dst, src) }
-    }
     pub fn mul_add_multi_gfni(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
         unsafe { gfni::mul_add_multi_gfni(dst, srcs, coeffs) }
     }
@@ -715,72 +369,6 @@ mod x86_entry {
 mod neon {
     use super::*;
     use core::arch::aarch64::*;
-
-    /// # Safety
-    /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn mul_add_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            return;
-        }
-        let lo_t = vld1q_u8(NIB_LO[c as usize].as_ptr());
-        let hi_t = vld1q_u8(NIB_HI[c as usize].as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = vld1q_u8(sp.add(i));
-            let d = vld1q_u8(dp.add(i));
-            let lo = vqtbl1q_u8(lo_t, vandq_u8(s, mask));
-            let hi = vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4));
-            let p = veorq_u8(lo, hi);
-            vst1q_u8(dp.add(i), veorq_u8(d, p));
-            i += 16;
-        }
-        mul_add_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn mul_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        let lo_t = vld1q_u8(NIB_LO[c as usize].as_ptr());
-        let hi_t = vld1q_u8(NIB_HI[c as usize].as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let s = vld1q_u8(sp.add(i));
-            let lo = vqtbl1q_u8(lo_t, vandq_u8(s, mask));
-            let hi = vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4));
-            vst1q_u8(dp.add(i), veorq_u8(lo, hi));
-            i += 16;
-        }
-        mul_scalar(&mut dst[n..], &src[n..], c);
-    }
-
-    /// # Safety
-    /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn xor_neon(dst: &mut [u8], src: &[u8]) {
-        let n = dst.len() & !15;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            vst1q_u8(
-                dp.add(i),
-                veorq_u8(vld1q_u8(dp.add(i)), vld1q_u8(sp.add(i))),
-            );
-            i += 16;
-        }
-        xor_scalar(&mut dst[n..], &src[n..]);
-    }
 
     /// # Safety
     /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
@@ -842,15 +430,6 @@ mod neon {
 mod neon_entry {
     use super::*;
 
-    pub fn mul_add_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { neon::mul_add_neon(dst, src, c) }
-    }
-    pub fn mul_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        unsafe { neon::mul_neon(dst, src, c) }
-    }
-    pub fn xor_neon(dst: &mut [u8], src: &[u8]) {
-        unsafe { neon::xor_neon(dst, src) }
-    }
     pub fn mul_add_multi_neon(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
         unsafe { neon::mul_add_multi_neon(dst, srcs, coeffs) }
     }
@@ -863,56 +442,38 @@ mod neon_entry {
 // The dispatch vtable.
 // ---------------------------------------------------------------------------
 
-/// A set of GF(2^8) slice kernels for one instruction-set tier.
+/// The two fused GF(2^8) operations the erasure codes call, for one
+/// instruction-set tier.
 ///
-/// All methods check shape invariants (equal lengths) and are safe; the
+/// Both methods check shape invariants (equal lengths) and are safe; the
 /// unsafe SIMD entries behind them are only installed after runtime
 /// feature detection.
 pub struct Kernel {
     name: &'static str,
-    mul_add: fn(&mut [u8], &[u8], u8),
-    mul: fn(&mut [u8], &[u8], u8),
-    xor: fn(&mut [u8], &[u8]),
     mul_add_multi: fn(&mut [u8], &[&[u8]], &[u8]),
     xor_multi: fn(&mut [u8], &[&[u8]]),
 }
 
-/// Scalar reference tier: 256-byte product-table row walk.
+/// Scalar tier: 256-byte product-table row walk. Production on targets
+/// with no SIMD tier, and the reference every test compares against.
 static SCALAR: Kernel = Kernel {
     name: "scalar",
-    mul_add: mul_add_scalar,
-    mul: mul_scalar,
-    xor: xor_scalar,
     mul_add_multi: mul_add_multi_scalar,
     xor_multi: xor_multi_scalar,
-};
-
-/// Portable SWAR tier: 8 byte-lanes per u64 word.
-static SWAR: Kernel = Kernel {
-    name: "swar",
-    mul_add: mul_add_swar,
-    mul: mul_swar,
-    xor: xor_swar,
-    mul_add_multi: mul_add_multi_swar,
-    xor_multi: xor_multi_swar,
 };
 
 #[cfg(target_arch = "x86_64")]
 static SSSE3: Kernel = Kernel {
     name: "ssse3",
-    mul_add: x86_entry::mul_add_ssse3,
-    mul: x86_entry::mul_ssse3,
-    xor: x86_entry::xor_ssse3,
     mul_add_multi: x86_entry::mul_add_multi_ssse3,
-    xor_multi: x86_entry::xor_multi_ssse3,
+    // Plain XOR needs no shuffle: the scalar loop already compiles to the
+    // 128-bit form on every x86_64 target.
+    xor_multi: xor_multi_scalar,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernel = Kernel {
     name: "avx2",
-    mul_add: x86_entry::mul_add_avx2,
-    mul: x86_entry::mul_avx2,
-    xor: x86_entry::xor_avx2,
     mul_add_multi: x86_entry::mul_add_multi_avx2,
     xor_multi: x86_entry::xor_multi_avx2,
 };
@@ -922,9 +483,6 @@ static AVX2: Kernel = Kernel {
 #[cfg(target_arch = "x86_64")]
 static GFNI: Kernel = Kernel {
     name: "gfni",
-    mul_add: x86_entry::mul_add_gfni,
-    mul: x86_entry::mul_gfni,
-    xor: x86_entry::xor_gfni,
     mul_add_multi: x86_entry::mul_add_multi_gfni,
     xor_multi: x86_entry::xor_multi_gfni,
 };
@@ -932,16 +490,13 @@ static GFNI: Kernel = Kernel {
 #[cfg(target_arch = "aarch64")]
 static NEON: Kernel = Kernel {
     name: "neon",
-    mul_add: neon_entry::mul_add_neon,
-    mul: neon_entry::mul_neon,
-    xor: neon_entry::xor_neon,
     mul_add_multi: neon_entry::mul_add_multi_neon,
     xor_multi: neon_entry::xor_multi_neon,
 };
 
 fn detect_available() -> Vec<&'static Kernel> {
     #[allow(unused_mut)]
-    let mut found: Vec<&'static Kernel> = vec![&SCALAR, &SWAR];
+    let mut found: Vec<&'static Kernel> = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("ssse3") {
@@ -980,15 +535,8 @@ fn select_active() -> &'static Kernel {
             Kernel::all().iter().map(|k| k.name()).collect::<Vec<_>>()
         );
     }
-    // Widest SIMD tier if any; otherwise scalar. SWAR is never auto-picked:
-    // its bit-sliced multiply loses to the table walk (it exists as the
-    // portable reference the differential tests pit SIMD against, and for
-    // XOR-only workloads on exotic targets).
-    available()
-        .iter()
-        .rev()
-        .find(|k| k.name != "swar")
-        .expect("scalar tier always present")
+    // Widest SIMD tier if any; otherwise scalar.
+    available().last().expect("scalar tier always present")
 }
 
 impl Kernel {
@@ -1000,7 +548,7 @@ impl Kernel {
     }
 
     /// All tiers usable on this host, slowest first. Always contains
-    /// `scalar` and `swar`; SIMD tiers appear when detected.
+    /// `scalar`; SIMD tiers appear when detected.
     pub fn all() -> &'static [&'static Kernel] {
         available()
     }
@@ -1010,12 +558,7 @@ impl Kernel {
         &SCALAR
     }
 
-    /// The portable SWAR tier.
-    pub fn swar() -> &'static Kernel {
-        &SWAR
-    }
-
-    /// Looks a tier up by name (`"scalar"`, `"swar"`, `"ssse3"`, …).
+    /// Looks a tier up by name (`"scalar"`, `"ssse3"`, `"avx2"`, …).
     pub fn by_name(name: &str) -> Option<&'static Kernel> {
         available().iter().copied().find(|k| k.name == name)
     }
@@ -1023,36 +566,6 @@ impl Kernel {
     /// This tier's name.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// `dst[i] ^= c · src[i]`.
-    ///
-    /// # Panics
-    /// Panics when `dst.len() != src.len()`.
-    #[inline]
-    pub fn mul_add_slice(&self, dst: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(dst.len(), src.len());
-        (self.mul_add)(dst, src, c);
-    }
-
-    /// `dst[i] = c · src[i]`.
-    ///
-    /// # Panics
-    /// Panics when `dst.len() != src.len()`.
-    #[inline]
-    pub fn mul_slice(&self, dst: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(dst.len(), src.len());
-        (self.mul)(dst, src, c);
-    }
-
-    /// `dst[i] ^= src[i]`.
-    ///
-    /// # Panics
-    /// Panics when `dst.len() != src.len()`.
-    #[inline]
-    pub fn xor_slice(&self, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len());
-        (self.xor)(dst, src);
     }
 
     /// Fused accumulate: `dst[i] ^= Σ_j coeffs[j] · srcs[j][i]`, one
@@ -1129,20 +642,7 @@ mod tests {
     fn active_is_among_available() {
         let names: Vec<_> = Kernel::all().iter().map(|k| k.name()).collect();
         assert!(names.contains(&"scalar"));
-        assert!(names.contains(&"swar"));
         assert!(names.contains(&Kernel::active().name()));
-    }
-
-    #[test]
-    fn swar_x2_matches_field_doubling() {
-        for x in 0..256u64 {
-            let v = x * 0x0101_0101_0101_0101; // broadcast
-            let expect = gf256::mul(2, x as u8);
-            let got = swar_x2(v);
-            for lane in 0..8 {
-                assert_eq!(((got >> (8 * lane)) & 0xFF) as u8, expect, "x={x}");
-            }
-        }
     }
 
     #[test]
@@ -1154,20 +654,14 @@ mod tests {
                 let mut want = base.clone();
                 mul_add_scalar(&mut want, &src, c);
                 let mut got = base.clone();
-                k.mul_add_slice(&mut got, &src, c);
-                assert_eq!(got, want, "kernel={} c={c} mul_add", k.name());
-
-                let mut want = base.clone();
-                mul_scalar(&mut want, &src, c);
-                let mut got = base.clone();
-                k.mul_slice(&mut got, &src, c);
-                assert_eq!(got, want, "kernel={} c={c} mul", k.name());
+                k.mul_add_multi(&mut got, &[&src[..]], &[c]);
+                assert_eq!(got, want, "kernel={} c={c} mul_add_multi", k.name());
             }
             let mut want = base.clone();
             xor_scalar(&mut want, &src);
             let mut got = base.clone();
-            k.xor_slice(&mut got, &src);
-            assert_eq!(got, want, "kernel={} xor", k.name());
+            k.xor_multi(&mut got, &[&src[..]]);
+            assert_eq!(got, want, "kernel={} xor_multi", k.name());
         }
     }
 

@@ -6,11 +6,11 @@
 //! hand-rolled AVX-512 XOR code; this crate provides from-scratch
 //! equivalents:
 //!
-//! * [`gf256`] — compile-time GF(2^8) tables and the hot slice kernels.
+//! * [`gf256`] — compile-time GF(2^8) tables and scalar field arithmetic.
 //! * [`kernel`] — runtime-dispatched SIMD tiers (GFNI `GF2P8AFFINEQB` and
-//!   SSSE3/AVX2 nibble-shuffle on x86_64, NEON on aarch64, portable SWAR,
-//!   scalar reference) behind the [`Kernel`] vtable, plus fused
-//!   multi-source variants.
+//!   SSSE3/AVX2 nibble-shuffle on x86_64, NEON on aarch64, scalar
+//!   reference) behind the [`Kernel`] vtable: the two fused multi-source
+//!   operations the codes call.
 //! * [`Matrix`] — Vandermonde construction and Gauss–Jordan inversion.
 //! * [`ReedSolomon`] — systematic MDS code: recovers from **any** `m`
 //!   erasures among `k + m` shards; encode is cache-blocked into ~32 KiB
@@ -37,19 +37,19 @@
 //! # Kernel dispatch
 //!
 //! The widest tier the host supports is selected once at startup
-//! ([`Kernel::active`]); pin a tier with `SDR_GF256_KERNEL=scalar|swar|…`
-//! for A/B runs. Measured with `cargo bench -p sdr-bench --bench
-//! fig11_ec_encode` on the CI container (GFNI/AVX-512 x86_64, 1 core):
+//! ([`Kernel::active`]); pin a tier with
+//! `SDR_GF256_KERNEL=scalar|ssse3|avx2|gfni|neon` for A/B runs. One run of
+//! `cargo bench -p sdr-bench --bench fig11_ec_encode` on the development
+//! container (GFNI/AVX-512 x86_64), single-thread rows:
 //!
-//! | tier   | `mul_add_slice` 64 KiB | MDS(32,8) encode, 1 thread |
-//! |--------|------------------------|----------------------------|
-//! | scalar | 2.14 GiB/s             | 0.26 GiB/s                 |
-//! | swar   | 0.58 GiB/s             | 0.07 GiB/s                 |
-//! | ssse3  | 17.8 GiB/s             | 1.48 GiB/s                 |
-//! | avx2   | 28.8 GiB/s             | 2.25 GiB/s (8.6× scalar)   |
-//! | gfni   | 34.7 GiB/s             | 3.79 GiB/s (14.6× scalar)  |
+//! | tier   | one-source `mul_add_multi` 64 KiB | MDS(32,8) encode, 1 thread |
+//! |--------|-----------------------------------|----------------------------|
+//! | scalar | 1.86 GiB/s                        | 0.28 GiB/s                 |
+//! | ssse3  | 9.30 GiB/s                        | 1.34 GiB/s                 |
+//! | avx2   | 16.5 GiB/s                        | 2.07 GiB/s (7.5× scalar)   |
+//! | gfni   | 30.1 GiB/s                        | 3.94 GiB/s (14.3× scalar)  |
 //!
-//! XOR(32,8) serial encode reaches 18.7 GiB/s (≈150 Gbit/s) on the same
+//! XOR(32,8) serial encode reaches 19.8 GiB/s (≈170 Gbit/s) on the same
 //! core, consistent with the paper's claim that XOR hides 400 Gbit/s
 //! injection behind 4 cores.
 

@@ -7,7 +7,6 @@
 //! drop rates (the paper observes fallback at ≈1e-3 vs MDS beyond 1e-2).
 
 use crate::codec::{shard_len, EcError, ErasureCode};
-use crate::gf256::xor_slice;
 use crate::kernel::{Kernel, STRIP_BYTES};
 
 /// Stack budget for fused-XOR source batches. Unlike Reed–Solomon, `k` is
@@ -140,9 +139,12 @@ impl ErasureCode for XorCode {
             if shards[self.k + i].is_none() {
                 let mut out = alloc(len);
                 debug_assert!(out.len() == len && out.iter().all(|&b| b == 0));
-                for j in self.group(i) {
-                    xor_slice(&mut out, shards[j].as_ref().expect("data complete"));
-                }
+                xor_group_into(
+                    Kernel::active(),
+                    &mut out,
+                    self.group(i)
+                        .map(|j| shards[j].as_ref().expect("data complete").as_slice()),
+                );
                 shards[self.k + i] = Some(out);
             }
         }
@@ -256,6 +258,11 @@ mod tests {
         code.reconstruct(&mut shards).unwrap();
         assert_eq!(shards[4].as_ref().unwrap(), &data[4]);
         assert_eq!(shards[7].as_ref().unwrap(), &data[7]);
+        // So does the parity refill, byte-identical to the encode.
+        let mut shards = as_shards(&data, &parity);
+        shards[600] = None; // group 0's parity
+        code.reconstruct(&mut shards).unwrap();
+        assert_eq!(shards[600].as_ref().unwrap(), &parity[0]);
     }
 
     #[test]

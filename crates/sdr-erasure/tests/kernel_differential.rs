@@ -1,26 +1,49 @@
-//! Differential tests: every kernel tier available on this host (SIMD,
-//! SWAR, scalar) must agree bit-for-bit on `mul_add_slice`, `mul_slice`,
-//! `xor_slice` and the fused multi-source kernels, across random
-//! coefficients, lengths from 0 to beyond 4 KiB, and misaligned head/tail
-//! windows — SIMD kernels process 16/32-byte blocks with scalar tails, so
-//! every (offset mod 32, length mod 32) combination is a distinct code
-//! path.
+//! Differential tests: every kernel tier available on this host must agree
+//! bit-for-bit with this file's own byte-wise loops on the two operations
+//! the erasure codes call — `mul_add_multi` and `xor_multi` — across all
+//! 256 coefficients, 1..=33 sources, lengths from 0 to beyond 4 KiB, and
+//! misaligned head/tail windows. SIMD kernels process 16/32/64-byte blocks
+//! with scalar tails, so every (offset mod 64, length mod 64) combination
+//! is a distinct code path.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sdr_erasure::gf256;
 use sdr_erasure::Kernel;
 
-fn scalar_mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= gf256::mul(c, *s);
+/// Schoolbook carry-less multiply in GF(2^8) mod 0x11D: the reference
+/// shares no table with the crate under test.
+fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+    let mut p = 0u8;
+    while b != 0 {
+        if b & 1 != 0 {
+            p ^= a;
+        }
+        let hi = a & 0x80 != 0;
+        a <<= 1;
+        if hi {
+            a ^= 0x1D;
+        }
+        b >>= 1;
+    }
+    p
+}
+
+/// `dst[i] ^= Σ_j coeffs[j] · srcs[j][i]`, one byte at a time.
+fn ref_mul_add_multi(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
+    for (src, &c) in srcs.iter().zip(coeffs) {
+        for (d, s) in dst.iter_mut().zip(*src) {
+            *d ^= gf_mul(c, *s);
+        }
     }
 }
 
-fn scalar_mul(dst: &mut [u8], src: &[u8], c: u8) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = gf256::mul(c, *s);
+/// `dst[i] ^= Σ_j srcs[j][i]`, one byte at a time.
+fn ref_xor_multi(dst: &mut [u8], srcs: &[&[u8]]) {
+    for src in srcs {
+        for (d, s) in dst.iter_mut().zip(*src) {
+            *d ^= *s;
+        }
     }
 }
 
@@ -28,107 +51,87 @@ fn random_bytes(rng: &mut SmallRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.random()).collect()
 }
 
+/// Runs both operations of every tier on the window `[lo..hi]` of `srcs`
+/// over `base` and compares whole buffers with the references, so a write
+/// outside the window fails too.
+fn check_all_tiers(base: &[u8], srcs: &[Vec<u8>], coeffs: &[u8], lo: usize, hi: usize) {
+    let views: Vec<&[u8]> = srcs.iter().map(|s| &s[lo..hi]).collect();
+    let mut want = base.to_vec();
+    ref_mul_add_multi(&mut want[lo..hi], &views, coeffs);
+    let mut want_xor = base.to_vec();
+    ref_xor_multi(&mut want_xor[lo..hi], &views);
+    for kernel in Kernel::all() {
+        let what = || {
+            format!(
+                "kernel={} n={} coeffs={coeffs:?} window={lo}..{hi}",
+                kernel.name(),
+                srcs.len()
+            )
+        };
+        let mut got = base.to_vec();
+        kernel.mul_add_multi(&mut got[lo..hi], &views, coeffs);
+        assert_eq!(got, want, "mul_add_multi {}", what());
+        let mut got = base.to_vec();
+        kernel.xor_multi(&mut got[lo..hi], &views);
+        assert_eq!(got, want_xor, "xor_multi {}", what());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random coefficient × random length (0..~4 KiB) × random head
-    /// misalignment: all tiers equal the byte-wise field reference.
+    /// One-source calls: random coefficient × random length (0..~4 KiB) ×
+    /// random head misalignment.
     #[test]
     fn all_kernels_match_reference(
         c: u8,
         len in 0usize..4200,
-        head in 0usize..33,
+        head in 0usize..65,
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let total = head + len;
         let src = random_bytes(&mut rng, total);
         let base = random_bytes(&mut rng, total);
-
-        // Reference on the misaligned window [head..].
-        let mut want_add = base.clone();
-        scalar_mul_add(&mut want_add[head..], &src[head..], c);
-        let mut want_mul = base.clone();
-        scalar_mul(&mut want_mul[head..], &src[head..], c);
-        let mut want_xor = base.clone();
-        for (d, s) in want_xor[head..].iter_mut().zip(&src[head..]) {
-            *d ^= *s;
-        }
-
-        for kernel in Kernel::all() {
-            let mut got = base.clone();
-            kernel.mul_add_slice(&mut got[head..], &src[head..], c);
-            prop_assert_eq!(&got, &want_add, "kernel={} mul_add c={} len={} head={}",
-                kernel.name(), c, len, head);
-
-            let mut got = base.clone();
-            kernel.mul_slice(&mut got[head..], &src[head..], c);
-            prop_assert_eq!(&got, &want_mul, "kernel={} mul c={} len={} head={}",
-                kernel.name(), c, len, head);
-
-            let mut got = base.clone();
-            kernel.xor_slice(&mut got[head..], &src[head..]);
-            prop_assert_eq!(&got, &want_xor, "kernel={} xor len={} head={}",
-                kernel.name(), len, head);
-        }
+        check_all_tiers(&base, &[src], &[c], head, total);
     }
 
-    /// The fused multi-source kernels equal a fold of single-source calls
-    /// for every tier, across source counts and misalignment.
+    /// 1..=33 sources with 0, 1 and general coefficients mixed in one call,
+    /// across lengths and misalignment.
     #[test]
     fn fused_multi_matches_fold(
-        n_srcs in 1usize..9,
+        n_srcs in 1usize..=33,
         len in 0usize..2100,
-        head in 0usize..17,
+        head in 0usize..65,
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let total = head + len;
         let srcs: Vec<Vec<u8>> = (0..n_srcs).map(|_| random_bytes(&mut rng, total)).collect();
-        let coeffs: Vec<u8> = (0..n_srcs).map(|_| rng.random()).collect();
+        // Every third coefficient is forced to 0 or 1: the kernels skip the
+        // one and degrade the other to XOR inside the fused block loop.
+        let coeffs: Vec<u8> = (0..n_srcs)
+            .map(|j| if j % 3 == 2 { (j / 3 % 2) as u8 } else { rng.random() })
+            .collect();
         let base = random_bytes(&mut rng, total);
-
-        let mut want = base.clone();
-        for (s, &c) in srcs.iter().zip(&coeffs) {
-            scalar_mul_add(&mut want[head..], &s[head..], c);
-        }
-        let mut want_xor = base.clone();
-        for s in &srcs {
-            for (d, x) in want_xor[head..].iter_mut().zip(&s[head..]) {
-                *d ^= *x;
-            }
-        }
-
-        for kernel in Kernel::all() {
-            let views: Vec<&[u8]> = srcs.iter().map(|s| &s[head..]).collect();
-            let mut got = base.clone();
-            kernel.mul_add_multi(&mut got[head..], &views, &coeffs);
-            prop_assert_eq!(&got, &want, "kernel={} mul_add_multi n={} len={} head={}",
-                kernel.name(), n_srcs, len, head);
-
-            let mut got = base.clone();
-            kernel.xor_multi(&mut got[head..], &views);
-            prop_assert_eq!(&got, &want_xor, "kernel={} xor_multi n={} len={} head={}",
-                kernel.name(), n_srcs, len, head);
-        }
+        check_all_tiers(&base, &srcs, &coeffs, head, total);
     }
 }
 
-/// Exhaustive over all 256 coefficients at a block-straddling length:
-/// catches any single bad nibble-table entry.
+/// Exhaustive over all 256 coefficients at a block-straddling length, one
+/// source at a time (catches any single bad table entry by name) and 32 to
+/// a call (0 and 1 sit among general coefficients in the first).
 #[test]
 fn exhaustive_coefficients() {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    let src = random_bytes(&mut rng, 257);
+    let srcs: Vec<Vec<u8>> = (0..32).map(|_| random_bytes(&mut rng, 257)).collect();
     let base = random_bytes(&mut rng, 257);
     for c in 0..=255u8 {
-        let mut want = base.clone();
-        scalar_mul_add(&mut want, &src, c);
-        for kernel in Kernel::all() {
-            let mut got = base.clone();
-            kernel.mul_add_slice(&mut got, &src, c);
-            assert_eq!(got, want, "kernel={} c={c}", kernel.name());
-        }
+        check_all_tiers(&base, &srcs[..1], &[c], 0, 257);
+    }
+    for first in (0..=255u8).step_by(32) {
+        let coeffs: Vec<u8> = (first..=first + 31).collect();
+        check_all_tiers(&base, &srcs, &coeffs, 0, 257);
     }
 }
 
@@ -137,57 +140,38 @@ fn exhaustive_coefficients() {
 #[test]
 fn exhaustive_small_geometry() {
     let mut rng = SmallRng::seed_from_u64(7);
-    let src = random_bytes(&mut rng, 160);
-    let base = random_bytes(&mut rng, 160);
-    for head in 0..40 {
-        for len in 0..(160 - head) {
-            let (lo, hi) = (head, head + len);
-            let mut want = base.clone();
-            scalar_mul_add(&mut want[lo..hi], &src[lo..hi], 97);
-            for kernel in Kernel::all() {
-                let mut got = base.clone();
-                kernel.mul_add_slice(&mut got[lo..hi], &src[lo..hi], 97);
-                assert_eq!(got, want, "kernel={} head={head} len={len}", kernel.name());
-            }
+    let srcs: Vec<Vec<u8>> = (0..3).map(|_| random_bytes(&mut rng, 200)).collect();
+    let base = random_bytes(&mut rng, 200);
+    for head in 0..72 {
+        for len in 0..(200 - head) {
+            check_all_tiers(&base, &srcs, &[97, 1, 0], head, head + len);
         }
     }
 }
 
-/// The paper's (32, 8) MDS encode is identical under every kernel tier.
-///
-/// `ReedSolomon::encode` dispatches through `Kernel::active()`, so this
-/// re-derives the systematic parity rows from unit-vector encodes (shard
-/// `j` = [1], rest = [0] → parity byte = `row[j]`) and replays the full
-/// encode through each tier's fused kernel.
+/// The paper's (32, 8) MDS encode — the production strip walk, pinned to
+/// each tier in turn — equals the byte-wise reference applied to the
+/// code's parity rows.
 #[test]
 fn full_rs_encode_agrees_across_kernels() {
-    use sdr_erasure::{ErasureCode, ReedSolomon};
+    use sdr_erasure::ReedSolomon;
     const K: usize = 32;
     const M: usize = 8;
+    const LEN: usize = 4096 + 13;
     let mut rng = SmallRng::seed_from_u64(42);
-    let data: Vec<Vec<u8>> = (0..K).map(|_| random_bytes(&mut rng, 4096 + 13)).collect();
+    let data: Vec<Vec<u8>> = (0..K).map(|_| random_bytes(&mut rng, LEN)).collect();
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
     let rs = ReedSolomon::new(K, M);
-    let active = rs.encode(&refs);
-
-    let mut rows = vec![vec![0u8; K]; M];
-    for j in 0..K {
-        let unit: Vec<Vec<u8>> = (0..K)
-            .map(|d| if d == j { vec![1u8] } else { vec![0u8] })
-            .collect();
-        let urefs: Vec<&[u8]> = unit.iter().map(|d| d.as_slice()).collect();
-        let parity = rs.encode(&urefs);
-        for (i, row) in rows.iter_mut().enumerate() {
-            row[j] = parity[i][0];
-        }
+    let mut want = vec![vec![0u8; LEN]; M];
+    for (i, p) in want.iter_mut().enumerate() {
+        ref_mul_add_multi(p, &refs, rs.parity_row(i));
     }
 
     for kernel in Kernel::all() {
-        let mut parity = vec![vec![0u8; 4096 + 13]; M];
-        for (i, p) in parity.iter_mut().enumerate() {
-            kernel.mul_add_multi(p, &refs, &rows[i]);
-        }
-        assert_eq!(parity, active, "kernel={}", kernel.name());
+        let mut parity = vec![vec![0xAAu8; LEN]; M];
+        let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        rs.encode_into_with_kernel(kernel, &refs, &mut views);
+        assert_eq!(parity, want, "kernel={}", kernel.name());
     }
 }
 

@@ -1385,9 +1385,7 @@ struct RxInner {
     /// stays set), so the receiver paces [`CtrlMsg::DigestQuery`] at the
     /// housekeeping cadence until the sender's [`CtrlMsg::DigestState`]
     /// arrives and compares. Match → Delivered; mismatch → both ends
-    /// abort with [`AbortReason::Corrupt`]. Stays `None` forever when
-    /// `payload_checksums` is off: the unverified baseline declares
-    /// Delivered straight from bitmap completion.
+    /// abort with [`AbortReason::Corrupt`].
     verifying: Option<u32>,
     done_at: Option<SimTime>,
     done_cb: Option<Box<dyn FnOnce(&mut Engine, SimTime, AdaptRecvReport)>>,
@@ -1560,7 +1558,7 @@ impl AdaptiveController {
         // installed so the peer's ResumeQuery keeps getting its
         // idempotent answer.
         if inner.borrow().segs.is_empty() {
-            Self::rx_finish_or_verify(&inner, eng);
+            Self::rx_verify(&inner, eng);
             if inner.borrow().done_at.is_some() {
                 return AdaptiveReceiver { inner };
             }
@@ -1754,42 +1752,28 @@ impl AdaptiveController {
             i.done_segments as usize == i.segs.len()
         };
         if finished {
-            Self::rx_finish_or_verify(inner, eng);
+            Self::rx_verify(inner, eng);
         } else {
             // Completion freed pipeline budget.
             Self::rx_fill_pipeline(inner, eng);
         }
     }
 
-    /// Every segment's bitmap is complete — but under `payload_checksums`
-    /// that is a *claim*, not delivery: chunk-granular retransmits can
-    /// land a corrupted duplicate over an already-recorded packet, so the
-    /// landed bytes must be digest-checked against the source before
-    /// Delivered is declared. Computes the local digest, stores it as the
-    /// verifying state, and sends the first [`CtrlMsg::DigestQuery`] (the
-    /// housekeeping tick re-sends it until the answer lands — query and
-    /// answer cross the same corrupting wire as everything else). With
-    /// checksums off, delivery is declared straight away.
-    fn rx_finish_or_verify(inner: &Rc<RefCell<RxInner>>, eng: &mut Engine) {
-        let verify = {
+    /// Every segment's bitmap is complete — but that is a *claim*, not
+    /// delivery: chunk-granular retransmits can land a corrupted duplicate
+    /// over an already-recorded packet, so the landed bytes must be
+    /// digest-checked against the source before Delivered is declared.
+    /// Computes the local digest, stores it as the verifying state, and
+    /// sends the first [`CtrlMsg::DigestQuery`] (the housekeeping tick
+    /// re-sends it until the answer lands — query and answer cross the
+    /// same corrupting wire as everything else).
+    fn rx_verify(inner: &Rc<RefCell<RxInner>>, eng: &mut Engine) {
+        let (ep, peer) = {
             let mut i = inner.borrow_mut();
             if i.done_at.is_some() || i.verifying.is_some() {
                 return;
             }
-            if i.qp.config().payload_checksums {
-                let crc = message_digest(&i.ctx, i.buf_addr, i.msg_bytes);
-                i.verifying = Some(crc);
-                true
-            } else {
-                false
-            }
-        };
-        if !verify {
-            Self::rx_deliver(inner, eng);
-            return;
-        }
-        let (ep, peer) = {
-            let i = inner.borrow();
+            i.verifying = Some(message_digest(&i.ctx, i.buf_addr, i.msg_bytes));
             (i.ep.clone(), i.peer)
         };
         ep.send(eng, peer, &CtrlMsg::DigestQuery);

@@ -958,20 +958,6 @@ impl EcRxScheme {
         let chunk_len = self.chunk_bytes as usize;
         let l = self.geoms.len();
         let g = self.geoms[s];
-        // Word-level scans (one atomic load per 64 chunks, like the SR
-        // ACK path) and retained scratch vectors: the no-loss steady
-        // state allocates nothing and touches no per-chunk atomics.
-        // Under payload checksums the shortcut is not sound — a set
-        // bit only proves a clean packet landed *once*; a corrupted
-        // duplicate may have overwritten it since — so the chunks a
-        // resolution would use go through the arrival-CRC audit below.
-        let audit = rx.payload_checksums();
-        if !audit && data_bm.chunks().first_n_set(g.k_eff) {
-            self.subs[s].resolved = true;
-            self.unresolved -= 1;
-            self.stats.complete_submessages += 1;
-            return;
-        }
         // Shard `i` of the submessage is data chunk `i` or parity
         // chunk `i − k`: its receive slot, its chunk index there, and
         // where its bytes live.
@@ -992,6 +978,9 @@ impl EcRxScheme {
             present,
             ..
         } = scratch;
+        // Word-level scans (one atomic load per 64 chunks, like the SR
+        // ACK path) and retained scratch vectors: the no-loss steady
+        // state allocates nothing and touches no per-chunk atomics.
         present.clear();
         present.resize(k + m, true);
         data_bm
@@ -1012,29 +1001,28 @@ impl EcRxScheme {
         // it to absent *before* any decision reads the presence flags, so
         // stale bytes never feed a decode and never silently resolve a
         // submessage. The audit only ever demotes, hence the re-test.
-        if audit {
-            let mut b = pool.take(chunk_len);
-            for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
-                let (slot, c, addr) = shard_at(i);
-                self.ctx.read_buffer_into(addr, &mut b);
-                if !rx.verify_chunk(slot, c, &b) {
-                    *p = false;
-                    self.stats.stale_chunks += 1;
-                }
+        let mut b = pool.take(chunk_len);
+        for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
+            let (slot, c, addr) = shard_at(i);
+            self.ctx.read_buffer_into(addr, &mut b);
+            if !rx.verify_chunk(slot, c, &b) {
+                *p = false;
+                self.stats.stale_chunks += 1;
             }
-            pool.put(b);
-            // The audited equivalent of the `first_n_set` shortcut:
-            // every data chunk landed and still matches its arrival
-            // CRCs — no decode needed.
-            if present[..k].iter().all(|&p| p) {
-                self.subs[s].resolved = true;
-                self.unresolved -= 1;
-                self.stats.complete_submessages += 1;
-                return;
-            }
-            if !self.codes[s].can_recover(present) {
-                return;
-            }
+        }
+        pool.put(b);
+        // Every data chunk landed and still matches its arrival CRCs —
+        // no decode needed. (The bitmap's `first_n_set` alone would not
+        // be sound: a set bit only proves a clean packet landed *once*; a
+        // corrupted duplicate may have overwritten it since.)
+        if present[..k].iter().all(|&p| p) {
+            self.subs[s].resolved = true;
+            self.unresolved -= 1;
+            self.stats.complete_submessages += 1;
+            return;
+        }
+        if !self.codes[s].can_recover(present) {
+            return;
         }
         // Stage present shards into pooled buffers (rented, not
         // allocated, once the pool is warm).

@@ -248,8 +248,8 @@
 //!      control plane parses only clean frames (`ctrl.malformed` stays
 //!      zero even on a corrupting wire).
 //!   2. **Data packets** carry a per-payload CRC32C attached at send
-//!      (`SdrConfig::payload_checksums`, on by default). The simulated
-//!      NIC verifies it *before* the DMA commits, exactly like a real
+//!      (always: integrity is not configurable). The simulated NIC
+//!      verifies it *before* the DMA commits, exactly like a real
 //!      NIC's ICRC check: a corrupt payload never reaches memory (the
 //!      `crc_skipped` NIC stat), its bitmap bit stays clear, and the
 //!      scheme machinery — SR NACK/RTO, GBN rewind, EC parity — repairs

@@ -1265,21 +1265,12 @@ impl RxCommon {
         self.qp.config().chunk_bytes
     }
 
-    /// Whether the QP records per-packet arrival CRCs (see
-    /// [`SdrConfig::payload_checksums`](sdr_core::SdrConfig)). Schemes
-    /// gate their staged-data audits on this to skip the read-back cost
-    /// when there is nothing to compare against.
-    pub fn payload_checksums(&self) -> bool {
-        self.qp.config().payload_checksums
-    }
-
     /// Re-checks `data` — the staged bytes of slot `i`'s chunk `chunk` —
     /// against the arrival CRCs the QP recorded as the packets landed.
     /// `false` means some packet was overwritten by a corrupted duplicate
     /// *after* its bit was recorded: the staged bytes are stale and must
     /// not feed a decode (a later clean duplicate heals the memory and
     /// the recorded CRCs in place, so a NACK-driven resend converges).
-    /// Vacuously `true` when payload checksums are off.
     pub fn verify_chunk(&self, i: usize, chunk: usize, data: &[u8]) -> bool {
         let cfg = self.qp.config();
         let ppc = (cfg.chunk_bytes / cfg.mtu_bytes) as usize;

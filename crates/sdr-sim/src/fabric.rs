@@ -255,8 +255,8 @@ impl Fabric {
     }
 
     /// Installs a unidirectional link `a → b`, returning `Err` (and
-    /// installing nothing) when the configuration is invalid — a loss
-    /// probability outside `[0, 1]`, or zero paths.
+    /// installing nothing) when the configuration is invalid (see
+    /// [`Link::try_new`]).
     pub fn try_link(&self, a: NodeId, b: NodeId, cfg: LinkConfig) -> Result<(), String> {
         let mut link = Link::try_new(cfg)?;
         link.bind_metrics(&self.metrics);
@@ -363,7 +363,7 @@ impl Fabric {
             .borrow()
             .links
             .get(&(a, b))
-            .map(|l| l.all_paths_free())
+            .map(|l| l.next_free())
     }
 
     /// Number of packets currently queued or in flight on the link `a → b`.
@@ -828,9 +828,9 @@ impl Fabric {
             link.enqueue(eng.now(), pkt);
         }
 
-        // All packets of this post have been placed on paths; the last of
-        // them leaves the wire when every path is idle again.
-        let done_at = link.all_paths_free();
+        // All packets of this post have been placed on the wire; the last
+        // of them leaves it when the wire is idle again.
+        let done_at = link.next_free();
         if wr.signaled {
             let fabric = self.clone();
             let (cq, qp, wr_id) = (node.qp_send_cq(src.qp), src.qp, wr.wr_id);

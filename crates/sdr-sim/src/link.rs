@@ -86,11 +86,6 @@ pub struct LinkConfig {
     /// Maximum contiguous bit-run flipped per corruption event
     /// (`1..=`[`MAX_CORRUPT_BURST`]; `1` = independent single-bit flips).
     pub corrupt_burst: u32,
-    /// Number of parallel equal-cost paths (ECMP / multi-plane fabrics,
-    /// §3.4.1). Each path serializes independently at `bandwidth_bps /
-    /// paths`; packets take the earliest-available path, which naturally
-    /// reorders bursts across paths.
-    pub paths: usize,
     /// Seed for the link's private randomness (loss + jitter).
     pub seed: u64,
 }
@@ -110,7 +105,6 @@ impl LinkConfig {
             reorder_span: 0,
             corrupt_p: 0.0,
             corrupt_burst: 1,
-            paths: 1,
             seed: 0,
         }
     }
@@ -130,17 +124,8 @@ impl LinkConfig {
             reorder_span: 0,
             corrupt_p: 0.0,
             corrupt_burst: 1,
-            paths: 1,
             seed: 0,
         }
-    }
-
-    /// Splits the link into `paths` equal-cost parallel paths
-    /// (builder style).
-    pub fn with_paths(mut self, paths: usize) -> Self {
-        assert!(paths >= 1);
-        self.paths = paths;
-        self
     }
 
     /// Replaces the seed (builder style).
@@ -270,13 +255,13 @@ fn corruption_skip(rng: &mut SmallRng, p: f64) -> u64 {
     }
 }
 
-/// A unidirectional lossy link (possibly striped over parallel paths).
+/// A unidirectional lossy link.
 pub struct Link {
     cfg: LinkConfig,
     loss: LossProcess,
     rng: SmallRng,
-    /// Per-path wire-busy cursors.
-    next_free: Vec<SimTime>,
+    /// Wire-busy cursor: when the last serialization so far ends.
+    next_free: SimTime,
     stats: LinkStats,
     /// In-flight packets, ordered by arrival instant (FIFO within an
     /// instant). The fabric's drain pump walks this.
@@ -296,12 +281,9 @@ pub struct Link {
 
 impl Link {
     /// Builds a link from its configuration, returning `Err` when the
-    /// configuration is invalid (a loss probability outside `[0, 1]`, or
-    /// zero paths).
+    /// configuration is invalid (a probability out of range, or a
+    /// reorder span / corruption burst outside its bounds).
     pub fn try_new(cfg: LinkConfig) -> Result<Self, String> {
-        if cfg.paths < 1 {
-            return Err("a link needs at least one path".to_string());
-        }
         cfg.loss.validate()?;
         for (name, p) in [
             ("duplicate_p", cfg.duplicate_p),
@@ -331,12 +313,11 @@ impl Link {
         }
         let loss = LossProcess::new(cfg.loss.clone(), cfg.seed.wrapping_mul(0x9E37_79B9));
         let rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0xA5A5_5A5A));
-        let next_free = vec![SimTime::ZERO; cfg.paths];
         Ok(Link {
             cfg,
             loss,
             rng,
-            next_free,
+            next_free: SimTime::ZERO,
             stats: LinkStats::default(),
             pending: VecDeque::new(),
             drain: None,
@@ -369,14 +350,10 @@ impl Link {
         self.stats
     }
 
-    /// Time at which some path of the wire becomes idle again.
+    /// Time at which the wire becomes idle again (the last serialization
+    /// so far ends).
     pub fn next_free(&self) -> SimTime {
-        *self.next_free.iter().min().expect("paths >= 1")
-    }
-
-    /// Time at which *all* paths are idle (last serialization ends).
-    pub fn all_paths_free(&self) -> SimTime {
-        *self.next_free.iter().max().expect("paths >= 1")
+        self.next_free
     }
 
     /// Serializes `pkt` onto the wire at `now`: the packet is filed into
@@ -390,21 +367,16 @@ impl Link {
     /// applies to it.
     pub fn enqueue(&mut self, now: SimTime, pkt: Packet) -> TxOutcome {
         let wire_bytes = (pkt.payload_len() + self.cfg.header_bytes) as u64;
-        // ECMP-style path choice: the earliest-available path wins.
-        let path = (0..self.next_free.len())
-            .min_by_key(|&i| self.next_free[i])
-            .expect("paths >= 1");
-        let start = self.next_free[path].max(now);
-        let per_path_bw = self.cfg.bandwidth_bps / self.cfg.paths as f64;
-        let serialize = tx_time(wire_bytes, per_path_bw);
-        self.next_free[path] = start + serialize;
+        let start = self.next_free.max(now);
+        let serialize = tx_time(wire_bytes, self.cfg.bandwidth_bps);
+        self.next_free = start + serialize;
         self.stats.sent += 1;
         self.stats.bytes += wire_bytes;
         if let Some(t) = &self.trace {
             t.sent.inc();
         }
 
-        let mut arrival = self.next_free[path] + self.cfg.one_way_delay;
+        let mut arrival = self.next_free + self.cfg.one_way_delay;
         if let Some(jitter) = self.cfg.reorder_jitter {
             if jitter > SimTime::ZERO {
                 arrival += SimTime(self.rng.random_range(0..=jitter.as_picos()));
@@ -770,9 +742,6 @@ mod tests {
     fn try_new_rejects_invalid_configs() {
         let bad_loss = LinkConfig::intra_dc(8e9).with_loss(LossModel::Iid { p: 1.5 });
         assert!(Link::try_new(bad_loss).is_err());
-        let mut no_paths = LinkConfig::intra_dc(8e9);
-        no_paths.paths = 0;
-        assert!(Link::try_new(no_paths).is_err());
         assert!(Link::try_new(LinkConfig::intra_dc(8e9)).is_ok());
     }
 
@@ -1075,43 +1044,6 @@ mod tests {
         // The pending queue handed them out in arrival order regardless.
         let times: Vec<SimTime> = out.borrow().iter().map(|&(_, at)| at).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn multipath_striping_parallelizes_serialization() {
-        // 4 paths at aggregate 8 Gbit/s: four packets serialize
-        // concurrently at 2 Gbit/s each instead of queueing.
-        let mut cfg = LinkConfig::intra_dc(8e9).with_paths(4);
-        cfg.header_bytes = 0;
-        cfg.one_way_delay = SimTime::ZERO;
-        let mut link = Link::new(cfg);
-        let mut arrivals = Vec::new();
-        for tag in 0..4 {
-            arrivals.push(link.enqueue(SimTime::ZERO, pkt(tag, 1000)).at);
-        }
-        // Each serializes in 1000*8/2e9 = 4 us, all in parallel.
-        assert!(arrivals.iter().all(|&a| a == SimTime::from_micros(4)));
-        // A 5th packet queues behind the earliest path.
-        let out = link.enqueue(SimTime::ZERO, pkt(4, 1000));
-        assert_eq!(out.at, SimTime::from_micros(8));
-    }
-
-    #[test]
-    fn multipath_reorders_mixed_sizes() {
-        // A large packet on path A lets later small packets on path B
-        // overtake it — the ECMP reordering SDR must tolerate (§3.4.1).
-        let mut eng = Engine::new();
-        let mut cfg = LinkConfig::intra_dc(8e9).with_paths(2);
-        cfg.header_bytes = 0;
-        cfg.one_way_delay = SimTime::ZERO;
-        let link = shared(Link::new(cfg));
-        let out = shared(Vec::new());
-        link.borrow_mut().enqueue(SimTime::ZERO, pkt(0, 100_000)); // big
-        link.borrow_mut().enqueue(SimTime::ZERO, pkt(1, 100)); // small
-        pump(&mut eng, &link, &out);
-        eng.run();
-        let got: Vec<u32> = out.borrow().iter().map(|&(t, _)| t).collect();
-        assert_eq!(got, vec![1, 0], "small overtakes big");
     }
 
     #[test]
