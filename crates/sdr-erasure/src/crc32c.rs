@@ -6,11 +6,66 @@
 //! goodput critical path. Two tiers, selected **once** at startup into a
 //! [`Crc32c`] vtable exactly like the GF(2^8) [`Kernel`](crate::Kernel):
 //!
-//! * `sse42` — the x86_64 `CRC32` instruction (`_mm_crc32_u64`), one qword
-//!   per cycle-ish; this is the hardware tier ISA-L and the kernel's
-//!   `crc32c-intel` use.
+//! * `sse42` — the x86_64 `CRC32` instruction (`_mm_crc32_u64`), the
+//!   hardware tier ISA-L and the kernel's `crc32c-intel` use, run as
+//!   **three interleaved chains** (below).
 //! * `slice8` — the classic slice-by-8 table walk (8 × 256 u32 tables
 //!   built at compile time), the portable software fallback.
+//!
+//! # Why three chains
+//!
+//! `CRC32 r64, m64` has a 3-cycle latency and a 1-per-cycle throughput.
+//! One chain — each step waiting for the state the last one produced —
+//! is therefore latency-bound at 8 B / 3 cycles (7.0–7.6 GiB/s on the
+//! 2.1 GHz reference host, at every length), a third of what the port can
+//! retire. So the tier cuts each *block* of the input into three equal stripes and
+//! runs one chain per stripe, the three `crc32` ops of an iteration
+//! independent of each other: the incoming state feeds chain 0, chains 1
+//! and 2 start at 0. The raw state transition is linear over GF(2) in
+//! (state, data) jointly, so
+//!
+//! ```text
+//! step(c, A‖B) = shift_|B|(step(c, A)) ⊕ step(0, B)
+//! ```
+//!
+//! where `shift_n(c) = step(c, 0ⁿ) = c · x⁸ⁿ mod P` advances a state over
+//! `n` zero bytes. A block's three chain states merge with that identity
+//! twice. `shift_n` is itself linear in `c`, so for the one stripe length
+//! it is four 256-entry tables (one per state byte, XORed), 4 KiB built
+//! by `const fn` from `x⁸ⁿ mod P`. The merge needs no instruction beyond
+//! SSE4.2 (a carry-less-multiply merge would, and the tier registers on
+//! `sse4.2` alone). Because the contract is the raw `step(state, data)`,
+//! [`Crc32cHasher`] streams through the same code: every `update` lays
+//! its own block grid from its first byte.
+//!
+//! # Where the stripe length came from
+//!
+//! Measured on this host over 256 B … 256 KiB, not tuned to one size
+//! (each call's state feeding the next, so nothing overlaps across calls;
+//! GiB/s, one chain → this tier): 256 B 7.4 → 7.2, 2 KiB 7.6 → 7.3,
+//! 4 KiB 7.5 → 21.3, 64 KiB 7.6 → 20.2, 256 KiB 7.5 → 20.2 (7.0 → 17–19
+//! when the bytes come from DRAM).
+//!
+//! * **Stripe 1344 B** (block 4032 B): a merge costs two dependent table
+//!   walks (≈ 20 cycles), so stripes want to be long; but the commonest
+//!   input is one default-MTU payload, and 3 × 1344 is the largest
+//!   multiple of a cache line that makes 4 KiB a *single* block (plus a
+//!   64 B serial tail). 3 × 2728 gains 6 % at 64 KiB+ and loses 16 % at
+//!   4 KiB; 3 × 680 and 3 × 448 lose 2–5 % at both.
+//! * **Under one block** — 256 B packets, the 16 B CTS, control trailers
+//!   — and every tail: the serial loop. Short, independent inputs already
+//!   overlap with the work around them in the out-of-order window, and
+//!   nothing the stack or the benchmark hashes today lies between 256 B
+//!   and 4 KiB.
+//!
+//! Each chain prefetches its stripe eight lines ahead. One chain consumes
+//! a line every ~24 cycles and the hardware prefetcher keeps up; three
+//! consume one every ~8 and, when the bytes are in DRAM (`bulk_sr_4k`
+//! posts its source buffer cold) and DRAM is slow, demand misses alone do
+//! not. On a quiet host it is a tie (`wall_ns_per_pkt`, ten 20 s rounds:
+//! lower in 7, median −2 %); in this host's recurring slow-memory spells
+//! the unprefetched kernel read 0–10 % under the one-chain parent and
+//! this one 11–35 % under it, five rounds of five.
 //!
 //! Dispatch can be pinned for testing/benchmarks with the
 //! `SDR_CRC32C_KERNEL` environment variable (`slice8`, `sse42`).
@@ -88,29 +143,137 @@ fn step_slice8(mut crc: u32, mut data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Hardware tier: the x86_64 CRC32 instruction (SSE4.2).
+// Hardware tier: the x86_64 CRC32 instruction (SSE4.2), three chains.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod sse42 {
-    /// # Safety
-    /// Caller must have verified SSE4.2 via runtime feature detection.
+    use super::POLY;
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8, _mm_prefetch, _MM_HINT_T0};
+
+    /// `a · b mod P` on reflected 32-bit polynomials (bit 31 is x⁰) — the
+    /// representation the raw CRC state lives in.
+    const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+        let mut p = 0u32;
+        let mut m = 1u32 << 31;
+        while m != 0 {
+            if a & m != 0 {
+                p ^= b;
+            }
+            m >>= 1;
+            b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        }
+        p
+    }
+
+    /// The "advance over `n` zero bytes" operator, `step(c, 0ⁿ) = c · x⁸ⁿ
+    /// mod P`, as four byte-indexed tables: it is linear in `c`, so it is
+    /// the XOR of the products of `c`'s four bytes, one lookup each.
+    type Shift = [[u32; 256]; 4];
+
+    const fn build_shift(n: usize) -> Shift {
+        // x⁸ⁿ mod P by square-and-multiply.
+        let mut xn = 1u32 << 31;
+        let mut sq = 1u32 << 30;
+        let mut e = 8 * n;
+        while e != 0 {
+            if e & 1 != 0 {
+                xn = mul_mod_p(xn, sq);
+            }
+            sq = mul_mod_p(sq, sq);
+            e >>= 1;
+        }
+        let mut t = [[0u32; 256]; 4];
+        let mut j = 0;
+        while j < 4 {
+            let mut b = 0usize;
+            while b < 256 {
+                t[j][b] = mul_mod_p((b as u32) << (8 * j), xn);
+                b += 1;
+            }
+            j += 1;
+        }
+        t
+    }
+
+    /// Stripe of a block: 3 × 1344 B = 4032 B, so one default-MTU payload
+    /// (4 KiB) is a single block plus a 64 B serial tail.
+    pub(super) const STRIPE: usize = 1344;
+
+    /// How far ahead of each chain its stripe is prefetched: eight lines,
+    /// what one chain consumes in a DRAM round trip (a line per ~24
+    /// cycles, ~100 ns).
+    const PREFETCH_AHEAD: usize = 512;
+
+    // The chains walk whole cache lines; a ragged stripe would drop its tail.
+    const _: () = assert!(STRIPE.is_multiple_of(64));
+
+    static SHIFT: Shift = build_shift(STRIPE);
+
+    #[inline(always)]
+    pub(super) fn shift(c: u64) -> u64 {
+        let t = &SHIFT;
+        (t[0][(c & 0xFF) as usize]
+            ^ t[1][((c >> 8) & 0xFF) as usize]
+            ^ t[2][((c >> 16) & 0xFF) as usize]
+            ^ t[3][((c >> 24) & 0xFF) as usize]) as u64
+    }
+
+    #[inline(always)]
+    fn qword(q: &[u8]) -> u64 {
+        u64::from_le_bytes(q.try_into().expect("chunks_exact(8)"))
+    }
+
+    /// Every whole `3 × STRIPE`-byte block at the head of `data` runs as
+    /// three independent chains, one per stripe (the incoming state feeds
+    /// the first, the others start at 0), merged per block with
+    /// `step(c, A‖B) = shift_|B|(step(c, A)) ⊕ step(0, B)`, twice; what is
+    /// left runs the serial qword/byte loop — which is all an input under
+    /// one block (256 B packets, CTS, control trailers) ever runs.
     #[target_feature(enable = "sse4.2")]
-    pub unsafe fn step(crc: u32, data: &[u8]) -> u32 {
-        use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-        let mut p = data.as_ptr();
-        let mut len = data.len();
+    pub fn step(crc: u32, mut data: &[u8]) -> u32 {
         let mut c = crc as u64;
-        while len >= 8 {
-            c = _mm_crc32_u64(c, (p as *const u64).read_unaligned().to_le());
-            p = p.add(8);
-            len -= 8;
+        // One compare keeps the block bookkeeping (≈ 3 ns a call) off the
+        // short inputs, which are most calls.
+        if data.len() >= 3 * STRIPE {
+            let mut blocks = data.chunks_exact(3 * STRIPE);
+            for block in &mut blocks {
+                let (s0, rest) = block.split_at(STRIPE);
+                let (s1, s2) = rest.split_at(STRIPE);
+                let (mut c1, mut c2) = (0u64, 0u64);
+                // A cache line of each stripe per turn, asking for the lines
+                // `PREFETCH_AHEAD` further on first (see the module docs; the
+                // address may lie past the input, which a prefetch may).
+                for ((l0, l1), l2) in s0
+                    .chunks_exact(64)
+                    .zip(s1.chunks_exact(64))
+                    .zip(s2.chunks_exact(64))
+                {
+                    for l in [l0, l1, l2] {
+                        let ahead = l.as_ptr().wrapping_add(PREFETCH_AHEAD);
+                        _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
+                    }
+                    for ((q0, q1), q2) in l0
+                        .chunks_exact(8)
+                        .zip(l1.chunks_exact(8))
+                        .zip(l2.chunks_exact(8))
+                    {
+                        c = _mm_crc32_u64(c, qword(q0));
+                        c1 = _mm_crc32_u64(c1, qword(q1));
+                        c2 = _mm_crc32_u64(c2, qword(q2));
+                    }
+                }
+                c = shift(shift(c) ^ c1) ^ c2;
+            }
+            data = blocks.remainder();
+        }
+        let mut qwords = data.chunks_exact(8);
+        for q in &mut qwords {
+            c = _mm_crc32_u64(c, qword(q));
         }
         let mut c = c as u32;
-        while len > 0 {
-            c = _mm_crc32_u8(c, *p);
-            p = p.add(1);
-            len -= 1;
+        for &b in qwords.remainder() {
+            c = _mm_crc32_u8(c, b);
         }
         c
     }
@@ -118,7 +281,8 @@ mod sse42 {
 
 #[cfg(target_arch = "x86_64")]
 fn step_sse42(crc: u32, data: &[u8]) -> u32 {
-    // Safe: SSE42 is only installed in the vtable after detection.
+    // SAFETY: `step` needs SSE4.2, and SSE42 is only installed in the
+    // vtable after `is_x86_feature_detected!("sse4.2")` (`detect_available`).
     unsafe { sse42::step(crc, data) }
 }
 
@@ -129,9 +293,8 @@ fn step_sse42(crc: u32, data: &[u8]) -> u32 {
 /// A CRC32C kernel for one instruction-set tier.
 ///
 /// `step` is the raw state transition (no init / final complement), which
-/// is what lets [`Crc32cHasher`] checksum a large buffer incrementally —
-/// the whole-message delivery digest streams 40 MiB through it chunk by
-/// chunk without staging a contiguous copy.
+/// is what lets [`Crc32cHasher`] checksum a message held in pieces without
+/// staging a contiguous copy.
 pub struct Crc32c {
     name: &'static str,
     step: fn(u32, &[u8]) -> u32,
@@ -262,9 +425,8 @@ pub fn crc32c(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// Bit-at-a-time reference, deliberately naive.
-    fn crc_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
+    /// Bit-at-a-time reference state transition, deliberately naive.
+    fn step_bitwise(mut crc: u32, data: &[u8]) -> u32 {
         for &b in data {
             crc ^= b as u32;
             for _ in 0..8 {
@@ -275,7 +437,21 @@ mod tests {
                 };
             }
         }
-        !crc
+        crc
+    }
+
+    fn crc_bitwise(data: &[u8]) -> u32 {
+        !step_bitwise(!0, data)
+    }
+
+    fn pseudo_random(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_F491u32;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(0x9E37_79B9).wrapping_add(0x7F4A_7C15);
+                (x >> 24) as u8
+            })
+            .collect()
     }
 
     #[test]
@@ -302,17 +478,76 @@ mod tests {
     #[test]
     fn tiers_match_bitwise_reference_on_odd_lengths() {
         // Odd lengths exercise the per-byte tails on both tiers.
-        let mut buf = Vec::new();
-        let mut x = 0x2545_F491u32;
         for len in [1usize, 3, 7, 8, 9, 15, 63, 64, 65, 255, 1021, 4096, 4099] {
-            buf.clear();
-            for _ in 0..len {
-                x = x.wrapping_mul(0x9E37_79B9).wrapping_add(0x7F4A_7C15);
-                buf.push((x >> 24) as u8);
-            }
+            let buf = pseudo_random(len);
             let want = crc_bitwise(&buf);
             for k in Crc32c::all() {
                 assert_eq!(k.checksum(&buf), want, "tier {} len {}", k.name(), len);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shift_tables_advance_a_state_over_that_many_zero_bytes() {
+        use super::sse42::{shift, STRIPE};
+        let zeros = vec![0u8; STRIPE];
+        for c in [0u32, 1, 0x8000_0000, !0, 0xDEAD_BEEF, 0x0102_0408] {
+            assert_eq!(shift(c as u64) as u32, step_slice8(c, &zeros));
+        }
+    }
+
+    /// Not sampled, enumerated: every length from 0 through two blocks plus
+    /// 64 B, at every head offset 0..=8, on every tier — each count of
+    /// blocks, tail qwords and tail bytes the interleaved kernel can be
+    /// asked for, and every transition between them.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_length_through_two_blocks_matches_bitwise_reference() {
+        let max = 2 * 3 * sse42::STRIPE + 64;
+        let buf = pseudo_random(8 + max);
+        for head in 0..=8 {
+            let window = &buf[head..head + max];
+            let mut state = !0u32; // the reference's raw state over window[..len]
+            for len in 0..=max {
+                if len > 0 {
+                    state = step_bitwise(state, &window[len - 1..len]);
+                }
+                for k in Crc32c::all() {
+                    let got = k.checksum(&window[..len]);
+                    assert_eq!(got, !state, "tier {} len {len} head {head}", k.name());
+                }
+            }
+        }
+    }
+
+    /// A 2 MiB message streamed through [`Crc32cHasher`] from a non-initial
+    /// state (a 5-byte preamble went in first) with the split at every byte
+    /// within ±9 of every stripe and block boundary of the first three
+    /// blocks — measured from the front (the first update ends there) and
+    /// from the back (the second update is that long).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn streamed_splits_around_every_stripe_and_block_boundary() {
+        const LEN: usize = (2 << 20) + 77;
+        let buf = pseudo_random(5 + LEN);
+        let want = crc_bitwise(&buf);
+        let (preamble, body) = buf.split_at(5);
+        let mut splits = std::collections::BTreeSet::new();
+        for stripe in 0..=9 {
+            let boundary = stripe * sse42::STRIPE;
+            for at in boundary.saturating_sub(9)..=boundary + 9 {
+                splits.insert(at);
+                splits.insert(LEN - at);
+            }
+        }
+        for k in Crc32c::all() {
+            for &split in &splits {
+                let mut h = Crc32cHasher::with_kernel(k);
+                h.update(preamble);
+                h.update(&body[..split]);
+                h.update(&body[split..]);
+                assert_eq!(h.finalize(), want, "tier {} split {split}", k.name());
             }
         }
     }

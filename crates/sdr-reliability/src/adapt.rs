@@ -191,8 +191,8 @@ fn segments(msg_bytes: u64, segment_bytes: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// CRC32C over the *whole message* `[base, base+len)`, streamed in
-/// buffer-sized reads. Deliberately message-scoped, not plan-scoped: a
+/// CRC32C over the *whole message* `[base, base+len)`, hashed where it
+/// lies in node memory. Deliberately message-scoped, not plan-scoped: a
 /// resume's plan covers only the undelivered remainder, but bytes
 /// delivered in a previous life were journaled at bitmap completion —
 /// *before* any digest verdict — so they are exactly as suspect as this
@@ -200,18 +200,9 @@ fn segments(msg_bytes: u64, segment_bytes: u64) -> Vec<(u64, u64)> {
 /// source, the receiver its destination), so the full-range digest is
 /// always computable and always comparable.
 fn message_digest(ctx: &SdrContext, base: u64, len: u64) -> u32 {
-    let mut h = sdr_erasure::Crc32cHasher::new();
-    let mut scratch = vec![0u8; 256 * 1024];
-    let mut addr = base;
-    let mut left = len;
-    while left > 0 {
-        let n = scratch.len().min(left as usize);
-        ctx.read_buffer_into(addr, &mut scratch[..n]);
-        h.update(&scratch[..n]);
-        addr += n as u64;
-        left -= n as u64;
-    }
-    h.finalize()
+    ctx.fabric().node(ctx.node(), |n| {
+        sdr_erasure::crc32c(n.mem().read(base, len as usize))
+    })
 }
 
 // ---------------------------------------------------------------------------

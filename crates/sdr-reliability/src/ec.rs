@@ -995,22 +995,22 @@ impl EcRxScheme {
             return;
         }
         // Arrival-CRC audit of a submessage that is about to be used:
-        // read each present chunk back and compare against the CRCs
-        // recorded when its packets landed. A mismatch means a corrupted
-        // duplicate overwrote the chunk after its bits were set — demote
-        // it to absent *before* any decision reads the presence flags, so
-        // stale bytes never feed a decode and never silently resolve a
-        // submessage. The audit only ever demotes, hence the re-test.
-        let mut b = pool.take(chunk_len);
-        for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
-            let (slot, c, addr) = shard_at(i);
-            self.ctx.read_buffer_into(addr, &mut b);
-            if !rx.verify_chunk(slot, c, &b) {
-                *p = false;
-                self.stats.stale_chunks += 1;
+        // hash each present chunk where it lies and compare against the
+        // CRCs recorded when its packets landed. A mismatch means a
+        // corrupted duplicate overwrote the chunk after its bits were set
+        // — demote it to absent *before* any decision reads the presence
+        // flags, so stale bytes never feed a decode and never silently
+        // resolve a submessage. The audit only ever demotes, hence the
+        // re-test.
+        self.ctx.fabric().node(self.ctx.node(), |n| {
+            for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
+                let (slot, c, addr) = shard_at(i);
+                if !rx.verify_chunk(slot, c, n.mem().read(addr, chunk_len)) {
+                    *p = false;
+                    self.stats.stale_chunks += 1;
+                }
             }
-        }
-        pool.put(b);
+        });
         // Every data chunk landed and still matches its arrival CRCs —
         // no decode needed. (The bitmap's `first_n_set` alone would not
         // be sound: a set bit only proves a clean packet landed *once*; a
@@ -1085,6 +1085,12 @@ impl RxDriver<EcRxScheme> {
     /// Receiver statistics so far.
     pub fn stats(&self) -> EcRecvStats {
         self.scheme(|s| s.stats)
+    }
+
+    /// Buffers left in this receiver's decode pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        self.scheme(|s| s.scratch.borrow().pooled())
     }
 }
 

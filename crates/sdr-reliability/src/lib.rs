@@ -470,6 +470,8 @@ mod tests {
         report: EcReport,
         stats: EcRecvStats,
         ok: bool,
+        /// Buffers the receiver's decode pool holds at the end.
+        pooled: usize,
     }
 
     fn run_ec(
@@ -509,7 +511,7 @@ mod tests {
             },
         );
         let s2 = stats.clone();
-        let _rx = EcReceiver::start(
+        let rx = EcReceiver::start(
             &mut p.eng,
             &p.qp_b,
             &p.ctx_b,
@@ -531,6 +533,7 @@ mod tests {
             report: rep,
             stats: final_stats,
             ok,
+            pooled: rx.pooled(),
         }
     }
 
@@ -541,6 +544,9 @@ mod tests {
         assert_eq!(r.stats.decoded_submessages, 0, "nothing to repair");
         assert_eq!(r.stats.complete_submessages, 4); // 16 chunks / k=4
         assert_eq!(r.report.fallback_rounds, 0);
+        // The audit hashes chunks where they lie: resolving every
+        // submessage directly rents no buffer, so the pool stays empty.
+        assert_eq!(r.pooled, 0);
     }
 
     #[test]

@@ -1265,18 +1265,20 @@ impl RxCommon {
         self.qp.config().chunk_bytes
     }
 
-    /// Re-checks `data` — the staged bytes of slot `i`'s chunk `chunk` —
-    /// against the arrival CRCs the QP recorded as the packets landed.
-    /// `false` means some packet was overwritten by a corrupted duplicate
-    /// *after* its bit was recorded: the staged bytes are stale and must
-    /// not feed a decode (a later clean duplicate heals the memory and
-    /// the recorded CRCs in place, so a NACK-driven resend converges).
+    /// Re-checks `data` — the bytes of slot `i`'s chunk `chunk`, wherever
+    /// the caller holds them — against the arrival CRCs the QP recorded as
+    /// the packets landed. `false` means some packet was overwritten by a
+    /// corrupted duplicate *after* its bit was recorded: the bytes are
+    /// stale and must not feed a decode (a later clean duplicate heals the
+    /// memory and the recorded CRCs in place, so a NACK-driven resend
+    /// converges). A handle the QP no longer honours reads `false` too:
+    /// nothing was checked, so nothing is vouched for.
     pub fn verify_chunk(&self, i: usize, chunk: usize, data: &[u8]) -> bool {
         let cfg = self.qp.config();
         let ppc = (cfg.chunk_bytes / cfg.mtu_bytes) as usize;
         self.qp
             .verify_packet_range(&self.hdls[i], chunk * ppc, data)
-            .unwrap_or(true)
+            .unwrap_or(false)
     }
 }
 
@@ -1682,6 +1684,43 @@ impl<S: RxScheme> RxDriver<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verify_chunk_fails_closed_on_a_stale_handle() {
+        use sdr_core::testkit::{pattern, sdr_pair};
+        use sdr_core::{SdrConfig, SdrError};
+        let cfg = SdrConfig::default();
+        let mut p = sdr_pair(sdr_sim::LinkConfig::intra_dc(8e9), cfg, 8 << 20);
+        let len = 4 * cfg.chunk_bytes;
+        let data = pattern(len as usize, 5);
+        let src = p.ctx_a.alloc_buffer(len);
+        let dst = p.ctx_b.alloc_buffer(len);
+        p.ctx_a.write_buffer(src, &data);
+        let mut rx = RxCommon::new(&p.qp_b);
+        let slot = rx.post(&mut p.eng, dst, len);
+        p.eng.run();
+        p.qp_a.send_post(&mut p.eng, src, len, None).unwrap();
+        p.eng.run();
+        let chunk = &data[cfg.chunk_bytes as usize..2 * cfg.chunk_bytes as usize];
+        assert!(rx.verify_chunk(slot, 1, chunk), "live handle, clean bytes");
+
+        // Retire the receive and let the QP's slot ring wrap onto the same
+        // slot: the handle's sequence has moved on.
+        let hdl = rx.hdls[slot];
+        p.qp_b.recv_complete(&mut p.eng, &hdl).unwrap();
+        for _ in 0..cfg.msg_slots {
+            let h = p.qp_b.recv_post(&mut p.eng, dst, len).unwrap();
+            p.qp_b.recv_complete(&mut p.eng, &h).unwrap();
+        }
+        assert_eq!(
+            p.qp_b.verify_packet_range(&hdl, 16, chunk),
+            Err(SdrError::BadHandle)
+        );
+        assert!(
+            !rx.verify_chunk(slot, 1, chunk),
+            "bytes nothing checked are not vouched for"
+        );
+    }
 
     #[test]
     fn chunk_timers_track_acks_and_cursor() {
