@@ -68,7 +68,7 @@ use sdr_core::{SdrContext, SdrQp};
 use sdr_model::Channel;
 use sdr_sim::{Engine, EventKind, Gauge, QpAddr, SimTime, TimerHandle};
 
-use crate::ack::{CtrlMsg, SchemeSpec};
+use crate::ack::{CtrlMsg, SchemeSpec, MAX_MANIFEST_SEGMENTS};
 use crate::advisor;
 use crate::control::{ControlEndpoint, CtrlHandler, CtrlPath};
 use crate::runtime::{tick_loop, AbortReason, Completion, DeliveryManifest, Tick, TransferOutcome};
@@ -179,8 +179,16 @@ fn note_scheme(ep: &ControlEndpoint, eng: &Engine, kind: EventKind, epoch: u32, 
     rec.record(eng.now().as_picos(), kind, epoch as u64, spec.trace_code());
 }
 
-/// Segment table: `(offset, len)` partitioning `[0, msg_bytes)`.
+/// Segment table: `(offset, len)` partitioning `[0, msg_bytes)`, at most
+/// [`MAX_MANIFEST_SEGMENTS`] of them — past that the receiver's delivery
+/// manifest no longer fits the `ResumeState` datagram a resume needs.
 fn segments(msg_bytes: u64, segment_bytes: u64) -> Vec<(u64, u64)> {
+    assert!(msg_bytes > 0, "empty transfer");
+    let n = msg_bytes.div_ceil(segment_bytes);
+    assert!(
+        n <= MAX_MANIFEST_SEGMENTS as u64,
+        "{n} segments: a transfer has at most {MAX_MANIFEST_SEGMENTS}"
+    );
     let mut out = Vec::new();
     let mut off = 0;
     while off < msg_bytes {
@@ -431,7 +439,6 @@ impl AdaptiveController {
     ) -> AdaptiveSender {
         Self::check_geometry(qp, msg_bytes, &cfg);
         let segs = segments(msg_bytes, cfg.segment_bytes);
-        assert!(!segs.is_empty(), "empty transfer");
         Self::start_sender_plan(
             eng,
             qp,
@@ -1415,7 +1422,6 @@ impl AdaptiveController {
         done: impl FnOnce(&mut Engine, SimTime, AdaptRecvReport) + 'static,
     ) -> AdaptiveReceiver {
         let segs = segments(msg_bytes, cfg.segment_bytes);
-        assert!(!segs.is_empty(), "empty transfer");
         let seg_ids: Vec<u32> = (0..segs.len() as u32).collect();
         let manifest = DeliveryManifest::new(msg_bytes, cfg.segment_bytes);
         Self::start_receiver_plan(

@@ -31,11 +31,10 @@ use sdr_sim::{
     Waker,
 };
 
-use crate::ack::{CtrlMsg, CtrlStamp};
+use crate::ack::{CtrlMsg, CtrlStamp, Wire, CTRL_BUF_BYTES, CTRL_CRC_BYTES};
 
-/// Receive-buffer count and size for control datagrams.
+/// Receive-buffer count for control datagrams.
 const CTRL_DEPTH: usize = 128;
-const CTRL_BUF_BYTES: u64 = 2048;
 
 /// How far behind the per-peer high-water sequence a reordered datagram
 /// may arrive and still be admitted (the dedup window in datagrams).
@@ -43,9 +42,6 @@ const CTRL_BUF_BYTES: u64 = 2048;
 /// dropped — control traffic is periodic, so the information it carried
 /// has long been superseded.
 const REPLAY_WINDOW: u32 = 128;
-
-/// Size of the CRC32C trailer sealing every control datagram.
-const CTRL_CRC_BYTES: usize = 4;
 
 /// Seals a stamped control frame with its CRC32C trailer (computed over
 /// stamp + body, appended little-endian). [`ControlEndpoint::send`] calls
@@ -256,7 +252,7 @@ impl RxFilter {
         }
         // Stamp filter next: stale-incarnation traffic and duplicates die
         // before the decoder even runs.
-        let Some(stamp) = CtrlStamp::decode_from(&mut body) else {
+        let Some(stamp) = CtrlStamp::take(&mut body) else {
             return self.dropped(Dropped::Malformed);
         };
         let verdict = {
@@ -360,15 +356,15 @@ impl ControlEndpoint {
         let (qp, cq, buf_base) = fabric.node_mut(node, |n| {
             let cq = n.create_cq();
             let qp = n.create_qp(QpType::Ud, cq, cq);
-            let base = n.mem_mut().alloc(CTRL_DEPTH as u64 * CTRL_BUF_BYTES);
+            let base = n.mem_mut().alloc(CTRL_DEPTH as u64 * CTRL_BUF_BYTES as u64);
             for i in 0..CTRL_DEPTH {
-                let addr = base + i as u64 * CTRL_BUF_BYTES;
+                let addr = base + i as u64 * CTRL_BUF_BYTES as u64;
                 n.post_recv(
                     qp,
                     RecvWqe {
                         wr_id: addr,
                         addr,
-                        len: CTRL_BUF_BYTES,
+                        len: CTRL_BUF_BYTES as u64,
                     },
                 );
             }
@@ -398,7 +394,7 @@ impl ControlEndpoint {
                                 RecvWqe {
                                     wr_id: addr,
                                     addr,
-                                    len: CTRL_BUF_BYTES,
+                                    len: CTRL_BUF_BYTES as u64,
                                 },
                             );
                             got
@@ -512,6 +508,13 @@ impl ControlEndpoint {
             stamp.encode_into(b);
             msg.encode_into(b);
             seal_ctrl_frame(b);
+            // A longer frame would land truncated and fail its CRC on
+            // every copy.
+            assert!(
+                b.len() <= CTRL_BUF_BYTES,
+                "{} B control frame exceeds the {CTRL_BUF_BYTES} B receive buffer",
+                b.len()
+            );
             Bytes::copy_from_slice(b)
         };
         // Drop errors deliberately: an unroutable ACK behaves like a lost one.
@@ -582,13 +585,13 @@ impl ControlEndpoint {
     pub fn reattach(&self) {
         self.fabric.node_mut(self.node, |n| {
             for i in 0..CTRL_DEPTH {
-                let addr = self.buf_base + i as u64 * CTRL_BUF_BYTES;
+                let addr = self.buf_base + i as u64 * CTRL_BUF_BYTES as u64;
                 n.post_recv(
                     self.qp,
                     RecvWqe {
                         wr_id: addr,
                         addr,
-                        len: CTRL_BUF_BYTES,
+                        len: CTRL_BUF_BYTES as u64,
                     },
                 );
             }
@@ -967,53 +970,65 @@ mod tests {
         assert_eq!(got.borrow().len(), 7, "new life, sequence 0, new stream");
     }
 
+    /// A manifest of [`MAX_MANIFEST_SEGMENTS`] segments is the longest
+    /// body there is; its frame must arrive whole, and one segment more
+    /// is not a message.
+    ///
+    /// [`MAX_MANIFEST_SEGMENTS`]: crate::ack::MAX_MANIFEST_SEGMENTS
+    #[test]
+    fn the_largest_resume_state_arrives() {
+        use crate::ack::MAX_MANIFEST_SEGMENTS;
+        use crate::runtime::DeliveryManifest;
+        let mut eng = Engine::new();
+        let fabric = Fabric::new();
+        let a = fabric.add_node(1 << 20);
+        let b = fabric.add_node(1 << 20);
+        fabric.link_duplex(a, b, LinkConfig::intra_dc(8e9));
+        let ep_a = ControlEndpoint::new(&fabric, a);
+        let ep_b = ControlEndpoint::new(&fabric, b);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        ep_b.set_handler(move |_eng, _src, msg| g.borrow_mut().push(msg));
+        let segs = MAX_MANIFEST_SEGMENTS as u64;
+        let mut manifest = DeliveryManifest::new(segs * 4096 - 1, 4096);
+        for i in (0..segs as u32).step_by(3) {
+            manifest.mark_delivered(i);
+        }
+        let msg = CtrlMsg::ResumeState {
+            manifest,
+            base: u64::MAX,
+        };
+        ep_a.send(&mut eng, ep_b.addr(), &msg);
+        eng.run();
+        assert_eq!(*got.borrow(), vec![msg]);
+        assert_eq!(ep_b.filter_stats(), CtrlFilterStats::default());
+        let over = CtrlMsg::ResumeState {
+            manifest: DeliveryManifest::new((segs + 1) * 4096, 4096),
+            base: 0,
+        };
+        assert_eq!(CtrlMsg::decode(over.encode()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2048 B receive buffer")]
+    fn a_frame_past_the_receive_buffer_is_refused_at_send() {
+        let fabric = Fabric::new();
+        let a = fabric.add_node(1 << 20);
+        let b = fabric.add_node(1 << 20);
+        fabric.link_duplex(a, b, LinkConfig::intra_dc(8e9));
+        let ep_a = ControlEndpoint::new(&fabric, a);
+        let ep_b = ControlEndpoint::new(&fabric, b);
+        let over = CtrlMsg::ResumeState {
+            manifest: crate::runtime::DeliveryManifest::new(1 << 30, 1 << 14),
+            base: 0,
+        };
+        ep_a.send(&mut Engine::new(), ep_b.addr(), &over);
+    }
+
     mod mutation {
         use super::*;
-        use crate::ack::SchemeSpec;
-        use crate::runtime::AbortReason;
+        use crate::ack::{tests::corpus, CTRL_STAMP_BYTES};
         use proptest::prelude::*;
-
-        /// A representative message for every codec shape: fixed-width,
-        /// variable-length vectors, nesting, and enum payloads.
-        fn sample_msg(sel: u64, x: u32) -> CtrlMsg {
-            match sel {
-                0 => CtrlMsg::SrAck {
-                    cumulative: x,
-                    window_start: x / 2,
-                    sack_bits: vec![x as u64, !(x as u64), 0x5555_AAAA],
-                    sack_len: 192,
-                    nacks: vec![x, x + 7, x + 13],
-                },
-                1 => CtrlMsg::EcAck,
-                2 => CtrlMsg::EcNack {
-                    failed: vec![x % 97, x % 89, x % 83],
-                },
-                3 => CtrlMsg::GbnAck { cumulative: x },
-                4 => CtrlMsg::Seg {
-                    epoch: x % 1024,
-                    inner: Box::new(CtrlMsg::GbnAck { cumulative: x }),
-                },
-                5 => CtrlMsg::SwitchPropose {
-                    seq: x % 64,
-                    epoch: x % 1024,
-                    spec: SchemeSpec::EcMds { k: 32, m: 8 },
-                },
-                6 => CtrlMsg::SwitchAck {
-                    seq: x % 64,
-                    epoch: x % 1024,
-                },
-                7 => CtrlMsg::Telemetry {
-                    seen: x as u64 * 3,
-                    lost: x as u64,
-                },
-                8 => CtrlMsg::Abort {
-                    reason: AbortReason::Deadline,
-                },
-                // The shortest frame there is: a tag and nothing else.
-                9 => CtrlMsg::FlowParked,
-                _ => CtrlMsg::DigestState { crc: x },
-            }
-        }
 
         /// Deterministic bit-position source for the flips.
         struct XorShift(u64);
@@ -1038,11 +1053,12 @@ mod tests {
             /// must never panic the parser: it is either dropped by the
             /// stamp/replay/echo filters, rejected by the decoder as
             /// `malformed`, or decodes to some well-formed message — and
-            /// exactly one of those happens.
+            /// exactly one of those happens. A mutant body that decodes
+            /// re-encodes to exactly itself. The frame is any corpus
+            /// frame, so every tag of the table is mutated.
             #[test]
             fn flipped_frames_die_at_the_crc_gate_and_resealed_mutants_never_panic(
-                sel in 0u64..11,
-                x in any::<u32>(),
+                sel in 0..corpus().len(),
                 seed in 1u64..u64::MAX,
                 nflips in 1usize..=5,
             ) {
@@ -1063,7 +1079,7 @@ mod tests {
 
                 let mut frame = BytesMut::new();
                 CtrlStamp { xfer: 0, inc: 0, dst_inc: 0, seq: 0 }.encode_into(&mut frame);
-                frame.extend_from_slice(&sample_msg(sel, x).encode());
+                frame.extend_from_slice(&corpus()[sel].1);
                 seal_ctrl_frame(&mut frame);
 
                 // Flip `nflips` distinct bits anywhere in the sealed frame
@@ -1091,6 +1107,10 @@ mod tests {
                 // Re-seal the mutant: the CRC gate passes by construction,
                 // and every later stage must cope without panicking.
                 flipped.truncate(flipped.len() - CTRL_CRC_BYTES);
+                let body = &flipped[CTRL_STAMP_BYTES..];
+                if let Some(msg) = CtrlMsg::decode(body) {
+                    prop_assert_eq!(&msg.encode()[..], body, "decode accepted a non-canonical body");
+                }
                 let mut resealed = BytesMut::new();
                 resealed.extend_from_slice(&flipped);
                 seal_ctrl_frame(&mut resealed);

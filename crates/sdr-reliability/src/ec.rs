@@ -60,7 +60,7 @@ use sdr_core::{SdrContext, SdrQp, TwoLevelBitmap};
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
 use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
-use crate::ack::CtrlMsg;
+use crate::ack::{CtrlMsg, MAX_EC_NACKS};
 use crate::control::CtrlPath;
 use crate::runtime::{
     CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, StreamTx, TransferOutcome, TxDriver,
@@ -921,10 +921,14 @@ impl EcRxScheme {
         // One is due, so a NACK leaves now: it takes along every
         // submessage order evidence has already condemned, however
         // recently — the margin batches a burst, it is not owed to each.
+        // What one datagram cannot name stays due for the next poll.
         let mut failed = Vec::new();
         for (s, sub) in self.subs.iter_mut().enumerate() {
             if sub.resolved || (sub.due > now && sub.passed_by.is_none()) {
                 continue;
+            }
+            if failed.len() == MAX_EC_NACKS {
+                break;
             }
             let passed_by = sub.passed_by.take();
             match passed_by {

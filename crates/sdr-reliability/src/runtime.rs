@@ -82,7 +82,10 @@ use crate::telemetry::{ChannelEstimator, FirstPassCursor, TelemetryCounters};
 /// O(log blackout / RTO) copies per chunk.
 pub const RTO_BACKOFF_CAP: u32 = 6;
 
-/// Why a transfer ended without delivering.
+/// Why a transfer ended without delivering. The declaration order is
+/// the wire byte of [`CtrlMsg::Abort`]: a new reason goes last.
+///
+/// [`CtrlMsg::Abort`]: crate::ack::CtrlMsg::Abort
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbortReason {
     /// The transfer's deadline expired before delivery.
@@ -128,10 +131,10 @@ impl std::fmt::Display for AbortReason {
 /// [`AdaptiveController::resume_receiver`]: crate::adapt::AdaptiveController::resume_receiver
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeliveryManifest {
-    msg_bytes: u64,
-    segment_bytes: u64,
+    pub(crate) msg_bytes: u64,
+    pub(crate) segment_bytes: u64,
     /// Bit `i` = segment `i` fully delivered. `total_segments()` bits.
-    done: Vec<u64>,
+    pub(crate) done: Vec<u64>,
 }
 
 impl DeliveryManifest {
@@ -208,51 +211,6 @@ impl DeliveryManifest {
         (0..self.total_segments())
             .filter(|&i| !self.is_delivered(i))
             .collect()
-    }
-
-    /// Serializes for the [`CtrlMsg::ResumeState`] wire reply.
-    ///
-    /// [`CtrlMsg::ResumeState`]: crate::ack::CtrlMsg::ResumeState
-    pub(crate) fn encode_into(&self, b: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        b.put_u64_le(self.msg_bytes);
-        b.put_u64_le(self.segment_bytes);
-        for w in &self.done {
-            b.put_u64_le(*w);
-        }
-    }
-
-    /// Parses a wire manifest; `None` on malformed input (bad geometry,
-    /// truncation, or stray bits past the last segment).
-    pub(crate) fn decode_from(buf: &mut impl bytes::Buf) -> Option<Self> {
-        if buf.remaining() < 16 {
-            return None;
-        }
-        let msg_bytes = buf.get_u64_le();
-        let segment_bytes = buf.get_u64_le();
-        if msg_bytes == 0 || segment_bytes == 0 {
-            return None;
-        }
-        let n = msg_bytes.div_ceil(segment_bytes);
-        // A control datagram caps at a couple KiB; reject absurd segment
-        // counts before allocating.
-        if n > (crate::ack::MAX_SACK_BITS * 64) as u64 {
-            return None;
-        }
-        let words = (n as usize).div_ceil(64);
-        if buf.remaining() < words * 8 {
-            return None;
-        }
-        let done: Vec<u64> = (0..words).map(|_| buf.get_u64_le()).collect();
-        let tail = n as usize % 64;
-        if tail != 0 && done[words - 1] >> tail != 0 {
-            return None; // bits past the last segment
-        }
-        Some(DeliveryManifest {
-            msg_bytes,
-            segment_bytes,
-            done,
-        })
     }
 }
 
@@ -1866,31 +1824,22 @@ mod tests {
 
     #[test]
     fn delivery_manifest_wire_roundtrip_rejects_corruption() {
+        use crate::ack::Wire;
         let mut m = DeliveryManifest::new(40 << 20, 2 << 20);
         for i in [0, 3, 7, 19] {
             m.mark_delivered(i);
         }
         let mut b = bytes::BytesMut::new();
-        m.encode_into(&mut b);
-        let mut wire = b.freeze();
-        assert_eq!(DeliveryManifest::decode_from(&mut wire), Some(m.clone()));
+        m.put(&mut b);
+        assert_eq!(DeliveryManifest::take(&mut &b[..]), Some(m.clone()));
         // Truncated.
-        let mut b2 = bytes::BytesMut::new();
-        m.encode_into(&mut b2);
-        let mut short = b2.freeze().slice(0..17);
-        assert_eq!(DeliveryManifest::decode_from(&mut short), None);
+        assert_eq!(DeliveryManifest::take(&mut &b[..17]), None);
         // Stray bits past the last segment.
-        let mut b3 = bytes::BytesMut::new();
-        m.encode_into(&mut b3);
-        let mut bad = b3.to_vec();
+        let mut bad = b.to_vec();
         *bad.last_mut().unwrap() |= 0x80; // segment 20 of 20 (bit 20 set)
-        assert_eq!(
-            DeliveryManifest::decode_from(&mut bytes::Bytes::from(bad)),
-            None
-        );
+        assert_eq!(DeliveryManifest::take(&mut &bad[..]), None);
         // Zero geometry.
-        let mut zeros = bytes::Bytes::from_static(&[0u8; 16]);
-        assert_eq!(DeliveryManifest::decode_from(&mut zeros), None);
+        assert_eq!(DeliveryManifest::take(&mut &[0u8; 16][..]), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use sdr_model::{
 };
 use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime};
 
-use crate::ack::{CtrlMsg, SchemeSpec};
+use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
 use crate::ec::{self, EcCodeChoice, EcProtoConfig, EcReport, EcRxScheme, EcScratch, EcSender};
 use crate::gbn::{GbnProtoConfig, GbnReport, GbnRxScheme, GbnSender};
@@ -41,7 +41,54 @@ use crate::telemetry::ChannelEstimator;
 /// the EC model and the Figure 9 boundary are evaluated against.
 const RTO_RTTS: f64 = 3.0;
 
+/// A wire-compact description of a reliability scheme — what the adaptive
+/// handover protocol carries in [`CtrlMsg::SwitchPropose`] so both ends
+/// rebind to the same policy. Protocol tunables (RTO, poll cadence, FTO)
+/// are derived deterministically on each side from the deployment's nominal
+/// channel, exactly like a static deployment derives them out-of-band.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SchemeSpec {
+    /// Selective Repeat, RTO-driven (`RTO = 3 RTT`).
+    SrRto,
+    /// Selective Repeat with the NACK optimization.
+    SrNack,
+    /// MDS (Reed–Solomon) erasure coding with the given split.
+    EcMds {
+        /// Data chunks per submessage.
+        k: u16,
+        /// Parity chunks per submessage.
+        m: u16,
+    },
+    /// XOR erasure coding with the given split.
+    EcXor {
+        /// Data chunks per submessage.
+        k: u16,
+        /// Parity chunks per submessage.
+        m: u16,
+    },
+    /// Go-Back-N with a BDP window (the commodity baseline — a valid
+    /// *starting* scheme the controller adapts away from).
+    Gbn,
+}
+
+impl std::fmt::Display for SchemeSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchemeSpec::SrRto => write!(f, "SR-RTO"),
+            SchemeSpec::SrNack => write!(f, "SR-NACK"),
+            SchemeSpec::EcMds { k, m } => write!(f, "EC-MDS({k},{m})"),
+            SchemeSpec::EcXor { k, m } => write!(f, "EC-XOR({k},{m})"),
+            SchemeSpec::Gbn => write!(f, "GBN"),
+        }
+    }
+}
+
 impl SchemeSpec {
+    /// True for erasure-coding specs.
+    pub fn is_ec(&self) -> bool {
+        matches!(self, SchemeSpec::EcMds { .. } | SchemeSpec::EcXor { .. })
+    }
+
     /// The MDS splits the advisor evaluates (Figure 10d), weakest first:
     /// ordered by parity fraction `m/k`.
     pub const EC_LADDER: [SchemeSpec; 4] = [
