@@ -43,13 +43,12 @@
 //! acknowledged or aborted — without waiting for the wire to drain.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use sdr_sim::{
-    CqId, Engine, Fabric, MkeyId, NodeId, PayloadCheck, QpAddr, QpNum, QpType, RecvWqe,
+    CqId, Engine, Fabric, IntMap, MkeyId, NodeId, PayloadCheck, QpAddr, QpNum, QpType, RecvWqe,
     RegionWriteWr, Registry, SimTime, Waker,
 };
 
@@ -180,10 +179,10 @@ struct QpInner {
     recv_slots: Vec<RecvSlot>,
     recv_seq: u64,
     send_seq: u64,
-    sends: HashMap<u64, SendState>,
+    sends: IntMap<u64, SendState>,
     next_handle: u64,
     /// CTS credits received, keyed by send sequence.
-    cts_credits: HashMap<u64, u64>,
+    cts_credits: IntMap<u64, u64>,
     cts_callback: Option<CtsCallback>,
     rr: u64,
     stats: SdrStats,
@@ -242,9 +241,9 @@ impl SdrQp {
                 recv_slots: (0..cfg.msg_slots).map(|_| RecvSlot::empty()).collect(),
                 recv_seq: 0,
                 send_seq: 0,
-                sends: HashMap::new(),
+                sends: IntMap::default(),
                 next_handle: 0,
-                cts_credits: HashMap::new(),
+                cts_credits: IntMap::default(),
                 cts_callback: None,
                 rr: 0,
                 stats: SdrStats::default(),

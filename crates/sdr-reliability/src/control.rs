@@ -22,13 +22,12 @@
 //! incarnation after a peer restart.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use sdr_sim::{
-    Counter, Engine, Fabric, FlightRecorder, NodeId, QpAddr, QpNum, QpType, RecvWqe, Registry,
-    Waker,
+    Counter, Engine, Fabric, FlightRecorder, IntMap, NodeId, QpAddr, QpNum, QpType, RecvWqe,
+    Registry, Waker,
 };
 
 use crate::ack::{CtrlMsg, CtrlStamp, Wire, CTRL_BUF_BYTES, CTRL_CRC_BYTES};
@@ -194,9 +193,9 @@ struct RxFilter {
     /// This endpoint's incarnation (incoming stamps must echo it).
     inc: Cell<u32>,
     /// Per-peer state learned from accepted datagrams.
-    peers: RefCell<HashMap<QpAddr, PeerState>>,
+    peers: RefCell<IntMap<QpAddr, PeerState>>,
     /// Replay state per live `(peer, transfer)` stream.
-    filters: RefCell<HashMap<(QpAddr, u64), PeerFilter>>,
+    filters: RefCell<IntMap<(QpAddr, u64), PeerFilter>>,
     drops: Cell<CtrlFilterStats>,
     /// Registry mirrors of `drops`, summed across every endpoint of the
     /// fabric.

@@ -104,12 +104,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
 use sdr_core::{SdrConfig, SdrContext, SdrQp};
 use sdr_sim::{
-    Counter, Engine, EventKind, Fabric, FlightRecorder, Histogram, NodeId, QpAddr, SimTime,
+    Counter, Engine, EventKind, Fabric, FlightRecorder, Histogram, IntMap, NodeId, QpAddr, SimTime,
     TimerHandle,
 };
 
@@ -194,7 +194,7 @@ struct FlowQueue {
 /// retained ring buffers, and the active ring reuses its capacity.
 pub struct DrrArbiter {
     quantum: u64,
-    flows: HashMap<u64, FlowQueue>,
+    flows: IntMap<u64, FlowQueue>,
     active: VecDeque<u64>,
     total_backlog: u64,
 }
@@ -205,7 +205,7 @@ impl DrrArbiter {
         assert!(quantum > 0, "quantum must be positive");
         DrrArbiter {
             quantum,
-            flows: HashMap::new(),
+            flows: IntMap::default(),
             active: VecDeque::new(),
             total_backlog: 0,
         }
@@ -679,9 +679,9 @@ impl FlowTrace {
 }
 
 struct Inner {
-    ports: HashMap<NodeId, Port>,
-    tx_flows: HashMap<u64, TxFlow>,
-    rx_flows: HashMap<(NodeId, u64), RxFlow>,
+    ports: IntMap<NodeId, Port>,
+    tx_flows: IntMap<u64, TxFlow>,
+    rx_flows: IntMap<(NodeId, u64), RxFlow>,
     /// `(peer, flow)` keys currently parked in some shard's pending queue.
     parked: HashSet<(NodeId, u64)>,
     due: DueIndex,
@@ -770,9 +770,9 @@ impl FlowManager {
             cad: Cadence::derive(&cfg),
             cfg,
             inner: RefCell::new(Inner {
-                ports: HashMap::new(),
-                tx_flows: HashMap::new(),
-                rx_flows: HashMap::new(),
+                ports: IntMap::default(),
+                tx_flows: IntMap::default(),
+                rx_flows: IntMap::default(),
                 parked: HashSet::new(),
                 due: DueIndex::new(),
                 next_flow: 1,
@@ -2023,6 +2023,7 @@ fn flow_ack(rx: &RxCommon) -> CtrlMsg {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn item(tag: u32, bytes: u64) -> WorkItem {
         WorkItem { tag, bytes }

@@ -5,10 +5,17 @@
 //! were scheduled. Components live behind `Rc<RefCell<_>>` handles captured
 //! by the event closures; the engine itself owns nothing but the queue.
 //!
-//! The queue is a hierarchical timing wheel over picosecond ticks (see
-//! [`equeue`](crate::equeue) for the architecture: slab-backed nodes, 64
-//! slots × 11 levels spanning the whole `u64` range, zero allocation at
-//! steady state).
+//! The queue is a hierarchical timing wheel over picosecond ticks with two
+//! lanes beside it (see [`equeue`](crate::equeue) for the architecture:
+//! slab-backed nodes, 64 slots × 11 levels spanning the whole `u64` range,
+//! zero allocation at steady state). An event scheduled for the instant
+//! being executed — a zero-delay schedule, a [`Waker`](crate::Waker) kick —
+//! joins a same-instant FIFO behind that instant's wheel events; a
+//! recurring event that re-arms ahead of everything in the wheel — a link's
+//! drain pump — waits in a held slot and fires before the wheel's events at
+//! its instant, which were all scheduled after it. Neither touches the
+//! wheel, and the order is still exactly `(time, schedule order)`. The
+//! queue owns the clock; the wheel's cursor may lag it.
 //!
 //! Three event shapes are supported:
 //!
@@ -59,19 +66,20 @@ pub type Action = Box<dyn FnOnce(&mut Engine)>;
 /// assert_eq!(*hits.borrow(), vec![SimTime::from_nanos(10)]);
 /// ```
 pub struct Engine {
-    now: SimTime,
     q: EventQueue,
     executed: u64,
+    /// `executed` as last added to `engine.events`.
+    published: u64,
     /// Hard cap on executed events; guards against runaway protocol loops in
     /// tests. `u64::MAX` by default. Cancelled events are never charged.
     event_limit: u64,
     stopped: bool,
-    /// Substrate metrics (`engine.*`): every dispatch bumps
-    /// `engine.events`, and the wheel records each cascade's level into
-    /// the `engine.cascade_depth` histogram. Kill-switch gated like
-    /// all `sdr-trace` handles.
+    /// Substrate metrics (`engine.*`): `engine.events` gains the events
+    /// executed by each `run` / `run_until` / `step` as it returns, and the
+    /// wheel records each cascade's level into the `engine.cascade_depth`
+    /// histogram. Kill-switch gated like all `sdr-trace` handles.
     metrics: Registry,
-    /// Bound handle for `engine.events` (no registry lookup per dispatch).
+    /// Bound handle for `engine.events` (no registry lookup per publish).
     ev_counter: Counter,
 }
 
@@ -88,9 +96,9 @@ impl Engine {
         let ev_counter = metrics.counter("engine.events");
         let q = EventQueue::new(metrics.histogram("engine.cascade_depth"));
         Engine {
-            now: SimTime::ZERO,
             q,
             executed: 0,
+            published: 0,
             event_limit: u64::MAX,
             stopped: false,
             metrics,
@@ -107,7 +115,7 @@ impl Engine {
     /// Current simulation time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime(self.q.now())
     }
 
     /// Number of events executed so far (cancelled events never count).
@@ -140,11 +148,11 @@ impl Engine {
     #[inline]
     fn clamp(&self, at: SimTime) -> u64 {
         debug_assert!(
-            at >= self.now,
+            at >= self.now(),
             "scheduling into the past: {at} < {}",
-            self.now
+            self.now()
         );
-        at.max(self.now).as_picos()
+        at.as_picos().max(self.q.now())
     }
 
     /// Schedules `action` at absolute time `at`.
@@ -154,7 +162,7 @@ impl Engine {
 
     /// Schedules `action` to run `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, action: impl FnOnce(&mut Engine) + 'static) {
-        let _ = self.schedule_at_handle(self.now.saturating_add(delay), action);
+        let _ = self.schedule_at_handle(self.now().saturating_add(delay), action);
     }
 
     /// Schedules `action` at absolute time `at`, returning a cancellable
@@ -175,7 +183,7 @@ impl Engine {
         delay: SimTime,
         action: impl FnOnce(&mut Engine) + 'static,
     ) -> TimerHandle {
-        self.schedule_at_handle(self.now.saturating_add(delay), action)
+        self.schedule_at_handle(self.now().saturating_add(delay), action)
     }
 
     /// Schedules a recurring event: `action` runs at `at` and then again at
@@ -200,7 +208,7 @@ impl Engine {
         delay: SimTime,
         action: impl FnMut(&mut Engine) -> Option<SimTime> + 'static,
     ) -> TimerHandle {
-        self.schedule_recurring_at(self.now.saturating_add(delay), action)
+        self.schedule_recurring_at(self.now().saturating_add(delay), action)
     }
 
     /// Schedules a shared callback at `at` without boxing: the queue node
@@ -233,13 +241,10 @@ impl Engine {
         self.q.is_scheduled(h)
     }
 
-    /// Fires the popped node `idx`.
+    /// Fires the popped node `idx` (the queue has moved the clock to it).
     fn dispatch(&mut self, idx: u32) {
-        let (at, body) = self.q.begin_fire(idx);
-        debug_assert!(at >= self.now.as_picos());
-        self.now = SimTime(at);
+        let body = self.q.begin_fire(idx);
         self.executed += 1;
-        self.ev_counter.inc();
         match body {
             // One-shots free their node *before* running so a self-cancel
             // from within the body sees a stale handle (and the slot is
@@ -253,47 +258,68 @@ impl Engine {
                 f(self);
             }
             Body::Recurring(mut f) => {
-                let next = f(self);
-                let next = next.map(|t| t.as_picos().max(self.now.as_picos()));
+                let next = f(self).map(SimTime::as_picos);
                 self.q.end_recurring(idx, next, Body::Recurring(f));
             }
         }
     }
 
+    /// Dispatches events due at or before `bound` until none is left
+    /// (`true`) or `stop()` / the event limit ends the loop (`false`), then
+    /// publishes the executed count to `engine.events`.
+    fn drain(&mut self, bound: u64) -> bool {
+        self.stopped = false;
+        let drained = loop {
+            if self.stopped || self.executed >= self.event_limit {
+                break false;
+            }
+            match self.q.pop_due(bound) {
+                Some(idx) => self.dispatch(idx),
+                None => break true,
+            }
+        };
+        self.publish();
+        drained
+    }
+
+    /// Adds the events executed since the last publish to `engine.events`:
+    /// one counter update per `run*` / `step` return instead of one per
+    /// event.
+    fn publish(&mut self) {
+        self.ev_counter.add(self.executed - self.published);
+        self.published = self.executed;
+    }
+
     /// Executes a single event, if any. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        match self.q.pop_due(u64::MAX) {
+        let fired = match self.q.pop_due(u64::MAX) {
             Some(idx) => {
                 self.dispatch(idx);
                 true
             }
             None => false,
-        }
+        };
+        self.publish();
+        fired
     }
 
     /// Runs until the queue drains, `stop()` is called, or the event limit is
     /// reached. Returns the final simulation time.
     pub fn run(&mut self) -> SimTime {
-        self.stopped = false;
-        while !self.stopped && self.executed < self.event_limit && self.step() {}
-        self.now
+        self.drain(u64::MAX);
+        self.now()
     }
 
     /// Runs events with timestamps `<= deadline` (events scheduled later stay
-    /// queued). Advances `now` to `deadline` if the queue drains earlier.
+    /// queued). Advances `now` to `deadline` once no event at or before it
+    /// is left; a run ended early by `stop()` or the event limit leaves the
+    /// clock at the last event executed.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.stopped = false;
-        while !self.stopped && self.executed < self.event_limit {
-            match self.q.pop_due(deadline.as_picos()) {
-                Some(idx) => self.dispatch(idx),
-                None => break,
-            }
+        if self.drain(deadline.as_picos()) {
+            self.q.advance(deadline.as_picos());
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.now
+        self.now()
     }
 }
 
@@ -389,6 +415,52 @@ mod tests {
         eng.schedule_at(SimTime::from_nanos(60), move |_| l.borrow_mut().push(60));
         eng.run();
         assert_eq!(*log.borrow(), vec![60, 100]);
+    }
+
+    #[test]
+    fn run_until_stopped_early_keeps_the_clock_at_the_last_event() {
+        // The 10 ns event stops `run_until(30 ns)` with the 20 ns event
+        // still due: the clock stays at 10 ns, so the next `run` fires the
+        // 20 ns event at 20 ns instead of moving the clock backwards.
+        let mut eng = Engine::new();
+        let log = shared(Vec::<SimTime>::new());
+        let l = log.clone();
+        eng.schedule_at(SimTime::from_nanos(10), move |eng| {
+            l.borrow_mut().push(eng.now());
+            eng.stop();
+        });
+        let l = log.clone();
+        eng.schedule_at(SimTime::from_nanos(20), move |eng| {
+            l.borrow_mut().push(eng.now())
+        });
+        assert_eq!(
+            eng.run_until(SimTime::from_nanos(30)),
+            SimTime::from_nanos(10)
+        );
+        assert_eq!(eng.run(), SimTime::from_nanos(20));
+        assert_eq!(
+            *log.borrow(),
+            vec![SimTime::from_nanos(10), SimTime::from_nanos(20)]
+        );
+    }
+
+    #[test]
+    fn engine_events_is_published_per_run() {
+        let mut eng = Engine::new();
+        for t in 1..=5 {
+            eng.schedule_at(SimTime::from_nanos(t), |_| {});
+        }
+        // Counters stay at zero while the kill switch is off.
+        let on = u64::from(sdr_trace::enabled());
+        let events = |eng: &Engine| eng.metrics().counter_value("engine.events");
+        assert_eq!(events(&eng), 0);
+        eng.step();
+        assert_eq!(events(&eng), on);
+        eng.run_until(SimTime::from_nanos(3));
+        assert_eq!(events(&eng), 3 * on);
+        eng.run();
+        assert_eq!(events(&eng), 5 * on);
+        assert_eq!(eng.executed_events(), 5);
     }
 
     #[test]

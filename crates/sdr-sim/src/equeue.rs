@@ -1,5 +1,5 @@
 //! The engine's event queue: a hierarchical timing wheel over a slab of
-//! event nodes.
+//! event nodes, with two lanes beside it for a packet's two events.
 //!
 //! # Why a wheel
 //!
@@ -58,8 +58,40 @@
 //! *is* the far-future overflow level — `SimTime::MAX` "infinite"
 //! deadlines park there and cost nothing until cancelled.
 //!
+//! # Two lanes beside the wheel
+//!
+//! Every packet causes two events that never need the wheel: the link's
+//! drain pump re-arming a few nanoseconds ahead, and the receive CQ's
+//! zero-delay [`Waker`](crate::Waker) kick. Each takes a lane chosen by an
+//! observable property of the event — never by a switch — and the order
+//! stays exactly `(time, schedule order)`:
+//!
+//! * **Same-instant FIFO.** An event scheduled, rescheduled or re-armed
+//!   for `now`, the instant being executed, is appended to a FIFO. The
+//!   wheel's events at `now` rank ahead of all of it: nothing enters the
+//!   wheel at `now` once the clock is there, so they were scheduled before
+//!   the instant began, and every FIFO event after. [`EventQueue::pop_due`]
+//!   therefore drains the wheel at `now` first, then the FIFO, and the
+//!   clock moves on only once the FIFO is empty.
+//! * **Held re-arm.** A recurring event that re-arms strictly earlier than
+//!   the wheel's floor — a lower bound on its earliest event, read from
+//!   the occupancy masks ([`Wheel::floor`]) — waits in one slot outside
+//!   the wheel. At the hold nothing in the wheel was due at or before its
+//!   time `t_H`, so every wheel event at `t_H` was scheduled after it and
+//!   ranks behind it: it fires once the wheel has nothing up to `t_H − 1`.
+//!   While the slot is taken, a second such re-arm goes into the wheel.
+//!
+//! Cancel and reschedule find a node in any lane (its placement names
+//! it); a reschedule re-ranks it through the normal placement — FIFO at
+//! `now`, the wheel otherwise — like a fresh schedule. An event popped from
+//! a lane does not move the wheel's cursor, so **the cursor may lag
+//! `now`**: every wheel event is still at or after it, later inserts place
+//! relative to it as before, and the cascades catch up when the wheel next
+//! pops.
+//!
 //! `tests/queue_differential.rs` holds that order to an independent
-//! sorted-map model over randomized schedule/cancel/re-arm programs.
+//! sorted-map model over randomized schedule/cancel/re-arm programs that
+//! drive both lanes, through `run`, `run_until` and `step`.
 
 use std::rc::Rc;
 
@@ -77,6 +109,10 @@ const SLOTS: usize = 1 << BITS;
 const LEVELS: usize = 11;
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
+/// [`Node::level`] of an event in the same-instant FIFO.
+const FIFO: u8 = LEVELS as u8;
+/// [`Node::level`] of the held re-arm.
+const HELD: u8 = LEVELS as u8 + 1;
 
 /// A handle to a scheduled event, returned by the `schedule_*_handle`
 /// methods on [`Engine`](crate::Engine). Handles are `Copy` and
@@ -120,22 +156,70 @@ enum State {
 struct Node {
     gen: u32,
     state: State,
-    /// Wheel placement, for eager unlink on cancel and reschedule.
+    /// Placement, for eager unlink on cancel and reschedule: a wheel
+    /// `(level, slot)`, or [`FIFO`] / [`HELD`] in `level`.
     level: u8,
     slot: u8,
     body: Option<Body>,
 }
 
-/// A slot's list endpoints, kept adjacent so an append touches one line.
+/// A list's endpoints (a wheel slot, the FIFO), kept adjacent so an
+/// append touches one line.
 #[derive(Clone, Copy)]
 struct Ends {
     head: u32,
     tail: u32,
 }
 
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Appends node `idx`: the tail is what makes every schedule, re-arm
+    /// and reschedule rank after everything already in the list.
+    #[inline]
+    fn push(&mut self, link: &mut [u32], prev: &mut [u32], idx: u32) {
+        let tail = self.tail;
+        self.tail = idx;
+        // SAFETY: `idx` and a non-NIL tail are live slab indices, and
+        // `link` / `prev` are as long as the slab.
+        unsafe {
+            if tail == NIL {
+                self.head = idx;
+            } else {
+                *link.get_unchecked_mut(tail as usize) = idx;
+            }
+            *link.get_unchecked_mut(idx as usize) = NIL;
+            *prev.get_unchecked_mut(idx as usize) = tail;
+        }
+    }
+
+    /// Unlinks node `idx` in O(1) via the doubly-linked `prev`/`link` pair.
+    fn remove(&mut self, link: &mut [u32], prev: &mut [u32], idx: u32) {
+        let (p, n) = (prev[idx as usize], link[idx as usize]);
+        if p == NIL {
+            debug_assert_eq!(self.head, idx, "headless node thinks it is head");
+            self.head = n;
+        } else {
+            link[p as usize] = n;
+        }
+        if n == NIL {
+            debug_assert_eq!(self.tail, idx, "tailless node thinks it is tail");
+            self.tail = p;
+        } else {
+            prev[n as usize] = p;
+        }
+        link[idx as usize] = NIL;
+        prev[idx as usize] = NIL;
+    }
+}
+
 struct Wheel {
-    /// The cursor: all queued events are at times `>= current`, and the
-    /// engine's `now` is always `>= current` between operations.
+    /// The cursor: all wheel events are at times `>= current`, and the
+    /// engine's `now` is always `>= current` between operations (it lags
+    /// `now` after a lane pop; see the module docs).
     current: u64,
     slots: [Ends; LEVELS * SLOTS],
     /// Per-level slot occupancy bitmask.
@@ -146,12 +230,34 @@ impl Wheel {
     fn new() -> Self {
         Wheel {
             current: 0,
-            slots: [Ends {
-                head: NIL,
-                tail: NIL,
-            }; LEVELS * SLOTS],
+            slots: [Ends::EMPTY; LEVELS * SLOTS],
             occ: [0; LEVELS],
         }
+    }
+
+    /// A lower bound on the earliest wheel event (`u64::MAX` when the
+    /// wheel is empty), from the occupancy masks alone: a level's events
+    /// all precede the next level's, so the first occupied level decides —
+    /// exactly at level 0, at the start of its earliest occupied slot's
+    /// window above.
+    fn floor(&self) -> u64 {
+        match self.occ.iter().position(|&m| m != 0) {
+            Some(level) => self.slot_start(level, self.occ[level].trailing_zeros() as usize),
+            None => u64::MAX,
+        }
+    }
+
+    /// The first tick of `(level, slot)`'s window (a level-0 slot's one
+    /// instant). Every occupied slot lies at or after the cursor's.
+    #[inline]
+    fn slot_start(&self, level: usize, slot: usize) -> u64 {
+        let above = BITS * (level as u32 + 1);
+        let base = if above >= 64 {
+            0
+        } else {
+            (self.current >> above) << above
+        };
+        base | (slot as u64) << (BITS * level as u32)
     }
 
     /// The `(level, slot)` an event at absolute tick `t` belongs to, given
@@ -170,24 +276,30 @@ impl Wheel {
     }
 }
 
-/// The engine's event queue: node slab + wheel. Hot per-node fields (`at`,
-/// `link`) are parallel arrays — see the module docs.
+/// The engine's event queue and clock: node slab + wheel + the two lanes.
+/// Hot per-node fields (`at`, `link`) are parallel arrays — see the module
+/// docs.
 pub(crate) struct EventQueue {
     /// Absolute deadline per node, in picoseconds.
     at: Vec<u64>,
-    /// Intrusive slot-list forward link per node (also threads the free
-    /// list).
+    /// Intrusive list forward link per node (also threads the free list).
     link: Vec<u32>,
-    /// Intrusive slot-list back link per node: slot lists are doubly
-    /// linked so `cancel`/`reschedule` unlink in O(1) instead of walking
-    /// the slot (restart storms re-arm many RTOs against dense slots).
-    /// Kept as its own array so the hot forward walk (`link`) stays tiny.
+    /// Intrusive list back link per node: lists are doubly linked so
+    /// `cancel`/`reschedule` unlink in O(1) instead of walking the slot
+    /// (restart storms re-arm many RTOs against dense slots). Kept as its
+    /// own array so the hot forward walk (`link`) stays tiny.
     prev: Vec<u32>,
     nodes: Vec<Node>,
     free_head: u32,
-    /// Queued events (what `pending_events` reports).
+    /// Queued events in every lane (what `pending_events` reports).
     live: usize,
+    /// The instant being executed: the engine's clock.
+    now: u64,
     wheel: Wheel,
+    /// Events due at `now`, in schedule order, behind the wheel's own.
+    fifo: Ends,
+    /// The held re-arm, or `NIL`.
+    held: u32,
     /// Level of each wheel cascade (`engine.cascade_depth`): how far up
     /// the hierarchy the due-scan had to reach. Recording is kill-switch
     /// gated inside `sdr-trace`.
@@ -195,7 +307,8 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue recording cascade depths into `cascade`.
+    /// An empty queue at time zero, recording cascade depths into
+    /// `cascade`.
     pub(crate) fn new(cascade: Histogram) -> Self {
         EventQueue {
             at: Vec::new(),
@@ -204,13 +317,32 @@ impl EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
             live: 0,
+            now: 0,
             wheel: Wheel::new(),
+            fifo: Ends::EMPTY,
+            held: NIL,
             cascade,
         }
     }
 
     pub(crate) fn pending(&self) -> usize {
         self.live
+    }
+
+    /// The instant being executed (the last popped event's, or where
+    /// [`advance`](Self::advance) moved it).
+    #[inline]
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Moves the clock forward to `t`. The caller has established that no
+    /// event at or before `t` is queued.
+    pub(crate) fn advance(&mut self, t: u64) {
+        if t > self.now {
+            debug_assert_eq!(self.fifo.head, NIL, "advance past a queued instant");
+            self.now = t;
+        }
     }
 
     fn alloc(&mut self, at: u64, body: Body) -> u32 {
@@ -251,9 +383,7 @@ impl EventQueue {
         self.free_head = idx;
     }
 
-    /// Appends node `idx` to the tail of the slot `at[idx]` maps to: the
-    /// tail is what makes every schedule, re-arm and reschedule rank after
-    /// everything already waiting for the same instant.
+    /// Appends node `idx` to the tail of the wheel slot `at[idx]` maps to.
     fn insert(&mut self, idx: u32) {
         let w = &mut self.wheel;
         let t = self.at[idx as usize];
@@ -264,34 +394,30 @@ impl EventQueue {
             w.current
         );
         let (level, slot) = w.place(t);
-        let s = level * SLOTS + slot;
-        {
-            let n = &mut self.nodes[idx as usize];
-            n.level = level as u8;
-            n.slot = slot as u8;
-        }
-        // SAFETY: `s < LEVELS * SLOTS` (level < LEVELS from `place`, slot <
-        // SLOTS by masking); idx and a non-NIL tail are live slab indices.
-        unsafe {
-            let ends = w.slots.get_unchecked_mut(s);
-            let tail = ends.tail;
-            ends.tail = idx;
-            if tail == NIL {
-                ends.head = idx;
-            } else {
-                *self.link.get_unchecked_mut(tail as usize) = idx;
-            }
-            *self.link.get_unchecked_mut(idx as usize) = NIL;
-            *self.prev.get_unchecked_mut(idx as usize) = tail;
-        }
+        let n = &mut self.nodes[idx as usize];
+        n.level = level as u8;
+        n.slot = slot as u8;
+        w.slots[level * SLOTS + slot].push(&mut self.link, &mut self.prev, idx);
         w.occ[level] |= 1u64 << slot;
     }
 
+    /// Files node `idx` at its deadline, ranked after everything already
+    /// queued for that instant: the FIFO when it is `now`, the wheel
+    /// otherwise.
+    fn file(&mut self, idx: u32) {
+        if self.at[idx as usize] == self.now {
+            self.nodes[idx as usize].level = FIFO;
+            self.fifo.push(&mut self.link, &mut self.prev, idx);
+        } else {
+            self.insert(idx);
+        }
+    }
+
     /// Schedules `body` at absolute tick `at`; the caller has already
-    /// clamped `at` to be `>=` the engine's now.
+    /// clamped `at` to be `>=` now.
     pub(crate) fn schedule(&mut self, at: u64, body: Body) -> TimerHandle {
         let idx = self.alloc(at, body);
-        self.insert(idx);
+        self.file(idx);
         self.live += 1;
         TimerHandle {
             idx,
@@ -334,10 +460,10 @@ impl EventQueue {
         }
     }
 
-    /// Moves a pending event to a new deadline (eagerly re-placed, fresh
-    /// FIFO rank). Returns `false` for stale handles and for events
-    /// currently firing (a recurring body re-arms itself via its return
-    /// value instead).
+    /// Moves a pending event to a new deadline (eagerly re-placed through
+    /// [`file`](Self::file), fresh FIFO rank — whichever lane it was in).
+    /// Returns `false` for stale handles and for events currently firing
+    /// (a recurring body re-arms itself via its return value instead).
     pub(crate) fn reschedule(&mut self, h: TimerHandle, at: u64) -> bool {
         let Some(n) = self.nodes.get(h.idx as usize) else {
             return false;
@@ -347,7 +473,7 @@ impl EventQueue {
         }
         self.unlink(h.idx);
         self.at[h.idx as usize] = at;
-        self.insert(h.idx);
+        self.file(h.idx);
         true
     }
 
@@ -359,40 +485,69 @@ impl EventQueue {
             .is_some_and(|n| n.gen == h.gen && n.state == State::Queued)
     }
 
-    /// Unlinks a queued node from its wheel slot list in O(1) via the
-    /// doubly-linked `prev`/`link` pair.
+    /// Unlinks a queued node from wherever it is filed, in O(1).
     fn unlink(&mut self, idx: u32) {
-        let (level, slot) = {
-            let n = &self.nodes[idx as usize];
-            (n.level as usize, n.slot as usize)
-        };
-        let w = &mut self.wheel;
-        let s = level * SLOTS + slot;
-        let p = self.prev[idx as usize];
-        let n = self.link[idx as usize];
-        if p == NIL {
-            debug_assert_eq!(w.slots[s].head, idx, "headless node thinks it is head");
-            w.slots[s].head = n;
-        } else {
-            self.link[p as usize] = n;
+        let n = &self.nodes[idx as usize];
+        match (n.level, n.slot as usize) {
+            (HELD, _) => {
+                debug_assert_eq!(self.held, idx, "held node not in the slot");
+                self.held = NIL;
+            }
+            (FIFO, _) => self.fifo.remove(&mut self.link, &mut self.prev, idx),
+            (level, slot) => {
+                let level = level as usize;
+                let ends = &mut self.wheel.slots[level * SLOTS + slot];
+                ends.remove(&mut self.link, &mut self.prev, idx);
+                if ends.head == NIL {
+                    self.wheel.occ[level] &= !(1u64 << slot);
+                }
+            }
         }
-        if n == NIL {
-            debug_assert_eq!(w.slots[s].tail, idx, "tailless node thinks it is tail");
-            w.slots[s].tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        if w.slots[s].head == NIL {
-            w.occ[level] &= !(1u64 << slot);
-        }
-        self.link[idx as usize] = NIL;
-        self.prev[idx as usize] = NIL;
     }
 
-    /// Pops the next due event with `at <= bound`. The returned node is
-    /// left in `Firing` state with its body still attached (take it with
+    /// Pops the next due event with `at <= bound`, in `(time, schedule
+    /// order)` across the wheel and both lanes (see the module docs), and
+    /// moves the clock to it. The returned node is left in `Firing` state
+    /// with its body still attached (take it with
     /// [`begin_fire`](Self::begin_fire)).
     pub(crate) fn pop_due(&mut self, bound: u64) -> Option<u32> {
+        let idx = if self.fifo.head != NIL {
+            if self.now > bound {
+                return None;
+            }
+            // The wheel's events at `now` were scheduled before the
+            // instant began: they rank ahead of the whole FIFO.
+            match self.pop_wheel(self.now) {
+                Some(idx) => idx,
+                None => {
+                    let idx = self.fifo.head;
+                    self.fifo.remove(&mut self.link, &mut self.prev, idx);
+                    idx
+                }
+            }
+        } else if self.held != NIL {
+            // Wheel events at the held instant were scheduled after the
+            // hold: only strictly earlier ones go first.
+            let t = self.at[self.held as usize];
+            match self.pop_wheel(bound.min(t - 1)) {
+                Some(idx) => idx,
+                None if t <= bound => std::mem::replace(&mut self.held, NIL),
+                None => return None,
+            }
+        } else {
+            self.pop_wheel(bound)?
+        };
+        debug_assert!(self.at[idx as usize] >= self.now, "popped the past");
+        self.now = self.at[idx as usize];
+        let n = &mut self.nodes[idx as usize];
+        assert_eq!(n.state, State::Queued, "linked node in bad state");
+        n.state = State::Firing;
+        self.live -= 1;
+        Some(idx)
+    }
+
+    /// Unlinks and returns the wheel's next event with `at <= bound`.
+    fn pop_wheel(&mut self, bound: u64) -> Option<u32> {
         loop {
             let w = &mut self.wheel;
             // Level 0: exact instants. Slots below the cursor's index
@@ -402,7 +557,7 @@ impl EventQueue {
             debug_assert_eq!(w.occ[0] & !(!0u64 << idx0), 0, "event in the past");
             if m0 != 0 {
                 let slot = m0.trailing_zeros() as usize;
-                let t = (w.current & !(SLOTS as u64 - 1)) | slot as u64;
+                let t = w.slot_start(0, slot);
                 if t > bound {
                     return None;
                 }
@@ -425,10 +580,6 @@ impl EventQueue {
                     }
                 }
                 w.current = t;
-                let n = &mut self.nodes[idx as usize];
-                assert_eq!(n.state, State::Queued, "linked node in bad state");
-                n.state = State::Firing;
-                self.live -= 1;
                 return Some(idx);
             }
             // Higher levels: find the earliest occupied slot and cascade
@@ -444,14 +595,7 @@ impl EventQueue {
                 }
                 let slot = m.trailing_zeros() as usize;
                 debug_assert_ne!(slot, il, "cursor slot must have been cascaded");
-                // Start of the found slot's window.
-                let shift = BITS * (level as u32 + 1);
-                let base = if shift >= 64 {
-                    0
-                } else {
-                    (w.current >> shift) << shift
-                };
-                let slot_start = base | ((slot as u64) << (BITS * level as u32));
+                let slot_start = w.slot_start(level, slot);
                 if slot_start > bound {
                     // Everything left is strictly later than the bound;
                     // leave the cursor untouched (it must stay <= the
@@ -493,10 +637,7 @@ impl EventQueue {
                 // preserving order.
                 w.current = jump;
                 let mut cur = w.slots[s].head;
-                w.slots[s] = Ends {
-                    head: NIL,
-                    tail: NIL,
-                };
+                w.slots[s] = Ends::EMPTY;
                 w.occ[level] &= !(1u64 << slot);
                 while cur != NIL {
                     // SAFETY: slot lists hold live slab indices.
@@ -511,17 +652,16 @@ impl EventQueue {
                 break;
             }
             if !cascaded {
-                return None; // queue empty
+                return None; // wheel empty
             }
         }
     }
 
-    /// Takes the popped node's deadline and body for execution.
-    pub(crate) fn begin_fire(&mut self, idx: u32) -> (u64, Body) {
-        let at = self.at[idx as usize];
+    /// Takes the popped node's body for execution.
+    pub(crate) fn begin_fire(&mut self, idx: u32) -> Body {
         let n = &mut self.nodes[idx as usize];
         debug_assert_eq!(n.state, State::Firing);
-        (at, n.body.take().expect("firing node has a body"))
+        n.body.take().expect("firing node has a body")
     }
 
     /// Frees a one-shot node after its body was taken (before running it,
@@ -531,18 +671,26 @@ impl EventQueue {
         self.free(idx);
     }
 
-    /// Finishes a recurring fire: re-arms the node at `next` (unless the
-    /// body asked to stop or the event was cancelled mid-fire).
+    /// Finishes a recurring fire: re-arms the node at `next`, clamped to
+    /// now (unless the body asked to stop or the event was cancelled
+    /// mid-fire). A re-arm strictly ahead of the wheel's floor is held
+    /// when the slot is free; anything else is filed like a schedule.
     pub(crate) fn end_recurring(&mut self, idx: u32, next: Option<u64>, body: Body) {
         let state = self.nodes[idx as usize].state;
         match (state, next) {
             (State::Firing, Some(at)) => {
+                let at = at.max(self.now);
                 self.at[idx as usize] = at;
                 let n = &mut self.nodes[idx as usize];
                 n.state = State::Queued;
                 n.body = Some(body);
                 self.live += 1;
-                self.insert(idx);
+                if at > self.now && self.held == NIL && at < self.wheel.floor() {
+                    n.level = HELD;
+                    self.held = idx;
+                } else {
+                    self.file(idx);
+                }
             }
             (State::Firing, None) | (State::Cancelled, _) => self.free(idx),
             (s, _) => unreachable!("recurring end in state {s:?}"),

@@ -23,6 +23,7 @@ use sdr_trace::{EventKind, FlightRecorder, Registry};
 
 use crate::engine::Engine;
 use crate::fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
+use crate::hash::IntMap;
 use crate::link::{Link, LinkConfig, LinkStats, TxOutcome};
 use crate::loss::LossModel;
 use crate::nic::{Cqe, CqeOp, Node, PayloadCheck, QpType};
@@ -106,7 +107,8 @@ struct UcWrite {
 
 struct FabricInner {
     nodes: Vec<Node>,
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// Looked up on every post and every drain-pump firing.
+    links: IntMap<(NodeId, NodeId), Link>,
     /// Per-node restart epoch: bumped on every [`Fabric::restart_node`].
     incarnations: Vec<u32>,
     /// Per-node attach flag: while `false` (the restart dead window),
@@ -154,7 +156,7 @@ impl Fabric {
         Fabric {
             inner: Rc::new(RefCell::new(FabricInner {
                 nodes: Vec::new(),
-                links: HashMap::new(),
+                links: IntMap::default(),
                 incarnations: Vec::new(),
                 attached: Vec::new(),
                 restart_drops: Vec::new(),

@@ -14,9 +14,11 @@
 //!   node in place, and [`TimerHandle`]s make timers cancellable and
 //!   re-armable ([`Engine::cancel`] / [`Engine::reschedule`]) so stale
 //!   timers neither fire as no-ops nor count as pending. Execution order
-//!   is exactly `(time, schedule order)` (see [`equeue`] for the
-//!   architecture and the determinism argument; `tests/queue_differential.rs`
-//!   holds it to an independent sorted-map model).
+//!   is exactly `(time, schedule order)`, though a packet's two events —
+//!   the drain pump's re-arm and the CQ's zero-delay kick — ride two lanes
+//!   beside the wheel (see [`equeue`] for the architecture and the
+//!   determinism argument; `tests/queue_differential.rs` holds it to an
+//!   independent sorted-map model).
 //! * [`Link`]/[`LinkConfig`] — serialization at line rate, propagation
 //!   delay from distance (paper convention: 3750 km ⇒ 25 ms RTT), i.i.d.
 //!   or Gilbert–Elliott loss, and optional reorder jitter. Deliveries are
@@ -59,6 +61,7 @@ pub mod engine;
 pub mod equeue;
 pub mod fabric;
 pub mod fault;
+pub mod hash;
 pub mod link;
 pub mod loss;
 pub mod memory;
@@ -71,6 +74,7 @@ pub use engine::{shared, Engine, Shared};
 pub use equeue::TimerHandle;
 pub use fabric::{Fabric, PostError, RegionWriteWr, WriteWr};
 pub use fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
+pub use hash::IntMap;
 pub use link::{
     Link, LinkConfig, LinkStats, TxOutcome, DEFAULT_HEADER_BYTES, MAX_CORRUPT_BURST,
     MAX_REORDER_SPAN,

@@ -13,6 +13,11 @@
 //! closures, where it used to cost N `Box<dyn FnOnce>` allocations pushed
 //! through the engine heap.
 //!
+//! Serialization times are memoized per wire length ([`Link::enqueue`]):
+//! the bandwidth is fixed when the link is built, so each length's
+//! [`tx_time`] — a float divide and a round — is computed once, on its
+//! first packet, and every later packet of that length reads it back.
+//!
 //! # Delivery-time loss
 //!
 //! The loss draw happens at **delivery time** ([`Link::pop_due`]), not at
@@ -44,6 +49,10 @@ pub const DEFAULT_HEADER_BYTES: usize = 78;
 /// pushed back by at most this many serialization quanta, matching the
 /// depth of the arrival queue window the insertion sort walks.
 pub const MAX_REORDER_SPAN: u32 = 64;
+
+/// Longest wire length whose serialization time a link memoizes (a jumbo
+/// frame with headers); a larger MTU computes the excess lengths per packet.
+const MAX_TX_MEMO: usize = 16 * 1024;
 
 /// Upper bound on [`LinkConfig::corrupt_burst`]: one corruption event can
 /// flip at most this many contiguous payload bits.
@@ -262,6 +271,10 @@ pub struct Link {
     rng: SmallRng,
     /// Wire-busy cursor: when the last serialization so far ends.
     next_free: SimTime,
+    /// [`tx_time`] per wire length up to a full MTU frame (at most
+    /// [`MAX_TX_MEMO`]), `SimTime::MAX` until first used: the bandwidth
+    /// never changes after `try_new`.
+    tx_memo: Vec<SimTime>,
     stats: LinkStats,
     /// In-flight packets, ordered by arrival instant (FIFO within an
     /// instant). The fabric's drain pump walks this.
@@ -313,11 +326,14 @@ impl Link {
         }
         let loss = LossProcess::new(cfg.loss.clone(), cfg.seed.wrapping_mul(0x9E37_79B9));
         let rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0xA5A5_5A5A));
+        let frame = cfg.mtu.saturating_add(cfg.header_bytes);
+        let tx_memo = vec![SimTime::MAX; frame.min(MAX_TX_MEMO) + 1];
         Ok(Link {
             cfg,
             loss,
             rng,
             next_free: SimTime::ZERO,
+            tx_memo,
             stats: LinkStats::default(),
             pending: VecDeque::new(),
             drain: None,
@@ -368,7 +384,7 @@ impl Link {
     pub fn enqueue(&mut self, now: SimTime, pkt: Packet) -> TxOutcome {
         let wire_bytes = (pkt.payload_len() + self.cfg.header_bytes) as u64;
         let start = self.next_free.max(now);
-        let serialize = tx_time(wire_bytes, self.cfg.bandwidth_bps);
+        let serialize = self.serialize_time(wire_bytes);
         self.next_free = start + serialize;
         self.stats.sent += 1;
         self.stats.bytes += wire_bytes;
@@ -408,11 +424,31 @@ impl Link {
         TxOutcome { at: arrival }
     }
 
+    /// [`tx_time`] of `wire_bytes` at the link's bandwidth, from the memo
+    /// (filled on first use); lengths past it (only a raw injection or a
+    /// giant MTU makes one) are computed each time.
+    fn serialize_time(&mut self, wire_bytes: u64) -> SimTime {
+        let bandwidth = self.cfg.bandwidth_bps;
+        match self.tx_memo.get_mut(wire_bytes as usize) {
+            Some(t) => {
+                if *t == SimTime::MAX {
+                    *t = tx_time(wire_bytes, bandwidth);
+                }
+                *t
+            }
+            None => tx_time(wire_bytes, bandwidth),
+        }
+    }
+
     /// Files a packet into the arrival-ordered pending queue (stable for
     /// equal instants). Jitter, displacement and multipath can make a
     /// later send arrive earlier, but the common case appends at the back.
     fn file_arrival(&mut self, arrival: SimTime, pkt: Packet) {
-        let mut i = self.pending.len();
+        if self.pending.back().is_none_or(|(last, _)| *last <= arrival) {
+            self.pending.push_back((arrival, pkt));
+            return;
+        }
+        let mut i = self.pending.len() - 1;
         while i > 0 && self.pending[i - 1].0 > arrival {
             i -= 1;
         }
@@ -1018,6 +1054,19 @@ mod tests {
         let mut link = Link::new(cfg);
         let out = link.enqueue(SimTime::ZERO, pkt(0, 900));
         assert_eq!(out.at, SimTime::from_micros(1));
+    }
+
+    #[test]
+    fn memoized_serialization_matches_tx_time() {
+        // Each length twice (the second read comes from the memo), plus
+        // one frame past the MTU, which bypasses it.
+        let mut link = test_link(10e9);
+        let mut at = SimTime::ZERO;
+        for len in [0, 1, 255, 4096, 1, 255, 4096, 0, 9000, 9000] {
+            link.enqueue(SimTime::ZERO, pkt(0, len));
+            at += tx_time(len as u64, 10e9);
+            assert_eq!(link.next_free(), at, "len {len}");
+        }
     }
 
     #[test]

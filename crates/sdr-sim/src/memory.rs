@@ -48,8 +48,7 @@
 //!   the block never been recycled. Calling [`Memory::free`] directly
 //!   skips that step and is only sound for memory no packet names.
 
-use std::collections::HashMap;
-
+use crate::hash::IntMap;
 use crate::packet::MkeyId;
 
 /// Byte-addressable memory of one node and its block allocator (see the
@@ -60,9 +59,9 @@ pub struct Memory {
     /// once.
     next: u64,
     /// Live blocks, base → length.
-    live: HashMap<u64, u64>,
+    live: IntMap<u64, u64>,
     /// Freed blocks by exact length, most recently freed last.
-    free: HashMap<u64, Vec<u64>>,
+    free: IntMap<u64, Vec<u64>>,
 }
 
 impl Memory {
@@ -71,8 +70,8 @@ impl Memory {
         Memory {
             buf: vec![0; capacity],
             next: 0,
-            live: HashMap::new(),
-            free: HashMap::new(),
+            live: IntMap::default(),
+            free: IntMap::default(),
         }
     }
 

@@ -1,9 +1,21 @@
 //! The substrate's reproducibility contract: identical seeds give
 //! bit-identical simulations; different seeds give different drop patterns.
 //! Every experiment in the repository leans on this.
+//!
+//! `substrate_fingerprint_is_pinned` goes further: it holds one lossy,
+//! duplicating, reordering, corrupting scenario to a committed hash, so a
+//! change to the engine, the links or the NIC that moves any delivery
+//! instant, fate or event count fails here, not only in the benchmark's
+//! sim-identity comparison.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use sdr_sim::{Engine, Fabric, LinkConfig, LossModel, NodeStats, QpAddr, QpType, WriteWr};
+use sdr_sim::{
+    CqId, CqeOp, Engine, Fabric, LinkConfig, LossModel, NodeId, NodeStats, PayloadCheck, QpAddr,
+    QpNum, QpType, RecvWqe, RegionWriteWr, SimTime, Waker, WriteWr,
+};
 
 fn run_once(seed: u64) -> (NodeStats, u64) {
     let mut eng = Engine::new();
@@ -72,4 +84,203 @@ fn loss_rate_is_respected_in_aggregate() {
         landed > 400.0 * 0.8 && landed < 400.0 * 0.98,
         "landed {landed}"
     );
+}
+
+/// FNV-1a over little-endian 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The tick that paces the fingerprint scenario's traffic.
+const TICK: SimTime = SimTime(700_000);
+/// Ticks before the scenario stops posting.
+const TICKS: u64 = 150;
+/// UD receive buffers per node (reposted as they complete) and their size.
+const RECV_SLOTS: u64 = 8;
+const RECV_BYTES: u64 = 64;
+
+/// One endpoint of the fingerprint scenario: a UC QP and a UD QP sharing
+/// one CQ, and the base of its UD receive buffers.
+#[derive(Clone, Copy)]
+struct End {
+    node: NodeId,
+    uc: QpNum,
+    ud: QpNum,
+    cq: CqId,
+    rx: u64,
+}
+
+fn end(fab: &Fabric, node: NodeId) -> End {
+    fab.node_mut(node, |n| {
+        let cq = n.create_cq();
+        let uc = n.create_qp(QpType::Uc, cq, cq);
+        let ud = n.create_qp(QpType::Ud, cq, cq);
+        let rx = n.mem_mut().alloc(RECV_SLOTS * RECV_BYTES);
+        for slot in 0..RECV_SLOTS {
+            n.post_recv(ud, recv_wqe(rx, slot));
+        }
+        End {
+            node,
+            uc,
+            ud,
+            cq,
+            rx,
+        }
+    })
+}
+
+fn recv_wqe(rx: u64, slot: u64) -> RecvWqe {
+    RecvWqe {
+        wr_id: slot,
+        addr: rx + slot * RECV_BYTES,
+        len: RECV_BYTES,
+    }
+}
+
+/// Installs `me`'s CQ waker: every completion is hashed at its poll
+/// instant — which, the kick being zero-delay, is its delivery instant —
+/// with its id (the immediate), length and fate; a UD datagram's landed
+/// bytes are hashed too (the wire may have flipped them), its buffer is
+/// reposted, and `b` answers each datagram with one of its own.
+fn hash_completions(fab: &Fabric, me: End, peer: End, answer: bool, h: &Rc<RefCell<Fnv>>) {
+    let (fab2, h) = (fab.clone(), h.clone());
+    let waker = Waker::new(move |eng| {
+        while let Some(c) = fab2.node_mut(me.node, |n| n.poll_cq(me.cq)) {
+            let mut h = h.borrow_mut();
+            h.word(eng.now().as_picos());
+            h.word(me.node.0 as u64);
+            h.word(c.op as u64);
+            h.word(c.imm.map_or(u64::MAX, u64::from));
+            h.word(c.byte_len as u64);
+            h.word(match c.check {
+                PayloadCheck::Unchecked => 0,
+                PayloadCheck::Landed(crc) => 1 << 32 | crc as u64,
+                PayloadCheck::Skipped => 2,
+            });
+            if c.op != CqeOp::RecvSend {
+                continue;
+            }
+            let wqe = recv_wqe(me.rx, c.wr_id);
+            fab2.node_mut(me.node, |n| {
+                for &b in n.mem().read(wqe.addr, c.byte_len as usize) {
+                    h.word(b as u64);
+                }
+                n.post_recv(me.ud, wqe);
+            });
+            drop(h);
+            if answer {
+                let (src, dst) = (qp(me.node, me.ud), qp(peer.node, peer.ud));
+                let reply = Bytes::from(vec![0xA5; 24]);
+                fab2.post_ud_send(eng, src, dst, reply, c.imm).unwrap();
+            }
+        }
+    });
+    fab.node_mut(me.node, |n| n.set_cq_waker(me.cq, waker));
+}
+
+fn qp(node: NodeId, qp: QpNum) -> QpAddr {
+    QpAddr { node, qp }
+}
+
+/// Two nodes on a duplex 20 km / 10 Gbit/s link with 256 B MTU, loss 1e-2,
+/// wire duplication, displacement and payload corruption. A recurring tick
+/// posts, every `tick`, four checksummed 256 B UC region writes and one UD
+/// datagram from `a` to `b`; `b` answers each datagram. Returns the hash
+/// of every completion (see [`hash_completions`]) and both directions'
+/// link counters, and the engine's executed-event count.
+fn substrate_fingerprint(tick: SimTime) -> (u64, u64) {
+    let mut eng = Engine::new();
+    let fab = Fabric::new();
+    let (na, nb) = (fab.add_node(1 << 20), fab.add_node(1 << 20));
+    let mut cfg = LinkConfig::wan(20.0, 10e9, 1e-2)
+        .with_duplication(0.03)
+        .with_reordering(0.05, 4)
+        .with_corruption(3e-5)
+        .with_seed(29);
+    cfg.mtu = 256;
+    fab.link_duplex(na, nb, cfg);
+    let (a, b) = (end(&fab, na), end(&fab, nb));
+    fab.node_mut(na, |n| n.connect_qp(a.uc, qp(nb, b.uc)));
+    fab.node_mut(nb, |n| n.connect_qp(b.uc, qp(na, a.uc)));
+    let src = fab.node_mut(na, |n| {
+        let base = n.mem_mut().alloc(1024);
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 7 % 251) as u8).collect();
+        n.mem_mut().write(base, &pattern);
+        base
+    });
+    let dst = fab.node_mut(nb, |n| n.alloc_mr(1024));
+
+    let h = Rc::new(RefCell::new(Fnv(0xcbf2_9ce4_8422_2325)));
+    hash_completions(&fab, a, b, false, &h);
+    hash_completions(&fab, b, a, true, &h);
+
+    let fab2 = fab.clone();
+    let mut k = 0u64;
+    eng.schedule_recurring_in(tick, move |eng| {
+        let writes = (0..4u64).map(|j| RegionWriteWr {
+            qp: a.uc,
+            local_addr: src + j * 256,
+            len: 256,
+            remote_mkey: dst.mkey,
+            remote_offset: j * 256,
+            imm: Some((k * 4 + j) as u32),
+            checksum: true,
+            wr_id: k,
+            signaled: j == 3,
+        });
+        fab2.post_uc_region_writes(eng, na, writes, |_, _| {})
+            .unwrap();
+        let hello = Bytes::from(k.to_le_bytes().to_vec());
+        let imm = Some(1 << 20 | k as u32);
+        fab2.post_ud_send(eng, qp(na, a.ud), qp(nb, b.ud), hello, imm)
+            .unwrap();
+        k += 1;
+        (k < TICKS).then(|| eng.now() + tick)
+    });
+    eng.run();
+
+    let mut h = h.borrow_mut();
+    for (from, to) in [(na, nb), (nb, na)] {
+        let s = fab.link_stats(from, to).unwrap();
+        for w in [
+            s.sent,
+            s.dropped,
+            s.delivered,
+            s.bytes,
+            s.duplicated,
+            s.reordered,
+            s.corrupted,
+        ] {
+            h.word(w);
+        }
+    }
+    (h.0, eng.executed_events())
+}
+
+/// The substrate's behaviour, pinned: every delivery instant and fate of
+/// [`substrate_fingerprint`]'s scenario and the number of events the
+/// engine ran to produce them. A host-only change to the engine, links or
+/// NIC must leave both constants alone; a change that moves them on
+/// purpose re-pins them and says so. A one-picosecond change to the tick
+/// must move the hash, or the scenario is not sensitive enough to pin
+/// anything.
+#[test]
+fn substrate_fingerprint_is_pinned() {
+    const HASH: u64 = 0xec7c_1baa_7005_8ba3;
+    const EVENTS: u64 = 2239;
+    let (hash, events) = substrate_fingerprint(TICK);
+    assert_eq!(
+        (hash, events),
+        (HASH, EVENTS),
+        "substrate fingerprint moved: got ({hash:#018x}, {events})"
+    );
+    let (nudged, _) = substrate_fingerprint(TICK + SimTime(1));
+    assert_ne!(nudged, HASH, "a 1 ps tick change must move the fingerprint");
 }

@@ -1,16 +1,22 @@
-//! Differential proof that the engine's timing wheel executes exactly
-//! `(time, schedule order)`.
+//! Differential proof that the engine's queue — the timing wheel and its
+//! two lanes — executes exactly `(time, schedule order)`.
 //!
 //! The reference is the model at the bottom of this file — a
 //! `BTreeMap<(deadline, rank), event>` with one rank counter, sharing no
 //! code with the engine — interpreting the same randomized programs of
 //! one-shot schedules, nested schedules, recurring events, cancels
-//! (queued and mid-fire) and re-arms: the full execution trace (fire time,
-//! firing order, executed/pending counters, final clock) must match
-//! exactly. A second set of directed tests stresses the cancel-while-firing
-//! window and the cancelled-timer accounting rules.
+//! (queued and mid-fire) and re-arms, plus the two shapes the lanes exist
+//! for: zero-delay kicks scheduled from inside a firing event (the
+//! same-instant FIFO), and short-period pumps that re-arm ahead of
+//! everything (the held re-arm), with ties at the held instant scheduled
+//! both before and after the hold and kicks that cancel or reschedule the
+//! kicked or held node. The full execution trace (fire time, firing order,
+//! executed/pending counters, final clock) must match exactly, driven by
+//! `run` and, for half the programs, also by `run_until` and `step`. A
+//! second set of directed tests stresses the cancel-while-firing window and
+//! the cancelled-timer accounting rules.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -21,6 +27,10 @@ use sdr_sim::{Engine, SimTime, TimerHandle};
 /// events tie with each other and with the driver's re-arm: rank shows only
 /// in a tie, and delays uniform over picoseconds never produce one.
 const GRID: u64 = 100_000;
+
+/// Executed events after which a run gives up (a failed self-cancel
+/// re-arms forever: a mismatch, not a hang).
+const LIMIT: u64 = 10_000;
 
 /// `(log of (fire-time, tag), executed, pending, final now)`.
 type Trace = (Vec<(u64, u32)>, u64, usize, u64);
@@ -48,11 +58,37 @@ enum Op {
     Cancel { k: usize },
     /// Re-arm the `k`-th handle to `now + dt`.
     Reschedule { k: usize, dt: u64 },
+    /// Schedule a one-shot at `now + dt` logging `tag` that kicks two
+    /// zero-delay one-shots K1 (`tag + 1`) and K2 (`tag + 2`). K1 kicks a
+    /// third, K3 (`tag + 3`), then does `act` to K2: nothing, cancel it,
+    /// reschedule it to now (behind K3) or one `GRID` later.
+    Kick { dt: u64, tag: u32, act: u8 },
+    /// A recurring pump at `now + dt` with a short `period`, firing
+    /// `count` times, logging `tag`: it re-arms ahead of everything else,
+    /// so it is held whenever the slot is free. Each fire kicks a
+    /// zero-delay one-shot (`tag ^ 0x200`). `ties & 1`: the fire itself
+    /// schedules a one-shot at its re-arm instant (`tag ^ 0x100`, ranked
+    /// ahead of the re-arm); `ties & 2`: the kick does (`tag ^ 0x300`,
+    /// ranked behind the held re-arm). On fire `at_fire` the kick does
+    /// `act` to the pump: cancel it, or reschedule it to now, to its
+    /// re-arm instant (behind the kick's tie) or halfway there.
+    Pump {
+        dt: u64,
+        period: u64,
+        count: u32,
+        tag: u32,
+        ties: u8,
+        act: u8,
+        at_fire: u32,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> + Clone {
-    (0u32..6, 0u64..5_000_000, 0u64..600_000, 0usize..64, 1u32..5).prop_map(
-        |(which, raw, dt2, k, count)| {
+    (
+        (0u32..8, 0u64..5_000_000, 0u64..600_000),
+        (0usize..64, 1u32..5, 0u8..4, 1u64..=130, 0u8..4),
+    )
+        .prop_map(|((which, raw, dt2), (k, count, act, short, ties))| {
             // Tags come from the unsnapped draw, so tied events differ.
             let snap = |d: u64| d - if d & 1 == 0 { d % GRID } else { 0 };
             let (dt, dt2) = (snap(raw), snap(dt2));
@@ -73,17 +109,42 @@ fn op_strategy() -> impl Strategy<Value = Op> + Clone {
                     tag: raw as u32 ^ 0x77,
                 },
                 4 => Op::Cancel { k },
-                _ => Op::Reschedule { k, dt },
+                5 => Op::Reschedule { k, dt },
+                6 => Op::Kick {
+                    dt,
+                    tag: raw as u32 ^ 0x3C3C,
+                    act,
+                },
+                // Inside the driver's period (or at its instant), so the
+                // driver's own re-arm is not what fills the held slot.
+                _ => Op::Pump {
+                    dt: snap(raw % GRID),
+                    period: short,
+                    count: count + 2,
+                    tag: raw as u32 ^ 0xC0DE,
+                    ties,
+                    act,
+                    at_fire: (raw >> 8) as u32 % (count + 2),
+                },
             }
-        },
-    )
+        })
+}
+
+/// How a program's engine run is driven.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// One `run()`.
+    Run,
+    /// `run_until` at every multiple of the stride until the queue drains.
+    RunUntil(u64),
+    /// `step()` until the queue drains.
+    Step,
 }
 
 /// Executes the op program on the engine and returns the trace.
-fn run_program(ops: &[Op]) -> Trace {
+fn run_program(ops: &[Op], drive: Drive) -> Trace {
     let mut eng = Engine::new();
-    // A self-cancel that fails re-arms forever: a mismatch, not a hang.
-    eng.set_event_limit(10_000);
+    eng.set_event_limit(LIMIT);
     let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
     let handles: Rc<RefCell<Vec<TimerHandle>>> = Rc::new(RefCell::new(Vec::new()));
 
@@ -148,13 +209,110 @@ fn run_program(ops: &[Op]) -> Trace {
                     eng.reschedule(hd, eng.now() + SimTime(dt));
                 }
             }
+            Op::Kick { dt, tag, act } => {
+                let (l, hs) = (l.clone(), h.clone());
+                let hd = eng.schedule_in_handle(SimTime(dt), move |e| kick(e, &l, &hs, tag, act));
+                h.borrow_mut().push(hd);
+            }
+            Op::Pump {
+                dt,
+                period,
+                count,
+                tag,
+                ties,
+                act,
+                at_fire,
+            } => {
+                let l = l.clone();
+                let (hs, me) = (h.clone(), h.borrow().len());
+                let mut fired = 0u32;
+                let hd = eng.schedule_recurring_in(SimTime(dt), move |e| {
+                    let now = e.now();
+                    l.borrow_mut().push((now.0, tag));
+                    if ties & 1 != 0 {
+                        let l = l.clone();
+                        e.schedule_at(now + SimTime(period), move |e| {
+                            l.borrow_mut().push((e.now().0, tag ^ 0x100));
+                        });
+                    }
+                    let (l, hs) = (l.clone(), hs.clone());
+                    let acts = fired == at_fire;
+                    e.schedule_at(now, move |e| {
+                        l.borrow_mut().push((e.now().0, tag ^ 0x200));
+                        if ties & 2 != 0 {
+                            e.schedule_in(SimTime(period), move |e| {
+                                l.borrow_mut().push((e.now().0, tag ^ 0x300));
+                            });
+                        }
+                        if acts {
+                            let pump = hs.borrow()[me];
+                            let now = e.now();
+                            match act {
+                                0 => e.cancel(pump),
+                                1 => e.reschedule(pump, now),
+                                2 => e.reschedule(pump, now + SimTime(period)),
+                                _ => e.reschedule(pump, now + SimTime(period / 2 + 1)),
+                            };
+                        }
+                    });
+                    fired += 1;
+                    (fired < count).then(|| now + SimTime(period))
+                });
+                h.borrow_mut().push(hd);
+            }
         }
         (i < ops.len()).then(|| eng.now() + SimTime(GRID))
     });
 
-    eng.run();
+    match drive {
+        Drive::Run => {
+            eng.run();
+        }
+        Drive::RunUntil(stride) => {
+            let mut deadline = 0;
+            while eng.pending_events() > 0 && eng.executed_events() < LIMIT {
+                deadline += stride;
+                eng.run_until(SimTime(deadline));
+            }
+        }
+        Drive::Step => while eng.executed_events() < LIMIT && eng.step() {},
+    }
     let (trace, executed) = (log.borrow().clone(), eng.executed_events());
     (trace, executed, eng.pending_events(), eng.now().0)
+}
+
+/// The body of an [`Op::Kick`] one-shot (see there).
+fn kick(
+    e: &mut Engine,
+    l: &Rc<RefCell<Vec<(u64, u32)>>>,
+    hs: &Rc<RefCell<Vec<TimerHandle>>>,
+    tag: u32,
+    act: u8,
+) {
+    l.borrow_mut().push((e.now().0, tag));
+    let k2: Rc<Cell<Option<TimerHandle>>> = Rc::default();
+    let (l1, k2c) = (l.clone(), k2.clone());
+    let k1 = e.schedule_in_handle(SimTime(0), move |e| {
+        l1.borrow_mut().push((e.now().0, tag.wrapping_add(1)));
+        let l3 = l1.clone();
+        e.schedule_in(SimTime(0), move |e| {
+            l3.borrow_mut().push((e.now().0, tag.wrapping_add(3)));
+        });
+        let k2 = k2c.get().expect("K2 scheduled with K1");
+        let now = e.now();
+        match act {
+            1 => e.cancel(k2),
+            2 => e.reschedule(k2, now),
+            3 => e.reschedule(k2, now + SimTime(GRID)),
+            _ => false,
+        };
+    });
+    let l2 = l.clone();
+    let k2h = e.schedule_in_handle(SimTime(0), move |e| {
+        l2.borrow_mut().push((e.now().0, tag.wrapping_add(2)));
+    });
+    k2.set(Some(k2h));
+    hs.borrow_mut().extend([k1, k2h]);
 }
 
 proptest! {
@@ -162,17 +320,32 @@ proptest! {
 
     /// The backbone differential: arbitrary schedule/cancel/re-arm
     /// programs produce byte-identical execution traces on the engine and
-    /// on the model.
+    /// on the model — through `run`, and for half the programs also
+    /// through `run_until` at a stride (which then ends on the first
+    /// stride multiple at or after the last event) and `step`.
     #[test]
     fn wheel_matches_the_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..120),
+        more in any::<bool>(),
+        stride in 0usize..4,
     ) {
-        let wheel = run_program(&ops);
+        let stride = [GRID, GRID / 4 + 1, 7_919, 250_000][stride];
         let model = run_model(&ops);
-        prop_assert_eq!(&wheel.0, &model.0, "fire traces diverge");
-        prop_assert_eq!(wheel.1, model.1, "executed-event counts diverge");
-        prop_assert_eq!(wheel.2, model.2, "pending counts diverge");
-        prop_assert_eq!(wheel.3, model.3, "final times diverge");
+        let mut drives = vec![Drive::Run];
+        if more {
+            drives.extend([Drive::RunUntil(stride), Drive::Step]);
+        }
+        for drive in drives {
+            let wheel = run_program(&ops, drive);
+            let now = match drive {
+                Drive::RunUntil(stride) => model.3.div_ceil(stride).max(1) * stride,
+                Drive::Run | Drive::Step => model.3,
+            };
+            prop_assert_eq!(&wheel.0, &model.0, "fire traces diverge under {:?}", drive);
+            prop_assert_eq!(wheel.1, model.1, "executed-event counts diverge under {:?}", drive);
+            prop_assert_eq!(wheel.2, model.2, "pending counts diverge under {:?}", drive);
+            prop_assert_eq!(wheel.3, now, "final times diverge under {:?}", drive);
+        }
     }
 
     /// Loaded-queue ordering: N events at random times (many collisions)
@@ -361,6 +534,26 @@ enum Ev {
     Once(u32, Option<u64>),
     /// `(tag, period, left)`: logs `tag`, with `left` fires to go.
     Recur(u32, u64, u32),
+    /// `(tag, act)`: an [`Op::Kick`]'s one-shot.
+    Kick(u32, u8),
+    /// `(tag, act)`: its K1, whose K2 is the next model id.
+    K1(u32, u8),
+    /// An [`Op::Pump`], `fired` times so far.
+    Pump(Pump),
+    /// `(pump, id, act)`: a pump fire's kick; `act` on fire `at_fire`.
+    PumpKick(Pump, usize, Option<u8>),
+}
+
+/// An [`Op::Pump`]'s fields, plus its fires so far.
+#[derive(Clone, Copy)]
+struct Pump {
+    period: u64,
+    count: u32,
+    tag: u32,
+    ties: u8,
+    act: u8,
+    at_fire: u32,
+    fired: u32,
 }
 
 /// Where a model handle stands: pending under a queue key, firing, or dead.
@@ -438,6 +631,29 @@ fn run_model(ops: &[Op]) -> Trace {
                     Op::Reschedule { k, dt } => {
                         nth(k).into_iter().for_each(|id| m.reschedule(id, at + dt));
                     }
+                    Op::Kick { dt, tag, act } => {
+                        handles.push(m.schedule(at + dt, Ev::Kick(tag, act)))
+                    }
+                    Op::Pump {
+                        dt,
+                        period,
+                        count,
+                        tag,
+                        ties,
+                        act,
+                        at_fire,
+                    } => {
+                        let pump = Pump {
+                            period,
+                            count,
+                            tag,
+                            ties,
+                            act,
+                            at_fire,
+                            fired: 0,
+                        };
+                        handles.push(m.schedule(at + dt, Ev::Pump(pump)));
+                    }
                 }
                 i += 1;
                 (i < ops.len()).then_some((at + GRID, Ev::Driver))
@@ -458,6 +674,55 @@ fn run_model(ops: &[Op]) -> Trace {
                     m.cancel(id);
                 }
                 (left > 0 || hard_stop).then_some((at + period, Ev::Recur(tag, period, left)))
+            }
+            Ev::Kick(tag, act) => {
+                m.st[id] = St::Dead;
+                log.push((at, tag));
+                let k1 = m.schedule(at, Ev::K1(tag, act));
+                let k2 = m.schedule(at, Ev::Once(tag.wrapping_add(2), None));
+                handles.extend([k1, k2]);
+                None
+            }
+            Ev::K1(tag, act) => {
+                m.st[id] = St::Dead;
+                log.push((at, tag.wrapping_add(1)));
+                m.schedule(at, Ev::Once(tag.wrapping_add(3), None));
+                let k2 = id + 1;
+                match act {
+                    1 => m.cancel(k2),
+                    2 => m.reschedule(k2, at),
+                    3 => m.reschedule(k2, at + GRID),
+                    _ => {}
+                }
+                None
+            }
+            Ev::Pump(p) => {
+                log.push((at, p.tag));
+                if p.ties & 1 != 0 {
+                    m.schedule(at + p.period, Ev::Once(p.tag ^ 0x100, None));
+                }
+                let act = (p.fired == p.at_fire).then_some(p.act);
+                m.schedule(at, Ev::PumpKick(p, id, act));
+                let p = Pump {
+                    fired: p.fired + 1,
+                    ..p
+                };
+                (p.fired < p.count).then_some((at + p.period, Ev::Pump(p)))
+            }
+            Ev::PumpKick(p, pump, act) => {
+                m.st[id] = St::Dead;
+                log.push((at, p.tag ^ 0x200));
+                if p.ties & 2 != 0 {
+                    m.schedule(at + p.period, Ev::Once(p.tag ^ 0x300, None));
+                }
+                match act {
+                    Some(0) => m.cancel(pump),
+                    Some(1) => m.reschedule(pump, at),
+                    Some(2) => m.reschedule(pump, at + p.period),
+                    Some(_) => m.reschedule(pump, at + p.period / 2 + 1),
+                    None => {}
+                }
+                None
             }
         };
         match (m.st[id], next) {
