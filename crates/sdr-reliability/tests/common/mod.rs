@@ -14,7 +14,9 @@ use sdr_core::testkit::{pattern, sdr_pair, SdrPair};
 use sdr_core::{SdrConfig, SdrContext};
 use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
 use sdr_reliability::scheme::{self, SchemeEnv, SchemeReceiver, SchemeSender};
-use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager, SchemeSpec};
+use sdr_reliability::{
+    ControlEndpoint, DeliveryManifest, EcCodeChoice, FlowCfg, FlowManager, SchemeSpec,
+};
 use sdr_sim::{tx_time, Engine, Fabric, LinkConfig, NodeId, SimTime, DEFAULT_HEADER_BYTES};
 
 /// Node memory given to each side of the pair.
@@ -84,6 +86,18 @@ impl ProtoHarness {
         bandwidth_bps: f64,
         sent: impl FnOnce(&mut Engine, u64) + 'static,
     ) -> (Box<dyn SchemeSender>, SchemeReceiver) {
+        self.start_scheme_with(spec, bandwidth_bps, sent, |_e, _at| {})
+    }
+
+    /// [`start_scheme`](Self::start_scheme) with the receiver's done
+    /// callback too (it gets the completion instant).
+    pub fn start_scheme_with(
+        &mut self,
+        spec: SchemeSpec,
+        bandwidth_bps: f64,
+        sent: impl FnOnce(&mut Engine, u64) + 'static,
+        landed: impl FnOnce(&mut Engine, SimTime) + 'static,
+    ) -> (Box<dyn SchemeSender>, SchemeReceiver) {
         let p = &mut self.p;
         let tx_env = SchemeEnv {
             qp: &p.qp_a,
@@ -108,8 +122,23 @@ impl ProtoHarness {
             rtt: self.rtt,
             trace: None,
         };
-        let rx = scheme::start_receiver(&mut p.eng, spec, rx_env, None, |_e, _at| {});
+        let rx = scheme::start_receiver(&mut p.eng, spec, rx_env, None, landed);
         (tx, rx)
+    }
+
+    /// What a previous life of an adaptive transfer in `segment_bytes`
+    /// segments left behind when segments `delivered` had landed: their
+    /// bytes in the destination buffer, their bits in the returned
+    /// manifest.
+    pub fn journal(&self, segment_bytes: u64, delivered: &[u32]) -> DeliveryManifest {
+        let mut m = DeliveryManifest::new(self.msg, segment_bytes);
+        for &id in delivered {
+            let (off, len) = m.segment(id);
+            let bytes = &self.data[off as usize..(off + len) as usize];
+            self.p.ctx_b.write_buffer(self.dst + off, bytes);
+            m.mark_delivered(id);
+        }
+        m
     }
 
     /// Scripts a loss: the forward (A → B) direction is dark during
