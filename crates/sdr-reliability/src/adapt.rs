@@ -53,6 +53,18 @@
 //! intact-delivery contract, and epoch gating keeps stale control traffic
 //! out of successor segments.
 //!
+//! # Resume
+//!
+//! A crashed transfer's next life plans only what its receiver's
+//! [`DeliveryManifest`] says is missing. The sender does not hold that
+//! journal, so a resumed [`AdaptiveSender`] starts in a *querying* phase:
+//! it paces [`CtrlMsg::ResumeQuery`] at the nominal RTT and acts on
+//! nothing but a [`CtrlMsg::ResumeState`] of its own geometry. The first
+//! one ends the phase — into the plan of the undelivered segments, started
+//! exactly as a fresh transfer starts, or straight to `Delivered` when
+//! nothing is missing. One control handler, one deadline, one abort path,
+//! one report and one digest answer serve both phases.
+//!
 //! [`ChannelEstimator`]: crate::telemetry::ChannelEstimator
 //! [`CtrlMsg::Telemetry`]: crate::ack::CtrlMsg::Telemetry
 //! [`CtrlMsg::SwitchPropose`]: crate::ack::CtrlMsg::SwitchPropose
@@ -298,25 +310,6 @@ pub struct AdaptReport {
     pub retransmits: u64,
 }
 
-impl AdaptReport {
-    /// The report of a life that moved nothing: a resume handshake that
-    /// found the manifest already complete, or ran out its deadline
-    /// unanswered. A running transfer fills the counters in over it
-    /// ([`TxInner::report`]).
-    fn idle(duration: SimTime, final_spec: SchemeSpec, outcome: TransferOutcome) -> Self {
-        AdaptReport {
-            duration,
-            segments: 0,
-            proposals: 0,
-            switches: 0,
-            history: Vec::new(),
-            final_spec,
-            outcome,
-            retransmits: 0,
-        }
-    }
-}
-
 /// An in-flight handover handshake (sender side).
 struct PendingSwitch {
     seq: u32,
@@ -350,7 +343,15 @@ struct TxInner {
     /// Full message length — the digest scope, which outlives any one
     /// life's plan (see [`message_digest`]).
     msg_bytes: u64,
+    /// The plan: `(offset, len)` of each segment this life sends, in wire
+    /// epoch order. Empty until it starts.
     segs: Vec<(u64, u64)>,
+    /// A resume's start instant, until the receiver's manifest arrives
+    /// (for good, if the transfer ends first): the querying phase, in which
+    /// the only message acted on is a matching [`CtrlMsg::ResumeState`].
+    querying: Option<SimTime>,
+    /// `ResumeQuery` datagrams sent (including healing re-sends).
+    queries: u64,
     cfg: AdaptConfig,
     est: Rc<RefCell<ChannelEstimator>>,
     current_spec: SchemeSpec,
@@ -372,10 +373,12 @@ struct TxInner {
     /// The controller loop's timer (cancelled on abort so the engine
     /// drains immediately instead of ticking to the next cadence point).
     ctl_timer: Option<TimerHandle>,
+    /// The query loop's timer, while querying.
+    query_timer: Option<TimerHandle>,
     /// The armed deadline (cancelled at natural completion so the engine
     /// does not idle until a far-future no-op firing).
     deadline_timer: Option<TimerHandle>,
-    /// Whole-plan CRC32C of the source buffer, computed lazily on the
+    /// Whole-message CRC32C of the source buffer, computed lazily on the
     /// first [`CtrlMsg::DigestQuery`] and cached: the source bytes never
     /// change, so one computation answers every duplicate query the
     /// receiver paces while waiting for [`CtrlMsg::DigestState`].
@@ -395,21 +398,29 @@ impl TxInner {
     /// The report of this transfer ending `outcome` at `now` with
     /// `segments` of them complete.
     fn report(&self, now: SimTime, segments: u32, outcome: TransferOutcome) -> AdaptReport {
-        let mut r = AdaptReport::idle(self.completion.elapsed(now), self.current_spec, outcome);
-        r.segments = segments;
-        r.proposals = self.proposals;
-        r.switches = self.switches;
-        r.history = self.history.clone();
-        r.retransmits = self.retransmits;
-        r
+        // A life that ends before its plan starts is timed from its resume.
+        let since = self.querying.or(self.completion.started());
+        AdaptReport {
+            duration: now.saturating_sub(since.unwrap_or(now)),
+            segments,
+            proposals: self.proposals,
+            switches: self.switches,
+            history: self.history.clone(),
+            final_spec: self.current_spec,
+            outcome,
+            retransmits: self.retransmits,
+        }
     }
 }
 
 /// The adaptive sender: runs the transfer as a receiver-throttled pipeline
 /// of segments under the currently-committed scheme and hosts the
 /// controller loop that re-advises and proposes handovers. Construct with
-/// [`AdaptiveController::start_sender`]. Cloning yields another handle
-/// to the same transfer (cheap `Rc` semantics).
+/// [`AdaptiveController::start_sender`], or
+/// [`resume_sender`](AdaptiveController::resume_sender) for a later life
+/// of a crashed transfer, which queries the receiver's manifest first.
+/// Cloning yields another handle to the same transfer (cheap `Rc`
+/// semantics).
 #[derive(Clone)]
 pub struct AdaptiveSender {
     inner: Rc<RefCell<TxInner>>,
@@ -437,25 +448,73 @@ impl AdaptiveController {
         cfg: AdaptConfig,
         done: impl FnOnce(&mut Engine, AdaptReport) + 'static,
     ) -> AdaptiveSender {
-        Self::check_geometry(qp, msg_bytes, &cfg);
         let segs = segments(msg_bytes, cfg.segment_bytes);
-        Self::start_sender_plan(
-            eng,
-            qp,
-            ctx,
-            ep,
-            peer,
-            local_addr,
-            msg_bytes,
-            segs,
-            initial,
-            cfg,
-            (None, None),
-            done,
-        )
+        let tx = Self::tx_new(qp, ctx, ep, peer, local_addr, msg_bytes, initial, cfg, done);
+        Self::tx_begin(&tx.inner, eng, segs);
+        tx
     }
 
-    fn check_geometry(qp: &SdrQp, msg_bytes: u64, cfg: &AdaptConfig) {
+    /// Resumes the sending half of a crashed adaptive transfer: a sender
+    /// in the querying phase (see the [module docs](self#resume)), which
+    /// then sends exactly the undelivered segments — or, off a full
+    /// manifest, finishes `Delivered` at once and keeps answering the
+    /// receiver's digest probes. `prior_loss` / `prior_rtt` warm-start the
+    /// estimator from the previous life's estimates (read them off the old
+    /// handle before it died); `None` starts cold. The peer must re-enter
+    /// via [`resume_receiver`](Self::resume_receiver) on the same transfer
+    /// id; whichever end restarted must have bumped its
+    /// [incarnation](crate::ControlEndpoint::bump_incarnation) first so
+    /// the stamp filter retires the dead life's stragglers. `done` fires
+    /// exactly once. The deadline runs from the resume, and afresh from
+    /// the plan's start.
+    #[allow(clippy::too_many_arguments)]
+    pub fn resume_sender(
+        eng: &mut Engine,
+        qp: &SdrQp,
+        ctx: &SdrContext,
+        ep: Rc<ControlEndpoint>,
+        peer: QpAddr,
+        local_addr: u64,
+        msg_bytes: u64,
+        initial: SchemeSpec,
+        cfg: AdaptConfig,
+        prior_loss: Option<f64>,
+        prior_rtt: Option<SimTime>,
+        done: impl FnOnce(&mut Engine, AdaptReport) + 'static,
+    ) -> AdaptiveSender {
+        let pace = cfg.rtt;
+        let tx = Self::tx_new(qp, ctx, ep, peer, local_addr, msg_bytes, initial, cfg, done);
+        {
+            let mut i = tx.inner.borrow_mut();
+            i.querying = Some(eng.now());
+            i.est.borrow_mut().seed(prior_loss, prior_rtt);
+        }
+        // Query now, then heal at the nominal RTT — an answer cannot
+        // possibly return sooner, and each query is answered idempotently.
+        Self::tx_query(&tx.inner, eng);
+        let me = tx.inner.clone();
+        let t = tick_loop(eng, pace, move |eng| {
+            Self::tx_query(&me, eng);
+            Tick::Again
+        });
+        tx.inner.borrow_mut().query_timer = Some(t);
+        Self::tx_arm_deadline(&tx.inner, eng);
+        tx
+    }
+
+    /// A sender with no plan yet and its master control handler installed.
+    #[allow(clippy::too_many_arguments)]
+    fn tx_new(
+        qp: &SdrQp,
+        ctx: &SdrContext,
+        ep: Rc<ControlEndpoint>,
+        peer: QpAddr,
+        local_addr: u64,
+        msg_bytes: u64,
+        initial: SchemeSpec,
+        cfg: AdaptConfig,
+        done: impl FnOnce(&mut Engine, AdaptReport) + 'static,
+    ) -> AdaptiveSender {
         let qcfg = qp.config();
         assert!(
             cfg.segment_bytes >= qcfg.chunk_bytes
@@ -470,33 +529,7 @@ impl AdaptiveController {
             cfg.segment_bytes <= qcfg.max_msg_bytes,
             "segment fits a slot"
         );
-    }
-
-    /// The plan-parameterized sender core: `segs` is the list of
-    /// `(offset, len)` submessages this life will actually send — the full
-    /// partition on a fresh start, the undelivered remainder on a resume.
-    /// Wire epochs are plan indices, identical on both ends because both
-    /// build the plan from the same manifest snapshot. `seed` warm-starts
-    /// the channel estimator from a previous life's estimates.
-    #[allow(clippy::too_many_arguments)]
-    fn start_sender_plan(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctx: &SdrContext,
-        ep: Rc<ControlEndpoint>,
-        peer: QpAddr,
-        local_addr: u64,
-        msg_bytes: u64,
-        segs: Vec<(u64, u64)>,
-        initial: SchemeSpec,
-        cfg: AdaptConfig,
-        seed: (Option<f64>, Option<SimTime>),
-        done: impl FnOnce(&mut Engine, AdaptReport) + 'static,
-    ) -> AdaptiveSender {
         let est = Rc::new(RefCell::new(ChannelEstimator::new(cfg.telemetry)));
-        est.borrow_mut().seed(seed.0, seed.1);
-        let decide = cfg.rtt / CADENCE_DIV;
-        let first_seq = qp.next_send_seq();
         let reg = ep.metrics();
         let (g_loss, g_rtt) = (reg.gauge("adapt.loss_ppm"), reg.gauge("adapt.rtt_us"));
         let inner = Rc::new(RefCell::new(TxInner {
@@ -506,12 +539,14 @@ impl AdaptiveController {
             peer,
             local_addr,
             msg_bytes,
-            segs,
+            segs: Vec::new(),
+            querying: None,
+            queries: 0,
             cfg,
             est,
             current_spec: initial,
             next_create: 0,
-            next_first_seq: first_seq,
+            next_first_seq: 0,
             live: Vec::new(),
             done_count: 0,
             pending: None,
@@ -522,43 +557,73 @@ impl AdaptiveController {
             history: Vec::new(),
             completion: Completion::new(done),
             ctl_timer: None,
+            query_timer: None,
             deadline_timer: None,
             digest: None,
             in_blackout: false,
             g_loss,
             g_rtt,
         }));
-        inner.borrow_mut().completion.mark_started(eng.now());
-        // The blackout detector measures silence from a defined instant.
-        inner.borrow().est.borrow_mut().note_progress(eng.now());
-
-        // Master control handler: epoch-gate scheme traffic, absorb
-        // telemetry, drive the handshake.
+        // Master control handler: the resume handshake while querying,
+        // then epoch-gate scheme traffic, absorb telemetry, drive the
+        // handshakes.
         let me = inner.clone();
         ep.set_handler(move |eng, src, msg| Self::tx_on_ctrl(&me, eng, src, msg));
+        AdaptiveSender { inner }
+    }
+
+    /// Starts the plan: `segs` is the list of `(offset, len)` submessages
+    /// this life will actually send — the full partition on a fresh start,
+    /// the undelivered remainder on a resume. Wire epochs are plan
+    /// indices, identical on both ends because both build the plan from
+    /// the same manifest snapshot. The estimator is as constructed (and
+    /// seeded) until here: a querying sender feeds it nothing.
+    fn tx_begin(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine, segs: Vec<(u64, u64)>) {
+        let decide = {
+            let mut i = inner.borrow_mut();
+            i.completion.mark_started(eng.now());
+            // The blackout detector measures silence from a defined instant.
+            i.est.borrow_mut().note_progress(eng.now());
+            i.next_first_seq = i.qp.next_send_seq();
+            i.segs = segs;
+            i.cfg.rtt / CADENCE_DIV
+        };
 
         // Segment 0 starts unconditionally (its scheme sender waits for
         // the CTS internally); later segments are created by the pump as
         // their credits arrive.
-        Self::tx_create_segment(&inner, eng);
+        Self::tx_create_segment(inner, eng);
 
         // The controller loop: create credited segments, re-advise, heal
         // proposals.
         let me = inner.clone();
         let ctl = tick_loop(eng, decide, move |eng| Self::control_tick(&me, eng));
         inner.borrow_mut().ctl_timer = Some(ctl);
+        Self::tx_arm_deadline(inner, eng);
+    }
 
-        // The local deadline: fires a full abort (peer notified
-        // best-effort; it arms its own copy independently).
-        let deadline = inner.borrow().cfg.deadline;
-        if let Some(d) = deadline {
-            let me = inner.clone();
-            let h = eng.schedule_in_handle(d, move |eng| {
-                Self::tx_abort(&me, eng, AbortReason::Deadline, true);
-            });
-            inner.borrow_mut().deadline_timer = Some(h);
-        }
-        AdaptiveSender { inner }
+    /// Arms the local deadline from now, if one is configured: it fires a
+    /// full abort (peer notified best-effort; it arms its own copy
+    /// independently). A query loop whose peer never answers ends here too.
+    fn tx_arm_deadline(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine) {
+        let Some(d) = inner.borrow().cfg.deadline else {
+            return;
+        };
+        let me = inner.clone();
+        let h = eng.schedule_in_handle(d, move |eng| {
+            Self::tx_abort(&me, eng, AbortReason::Deadline, true);
+        });
+        inner.borrow_mut().deadline_timer = Some(h);
+    }
+
+    /// Sends one [`CtrlMsg::ResumeQuery`].
+    fn tx_query(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine) {
+        let (ep, peer) = {
+            let mut i = inner.borrow_mut();
+            i.queries += 1;
+            (i.ep.clone(), i.peer)
+        };
+        ep.send(eng, peer, &CtrlMsg::ResumeQuery);
     }
 
     /// Creates the scheme sender for segment `next_create` under the
@@ -683,8 +748,8 @@ impl AdaptiveController {
     /// finished *first* (so the segment aborts below hit the is-done guard
     /// in [`tx_on_segment_done`](Self::tx_on_segment_done) instead of
     /// corrupting counts), then every live segment sender is aborted
-    /// (stream quiesced, scheme timers cancelled), the controller and
-    /// deadline timers are cancelled, the peer is notified best-effort
+    /// (stream quiesced, scheme timers cancelled), the controller, query
+    /// and deadline timers are cancelled, the peer is notified best-effort
     /// (when `notify_peer`), and the user callback fires with
     /// [`Aborted(reason)`](TransferOutcome::Aborted). Returns `false` if
     /// the transfer had already finished.
@@ -702,7 +767,11 @@ impl AdaptiveController {
             let report = i.report(eng.now(), i.done_count, TransferOutcome::aborted(reason));
             let cb = i.completion.finish().map(|cb| (cb, report));
             let live = std::mem::take(&mut i.live);
-            let timers = [i.ctl_timer.take(), i.deadline_timer.take()];
+            let timers = [
+                i.ctl_timer.take(),
+                i.query_timer.take(),
+                i.deadline_timer.take(),
+            ];
             i.ep.recorder().record(
                 eng.now().as_picos(),
                 EventKind::Abort,
@@ -732,6 +801,16 @@ impl AdaptiveController {
     }
 
     fn tx_on_ctrl(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine, src: QpAddr, msg: CtrlMsg) {
+        if inner.borrow().querying.is_some() {
+            // Only the manifest counts: a digest probe is answered once the
+            // manifest says nothing is left to send, and the rest are
+            // stragglers of the surviving side's old handlers (other
+            // lives' traffic already died in the stamp filter).
+            if let CtrlMsg::ResumeState { manifest, base } = msg {
+                Self::tx_on_resume_state(inner, eng, manifest, base);
+            }
+            return;
+        }
         // Any datagram from the peer proves the channel is alive — feed
         // the blackout detector before dispatching.
         {
@@ -770,12 +849,70 @@ impl AdaptiveController {
         }
     }
 
+    /// The receiver's manifest, while querying. The first answer of this
+    /// transfer's geometry (and a send sequence this QP has not passed)
+    /// ends the phase: the query loop and the handshake's deadline stop,
+    /// and either the transfer finishes — everything landed in a previous
+    /// life — or the plan of the undelivered segments starts. Answers of
+    /// another geometry, and every answer after an abort, are ignored.
+    fn tx_on_resume_state(
+        inner: &Rc<RefCell<TxInner>>,
+        eng: &mut Engine,
+        manifest: DeliveryManifest,
+        base: u64,
+    ) {
+        let seg_ids = manifest.undelivered();
+        let (timers, finished, ep, qp) = {
+            let mut i = inner.borrow_mut();
+            if i.completion.is_done()
+                || manifest.msg_bytes() != i.msg_bytes
+                || manifest.segment_bytes() != i.cfg.segment_bytes
+                || base < i.qp.next_send_seq()
+            {
+                return;
+            }
+            let finished = if seg_ids.is_empty() {
+                let report = i.report(eng.now(), 0, TransferOutcome::Delivered);
+                i.completion.finish().map(|cb| (cb, report))
+            } else {
+                None
+            };
+            i.querying = None;
+            let timers = [i.query_timer.take(), i.deadline_timer.take()];
+            (timers, finished, i.ep.clone(), i.qp.clone())
+        };
+        for t in timers.into_iter().flatten() {
+            eng.cancel(t);
+        }
+        if let Some((cb, report)) = finished {
+            // A crash can land inside the verification window (every bitmap
+            // complete, digest verdict pending): the resumed receiver
+            // re-verifies, and the master handler now answers its probes.
+            cb(eng, report);
+            return;
+        }
+        let segs: Vec<(u64, u64)> = seg_ids.iter().map(|&id| manifest.segment(id)).collect();
+        ep.recorder().record(
+            eng.now().as_picos(),
+            EventKind::Resume,
+            segs.len() as u64,
+            base,
+        );
+        // Realign the order-matched send sequence: the receiver's posts
+        // for this plan start at `base`, ahead of where this sender's
+        // opens stopped (credits the dead life never consumed are dropped
+        // with the skipped sequences).
+        qp.align_send_seq(base).expect("base checked non-rewinding");
+        Self::tx_begin(inner, eng, segs);
+    }
+
     /// Answers the receiver's end-of-transfer digest probe from the
-    /// source buffer. The sender's own completion fires on the final ACK,
-    /// which races the query on an independent control path — the master
-    /// handler stays installed precisely so a late query is still
-    /// answered. Duplicates are free: the digest is computed once and
-    /// every re-query gets the cached value.
+    /// source buffer. The sender's own completion fires on the final ACK
+    /// (or at once, off a full manifest), which races the query on an
+    /// independent control path — the master handler stays installed
+    /// precisely so a late query is still answered. Duplicates are free:
+    /// the digest is computed once and every re-query gets the cached
+    /// value.
     fn tx_on_digest_query(inner: &Rc<RefCell<TxInner>>, eng: &mut Engine) {
         let (ep, peer, crc) = {
             let mut i = inner.borrow_mut();
@@ -1005,9 +1142,16 @@ impl AdaptiveController {
 }
 
 impl AdaptiveSender {
-    /// True once the whole transfer completed (every segment acked).
+    /// True once the transfer ended: every segment acked, a resume found
+    /// nothing left to send, or an abort.
     pub fn is_done(&self) -> bool {
         self.inner.borrow().completion.is_done()
+    }
+
+    /// `ResumeQuery` datagrams sent (including healing re-sends); 0 unless
+    /// [resumed](AdaptiveController::resume_sender).
+    pub fn queries(&self) -> u64 {
+        self.inner.borrow().queries
     }
 
     /// The scheme currently committed on the sender.
@@ -1036,8 +1180,8 @@ impl AdaptiveSender {
         self.inner.borrow().in_blackout
     }
 
-    /// Aborts the transfer now: live segment senders quiesce, the
-    /// controller and deadline timers are cancelled, the peer is notified
+    /// Aborts the transfer now, querying or running: live segment senders
+    /// quiesce, every timer is cancelled, the peer is notified
     /// best-effort, and the completion callback fires exactly once with
     /// [`Aborted(reason)`](TransferOutcome::Aborted). Returns `false` if
     /// the transfer had already finished (delivered or aborted).
@@ -1060,253 +1204,6 @@ impl AdaptiveSender {
     /// Reads the sender-side channel estimator.
     pub fn estimator<R>(&self, f: impl FnOnce(&ChannelEstimator) -> R) -> R {
         f(&self.inner.borrow().est.borrow())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sender resume: the ResumeQuery → ResumeState handshake
-// ---------------------------------------------------------------------------
-
-/// Everything needed to start the resumed transfer, parked until the
-/// receiver's manifest arrives. `Some` while the handshake is unresolved.
-struct ResumeTxParams {
-    qp: SdrQp,
-    ctx: SdrContext,
-    local_addr: u64,
-    msg_bytes: u64,
-    initial: SchemeSpec,
-    cfg: AdaptConfig,
-    seed: (Option<f64>, Option<SimTime>),
-    done: Box<dyn FnOnce(&mut Engine, AdaptReport)>,
-    start: SimTime,
-}
-
-struct ResumeTxInner {
-    ep: Rc<ControlEndpoint>,
-    peer: QpAddr,
-    params: Option<ResumeTxParams>,
-    sender: Option<AdaptiveSender>,
-    queries: u64,
-    query_timer: Option<TimerHandle>,
-    deadline_timer: Option<TimerHandle>,
-}
-
-/// Handle to a sender-side resume: the `ResumeQuery` pacing loop and,
-/// once the receiver's manifest arrives, the restarted transfer.
-/// Construct with [`AdaptiveController::resume_sender`]. Cloning yields
-/// another handle to the same resume (cheap `Rc` semantics).
-#[derive(Clone)]
-pub struct ResumingSender {
-    inner: Rc<RefCell<ResumeTxInner>>,
-}
-
-impl AdaptiveController {
-    /// Resumes the sending half of a crashed adaptive transfer. The
-    /// sender does not know what landed — the authoritative delivery
-    /// journal lives with the receiver — so it paces
-    /// [`CtrlMsg::ResumeQuery`] datagrams at the nominal RTT until a
-    /// [`CtrlMsg::ResumeState`] answer carries the manifest back, then
-    /// retransmits exactly the undelivered segments (or completes
-    /// immediately when the manifest is already full). `prior_loss` /
-    /// `prior_rtt` warm-start the new estimator from the previous life's
-    /// estimates (read them off the old handle before it died); `None`
-    /// starts cold. The peer must re-enter via
-    /// [`resume_receiver`](Self::resume_receiver) on the same transfer id;
-    /// whichever end restarted must have bumped its
-    /// [incarnation](crate::ControlEndpoint::bump_incarnation) first so
-    /// the stamp filter retires the dead life's stragglers. `done` fires
-    /// exactly once. If the configured deadline expires before the
-    /// handshake resolves, `done` fires with
-    /// [`Aborted(Deadline)`](TransferOutcome::Aborted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume_sender(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctx: &SdrContext,
-        ep: Rc<ControlEndpoint>,
-        peer: QpAddr,
-        local_addr: u64,
-        msg_bytes: u64,
-        initial: SchemeSpec,
-        cfg: AdaptConfig,
-        prior_loss: Option<f64>,
-        prior_rtt: Option<SimTime>,
-        done: impl FnOnce(&mut Engine, AdaptReport) + 'static,
-    ) -> ResumingSender {
-        Self::check_geometry(qp, msg_bytes, &cfg);
-        let pace = cfg.rtt;
-        let deadline = cfg.deadline;
-        let state = Rc::new(RefCell::new(ResumeTxInner {
-            ep: ep.clone(),
-            peer,
-            params: Some(ResumeTxParams {
-                qp: qp.clone(),
-                ctx: ctx.clone(),
-                local_addr,
-                msg_bytes,
-                initial,
-                cfg,
-                seed: (prior_loss, prior_rtt),
-                done: Box::new(done),
-                start: eng.now(),
-            }),
-            sender: None,
-            queries: 0,
-            query_timer: None,
-            deadline_timer: None,
-        }));
-
-        // Handshake handler: the first geometry-matching ResumeState
-        // resolves the resume (and installs the transfer's own master
-        // handler in its place); later duplicates land in that master
-        // handler's catch-all arm.
-        let me = state.clone();
-        ep.set_handler(move |eng, _src, msg| Self::resume_on_ctrl(&me, eng, msg));
-
-        // Query now, then heal at the nominal RTT — an answer cannot
-        // possibly return sooner, and each query is answered idempotently.
-        state.borrow_mut().queries = 1;
-        ep.send(eng, peer, &CtrlMsg::ResumeQuery);
-        let me = state.clone();
-        let t = tick_loop(eng, pace, move |eng| {
-            let (ep, peer) = {
-                let mut s = me.borrow_mut();
-                if s.params.is_none() {
-                    return Tick::Stop;
-                }
-                s.queries += 1;
-                (s.ep.clone(), s.peer)
-            };
-            ep.send(eng, peer, &CtrlMsg::ResumeQuery);
-            Tick::Again
-        });
-        state.borrow_mut().query_timer = Some(t);
-
-        // The handshake honours the transfer deadline: a peer that never
-        // answers must not leave the query loop ticking forever.
-        if let Some(d) = deadline {
-            let me = state.clone();
-            let h = eng.schedule_in_handle(d, move |eng| {
-                let (params, timer) = {
-                    let mut s = me.borrow_mut();
-                    (s.params.take(), s.query_timer.take())
-                };
-                let Some(p) = params else { return };
-                if let Some(t) = timer {
-                    eng.cancel(t);
-                }
-                let waited = eng.now().saturating_sub(p.start);
-                let outcome = TransferOutcome::aborted(AbortReason::Deadline);
-                (p.done)(eng, AdaptReport::idle(waited, p.initial, outcome));
-            });
-            state.borrow_mut().deadline_timer = Some(h);
-        }
-        ResumingSender { inner: state }
-    }
-
-    fn resume_on_ctrl(state: &Rc<RefCell<ResumeTxInner>>, eng: &mut Engine, msg: CtrlMsg) {
-        let CtrlMsg::ResumeState { manifest, base } = msg else {
-            // Pre-crash stragglers of the surviving side's old handlers;
-            // other lives' traffic already died in the stamp filter.
-            return;
-        };
-        let (p, ep, peer, timers) = {
-            let mut s = state.borrow_mut();
-            let matches = s.params.as_ref().is_some_and(|p| {
-                manifest.msg_bytes() == p.msg_bytes
-                    && manifest.segment_bytes() == p.cfg.segment_bytes
-                    && base >= p.qp.next_send_seq()
-            });
-            if !matches {
-                return; // wrong geometry (or already resolved): ignore
-            }
-            let p = s.params.take().expect("checked above");
-            (
-                p,
-                s.ep.clone(),
-                s.peer,
-                [s.query_timer.take(), s.deadline_timer.take()],
-            )
-        };
-        for t in timers.into_iter().flatten() {
-            eng.cancel(t);
-        }
-        let seg_ids = manifest.undelivered();
-        if seg_ids.is_empty() {
-            // Everything already landed in a previous life — which can
-            // include a crash inside the *verification window* (every
-            // bitmap complete, digest verdict still pending). The resumed
-            // receiver re-verifies, so this sender must keep answering
-            // digest probes from the source buffer even though it has
-            // nothing to send. The answering handler replaces the resume
-            // handshake handler; late `ResumeState` duplicates fall
-            // through its catch-all.
-            let ctx = p.ctx.clone();
-            let (addr, len) = (p.local_addr, p.msg_bytes);
-            let answer_ep = ep.clone();
-            let mut cached: Option<u32> = None;
-            ep.set_handler(move |eng, src, msg| {
-                if let CtrlMsg::DigestQuery = msg {
-                    let crc = *cached.get_or_insert_with(|| message_digest(&ctx, addr, len));
-                    answer_ep.send(eng, src, &CtrlMsg::DigestState { crc });
-                }
-            });
-            let waited = eng.now().saturating_sub(p.start);
-            (p.done)(
-                eng,
-                AdaptReport::idle(waited, p.initial, TransferOutcome::Delivered),
-            );
-            return;
-        }
-        let segs: Vec<(u64, u64)> = seg_ids.iter().map(|&id| manifest.segment(id)).collect();
-        ep.recorder().record(
-            eng.now().as_picos(),
-            EventKind::Resume,
-            segs.len() as u64,
-            base,
-        );
-        // Realign the order-matched send sequence: the receiver's posts
-        // for this plan start at `base`, ahead of where this sender's
-        // opens stopped (credits the dead life never consumed are dropped
-        // with the skipped sequences).
-        p.qp.align_send_seq(base)
-            .expect("base checked non-rewinding");
-        let sender = Self::start_sender_plan(
-            eng,
-            &p.qp,
-            &p.ctx,
-            ep,
-            peer,
-            p.local_addr,
-            p.msg_bytes,
-            segs,
-            p.initial,
-            p.cfg,
-            p.seed,
-            p.done,
-        );
-        state.borrow_mut().sender = Some(sender);
-    }
-}
-
-impl ResumingSender {
-    /// True once the handshake resolved: the transfer started, completed
-    /// immediately off a full manifest, or deadline-aborted.
-    pub fn is_resolved(&self) -> bool {
-        self.inner.borrow().params.is_none()
-    }
-
-    /// The restarted transfer's sender handle, once the handshake
-    /// resolved into an actual retransmission plan (`None` while still
-    /// querying, after an immediate completion, or after a deadline
-    /// abort).
-    pub fn sender(&self) -> Option<AdaptiveSender> {
-        self.inner.borrow().sender.clone()
-    }
-
-    /// `ResumeQuery` datagrams sent (including healing re-sends).
-    pub fn queries(&self) -> u64 {
-        self.inner.borrow().queries
     }
 }
 

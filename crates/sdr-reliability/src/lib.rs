@@ -217,14 +217,15 @@
 //!   manifest out; a new life re-enters via
 //!   [`AdaptiveController::resume_receiver`] (plans only the undelivered
 //!   segments) while the sender re-enters via
-//!   [`AdaptiveController::resume_sender`], which paces
-//!   [`CtrlMsg::ResumeQuery`] datagrams at the
-//!   nominal RTT until a
-//!   [`CtrlMsg::ResumeState`] answer carries
-//!   the manifest back (the receiver answers every query with the same
-//!   planned-against snapshot, so duplication and reordering cannot fork
-//!   the plan). Both ends then run the identical undelivered-segment plan
-//!   — wire epochs are plan indices — delivering the remainder
+//!   [`AdaptiveController::resume_sender`]: an [`AdaptiveSender`] whose
+//!   first phase paces [`CtrlMsg::ResumeQuery`] datagrams at the nominal
+//!   RTT until a [`CtrlMsg::ResumeState`] answer carries the manifest back
+//!   (the receiver answers every query with the same planned-against
+//!   snapshot, so duplication and reordering cannot fork the plan). Its
+//!   one control handler, deadline, abort and digest answer serve the
+//!   query and the transfer alike. Both ends then run the identical
+//!   undelivered-segment plan — wire epochs are plan indices — delivering
+//!   the remainder
 //!   byte-identical without re-receiving a single already-delivered
 //!   segment; a previous life's loss/RTT estimates can
 //!   [seed](telemetry::ChannelEstimator::seed) the new sender's estimator
@@ -322,8 +323,7 @@ pub use ack::{
     build_sr_ack, CtrlMsg, CtrlStamp, SchemeSpec, CTRL_STAMP_BYTES, MAX_NACKS, MAX_SACK_BITS,
 };
 pub use adapt::{
-    AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, AdaptiveReceiver,
-    AdaptiveSender, ResumingSender,
+    AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, AdaptiveReceiver, AdaptiveSender,
 };
 pub use advisor::{recommend, Candidate, Recommendation};
 pub use control::{ControlEndpoint, CtrlFilterStats, CtrlPath};

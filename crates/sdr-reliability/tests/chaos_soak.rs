@@ -83,7 +83,7 @@ use proptest::test_runner::TestRng;
 use sdr_core::SdrConfig;
 use sdr_reliability::{
     AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, AdaptiveReceiver,
-    AdaptiveSender, ResumingSender, SchemeSpec, TelemetryConfig, TransferOutcome,
+    AdaptiveSender, SchemeSpec, TelemetryConfig, TransferOutcome,
 };
 use sdr_sim::{FaultEvent, FaultPlan, LinkConfig, LossModel, RestartSide, SimTime};
 
@@ -236,8 +236,8 @@ fn gen_case(rng: &mut TestRng) -> ChaosCase {
 /// Second-life report cells filled by the resumed controllers.
 type TxCell = Rc<RefCell<Option<AdaptReport>>>;
 type RxCell = Rc<RefCell<Option<(SimTime, AdaptRecvReport)>>>;
-/// Handle to the second-life querying sender, once spawned.
-type RsCell = Rc<RefCell<Option<ResumingSender>>>;
+/// Handle to the second-life sender, once spawned.
+type RsCell = Rc<RefCell<Option<AdaptiveSender>>>;
 
 /// Wires crash/restart orchestration onto a running deployment: when
 /// node B restarts mid-transfer, the hook (firing at the crash instant)
@@ -966,11 +966,10 @@ fn forty_mib_receiver_restart_resumes_to_completion() {
             .borrow()
             .as_ref()
             .map(|(t, r)| (*t, r.segments, r.outcome.abort_reason())),
-        rs_cell.borrow().as_ref().map(|rs| (
-            rs.is_resolved(),
-            rs.queries(),
-            rs.sender().map(|s| s.is_done())
-        )),
+        rs_cell
+            .borrow()
+            .as_ref()
+            .map(|rs| (rs.queries(), rs.is_done())),
     );
     assert!(
         h.p.eng.executed_events() < 5_000_000,

@@ -31,8 +31,8 @@
 //!   timed loss steps, Gilbert–Elliott parameter shifts, diurnal drift,
 //!   hard blackout windows and up/down flaps, each riding one cancellable
 //!   engine timer ([`Fabric::apply_fault_plan`]).
-//! * [`BottleneckQueue`]/[`OnOffSource`] — the congestion mechanism behind
-//!   the paper's Figure 2 drop-rate measurements.
+//! * [`BottleneckQueue`] — the congestion mechanism behind the paper's
+//!   Figure 2 drop-rate measurements.
 //! * [`Node`] — an endpoint with memory, memory-key translation (direct,
 //!   NULL and indirect/root keys per Figure 5), completion queues with
 //!   wakers, and UC/UD queue pairs with faithful ePSN semantics. Its
@@ -83,7 +83,7 @@ pub use loss::{LossModel, LossProcess};
 pub use memory::{AccessError, Memory, MkeyTable, MkeyTarget, Resolved};
 pub use nic::{Cq, Cqe, CqeOp, Mr, Node, NodeStats, PayloadCheck, QpType, RecvWqe, Waker};
 pub use packet::{CqId, MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
-pub use queue::{BottleneckQueue, OnOffConfig, OnOffSource, QueueStats};
+pub use queue::{BottleneckQueue, QueueStats};
 // The observability substrate: the engine owns an `engine.*` registry,
 // the fabric owns the stack-wide registry plus one flight recorder per
 // node. Re-exported so layers above need no direct `sdr-trace` import.

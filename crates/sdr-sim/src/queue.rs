@@ -1,19 +1,16 @@
-//! Bottleneck queue and cross-traffic sources.
+//! Bottleneck queue.
 //!
 //! Figure 2 of the paper measures UDP drop rates between two CSCS
 //! datacenters over an ISP-provided optical link and observes (a) up to three
 //! orders of magnitude drop-rate variation across trials and (b) drop rates
 //! that grow with payload size — both attributed to switch buffer congestion
 //! on the ISP side. We reproduce that mechanism with a fluid tail-drop FIFO
-//! queue shared between the measured flows and a bursty on/off cross-traffic
-//! source: larger packets are more likely to find insufficient residual
-//! buffer space, and congestion episodes make trials wildly different.
+//! queue shared between the measured flows and bursty cross traffic (the
+//! figure's binary draws the arrivals): larger packets are more likely to
+//! find insufficient residual buffer space, and congestion episodes make
+//! trials wildly different.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::engine::{Engine, Shared};
-use crate::time::{tx_time, SimTime};
+use crate::time::SimTime;
 
 /// A fluid-model FIFO queue in front of a fixed-rate drain (the ISP trunk).
 ///
@@ -110,103 +107,12 @@ impl BottleneckQueue {
     }
 }
 
-/// Configuration of a bursty on/off cross-traffic source.
-#[derive(Clone, Debug)]
-pub struct OnOffConfig {
-    /// Sending rate while ON, bits per second.
-    pub on_rate_bps: f64,
-    /// Packet size in bytes.
-    pub packet_bytes: u64,
-    /// Mean duration of an ON burst (exponential).
-    pub mean_on: SimTime,
-    /// Mean duration of an OFF gap (exponential).
-    pub mean_off: SimTime,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Drives an on/off packet source into a [`BottleneckQueue`].
-///
-/// The source alternates between exponentially distributed ON bursts, during
-/// which it offers packets at `on_rate_bps`, and OFF gaps. Scheduling is done
-/// through the discrete-event engine; call [`start`](OnOffSource::start)
-/// once and the source perpetuates itself until `stop_at`.
-pub struct OnOffSource {
-    cfg: OnOffConfig,
-    rng: SmallRng,
-    queue: Shared<BottleneckQueue>,
-    stop_at: SimTime,
-}
-
-impl OnOffSource {
-    /// Creates a source feeding `queue` until `stop_at`.
-    pub fn new(cfg: OnOffConfig, queue: Shared<BottleneckQueue>, stop_at: SimTime) -> Shared<Self> {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
-        crate::engine::shared(OnOffSource {
-            cfg,
-            rng,
-            queue,
-            stop_at,
-        })
-    }
-
-    fn exp_sample(rng: &mut SmallRng, mean: SimTime) -> SimTime {
-        // Inverse-CDF exponential; guard the log argument away from 0.
-        let u: f64 = rng.random::<f64>().max(1e-12);
-        SimTime::from_secs_f64(-mean.as_secs_f64() * u.ln())
-    }
-
-    /// Schedules the first burst. The source then re-schedules itself.
-    pub fn start(this: &Shared<Self>, eng: &mut Engine) {
-        let me = this.clone();
-        let off = {
-            let mut s = this.borrow_mut();
-            let mean_off = s.cfg.mean_off;
-            Self::exp_sample(&mut s.rng, mean_off)
-        };
-        eng.schedule_in(off, move |eng| Self::burst(&me, eng));
-    }
-
-    fn burst(this: &Shared<Self>, eng: &mut Engine) {
-        let (on_len, gap, stop_at) = {
-            let mut s = this.borrow_mut();
-            let (mean_on, mean_off) = (s.cfg.mean_on, s.cfg.mean_off);
-            (
-                Self::exp_sample(&mut s.rng, mean_on),
-                Self::exp_sample(&mut s.rng, mean_off),
-                s.stop_at,
-            )
-        };
-        if eng.now() >= stop_at {
-            return;
-        }
-        // Offer the whole burst packet by packet at the ON rate: one
-        // recurring walker event re-armed per packet instead of one boxed
-        // closure per packet up front.
-        let (pkt_bytes, inter) = {
-            let s = this.borrow();
-            let inter = tx_time(s.cfg.packet_bytes, s.cfg.on_rate_bps);
-            (s.cfg.packet_bytes, inter)
-        };
-        let n_pkts = (on_len.as_picos() / inter.as_picos().max(1)).max(1);
-        let me = this.clone();
-        let mut left = n_pkts;
-        eng.schedule_recurring_at(eng.now(), move |eng| {
-            let s = me.borrow();
-            s.queue.borrow_mut().offer(eng.now(), pkt_bytes, false);
-            left -= 1;
-            (left > 0).then(|| eng.now() + inter)
-        });
-        // Schedule the next burst after this one plus an OFF gap.
-        let me = this.clone();
-        eng.schedule_in(on_len + gap, move |eng| Self::burst(&me, eng));
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
-    use crate::engine::shared;
 
     #[test]
     fn queue_drains_at_configured_rate() {
@@ -254,26 +160,5 @@ mod tests {
             large > small,
             "large packets must drop more: {large} vs {small}"
         );
-    }
-
-    #[test]
-    fn onoff_source_offers_packets() {
-        let mut eng = Engine::new();
-        let q = shared(BottleneckQueue::new(8e9, 1 << 20));
-        let src = OnOffSource::new(
-            OnOffConfig {
-                on_rate_bps: 1e9,
-                packet_bytes: 1500,
-                mean_on: SimTime::from_micros(100),
-                mean_off: SimTime::from_micros(100),
-                seed: 21,
-            },
-            q.clone(),
-            SimTime::from_millis(10),
-        );
-        OnOffSource::start(&src, &mut eng);
-        eng.run_until(SimTime::from_millis(10));
-        let offered = q.borrow().stats().cross_offered;
-        assert!(offered > 100, "source generated only {offered} packets");
     }
 }
