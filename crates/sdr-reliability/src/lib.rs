@@ -299,7 +299,9 @@
 //!   corruption) and asserts the trichotomy: every run delivers
 //!   byte-identical data within its deadline, aborts cleanly on both ends
 //!   (manifest in hand, no leaked slots, timers or pending events), or
-//!   resumes across a scripted restart and completes.
+//!   resumes across a scripted restart and completes. The deployment, the
+//!   crash → resume supervisor and the verdict live once, in [`testkit`],
+//!   for that suite, the directed tests and the `chaos_soak` bench alike.
 //!
 //! [`RxDriver`]: runtime::RxDriver
 //! [`CtrlMsg::SwitchPropose`]: ack::CtrlMsg::SwitchPropose
@@ -318,6 +320,7 @@ pub mod runtime;
 pub mod scheme;
 pub mod sr;
 pub mod telemetry;
+pub mod testkit;
 
 pub use ack::{
     build_sr_ack, CtrlMsg, CtrlStamp, SchemeSpec, CTRL_STAMP_BYTES, MAX_NACKS, MAX_SACK_BITS,

@@ -19,11 +19,12 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{capture, took, ProtoHarness};
+use common::{took, ProtoHarness};
 use sdr_core::SdrConfig;
+use sdr_reliability::testkit::{Adaptive, Reports};
 use sdr_reliability::{
-    AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, AdaptiveReceiver,
-    AdaptiveSender, SchemeSpec, TelemetryConfig, TransferOutcome,
+    AbortReason, AdaptConfig, AdaptiveReceiver, AdaptiveSender, SchemeSpec, TelemetryConfig,
+    TransferOutcome,
 };
 use sdr_sim::{Engine, LinkConfig, LossModel, SimTime};
 
@@ -46,73 +47,28 @@ struct Deployment {
     h: ProtoHarness,
     tx: AdaptiveSender,
     rx: AdaptiveReceiver,
-    tx_cell: Rc<RefCell<Option<AdaptReport>>>,
-    rx_cell: Rc<RefCell<Option<(SimTime, AdaptRecvReport)>>>,
+    reports: Reports,
 }
 
 /// Stands up a 40 MiB adaptive transfer (2 MiB segments) over a seeded
 /// WAN link; `min_packets` tunes how eagerly the controller proposes.
 fn deploy(p_loss: f64, seed: u64, min_packets: u64, deadline: Option<SimTime>) -> Deployment {
-    let msg: u64 = 40 << 20;
     let link = LinkConfig::wan(KM, BW, p_loss).with_seed(seed);
-    let mut h = ProtoHarness::new(link, cfg(), msg, seed ^ 0xAB0);
-    let rtt = h.rtt;
-    let mut acfg = AdaptConfig::new(BW, rtt, 2 << 20);
+    let mut h = ProtoHarness::new(link, cfg(), 40 << 20, seed ^ 0xAB0);
+    let mut acfg = AdaptConfig::new(BW, h.rtt, 2 << 20);
     acfg.telemetry = TelemetryConfig {
         loss_alpha: 1.0 / 1024.0,
         min_packets,
     };
     acfg.deadline = deadline;
-    let (tx_cell, tx_cb) = capture::<AdaptReport>();
-    let tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        msg,
-        SchemeSpec::SrNack,
-        acfg.clone(),
-        tx_cb,
-    );
-    let rx_cell: Rc<RefCell<Option<(SimTime, AdaptRecvReport)>>> = Rc::new(RefCell::new(None));
-    let rc = rx_cell.clone();
-    let rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        msg,
-        SchemeSpec::SrNack,
-        acfg,
-        move |_eng, t, rep| *rc.borrow_mut() = Some((t, rep)),
-    );
-    Deployment {
-        h,
-        tx,
-        rx,
-        tx_cell,
-        rx_cell,
-    }
+    let Adaptive { tx, rx, reports } = h.start_adaptive(SchemeSpec::SrNack, &acfg);
+    Deployment { h, tx, rx, reports }
 }
 
 /// The teardown contract every edge case must satisfy.
 fn assert_clean(d: &mut Deployment) {
-    assert_eq!(
-        d.h.p.eng.pending_events(),
-        0,
-        "teardown must leave the engine drained"
-    );
-    let spare = d.h.p.ctx_b.alloc_buffer(64 * 1024);
-    for n in 0..cfg().msg_slots {
-        d.h.p
-            .qp_b
-            .recv_post(&mut d.h.p.eng, spare, 64 * 1024)
-            .unwrap_or_else(|e| panic!("slot {n} not released exactly once: {e:?}"));
-    }
+    d.h.teardown()
+        .unwrap_or_else(|e| panic!("unclean teardown: {e}"));
 }
 
 /// Abort exactly inside the `SwitchPropose` → `SwitchAck` window: a loss
@@ -171,8 +127,8 @@ fn abort_mid_handover_between_propose_and_ack() {
         *aborted_mid_handover.borrow(),
         "the poller must catch the propose→ack window"
     );
-    let tx_rep = took(&d.tx_cell, "adaptive sender");
-    let (_, rx_rep) = d.rx_cell.borrow_mut().take().expect("receiver reported");
+    let tx_rep = took(&d.reports.tx, "adaptive sender");
+    let (_, rx_rep) = d.reports.rx.borrow_mut().take().expect("receiver reported");
     assert_eq!(tx_rep.outcome.abort_reason(), Some(AbortReason::Requested));
     assert_eq!(
         rx_rep.outcome.abort_reason(),
@@ -201,8 +157,8 @@ fn abort_with_linger_acks_in_flight() {
             assert!(tx.abort(eng, AbortReason::Requested));
         });
     d.h.run(120_000_000);
-    let tx_rep = took(&d.tx_cell, "adaptive sender");
-    let (_, rx_rep) = d.rx_cell.borrow_mut().take().expect("receiver reported");
+    let tx_rep = took(&d.reports.tx, "adaptive sender");
+    let (_, rx_rep) = d.reports.rx.borrow_mut().take().expect("receiver reported");
     assert_eq!(tx_rep.outcome.abort_reason(), Some(AbortReason::Requested));
     assert_eq!(rx_rep.outcome.abort_reason(), Some(AbortReason::Requested));
     assert!(
@@ -232,7 +188,7 @@ fn deadline_expiring_exactly_at_completion() {
     let natural = {
         let mut d = deploy(1e-4, 17, u64::MAX, None);
         d.h.run(120_000_000);
-        let rep = took(&d.tx_cell, "baseline sender");
+        let rep = took(&d.reports.tx, "baseline sender");
         assert_eq!(rep.outcome, TransferOutcome::Delivered);
         assert!(d.h.delivered_ok());
         rep.duration
@@ -242,8 +198,8 @@ fn deadline_expiring_exactly_at_completion() {
     {
         let mut d = deploy(1e-4, 17, u64::MAX, Some(natural));
         d.h.run(120_000_000);
-        let tx_rep = took(&d.tx_cell, "tie sender");
-        let (_, rx_rep) = d.rx_cell.borrow_mut().take().expect("tie receiver");
+        let tx_rep = took(&d.reports.tx, "tie sender");
+        let (_, rx_rep) = d.reports.rx.borrow_mut().take().expect("tie receiver");
         // Every bitmap completed before `T`, but the receiver's Delivered
         // now waits on the digest verdict — a round trip the tie deadline
         // cuts off. Either verdict-in-time or a deadline abort is legal;
@@ -267,7 +223,7 @@ fn deadline_expiring_exactly_at_completion() {
     {
         let mut d = deploy(1e-4, 17, u64::MAX, Some(natural + SimTime::from_nanos(1)));
         d.h.run(120_000_000);
-        let tx_rep = took(&d.tx_cell, "headroom sender");
+        let tx_rep = took(&d.reports.tx, "headroom sender");
         assert_eq!(tx_rep.outcome, TransferOutcome::Delivered);
         assert_eq!(tx_rep.duration, natural, "same deployment, same instant");
         assert!(d.h.delivered_ok());

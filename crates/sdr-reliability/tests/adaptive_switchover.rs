@@ -15,12 +15,12 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{capture, took, ProtoHarness};
+use common::{took, ProtoHarness};
 use sdr_core::SdrConfig;
+use sdr_reliability::testkit::Adaptive;
 use sdr_reliability::{
-    recommend, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, EcCodeChoice,
-    EcProtoConfig, EcReceiver, EcSender, EstimatorRegistry, SchemeSpec, SrProtoConfig, SrReceiver,
-    SrSender, TelemetryConfig,
+    recommend, AdaptConfig, AdaptRecvReport, AdaptReport, EcCodeChoice, EcProtoConfig, EcReceiver,
+    EcSender, EstimatorRegistry, SchemeSpec, SrProtoConfig, SrReceiver, SrSender, TelemetryConfig,
 };
 use sdr_sim::{LinkConfig, LossModel, NodeId, SimTime};
 
@@ -109,54 +109,24 @@ fn run_adaptive(sc: &Scenario) -> AdaptOutcome {
             });
     }
 
-    let (rep_cell, rep_cb) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        sc.msg,
-        sc.initial,
-        acfg.clone(),
-        rep_cb,
-    );
-    let recv_cell = Rc::new(RefCell::new(None));
-    let rc = recv_cell.clone();
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        sc.msg,
-        sc.initial,
-        acfg,
-        move |_eng, t, rep| *rc.borrow_mut() = Some((t, rep)),
-    );
+    let Adaptive { tx, rx, reports } = h.start_adaptive(sc.initial, &acfg);
     h.run(120_000_000);
     eprintln!(
         "  tx est: seen {} lost-est {:?} rtt {:?} | rx est: seen {} lost-est {:?}",
-        _tx.estimator(|e| e.packets_seen()),
-        _tx.estimator(|e| e.loss_estimate()),
-        _tx.estimator(|e| e.rtt_estimate()),
-        _rx.estimator(|e| e.packets_seen()),
-        _rx.estimator(|e| e.loss_estimate()),
+        tx.estimator(|e| e.packets_seen()),
+        tx.estimator(|e| e.loss_estimate()),
+        tx.estimator(|e| e.rtt_estimate()),
+        rx.estimator(|e| e.packets_seen()),
+        rx.estimator(|e| e.loss_estimate()),
     );
-    let report = took(&rep_cell, "adaptive sender");
-    let (recv_done_at, recv) = recv_cell
-        .borrow_mut()
-        .take()
-        .expect("adaptive receiver did not complete");
+    let (report, recv_done_at, recv) = reports.take().unwrap();
     AdaptOutcome {
         report,
         recv,
         ok: h.delivered_ok(),
         recv_done_at,
-        est_loss: _tx.estimator(|e| e.loss_estimate()),
-        est_rtt: _tx.estimator(|e| e.rtt_estimate()),
+        est_loss: tx.estimator(|e| e.loss_estimate()),
+        est_rtt: tx.estimator(|e| e.rtt_estimate()),
     }
 }
 
@@ -507,33 +477,7 @@ fn switch_proposed_on_the_last_submessage_is_a_no_op() {
     let mut acfg = AdaptConfig::new(BW, rtt, sc.seg);
     acfg.telemetry = test_telemetry(sc.min_packets);
 
-    let (rep_cell, rep_cb) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        sc.msg,
-        sc.initial,
-        acfg.clone(),
-        rep_cb,
-    );
-    let recv_cell = Rc::new(RefCell::new(None));
-    let rc = recv_cell.clone();
-    let rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        sc.msg,
-        sc.initial,
-        acfg,
-        move |_eng, t, rep| *rc.borrow_mut() = Some((t, rep)),
-    );
+    let Adaptive { rx, reports, .. } = h.start_adaptive(sc.initial, &acfg);
     // With a 1.5 RTT lead (≈ 12.6 MiB) the receiver posts all 4 segments
     // immediately, so by 8 ms the last submessage is in flight and every
     // epoch has started. Inject a foreign EC handover proposal targeting
@@ -553,11 +497,7 @@ fn switch_proposed_on_the_last_submessage_is_a_no_op() {
             );
         });
     h.run(60_000_000);
-    let report = took(&rep_cell, "adaptive sender");
-    let (_t, recv) = recv_cell
-        .borrow_mut()
-        .take()
-        .expect("adaptive receiver did not complete");
+    let (report, _, recv) = reports.take().unwrap();
     assert!(h.delivered_ok(), "delivery intact");
     assert_eq!(recv.switches, 0, "the late proposal never applies");
     assert_eq!(report.switches, 0);
@@ -589,42 +529,14 @@ fn slots_release_exactly_once_across_switches() {
         .schedule_at(SimTime::from_secs_f64(sc.step_at), move |_eng| {
             fab.set_loss_duplex(a, b, LossModel::Iid { p: p_after });
         });
-    let (rep_cell, rep_cb) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        sc.msg,
-        sc.initial,
-        acfg.clone(),
-        rep_cb,
-    );
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        sc.msg,
-        sc.initial,
-        acfg,
-        |_eng, _t, _rep| {},
-    );
+    let run = h.start_adaptive(sc.initial, &acfg);
     h.run(120_000_000);
-    let report = took(&rep_cell, "adaptive sender");
+    let report = took(&run.reports.tx, "adaptive sender");
     assert!(h.delivered_ok());
     assert!(report.switches >= 1, "a handover happened: {report:?}");
     // Every slot of the wrapped table is reusable after convergence.
-    let spare = h.p.ctx_b.alloc_buffer(64 * 1024);
-    for n in 0..16 {
-        h.p.qp_b
-            .recv_post(&mut h.p.eng, spare, 64 * 1024)
-            .unwrap_or_else(|e| panic!("slot {n} not released exactly once: {e:?}"));
-    }
+    h.teardown()
+        .unwrap_or_else(|e| panic!("unclean teardown: {e}"));
 }
 
 /// Starting under the dominated GBN baseline, the controller adapts away

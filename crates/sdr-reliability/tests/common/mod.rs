@@ -1,7 +1,8 @@
-//! Shared integration-test harness: the sdr_pair + control-endpoint +
-//! payload + report-capture wiring every protocol integration test
-//! otherwise re-implements. Keeping it here means a protocol-signature
-//! change is one edit, not one per test file.
+//! Shared integration-test helpers. The per-transfer deployment
+//! ([`ProtoHarness`]) lives in `sdr_reliability::testkit` (the chaos bench
+//! builds the same deployment) and is re-exported here; what stays is
+//! test-only: report capture, scripted first-pass losses, the many-flow
+//! twin, and the serial EC reference.
 
 // Each test binary compiles its own copy; not every test uses every
 // helper.
@@ -10,165 +11,30 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sdr_core::testkit::{pattern, sdr_pair, SdrPair};
-use sdr_core::{SdrConfig, SdrContext};
+use sdr_core::SdrContext;
 use sdr_erasure::{ErasureCode, ReedSolomon, XorCode};
-use sdr_reliability::scheme::{self, SchemeEnv, SchemeReceiver, SchemeSender};
-use sdr_reliability::{
-    ControlEndpoint, DeliveryManifest, EcCodeChoice, FlowCfg, FlowManager, SchemeSpec,
-};
+use sdr_reliability::{ControlEndpoint, EcCodeChoice, FlowCfg, FlowManager};
 use sdr_sim::{tx_time, Engine, Fabric, LinkConfig, NodeId, SimTime, DEFAULT_HEADER_BYTES};
 
-/// Node memory given to each side of the pair.
-pub const NODE_MEM: usize = 64 << 20;
+#[allow(unused_imports)]
+pub use sdr_reliability::testkit::ProtoHarness;
 
-/// A ready-to-run protocol deployment: two connected SDR nodes, a control
-/// endpoint on each, a deterministic payload staged in the sender's memory
-/// and a destination buffer on the receiver.
-pub struct ProtoHarness {
-    /// The underlying two-node SDR pair (engine, fabric, QPs, contexts).
-    pub p: SdrPair,
-    /// Control endpoint on node A (the sender by convention).
-    pub ctrl_a: Rc<ControlEndpoint>,
-    /// Control endpoint on node B (the receiver by convention).
-    pub ctrl_b: Rc<ControlEndpoint>,
-    /// Propagation RTT between the nodes.
-    pub rtt: SimTime,
-    /// The payload written at `src`.
-    pub data: Vec<u8>,
-    /// Sender-side buffer address holding `data`.
-    pub src: u64,
-    /// Receiver-side destination buffer address.
-    pub dst: u64,
-    /// Message length in bytes.
-    pub msg: u64,
+/// A capture cell for a completion report: `capture()` yields the shared
+/// cell plus a callback that stores the report into it.
+pub fn capture<T: 'static>() -> (Rc<RefCell<Option<T>>>, impl FnOnce(&mut Engine, T)) {
+    let cell: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
+    let c = cell.clone();
+    (cell, move |_eng: &mut Engine, rep: T| {
+        *c.borrow_mut() = Some(rep);
+    })
 }
 
-impl ProtoHarness {
-    /// Builds the deployment: `link` duplex between two nodes, one SDR QP
-    /// pair under `cfg`, payload `pattern(msg, data_seed)` staged at
-    /// `src`.
-    pub fn new(link: LinkConfig, cfg: SdrConfig, msg: u64, data_seed: u64) -> Self {
-        let p = sdr_pair(link, cfg, NODE_MEM);
-        let rtt = p.fabric.rtt(p.node_a, p.node_b).unwrap();
-        let data = pattern(msg as usize, data_seed);
-        let src = p.ctx_a.alloc_buffer(msg);
-        let dst = p.ctx_b.alloc_buffer(msg);
-        p.ctx_a.write_buffer(src, &data);
-        let ctrl_a = Rc::new(ControlEndpoint::new(&p.fabric, p.node_a));
-        let ctrl_b = Rc::new(ControlEndpoint::new(&p.fabric, p.node_b));
-        ProtoHarness {
-            p,
-            ctrl_a,
-            ctrl_b,
-            rtt,
-            data,
-            src,
-            dst,
-            msg,
-        }
-    }
-
-    /// The model channel matching this deployment's link (`bandwidth_bps`
-    /// must equal the link's configured rate).
-    pub fn model_channel(&self, bandwidth_bps: f64, p_drop: f64) -> sdr_model::Channel {
-        sdr_model::Channel::new(bandwidth_bps, self.rtt.as_secs_f64(), p_drop)
-    }
-
-    /// Starts one run of `spec` over the whole payload, A → B, through the
-    /// production scheme table — the two functions the adaptive controller
-    /// starts every segment with — on the raw control endpoints
-    /// (`bandwidth_bps` must equal the link's configured rate). `sent`
-    /// is the sender's done callback.
-    pub fn start_scheme(
-        &mut self,
-        spec: SchemeSpec,
-        bandwidth_bps: f64,
-        sent: impl FnOnce(&mut Engine, u64) + 'static,
-    ) -> (Box<dyn SchemeSender>, SchemeReceiver) {
-        self.start_scheme_with(spec, bandwidth_bps, sent, |_e, _at| {})
-    }
-
-    /// [`start_scheme`](Self::start_scheme) with the receiver's done
-    /// callback too (it gets the completion instant).
-    pub fn start_scheme_with(
-        &mut self,
-        spec: SchemeSpec,
-        bandwidth_bps: f64,
-        sent: impl FnOnce(&mut Engine, u64) + 'static,
-        landed: impl FnOnce(&mut Engine, SimTime) + 'static,
-    ) -> (Box<dyn SchemeSender>, SchemeReceiver) {
-        let p = &mut self.p;
-        let tx_env = SchemeEnv {
-            qp: &p.qp_a,
-            ctx: &p.ctx_a,
-            ctrl: self.ctrl_a.clone(),
-            peer: self.ctrl_b.addr(),
-            addr: self.src,
-            bytes: self.msg,
-            bandwidth_bps,
-            rtt: self.rtt,
-            trace: None,
-        };
-        let tx = scheme::start_sender(&mut p.eng, spec, tx_env, None, sent);
-        let rx_env = SchemeEnv {
-            qp: &p.qp_b,
-            ctx: &p.ctx_b,
-            ctrl: self.ctrl_b.clone(),
-            peer: self.ctrl_a.addr(),
-            addr: self.dst,
-            bytes: self.msg,
-            bandwidth_bps,
-            rtt: self.rtt,
-            trace: None,
-        };
-        let rx = scheme::start_receiver(&mut p.eng, spec, rx_env, None, landed);
-        (tx, rx)
-    }
-
-    /// What a previous life of an adaptive transfer in `segment_bytes`
-    /// segments left behind when segments `delivered` had landed: their
-    /// bytes in the destination buffer, their bits in the returned
-    /// manifest.
-    pub fn journal(&self, segment_bytes: u64, delivered: &[u32]) -> DeliveryManifest {
-        let mut m = DeliveryManifest::new(self.msg, segment_bytes);
-        for &id in delivered {
-            let (off, len) = m.segment(id);
-            let bytes = &self.data[off as usize..(off + len) as usize];
-            self.p.ctx_b.write_buffer(self.dst + off, bytes);
-            m.mark_delivered(id);
-        }
-        m
-    }
-
-    /// Scripts a loss: the forward (A → B) direction is dark during
-    /// `[from, to)` (absolute), so exactly the packets delivered in that
-    /// window are dropped. With [`first_pass_arrival`] the window can be
-    /// put around chosen packets.
-    pub fn black_out_forward(&mut self, from: SimTime, to: SimTime) {
-        for (at, down) in [(from, true), (to, false)] {
-            let (fabric, a, b) = (self.p.fabric.clone(), self.p.node_a, self.p.node_b);
-            self.p.eng.schedule_in(at, move |_eng| {
-                fabric.set_link_down(a, b, down);
-            });
-        }
-    }
-
-    /// Runs the simulation to quiescence under an event budget.
-    pub fn run(&mut self, event_limit: u64) {
-        self.p.eng.set_event_limit(event_limit);
-        self.p.eng.run();
-    }
-
-    /// The bytes currently in the destination buffer.
-    pub fn delivered(&self) -> Vec<u8> {
-        self.p.ctx_b.read_buffer(self.dst, self.msg as usize)
-    }
-
-    /// True when the destination buffer holds exactly the sent payload.
-    pub fn delivered_ok(&self) -> bool {
-        self.delivered() == self.data
-    }
+/// Takes the captured report, panicking with `what` when the protocol
+/// never completed.
+pub fn took<T>(cell: &Rc<RefCell<Option<T>>>, what: &str) -> T {
+    cell.borrow_mut()
+        .take()
+        .unwrap_or_else(|| panic!("{what} did not complete"))
 }
 
 /// When the `n`-th data packet of a transfer's first pass (wire order) is
@@ -190,24 +56,6 @@ pub fn swallowing(km: f64, bandwidth_bps: f64, mtu: u64, from: u64, to: u64) -> 
     let half = tx_time(mtu, bandwidth_bps) / 2;
     let lands = |n| first_pass_arrival(km, bandwidth_bps, mtu, n);
     (lands(from) - half, lands(to) - half)
-}
-
-/// A capture cell for a protocol completion report: `capture()` yields the
-/// shared cell plus a callback that stores the report into it.
-pub fn capture<T: 'static>() -> (Rc<RefCell<Option<T>>>, impl FnOnce(&mut Engine, T)) {
-    let cell: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-    let c = cell.clone();
-    (cell, move |_eng: &mut Engine, rep: T| {
-        *c.borrow_mut() = Some(rep);
-    })
-}
-
-/// Takes the captured report, panicking with `what` when the protocol
-/// never completed.
-pub fn took<T>(cell: &Rc<RefCell<Option<T>>>, what: &str) -> T {
-    cell.borrow_mut()
-        .take()
-        .unwrap_or_else(|| panic!("{what} did not complete"))
 }
 
 /// Two nodes joined by `link`, each running a [`FlowManager`] under `cfg`

@@ -22,11 +22,11 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{capture, took, ProtoHarness};
+use common::ProtoHarness;
 use sdr_core::SdrConfig;
 use sdr_reliability::{
-    AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, EcCodeChoice,
-    EcProtoConfig, EcReceiver, EcSender, SchemeSpec, TelemetryConfig, TransferOutcome,
+    AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, EcCodeChoice, EcProtoConfig,
+    EcReceiver, EcSender, SchemeSpec, TelemetryConfig, TransferOutcome,
 };
 use sdr_sim::{Engine, LinkConfig, SimTime};
 
@@ -64,37 +64,10 @@ fn adaptive_40mib_delivers_byte_identical_over_corrupting_wire() {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 768,
     };
-    let (tx_cell, tx_cb) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        msg,
-        SchemeSpec::SrNack,
-        acfg.clone(),
-        tx_cb,
-    );
-    let rx_cell: Rc<RefCell<Option<AdaptRecvReport>>> = Rc::new(RefCell::new(None));
-    let rc = rx_cell.clone();
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        msg,
-        SchemeSpec::SrNack,
-        acfg,
-        move |_eng, _t, rep| *rc.borrow_mut() = Some(rep),
-    );
+    let run = h.start_adaptive(SchemeSpec::SrNack, &acfg);
     h.run(400_000_000);
 
-    let tx_rep = took(&tx_cell, "adaptive sender");
-    let rx_rep = rx_cell.borrow_mut().take().expect("receiver reported");
+    let (tx_rep, _, rx_rep) = run.reports.take().unwrap();
     assert_eq!(tx_rep.outcome, TransferOutcome::Delivered);
     assert_eq!(
         rx_rep.outcome,
@@ -125,33 +98,7 @@ fn adaptive_with_source_flip(
     let mut h = ProtoHarness::new(link, cfg(), msg, 0xD16E);
     let rtt = h.rtt;
     let acfg = AdaptConfig::new(BW, rtt, 2 << 20);
-    let (tx_cell, tx_cb) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        msg,
-        SchemeSpec::SrNack,
-        acfg.clone(),
-        tx_cb,
-    );
-    let rx_cell: Rc<RefCell<Option<AdaptRecvReport>>> = Rc::new(RefCell::new(None));
-    let rc = rx_cell.clone();
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        msg,
-        SchemeSpec::SrNack,
-        acfg,
-        move |_eng, _t, rep| *rc.borrow_mut() = Some(rep),
-    );
+    let run = h.start_adaptive(SchemeSpec::SrNack, &acfg);
     let ctx = h.p.ctx_a.clone();
     let (src, flipped) = (h.src, h.data[0] ^ 0x20);
     let (fabric, a, b, qp_b) = (h.p.fabric.clone(), h.p.node_a, h.p.node_b, h.p.qp_b.clone());
@@ -165,8 +112,7 @@ fn adaptive_with_source_flip(
         None
     });
     h.run(120_000_000);
-    let tx_rep = took(&tx_cell, "adaptive sender");
-    let rx_rep = rx_cell.borrow_mut().take().expect("receiver reported");
+    let (tx_rep, _, rx_rep) = run.reports.take().unwrap();
     (h, tx_rep, rx_rep, flipped)
 }
 

@@ -18,9 +18,10 @@ use std::rc::Rc;
 use common::{capture, flow_world, serial_parity, took, ProtoHarness};
 use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
+use sdr_reliability::testkit::Adaptive;
 use sdr_reliability::{
-    AdaptConfig, AdaptReport, AdaptiveController, AdaptiveSender, EcCodeChoice, EcProtoConfig,
-    EcReceiver, EcSender, FlowCfg, SchemeSpec, TransferOutcome,
+    AdaptConfig, AdaptiveSender, EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, FlowCfg,
+    SchemeSpec, TransferOutcome,
 };
 use sdr_sim::{Engine, Fabric, LinkConfig, NodeId, SimTime};
 
@@ -218,31 +219,7 @@ fn concurrently_live_adaptive_segments_never_share_staging() {
     acfg.min_gain = f64::INFINITY;
     let spec = SchemeSpec::EcMds { k: 8, m: 2 };
     let before = high_water(&h.p.fabric, h.p.node_a);
-    let (rep, cb) = capture::<AdaptReport>();
-    let tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        MSG,
-        spec,
-        acfg.clone(),
-        cb,
-    );
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        MSG,
-        spec,
-        acfg,
-        |_e, _t, _rep| {},
-    );
+    let Adaptive { tx, reports, .. } = h.start_adaptive(spec, &acfg);
     let most_live = Rc::new(Cell::new(0));
     watch_parity(
         &mut h.p.eng,
@@ -254,7 +231,7 @@ fn concurrently_live_adaptive_segments_never_share_staging() {
     );
     h.run(120_000_000);
     assert_eq!(
-        took(&rep, "adaptive sender").outcome,
+        took(&reports.tx, "adaptive sender").outcome,
         TransferOutcome::Delivered
     );
     assert!(h.delivered_ok());

@@ -119,9 +119,16 @@ fn silent_peer(h: &ProtoHarness) -> Rc<RefCell<Vec<CtrlMsg>>> {
     seen
 }
 
+/// Runs to quiescence.
 fn drained(h: &mut ProtoHarness) {
     h.run(20_000_000);
-    assert_eq!(h.p.eng.pending_events(), 0, "nothing left armed");
+}
+
+/// The teardown contract, checked last (it re-posts B's slots): the run
+/// quiesced, nothing is left armed and every slot is free.
+fn clean(mut h: ProtoHarness) {
+    h.teardown()
+        .unwrap_or_else(|e| panic!("unclean teardown: {e}"));
 }
 
 /// Flight-recorder events of `kind` on the sender's node, the whole run
@@ -158,6 +165,7 @@ fn a_partial_manifest_resends_exactly_the_undelivered_segments() {
     assert_eq!(epochs, [0, 1, 2, 3]);
     assert_eq!(recorded(&h, EventKind::Resume), 1);
     assert!(r.tx.queries() >= 1);
+    clean(h);
 }
 
 /// (b) Everything landed before the crash: the sender reports `Delivered`
@@ -191,6 +199,7 @@ fn a_full_manifest_delivers_at_once_after_the_digest_check() {
     );
     assert_eq!(recorded(&h, EventKind::Resume), 0, "no plan started");
     assert_eq!(h.p.qp_a.stats().sends_completed, 0, "no data sent");
+    clean(h);
 }
 
 /// (c) A peer that never answers: the sender queries once per RTT until its
@@ -233,6 +242,7 @@ fn an_unanswered_resume_aborts_at_its_deadline_and_tells_the_peer() {
         "one best-effort notify"
     );
     assert!(tx.is_done());
+    clean(h);
 }
 
 /// (d) `ResumeState` arrives duplicated and reordered by the wire, again
@@ -289,6 +299,7 @@ fn duplicated_reordered_and_foreign_answers_start_one_plan() {
         h.ctrl_a.filter_stats().duplicates > 0,
         "the wire did duplicate control datagrams"
     );
+    clean(h);
 }
 
 /// (e) An abort while still querying, with no deadline to fall back on:
@@ -324,4 +335,5 @@ fn an_abort_while_querying_stops_the_queries() {
         }),
         "the peer is told"
     );
+    clean(h);
 }

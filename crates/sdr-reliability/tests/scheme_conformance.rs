@@ -26,13 +26,10 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{capture, flow_world, took, FlowWorld, ProtoHarness};
+use common::{flow_world, took, FlowWorld, ProtoHarness};
 use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
-use sdr_reliability::{
-    AbortReason, AdaptConfig, AdaptReport, AdaptiveController, FlowCfg, FlowReport, SchemeSpec,
-    TelemetryConfig,
-};
+use sdr_reliability::{AbortReason, AdaptConfig, FlowCfg, FlowReport, SchemeSpec, TelemetryConfig};
 use sdr_sim::{propagation_delay_km, tx_time, LinkConfig, SimTime, DEFAULT_HEADER_BYTES};
 
 const BW: f64 = 8e9;
@@ -157,15 +154,10 @@ fn released_slots_are_reusable_across_the_whole_table() {
             scheme.sends(1 << 20, cfg().chunk_bytes),
             "{scheme}: expected slot usage"
         );
-        let spare = h.p.ctx_b.alloc_buffer(64 * 1024);
         // The receive sequence continues from the slots used, so `msg_slots`
         // fresh posts walk every slot index once — including each slot the
         // scheme itself just released. Any slot still held fails the post.
-        for n in 0..cfg().msg_slots {
-            h.p.qp_b
-                .recv_post(&mut h.p.eng, spare, 64 * 1024)
-                .unwrap_or_else(|e| panic!("{scheme}: repost {n} failed: {e:?}"));
-        }
+        h.teardown().unwrap_or_else(|e| panic!("{scheme}: {e}"));
     }
 }
 
@@ -220,33 +212,9 @@ fn adaptive_segments_release_their_sends_across_a_handover() {
         loss_alpha: 1.0 / 1024.0,
         min_packets: 256,
     };
-    let (report, on_sent) = capture::<AdaptReport>();
-    let _tx = AdaptiveController::start_sender(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        msg,
-        SchemeSpec::Gbn,
-        acfg.clone(),
-        on_sent,
-    );
-    let _rx = AdaptiveController::start_receiver(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        msg,
-        SchemeSpec::Gbn,
-        acfg,
-        |_e, _at, _rep| {},
-    );
+    let run = h.start_adaptive(SchemeSpec::Gbn, &acfg);
     h.run(120_000_000);
-    let report = took(&report, "adaptive sender");
+    let report = took(&run.reports.tx, "adaptive sender");
     assert!(report.outcome.is_delivered() && h.delivered_ok());
     let specs: Vec<_> = report.history.iter().map(|&(_, _, s)| s).collect();
     assert!(

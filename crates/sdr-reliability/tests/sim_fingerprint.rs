@@ -270,31 +270,7 @@ fn scheme_case(spec: SchemeSpec, wire_name: &str, nudge: SimTime) -> Row {
 fn adaptive_case(link: LinkConfig, initial: SchemeSpec, acfg: AdaptConfig) -> (Row, bool, u64) {
     let mut h = deployment(link);
     let log = log();
-    let p = &mut h.p;
-    let tx = AdaptiveController::start_sender(
-        &mut p.eng,
-        &p.qp_a,
-        &p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        MSG,
-        initial,
-        acfg.clone(),
-        log_tx(&log),
-    );
-    let _rx = AdaptiveController::start_receiver(
-        &mut p.eng,
-        &p.qp_b,
-        &p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        MSG,
-        initial,
-        acfg,
-        log_rx(&log),
-    );
+    let (tx, _rx) = h.start_adaptive_with(initial, &acfg, log_tx(&log), log_rx(&log));
     run(&mut h);
     (seal_pair(&log, &h), h.delivered_ok(), tx.switches())
 }
