@@ -19,7 +19,8 @@ use std::time::Instant;
 use sdr_bench::{fmt, logspace, table_header, table_row};
 use sdr_core::testkit::{pattern, sdr_pair};
 use sdr_core::SdrConfig;
-use sdr_erasure::{encode_parallel_into, ErasureCode, ReedSolomon, XorCode};
+use sdr_erasure::kernel::STRIP_BYTES;
+use sdr_erasure::{encode_parallel_into, EncodePool, ErasureCode, ReedSolomon, XorCode};
 use sdr_model::{p_fallback, Channel, EcConfig};
 use sdr_reliability::{
     ControlEndpoint, EcCodeChoice, EcProtoConfig, EcReceiver, EcReport, EcSender,
@@ -54,6 +55,75 @@ fn encode_throughput(code: &dyn ErasureCode, threads: usize, submessages: usize)
     run(submessages);
     let secs = start.elapsed().as_secs_f64();
     (submessages * K * CHUNK) as f64 * 8.0 / secs // encoded data bits/s
+}
+
+/// Data shards a decode row erases: what an MDS(32,8) submessage loses on
+/// average at the `bulk_ec_lossy` benchmark row's 1e-2 packet loss (64 KiB
+/// chunks of 16 packets: 32 × (1 − 0.99¹⁶) ≈ 4.8), all data, so every row
+/// does the same work — the allocating wrapper has no parity to refill.
+const DECODE_ERASED: [usize; 5] = [0, 7, 13, 21, 30];
+
+/// Median GiB/s (of the submessage's k × 64 KiB of data) of one MDS(32,8)
+/// decode per path: the allocating `reconstruct`, and the EC receiver's
+/// in-place `reconstruct_striped` at one stripe and at the receiver's
+/// width (a stripe per pool worker, none narrower than a kernel strip).
+fn decode_throughput(reps: usize) -> [(&'static str, usize, f64); 3] {
+    let rs = ReedSolomon::new(K, M);
+    let data: Vec<Vec<u8>> = (0..K).map(|i| pattern(CHUNK, i as u64)).collect();
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let shards: Vec<Vec<u8>> = data.iter().cloned().chain(rs.encode(&refs)).collect();
+    let kept = |i: &usize| !DECODE_ERASED.contains(i);
+    let gibps = |ns: f64| (K * CHUNK) as f64 / (1u64 << 30) as f64 / (ns / 1e9);
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+
+    // A decode consumes its shard table, so each run rebuilds it untimed.
+    let reconstruct = median(
+        (0..reps)
+            .map(|_| {
+                let mut table: Vec<Option<Vec<u8>>> = (0..K + M)
+                    .map(|i| kept(&i).then(|| shards[i].clone()))
+                    .collect();
+                let t = Instant::now();
+                rs.reconstruct(&mut table).expect("5 erasures within m = 8");
+                let ns = t.elapsed().as_nanos() as f64;
+                std::hint::black_box(&table);
+                ns
+            })
+            .collect(),
+    );
+    let pool = EncodePool::global();
+    let views: Vec<Option<&[u8]>> = (0..K + M)
+        .map(|i| kept(&i).then_some(shards[i].as_slice()))
+        .collect();
+    let mut outs = vec![vec![0u8; CHUNK]; DECODE_ERASED.len()];
+    let mut in_place = |stripes: usize| {
+        median(
+            (0..reps)
+                .map(|_| {
+                    let mut missing: Vec<&mut [u8]> =
+                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                    let t = Instant::now();
+                    pool.reconstruct_striped(&rs, &views, &mut missing, stripes)
+                        .expect("5 erasures within m = 8");
+                    t.elapsed().as_nanos() as f64
+                })
+                .collect(),
+        )
+    };
+    let one = in_place(1);
+    let width = (CHUNK / STRIP_BYTES).clamp(1, pool.size());
+    let striped = in_place(width);
+    for (o, &i) in outs.iter().zip(&DECODE_ERASED) {
+        assert!(o == &data[i], "in-place decode rebuilt shard {i} wrong");
+    }
+    [
+        ("reconstruct", 1, gibps(reconstruct)),
+        ("in_place", 1, gibps(one)),
+        ("in_place", width, gibps(striped)),
+    ]
 }
 
 /// Wall-clock TTFB of the EC sender at a stripe width, through the real
@@ -214,6 +284,33 @@ fn main() {
         "Expected shape: on multi-core hosts wider stripes shorten each\n\
          in-flight submessage encode, pulling the whole-transfer wall time\n\
          down; on one core the widths tie (same total work, same pool)."
+    );
+
+    // The receiver's decode: the allocating wrapper against the in-place
+    // path the EC receiver runs (present chunks read where they landed,
+    // only the erased data rebuilt, into the caller's buffers), serial and
+    // column-striped over the pool.
+    table_header(
+        "MDS(32,8) decode of 5 erased data chunks (GiB/s of submessage data)",
+        &["path", "stripes", "GiB/s"],
+    );
+    json.push_str(&format!(
+        "  \"decode\": {{\"erased_data\": {}, \"rows\": [\n",
+        DECODE_ERASED.len()
+    ));
+    let rows = decode_throughput(if smoke { 5 } else { 101 });
+    for (n, (path, stripes, gibps)) in rows.iter().enumerate() {
+        table_row(&[path.to_string(), stripes.to_string(), fmt(*gibps)]);
+        json.push_str(&format!(
+            "    {{\"path\": \"{path}\", \"stripes\": {stripes}, \"gib_per_s\": {gibps:.3}}}{}\n",
+            if n + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]},\n");
+    println!(
+        "Expected shape: in place beats reconstruct (no fresh buffers to\n\
+         allocate and zero) at one stripe; striping adds the pool's idle\n\
+         cores on a multi-core host (on one core the widths tie)."
     );
 
     // CRC32C kernel tiers: every integrity check (control trailers,

@@ -1,5 +1,13 @@
 //! The erasure-code interface shared by the MDS (Reed–Solomon) and XOR
 //! schemes of the paper's Section 5.1.
+//!
+//! Encode writes caller-owned parity. Decode has one primitive,
+//! [`ErasureCode::reconstruct_data`]: borrowed shards in, only the erased
+//! *data* shards out, into caller-owned buffers, over any column range —
+//! what the EC receiver runs in place in node memory, striped across the
+//! encode pool ([`EncodePool::reconstruct_striped`](crate::EncodePool::reconstruct_striped)).
+//! [`ErasureCode::reconstruct`] is the allocating, single-threaded wrapper
+//! around it that also refills erased parity.
 
 /// Errors surfaced by decoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,40 +67,79 @@ pub trait ErasureCode: Send + Sync {
     /// shard arrived) allows full data recovery.
     fn can_recover(&self, present: &[bool]) -> bool;
 
+    /// Rebuilds the missing **data** shards from the present ones — the
+    /// one decode primitive. `shards` has `k + m` entries (`None` =
+    /// erased); `missing` holds one output per `None` among the first `k`,
+    /// in index order, each as long as the present shards. Erased parity is
+    /// neither needed nor rebuilt.
+    ///
+    /// Codes are column-wise independent, so the shards may be any column
+    /// range of a submessage (the striped decode hands each stripe its
+    /// own). Nothing is written on `Err`.
+    fn reconstruct_data(
+        &self,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
+    ) -> Result<(), EcError>;
+
     /// Reconstructs all missing **data** shards in place (`None` entries are
     /// erasures). Missing parity shards are also refilled when possible.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        self.reconstruct_into(shards, &mut |len| vec![0u8; len])
-    }
-
-    /// [`reconstruct`](Self::reconstruct) with caller-owned replacement
-    /// buffers: every missing shard is rebuilt into a buffer rented from
-    /// `alloc` instead of a fresh heap allocation, so a pooling caller
-    /// (e.g. the EC receiver's scratch) decodes without allocating.
     ///
-    /// `alloc(len)` must return a **zeroed** buffer of exactly `len` bytes
-    /// (implementations accumulate into it). Rented buffers end up inside
-    /// `shards`; the caller reclaims them when it drains the shard table.
-    fn reconstruct_into(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        alloc: &mut dyn FnMut(usize) -> Vec<u8>,
-    ) -> Result<(), EcError>;
+    /// The allocating, single-threaded wrapper: fresh buffers, then
+    /// [`reconstruct_data`](Self::reconstruct_data), then an encode for
+    /// the parity refill.
+    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
+        let k = self.data_shards();
+        if shards.len() != self.total_shards() {
+            return Err(EcError::ShapeMismatch);
+        }
+        let len = shards.iter().flatten().next().map_or(0, Vec::len);
+        let holes = shards[..k].iter().filter(|s| s.is_none()).count();
+        let mut rebuilt = vec![vec![0u8; len]; holes];
+        {
+            let views: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+            let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+            self.reconstruct_data(&views, &mut outs)?;
+        }
+        let mut rebuilt = rebuilt.into_iter();
+        for slot in shards[..k].iter_mut().filter(|s| s.is_none()) {
+            *slot = rebuilt.next();
+        }
+        if shards[k..].iter().any(Option::is_none) {
+            let data: Vec<&[u8]> = shards[..k].iter().flatten().map(Vec::as_slice).collect();
+            let parity = self.encode(&data);
+            for (slot, p) in shards[k..].iter_mut().zip(parity) {
+                slot.get_or_insert(p);
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Validates a shard array shape: length `k+m`, all present shards the same
-/// length. Returns that length.
-pub(crate) fn shard_len(shards: &[Option<Vec<u8>>], total: usize) -> Result<usize, EcError> {
-    if shards.len() != total {
+/// Validates a decode's shape: `total` shards, every present one and every
+/// output the same length, one output per erased data shard (the first
+/// `k`). Returns that length; no present shard at all is
+/// [`EcError::Unrecoverable`].
+pub(crate) fn decode_len(
+    shards: &[Option<&[u8]>],
+    missing: &[&mut [u8]],
+    k: usize,
+    total: usize,
+) -> Result<usize, EcError> {
+    if shards.len() != total || missing.len() != shards[..k].iter().filter(|s| s.is_none()).count()
+    {
         return Err(EcError::ShapeMismatch);
     }
-    let mut len = None;
-    for s in shards.iter().flatten() {
-        match len {
-            None => len = Some(s.len()),
-            Some(l) if l != s.len() => return Err(EcError::ShapeMismatch),
-            _ => {}
-        }
+    let len = shards
+        .iter()
+        .flatten()
+        .next()
+        .ok_or(EcError::Unrecoverable)?
+        .len();
+    let ragged =
+        shards.iter().flatten().any(|s| s.len() != len) || missing.iter().any(|o| o.len() != len);
+    if ragged {
+        return Err(EcError::ShapeMismatch);
     }
-    len.ok_or(EcError::Unrecoverable)
+    Ok(len)
 }

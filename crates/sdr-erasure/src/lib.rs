@@ -20,7 +20,8 @@
 //! * [`pool`] — the persistent [`EncodePool`]: long-lived workers fed over
 //!   channels, with an async [`EncodePool::submit`]/[`PendingEncode::wait`]
 //!   split so reliability layers overlap encoding with injection (the
-//!   paper's spare-core model).
+//!   paper's spare-core model), and [`EncodePool::reconstruct_striped`],
+//!   the receiver's in-place decode column-striped over the same workers.
 //! * [`encode_parallel`] / [`encode_parallel_into`] — column-striped
 //!   multi-threaded encoding used to hide the encode cost behind injection
 //!   (Figure 11); dispatches stripes to the pool (no per-call thread

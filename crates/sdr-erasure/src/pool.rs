@@ -1,4 +1,4 @@
-//! Persistent GF(256) encode worker pool.
+//! Persistent GF(256) worker pool.
 //!
 //! The paper hides erasure encoding behind data injection by running it on
 //! spare CPU cores (§4.1.2, Fig 11). PR 1 made the per-call kernels fast;
@@ -8,27 +8,36 @@
 //! 2 MiB encode. The [`EncodePool`] keeps long-lived workers blocked on a
 //! channel instead, so dispatching a stripe costs one enqueue + wakeup.
 //!
+//! Its two users are the two ends of an EC transfer: the **sender** submits
+//! each submessage's encode as an owned job, and the **receiver** stripes
+//! each in-place decode across the same workers — the core the encode
+//! leaves idle.
+//!
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!                 │                EncodePool                  │
 //!   submit ──────▶│ channel ─▶ worker 0 ─┐  (long-lived,       │
 //!   (owned job)   │         ─▶ worker 1 ─┤   blocked on recv)  │
 //!   encode_striped│         ─▶   ...    ─┤                     │
-//!   (borrowed     │         ─▶ worker N ─┘                     │
-//!    stripes) ───▶│                │                           │
+//!   reconstruct_  │         ─▶ worker N ─┘                     │
+//!   striped ─────▶│                │                           │
+//!   (borrowed     │                │                           │
+//!    stripes)     │                │                           │
 //!                 └────────────────┼───────────────────────────┘
 //!                                  ▼
 //!            latch.complete() ──▶ caller wait()/wait_helping()
 //! ```
 //!
-//! Two entry points share the workers:
+//! Two kinds of work share the workers:
 //!
-//! * **Borrowed stripes** ([`EncodePool::encode_striped`]): the column-wise
-//!   split behind [`crate::encode_parallel_into`]. The caller's shard
-//!   borrows are erased to `'static` for the channel crossing and a latch
-//!   guard guarantees every stripe finishes (even on unwind) before the
-//!   borrows die — the same discipline `std::thread::scope` enforces,
-//!   without the spawn.
+//! * **Borrowed stripes** ([`EncodePool::encode_striped`],
+//!   [`EncodePool::reconstruct_striped`]): one column-stripe dispatcher
+//!   splits the shard length, hands each stripe its columns of every
+//!   output (parity, or the erased data shards), runs the first inline and
+//!   sends the rest to the workers. The caller's borrows are erased to
+//!   `'static` for the channel crossing and a latch guard guarantees every
+//!   stripe finishes (even on unwind) before the borrows die — the same
+//!   discipline `std::thread::scope` enforces, without the spawn.
 //! * **Owned jobs** ([`EncodePool::submit`] → [`PendingEncode::wait`]): an
 //!   async split for pipelining. The EC sender submits submessage *i+1*'s
 //!   encode (buffers move into the job) and keeps injecting submessage *i*;
@@ -37,8 +46,11 @@
 //! Waiters **help**: while blocked on a latch they drain queued tasks, so
 //! nested dispatch (an owned job striping across the pool) cannot deadlock
 //! even with a single worker. Workers catch panics per task — a poisoned
-//! job reports at `wait` and the pool stays usable (panic containment).
+//! job reports at `wait`, a poisoned stripe re-raises on the caller once
+//! every stripe has finished, and the pool stays usable (panic
+//! containment).
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -46,7 +58,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::codec::ErasureCode;
+use crate::codec::{decode_len, EcError, ErasureCode};
 
 /// Completion latch: counts outstanding tasks and records whether any of
 /// them panicked.
@@ -233,36 +245,65 @@ fn run_task(core: &Arc<PoolCore>, task: Task) {
     }
 }
 
-/// The borrowed-stripe encode walk shared by workers (nested owned jobs)
-/// and [`EncodePool::encode_striped`]: carve the shard length into
-/// `stripes` cache-line-aligned column stripes, dispatch all but the first
-/// to the pool, encode the first inline, and wait (helping) for the rest.
-fn encode_striped_on(
+/// Stack budget for a stripe's view of its sources: the shard tables the
+/// EC receiver decodes (`k + m` ≤ 64); a larger table takes a heap view.
+const STACK_VIEWS: usize = 64;
+
+/// Runs `f` on `src` mapped entry by entry through `cut` — a stripe's view
+/// of the shard table — held on the stack whenever it fits.
+fn view<T, U: Copy, R>(src: &[T], blank: U, cut: impl Fn(&T) -> U, f: impl FnOnce(&[U]) -> R) -> R {
+    let mut stack = [blank; STACK_VIEWS];
+    let mut heap = Vec::new();
+    let dst = if src.len() <= STACK_VIEWS {
+        &mut stack[..src.len()]
+    } else {
+        heap.resize(src.len(), blank);
+        &mut heap[..]
+    };
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = cut(s);
+    }
+    f(dst)
+}
+
+/// One stripe's work: a column range of the sources, and the same range of
+/// every output buffer.
+type StripeWork<'a> = dyn Fn(Range<usize>, &mut [&mut [u8]]) + Sync + 'a;
+
+/// The one column-stripe dispatcher, shared by the striped encode (outputs
+/// = parity) and the striped decode (outputs = the erased data shards),
+/// on the caller's thread and on workers running nested owned jobs alike:
+/// carve `[0, len)` into `stripes` cache-line-aligned column stripes, hand
+/// each its range of every output, dispatch all but the first to the pool,
+/// run the first inline, and wait (helping) for the rest.
+///
+/// # Panics
+/// Re-raises a stripe's panic once every dispatched stripe has finished.
+fn stripe_on(
     core: &Arc<PoolCore>,
-    code: &dyn ErasureCode,
-    data: &[&[u8]],
-    parity: &mut [&mut [u8]],
+    len: usize,
+    outs: &mut [&mut [u8]],
     stripes: usize,
+    work: &StripeWork<'_>,
 ) {
     const STRIPE_ALIGN: usize = 64;
-    let len = data.first().map_or(0, |d| d.len());
     let stripes = stripes.max(1);
     if stripes == 1 || len < stripes * STRIPE_ALIGN {
-        code.encode_into(data, parity);
+        work(0..len, outs);
         return;
     }
 
     // Carve [0, len) into `stripes` aligned stripes (last takes the tail).
     // The latch counts *up* as stripes are dispatched (`add_task`), so an
-    // unwind mid-carving — e.g. a short parity slice failing
-    // `split_at_mut` — leaves the guard waiting only for stripes that
-    // were actually sent, never on phantom completions.
+    // unwind mid-carving — e.g. a short output failing `split_at_mut` —
+    // leaves the guard waiting only for stripes that were actually sent,
+    // never on phantom completions.
     let base = len / stripes / STRIPE_ALIGN * STRIPE_ALIGN;
     let latch = Arc::new(Latch::new(0));
-    let mut parity_tails: Vec<&mut [u8]> = parity.iter_mut().map(|p| &mut **p).collect();
+    let mut out_tails: Vec<&mut [u8]> = outs.iter_mut().map(|o| &mut **o).collect();
 
     // The latch guard: every dispatched stripe must finish before the
-    // shard borrows die, even if the inline stripe below unwinds.
+    // borrows die, even if the inline stripe below unwinds.
     struct WaitGuard<'a> {
         latch: &'a Latch,
         core: &'a Arc<PoolCore>,
@@ -273,7 +314,7 @@ fn encode_striped_on(
         }
     }
 
-    let mut inline: Option<(Vec<&[u8]>, Vec<&mut [u8]>)> = None;
+    let mut inline: Option<(Range<usize>, Vec<&mut [u8]>)> = None;
     {
         let guard = WaitGuard {
             latch: &latch,
@@ -285,32 +326,33 @@ fn encode_striped_on(
             if size == 0 {
                 continue;
             }
-            let mut stripe_parity = Vec::with_capacity(parity_tails.len());
-            for v in parity_tails.iter_mut() {
+            let mut stripe_outs = Vec::with_capacity(out_tails.len());
+            for v in out_tails.iter_mut() {
                 let taken = std::mem::take(v);
                 let (head, tail) = taken.split_at_mut(size);
-                stripe_parity.push(head);
+                stripe_outs.push(head);
                 *v = tail;
             }
-            let stripe_data: Vec<&[u8]> = data.iter().map(|d| &d[offset..offset + size]).collect();
+            let cols = offset..offset + size;
             offset += size;
             if i == 0 {
                 // First stripe runs inline on the caller (it is "thread 0"
                 // of the requested width).
-                inline = Some((stripe_data, stripe_parity));
+                inline = Some((cols, stripe_outs));
                 continue;
             }
             let task_latch = latch.clone();
             latch.add_task();
             let func: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let mut views = stripe_parity;
-                code.encode_into(&stripe_data, &mut views);
+                let mut outs = stripe_outs;
+                work(cols, &mut outs);
             });
-            // SAFETY: the closure borrows `code`, `data` and the parity
-            // stripes, all outliving this function body; the WaitGuard
-            // blocks (helping) until the task's latch completes before any
-            // of those borrows can end — the same guarantee
-            // `std::thread::scope` provides for its spawns.
+            // SAFETY: the closure borrows `work` (and through it the
+            // caller's sources) and the output stripes, all outliving this
+            // function body; the WaitGuard blocks (helping) until the
+            // task's latch completes before any of those borrows can end —
+            // the same guarantee `std::thread::scope` provides for its
+            // spawns.
             let func: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(func) };
             assert!(
                 core.tx
@@ -322,19 +364,36 @@ fn encode_striped_on(
                 "pool workers hold the receiver for the pool's lifetime"
             );
         }
-        if let Some((stripe_data, mut stripe_parity)) = inline.take() {
+        if let Some((cols, mut stripe_outs)) = inline.take() {
             // Inline stripe: runs on the caller, outside the latch. A
             // panic here unwinds through the guard, which drains the
             // dispatched stripes before the borrows are freed.
-            code.encode_into(&stripe_data, &mut stripe_parity);
+            work(cols, &mut stripe_outs);
         }
         drop(guard); // blocks until every stripe completes
     }
     let poisoned = latch.try_done().expect("guard waited");
-    assert!(
-        !poisoned,
-        "EncodePool worker panicked during striped encode"
-    );
+    assert!(!poisoned, "EncodePool worker panicked in a column stripe");
+}
+
+/// The striped encode: [`stripe_on`] over the parity buffers.
+fn encode_striped_on(
+    core: &Arc<PoolCore>,
+    code: &dyn ErasureCode,
+    data: &[&[u8]],
+    parity: &mut [&mut [u8]],
+    stripes: usize,
+) {
+    let len = data.first().map_or(0, |d| d.len());
+    assert!(data.iter().all(|d| d.len() == len), "ragged data shards");
+    stripe_on(core, len, parity, stripes, &|cols, parity| {
+        view(
+            data,
+            &[][..],
+            |d| &d[cols.clone()],
+            |data| code.encode_into(data, parity),
+        )
+    });
 }
 
 /// A persistent pool of encode workers (the paper's spare-core model).
@@ -423,6 +482,42 @@ impl EncodePool {
         stripes: usize,
     ) {
         encode_striped_on(&self.core, code, data, parity, stripes);
+    }
+
+    /// [`ErasureCode::reconstruct_data`] split column-wise into `stripes`
+    /// stripes across the pool (first stripe inline on the caller): the
+    /// erased data shards are rebuilt straight into the caller's `missing`
+    /// buffers. Blocks until every stripe is done.
+    ///
+    /// The shape and the erasure pattern are checked before any stripe
+    /// starts, so nothing is written on `Err`.
+    ///
+    /// # Panics
+    /// Re-raises a stripe's panic once every dispatched stripe has
+    /// finished.
+    pub fn reconstruct_striped(
+        &self,
+        code: &dyn ErasureCode,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
+        stripes: usize,
+    ) -> Result<(), EcError> {
+        let len = decode_len(shards, missing, code.data_shards(), code.total_shards())?;
+        if !view(shards, false, Option::is_some, |present| {
+            code.can_recover(present)
+        }) {
+            return Err(EcError::Unrecoverable);
+        }
+        stripe_on(&self.core, len, missing, stripes, &|cols, missing| {
+            view(
+                shards,
+                None,
+                |s| s.map(|s| &s[cols.clone()]),
+                |shards| code.reconstruct_data(shards, missing),
+            )
+            .expect("the erasure pattern was checked before striping")
+        });
+        Ok(())
     }
 }
 

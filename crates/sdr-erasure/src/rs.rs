@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::codec::{shard_len, EcError, ErasureCode};
+use crate::codec::{decode_len, EcError, ErasureCode};
 use crate::kernel::{Kernel, STRIP_BYTES};
 use crate::matrix::Matrix;
 
@@ -220,86 +220,64 @@ impl ErasureCode for ReedSolomon {
         present.len() == self.k + self.m && present.iter().filter(|&&p| p).count() >= self.k
     }
 
-    fn reconstruct_into(
+    /// Rebuilds the erased data shards as `inv(rows of k survivors) ×
+    /// survivors`, cache-blocked like the encode: each ~32 KiB output strip
+    /// stays in L1/L2 while the `k` survivor strips stream through the fused
+    /// kernel, once per output.
+    fn reconstruct_data(
         &self,
-        shards: &mut [Option<Vec<u8>>],
-        alloc: &mut dyn FnMut(usize) -> Vec<u8>,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        let len = shard_len(shards, self.k + self.m)?;
-        if shards.iter().all(|s| s.is_some()) {
+        let len = decode_len(shards, missing, self.k, self.k + self.m)?;
+        if missing.is_empty() {
             return Ok(());
         }
-        // Survivor indices live on the stack (GF(256) bounds k + m), so the
+        // The first k survivors, kept as the decode-cache key: GF(256)
+        // bounds indices to u8 and k + m, so it lives on the stack and the
         // only allocations left on this path are the k×k submatrix and its
-        // inverse — O(k²) bytes, independent of the shard length.
-        let mut present_idx = [0usize; MAX_SHARDS];
-        let mut present = 0usize;
-        for (i, s) in shards.iter().enumerate() {
-            if s.is_some() {
-                if present < self.k {
-                    present_idx[present] = i;
-                }
-                present += 1;
+        // inverse on a cache miss — O(k²) bytes, independent of the shard
+        // length.
+        let (mut key, mut held) = ([0u8; MAX_SHARDS], 0);
+        for (i, _) in shards.iter().enumerate().filter(|(_, s)| s.is_some()) {
+            if held == self.k {
+                break;
             }
+            key[held] = i as u8;
+            held += 1;
         }
-        if present < self.k {
+        if held < self.k {
             return Err(EcError::Unrecoverable);
         }
-        let use_idx = &present_idx[..self.k];
+        let survivors = &key[..self.k];
 
         // The k×k submatrix inverse of the encode rows for the shards we
         // hold (data = inv(rows) × held_shards): O(k³) to build, so the
         // LRU keyed by the survivor set skips it when the erasure pattern
-        // repeats. GF(256) bounds indices to u8, keeping keys tiny.
-        let mut key = [0u8; MAX_SHARDS];
-        for (dst, &idx) in key[..self.k].iter_mut().zip(use_idx) {
-            *dst = idx as u8;
-        }
+        // repeats.
         let inv = self
             .decode_cache
-            .get_or_insert(&key[..self.k], || {
-                self.matrix.select_rows(use_idx).inverse()
+            .get_or_insert(survivors, || {
+                let rows: Vec<usize> = survivors.iter().map(|&i| usize::from(i)).collect();
+                self.matrix.select_rows(&rows).inverse()
             })
             .ok_or(EcError::Unrecoverable)?;
 
         let kern = Kernel::active();
-        let mut coeffs = [0u8; MAX_SHARDS];
-        for d in 0..self.k {
-            if shards[d].is_some() {
-                continue;
+        let mut strip_srcs: [&[u8]; MAX_SHARDS] = [&[]; MAX_SHARDS];
+        let mut s = 0;
+        while s < len {
+            let e = (s + STRIP_BYTES).min(len);
+            for (col, &src) in survivors.iter().enumerate() {
+                strip_srcs[col] = &shards[usize::from(src)].expect("a survivor")[s..e];
             }
-            for (col, c) in coeffs[..self.k].iter_mut().enumerate() {
-                *c = inv[(d, col)];
+            let holes = (0..self.k).filter(|&d| shards[d].is_none());
+            for (out, d) in missing.iter_mut().zip(holes) {
+                let dst = &mut out[s..e];
+                dst.fill(0);
+                kern.mul_add_multi(dst, &strip_srcs[..self.k], inv.row(d));
             }
-            let mut out = alloc(len);
-            debug_assert!(out.len() == len && out.iter().all(|&b| b == 0));
-            {
-                // `use_idx` only names originally-present shards, so filling
-                // slot `d` never invalidates a source of a later iteration.
-                let mut srcs: [&[u8]; MAX_SHARDS] = [&[]; MAX_SHARDS];
-                for (col, &src) in use_idx.iter().enumerate() {
-                    srcs[col] = shards[src].as_ref().expect("present by construction");
-                }
-                kern.mul_add_multi(&mut out, &srcs[..self.k], &coeffs[..self.k]);
-            }
-            shards[d] = Some(out);
-        }
-
-        // Refill missing parity from the (now complete) data shards.
-        for p in 0..self.m {
-            if shards[self.k + p].is_some() {
-                continue;
-            }
-            let mut out = alloc(len);
-            debug_assert!(out.len() == len && out.iter().all(|&b| b == 0));
-            {
-                let mut srcs: [&[u8]; MAX_SHARDS] = [&[]; MAX_SHARDS];
-                for (j, slot) in srcs[..self.k].iter_mut().enumerate() {
-                    *slot = shards[j].as_ref().expect("data complete");
-                }
-                kern.mul_add_multi(&mut out, &srcs[..self.k], self.parity_row(p));
-            }
-            shards[self.k + p] = Some(out);
+            s = e;
         }
         Ok(())
     }

@@ -6,7 +6,7 @@
 //! tolerates only a **single** lost block, so resilience collapses at high
 //! drop rates (the paper observes fallback at ≈1e-3 vs MDS beyond 1e-2).
 
-use crate::codec::{shard_len, EcError, ErasureCode};
+use crate::codec::{decode_len, EcError, ErasureCode};
 use crate::kernel::{Kernel, STRIP_BYTES};
 
 /// Stack budget for fused-XOR source batches. Unlike Reed–Solomon, `k` is
@@ -100,53 +100,32 @@ impl ErasureCode for XorCode {
         })
     }
 
-    fn reconstruct_into(
+    /// Rebuilds each erased data shard as its group's parity ⊕ the
+    /// group's surviving data shards.
+    fn reconstruct_data(
         &self,
-        shards: &mut [Option<Vec<u8>>],
-        alloc: &mut dyn FnMut(usize) -> Vec<u8>,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        let len = shard_len(shards, self.k + self.m)?;
+        decode_len(shards, missing, self.k, self.k + self.m)?;
         if !(0..self.m).all(|i| {
             let missing_data = self.group(i).filter(|&j| shards[j].is_none()).count();
             missing_data == 0 || (missing_data == 1 && shards[self.k + i].is_some())
         }) {
             return Err(EcError::Unrecoverable);
         }
-        for i in 0..self.m {
-            let mut holes = self.group(i).filter(|&j| shards[j].is_none());
-            match (holes.next(), holes.next()) {
-                (None, _) => {}
-                (Some(hole), None) => {
-                    // Rebuild into a rented buffer: parity ⊕ the group's
-                    // surviving data shards.
-                    let mut out = alloc(len);
-                    debug_assert!(out.len() == len && out.iter().all(|&b| b == 0));
-                    out.copy_from_slice(shards[self.k + i].as_ref().expect("checked above"));
-                    xor_group_into(
-                        Kernel::active(),
-                        &mut out,
-                        self.group(i)
-                            .filter(|&j| j != hole)
-                            .map(|j| shards[j].as_ref().expect("present").as_slice()),
-                    );
-                    shards[hole] = Some(out);
-                }
-                _ => unreachable!("recoverability check admitted >1 hole"),
-            }
-        }
-        // Refill missing parity now that data is complete.
-        for i in 0..self.m {
-            if shards[self.k + i].is_none() {
-                let mut out = alloc(len);
-                debug_assert!(out.len() == len && out.iter().all(|&b| b == 0));
-                xor_group_into(
-                    Kernel::active(),
-                    &mut out,
-                    self.group(i)
-                        .map(|j| shards[j].as_ref().expect("data complete").as_slice()),
-                );
-                shards[self.k + i] = Some(out);
-            }
+        let kern = Kernel::active();
+        let holes = (0..self.k).filter(|&j| shards[j].is_none());
+        for (out, hole) in missing.iter_mut().zip(holes) {
+            let group = hole % self.m;
+            out.copy_from_slice(shards[self.k + group].expect("checked above"));
+            xor_group_into(
+                kern,
+                out,
+                self.group(group)
+                    .filter(|&j| j != hole)
+                    .map(|j| shards[j].expect("one hole per group")),
+            );
         }
         Ok(())
     }

@@ -1,11 +1,16 @@
 //! Stress tests for the persistent [`EncodePool`]: concurrent submits
-//! from many threads, worker panic containment, and clean drop/shutdown
+//! from many threads, worker panic containment (owned jobs and the column
+//! stripes the striped encode and decode share), and clean drop/shutdown
 //! with work still queued.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use sdr_erasure::{encode_parallel_into, EncodeJob, EncodePool, ErasureCode, ReedSolomon, XorCode};
+use sdr_erasure::{
+    encode_parallel_into, EcError, EncodeJob, EncodePool, ErasureCode, ReedSolomon, XorCode,
+};
 
 fn job_with_len(code: Arc<dyn ErasureCode>, len: usize, seed: usize) -> EncodeJob {
     let k = code.data_shards();
@@ -175,4 +180,122 @@ fn carving_panic_propagates_instead_of_hanging() {
         pool.encode_striped(&code, &refs, &mut views, 2);
     }
     assert_eq!(parity, expect);
+}
+
+/// An RS code whose decode stripes are observable: the stripe starting at
+/// column `boom_at` panics at once; every other stripe holds until the
+/// test releases it (or 200 ms pass), then decodes and counts itself
+/// finished. A caller that re-raised before waiting for them is back
+/// while they still hold, and reads a short count. A stripe's first column
+/// is read off the address of its first present shard (shard 1, whose
+/// column 0 is at `base`).
+struct StripeBomb {
+    rs: ReedSolomon,
+    base: usize,
+    boom_at: usize,
+    released: (Mutex<bool>, Condvar),
+    finished: AtomicUsize,
+}
+
+impl StripeBomb {
+    fn release(&self) {
+        *self.released.0.lock().unwrap() = true;
+        self.released.1.notify_all();
+    }
+}
+
+impl ErasureCode for StripeBomb {
+    fn data_shards(&self) -> usize {
+        self.rs.data_shards()
+    }
+
+    fn parity_shards(&self) -> usize {
+        self.rs.parity_shards()
+    }
+
+    fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) {
+        self.rs.encode_into(data, parity)
+    }
+
+    fn can_recover(&self, present: &[bool]) -> bool {
+        self.rs.can_recover(present)
+    }
+
+    fn reconstruct_data(
+        &self,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
+    ) -> Result<(), EcError> {
+        let col = shards[1].expect("shard 1 is present").as_ptr() as usize - self.base;
+        assert!(col != self.boom_at, "stripe at column {col} blew up");
+        let (released, cv) = &self.released;
+        let held = released.lock().unwrap();
+        let _ = cv
+            .wait_timeout_while(held, Duration::from_millis(200), |r| !*r)
+            .unwrap();
+        let res = self.rs.reconstruct_data(shards, missing);
+        self.finished.fetch_add(1, Ordering::SeqCst);
+        res
+    }
+}
+
+/// A decode stripe that panics — the inline one on the caller, or one
+/// dispatched to a worker — re-raises on the caller only once every other
+/// stripe has finished (their output borrows end with the call), and the
+/// pool then still serves owned encode jobs.
+#[test]
+fn decode_stripe_panic_reraises_after_every_stripe_finished() {
+    const LEN: usize = 64 * 1024;
+    const STRIPES: usize = 4;
+    // A worker per dispatched stripe: the holding stripes must not keep
+    // the bomb queued behind them.
+    let pool = EncodePool::new(STRIPES - 1);
+    let rs = ReedSolomon::new(4, 2);
+    let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 * 3 + 1; LEN]).collect();
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let shards: Vec<Vec<u8>> = data.iter().cloned().chain(rs.encode(&refs)).collect();
+    // Stripes start every LEN / STRIPES columns: 0 runs inline, the rest
+    // are dispatched.
+    for boom_at in [0, 2 * LEN / STRIPES] {
+        let code = StripeBomb {
+            rs: rs.clone(),
+            base: shards[1].as_ptr() as usize,
+            boom_at,
+            released: (Mutex::new(false), Condvar::new()),
+            finished: AtomicUsize::new(0),
+        };
+        let views: Vec<Option<&[u8]>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i != 0).then_some(s.as_slice()))
+            .collect();
+        let mut out = vec![0u8; LEN];
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            pool.reconstruct_striped(&code, &views, &mut [&mut out[..]], STRIPES)
+        }));
+        let finished = code.finished.load(Ordering::SeqCst);
+        code.release();
+        assert!(err.is_err(), "stripe at {boom_at}: the panic must re-raise");
+        assert_eq!(
+            finished,
+            STRIPES - 1,
+            "stripe at {boom_at}: re-raised before the other stripes finished"
+        );
+        // Every stripe but the failed one rebuilt its columns.
+        let failed = boom_at..boom_at + LEN / STRIPES;
+        for (c, (&got, &want)) in out.iter().zip(&data[0]).enumerate() {
+            if !failed.contains(&c) {
+                assert_eq!(got, want, "stripe at {boom_at}: column {c}");
+            }
+        }
+        // The pool still serves owned jobs.
+        let code: Arc<dyn ErasureCode> = Arc::new(rs.clone());
+        for seed in 0..4 {
+            let j = job_with_len(code.clone(), 8 * 1024, seed);
+            let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
+            let expect = j.code.encode(&refs);
+            drop(refs);
+            assert_eq!(pool.submit(j, 2).wait().parity, expect, "seed={seed}");
+        }
+    }
 }

@@ -50,6 +50,18 @@
 //! splits each in-flight submessage's shard length across the pool's
 //! workers (`EncodePool::submit(job, n)`), shortening the per-submessage
 //! encode latency on multi-core hosts.
+//!
+//! # The in-place decode
+//!
+//! The receiver's decode is zero-copy, as the NIC's writes are: inside one
+//! borrow of node memory it reads the present data chunks where they landed
+//! in the user buffer and the present parity where it landed in its scratch
+//! block, and rebuilds only the missing data chunks, straight into the user
+//! buffer (`ErasureCode::reconstruct_data`; erased parity is never
+//! rebuilt). The GF(256) work is split into column stripes on the same
+//! [`EncodePool`] the sender encodes on — one per worker, none narrower
+//! than a kernel strip — so a decode uses the core the encode leaves idle.
+//! It allocates no chunk buffer.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,6 +69,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdr_core::{SdrContext, SdrQp, TwoLevelBitmap};
+use sdr_erasure::kernel::STRIP_BYTES;
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
 use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
@@ -204,75 +217,61 @@ fn codes_for(
         .collect()
 }
 
-/// A capped pool of chunk-sized byte buffers. Split out of [`EcScratch`]
-/// so a decode can rent buffers (via [`ErasureCode::reconstruct_into`])
-/// while the scratch's shard table is mutably borrowed.
-#[derive(Default)]
-pub(crate) struct BufPool {
-    /// Pooled chunk buffers, capped at [`Self::cap`] entries.
-    free: Vec<Vec<u8>>,
-    /// Upper bound on pooled buffers (the cap keeps the pool from growing
-    /// without bound when losses are frequent).
-    cap: usize,
-}
-
-impl BufPool {
-    /// Rents a zeroed `len`-byte buffer, reusing a pooled one when
-    /// available.
-    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
-        match self.free.pop() {
-            Some(mut b) => {
-                b.clear();
-                b.resize(len, 0);
-                b
-            }
-            None => vec![0u8; len],
-        }
-    }
-
-    /// Returns a buffer to the pool (dropped when the pool is at cap).
-    pub(crate) fn put(&mut self, b: Vec<u8>) {
-        if self.free.len() < self.cap {
-            self.free.push(b);
-        }
-    }
-}
-
-/// Reusable staging for the EC hot paths. Chunk-sized buffers are rented
-/// for the duration of one decode (or one submessage encode) and returned,
-/// so the steady state performs no per-chunk heap allocation; presence
-/// flags live in retained `Vec`s that are cleared, never reallocated.
-/// Loss-path decodes rent their missing-shard buffers from the same pool
-/// through [`ErasureCode::reconstruct_into`], so even the reconstruction
-/// of dropped chunks allocates nothing once the pool is warm.
+/// Reusable receiver state: presence flags live in a retained `Vec` that is
+/// cleared, never reallocated, and the codes built so far are shared by
+/// every receiver holding this scratch. A decode needs no chunk buffer of
+/// its own: it reads and rebuilds the chunks where they lie in node memory.
 #[derive(Default)]
 pub struct EcScratch {
-    /// The chunk-buffer pool decode rents from.
-    pub(crate) pool: BufPool,
-    /// Shard table reused across decodes.
-    pub(crate) shards: Vec<Option<Vec<u8>>>,
     /// Per-shard presence flags (data then parity) reused across polls.
     pub(crate) present: Vec<bool>,
     /// Codes built so far: receivers sharing this scratch share them too.
     pub(crate) codes: CodeCache,
 }
 
-impl EcScratch {
-    /// A pool sized for submessages of `k + m` chunks.
-    pub fn new(k: usize, m: usize) -> Self {
-        EcScratch {
-            pool: BufPool {
-                free: Vec::new(),
-                cap: 2 * (k + m),
-            },
-            ..EcScratch::default()
+/// Shard views a decode builds on the stack: submessages of up to 64
+/// chunks, data and parity (the paper's largest is 32 + 8); a larger one
+/// takes heap views.
+const STACK_SHARDS: usize = 64;
+
+/// Rebuilds the data chunks `present` marks missing straight into `data`
+/// (the submessage's `k` chunks), from its present chunks and the present
+/// chunks of `parity`, column-striped over the [`EncodePool`]: a stripe
+/// per worker, none narrower than one kernel strip.
+fn decode_in_place(
+    code: &dyn ErasureCode,
+    data: &mut [u8],
+    parity: &[u8],
+    present: &[bool],
+    chunk_len: usize,
+) {
+    let n = present.len();
+    let mut stack_shards = [None; STACK_SHARDS];
+    let mut stack_holes: [&mut [u8]; STACK_SHARDS] = std::array::from_fn(|_| Default::default());
+    let (mut heap_shards, mut heap_holes) = (Vec::new(), Vec::new());
+    let (shards, holes): (&mut [Option<&[u8]>], &mut [&mut [u8]]) = if n <= STACK_SHARDS {
+        (&mut stack_shards[..n], &mut stack_holes[..])
+    } else {
+        heap_shards.resize(n, None);
+        heap_holes.resize_with(n, Default::default);
+        (&mut heap_shards[..], &mut heap_holes[..])
+    };
+    let (k, mut erased) = (data.len() / chunk_len, 0);
+    for (i, chunk) in data.chunks_exact_mut(chunk_len).enumerate() {
+        if present[i] {
+            shards[i] = Some(&*chunk);
+        } else {
+            holes[erased] = chunk;
+            erased += 1;
         }
     }
-
-    /// Buffers currently pooled (test observability).
-    pub fn pooled(&self) -> usize {
-        self.pool.free.len()
+    for (j, chunk) in parity.chunks_exact(chunk_len).enumerate() {
+        shards[k + j] = present[k + j].then_some(chunk);
     }
+    let pool = EncodePool::global();
+    let stripes = (chunk_len / STRIP_BYTES).clamp(1, pool.size());
+    pool.reconstruct_striped(code, shards, &mut holes[..erased], stripes)
+        .expect("can_recover checked");
 }
 
 /// Sender-side transfer outcome.
@@ -700,10 +699,10 @@ pub struct EcRxScheme {
     geoms: Vec<SubGeom>,
     /// One code instance per submessage, shared across identical shapes.
     codes: Vec<Arc<dyn ErasureCode>>,
-    /// Pooled shard staging for the decode hot path. Shared: a
+    /// Presence flags and the codes. Shared: a
     /// [`FlowManager`](crate::flow::FlowManager) (or any other multi-flow
     /// host) hands every receiver the *same* scratch so concurrent flows
-    /// rent from one warm pool instead of each growing their own.
+    /// build each code shape once.
     scratch: Rc<RefCell<EcScratch>>,
     parity_addrs: Vec<u64>,
     subs: Vec<SubState>,
@@ -834,8 +833,8 @@ impl RxScheme for EcRxScheme {
 impl EcRxScheme {
     /// Posts the data buffers (slices of the user buffer at `buf_addr`),
     /// then the parity scratch buffers, on `common` — the same order the
-    /// sender issues sends — and returns the policy over them. Decodes
-    /// stage through `scratch`, which also caches the codes.
+    /// sender issues sends — and returns the policy over them. `scratch`
+    /// holds the presence flags and caches the codes.
     pub(crate) fn post(
         eng: &mut Engine,
         common: &mut RxCommon,
@@ -975,13 +974,7 @@ impl EcRxScheme {
                 (l + s, i - k, self.parity_addrs[s] + off)
             }
         };
-        let scratch = &mut *self.scratch.borrow_mut();
-        let EcScratch {
-            pool,
-            shards,
-            present,
-            ..
-        } = scratch;
+        let present = &mut self.scratch.borrow_mut().present;
         // Word-level scans (one atomic load per 64 chunks, like the SR
         // ACK path) and retained scratch vectors: the no-loss steady
         // state allocates nothing and touches no per-chunk atomics.
@@ -1028,32 +1021,21 @@ impl EcRxScheme {
         if !self.codes[s].can_recover(present) {
             return;
         }
-        // Stage present shards into pooled buffers (rented, not
-        // allocated, once the pool is warm).
-        debug_assert!(shards.is_empty());
-        for (i, &p) in present.iter().enumerate() {
-            shards.push(p.then(|| {
-                let mut b = pool.take(chunk_len);
-                self.ctx.read_buffer_into(shard_at(i).2, &mut b);
-                b
-            }));
-        }
-        // Missing shards are rebuilt into buffers rented from the same
-        // pool (`reconstruct_into`), so the loss path allocates
-        // nothing once the pool is warm.
-        self.codes[s]
-            .reconstruct_into(shards, &mut |len| pool.take(len))
-            .expect("can_recover checked");
-        // Write recovered data chunks back into the user buffer, then
-        // return every staged buffer (including freshly reconstructed
-        // ones) to the pool for the next decode.
-        for (i, shard) in shards.drain(..).enumerate() {
-            let shard = shard.expect("reconstructed");
-            if i < k && !present[i] {
-                self.ctx.write_buffer(shard_at(i).2, &shard);
-            }
-            pool.put(shard);
-        }
+        // Decode in place, inside one borrow of node memory: the present
+        // data chunks are read where the NIC landed them in the user
+        // buffer, the present parity where it landed in its scratch block,
+        // and only the missing data chunks are written — straight into the
+        // user buffer.
+        let data_addr = self.buf_addr + g.chunk_start * self.chunk_bytes;
+        let regions = (
+            (data_addr, k * chunk_len),
+            (self.parity_addrs[s], m * chunk_len),
+        );
+        let code = &*self.codes[s];
+        self.ctx.fabric().node_mut(self.ctx.node(), |n| {
+            let [data, parity] = n.mem_mut().regions_mut(regions.0, regions.1);
+            decode_in_place(code, data, parity, present, chunk_len);
+        });
         self.subs[s].resolved = true;
         self.unresolved -= 1;
         self.stats.decoded_submessages += 1;
@@ -1079,7 +1061,7 @@ impl RxDriver<EcRxScheme> {
         cfg: EcProtoConfig,
         done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
     ) -> EcReceiver {
-        let scratch = Rc::new(RefCell::new(EcScratch::new(cfg.k, cfg.m)));
+        let scratch = Rc::new(RefCell::new(EcScratch::default()));
         let mut common = RxCommon::new(qp);
         let scheme = EcRxScheme::post(eng, &mut common, ctx, buf_addr, msg_bytes, &cfg, scratch);
         let rx = RxStep::new(common, scheme, cfg.linger_acks);
@@ -1090,44 +1072,34 @@ impl RxDriver<EcRxScheme> {
     pub fn stats(&self) -> EcRecvStats {
         self.scheme(|s| s.stats)
     }
-
-    /// Buffers left in this receiver's decode pool.
-    #[cfg(test)]
-    pub(crate) fn pooled(&self) -> usize {
-        self.scheme(|s| s.scratch.borrow().pooled())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The receiver's decode rebuilds exactly the missing data chunks, in
+    /// place, for submessages whose shard views fit on the stack and for
+    /// one that takes heap views.
     #[test]
-    fn scratch_pool_reuses_buffers_and_caps_growth() {
-        let mut s = EcScratch::new(4, 2);
-        // Rent and return: the pool grows to what was returned...
-        let bufs: Vec<Vec<u8>> = (0..3).map(|_| s.pool.take(64)).collect();
-        assert_eq!(s.pooled(), 0);
-        for b in bufs {
-            s.pool.put(b);
+    fn decode_in_place_rebuilds_only_the_missing_chunks() {
+        const CHUNK: usize = 4096 + 64;
+        for (k, m, lost) in [(4, 2, vec![1, 4]), (60, 8, vec![0, 9, 33, 59, 61])] {
+            let code = ReedSolomon::new(k, m);
+            let data: Vec<u8> = (0..k * CHUNK).map(|i| (i * 7 % 251) as u8).collect();
+            let refs: Vec<&[u8]> = data.chunks_exact(CHUNK).collect();
+            let parity: Vec<u8> = code.encode(&refs).concat();
+            let mut present = vec![true; k + m];
+            let mut landed = data.clone();
+            for &i in &lost {
+                present[i] = false;
+                if i < k {
+                    landed[i * CHUNK..(i + 1) * CHUNK].fill(0xEE);
+                }
+            }
+            decode_in_place(&code, &mut landed, &parity, &present, CHUNK);
+            assert!(landed == data, "({k}, {m}) lost {lost:?}");
         }
-        assert_eq!(s.pooled(), 3);
-        // ...subsequent rents come from the pool (and are re-zeroed even
-        // after length changes).
-        let mut b = s.pool.take(128);
-        assert_eq!(s.pooled(), 2);
-        assert_eq!(b.len(), 128);
-        assert!(b.iter().all(|&x| x == 0));
-        b[0] = 0xFF;
-        s.pool.put(b);
-        let b = s.pool.take(16);
-        assert!(b.iter().all(|&x| x == 0), "rented buffers are zeroed");
-        s.pool.put(b);
-        // The cap (2·(k+m) = 12) bounds growth under decode-heavy load.
-        for _ in 0..100 {
-            s.pool.put(vec![0u8; 8]);
-        }
-        assert_eq!(s.pooled(), 12);
     }
 
     #[test]

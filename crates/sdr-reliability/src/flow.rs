@@ -95,7 +95,8 @@
 //! EC flows run one
 //! submessage per flow (`k` = data chunks): parity comes off the shared
 //! [`EncodePool`] through the standalone sender's `ParityStager`, the
-//! receiver decodes in place through one manager-wide [`EcScratch`], and
+//! receiver decodes in place in node memory (its codes cached in one
+//! manager-wide [`EcScratch`]), and
 //! an FTO NACK makes the sender selective-repeat the submessage's data
 //! chunks through the SR core's overdue test.
 //!
@@ -759,9 +760,8 @@ impl FlowManager {
             TelemetryConfig::default(),
             SimTime(cfg.rtt.0.saturating_mul(1000)),
         );
-        // Scratch sized generously: flows of any supported geometry rent
-        // from the same capped pool.
-        let scratch = Rc::new(RefCell::new(EcScratch::new(64, 32)));
+        // One scratch for every flow: they share the codes built so far.
+        let scratch = Rc::new(RefCell::new(EcScratch::default()));
         let core = Rc::new(ManagerCore {
             fabric: fabric.clone(),
             ctx: SdrContext::new(fabric, node),

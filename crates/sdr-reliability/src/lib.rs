@@ -473,8 +473,6 @@ mod tests {
         report: EcReport,
         stats: EcRecvStats,
         ok: bool,
-        /// Buffers the receiver's decode pool holds at the end.
-        pooled: usize,
     }
 
     fn run_ec(
@@ -514,7 +512,7 @@ mod tests {
             },
         );
         let s2 = stats.clone();
-        let rx = EcReceiver::start(
+        EcReceiver::start(
             &mut p.eng,
             &p.qp_b,
             &p.ctx_b,
@@ -536,7 +534,6 @@ mod tests {
             report: rep,
             stats: final_stats,
             ok,
-            pooled: rx.pooled(),
         }
     }
 
@@ -547,9 +544,6 @@ mod tests {
         assert_eq!(r.stats.decoded_submessages, 0, "nothing to repair");
         assert_eq!(r.stats.complete_submessages, 4); // 16 chunks / k=4
         assert_eq!(r.report.fallback_rounds, 0);
-        // The audit hashes chunks where they lie: resolving every
-        // submessage directly rents no buffer, so the pool stays empty.
-        assert_eq!(r.pooled, 0);
     }
 
     #[test]

@@ -441,7 +441,7 @@ pub fn start_receiver(
             (RxPolicy::Sr(sr), p.ack_interval, p.linger_acks)
         }
         Proto::Ec(p) => {
-            let scratch = Rc::new(RefCell::new(EcScratch::new(p.k, p.m)));
+            let scratch = Rc::new(RefCell::new(EcScratch::default()));
             let ec = EcRxScheme::post(eng, &mut common, e.ctx, e.addr, e.bytes, &p, scratch);
             (RxPolicy::Ec(Box::new(ec)), p.poll_interval, p.linger_acks)
         }

@@ -134,6 +134,18 @@ impl Memory {
         &self.buf[a..a + len]
     }
 
+    /// Two disjoint regions `(addr, len)`, both writable at once — e.g. a
+    /// decode reading one and rebuilding into the other in place.
+    ///
+    /// # Panics
+    /// Panics when the regions overlap or either lies outside the memory.
+    pub fn regions_mut(&mut self, a: (u64, usize), b: (u64, usize)) -> [&mut [u8]; 2] {
+        let range = |(addr, len): (u64, usize)| addr as usize..addr as usize + len;
+        self.buf
+            .get_disjoint_mut([range(a), range(b)])
+            .unwrap_or_else(|e| panic!("regions {a:?} and {b:?}: {e}"))
+    }
+
     /// Fills a region with a byte value (used to model repost cleanup).
     pub fn fill(&mut self, addr: u64, len: usize, value: u8) {
         let a = addr as usize;
@@ -441,6 +453,26 @@ mod tests {
         assert_eq!(m.read(b, 3), &[1, 2, 3]);
         m.fill(b, 3, 0);
         assert_eq!(m.read(b, 3), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn regions_mut_hands_out_two_disjoint_regions_in_either_order() {
+        let mut m = Memory::new(256);
+        let [lo, hi] = m.regions_mut((16, 8), (64, 4));
+        lo.fill(1);
+        hi.fill(2);
+        let [hi, lo] = m.regions_mut((64, 4), (16, 8));
+        assert_eq!((&*hi, &*lo), (&[2u8; 4][..], &[1u8; 8][..]));
+        // Adjacent and empty regions do not overlap.
+        let [a, b] = m.regions_mut((0, 16), (16, 0));
+        assert_eq!((a.len(), b.len()), (16, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn overlapping_regions_panic() {
+        let mut m = Memory::new(256);
+        m.regions_mut((16, 8), (23, 4));
     }
 
     #[test]
