@@ -19,7 +19,6 @@ use std::time::Instant;
 use sdr_bench::{fmt, logspace, table_header, table_row};
 use sdr_core::testkit::{pattern, sdr_pair};
 use sdr_core::SdrConfig;
-use sdr_erasure::kernel::STRIP_BYTES;
 use sdr_erasure::{encode_parallel_into, EncodePool, ErasureCode, ReedSolomon, XorCode};
 use sdr_model::{p_fallback, Channel, EcConfig};
 use sdr_reliability::{
@@ -114,7 +113,7 @@ fn decode_throughput(reps: usize) -> [(&'static str, usize, f64); 3] {
         )
     };
     let one = in_place(1);
-    let width = (CHUNK / STRIP_BYTES).clamp(1, pool.size());
+    let width = pool.decode_stripes(CHUNK);
     let striped = in_place(width);
     for (o, &i) in outs.iter().zip(&DECODE_ERASED) {
         assert!(o == &data[i], "in-place decode rebuilt shard {i} wrong");

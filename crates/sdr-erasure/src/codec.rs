@@ -51,6 +51,14 @@ pub trait ErasureCode: Send + Sync {
     /// Panics when shard counts or lengths are inconsistent.
     fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]);
 
+    /// Overwrites `out` with parity shard `row` alone — what
+    /// [`reconstruct`](Self::reconstruct) refills an erased parity shard
+    /// with, without computing the rows that arrived.
+    ///
+    /// # Panics
+    /// Panics when shard counts or lengths are inconsistent.
+    fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]);
+
     /// Computes and returns freshly allocated parity shards.
     fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         assert_eq!(data.len(), self.data_shards());
@@ -86,8 +94,8 @@ pub trait ErasureCode: Send + Sync {
     /// erasures). Missing parity shards are also refilled when possible.
     ///
     /// The allocating, single-threaded wrapper: fresh buffers, then
-    /// [`reconstruct_data`](Self::reconstruct_data), then an encode for
-    /// the parity refill.
+    /// [`reconstruct_data`](Self::reconstruct_data), then
+    /// [`encode_row`](Self::encode_row) for each erased parity shard.
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         let k = self.data_shards();
         if shards.len() != self.total_shards() {
@@ -105,12 +113,12 @@ pub trait ErasureCode: Send + Sync {
         for slot in shards[..k].iter_mut().filter(|s| s.is_none()) {
             *slot = rebuilt.next();
         }
-        if shards[k..].iter().any(Option::is_none) {
-            let data: Vec<&[u8]> = shards[..k].iter().flatten().map(Vec::as_slice).collect();
-            let parity = self.encode(&data);
-            for (slot, p) in shards[k..].iter_mut().zip(parity) {
-                slot.get_or_insert(p);
-            }
+        let (data, parity) = shards.split_at_mut(k);
+        let data: Vec<&[u8]> = data.iter().flatten().map(Vec::as_slice).collect();
+        for (row, slot) in parity.iter_mut().enumerate().filter(|(_, s)| s.is_none()) {
+            let mut out = vec![0u8; len];
+            self.encode_row(&data, row, &mut out);
+            *slot = Some(out);
         }
         Ok(())
     }

@@ -59,6 +59,7 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::codec::{decode_len, EcError, ErasureCode};
+use crate::kernel::STRIP_BYTES;
 
 /// Completion latch: counts outstanding tasks and records whether any of
 /// them panicked.
@@ -245,27 +246,6 @@ fn run_task(core: &Arc<PoolCore>, task: Task) {
     }
 }
 
-/// Stack budget for a stripe's view of its sources: the shard tables the
-/// EC receiver decodes (`k + m` ≤ 64); a larger table takes a heap view.
-const STACK_VIEWS: usize = 64;
-
-/// Runs `f` on `src` mapped entry by entry through `cut` — a stripe's view
-/// of the shard table — held on the stack whenever it fits.
-fn view<T, U: Copy, R>(src: &[T], blank: U, cut: impl Fn(&T) -> U, f: impl FnOnce(&[U]) -> R) -> R {
-    let mut stack = [blank; STACK_VIEWS];
-    let mut heap = Vec::new();
-    let dst = if src.len() <= STACK_VIEWS {
-        &mut stack[..src.len()]
-    } else {
-        heap.resize(src.len(), blank);
-        &mut heap[..]
-    };
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = cut(s);
-    }
-    f(dst)
-}
-
 /// One stripe's work: a column range of the sources, and the same range of
 /// every output buffer.
 type StripeWork<'a> = dyn Fn(Range<usize>, &mut [&mut [u8]]) + Sync + 'a;
@@ -387,12 +367,8 @@ fn encode_striped_on(
     let len = data.first().map_or(0, |d| d.len());
     assert!(data.iter().all(|d| d.len() == len), "ragged data shards");
     stripe_on(core, len, parity, stripes, &|cols, parity| {
-        view(
-            data,
-            &[][..],
-            |d| &d[cols.clone()],
-            |data| code.encode_into(data, parity),
-        )
+        let data: Vec<&[u8]> = data.iter().map(|d| &d[cols.clone()]).collect();
+        code.encode_into(&data, parity);
     });
 }
 
@@ -503,21 +479,23 @@ impl EncodePool {
         stripes: usize,
     ) -> Result<(), EcError> {
         let len = decode_len(shards, missing, code.data_shards(), code.total_shards())?;
-        if !view(shards, false, Option::is_some, |present| {
-            code.can_recover(present)
-        }) {
+        let present: Vec<bool> = shards.iter().map(Option::is_some).collect();
+        if !code.can_recover(&present) {
             return Err(EcError::Unrecoverable);
         }
         stripe_on(&self.core, len, missing, stripes, &|cols, missing| {
-            view(
-                shards,
-                None,
-                |s| s.map(|s| &s[cols.clone()]),
-                |shards| code.reconstruct_data(shards, missing),
-            )
-            .expect("the erasure pattern was checked before striping")
+            let shards: Vec<Option<&[u8]>> =
+                shards.iter().map(|s| s.map(|s| &s[cols.clone()])).collect();
+            code.reconstruct_data(&shards, missing)
+                .expect("the erasure pattern was checked before striping")
         });
         Ok(())
+    }
+
+    /// The EC receiver's decode width for shards of `len` bytes: a stripe
+    /// per worker, none narrower than one kernel strip.
+    pub fn decode_stripes(&self, len: usize) -> usize {
+        (len / STRIP_BYTES).clamp(1, self.size())
     }
 }
 

@@ -216,6 +216,12 @@ impl ErasureCode for ReedSolomon {
         self.encode_into_with_kernel(Kernel::active(), data, parity);
     }
 
+    fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]) {
+        assert_eq!(data.len(), self.k, "expected {} data shards", self.k);
+        out.fill(0);
+        Kernel::active().mul_add_multi(out, data, self.parity_row(row));
+    }
+
     fn can_recover(&self, present: &[bool]) -> bool {
         present.len() == self.k + self.m && present.iter().filter(|&&p| p).count() >= self.k
     }

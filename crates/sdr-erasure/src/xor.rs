@@ -87,6 +87,12 @@ impl ErasureCode for XorCode {
         }
     }
 
+    fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]) {
+        assert_eq!(data.len(), self.k, "expected {} data shards", self.k);
+        out.fill(0);
+        xor_group_into(Kernel::active(), out, self.group(row).map(|j| data[j]));
+    }
+
     fn can_recover(&self, present: &[bool]) -> bool {
         if present.len() != self.k + self.m {
             return false;

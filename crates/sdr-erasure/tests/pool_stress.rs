@@ -217,6 +217,10 @@ impl ErasureCode for StripeBomb {
         self.rs.encode_into(data, parity)
     }
 
+    fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]) {
+        self.rs.encode_row(data, row, out)
+    }
+
     fn can_recover(&self, present: &[bool]) -> bool {
         self.rs.can_recover(present)
     }

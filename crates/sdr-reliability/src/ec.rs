@@ -69,7 +69,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdr_core::{SdrContext, SdrQp, TwoLevelBitmap};
-use sdr_erasure::kernel::STRIP_BYTES;
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
 use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
@@ -229,15 +228,10 @@ pub struct EcScratch {
     pub(crate) codes: CodeCache,
 }
 
-/// Shard views a decode builds on the stack: submessages of up to 64
-/// chunks, data and parity (the paper's largest is 32 + 8); a larger one
-/// takes heap views.
-const STACK_SHARDS: usize = 64;
-
 /// Rebuilds the data chunks `present` marks missing straight into `data`
 /// (the submessage's `k` chunks), from its present chunks and the present
-/// chunks of `parity`, column-striped over the [`EncodePool`]: a stripe
-/// per worker, none narrower than one kernel strip.
+/// chunks of `parity`, column-striped over the [`EncodePool`] at its
+/// decode width.
 fn decode_in_place(
     code: &dyn ErasureCode,
     data: &mut [u8],
@@ -245,32 +239,21 @@ fn decode_in_place(
     present: &[bool],
     chunk_len: usize,
 ) {
-    let n = present.len();
-    let mut stack_shards = [None; STACK_SHARDS];
-    let mut stack_holes: [&mut [u8]; STACK_SHARDS] = std::array::from_fn(|_| Default::default());
-    let (mut heap_shards, mut heap_holes) = (Vec::new(), Vec::new());
-    let (shards, holes): (&mut [Option<&[u8]>], &mut [&mut [u8]]) = if n <= STACK_SHARDS {
-        (&mut stack_shards[..n], &mut stack_holes[..])
-    } else {
-        heap_shards.resize(n, None);
-        heap_holes.resize_with(n, Default::default);
-        (&mut heap_shards[..], &mut heap_holes[..])
-    };
-    let (k, mut erased) = (data.len() / chunk_len, 0);
-    for (i, chunk) in data.chunks_exact_mut(chunk_len).enumerate() {
-        if present[i] {
-            shards[i] = Some(&*chunk);
+    let k = data.len() / chunk_len;
+    let mut shards: Vec<Option<&[u8]>> = Vec::with_capacity(present.len());
+    let mut holes: Vec<&mut [u8]> = Vec::new();
+    for (chunk, &p) in data.chunks_exact_mut(chunk_len).zip(present) {
+        if p {
+            shards.push(Some(chunk));
         } else {
-            holes[erased] = chunk;
-            erased += 1;
+            shards.push(None);
+            holes.push(chunk);
         }
     }
-    for (j, chunk) in parity.chunks_exact(chunk_len).enumerate() {
-        shards[k + j] = present[k + j].then_some(chunk);
-    }
+    let parity = parity.chunks_exact(chunk_len).zip(&present[k..]);
+    shards.extend(parity.map(|(chunk, &p)| p.then_some(chunk)));
     let pool = EncodePool::global();
-    let stripes = (chunk_len / STRIP_BYTES).clamp(1, pool.size());
-    pool.reconstruct_striped(code, shards, &mut holes[..erased], stripes)
+    pool.reconstruct_striped(code, &shards, &mut holes, pool.decode_stripes(chunk_len))
         .expect("can_recover checked");
 }
 
@@ -1079,8 +1062,8 @@ mod tests {
     use super::*;
 
     /// The receiver's decode rebuilds exactly the missing data chunks, in
-    /// place, for submessages whose shard views fit on the stack and for
-    /// one that takes heap views.
+    /// place, in a small submessage and in one wider than the paper's
+    /// largest.
     #[test]
     fn decode_in_place_rebuilds_only_the_missing_chunks() {
         const CHUNK: usize = 4096 + 64;

@@ -2,9 +2,10 @@
 //!
 //! A decode reads the present chunks where they lie in node memory and
 //! rebuilds the missing data chunks straight into the user buffer, so a
-//! warm decode allocates no chunk buffer: on the protocol thread only the
-//! stripe tasks it dispatches to the encode pool allocate (a task box, a
-//! latch and the stripe's output table — tens of bytes each).
+//! warm decode allocates no chunk buffer: on the protocol thread only its
+//! shard tables allocate — the decode's views and holes, and per stripe it
+//! dispatches to the encode pool a task box, a latch and the stripe's
+//! views, tens to hundreds of bytes each.
 //!
 //! The simulator allocates a few dozen bytes per packet and datagram
 //! (events, control frames) whether or not anything decodes, so the count
