@@ -39,11 +39,13 @@ fn trial(payload: u64, seed: u64) -> f64 {
         // Bursty exponential inter-arrivals double the variance vs CBR.
         let u: f64 = rng.random::<f64>().max(1e-12);
         t += -mean_gap_s * u.ln();
-        q.offer(SimTime::from_secs_f64(t), cross_pkt, false);
+        // The queue is driven in time order: probes due by `t` arrive
+        // before this cross packet, so none sees it in the backlog.
         while next_probe <= t {
             q.offer(SimTime::from_secs_f64(next_probe), payload, true);
             next_probe += probe_gap_s;
         }
+        q.offer(SimTime::from_secs_f64(t), cross_pkt, false);
     }
     q.stats().probe_drop_rate()
 }

@@ -4,10 +4,11 @@
 //!
 //! Paper setup: 128 MiB buffer, 64 KiB chunks, (k, m) = (32, 8), Xeon 8580.
 //! Substitution: our from-scratch Reed–Solomon vs the XOR modulo-group code
-//! on the host CPU. The EC sender's wall-clock time-to-first-byte under
-//! the streamed encode→inject pipeline rides along (its wins over
-//! stage-all-parity-upfront, and the pool's over per-call thread spawns,
-//! are recorded in CHANGES.md PR 2; those baselines are gone).
+//! on the host CPU, the threads being the column stripes of
+//! `EncodePool::encode_striped` on the process-wide pool. Two EC-stack rows
+//! ride along: the sender's wall-clock time-to-first-byte (its encode runs
+//! one submessage ahead on a pool worker, so the first byte waits for
+//! neither encode nor staging) and the receiver's in-place decode.
 //!
 //! Emits machine-readable `BENCH_fig11.json` next to the working directory
 //! so successive PRs can track the perf trajectory.
@@ -17,13 +18,12 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use sdr_bench::{fmt, logspace, table_header, table_row};
-use sdr_core::testkit::{pattern, sdr_pair};
+use sdr_core::testkit::pattern;
 use sdr_core::SdrConfig;
-use sdr_erasure::{encode_parallel_into, EncodePool, ErasureCode, ReedSolomon, XorCode};
+use sdr_erasure::{EncodePool, ErasureCode, ReedSolomon, XorCode};
 use sdr_model::{p_fallback, Channel, EcConfig};
-use sdr_reliability::{
-    ControlEndpoint, EcCodeChoice, EcProtoConfig, EcReceiver, EcReport, EcSender,
-};
+use sdr_reliability::testkit::ProtoHarness;
+use sdr_reliability::{EcCodeChoice, EcProtoConfig, EcReceiver, EcReport, EcSender};
 use sdr_sim::LinkConfig;
 
 const CHUNK: usize = 64 * 1024;
@@ -33,19 +33,14 @@ const M: usize = 8;
 fn encode_throughput(code: &dyn ErasureCode, threads: usize, submessages: usize) -> f64 {
     // One submessage = 32 × 64 KiB = 2 MiB of data; parity buffers are
     // reused so the loop measures dispatch + encode, not allocation.
-    let data: Vec<Vec<u8>> = (0..K)
-        .map(|i| {
-            (0..CHUNK)
-                .map(|j| ((i * 131 + j * 7) % 251) as u8)
-                .collect()
-        })
-        .collect();
+    let data: Vec<Vec<u8>> = (0..K).map(|i| pattern(CHUNK, i as u64)).collect();
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
     let mut parity = vec![vec![0u8; CHUNK]; code.parity_shards()];
+    let pool = EncodePool::global();
     let mut run = |n: usize| {
         for _ in 0..n {
             let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-            encode_parallel_into(code, &refs, &mut views, threads);
+            pool.encode_striped(code, &refs, &mut views, threads);
             std::hint::black_box(&parity);
         }
     };
@@ -125,9 +120,9 @@ fn decode_throughput(reps: usize) -> [(&'static str, usize, f64); 3] {
     ]
 }
 
-/// Wall-clock TTFB of the EC sender at a stripe width, through the real
-/// protocol stack over a simulated channel.
-fn measure_ttfb_striped(msg: u64, stripes: usize) -> EcReport {
+/// Wall-clock TTFB of the EC sender, through the real protocol stack over a
+/// simulated channel.
+fn measure_ttfb(msg: u64) -> EcReport {
     let link = LinkConfig::wan(50.0, 8e9, 0.0).with_seed(42);
     let cfg = SdrConfig {
         max_msg_bytes: 64 << 20,
@@ -137,42 +132,34 @@ fn measure_ttfb_striped(msg: u64, stripes: usize) -> EcReport {
         generations: 2,
         ..SdrConfig::default()
     };
-    let mut p = sdr_pair(link, cfg, 256 << 20);
-    let rtt = p.fabric.rtt(p.node_a, p.node_b).unwrap();
-    let src = p.ctx_a.alloc_buffer(msg);
-    let dst = p.ctx_b.alloc_buffer(msg);
-    p.ctx_a.write_buffer(src, &pattern(msg as usize, 5));
-    let ctrl_a = Rc::new(ControlEndpoint::new(&p.fabric, p.node_a));
-    let ctrl_b = Rc::new(ControlEndpoint::new(&p.fabric, p.node_b));
-    let model_ch = Channel::new(8e9, rtt.as_secs_f64(), 0.0);
-    let mut proto = EcProtoConfig::for_channel(K, M, EcCodeChoice::Mds, &model_ch, msg, rtt);
-    proto.encode_stripes = stripes;
+    let mut h = ProtoHarness::new(link, cfg, msg, 5);
+    let model_ch = h.model_channel(8e9, 0.0);
+    let proto = EcProtoConfig::for_channel(K, M, EcCodeChoice::Mds, &model_ch, msg, h.rtt);
     let rep = Rc::new(RefCell::new(None));
     let r2 = rep.clone();
     EcSender::start(
-        &mut p.eng,
-        &p.qp_a,
-        &p.ctx_a,
-        ctrl_a.clone(),
-        ctrl_b.addr(),
-        src,
+        &mut h.p.eng,
+        &h.p.qp_a,
+        &h.p.ctx_a,
+        h.ctrl_a.clone(),
+        h.ctrl_b.addr(),
+        h.src,
         msg,
         proto,
         move |_e, r| *r2.borrow_mut() = Some(r),
     );
     EcReceiver::start(
-        &mut p.eng,
-        &p.qp_b,
-        &p.ctx_b,
-        ctrl_b,
-        ctrl_a.addr(),
-        dst,
+        &mut h.p.eng,
+        &h.p.qp_b,
+        &h.p.ctx_b,
+        h.ctrl_b.clone(),
+        h.ctrl_a.addr(),
+        h.dst,
         msg,
         proto,
         |_e, _t, _st| {},
     );
-    p.eng.set_event_limit(50_000_000);
-    p.eng.run();
+    h.run(50_000_000);
     let taken = rep.borrow_mut().take();
     taken.expect("sender finished")
 }
@@ -234,7 +221,7 @@ fn main() {
     // Time-to-first-byte of the streamed encode→inject pipeline, through
     // the real sender over a simulated WAN.
     let ttfb_msg: u64 = if smoke { 8 << 20 } else { 32 << 20 };
-    let streamed = measure_ttfb_striped(ttfb_msg, 1);
+    let streamed = measure_ttfb(ttfb_msg);
     table_header(
         "EC sender wall-clock time-to-first-byte (MDS 32,8)",
         &["staging", "TTFB [µs]"],
@@ -244,46 +231,15 @@ fn main() {
         fmt(streamed.ttfb_wall.as_secs_f64() * 1e6),
     ]);
     println!(
-        "Expected shape: TTFB is ~one pool submission, independent of the\n\
-         message size (data needs no encode; submessage i+1 encodes while i\n\
-         injects)."
+        "Expected shape: TTFB is one submission, independent of the message\n\
+         size: submessage 0's 2 MiB of data copied into the job's buffer and\n\
+         an enqueue (data needs no encode; submessage i+1 encodes on a worker\n\
+         while i injects)."
     );
     json.push_str(&format!(
         "  \"ttfb\": {{\"msg_bytes\": {ttfb_msg}, \"streamed_us\": {:.1}}},\n",
         streamed.ttfb_wall.as_secs_f64() * 1e6
     ));
-
-    // Striped in-flight encode jobs: `encode_stripes` splits each
-    // submessage's shard length across the pool's workers
-    // (`EncodePool::submit(job, n)`), shortening the per-submessage encode
-    // latency the streamed sender's completion rides on.
-    table_header(
-        "Streamed sender vs encode stripes (MDS 32,8, total sim+encode wall)",
-        &["stripes", "TTFB [µs]", "transfer wall [ms]"],
-    );
-    json.push_str("  \"encode_stripes\": [\n");
-    let stripe_sweep = [1usize, 2, 4];
-    for (n, stripes) in stripe_sweep.into_iter().enumerate() {
-        let wall = Instant::now();
-        let rep = measure_ttfb_striped(ttfb_msg, stripes);
-        let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-        table_row(&[
-            stripes.to_string(),
-            fmt(rep.ttfb_wall.as_secs_f64() * 1e6),
-            fmt(wall_ms),
-        ]);
-        json.push_str(&format!(
-            "    {{\"stripes\": {stripes}, \"ttfb_us\": {:.1}, \"transfer_wall_ms\": {wall_ms:.2}}}{}\n",
-            rep.ttfb_wall.as_secs_f64() * 1e6,
-            if n + 1 < stripe_sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    println!(
-        "Expected shape: on multi-core hosts wider stripes shorten each\n\
-         in-flight submessage encode, pulling the whole-transfer wall time\n\
-         down; on one core the widths tie (same total work, same pool)."
-    );
 
     // The receiver's decode: the allocating wrapper against the in-place
     // path the EC receiver runs (present chunks read where they landed,

@@ -18,15 +18,13 @@
 //! * [`XorCode`] — the paper's XOR modulo-group code: parity `i` is the XOR
 //!   of data blocks `j ≡ i (mod m)`; tolerates one loss per group.
 //! * [`pool`] — the persistent [`EncodePool`]: long-lived workers fed over
-//!   channels, with an async [`EncodePool::submit`]/[`PendingEncode::wait`]
+//!   a channel, one kind of task (a closure and its latch) and three ways
+//!   to make them: an async [`EncodePool::submit`]/[`PendingEncode::wait`]
 //!   split so reliability layers overlap encoding with injection (the
-//!   paper's spare-core model), and [`EncodePool::reconstruct_striped`],
-//!   the receiver's in-place decode column-striped over the same workers.
-//! * [`encode_parallel`] / [`encode_parallel_into`] — column-striped
-//!   multi-threaded encoding used to hide the encode cost behind injection
-//!   (Figure 11); dispatches stripes to the pool (no per-call thread
-//!   spawn); the `_into` form writes caller-owned parity buffers and
-//!   allocates nothing in the single-thread path.
+//!   paper's spare-core model), [`EncodePool::encode_striped`], Figure
+//!   11's column-striped multi-threaded encode into caller-owned parity,
+//!   and [`EncodePool::reconstruct_striped`], the receiver's in-place
+//!   decode column-striped over the same workers.
 //! * [`crc32c`] — runtime-dispatched CRC32C (Castagnoli) behind the
 //!   [`Crc32c`] vtable: the x86_64 `CRC32` instruction tier, three
 //!   interleaved chains per 4032 B block (18.8 GiB/s on 64 KiB and on 4 KiB
@@ -64,7 +62,6 @@ pub mod crc32c;
 pub mod gf256;
 pub mod kernel;
 pub mod matrix;
-pub mod parallel;
 pub mod pool;
 pub mod rs;
 pub mod xor;
@@ -73,10 +70,111 @@ pub use codec::{EcError, ErasureCode};
 pub use crc32c::{crc32c, Crc32c, Crc32cHasher};
 pub use kernel::Kernel;
 pub use matrix::Matrix;
-pub use parallel::{encode_parallel, encode_parallel_into};
 pub use pool::{EncodeJob, EncodePool, PendingEncode};
 pub use rs::ReedSolomon;
 pub use xor::XorCode;
+
+/// The column-striped encode ([`EncodePool::encode_striped`]) against the
+/// serial one.
+#[cfg(test)]
+mod parallel {
+    use crate::{EncodePool, ErasureCode};
+
+    /// Freshly allocated parity of `data`, encoded over the global pool in
+    /// `stripes` column stripes.
+    pub(crate) fn striped_parity(
+        code: &dyn ErasureCode,
+        data: &[&[u8]],
+        stripes: usize,
+    ) -> Vec<Vec<u8>> {
+        let len = data.first().map_or(0, |d| d.len());
+        let mut parity = vec![vec![0u8; len]; code.parity_shards()];
+        let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        EncodePool::global().encode_striped(code, data, &mut views, stripes);
+        parity
+    }
+
+    mod tests {
+        use super::striped_parity;
+        use crate::{EncodePool, ErasureCode, ReedSolomon, XorCode};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn random_data(k: usize, len: usize) -> Vec<Vec<u8>> {
+            let mut rng = SmallRng::seed_from_u64(123);
+            (0..k)
+                .map(|_| (0..len).map(|_| rng.random()).collect())
+                .collect()
+        }
+
+        /// The striped parity of random `len`-byte shards equals the
+        /// serial encode at every width in `stripes`.
+        fn matches_serial(code: &dyn ErasureCode, len: usize, stripes: &[usize]) {
+            let data = random_data(code.data_shards(), len);
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let serial = code.encode(&refs);
+            for &n in stripes {
+                assert_eq!(striped_parity(code, &refs, n), serial, "stripes={n}");
+            }
+        }
+
+        #[test]
+        fn parallel_rs_matches_serial() {
+            matches_serial(&ReedSolomon::new(8, 3), 64 * 1024 + 13, &[1, 2, 3, 4, 8]);
+        }
+
+        #[test]
+        fn parallel_xor_matches_serial() {
+            matches_serial(&XorCode::new(32, 8), 17 * 1024, &[4]);
+        }
+
+        #[test]
+        fn tiny_shards_fall_back_to_serial() {
+            matches_serial(&ReedSolomon::new(4, 2), 16, &[8]);
+        }
+
+        #[test]
+        fn pooled_path_matches_serial_reference() {
+            matches_serial(&ReedSolomon::new(8, 3), 96 * 1024 + 31, &[2, 3, 8]);
+        }
+
+        #[test]
+        fn zero_length_is_fine() {
+            matches_serial(&XorCode::new(2, 1), 0, &[4]);
+        }
+
+        #[test]
+        fn encode_into_writes_caller_buffers_in_place() {
+            // Parity lands in exactly the buffers the caller provided —
+            // same backing storage, no swaps.
+            let code = ReedSolomon::new(6, 3);
+            let data = random_data(6, 8 * 1024 + 5);
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let mut parity = vec![vec![0xAAu8; 8 * 1024 + 5]; 3];
+            let ptrs: Vec<*const u8> = parity.iter().map(|p| p.as_ptr()).collect();
+            for stripes in [1, 4] {
+                let mut views: Vec<&mut [u8]> =
+                    parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+                EncodePool::global().encode_striped(&code, &refs, &mut views, stripes);
+                assert_eq!(parity, code.encode(&refs), "stripes={stripes}");
+                let now: Vec<*const u8> = parity.iter().map(|p| p.as_ptr()).collect();
+                assert_eq!(now, ptrs, "parity buffer was reallocated");
+                parity.iter_mut().for_each(|p| p.fill(0xAA));
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "ragged parity shards")]
+        fn encode_into_rejects_wrong_parity_len() {
+            let code = XorCode::new(2, 1);
+            let data = random_data(2, 64);
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let mut short = vec![0u8; 32];
+            let mut views: Vec<&mut [u8]> = vec![short.as_mut_slice()];
+            EncodePool::global().encode_striped(&code, &refs, &mut views, 1);
+        }
+    }
+}
 
 #[cfg(test)]
 mod proptests {
@@ -143,8 +241,8 @@ mod proptests {
             }
         }
 
-        /// Parallel encoding is bit-identical to serial encoding for both
-        /// codes at arbitrary lengths and thread counts.
+        /// The column-striped encode is bit-identical to the serial one at
+        /// arbitrary lengths and stripe counts.
         #[test]
         fn parallel_encode_equals_serial(
             len in 1usize..4096,
@@ -158,7 +256,7 @@ mod proptests {
                 .collect();
             let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
             let rs = ReedSolomon::new(5, 2);
-            prop_assert_eq!(encode_parallel(&rs, &refs, threads), rs.encode(&refs));
+            prop_assert_eq!(parallel::striped_parity(&rs, &refs, threads), rs.encode(&refs));
         }
     }
 }

@@ -1,12 +1,9 @@
 //! Persistent GF(256) worker pool.
 //!
 //! The paper hides erasure encoding behind data injection by running it on
-//! spare CPU cores (§4.1.2, Fig 11). PR 1 made the per-call kernels fast;
-//! this module removes the *dispatch* cost: [`encode_parallel_into`]
-//! (crate::encode_parallel_into) used to spawn fresh `std::thread::scope`
-//! threads per submessage, paying thread creation + teardown on every
-//! 2 MiB encode. The [`EncodePool`] keeps long-lived workers blocked on a
-//! channel instead, so dispatching a stripe costs one enqueue + wakeup.
+//! spare CPU cores (§4.1.2, Fig 11). The [`EncodePool`] keeps long-lived
+//! workers blocked on a channel, so handing them work costs one enqueue +
+//! wakeup, not a thread spawn.
 //!
 //! Its two users are the two ends of an EC transfer: the **sender** submits
 //! each submessage's encode as an owned job, and the **receiver** stripes
@@ -14,41 +11,43 @@
 //! leaves idle.
 //!
 //! ```text
-//!                 ┌────────────────────────────────────────────┐
-//!                 │                EncodePool                  │
-//!   submit ──────▶│ channel ─▶ worker 0 ─┐  (long-lived,       │
-//!   (owned job)   │         ─▶ worker 1 ─┤   blocked on recv)  │
-//!   encode_striped│         ─▶   ...    ─┤                     │
-//!   reconstruct_  │         ─▶ worker N ─┘                     │
-//!   striped ─────▶│                │                           │
-//!   (borrowed     │                │                           │
-//!    stripes)     │                │                           │
-//!                 └────────────────┼───────────────────────────┘
-//!                                  ▼
-//!            latch.complete() ──▶ caller wait()/wait_helping()
+//!                  ┌───────────────────────────────────────────┐
+//!   submit ───────▶│ task = boxed closure + latch              │
+//!   (one task per  │ channel ─▶ worker 0 ─┐  (long-lived,      │
+//!    owned job)    │         ─▶ worker 1 ─┤   blocked on recv) │
+//!   encode_striped │         ─▶   ...    ─┤                    │
+//!   reconstruct_   │         ─▶ worker N ─┘                    │
+//!   striped ──────▶│                │                          │
+//!   (one task per  │                │                          │
+//!    stripe)       └────────────────┼──────────────────────────┘
+//!                                   ▼
+//!             latch.complete() ──▶ caller wait()/wait_helping()
 //! ```
 //!
-//! Two kinds of work share the workers:
+//! The workers run one kind of task: a boxed closure and the latch it
+//! completes. Two entry points build them:
 //!
-//! * **Borrowed stripes** ([`EncodePool::encode_striped`],
-//!   [`EncodePool::reconstruct_striped`]): one column-stripe dispatcher
-//!   splits the shard length, hands each stripe its columns of every
-//!   output (parity, or the erased data shards), runs the first inline and
-//!   sends the rest to the workers. The caller's borrows are erased to
-//!   `'static` for the channel crossing and a latch guard guarantees every
-//!   stripe finishes (even on unwind) before the borrows die — the same
-//!   discipline `std::thread::scope` enforces, without the spawn.
-//! * **Owned jobs** ([`EncodePool::submit`] → [`PendingEncode::wait`]): an
-//!   async split for pipelining. The EC sender submits submessage *i+1*'s
-//!   encode (buffers move into the job) and keeps injecting submessage *i*;
-//!   `wait` returns the buffers once parity is computed.
+//! * [`EncodePool::submit`] → [`PendingEncode::wait`]: an async split for
+//!   pipelining. The task owns an [`EncodeJob`] (its two buffers move into
+//!   it); the EC sender submits submessage *i+1*'s encode and keeps
+//!   injecting submessage *i*, and `wait` returns the buffers once parity
+//!   is computed.
+//! * Column stripes ([`EncodePool::encode_striped`],
+//!   [`EncodePool::reconstruct_striped`]): one dispatcher splits the shard
+//!   length, hands each stripe its columns of every output (parity, or the
+//!   erased data shards), runs the first inline and sends the rest to the
+//!   workers. The caller's borrows are erased to `'static` for the channel
+//!   crossing and a latch guard guarantees every stripe finishes (even on
+//!   unwind) before the borrows die — the same discipline
+//!   `std::thread::scope` enforces, without the spawn.
 //!
-//! Waiters **help**: while blocked on a latch they drain queued tasks, so
-//! nested dispatch (an owned job striping across the pool) cannot deadlock
-//! even with a single worker. Workers catch panics per task — a poisoned
-//! job reports at `wait`, a poisoned stripe re-raises on the caller once
-//! every stripe has finished, and the pool stays usable (panic
-//! containment).
+//! Waiters **help**: while blocked on a latch they run queued tasks
+//! themselves, so a caller waiting on its own stripes never waits behind
+//! busy workers — with a 1-worker pool busy on a parity job, a decode's
+//! stripes still finish, on the caller's thread. Workers catch panics per
+//! task — a poisoned job reports at `wait`, a poisoned stripe re-raises on
+//! the caller once every stripe has finished, and the pool stays usable
+//! (panic containment).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,21 +107,21 @@ impl Latch {
         (st.remaining == 0).then_some(st.poisoned)
     }
 
-    /// Blocks until all tasks finish, draining queued pool tasks while
-    /// waiting (work-helping, which makes nested dispatch deadlock-free).
-    /// Returns whether any task panicked.
-    fn wait_helping(&self, core: &Arc<PoolCore>) -> bool {
+    /// Blocks until all tasks finish, running queued pool tasks while
+    /// waiting (work-helping: the caller never waits behind busy workers
+    /// for tasks it could run itself). Returns whether any task panicked.
+    fn wait_helping(&self, core: &PoolCore) -> bool {
         loop {
             if let Some(poisoned) = self.try_done() {
                 return poisoned;
             }
             match core.rx.try_recv() {
-                Ok(Task::Shutdown) => {
+                Ok(Some(task)) => task.run(),
+                Ok(None) => {
                     // A worker's shutdown sentinel; hand it back.
-                    let _ = core.tx.send(Task::Shutdown);
+                    let _ = core.tx.send(None);
                     std::thread::yield_now();
                 }
-                Ok(task) => run_task(core, task),
                 Err(_) => {
                     let st = self.state.lock().expect("latch mutex poisoned");
                     if st.remaining > 0 {
@@ -139,35 +138,65 @@ impl Latch {
     }
 }
 
-/// An owned encode job: the erasure code plus the data and parity buffers,
-/// moved into the pool for the duration of the encode and handed back by
+/// An owned encode job: the erasure code plus one submessage's data and
+/// parity, each one flat buffer of rows [`EncodeJob::stride`] apart, moved
+/// into the pool for the duration of the encode and handed back by
 /// [`PendingEncode::wait`].
 pub struct EncodeJob {
     /// The code to encode with (`Arc` so jobs can cross threads while the
     /// caller keeps using the same instance).
     pub code: Arc<dyn ErasureCode>,
-    /// `k` data shards (all the same length).
-    pub data: Vec<Vec<u8>>,
-    /// `m` parity shards (same length as the data shards; overwritten).
-    pub parity: Vec<Vec<u8>>,
+    /// The `k` data shards of `len` bytes, shard `i` at `i·stride(len)`.
+    pub data: Vec<u8>,
+    /// The `m` parity shards, laid out as `data` (overwritten).
+    pub parity: Vec<u8>,
 }
 
-struct PendingSlot {
-    latch: Latch,
-    result: Mutex<Option<EncodeJob>>,
+/// What a row of an [`EncodeJob`] holds beyond its shard.
+const ROW_PAD: usize = 64;
+
+impl EncodeJob {
+    /// Bytes from one row's start to the next for shards of `len` bytes:
+    /// one cache line more than `len`. Rows a power of two apart (64 KiB
+    /// chunks back to back) put a column's `k + m` bytes in one cache set,
+    /// where the fused kernel's loads evict each other: MDS(32,8) on
+    /// 64 KiB shards then encodes ≈ 25 % slower than at this stride (GFNI
+    /// tier, 2-vCPU Xeon).
+    pub const fn stride(len: usize) -> usize {
+        len + ROW_PAD
+    }
+
+    /// Encodes the data rows into the parity rows.
+    ///
+    /// # Panics
+    /// When the buffers are not `k` and `m` rows of one stride.
+    fn encode(&mut self) {
+        let (k, m) = (self.code.data_shards(), self.code.parity_shards());
+        let stride = self.data.len() / k;
+        assert!(
+            stride >= ROW_PAD && self.data.len() == k * stride && self.parity.len() == m * stride,
+            "EncodeJob buffers are not k and m rows of one stride"
+        );
+        let len = stride - ROW_PAD;
+        let data: Vec<&[u8]> = self.data.chunks_exact(stride).map(|r| &r[..len]).collect();
+        let rows = self.parity.chunks_exact_mut(stride);
+        let mut parity: Vec<&mut [u8]> = rows.map(|r| &mut r[..len]).collect();
+        self.code.encode_into(&data, &mut parity);
+    }
 }
 
 /// Handle to an in-flight [`EncodeJob`]. Dropping it without waiting is
 /// allowed — the worker finishes the encode and discards the buffers.
 pub struct PendingEncode {
-    slot: Arc<PendingSlot>,
+    latch: Arc<Latch>,
+    job: Arc<Mutex<Option<EncodeJob>>>,
     core: Arc<PoolCore>,
 }
 
 impl PendingEncode {
     /// True once the encode has finished (never blocks).
     pub fn is_ready(&self) -> bool {
-        self.slot.latch.try_done().is_some()
+        self.latch.try_done().is_some()
     }
 
     /// Blocks until the encode finishes and returns the job's buffers with
@@ -177,72 +206,43 @@ impl PendingEncode {
     /// Re-raises a worker panic (e.g. inconsistent shard shapes) on the
     /// caller; the pool itself stays usable.
     pub fn wait(self) -> EncodeJob {
-        let poisoned = self.slot.latch.wait_helping(&self.core);
-        let job = self
-            .slot
-            .result
-            .lock()
-            .expect("pending mutex poisoned")
-            .take()
-            .expect("worker stores the job before completing the latch");
+        let poisoned = self.latch.wait_helping(&self.core);
         assert!(
             !poisoned,
             "EncodePool worker panicked while encoding a submitted job"
         );
-        job
+        let job = self.job.lock().expect("pending mutex poisoned").take();
+        job.expect("the task stores the job before completing the latch")
     }
 }
 
-struct ScopedTask {
+/// The one kind of pool work: a closure and the latch it completes.
+struct Task {
     func: Box<dyn FnOnce() + Send + 'static>,
     latch: Arc<Latch>,
 }
 
-struct OwnedTask {
-    job: EncodeJob,
-    stripes: usize,
-    slot: Arc<PendingSlot>,
+impl Task {
+    /// Runs the closure, catching a panic, and completes the latch.
+    fn run(self) {
+        let poisoned = catch_unwind(AssertUnwindSafe(self.func)).is_err();
+        self.latch.complete(poisoned);
+    }
 }
 
-enum Task {
-    Scoped(ScopedTask),
-    Owned(Box<OwnedTask>),
-    Shutdown,
-}
-
+/// The channel both ends share: a worker (or a helping waiter) receives
+/// tasks, `None` is a worker's shutdown sentinel.
 struct PoolCore {
-    tx: Sender<Task>,
-    rx: Receiver<Task>,
+    tx: Sender<Option<Task>>,
+    rx: Receiver<Option<Task>>,
 }
 
-fn run_task(core: &Arc<PoolCore>, task: Task) {
-    match task {
-        Task::Scoped(t) => {
-            let poisoned = catch_unwind(AssertUnwindSafe(t.func)).is_err();
-            t.latch.complete(poisoned);
-        }
-        Task::Owned(t) => {
-            let OwnedTask { job, stripes, slot } = *t;
-            let EncodeJob { code, data, parity } = job;
-            let poisoned = {
-                let mut parity = parity;
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-                    let mut views: Vec<&mut [u8]> =
-                        parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-                    if stripes <= 1 {
-                        code.encode_into(&refs, &mut views);
-                    } else {
-                        encode_striped_on(core, code.as_ref(), &refs, &mut views, stripes);
-                    }
-                }));
-                *slot.result.lock().expect("pending mutex poisoned") =
-                    Some(EncodeJob { code, data, parity });
-                res.is_err()
-            };
-            slot.latch.complete(poisoned);
-        }
-        Task::Shutdown => unreachable!("shutdown handled by the worker loop"),
+impl PoolCore {
+    fn send(&self, task: Task) {
+        assert!(
+            self.tx.send(Some(task)).is_ok(),
+            "pool workers hold the receiver for the pool's lifetime"
+        );
     }
 }
 
@@ -251,8 +251,7 @@ fn run_task(core: &Arc<PoolCore>, task: Task) {
 type StripeWork<'a> = dyn Fn(Range<usize>, &mut [&mut [u8]]) + Sync + 'a;
 
 /// The one column-stripe dispatcher, shared by the striped encode (outputs
-/// = parity) and the striped decode (outputs = the erased data shards),
-/// on the caller's thread and on workers running nested owned jobs alike:
+/// = parity) and the striped decode (outputs = the erased data shards):
 /// carve `[0, len)` into `stripes` cache-line-aligned column stripes, hand
 /// each its range of every output, dispatch all but the first to the pool,
 /// run the first inline, and wait (helping) for the rest.
@@ -260,7 +259,7 @@ type StripeWork<'a> = dyn Fn(Range<usize>, &mut [&mut [u8]]) + Sync + 'a;
 /// # Panics
 /// Re-raises a stripe's panic once every dispatched stripe has finished.
 fn stripe_on(
-    core: &Arc<PoolCore>,
+    core: &PoolCore,
     len: usize,
     outs: &mut [&mut [u8]],
     stripes: usize,
@@ -286,7 +285,7 @@ fn stripe_on(
     // borrows die, even if the inline stripe below unwinds.
     struct WaitGuard<'a> {
         latch: &'a Latch,
-        core: &'a Arc<PoolCore>,
+        core: &'a PoolCore,
     }
     impl Drop for WaitGuard<'_> {
         fn drop(&mut self) {
@@ -294,82 +293,56 @@ fn stripe_on(
         }
     }
 
-    let mut inline: Option<(Range<usize>, Vec<&mut [u8]>)> = None;
-    {
-        let guard = WaitGuard {
-            latch: &latch,
-            core,
-        };
-        let mut offset = 0usize;
-        for i in 0..stripes {
-            let size = if i == stripes - 1 { len - offset } else { base };
-            if size == 0 {
-                continue;
-            }
-            let mut stripe_outs = Vec::with_capacity(out_tails.len());
-            for v in out_tails.iter_mut() {
-                let taken = std::mem::take(v);
-                let (head, tail) = taken.split_at_mut(size);
-                stripe_outs.push(head);
-                *v = tail;
-            }
-            let cols = offset..offset + size;
-            offset += size;
-            if i == 0 {
-                // First stripe runs inline on the caller (it is "thread 0"
-                // of the requested width).
-                inline = Some((cols, stripe_outs));
-                continue;
-            }
-            let task_latch = latch.clone();
-            latch.add_task();
-            let func: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let mut outs = stripe_outs;
-                work(cols, &mut outs);
-            });
-            // SAFETY: the closure borrows `work` (and through it the
-            // caller's sources) and the output stripes, all outliving this
-            // function body; the WaitGuard blocks (helping) until the
-            // task's latch completes before any of those borrows can end —
-            // the same guarantee `std::thread::scope` provides for its
-            // spawns.
-            let func: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(func) };
-            assert!(
-                core.tx
-                    .send(Task::Scoped(ScopedTask {
-                        func,
-                        latch: task_latch,
-                    }))
-                    .is_ok(),
-                "pool workers hold the receiver for the pool's lifetime"
-            );
+    let guard = WaitGuard {
+        latch: &latch,
+        core,
+    };
+    let mut inline = None;
+    let mut offset = 0usize;
+    for i in 0..stripes {
+        let size = if i == stripes - 1 { len - offset } else { base };
+        if size == 0 {
+            continue;
         }
-        if let Some((cols, mut stripe_outs)) = inline.take() {
-            // Inline stripe: runs on the caller, outside the latch. A
-            // panic here unwinds through the guard, which drains the
-            // dispatched stripes before the borrows are freed.
-            work(cols, &mut stripe_outs);
+        let mut stripe_outs = Vec::with_capacity(out_tails.len());
+        for v in out_tails.iter_mut() {
+            let (head, tail) = std::mem::take(v).split_at_mut(size);
+            stripe_outs.push(head);
+            *v = tail;
         }
-        drop(guard); // blocks until every stripe completes
+        let cols = offset..offset + size;
+        offset += size;
+        if i == 0 {
+            // First stripe runs inline on the caller (it is "thread 0" of
+            // the requested width).
+            inline = Some((cols, stripe_outs));
+            continue;
+        }
+        latch.add_task();
+        let func: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            let mut outs = stripe_outs;
+            work(cols, &mut outs);
+        });
+        // SAFETY: the closure borrows `work` (and through it the caller's
+        // sources) and the output stripes, all outliving this function
+        // body; the WaitGuard blocks (helping) until the task's latch
+        // completes before any of those borrows can end — the same
+        // guarantee `std::thread::scope` provides for its spawns.
+        let func: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(func) };
+        core.send(Task {
+            func,
+            latch: latch.clone(),
+        });
     }
+    if let Some((cols, mut stripe_outs)) = inline {
+        // Inline stripe: runs on the caller, outside the latch. A panic
+        // here unwinds through the guard, which drains the dispatched
+        // stripes before the borrows are freed.
+        work(cols, &mut stripe_outs);
+    }
+    drop(guard); // blocks until every stripe completes
     let poisoned = latch.try_done().expect("guard waited");
     assert!(!poisoned, "EncodePool worker panicked in a column stripe");
-}
-
-/// The striped encode: [`stripe_on`] over the parity buffers.
-fn encode_striped_on(
-    core: &Arc<PoolCore>,
-    code: &dyn ErasureCode,
-    data: &[&[u8]],
-    parity: &mut [&mut [u8]],
-    stripes: usize,
-) {
-    let len = data.first().map_or(0, |d| d.len());
-    assert!(data.iter().all(|d| d.len() == len), "ragged data shards");
-    stripe_on(core, len, parity, stripes, &|cols, parity| {
-        let data: Vec<&[u8]> = data.iter().map(|d| &d[cols.clone()]).collect();
-        code.encode_into(&data, parity);
-    });
 }
 
 /// A persistent pool of encode workers (the paper's spare-core model).
@@ -418,38 +391,39 @@ impl EncodePool {
         self.workers.len()
     }
 
-    /// Submits an owned encode job; `stripes` > 1 additionally splits the
-    /// shard length across the pool. Returns immediately — the caller
+    /// Submits an owned encode job: one task that encodes the job's data
+    /// rows into its parity rows. Returns immediately — the caller
     /// overlaps other work and collects the buffers via
     /// [`PendingEncode::wait`].
-    pub fn submit(&self, job: EncodeJob, stripes: usize) -> PendingEncode {
-        let slot = Arc::new(PendingSlot {
-            latch: Latch::new(1),
-            result: Mutex::new(None),
+    pub fn submit(&self, job: EncodeJob) -> PendingEncode {
+        let latch = Arc::new(Latch::new(1));
+        let slot = Arc::new(Mutex::new(None));
+        let out = slot.clone();
+        self.core.send(Task {
+            func: Box::new(move || {
+                let mut job = job;
+                job.encode();
+                *out.lock().expect("pending mutex poisoned") = Some(job);
+            }),
+            latch: latch.clone(),
         });
-        assert!(
-            self.core
-                .tx
-                .send(Task::Owned(Box::new(OwnedTask {
-                    job,
-                    stripes,
-                    slot: slot.clone(),
-                })))
-                .is_ok(),
-            "pool workers hold the receiver for the pool's lifetime"
-        );
         PendingEncode {
-            slot,
+            latch,
+            job: slot,
             core: self.core.clone(),
         }
     }
 
     /// Encodes `data` into caller-owned `parity` split column-wise into
     /// `stripes` stripes across the pool (first stripe inline on the
-    /// caller). Blocks until the encode completes.
+    /// caller) — Figure 11's multi-threaded encode. Parity is written
+    /// strictly in place; shards shorter than one cache line per stripe
+    /// encode on the caller alone. Blocks until the encode completes.
     ///
     /// # Panics
-    /// Propagates worker panics and shape inconsistencies.
+    /// When the shard counts or lengths are inconsistent (checked before
+    /// any stripe starts), and re-raises a stripe's panic once every
+    /// dispatched stripe has finished.
     pub fn encode_striped(
         &self,
         code: &dyn ErasureCode,
@@ -457,7 +431,18 @@ impl EncodePool {
         parity: &mut [&mut [u8]],
         stripes: usize,
     ) {
-        encode_striped_on(&self.core, code, data, parity, stripes);
+        assert_eq!(data.len(), code.data_shards());
+        assert_eq!(parity.len(), code.parity_shards());
+        let len = data.first().map_or(0, |d| d.len());
+        assert!(data.iter().all(|d| d.len() == len), "ragged data shards");
+        assert!(
+            parity.iter().all(|p| p.len() == len),
+            "ragged parity shards"
+        );
+        stripe_on(&self.core, len, parity, stripes, &|cols, parity| {
+            let data: Vec<&[u8]> = data.iter().map(|d| &d[cols.clone()]).collect();
+            code.encode_into(&data, parity);
+        });
     }
 
     /// [`ErasureCode::reconstruct_data`] split column-wise into `stripes`
@@ -504,7 +489,7 @@ impl Drop for EncodePool {
         // FIFO channel: sentinels land behind all outstanding work, so
         // queued jobs finish before the workers exit.
         for _ in &self.workers {
-            let _ = self.core.tx.send(Task::Shutdown);
+            let _ = self.core.tx.send(None);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -512,12 +497,9 @@ impl Drop for EncodePool {
     }
 }
 
-fn worker_loop(core: &Arc<PoolCore>) {
-    while let Ok(task) = core.rx.recv() {
-        if matches!(task, Task::Shutdown) {
-            return;
-        }
-        run_task(core, task);
+fn worker_loop(core: &PoolCore) {
+    while let Ok(Some(task)) = core.rx.recv() {
+        task.run();
     }
 }
 
@@ -528,65 +510,91 @@ mod tests {
 
     fn job(k: usize, m: usize, len: usize) -> EncodeJob {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(k, m));
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|i| (0..len).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
-            .collect();
-        let parity = vec![vec![0u8; len]; m];
-        EncodeJob { code, data, parity }
+        let stride = EncodeJob::stride(len);
+        let data = (0..k * stride).map(|j| ((j / stride * 31 + j * 7) % 256) as u8);
+        EncodeJob {
+            code,
+            data: data.collect(),
+            parity: vec![0u8; m * stride],
+        }
+    }
+
+    /// The job's data rows, and their serial encode.
+    fn rows_and_parity(j: &EncodeJob) -> (Vec<&[u8]>, Vec<Vec<u8>>) {
+        let stride = j.data.len() / j.code.data_shards();
+        let len = stride - ROW_PAD;
+        let rows: Vec<&[u8]> = j.data.chunks_exact(stride).map(|r| &r[..len]).collect();
+        let parity = j.code.encode(&rows);
+        (rows, parity)
+    }
+
+    /// The parity rows of a finished job.
+    fn parity_rows(j: &EncodeJob) -> Vec<&[u8]> {
+        let stride = j.parity.len() / j.code.parity_shards();
+        j.parity
+            .chunks_exact(stride)
+            .map(|r| &r[..stride - ROW_PAD])
+            .collect()
     }
 
     #[test]
     fn owned_job_round_trips_buffers_with_parity() {
         let pool = EncodePool::new(2);
         let j = job(4, 2, 4096);
-        let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-        let expect = j.code.encode(&refs);
-        drop(refs);
-        let done = pool.submit(j, 1).wait();
-        assert_eq!(done.parity, expect);
-    }
-
-    #[test]
-    fn striped_owned_job_matches_serial() {
-        let pool = EncodePool::new(2);
-        let j = job(6, 3, 64 * 1024 + 13);
-        let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-        let expect = j.code.encode(&refs);
-        drop(refs);
-        let done = pool.submit(j, 4).wait();
-        assert_eq!(done.parity, expect);
-    }
-
-    #[test]
-    fn single_worker_pool_handles_nested_striping() {
-        // One worker + nested dispatch: only the helping waiter prevents
-        // deadlock here.
-        let pool = EncodePool::new(1);
-        let j = job(4, 2, 32 * 1024);
-        let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-        let expect = j.code.encode(&refs);
-        drop(refs);
-        let done = pool.submit(j, 3).wait();
-        assert_eq!(done.parity, expect);
+        let expect = rows_and_parity(&j).1;
+        let (data, parity) = (j.data.as_ptr(), j.parity.as_ptr());
+        let done = pool.submit(j).wait();
+        assert_eq!(parity_rows(&done), expect);
+        // The same two buffers come back: nothing was reallocated.
+        assert_eq!((done.data.as_ptr(), done.parity.as_ptr()), (data, parity));
     }
 
     #[test]
     fn pending_is_ready_eventually() {
         let pool = EncodePool::new(1);
-        let pending = pool.submit(job(4, 2, 1024), 1);
+        let pending = pool.submit(job(4, 2, 1024));
         while !pending.is_ready() {
             std::thread::yield_now();
         }
         let done = pending.wait();
-        assert_eq!(done.parity.len(), 2);
+        assert_eq!(parity_rows(&done).len(), 2);
     }
 
     #[test]
     fn dropping_pending_does_not_hang_pool() {
         let pool = EncodePool::new(1);
-        drop(pool.submit(job(4, 2, 1024), 1));
+        drop(pool.submit(job(4, 2, 1024)));
         // Pool still serves new jobs afterwards.
-        let done = pool.submit(job(4, 2, 1024), 1).wait();
-        assert_eq!(done.parity.len(), 2);
+        let done = pool.submit(job(4, 2, 1024)).wait();
+        assert_eq!(parity_rows(&done).len(), 2);
+    }
+
+    /// The one worker holds a task for up to 10 s: a striped caller that
+    /// runs its own queued stripes returns while the worker still holds.
+    #[test]
+    fn busy_single_worker_cannot_stall_a_striped_caller() {
+        use std::sync::mpsc;
+        let pool = EncodePool::new(1);
+        let (started_tx, started) = mpsc::channel();
+        let (release, held) = mpsc::channel::<()>();
+        pool.core.send(Task {
+            func: Box::new(move || {
+                started_tx.send(()).expect("the test waits for the start");
+                let _ = held.recv_timeout(Duration::from_secs(10));
+            }),
+            latch: Arc::new(Latch::new(1)),
+        });
+        // Once the worker holds, the queue has only the caller's stripes.
+        started.recv().expect("the worker runs the holding task");
+        let j = job(4, 2, 32 * 1024);
+        let (refs, expect) = rows_and_parity(&j);
+        let mut parity = vec![vec![0u8; 32 * 1024]; 2];
+        let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
+        pool.encode_striped(j.code.as_ref(), &refs, &mut views, 3);
+        assert!(
+            release.send(()).is_ok(),
+            "the stripes waited for the worker"
+        );
+        assert_eq!(parity, expect);
     }
 }

@@ -8,22 +8,35 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use sdr_erasure::{
-    encode_parallel_into, EcError, EncodeJob, EncodePool, ErasureCode, ReedSolomon, XorCode,
-};
+use sdr_erasure::{EcError, EncodeJob, EncodePool, ErasureCode, ReedSolomon, XorCode};
 
 fn job_with_len(code: Arc<dyn ErasureCode>, len: usize, seed: usize) -> EncodeJob {
     let k = code.data_shards();
     let m = code.parity_shards();
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| {
-            (0..len)
-                .map(|j| ((i * 31 + j * 7 + seed * 131) % 256) as u8)
-                .collect()
-        })
-        .collect();
-    let parity = vec![vec![0u8; len]; m];
-    EncodeJob { code, data, parity }
+    let stride = EncodeJob::stride(len);
+    let byte = |j: usize| ((j / stride * 31 + j % stride * 7 + seed * 131) % 256) as u8;
+    EncodeJob {
+        code,
+        data: (0..k * stride).map(byte).collect(),
+        parity: vec![0u8; m * stride],
+    }
+}
+
+/// The `len`-byte rows of a job buffer holding `rows` of them.
+fn rows(buf: &[u8], rows: usize, len: usize) -> Vec<&[u8]> {
+    buf.chunks_exact(buf.len() / rows)
+        .map(|r| &r[..len])
+        .collect()
+}
+
+/// The serial encode of `j`'s data rows, shard length `len`.
+fn expected_parity(j: &EncodeJob, len: usize) -> Vec<Vec<u8>> {
+    j.code.encode(&rows(&j.data, j.code.data_shards(), len))
+}
+
+/// The parity rows a finished job of shard length `len` holds.
+fn parity_of(j: &EncodeJob, len: usize) -> Vec<&[u8]> {
+    rows(&j.parity, j.code.parity_shards(), len)
 }
 
 /// Many threads submitting owned jobs concurrently: every job's parity
@@ -40,13 +53,11 @@ fn concurrent_submits_from_many_threads() {
             s.spawn(move || {
                 for round in 0..24usize {
                     let seed = t * 1000 + round;
-                    let j = job_with_len(code.clone(), 8 * 1024 + (round % 7) * 64, seed);
-                    let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-                    let expect = j.code.encode(&refs);
-                    drop(refs);
-                    // Alternate striped and unstriped submissions.
-                    let done = pool.submit(j, 1 + round % 3).wait();
-                    assert_eq!(done.parity, expect, "t={t} round={round}");
+                    let len = 8 * 1024 + (round % 7) * 64;
+                    let j = job_with_len(code.clone(), len, seed);
+                    let expect = expected_parity(&j, len);
+                    let done = pool.submit(j).wait();
+                    assert_eq!(parity_of(&done, len), expect, "t={t} round={round}");
                 }
             });
         }
@@ -90,29 +101,28 @@ fn worker_panic_is_contained_and_pool_survives() {
     let pool = EncodePool::new(2);
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2));
 
-    // Ragged parity: encode_into asserts inside the worker.
+    // Short parity: the job's shape check asserts inside the worker.
     let bad = EncodeJob {
         code: code.clone(),
-        data: vec![vec![0u8; 1024]; 4],
-        parity: vec![vec![0u8; 1024], vec![0u8; 512]],
+        data: vec![0u8; 4 * EncodeJob::stride(1024)],
+        parity: vec![0u8; EncodeJob::stride(1024) + 512],
     };
-    let pending = pool.submit(bad, 1);
+    let pending = pool.submit(bad);
     let err = catch_unwind(AssertUnwindSafe(move || pending.wait()));
     assert!(err.is_err(), "poisoned job must re-raise at wait()");
 
     // The pool is still fully functional afterwards — repeatedly.
     for seed in 0..8 {
         let j = job_with_len(code.clone(), 4096, seed);
-        let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-        let expect = j.code.encode(&refs);
-        drop(refs);
-        assert_eq!(pool.submit(j, 2).wait().parity, expect, "seed={seed}");
+        let expect = expected_parity(&j, 4096);
+        let done = pool.submit(j).wait();
+        assert_eq!(parity_of(&done, 4096), expect, "seed={seed}");
     }
 }
 
-/// The pooled `encode_parallel_into` propagates shape panics to the
-/// caller (as a plain `encode_into` would) without wedging the
-/// global pool for later calls.
+/// The global pool's `encode_striped` propagates shape panics to the
+/// caller (as a plain `encode_into` would) without wedging the pool for
+/// later calls.
 #[test]
 fn striped_shape_panic_propagates_and_pool_recovers() {
     let code = ReedSolomon::new(2, 1);
@@ -121,7 +131,7 @@ fn striped_shape_panic_propagates_and_pool_recovers() {
     let mut short = vec![0u8; 32];
     let err = catch_unwind(AssertUnwindSafe(|| {
         let mut views: Vec<&mut [u8]> = vec![short.as_mut_slice()];
-        encode_parallel_into(&code, &refs, &mut views, 2);
+        EncodePool::global().encode_striped(&code, &refs, &mut views, 2);
     }));
     assert!(err.is_err());
 
@@ -130,7 +140,7 @@ fn striped_shape_panic_propagates_and_pool_recovers() {
     let mut parity = vec![vec![0u8; 64 * 1024]];
     {
         let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        encode_parallel_into(&code, &refs, &mut views, 2);
+        EncodePool::global().encode_striped(&code, &refs, &mut views, 2);
     }
     assert_eq!(parity, expect);
 }
@@ -144,28 +154,28 @@ fn drop_with_queued_work_shuts_down_cleanly() {
     let pendings: Vec<_> = (0..16)
         .map(|seed| {
             let j = job_with_len(code.clone(), 16 * 1024, seed);
-            pool.submit(j, 1)
+            pool.submit(j)
         })
         .collect();
     drop(pool); // waits for the backlog, then joins workers
     for (seed, p) in pendings.into_iter().enumerate() {
         assert!(p.is_ready(), "job {seed} completed before shutdown");
         let done = p.wait();
-        assert_eq!(done.parity.len(), 2);
+        assert_eq!(done.parity.len(), 2 * EncodeJob::stride(16 * 1024));
     }
 }
 
-/// A panic *during stripe carving* (short parity slice hitting
-/// `split_at_mut` mid-carve) must propagate to the caller, not hang the
-/// latch guard waiting on stripes that were never dispatched.
+/// A parity slice shorter than the shards must propagate a panic to the
+/// caller, not hang the latch guard waiting on stripes that were never
+/// dispatched. (`encode_striped` refuses the shape before carving; the
+/// dispatcher's count-up latch covers a panic mid-carve.)
 #[test]
 fn carving_panic_propagates_instead_of_hanging() {
     let pool = EncodePool::new(1);
     let code = ReedSolomon::new(2, 1);
     let data: Vec<Vec<u8>> = vec![vec![7u8; 64 * 1024]; 2];
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    // Parity shorter than the shard length: the second stripe's
-    // split_at_mut panics after stripe 0 was already dispatched.
+    // Parity shorter than the shard length.
     let mut short = vec![0u8; 40 * 1024];
     let err = catch_unwind(AssertUnwindSafe(|| {
         let mut views: Vec<&mut [u8]> = vec![short.as_mut_slice()];
@@ -296,10 +306,9 @@ fn decode_stripe_panic_reraises_after_every_stripe_finished() {
         let code: Arc<dyn ErasureCode> = Arc::new(rs.clone());
         for seed in 0..4 {
             let j = job_with_len(code.clone(), 8 * 1024, seed);
-            let refs: Vec<&[u8]> = j.data.iter().map(|d| d.as_slice()).collect();
-            let expect = j.code.encode(&refs);
-            drop(refs);
-            assert_eq!(pool.submit(j, 2).wait().parity, expect, "seed={seed}");
+            let expect = expected_parity(&j, 8 * 1024);
+            let done = pool.submit(j).wait();
+            assert_eq!(parity_of(&done, 8 * 1024), expect, "seed={seed}");
         }
     }
 }

@@ -29,27 +29,21 @@
 //!
 //! # The streaming encode→inject pipeline
 //!
-//! The sender no longer stages all parity before the first send. Encoding
-//! runs on the persistent [`EncodePool`] (the paper's spare-core model,
-//! Fig 11) one submessage ahead of staging, while the protocol thread keeps
-//! injecting:
+//! Encoding runs on the persistent [`EncodePool`] (the paper's spare-core
+//! model, Fig 11) one submessage ahead of staging, while the protocol
+//! thread keeps injecting. One buffer pair travels from job to job, and on
+//! to the thread's next sender: a submission copies the submessage's data
+//! chunks into it, a harvest copies its parity into the staging region
+//! (`ParityStager` has the numbers behind this shape).
 //!
 //! ```text
 //!  sim thread      │ inject D0 D1 … D(L-1) │ stage+inject P0 │ P1 │ P2 │ …
 //!                  │      ▲                │     ▲           │
 //!  encode pool     │ [enc P0]──────────────┘ [enc P1]────────┘ [enc P2] …
-//!                  │
-//!  time-to-first-byte ≈ 0 (data needs no encode; parity i+1 encodes
-//!  while parity i injects — was: O(total parity) before the first byte)
-//! ```
 //!
-//! Two pooled buffer sets cycle through the pipeline (double buffering):
-//! while submessage *i*'s buffers travel through the pool, submessage
-//! *i−1*'s set is harvested, its parity copied to the staging region, and
-//! the set resubmitted for submessage *i+1*. `encode_stripes` additionally
-//! splits each in-flight submessage's shard length across the pool's
-//! workers (`EncodePool::submit(job, n)`), shortening the per-submessage
-//! encode latency on multi-core hosts.
+//!  time-to-first-byte ≈ 0: data needs no encode; parity i+1 encodes
+//!  while parity i injects
+//! ```
 //!
 //! # The in-place decode
 //!
@@ -107,11 +101,6 @@ pub struct EcProtoConfig {
     pub rtt: SimTime,
     /// Final-ACK repeats before releasing buffers.
     pub linger_acks: u32,
-    /// Stripes per in-flight submessage encode: `> 1` splits each
-    /// submessage's shard length across the [`EncodePool`] workers,
-    /// shortening the per-submessage encode latency the fig11 TTFB row
-    /// measures. `1` (the default) encodes each submessage on one worker.
-    pub encode_stripes: usize,
 }
 
 impl EcProtoConfig {
@@ -136,7 +125,6 @@ impl EcProtoConfig {
             fto: SimTime::from_secs_f64(fto_s),
             rtt,
             linger_acks: 25,
-            encode_stripes: 1,
         }
     }
 
@@ -280,17 +268,26 @@ pub struct EcReport {
 }
 
 /// The sender's parity pipeline: the staging region in local memory and
-/// the double-buffered encode jobs that fill it one submessage ahead of
-/// the sends. Plain state over the shared [`EncodePool`] — whoever owns
-/// the sends ([`EcTx::span`](TxScheme::span) under the driver, the flow
-/// manager's stream starts) calls [`staged`](Self::staged) right before a
-/// parity submessage opens, and [`release`](Self::release) at the sender's
-/// end of life.
+/// the encode job that fills it one submessage ahead of the sends. Plain
+/// state over the shared [`EncodePool`] — whoever owns the sends
+/// ([`EcTx::span`](TxScheme::span) under the driver, the flow manager's
+/// stream starts) calls [`staged`](Self::staged) right before a parity
+/// submessage opens, and [`release`](Self::release) at the sender's end of
+/// life.
+///
+/// Why a worker, one submessage ahead, and not an encode in place at parity
+/// open: the encode costs more than the pipeline's two copies. MDS(32,8)
+/// encodes at ≈ 21.5 Gbit/s on one thread (`fig11`, release, GFNI tier,
+/// 2-vCPU Xeon), so one 2 MiB submessage takes ≈ 0.78 ms — against
+/// ≈ 2.7 ms of protocol-thread wall time per submessage on the benchmark's
+/// `bulk_ec_lossy` row (≈ 5.2 µs/pkt × 16 384 pkts ÷ 32). Run on the
+/// protocol thread, the 32 encodes of a 64 MiB transfer would add ≈ 25 ms
+/// (≈ +29 %); on a worker they overlap the injection of the previous
+/// submessage. Dropping the copies must keep that overlap.
 pub(crate) struct ParityStager {
     ctx: SdrContext,
     local_addr: u64,
     chunk_bytes: u64,
-    stripes: usize,
     geoms: Vec<SubGeom>,
     /// One code instance per submessage, shared across identical shapes.
     codes: Vec<Arc<dyn ErasureCode>>,
@@ -299,17 +296,11 @@ pub(crate) struct ParityStager {
     parity_addr: Option<u64>,
     parity_offsets: Vec<u64>,
     parity_total_bytes: u64,
-    /// Parity submessages already copied into the staging region.
-    is_staged: Vec<bool>,
-    /// Next submessage index to submit to the encode pool.
-    next_submit: usize,
-    /// The (single) in-flight encode: submessage index + pool handle.
-    pending: Option<(usize, PendingEncode)>,
-    /// Recycled chunk-sized buffers cycling through encode jobs
-    /// (double-buffered: one set in flight, one being staged).
-    chunks: Vec<Vec<u8>>,
-    /// Recycled `Vec<Vec<u8>>` containers for job data/parity tables.
-    containers: Vec<Vec<Vec<u8>>>,
+    /// Parity submessages copied into the staging region: harvests run in
+    /// submission order, so these are submessages `0..harvested`.
+    harvested: usize,
+    /// The (single) in-flight encode, of submessage `harvested`.
+    pending: Option<PendingEncode>,
 }
 
 impl ParityStager {
@@ -340,19 +331,15 @@ impl ParityStager {
             ctx: ctx.clone(),
             local_addr,
             chunk_bytes,
-            stripes: cfg.encode_stripes.max(1),
-            is_staged: vec![false; geoms.len()],
             geoms,
             codes,
             parity_addr: Some(ctx.alloc_buffer(off)),
             parity_offsets,
             parity_total_bytes: off,
-            next_submit: 0,
+            harvested: 0,
             pending: None,
-            chunks: Vec::new(),
-            containers: Vec::new(),
         };
-        stager.submit_next_encode();
+        stager.submit_encode(0);
         stager
     }
 
@@ -370,72 +357,60 @@ impl ParityStager {
         )
     }
 
-    /// Submits the next submessage's encode to the pool: rent buffers,
-    /// snapshot the data chunks, ship the job. No-op once all submitted.
-    fn submit_next_encode(&mut self) {
-        let idx = self.next_submit;
-        if idx >= self.geoms.len() {
-            return;
-        }
+    /// Submits submessage `idx`'s encode to the pool: snapshot its data
+    /// chunks into an idle job buffer pair, ship the job.
+    fn submit_encode(&mut self, idx: usize) {
         debug_assert!(self.pending.is_none(), "single in-flight encode");
-        let g = self.geoms[idx];
-        let chunk_len = self.chunk_bytes as usize;
-        let mut data = self.containers.pop().unwrap_or_default();
-        for j in 0..g.k_eff {
-            let mut b = self.chunks.pop().unwrap_or_default();
-            b.resize(chunk_len, 0);
-            self.ctx.read_buffer_into(
-                self.local_addr + (g.chunk_start + j as u64) * self.chunk_bytes,
-                &mut b,
-            );
-            data.push(b);
+        let (g, chunk) = (self.geoms[idx], self.chunk_bytes as usize);
+        let stride = EncodeJob::stride(chunk);
+        let (mut data, mut parity) = IDLE_PAIRS.with_borrow_mut(Vec::pop).unwrap_or_default();
+        data.resize(g.k_eff * stride, 0);
+        let addr = self.data(idx).0;
+        for (j, row) in data.chunks_exact_mut(stride).enumerate() {
+            let at = addr + j as u64 * self.chunk_bytes;
+            self.ctx.read_buffer_into(at, &mut row[..chunk]);
         }
-        let mut parity = self.containers.pop().unwrap_or_default();
-        for _ in 0..g.m_eff {
-            let mut b = self.chunks.pop().unwrap_or_default();
-            b.resize(chunk_len, 0);
-            parity.push(b);
-        }
+        parity.resize(g.m_eff * stride, 0);
         let job = EncodeJob {
             code: self.codes[idx].clone(),
             data,
             parity,
         };
-        self.pending = Some((idx, EncodePool::global().submit(job, self.stripes)));
-        self.next_submit = idx + 1;
+        self.pending = Some(EncodePool::global().submit(job));
     }
 
     /// Harvests the in-flight encode: wait for the pool, copy parity into
-    /// the staging region at `base`, recycle the buffers, and immediately
-    /// submit the next submessage so its encode overlaps the injection of
-    /// this one.
+    /// the staging region at `base`, idle the pair, and immediately submit
+    /// the next submessage (on the same pair) so its encode overlaps the
+    /// injection of this one.
     fn harvest_one(&mut self, base: u64) {
-        let (idx, pending) = self.pending.take().expect("an encode is in flight");
-        let EncodeJob {
-            code: _,
-            mut data,
-            mut parity,
-        } = pending.wait();
-        let off = self.parity_offsets[idx];
-        for (p, shard) in parity.iter().enumerate() {
+        let pending = self.pending.take().expect("an encode is in flight");
+        let EncodeJob { data, parity, .. } = pending.wait();
+        let idx = self.harvested;
+        let chunk = self.chunk_bytes as usize;
+        let at = base + self.parity_offsets[idx];
+        for (p, row) in parity.chunks_exact(EncodeJob::stride(chunk)).enumerate() {
             self.ctx
-                .write_buffer(base + off + p as u64 * self.chunk_bytes, shard);
+                .write_buffer(at + p as u64 * self.chunk_bytes, &row[..chunk]);
         }
-        self.is_staged[idx] = true;
-        self.chunks.append(&mut data);
-        self.chunks.append(&mut parity);
-        self.containers.push(data);
-        self.containers.push(parity);
-        self.submit_next_encode();
+        self.harvested = idx + 1;
+        IDLE_PAIRS.with_borrow_mut(|idle| {
+            if idle.len() < IDLE_PAIRS_KEPT {
+                idle.push((data, parity));
+            }
+        });
+        if self.harvested < self.geoms.len() {
+            self.submit_encode(self.harvested);
+        }
     }
 
     /// Drains the pipeline until submessage `p`'s parity is staged and
     /// returns its `(addr, len)` in the staging region. Submissions are
-    /// strictly in order, so this harvests at most `p − staged + 1`
+    /// strictly in order, so this harvests at most `p − harvested + 1`
     /// encodes.
     pub(crate) fn staged(&mut self, p: usize) -> (u64, u64) {
         let base = self.parity_addr.expect("parity staging already released");
-        while !self.is_staged[p] {
+        while self.harvested <= p {
             self.harvest_one(base);
         }
         (
@@ -455,6 +430,20 @@ impl ParityStager {
         self.pending = None;
         self.ctx.free_buffer(base, self.parity_total_bytes);
     }
+}
+
+/// The most idle pairs a thread keeps. An adaptive transfer's EC segments
+/// overlap (its pipeline leads by 1.5 RTT): keeping two, `adaptive_step`
+/// still faulted ≈ 0.05 times per packet; keeping four, ≈ 0.
+const IDLE_PAIRS_KEPT: usize = 4;
+
+std::thread_local! {
+    /// Encode job buffer pairs (data, parity) no job holds, shared by the
+    /// thread's stagers. A pair is 2.5 MiB at MDS(32,8) on 64 KiB chunks:
+    /// one allocated per transfer goes back to the OS at its end and is
+    /// faulted in again by the next (≈ 0.2 minor faults per packet on the
+    /// benchmark's `adaptive_step`, ≈ 0 with pairs kept).
+    static IDLE_PAIRS: RefCell<Vec<(Vec<u8>, Vec<u8>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The EC send policy: `2L` sends — data submessages `0..L` straight from
@@ -488,7 +477,7 @@ impl TxScheme for EcTx {
 
     fn on_begin(&mut self, _now: SimTime) -> Option<SimTime> {
         self.ttfb_wall = self.started_wall.elapsed();
-        self.staged_at_first_byte = self.stager.is_staged.iter().filter(|s| **s).count();
+        self.staged_at_first_byte = self.stager.harvested;
         None
     }
 

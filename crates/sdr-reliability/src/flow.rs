@@ -739,7 +739,6 @@ impl ManagerCore {
                 .saturating_add(self.cfg.rtt),
             rtt: self.cfg.rtt,
             linger_acks: LINGER_ACKS,
-            encode_stripes: 1,
         })
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation accounting for the EC receiver's decode.
+//! Allocation accounting for the EC receiver's decode and the sender's
+//! encode jobs.
 //!
 //! A decode reads the present chunks where they lie in node memory and
 //! rebuilds the missing data chunks straight into the user buffer, so a
@@ -12,6 +13,11 @@
 //! is of the bytes in allocations of at least [`LARGE`]: a decode that
 //! staged even one 64 KiB chunk per submessage would overrun the budget
 //! 64 times.
+//!
+//! The sender snapshots each submessage's data into an encode job and
+//! takes its parity back from it: one buffer pair, handed from job to job
+//! (and from transfer to transfer), so its large allocations do not grow
+//! with the submessage count.
 
 mod common;
 
@@ -82,68 +88,113 @@ fn count_bytes(f: impl FnOnce()) -> u64 {
 const CHUNK: usize = 64 * 1024;
 const MSG: u64 = 4 << 20;
 
-/// One EC(4, 2) transfer of `MSG` bytes; returns the receiver's stats and
-/// the bytes the protocol thread allocated in large allocations while the
-/// engine ran it. (The starts are not counted: the sender's encode
-/// buffers are per transfer.)
-fn transfer(h: &mut ProtoHarness, proto: EcProtoConfig) -> (EcRecvStats, u64) {
-    let (rep, cb) = capture();
-    EcSender::start(
-        &mut h.p.eng,
-        &h.p.qp_a,
-        &h.p.ctx_a,
-        h.ctrl_a.clone(),
-        h.ctrl_b.addr(),
-        h.src,
-        MSG,
-        proto,
-        cb,
-    );
-    let stats = Rc::new(Cell::new(None));
-    let s = stats.clone();
-    EcReceiver::start(
-        &mut h.p.eng,
-        &h.p.qp_b,
-        &h.p.ctx_b,
-        h.ctrl_b.clone(),
-        h.ctrl_a.addr(),
-        h.dst,
-        MSG,
-        proto,
-        move |_e, _t, st| s.set(Some(st)),
-    );
-    let limit = h.p.eng.executed_events() + 80_000_000;
-    let bytes = count_bytes(|| h.run(limit));
-    assert_eq!(took(&rep, "EC sender").outcome, TransferOutcome::Delivered);
-    assert!(h.delivered_ok(), "delivery intact");
-    (stats.take().expect("receiver done"), bytes)
+/// The protocol thread's large allocations during one transfer.
+struct Allocated {
+    /// While `EcSender::start` and `EcReceiver::start` ran (a sender takes
+    /// its encode buffers here, allocating them when its thread has none
+    /// to reuse).
+    starts: u64,
+    /// While the engine ran the transfer.
+    run: u64,
 }
 
-#[test]
-fn warm_decode_allocates_no_chunk_buffer() {
-    let cfg = SdrConfig {
+/// One EC(4, 2) transfer of the harness's message into a zeroed
+/// destination; returns the receiver's stats and the bytes the protocol
+/// thread allocated in large allocations.
+fn transfer(h: &mut ProtoHarness, proto: EcProtoConfig) -> (EcRecvStats, Allocated) {
+    h.p.ctx_b.write_buffer(h.dst, &vec![0; h.msg as usize]);
+    let (rep, cb) = capture();
+    let stats = Rc::new(Cell::new(None));
+    let s = stats.clone();
+    let starts = count_bytes(|| {
+        EcSender::start(
+            &mut h.p.eng,
+            &h.p.qp_a,
+            &h.p.ctx_a,
+            h.ctrl_a.clone(),
+            h.ctrl_b.addr(),
+            h.src,
+            h.msg,
+            proto,
+            cb,
+        );
+        EcReceiver::start(
+            &mut h.p.eng,
+            &h.p.qp_b,
+            &h.p.ctx_b,
+            h.ctrl_b.clone(),
+            h.ctrl_a.addr(),
+            h.dst,
+            h.msg,
+            proto,
+            move |_e, _t, st| s.set(Some(st)),
+        );
+    });
+    let limit = h.p.eng.executed_events() + 80_000_000;
+    let run = count_bytes(|| h.run(limit));
+    assert_eq!(took(&rep, "EC sender").outcome, TransferOutcome::Delivered);
+    assert!(h.delivered_ok(), "delivery intact");
+    let stats = stats.take().expect("receiver done");
+    (stats, Allocated { starts, run })
+}
+
+fn cfg() -> SdrConfig {
+    SdrConfig {
         max_msg_bytes: MSG,
         msg_slots: 64,
         chunk_bytes: CHUNK as u64,
         channels: 2,
         generations: 2,
         ..SdrConfig::default()
-    };
+    }
+}
+
+#[test]
+fn warm_decode_allocates_no_chunk_buffer() {
     let link = LinkConfig::wan(50.0, 8e9, 0.02).with_seed(41);
-    let mut h = ProtoHarness::new(link, cfg, MSG, 0xEC);
+    let mut h = ProtoHarness::new(link, cfg(), MSG, 0xEC);
     let model_ch = h.model_channel(8e9, 0.02);
     let proto = EcProtoConfig::for_channel(4, 2, EcCodeChoice::Mds, &model_ch, MSG, h.rtt);
     // The first transfer warms what is per process or per pair: the
     // decode-matrix cache, event and control buffers, pool threads.
     let (cold, _) = transfer(&mut h, proto);
     assert!(cold.decoded_submessages > 0, "2% loss must decode");
-    h.p.ctx_b.write_buffer(h.dst, &vec![0; MSG as usize]);
-    let (warm, bytes) = transfer(&mut h, proto);
+    let (warm, Allocated { run: bytes, .. }) = transfer(&mut h, proto);
     assert!(warm.decoded_submessages > 0, "2% loss must decode");
     let per_decode = bytes / warm.decoded_submessages;
     assert!(
         per_decode < 1024,
         "a warm transfer allocated {per_decode} B in large allocations per decoded submessage ({bytes} B, {} decodes)",
         warm.decoded_submessages
+    );
+}
+
+/// A warm 4 MiB EC(4, 2) transfer (16 submessages) allocates, starts and
+/// run together, less than one chunk per extra submessage more than a warm
+/// 1 MiB one (4 submessages): the job buffers come at most once per
+/// transfer. A sender that allocated its pair per submessage would add 6
+/// chunks per extra submessage.
+#[test]
+fn warm_sender_allocates_job_buffers_once_per_transfer() {
+    let allocated = |msg: u64| {
+        // A clean link whose half round trip outlasts the parity's wire
+        // time: all parity has landed when the ACK frees the staging, so
+        // the wire snapshots none of it (a snapshot grows with the message
+        // and is the wire's, not the sender's).
+        let link = LinkConfig::wan(1000.0, 8e9, 0.0).with_seed(43);
+        let mut h = ProtoHarness::new(link, cfg(), msg, 0xEC);
+        let model_ch = h.model_channel(8e9, 0.0);
+        let proto = EcProtoConfig::for_channel(4, 2, EcCodeChoice::Mds, &model_ch, msg, h.rtt);
+        // The first transfer warms the node allocators, the codes, event
+        // and control buffers and the pool threads.
+        transfer(&mut h, proto);
+        let (_, Allocated { starts, run }) = transfer(&mut h, proto);
+        starts + run
+    };
+    let (small, large) = (allocated(1 << 20), allocated(MSG));
+    let extra_submessages = (MSG - (1 << 20)) / (4 * CHUNK as u64);
+    assert!(
+        large.saturating_sub(small) < extra_submessages * CHUNK as u64,
+        "16 submessages allocated {large} B in large allocations, 4 allocated {small} B"
     );
 }

@@ -40,21 +40,12 @@ struct Outcome {
     live_sends: usize,
 }
 
-fn run_one(
-    code: EcCodeChoice,
-    k: usize,
-    m: usize,
-    p_drop: f64,
-    seed: u64,
-    msg: u64,
-    stripes: usize,
-) -> Outcome {
+fn run_one(code: EcCodeChoice, k: usize, m: usize, p_drop: f64, seed: u64, msg: u64) -> Outcome {
     let link = LinkConfig::wan(50.0, 8e9, p_drop).with_seed(seed);
     let mut h = ProtoHarness::new(link, cfg(), msg, seed ^ 0x5EED);
     let model_ch = h.model_channel(8e9, p_drop);
     let mut proto = EcProtoConfig::for_channel(k, m, code, &model_ch, msg, h.rtt);
     proto.linger_acks = 60;
-    proto.encode_stripes = stripes;
 
     let (report, on_sent) = capture::<EcReport>();
     let tx = Rc::new(EcSender::start(
@@ -111,7 +102,7 @@ fn streamed_sender_matches_serial_reference() {
         (EcCodeChoice::Xor, 3, 1, 0.08, 15, 832 * 1024),
     ];
     for (code, k, m, p_drop, seed, msg) in cases {
-        let streamed = run_one(code, k, m, p_drop, seed, msg, 1);
+        let streamed = run_one(code, k, m, p_drop, seed, msg);
         let tag = format!("code={code:?} k={k} m={m} p={p_drop} seed={seed}");
         let report = streamed.report.expect("streamed sender finished");
         assert!(report.outcome.is_delivered(), "{tag}: {}", report.outcome);
@@ -159,45 +150,6 @@ fn scheme_table_sender_stages_the_serial_parity() {
         h.run(80_000_000);
         assert!(tx.is_done() && h.delivered_ok(), "{spec}: delivered");
         assert_eq!(h.p.qp_a.live_sends(), 0, "{spec}: sends released");
-    }
-}
-
-/// Striping an in-flight submessage's encode across the pool
-/// (`encode_stripes > 1`) changes *where* parity bytes are computed, never
-/// their value or the protocol's behavior: delivery, staged parity and the
-/// resolution path must match the single-stripe sender bit-for-bit.
-#[test]
-fn striped_encode_jobs_match_unstriped() {
-    let cases = [
-        // (code, k, m, p_drop, seed, msg_bytes, stripes)
-        (EcCodeChoice::Mds, 4, 2, 0.0, 21u64, 1u64 << 20, 2),
-        (EcCodeChoice::Mds, 3, 2, 0.05, 22, 832 * 1024, 4), // tail submessage
-        (EcCodeChoice::Xor, 4, 2, 0.02, 23, 1 << 20, 3),
-    ];
-    for (code, k, m, p_drop, seed, msg, stripes) in cases {
-        let striped = run_one(code, k, m, p_drop, seed, msg, stripes);
-        let serial = run_one(code, k, m, p_drop, seed, msg, 1);
-        let tag = format!("code={code:?} k={k} m={m} p={p_drop} stripes={stripes}");
-        assert!(
-            striped.report.is_some() && serial.report.is_some(),
-            "{tag}: finished"
-        );
-        assert!(striped.delivered_ok, "{tag}: striped delivery intact");
-        assert_eq!(
-            striped.parity, serial.parity,
-            "{tag}: parity bytes identical across stripe widths"
-        );
-        assert_eq!(
-            (
-                striped.stats.complete_submessages,
-                striped.stats.decoded_submessages
-            ),
-            (
-                serial.stats.complete_submessages,
-                serial.stats.decoded_submessages
-            ),
-            "{tag}: resolution path identical"
-        );
     }
 }
 

@@ -65,16 +65,19 @@ impl BottleneckQueue {
         }
     }
 
+    /// Drains the backlog up to `now`, which must not precede the last
+    /// call: the backlog already holds what arrived after it.
     fn drain_to(&mut self, now: SimTime) {
-        if now > self.last_update {
-            let dt = (now - self.last_update).as_secs_f64();
-            self.backlog_bytes = (self.backlog_bytes - dt * self.drain_bps / 8.0).max(0.0);
-            self.last_update = now;
-        }
+        let last = self.last_update;
+        assert!(now >= last, "out of time order: {now:?} after {last:?}");
+        let dt = (now - last).as_secs_f64();
+        self.backlog_bytes = (self.backlog_bytes - dt * self.drain_bps / 8.0).max(0.0);
+        self.last_update = now;
     }
 
-    /// Offers a packet at time `now`; returns `true` if it was accepted
-    /// (queued) and `false` if tail-dropped.
+    /// Offers a packet at time `now` (calls must come in time order);
+    /// returns `true` if it was accepted (queued) and `false` if
+    /// tail-dropped.
     pub fn offer(&mut self, now: SimTime, bytes: u64, probe: bool) -> bool {
         self.drain_to(now);
         let accepted = self.backlog_bytes + bytes as f64 <= self.capacity_bytes as f64;
@@ -134,6 +137,14 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.probe_offered, 3);
         assert_eq!(s.probe_dropped, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn an_offer_before_the_last_one_panics() {
+        let mut q = BottleneckQueue::new(8e6, 1000);
+        q.offer(SimTime::from_millis(2), 100, false);
+        q.offer(SimTime::from_millis(1), 100, true);
     }
 
     #[test]
