@@ -6,8 +6,10 @@
 //! concurrent admissions; the rest park and recycle slots), runs to
 //! quiescence, and reports aggregate goodput, per-flow completion
 //! p50/p99, Jain's fairness index over per-flow goodput, and simulator
-//! events/s. A single-flow baseline per size anchors the ideal:
-//! `min(n × g1, link bandwidth)`.
+//! events executed. Every column is sim time or a count; the stack's
+//! wall-clock cost at these populations is the benchmark's `flows_1k` and
+//! `flows_10k_churn` rows. A single-flow baseline per size anchors the
+//! ideal: `min(n × g1, link bandwidth)`.
 //!
 //! Fairness is Jain's index over per-flow *completion times* of a
 //! same-size population opened together: a fluid-fair scheduler finishes
@@ -21,29 +23,20 @@
 //! row keeps Jain ≥ 0.9, and the 10k-flow row completes inside its event
 //! budget with the parking lot fully drained.
 //!
-//! The fairness row also carries the **instrumentation overhead gate**:
-//! it reruns with the `sdr-trace` kill switch off and asserts sim-time
-//! goodput within 2 % of the metrics-on run. Instrumentation never
-//! changes the event order — counters and ring writes are side effects —
-//! so the two runs should be *identical* in sim time; the gate is thus
-//! really a non-perturbation check, and the wall-clock events/s of both
-//! runs quantify what tracing costs the simulator itself.
-//!
 //! Emits machine-readable `BENCH_flows.json` (rows + an `sdr-trace`
 //! registry snapshot of the fairness row). `SDR_BENCH_SMOKE=1` runs a
 //! reduced matrix (50/200 flows) for CI; the `--gate` argument runs the
-//! full-size 100/1000 rows without the 10k tail — the overhead gate at
-//! production scale, CI-affordable.
+//! full-size 100/1000 rows without the 10k tail — the goodput and
+//! fairness gates at production scale, CI-affordable.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 use sdr_bench::{fmt, table_header, table_row};
 use sdr_core::testkit::pattern;
 use sdr_core::{SdrConfig, SdrContext};
 use sdr_reliability::{ControlEndpoint, FlowCfg, FlowManager, FlowReport, RxFlowDone};
-use sdr_sim::{set_trace_enabled, Engine, Fabric, LinkConfig, SimTime};
+use sdr_sim::{Engine, Fabric, LinkConfig, SimTime};
 
 const BW: f64 = 10e9;
 const KM: f64 = 10.0;
@@ -59,14 +52,11 @@ fn qp_cfg() -> SdrConfig {
 }
 
 struct RowStats {
-    flows: u64,
-    flow_bytes: u64,
     agg_gbps: f64,
     p50_ms: f64,
     p99_ms: f64,
     jain: f64,
     events: u64,
-    events_per_sec: f64,
     retransmits: u64,
     parked_opens: u64,
     /// `{"fabric": .., "engine": ..}` registry snapshot of the row.
@@ -119,9 +109,7 @@ fn run_row(n: u64, bytes: u64, verify_stride: u64) -> RowStats {
         });
     }
     eng.set_event_limit(EVENT_LIMIT);
-    let wall = Instant::now();
     eng.run();
-    let wall_s = wall.elapsed().as_secs_f64().max(1e-9);
     let events = eng.executed_events();
     assert!(
         events < EVENT_LIMIT,
@@ -169,14 +157,11 @@ fn run_row(n: u64, bytes: u64, verify_stride: u64) -> RowStats {
     );
     durations_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     RowStats {
-        flows: n,
-        flow_bytes: bytes,
         agg_gbps: n as f64 * bytes as f64 * 8.0 / last_done.as_secs_f64() / 1e9,
         p50_ms: percentile(&durations_ms, 0.50),
         p99_ms: percentile(&durations_ms, 0.99),
         jain: jain(&durations_ms),
         events,
-        events_per_sec: events as f64 / wall_s,
         retransmits: st.retransmits,
         parked_opens: mgr_b.stats().parked_opens,
         snapshot: format!(
@@ -188,16 +173,12 @@ fn run_row(n: u64, bytes: u64, verify_stride: u64) -> RowStats {
 }
 
 fn main() {
-    // The bench drives the kill switch itself (the overhead gate below
-    // needs both states), so any ambient `SDR_TRACE` is overridden.
-    set_trace_enabled(true);
     let smoke = sdr_bench::smoke();
     let gate_only = std::env::args().any(|a| a == "--gate");
     // (population, flow bytes); the first row carries the goodput gate,
-    // the second the fairness + tracing-overhead gates, the third the
-    // scale gate. `--gate` runs the full-size first two rows
-    // without the long 10k tail — the CI shape for gating the 1k-flow
-    // tracing overhead at production scale.
+    // the second the fairness gate, the third the scale gate. `--gate`
+    // runs the full-size first two rows without the long 10k tail — the
+    // CI shape for gating goodput and fairness at production scale.
     let rows: &[(u64, u64)] = if smoke {
         &[(50, 256 << 10), (200, 256 << 10)]
     } else if gate_only {
@@ -217,13 +198,12 @@ fn main() {
     table_header(
         "population sweep (all flows open at t=0)",
         &[
-            "flows", "size", "agg Gb/s", "ideal", "eff", "p50 ms", "p99 ms", "Jain", "Mev/s",
+            "flows", "size", "agg Gb/s", "ideal", "eff", "p50 ms", "p99 ms", "Jain", "events",
             "parked",
         ],
     );
     let mut json = String::from("{\n  \"bench\": \"flow_sweep\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n  \"rows\": [\n"));
-    let mut gate_json = String::new();
     let mut gate_snapshot = String::from("{}");
     for (idx, &(n, bytes)) in rows.iter().enumerate() {
         // Single-flow baseline at this size anchors the ideal.
@@ -240,7 +220,7 @@ fn main() {
             fmt(row.p50_ms),
             fmt(row.p99_ms),
             format!("{:.3}", row.jain),
-            fmt(row.events_per_sec / 1e6),
+            row.events.to_string(),
             row.parked_opens.to_string(),
         ]);
         json.push_str(&format!(
@@ -248,7 +228,7 @@ fn main() {
              \"agg_goodput_gbps\": {:.4}, \"single_flow_gbps\": {:.4}, \
              \"ideal_gbps\": {ideal_gbps:.4}, \"efficiency\": {eff:.4}, \
              \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"jain\": {:.4}, \
-             \"events\": {}, \"events_per_sec\": {:.0}, \
+             \"events\": {}, \
              \"retransmits\": {}, \"parked_opens\": {}}}{}\n",
             row.agg_gbps,
             single.agg_gbps,
@@ -256,7 +236,6 @@ fn main() {
             row.p99_ms,
             row.jain,
             row.events,
-            row.events_per_sec,
             row.retransmits,
             row.parked_opens,
             if idx + 1 == rows.len() { "" } else { "," }
@@ -276,45 +255,12 @@ fn main() {
                 "{n}-flow fairness collapsed: Jain {:.3}",
                 row.jain
             );
-            // Instrumentation overhead gate: the same row with the
-            // kill switch off. Counters and ring writes are pure side
-            // effects, so sim-time goodput must agree within 2 % (in
-            // practice: exactly — any drift means instrumentation
-            // perturbed the event order). Wall-clock events/s of the two
-            // runs is the honest cost of tracing.
-            set_trace_enabled(false);
-            let off = run_row(n, bytes, if n > 1000 { 37 } else { 1 });
-            set_trace_enabled(true);
-            let ratio = row.agg_gbps / off.agg_gbps;
-            println!(
-                "\noverhead gate ({n} flows): metrics-on {:.3} Gb/s vs off {:.3} Gb/s \
-                 (ratio {ratio:.4}); wall {:.2} vs {:.2} Mev/s",
-                row.agg_gbps,
-                off.agg_gbps,
-                row.events_per_sec / 1e6,
-                off.events_per_sec / 1e6,
-            );
-            assert!(
-                (ratio - 1.0).abs() <= 0.02,
-                "instrumentation perturbed the {n}-flow row: on {:.4} vs off {:.4} Gb/s",
-                row.agg_gbps,
-                off.agg_gbps
-            );
-            gate_json = format!(
-                "  \"overhead_gate\": {{\"flows\": {n}, \"on_gbps\": {:.4}, \
-                 \"off_gbps\": {:.4}, \"goodput_ratio\": {ratio:.6}, \
-                 \"on_events_per_sec\": {:.0}, \"off_events_per_sec\": {:.0}}},\n",
-                row.agg_gbps, off.agg_gbps, row.events_per_sec, off.events_per_sec
-            );
-            gate_snapshot = row.snapshot.clone();
+            gate_snapshot = row.snapshot;
         }
-        let _ = row.flows;
-        let _ = row.flow_bytes;
     }
     json.push_str("  ],\n");
-    json.push_str(&gate_json);
-    // Registry specimen of the fairness row (metrics-on run): the same
-    // counters the engine increments on its hot paths.
+    // Registry specimen of the fairness row: the same counters the engine
+    // increments on its hot paths.
     json.push_str(&format!("  \"metrics\": {gate_snapshot}\n}}\n"));
 
     println!(

@@ -1,8 +1,10 @@
 //! # sdr-bench — harnesses regenerating every table and figure of the paper
 //!
-//! One binary per figure (`cargo run --release -p sdr-bench --bin figNN`)
-//! plus criterion micro-benchmarks (`cargo bench`). This library holds the
-//! shared pieces: the paper's canonical channel parameters, sweep grids and
+//! One binary per figure (`cargo run --release -p sdr-bench --bin figNN`).
+//! Their tables are sim-time or model results, except the paper's own
+//! host-side figures (Fig 11 encode throughput, Figs 14–16 packet rates);
+//! the stack's wall-clock cost is the repository benchmark's
+//! (`benchmark/`). This library holds the shared pieces: the paper's canonical channel parameters, sweep grids and
 //! plain-text table printing.
 //!
 //! | Binary | Paper artifact |

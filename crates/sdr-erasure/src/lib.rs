@@ -40,20 +40,24 @@
 //!
 //! The widest tier the host supports is selected once at startup
 //! ([`Kernel::active`]); pin a tier with
-//! `SDR_GF256_KERNEL=scalar|ssse3|avx2|gfni|neon` for A/B runs. One run of
-//! `cargo bench -p sdr-bench --bench fig11_ec_encode` on the development
-//! container (GFNI/AVX-512 x86_64), single-thread rows:
+//! `SDR_GF256_KERNEL=scalar|ssse3|avx2|gfni|neon` for A/B runs. The
+//! `fig11` binary (`cargo run --release -p sdr-bench --bin fig11`) prints
+//! the encode rows under whatever tier is pinned; one full run per tier on
+//! a 2-vCPU Xeon with GFNI/AVX-512, 1-thread row of its 128 MiB,
+//! k = 32, m = 8 encode table:
 //!
-//! | tier   | one-source `mul_add_multi` 64 KiB | MDS(32,8) encode, 1 thread |
-//! |--------|-----------------------------------|----------------------------|
-//! | scalar | 1.86 GiB/s                        | 0.28 GiB/s                 |
-//! | ssse3  | 9.30 GiB/s                        | 1.34 GiB/s                 |
-//! | avx2   | 16.5 GiB/s                        | 2.07 GiB/s (7.5× scalar)   |
-//! | gfni   | 30.1 GiB/s                        | 3.94 GiB/s (14.3× scalar)  |
+//! | tier   | MDS(32,8) encode, 1 thread |
+//! |--------|----------------------------|
+//! | scalar | 1.28 Gbit/s                |
+//! | ssse3  | 6.61 Gbit/s                |
+//! | avx2   | 15.0 Gbit/s (11.7× scalar) |
+//! | gfni   | 27.0 Gbit/s (21.1× scalar) |
 //!
-//! XOR(32,8) serial encode reaches 19.8 GiB/s (≈170 Gbit/s) on the same
-//! core, consistent with the paper's claim that XOR hides 400 Gbit/s
-//! injection behind 4 cores.
+//! XOR(32,8) encode, which needs no GF(256) multiply, reads 102–144 Gbit/s
+//! in the same runs, consistent with the paper's claim that XOR hides
+//! 400 Gbit/s injection behind 4 cores. The repository benchmark's
+//! `erasure.rs.encode_gibps` probe times the same kernel under the
+//! auto-selected tier.
 
 #![warn(missing_docs)]
 

@@ -23,21 +23,6 @@ const MAX_SHARDS: usize = 256;
 /// patterns covers almost every decode).
 const DECODE_CACHE_CAP: usize = 8;
 
-/// One decode cache per `(k, m)` shape, shared process-wide. The systematic
-/// encode matrix is a pure function of the shape, so two independently
-/// built `RS(k, m)` codes invert identical survivor submatrices — a striped
-/// message decoding on many receivers (or the EC receiver's full-size and
-/// tail codes across transfers) should pay each erasure pattern's O(k³)
-/// inversion once, not once per code instance.
-fn shared_decode_cache(k: usize, m: usize) -> Arc<DecodeCache> {
-    static REGISTRY: OnceLock<Mutex<HashMap<(usize, usize), Arc<DecodeCache>>>> = OnceLock::new();
-    let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut g = reg.lock().expect("decode-cache registry poisoned");
-    g.entry((k, m))
-        .or_insert_with(|| Arc::new(DecodeCache::new(DECODE_CACHE_CAP)))
-        .clone()
-}
-
 /// An LRU of inverted `k × k` survivor submatrices, keyed by the survivor
 /// index set. Reconstruction inverts the encode rows of the `k` shards it
 /// holds — O(k³) work that repeats identically whenever the same erasure
@@ -124,7 +109,13 @@ pub struct ReedSolomon {
 }
 
 impl ReedSolomon {
-    /// Builds an `RS(k, m)` code.
+    /// An `RS(k, m)` code: a clone of the one this process built for the
+    /// shape. The systematic encode matrix is a pure function of the shape,
+    /// so its Vandermonde construction and inversion run once per shape per
+    /// process, not once per transfer or segment; and every `RS(k, m)`
+    /// shares one decode cache, so a striped message decoding on many
+    /// receivers (or the EC receiver's full-size and tail codes across
+    /// transfers) pays each erasure pattern's O(k³) inversion once.
     ///
     /// # Panics
     /// Panics unless `k ≥ 1`, `m ≥ 1` and `k + m ≤ 256` (the GF(256) field
@@ -132,6 +123,17 @@ impl ReedSolomon {
     pub fn new(k: usize, m: usize) -> Self {
         assert!(k >= 1 && m >= 1, "need at least one data and parity shard");
         assert!(k + m <= 256, "GF(256) supports at most 256 shards");
+        static CODES: OnceLock<Mutex<HashMap<(usize, usize), ReedSolomon>>> = OnceLock::new();
+        let registry = CODES.get_or_init(Default::default);
+        let mut codes = registry.lock().expect("code registry poisoned");
+        codes
+            .entry((k, m))
+            .or_insert_with(|| Self::build(k, m))
+            .clone()
+    }
+
+    /// Builds the `RS(k, m)` code [`new`](Self::new) hands out clones of.
+    fn build(k: usize, m: usize) -> Self {
         let v = Matrix::vandermonde(k + m, k);
         let top_inv = v
             .select_rows(&(0..k).collect::<Vec<_>>())
@@ -144,7 +146,7 @@ impl ReedSolomon {
             k,
             m,
             matrix,
-            decode_cache: shared_decode_cache(k, m),
+            decode_cache: Arc::new(DecodeCache::new(DECODE_CACHE_CAP)),
         }
     }
 

@@ -480,23 +480,28 @@ impl ControlEndpoint {
         *self.flow_handler.borrow_mut() = Some(Box::new(f));
     }
 
-    /// Sends `msg` stamped as flow `flow_id` traffic (sets the outgoing
-    /// transfer id to `FLOW_XFER_BIT | flow_id` for this datagram and
-    /// leaves it there — flow senders stamp every datagram explicitly).
+    /// Sends `msg` stamped as flow `flow_id` traffic: this one datagram
+    /// carries transfer id `FLOW_XFER_BIT | flow_id`, and the endpoint's
+    /// own transfer id (see [`set_transfer`](Self::set_transfer)) is left
+    /// as it was for the classic traffic sharing the endpoint.
     pub fn send_flow(&self, eng: &mut Engine, dst: QpAddr, flow_id: u64, msg: &CtrlMsg) {
-        self.set_transfer(FLOW_XFER_BIT | flow_id);
-        self.send(eng, dst, msg);
+        self.send_as(eng, dst, FLOW_XFER_BIT | flow_id, msg);
     }
 
     /// Sends a control message to `dst`, prefixed with this endpoint's
     /// current [`CtrlStamp`]. Control datagrams ride the same lossy links
     /// as data — they can drop, and the protocols must tolerate that.
     pub fn send(&self, eng: &mut Engine, dst: QpAddr, msg: &CtrlMsg) {
+        self.send_as(eng, dst, self.xfer.get(), msg);
+    }
+
+    /// [`send`](Self::send) with the stamp naming transfer `xfer`.
+    fn send_as(&self, eng: &mut Engine, dst: QpAddr, xfer: u64, msg: &CtrlMsg) {
         *self.sent.borrow_mut() += 1;
         let seq = self.next_seq.get();
         self.next_seq.set(seq.wrapping_add(1));
         let stamp = CtrlStamp {
-            xfer: self.xfer.get(),
+            xfer,
             inc: self.rx.inc.get(),
             dst_inc: self.rx.peers.borrow().get(&dst).map_or(0, |p| p.inc),
             seq,
@@ -671,7 +676,6 @@ mod tests {
         ep_a.set_transfer(7);
         ep_a.send(&mut eng, ep_b.addr(), &CtrlMsg::EcAck);
         ep_a.send_flow(&mut eng, ep_b.addr(), 42, &CtrlMsg::FlowFin);
-        ep_a.set_transfer(7);
         ep_a.send(&mut eng, ep_b.addr(), &CtrlMsg::SegDone { below: 1 });
         ep_a.send_flow(
             &mut eng,

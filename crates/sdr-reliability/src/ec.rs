@@ -172,48 +172,18 @@ fn geometry(total_chunks: u64, k: usize, m: usize, code: EcCodeChoice) -> Vec<Su
         .collect()
 }
 
-/// Code instances by `(family, k_eff, m_eff)`.
-pub(crate) type CodeCache = Vec<((EcCodeChoice, usize, usize), Arc<dyn ErasureCode>)>;
-
-/// One shared code instance per distinct `(k_eff, m_eff)` shape — a message
-/// has at most two (full submessages and the tail), and building a
-/// [`ReedSolomon`] involves a Vandermonde construction plus a matrix
-/// inversion that must not run per submessage, let alone per bitmap poll.
-/// A host running many transfers passes one long-lived `cache` so the
-/// inversion does not run per transfer either. (`Arc`, not `Rc`: the
-/// sender ships codes to the encode pool's workers.)
-fn codes_for(
-    choice: EcCodeChoice,
-    geoms: &[SubGeom],
-    cache: &mut CodeCache,
-) -> Vec<Arc<dyn ErasureCode>> {
-    geoms
-        .iter()
-        .map(|g| {
-            let shape = (choice, g.k_eff, g.m_eff);
-            if let Some((_, c)) = cache.iter().find(|(s, _)| *s == shape) {
-                return c.clone();
-            }
-            let c: Arc<dyn ErasureCode> = match choice {
-                EcCodeChoice::Mds => Arc::new(ReedSolomon::new(g.k_eff, g.m_eff)),
-                EcCodeChoice::Xor => Arc::new(XorCode::new(g.k_eff, g.m_eff)),
-            };
-            cache.push((shape, c.clone()));
-            c
-        })
-        .collect()
-}
-
-/// Reusable receiver state: presence flags live in a retained `Vec` that is
-/// cleared, never reallocated, and the codes built so far are shared by
-/// every receiver holding this scratch. A decode needs no chunk buffer of
-/// its own: it reads and rebuilds the chunks where they lie in node memory.
-#[derive(Default)]
-pub struct EcScratch {
-    /// Per-shard presence flags (data then parity) reused across polls.
-    pub(crate) present: Vec<bool>,
-    /// Codes built so far: receivers sharing this scratch share them too.
-    pub(crate) codes: CodeCache,
+/// One code instance per submessage. [`ReedSolomon::new`] is a registry
+/// lookup — each shape is built once per process — and every instance of a
+/// shape shares its decode cache. (`Arc`, not `Rc`: the sender ships codes
+/// to the encode pool's workers.)
+fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Arc<dyn ErasureCode>> {
+    let code = |g: &SubGeom| -> Arc<dyn ErasureCode> {
+        match choice {
+            EcCodeChoice::Mds => Arc::new(ReedSolomon::new(g.k_eff, g.m_eff)),
+            EcCodeChoice::Xor => Arc::new(XorCode::new(g.k_eff, g.m_eff)),
+        }
+    };
+    geoms.iter().map(code).collect()
 }
 
 /// Rebuilds the data chunks `present` marks missing straight into `data`
@@ -289,7 +259,7 @@ pub(crate) struct ParityStager {
     local_addr: u64,
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
-    /// One code instance per submessage, shared across identical shapes.
+    /// One code instance per submessage.
     codes: Vec<Arc<dyn ErasureCode>>,
     /// Base of the staging region in node memory; `None` once
     /// [`release`](Self::release) has returned it.
@@ -313,14 +283,13 @@ impl ParityStager {
         msg_bytes: u64,
         chunk_bytes: u64,
         cfg: &EcProtoConfig,
-        cache: &mut CodeCache,
     ) -> Self {
         assert!(
             msg_bytes.is_multiple_of(chunk_bytes),
             "EC layer requires chunk-aligned messages"
         );
         let geoms = geometry(msg_bytes / chunk_bytes, cfg.k, cfg.m, cfg.code);
-        let codes = codes_for(cfg.code, &geoms, cache);
+        let codes = codes_for(cfg.code, &geoms);
         let mut parity_offsets = Vec::with_capacity(geoms.len());
         let mut off = 0u64;
         for g in &geoms {
@@ -546,10 +515,9 @@ impl TxDriver<EcTx> {
         let chunk_bytes = qp.config().chunk_bytes;
         // Parity lands in the stager's region as the pipeline harvests
         // encodes, one submessage ahead of the sends.
-        let codes = &mut CodeCache::new();
         let scheme = EcTx {
             started_wall: Instant::now(),
-            stager: ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg, codes),
+            stager: ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg),
             ttfb_wall: Duration::ZERO,
             staged_at_first_byte: 0,
             fallback_rounds: 0,
@@ -669,13 +637,11 @@ pub struct EcRxScheme {
     buf_addr: u64,
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
-    /// One code instance per submessage, shared across identical shapes.
+    /// One code instance per submessage.
     codes: Vec<Arc<dyn ErasureCode>>,
-    /// Presence flags and the codes. Shared: a
-    /// [`FlowManager`](crate::flow::FlowManager) (or any other multi-flow
-    /// host) hands every receiver the *same* scratch so concurrent flows
-    /// build each code shape once.
-    scratch: Rc<RefCell<EcScratch>>,
+    /// Per-shard presence flags (data then parity) of the submessage being
+    /// resolved, cleared and refilled, never reallocated, across polls.
+    present: Vec<bool>,
     parity_addrs: Vec<u64>,
     subs: Vec<SubState>,
     unresolved: usize,
@@ -805,8 +771,7 @@ impl RxScheme for EcRxScheme {
 impl EcRxScheme {
     /// Posts the data buffers (slices of the user buffer at `buf_addr`),
     /// then the parity scratch buffers, on `common` — the same order the
-    /// sender issues sends — and returns the policy over them. `scratch`
-    /// holds the presence flags and caches the codes.
+    /// sender issues sends — and returns the policy over them.
     pub(crate) fn post(
         eng: &mut Engine,
         common: &mut RxCommon,
@@ -814,12 +779,11 @@ impl EcRxScheme {
         buf_addr: u64,
         msg_bytes: u64,
         cfg: &EcProtoConfig,
-        scratch: Rc<RefCell<EcScratch>>,
     ) -> Self {
         let chunk_bytes = common.chunk_bytes();
         assert!(msg_bytes.is_multiple_of(chunk_bytes));
         let geoms = geometry(msg_bytes / chunk_bytes, cfg.k, cfg.m, cfg.code);
-        let codes = codes_for(cfg.code, &geoms, &mut scratch.borrow_mut().codes);
+        let codes = codes_for(cfg.code, &geoms);
         for g in &geoms {
             let addr = buf_addr + g.chunk_start * chunk_bytes;
             common.post(eng, addr, g.k_eff as u64 * chunk_bytes);
@@ -857,7 +821,7 @@ impl EcRxScheme {
             fto_armed: false,
             geoms,
             codes,
-            scratch,
+            present: Vec::with_capacity(cfg.k + cfg.m),
             parity_addrs,
             trace: EcTrace::new(ctx),
             stats: EcRecvStats::default(),
@@ -946,7 +910,7 @@ impl EcRxScheme {
                 (l + s, i - k, self.parity_addrs[s] + off)
             }
         };
-        let present = &mut self.scratch.borrow_mut().present;
+        let present = &mut self.present;
         // Word-level scans (one atomic load per 64 chunks, like the SR
         // ACK path) and retained scratch vectors: the no-loss steady
         // state allocates nothing and touches no per-chunk atomics.
@@ -1033,9 +997,8 @@ impl RxDriver<EcRxScheme> {
         cfg: EcProtoConfig,
         done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
     ) -> EcReceiver {
-        let scratch = Rc::new(RefCell::new(EcScratch::default()));
         let mut common = RxCommon::new(qp);
-        let scheme = EcRxScheme::post(eng, &mut common, ctx, buf_addr, msg_bytes, &cfg, scratch);
+        let scheme = EcRxScheme::post(eng, &mut common, ctx, buf_addr, msg_bytes, &cfg);
         let rx = RxStep::new(common, scheme, cfg.linger_acks);
         RxDriver::spawn(eng, cfg.poll_interval, ctrl, peer_ctrl, rx, done)
     }
@@ -1072,18 +1035,6 @@ mod tests {
             decode_in_place(&code, &mut landed, &parity, &present, CHUNK);
             assert!(landed == data, "({k}, {m}) lost {lost:?}");
         }
-    }
-
-    #[test]
-    fn codes_are_shared_across_equal_shapes() {
-        // 10 chunks, k=4 → geometries (4,2), (4,2), (2,2): the first two
-        // submessages must share one ReedSolomon instance (one matrix
-        // inversion), the tail gets its own.
-        let geoms = geometry(10, 4, 2, EcCodeChoice::Mds);
-        let codes = codes_for(EcCodeChoice::Mds, &geoms, &mut CodeCache::new());
-        assert_eq!(codes.len(), 3);
-        assert!(Arc::ptr_eq(&codes[0], &codes[1]));
-        assert!(!Arc::ptr_eq(&codes[0], &codes[2]));
     }
 
     #[test]

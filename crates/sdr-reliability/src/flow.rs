@@ -92,13 +92,11 @@
 //! [`RxDriver`](crate::runtime::RxDriver) steps, subscribed to its slots'
 //! arrivals the same way — its timer is a due-index entry instead of a
 //! private loop, moved by the step's own rule, with no heartbeat added.
-//! EC flows run one
-//! submessage per flow (`k` = data chunks): parity comes off the shared
-//! [`EncodePool`] through the standalone sender's `ParityStager`, the
-//! receiver decodes in place in node memory (its codes cached in one
-//! manager-wide [`EcScratch`]), and
-//! an FTO NACK makes the sender selective-repeat the submessage's data
-//! chunks through the SR core's overdue test.
+//! EC flows run one submessage per flow (`k` = data chunks): parity comes
+//! off the shared [`EncodePool`] through the standalone sender's
+//! `ParityStager`, the receiver decodes in place in node memory, and an
+//! FTO NACK makes the sender selective-repeat the submessage's data chunks
+//! through the SR core's overdue test.
 //!
 //! [`EncodePool`]: sdr_erasure::EncodePool
 //! [`Fabric::tx_busy_until`]: sdr_sim::Fabric::tx_busy_until
@@ -116,7 +114,7 @@ use sdr_sim::{
 
 use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::control::{ControlEndpoint, FLOW_XFER_BIT};
-use crate::ec::{EcProtoConfig, EcRxScheme, EcScratch, ParityStager};
+use crate::ec::{EcProtoConfig, EcRxScheme, ParityStager};
 use crate::runtime::{backed_off, tick_loop, RxCommon, RxScheme, RxStep, StreamTx, Tick};
 use crate::scheme::RxPolicy;
 use crate::sr::{SrRxScheme, SrTrace, SrTxCore};
@@ -691,9 +689,6 @@ struct Inner {
     tick: Option<TimerHandle>,
     tick_next: SimTime,
     registry: EstimatorRegistry,
-    /// One decode scratch (buffer pool + built codes) shared by every EC
-    /// flow on this node.
-    scratch: Rc<RefCell<EcScratch>>,
     finished_tx: Vec<(Box<dyn FnOnce(&mut Engine, FlowReport)>, FlowReport)>,
     finished_rx: Vec<RxFlowDone>,
     on_rx_done: Option<Box<dyn FnMut(&mut Engine, RxFlowDone)>>,
@@ -759,8 +754,6 @@ impl FlowManager {
             TelemetryConfig::default(),
             SimTime(cfg.rtt.0.saturating_mul(1000)),
         );
-        // One scratch for every flow: they share the codes built so far.
-        let scratch = Rc::new(RefCell::new(EcScratch::default()));
         let core = Rc::new(ManagerCore {
             fabric: fabric.clone(),
             ctx: SdrContext::new(fabric, node),
@@ -779,7 +772,6 @@ impl FlowManager {
                 tick: None,
                 tick_next: SimTime::MAX,
                 registry,
-                scratch,
                 finished_tx: Vec::new(),
                 finished_rx: Vec::new(),
                 on_rx_done: None,
@@ -916,8 +908,7 @@ impl FlowManager {
                 // overlaps the open handshake and is harvested when the
                 // parity stream starts.
                 Some(ec) => {
-                    let codes = &mut inner.scratch.borrow_mut().codes;
-                    let stager = ParityStager::new(&core.ctx, src_addr, bytes, chunk, &ec, codes);
+                    let stager = ParityStager::new(&core.ctx, src_addr, bytes, chunk, &ec);
                     (spec, Some(stager))
                 }
                 // Everything else runs as the one ARQ scheme the manager
@@ -1829,7 +1820,6 @@ impl Inner {
         let est = self.registry.checkout(open.peer_node, now);
         let scheme = match ec {
             Some(ec) => {
-                let scratch = self.scratch.clone();
                 let (ctx, bytes) = (&core.ctx, open.bytes);
                 RxPolicy::Ec(Box::new(EcRxScheme::post(
                     eng,
@@ -1838,7 +1828,6 @@ impl Inner {
                     dst_addr,
                     bytes,
                     &ec,
-                    scratch,
                 )))
             }
             None => {

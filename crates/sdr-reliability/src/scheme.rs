@@ -28,7 +28,7 @@ use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::CtrlMsg;
 use crate::control::CtrlPath;
-use crate::ec::{self, EcCodeChoice, EcProtoConfig, EcReport, EcRxScheme, EcScratch, EcSender};
+use crate::ec::{self, EcCodeChoice, EcProtoConfig, EcReport, EcRxScheme, EcSender};
 use crate::gbn::{GbnProtoConfig, GbnReport, GbnRxScheme, GbnSender};
 use crate::runtime::{
     AbortReason, CtrlSink, RxCommon, RxDriver, RxScheme, RxStep, TxDriver, TxScheme,
@@ -441,8 +441,7 @@ pub fn start_receiver(
             (RxPolicy::Sr(sr), p.ack_interval, p.linger_acks)
         }
         Proto::Ec(p) => {
-            let scratch = Rc::new(RefCell::new(EcScratch::default()));
-            let ec = EcRxScheme::post(eng, &mut common, e.ctx, e.addr, e.bytes, &p, scratch);
+            let ec = EcRxScheme::post(eng, &mut common, e.ctx, e.addr, e.bytes, &p);
             (RxPolicy::Ec(Box::new(ec)), p.poll_interval, p.linger_acks)
         }
         Proto::Gbn(p) => {

@@ -33,8 +33,11 @@
 //!   turning "case 1234 failed" into a readable two-node causal history.
 //! * **Kill switch** — [`set_enabled`] / the `SDR_TRACE` environment
 //!   variable (`SDR_TRACE=0` disables). Disabled, every record call
-//!   compiles down to one relaxed atomic load and a branch; the
-//!   `flow_sweep` bench gates that enabling metrics costs ≤ 2% goodput.
+//!   compiles down to one relaxed atomic load and a branch. Recording
+//!   never perturbs the simulation: CI runs the `sim_fingerprint` table
+//!   under `SDR_TRACE=0` and every row must hash as it does traced.
+//!   What tracing costs in wall time is the benchmark's
+//!   `trace.overhead_share` row.
 //!
 //! Ownership convention across the workspace: the sim `Engine` owns a
 //! registry for substrate metrics (events executed, wheel cascade depth);
