@@ -16,11 +16,14 @@
 //! reference — is a [`Kernel`]: a name and the two operations the codes
 //! call, selected **once** at startup.
 //!
-//! Both operations are *fused*: [`Kernel::mul_add_multi`] (Reed–Solomon
-//! encode and decode) and [`Kernel::xor_multi`] (the modulo-group code)
-//! accumulate `k` sources into one destination per memory pass, so the
-//! destination strip is loaded and stored once instead of `k` times, which
-//! matters exactly when the encode is memory-bound (Figure 11's regime).
+//! Both operations are *fused*. [`Kernel::mul_add_multi`] (Reed–Solomon
+//! encode and decode) computes several outputs in one pass over the
+//! sources: each 64-byte source block is loaded once per group of outputs
+//! held in registers, so an MDS(32,8) encode streams its 32 sources once,
+//! not once per parity row. The group width is a per-tier constant; the
+//! tiers without a one-pass body (scalar, SSSE3, NEON) reach it through one
+//! row-by-row adapter. [`Kernel::xor_multi`] (the modulo-group code)
+//! accumulates `k` sources into one destination per memory pass.
 //!
 //! Dispatch can be pinned for testing/benchmarks with the
 //! `SDR_GF256_KERNEL` environment variable (`scalar`, or a SIMD kernel
@@ -28,9 +31,8 @@
 
 use std::sync::OnceLock;
 
-/// Cache-block width for multi-destination walks (encode): strips of this
-/// size keep one parity strip plus the streaming source window inside
-/// L1/L2 while the encode matrix is applied row by row.
+/// Cache-block width for the XOR code's strip walk, and the narrowest
+/// column stripe the encode pool hands a worker.
 pub const STRIP_BYTES: usize = 32 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -158,6 +160,50 @@ fn xor_multi_scalar(dst: &mut [u8], srcs: &[&[u8]]) {
     }
 }
 
+/// The multi-output operation for the tiers without a one-pass body: each
+/// output is zeroed and accumulated by `body` (the tier's single-output
+/// `dst ^= Σ_j c_j·src_j`), one output row at a time.
+fn by_rows(
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    body: fn(&mut [u8], &[&[u8]], &[u8]),
+) {
+    for (dst, row) in dsts.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        dst.fill(0);
+        body(dst, srcs, row);
+    }
+}
+
+/// Columns `from..` of every output, byte by byte: the sub-block tail of
+/// the one-pass SIMD bodies.
+#[cfg(target_arch = "x86_64")]
+fn tail_scalar(dsts: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8], from: usize) {
+    for (dst, row) in dsts.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        let dst = &mut dst[from..];
+        dst.fill(0);
+        for (src, &c) in srcs.iter().zip(row) {
+            mul_add_scalar(dst, &src[from..], c);
+        }
+    }
+}
+
+/// Runs a one-pass body over `dsts` in groups of `width` outputs (the last
+/// group may be narrower), handing each group its rows of `coeffs`.
+#[cfg(target_arch = "x86_64")]
+fn in_groups(
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    width: usize,
+    mut body: impl FnMut(&mut [&mut [u8]], &[u8]),
+) {
+    let rows = coeffs.chunks(width * srcs.len());
+    for (outs, coeffs) in dsts.chunks_mut(width).zip(rows) {
+        body(outs, coeffs);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // x86_64 SIMD kernels (SSSE3 PSHUFB, AVX2 VPSHUFB).
 // ---------------------------------------------------------------------------
@@ -201,47 +247,61 @@ mod x86 {
         }
     }
 
+    /// Outputs the AVX2 body holds in registers per pass: four
+    /// accumulators beside the nibble mask, the split source and the two
+    /// shuffle tables fit the 16 YMM registers without spilling.
+    pub const GROUP: usize = 4;
+
+    /// One pass over the sources for a group of `G` outputs: each 32-byte
+    /// source block is loaded and nibble-split once, then multiplied into
+    /// all `G` accumulators, which are stored once.
+    ///
     /// # Safety
-    /// Caller must ensure AVX2 is available. Every `srcs[j]` must be at
-    /// least `dst.len()` long (checked by the safe wrapper).
+    /// Caller must ensure AVX2 is available, `outs.len() == G`, `k =
+    /// srcs.len()` in `1..=256`, `coeffs` `G` rows of `k`, and every output
+    /// and source the same length (checked by the safe wrapper).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_add_multi_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        // Note: re-broadcasting the nibble tables per (block, source) looks
-        // like loop-invariant waste, but hoisting all k pairs into a stack
-        // array measured performance-neutral to slightly slower on AVX2
-        // hosts (the table loads hit L1 and the staging init is pure
-        // overhead), so the simpler form stays.
+    pub unsafe fn mul_add_group_avx2<const G: usize>(
+        outs: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        coeffs: &[u8],
+    ) {
+        let k = srcs.len();
+        // Source-major coefficients: source j's G products sit together.
+        let mut cols = [[0u8; G]; 256];
+        for (j, col) in cols[..k].iter_mut().enumerate() {
+            for (g, c) in col.iter_mut().enumerate() {
+                *c = coeffs[g * k + j];
+            }
+        }
         let mask = _mm256_set1_epi8(0x0F);
-        let n = dst.len() & !31;
-        let dp = dst.as_mut_ptr();
+        let n = outs[0].len() & !31;
+        let ptrs: [*mut u8; G] = std::array::from_fn(|g| outs[g].as_mut_ptr());
         let mut i = 0;
         while i < n {
-            let mut acc = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            for (src, &c) in srcs.iter().zip(coeffs) {
-                if c == 0 {
-                    continue;
-                }
+            let mut acc = [_mm256_setzero_si256(); G];
+            for (src, col) in srcs.iter().zip(&cols) {
                 let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-                if c == 1 {
-                    acc = _mm256_xor_si256(acc, s);
-                    continue;
+                let lo_s = _mm256_and_si256(s, mask);
+                let hi_s = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
+                for (a, &c) in acc.iter_mut().zip(col) {
+                    let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                        NIB_LO[c as usize].as_ptr() as *const __m128i,
+                    ));
+                    let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                        NIB_HI[c as usize].as_ptr() as *const __m128i,
+                    ));
+                    let lo = _mm256_shuffle_epi8(lo_t, lo_s);
+                    let hi = _mm256_shuffle_epi8(hi_t, hi_s);
+                    *a = _mm256_xor_si256(*a, _mm256_xor_si256(lo, hi));
                 }
-                let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    NIB_LO[c as usize].as_ptr() as *const __m128i,
-                ));
-                let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    NIB_HI[c as usize].as_ptr() as *const __m128i,
-                ));
-                let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-                let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-                acc = _mm256_xor_si256(acc, _mm256_xor_si256(lo, hi));
             }
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, acc);
+            for (p, a) in ptrs.iter().zip(acc) {
+                _mm256_storeu_si256(p.add(i) as *mut __m256i, a);
+            }
             i += 32;
         }
-        for (src, &c) in srcs.iter().zip(coeffs) {
-            mul_add_scalar(&mut dst[n..], &src[n..], c);
-        }
+        tail_scalar(outs, srcs, coeffs, n);
     }
 
     /// # Safety
@@ -280,34 +340,51 @@ mod gfni {
     use super::*;
     use core::arch::x86_64::*;
 
+    /// Outputs the GFNI body holds in registers per pass: eight ZMM
+    /// accumulators, so an MDS(32,8) encode reads its sources once.
+    pub const GROUP: usize = 8;
+
+    /// One pass over the sources for a group of `G` outputs: each 64-byte
+    /// source block is loaded once and multiplied into all `G`
+    /// accumulators (one affine per product), which are stored once.
+    ///
     /// # Safety
-    /// Caller must ensure GFNI + AVX-512F are available. Every `srcs[j]`
-    /// must be at least `dst.len()` long (checked by the safe wrapper).
+    /// Caller must ensure GFNI + AVX-512F are available, `outs.len() ==
+    /// G`, `k = srcs.len()` in `1..=256`, `coeffs` `G` rows of `k`, and
+    /// every output and source the same length (checked by the safe
+    /// wrapper).
     #[target_feature(enable = "gfni,avx512f")]
-    pub unsafe fn mul_add_multi_gfni(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        let n = dst.len() & !63;
-        let dp = dst.as_mut_ptr();
+    pub unsafe fn mul_add_group_gfni<const G: usize>(
+        outs: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        coeffs: &[u8],
+    ) {
+        let k = srcs.len();
+        // Source-major affine matrices: source j's G products sit together.
+        let mut mats = [[0u64; G]; 256];
+        for (j, col) in mats[..k].iter_mut().enumerate() {
+            for (g, mat) in col.iter_mut().enumerate() {
+                *mat = GFNI_MATRICES[coeffs[g * k + j] as usize];
+            }
+        }
+        let n = outs[0].len() & !63;
+        let ptrs: [*mut u8; G] = std::array::from_fn(|g| outs[g].as_mut_ptr());
         let mut i = 0;
         while i < n {
-            let mut acc = _mm512_loadu_si512(dp.add(i) as *const _);
-            for (src, &c) in srcs.iter().zip(coeffs) {
-                if c == 0 {
-                    continue;
-                }
+            let mut acc = [_mm512_setzero_si512(); G];
+            for (src, col) in srcs.iter().zip(&mats) {
                 let s = _mm512_loadu_si512(src.as_ptr().add(i) as *const _);
-                if c == 1 {
-                    acc = _mm512_xor_si512(acc, s);
-                    continue;
+                for (a, &mat) in acc.iter_mut().zip(col) {
+                    let mat = _mm512_set1_epi64(mat as i64);
+                    *a = _mm512_xor_si512(*a, _mm512_gf2p8affine_epi64_epi8::<0>(s, mat));
                 }
-                let mat = _mm512_set1_epi64(GFNI_MATRICES[c as usize] as i64);
-                acc = _mm512_xor_si512(acc, _mm512_gf2p8affine_epi64_epi8::<0>(s, mat));
             }
-            _mm512_storeu_si512(dp.add(i) as *mut _, acc);
+            for (p, a) in ptrs.iter().zip(acc) {
+                _mm512_storeu_si512(p.add(i) as *mut _, a);
+            }
             i += 64;
         }
-        for (src, &c) in srcs.iter().zip(coeffs) {
-            mul_add_scalar(&mut dst[n..], &src[n..], c);
-        }
+        tail_scalar(outs, srcs, coeffs, n);
     }
 
     /// # Safety
@@ -336,8 +413,10 @@ mod gfni {
 // SAFETY (all five): each is reachable only through the private fields of
 // the tier static it is installed in — `detect_available` hands that static
 // out only after `is_x86_feature_detected!` confirmed the tier's features,
-// and `Kernel::{mul_add_multi, xor_multi}` assert every source is
-// `dst.len()` long before calling through.
+// and `Kernel::{mul_add_multi, xor_multi}` assert the shapes (every source
+// and output one length, `1..=256` sources, one coefficient row of `k` per
+// output) before calling through; `in_groups` hands a group body exactly
+// the outputs its width names.
 #[cfg(target_arch = "x86_64")]
 mod x86_entry {
     use super::*;
@@ -346,15 +425,33 @@ mod x86_entry {
         unsafe { x86::mul_add_multi_ssse3(dst, srcs, coeffs) }
     }
 
-    pub fn mul_add_multi_avx2(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        unsafe { x86::mul_add_multi_avx2(dst, srcs, coeffs) }
+    pub fn mul_add_multi_avx2(dsts: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+        in_groups(dsts, srcs, coeffs, x86::GROUP, |outs, coeffs| unsafe {
+            match outs.len() {
+                1 => x86::mul_add_group_avx2::<1>(outs, srcs, coeffs),
+                2 => x86::mul_add_group_avx2::<2>(outs, srcs, coeffs),
+                3 => x86::mul_add_group_avx2::<3>(outs, srcs, coeffs),
+                _ => x86::mul_add_group_avx2::<{ x86::GROUP }>(outs, srcs, coeffs),
+            }
+        })
     }
     pub fn xor_multi_avx2(dst: &mut [u8], srcs: &[&[u8]]) {
         unsafe { x86::xor_multi_avx2(dst, srcs) }
     }
 
-    pub fn mul_add_multi_gfni(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        unsafe { gfni::mul_add_multi_gfni(dst, srcs, coeffs) }
+    pub fn mul_add_multi_gfni(dsts: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+        in_groups(dsts, srcs, coeffs, gfni::GROUP, |outs, coeffs| unsafe {
+            match outs.len() {
+                1 => gfni::mul_add_group_gfni::<1>(outs, srcs, coeffs),
+                2 => gfni::mul_add_group_gfni::<2>(outs, srcs, coeffs),
+                3 => gfni::mul_add_group_gfni::<3>(outs, srcs, coeffs),
+                4 => gfni::mul_add_group_gfni::<4>(outs, srcs, coeffs),
+                5 => gfni::mul_add_group_gfni::<5>(outs, srcs, coeffs),
+                6 => gfni::mul_add_group_gfni::<6>(outs, srcs, coeffs),
+                7 => gfni::mul_add_group_gfni::<7>(outs, srcs, coeffs),
+                _ => gfni::mul_add_group_gfni::<{ gfni::GROUP }>(outs, srcs, coeffs),
+            }
+        })
     }
     pub fn xor_multi_gfni(dst: &mut [u8], srcs: &[&[u8]]) {
         unsafe { gfni::xor_multi_zmm(dst, srcs) }
@@ -371,7 +468,8 @@ mod neon {
     use core::arch::aarch64::*;
 
     /// # Safety
-    /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
+    /// NEON is mandatory on aarch64, so the caller need only meet the
+    /// length condition below.
     /// Every `srcs[j]` must be at least `dst.len()` long.
     #[target_feature(enable = "neon")]
     pub unsafe fn mul_add_multi_neon(dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
@@ -405,7 +503,8 @@ mod neon {
     }
 
     /// # Safety
-    /// NEON is mandatory on aarch64; unsafe only for the intrinsics.
+    /// NEON is mandatory on aarch64, so the caller need only meet the
+    /// length condition below.
     /// Every `srcs[j]` must be at least `dst.len()` long.
     #[target_feature(enable = "neon")]
     pub unsafe fn xor_multi_neon(dst: &mut [u8], srcs: &[&[u8]]) {
@@ -446,11 +545,11 @@ mod neon_entry {
 /// instruction-set tier.
 ///
 /// Both methods check shape invariants (equal lengths) and are safe; the
-/// unsafe SIMD entries behind them are only installed after runtime
-/// feature detection.
+/// SIMD entries behind them are only installed after runtime feature
+/// detection.
 pub struct Kernel {
     name: &'static str,
-    mul_add_multi: fn(&mut [u8], &[&[u8]], &[u8]),
+    mul_add_multi: fn(&mut [&mut [u8]], &[&[u8]], &[u8]),
     xor_multi: fn(&mut [u8], &[&[u8]]),
 }
 
@@ -458,14 +557,14 @@ pub struct Kernel {
 /// with no SIMD tier, and the reference every test compares against.
 static SCALAR: Kernel = Kernel {
     name: "scalar",
-    mul_add_multi: mul_add_multi_scalar,
+    mul_add_multi: |d, s, c| by_rows(d, s, c, mul_add_multi_scalar),
     xor_multi: xor_multi_scalar,
 };
 
 #[cfg(target_arch = "x86_64")]
 static SSSE3: Kernel = Kernel {
     name: "ssse3",
-    mul_add_multi: x86_entry::mul_add_multi_ssse3,
+    mul_add_multi: |d, s, c| by_rows(d, s, c, x86_entry::mul_add_multi_ssse3),
     // Plain XOR needs no shuffle: the scalar loop already compiles to the
     // 128-bit form on every x86_64 target.
     xor_multi: xor_multi_scalar,
@@ -490,7 +589,7 @@ static GFNI: Kernel = Kernel {
 #[cfg(target_arch = "aarch64")]
 static NEON: Kernel = Kernel {
     name: "neon",
-    mul_add_multi: neon_entry::mul_add_multi_neon,
+    mul_add_multi: |d, s, c| by_rows(d, s, c, neon_entry::mul_add_multi_neon),
     xor_multi: neon_entry::xor_multi_neon,
 };
 
@@ -568,19 +667,29 @@ impl Kernel {
         self.name
     }
 
-    /// Fused accumulate: `dst[i] ^= Σ_j coeffs[j] · srcs[j][i]`, one
-    /// destination pass for all sources.
+    /// Fused multi-output product: `dsts[o][i] = Σ_j coeffs[o·k + j] ·
+    /// srcs[j][i]` for `k = srcs.len()`, overwriting every output.
+    /// `coeffs` is row-major by output (one row of `k` per output); the
+    /// one-pass tiers load each source block once per group of outputs.
     ///
     /// # Panics
-    /// Panics when `srcs.len() != coeffs.len()` or any source length
-    /// differs from `dst.len()`.
+    /// Panics when `coeffs.len() != dsts.len() · k`, when `k > 256` (the
+    /// field bounds the shard count), or when any source or output length
+    /// differs from the first output's.
     #[inline]
-    pub fn mul_add_multi(&self, dst: &mut [u8], srcs: &[&[u8]], coeffs: &[u8]) {
-        assert_eq!(srcs.len(), coeffs.len());
-        for s in srcs {
-            assert_eq!(s.len(), dst.len());
+    pub fn mul_add_multi(&self, dsts: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+        assert_eq!(coeffs.len(), dsts.len() * srcs.len());
+        assert!(srcs.len() <= 256, "GF(256) bounds the shard count");
+        let Some(len) = dsts.first().map(|d| d.len()) else {
+            return;
+        };
+        assert!(dsts.iter().all(|d| d.len() == len));
+        assert!(srcs.iter().all(|s| s.len() == len));
+        if srcs.is_empty() {
+            dsts.iter_mut().for_each(|d| d.fill(0));
+            return;
         }
-        (self.mul_add_multi)(dst, srcs, coeffs);
+        (self.mul_add_multi)(dsts, srcs, coeffs);
     }
 
     /// Fused XOR accumulate: `dst[i] ^= Σ_j srcs[j][i]`.
@@ -651,10 +760,10 @@ mod tests {
         let base: Vec<u8> = (0..1003).map(|i| (i * 7 % 256) as u8).collect();
         for k in Kernel::all() {
             for c in [0u8, 1, 2, 133, 255] {
-                let mut want = base.clone();
+                let mut want = vec![0u8; 1003];
                 mul_add_scalar(&mut want, &src, c);
                 let mut got = base.clone();
-                k.mul_add_multi(&mut got, &[&src[..]], &[c]);
+                k.mul_add_multi(&mut [&mut got[..]], &[&src[..]], &[c]);
                 assert_eq!(got, want, "kernel={} c={c} mul_add_multi", k.name());
             }
             let mut want = base.clone();
@@ -665,28 +774,80 @@ mod tests {
         }
     }
 
+    /// Every tier's multi-output product equals the scalar single-output
+    /// body applied once per (output, source) pair: 1–12 outputs (across
+    /// every tier's group width), 1–40 sources, lengths around the 64-byte
+    /// block and up to a 64 KiB chunk, coefficients 0 and 1 among general
+    /// ones, and sources laid out 64 KiB apart as node memory holds them.
     #[test]
     fn fused_multi_matches_repeated_single() {
-        let srcs: Vec<Vec<u8>> = (0..5)
-            .map(|j| (0..777).map(|i| ((i * 13 + j * 89) % 256) as u8).collect())
+        const STRIDE: usize = 64 * 1024;
+        const MAX_K: usize = 40;
+        const MAX_OUTS: usize = 12;
+        let flat: Vec<u8> = (0..MAX_K * STRIDE)
+            .map(|i| ((i * 13 + i / STRIDE * 89) % 251) as u8)
             .collect();
-        let refs: Vec<&[u8]> = srcs.iter().map(|s| s.as_slice()).collect();
-        let coeffs = [7u8, 0, 1, 255, 88];
-        for k in Kernel::all() {
-            let mut want = vec![3u8; 777];
-            for (s, &c) in refs.iter().zip(&coeffs) {
-                mul_add_scalar(&mut want, s, c);
+        // Row-major coefficients: zeros and ones mixed in, output 2 all
+        // zero and output 3 all one.
+        let coeffs_for = |outs: usize, k: usize| -> Vec<u8> {
+            (0..outs * k)
+                .map(|x| match (x / k, x % 7) {
+                    (2, _) => 0,
+                    (3, _) | (_, 5) => 1,
+                    (_, 3) => 0,
+                    _ => (x * 37 + 11) as u8,
+                })
+                .collect()
+        };
+        let check = |outs: usize, k: usize, len: usize| {
+            let srcs: Vec<&[u8]> = flat
+                .chunks_exact(STRIDE)
+                .take(k)
+                .map(|r| &r[..len])
+                .collect();
+            let coeffs = coeffs_for(outs, k);
+            let mut want = vec![vec![0u8; len]; outs];
+            for (dst, row) in want.iter_mut().zip(coeffs.chunks_exact(k)) {
+                for (s, &c) in srcs.iter().zip(row) {
+                    mul_add_scalar(dst, s, c);
+                }
             }
-            let mut got = vec![3u8; 777];
-            k.mul_add_multi(&mut got, &refs, &coeffs);
-            assert_eq!(got, want, "kernel={} mul_add_multi", k.name());
+            for kern in Kernel::all() {
+                let mut got = vec![vec![0xA5u8; len]; outs];
+                let mut views: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                kern.mul_add_multi(&mut views, &srcs, &coeffs);
+                for (o, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g == w,
+                        "kernel={} outs={outs} k={k} len={len}: output {o}",
+                        kern.name()
+                    );
+                }
+            }
+        };
+        for outs in 1..=MAX_OUTS {
+            for k in 1..=MAX_K {
+                check(outs, k, 65);
+            }
+        }
+        for len in [1, 63, 64, 65, 4095, STRIDE] {
+            for (outs, k) in [(1, 1), (8, 32), (9, MAX_K), (MAX_OUTS, 5)] {
+                check(outs, k, len);
+            }
+        }
 
+        let srcs: Vec<&[u8]> = flat
+            .chunks_exact(STRIDE)
+            .take(5)
+            .map(|r| &r[..777])
+            .collect();
+        for k in Kernel::all() {
             let mut want = vec![9u8; 777];
-            for s in &refs {
+            for s in &srcs {
                 xor_scalar(&mut want, s);
             }
             let mut got = vec![9u8; 777];
-            k.xor_multi(&mut got, &refs);
+            k.xor_multi(&mut got, &srcs);
             assert_eq!(got, want, "kernel={} xor_multi", k.name());
         }
     }

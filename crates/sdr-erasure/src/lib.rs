@@ -10,21 +10,22 @@
 //! * [`kernel`] — runtime-dispatched SIMD tiers (GFNI `GF2P8AFFINEQB` and
 //!   SSSE3/AVX2 nibble-shuffle on x86_64, NEON on aarch64, scalar
 //!   reference) behind the [`Kernel`] vtable: the two fused multi-source
-//!   operations the codes call.
+//!   operations the codes call, the GF(256) one multi-output and one-pass
+//!   (each source block loaded once per group of outputs).
 //! * [`Matrix`] — Vandermonde construction and Gauss–Jordan inversion.
 //! * [`ReedSolomon`] — systematic MDS code: recovers from **any** `m`
-//!   erasures among `k + m` shards; encode is cache-blocked into ~32 KiB
-//!   strips driven through the fused kernel.
+//!   erasures among `k + m` shards; encode and decode are one multi-output
+//!   kernel call over the whole shard.
 //! * [`XorCode`] — the paper's XOR modulo-group code: parity `i` is the XOR
 //!   of data blocks `j ≡ i (mod m)`; tolerates one loss per group.
 //! * [`pool`] — the persistent [`EncodePool`]: long-lived workers fed over
-//!   a channel, one kind of task (a closure and its latch) and three ways
-//!   to make them: an async [`EncodePool::submit`]/[`PendingEncode::wait`]
-//!   split so reliability layers overlap encoding with injection (the
-//!   paper's spare-core model), [`EncodePool::encode_striped`], Figure
-//!   11's column-striped multi-threaded encode into caller-owned parity,
-//!   and [`EncodePool::reconstruct_striped`], the receiver's in-place
-//!   decode column-striped over the same workers.
+//!   a channel, one kind of task (a closure and its latch) and one
+//!   column-stripe dispatcher with two entry points:
+//!   [`EncodePool::encode_striped`], the EC sender's in-place encode into
+//!   its staging region and Figure 11's multi-threaded encode, and
+//!   [`EncodePool::reconstruct_striped`], the receiver's in-place decode
+//!   (the paper's spare-core model: the caller runs one stripe, the
+//!   workers the rest).
 //! * [`crc32c`] — runtime-dispatched CRC32C (Castagnoli) behind the
 //!   [`Crc32c`] vtable: the x86_64 `CRC32` instruction tier, three
 //!   interleaved chains per 4032 B block (18.8 GiB/s on 64 KiB and on 4 KiB
@@ -44,16 +45,17 @@
 //! `fig11` binary (`cargo run --release -p sdr-bench --bin fig11`) prints
 //! the encode rows under whatever tier is pinned; one full run per tier on
 //! a 2-vCPU Xeon with GFNI/AVX-512, 1-thread row of its 128 MiB,
-//! k = 32, m = 8 encode table:
+//! k = 32, m = 8 encode table (the one-pass kernel: eight parity rows per
+//! source pass on GFNI, four on AVX2, row by row on SSSE3 and scalar):
 //!
 //! | tier   | MDS(32,8) encode, 1 thread |
 //! |--------|----------------------------|
-//! | scalar | 1.28 Gbit/s                |
-//! | ssse3  | 6.61 Gbit/s                |
-//! | avx2   | 15.0 Gbit/s (11.7× scalar) |
-//! | gfni   | 27.0 Gbit/s (21.1× scalar) |
+//! | scalar | 1.87 Gbit/s                |
+//! | ssse3  | 6.72 Gbit/s                |
+//! | avx2   | 30.8 Gbit/s (16.5× scalar) |
+//! | gfni   | 68.3 Gbit/s (36.5× scalar) |
 //!
-//! XOR(32,8) encode, which needs no GF(256) multiply, reads 102–144 Gbit/s
+//! XOR(32,8) encode, which needs no GF(256) multiply, reads 103–181 Gbit/s
 //! in the same runs, consistent with the paper's claim that XOR hides
 //! 400 Gbit/s injection behind 4 cores. The repository benchmark's
 //! `erasure.rs.encode_gibps` probe times the same kernel under the
@@ -74,7 +76,7 @@ pub use codec::{EcError, ErasureCode};
 pub use crc32c::{crc32c, Crc32c, Crc32cHasher};
 pub use kernel::Kernel;
 pub use matrix::Matrix;
-pub use pool::{EncodeJob, EncodePool, PendingEncode};
+pub use pool::EncodePool;
 pub use rs::ReedSolomon;
 pub use xor::XorCode;
 

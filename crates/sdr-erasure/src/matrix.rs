@@ -59,6 +59,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Rows `r..` as one row-major slice.
+    pub fn rows_from(&self, r: usize) -> &[u8] {
+        &self.data[r * self.cols..]
+    }
+
     /// Builds a new matrix from a subset of this one's rows.
     pub fn select_rows(&self, rows: &[usize]) -> Matrix {
         let mut m = Matrix::zero(rows.len(), self.cols);

@@ -5,49 +5,39 @@
 //! workers blocked on a channel, so handing them work costs one enqueue +
 //! wakeup, not a thread spawn.
 //!
-//! Its two users are the two ends of an EC transfer: the **sender** submits
-//! each submessage's encode as an owned job, and the **receiver** stripes
-//! each in-place decode across the same workers — the core the encode
-//! leaves idle.
+//! Its two users are the two ends of an EC transfer, and both stripe the
+//! work column-wise across the workers, in place in node memory: the
+//! **sender** encodes a submessage's parity when its parity submessage
+//! opens, and the **receiver** rebuilds a submessage's missing data chunks.
 //!
 //! ```text
 //!                  ┌───────────────────────────────────────────┐
-//!   submit ───────▶│ task = boxed closure + latch              │
-//!   (one task per  │ channel ─▶ worker 0 ─┐  (long-lived,      │
-//!    owned job)    │         ─▶ worker 1 ─┤   blocked on recv) │
-//!   encode_striped │         ─▶   ...    ─┤                    │
-//!   reconstruct_   │         ─▶ worker N ─┘                    │
-//!   striped ──────▶│                │                          │
-//!   (one task per  │                │                          │
-//!    stripe)       └────────────────┼──────────────────────────┘
+//!   encode_striped │ task = boxed closure + latch              │
+//!   reconstruct_   │ channel ─▶ worker 0 ─┐  (long-lived,      │
+//!   striped ──────▶│         ─▶ worker 1 ─┤   blocked on recv) │
+//!   (one task per  │         ─▶   ...    ─┤                    │
+//!    stripe but    │         ─▶ worker N ─┘                    │
+//!    the first)    └────────────────┼──────────────────────────┘
 //!                                   ▼
-//!             latch.complete() ──▶ caller wait()/wait_helping()
+//!             latch.complete() ──▶ caller wait_helping()
 //! ```
 //!
 //! The workers run one kind of task: a boxed closure and the latch it
-//! completes. Two entry points build them:
-//!
-//! * [`EncodePool::submit`] → [`PendingEncode::wait`]: an async split for
-//!   pipelining. The task owns an [`EncodeJob`] (its two buffers move into
-//!   it); the EC sender submits submessage *i+1*'s encode and keeps
-//!   injecting submessage *i*, and `wait` returns the buffers once parity
-//!   is computed.
-//! * Column stripes ([`EncodePool::encode_striped`],
-//!   [`EncodePool::reconstruct_striped`]): one dispatcher splits the shard
-//!   length, hands each stripe its columns of every output (parity, or the
-//!   erased data shards), runs the first inline and sends the rest to the
-//!   workers. The caller's borrows are erased to `'static` for the channel
-//!   crossing and a latch guard guarantees every stripe finishes (even on
-//!   unwind) before the borrows die — the same discipline
-//!   `std::thread::scope` enforces, without the spawn.
+//! completes. One dispatcher builds them for both entry points
+//! ([`EncodePool::encode_striped`], [`EncodePool::reconstruct_striped`]):
+//! it splits the shard length, hands each stripe its columns of every
+//! output (parity, or the erased data shards), runs the first inline and
+//! sends the rest to the workers. The caller's borrows are erased to
+//! `'static` for the channel crossing and a latch guard guarantees every
+//! stripe finishes (even on unwind) before the borrows die — the same
+//! discipline `std::thread::scope` enforces, without the spawn.
 //!
 //! Waiters **help**: while blocked on a latch they run queued tasks
 //! themselves, so a caller waiting on its own stripes never waits behind
-//! busy workers — with a 1-worker pool busy on a parity job, a decode's
-//! stripes still finish, on the caller's thread. Workers catch panics per
-//! task — a poisoned job reports at `wait`, a poisoned stripe re-raises on
-//! the caller once every stripe has finished, and the pool stays usable
-//! (panic containment).
+//! busy workers — with a 1-worker pool busy on another caller's stripe,
+//! a decode's stripes still finish, on the caller's thread. Workers catch
+//! panics per task — a poisoned stripe re-raises on the caller once every
+//! stripe has finished, and the pool stays usable (panic containment).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,84 +125,6 @@ impl Latch {
                 }
             }
         }
-    }
-}
-
-/// An owned encode job: the erasure code plus one submessage's data and
-/// parity, each one flat buffer of rows [`EncodeJob::stride`] apart, moved
-/// into the pool for the duration of the encode and handed back by
-/// [`PendingEncode::wait`].
-pub struct EncodeJob {
-    /// The code to encode with (`Arc` so jobs can cross threads while the
-    /// caller keeps using the same instance).
-    pub code: Arc<dyn ErasureCode>,
-    /// The `k` data shards of `len` bytes, shard `i` at `i·stride(len)`.
-    pub data: Vec<u8>,
-    /// The `m` parity shards, laid out as `data` (overwritten).
-    pub parity: Vec<u8>,
-}
-
-/// What a row of an [`EncodeJob`] holds beyond its shard.
-const ROW_PAD: usize = 64;
-
-impl EncodeJob {
-    /// Bytes from one row's start to the next for shards of `len` bytes:
-    /// one cache line more than `len`. Rows a power of two apart (64 KiB
-    /// chunks back to back) put a column's `k + m` bytes in one cache set,
-    /// where the fused kernel's loads evict each other: MDS(32,8) on
-    /// 64 KiB shards then encodes ≈ 25 % slower than at this stride (GFNI
-    /// tier, 2-vCPU Xeon).
-    pub const fn stride(len: usize) -> usize {
-        len + ROW_PAD
-    }
-
-    /// Encodes the data rows into the parity rows.
-    ///
-    /// # Panics
-    /// When the buffers are not `k` and `m` rows of one stride.
-    fn encode(&mut self) {
-        let (k, m) = (self.code.data_shards(), self.code.parity_shards());
-        let stride = self.data.len() / k;
-        assert!(
-            stride >= ROW_PAD && self.data.len() == k * stride && self.parity.len() == m * stride,
-            "EncodeJob buffers are not k and m rows of one stride"
-        );
-        let len = stride - ROW_PAD;
-        let data: Vec<&[u8]> = self.data.chunks_exact(stride).map(|r| &r[..len]).collect();
-        let rows = self.parity.chunks_exact_mut(stride);
-        let mut parity: Vec<&mut [u8]> = rows.map(|r| &mut r[..len]).collect();
-        self.code.encode_into(&data, &mut parity);
-    }
-}
-
-/// Handle to an in-flight [`EncodeJob`]. Dropping it without waiting is
-/// allowed — the worker finishes the encode and discards the buffers.
-pub struct PendingEncode {
-    latch: Arc<Latch>,
-    job: Arc<Mutex<Option<EncodeJob>>>,
-    core: Arc<PoolCore>,
-}
-
-impl PendingEncode {
-    /// True once the encode has finished (never blocks).
-    pub fn is_ready(&self) -> bool {
-        self.latch.try_done().is_some()
-    }
-
-    /// Blocks until the encode finishes and returns the job's buffers with
-    /// parity computed. Helps drain the pool queue while waiting.
-    ///
-    /// # Panics
-    /// Re-raises a worker panic (e.g. inconsistent shard shapes) on the
-    /// caller; the pool itself stays usable.
-    pub fn wait(self) -> EncodeJob {
-        let poisoned = self.latch.wait_helping(&self.core);
-        assert!(
-            !poisoned,
-            "EncodePool worker panicked while encoding a submitted job"
-        );
-        let job = self.job.lock().expect("pending mutex poisoned").take();
-        job.expect("the task stores the job before completing the latch")
     }
 }
 
@@ -391,29 +303,6 @@ impl EncodePool {
         self.workers.len()
     }
 
-    /// Submits an owned encode job: one task that encodes the job's data
-    /// rows into its parity rows. Returns immediately — the caller
-    /// overlaps other work and collects the buffers via
-    /// [`PendingEncode::wait`].
-    pub fn submit(&self, job: EncodeJob) -> PendingEncode {
-        let latch = Arc::new(Latch::new(1));
-        let slot = Arc::new(Mutex::new(None));
-        let out = slot.clone();
-        self.core.send(Task {
-            func: Box::new(move || {
-                let mut job = job;
-                job.encode();
-                *out.lock().expect("pending mutex poisoned") = Some(job);
-            }),
-            latch: latch.clone(),
-        });
-        PendingEncode {
-            latch,
-            job: slot,
-            core: self.core.clone(),
-        }
-    }
-
     /// Encodes `data` into caller-owned `parity` split column-wise into
     /// `stripes` stripes across the pool (first stripe inline on the
     /// caller) — Figure 11's multi-threaded encode. Parity is written
@@ -477,9 +366,10 @@ impl EncodePool {
         Ok(())
     }
 
-    /// The EC receiver's decode width for shards of `len` bytes: a stripe
-    /// per worker, none narrower than one kernel strip.
-    pub fn decode_stripes(&self, len: usize) -> usize {
+    /// The EC stack's stripe width for shards of `len` bytes, encode and
+    /// decode alike: a stripe per worker, none narrower than one kernel
+    /// strip.
+    pub fn stripes(&self, len: usize) -> usize {
         (len / STRIP_BYTES).clamp(1, self.size())
     }
 }
@@ -487,7 +377,7 @@ impl EncodePool {
 impl Drop for EncodePool {
     fn drop(&mut self) {
         // FIFO channel: sentinels land behind all outstanding work, so
-        // queued jobs finish before the workers exit.
+        // queued tasks finish before the workers exit.
         for _ in &self.workers {
             let _ = self.core.tx.send(None);
         }
@@ -508,65 +398,19 @@ mod tests {
     use super::*;
     use crate::rs::ReedSolomon;
 
-    fn job(k: usize, m: usize, len: usize) -> EncodeJob {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(k, m));
-        let stride = EncodeJob::stride(len);
-        let data = (0..k * stride).map(|j| ((j / stride * 31 + j * 7) % 256) as u8);
-        EncodeJob {
-            code,
-            data: data.collect(),
-            parity: vec![0u8; m * stride],
-        }
-    }
-
-    /// The job's data rows, and their serial encode.
-    fn rows_and_parity(j: &EncodeJob) -> (Vec<&[u8]>, Vec<Vec<u8>>) {
-        let stride = j.data.len() / j.code.data_shards();
-        let len = stride - ROW_PAD;
-        let rows: Vec<&[u8]> = j.data.chunks_exact(stride).map(|r| &r[..len]).collect();
-        let parity = j.code.encode(&rows);
-        (rows, parity)
-    }
-
-    /// The parity rows of a finished job.
-    fn parity_rows(j: &EncodeJob) -> Vec<&[u8]> {
-        let stride = j.parity.len() / j.code.parity_shards();
-        j.parity
-            .chunks_exact(stride)
-            .map(|r| &r[..stride - ROW_PAD])
-            .collect()
-    }
-
-    #[test]
-    fn owned_job_round_trips_buffers_with_parity() {
-        let pool = EncodePool::new(2);
-        let j = job(4, 2, 4096);
-        let expect = rows_and_parity(&j).1;
-        let (data, parity) = (j.data.as_ptr(), j.parity.as_ptr());
-        let done = pool.submit(j).wait();
-        assert_eq!(parity_rows(&done), expect);
-        // The same two buffers come back: nothing was reallocated.
-        assert_eq!((done.data.as_ptr(), done.parity.as_ptr()), (data, parity));
-    }
-
-    #[test]
-    fn pending_is_ready_eventually() {
-        let pool = EncodePool::new(1);
-        let pending = pool.submit(job(4, 2, 1024));
-        while !pending.is_ready() {
-            std::thread::yield_now();
-        }
-        let done = pending.wait();
-        assert_eq!(parity_rows(&done).len(), 2);
-    }
-
-    #[test]
-    fn dropping_pending_does_not_hang_pool() {
-        let pool = EncodePool::new(1);
-        drop(pool.submit(job(4, 2, 1024)));
-        // Pool still serves new jobs afterwards.
-        let done = pool.submit(job(4, 2, 1024)).wait();
-        assert_eq!(parity_rows(&done).len(), 2);
+    /// The serial encode of RS(k, m) over patterned `len`-byte shards.
+    fn shards_and_parity(
+        k: usize,
+        m: usize,
+        len: usize,
+    ) -> (ReedSolomon, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let code = ReedSolomon::new(k, m);
+        let data: Vec<Vec<u8>> = (0..k)
+            .map(|i| (0..len).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
+            .collect();
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let parity = code.encode(&refs);
+        (code, data, parity)
     }
 
     /// The one worker holds a task for up to 10 s: a striped caller that
@@ -586,15 +430,42 @@ mod tests {
         });
         // Once the worker holds, the queue has only the caller's stripes.
         started.recv().expect("the worker runs the holding task");
-        let j = job(4, 2, 32 * 1024);
-        let (refs, expect) = rows_and_parity(&j);
+        let (code, data, expect) = shards_and_parity(4, 2, 32 * 1024);
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut parity = vec![vec![0u8; 32 * 1024]; 2];
         let mut views: Vec<&mut [u8]> = parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-        pool.encode_striped(j.code.as_ref(), &refs, &mut views, 3);
+        pool.encode_striped(&code, &refs, &mut views, 3);
         assert!(
             release.send(()).is_ok(),
             "the stripes waited for the worker"
         );
         assert_eq!(parity, expect);
+    }
+
+    /// Dropping the pool with a backlog of queued tasks runs the backlog
+    /// (FIFO shutdown sentinels) and joins every worker without hanging.
+    #[test]
+    fn drop_with_queued_work_shuts_down_cleanly() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = EncodePool::new(1);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let latch = Arc::new(Latch::new(16));
+        let (code, data, expect) = shards_and_parity(4, 2, 16 * 1024);
+        let code = Arc::new(code);
+        for _ in 0..16 {
+            let (code, data, expect, ran) =
+                (code.clone(), data.clone(), expect.clone(), ran.clone());
+            pool.core.send(Task {
+                func: Box::new(move || {
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    assert_eq!(code.encode(&refs), expect);
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }),
+                latch: latch.clone(),
+            });
+        }
+        drop(pool); // runs the backlog, then joins the worker
+        assert_eq!(ran.load(Ordering::SeqCst), 16, "every queued task ran");
+        assert_eq!(latch.try_done(), Some(false), "and none panicked");
     }
 }

@@ -11,11 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec::{decode_len, EcError, ErasureCode};
-use crate::kernel::{Kernel, STRIP_BYTES};
+use crate::kernel::Kernel;
 use crate::matrix::Matrix;
 
-/// GF(256) bounds the shard count, so survivor/source reference arrays fit
-/// on the stack — no per-call allocation in the encode path.
+/// GF(256) bounds the shard count, so the decode's survivor key fits on the
+/// stack.
 const MAX_SHARDS: usize = 256;
 
 /// Decode-matrix cache entries retained per `(k, m)` shape (small: under
@@ -170,10 +170,10 @@ impl ReedSolomon {
         self.matrix.row(self.k + i)
     }
 
-    /// [`ErasureCode::encode_into`] through an explicit kernel tier — the
-    /// single implementation of the cache-blocked strip walk. Production
-    /// encoding passes [`Kernel::active`]; benchmarks pin tiers to compare
-    /// them, guaranteed to measure the exact production code path.
+    /// [`ErasureCode::encode_into`] through an explicit kernel tier: one
+    /// multi-output kernel call over the whole shard, every parity row at
+    /// once. Production encoding passes [`Kernel::active`]; tests and
+    /// benchmarks pin tiers to compare them on the production code path.
     ///
     /// # Panics
     /// Panics when shard counts or lengths are inconsistent.
@@ -185,23 +185,7 @@ impl ReedSolomon {
         for (i, p) in parity.iter().enumerate() {
             assert_eq!(p.len(), len, "ragged parity shard {i}");
         }
-        // Cache-blocked matrix walk: process ~32 KiB strips so each parity
-        // strip stays in L1/L2 while all k sources stream through the fused
-        // kernel exactly once per parity row.
-        let mut strip_srcs: [&[u8]; MAX_SHARDS] = [&[]; MAX_SHARDS];
-        let mut s = 0;
-        while s < len {
-            let e = (s + STRIP_BYTES).min(len);
-            for (j, d) in data.iter().enumerate() {
-                strip_srcs[j] = &d[s..e];
-            }
-            for (i, p) in parity.iter_mut().enumerate() {
-                let dst = &mut p[s..e];
-                dst.fill(0);
-                kern.mul_add_multi(dst, &strip_srcs[..self.k], self.parity_row(i));
-            }
-            s = e;
-        }
+        kern.mul_add_multi(parity, data, self.matrix.rows_from(self.k));
     }
 }
 
@@ -220,8 +204,7 @@ impl ErasureCode for ReedSolomon {
 
     fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]) {
         assert_eq!(data.len(), self.k, "expected {} data shards", self.k);
-        out.fill(0);
-        Kernel::active().mul_add_multi(out, data, self.parity_row(row));
+        Kernel::active().mul_add_multi(&mut [out], data, self.parity_row(row));
     }
 
     fn can_recover(&self, present: &[bool]) -> bool {
@@ -229,15 +212,14 @@ impl ErasureCode for ReedSolomon {
     }
 
     /// Rebuilds the erased data shards as `inv(rows of k survivors) ×
-    /// survivors`, cache-blocked like the encode: each ~32 KiB output strip
-    /// stays in L1/L2 while the `k` survivor strips stream through the fused
-    /// kernel, once per output.
+    /// survivors`: one multi-output kernel call over the whole shard, every
+    /// erased shard at once, like the encode.
     fn reconstruct_data(
         &self,
         shards: &[Option<&[u8]>],
         missing: &mut [&mut [u8]],
     ) -> Result<(), EcError> {
-        let len = decode_len(shards, missing, self.k, self.k + self.m)?;
+        decode_len(shards, missing, self.k, self.k + self.m)?;
         if missing.is_empty() {
             return Ok(());
         }
@@ -271,22 +253,13 @@ impl ErasureCode for ReedSolomon {
             })
             .ok_or(EcError::Unrecoverable)?;
 
-        let kern = Kernel::active();
-        let mut strip_srcs: [&[u8]; MAX_SHARDS] = [&[]; MAX_SHARDS];
-        let mut s = 0;
-        while s < len {
-            let e = (s + STRIP_BYTES).min(len);
-            for (col, &src) in survivors.iter().enumerate() {
-                strip_srcs[col] = &shards[usize::from(src)].expect("a survivor")[s..e];
-            }
-            let holes = (0..self.k).filter(|&d| shards[d].is_none());
-            for (out, d) in missing.iter_mut().zip(holes) {
-                let dst = &mut out[s..e];
-                dst.fill(0);
-                kern.mul_add_multi(dst, &strip_srcs[..self.k], inv.row(d));
-            }
-            s = e;
-        }
+        let srcs: Vec<&[u8]> = survivors
+            .iter()
+            .map(|&i| shards[usize::from(i)].expect("a survivor"))
+            .collect();
+        let holes = (0..self.k).filter(|&d| shards[d].is_none());
+        let coeffs: Vec<u8> = holes.flat_map(|d| inv.row(d)).copied().collect();
+        Kernel::active().mul_add_multi(missing, &srcs, &coeffs);
         Ok(())
     }
 }

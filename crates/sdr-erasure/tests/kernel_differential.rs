@@ -53,10 +53,12 @@ fn random_bytes(rng: &mut SmallRng, len: usize) -> Vec<u8> {
 
 /// Runs both operations of every tier on the window `[lo..hi]` of `srcs`
 /// over `base` and compares whole buffers with the references, so a write
-/// outside the window fails too.
+/// outside the window fails too. `mul_add_multi` overwrites its (one)
+/// output, `xor_multi` accumulates into it.
 fn check_all_tiers(base: &[u8], srcs: &[Vec<u8>], coeffs: &[u8], lo: usize, hi: usize) {
     let views: Vec<&[u8]> = srcs.iter().map(|s| &s[lo..hi]).collect();
     let mut want = base.to_vec();
+    want[lo..hi].fill(0);
     ref_mul_add_multi(&mut want[lo..hi], &views, coeffs);
     let mut want_xor = base.to_vec();
     ref_xor_multi(&mut want_xor[lo..hi], &views);
@@ -69,7 +71,7 @@ fn check_all_tiers(base: &[u8], srcs: &[Vec<u8>], coeffs: &[u8], lo: usize, hi: 
             )
         };
         let mut got = base.to_vec();
-        kernel.mul_add_multi(&mut got[lo..hi], &views, coeffs);
+        kernel.mul_add_multi(&mut [&mut got[lo..hi]], &views, coeffs);
         assert_eq!(got, want, "mul_add_multi {}", what());
         let mut got = base.to_vec();
         kernel.xor_multi(&mut got[lo..hi], &views);
@@ -108,8 +110,9 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let total = head + len;
         let srcs: Vec<Vec<u8>> = (0..n_srcs).map(|_| random_bytes(&mut rng, total)).collect();
-        // Every third coefficient is forced to 0 or 1: the kernels skip the
-        // one and degrade the other to XOR inside the fused block loop.
+        // Every third coefficient is forced to 0 or 1: the row-by-row
+        // bodies skip the one and degrade the other to XOR inside the fused
+        // block loop; the one-pass bodies multiply both like any other.
         let coeffs: Vec<u8> = (0..n_srcs)
             .map(|j| if j % 3 == 2 { (j / 3 % 2) as u8 } else { rng.random() })
             .collect();
@@ -149,8 +152,8 @@ fn exhaustive_small_geometry() {
     }
 }
 
-/// The paper's (32, 8) MDS encode — the production strip walk, pinned to
-/// each tier in turn — equals the byte-wise reference applied to the
+/// The paper's (32, 8) MDS encode — the production multi-output call,
+/// pinned to each tier in turn — equals the byte-wise reference applied to the
 /// code's parity rows.
 #[test]
 fn full_rs_encode_agrees_across_kernels() {

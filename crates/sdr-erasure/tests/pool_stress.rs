@@ -1,122 +1,147 @@
-//! Stress tests for the persistent [`EncodePool`]: concurrent submits
-//! from many threads, worker panic containment (owned jobs and the column
-//! stripes the striped encode and decode share), and clean drop/shutdown
-//! with work still queued.
+//! Stress tests for the persistent [`EncodePool`]: concurrent striped
+//! encodes and decodes from many threads, worker panic containment (the
+//! column stripes the striped encode and decode share), and shape panics
+//! that must propagate instead of hanging.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use sdr_erasure::{EcError, EncodeJob, EncodePool, ErasureCode, ReedSolomon, XorCode};
+use sdr_erasure::{EcError, EncodePool, ErasureCode, ReedSolomon, XorCode};
 
-fn job_with_len(code: Arc<dyn ErasureCode>, len: usize, seed: usize) -> EncodeJob {
-    let k = code.data_shards();
-    let m = code.parity_shards();
-    let stride = EncodeJob::stride(len);
-    let byte = |j: usize| ((j / stride * 31 + j % stride * 7 + seed * 131) % 256) as u8;
-    EncodeJob {
-        code,
-        data: (0..k * stride).map(byte).collect(),
-        parity: vec![0u8; m * stride],
-    }
-}
-
-/// The `len`-byte rows of a job buffer holding `rows` of them.
-fn rows(buf: &[u8], rows: usize, len: usize) -> Vec<&[u8]> {
-    buf.chunks_exact(buf.len() / rows)
-        .map(|r| &r[..len])
+/// `k` patterned data shards of `len` bytes.
+fn data_with_len(k: usize, len: usize, seed: usize) -> Vec<Vec<u8>> {
+    (0..k)
+        .map(|i| {
+            (0..len)
+                .map(|j| ((i * 31 + j * 7 + seed * 131) % 256) as u8)
+                .collect()
+        })
         .collect()
 }
 
-/// The serial encode of `j`'s data rows, shard length `len`.
-fn expected_parity(j: &EncodeJob, len: usize) -> Vec<Vec<u8>> {
-    j.code.encode(&rows(&j.data, j.code.data_shards(), len))
+/// `code`'s parity over `data`, encoded through `pool` in `stripes`
+/// column stripes.
+fn striped_parity(
+    pool: &EncodePool,
+    code: &dyn ErasureCode,
+    data: &[Vec<u8>],
+    stripes: usize,
+) -> Vec<Vec<u8>> {
+    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let mut parity = vec![vec![0u8; data[0].len()]; code.parity_shards()];
+    let mut views: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+    pool.encode_striped(code, &refs, &mut views, stripes);
+    parity
 }
 
-/// The parity rows a finished job of shard length `len` holds.
-fn parity_of(j: &EncodeJob, len: usize) -> Vec<&[u8]> {
-    rows(&j.parity, j.code.parity_shards(), len)
-}
-
-/// Many threads submitting owned jobs concurrently: every job's parity
-/// must match its serial encode, with no cross-job corruption.
+/// Many threads encoding and decoding column-striped on one pool at once:
+/// every encode must match its serial encode and every decode must rebuild
+/// the erased shard, with no cross-caller corruption.
 #[test]
 fn concurrent_submits_from_many_threads() {
-    let pool = Arc::new(EncodePool::new(3));
-    let rs: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 3));
-    let xor: Arc<dyn ErasureCode> = Arc::new(XorCode::new(8, 4));
+    let pool = EncodePool::new(3);
+    let rs = ReedSolomon::new(6, 3);
+    let xor = XorCode::new(8, 4);
     std::thread::scope(|s| {
         for t in 0..4usize {
-            let pool = pool.clone();
-            let code: Arc<dyn ErasureCode> = if t % 2 == 0 { rs.clone() } else { xor.clone() };
+            let pool = &pool;
+            let code: &dyn ErasureCode = if t % 2 == 0 { &rs } else { &xor };
             s.spawn(move || {
                 for round in 0..24usize {
-                    let seed = t * 1000 + round;
                     let len = 8 * 1024 + (round % 7) * 64;
-                    let j = job_with_len(code.clone(), len, seed);
-                    let expect = expected_parity(&j, len);
-                    let done = pool.submit(j).wait();
-                    assert_eq!(parity_of(&done, len), expect, "t={t} round={round}");
+                    let data = data_with_len(code.data_shards(), len, t * 1000 + round);
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    let expect = code.encode(&refs);
+                    let parity = striped_parity(pool, code, &data, 1 + round % 4);
+                    assert_eq!(parity, expect, "t={t} round={round}");
+
+                    // Erase data shard `round % k` and rebuild it striped.
+                    let lost = round % code.data_shards();
+                    let shards: Vec<Option<&[u8]>> = refs
+                        .iter()
+                        .copied()
+                        .chain(parity.iter().map(Vec::as_slice))
+                        .enumerate()
+                        .map(|(i, s)| (i != lost).then_some(s))
+                        .collect();
+                    let mut out = vec![0u8; len];
+                    pool.reconstruct_striped(code, &shards, &mut [&mut out[..]], 3)
+                        .expect("one erasure is recoverable");
+                    assert!(out == data[lost], "t={t} round={round}: rebuilt shard");
                 }
             });
         }
     });
 }
 
-/// Scoped (borrowed-stripe) dispatch racing owned jobs on the same pool.
-#[test]
-fn scoped_and_owned_work_interleave() {
-    let pool = Arc::new(EncodePool::new(2));
-    let rs = ReedSolomon::new(5, 2);
-    let data: Vec<Vec<u8>> = (0..5)
-        .map(|i| (0..96 * 1024).map(|j| ((i * 17 + j) % 256) as u8).collect())
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    let expect = rs.encode(&refs);
-    std::thread::scope(|s| {
-        for _ in 0..3 {
-            let pool = pool.clone();
-            let rs = &rs;
-            let refs = &refs;
-            let expect = &expect;
-            s.spawn(move || {
-                for _ in 0..8 {
-                    let mut parity = vec![vec![0u8; 96 * 1024]; 2];
-                    let mut views: Vec<&mut [u8]> =
-                        parity.iter_mut().map(|p| p.as_mut_slice()).collect();
-                    pool.encode_striped(rs, refs, &mut views, 4);
-                    drop(views);
-                    assert_eq!(&parity, expect);
-                }
-            });
-        }
-    });
+/// An RS code whose encode panics on every stripe but the one starting at
+/// column 0 (read off the address of data shard 0, which starts at
+/// `base`): every dispatched stripe blows up, whichever thread runs it,
+/// and the inline one does not.
+struct DispatchedBomb {
+    rs: ReedSolomon,
+    base: usize,
 }
 
-/// A job with inconsistent shapes panics inside the worker; the panic is
-/// contained — reported at `wait()` — and the pool keeps serving.
+impl ErasureCode for DispatchedBomb {
+    fn data_shards(&self) -> usize {
+        self.rs.data_shards()
+    }
+
+    fn parity_shards(&self) -> usize {
+        self.rs.parity_shards()
+    }
+
+    fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) {
+        let col = data[0].as_ptr() as usize - self.base;
+        assert!(col == 0, "the stripe at column {col} blew up");
+        self.rs.encode_into(data, parity)
+    }
+
+    fn encode_row(&self, data: &[&[u8]], row: usize, out: &mut [u8]) {
+        self.rs.encode_row(data, row, out)
+    }
+
+    fn can_recover(&self, present: &[bool]) -> bool {
+        self.rs.can_recover(present)
+    }
+
+    fn reconstruct_data(
+        &self,
+        shards: &[Option<&[u8]>],
+        missing: &mut [&mut [u8]],
+    ) -> Result<(), EcError> {
+        self.rs.reconstruct_data(shards, missing)
+    }
+}
+
+/// Dispatched stripes that panic are contained by the task that ran them —
+/// reported to the caller, who re-raises — and the pool keeps serving.
 #[test]
 fn worker_panic_is_contained_and_pool_survives() {
     let pool = EncodePool::new(2);
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2));
-
-    // Short parity: the job's shape check asserts inside the worker.
-    let bad = EncodeJob {
-        code: code.clone(),
-        data: vec![0u8; 4 * EncodeJob::stride(1024)],
-        parity: vec![0u8; EncodeJob::stride(1024) + 512],
-    };
-    let pending = pool.submit(bad);
-    let err = catch_unwind(AssertUnwindSafe(move || pending.wait()));
-    assert!(err.is_err(), "poisoned job must re-raise at wait()");
+    let rs = ReedSolomon::new(4, 2);
+    let data = data_with_len(4, 64 * 1024, 0);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let bomb = DispatchedBomb {
+            rs: rs.clone(),
+            base: data[0].as_ptr() as usize,
+        };
+        striped_parity(&pool, &bomb, &data, 4)
+    }));
+    assert!(
+        err.is_err(),
+        "a poisoned stripe must re-raise on the caller"
+    );
 
     // The pool is still fully functional afterwards — repeatedly.
     for seed in 0..8 {
-        let j = job_with_len(code.clone(), 4096, seed);
-        let expect = expected_parity(&j, 4096);
-        let done = pool.submit(j).wait();
-        assert_eq!(parity_of(&done, 4096), expect, "seed={seed}");
+        let data = data_with_len(4, 4096, seed);
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let expect = rs.encode(&refs);
+        assert_eq!(striped_parity(&pool, &rs, &data, 2), expect, "seed={seed}");
     }
 }
 
@@ -143,26 +168,6 @@ fn striped_shape_panic_propagates_and_pool_recovers() {
         EncodePool::global().encode_striped(&code, &refs, &mut views, 2);
     }
     assert_eq!(parity, expect);
-}
-
-/// Dropping the pool with a backlog of queued jobs completes the backlog
-/// (FIFO shutdown sentinels) and joins every worker without hanging.
-#[test]
-fn drop_with_queued_work_shuts_down_cleanly() {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2));
-    let pool = EncodePool::new(1);
-    let pendings: Vec<_> = (0..16)
-        .map(|seed| {
-            let j = job_with_len(code.clone(), 16 * 1024, seed);
-            pool.submit(j)
-        })
-        .collect();
-    drop(pool); // waits for the backlog, then joins workers
-    for (seed, p) in pendings.into_iter().enumerate() {
-        assert!(p.is_ready(), "job {seed} completed before shutdown");
-        let done = p.wait();
-        assert_eq!(done.parity.len(), 2 * EncodeJob::stride(16 * 1024));
-    }
 }
 
 /// A parity slice shorter than the shards must propagate a panic to the
@@ -256,7 +261,7 @@ impl ErasureCode for StripeBomb {
 /// A decode stripe that panics — the inline one on the caller, or one
 /// dispatched to a worker — re-raises on the caller only once every other
 /// stripe has finished (their output borrows end with the call), and the
-/// pool then still serves owned encode jobs.
+/// pool then still serves striped encodes.
 #[test]
 fn decode_stripe_panic_reraises_after_every_stripe_finished() {
     const LEN: usize = 64 * 1024;
@@ -302,13 +307,16 @@ fn decode_stripe_panic_reraises_after_every_stripe_finished() {
                 assert_eq!(got, want, "stripe at {boom_at}: column {c}");
             }
         }
-        // The pool still serves owned jobs.
-        let code: Arc<dyn ErasureCode> = Arc::new(rs.clone());
+        // The pool still serves striped encodes.
         for seed in 0..4 {
-            let j = job_with_len(code.clone(), 8 * 1024, seed);
-            let expect = expected_parity(&j, 8 * 1024);
-            let done = pool.submit(j).wait();
-            assert_eq!(parity_of(&done, 8 * 1024), expect, "seed={seed}");
+            let data = data_with_len(4, 8 * 1024, seed);
+            let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let expect = rs.encode(&refs);
+            assert_eq!(
+                striped_parity(&pool, &rs, &data, STRIPES),
+                expect,
+                "seed={seed}"
+            );
         }
     }
 }

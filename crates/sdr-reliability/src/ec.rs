@@ -27,23 +27,26 @@
 //! positive-ACK linger and the exactly-once buffer release come from the
 //! shared [`RxDriver`].
 //!
-//! # The streaming encode→inject pipeline
+//! # The in-place encode
 //!
-//! Encoding runs on the persistent [`EncodePool`] (the paper's spare-core
-//! model, Fig 11) one submessage ahead of staging, while the protocol
-//! thread keeps injecting. One buffer pair travels from job to job, and on
-//! to the thread's next sender: a submission copies the submessage's data
-//! chunks into it, a harvest copies its parity into the staging region
-//! (`ParityStager` has the numbers behind this shape).
+//! Parity is encoded when its submessage opens, in place in node memory:
+//! inside one borrow the sender reads the submessage's data chunks where
+//! they lie in the user buffer and writes the parity straight into its
+//! staging region, column-striped across the [`EncodePool`] (the caller
+//! runs one stripe, the workers the rest). Data submessages need no
+//! encode, so the first byte leaves before any parity exists, and the
+//! sender holds no encode buffer.
 //!
 //! ```text
-//!  sim thread      │ inject D0 D1 … D(L-1) │ stage+inject P0 │ P1 │ P2 │ …
-//!                  │      ▲                │     ▲           │
-//!  encode pool     │ [enc P0]──────────────┘ [enc P1]────────┘ [enc P2] …
-//!
-//!  time-to-first-byte ≈ 0: data needs no encode; parity i+1 encodes
-//!  while parity i injects
+//!  sim thread   │ inject D0 D1 … D(L-1) │ enc P0 │ inject P0 │ enc P1 │ inject P1 │ …
+//!  encode pool  │                       │ enc P0 │           │ enc P1 │           │ …
+//!               │                       (stripes: caller + workers)
 //! ```
+//!
+//! Encoding one submessage ahead on a worker overlapped nothing in
+//! practice: the receiver posts all `2L` slots at once, so the parity
+//! credits land in one burst and the sender waited on the encodes one
+//! after another, after copying the data in and the parity out.
 //!
 //! # The in-place decode
 //!
@@ -53,17 +56,14 @@
 //! block, and rebuilds only the missing data chunks, straight into the user
 //! buffer (`ErasureCode::reconstruct_data`; erased parity is never
 //! rebuilt). The GF(256) work is split into column stripes on the same
-//! [`EncodePool`] the sender encodes on — one per worker, none narrower
-//! than a kernel strip — so a decode uses the core the encode leaves idle.
-//! It allocates no chunk buffer.
+//! [`EncodePool`] at the encode's width — one per worker, none narrower
+//! than a kernel strip. It allocates no chunk buffer.
 
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdr_core::{SdrContext, SdrQp, TwoLevelBitmap};
-use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
+use sdr_erasure::{EncodePool, ErasureCode, ReedSolomon, XorCode};
 use sdr_sim::{Counter, Engine, EventKind, FlightRecorder, QpAddr, SimTime};
 
 use crate::ack::{CtrlMsg, MAX_EC_NACKS};
@@ -174,13 +174,12 @@ fn geometry(total_chunks: u64, k: usize, m: usize, code: EcCodeChoice) -> Vec<Su
 
 /// One code instance per submessage. [`ReedSolomon::new`] is a registry
 /// lookup — each shape is built once per process — and every instance of a
-/// shape shares its decode cache. (`Arc`, not `Rc`: the sender ships codes
-/// to the encode pool's workers.)
-fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Arc<dyn ErasureCode>> {
-    let code = |g: &SubGeom| -> Arc<dyn ErasureCode> {
+/// shape shares its decode cache.
+fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Box<dyn ErasureCode>> {
+    let code = |g: &SubGeom| -> Box<dyn ErasureCode> {
         match choice {
-            EcCodeChoice::Mds => Arc::new(ReedSolomon::new(g.k_eff, g.m_eff)),
-            EcCodeChoice::Xor => Arc::new(XorCode::new(g.k_eff, g.m_eff)),
+            EcCodeChoice::Mds => Box::new(ReedSolomon::new(g.k_eff, g.m_eff)),
+            EcCodeChoice::Xor => Box::new(XorCode::new(g.k_eff, g.m_eff)),
         }
     };
     geoms.iter().map(code).collect()
@@ -189,7 +188,7 @@ fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Arc<dyn ErasureCode
 /// Rebuilds the data chunks `present` marks missing straight into `data`
 /// (the submessage's `k` chunks), from its present chunks and the present
 /// chunks of `parity`, column-striped over the [`EncodePool`] at its
-/// decode width.
+/// stripe width.
 fn decode_in_place(
     code: &dyn ErasureCode,
     data: &mut [u8],
@@ -211,7 +210,7 @@ fn decode_in_place(
     let parity = parity.chunks_exact(chunk_len).zip(&present[k..]);
     shards.extend(parity.map(|(chunk, &p)| p.then_some(chunk)));
     let pool = EncodePool::global();
-    pool.reconstruct_striped(code, &shards, &mut holes, pool.decode_stripes(chunk_len))
+    pool.reconstruct_striped(code, &shards, &mut holes, pool.stripes(chunk_len))
         .expect("can_recover checked");
 }
 
@@ -223,60 +222,46 @@ pub struct EcReport {
     /// Fallback NACK rounds served.
     pub fallback_rounds: u64,
     /// Wall-clock time from `EcSender::start` entry to the first data
-    /// injection — the host-side cost paid before the first byte leaves.
-    /// The streaming pipeline pays ~one pool submission here, not the
-    /// parity encode.
+    /// injection — the host-side cost paid before the first byte leaves:
+    /// the staging region's allocation, not any parity encode.
     pub ttfb_wall: Duration,
-    /// Parity submessages already harvested from the encode pipeline when
-    /// the first data byte was injected — the counted form of the same
-    /// fact: a streaming sender reads 0 here, staging up front would read
-    /// every submessage.
+    /// Parity submessages already encoded when the first data byte was
+    /// injected — the counted form of the same fact: parity is encoded
+    /// when its submessage opens, so a sender reads 0 here; staging up
+    /// front would read every submessage.
     pub staged_at_first_byte: usize,
     /// How the transfer ended ([`TransferOutcome::Aborted`] after
     /// [`EcSender::abort`]; `duration` then covers start → abort).
     pub outcome: TransferOutcome,
 }
 
-/// The sender's parity pipeline: the staging region in local memory and
-/// the encode job that fills it one submessage ahead of the sends. Plain
-/// state over the shared [`EncodePool`] — whoever owns the sends
+/// The sender's parity staging: the region in local memory that parity
+/// submessages are sent from, filled submessage by submessage in place.
+/// Plain state over the shared [`EncodePool`] — whoever owns the sends
 /// ([`EcTx::span`](TxScheme::span) under the driver, the flow manager's
 /// stream starts) calls [`staged`](Self::staged) right before a parity
 /// submessage opens, and [`release`](Self::release) at the sender's end of
 /// life.
-///
-/// Why a worker, one submessage ahead, and not an encode in place at parity
-/// open: the encode costs more than the pipeline's two copies. MDS(32,8)
-/// encodes at ≈ 21.5 Gbit/s on one thread (`fig11`, release, GFNI tier,
-/// 2-vCPU Xeon), so one 2 MiB submessage takes ≈ 0.78 ms — against
-/// ≈ 2.7 ms of protocol-thread wall time per submessage on the benchmark's
-/// `bulk_ec_lossy` row (≈ 5.2 µs/pkt × 16 384 pkts ÷ 32). Run on the
-/// protocol thread, the 32 encodes of a 64 MiB transfer would add ≈ 25 ms
-/// (≈ +29 %); on a worker they overlap the injection of the previous
-/// submessage. Dropping the copies must keep that overlap.
 pub(crate) struct ParityStager {
     ctx: SdrContext,
     local_addr: u64,
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
     /// One code instance per submessage.
-    codes: Vec<Arc<dyn ErasureCode>>,
+    codes: Vec<Box<dyn ErasureCode>>,
     /// Base of the staging region in node memory; `None` once
     /// [`release`](Self::release) has returned it.
     parity_addr: Option<u64>,
     parity_offsets: Vec<u64>,
     parity_total_bytes: u64,
-    /// Parity submessages copied into the staging region: harvests run in
-    /// submission order, so these are submessages `0..harvested`.
-    harvested: usize,
-    /// The (single) in-flight encode, of submessage `harvested`.
-    pending: Option<PendingEncode>,
+    /// Parity submessages encoded into the staging region: parity opens in
+    /// order, so these are submessages `0..encoded`.
+    encoded: usize,
 }
 
 impl ParityStager {
     /// Allocates the staging region for the `msg_bytes` message at
-    /// `local_addr` and primes the pipeline: submessage 0's encode starts
-    /// on the pool before any CTS lands.
+    /// `local_addr`. Nothing is encoded until a parity submessage opens.
     pub(crate) fn new(
         ctx: &SdrContext,
         local_addr: u64,
@@ -296,7 +281,7 @@ impl ParityStager {
             parity_offsets.push(off);
             off += g.m_eff as u64 * chunk_bytes;
         }
-        let mut stager = ParityStager {
+        ParityStager {
             ctx: ctx.clone(),
             local_addr,
             chunk_bytes,
@@ -305,11 +290,8 @@ impl ParityStager {
             parity_addr: Some(ctx.alloc_buffer(off)),
             parity_offsets,
             parity_total_bytes: off,
-            harvested: 0,
-            pending: None,
-        };
-        stager.submit_encode(0);
-        stager
+            encoded: 0,
+        }
     }
 
     /// Submessages in the message.
@@ -326,97 +308,58 @@ impl ParityStager {
         )
     }
 
-    /// Submits submessage `idx`'s encode to the pool: snapshot its data
-    /// chunks into an idle job buffer pair, ship the job.
-    fn submit_encode(&mut self, idx: usize) {
-        debug_assert!(self.pending.is_none(), "single in-flight encode");
-        let (g, chunk) = (self.geoms[idx], self.chunk_bytes as usize);
-        let stride = EncodeJob::stride(chunk);
-        let (mut data, mut parity) = IDLE_PAIRS.with_borrow_mut(Vec::pop).unwrap_or_default();
-        data.resize(g.k_eff * stride, 0);
-        let addr = self.data(idx).0;
-        for (j, row) in data.chunks_exact_mut(stride).enumerate() {
-            let at = addr + j as u64 * self.chunk_bytes;
-            self.ctx.read_buffer_into(at, &mut row[..chunk]);
-        }
-        parity.resize(g.m_eff * stride, 0);
-        let job = EncodeJob {
-            code: self.codes[idx].clone(),
-            data,
-            parity,
-        };
-        self.pending = Some(EncodePool::global().submit(job));
-    }
-
-    /// Harvests the in-flight encode: wait for the pool, copy parity into
-    /// the staging region at `base`, idle the pair, and immediately submit
-    /// the next submessage (on the same pair) so its encode overlaps the
-    /// injection of this one.
-    fn harvest_one(&mut self, base: u64) {
-        let pending = self.pending.take().expect("an encode is in flight");
-        let EncodeJob { data, parity, .. } = pending.wait();
-        let idx = self.harvested;
-        let chunk = self.chunk_bytes as usize;
-        let at = base + self.parity_offsets[idx];
-        for (p, row) in parity.chunks_exact(EncodeJob::stride(chunk)).enumerate() {
-            self.ctx
-                .write_buffer(at + p as u64 * self.chunk_bytes, &row[..chunk]);
-        }
-        self.harvested = idx + 1;
-        IDLE_PAIRS.with_borrow_mut(|idle| {
-            if idle.len() < IDLE_PAIRS_KEPT {
-                idle.push((data, parity));
-            }
-        });
-        if self.harvested < self.geoms.len() {
-            self.submit_encode(self.harvested);
-        }
-    }
-
-    /// Drains the pipeline until submessage `p`'s parity is staged and
-    /// returns its `(addr, len)` in the staging region. Submissions are
-    /// strictly in order, so this harvests at most `p − harvested + 1`
-    /// encodes.
-    pub(crate) fn staged(&mut self, p: usize) -> (u64, u64) {
+    /// `(addr, len)` of parity submessage `idx` in the staging region.
+    fn parity(&self, idx: usize) -> (u64, u64) {
         let base = self.parity_addr.expect("parity staging already released");
-        while self.harvested <= p {
-            self.harvest_one(base);
-        }
         (
-            base + self.parity_offsets[p],
-            self.geoms[p].m_eff as u64 * self.chunk_bytes,
+            base + self.parity_offsets[idx],
+            self.geoms[idx].m_eff as u64 * self.chunk_bytes,
         )
     }
 
+    /// Encodes submessage `idx` inside one borrow of node memory: its data
+    /// chunks are read where they lie in the user buffer and its parity is
+    /// written straight into the staging region, column-striped over the
+    /// [`EncodePool`].
+    fn encode(&self, idx: usize) {
+        let chunk = self.chunk_bytes as usize;
+        let ((data_addr, data_len), (parity_addr, parity_len)) = (self.data(idx), self.parity(idx));
+        let code = &*self.codes[idx];
+        self.ctx.fabric().node_mut(self.ctx.node(), |n| {
+            let [data, parity] = n.mem_mut().regions_mut(
+                (data_addr, data_len as usize),
+                (parity_addr, parity_len as usize),
+            );
+            let data: Vec<&[u8]> = data.chunks_exact(chunk).collect();
+            let mut parity: Vec<&mut [u8]> = parity.chunks_exact_mut(chunk).collect();
+            let pool = EncodePool::global();
+            pool.encode_striped(code, &data, &mut parity, pool.stripes(chunk));
+        });
+    }
+
+    /// Encodes every parity submessage up to `p` not yet encoded and
+    /// returns `p`'s `(addr, len)` in the staging region.
+    pub(crate) fn staged(&mut self, p: usize) -> (u64, u64) {
+        while self.encoded <= p {
+            self.encode(self.encoded);
+            self.encoded += 1;
+        }
+        self.parity(p)
+    }
+
     /// Returns the staging region to node memory (the next stager of the
-    /// same geometry reuses it) and drops the encode still in flight.
-    /// The sender's end of life, not `Drop`: handler closures keep the
-    /// owning state alive long after the transfer is over. Packets still
-    /// on the wire keep the parity they were posted with
-    /// ([`SdrContext::free_buffer`]).
+    /// same geometry reuses it). The sender's end of life, not `Drop`:
+    /// handler closures keep the owning state alive long after the
+    /// transfer is over. Packets still on the wire keep the parity they
+    /// were posted with ([`SdrContext::free_buffer`]).
     pub(crate) fn release(&mut self) {
         let base = self.parity_addr.take().expect("released once");
-        self.pending = None;
         self.ctx.free_buffer(base, self.parity_total_bytes);
     }
 }
 
-/// The most idle pairs a thread keeps. An adaptive transfer's EC segments
-/// overlap (its pipeline leads by 1.5 RTT): keeping two, `adaptive_step`
-/// still faulted ≈ 0.05 times per packet; keeping four, ≈ 0.
-const IDLE_PAIRS_KEPT: usize = 4;
-
-std::thread_local! {
-    /// Encode job buffer pairs (data, parity) no job holds, shared by the
-    /// thread's stagers. A pair is 2.5 MiB at MDS(32,8) on 64 KiB chunks:
-    /// one allocated per transfer goes back to the OS at its end and is
-    /// faulted in again by the next (≈ 0.2 minor faults per packet on the
-    /// benchmark's `adaptive_step`, ≈ 0 with pairs kept).
-    static IDLE_PAIRS: RefCell<Vec<(Vec<u8>, Vec<u8>)>> = const { RefCell::new(Vec::new()) };
-}
-
 /// The EC send policy: `2L` sends — data submessages `0..L` straight from
-/// the user buffer, then parity `L..2L` out of the stager, each harvested
+/// the user buffer, then parity `L..2L` out of the stager, each encoded
 /// when its credit lands — and a fallback that re-injects a NACKed data
 /// submessage whole. No timer: the FTO is the receiver's.
 pub struct EcTx {
@@ -434,9 +377,8 @@ impl TxScheme for EcTx {
         2 * self.stager.submessages()
     }
 
-    /// Data needs no encoding, so the first byte leaves while submessage
-    /// 0's parity is still encoding on the pool; parity `p` is staged here
-    /// while `p + 1` encodes.
+    /// Data needs no encoding, so the first byte leaves before any parity
+    /// exists; parity `p` is encoded here, as it opens.
     fn span(&mut self, i: usize, _msg: (u64, u64)) -> (u64, u64) {
         match i.checked_sub(self.stager.submessages()) {
             None => self.stager.data(i),
@@ -446,7 +388,7 @@ impl TxScheme for EcTx {
 
     fn on_begin(&mut self, _now: SimTime) -> Option<SimTime> {
         self.ttfb_wall = self.started_wall.elapsed();
-        self.staged_at_first_byte = self.stager.harvested;
+        self.staged_at_first_byte = self.stager.encoded;
         None
     }
 
@@ -513,8 +455,8 @@ impl TxDriver<EcTx> {
         done: impl FnOnce(&mut Engine, EcReport) + 'static,
     ) -> EcSender {
         let chunk_bytes = qp.config().chunk_bytes;
-        // Parity lands in the stager's region as the pipeline harvests
-        // encodes, one submessage ahead of the sends.
+        // Parity is encoded into the stager's region as each parity
+        // submessage opens.
         let scheme = EcTx {
             started_wall: Instant::now(),
             stager: ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg),
@@ -529,10 +471,10 @@ impl TxDriver<EcTx> {
         TxDriver::spawn(eng, qp, &ctrl, local_addr, msg_bytes, scheme, done)
     }
 
-    /// Raw bytes of the whole parity staging region, draining the encode
-    /// pipeline first so every submessage's parity is staged. Test
-    /// observability: the pipeline must stage exactly what a serial
-    /// encode of the same data yields.
+    /// Raw bytes of the whole parity staging region, encoding every
+    /// submessage's parity not yet encoded first. Test observability: the
+    /// sender must stage exactly what a serial encode of the same data
+    /// yields.
     ///
     /// # Panics
     /// Panics once the transfer has finished — the region went back to
@@ -638,7 +580,7 @@ pub struct EcRxScheme {
     chunk_bytes: u64,
     geoms: Vec<SubGeom>,
     /// One code instance per submessage.
-    codes: Vec<Arc<dyn ErasureCode>>,
+    codes: Vec<Box<dyn ErasureCode>>,
     /// Per-shard presence flags (data then parity) of the submessage being
     /// resolved, cleared and refilled, never reallocated, across polls.
     present: Vec<bool>,

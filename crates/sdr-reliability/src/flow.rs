@@ -92,9 +92,10 @@
 //! [`RxDriver`](crate::runtime::RxDriver) steps, subscribed to its slots'
 //! arrivals the same way — its timer is a due-index entry instead of a
 //! private loop, moved by the step's own rule, with no heartbeat added.
-//! EC flows run one submessage per flow (`k` = data chunks): parity comes
-//! off the shared [`EncodePool`] through the standalone sender's
-//! `ParityStager`, the receiver decodes in place in node memory, and an
+//! EC flows run one submessage per flow (`k` = data chunks): the
+//! standalone sender's `ParityStager` encodes the parity in place, striped
+//! over the shared [`EncodePool`], when the parity stream starts; the
+//! receiver decodes in place in node memory, and an
 //! FTO NACK makes the sender selective-repeat the submessage's data chunks
 //! through the SR core's overdue test.
 //!
@@ -544,8 +545,8 @@ struct TxFlow {
     /// The flow's sends on its shard's QP: the data stream, then (EC) the
     /// parity stream.
     stream: StreamTx,
-    /// EC flows: the parity pipeline, encoding on the shared pool since
-    /// `open_flow` and harvested when the parity stream starts.
+    /// EC flows: the parity staging, taken at `open_flow` and encoded in
+    /// place when the parity stream starts.
     parity: Option<ParityStager>,
     /// Initial work items still awaiting first injection; a chunk's
     /// clocks start when its injection leaves the wire, so the flow enters
@@ -904,9 +905,8 @@ impl FlowManager {
             // EC flows run one submessage spanning the message.
             let spec = spec.with_k(chunks as u16);
             let (spec, parity) = match core.ec_proto(spec, bytes) {
-                // Start the parity encode now on the shared pool: it
-                // overlaps the open handshake and is harvested when the
-                // parity stream starts.
+                // The staging region is taken now; the parity is encoded
+                // into it when the parity stream starts.
                 Some(ec) => {
                     let stager = ParityStager::new(&core.ctx, src_addr, bytes, chunk, &ec);
                     (spec, Some(stager))
@@ -1569,7 +1569,7 @@ impl Inner {
             };
             let parity = send == 1;
             let (addr, len) = if parity {
-                // Harvest the encode started at `open_flow`.
+                // Encode the parity into the staging taken at `open_flow`.
                 flow.parity.as_mut().expect("ec flow").staged(0)
             } else {
                 (flow.src_addr, flow.bytes)

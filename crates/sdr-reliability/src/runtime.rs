@@ -581,8 +581,8 @@ struct TxSend {
 ///    nothing and the sequence it names stays free for the next transfer.
 ///    The owner supplies the send's `(addr, len)` to [`open`](Self::open)
 ///    only then, so bytes that are produced late (an EC parity submessage,
-///    harvested from the encode pipeline) are produced right before they
-///    are needed.
+///    encoded in place as it opens) are produced right before they are
+///    needed.
 /// 2. **inject** any range of an open send, any number of times
 ///    ([`inject`](Self::inject); first pass and retransmission are the same
 ///    call). Who decides *when* — the per-transfer driver at once, a flow

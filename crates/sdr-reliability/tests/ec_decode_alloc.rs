@@ -1,5 +1,5 @@
 //! Allocation accounting for the EC receiver's decode and the sender's
-//! encode jobs.
+//! encode.
 //!
 //! A decode reads the present chunks where they lie in node memory and
 //! rebuilds the missing data chunks straight into the user buffer, so a
@@ -14,10 +14,11 @@
 //! staged even one 64 KiB chunk per submessage would overrun the budget
 //! 64 times.
 //!
-//! The sender snapshots each submessage's data into an encode job and
-//! takes its parity back from it: one buffer pair, handed from job to job
-//! (and from transfer to transfer), so its large allocations do not grow
-//! with the submessage count.
+//! The sender encodes in place too: each submessage's parity is computed
+//! from the data where it lies in the user buffer straight into the
+//! staging region in node memory, so it holds no encode buffer at all —
+//! not on its thread's first transfer, and not growing with the
+//! submessage count.
 
 mod common;
 
@@ -90,9 +91,8 @@ const MSG: u64 = 4 << 20;
 
 /// The protocol thread's large allocations during one transfer.
 struct Allocated {
-    /// While `EcSender::start` and `EcReceiver::start` ran (a sender takes
-    /// its encode buffers here, allocating them when its thread has none
-    /// to reuse).
+    /// While `EcSender::start` and `EcReceiver::start` ran (where a sender
+    /// that kept encode buffers would take them).
     starts: u64,
     /// While the engine ran the transfer.
     run: u64,
@@ -169,32 +169,41 @@ fn warm_decode_allocates_no_chunk_buffer() {
     );
 }
 
-/// A warm 4 MiB EC(4, 2) transfer (16 submessages) allocates, starts and
-/// run together, less than one chunk per extra submessage more than a warm
-/// 1 MiB one (4 submessages): the job buffers come at most once per
-/// transfer. A sender that allocated its pair per submessage would add 6
-/// chunks per extra submessage.
+/// The sender holds no encode buffers. On a fresh thread the first
+/// transfer's starts allocate less than one chunk in large allocations
+/// (a sender keeping one data + parity buffer pair would take 6 chunks
+/// there), and a warm 4 MiB EC(4, 2) transfer (16 submessages) allocates,
+/// starts and run together, less than one chunk more than a warm 1 MiB one
+/// (4 submessages).
 #[test]
-fn warm_sender_allocates_job_buffers_once_per_transfer() {
+fn sender_holds_no_job_buffers() {
     let allocated = |msg: u64| {
-        // A clean link whose half round trip outlasts the parity's wire
-        // time: all parity has landed when the ACK frees the staging, so
-        // the wire snapshots none of it (a snapshot grows with the message
-        // and is the wire's, not the sender's).
-        let link = LinkConfig::wan(1000.0, 8e9, 0.0).with_seed(43);
-        let mut h = ProtoHarness::new(link, cfg(), msg, 0xEC);
-        let model_ch = h.model_channel(8e9, 0.0);
-        let proto = EcProtoConfig::for_channel(4, 2, EcCodeChoice::Mds, &model_ch, msg, h.rtt);
-        // The first transfer warms the node allocators, the codes, event
-        // and control buffers and the pool threads.
-        transfer(&mut h, proto);
-        let (_, Allocated { starts, run }) = transfer(&mut h, proto);
-        starts + run
+        std::thread::spawn(move || {
+            // A clean link whose half round trip outlasts the parity's wire
+            // time: all parity has landed when the ACK frees the staging,
+            // so the wire snapshots none of it (a snapshot grows with the
+            // message and is the wire's, not the sender's).
+            let link = LinkConfig::wan(1000.0, 8e9, 0.0).with_seed(43);
+            let mut h = ProtoHarness::new(link, cfg(), msg, 0xEC);
+            let model_ch = h.model_channel(8e9, 0.0);
+            let proto = EcProtoConfig::for_channel(4, 2, EcCodeChoice::Mds, &model_ch, msg, h.rtt);
+            let (_, cold) = transfer(&mut h, proto);
+            assert!(
+                cold.starts < CHUNK as u64,
+                "a {msg} B transfer's starts allocated {} B in large allocations on a fresh thread",
+                cold.starts
+            );
+            // The first transfer warmed the node allocators, the codes,
+            // event and control buffers and the pool threads.
+            let (_, Allocated { starts, run }) = transfer(&mut h, proto);
+            starts + run
+        })
+        .join()
+        .expect("the measuring thread")
     };
     let (small, large) = (allocated(1 << 20), allocated(MSG));
-    let extra_submessages = (MSG - (1 << 20)) / (4 * CHUNK as u64);
     assert!(
-        large.saturating_sub(small) < extra_submessages * CHUNK as u64,
+        large.saturating_sub(small) < CHUNK as u64,
         "16 submessages allocated {large} B in large allocations, 4 allocated {small} B"
     );
 }
