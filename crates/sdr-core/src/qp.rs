@@ -103,8 +103,10 @@ struct RecvSlot {
     buf_mkey: MkeyId,
     /// CRC32C of each packet's payload as it was verified on arrival,
     /// indexed by packet offset. Erasure-coded receivers re-check staged
-    /// shards against these before decoding, catching corrupted wire
-    /// duplicates that landed after the original clean packet was recorded.
+    /// shards against these before decoding. The NIC verifies before it
+    /// commits, so a corrupt wire packet never reaches memory; what the
+    /// re-check still catches is a write to the buffer after the packet
+    /// landed.
     arrival_crcs: Vec<Option<u32>>,
     /// Posted length, re-announced when a lost CTS is re-issued.
     buf_len: u64,
@@ -546,11 +548,12 @@ impl SdrQp {
     /// receive: `data` is split into MTU-sized pieces and piece `k` is
     /// compared against the CRC32C stored when packet `first_pkt + k`
     /// was accepted. Returns `false` on any mismatch — the caller is
-    /// holding bytes that no longer match what the wire delivered (a
-    /// corrupted duplicate landed after the clean original was
-    /// recorded). Vacuously `true` for a piece whose packet has no
-    /// recorded arrival. Erasure-coded receivers run staged survivor
-    /// shards through this before feeding them to the decoder.
+    /// holding bytes that no longer match what the wire delivered:
+    /// something wrote the buffer after the packet landed (the NIC's
+    /// verify-before-commit keeps corrupt wire packets out of memory, so
+    /// the wire cannot be the writer). Vacuously `true` for a piece whose
+    /// packet has no recorded arrival. Erasure-coded receivers run staged
+    /// survivor shards through this before feeding them to the decoder.
     pub fn verify_packet_range(
         &self,
         hdl: &RecvHandle,

@@ -11,8 +11,13 @@
 //! [`fig09_boundary_p_packet`] computes that number: the packet drop rate at
 //! which the analytic SR mean ([`sr_mean_analytic`]) first exceeds the EC
 //! mean lower bound ([`ec_mean_lower_bound`]) scaled by the advisor's CPU
-//! tie-break factor. Both sides are closed-form, so the bisection is
-//! deterministic and cheap enough to run on a controller tick.
+//! tie-break factor. Both sides are closed-form, so the search is
+//! deterministic — but not cheap: every probe integrates the SR tail across
+//! an RTO window, and the full scan-and-bisect takes ≈ 6–10 ms per call on
+//! the adaptive benchmark's link (2-vCPU Xeon). A controller tick needs
+//! only which side of its hysteresis gate the boundary lies on, so it asks
+//! [`fig09_boundary_verdict`], which is the same search stopped as soon as
+//! every answer it could still return gets the same verdict.
 
 use crate::ec::{ec_mean_lower_bound, EcConfig};
 use crate::params::Channel;
@@ -57,12 +62,70 @@ pub fn fig09_boundary_p_packet(
     ec: &EcConfig,
     sr_rto_mult: f64,
 ) -> Option<f64> {
-    let favours_ec = |p: f64| {
+    let favours_ec = favours_ec(bandwidth_bps, rtt_s, message_bytes, ec, sr_rto_mult);
+    boundary_search(favours_ec, |_, _| false)
+}
+
+/// Relative widening of a bracket's ends before [`fig09_boundary_verdict`]
+/// compares verdicts there: far wider than the few ulps `exp(ln(x))`
+/// rounding can move a grid point, far narrower than any gate it decides.
+const GUARD: f64 = 1e-9;
+
+/// `verdict` of [`fig09_boundary_p_packet`]'s answer, probing only as far
+/// as it takes to know it. `verdict` must be monotone in the boundary, with
+/// `None` ranking above every rate (no crossing in range: EC never pays).
+///
+/// Exactness: before each probe the answers the search can still return
+/// lie in a bracket `[lo, hi]` — plus `None` while it scans — up to the
+/// rounding of `exp(ln(x))` at scan points, a few ulps. When `verdict`
+/// agrees at `lo·(1 − GUARD)` and at `hi·(1 + GUARD)` (or `None`), it
+/// agrees, by monotonicity, on every one of them, so stopping there returns
+/// what the full search would. A gate within the guard band of the answer
+/// keeps the ends disagreeing, so the search runs its full bisection and
+/// `verdict` judges the exact answer.
+pub fn fig09_boundary_verdict(
+    bandwidth_bps: f64,
+    rtt_s: f64,
+    message_bytes: u64,
+    ec: &EcConfig,
+    sr_rto_mult: f64,
+    verdict: impl Fn(Option<f64>) -> bool,
+) -> bool {
+    let favours_ec = favours_ec(bandwidth_bps, rtt_s, message_bytes, ec, sr_rto_mult);
+    let settled = |lo: f64, hi: Option<f64>| {
+        verdict(Some(lo * (1.0 - GUARD))) == verdict(hi.map(|h| h * (1.0 + GUARD)))
+    };
+    verdict(boundary_search(favours_ec, settled))
+}
+
+/// The probe: whether SR's mean exceeds `EC_ADVANTAGE ×` EC's lower bound
+/// at packet drop rate `p`.
+fn favours_ec(
+    bandwidth_bps: f64,
+    rtt_s: f64,
+    message_bytes: u64,
+    ec: &EcConfig,
+    sr_rto_mult: f64,
+) -> impl Fn(f64) -> bool + '_ {
+    move |p| {
         let ch = Channel::new(bandwidth_bps, rtt_s, p);
         let sr = SrConfig::rto_multiple(&ch, sr_rto_mult);
         sr_mean_analytic(&ch, message_bytes, &sr)
             >= EC_ADVANTAGE * ec_mean_lower_bound(&ch, message_bytes, ec, &sr)
-    };
+    }
+}
+
+/// The one scan-and-bisect. Before each probe it asks `settled(lo, hi)`
+/// whether the answers still reachable — rates in `[lo, hi]`, or with
+/// `hi = None` any rate from `lo` up or no crossing at all — are as good as
+/// one another, and if so returns `Some(lo)`, one of them.
+fn boundary_search(
+    favours_ec: impl Fn(f64) -> bool,
+    settled: impl Fn(f64, Option<f64>) -> bool,
+) -> Option<f64> {
+    if settled(BOUNDARY_P_MIN, None) {
+        return Some(BOUNDARY_P_MIN);
+    }
     if favours_ec(BOUNDARY_P_MIN) {
         return Some(BOUNDARY_P_MIN); // EC pays even on a clean channel.
     }
@@ -79,6 +142,9 @@ pub fn fig09_boundary_p_packet(
     };
     let mut bracket = None;
     for i in 1..=n {
+        if settled(at(i - 1), None) {
+            return Some(at(i - 1));
+        }
         if favours_ec(at(i)) {
             bracket = Some((at(i - 1), at(i)));
             break;
@@ -87,6 +153,9 @@ pub fn fig09_boundary_p_packet(
     let (mut lo, mut hi) = bracket?;
     (lo, hi) = (lo.ln(), hi.ln());
     for _ in 0..50 {
+        if settled(lo.exp(), Some(hi.exp())) {
+            return Some(lo.exp());
+        }
         let mid = 0.5 * (lo + hi);
         if favours_ec(mid.exp()) {
             hi = mid;

@@ -7,19 +7,20 @@
 //! geometric gap-skipping (O(n·p)) and a clamped normal approximation for
 //! the rare large-n·p corner.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// Samples a geometric number of transmissions `Y ≥ 1` with
 /// `P(Y = k) = p_fail^(k-1) · (1 − p_fail)` — the paper's `Y_i`
-/// (number of attempts until a chunk gets through).
-pub fn sample_geometric_trials(rng: &mut SmallRng, p_fail: f64) -> u64 {
-    debug_assert!((0.0..1.0).contains(&p_fail));
-    if p_fail <= 0.0 {
-        return 1;
-    }
+/// (number of attempts until a chunk gets through). Takes `ln(p_fail)`,
+/// so a caller drawing many variates at one rate takes the log once.
+pub(crate) fn sample_geometric_trials_ln(rng: &mut SmallRng, ln_p_fail: f64) -> u64 {
+    debug_assert!(ln_p_fail < 0.0);
     let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    1 + (u.ln() / p_fail.ln()).floor() as u64
+    1 + (u.ln() / ln_p_fail).floor() as u64
 }
 
 /// Threshold above which the normal approximation to the binomial is used.
@@ -69,8 +70,10 @@ pub fn sample_binomial(rng: &mut SmallRng, n: u64, p: f64) -> u64 {
 /// (Floyd's algorithm — O(count) expected).
 pub fn sample_distinct_positions(rng: &mut SmallRng, n: u64, count: u64) -> Vec<u64> {
     debug_assert!(count <= n);
-    use std::collections::HashSet;
-    let mut chosen: HashSet<u64> = HashSet::with_capacity(count as usize);
+    // The set only answers membership, so the output does not depend on
+    // the hasher; a multiplicative one replaces SipHash's per-lookup cost.
+    let mut chosen: HashSet<u64, BuildHasherDefault<PosHasher>> =
+        HashSet::with_capacity_and_hasher(count as usize, Default::default());
     let mut out = Vec::with_capacity(count as usize);
     for j in (n - count)..n {
         let t = rng.random_range(0..=j);
@@ -79,6 +82,24 @@ pub fn sample_distinct_positions(rng: &mut SmallRng, n: u64, count: u64) -> Vec<
         out.push(v);
     }
     out
+}
+
+/// Fibonacci hashing for [`sample_distinct_positions`]'s `u64` keys.
+#[derive(Default)]
+struct PosHasher(u64);
+
+impl Hasher for PosHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("positions hash through write_u64");
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// Standard normal via Box–Muller.
@@ -96,10 +117,10 @@ mod tests {
     #[test]
     fn geometric_mean_is_one_over_success() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let p_fail = 0.25;
+        let p_fail: f64 = 0.25;
         let n = 100_000;
         let total: u64 = (0..n)
-            .map(|_| sample_geometric_trials(&mut rng, p_fail))
+            .map(|_| sample_geometric_trials_ln(&mut rng, p_fail.ln()))
             .sum();
         let mean = total as f64 / n as f64;
         let expect = 1.0 / (1.0 - p_fail);
@@ -109,7 +130,7 @@ mod tests {
     #[test]
     fn geometric_with_zero_failure_is_always_one() {
         let mut rng = SmallRng::seed_from_u64(2);
-        assert!((0..1000).all(|_| sample_geometric_trials(&mut rng, 0.0) == 1));
+        assert!((0..1000).all(|_| sample_geometric_trials_ln(&mut rng, 0f64.ln()) == 1));
     }
 
     #[test]

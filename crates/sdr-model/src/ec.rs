@@ -178,6 +178,20 @@ pub fn ec_sample(
     fallback_sr: &SrConfig,
     rng: &mut SmallRng,
 ) -> f64 {
+    let p_fail = 1.0 - p_submessage_recovery(cfg, ch.p_drop_chunk());
+    ec_sample_given(ch, message_bytes, cfg, fallback_sr, p_fail, rng)
+}
+
+/// [`ec_sample`] given the submessage failure probability, which depends
+/// on the channel alone — [`ec_summary`] computes it once, not per trial.
+fn ec_sample_given(
+    ch: &Channel,
+    message_bytes: u64,
+    cfg: &EcConfig,
+    fallback_sr: &SrConfig,
+    p_fail: f64,
+    rng: &mut SmallRng,
+) -> f64 {
     let m_chunks = ch.chunks_for(message_bytes);
     let t_inj = ch.t_inj();
     let p = ch.p_drop_chunk();
@@ -185,7 +199,6 @@ pub fn ec_sample(
     let total_wire = wire_chunks(cfg, m_chunks);
     let success_time = total_wire as f64 * t_inj + ch.rtt_s;
 
-    let p_fail = 1.0 - p_submessage_recovery(cfg, p);
     let failures = sample_binomial(rng, l, p_fail);
     if failures == 0 {
         return success_time;
@@ -210,15 +223,11 @@ pub fn ec_summary(
 ) -> Summary {
     use rand::SeedableRng;
     let mut rng = SmallRng::seed_from_u64(seed);
+    let p_fail = 1.0 - p_submessage_recovery(cfg, ch.p_drop_chunk());
     let samples: Vec<f64> = (0..trials)
-        .map(|_| ec_sample(ch, message_bytes, cfg, fallback_sr, rng_mut(&mut rng)))
+        .map(|_| ec_sample_given(ch, message_bytes, cfg, fallback_sr, p_fail, &mut rng))
         .collect();
     Summary::from_samples(samples)
-}
-
-#[inline]
-fn rng_mut(rng: &mut SmallRng) -> &mut SmallRng {
-    rng
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub mod quantile;
 pub mod sr;
 pub mod stats;
 
-pub use boundary::{fig09_boundary_p_packet, sr_ec_speedup};
+pub use boundary::{fig09_boundary_p_packet, fig09_boundary_verdict, sr_ec_speedup};
 pub use ec::{
     ec_mean_lower_bound, ec_sample, ec_summary, expected_failures, p_fallback,
     p_submessage_recovery, submessage_count, wire_chunks, EcCodeKind, EcConfig,

@@ -19,7 +19,7 @@
 
 use rand::rngs::SmallRng;
 
-use crate::dist::{sample_binomial, sample_distinct_positions, sample_geometric_trials};
+use crate::dist::{sample_binomial, sample_distinct_positions, sample_geometric_trials_ln};
 use crate::params::Channel;
 use crate::stats::Summary;
 
@@ -71,8 +71,9 @@ pub fn sr_sample_chunks(
     let dropped = sample_binomial(rng, m_chunks, p_drop);
     let mut max_x = base;
     if dropped > 0 {
+        let ln_p = p_drop.ln();
         for pos in sample_distinct_positions(rng, m_chunks, dropped) {
-            let extra = sample_geometric_trials(rng, p_drop);
+            let extra = sample_geometric_trials_ln(rng, ln_p);
             let x = (pos + 1) as f64 * t_inj + overhead * extra as f64;
             if x > max_x {
                 max_x = x;
@@ -103,8 +104,9 @@ const MAX_STEPS: u64 = 80_000_000;
 
 /// Exact tail probability `P(max_i X_i ≥ q)` for `q > M·T_INJ`
 /// (Appendix A), evaluated in O(K) by grouping chunks with equal
-/// retransmission-count requirement.
-fn tail_probability(q: f64, m: u64, t_inj: f64, overhead: f64, p: f64, k_max: u32) -> f64 {
+/// retransmission-count requirement. `ln_survive[k − 1]` is
+/// `ln(1 − p^k)` for `k` up to the cutoff `K`.
+fn tail_probability(q: f64, m: u64, t_inj: f64, overhead: f64, ln_survive: &[f64]) -> f64 {
     // k_i = ceil((q − i·T_INJ)/O); #(k_i ≥ k) = #{i : i < (q − (k−1)·O)/T_INJ}.
     let count_ge = |k: u32| -> f64 {
         let bound = (q - (k as f64 - 1.0) * overhead) / t_inj;
@@ -116,19 +118,20 @@ fn tail_probability(q: f64, m: u64, t_inj: f64, overhead: f64, p: f64, k_max: u3
     };
     let mut ln_prod = 0.0;
     let mut prev = count_ge(1);
-    for k in 1..=k_max {
+    for (j, ln_s) in ln_survive.iter().enumerate() {
+        // `ln_s` is ln(1 − p^k) for k = j + 1; `next` counts k_i ≥ k + 1.
         if prev <= 0.0 {
             break;
         }
-        let next = count_ge(k + 1);
+        let next = count_ge(j as u32 + 2);
         let exactly_k = prev - next;
         if exactly_k > 0.0 {
-            ln_prod += exactly_k * f64::ln_1p(-p.powi(k as i32));
+            ln_prod += exactly_k * ln_s;
         }
         prev = next;
     }
-    // Chunks needing more than k_max retransmissions contribute ≤ p^k_max
-    // each — below TERM_EPS by construction.
+    // Chunks needing more than K retransmissions contribute ≤ p^K each —
+    // below TERM_EPS by construction.
     -f64::exp_m1(ln_prod)
 }
 
@@ -150,7 +153,10 @@ pub fn sr_mean_analytic_chunks(
     }
     let overhead = rto_s + t_inj;
     // p^k < TERM_EPS ⇒ k > ln(eps)/ln(p).
-    let k_max = ((TERM_EPS.ln() / p_drop.ln()).ceil() as u32).clamp(1, 512);
+    let k_max = ((TERM_EPS.ln() / p_drop.ln()).ceil() as i32).clamp(1, 512);
+    // The per-k survival logs depend on p alone: built once per call, not
+    // once per integration step.
+    let ln_survive: Vec<f64> = (1..=k_max).map(|k| f64::ln_1p(-p_drop.powi(k))).collect();
 
     // E[max X] = base + ∫_base^∞ P(max ≥ q) dq — the tail is piecewise
     // constant with plateaus of width ~T_INJ, so midpoint steps of T_INJ
@@ -160,7 +166,7 @@ pub fn sr_mean_analytic_chunks(
     let mut q = base + 0.5 * dq;
     let mut steps = 0u64;
     loop {
-        let tail = tail_probability(q, m_chunks, t_inj, overhead, p_drop, k_max);
+        let tail = tail_probability(q, m_chunks, t_inj, overhead, &ln_survive);
         integral += tail * dq;
         q += dq;
         steps += 1;

@@ -18,12 +18,16 @@
 //!    rule, `SwitchPropose → SwitchAck` handshakes).
 //! 2. **Advise**: on the controller cadence (`rtt / CADENCE_DIV`) the
 //!    sender re-runs [`advisor::recommend`] against the *live* estimate
-//!    for the bytes still ahead. A recommendation that crosses the SR ⇄ EC
-//!    divide must additionally clear the Figure 9 boundary
-//!    ([`SchemeSpec::fig09_boundary`]) by the `HYSTERESIS` factor, and the
-//!    estimator must be [confident](ChannelEstimator::is_confident) — a
-//!    cold or noisy estimate hovering at the boundary cannot flap the
-//!    scheme.
+//!    for the bytes still ahead — only when its advice could become a
+//!    proposal. The gates run cheapest first: no handshake in flight, no
+//!    blackout, a [confident](ChannelEstimator::is_confident) estimate, and
+//!    a proposal target (a pipeline lead past the next unstarted segment)
+//!    that has not started yet; then the advisor, whose pick must beat the
+//!    running scheme by the minimum gain; then, for a pick that crosses the
+//!    SR ⇄ EC divide, the Figure 9 boundary cleared by the `HYSTERESIS`
+//!    factor ([`SchemeSpec::fig09_verdict`], which settles the gate without
+//!    finishing the boundary search) — a cold or noisy estimate hovering at
+//!    the boundary cannot flap the scheme.
 //! 3. **Hand over**: the transfer runs as a pipeline of *segments*
 //!    (submessages of [`segment_bytes`](AdaptConfig::segment_bytes)), each
 //!    a complete run of one scheme started through the
@@ -78,7 +82,7 @@ use std::rc::Rc;
 
 use sdr_core::{SdrContext, SdrQp};
 use sdr_model::Channel;
-use sdr_sim::{Engine, EventKind, Gauge, QpAddr, SimTime, TimerHandle};
+use sdr_sim::{Counter, Engine, EventKind, Gauge, QpAddr, SimTime, TimerHandle};
 
 use crate::ack::{CtrlMsg, SchemeSpec, MAX_MANIFEST_SEGMENTS};
 use crate::advisor;
@@ -107,7 +111,21 @@ const PIPELINE_LEAD_RTTS: f64 = 1.5;
 /// SR ⇄ EC hysteresis factor: switch toward EC only when the loss estimate
 /// exceeds the fig09 boundary by this factor, back to SR only when it
 /// falls below boundary ÷ factor.
-const HYSTERESIS: f64 = 2.0;
+pub(crate) const HYSTERESIS: f64 = 2.0;
+
+/// The SR ⇄ EC hysteresis gates as verdicts on the Figure 9 boundary `b`
+/// for [`SchemeSpec::fig09_verdict`], each monotone in `b` with `None` (no
+/// crossing in range) above every rate: moving onto EC stays put unless
+/// `loss` is past `b · HYSTERESIS` ...
+pub(crate) fn stay_off_ec(loss: f64) -> impl Fn(Option<f64>) -> bool {
+    move |b| b.is_none_or(|b| loss <= b * HYSTERESIS)
+}
+
+/// ... and leaving EC stays put while `loss` is at or above
+/// `b / HYSTERESIS`.
+pub(crate) fn stay_on_ec(loss: f64) -> impl Fn(Option<f64>) -> bool {
+    move |b| b.is_some_and(|b| loss >= b / HYSTERESIS)
+}
 
 /// Stochastic trials per advisor candidate on each controller tick, and
 /// the seed of that evaluation (mixed with the segment index per run).
@@ -392,6 +410,9 @@ struct TxInner {
     g_loss: Gauge,
     /// `adapt.rtt_us`: the live RTT estimate in microseconds, ditto.
     g_rtt: Gauge,
+    /// `adapt.advisor.runs`: advisor evaluations paid for — ticks whose
+    /// advice could still become a proposal.
+    advisor_runs: Counter,
 }
 
 impl TxInner {
@@ -532,6 +553,7 @@ impl AdaptiveController {
         let est = Rc::new(RefCell::new(ChannelEstimator::new(cfg.telemetry)));
         let reg = ep.metrics();
         let (g_loss, g_rtt) = (reg.gauge("adapt.loss_ppm"), reg.gauge("adapt.rtt_us"));
+        let advisor_runs = reg.counter("adapt.advisor.runs");
         let inner = Rc::new(RefCell::new(TxInner {
             qp: qp.clone(),
             ctx: ctx.clone(),
@@ -563,6 +585,7 @@ impl AdaptiveController {
             in_blackout: false,
             g_loss,
             g_rtt,
+            advisor_runs,
         }));
         // Master control handler: the resume handshake while querying,
         // then epoch-gate scheme traffic, absorb telemetry, drive the
@@ -1053,10 +1076,25 @@ impl AdaptiveController {
         // handover then explains the decision.
         i.g_loss.set((loss * 1e6) as i64);
         i.g_rtt.set((rtt * 1e6) as i64);
+        // A proposal targets a pipeline-lead's worth of segments ahead of
+        // the next unstarted one: the handshake RTT then overlaps segments
+        // that keep flowing under the old scheme instead of stalling the
+        // drain barrier. When that lands past the end, no handover could
+        // apply — the remaining submessages are already in flight — so the
+        // advice is not worth paying for. The gate reads nothing the
+        // advisor or the boundary search writes (both are pure), so
+        // running it first changes no decision.
+        let headroom = (i.cfg.lead_packets(&i.qp) * i.qp.config().mtu_bytes)
+            .div_ceil(i.cfg.segment_bytes) as u32;
+        let target_epoch = next_unstarted + headroom;
+        if target_epoch as usize >= i.segs.len() {
+            return Tick::Again;
+        }
         let ch = Channel::new(i.cfg.bandwidth_bps, rtt, loss)
             .with_mtu_bytes(i.qp.config().mtu_bytes)
             .with_chunk_bytes(i.qp.config().chunk_bytes);
         let seed = ADVISOR_SEED ^ ((next_unstarted as u64) << 8);
+        i.advisor_runs.inc();
         let rec = advisor::recommend(&ch, remaining, ADVISOR_TRIALS, seed);
         let mut target = rec.scheme;
         if target == i.current_spec {
@@ -1076,23 +1114,15 @@ impl AdaptiveController {
         }
         // Crossing the SR ⇄ EC boundary needs hysteresis clearance; moves
         // that do not cross it (SR-RTO ⇄ SR-NACK, leaving GBN) only need
-        // the confidence gate already applied above.
-        let to_ec = target.is_ec() && !i.current_spec.is_ec();
-        let from_ec = i.current_spec.is_ec() && !target.is_ec();
-        if to_ec {
-            let Some(b) = target.fig09_boundary(i.cfg.bandwidth_bps, rtt, remaining) else {
-                return Tick::Again; // no crossing in range: stay put
-            };
-            if loss <= b * HYSTERESIS {
-                return Tick::Again; // not decisively past the boundary
-            }
-        } else if from_ec {
-            let boundary = i
-                .current_spec
-                .fig09_boundary(i.cfg.bandwidth_bps, rtt, remaining);
-            if boundary.is_some_and(|b| loss >= b / HYSTERESIS) {
-                return Tick::Again;
-            }
+        // the confidence gate already applied above. The gates ask which
+        // side of them the boundary lies on, never for the number.
+        let (bw, current) = (i.cfg.bandwidth_bps, i.current_spec);
+        let to_ec = target.is_ec() && !current.is_ec();
+        let from_ec = current.is_ec() && !target.is_ec();
+        if (to_ec && target.fig09_verdict(bw, rtt, remaining, stay_off_ec(loss)))
+            || (from_ec && current.fig09_verdict(bw, rtt, remaining, stay_on_ec(loss)))
+        {
+            return Tick::Again;
         }
         if to_ec && i.est.borrow().loss_step_fresh() {
             // Conservative first split: the estimate is confident but
@@ -1105,18 +1135,7 @@ impl AdaptiveController {
             // meant to harden.
             target = target.stronger();
         }
-        // Propose, targeting a pipeline-lead's worth of segments ahead of
-        // the next unstarted one: the handshake RTT then overlaps segments
-        // that keep flowing under the old scheme instead of stalling the
-        // drain barrier. Everything below the target drains as-is. When
-        // the target lands past the end, a handover could never apply —
-        // the remaining submessages are already in flight.
-        let headroom = (i.cfg.lead_packets(&i.qp) * i.qp.config().mtu_bytes)
-            .div_ceil(i.cfg.segment_bytes) as u32;
-        let target_epoch = next_unstarted + headroom;
-        if target_epoch as usize >= i.segs.len() {
-            return Tick::Again;
-        }
+        // Propose at the target epoch; everything below it drains as-is.
         let seq = i.next_seq;
         i.next_seq += 1;
         i.pending = Some(PendingSwitch {

@@ -871,12 +871,13 @@ impl EcRxScheme {
         }
         // Arrival-CRC audit of a submessage that is about to be used:
         // hash each present chunk where it lies and compare against the
-        // CRCs recorded when its packets landed. A mismatch means a
-        // corrupted duplicate overwrote the chunk after its bits were set
-        // — demote it to absent *before* any decision reads the presence
-        // flags, so stale bytes never feed a decode and never silently
-        // resolve a submessage. The audit only ever demotes, hence the
-        // re-test.
+        // CRCs recorded when its packets landed. A mismatch means the
+        // chunk was written after its bits were set — not by the wire,
+        // whose corrupt packets the NIC drops before they commit, but by
+        // a post-DMA write — so demote it to absent *before* any decision
+        // reads the presence flags: stale bytes never feed a decode and
+        // never silently resolve a submessage. The audit only ever
+        // demotes, hence the re-test.
         self.ctx.fabric().node(self.ctx.node(), |n| {
             for (i, p) in present.iter_mut().enumerate().filter(|(_, p)| **p) {
                 let (slot, c, addr) = shard_at(i);

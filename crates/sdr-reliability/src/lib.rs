@@ -96,7 +96,7 @@
 //!   over the control plane ([`CtrlMsg::SwitchPropose`] /
 //!   [`CtrlMsg::SwitchAck`], epoch-gated scheme traffic, drain semantics,
 //!   exactly-once slot release across the switch) with hysteresis around
-//!   the fig09 boundary ([`SchemeSpec::fig09_boundary`]).
+//!   the fig09 boundary ([`SchemeSpec::fig09_verdict`]).
 //!
 //! Everything runs on the deterministic discrete-event substrate, so the
 //! protocol implementations can be validated against the closed-form models

@@ -9,7 +9,7 @@
 //! * **what the model says of it** — [`SchemeSpec::candidates`] (the EC
 //!   splits among them are [`SchemeSpec::EC_LADDER`], which
 //!   [`SchemeSpec::stronger`] steps along), [`SchemeSpec::model_summary`],
-//!   [`SchemeSpec::fig09_boundary`];
+//!   [`SchemeSpec::fig09_verdict`];
 //! * **what it costs in SDR messages** — [`SchemeSpec::sends`], from the
 //!   submessage count the EC sender and receiver post by;
 //! * **how it runs** — [`start_sender`] / [`start_receiver`] alone map a
@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use sdr_core::{SdrContext, SdrQp};
 use sdr_model::{
-    ec_summary, fig09_boundary_p_packet, gbn_summary, sr_summary, Channel, EcConfig, GbnConfig,
+    ec_summary, fig09_boundary_verdict, gbn_summary, sr_summary, Channel, EcConfig, GbnConfig,
     SrConfig, Summary,
 };
 use sdr_sim::{Engine, FlightRecorder, QpAddr, SimTime};
@@ -167,11 +167,22 @@ impl SchemeSpec {
         }
     }
 
-    /// The packet drop rate above which this EC spec beats SR for `bytes`
-    /// on the deployment ([`fig09_boundary_p_packet`]). `None` for ARQ
-    /// specs and when the crossing lies outside the probed range.
-    pub fn fig09_boundary(&self, bandwidth_bps: f64, rtt_s: f64, bytes: u64) -> Option<f64> {
-        fig09_boundary_p_packet(bandwidth_bps, rtt_s, bytes, &self.model_ec()?, RTO_RTTS)
+    /// `verdict` of the packet drop rate above which this EC spec beats SR
+    /// for `bytes` on the deployment ([`fig09_boundary_verdict`]): `None`
+    /// for ARQ specs and when the crossing lies outside the probed range.
+    /// `verdict` must be monotone in the rate, `None` ranking above every
+    /// rate; the search stops once the answer's side of it is known.
+    pub fn fig09_verdict(
+        &self,
+        bandwidth_bps: f64,
+        rtt_s: f64,
+        bytes: u64,
+        verdict: impl Fn(Option<f64>) -> bool,
+    ) -> bool {
+        match self.model_ec() {
+            Some(ec) => fig09_boundary_verdict(bandwidth_bps, rtt_s, bytes, &ec, RTO_RTTS, verdict),
+            None => verdict(None),
+        }
     }
 
     /// The next-stronger split on [`EC_LADDER`](Self::EC_LADDER); XOR
@@ -478,5 +489,55 @@ mod tests {
         );
         // k larger than the segment: one submessage.
         assert_eq!(SchemeSpec::EcXor { k: 32, m: 8 }.sends(1 << 20, chunk), 2);
+    }
+
+    /// The controller's two Figure 9 gates, decided by the early-exit
+    /// search, say what they would of the full search's boundary: on every
+    /// deployment × EC ladder rung, at losses 1e-12 and 1e-6 either side of
+    /// each gate and a factor 2 either side, and — where no crossing lies
+    /// in range — at losses below, inside and above the probed rates.
+    #[test]
+    fn fig09_verdict_equals_the_full_search() {
+        use crate::adapt::{stay_off_ec, stay_on_ec, HYSTERESIS};
+        use sdr_model::{fig09_boundary_p_packet, rtt_from_km};
+
+        let deployments = [
+            (8e9, rtt_from_km(1000.0), 2 << 20),
+            (1e9, 0.01, 2 << 20),
+            (1e9, 0.001, 16 << 20), // no crossing in range
+        ];
+        let mut crossings = 0;
+        for (bw, rtt, bytes) in deployments {
+            for spec in SchemeSpec::EC_LADDER {
+                let ec = spec.model_ec().expect("EC rung");
+                let full = fig09_boundary_p_packet(bw, rtt, bytes, &ec, RTO_RTTS);
+                let losses: Vec<f64> = match full {
+                    Some(b) => [b * HYSTERESIS, b / HYSTERESIS]
+                        .into_iter()
+                        .flat_map(|g| {
+                            [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]
+                                .map(|f| g * f)
+                        })
+                        .collect(),
+                    None => vec![1e-10, 1e-6, 1e-3, 0.2],
+                };
+                crossings += usize::from(full.is_some());
+                for loss in losses {
+                    let (off, on) = (stay_off_ec(loss), stay_on_ec(loss));
+                    for (name, gate) in [
+                        ("to EC", &off as &dyn Fn(Option<f64>) -> bool),
+                        ("from EC", &on),
+                    ] {
+                        assert_eq!(
+                            spec.fig09_verdict(bw, rtt, bytes, gate),
+                            gate(full),
+                            "{name} gate, {spec} on {bw:e} b/s, {rtt} s, {bytes} B, \
+                             loss {loss:e}, full boundary {full:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(crossings, 8, "a crossing on every rung of the first two");
     }
 }

@@ -72,6 +72,8 @@ struct AdaptOutcome {
     /// registry would keep alive for the next transfer.
     est_loss: Option<f64>,
     est_rtt: Option<SimTime>,
+    /// `adapt.advisor.runs`: advisor evaluations the controller paid for.
+    advisor_runs: u64,
 }
 
 fn run_adaptive(sc: &Scenario) -> AdaptOutcome {
@@ -127,6 +129,7 @@ fn run_adaptive(sc: &Scenario) -> AdaptOutcome {
         recv_done_at,
         est_loss: tx.estimator(|e| e.loss_estimate()),
         est_rtt: tx.estimator(|e| e.rtt_estimate()),
+        advisor_runs: h.p.fabric.metrics().counter_value("adapt.advisor.runs"),
     }
 }
 
@@ -278,6 +281,13 @@ fn adaptive_switches_sr_to_ec_and_tracks_the_oracle() {
     assert_eq!(out.recv.segments, out.report.segments);
     // The history starts under SR and ends under EC.
     assert_eq!(out.report.history[0].2, SchemeSpec::SrNack);
+    // Every committed handover was advised, and the metrics say so.
+    assert!(
+        out.advisor_runs >= out.report.switches,
+        "{} advisor runs for {} switches",
+        out.advisor_runs,
+        out.report.switches
+    );
 
     // Static oracle: best single scheme with perfect foreknowledge,
     // compared on receiver-side completion instants (the same clock both
