@@ -263,20 +263,21 @@ impl SdrQp {
             let i = self.inner.borrow();
             (i.recv_cq, i.send_cq)
         };
+        // The wakers live in the node, so they reach the fabric through
+        // the QP they hold weakly: a strong `Fabric` here would close a
+        // fabric → node → waker → fabric cycle and leak every node's memory.
         let weak = Rc::downgrade(&self.inner);
-        let fab = fabric.clone();
         fabric.node_mut(node, |n| {
             n.set_cq_waker(
                 recv_cq,
-                Waker::new(move |eng| Self::drain_recv(&weak, &fab, node, recv_cq, eng)),
+                Waker::new(move |eng| Self::drain_recv(&weak, node, recv_cq, eng)),
             );
         });
         let weak = Rc::downgrade(&self.inner);
-        let fab = fabric.clone();
         fabric.node_mut(node, |n| {
             n.set_cq_waker(
                 send_cq,
-                Waker::new(move |eng| Self::drain_send(&weak, &fab, node, send_cq, eng)),
+                Waker::new(move |_eng| Self::drain_send(&weak, node, send_cq)),
             );
         });
     }
@@ -871,15 +872,10 @@ impl SdrQp {
     // Backend: completion processing
     // ------------------------------------------------------------------
 
-    fn drain_recv(
-        weak: &Weak<RefCell<QpInner>>,
-        fabric: &Fabric,
-        node: NodeId,
-        cq: CqId,
-        eng: &mut Engine,
-    ) {
+    fn drain_recv(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId, eng: &mut Engine) {
         let Some(inner) = weak.upgrade() else { return };
-        while let Some(cqe) = fabric.node_mut(node, |n| n.poll_cq(cq)) {
+        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
+        while let Some(cqe) = poll() {
             // Handle the CQE while holding the borrow, collecting any user
             // callback to run unborrowed.
             let notify = {
@@ -930,16 +926,10 @@ impl SdrQp {
         }
     }
 
-    fn drain_send(
-        weak: &Weak<RefCell<QpInner>>,
-        fabric: &Fabric,
-        node: NodeId,
-        cq: CqId,
-        eng: &mut Engine,
-    ) {
-        let _ = eng;
+    fn drain_send(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId) {
         let Some(inner) = weak.upgrade() else { return };
-        while let Some(cqe) = fabric.node_mut(node, |n| n.poll_cq(cq)) {
+        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
+        while let Some(cqe) = poll() {
             if cqe.op == sdr_sim::CqeOp::SendComplete {
                 let mut i = inner.borrow_mut();
                 if let Some(st) = i.sends.get_mut(&cqe.wr_id) {

@@ -1833,9 +1833,8 @@ impl Inner {
             None => {
                 common.post(eng, dst_addr, open.bytes);
                 let chunks = core.cfg.qp.chunks_for(open.bytes) as usize;
-                // `tx_rto`, widened by the population's control pacing, is
-                // the silence clock.
-                RxPolicy::Sr(SrRxScheme::new(chunks, true, core.cfg.rtt).on_senders_clock())
+                let (rtt, iv) = (core.cfg.rtt, core.cad.ack_interval);
+                RxPolicy::Sr(SrRxScheme::new(chunks, true, rtt, iv))
             }
         };
         common.bind_estimator(est);

@@ -46,13 +46,13 @@
 //!   complete, wire order exposed a hole, a submessage can be decided)
 //!   pulls the owner's timer forward, so completion and repair are acted
 //!   on when the bitmap changes, not when a poll clock next fires.
-//!   [`RxDriver`] wraps it in a [`tick_loop`] for one transfer and caps
-//!   the rule with a *heartbeat*, there for silence (a lost CTS, a lost
-//!   tail, the linger repeats). The
+//!   [`RxDriver`] wraps it in a [`tick_loop`] for one transfer, with a
+//!   *heartbeat* only where silence is the receiver's to time (EC's FTO,
+//!   GBN, the CTS heal before the first packet, the linger repeats). The
 //!   [`FlowManager`](crate::flow::FlowManager) steps thousands of them
-//!   from its shared due index and adds no heartbeat: a flow whose scheme
-//!   leaves silence to its sender has no timer at all between one
-//!   arrival's ACK (and its one repeat) and the next arrival.
+//!   from its shared due index and adds no heartbeat. Either way an SR
+//!   receiver, which leaves silence to its sender, has no live timer
+//!   between one arrival's ACK (and its one repeat) and the next arrival.
 //!
 //! `sr.rs`, `ec.rs` and `gbn.rs` contain only what is genuinely different
 //! between the schemes: the ACK wire policy and the repair rule. Adding a
@@ -297,7 +297,7 @@ pub enum Tick {
     /// Sleep until the given absolute deadline (clamped a tick past now) —
     /// the path schemes whose next action has a *known* time take (the
     /// earliest RTO expiry, the FTO, a linger deadline) instead of polling
-    /// every interval.
+    /// every interval (`SimTime::MAX`: parked until a reschedule).
     Until(SimTime),
     /// Tear the tick down (the protocol object is done).
     Stop,
@@ -1030,7 +1030,7 @@ impl<S: TxScheme> TxDriver<S> {
 /// gate, flow-stamped endpoint) its traffic rides.
 pub type CtrlSink<'a> = &'a mut dyn FnMut(&mut Engine, &CtrlMsg);
 
-/// Registry counters for the steps a receiver takes ahead of its heartbeat
+/// Registry counters for the steps a receiver takes on urgent news
 /// (`rx.wake.*`), by the news that caused them. Every receiver on a fabric
 /// shares the handles.
 struct RxTrace {
@@ -1251,12 +1251,12 @@ pub trait RxScheme: 'static {
     /// One bitmap poll: emit whatever repair traffic the scheme calls for
     /// through `send` and return `true` once the whole message is
     /// delivered (the stepper then sends the final ACK). Runs once per
-    /// step — heartbeat or news — until it reports completion.
+    /// step until it reports completion.
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool;
 
     /// News from the bitmap: `chunk` of posted slot `slot` completed at
     /// `now`. Returns when the next step should run if that is sooner than
-    /// the heartbeat would — `Some(now)` to act at the arrival instant, a
+    /// the owner's timer would — `Some(now)` to act at the arrival instant, a
     /// later instant to let a burst of news share one step — and `None`
     /// when the arrival changes nothing the peer needs to hear. The answer
     /// is a hint about *when*, never about *what*: the step it brings
@@ -1276,10 +1276,10 @@ pub trait RxScheme: 'static {
 
     /// Whether silence is this receiver's to time. `true` — the default —
     /// when it must keep stepping with nothing arriving: it runs a clock of
-    /// its own (EC's FTO) or its sender counts on a periodic ACK. `false`
+    /// its own (EC's FTO) or its sender's timer waits on it (GBN). `false`
     /// when every step it needs is caused by an arrival and its sender's
-    /// RTO times the rest; see [`RxStep::next_step`] for what that buys and
-    /// why it cannot wedge.
+    /// RTO times the rest, as SR's does; see [`RxStep::next_step`] for what
+    /// that buys and why it cannot wedge.
     fn times_silence(&self) -> bool {
         true
     }
@@ -1483,24 +1483,23 @@ struct RxState<S: RxScheme> {
     tick: Option<TimerHandle>,
     /// The heartbeat interval.
     interval: SimTime,
-    /// When `tick` fires next, so news only ever moves it earlier.
+    /// When `tick` fires next (`MAX`: parked), so news only moves it earlier.
     next_step: SimTime,
 }
 
-/// The per-transfer receiver driver: steps one [`RxStep`] on a heartbeat
-/// and ahead of it when an arrival is news, sends its traffic to
-/// `peer_ctrl` over `ctrl`, and fires the completion callback exactly once.
+/// The per-transfer receiver driver: steps one [`RxStep`] where
+/// [`RxStep::next_step`] says and when an arrival is news, sends its
+/// traffic to `peer_ctrl` over `ctrl`, and fires the completion callback
+/// exactly once.
 ///
-/// The heartbeat is for silence — a lost CTS, a lost tail, the linger
-/// repeats — and nothing else waits on it: every posted slot's
-/// chunk-completion hook ([`SdrQp::set_chunk_hook`]) reports to the step,
-/// and when the scheme calls the arrival news ([`RxScheme::on_chunk`]) the
-/// driver moves its *one* timer to the instant asked for. A step run early
-/// is an ordinary step; the heartbeat resumes one interval after it. The
-/// heartbeat is this owner's addition: between steps the timer sits where
-/// [`RxStep::next_step`] puts it, or one interval out, whichever is sooner
-/// — a per-transfer sender's RTO is a few round trips and counts on the
-/// periodic ACK.
+/// Every posted slot's chunk-completion hook ([`SdrQp::set_chunk_hook`])
+/// reports to the step; news ([`RxScheme::on_chunk`]) moves the driver's
+/// *one* timer to the instant asked for. A heartbeat one interval out caps
+/// the rule only where silence is the receiver's to time: before the
+/// first packet (a fixed-interval CTS heal) and for a scheme that [times
+/// silence](RxScheme::times_silence). When the rule says no step until the
+/// next arrival, the timer sleeps until `SimTime::MAX`, which the engine
+/// parks off the queue until news reschedules it.
 pub struct RxDriver<S: RxScheme> {
     inner: Rc<RefCell<RxState<S>>>,
 }
@@ -1561,7 +1560,7 @@ impl<S: RxScheme> RxDriver<S> {
             return Tick::Stop;
         }
         let first = st.rx.completed_at().is_none();
-        // Every path below that goes round again sleeps one heartbeat.
+        // The linger repeats go round again one interval out.
         st.next_step = eng.now().saturating_add(st.interval);
         {
             let RxState {
@@ -1574,11 +1573,13 @@ impl<S: RxScheme> RxDriver<S> {
             } = &mut *st;
             let mut send = |eng: &mut Engine, msg: &CtrlMsg| ctrl.send_ctrl(eng, *peer_ctrl, msg);
             if !rx.poll(eng, &mut send) {
-                // ...unless the step's own rule — in practice an arrival
-                // that already asked for one — says sooner.
-                if let Some(at) = rx.next_step(eng.now(), *interval) {
-                    *next_step = at.min(*next_step);
-                }
+                // The step's own rule, capped by the heartbeat where
+                // silence is ours to time; `None` parks until news.
+                let heartbeat = !rx.common().seen_packet() || rx.scheme().times_silence();
+                *next_step = match rx.next_step(eng.now(), *interval) {
+                    Some(at) if heartbeat => at.min(*next_step),
+                    at => at.unwrap_or(SimTime::MAX),
+                };
                 return Tick::Until(*next_step);
             }
             send(eng, &rx.scheme().final_ack());

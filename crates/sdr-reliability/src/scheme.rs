@@ -448,7 +448,7 @@ pub fn start_receiver(
     let (policy, poll_interval, linger_acks) = match proto {
         Proto::Sr(p) => {
             common.post(eng, e.addr, e.bytes);
-            let sr = SrRxScheme::new(total_chunks, p.nack, p.rtt);
+            let sr = SrRxScheme::new(total_chunks, p.nack, p.rtt, p.ack_interval);
             (RxPolicy::Sr(sr), p.ack_interval, p.linger_acks)
         }
         Proto::Ec(p) => {

@@ -14,19 +14,16 @@
 //! retransmits about one chunk per packet the wire dropped, which is what
 //! `sdr-model/src/sr.rs` charges and `tests/model_differential.rs` checks.
 //!
-//! Receiver: an [`RxScheme`] that, per step — heartbeat or news — encodes
-//! the *whole* SDR chunk bitmap into one ACK ([`build_sr_ack`]: cumulative
-//! point, the holes below the high-water mark, a selective window as the
-//! fallback). The heartbeat (`ack_interval`, RTT/4) is for silence; what
-//! the sender is waiting to hear does not wait for it: in NACK mode a chunk
-//! completing past a gap is news ([`SrRxScheme`]'s `on_chunk`) and the ACK
-//! naming the hole leaves one margin later, and the arrival that completes
-//! the message is acted on at once. Arrivals in order are not news, so a
-//! clean transfer sends what the heartbeat sends. (A flow population's
-//! receivers run the same policy with no heartbeat at all —
-//! `SrRxScheme::on_senders_clock` — where every completed chunk is news.)
-//! CTS healing, completion, linger-ACK repeats and buffer release all come
-//! from the shared [`RxStep`].
+//! Receiver: an [`RxScheme`] that speaks only on news, each ACK encoding
+//! the *whole* SDR chunk bitmap ([`build_sr_ack`]: cumulative point, the
+//! holes below the high-water mark, a selective window as the fallback).
+//! What is news and when it is said is [`SrRxScheme`]'s `on_chunk`; after a
+//! news ACK and its one repeat the receiver is silent until its next
+//! arrival, and the sender's RTO times the silence ([`RxStep::next_step`]
+//! is why that cannot wedge). Every SR receiver runs this one policy — per
+//! transfer, as an adaptive segment, as a flow. CTS healing, completion,
+//! linger-ACK repeats and buffer release all come from the shared
+//! [`RxStep`].
 //!
 //! What each kind of evidence assumes of the wire — on both sides, for the
 //! receiver's hole wake-up rests on the same order rule as the sender's
@@ -67,7 +64,8 @@ pub const REPAIR_MARGIN_DIV: u64 = 64;
 pub struct SrProtoConfig {
     /// Chunk retransmission timeout.
     pub rto: SimTime,
-    /// Receiver bitmap-poll / ACK cadence.
+    /// The receiver's base ACK interval (see [`SrRxScheme`]), also its
+    /// CTS-heal and final-ACK linger cadence.
     pub ack_interval: SimTime,
     /// Propagation round trip of the path: how long after a chunk leaves
     /// the wire an ACK can first show it. ACK-driven repair of a chunk an
@@ -471,59 +469,50 @@ impl TxDriver<SrTx> {
     }
 }
 
-/// The SR receive policy: one bitmap, one cumulative + selective ACK per
-/// step (with holes in NACK mode). In NACK mode a hole is news the moment
-/// wire order exposes it.
+/// The SR receive policy of every SR receiver (per transfer, adaptive
+/// segment, flow): one bitmap, one cumulative + selective ACK per step
+/// (with holes in NACK mode), a step only on news.
 pub struct SrRxScheme {
     total_chunks: usize,
     nack: bool,
-    /// The sender counts on an ACK every interval (see
-    /// [`on_senders_clock`](Self::on_senders_clock) for the alternative).
-    heartbeat: bool,
     /// How long an arrival's report waits for the rest of its burst.
     margin: SimTime,
+    /// The base ACK interval.
+    interval: SimTime,
+    /// One interval after the last ACK: in-order news waits for it.
+    paced: SimTime,
     /// One past the highest chunk an arrival reported complete.
     next_expected: usize,
 }
 
 impl SrRxScheme {
     /// The policy for a message of `total_chunks` on a path of round trip
-    /// `rtt`; `nack` turns hole reports on.
-    pub(crate) fn new(total_chunks: usize, nack: bool, rtt: SimTime) -> Self {
+    /// `rtt`, speaking at most once per `interval` on in-order news;
+    /// `nack` turns hole reports on.
+    pub(crate) fn new(total_chunks: usize, nack: bool, rtt: SimTime, interval: SimTime) -> Self {
         SrRxScheme {
             total_chunks,
             nack,
-            heartbeat: true,
             margin: rtt / REPAIR_MARGIN_DIV,
+            interval,
+            paced: SimTime::ZERO,
             next_expected: 0,
         }
-    }
-
-    /// The same policy for a sender whose RTO is wide enough to be the
-    /// silence clock (a population's, widened by its control pacing): no
-    /// heartbeat ACKs. Every chunk that completes is news instead — its ACK
-    /// leaves one margin later, so a burst shares a datagram — and the
-    /// receiver says nothing it has not been caused to say
-    /// ([`RxStep::next_step`] is the liveness argument).
-    pub(crate) fn on_senders_clock(mut self) -> Self {
-        self.heartbeat = false;
-        self
     }
 }
 
 impl RxScheme for SrRxScheme {
     type Done = ();
 
-    /// Completion, and in NACK mode the order evidence the sender's repair
-    /// rule acts on: a chunk completing above the next one expected means
-    /// something sent after the skipped chunks got here, so on a FIFO wire
-    /// they are lost. The ACK that says so leaves a margin later — one per
-    /// burst of holes, and the skipped chunks' own stragglers get to land
-    /// first. Under a heartbeat, arrivals in order are not news: a clean
-    /// transfer sends what the heartbeat sends. Without one they all are —
-    /// nothing else would ever acknowledge them. Where the wire reorders,
-    /// the price is an ACK listing a hole that is about to fill and one
-    /// spurious repair.
+    /// Every completed chunk is news: nothing else would ever acknowledge
+    /// it. Completion is acted on at once. In NACK mode a chunk completing
+    /// above the next one expected is the order evidence the sender's
+    /// repair rule acts on (on a FIFO wire the skipped chunks are lost);
+    /// its ACK leaves a margin later, so a burst of holes shares it and the
+    /// skipped chunks' stragglers land first. Other news waits a margin
+    /// too, and one interval after the last ACK: a streaming transfer ACKs
+    /// once an interval. Where the wire reorders, the price is an ACK
+    /// listing a hole that is about to fill and one spurious repair.
     fn on_chunk(
         &mut self,
         rx: &RxCommon,
@@ -534,10 +523,12 @@ impl RxScheme for SrRxScheme {
         let exposed = self.nack && chunk > self.next_expected;
         self.next_expected = self.next_expected.max(chunk + 1);
         rx.wake_if_complete(now).or_else(|| {
+            let soon = now.saturating_add(self.margin);
             if exposed {
                 rx.note_hole_wake();
+                return Some(soon);
             }
-            (exposed || !self.heartbeat).then(|| now.saturating_add(self.margin))
+            Some(soon.max(self.paced))
         })
     }
 
@@ -549,19 +540,19 @@ impl RxScheme for SrRxScheme {
         if bitmap.is_complete() {
             return true;
         }
-        // An ACK before any chunk completed acknowledges nothing: it is a
-        // heartbeat and only that.
-        if self.heartbeat || self.next_expected > 0 {
+        // An ACK before any chunk completed would acknowledge nothing.
+        if self.next_expected > 0 {
             send(
                 eng,
                 &build_sr_ack(bitmap.chunks(), self.total_chunks, self.nack),
             );
+            self.paced = eng.now().saturating_add(self.interval);
         }
         false
     }
 
     fn times_silence(&self) -> bool {
-        self.heartbeat
+        false
     }
 
     /// What [`build_sr_ack`] yields for a complete bitmap: everything
@@ -586,7 +577,7 @@ impl RxScheme for SrRxScheme {
 pub type SrReceiver = RxDriver<SrRxScheme>;
 
 impl RxDriver<SrRxScheme> {
-    /// Posts the receive buffer and starts the poll/ACK loop. `done` fires
+    /// Posts the receive buffer and starts the receive loop. `done` fires
     /// when all chunks have arrived (receiver-side completion instant).
     #[allow(clippy::too_many_arguments)]
     pub fn start(
@@ -602,7 +593,7 @@ impl RxDriver<SrRxScheme> {
         let mut common = RxCommon::new(qp);
         common.post(eng, buf_addr, msg_bytes);
         let total_chunks = qp.config().chunks_for(msg_bytes) as usize;
-        let scheme = SrRxScheme::new(total_chunks, cfg.nack, cfg.rtt);
+        let scheme = SrRxScheme::new(total_chunks, cfg.nack, cfg.rtt, cfg.ack_interval);
         let rx = RxStep::new(common, scheme, cfg.linger_acks);
         RxDriver::spawn(
             eng,

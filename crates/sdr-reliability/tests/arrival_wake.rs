@@ -1,22 +1,30 @@
 //! The edges of the receivers' arrival-driven steps ([`RxDriver`] under
 //! every scheme): completion is acted on at the arrival instant, a clean
-//! transfer says no more than the heartbeat says, a hole costs one ACK and
-//! one round trip, and a wake that is pending when the receiver is torn
-//! down wakes nobody — not the old driver, not the slot's next owner.
+//! transfer says no more than the heartbeat used to say, a hole costs one
+//! ACK and one round trip, an SR receiver left with nothing to say leaves
+//! silence to its sender's clock without wedging, and a wake that is
+//! pending when the receiver is torn down wakes nobody — not the old
+//! driver, not the slot's next owner.
 //!
 //! The links here are lossless and the losses scripted (a forward
 //! blackout that swallows chosen packets), so every instant below is
 //! arithmetic on the link: the receiver posts at 0, its CTS takes one
 //! serialization and one propagation delay, the sender streams the whole
-//! message from that instant without a gap.
+//! message from that instant without a gap. A lost ACK is found the way
+//! `flow_news` finds one: a dry run of the same scenario — the simulator
+//! is deterministic — says when it reaches the sender, and the real run
+//! darkens the reverse wire a nanosecond either side of that instant.
 //!
 //! [`RxDriver`]: sdr_reliability::runtime::RxDriver
 
 mod common;
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use common::{first_pass_arrival, swallowing, ProtoHarness};
 use sdr_core::SdrConfig;
-use sdr_reliability::{SchemeSpec, REPAIR_MARGIN_DIV};
+use sdr_reliability::{SchemeReceiver, SchemeSender, SchemeSpec, REPAIR_MARGIN_DIV};
 use sdr_sim::{tx_time, LinkConfig, SimTime, DEFAULT_HEADER_BYTES};
 
 const KM: f64 = 100.0;
@@ -67,14 +75,45 @@ struct Run {
 /// One transfer of `spec` on the lossless link, the forward direction dark
 /// while first-pass packets `lost` (a range) are delivered.
 fn run(spec: SchemeSpec, lost: Option<(u64, u64)>) -> Run {
-    let mut h = ProtoHarness::new(LinkConfig::wan(KM, BW, 0.0), cfg(), MSG, 5);
+    run_on(spec, MSG, lost, &[])
+}
+
+/// A `msg`-byte transfer of `spec`, started: the forward wire swallows
+/// first-pass packets `lost`, the reverse wire the datagrams it delivers
+/// at the instants `acks`. Returns both ends and the sender's repair
+/// count cell.
+fn start(
+    spec: SchemeSpec,
+    msg: u64,
+    lost: Option<(u64, u64)>,
+    acks: &[SimTime],
+) -> (ProtoHarness, Ends, Rc<Cell<u64>>) {
+    let mut h = ProtoHarness::new(LinkConfig::wan(KM, BW, 0.0), cfg(), msg, 5);
     if let Some((from, to)) = lost {
         let (dark, light) = swallowing(KM, BW, MTU, from, to);
         h.black_out_forward(dark, light);
     }
-    let repairs = std::rc::Rc::new(std::cell::Cell::new(0));
+    let ns = SimTime::from_nanos(1);
+    for &at in acks {
+        for (when, down) in [(at - ns, true), (at + ns, false)] {
+            let (fabric, a, b) = (h.p.fabric.clone(), h.p.node_a, h.p.node_b);
+            h.p.eng.schedule_at(when, move |_eng| {
+                fabric.set_link_down(b, a, down);
+            });
+        }
+    }
+    let repairs = Rc::new(Cell::new(0));
     let r = repairs.clone();
-    let (_tx, rx) = h.start_scheme(spec, BW, move |_e, n| r.set(n));
+    let ends = h.start_scheme(spec, BW, move |_e, n| r.set(n));
+    (h, ends, repairs)
+}
+
+/// A started transfer's sender and receiver.
+type Ends = (Box<dyn SchemeSender>, SchemeReceiver);
+
+/// [`run`] for the transfer [`start`] describes.
+fn run_on(spec: SchemeSpec, msg: u64, lost: Option<(u64, u64)>, acks: &[SimTime]) -> Run {
+    let (mut h, (_tx, rx), repairs) = start(spec, msg, lost, acks);
     // `start_scheme` gives the receiver a no-op done callback; completion
     // is read back from the engine clock by stepping until it shows.
     let mut done_at = None;
@@ -118,11 +157,11 @@ fn completion_is_acted_on_at_the_arrival_instant() {
     }
 }
 
-/// (b) Arrivals in order are not news: a clean transfer sends the
-/// heartbeat's ACKs, the final ACK and its linger repeats — no more
-/// control datagrams than before receivers listened to arrivals (these
-/// are that tree's counts on this link: its receivers polled at the same
-/// cadence and noticed completion one poll late).
+/// (b) A clean transfer sends its ACKs (the ARQ schemes' heartbeat, or
+/// an SR receiver's paced news ACKs), the final ACK and its linger repeats
+/// — no more control datagrams than before receivers listened to arrivals
+/// (these are that tree's counts on this link: its receivers polled at
+/// the same cadence and noticed completion one poll late).
 #[test]
 fn a_clean_transfer_sends_no_more_control_datagrams() {
     for (spec, before) in SCHEMES.into_iter().zip(DATAGRAMS_BEFORE) {
@@ -169,12 +208,95 @@ fn a_hole_costs_one_ack_one_chunk_and_one_round_trip() {
         r.done_at
     );
 
-    // Exactly one datagram more than the heartbeat would have sent over
-    // the same span: both runs share the heartbeats before the exposure;
-    // from the early step on the heartbeat runs every RTT/4 until the
-    // repair lands.
-    let heartbeats_waiting = (r.done_at - (exposed + margin)).0 / (rtt() / 4).0;
-    assert_eq!(r.rx_datagrams, clean.rx_datagrams + 1 + heartbeats_waiting);
+    // Exactly three datagrams more than the clean run, which ACKs its
+    // first chunk and then completes inside one ACK interval: the ACK
+    // naming the hole, one ACK an interval later for the chunks that
+    // landed behind it, and that ACK's one repeat. Then the receiver is
+    // silent until the repair lands — the RTT/4 heartbeat it no longer
+    // runs spoke twice more in that wait.
+    assert!(
+        exposed + margin + rtt() / 2 < r.done_at,
+        "the wait outlasts both"
+    );
+    assert_eq!(r.rx_datagrams, clean.rx_datagrams + 3);
+}
+
+/// The per-transfer twin of `flow_news`' tail loss: a two-chunk transfer
+/// whose last packet the forward wire swallows. Chunk 0 is ACKed — a news
+/// ACK and its one repeat — and then the receiver has nothing to say:
+/// chunk 1 never completes, so nothing arrives. Which chunks the sender's
+/// clock resends is what the sender heard.
+const TAIL_MSG: u64 = 2 * CHUNK;
+
+/// The forward loss of [`TAIL_MSG`]'s tail: its last first-pass packet.
+const TAIL_LOST: Option<(u64, u64)> = Some((TAIL_MSG / MTU - 1, TAIL_MSG / MTU));
+
+/// When B's `n`-th control datagram reaches A in a dry run of the tail
+/// loss whose reverse wire swallows the datagrams delivered at `acks`.
+fn nth_ack_lands(spec: SchemeSpec, acks: &[SimTime], n: u64) -> SimTime {
+    let (mut h, _ends, _repairs) = start(spec, TAIL_MSG, TAIL_LOST, acks);
+    let (a, b) = (h.p.node_a, h.p.node_b);
+    while h.ctrl_b.sent_count() < n {
+        assert!(h.p.eng.step(), "{spec}: ran dry before datagram {n}");
+    }
+    let nth = h.p.fabric.link_stats(b, a).expect("linked").sent;
+    loop {
+        let s = h.p.fabric.link_stats(b, a).expect("linked");
+        if s.delivered + s.dropped >= nth {
+            return h.p.eng.now();
+        }
+        assert!(h.p.eng.step(), "{spec}: datagram {n} never landed");
+    }
+}
+
+/// What a tail-loss run dropped and resent: `(forward drops, reverse
+/// drops, chunks resent, sr.retx.overdue, sr.retx.rto)`.
+fn tail_costs(r: &Run) -> (u64, u64, u64, u64, u64) {
+    let (a, b) = (r.h.p.node_a, r.h.p.node_b);
+    let reg = r.h.p.fabric.metrics();
+    (
+        r.h.p.fabric.link_stats(a, b).unwrap().dropped,
+        r.h.p.fabric.link_stats(b, a).unwrap().dropped,
+        r.repairs,
+        reg.counter_value("sr.retx.overdue"),
+        reg.counter_value("sr.retx.rto"),
+    )
+}
+
+/// Receiver datagrams of a tail-loss run: chunk 0's news ACK, its repeat,
+/// the final ACK and its 25 linger repeats — nothing in the silence.
+const TAIL_DATAGRAMS: u64 = 28;
+
+/// (e) A news ACK the wire swallows is healed by its one repeat: the
+/// sender resends the chunk the wire lost and not the one whose first ACK
+/// it lost. Under SR-NACK the repeat shows chunk 1 a round trip overdue
+/// and repairs it at once; under SR-RTO the RTO resends what the repeat
+/// left unacknowledged.
+#[test]
+fn a_lost_news_ack_is_healed_by_its_repeat() {
+    for (spec, overdue, rto) in [(SchemeSpec::SrNack, 1, 0), (SchemeSpec::SrRto, 0, 1)] {
+        let ack = nth_ack_lands(spec, &[], 1);
+        let r = run_on(spec, TAIL_MSG, TAIL_LOST, &[ack]);
+        assert_eq!(tail_costs(&r), (1, 1, 1, overdue, rto), "{spec}");
+        assert_eq!(r.rx_datagrams, TAIL_DATAGRAMS, "{spec}");
+    }
+}
+
+/// (f) News ACK and repeat both swallowed: the receiver has no timer left,
+/// so the sender's RTO is the only clock — its first expiry resends the
+/// lost chunk and, spuriously, the one it never heard about; the bitmap
+/// drops the duplicate, and the repair completes the transfer. One RTO
+/// expiry, one spurious chunk, never a wedge.
+#[test]
+fn a_doubly_lost_ack_costs_one_spurious_resend_never_a_wedge() {
+    for spec in [SchemeSpec::SrNack, SchemeSpec::SrRto] {
+        let ack = nth_ack_lands(spec, &[], 1);
+        let repeat = nth_ack_lands(spec, &[ack], 2);
+        assert!(repeat > ack, "{spec}");
+        let r = run_on(spec, TAIL_MSG, TAIL_LOST, &[ack, repeat]);
+        assert_eq!(tail_costs(&r), (1, 2, 2, 0, 2), "{spec}");
+        assert_eq!(r.rx_datagrams, TAIL_DATAGRAMS, "{spec}");
+    }
 }
 
 /// (d) A wake pending at teardown wakes nobody. The hole is exposed, the

@@ -187,11 +187,13 @@ impl Engine {
     }
 
     /// Schedules a recurring event: `action` runs at `at` and then again at
-    /// every time it returns (`None` stops and frees the timer). The
-    /// closure is boxed once; re-arms reuse the same queue node, so a
-    /// steady-state tick loop allocates nothing. A returned time in the
-    /// past is clamped to the fire instant (beware same-instant loops; the
-    /// event limit is the backstop).
+    /// every time it returns (`None` stops and frees the timer; never,
+    /// `SimTime::MAX`, parks it off the queue — not pending, `run` drains
+    /// past it — until a [`reschedule`](Self::reschedule)). The closure is
+    /// boxed once; re-arms reuse the same queue node, so a steady-state
+    /// tick loop allocates nothing. A returned time in the past is clamped
+    /// to the fire instant (beware same-instant loops; the event limit is
+    /// the backstop).
     pub fn schedule_recurring_at(
         &mut self,
         at: SimTime,
@@ -227,7 +229,7 @@ impl Engine {
         self.q.cancel(h)
     }
 
-    /// Moves a pending event to a new deadline (clamped to `now`),
+    /// Moves a pending or parked event to a new deadline (clamped to `now`),
     /// re-ranking it as if freshly scheduled. Returns `false` when the
     /// handle is stale or the event is currently executing (a recurring
     /// body re-arms itself through its return value instead).

@@ -22,7 +22,7 @@
 //! * **Cancel / re-arm**: [`EventQueue::cancel`] unlinks the node and
 //!   drops the closure immediately; a cancelled event never executes,
 //!   stops counting in `pending_events` and never charges the event limit.
-//!   [`EventQueue::reschedule`] moves a pending event to a new deadline in
+//!   [`EventQueue::reschedule`] re-times a pending (or parked) event in
 //!   place. Slot lists are doubly linked (a separate `prev` array), so
 //!   both operations unlink in O(1) regardless of slot occupancy.
 //! * **Structure-of-arrays layout**: deadlines (`at`) and slot links
@@ -130,8 +130,8 @@ pub(crate) enum Body {
     /// Run once and free the node.
     Once(Box<dyn FnOnce(&mut Engine)>),
     /// Run, then re-arm the same node at the returned time (`None` frees
-    /// it). The closure is boxed once and reused for the event's entire
-    /// lifetime — the zero-allocation path for tick loops and pumps.
+    /// it, never — `u64::MAX` — parks it). The closure is boxed once and
+    /// reused for the event's entire lifetime — the zero-allocation path for tick loops and pumps.
     Recurring(Box<dyn FnMut(&mut Engine) -> Option<SimTime>>),
     /// A shared callback (`Rc` clone per schedule, no fresh boxing) — the
     /// NIC wakers' deferral path.
@@ -149,6 +149,8 @@ enum State {
     /// returns. (A cancelled *queued* node is unlinked and freed at once,
     /// so a linked node is never in this state.)
     Cancelled,
+    /// Re-armed at never: off the queue, not pending, body and handle kept.
+    Parked,
 }
 
 /// The cold per-node record: everything the wheel's walk does not need
@@ -456,22 +458,30 @@ impl EventQueue {
                 self.nodes[h.idx as usize].state = State::Cancelled;
                 true
             }
+            State::Parked => {
+                self.free(h.idx);
+                true
+            }
             State::Free | State::Cancelled => false,
         }
     }
 
-    /// Moves a pending event to a new deadline (eagerly re-placed through
-    /// [`file`](Self::file), fresh FIFO rank — whichever lane it was in).
+    /// Moves a pending or parked event to a new deadline (eagerly filed
+    /// through [`file`](Self::file), fresh FIFO rank, whatever its lane).
     /// Returns `false` for stale handles and for events currently firing
     /// (a recurring body re-arms itself via its return value instead).
     pub(crate) fn reschedule(&mut self, h: TimerHandle, at: u64) -> bool {
-        let Some(n) = self.nodes.get(h.idx as usize) else {
+        let Some(n) = self.nodes.get_mut(h.idx as usize) else {
             return false;
         };
-        if n.gen != h.gen || n.state != State::Queued {
-            return false;
+        match (n.gen == h.gen, n.state) {
+            (true, State::Queued) => self.unlink(h.idx),
+            (true, State::Parked) => {
+                n.state = State::Queued;
+                self.live += 1;
+            }
+            _ => return false,
         }
-        self.unlink(h.idx);
         self.at[h.idx as usize] = at;
         self.file(h.idx);
         true
@@ -673,11 +683,17 @@ impl EventQueue {
 
     /// Finishes a recurring fire: re-arms the node at `next`, clamped to
     /// now (unless the body asked to stop or the event was cancelled
-    /// mid-fire). A re-arm strictly ahead of the wheel's floor is held
-    /// when the slot is free; anything else is filed like a schedule.
+    /// mid-fire; at never it parks). A re-arm strictly ahead of the
+    /// wheel's floor is held when the slot is free; anything else is filed
+    /// like a schedule.
     pub(crate) fn end_recurring(&mut self, idx: u32, next: Option<u64>, body: Body) {
         let state = self.nodes[idx as usize].state;
         match (state, next) {
+            (State::Firing, Some(u64::MAX)) => {
+                let n = &mut self.nodes[idx as usize];
+                n.state = State::Parked;
+                n.body = Some(body);
+            }
             (State::Firing, Some(at)) => {
                 let at = at.max(self.now);
                 self.at[idx as usize] = at;

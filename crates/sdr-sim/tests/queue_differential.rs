@@ -4,8 +4,9 @@
 //! The reference is the model at the bottom of this file — a
 //! `BTreeMap<(deadline, rank), event>` with one rank counter, sharing no
 //! code with the engine — interpreting the same randomized programs of
-//! one-shot schedules, nested schedules, recurring events, cancels
-//! (queued and mid-fire) and re-arms, plus the two shapes the lanes exist
+//! one-shot schedules, nested schedules, recurring events (some parking
+//! at `SimTime::MAX` until a re-arm), cancels (queued and mid-fire) and
+//! re-arms, plus the two shapes the lanes exist
 //! for: zero-delay kicks scheduled from inside a firing event (the
 //! same-instant FIFO), and short-period pumps that re-arm ahead of
 //! everything (the held re-arm), with ties at the held instant scheduled
@@ -47,7 +48,9 @@ enum Op {
     /// Schedule a recurring event at `now + dt` with period `period`,
     /// firing `count` times, logging `tag` each fire. An odd `tag` ends it
     /// the hard way: the last fire cancels itself and still asks for a
-    /// re-arm, which the cancel must suppress.
+    /// re-arm, which the cancel must suppress. A `tag` ≡ 2 (mod 4) parks
+    /// instead: its last fire re-arms at `SimTime::MAX`, off the queue
+    /// until a `Reschedule` brings it back for one more fire.
     Recurring {
         dt: u64,
         period: u64,
@@ -194,6 +197,9 @@ fn run_program(ops: &[Op], drive: Drive) -> Trace {
                     left = left.saturating_sub(1);
                     if left == 0 && tag % 2 == 1 {
                         e.cancel(hs.borrow()[me]);
+                    }
+                    if left == 0 && tag % 4 == 2 {
+                        return Some(SimTime::MAX);
                     }
                     (left > 0 || tag % 2 == 1).then(|| e.now() + SimTime(period))
                 });
@@ -433,6 +439,27 @@ fn cancel_while_firing_suppresses_rearm() {
     assert_eq!(eng.pending_events(), 0);
 }
 
+/// A recurring event that re-arms at never is parked: not pending, so a
+/// run drains past it, until a reschedule files it again; a cancel frees it.
+#[test]
+fn a_recurring_event_re_armed_at_never_parks_until_rescheduled() {
+    let mut eng = Engine::new();
+    eng.set_event_limit(10);
+    let fires = Rc::new(Cell::new(0u32));
+    let f = fires.clone();
+    let h = eng.schedule_recurring_in(SimTime::from_nanos(10), move |_| {
+        f.set(f.get() + 1);
+        Some(SimTime::MAX)
+    });
+    eng.run();
+    assert_eq!((fires.get(), eng.now()), (1, SimTime::from_nanos(10)));
+    assert!(eng.pending_events() == 0 && !eng.is_scheduled(h));
+    assert!(eng.reschedule(h, SimTime::from_nanos(40)));
+    eng.run();
+    assert_eq!((fires.get(), eng.now()), (2, SimTime::from_nanos(40)));
+    assert!(eng.cancel(h) && !eng.reschedule(h, SimTime::from_nanos(50)));
+}
+
 /// Dense churn around cancel/re-arm of *many* timers parked in one far
 /// slot: exercises O(1) unlinking from a dense slot and the cascade of
 /// what is left.
@@ -556,12 +583,14 @@ struct Pump {
     fired: u32,
 }
 
-/// Where a model handle stands: pending under a queue key, firing, or dead.
-/// Handles are never reused, so a dead one stays dead.
+/// Where a model handle stands: pending under a queue key, firing,
+/// parked off the queue, or dead. Handles are never reused, so a dead one
+/// stays dead.
 #[derive(Clone, Copy)]
 enum St {
     Pending((u64, u64)),
     Firing,
+    Parked(Ev),
     Dead,
 }
 
@@ -597,9 +626,13 @@ impl Model {
     }
 
     fn reschedule(&mut self, id: usize, at: u64) {
-        if let St::Pending(key) = self.st[id] {
-            let (_, ev) = self.q.remove(&key).expect("pending is queued");
-            self.arm(id, at, ev);
+        match self.st[id] {
+            St::Pending(key) => {
+                let (_, ev) = self.q.remove(&key).expect("pending is queued");
+                self.arm(id, at, ev);
+            }
+            St::Parked(ev) => self.arm(id, at, ev),
+            St::Firing | St::Dead => {}
         }
     }
 }
@@ -669,11 +702,13 @@ fn run_model(ops: &[Op]) -> Trace {
             }
             Ev::Recur(tag, period, left) => {
                 log.push((at, tag));
-                let (left, hard_stop) = (left - 1, tag % 2 == 1);
+                let (left, hard_stop) = (left.saturating_sub(1), tag % 2 == 1);
                 if left == 0 && hard_stop {
                     m.cancel(id);
                 }
-                (left > 0 || hard_stop).then_some((at + period, Ev::Recur(tag, period, left)))
+                let park = left == 0 && tag % 4 == 2;
+                let next = if park { u64::MAX } else { at + period };
+                (left > 0 || hard_stop || park).then_some((next, Ev::Recur(tag, period, left)))
             }
             Ev::Kick(tag, act) => {
                 m.st[id] = St::Dead;
@@ -726,6 +761,7 @@ fn run_model(ops: &[Op]) -> Trace {
             }
         };
         match (m.st[id], next) {
+            (St::Firing, Some((u64::MAX, ev))) => m.st[id] = St::Parked(ev),
             (St::Firing, Some((at, ev))) => m.arm(id, at, ev),
             _ => m.st[id] = St::Dead,
         }
