@@ -272,8 +272,9 @@ fn main() {
     // bounds the checksum overhead the reliability layer can afford. Timed
     // at the grains the stack hashes: a 64 KiB chunk (EC shard audit), a
     // 4 KiB and a 256 B payload (`nic.rs`, both MTUs the benchmark runs;
-    // control datagrams are shorter still) — the last never reaches the
-    // hardware tier's interleaved path, so it watches the serial loop.
+    // control datagrams are shorter still). 256 B is the shortest input
+    // the `vpclmul` tier folds and never reaches `sse42`'s interleaved
+    // path, so on `sse42` it watches the serial loop.
     const CRC_GRAINS: [usize; 3] = [64 * 1024, 4096, 256];
     table_header(
         "CRC32C kernel throughput (GiB/s by input length)",
@@ -309,13 +310,15 @@ fn main() {
     }
     json.push_str("  ],\n");
     println!(
-        "Expected shape: the hardware tier (sse42) runs three interleaved\n\
+        "Expected shape: vpclmul folds 256 B per turn on 512-bit carry-less\n\
+         multiplies — about three times sse42 at 4 KiB and 64 KiB, and above\n\
+         it at 256 B too, where it folds once. sse42 runs three interleaved\n\
          CRC32 chains per 4032 B block — about three times its own 256 B row,\n\
          which is one latency-bound chain (8 B per 3 cycles) — and an order of\n\
          magnitude above slice-by-8, which reads the same at every length.\n\
          Two passes per payload byte (sender post, receiver NIC verify) at\n\
-         the 4 KiB figure are what the benchmark's erasure.crc32c.est_share\n\
-         charges the stack."
+         the active tier's 4 KiB figure are what the benchmark's\n\
+         erasure.crc32c.est_share charges the stack."
     );
 
     table_header(

@@ -3,16 +3,70 @@
 //! Every integrity check PR 10 adds — control-datagram trailers, per-packet
 //! payload checksums, EC shard validation, the whole-message delivery
 //! digest — funnels through this one primitive, so it must stay off the
-//! goodput critical path. Two tiers, selected **once** at startup into a
+//! goodput critical path. Three tiers, selected **once** at startup into a
 //! [`Crc32c`] vtable exactly like the GF(2^8) [`Kernel`](crate::Kernel):
 //!
+//! * `vpclmul` — carry-less folding on 512-bit `VPCLMULQDQ` (below), the
+//!   method of Gopal et al., "Fast CRC Computation for Generic Polynomials
+//!   Using PCLMULQDQ Instruction" (Intel, 2009), 64 B per fold; registered
+//!   when the host has `avx512f`, `avx512vl`, `vpclmulqdq`, `pclmulqdq`
+//!   and `sse4.2`.
 //! * `sse42` — the x86_64 `CRC32` instruction (`_mm_crc32_u64`), the
 //!   hardware tier ISA-L and the kernel's `crc32c-intel` use, run as
 //!   **three interleaved chains** (below).
 //! * `slice8` — the classic slice-by-8 table walk (8 × 256 u32 tables
 //!   built at compile time), the portable software fallback.
 //!
-//! # Why three chains
+//! A tier is an instruction-set level: within a level a faster path
+//! replaces the body (three chains replaced `sse42`'s one), and a row is
+//! added only for a new level. GiB/s by input length, `fig11`'s table on
+//! the 2.1 GHz reference host, median of five runs (each call's window
+//! chosen by the last checksum, so calls do not overlap):
+//!
+//! | tier      | 256 B | 4 KiB | 64 KiB |
+//! |-----------|-------|-------|--------|
+//! | `slice8`  | 1.19  | 1.21  | 1.20   |
+//! | `sse42`   | 5.95  | 17.5  | 17.3   |
+//! | `vpclmul` | 12.2  | 54.7  | 61.0   |
+//!
+//! # Folding (`vpclmul`)
+//!
+//! The raw state after a message `M` is `M(x) · x³² mod P`, once the
+//! incoming state is XORed into `M`'s first 4 bytes. So a 16 B lane `L`
+//! that starts `d` bytes before another lane `B` may be replaced by
+//! `L · x⁸ᵈ mod P` XORed into `B` without changing the result, and what
+//! is left of the input is `d` bytes shorter. Split `L`'s 128 bits
+//! into its two qwords, `L = H · x⁶⁴ ⊕ G`, and the fold is two carry-less
+//! multiplies by 32-bit constants, `H · (x^(8d+64) mod P) ⊕ G · (x^(8d)
+//! mod P)`, each at most 127 bits: a lane again, with no reduction. In the
+//! reflected representation each constant sits in the low half of its
+//! qword, which costs it 32 powers of `x`, and the reflected product comes
+//! out one bit low, which costs one more; so the constants for distance
+//! `d` are `x^(8d+31) mod P` and `x^(8d−33) mod P`, built by `const fn`
+//! from the same `mul_mod_p` square-and-multiply that builds `sse42`'s
+//! merge tables (checked against `slice8` over zero bytes in the tests).
+//!
+//! A 512-bit `VPCLMULQDQ` folds four lanes at once, 64 B; a fold is two
+//! multiplies and one three-way XOR (`vpternlogq`), the input line XORed
+//! in as the third operand. Each accumulator is a dependency chain one
+//! multiply plus one XOR deep per turn, and the multiplies of every fold
+//! share one port, so the accumulators must be enough to cover a chain's
+//! latency and few enough to leave the merge short. Four (256 B a turn)
+//! measured best, `fig11` GiB/s at 4 KiB / 64 KiB with the merge below
+//! as a serial chain in all three: two 46–49 / 48–61, four 49–54 /
+//! 59–70, eight 47–51 / 57–63. After the last whole turn the four merge
+//! into the last with 192, 128 and 64 B folds whose multiplies are
+//! independent (only their XORs chain: 256 B 10.1–10.7 → 12.6–13.6 and
+//! 4 KiB 49–54 → 55–56 against three chained 64 B folds), any whole lines
+//! left fold in with 64 B folds, and the four lanes narrow to one with
+//! 48, 32 and 16 B folds. That lane and the sub-line tail run `sse42`'s
+//! serial loop, as does every input under 256 B — one serial loop for
+//! both tiers. Each turn asks for its four lines 1 KiB ahead, past the
+//! input's end too: `bulk_sr_4k` posts its source buffer cold and hashes
+//! it packet after packet, and without the prefetch its
+//! `wall_ns_per_pkt` read 6–7 % higher (seeds 7 / 8, 17 of 20 pairs).
+//!
+//! # Why three chains (`sse42`)
 //!
 //! `CRC32 r64, m64` has a 3-cycle latency and a 1-per-cycle throughput.
 //! One chain — each step waiting for the state the last one produced —
@@ -68,7 +122,8 @@
 //! this one 11–35 % under it, five rounds of five.
 //!
 //! Dispatch can be pinned for testing/benchmarks with the
-//! `SDR_CRC32C_KERNEL` environment variable (`slice8`, `sse42`).
+//! `SDR_CRC32C_KERNEL` environment variable (`slice8`, `sse42`,
+//! `vpclmul`).
 //!
 //! The polynomial is Castagnoli 0x1EDC6F41 (reflected 0x82F63B78) — the
 //! iSCSI/RDMA choice, *not* the zlib CRC32 — with the conventional
@@ -143,28 +198,48 @@ fn step_slice8(mut crc: u32, mut data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
+// Arithmetic mod P: the hardware tiers' merge tables and fold constants.
+// ---------------------------------------------------------------------------
+
+/// `a · b mod P` on reflected 32-bit polynomials (bit 31 is x⁰) — the
+/// representation the raw CRC state lives in.
+#[cfg(target_arch = "x86_64")]
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0u32;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    p
+}
+
+/// `xᵉ mod P`, reflected, by square-and-multiply.
+#[cfg(target_arch = "x86_64")]
+const fn x_pow_mod_p(mut e: usize) -> u32 {
+    let mut xe = 1u32 << 31;
+    let mut sq = 1u32 << 30;
+    while e != 0 {
+        if e & 1 != 0 {
+            xe = mul_mod_p(xe, sq);
+        }
+        sq = mul_mod_p(sq, sq);
+        e >>= 1;
+    }
+    xe
+}
+
+// ---------------------------------------------------------------------------
 // Hardware tier: the x86_64 CRC32 instruction (SSE4.2), three chains.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod sse42 {
-    use super::POLY;
+    use super::{mul_mod_p, x_pow_mod_p};
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8, _mm_prefetch, _MM_HINT_T0};
-
-    /// `a · b mod P` on reflected 32-bit polynomials (bit 31 is x⁰) — the
-    /// representation the raw CRC state lives in.
-    const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
-        let mut p = 0u32;
-        let mut m = 1u32 << 31;
-        while m != 0 {
-            if a & m != 0 {
-                p ^= b;
-            }
-            m >>= 1;
-            b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
-        }
-        p
-    }
 
     /// The "advance over `n` zero bytes" operator, `step(c, 0ⁿ) = c · x⁸ⁿ
     /// mod P`, as four byte-indexed tables: it is linear in `c`, so it is
@@ -172,17 +247,7 @@ mod sse42 {
     type Shift = [[u32; 256]; 4];
 
     const fn build_shift(n: usize) -> Shift {
-        // x⁸ⁿ mod P by square-and-multiply.
-        let mut xn = 1u32 << 31;
-        let mut sq = 1u32 << 30;
-        let mut e = 8 * n;
-        while e != 0 {
-            if e & 1 != 0 {
-                xn = mul_mod_p(xn, sq);
-            }
-            sq = mul_mod_p(sq, sq);
-            e >>= 1;
-        }
+        let xn = x_pow_mod_p(8 * n);
         let mut t = [[0u32; 256]; 4];
         let mut j = 0;
         while j < 4 {
@@ -287,6 +352,106 @@ fn step_sse42(crc: u32, data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
+// Hardware tier: carry-less folding on 512-bit VPCLMULQDQ.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod vpclmul {
+    use super::{sse42, x_pow_mod_p};
+    use std::arch::x86_64::*;
+
+    /// The pair that carries a 16 B lane `d` bytes forward (module docs):
+    /// `[x^(8d+31), x^(8d−33)] mod P`, multiplied into the lane's low
+    /// qword (its high-degree half, reflected) and its high qword.
+    const fn fold(d: usize) -> [u64; 2] {
+        [
+            x_pow_mod_p(8 * d + 31) as u64,
+            x_pow_mod_p(8 * d - 33) as u64,
+        ]
+    }
+
+    pub(super) const K256: [u64; 2] = fold(256);
+    pub(super) const K192: [u64; 2] = fold(192);
+    pub(super) const K128: [u64; 2] = fold(128);
+    pub(super) const K64: [u64; 2] = fold(64);
+    pub(super) const K48: [u64; 2] = fold(48);
+    pub(super) const K32: [u64; 2] = fold(32);
+    pub(super) const K16: [u64; 2] = fold(16);
+
+    /// How far ahead of the four lines it folds a turn prefetches.
+    const PREFETCH_AHEAD: usize = 1024;
+
+    /// Every input of 256 B or more folds 256 B per turn into four 512-bit
+    /// accumulators (the incoming state XORed into the first 4 bytes),
+    /// which merge into the last with 192, 128 and 64 B folds, take any
+    /// whole lines left with 64 B folds, and narrow to one 16 B lane with
+    /// 48, 32 and 16 B folds; that lane and the tail, and every shorter
+    /// input, run `sse42::step`.
+    #[target_feature(enable = "avx512f,avx512vl,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub fn step(crc: u32, data: &[u8]) -> u32 {
+        if data.len() < 256 {
+            return sse42::step(crc, data);
+        }
+        // SAFETY: a `&[u8; 64]` is 64 readable bytes, and `loadu` takes
+        // any alignment.
+        let load = |l: &[u8; 64]| unsafe { _mm512_loadu_si512(l.as_ptr().cast()) };
+        let wide = |k: [u64; 2]| _mm512_broadcast_i32x4(_mm_set_epi64x(k[1] as i64, k[0] as i64));
+        // Each 16 B lane of `a` carried the distance `k` was built for
+        // and XORed onto the same lane of `b`.
+        let fold = |a: __m512i, k: __m512i, b: __m512i| {
+            let p0 = _mm512_clmulepi64_epi128::<0x00>(a, k);
+            let p1 = _mm512_clmulepi64_epi128::<0x11>(a, k);
+            _mm512_ternarylogic_epi64::<0x96>(p0, p1, b)
+        };
+        let fold_lane = |a: __m128i, k: [u64; 2], b: __m128i| {
+            let k = _mm_set_epi64x(k[1] as i64, k[0] as i64);
+            let p0 = _mm_clmulepi64_si128::<0x00>(a, k);
+            let p1 = _mm_clmulepi64_si128::<0x11>(a, k);
+            _mm_ternarylogic_epi64::<0x96>(p0, p1, b)
+        };
+
+        let (lines, tail) = data.as_chunks::<64>();
+        let (first, rest) = lines.split_at(4);
+        let mut acc: [__m512i; 4] = std::array::from_fn(|i| load(&first[i]));
+        let state = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
+        acc[0] = _mm512_xor_si512(acc[0], state);
+        let (turns, left) = rest.as_chunks::<4>();
+        let k256 = wide(K256);
+        for turn in turns {
+            for (a, l) in acc.iter_mut().zip(turn) {
+                // The address may lie past the input, which a prefetch may.
+                let ahead = l.as_ptr().wrapping_add(PREFETCH_AHEAD);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                *a = fold(*a, k256, load(l));
+            }
+        }
+        // The three merge folds are independent: only their XORs chain.
+        let k64 = wide(K64);
+        let [a0, a1, a2, a3] = acc;
+        let mut a = fold(a0, wide(K192), fold(a1, wide(K128), fold(a2, k64, a3)));
+        for l in left {
+            a = fold(a, k64, load(l));
+        }
+        let mut x = _mm512_extracti32x4_epi32::<3>(a);
+        x = fold_lane(_mm512_extracti32x4_epi32::<0>(a), K48, x);
+        x = fold_lane(_mm512_extracti32x4_epi32::<1>(a), K32, x);
+        x = fold_lane(_mm512_extracti32x4_epi32::<2>(a), K16, x);
+        let mut last = [0u8; 16];
+        last[..8].copy_from_slice(&_mm_cvtsi128_si64(x).to_le_bytes());
+        last[8..].copy_from_slice(&_mm_extract_epi64::<1>(x).to_le_bytes());
+        sse42::step(sse42::step(0, &last), tail)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn step_vpclmul(crc: u32, data: &[u8]) -> u32 {
+    // SAFETY: `step` needs the features it enables, and VPCLMUL is only
+    // installed in the vtable after `is_x86_feature_detected!` confirmed
+    // each of them (`detect_available`).
+    unsafe { vpclmul::step(crc, data) }
+}
+
+// ---------------------------------------------------------------------------
 // The dispatch vtable.
 // ---------------------------------------------------------------------------
 
@@ -312,13 +477,23 @@ static SSE42: Crc32c = Crc32c {
     step: step_sse42,
 };
 
+#[cfg(target_arch = "x86_64")]
+static VPCLMUL: Crc32c = Crc32c {
+    name: "vpclmul",
+    step: step_vpclmul,
+};
+
 fn detect_available() -> Vec<&'static Crc32c> {
     #[allow(unused_mut)]
     let mut found: Vec<&'static Crc32c> = vec![&SLICE8];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("sse4.2") {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("sse4.2") {
             found.push(&SSE42);
+            if has!("avx512f") && has!("avx512vl") && has!("vpclmulqdq") && has!("pclmulqdq") {
+                found.push(&VPCLMUL);
+            }
         }
     }
     found
@@ -344,8 +519,8 @@ fn select_active() -> &'static Crc32c {
 }
 
 impl Crc32c {
-    /// The kernel the integrity checks are using: the hardware tier when
-    /// the host has it, selected once (overridable via
+    /// The kernel the integrity checks are using: the best tier the host
+    /// has, selected once (overridable via
     /// `SDR_CRC32C_KERNEL`).
     pub fn active() -> &'static Crc32c {
         static ACTIVE: OnceLock<&'static Crc32c> = OnceLock::new();
@@ -353,7 +528,7 @@ impl Crc32c {
     }
 
     /// All tiers usable on this host, slowest first. Always contains
-    /// `slice8`; `sse42` appears when detected.
+    /// `slice8`; `sse42` and then `vpclmul` appear when detected.
     pub fn all() -> &'static [&'static Crc32c] {
         available()
     }
@@ -363,7 +538,7 @@ impl Crc32c {
         &SLICE8
     }
 
-    /// Looks a tier up by name (`"slice8"`, `"sse42"`).
+    /// Looks a tier up by name (`"slice8"`, `"sse42"`, `"vpclmul"`).
     pub fn by_name(name: &str) -> Option<&'static Crc32c> {
         available().iter().copied().find(|k| k.name == name)
     }
@@ -497,6 +672,31 @@ mod tests {
         }
     }
 
+    /// Each fold pair is `[x^(8d+31), x^(8d−33)] mod P`: `x³¹` (state bit
+    /// 0) advanced over `d` zero bytes, and `x⁷` (state bit 24) over `d − 5`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_x_to_those_powers_mod_p() {
+        use super::vpclmul::{K128, K16, K192, K256, K32, K48, K64};
+        let zeros = vec![0u8; 256];
+        let folds = [
+            (16, K16),
+            (32, K32),
+            (48, K48),
+            (64, K64),
+            (128, K128),
+            (192, K192),
+            (256, K256),
+        ];
+        for (d, k) in folds {
+            let want = [
+                step_slice8(1, &zeros[..d]),
+                step_slice8(1 << 24, &zeros[..d - 5]),
+            ];
+            assert_eq!(k, want.map(u64::from), "fold distance {d}");
+        }
+    }
+
     /// Not sampled, enumerated: every length from 0 through two blocks plus
     /// 64 B, at every head offset 0..=8, on every tier — each count of
     /// blocks, tail qwords and tail bytes the interleaved kernel can be
@@ -524,8 +724,9 @@ mod tests {
     /// A 2 MiB message streamed through [`Crc32cHasher`] from a non-initial
     /// state (a 5-byte preamble went in first) with the split at every byte
     /// within ±9 of every stripe and block boundary of the first three
-    /// blocks — measured from the front (the first update ends there) and
-    /// from the back (the second update is that long).
+    /// blocks, and of every 64 B line (so every 256 B fold turn) boundary
+    /// of the first KiB — measured from the front (the first update ends
+    /// there) and from the back (the second update is that long).
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn streamed_splits_around_every_stripe_and_block_boundary() {
@@ -534,8 +735,8 @@ mod tests {
         let want = crc_bitwise(&buf);
         let (preamble, body) = buf.split_at(5);
         let mut splits = std::collections::BTreeSet::new();
-        for stripe in 0..=9 {
-            let boundary = stripe * sse42::STRIPE;
+        let stripes = (0..=9).map(|stripe| stripe * sse42::STRIPE);
+        for boundary in stripes.chain((0..=1024).step_by(64)) {
             for at in boundary.saturating_sub(9)..=boundary + 9 {
                 splits.insert(at);
                 splits.insert(LEN - at);
@@ -549,6 +750,16 @@ mod tests {
                 h.update(&body[split..]);
                 assert_eq!(h.finalize(), want, "tier {} split {split}", k.name());
             }
+        }
+    }
+
+    /// A pin is a promise about which tier runs: when `SDR_CRC32C_KERNEL`
+    /// names one, it is the active tier — on a host that cannot honour the
+    /// pin this fails instead of testing another tier under its name.
+    #[test]
+    fn a_pinned_tier_is_the_active_one() {
+        if let Ok(pin) = std::env::var("SDR_CRC32C_KERNEL") {
+            assert_eq!(Crc32c::active().name(), pin);
         }
     }
 

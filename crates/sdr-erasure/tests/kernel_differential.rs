@@ -237,24 +237,36 @@ proptest! {
     }
 }
 
-/// x86_64 hosts with SSE4.2 must register the hardware CRC tier — CI on
-/// such hosts must never silently differential-test slice8 against itself.
+/// x86_64 hosts must register every hardware CRC tier they can run — CI on
+/// such hosts must never silently differential-test a lower tier against
+/// itself: `sse42` iff SSE4.2, `vpclmul` iff it and AVX-512F/VL,
+/// VPCLMULQDQ and PCLMULQDQ; the best registered tier is last.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn sse42_crc_tier_registered_when_host_supports_it() {
-    let host_has = std::arch::is_x86_feature_detected!("sse4.2");
-    assert_eq!(
-        sdr_erasure::Crc32c::by_name("sse42").is_some(),
-        host_has,
-        "sse42 CRC tier registration must match host feature detection"
-    );
-    if host_has {
-        let names: Vec<_> = sdr_erasure::Crc32c::all()
-            .iter()
-            .map(|k| k.name())
-            .collect();
-        assert_eq!(*names.last().unwrap(), "sse42");
+    use std::arch::is_x86_feature_detected as has;
+    let has_sse42 = has!("sse4.2");
+    let has_vpclmul =
+        has_sse42 && has!("avx512f") && has!("avx512vl") && has!("vpclmulqdq") && has!("pclmulqdq");
+    for (name, host_has) in [("sse42", has_sse42), ("vpclmul", has_vpclmul)] {
+        assert_eq!(
+            sdr_erasure::Crc32c::by_name(name).is_some(),
+            host_has,
+            "{name} CRC tier registration must match host feature detection"
+        );
     }
+    let names: Vec<_> = sdr_erasure::Crc32c::all()
+        .iter()
+        .map(|k| k.name())
+        .collect();
+    let best = if has_vpclmul {
+        "vpclmul"
+    } else if has_sse42 {
+        "sse42"
+    } else {
+        "slice8"
+    };
+    assert_eq!(*names.last().unwrap(), best);
 }
 
 /// Hosts advertising GFNI + AVX-512 must actually register the `gfni` tier

@@ -309,7 +309,8 @@ impl RxFilter {
 /// A UD endpoint carrying stamped [`CtrlMsg`] datagrams for a reliability
 /// protocol.
 pub struct ControlEndpoint {
-    fabric: Fabric,
+    /// The completion waker reaches the fabric through a `Weak` to this.
+    fabric: Rc<Fabric>,
     node: NodeId,
     qp: QpNum,
     handler: Rc<RefCell<Option<CtrlHandler>>>,
@@ -335,7 +336,7 @@ pub struct ControlEndpoint {
 impl ControlEndpoint {
     /// Creates the endpoint on `node`, pre-posting its receive buffers and
     /// hooking a completion waker that stamp-filters and dispatches to the
-    /// handler.
+    /// handler while the endpoint lives.
     pub fn new(fabric: &Fabric, node: NodeId) -> Self {
         let handler: Rc<RefCell<Option<CtrlHandler>>> = Rc::new(RefCell::new(None));
         let flow_handler: Rc<RefCell<Option<FlowCtrlHandler>>> = Rc::new(RefCell::new(None));
@@ -369,7 +370,12 @@ impl ControlEndpoint {
             }
             (qp, cq, base)
         });
-        let fab = fabric.clone();
+        // The waker lives in the node, so it reaches the fabric through
+        // the endpoint's handle, held weakly: a strong `Fabric` here would
+        // close a fabric → node → waker → fabric cycle and leak every
+        // node's memory.
+        let own = Rc::new(fabric.clone());
+        let weak = Rc::downgrade(&own);
         let h = handler.clone();
         let fh = flow_handler.clone();
         let filter = rx.clone();
@@ -377,6 +383,7 @@ impl ControlEndpoint {
             n.set_cq_waker(
                 cq,
                 Waker::new(move |eng| {
+                    let Some(fab) = weak.upgrade() else { return };
                     while let Some(cqe) = fab.node_mut(node, |n| n.poll_cq(cq)) {
                         if cqe.op != sdr_sim::CqeOp::RecvSend {
                             continue;
@@ -430,7 +437,7 @@ impl ControlEndpoint {
             );
         });
         ControlEndpoint {
-            fabric: fabric.clone(),
+            fabric: own,
             node,
             qp,
             handler,

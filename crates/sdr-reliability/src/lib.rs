@@ -288,8 +288,9 @@
 //!      that.
 //!
 //!   All four funnel through the one runtime-dispatched
-//!   `sdr_erasure::crc32c` primitive (hardware `sse42` / portable
-//!   `slice8`, differentially tested tier-against-tier), and the whole
+//!   `sdr_erasure::crc32c` primitive (hardware `vpclmul` folding /
+//!   `sse42` / portable `slice8`, differentially tested tier-against-tier,
+//!   every tier bit-identical), and the whole
 //!   stack holds under `SDR_CRC32C_KERNEL=slice8`. The contract the
 //!   corruption soak enforces: **byte-identical delivery or a clean
 //!   abort — never silent corruption.**
