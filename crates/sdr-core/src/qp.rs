@@ -139,8 +139,6 @@ struct SendState {
     total_len: u64,
     user_imm: Option<u32>,
     peer_buf_len: u64,
-    /// One-shot sends posted before their CTS arrived wait here.
-    deferred_oneshot: bool,
     stream_open: bool,
     injected_any: bool,
     outstanding_sig: u32,
@@ -183,8 +181,13 @@ struct QpInner {
     send_seq: u64,
     sends: IntMap<u64, SendState>,
     next_handle: u64,
-    /// CTS credits received, keyed by send sequence.
+    /// CTS credits received and not yet spent, keyed by send sequence: a
+    /// credit is taken when its send opens, so the map holds at most one
+    /// entry per posted receive the sender has not opened.
     cts_credits: IntMap<u64, u64>,
+    /// One-shot sends posted before their CTS arrived, send sequence →
+    /// handle id (order-based matching gives at most one per sequence).
+    deferred: IntMap<u64, u64>,
     cts_callback: Option<CtsCallback>,
     rr: u64,
     stats: SdrStats,
@@ -246,6 +249,7 @@ impl SdrQp {
                 sends: IntMap::default(),
                 next_handle: 0,
                 cts_credits: IntMap::default(),
+                deferred: IntMap::default(),
                 cts_callback: None,
                 rr: 0,
                 stats: SdrStats::default(),
@@ -628,7 +632,7 @@ impl SdrQp {
     /// Opens a streaming send (`send_stream_start`): allocates the message
     /// context without transmitting. Requires the CTS credit to be present
     /// (streams are driven by reliability layers that react to CTS via
-    /// [`set_cts_callback`](Self::set_cts_callback)).
+    /// [`set_cts_callback`](Self::set_cts_callback)), and spends it.
     pub fn send_stream_start(
         &self,
         _eng: &mut Engine,
@@ -637,23 +641,20 @@ impl SdrQp {
         user_imm: Option<u32>,
     ) -> Result<SendHandle, SdrError> {
         let hdl = self.send_start_common(addr, len, user_imm, true)?;
-        let i = self.inner.borrow();
-        let st = &i.sends[&hdl.id];
-        if !i.cts_credits.contains_key(&st.seq) {
-            drop(i);
-            self.inner.borrow_mut().sends.remove(&hdl.id);
-            // Roll back the sequence number we consumed.
-            self.inner.borrow_mut().send_seq -= 1;
-            return Err(SdrError::NoCts);
-        }
-        let peer_len = i.cts_credits[&st.seq];
-        if len > peer_len {
-            drop(i);
-            self.inner.borrow_mut().sends.remove(&hdl.id);
-            self.inner.borrow_mut().send_seq -= 1;
-            return Err(SdrError::TooLarge);
-        }
-        Ok(hdl)
+        let mut i = self.inner.borrow_mut();
+        let seq = i.sends[&hdl.id].seq;
+        let err = match i.cts_credits.get(&seq) {
+            Some(&peer_len) if len <= peer_len => {
+                i.cts_credits.remove(&seq);
+                return Ok(hdl);
+            }
+            Some(_) => SdrError::TooLarge,
+            None => SdrError::NoCts,
+        };
+        i.sends.remove(&hdl.id);
+        // Roll back the sequence number we consumed.
+        i.send_seq -= 1;
+        Err(err)
     }
 
     fn send_start_common(
@@ -686,7 +687,6 @@ impl SdrQp {
                 total_len: len,
                 user_imm,
                 peer_buf_len: 0,
-                deferred_oneshot: false,
                 stream_open: stream,
                 injected_any: false,
                 outstanding_sig: 0,
@@ -695,30 +695,29 @@ impl SdrQp {
         Ok(SendHandle { id })
     }
 
+    /// Injects a one-shot send whose credit has arrived, spending the
+    /// credit, or defers it until the credit does.
     fn try_inject_oneshot(&self, eng: &mut Engine, hdl: SendHandle) -> Result<(), SdrError> {
-        let ready = {
+        let seq = {
             let mut i = self.inner.borrow_mut();
-            let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
-            let seq = st.seq;
-            match i.cts_credits.get(&seq).copied() {
-                Some(peer_len) => {
-                    let st = i.sends.get_mut(&hdl.id).expect("checked");
-                    if st.total_len > peer_len {
-                        return Err(SdrError::TooLarge);
-                    }
+            let i = &mut *i;
+            let st = i.sends.get_mut(&hdl.id).ok_or(SdrError::BadHandle)?;
+            match i.cts_credits.get(&st.seq) {
+                Some(&peer_len) if st.total_len > peer_len => return Err(SdrError::TooLarge),
+                Some(&peer_len) => {
                     st.peer_buf_len = peer_len;
-                    true
+                    st.seq
                 }
                 None => {
-                    let st = i.sends.get_mut(&hdl.id).expect("checked");
-                    st.deferred_oneshot = true;
-                    false
+                    i.deferred.insert(st.seq, hdl.id);
+                    return Ok(());
                 }
             }
         };
-        if ready {
-            self.inject_range(eng, hdl, 0, u64::MAX, |_, _| {})?;
-        }
+        self.inject_range(eng, hdl, 0, u64::MAX, |_, _| {})?;
+        let mut i = self.inner.borrow_mut();
+        i.cts_credits.remove(&seq);
+        i.deferred.remove(&seq);
         Ok(())
     }
 
@@ -776,18 +775,21 @@ impl SdrQp {
     pub fn send_poll(&self, hdl: &SendHandle) -> Result<bool, SdrError> {
         let i = self.inner.borrow();
         let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
-        Ok(st.injected_any && !st.stream_open && !st.deferred_oneshot && st.outstanding_sig == 0)
+        let deferred = i.deferred.contains_key(&st.seq);
+        Ok(st.injected_any && !st.stream_open && !deferred && st.outstanding_sig == 0)
     }
 
     /// Releases a completed send handle.
     pub fn send_release(&self, hdl: SendHandle) {
-        self.inner.borrow_mut().sends.remove(&hdl.id);
+        let mut i = self.inner.borrow_mut();
+        if let Some(st) = i.sends.remove(&hdl.id) {
+            // Live sends hold distinct sequences: an entry there is ours.
+            i.deferred.remove(&st.seq);
+        }
     }
 
-    /// Send contexts started and not yet [released](Self::send_release).
-    /// Every CTS credit walks them for deferred one-shots, so a sender that
-    /// never releases makes each credit cost more than the last; zero on a
-    /// QP whose transfers have all ended.
+    /// Send contexts started and not yet [released](Self::send_release);
+    /// zero on a QP whose transfers have all ended.
     pub fn live_sends(&self) -> usize {
         self.inner.borrow().sends.len()
     }
@@ -864,7 +866,6 @@ impl SdrQp {
         // Only the last packet of the range was signaled.
         st.outstanding_sig += 1;
         st.injected_any = true;
-        st.deferred_oneshot = false;
         Ok(())
     }
 
@@ -910,19 +911,12 @@ impl SdrQp {
     }
 
     fn fire_deferred(&self, eng: &mut Engine, seq: u64) {
-        let ready: Vec<SendHandle> = {
-            let i = self.inner.borrow();
-            i.sends
-                .iter()
-                .filter(|(_, st)| st.deferred_oneshot && st.seq == seq)
-                .map(|(&id, _)| SendHandle { id })
-                .collect()
-        };
-        for hdl in ready {
+        let deferred = self.inner.borrow().deferred.get(&seq).copied();
+        if let Some(id) = deferred {
             // TooLarge here means the peer posted a smaller buffer than the
             // deferred send; surfaced via stats (send stays pending forever
             // would be worse), so inject is best-effort.
-            let _ = self.try_inject_oneshot(eng, hdl);
+            let _ = self.try_inject_oneshot(eng, SendHandle { id });
         }
     }
 
@@ -991,7 +985,12 @@ impl QpInner {
             self.stats.cts_corrupt += 1;
             return None;
         }
-        self.cts_credits.insert(seq, len);
+        // A credit is kept until its send opens. A re-issued one (a CTS
+        // heal that crossed the open, or a sequence skipped by
+        // `align_send_seq`) has nothing left to open.
+        if seq >= self.send_seq || self.deferred.contains_key(&seq) {
+            self.cts_credits.insert(seq, len);
+        }
         self.stats.cts_received += 1;
         Some(Notify::Cts(seq, len))
     }
@@ -1077,5 +1076,79 @@ impl QpInner {
         self.stats.chunks_completed += 1;
         let hook = slot.chunk_hook.as_ref()?;
         Some(Notify::Chunk(hook.clone(), chunk))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::testkit::{sdr_pair, SdrPair};
+    use crate::{ImmLayout, SdrConfig};
+    use sdr_sim::LinkConfig;
+
+    fn held_credits(p: &SdrPair) -> usize {
+        p.qp_a.inner.borrow().cts_credits.len()
+    }
+
+    /// Order-based matching spends one credit per send it opens: after
+    /// any number of transfers on one QP — one-shots posted before and
+    /// after their receive, streams, a CTS heal that crosses the open —
+    /// the sender holds one credit per posted receive it has not opened,
+    /// not one per message the QP ever carried.
+    #[test]
+    fn a_credit_is_spent_when_its_send_opens() {
+        let cfg = SdrConfig {
+            max_msg_bytes: 1 << 16,
+            msg_slots: 4,
+            mtu_bytes: 4096,
+            chunk_bytes: 4 * 4096,
+            channels: 2,
+            generations: 2,
+            imm: ImmLayout::default(),
+        };
+        let mut p = sdr_pair(LinkConfig::intra_dc(8e9), cfg, 4 << 20);
+        let len = 40_000;
+        let src = p.ctx_a.alloc_buffer(len);
+        let dst = p.ctx_b.alloc_buffer(len);
+        for n in 0..12 {
+            let (sh, rh) = match n % 3 {
+                // One-shot whose credit is already there.
+                0 => {
+                    let rh = p.qp_b.recv_post(&mut p.eng, dst, len).unwrap();
+                    p.eng.run();
+                    assert_eq!(held_credits(&p), 1, "one unopened receive");
+                    (p.qp_a.send_post(&mut p.eng, src, len, None).unwrap(), rh)
+                }
+                // One-shot deferred until its credit lands.
+                1 => {
+                    let sh = p.qp_a.send_post(&mut p.eng, src, len, None).unwrap();
+                    p.eng.run();
+                    assert_eq!(held_credits(&p), 0);
+                    (sh, p.qp_b.recv_post(&mut p.eng, dst, len).unwrap())
+                }
+                // Stream, then a re-issued CTS after the open.
+                _ => {
+                    let rh = p.qp_b.recv_post(&mut p.eng, dst, len).unwrap();
+                    p.eng.run();
+                    let sh = p
+                        .qp_a
+                        .send_stream_start(&mut p.eng, src, len, None)
+                        .unwrap();
+                    p.qp_b.resend_cts(&mut p.eng, &rh).unwrap();
+                    p.qp_a
+                        .send_stream_continue(&mut p.eng, &sh, 0, len, |_, _| {})
+                        .unwrap();
+                    p.qp_a.send_stream_end(&sh).unwrap();
+                    (sh, rh)
+                }
+            };
+            p.eng.run();
+            assert!(p.qp_b.recv_is_complete(&rh).unwrap(), "transfer {n}");
+            assert!(p.qp_a.send_poll(&sh).unwrap(), "transfer {n}");
+            p.qp_b.recv_complete(&mut p.eng, &rh).unwrap();
+            p.qp_a.send_release(sh);
+            assert_eq!(held_credits(&p), 0, "after transfer {n}");
+            assert!(p.qp_a.inner.borrow().deferred.is_empty());
+        }
+        assert_eq!(p.qp_a.stats().cts_received, 12 + 4, "the heals arrived");
     }
 }

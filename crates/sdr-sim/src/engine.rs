@@ -76,8 +76,9 @@ pub struct Engine {
     stopped: bool,
     /// Substrate metrics (`engine.*`): `engine.events` gains the events
     /// executed by each `run` / `run_until` / `step` as it returns, and the
-    /// wheel records each cascade's level into the `engine.cascade_depth`
-    /// histogram. Kill-switch gated like all `sdr-trace` handles.
+    /// `engine.cascade_depth` histogram the level of each wheel cascade,
+    /// folded in at the same moment. Kill-switch gated like all
+    /// `sdr-trace` handles.
     metrics: Registry,
     /// Bound handle for `engine.events` (no registry lookup per publish).
     ev_counter: Counter,
@@ -284,12 +285,13 @@ impl Engine {
         drained
     }
 
-    /// Adds the events executed since the last publish to `engine.events`:
-    /// one counter update per `run*` / `step` return instead of one per
-    /// event.
+    /// Adds the events executed since the last publish to `engine.events`
+    /// and the wheel's cascades to `engine.cascade_depth`: one update per
+    /// `run*` / `step` return instead of one per event or cascade.
     fn publish(&mut self) {
         self.ev_counter.add(self.executed - self.published);
         self.published = self.executed;
+        self.q.publish();
     }
 
     /// Executes a single event, if any. Returns `false` when the queue is

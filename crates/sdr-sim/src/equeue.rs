@@ -303,9 +303,13 @@ pub(crate) struct EventQueue {
     /// The held re-arm, or `NIL`.
     held: u32,
     /// Level of each wheel cascade (`engine.cascade_depth`): how far up
-    /// the hierarchy the due-scan had to reach. Recording is kill-switch
-    /// gated inside `sdr-trace`.
+    /// the hierarchy the due-scan had to reach. Counted per level in
+    /// `cascades` and folded in by [`publish`](Self::publish), so a
+    /// cascade costs a plain increment, not five locked updates; recording
+    /// is kill-switch gated inside `sdr-trace`.
     cascade: Histogram,
+    /// Cascades per level since the last [`publish`](Self::publish).
+    cascades: [u64; LEVELS],
 }
 
 impl EventQueue {
@@ -324,6 +328,15 @@ impl EventQueue {
             fifo: Ends::EMPTY,
             held: NIL,
             cascade,
+            cascades: [0; LEVELS],
+        }
+    }
+
+    /// Folds the cascades counted since the last call into the
+    /// `engine.cascade_depth` histogram.
+    pub(crate) fn publish(&mut self) {
+        for (level, n) in self.cascades.iter_mut().enumerate() {
+            self.cascade.record_n(level as u64, std::mem::take(n));
         }
     }
 
@@ -657,7 +670,7 @@ impl EventQueue {
                     self.insert(cur);
                     cur = next;
                 }
-                self.cascade.record(level as u64);
+                self.cascades[level] += 1;
                 cascaded = true;
                 break;
             }

@@ -47,14 +47,62 @@
 //!   what the stragglers deliver is what they would have delivered had
 //!   the block never been recycled. Calling [`Memory::free`] directly
 //!   skips that step and is only sound for memory no packet names.
+//!
+//! # DMA writes bypass the cache
+//!
+//! A real NIC's DMA write does not pull the destination into a core's
+//! private caches. [`Memory::dma_write`], the NIC's payload landing,
+//! models that for payloads of [`STREAM_MIN_BYTES`] or more: it copies
+//! the destination's whole 64 B lines with non-temporal stores
+//! (`_mm_stream_si128`, SSE2, the x86_64 baseline — no tier, no
+//! dispatch) and only the unaligned head and tail with ordinary ones.
+//! An ordinary copy into a cold receive buffer first reads every line
+//! from DRAM (read-for-ownership), and the stall of those stores
+//! draining lands on whatever store comes next. Node address 0 is
+//! 64 B-aligned, so a 4 KiB-aligned buffer is whole lines. Other
+//! targets copy with ordinary stores.
+//!
+//! **The fence rule.** Streamed bytes may not be touched again until the
+//! storing thread issued an `sfence`. The fence is deferred, not paid
+//! per copy: `Memory` notes that streamed stores are outstanding, and
+//! every access to the bytes — [`read`](Memory::read),
+//! [`write`](Memory::write), [`regions_mut`](Memory::regions_mut),
+//! [`fill`](Memory::fill), the next `dma_write` and `Drop` — fences
+//! first when they are. The bytes are private to `Memory`, so nothing
+//! (the encode pool's slices included) reaches them unfenced. Fencing
+//! right after each copy instead gained nothing on `bulk_sr_4k`; the
+//! deferral is what lets the stores drain behind other work.
+//!
+//! **The cut.** Streaming pays where a payload's lines are many and read
+//! back late. Streaming 256 B payloads too made `bulk_sr_256b` slower in
+//! 6 of 6 paired runs (the landed bytes are read back soon after, now
+//! from DRAM), so payloads under 1 KiB keep ordinary stores, as do UD
+//! receives (control datagrams, read in the very next event).
+
+use std::cell::Cell;
 
 use crate::hash::IntMap;
 use crate::packet::MkeyId;
 
+/// The shortest payload [`Memory::dma_write`] streams past the cache
+/// (see [the cut](self#dma-writes-bypass-the-cache)).
+pub const STREAM_MIN_BYTES: usize = 1024;
+
+/// Cache line size the streaming copy writes whole.
+const LINE: usize = 64;
+
 /// Byte-addressable memory of one node and its block allocator (see the
 /// [module docs](self) for the contract).
 pub struct Memory {
+    /// Backing store, over-allocated by `LINE - 1` bytes so that node
+    /// address 0 (`buf[origin]`) can sit on a line boundary.
     buf: Vec<u8>,
+    /// Index of node address 0 in `buf`.
+    origin: usize,
+    /// Node memory size in bytes.
+    capacity: usize,
+    /// Streamed stores may be outstanding: the next access fences.
+    streamed: Cell<bool>,
     /// Bump cursor: every address below it has been handed out at least
     /// once.
     next: u64,
@@ -67,8 +115,13 @@ pub struct Memory {
 impl Memory {
     /// Creates a memory of `capacity` bytes, zero-initialised.
     pub fn new(capacity: usize) -> Self {
+        let buf = vec![0; capacity + LINE - 1];
+        let origin = buf.as_ptr().align_offset(LINE);
         Memory {
-            buf: vec![0; capacity],
+            buf,
+            origin,
+            capacity,
+            streamed: Cell::new(false),
             next: 0,
             live: IntMap::default(),
             free: IntMap::default(),
@@ -88,9 +141,9 @@ impl Memory {
             None => {
                 let base = self.next;
                 assert!(
-                    base + len <= self.buf.len() as u64,
+                    base + len <= self.capacity as u64,
                     "node memory exhausted: want {len} at {base}, capacity {}",
-                    self.buf.len()
+                    self.capacity
                 );
                 self.next += len;
                 base
@@ -125,13 +178,26 @@ impl Memory {
     /// Copies `data` to `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         let a = addr as usize;
-        self.buf[a..a + data.len()].copy_from_slice(data);
+        self.arena_mut()[a..a + data.len()].copy_from_slice(data);
+    }
+
+    /// The NIC's DMA write: copies `data` to `addr`, past the cache when
+    /// it is at least [`STREAM_MIN_BYTES`] long (see [DMA writes bypass
+    /// the cache](self#dma-writes-bypass-the-cache)). What lands is
+    /// exactly what [`write`](Self::write) would have landed.
+    pub fn dma_write(&mut self, addr: u64, data: &[u8]) {
+        if data.len() < STREAM_MIN_BYTES {
+            return self.write(addr, data);
+        }
+        let a = addr as usize;
+        stream_copy(&mut self.arena_mut()[a..a + data.len()], data);
+        self.streamed.set(cfg!(target_arch = "x86_64"));
     }
 
     /// Reads `len` bytes at `addr`.
     pub fn read(&self, addr: u64, len: usize) -> &[u8] {
         let a = addr as usize;
-        &self.buf[a..a + len]
+        &self.arena()[a..a + len]
     }
 
     /// Two disjoint regions `(addr, len)`, both writable at once — e.g. a
@@ -141,7 +207,7 @@ impl Memory {
     /// Panics when the regions overlap or either lies outside the memory.
     pub fn regions_mut(&mut self, a: (u64, usize), b: (u64, usize)) -> [&mut [u8]; 2] {
         let range = |(addr, len): (u64, usize)| addr as usize..addr as usize + len;
-        self.buf
+        self.arena_mut()
             .get_disjoint_mut([range(a), range(b)])
             .unwrap_or_else(|e| panic!("regions {a:?} and {b:?}: {e}"))
     }
@@ -149,13 +215,81 @@ impl Memory {
     /// Fills a region with a byte value (used to model repost cleanup).
     pub fn fill(&mut self, addr: u64, len: usize, value: u8) {
         let a = addr as usize;
-        self.buf[a..a + len].fill(value);
+        self.arena_mut()[a..a + len].fill(value);
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
+
+    /// The node's bytes, after any outstanding streamed stores were
+    /// fenced: the one way to them.
+    fn arena(&self) -> &[u8] {
+        self.fence();
+        &self.buf[self.origin..][..self.capacity]
+    }
+
+    /// [`arena`](Self::arena), writable.
+    fn arena_mut(&mut self) -> &mut [u8] {
+        self.fence();
+        &mut self.buf[self.origin..][..self.capacity]
+    }
+
+    /// Orders every streamed store before whatever access follows (the
+    /// fence rule in the [module docs](self#dma-writes-bypass-the-cache)).
+    #[inline]
+    fn fence(&self) {
+        if self.streamed.replace(false) {
+            // SAFETY: `sfence` is SSE, part of the x86_64 baseline.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                std::arch::x86_64::_mm_sfence()
+            };
+        }
+    }
+}
+
+impl Drop for Memory {
+    fn drop(&mut self) {
+        self.fence();
+    }
+}
+
+/// Copies `src` into `dst` (same length): `dst`'s whole 64 B lines with
+/// non-temporal stores, the partial head and tail lines with ordinary
+/// ones. The caller owns the fence.
+#[cfg(target_arch = "x86_64")]
+fn stream_copy(dst: &mut [u8], src: &[u8]) {
+    use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_stream_si128};
+    let head = dst.as_ptr().align_offset(LINE).min(dst.len());
+    let body = (dst.len() - head) / LINE * LINE;
+    let (d_head, rest) = dst.split_at_mut(head);
+    let (d_body, d_tail) = rest.split_at_mut(body);
+    let (s_head, rest) = src.split_at(head);
+    let (s_body, s_tail) = rest.split_at(body);
+    d_head.copy_from_slice(s_head);
+    for (d, s) in d_body.chunks_exact_mut(LINE).zip(s_body.chunks_exact(LINE)) {
+        let (d, s) = (
+            d.as_mut_ptr().cast::<__m128i>(),
+            s.as_ptr().cast::<__m128i>(),
+        );
+        // SAFETY: `d` is one whole 64 B-aligned line of `dst` and `s` 64
+        // readable bytes of `src`, so all four 16 B lanes are in bounds and
+        // the streamed ones 16 B-aligned as `_mm_stream_si128` requires;
+        // SSE2 is part of the x86_64 baseline.
+        unsafe {
+            for k in 0..LINE / 16 {
+                _mm_stream_si128(d.add(k), _mm_loadu_si128(s.add(k)));
+            }
+        }
+    }
+    d_tail.copy_from_slice(s_tail);
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn stream_copy(dst: &mut [u8], src: &[u8]) {
+    dst.copy_from_slice(src);
 }
 
 /// What a memory key resolves to.
@@ -441,6 +575,68 @@ mod tests {
         let root = t.insert_indirect(1024, 1);
         t.set_indirect_slot(root, 0, Some(root));
         assert_eq!(t.resolve(root, 0, 4), Err(AccessError::TooDeep));
+    }
+
+    /// The streaming DMA write against `copy_from_slice` into a model:
+    /// every length through 8 KiB + 1 (both sides of the cut, every
+    /// head / whole-line / tail split) at every destination offset in a
+    /// line, read back through each accessor in turn. A byte outside the
+    /// destination moving, or one inside it missing, fails.
+    #[test]
+    fn dma_write_lands_exactly_what_a_copy_lands() {
+        const SPAN: usize = 8 * 1024 + 1;
+        let src: Vec<u8> = (0..SPAN).map(|i| (i * 131 + i / 251) as u8).collect();
+        let mut m = Memory::new(2 * SPAN + 256);
+        assert_eq!(
+            m.read(0, 0).as_ptr() as usize % LINE,
+            0,
+            "address 0 is line-aligned"
+        );
+        let mut model = vec![0u8; m.capacity()];
+        for len in 0..=SPAN {
+            for off in 0..LINE {
+                // Alternate the destination between two arenas so each
+                // write lands on bytes the previous one did not.
+                let addr = (64 + off + (len + off) % 2 * (SPAN + 64)) as u64;
+                let data = &src[SPAN - len..];
+                m.dma_write(addr, data);
+                let a = addr as usize;
+                model[a..a + len].copy_from_slice(data);
+                let (lo, hi) = (a - 64, a + len + 64);
+                match (len + off) % 3 {
+                    0 => assert_eq!(m.read(lo as u64, hi - lo), &model[lo..hi]),
+                    1 => {
+                        let [got, _] = m.regions_mut((lo as u64, hi - lo), (0, 0));
+                        assert_eq!(&*got, &model[lo..hi]);
+                    }
+                    _ => {
+                        let (mid, n) = (a + len / 2, len.min(1));
+                        m.fill(mid as u64, n, 0xA5);
+                        model[mid..mid + n].fill(0xA5);
+                        assert_eq!(m.read(lo as u64, hi - lo), &model[lo..hi]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A duplicate landing: the second of two overlapping streamed writes
+    /// wins every byte they share, whichever way they overlap.
+    #[test]
+    fn overlapping_dma_writes_leave_the_second_ones_bytes() {
+        let (first, second) = (vec![1u8; 4096], vec![2u8; 4096]);
+        for shift in [0usize, 1, 63, 64, 100, 4095] {
+            let mut m = Memory::new(3 * 4096);
+            m.dma_write(4096, &first);
+            m.dma_write((4096 + shift) as u64, &second);
+            let mut want = vec![0u8; 3 * 4096];
+            want[4096..8192].fill(1);
+            want[4096 + shift..8192 + shift].fill(2);
+            assert_eq!(m.read(0, 3 * 4096), &want[..], "shift {shift}");
+            m.dma_write((4096 - shift) as u64, &first);
+            want[4096 - shift..8192 - shift].fill(1);
+            assert_eq!(m.read(0, 3 * 4096), &want[..], "shift -{shift}");
+        }
     }
 
     #[test]

@@ -464,10 +464,13 @@ impl Node {
                         // pass over the payload — the verbs layer records
                         // it instead of re-hashing memory), or `Skipped`,
                         // on which the verbs layer leaves the packet's bit
-                        // clear — corruption becomes loss.
+                        // clear — corruption becomes loss. Every UC landing
+                        // is a DMA write, which streams past the cache like
+                        // a device's (`Memory::dma_write`); UD receives
+                        // keep ordinary stores.
                         let computed = crc.map(|_| sdr_erasure::crc32c(payload));
                         let check = if computed == crc {
-                            self.mem.write(addr, payload);
+                            self.mem.dma_write(addr, payload);
                             self.stats.writes_landed += 1;
                             computed.map_or(unchecked, PayloadCheck::Landed)
                         } else {
@@ -488,7 +491,7 @@ impl Node {
             WriteSeg::First => {
                 let state = match self.mkeys.resolve(mkey, offset, len) {
                     Ok(Resolved::Addr(addr)) => {
-                        self.mem.write(addr, payload);
+                        self.mem.dma_write(addr, payload);
                         self.stats.writes_landed += 1;
                         UcRecvState::Active {
                             cursor: Some(addr + len),
@@ -521,7 +524,7 @@ impl Node {
                     } if pkt.psn == epsn => {
                         let new_cursor = match cursor {
                             Some(addr) => {
-                                self.mem.write(addr, payload);
+                                self.mem.dma_write(addr, payload);
                                 self.stats.writes_landed += 1;
                                 Some(addr + len)
                             }

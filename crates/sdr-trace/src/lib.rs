@@ -221,13 +221,21 @@ impl Histogram {
     /// Records one value (a no-op while the kill switch is off).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !enabled() {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` occurrences of one value at the cost of one: how a
+    /// caller that counts in a plain array on its hot path publishes.
+    /// `n = 0` records nothing (a no-op while the kill switch is off).
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 || !enabled() {
             return;
         }
         let c = &self.0;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
+        c.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        c.count.fetch_add(n, Ordering::Relaxed);
+        c.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         c.max.fetch_max(v, Ordering::Relaxed);
         c.min.fetch_min(v, Ordering::Relaxed);
     }
@@ -753,6 +761,22 @@ mod tests {
         assert!((960..=1000).contains(&p99), "p99 {p99}");
         assert_eq!(h.max(), 1000);
         assert_eq!(h.min(), 1);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let _on = recording();
+        let (one_by_one, folded) = (Histogram::default(), Histogram::default());
+        for (v, n) in [(3u64, 5u64), (0, 0), (700, 2), (1, 9), (40, 1)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            folded.record_n(v, n);
+        }
+        let summary = |h: &Histogram| (h.count(), h.mean(), h.min(), h.max(), h.p50(), h.p99());
+        assert_eq!(summary(&folded), summary(&one_by_one));
+        assert_eq!(folded.count(), 17);
+        assert_eq!(folded.min(), 1, "n = 0 records nothing");
     }
 
     #[test]
