@@ -29,13 +29,22 @@ impl RecvHandle {
 /// Handle to a send message (`snd_handle` in Table 1) — both one-shot
 /// ([`send_post`](crate::qp::SdrQp::send_post)) and streaming
 /// ([`send_stream_start`](crate::qp::SdrQp::send_stream_start)).
+///
+/// A send opens on the QP's next send sequence, which is the handle. A
+/// stream injects ranges until it ends; a one-shot injects as it opens, or
+/// when its clear-to-send credit lands. `send_poll` turns true once the
+/// send has ended and its packets left the wire; `send_release` drops it
+/// in any phase. A failed open leaves no trace (no handle, no sequence, no
+/// credit spent); a one-shot whose late credit names a smaller buffer
+/// spends it and `send_poll` reports [`SdrError::TooLarge`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SendHandle {
     pub(crate) id: u64,
 }
 
 impl SendHandle {
-    /// Internal id (diagnostic).
+    /// The send sequence number: the n-th send opened on a QP answers its
+    /// peer's n-th receive post (diagnostic).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -48,13 +57,16 @@ pub enum SdrError {
     InvalidConfig(String),
     /// QP is not connected yet.
     NotConnected,
-    /// Message exceeds `max_msg_bytes` or the peer's posted buffer.
+    /// Message exceeds `max_msg_bytes` or the peer's posted buffer. From a
+    /// send's open it leaves no trace; a deferred one-shot whose credit
+    /// names a smaller buffer reports it from `send_poll`.
     TooLarge,
     /// The message-ID slot for this sequence number is still occupied by an
     /// uncompleted receive (the application must `recv_complete` first).
     SlotBusy,
     /// No clear-to-send credit yet for a streaming send (the receiver has
-    /// not posted the matching buffer).
+    /// not posted the matching buffer). Nothing changed: retry once the
+    /// credit lands.
     NoCts,
     /// Handle does not refer to a live message (e.g. stale after reuse).
     BadHandle,

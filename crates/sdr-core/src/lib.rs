@@ -136,6 +136,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deferred_send_meeting_a_smaller_credit_fails() {
+        let mut p = lossless_pair();
+        let src = p.ctx_a.alloc_buffer(1 << 20);
+        let dst = p.ctx_b.alloc_buffer(1 << 20);
+        let sh = p.qp_a.send_post(&mut p.eng, src, 40_000, None).unwrap();
+        let rh = p.qp_b.recv_post(&mut p.eng, dst, 1000).unwrap();
+        p.eng.run();
+        assert_eq!(p.qp_a.send_poll(&sh), Err(SdrError::TooLarge));
+        assert!(!p.qp_a.has_cts(sh.id()), "the credit is spent");
+        assert_eq!(p.qp_b.recv_bitmap(&rh).unwrap().packets().count_set(), 0);
+        p.qp_a.send_release(sh);
+        assert_eq!(p.qp_a.live_sends(), 0);
+    }
+
+    #[test]
     fn order_based_matching_pairs_sends_with_recvs() {
         // Figure 4 semantics: Send1→Recv1, Send2→Recv2, no metadata needed.
         let mut p = lossless_pair();
@@ -543,13 +558,21 @@ mod tests {
         let mut p = lossless_pair();
         let src = p.ctx_a.alloc_buffer(1 << 20);
         let dst = p.ctx_b.alloc_buffer(1 << 20);
-        p.qp_b.recv_post(&mut p.eng, dst, 4096).unwrap();
+        let rh = p.qp_b.recv_post(&mut p.eng, dst, 4096).unwrap();
         p.eng.run(); // CTS with len 4096 arrives
         let err = p
             .qp_a
             .send_stream_start(&mut p.eng, src, 8192, None)
             .unwrap_err();
         assert_eq!(err, SdrError::TooLarge);
+        // So does a one-shot, without a trace: no live send, no sequence
+        // taken, so a fitting one still lands in this receive.
+        let err = p.qp_a.send_post(&mut p.eng, src, 8192, None).unwrap_err();
+        assert_eq!(err, SdrError::TooLarge);
+        assert_eq!((p.qp_a.live_sends(), p.qp_a.next_send_seq()), (0, 0));
+        let sh = p.qp_a.send_post(&mut p.eng, src, 4096, None).unwrap();
+        p.eng.run();
+        assert!(p.qp_a.send_poll(&sh).unwrap() && p.qp_b.recv_is_complete(&rh).unwrap());
         // Over-max sizes rejected outright.
         assert_eq!(
             p.qp_a

@@ -91,7 +91,7 @@ pub struct SdrQpInfo {
 
 struct RecvSlot {
     seq: u64,
-    active: bool,
+    /// The receive's bitmap while it is posted; `None` once it completes.
     bitmap: Option<Arc<TwoLevelBitmap>>,
     imm_acc: UserImmAccumulator,
     /// Base address of the posted user buffer; the rare payload
@@ -119,7 +119,6 @@ impl RecvSlot {
     fn empty() -> Self {
         RecvSlot {
             seq: u64::MAX,
-            active: false,
             bitmap: None,
             imm_acc: UserImmAccumulator::new(),
             buf_addr: 0,
@@ -131,17 +130,41 @@ impl RecvSlot {
     }
 }
 
+/// Where a send is in its life (§3.3, Table 1). A stream opens `Open`; a
+/// one-shot opens `Ended` when its credit is already there (it injects as
+/// it opens) and `Deferred` when it is not. A failed open leaves no state.
+#[derive(Clone, Debug, PartialEq)]
+enum Phase {
+    /// A one-shot waiting for its credit: it injects and ends when a
+    /// credit that fits lands, and fails `TooLarge` on a smaller one.
+    Deferred,
+    /// A stream: ranges may be injected until it ends.
+    Open,
+    /// Nothing more will be injected.
+    Ended,
+    /// A deferred one-shot that met a credit it could not use; it spent
+    /// the credit and [`send_poll`](SdrQp::send_poll) reports the error.
+    Failed(SdrError),
+}
+
+/// A live send, keyed by its send sequence (which is also its handle).
 struct SendState {
-    seq: u64,
-    msg_id: u32,
-    generation: u32,
-    local_addr: u64,
-    total_len: u64,
+    addr: u64,
+    len: u64,
     user_imm: Option<u32>,
-    peer_buf_len: u64,
-    stream_open: bool,
-    injected_any: bool,
+    phase: Phase,
+    /// Signaled completions not yet drained: one per injected range.
     outstanding_sig: u32,
+}
+
+/// The message-ID slot and generation order-based matching gives sequence
+/// `seq`, on either side.
+fn slot_of(cfg: &SdrConfig, seq: u64) -> (usize, usize) {
+    let slots = cfg.msg_slots as u64;
+    (
+        (seq % slots) as usize,
+        ((seq / slots) % cfg.generations as u64) as usize,
+    )
 }
 
 /// The callback invoked when a CTS credit arrives:
@@ -156,7 +179,7 @@ type ChunkHook = Rc<dyn Fn(&mut Engine, usize)>;
 /// What one receive-CQ completion leaves for the backend to run once the
 /// QP borrow is dropped.
 enum Notify {
-    /// A CTS credit `(seq, len)`: deferred one-shots, then the CTS callback.
+    /// A CTS credit `(seq, len)` for the CTS callback.
     Cts(u64, u64),
     /// A chunk completed in a slot that has a hook.
     Chunk(ChunkHook, usize),
@@ -179,15 +202,12 @@ struct QpInner {
     recv_slots: Vec<RecvSlot>,
     recv_seq: u64,
     send_seq: u64,
+    /// Live sends by send sequence.
     sends: IntMap<u64, SendState>,
-    next_handle: u64,
     /// CTS credits received and not yet spent, keyed by send sequence: a
     /// credit is taken when its send opens, so the map holds at most one
     /// entry per posted receive the sender has not opened.
     cts_credits: IntMap<u64, u64>,
-    /// One-shot sends posted before their CTS arrived, send sequence →
-    /// handle id (order-based matching gives at most one per sequence).
-    deferred: IntMap<u64, u64>,
     cts_callback: Option<CtsCallback>,
     rr: u64,
     stats: SdrStats,
@@ -247,9 +267,7 @@ impl SdrQp {
                 recv_seq: 0,
                 send_seq: 0,
                 sends: IntMap::default(),
-                next_handle: 0,
                 cts_credits: IntMap::default(),
-                deferred: IntMap::default(),
                 cts_callback: None,
                 rr: 0,
                 stats: SdrStats::default(),
@@ -270,18 +288,15 @@ impl SdrQp {
         // The wakers live in the node, so they reach the fabric through
         // the QP they hold weakly: a strong `Fabric` here would close a
         // fabric → node → waker → fabric cycle and leak every node's memory.
-        let weak = Rc::downgrade(&self.inner);
+        let (rx, tx) = (Rc::downgrade(&self.inner), Rc::downgrade(&self.inner));
         fabric.node_mut(node, |n| {
             n.set_cq_waker(
                 recv_cq,
-                Waker::new(move |eng| Self::drain_recv(&weak, node, recv_cq, eng)),
+                Waker::new(move |eng| Self::drain_recv(&rx, node, recv_cq, eng)),
             );
-        });
-        let weak = Rc::downgrade(&self.inner);
-        fabric.node_mut(node, |n| {
             n.set_cq_waker(
                 send_cq,
-                Waker::new(move |_eng| Self::drain_send(&weak, node, send_cq)),
+                Waker::new(move |_| Self::drain_send(&tx, node, send_cq)),
             );
         });
     }
@@ -345,11 +360,8 @@ impl SdrQp {
         hook: impl Fn(&mut Engine, usize) + 'static,
     ) -> Result<(), SdrError> {
         let mut i = self.inner.borrow_mut();
-        let slot = &mut i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq || !slot.active {
-            return Err(SdrError::BadHandle);
-        }
-        slot.chunk_hook = Some(Rc::new(hook));
+        i.posted(hdl)?;
+        i.recv_slots[hdl.slot].chunk_hook = Some(Rc::new(hook));
         Ok(())
     }
 
@@ -390,9 +402,8 @@ impl SdrQp {
             return Err(SdrError::TooLarge);
         }
         let seq = i.recv_seq;
-        let slot = (seq % i.cfg.msg_slots as u64) as usize;
-        let gen = ((seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as u32;
-        if i.recv_slots[slot].active {
+        let (slot, gen) = slot_of(&i.cfg, seq);
+        if i.recv_slots[slot].bitmap.is_some() {
             return Err(SdrError::SlotBusy);
         }
         i.recv_seq += 1;
@@ -402,7 +413,7 @@ impl SdrQp {
             total_packets,
             i.cfg.packets_per_chunk() as u32,
         ));
-        let (node, root) = (i.node, i.root_mkeys[gen as usize]);
+        let (node, root) = (i.node, i.root_mkeys[gen]);
         let buf_mkey = i.fabric.node_mut(node, |n| {
             let mk = n.reg_mr(addr, len);
             n.set_indirect_slot(root, slot, Some(mk));
@@ -410,7 +421,6 @@ impl SdrQp {
         });
         i.recv_slots[slot] = RecvSlot {
             seq,
-            active: true,
             bitmap: Some(bitmap),
             imm_acc: UserImmAccumulator::new(),
             buf_addr: addr,
@@ -420,15 +430,7 @@ impl SdrQp {
             chunk_hook: None,
         };
         i.stats.recvs_posted += 1;
-
-        // Clear-to-send: order-based matching means seq + length suffice.
-        let remote_ctrl = i.remote.as_ref().expect("checked").ctrl;
-        let ctrl_src = QpAddr {
-            node: i.node,
-            qp: i.ctrl_qp,
-        };
-        i.fabric
-            .post_ud_send(eng, ctrl_src, remote_ctrl, seal_cts(seq, len), None)?;
+        i.send_cts(eng, seq, len)?;
         i.stats.cts_sent += 1;
         Ok(RecvHandle { slot, seq })
     }
@@ -436,34 +438,18 @@ impl SdrQp {
     /// True when the next `count` receive posts would find their slots
     /// free. Order-based matching pins post `k` to slot
     /// `(recv_seq + k) % msg_slots`, so a caller pipelining many posts
-    /// (the adaptive receiver) can throttle on table capacity instead of
-    /// failing with `SlotBusy`.
+    /// (the adaptive receiver, a flow host admitting a flow's data and
+    /// parity posts) can throttle on table capacity instead of failing
+    /// with `SlotBusy`.
     pub fn can_recv_post(&self, count: u64) -> bool {
         let i = self.inner.borrow();
         let slots = i.cfg.msg_slots as u64;
-        if count > slots {
-            return false;
-        }
-        (0..count).all(|k| {
-            let slot = ((i.recv_seq + k) % slots) as usize;
-            !i.recv_slots[slot].active
-        })
-    }
-
-    /// Number of receive posts that would currently succeed back-to-back:
-    /// the run of free slots starting at the next receive sequence. A
-    /// multi-flow host sharding transfers over a QP table uses this for
-    /// admission control — admit a flow only when its posts (data, and
-    /// parity for EC) fit, park it otherwise.
-    pub fn recv_slots_free(&self) -> u64 {
-        let i = self.inner.borrow();
-        let slots = i.cfg.msg_slots as u64;
-        (0..slots)
-            .take_while(|k| {
-                let slot = ((i.recv_seq + k) % slots) as usize;
-                !i.recv_slots[slot].active
-            })
-            .count() as u64
+        let free = |k| {
+            i.recv_slots[((i.recv_seq + k) % slots) as usize]
+                .bitmap
+                .is_none()
+        };
+        count <= slots && (0..count).all(free)
     }
 
     /// Re-sends the clear-to-send credit for a posted receive. CTS rides
@@ -471,19 +457,7 @@ impl SdrQp {
     /// this when a posted buffer has seen no traffic for a while.
     pub fn resend_cts(&self, eng: &mut Engine, hdl: &RecvHandle) -> Result<(), SdrError> {
         let i = self.inner.borrow();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq || !slot.active {
-            return Err(SdrError::BadHandle);
-        }
-        let remote_ctrl = i.remote.as_ref().ok_or(SdrError::NotConnected)?.ctrl;
-        let ctrl_src = QpAddr {
-            node: i.node,
-            qp: i.ctrl_qp,
-        };
-        let cts = seal_cts(hdl.seq, slot.buf_len);
-        i.fabric
-            .post_ud_send(eng, ctrl_src, remote_ctrl, cts, None)?;
-        Ok(())
+        i.send_cts(eng, hdl.seq, i.posted(hdl)?.buf_len)
     }
 
     /// True when the clear-to-send credit for send sequence `seq` has
@@ -526,22 +500,14 @@ impl SdrQp {
     /// The reliability layer polls this to locate drops.
     pub fn recv_bitmap(&self, hdl: &RecvHandle) -> Result<Arc<TwoLevelBitmap>, SdrError> {
         let i = self.inner.borrow();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq {
-            return Err(SdrError::BadHandle);
-        }
-        slot.bitmap.clone().ok_or(SdrError::BadHandle)
+        i.slot(hdl)?.bitmap.clone().ok_or(SdrError::BadHandle)
     }
 
     /// The reassembled 32-bit user immediate, if every fragment has arrived
     /// (`recv_imm_get`).
     pub fn recv_imm_get(&self, hdl: &RecvHandle) -> Result<Option<u32>, SdrError> {
         let i = self.inner.borrow();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq {
-            return Err(SdrError::BadHandle);
-        }
-        Ok(slot.imm_acc.get(&i.cfg.imm))
+        Ok(i.slot(hdl)?.imm_acc.get(&i.cfg.imm))
     }
 
     /// True when every chunk of the receive has arrived.
@@ -566,10 +532,7 @@ impl SdrQp {
         data: &[u8],
     ) -> Result<bool, SdrError> {
         let i = self.inner.borrow();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq {
-            return Err(SdrError::BadHandle);
-        }
+        let slot = i.slot(hdl)?;
         let mtu = i.cfg.mtu_bytes as usize;
         for (k, piece) in data.chunks(mtu).enumerate() {
             if let Some(Some(crc)) = slot.arrival_crcs.get(first_pkt + k) {
@@ -588,19 +551,14 @@ impl SdrQp {
     /// and the slot becomes reusable.
     pub fn recv_complete(&self, _eng: &mut Engine, hdl: &RecvHandle) -> Result<(), SdrError> {
         let mut i = self.inner.borrow_mut();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq || !slot.active {
-            return Err(SdrError::BadHandle);
-        }
-        let buf_mkey = slot.buf_mkey;
-        let gen = ((hdl.seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as usize;
-        let (node, root, null) = (i.node, i.root_mkeys[gen], i.null_mkey);
+        let buf_mkey = i.posted(hdl)?.buf_mkey;
+        let root = i.root_mkeys[slot_of(&i.cfg, hdl.seq).1];
+        let (node, null) = (i.node, i.null_mkey);
         i.fabric.node_mut(node, |n| {
             n.set_indirect_slot(root, hdl.slot, Some(null));
             n.dereg_mr(buf_mkey);
         });
         let s = &mut i.recv_slots[hdl.slot];
-        s.active = false;
         s.bitmap = None;
         s.chunk_hook = None;
         Ok(())
@@ -612,7 +570,14 @@ impl SdrQp {
 
     /// One-shot send (`send_post`): transmits `[addr, addr+len)` from local
     /// memory as per-packet unreliable Writes. If the CTS credit for this
-    /// message has not arrived yet, injection is deferred until it does.
+    /// message is already here, the send injects at once and spends it;
+    /// otherwise it waits for the credit and injects when it lands.
+    ///
+    /// A failed post leaves no trace: `TooLarge` (over `max_msg_bytes`, or
+    /// over the buffer a credit already here names) takes no send sequence
+    /// and spends no credit, so the next send still matches this message's
+    /// receive. A waiting send whose credit names a smaller buffer fails
+    /// when it lands, and [`send_poll`](Self::send_poll) reports it.
     ///
     /// The packets name the buffer; nothing is copied out of it. It must
     /// stay unmodified until the peer's receive completes — see "Life of a
@@ -624,41 +589,32 @@ impl SdrQp {
         len: u64,
         user_imm: Option<u32>,
     ) -> Result<SendHandle, SdrError> {
-        let hdl = self.send_start_common(addr, len, user_imm, false)?;
-        self.try_inject_oneshot(eng, hdl)?;
-        Ok(hdl)
+        self.open(eng, addr, len, user_imm, false)
     }
 
     /// Opens a streaming send (`send_stream_start`): allocates the message
     /// context without transmitting. Requires the CTS credit to be present
     /// (streams are driven by reliability layers that react to CTS via
-    /// [`set_cts_callback`](Self::set_cts_callback)), and spends it.
+    /// [`set_cts_callback`](Self::set_cts_callback)), and spends it. On
+    /// `NoCts` or `TooLarge` nothing changed, as for a failed
+    /// [`send_post`](Self::send_post).
     pub fn send_stream_start(
         &self,
-        _eng: &mut Engine,
+        eng: &mut Engine,
         addr: u64,
         len: u64,
         user_imm: Option<u32>,
     ) -> Result<SendHandle, SdrError> {
-        let hdl = self.send_start_common(addr, len, user_imm, true)?;
-        let mut i = self.inner.borrow_mut();
-        let seq = i.sends[&hdl.id].seq;
-        let err = match i.cts_credits.get(&seq) {
-            Some(&peer_len) if len <= peer_len => {
-                i.cts_credits.remove(&seq);
-                return Ok(hdl);
-            }
-            Some(_) => SdrError::TooLarge,
-            None => SdrError::NoCts,
-        };
-        i.sends.remove(&hdl.id);
-        // Roll back the sequence number we consumed.
-        i.send_seq -= 1;
-        Err(err)
+        self.open(eng, addr, len, user_imm, true)
     }
 
-    fn send_start_common(
+    /// The open step of both send verbs: the next send sequence becomes
+    /// the send and its handle, and spends its credit — or, for a one-shot
+    /// whose credit has not landed, waits [`Phase::Deferred`]. On `Err` the
+    /// sequence, the credits and the send table are as they were.
+    fn open(
         &self,
+        eng: &mut Engine,
         addr: u64,
         len: u64,
         user_imm: Option<u32>,
@@ -672,53 +628,33 @@ impl SdrQp {
             return Err(SdrError::TooLarge);
         }
         let seq = i.send_seq;
-        i.send_seq += 1;
-        let msg_id = (seq % i.cfg.msg_slots as u64) as u32;
-        let generation = ((seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as u32;
-        let id = i.next_handle;
-        i.next_handle += 1;
-        i.sends.insert(
-            id,
-            SendState {
-                seq,
-                msg_id,
-                generation,
-                local_addr: addr,
-                total_len: len,
-                user_imm,
-                peer_buf_len: 0,
-                stream_open: stream,
-                injected_any: false,
-                outstanding_sig: 0,
-            },
-        );
-        Ok(SendHandle { id })
-    }
-
-    /// Injects a one-shot send whose credit has arrived, spending the
-    /// credit, or defers it until the credit does.
-    fn try_inject_oneshot(&self, eng: &mut Engine, hdl: SendHandle) -> Result<(), SdrError> {
-        let seq = {
-            let mut i = self.inner.borrow_mut();
-            let i = &mut *i;
-            let st = i.sends.get_mut(&hdl.id).ok_or(SdrError::BadHandle)?;
-            match i.cts_credits.get(&st.seq) {
-                Some(&peer_len) if st.total_len > peer_len => return Err(SdrError::TooLarge),
-                Some(&peer_len) => {
-                    st.peer_buf_len = peer_len;
-                    st.seq
-                }
-                None => {
-                    i.deferred.insert(st.seq, hdl.id);
-                    return Ok(());
-                }
-            }
+        let phase = match i.cts_credits.get(&seq) {
+            Some(&peer_len) if len > peer_len => return Err(SdrError::TooLarge),
+            Some(_) if stream => Phase::Open,
+            Some(_) => Phase::Ended,
+            None if stream => return Err(SdrError::NoCts),
+            None => Phase::Deferred,
         };
-        self.inject_range(eng, hdl, 0, u64::MAX, |_, _| {})?;
-        let mut i = self.inner.borrow_mut();
-        i.cts_credits.remove(&seq);
-        i.deferred.remove(&seq);
-        Ok(())
+        let (injects, spends) = (phase == Phase::Ended, phase != Phase::Deferred);
+        let st = SendState {
+            addr,
+            len,
+            user_imm,
+            phase,
+            outstanding_sig: 0,
+        };
+        i.sends.insert(seq, st);
+        if injects {
+            if let Err(e) = i.inject(eng, seq, 0, len, |_, _| {}) {
+                i.sends.remove(&seq);
+                return Err(e);
+            }
+        }
+        if spends {
+            i.cts_credits.remove(&seq);
+        }
+        i.send_seq += 1;
+        Ok(SendHandle { id: seq })
     }
 
     /// Streaming send (`send_stream_continue`): injects the chunk(s) covering
@@ -746,46 +682,47 @@ impl SdrQp {
         len: u64,
         departed: impl FnMut(usize, SimTime),
     ) -> Result<(), SdrError> {
-        {
-            let i = self.inner.borrow();
-            let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
-            if !st.stream_open {
-                return Err(SdrError::StreamEnded);
-            }
-            if !offset.is_multiple_of(i.cfg.mtu_bytes) || offset + len > st.total_len {
-                return Err(SdrError::TooLarge);
-            }
+        let mut i = self.inner.borrow_mut();
+        let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
+        if st.phase != Phase::Open {
+            return Err(SdrError::StreamEnded);
         }
-        self.inject_range(eng, *hdl, offset, len, departed)
+        if !offset.is_multiple_of(i.cfg.mtu_bytes) || offset + len > st.len {
+            return Err(SdrError::TooLarge);
+        }
+        i.inject(eng, hdl.id, offset, len, departed)
     }
 
     /// Ends a streaming send (`send_stream_end`): no new chunks will follow.
     pub fn send_stream_end(&self, hdl: &SendHandle) -> Result<(), SdrError> {
         let mut i = self.inner.borrow_mut();
         let st = i.sends.get_mut(&hdl.id).ok_or(SdrError::BadHandle)?;
-        if !st.stream_open {
+        if st.phase != Phase::Open {
             return Err(SdrError::StreamEnded);
         }
-        st.stream_open = false;
+        st.phase = Phase::Ended;
         Ok(())
     }
 
-    /// Polls a send for local completion (`send_poll`): all injected packets
-    /// serialized and (for one-shots / ended streams) nothing pending.
+    /// Polls a send for local completion (`send_poll`): `Ok(true)` once it
+    /// has ended (a one-shot ends as it injects) and every range it
+    /// injected has left the wire, `Ok(false)` until then. A deferred
+    /// one-shot whose credit named a smaller buffer reports
+    /// `Err(TooLarge)` — the one failure that comes after its post
+    /// returned; the credit is spent and the send stays until released.
     pub fn send_poll(&self, hdl: &SendHandle) -> Result<bool, SdrError> {
         let i = self.inner.borrow();
         let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
-        let deferred = i.deferred.contains_key(&st.seq);
-        Ok(st.injected_any && !st.stream_open && !deferred && st.outstanding_sig == 0)
+        match &st.phase {
+            Phase::Failed(e) => Err(e.clone()),
+            phase => Ok(*phase == Phase::Ended && st.outstanding_sig == 0),
+        }
     }
 
-    /// Releases a completed send handle.
+    /// Releases a send handle in any phase; a deferred one-shot released
+    /// before its credit lands never injects.
     pub fn send_release(&self, hdl: SendHandle) {
-        let mut i = self.inner.borrow_mut();
-        if let Some(st) = i.sends.remove(&hdl.id) {
-            // Live sends hold distinct sequences: an entry there is ours.
-            i.deferred.remove(&st.seq);
-        }
+        self.inner.borrow_mut().sends.remove(&hdl.id);
     }
 
     /// Send contexts started and not yet [released](Self::send_release);
@@ -794,40 +731,117 @@ impl SdrQp {
         self.inner.borrow().sends.len()
     }
 
-    /// Injects packets covering `[offset, offset+len)` (len `u64::MAX` =
-    /// whole message). One unreliable Write-with-immediate per MTU,
-    /// round-robin across the generation's channels. `departed` hears when
-    /// each chunk's last packet leaves the wire (see
-    /// [`send_stream_continue`](Self::send_stream_continue)).
-    fn inject_range(
-        &self,
+    // ------------------------------------------------------------------
+    // Backend: completion processing
+    // ------------------------------------------------------------------
+
+    fn drain_recv(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId, eng: &mut Engine) {
+        let Some(inner) = weak.upgrade() else { return };
+        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
+        while let Some(cqe) = poll() {
+            // Handle the CQE while holding the borrow, collecting any user
+            // callback to run unborrowed.
+            let notify = {
+                let mut i = inner.borrow_mut();
+                match cqe.op {
+                    sdr_sim::CqeOp::RecvSend => i.handle_ctrl(eng, cqe),
+                    sdr_sim::CqeOp::RecvWriteImm => i.handle_data_cqe(cqe),
+                    sdr_sim::CqeOp::SendComplete => None,
+                }
+            };
+            match notify {
+                Some(Notify::Cts(seq, buf_len)) => {
+                    let cb_opt = inner.borrow_mut().cts_callback.take();
+                    if let Some(mut f) = cb_opt {
+                        f(eng, seq, buf_len);
+                        // Put it back unless the callback replaced it.
+                        inner.borrow_mut().cts_callback.get_or_insert(f);
+                    }
+                }
+                Some(Notify::Chunk(hook, chunk)) => hook(eng, chunk),
+                None => {}
+            }
+        }
+    }
+
+    fn drain_send(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId) {
+        let Some(inner) = weak.upgrade() else { return };
+        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
+        while let Some(cqe) = poll() {
+            if cqe.op == sdr_sim::CqeOp::SendComplete {
+                let mut i = inner.borrow_mut();
+                if let Some(st) = i.sends.get_mut(&cqe.wr_id) {
+                    st.outstanding_sig = st.outstanding_sig.saturating_sub(1);
+                    if st.outstanding_sig == 0 && st.phase == Phase::Ended {
+                        i.stats.sends_completed += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl QpInner {
+    /// The slot `hdl` names, unless a later receive has reused it.
+    fn slot(&self, hdl: &RecvHandle) -> Result<&RecvSlot, SdrError> {
+        let slot = Some(&self.recv_slots[hdl.slot]);
+        slot.filter(|s| s.seq == hdl.seq).ok_or(SdrError::BadHandle)
+    }
+
+    /// The slot `hdl` names, while its receive is posted (not completed).
+    fn posted(&self, hdl: &RecvHandle) -> Result<&RecvSlot, SdrError> {
+        let posted = self.slot(hdl).ok().filter(|s| s.bitmap.is_some());
+        posted.ok_or(SdrError::BadHandle)
+    }
+
+    /// Sends the clear-to-send credit for receive `seq` of `len` bytes:
+    /// order-based matching means seq + length suffice.
+    fn send_cts(&self, eng: &mut Engine, seq: u64, len: u64) -> Result<(), SdrError> {
+        let remote_ctrl = self.remote.as_ref().ok_or(SdrError::NotConnected)?.ctrl;
+        let ctrl_src = QpAddr {
+            node: self.node,
+            qp: self.ctrl_qp,
+        };
+        let cts = seal_cts(seq, len);
+        Ok(self
+            .fabric
+            .post_ud_send(eng, ctrl_src, remote_ctrl, cts, None)?)
+    }
+
+    /// Generation of the internal UC QP that delivered a completion
+    /// (`None` for a QP that is not one of ours).
+    fn generation_of(&self, qp: QpNum) -> Option<usize> {
+        let idx = qp.0.checked_sub(self.uc_qps[0].0)? as usize;
+        (idx < self.uc_qps.len()).then(|| idx / self.cfg.channels)
+    }
+
+    /// Injects the packets of send `seq` covering `[offset, offset+len)`,
+    /// a range of the message. One unreliable Write-with-immediate per
+    /// MTU, round-robin across the generation's channels. `departed` hears
+    /// when each chunk's last packet leaves the wire (see
+    /// [`send_stream_continue`](SdrQp::send_stream_continue)).
+    fn inject(
+        &mut self,
         eng: &mut Engine,
-        hdl: SendHandle,
+        seq: u64,
         offset: u64,
         len: u64,
         mut departed: impl FnMut(usize, SimTime),
     ) -> Result<(), SdrError> {
-        let mut i = self.inner.borrow_mut();
-        let i = &mut *i;
-        let st = i.sends.get_mut(&hdl.id).ok_or(SdrError::BadHandle)?;
-        let mtu = i.cfg.mtu_bytes;
-        let end = if len == u64::MAX {
-            st.total_len
-        } else {
-            (offset + len).min(st.total_len)
-        };
-        debug_assert!(offset.is_multiple_of(mtu));
+        let st = self.sends.get_mut(&seq).ok_or(SdrError::BadHandle)?;
+        let mtu = self.cfg.mtu_bytes;
+        debug_assert!(offset.is_multiple_of(mtu) && offset + len <= st.len);
         let first_pkt = offset / mtu;
-        let last_pkt = end.div_ceil(mtu); // exclusive
+        let last_pkt = (offset + len).div_ceil(mtu); // exclusive
         if first_pkt >= last_pkt {
             return Ok(());
         }
-        let remote = i.remote.as_ref().ok_or(SdrError::NotConnected)?;
-        let root = remote.root_mkeys[st.generation as usize];
-        let channel_qps = &i.uc_qps[st.generation as usize * i.cfg.channels..][..i.cfg.channels];
-        let (cfg, rr) = (&i.cfg, &mut i.rr);
-        let (msg_id, user_imm, local_addr, total_len) =
-            (st.msg_id, st.user_imm, st.local_addr, st.total_len);
+        let remote = self.remote.as_ref().ok_or(SdrError::NotConnected)?;
+        let (msg_id, gen) = slot_of(&self.cfg, seq);
+        let root = remote.root_mkeys[gen];
+        let channel_qps = &self.uc_qps[gen * self.cfg.channels..][..self.cfg.channels];
+        let (cfg, rr) = (&self.cfg, &mut self.rr);
+        let (user_imm, local_addr, total_len) = (st.user_imm, st.addr, st.len);
 
         // One work request per packet, each naming its MTU of the send
         // buffer; the whole range is posted under one fabric borrow.
@@ -845,19 +859,19 @@ impl SdrQp {
                 len: (hi - lo) as u32,
                 remote_mkey: root,
                 remote_offset: msg_id as u64 * cfg.max_msg_bytes + lo,
-                imm: Some(cfg.imm.encode(msg_id, pkt as u32, frag)),
+                imm: Some(cfg.imm.encode(msg_id as u32, pkt as u32, frag)),
                 // End-to-end integrity: the per-packet payload CRC rides
                 // the modeled transport header (alongside the immediate),
                 // so wire payload corruption cannot touch it and the
                 // receiving NIC can check the payload against it.
                 checksum: true,
-                wr_id: hdl.id,
+                wr_id: seq,
                 signaled: pkt == last_pkt - 1,
             }
         });
         let ppc = cfg.packets_per_chunk();
-        i.fabric
-            .post_uc_region_writes(eng, i.node, wrs, |nth, at| {
+        self.fabric
+            .post_uc_region_writes(eng, self.node, wrs, |nth, at| {
                 let pkt = first_pkt + nth as u64;
                 if (pkt + 1).is_multiple_of(ppc) || pkt + 1 == last_pkt {
                     departed((pkt / ppc) as usize, at);
@@ -865,118 +879,52 @@ impl SdrQp {
             })?;
         // Only the last packet of the range was signaled.
         st.outstanding_sig += 1;
-        st.injected_any = true;
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Backend: completion processing
-    // ------------------------------------------------------------------
-
-    fn drain_recv(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId, eng: &mut Engine) {
-        let Some(inner) = weak.upgrade() else { return };
-        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
-        while let Some(cqe) = poll() {
-            // Handle the CQE while holding the borrow, collecting any user
-            // callback to run unborrowed.
-            let notify = {
-                let mut i = inner.borrow_mut();
-                match cqe.op {
-                    sdr_sim::CqeOp::RecvSend => i.handle_ctrl(cqe),
-                    sdr_sim::CqeOp::RecvWriteImm => i.handle_data_cqe(cqe),
-                    sdr_sim::CqeOp::SendComplete => None,
-                }
-            };
-            match notify {
-                Some(Notify::Cts(seq, buf_len)) => {
-                    // Fire deferred one-shots, then the user CTS callback.
-                    SdrQp {
-                        inner: inner.clone(),
-                    }
-                    .fire_deferred(eng, seq);
-                    let cb_opt = inner.borrow_mut().cts_callback.take();
-                    if let Some(mut f) = cb_opt {
-                        f(eng, seq, buf_len);
-                        // Put it back unless the callback replaced it.
-                        let mut i = inner.borrow_mut();
-                        if i.cts_callback.is_none() {
-                            i.cts_callback = Some(f);
-                        }
-                    }
-                }
-                Some(Notify::Chunk(hook, chunk)) => hook(eng, chunk),
-                None => {}
-            }
+    /// The credit `(seq, peer_len)` landed for deferred one-shot `seq` and
+    /// is spent on it: the send injects and ends, or fails `TooLarge` when
+    /// the peer posted a smaller buffer. Out of line: inlined, it bloats
+    /// the receive drain loop that every data packet runs.
+    #[cold]
+    #[inline(never)]
+    fn fire_deferred(&mut self, eng: &mut Engine, seq: u64, peer_len: u64) {
+        let st = self.sends.get_mut(&seq).expect("a deferred send");
+        if st.len > peer_len {
+            st.phase = Phase::Failed(SdrError::TooLarge);
+            return;
         }
-    }
-
-    fn fire_deferred(&self, eng: &mut Engine, seq: u64) {
-        let deferred = self.inner.borrow().deferred.get(&seq).copied();
-        if let Some(id) = deferred {
-            // TooLarge here means the peer posted a smaller buffer than the
-            // deferred send; surfaced via stats (send stays pending forever
-            // would be worse), so inject is best-effort.
-            let _ = self.try_inject_oneshot(eng, SendHandle { id });
+        st.phase = Phase::Ended;
+        let len = st.len;
+        if let Err(e) = self.inject(eng, seq, 0, len, |_, _| {}) {
+            self.sends.get_mut(&seq).expect("live").phase = Phase::Failed(e);
         }
-    }
-
-    fn drain_send(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId) {
-        let Some(inner) = weak.upgrade() else { return };
-        let poll = || inner.borrow().fabric.node_mut(node, |n| n.poll_cq(cq));
-        while let Some(cqe) = poll() {
-            if cqe.op == sdr_sim::CqeOp::SendComplete {
-                let mut i = inner.borrow_mut();
-                if let Some(st) = i.sends.get_mut(&cqe.wr_id) {
-                    st.outstanding_sig = st.outstanding_sig.saturating_sub(1);
-                    if st.outstanding_sig == 0 && !st.stream_open {
-                        i.stats.sends_completed += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl QpInner {
-    /// Generation of the internal UC QP that delivered a completion
-    /// (`None` for a QP that is not one of ours).
-    fn generation_of(&self, qp: QpNum) -> Option<u32> {
-        let idx = qp.0.checked_sub(self.uc_qps[0].0)? as usize;
-        (idx < self.uc_qps.len()).then(|| (idx / self.cfg.channels) as u32)
     }
 
     /// Control-path message: CTS credit. Returns it so the caller can fire
     /// callbacks outside the borrow.
-    fn handle_ctrl(&mut self, cqe: sdr_sim::Cqe) -> Option<Notify> {
+    fn handle_ctrl(&mut self, eng: &mut Engine, cqe: sdr_sim::Cqe) -> Option<Notify> {
         if cqe.byte_len as usize != CTS_BYTES {
             return None;
         }
-        let (seq, len, intact, wqe_addr) = {
-            let addr = cqe.wr_id; // wr_id carries the buffer address
-            let fabric = self.fabric.clone();
-            let (seq, len, intact) = fabric.node(self.node, |n| {
-                let b = n.mem().read(addr, CTS_BYTES);
-                let crc = u32::from_le_bytes(b[16..20].try_into().expect("length checked"));
-                (
-                    u64::from_le_bytes(b[0..8].try_into().expect("length checked")),
-                    u64::from_le_bytes(b[8..16].try_into().expect("length checked")),
-                    sdr_erasure::crc32c(&b[..16]) == crc,
-                )
-            });
-            (seq, len, intact, addr)
-        };
-        // Repost the control buffer.
-        let (node, ctrl_qp) = (self.node, self.ctrl_qp);
-        self.fabric.node_mut(node, |n| {
-            n.post_recv(
-                ctrl_qp,
-                RecvWqe {
-                    wr_id: wqe_addr,
-                    addr: wqe_addr,
-                    len: CTS_BYTES as u64,
-                },
+        let addr = cqe.wr_id; // wr_id carries the buffer address
+        let (seq, len, intact) = self.fabric.node(self.node, |n| {
+            let b = n.mem().read(addr, CTS_BYTES);
+            let crc = u32::from_le_bytes(b[16..20].try_into().expect("length checked"));
+            (
+                u64::from_le_bytes(b[0..8].try_into().expect("length checked")),
+                u64::from_le_bytes(b[8..16].try_into().expect("length checked")),
+                sdr_erasure::crc32c(&b[..16]) == crc,
             )
         });
+        // Repost the control buffer.
+        let wqe = RecvWqe {
+            wr_id: addr,
+            addr,
+            len: CTS_BYTES as u64,
+        };
+        self.fabric
+            .node_mut(self.node, |n| n.post_recv(self.ctrl_qp, wqe));
         if !intact {
             // A corrupted CTS is indistinguishable from a lost one: drop
             // it here and let the receiver's resend cadence heal the
@@ -985,11 +933,16 @@ impl QpInner {
             self.stats.cts_corrupt += 1;
             return None;
         }
-        // A credit is kept until its send opens. A re-issued one (a CTS
-        // heal that crossed the open, or a sequence skipped by
+        // A credit is kept until its send opens, and a deferred one-shot
+        // opened already: it takes its credit as it lands. A re-issued one
+        // (a CTS heal that crossed the open, or a sequence skipped by
         // `align_send_seq`) has nothing left to open.
-        if seq >= self.send_seq || self.deferred.contains_key(&seq) {
-            self.cts_credits.insert(seq, len);
+        match self.sends.get(&seq) {
+            Some(st) if st.phase == Phase::Deferred => self.fire_deferred(eng, seq, len),
+            _ if seq >= self.send_seq => {
+                self.cts_credits.insert(seq, len);
+            }
+            _ => {}
         }
         self.stats.cts_received += 1;
         Some(Notify::Cts(seq, len))
@@ -1019,20 +972,14 @@ impl QpInner {
         // slot's current generation.
         let cqe_gen = self.generation_of(cqe.qp);
         let slot = &mut self.recv_slots[slot_idx];
-        if !slot.active {
-            self.stats.inactive_slot_drops += 1;
-            return None;
-        }
-        let slot_gen =
-            ((slot.seq / self.cfg.msg_slots as u64) % self.cfg.generations as u64) as u32;
-        if cqe_gen != Some(slot_gen) {
-            self.stats.generation_filtered += 1;
-            return None;
-        }
         let Some(bitmap) = &slot.bitmap else {
             self.stats.inactive_slot_drops += 1;
             return None;
         };
+        if cqe_gen != Some(slot_of(&self.cfg, slot.seq).1) {
+            self.stats.generation_filtered += 1;
+            return None;
+        }
         if pkt_offset as usize >= bitmap.total_packets() {
             self.stats.bad_offset += 1;
             return None;
@@ -1081,12 +1028,21 @@ impl QpInner {
 
 #[cfg(test)]
 mod tests {
+    use super::Phase;
     use crate::testkit::{sdr_pair, SdrPair};
     use crate::{ImmLayout, SdrConfig};
     use sdr_sim::LinkConfig;
 
     fn held_credits(p: &SdrPair) -> usize {
         p.qp_a.inner.borrow().cts_credits.len()
+    }
+
+    fn deferred_sends(p: &SdrPair) -> usize {
+        let i = p.qp_a.inner.borrow();
+        i.sends
+            .values()
+            .filter(|st| st.phase == Phase::Deferred)
+            .count()
     }
 
     /// Order-based matching spends one credit per send it opens: after
@@ -1147,7 +1103,7 @@ mod tests {
             p.qp_b.recv_complete(&mut p.eng, &rh).unwrap();
             p.qp_a.send_release(sh);
             assert_eq!(held_credits(&p), 0, "after transfer {n}");
-            assert!(p.qp_a.inner.borrow().deferred.is_empty());
+            assert_eq!(deferred_sends(&p), 0, "after transfer {n}");
         }
         assert_eq!(p.qp_a.stats().cts_received, 12 + 4, "the heals arrived");
     }

@@ -1807,7 +1807,7 @@ impl Inner {
             return false; // no port to that peer (mis-addressed open)
         };
         let qp = &port.shards[shard_idx].qp;
-        if qp.recv_slots_free() < needed {
+        if !qp.can_recv_post(needed) {
             return false;
         }
         let dst_addr = match &mut self.rx_alloc {

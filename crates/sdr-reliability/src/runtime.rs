@@ -591,9 +591,8 @@ struct TxSend {
 /// 4. **release**, together, exactly once, for every send that was opened
 ///    ([`close`](Self::close)). Release is part of the lifecycle, not an
 ///    optimisation: an ended stream's context stays in the QP until it is
-///    released, every CTS credit walks the QP's contexts, and a sender that
-///    only ends leaves one behind per transfer for the life of the QP
-///    ([`SdrQp::live_sends`] counts them).
+///    released, so a sender that only ends leaves one behind per transfer
+///    for the life of the QP ([`SdrQp::live_sends`] counts them).
 ///
 /// The first send lives inline: it is all an ARQ transfer or an ARQ flow
 /// has, so a flow population pays no heap allocation per open (and a flow
