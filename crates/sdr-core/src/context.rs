@@ -68,16 +68,6 @@ impl SdrContext {
             .node(self.node, |n| n.mem().read(addr, len).to_vec())
     }
 
-    /// Reads `dst.len()` bytes of node memory at `addr` into a
-    /// caller-owned buffer — the allocation-free variant of
-    /// [`read_buffer`](Self::read_buffer) used by reliability-layer hot
-    /// paths (EC decode scratch pools).
-    pub fn read_buffer_into(&self, addr: u64, dst: &mut [u8]) {
-        self.fabric.node(self.node, |n| {
-            dst.copy_from_slice(n.mem().read(addr, dst.len()))
-        });
-    }
-
     /// The node this context is bound to.
     pub fn node(&self) -> NodeId {
         self.node

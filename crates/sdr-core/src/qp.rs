@@ -201,6 +201,8 @@ struct QpInner {
     remote: Option<SdrQpInfo>,
     recv_slots: Vec<RecvSlot>,
     recv_seq: u64,
+    /// See [`SdrQp::highest_landed_seq`].
+    highest_landed: Option<u64>,
     send_seq: u64,
     /// Live sends by send sequence.
     sends: IntMap<u64, SendState>,
@@ -265,6 +267,7 @@ impl SdrQp {
                 remote: None,
                 recv_slots: (0..cfg.msg_slots).map(|_| RecvSlot::empty()).collect(),
                 recv_seq: 0,
+                highest_landed: None,
                 send_seq: 0,
                 sends: IntMap::default(),
                 cts_credits: IntMap::default(),
@@ -476,6 +479,15 @@ impl SdrQp {
     /// matching: the n-th post on this QP gets sequence n).
     pub fn next_recv_seq(&self) -> u64 {
         self.inner.borrow().recv_seq
+    }
+
+    /// The highest receive sequence a packet has landed on, if any. Sends
+    /// that open on credit — every stream — open in sequence order
+    /// (§3.1.3), so a packet on `s` proves every credit below `s` spent,
+    /// however the wire reordered. (A deferred one-shot takes its sequence
+    /// in order but waits for its own credit.)
+    pub fn highest_landed_seq(&self) -> Option<u64> {
+        self.inner.borrow().highest_landed
     }
 
     /// Fast-forwards the send sequence to `seq`, discarding any CTS
@@ -1018,6 +1030,7 @@ impl QpInner {
             self.stats.duplicate_packets += 1;
         } else {
             self.stats.packets_received += 1;
+            self.highest_landed = self.highest_landed.max(Some(slot.seq));
         }
         let chunk = bitmap.record_packet(pkt_offset as usize)?;
         self.stats.chunks_completed += 1;

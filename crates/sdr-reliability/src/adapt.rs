@@ -12,8 +12,8 @@
 //!
 //! 1. **Estimate** ([`telemetry`](crate::telemetry)): the receiver's
 //!    [`RxDriver`](crate::runtime::RxDriver) first-pass-scans its bitmaps
-//!    every poll and feeds a [`ChannelEstimator`]; cumulative counters ride
-//!    [`CtrlMsg::Telemetry`] datagrams to the sender, whose own estimator
+//!    each step and report and feeds a [`ChannelEstimator`]; counters that
+//!    moved ride [`CtrlMsg::Telemetry`] datagrams to the sender, whose own estimator
 //!    adds RTT samples from ACK round-trips (SR chunk ACKs under Karn's
 //!    rule, `SwitchPropose → SwitchAck` handshakes).
 //! 2. **Advise**: on the controller cadence (`rtt / CADENCE_DIV`) the
@@ -1194,11 +1194,6 @@ impl AdaptiveSender {
             .is_some_and(|p| !p.acked)
     }
 
-    /// True while the sender's blackout detector is tripped.
-    pub fn in_blackout(&self) -> bool {
-        self.inner.borrow().in_blackout
-    }
-
     /// Aborts the transfer now, querying or running: live segment senders
     /// quiesce, every timer is cancelled, the peer is notified
     /// best-effort, and the completion callback fires exactly once with
@@ -1279,6 +1274,9 @@ struct RxInner {
     resume_seq_base: u64,
     cfg: AdaptConfig,
     est: Rc<RefCell<ChannelEstimator>>,
+    /// The counters the last [`CtrlMsg::Telemetry`] carried: a report
+    /// goes out only when they moved.
+    reported: TelemetryCounters,
     current_spec: SchemeSpec,
     /// Next segment index to post (start a scheme receiver for).
     next_start: u32,
@@ -1441,6 +1439,7 @@ impl AdaptiveController {
             resume_seq_base,
             cfg,
             est,
+            reported: TelemetryCounters::default(),
             current_spec: initial,
             next_start: 0,
             live: Vec::new(),
@@ -1839,15 +1838,20 @@ impl AdaptiveController {
         // about earlier final ACKs, so it must not trigger releases.)
         let (report, done) = {
             let i = inner.borrow();
+            // Segments step only on news: scan what landed since.
+            for s in &i.live {
+                s.recv.feed_estimator();
+            }
             let counters = i.est.borrow().counters();
             (counters, i.done_at.is_some())
         };
         if done {
             return Tick::Stop;
         }
-        let (ep, peer, verifying) = {
-            let i = inner.borrow();
-            (i.ep.clone(), i.peer, i.verifying.is_some())
+        let (ep, peer, verifying, moved) = {
+            let mut i = inner.borrow_mut();
+            let moved = std::mem::replace(&mut i.reported, report) != report;
+            (i.ep.clone(), i.peer, i.verifying.is_some(), moved)
         };
         if verifying {
             // Heal the digest handshake: query and answer are single
@@ -1858,14 +1862,11 @@ impl AdaptiveController {
             ep.send(eng, peer, &CtrlMsg::DigestQuery);
             return Tick::Again;
         }
-        ep.send(
-            eng,
-            peer,
-            &CtrlMsg::Telemetry {
-                seen: report.seen,
-                lost: report.lost,
-            },
-        );
+        // Only news: a report the sender already absorbed says nothing.
+        if moved {
+            let TelemetryCounters { seen, lost } = report;
+            ep.send(eng, peer, &CtrlMsg::Telemetry { seen, lost });
+        }
         Tick::Again
     }
 }

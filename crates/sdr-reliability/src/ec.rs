@@ -23,9 +23,10 @@
 //! ⌈M/R⌉)·T_INJ + β·RTT`, armed at the first observed packet, survives as
 //! the timer for what order cannot see — a tail nothing follows — and a
 //! NACKed submessage is not NACKed again before its repair could have
-//! landed. The heartbeat (`poll_interval`, RTT/8), CTS healing, the
-//! positive-ACK linger and the exactly-once buffer release come from the
-//! shared [`RxDriver`].
+//! landed. Each NACK leaves at its due instant, the deadline the policy
+//! names to the shared [`RxStep`]; the rest of the step rule (news, its
+//! one repeat, the CTS heal at `poll_interval` = RTT/8 doubling), the
+//! positive-ACK linger and the exactly-once buffer release are the step's.
 //!
 //! # The in-place encode
 //!
@@ -92,9 +93,11 @@ pub struct EcProtoConfig {
     pub m: usize,
     /// Code family.
     pub code: EcCodeChoice,
-    /// Receiver bitmap-poll cadence.
+    /// Receiver step interval: the news repeat's delay and the CTS-heal
+    /// clock's base.
     pub poll_interval: SimTime,
-    /// Fallback timeout armed at first chunk arrival.
+    /// Fallback timeout, armed when the receiver first observes a packet
+    /// (or a slot a later sequence's packet passed).
     pub fto: SimTime,
     /// Propagation round trip of the path: a NACKed submessage's repair
     /// cannot land sooner, so it is not NACKed again sooner.
@@ -558,17 +561,17 @@ impl EcTrace {
 ///   resent in vain, never a loss — the same bargain as the SR sender's
 ///   order rule.
 /// * **the FTO** — the paper's `(M + ⌈M/R⌉)·T_INJ + β·RTT` from the first
-///   arrival, now only the timer for what order cannot see: a tail
-///   submessage whose last parity chunk was itself lost, so nothing
-///   follows it on the wire.
+///   observed packet (or slot a later sequence passed), now only the timer
+///   for what order cannot see: a tail submessage whose last parity chunk
+///   was itself lost, so nothing follows it on the wire.
 /// * **a NACK** — the repair cannot land sooner than a round trip, the
 ///   margin and its own time on the wire after the NACK left, so that is
 ///   the soonest the submessage is NACKed again. (Re-arming with the FTO
 ///   alone re-NACKed repairs still in flight whenever `β·RTT + T_pass <
 ///   RTT`, and the sender served every fallback twice.)
 ///
-/// Arrival news needs a subscribed owner; stepped without it (the flow
-/// manager) the policy runs on the two clocks alone.
+/// The earliest `due` is the policy's [`RxScheme::deadline`]. A submessage
+/// resolves on an arrival, or on the look just before a NACK names it.
 pub struct EcRxScheme {
     ctx: SdrContext,
     fto: SimTime,
@@ -589,8 +592,6 @@ pub struct EcRxScheme {
     unresolved: usize,
     /// Every submessage below this index has been passed.
     passed_below: usize,
-    /// The earliest NACK order evidence has made due and no step has sent.
-    order_due: Option<SimTime>,
     fto_armed: bool,
     trace: EcTrace,
     /// Receiver statistics so far.
@@ -615,35 +616,24 @@ struct SubState {
 impl RxScheme for EcRxScheme {
     type Done = EcRecvStats;
 
-    /// The heartbeat's view: heal lost credits, arm the FTO on the first
-    /// packet seen, resolve whatever can resolve (arrivals usually got
-    /// there first), NACK what is due.
+    /// A step: arm the FTO once a slot is observed, NACK what is due. The
+    /// FTO arms off *packet* observation, not chunk completion, which heavy
+    /// loss may deny the whole first pass (the conformance suite's
+    /// heavy-loss rows); a slot a later sequence's packet passed counts.
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
-        let l = self.geoms.len();
-        let mut any_packet = false;
-        for s in 0..l {
-            if self.subs[s].resolved {
-                continue;
-            }
-            // Possible lost CTS for this submessage — heal it. The FTO
-            // arms off *packet* observation, not chunk completion: under
-            // heavy loss a 16-packet chunk may never complete on the first
-            // pass at all, and a chunk-armed FTO would then never fire —
-            // no NACK, no retransmission, a livelock the conformance
-            // suite's heavy-loss rows exercise.
-            let (data_bm, parity_bm) = (rx.bitmap(s), rx.bitmap(l + s));
-            any_packet |= rx.heal_cts(eng, s, &data_bm);
-            any_packet |= rx.heal_cts(eng, l + s, &parity_bm);
-            self.try_resolve(rx, s, &data_bm, &parity_bm);
-        }
-        if any_packet {
+        if rx.observed() {
             self.arm_fto(eng.now());
         }
-        if self.unresolved == 0 {
-            return true;
-        }
-        self.nack_due(eng, send);
-        false
+        self.nack_due(eng, rx, send);
+        self.unresolved == 0
+    }
+
+    /// The earliest NACK due — the FTO, a re-NACK, or order evidence.
+    fn deadline(&self, _now: SimTime, _interval: SimTime) -> Option<SimTime> {
+        let open = self.subs.iter().filter(|sub| !sub.resolved);
+        open.map(|sub| sub.due)
+            .filter(|&due| due < SimTime::MAX)
+            .min()
     }
 
     /// A chunk of submessage `s = slot mod L` landed. If that brings its
@@ -674,21 +664,23 @@ impl RxScheme for EcRxScheme {
                 }
             }
         }
-        if slot >= l {
-            let last_of_slot = chunk + 1 == self.geoms[s].m_eff;
-            let passed = if last_of_slot { s + 1 } else { s };
-            let due = now.saturating_add(self.margin);
-            for sub in self.subs.iter_mut().take(passed).skip(self.passed_below) {
-                if !sub.resolved && !sub.nacked && due < sub.due {
-                    sub.due = due;
-                    sub.passed_by = Some(slot as u32);
-                    self.order_due.get_or_insert(due);
-                }
-            }
-            self.passed_below = self.passed_below.max(passed);
+        if slot < l {
+            return None;
         }
-        // (The clocks' own deadlines are the heartbeat's to notice.)
-        self.order_due
+        let last_of_slot = chunk + 1 == self.geoms[s].m_eff;
+        let passed = if last_of_slot { s + 1 } else { s };
+        let due = now.saturating_add(self.margin);
+        let mut condemned = false;
+        for sub in self.subs.iter_mut().take(passed).skip(self.passed_below) {
+            if !sub.resolved && !sub.nacked && due < sub.due {
+                sub.due = due;
+                sub.passed_by = Some(slot as u32);
+                condemned = true;
+            }
+        }
+        self.passed_below = self.passed_below.max(passed);
+        // (The clocks' own instants are `deadline`'s to name.)
+        condemned.then_some(due)
     }
 
     fn final_ack(&self) -> CtrlMsg {
@@ -759,7 +751,6 @@ impl EcRxScheme {
             ],
             unresolved: geoms.len(),
             passed_below: 0,
-            order_due: None,
             fto_armed: false,
             geoms,
             codes,
@@ -785,23 +776,33 @@ impl EcRxScheme {
     /// Fallback (§4.1.2): NACKs, in one datagram, every unresolved
     /// submessage whose NACK is due, so the sender selective-repeats them,
     /// and holds each back until its repair has had time to land.
-    fn nack_due(&mut self, eng: &mut Engine, send: CtrlSink<'_>) {
+    fn nack_due(&mut self, eng: &mut Engine, rx: &RxCommon, send: CtrlSink<'_>) {
         let now = eng.now();
-        if !self.subs.iter().any(|sub| !sub.resolved && sub.due <= now) {
-            // Nothing to say yet. (Where the wire reorders, what order had
-            // condemned may have resolved after all: ask again only for
-            // what is still open.)
-            let condemned = |sub: &&SubState| !sub.resolved && sub.passed_by.is_some();
-            self.order_due = self.subs.iter().filter(condemned).map(|s| s.due).min();
+        let due = |sub: &SubState| !sub.resolved && sub.due <= now;
+        // With one due, a NACK names every submessage order evidence has
+        // condemned too, however recently — the margin batches a burst, it
+        // is not owed to each.
+        let named = |sub: &SubState| due(sub) || (!sub.resolved && sub.passed_by.is_some());
+        if !self.subs.iter().any(due) {
             return;
         }
-        // One is due, so a NACK leaves now: it takes along every
-        // submessage order evidence has already condemned, however
-        // recently — the margin batches a burst, it is not owed to each.
-        // What one datagram cannot name stays due for the next poll.
+        // Look once more at what the NACK would name: a clean duplicate
+        // that healed a stale chunk completes no chunk, so no arrival
+        // brought it here.
+        let l = self.geoms.len();
+        for s in 0..l {
+            if named(&self.subs[s]) {
+                let (data_bm, parity_bm) = (rx.bitmap(s), rx.bitmap(l + s));
+                self.try_resolve(rx, s, &data_bm, &parity_bm);
+            }
+        }
+        if !self.subs.iter().any(due) {
+            return;
+        }
+        // What one datagram cannot name stays due for the next step.
         let mut failed = Vec::new();
         for (s, sub) in self.subs.iter_mut().enumerate() {
-            if sub.resolved || (sub.due > now && sub.passed_by.is_none()) {
+            if !named(sub) {
                 continue;
             }
             if failed.len() == MAX_EC_NACKS {
@@ -822,7 +823,6 @@ impl EcRxScheme {
             sub.nacked = true;
             failed.push(s as u32);
         }
-        self.order_due = None;
         self.stats.fallback_nacks += 1;
         send(eng, &CtrlMsg::EcNack { failed });
     }
@@ -927,7 +927,7 @@ impl EcRxScheme {
 pub type EcReceiver = RxDriver<EcRxScheme>;
 
 impl RxDriver<EcRxScheme> {
-    /// Posts all data and parity buffers and starts the poll loop. `done`
+    /// Posts all data and parity buffers and starts the receive loop. `done`
     /// fires when every data submessage is present or decoded.
     pub fn start(
         eng: &mut Engine,

@@ -412,8 +412,8 @@ struct Cadence {
     /// How far ahead of now the pacer keeps the wire busy: four chunks of
     /// serialization.
     pace_horizon: SimTime,
-    /// Receiver silence cadence (ACK repeat, handshake heal, EC
-    /// heartbeat, linger), before the population's control pacing.
+    /// Receiver silence cadence (ACK repeat, handshake heal, linger),
+    /// before the population's control pacing.
     ack_interval: SimTime,
     /// Sender per-chunk retransmission timeout (ARQ flows).
     rto: SimTime,
@@ -1305,10 +1305,10 @@ impl Inner {
     /// The receiver's silence cadence: the configured interval, stretched
     /// so the whole rx population stays inside the control budget. It
     /// spaces what a receive flow says *unprompted* — the one repeat of a
-    /// news ACK, the handshake heal (doubling from here), an EC flow's
-    /// heartbeat, the `FlowDone` linger — all per-flow timers whose
-    /// aggregate rate is `flows / interval` on the reverse path that also
-    /// carries the CTS credits and final acks that complete flows. News
+    /// news ACK, the handshake heal (doubling from here), the `FlowDone`
+    /// linger — all per-flow timers whose aggregate rate is `flows /
+    /// interval` on the reverse path that also carries the CTS credits and
+    /// final acks that complete flows. News
     /// ACKs need no such budget: the data paces them, one per chunk at
     /// most.
     fn rx_ack_interval(&self, core: &ManagerCore) -> SimTime {
@@ -1938,7 +1938,7 @@ impl Inner {
                     self.trace.ack_repeat.inc();
                 }
             }
-            if !flow.rx.common().seen_packet() {
+            if !flow.rx.common().observed() {
                 // Only this end knows the admission happened: until data
                 // shows the sender does too, re-send it with the credit.
                 send(eng, &flow_ack(flow.rx.common()));

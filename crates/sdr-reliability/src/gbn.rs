@@ -233,7 +233,6 @@ impl RxScheme for GbnRxScheme {
 
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         let bitmap = rx.bitmap(0);
-        rx.heal_cts(eng, 0, &bitmap);
         let cumulative = bitmap.chunks().cumulative_prefix(self.total_chunks);
         if cumulative == self.total_chunks {
             return true;
@@ -241,6 +240,12 @@ impl RxScheme for GbnRxScheme {
         let cumulative = cumulative as u32;
         send(eng, &CtrlMsg::GbnAck { cumulative });
         false
+    }
+
+    /// The cumulative-ACK clock: an ACK every interval, news or not, as an
+    /// in-order transport's receiver would.
+    fn deadline(&self, now: SimTime, interval: SimTime) -> Option<SimTime> {
+        Some(now.saturating_add(interval))
     }
 
     fn final_ack(&self) -> CtrlMsg {

@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | [`SrTxCore`] — ACK application, Karn RTT sample, evidence-based repair (hole by wire order → at once; lacking for a round trip since it left the wire → overdue; silence → RTO scan), `sr.retx.*` reasons | [`SrSender`] = [`TxDriver`]`<SrTx>`: own [`tick_loop`](runtime::tick_loop), resends straight into its [`StreamTx`] and stamps the departure it returns, `rto` and overdue age `rtt + rtt/64` from [`SrProtoConfig`] | [`FlowManager`] sender flow: shared [`DueIndex`], resends onto the urgent lane (stamped provisionally, restamped with the departure when the pump injects them), RTO and overdue age widened by the population's control pacing |
 //! | SR receive policy ([`sr::SrRxScheme`]) in an [`RxStep`] — CTS heal, one ACK describing the whole bitmap (cumulative point + holes below the high-water mark, selective window as fallback), spoken only on news: completion at once, a hole exposed by wire order one margin later, other chunks one margin later but no sooner than one base ACK interval after the last ACK; each news ACK repeated once, then silence until the next arrival — the sender's RTO times it | [`SrReceiver`] = [`RxDriver`]`<SrRxScheme>`: base interval `ack_interval`; its one timer parked in the engine while silent | [`FlowManager`] receive flow: base interval the manager's `ack_interval`, the repeat a population-scaled interval after; no due entry while silent |
-//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs one margin after order evidence | [`FlowManager`] EC receive flow (one submessage per flow): the same arrival subscription, its heartbeat a due-index entry at the population-scaled interval |
+//! | EC receive policy ([`ec::EcRxScheme`]) in an [`RxStep`] — audited in-place decode, fallback NACK when due (wire order passed the submessage; the FTO for a tail; a round trip since its last NACK) | [`EcReceiver`] = [`RxDriver`]`<EcRxScheme>`: resolves a submessage on the arrival that makes it decidable, NACKs at its due instant (one margin after order evidence) | [`FlowManager`] EC receive flow (one submessage per flow): the same arrival subscription, its NACK deadline a due-index entry |
 //! | EC parity staging (`ParityStager`: in-place encode, striped over the shared encode pool) | [`EcSender`] = [`TxDriver`]`<EcTx>`: `2L` sends, parity `p` encoded when its credit lands, a NACKed data submessage re-injected whole | [`FlowManager`] EC sender flow (parity stream start) |
 //! | [`StreamTx`] — every send of a transfer: open in sequence order on credit and never after the end, inject ranges, end and release exactly once; the crate's only caller of the SDR send API | [`TxDriver`]: injects a send whole the moment it opens, repairs straight into it | [`FlowManager`] sender flow: the shard's `starts` index picks whose send opens, chunks go through the DRR arbiter and the pump |
 //! | GBN base timer + window rewind ([`gbn::GbnTx`]), cumulative-only ACK | [`GbnSender`] / [`GbnReceiver`] | — (the manager hosts one ARQ scheme: a flow asked to run GBN or SR-RTO runs, and reports, SR-NACK) |
@@ -28,11 +28,12 @@
 //! The drivers' shared parts live in [`runtime`]: [`TxDriver`] (begin now
 //! or on CTS, the timer loop, control dispatch, exactly-once finish for
 //! completion *and* abort) over a [`TxScheme`](runtime::TxScheme);
-//! [`RxStep`] (scheme poll, first-pass telemetry feed, completion, linger
-//! countdown, exactly-once slot release, and the rule for when the next
-//! step runs) over an [`RxScheme`], which both drivers subscribe to its
-//! slots' chunk completions — [`RxDriver`] moves its one timer by the rule
-//! (a heartbeat only where silence is its to time), the flow manager a due-index entry; plus [`runtime::ChunkTimers`] and
+//! [`RxStep`] (CTS heal, scheme poll, first-pass telemetry feed,
+//! completion, linger countdown, exactly-once slot release, and the one
+//! rule for when the next step runs: news, its repeat, the scheme's
+//! deadline, the heal clock) over an [`RxScheme`], which both drivers
+//! subscribe to its slots' chunk completions — [`RxDriver`] moves its one
+//! timer by the rule, the flow manager a due-index entry; plus [`runtime::ChunkTimers`] and
 //! [`runtime::Completion`]. What stays specific to the population driver
 //! is what is genuinely population-scale — admission and parking, DRR
 //! injection, the shared tick, `FlowOpen/Parked/Ack/Fin/Done` — see
@@ -87,8 +88,8 @@
 //! magnitude). Two modules close the loop:
 //!
 //! * [`telemetry`] — the online [`ChannelEstimator`]: EWMA loss from the
-//!   receiver's first-pass bitmap scans (fed after every receive step:
-//!   SR's news steps, EC's and GBN's heartbeat) and RTT from ACK
+//!   receiver's first-pass bitmap scans (fed after every receive step,
+//!   and by the adaptive receiver before each report) and RTT from ACK
 //!   round-trips, with confidence gating so cold estimates cannot flap.
 //! * [`adapt`] — the [`AdaptiveController`]: runs the transfer as a
 //!   receiver-throttled pipeline of segments, re-runs the advisor against
@@ -141,7 +142,7 @@
 //!   an ARQ flow has no timer at all — the sender's RTO times the silence.
 //!   An open that finds no slot is answered `FlowParked`, not re-asked.
 //!   What a flow does say unprompted (the ACK repeat, the handshake heal,
-//!   an EC flow's heartbeat, the final-ACK linger) runs at a cadence
+//!   the final-ACK linger) runs at a cadence
 //!   stretched so the whole rx population stays inside a fixed fraction
 //!   of link bandwidth, and sender RTOs and open retries are widened by
 //!   the matching pacing term, so an answer queued behind the

@@ -45,12 +45,11 @@
 //!   the scheme calls *news* ([`RxScheme::on_chunk`] — the message is
 //!   complete, wire order exposed a hole, a submessage can be decided)
 //!   pulls the owner's timer forward, so completion and repair are acted
-//!   on when the bitmap changes, not when a poll clock next fires.
-//!   [`RxDriver`] wraps it in a [`tick_loop`] for one transfer, with a
-//!   *heartbeat* only where silence is the receiver's to time (EC's FTO,
-//!   GBN, the CTS heal before the first packet, the linger repeats). The
-//!   [`FlowManager`](crate::flow::FlowManager) steps thousands of them
-//!   from its shared due index and adds no heartbeat. Either way an SR
+//!   on when the bitmap changes, not when a poll clock next fires; else it
+//!   steps only to repeat news once, at its scheme's one deadline, and on
+//!   the doubling CTS-heal clock. [`RxDriver`] wraps it in a [`tick_loop`]
+//!   for one transfer; the [`FlowManager`](crate::flow::FlowManager)
+//!   steps thousands of them from its shared due index. Either way an SR
 //!   receiver, which leaves silence to its sender, has no live timer
 //!   between one arrival's ACK (and its one repeat) and the next arrival.
 //!
@@ -411,11 +410,6 @@ impl ChunkTimers {
     /// Total chunks tracked.
     pub fn total(&self) -> usize {
         self.acked.len()
-    }
-
-    /// Chunks acked so far.
-    pub fn acked_count(&self) -> usize {
-        self.acked_count
     }
 
     /// True once every chunk is acked.
@@ -1057,10 +1051,11 @@ pub struct RxCommon {
     /// Chunks of the posted slots no arrival has reported complete yet
     /// (see [`RxStep::arrival`]).
     chunks_left: usize,
-    /// A packet has landed on a posted slot: the peer holds the credit (and
-    /// whatever handshake led to it), so nothing of the receiver's is left
-    /// to heal. Learned by [`heal_cts`](Self::heal_cts) and by arrivals.
-    seen: bool,
+    /// The settled prefix of the posted slots (posting order is sequence
+    /// order): a packet landed on each or on a later receive sequence, so
+    /// its credit is spent. Learned by [`heal_cts`](Self::heal_cts) and by
+    /// arrivals.
+    settled: usize,
     trace: RxTrace,
     /// Channel telemetry, when bound: the estimator plus one first-pass
     /// cursor per posted slot. The step scans after every scheme poll.
@@ -1077,7 +1072,7 @@ impl RxCommon {
             qp: qp.clone(),
             hdls: Vec::new(),
             chunks_left: 0,
-            seen: false,
+            settled: 0,
             trace: RxTrace::new(&qp.metrics()),
             telemetry: None,
             counters: TelemetryCounters::default(),
@@ -1119,11 +1114,11 @@ impl RxCommon {
         }
     }
 
-    /// True once a packet has landed on a posted slot (as of the last poll
-    /// or arrival): the peer has the credit, the handshake needs no more
-    /// healing.
-    pub fn seen_packet(&self) -> bool {
-        self.seen
+    /// True once a posted slot is settled (as of the last step or
+    /// arrival): a packet landed on it or on a later receive sequence, so
+    /// the peer holds the credit and whatever handshake led to it.
+    pub fn observed(&self) -> bool {
+        self.settled > 0
     }
 
     /// One telemetry pass: first-pass scan every slot's packet bitmap and
@@ -1202,18 +1197,17 @@ impl RxCommon {
         self.qp.recv_bitmap(&self.hdls[i]).expect("live handle")
     }
 
-    /// Re-issues slot `i`'s CTS when nothing has arrived on it yet — the
-    /// lost-credit healing every scheme performs on its poll cadence
-    /// (CTS rides the unreliable control path). Returns `true` when the
-    /// slot has seen at least one packet (schemes arm arrival-triggered
-    /// timers off this).
-    pub fn heal_cts(&mut self, eng: &mut Engine, i: usize, bitmap: &TwoLevelBitmap) -> bool {
-        if bitmap.packets().count_set() == 0 {
-            let _ = self.qp.resend_cts(eng, &self.hdls[i]);
-            false
-        } else {
-            self.seen = true;
-            true
+    /// The CTS heal, which [`RxStep::poll`] alone runs: re-issues the
+    /// credit (CTS rides the unreliable control path) of every posted slot
+    /// not settled. A packet on a later sequence settles a slot as one of
+    /// its own does ([`SdrQp::highest_landed_seq`]): never re-credited.
+    fn heal_cts(&mut self, eng: &mut Engine) {
+        if let Some(landed) = self.qp.highest_landed_seq() {
+            let rest = &self.hdls[self.settled..];
+            self.settled += rest.iter().take_while(|h| h.seq() <= landed).count();
+        }
+        for h in &self.hdls[self.settled..] {
+            let _ = self.qp.resend_cts(eng, h);
         }
     }
 
@@ -1240,9 +1234,9 @@ impl RxCommon {
 }
 
 /// A reliability scheme's receive policy: what to scan and what to say.
-/// The [`RxStep`] supplies CTS healing access, completion detection, the
-/// linger countdown and the exactly-once slot release; whoever steps it
-/// supplies the cadence and the control sink.
+/// The [`RxStep`] supplies the CTS heal, completion detection, the linger
+/// countdown, the exactly-once slot release and the rule for when it
+/// steps; whoever steps it supplies the timer and the control sink.
 pub trait RxScheme: 'static {
     /// Scheme-specific payload for the done callback (receiver statistics).
     type Done;
@@ -1273,14 +1267,14 @@ pub trait RxScheme: 'static {
         rx.wake_if_complete(now)
     }
 
-    /// Whether silence is this receiver's to time. `true` — the default —
-    /// when it must keep stepping with nothing arriving: it runs a clock of
-    /// its own (EC's FTO) or its sender's timer waits on it (GBN). `false`
-    /// when every step it needs is caused by an arrival and its sender's
-    /// RTO times the rest, as SR's does; see [`RxStep::next_step`] for what
-    /// that buys and why it cannot wedge.
-    fn times_silence(&self) -> bool {
-        true
+    /// The one deadline of the scheme's own, asked after a step at `now`
+    /// of an owner stepping at `interval`: when the receiver must step
+    /// although nothing arrives — EC's earliest NACK due, GBN's
+    /// cumulative-ACK clock. `None` — the default, SR's — when every step
+    /// it needs is caused by an arrival and its sender's RTO times the
+    /// rest; see [`RxStep::next_step`] for why that cannot wedge.
+    fn deadline(&self, _now: SimTime, _interval: SimTime) -> Option<SimTime> {
+        None
     }
 
     /// The scheme's final positive ACK.
@@ -1296,7 +1290,7 @@ pub trait RxScheme: 'static {
     fn released(&mut self) {}
 }
 
-/// One receiver's progress, stepped at the owner's cadence: poll until the
+/// One receiver's progress, stepped where its own rule says: poll until the
 /// scheme reports delivery, then repeat the final ACK for `linger` further
 /// steps (its loss on the control path must not strand the sender) and
 /// release every posted slot exactly once. Plain state — no timer, no
@@ -1316,7 +1310,7 @@ pub struct RxStep<S: RxScheme> {
     /// The step that just ran served `wake`: an arrival had asked for it
     /// (see [`on_news`](Self::on_news)).
     on_news: bool,
-    /// Handshake-heal steps scheduled so far (the doubling exponent).
+    /// Heal-clock steps scheduled so far (the doubling exponent).
     heals: u32,
 }
 
@@ -1336,18 +1330,21 @@ impl<S: RxScheme> RxStep<S> {
         }
     }
 
-    /// First half of a step: one scheme poll while the message is still
-    /// incomplete, then the telemetry scan of the bitmaps' new high-water
-    /// ranges (it rides the same cadence). Returns `true` from the
-    /// completing poll on — the caller then sends the final ACK and calls
-    /// [`linger`](Self::linger).
+    /// First half of a step: while the message is still incomplete, the
+    /// CTS heal of every slot not yet settled and one scheme poll; then the
+    /// telemetry scan of the bitmaps' new high-water ranges (it rides the
+    /// same steps). Returns `true` from the completing poll on — the caller
+    /// then sends the final ACK and calls [`linger`](Self::linger).
     pub fn poll(&mut self, eng: &mut Engine, send: CtrlSink<'_>) -> bool {
         self.on_news = self.wake.is_some_and(|at| at <= eng.now());
         if self.on_news {
             self.wake = None;
         }
-        if self.completed_at.is_none() && self.scheme.poll(eng, &mut self.common, send) {
-            self.completed_at = Some(eng.now());
+        if self.completed_at.is_none() {
+            self.common.heal_cts(eng);
+            if self.scheme.poll(eng, &mut self.common, send) {
+                self.completed_at = Some(eng.now());
+            }
         }
         self.common.feed_estimator();
         self.completed_at.is_some()
@@ -1364,7 +1361,7 @@ impl<S: RxScheme> RxStep<S> {
             return None;
         }
         self.common.chunks_left = self.common.chunks_left.saturating_sub(1);
-        self.common.seen = true;
+        self.common.settled = self.common.settled.max(slot + 1);
         let at = self.scheme.on_chunk(&self.common, slot, chunk, now)?;
         self.wake = Some(self.wake.map_or(at, |w| w.min(at)));
         self.wake
@@ -1379,48 +1376,45 @@ impl<S: RxScheme> RxStep<S> {
     /// When the step after the one that just ran at `now` (and did not
     /// complete the message) is due — the one rule every owner's timer
     /// follows; `interval` is the owner's cadence. `None`: no step until
-    /// the next arrival asks for one.
+    /// the next arrival asks for one. The earliest of:
     ///
-    /// * **Before the first packet the receiver owns the clock.** Only it
-    ///   knows it posted: the credit — and whatever handshake of the
-    ///   owner's rides along — may be lost, and the peer, holding nothing,
-    ///   times nothing. The heal steps run on a doubling interval, so a
-    ///   peer that is merely slow to start (a long injection queue) costs
-    ///   O(log wait) of them.
-    /// * **A scheme that [times silence](RxScheme::times_silence)** steps
-    ///   every `interval`.
-    /// * **Otherwise: news, one repeat, then the sender's clock.** A step
-    ///   an arrival asked for spoke; what it said is repeated once, one
-    ///   `interval` later, to cover its own loss, and after that the
-    ///   receiver has no timer until its next arrival. This cannot wedge a
-    ///   transfer: (1) every step reports the *whole* bitmap, so the ACK of
-    ///   any later arrival stands in for every ACK lost before it; (2) what
-    ///   the receiver lacks it will never announce by itself, but the
-    ///   sender's RTO resends it after a bounded silence, and its landing
-    ///   is an arrival; (3) what the receiver holds and the sender never
-    ///   heard of — an ACK and its repeat both lost — the RTO resends
-    ///   spuriously, once per back-off step, until (1) applies or the
-    ///   message completes, and completion is not left to this rule: the
-    ///   final ACK is repeated by the linger countdown however quiet the
-    ///   wire. So two lost datagrams cost a bounded number of duplicate
-    ///   chunks, which the bitmap drops.
+    /// * **news** — a step an arrival asked for is never slept past;
+    /// * **the repeat** — what a news step said is repeated once, one
+    ///   `interval` later, to cover its own loss;
+    /// * **the scheme's deadline** ([`RxScheme::deadline`]);
+    /// * **the heal clock**, while a posted slot is not settled. Only the
+    ///   receiver knows it posted: the credit — and whatever handshake of
+    ///   the owner's rides along — may be lost, and the peer, holding
+    ///   nothing, times nothing. The clock doubles, so a peer that is
+    ///   merely slow to start (a long injection queue) costs O(log wait)
+    ///   heals, and a spent credit whose packets all died costs no more.
     ///
-    /// Whatever the rule says, a step an arrival already asked for is
-    /// never slept past.
+    /// Nothing else: a receiver whose scheme names no deadline is silent
+    /// between its news and the next arrival. This cannot wedge a
+    /// transfer: (1) every step reports the *whole* bitmap, so the ACK of
+    /// any later arrival stands in for every ACK lost before it; (2) what
+    /// the receiver lacks it will never announce by itself, but the
+    /// sender's RTO resends it after a bounded silence, and its landing is
+    /// an arrival; (3) what the receiver holds and the sender never heard
+    /// of — an ACK and its repeat both lost — the RTO resends spuriously,
+    /// once per back-off step, until (1) applies or the message completes,
+    /// and completion is not left to this rule: the final ACK is repeated
+    /// by the linger countdown however quiet the wire. So two lost
+    /// datagrams cost a bounded number of duplicate chunks, which the
+    /// bitmap drops.
     pub fn next_step(&mut self, now: SimTime, interval: SimTime) -> Option<SimTime> {
-        let clock = if !self.common.seen {
+        let unsettled = self.common.settled < self.common.hdls.len();
+        let heal = unsettled.then(|| {
             let wait = backed_off(interval, self.heals);
             self.heals += 1;
-            Some(now.saturating_add(wait))
-        } else if self.scheme.times_silence() || self.on_news {
-            Some(now.saturating_add(interval))
-        } else {
-            None
-        };
-        match (self.wake, clock) {
-            (Some(wake), Some(clock)) => Some(wake.min(clock)),
-            (wake, clock) => wake.or(clock),
-        }
+            now.saturating_add(wait)
+        });
+        let repeat = self.on_news.then(|| now.saturating_add(interval));
+        let deadline = self.scheme.deadline(now, interval);
+        [self.wake, repeat, deadline, heal]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Second half of a completed step: count one final-ACK repeat down;
@@ -1480,7 +1474,8 @@ struct RxState<S: RxScheme> {
     /// The step loop's one timer: news pulls it forward, quiesce cancels
     /// it.
     tick: Option<TimerHandle>,
-    /// The heartbeat interval.
+    /// The step interval: the news repeat's delay, the heal clock's base
+    /// and the linger repeats' spacing.
     interval: SimTime,
     /// When `tick` fires next (`MAX`: parked), so news only moves it earlier.
     next_step: SimTime,
@@ -1493,22 +1488,20 @@ struct RxState<S: RxScheme> {
 ///
 /// Every posted slot's chunk-completion hook ([`SdrQp::set_chunk_hook`])
 /// reports to the step; news ([`RxScheme::on_chunk`]) moves the driver's
-/// *one* timer to the instant asked for. A heartbeat one interval out caps
-/// the rule only where silence is the receiver's to time: before the
-/// first packet (a fixed-interval CTS heal) and for a scheme that [times
-/// silence](RxScheme::times_silence). When the rule says no step until the
-/// next arrival, the timer sleeps until `SimTime::MAX`, which the engine
-/// parks off the queue until news reschedules it.
+/// *one* timer to the instant asked for. Between steps the timer is where
+/// the step's own rule puts it, nothing added; when the rule says no step
+/// until the next arrival, it sleeps until `SimTime::MAX`, which the
+/// engine parks off the queue until news reschedules it.
 pub struct RxDriver<S: RxScheme> {
     inner: Rc<RefCell<RxState<S>>>,
 }
 
 impl<S: RxScheme> RxDriver<S> {
-    /// Starts the receive loop: `rx` is stepped every `tick`, and sooner
-    /// when its slots' arrivals are news, until its scheme reports
-    /// completion; `done` then fires exactly once; the final ACK repeats
-    /// for the step's linger count before every posted slot is released
-    /// (exactly once) and the loop stops.
+    /// Starts the receive loop: `rx` is stepped `tick` from now and then
+    /// where [`RxStep::next_step`] says (at interval `tick`) until its
+    /// scheme reports completion; `done` then fires exactly once; the
+    /// final ACK repeats every `tick` for the step's linger count before
+    /// every posted slot is released (exactly once) and the loop stops.
     pub fn spawn(
         eng: &mut Engine,
         tick: SimTime,
@@ -1572,13 +1565,9 @@ impl<S: RxScheme> RxDriver<S> {
             } = &mut *st;
             let mut send = |eng: &mut Engine, msg: &CtrlMsg| ctrl.send_ctrl(eng, *peer_ctrl, msg);
             if !rx.poll(eng, &mut send) {
-                // The step's own rule, capped by the heartbeat where
-                // silence is ours to time; `None` parks until news.
-                let heartbeat = !rx.common().seen_packet() || rx.scheme().times_silence();
-                *next_step = match rx.next_step(eng.now(), *interval) {
-                    Some(at) if heartbeat => at.min(*next_step),
-                    at => at.unwrap_or(SimTime::MAX),
-                };
+                // The step's own rule; `None` parks until news.
+                let at = rx.next_step(eng.now(), *interval);
+                *next_step = at.unwrap_or(SimTime::MAX);
                 return Tick::Until(*next_step);
             }
             send(eng, &rx.scheme().final_ack());
@@ -1636,6 +1625,12 @@ impl<S: RxScheme> RxDriver<S> {
     /// [`RxCommon::frontier`]).
     pub fn frontier(&self) -> (u64, u64) {
         self.inner.borrow().rx.common().frontier()
+    }
+
+    /// Feeds the bound estimator what landed since the last step, for an
+    /// owner that reads it between steps.
+    pub fn feed_estimator(&self) {
+        self.inner.borrow_mut().rx.common.feed_estimator();
     }
 }
 

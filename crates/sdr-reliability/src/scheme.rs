@@ -304,11 +304,11 @@ impl RxScheme for RxPolicy {
         }
     }
 
-    fn times_silence(&self) -> bool {
+    fn deadline(&self, now: SimTime, interval: SimTime) -> Option<SimTime> {
         match self {
-            RxPolicy::Sr(s) => s.times_silence(),
-            RxPolicy::Ec(s) => s.times_silence(),
-            RxPolicy::Gbn(s) => s.times_silence(),
+            RxPolicy::Sr(s) => s.deadline(now, interval),
+            RxPolicy::Ec(s) => s.deadline(now, interval),
+            RxPolicy::Gbn(s) => s.deadline(now, interval),
         }
     }
 

@@ -534,9 +534,6 @@ impl RxScheme for SrRxScheme {
 
     fn poll(&mut self, eng: &mut Engine, rx: &mut RxCommon, send: CtrlSink<'_>) -> bool {
         let bitmap = rx.bitmap(0);
-        // Nothing arrived yet? The CTS may have been lost on the
-        // unreliable control path — re-issue it.
-        rx.heal_cts(eng, 0, &bitmap);
         if bitmap.is_complete() {
             return true;
         }
@@ -548,10 +545,6 @@ impl RxScheme for SrRxScheme {
             );
             self.paced = eng.now().saturating_add(self.interval);
         }
-        false
-    }
-
-    fn times_silence(&self) -> bool {
         false
     }
 

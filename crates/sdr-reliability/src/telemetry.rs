@@ -256,11 +256,6 @@ impl ChannelEstimator {
         self.last_progress = Some(now);
     }
 
-    /// The last noted progress instant, if any.
-    pub fn last_progress(&self) -> Option<SimTime> {
-        self.last_progress
-    }
-
     /// True when no progress has been noted for at least `threshold` —
     /// silence ≫ RTO means the channel is dark, not merely lossy: every
     /// retransmission and its ACK died for that long. `false` until the
@@ -299,11 +294,6 @@ impl ChannelEstimator {
     /// First-pass packets observed so far.
     pub fn packets_seen(&self) -> u64 {
         self.seen
-    }
-
-    /// RTT samples observed so far.
-    pub fn rtt_samples(&self) -> u64 {
-        self.rtt_samples
     }
 }
 

@@ -379,19 +379,29 @@ impl ProtoHarness {
     /// repair was still making progress (advancing `rto-fire` stamps with
     /// climbing `rto-backoff` exponents are a live backstop; a frozen tail
     /// means teardown already happened — look for `abort`/`incarnation`).
+    /// Ahead of them, the whole run's counts: the registry, and per node
+    /// its control endpoint's sends and filter drops, its outbound
+    /// `LinkStats` and its QP's `SdrStats` — where a loop stands out.
     pub fn forensics(&self) -> String {
-        format!(
-            "\n  --- node A flight recorder (last {FORENSIC_WINDOW}) ---\n{}\
-             \n  --- node B flight recorder (last {FORENSIC_WINDOW}) ---\n{}",
-            self.p
-                .fabric
-                .recorder(self.p.node_a)
-                .timeline(FORENSIC_WINDOW),
-            self.p
-                .fabric
-                .recorder(self.p.node_b)
-                .timeline(FORENSIC_WINDOW),
-        )
+        let p = &self.p;
+        let registry = p.fabric.metrics().snapshot().render();
+        let mut out = format!("\n  --- registry ---\n{registry}");
+        let ends = [
+            ("A", p.node_a, p.node_b, &self.ctrl_a, &p.qp_a),
+            ("B", p.node_b, p.node_a, &self.ctrl_b, &p.qp_b),
+        ];
+        for (name, node, peer, ep, qp) in ends {
+            out += &format!(
+                "  --- node {name}: ctrl sent {} {:?}\n  link out {:?}\n  qp {:?}\n  \
+                 --- node {name} flight recorder (last {FORENSIC_WINDOW}) ---\n{}",
+                ep.sent_count(),
+                ep.filter_stats(),
+                p.fabric.link_stats(node, peer).unwrap_or_default(),
+                qp.stats(),
+                p.fabric.recorder(node).timeline(FORENSIC_WINDOW),
+            );
+        }
+        out
     }
 }
 

@@ -2,9 +2,10 @@
 //! every scheme): completion is acted on at the arrival instant, a clean
 //! transfer says no more than the heartbeat used to say, a hole costs one
 //! ACK and one round trip, an SR receiver left with nothing to say leaves
-//! silence to its sender's clock without wedging, and a wake that is
+//! silence to its sender's clock without wedging, a wake that is
 //! pending when the receiver is torn down wakes nobody — not the old
-//! driver, not the slot's next owner.
+//! driver, not the slot's next owner — and a slot a later sequence's
+//! packet passed is neither re-credited nor left unobserved.
 //!
 //! The links here are lossless and the losses scripted (a forward
 //! blackout that swallows chosen packets), so every instant below is
@@ -341,4 +342,64 @@ fn a_pending_wake_dies_with_the_receiver() {
     assert_eq!(reg.counter_value("rx.wake.complete"), 1);
     assert_eq!(reg.counter_value("rx.wake.hole"), 1);
     assert!(!first.is_complete(), "the old driver heard nothing");
+}
+
+/// Sends open in sequence order, so a packet on a later receive
+/// sequence proves an earlier slot's credit was spent: the heal stops
+/// re-crediting that slot and counts it as observed, although not one
+/// packet of its own landed.
+#[test]
+fn a_slot_passed_by_a_later_sequence_is_settled() {
+    use sdr_core::testkit::{sdr_pair, SdrPair};
+    use sdr_reliability::runtime::{CtrlSink, RxCommon, RxScheme, RxStep};
+    use sdr_reliability::CtrlMsg;
+    use sdr_sim::Engine;
+    struct Idle;
+    impl RxScheme for Idle {
+        type Done = ();
+        fn poll(&mut self, _: &mut Engine, _: &mut RxCommon, _: CtrlSink<'_>) -> bool {
+            false
+        }
+        fn final_ack(&self) -> CtrlMsg {
+            CtrlMsg::EcAck
+        }
+        fn done_payload(&self) {}
+    }
+    let cfg = SdrConfig::default();
+    let mut p = sdr_pair(sdr_sim::LinkConfig::intra_dc(8e9), cfg, 8 << 20);
+    let len = cfg.chunk_bytes;
+    let (src, dst) = (p.ctx_a.alloc_buffer(len), p.ctx_b.alloc_buffer(2 * len));
+    let mut common = RxCommon::new(&p.qp_b);
+    common.post(&mut p.eng, dst, len);
+    let mut rx = RxStep::new(common, Idle, 0);
+    let iv = SimTime::from_secs_f64(1e-5);
+    p.eng.run();
+    let credits = |p: &SdrPair| p.qp_a.stats().cts_received;
+    let mut step = |p: &mut SdrPair| {
+        let before = credits(p);
+        rx.poll(&mut p.eng, &mut |_, _| {});
+        p.eng.run();
+        let observed = rx.common().observed();
+        (credits(p) - before, observed, rx.next_step(p.eng.now(), iv))
+    };
+
+    // Nothing landed yet: the slot is re-credited, the heal clock runs.
+    let (reissued, observed, next) = step(&mut p);
+    assert_eq!((reissued, observed), (1, false));
+    assert!(next.is_some());
+
+    // The sender opens the slot's send and none of its packets land;
+    // the next send lands on a later receive sequence.
+    p.qp_a
+        .send_stream_start(&mut p.eng, src, len, None)
+        .unwrap();
+    p.qp_b.recv_post(&mut p.eng, dst + len, len).unwrap();
+    p.eng.run();
+    p.qp_a.send_post(&mut p.eng, src, len, None).unwrap();
+    p.eng.run();
+    assert_eq!(p.qp_b.highest_landed_seq(), Some(1));
+    let (reissued, observed, next) = step(&mut p);
+    assert_eq!(reissued, 0, "a spent credit is not re-issued");
+    assert!(observed, "a passed slot is observed");
+    assert_eq!(next, None, "nothing is left to heal");
 }

@@ -178,6 +178,19 @@ fn chaos_one() {
     }
 }
 
+/// A soak case that once livelocked, directed: an EC-MDS(32,8) adaptive
+/// transfer over a reordering wire whose forward blackout swallowed epoch
+/// 0's whole first pass, data and parity. Later epochs' packets landed on
+/// later receive sequences, which proves epoch 0's credits were spent: its
+/// receiver must stop re-issuing them, count the slots as observed, arm
+/// the FTO and NACK — not re-credit a spent send every poll while the
+/// adaptive receiver reports the same telemetry forever.
+#[test]
+fn a_segment_whose_first_pass_died_delivers_on_order_evidence() {
+    let line = run_chaos(25821165949468).unwrap_or_else(|e| panic!("{e}"));
+    assert!(line.contains("→ delivered"), "{line}");
+}
+
 /// The 40 MiB acceptance deployment: SR-NACK over 2 MiB segments, 4 MiB
 /// SDR sends and 64 slots.
 fn demo(link: LinkConfig, data_seed: u64) -> SoakCase {

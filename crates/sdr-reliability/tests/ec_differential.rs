@@ -81,8 +81,8 @@ fn run_ec(link: LinkConfig, seed: u64, blackouts: &[(SimTime, SimTime)]) -> Run 
     };
     let mut h = ProtoHarness::new(link.with_seed(seed), cfg, MSG, seed);
     // The model loses data, never a CTS, NACK or ACK: neither does the
-    // reverse direction here (a lost final ACK costs one heartbeat, which
-    // `control_path_loss` covers).
+    // reverse direction here (a lost final ACK costs one linger repeat,
+    // which `control_path_loss` covers).
     let (a, b) = (h.p.node_a, h.p.node_b);
     h.p.fabric.set_link_loss(b, a, LossModel::Perfect);
     for &(from, to) in blackouts {
@@ -202,10 +202,11 @@ fn a_lost_repair_is_renacked_no_sooner_than_a_round_trip() {
         "{first_at:?} vs {pass_end:?}"
     );
     // Not before a round trip and the margin; and no later than that plus
-    // the pass time the repair is allowed on the wire plus one heartbeat.
+    // the pass time the repair is allowed on the wire — the NACK leaves at
+    // its due instant, with no poll to wait for.
     let gap = SimTime(second.at_ps) - first_at;
     assert!(gap >= rtt + margin, "re-NACKed after {gap:?}");
-    assert!(gap <= rtt + margin + rtt / 8 + tx_time(MSG * 5 / 4, BW) * 2);
+    assert!(gap <= rtt + margin + tx_time(MSG * 5 / 4, BW) * 2);
 }
 
 #[test]

@@ -230,7 +230,8 @@ fn adaptive_segments_release_their_sends_across_a_handover() {
 /// goes dark when a quarter of the run's credits have landed (none of an
 /// ARQ run's one, those of the first data submessages of an EC run's `2L`),
 /// the sender is aborted with the rest outstanding, the path heals and the
-/// receiver's heartbeat re-issues them.
+/// receiver's CTS-heal clock re-issues them (no later sequence landed, so
+/// nothing says they were spent).
 /// The closed sender must leave them alone — the sequence a late credit
 /// names belongs to whoever sends next on the QP. One guard serves all
 /// schemes ([`StreamTx::ready`](sdr_reliability::runtime::StreamTx::ready)
