@@ -16,25 +16,30 @@
 //!
 //! # Life of a payload byte
 //!
-//! A payload byte is moved once and checksummed twice. `send_post` /
+//! A payload byte is moved once and checksummed once. `send_post` /
 //! `send_stream_continue` post one work request per packet that *names*
 //! its MTU of the send buffer ([`RegionWriteWr`]: address, length) — this
-//! QP never reads or copies it. **Pass 1:** the sending NIC takes the
+//! QP never reads or copies it. **The pass:** the sending NIC takes the
 //! packet's CRC32C as the request is posted; it travels in the modeled
 //! transport header, out of the wire's reach. The bytes stay where they
 //! are until the packet is delivered: the fabric resolves the descriptor
 //! against the sender's memory (copying only to flip bits on a corrupting
-//! wire). **Pass 2:** the receiving NIC checksums that source slice
+//! wire). **The check:** the receiving NIC verifies that source slice
 //! against the carried CRC and, on a match, copies it straight into the
-//! posted receive buffer — the single move. The CQE carries the verdict
-//! ([`PayloadCheck`]): `Landed(crc)` is recorded as the packet's arrival
-//! CRC as is; only `Skipped` (mismatch, DMA suppressed) and `Unchecked`
-//! (no CRC carried) make this QP read landed bytes back, to tell a corrupt
-//! duplicate over a clean original from a corrupt first arrival.
+//! posted receive buffer — the single move. It hashes the slice again
+//! only when the bytes may differ from the ones hashed at post — the wire
+//! corrupted them, or a source page was written since (node memory keeps
+//! write stamps) — and otherwise the carried CRC *is* the slice's. The
+//! CQE carries the verdict ([`PayloadCheck`]): `Landed(crc)` is recorded
+//! as the packet's arrival CRC as is; only `Skipped` (mismatch, DMA
+//! suppressed) and `Unchecked` (no CRC carried) make this QP read landed
+//! bytes back, to tell a corrupt duplicate over a clean original from a
+//! corrupt first arrival.
 //!
 //! The send buffer must therefore stay unmodified from the post until the
 //! peer's receive completes. A violation is *detected*: bytes changed in
-//! flight fail pass 2 and the packet is dropped and repaired as a loss.
+//! flight are hashed again at the receiving NIC, fail the check, and the
+//! packet is dropped and repaired as a loss.
 //!
 //! *Returning* a send buffer to the node allocator
 //! ([`SdrContext::free_buffer`](crate::SdrContext::free_buffer)) is not a
@@ -999,8 +1004,8 @@ impl QpInner {
         // End-to-end integrity. The NIC verified the payload against the
         // sender's CRC32C (carried in the modeled transport header) before
         // its DMA committed, and its verdict rides the CQE: for a payload
-        // that landed, the CRC the NIC computed is recorded as is — the
-        // bytes are not hashed a third time. Only when the NIC vouches
+        // that landed, the payload's CRC is recorded as is — the bytes
+        // are not hashed again here. Only when the NIC vouches
         // for nothing are the landed bytes read back and compared: it
         // skipped the DMA over a mismatch (so a corrupt duplicate over a
         // clean original still counts as a duplicate — memory matches the

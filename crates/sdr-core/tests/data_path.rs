@@ -190,3 +190,70 @@ fn completed_receives_return_their_memory_keys() {
     assert_eq!(keys(&p), after_first_lap, "one key leaked per receive");
     assert_eq!(p.ctx_b.read_buffer(dst, data.len()), data);
 }
+
+/// The receiving NIC hashes a packet only when its source pages were
+/// written since the post, and then that hash decides: packets rewritten
+/// in flight *with their own bytes* are stamped "written", hashed, found
+/// equal and land; packets rewritten with other bytes are still skipped;
+/// every packet whose pages nobody touched lands on its carried checksum
+/// unhashed. `nic.crc.rehashed` counts exactly the packets that share a
+/// page with a rewrite.
+#[test]
+fn a_source_rewritten_with_its_own_bytes_still_lands() {
+    let data = pattern(MSG as usize, 8);
+    let mut link = LinkConfig::intra_dc(100e9);
+    link.one_way_delay = SimTime::from_millis(1);
+    let (mut p, src, dst) = staged(link, cfg(), &data);
+    let mtu = p.qp_a.config().mtu_bytes as usize;
+    let rh = p.qp_b.recv_post(&mut p.eng, dst, MSG).unwrap();
+    p.eng.run();
+    p.qp_a.send_post(&mut p.eng, src, MSG, None).unwrap();
+
+    // All 256 packets are on the wire, none delivered: packets 10..20 and
+    // 120 get their own bytes back, 100..104 and 200 new ones.
+    let same: Vec<usize> = (10..20).chain([120]).collect();
+    let changed: Vec<usize> = (100..104).chain([200]).collect();
+    for &pkt in &same {
+        let at = pkt * mtu..(pkt + 1) * mtu;
+        p.ctx_a.write_buffer(src + at.start as u64, &data[at]);
+    }
+    for &pkt in &changed {
+        let at = pkt * mtu;
+        p.ctx_a.write_buffer(src + at as u64, &[data[at] ^ 0x5A]);
+    }
+    p.eng.run();
+
+    let bm = p.qp_b.recv_bitmap(&rh).unwrap();
+    for pkt in 0..bm.total_packets() {
+        assert_eq!(
+            bm.packets().get(pkt),
+            !changed.contains(&pkt),
+            "packet {pkt}"
+        );
+    }
+    let nic = p.fabric.node(p.node_b, |n| n.stats());
+    assert_eq!(nic.crc_skipped, changed.len() as u64);
+    let landed = p.ctx_b.read_buffer(dst, data.len());
+    for &pkt in &same {
+        let at = pkt * mtu..(pkt + 1) * mtu;
+        assert!(landed[at.clone()] == data[at], "packet {pkt} intact");
+    }
+    // A packet is hashed again iff one of its source pages was written.
+    let page = sdr_sim::memory::PAGE;
+    let pages = |off: usize, len: usize| {
+        let lo = src as usize + off;
+        lo / page..=(lo + len - 1) / page
+    };
+    let written: Vec<usize> = (same.iter().map(|&pkt| (pkt * mtu, mtu)))
+        .chain(changed.iter().map(|&pkt| (pkt * mtu, 1)))
+        .flat_map(|(off, len)| pages(off, len))
+        .collect();
+    let rehashed = (0..bm.total_packets())
+        .filter(|&pkt| pages(pkt * mtu, mtu).any(|pg| written.contains(&pg)))
+        .count() as u64;
+    assert!(rehashed >= (same.len() + changed.len()) as u64);
+    assert_eq!(
+        p.fabric.metrics().counter_value("nic.crc.rehashed"),
+        rehashed
+    );
+}

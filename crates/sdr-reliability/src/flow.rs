@@ -781,9 +781,15 @@ impl FlowManager {
                 trace: FlowTrace::new(fabric, node),
             }),
         });
-        let c = core.clone();
-        core.ep
-            .set_flow_handler(move |eng, src, flow, msg| Self::on_ctrl(&c, eng, src, flow, msg));
+        // The endpoint is the core's own, so its handler reaches the core
+        // through a `Weak`: a strong capture would close a core →
+        // endpoint → handler → core cycle and keep the deployment alive.
+        let weak = Rc::downgrade(&core);
+        core.ep.set_flow_handler(move |eng, src, flow, msg| {
+            if let Some(c) = weak.upgrade() {
+                Self::on_ctrl(&c, eng, src, flow, msg);
+            }
+        });
         FlowManager { core }
     }
 
@@ -818,10 +824,13 @@ impl FlowManager {
     fn add_port(&self, peer: NodeId, peer_ctrl: QpAddr, qps: Vec<SdrQp>) {
         let core = &self.core;
         for (i, qp) in qps.iter().enumerate() {
-            let c = core.clone();
+            // The core owns the shard's QP, so the callback holds the
+            // core weakly, as the flow handler does.
+            let weak = Rc::downgrade(core);
             // CTS arrival may unblock the head of this shard's start
             // queue; each start can cascade into the next.
             qp.set_cts_callback(move |eng, _seq, _len| {
+                let Some(c) = weak.upgrade() else { return };
                 {
                     let mut inner = c.inner.borrow_mut();
                     inner.try_starts(&c, eng, peer, i);

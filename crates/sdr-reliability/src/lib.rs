@@ -256,15 +256,20 @@
 //!      `crc_skipped` NIC stat), its bitmap bit stays clear, and the
 //!      scheme machinery — SR NACK/RTO, GBN rewind, EC parity — repairs
 //!      it as an ordinary loss. The **NIC verifies, `SdrQp` records**:
-//!      the CRC the NIC computed rides the completion
+//!      the payload's CRC rides the completion
 //!      (`sdr_sim::PayloadCheck::Landed`) and becomes the packet's
-//!      arrival CRC without a second pass over the bytes; `SdrQp`
+//!      arrival CRC without another pass over the bytes; `SdrQp`
 //!      re-reads memory only for the completions the NIC did not vouch
-//!      for. Because data packets name the send buffer and are read at
-//!      delivery, this is also the layer that catches a source range
-//!      modified *while its packets are in flight* (it no longer matches
-//!      the CRC taken at post time) — the repair re-reads the source, so
-//!      what lands is what the source holds. The [`ChannelEstimator`] consequently
+//!      for. The receiving NIC hashes a payload only when it may differ
+//!      from what the sending NIC hashed at post (the wire corrupted it,
+//!      or node memory's write stamps say a source page was written
+//!      since, counted by `nic.crc.rehashed`); otherwise the carried CRC
+//!      is the payload's, so a clean packet is hashed once. Because data
+//!      packets name the send buffer and are read at delivery, this is
+//!      also the layer that catches a source range modified *while its
+//!      packets are in flight* (it no longer matches the CRC taken at
+//!      post time) — the repair re-reads the source, so what lands is
+//!      what the source holds. The [`ChannelEstimator`] consequently
 //!      *sees* corruption as loss, so the adaptive controller reacts to a
 //!      corrupting channel the same way it reacts to a lossy one: by
 //!      handing over to a stronger scheme.

@@ -184,7 +184,9 @@ impl Fabric {
     pub fn add_node(&self, mem_capacity: usize) -> NodeId {
         let mut inner = self.inner.borrow_mut();
         let id = NodeId(inner.nodes.len() as u32);
-        inner.nodes.push(Node::new(id, mem_capacity));
+        let mut node = Node::new(id, mem_capacity);
+        node.bind_metrics(&self.metrics);
+        inner.nodes.push(node);
         inner.incarnations.push(0);
         inner.attached.push(true);
         inner.restart_drops.push(0);
@@ -756,6 +758,7 @@ impl Fabric {
                     node,
                     addr: wr.local_addr,
                     len: wr.len,
+                    clock: local.mem().clock(),
                 },
                 imm: wr.imm,
                 crc,
@@ -917,7 +920,9 @@ fn uc_peer(node: &Node, qp: QpNum) -> Result<QpAddr, PostError> {
 
 /// Hands a packet that survived the wire to its destination NIC, resolving
 /// a [`Payload::Region`] against the sender's memory on the way: the
-/// receiving NIC verifies and copies straight out of the source buffer.
+/// receiving NIC verifies and copies straight out of the source buffer,
+/// told whether any source page was written since the post (only then can
+/// the bytes differ from what the sending NIC hashed).
 fn deliver(
     nodes: &mut [Node],
     attached: &[bool],
@@ -935,13 +940,19 @@ fn deliver(
         return;
     }
     match &pkt.payload {
-        Payload::Owned(bytes) => nodes[dst].handle_packet(eng, &pkt, bytes),
-        Payload::Region { node, addr, len } => {
+        Payload::Owned(bytes) => nodes[dst].handle_packet(eng, &pkt, bytes, false),
+        Payload::Region {
+            node,
+            addr,
+            len,
+            clock,
+        } => {
             let (src, addr, len) = (node.0 as usize, *addr, *len as usize);
+            let as_posted = !nodes[src].mem().written_since(addr, len, *clock);
             if src == dst {
                 // A node cannot lend its memory and be written at once.
                 let copy = nodes[src].mem().read(addr, len).to_vec();
-                nodes[dst].handle_packet(eng, &pkt, &copy);
+                nodes[dst].handle_packet(eng, &pkt, &copy, as_posted);
             } else {
                 let (lo, hi) = nodes.split_at_mut(src.max(dst));
                 let (from, to) = if src < dst {
@@ -949,7 +960,7 @@ fn deliver(
                 } else {
                     (&hi[0], &mut lo[dst])
                 };
-                to.handle_packet(eng, &pkt, from.mem().read(addr, len));
+                to.handle_packet(eng, &pkt, from.mem().read(addr, len), as_posted);
             }
         }
     }
@@ -1330,6 +1341,48 @@ mod tests {
             "head landed before the crash or tail after re-attach: {landed}"
         );
         assert_eq!(eng.pending_events(), 0, "restart plan is finite");
+    }
+
+    /// The receiving NIC hashes a checked region payload only when its
+    /// bytes may differ from what the sending NIC hashed at post: every
+    /// packet the wire corrupted (owned bytes from then on) is hashed and
+    /// skipped, every clean one lands on its carried checksum without a
+    /// second pass — `nic.crc.rehashed` counts exactly the corrupted ones.
+    #[test]
+    fn only_corrupted_region_payloads_are_hashed_again() {
+        const N: usize = 200;
+        const LEN: usize = 1024;
+        let (mut eng, fab, a, b) = two_node_uc(0.0);
+        fab.set_link_corruption(a.node, b.node, 2e-5, 1);
+        let data: Vec<u8> = (0..N * LEN).map(|i| (i % 251) as u8).collect();
+        let src = fab.node_mut(a.node, |n| {
+            let at = n.mem_mut().alloc(data.len() as u64);
+            n.mem_mut().write(at, &data);
+            at
+        });
+        let mr = fab.node_mut(b.node, |n| n.alloc_mr(data.len() as u64));
+        let wrs = (0..N as u64).map(|i| RegionWriteWr {
+            qp: a.qp,
+            local_addr: src + i * LEN as u64,
+            len: LEN as u32,
+            remote_mkey: mr.mkey,
+            remote_offset: i * LEN as u64,
+            imm: Some(i as u32),
+            checksum: true,
+            wr_id: 0,
+            signaled: false,
+        });
+        fab.post_uc_region_writes(&mut eng, a.node, wrs, |_, _| {})
+            .unwrap();
+        eng.run();
+        let corrupted = fab.link_stats(a.node, b.node).unwrap().corrupted;
+        let nic = fab.node(b.node, |n| n.stats());
+        assert!((10..N as u64 / 2).contains(&corrupted), "{corrupted}");
+        assert_eq!(
+            (nic.crc_skipped, nic.writes_landed),
+            (corrupted, N as u64 - corrupted)
+        );
+        assert_eq!(fab.metrics().counter_value("nic.crc.rehashed"), corrupted);
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //!   NULL and indirect/root keys per Figure 5), completion queues with
 //!   wakers, and UC/UD queue pairs with faithful ePSN semantics. Its
 //!   [`Memory`] is an allocator with lifetimes: blocks are freed and
-//!   recycled by exact length (see [`memory`] for when a block may go).
+//!   recycled by exact length (see [`memory`] for when a block may go),
+//!   and it stamps every page it lets be written, so the receiving NIC
+//!   hashes a named payload only when its source changed since the post.
 //! * [`Fabric`] — ties nodes and links together and implements the
 //!   send-side datapath (fragmentation, write-with-immediate, UD sends)
 //!   plus the per-link delivery pumps. A Write's payload is either owned

@@ -960,6 +960,7 @@ mod tests {
                 node: NodeId(0),
                 addr: i as u64 * 1000,
                 len: 1000,
+                clock: mem.clock(),
             };
             named.enqueue(SimTime::ZERO, p);
         }

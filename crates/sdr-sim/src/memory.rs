@@ -78,8 +78,41 @@
 //! 6 of 6 paired runs (the landed bytes are read back soon after, now
 //! from DRAM), so payloads under 1 KiB keep ordinary stores, as do UD
 //! receives (control datagrams, read in the very next event).
+//!
+//! # Write stamps
+//!
+//! `Memory` keeps a write clock and, for every [`PAGE`]-byte page, the
+//! clock of the last mutating access that covered it. Every mutator —
+//! [`write`](Memory::write), [`dma_write`](Memory::dma_write), both
+//! regions of [`regions_mut`](Memory::regions_mut) and
+//! [`fill`](Memory::fill) — reaches the bytes through one private
+//! accessor that takes the ranges it hands out, bumps the clock and
+//! stamps their pages *before* returning them, so no mutator can skip the
+//! stamp. [`read`](Memory::read), [`alloc`](Memory::alloc),
+//! [`free`](Memory::free) and zero-length calls stamp nothing.
+//!
+//! **The invariant.** If no page of `[addr, addr + len)` carries a stamp
+//! newer than a clock reading `c`, those bytes are exactly what they were
+//! when [`clock`](Memory::clock) returned `c`
+//! ([`written_since`](Memory::written_since) answers the question). The
+//! fabric uses it to spare the receiving NIC a hash: a
+//! [`Payload::Region`](crate::Payload) packet carries its source's clock
+//! from the post, where the sending NIC hashed the bytes, and a packet
+//! whose pages are unwritten since then carries a checksum that still
+//! describes them.
+//!
+//! **It is conservative.** A stamp says a page *may* differ, never that it
+//! does: a write of the same bytes, a write to another part of the page,
+//! or a `regions_mut` caller that only reads all stamp it. A stamped page
+//! costs the NIC one hash (which then decides), never a wrong verdict.
+//!
+//! **Node memory is never replaced** while packets name it: a `Node`
+//! builds its `Memory` once, and the clock never goes back. A fresh
+//! `Memory` swapped in under in-flight packets would restart the clock
+//! below their post readings.
 
 use std::cell::Cell;
+use std::ops::Range;
 
 use crate::hash::IntMap;
 use crate::packet::MkeyId;
@@ -90,6 +123,11 @@ pub const STREAM_MIN_BYTES: usize = 1024;
 
 /// Cache line size the streaming copy writes whole.
 const LINE: usize = 64;
+
+/// Bytes one write stamp covers (see [write stamps](self#write-stamps)).
+/// A constant, not a setting; coarsen it only on paired evidence from
+/// the many-flow rows, whose stamp lookups span the most memory.
+pub const PAGE: usize = 4096;
 
 /// Byte-addressable memory of one node and its block allocator (see the
 /// [module docs](self) for the contract).
@@ -103,6 +141,10 @@ pub struct Memory {
     capacity: usize,
     /// Streamed stores may be outstanding: the next access fences.
     streamed: Cell<bool>,
+    /// Write clock: bumped by every mutating access.
+    clock: u64,
+    /// Per page, the clock of the last mutating access that covered it.
+    stamps: Vec<u64>,
     /// Bump cursor: every address below it has been handed out at least
     /// once.
     next: u64,
@@ -122,6 +164,8 @@ impl Memory {
             origin,
             capacity,
             streamed: Cell::new(false),
+            clock: 0,
+            stamps: vec![0; capacity.div_ceil(PAGE)],
             next: 0,
             live: IntMap::default(),
             free: IntMap::default(),
@@ -177,8 +221,7 @@ impl Memory {
 
     /// Copies `data` to `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let a = addr as usize;
-        self.arena_mut()[a..a + data.len()].copy_from_slice(data);
+        self.bytes_mut(addr, data.len()).copy_from_slice(data);
     }
 
     /// The NIC's DMA write: copies `data` to `addr`, past the cache when
@@ -189,8 +232,7 @@ impl Memory {
         if data.len() < STREAM_MIN_BYTES {
             return self.write(addr, data);
         }
-        let a = addr as usize;
-        stream_copy(&mut self.arena_mut()[a..a + data.len()], data);
+        stream_copy(self.bytes_mut(addr, data.len()), data);
         self.streamed.set(cfg!(target_arch = "x86_64"));
     }
 
@@ -206,16 +248,33 @@ impl Memory {
     /// # Panics
     /// Panics when the regions overlap or either lies outside the memory.
     pub fn regions_mut(&mut self, a: (u64, usize), b: (u64, usize)) -> [&mut [u8]; 2] {
-        let range = |(addr, len): (u64, usize)| addr as usize..addr as usize + len;
-        self.arena_mut()
-            .get_disjoint_mut([range(a), range(b)])
+        let ranges = [span(a.0, a.1), span(b.0, b.1)];
+        self.arena_mut(&ranges)
+            .get_disjoint_mut(ranges)
             .unwrap_or_else(|e| panic!("regions {a:?} and {b:?}: {e}"))
     }
 
     /// Fills a region with a byte value (used to model repost cleanup).
     pub fn fill(&mut self, addr: u64, len: usize, value: u8) {
-        let a = addr as usize;
-        self.arena_mut()[a..a + len].fill(value);
+        self.bytes_mut(addr, len).fill(value);
+    }
+
+    /// The write clock: a reading to hand
+    /// [`written_since`](Self::written_since) later (see [write
+    /// stamps](self#write-stamps)).
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// Whether any byte of `[addr, addr + len)` may have been written
+    /// since [`clock`](Self::clock) read `clock`: `false` means the bytes
+    /// are exactly what they were then.
+    #[inline]
+    pub fn written_since(&self, addr: u64, len: usize, clock: u64) -> bool {
+        len > 0
+            && self.stamps[pages(&span(addr, len))]
+                .iter()
+                .any(|&s| s > clock)
     }
 
     /// Total capacity in bytes.
@@ -230,10 +289,27 @@ impl Memory {
         &self.buf[self.origin..][..self.capacity]
     }
 
-    /// [`arena`](Self::arena), writable.
-    fn arena_mut(&mut self) -> &mut [u8] {
+    /// [`arena`](Self::arena), writable, after every page of `ranges` —
+    /// the bytes the caller will hand out — was stamped with a fresh
+    /// clock: the one way to write the node's bytes.
+    fn arena_mut(&mut self, ranges: &[Range<usize>]) -> &mut [u8] {
         self.fence();
+        self.clock += 1;
+        for r in ranges.iter().filter(|r| !r.is_empty()) {
+            // A range past the end panics when the caller slices the
+            // arena; leave that message to it.
+            if let Some(s) = self.stamps.get_mut(pages(r)) {
+                s.fill(self.clock);
+            }
+        }
         &mut self.buf[self.origin..][..self.capacity]
+    }
+
+    /// The `len` bytes at `addr`, writable: one range through
+    /// [`arena_mut`](Self::arena_mut).
+    fn bytes_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let r = span(addr, len);
+        &mut self.arena_mut(std::slice::from_ref(&r))[r]
     }
 
     /// Orders every streamed store before whatever access follows (the
@@ -248,6 +324,16 @@ impl Memory {
             };
         }
     }
+}
+
+/// The arena indices of `len` bytes at node address `addr`.
+fn span(addr: u64, len: usize) -> Range<usize> {
+    addr as usize..addr as usize + len
+}
+
+/// The pages a non-empty range of bytes touches.
+fn pages(r: &Range<usize>) -> Range<usize> {
+    r.start / PAGE..(r.end - 1) / PAGE + 1
 }
 
 impl Drop for Memory {
@@ -618,6 +704,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pages stamped since `clock`, asked one page at a time.
+    fn marked(m: &Memory, clock: u64) -> Vec<usize> {
+        (0..m.capacity().div_ceil(PAGE))
+            .filter(|&p| {
+                let len = PAGE.min(m.capacity() - p * PAGE);
+                m.written_since((p * PAGE) as u64, len, clock)
+            })
+            .collect()
+    }
+
+    /// Byte ranges `(addr, len)` around page edges: a range's first or
+    /// last byte on the first or last byte of a page, one byte, one
+    /// page, several pages, and the short page at the end of the memory.
+    const EDGES: [(usize, usize); 8] = [
+        (0, 1),
+        (PAGE - 1, 1),
+        (PAGE - 1, 2),
+        (PAGE, PAGE),
+        (PAGE + 1, PAGE - 1),
+        (PAGE, PAGE + 1),
+        (3 * PAGE - 1, 2 * PAGE + 2),
+        (8 * PAGE, 100),
+    ];
+
+    /// The pages `[addr, addr + len)` touches.
+    fn pages_of((addr, len): (usize, usize)) -> Vec<usize> {
+        (addr / PAGE..=(addr + len - 1) / PAGE).collect()
+    }
+
+    /// Each mutator marks exactly the pages of the range(s) it hands out
+    /// — no neighbour, none missing — and only as news after the clock
+    /// reading it follows.
+    #[test]
+    fn each_mutator_stamps_exactly_the_pages_of_its_ranges() {
+        let far = (6 * PAGE + 10, 3); // regions_mut's second region
+        for (i, &(addr, len)) in EDGES.iter().enumerate() {
+            for mutator in 0..4 {
+                let mut m = Memory::new(8 * PAGE + 100);
+                m.write(0, &vec![1; m.capacity()]);
+                let before = m.clock();
+                assert!(marked(&m, before).is_empty());
+                let data = vec![(i * 4 + mutator) as u8; len];
+                let mut want = pages_of((addr, len));
+                match mutator {
+                    0 => m.write(addr as u64, &data),
+                    1 => m.dma_write(addr as u64, &data),
+                    2 => m.fill(addr as u64, len, 9),
+                    _ if addr + len <= far.0 => {
+                        let [a, b] = m.regions_mut((addr as u64, len), (far.0 as u64, far.1));
+                        a.fill(3);
+                        b.fill(4);
+                        want.extend(pages_of(far));
+                    }
+                    _ => continue,
+                }
+                assert_eq!(
+                    marked(&m, before),
+                    want,
+                    "mutator {mutator} on {addr}+{len}"
+                );
+                assert!(
+                    marked(&m, m.clock()).is_empty(),
+                    "a stamp is not news later"
+                );
+            }
+        }
+    }
+
+    /// Reads, the allocator and zero-length calls mark nothing.
+    #[test]
+    fn reads_allocation_and_empty_calls_stamp_nothing() {
+        let mut m = Memory::new(4 * PAGE);
+        let before = m.clock();
+        let a = m.alloc(PAGE as u64);
+        let _ = m.read(0, 4 * PAGE);
+        m.free(a, PAGE as u64);
+        m.write(PAGE as u64, &[]);
+        m.dma_write(PAGE as u64, &[]);
+        m.fill(PAGE as u64, 0, 7);
+        let _ = m.regions_mut((0, 0), (2 * PAGE as u64, 0));
+        assert!(marked(&m, before).is_empty());
+        assert!(
+            !m.written_since(0, 0, before),
+            "an empty range is never written"
+        );
     }
 
     /// A duplicate landing: the second of two overlapping streamed writes

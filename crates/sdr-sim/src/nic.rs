@@ -16,6 +16,8 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use sdr_trace::{Counter, Registry};
+
 use crate::engine::Engine;
 use crate::memory::{Memory, MkeyTable, Resolved};
 use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, QpAddr, QpNum, WriteSeg};
@@ -59,8 +61,9 @@ pub enum PayloadCheck {
     /// to the NULL key, or the message spanned several packets.
     Unchecked,
     /// The payload matched the carried checksum and was written to memory;
-    /// this is its CRC32C as the NIC computed it, so the layer above can
-    /// record what landed without hashing it a second time.
+    /// this is its CRC32C (hashed by the NIC, or the carried one when the
+    /// bytes are unwritten since the sender hashed them), so the layer
+    /// above can record what landed without hashing it again.
     Landed(u32),
     /// The payload failed verification and the DMA was skipped: memory
     /// holds whatever it held before the packet arrived.
@@ -208,6 +211,10 @@ pub struct Node {
     cqs: Vec<Cq>,
     qps: Vec<Qp>,
     stats: NodeStats,
+    /// `nic.crc.rehashed`: checked payloads the NIC had to hash itself
+    /// (owned bytes, or a source written since the post). Unbound until
+    /// the fabric binds it; never touched on the shortcut.
+    rehashed: Counter,
 }
 
 /// A registered memory region.
@@ -231,7 +238,13 @@ impl Node {
             cqs: Vec::new(),
             qps: Vec::new(),
             stats: NodeStats::default(),
+            rehashed: Counter::default(),
         }
+    }
+
+    /// Binds this NIC's counters to the fabric's registry.
+    pub(crate) fn bind_metrics(&mut self, reg: &Registry) {
+        self.rehashed = reg.counter("nic.crc.rehashed");
     }
 
     /// This node's id.
@@ -389,8 +402,16 @@ impl Node {
     /// `payload` is the packet's payload as bytes — the fabric resolves a
     /// [`Payload::Region`](crate::Payload::Region) against the sender's
     /// memory, so this is where the NIC's DMA reads straight from source to
-    /// destination.
-    pub fn handle_packet(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
+    /// destination. `as_posted` says the bytes are the ones the sending
+    /// NIC hashed into the packet's carried checksum (a region nobody
+    /// wrote since the post); pass `false` when that is not known.
+    pub fn handle_packet(
+        &mut self,
+        eng: &mut Engine,
+        pkt: &Packet,
+        payload: &[u8],
+        as_posted: bool,
+    ) {
         let qp_idx = pkt.dst.qp.0 as usize;
         if qp_idx >= self.qps.len() {
             self.stats.access_faults += 1;
@@ -398,7 +419,7 @@ impl Node {
         }
         match self.qps[qp_idx].ty {
             QpType::Ud => self.handle_ud(eng, pkt, payload),
-            QpType::Uc => self.handle_uc(eng, pkt, payload),
+            QpType::Uc => self.handle_uc(eng, pkt, payload, as_posted),
         }
     }
 
@@ -433,7 +454,7 @@ impl Node {
         );
     }
 
-    fn handle_uc(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8]) {
+    fn handle_uc(&mut self, eng: &mut Engine, pkt: &Packet, payload: &[u8], as_posted: bool) {
         let qp_idx = pkt.dst.qp.0 as usize;
         let PacketKind::Write {
             seg,
@@ -458,17 +479,35 @@ impl Node {
                         // the DMA commits — like ICRC, a packet that
                         // fails the check never reaches memory (a corrupt
                         // duplicate must not overwrite clean bytes whose
-                        // bitmap bit is already set). The CQE still flows,
-                        // carrying the verdict: `Landed` with the CRC the
-                        // NIC just computed (this is the second and last
-                        // pass over the payload — the verbs layer records
-                        // it instead of re-hashing memory), or `Skipped`,
-                        // on which the verbs layer leaves the packet's bit
+                        // bitmap bit is already set). The payload's CRC is
+                        // already known when its bytes are the ones the
+                        // sending NIC hashed at post (`as_posted`: a
+                        // region unwritten since), so the payload is
+                        // hashed here only when they may not be: owned
+                        // bytes (the wire flipped a bit, or the poster
+                        // supplied the checksum) or a source rewritten in
+                        // flight. Either way the verdict is the hash's.
+                        // The CQE still flows, carrying it: `Landed` with
+                        // the payload's CRC (the verbs layer records it
+                        // instead of re-hashing memory), or `Skipped`, on
+                        // which the verbs layer leaves the packet's bit
                         // clear — corruption becomes loss. Every UC landing
                         // is a DMA write, which streams past the cache like
                         // a device's (`Memory::dma_write`); UD receives
                         // keep ordinary stores.
-                        let computed = crc.map(|_| sdr_erasure::crc32c(payload));
+                        let computed = crc.map(|carried| {
+                            if as_posted {
+                                debug_assert_eq!(
+                                    sdr_erasure::crc32c(payload),
+                                    carried,
+                                    "an unwritten source no longer matches its post-time hash"
+                                );
+                                carried
+                            } else {
+                                self.rehashed.inc();
+                                sdr_erasure::crc32c(payload)
+                            }
+                        });
                         let check = if computed == crc {
                             self.mem.dma_write(addr, payload);
                             self.stats.writes_landed += 1;
@@ -655,7 +694,7 @@ mod tests {
         let Payload::Owned(bytes) = &pkt.payload else {
             panic!("test packets own their payload");
         };
-        n.handle_packet(eng, &pkt, bytes);
+        n.handle_packet(eng, &pkt, bytes, false);
     }
 
     #[test]

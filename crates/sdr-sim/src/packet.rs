@@ -86,7 +86,12 @@ pub enum Payload {
     /// `len` bytes at `addr` in `node`'s registered memory, read when the
     /// packet is delivered (or when the wire corrupts it). The region must
     /// stay unmodified until then; a poster that attaches a payload
-    /// checksum gets a modification *detected* at the receiving NIC.
+    /// checksum gets a modification *detected* at the receiving NIC. The
+    /// sending NIC hashed the bytes at post, when the source memory's
+    /// write clock read `clock`: if no page of the region was written
+    /// since ([`Memory::written_since`](crate::Memory::written_since)),
+    /// the carried checksum still describes them and the receiving NIC
+    /// does not hash them again; otherwise it does, and that hash decides.
     Region {
         /// Node whose memory holds the bytes (the sender).
         node: NodeId,
@@ -94,6 +99,8 @@ pub enum Payload {
         addr: u64,
         /// Length in bytes.
         len: u32,
+        /// The source memory's [write clock](crate::Memory::clock) at post.
+        clock: u64,
     },
 }
 
@@ -115,12 +122,18 @@ impl Payload {
     pub fn slice(&self, lo: usize, hi: usize) -> Payload {
         match self {
             Payload::Owned(b) => Payload::Owned(b.slice(lo..hi)),
-            Payload::Region { node, addr, len } => {
+            Payload::Region {
+                node,
+                addr,
+                len,
+                clock,
+            } => {
                 assert!(lo <= hi && hi <= *len as usize, "slice out of bounds");
                 Payload::Region {
                     node: *node,
                     addr: addr + lo as u64,
                     len: (hi - lo) as u32,
+                    clock: *clock,
                 }
             }
         }
@@ -190,10 +203,17 @@ mod tests {
             node: NodeId(3),
             addr: 1000,
             len: 100,
+            clock: 7,
         };
-        let Payload::Region { node, addr, len } = r.slice(10, 40) else {
+        let Payload::Region {
+            node,
+            addr,
+            len,
+            clock,
+        } = r.slice(10, 40)
+        else {
             panic!("a region slices to a region");
         };
-        assert_eq!((node, addr, len), (NodeId(3), 1010, 30));
+        assert_eq!((node, addr, len, clock), (NodeId(3), 1010, 30, 7));
     }
 }
