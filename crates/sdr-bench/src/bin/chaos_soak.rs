@@ -12,9 +12,9 @@
 //! wires also duplicate and reorder packets (the soak test's
 //! unfaithful-wire draw); each row reports what the stack filtered —
 //! stale/duplicate control datagrams dropped by the incarnation-stamp
-//! filter (`CtrlFilterStats`) and wire-level duplicates/displacements
-//! (`LinkStats`, both directions). These stores are always on, so the
-//! rows read the same under `SDR_TRACE=0`.
+//! filter and wire-level duplicates/displacements (both directions), read
+//! from the registry's sources (`CtrlFilterStats`, `LinkStats`). Sources
+//! are never switched off, so the rows read the same under `SDR_TRACE=0`.
 //!
 //! A second sweep replaces the scripted faults with a bit-flipping wire
 //! (corruption density 0 → 1e-4 per bit) and reports what the integrity
@@ -36,7 +36,7 @@
 use sdr_bench::{fmt, table_header, table_row};
 use sdr_reliability::testkit::{draw_faults, draw_unfaithful, Arm, Draw, ProtoHarness, SoakCase};
 use sdr_reliability::SchemeSpec;
-use sdr_sim::{FaultEvent, FaultPlan, LinkConfig, LinkStats, RestartSide, SimTime};
+use sdr_sim::{FaultEvent, FaultPlan, LinkConfig, RestartSide, SimTime};
 
 const BW: f64 = 8e9;
 const KM: f64 = 1000.0;
@@ -75,9 +75,10 @@ impl Draw for CaseRng {
     }
 }
 
-/// What the stack's filters absorbed during one case, from the stores
-/// that are never switched off: each control endpoint's filter, both link
-/// directions and both NICs.
+/// What the stack's filters absorbed during one case, read from the
+/// fabric's registry: its sources are the stores themselves (both control
+/// endpoints' filters, both link directions, both NICs), which no kill
+/// switch turns off.
 #[derive(Default)]
 struct CaseWire {
     /// Control datagrams dropped as stale incarnations.
@@ -99,21 +100,16 @@ struct CaseWire {
 
 impl CaseWire {
     fn read(h: &ProtoHarness) -> Self {
-        let (fabric, a, b) = (&h.p.fabric, h.p.node_a, h.p.node_b);
-        let (fa, fb) = (h.ctrl_a.filter_stats(), h.ctrl_b.filter_stats());
-        let links = [(a, b), (b, a)].map(|(x, y)| fabric.link_stats(x, y).unwrap());
-        let wire = |f: fn(&LinkStats) -> u64| links.iter().map(f).sum();
+        let reg = h.p.fabric.metrics();
+        let sum = |name| reg.counter_value(name);
         CaseWire {
-            ctrl_stale: fa.stale + fb.stale,
-            ctrl_dupes: fa.duplicates + fb.duplicates,
-            ctrl_corrupt: fa.corrupt + fb.corrupt,
-            link_dup: wire(|s| s.duplicated),
-            link_reorder: wire(|s| s.reordered),
-            link_corrupt: wire(|s| s.corrupted),
-            nic_crc_skipped: [a, b]
-                .map(|n| fabric.node(n, |n| n.stats().crc_skipped))
-                .iter()
-                .sum(),
+            ctrl_stale: sum("ctrl.stale"),
+            ctrl_dupes: sum("ctrl.duplicates"),
+            ctrl_corrupt: sum("ctrl.corrupt"),
+            link_dup: sum("link.duplicated"),
+            link_reorder: sum("link.reordered"),
+            link_corrupt: sum("link.corrupted"),
+            nic_crc_skipped: sum("nic.crc.skipped"),
         }
     }
 

@@ -239,10 +239,29 @@ macro_rules! ctrl_msgs {
             })?,
         )*}
 
+        /// The table's rows, in order: what [`CtrlMsg::row`] numbers.
+        enum Row {$($name),*}
+
         impl CtrlMsg {
             /// Every message's tag, in table order.
             #[cfg(test)]
             pub(crate) const TAGS: &'static [u8] = &[$($tag),*];
+
+            /// Messages in the table.
+            pub(crate) const ROWS: usize = [$(Row::$name),*].len();
+
+            /// `ctrl.tx.<Name>` per message, in table order.
+            pub(crate) const TX_NAMES: [&'static str; Self::ROWS] =
+                [$(concat!("ctrl.tx.", stringify!($name))),*];
+
+            /// `ctrl.rx.<Name>` per message, in table order.
+            pub(crate) const RX_NAMES: [&'static str; Self::ROWS] =
+                [$(concat!("ctrl.rx.", stringify!($name))),*];
+
+            /// The message's row in the table (its index in the name lists).
+            pub(crate) fn row(&self) -> usize {
+                match self {$(CtrlMsg::$name { .. } => Row::$name as usize,)*}
+            }
 
             /// True when the wire can carry the message: every list within
             /// its cap and the row's condition met.

@@ -26,8 +26,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use sdr_sim::{
-    Counter, Engine, Fabric, FlightRecorder, IntMap, NodeId, QpAddr, QpNum, QpType, RecvWqe,
-    Registry, Waker,
+    Engine, Fabric, FlightRecorder, IntMap, NodeId, QpAddr, QpNum, QpType, RecvWqe, Registry, Waker,
 };
 
 use crate::ack::{CtrlMsg, CtrlStamp, Wire, CTRL_BUF_BYTES, CTRL_CRC_BYTES};
@@ -196,41 +195,56 @@ struct RxFilter {
     peers: RefCell<IntMap<QpAddr, PeerState>>,
     /// Replay state per live `(peer, transfer)` stream.
     filters: RefCell<IntMap<(QpAddr, u64), PeerFilter>>,
+    /// What the endpoint counts, sent and received alike.
+    counts: CtrlCounts,
+}
+
+/// An endpoint's counts — the one store of these facts; the fabric's
+/// registry reads their sum over its endpoints ([`facts`](Self::facts)):
+/// `ctrl.sent`, the filter drops, and per `ctrl_msgs!` row
+/// `ctrl.tx.<Name>` (sent) and `ctrl.rx.<Name>` (accepted by the filter;
+/// a `Seg` counts under its inner message's name too).
+#[derive(Default)]
+struct CtrlCounts {
+    sent: Cell<u64>,
     drops: Cell<CtrlFilterStats>,
-    /// Registry mirrors of `drops`, summed across every endpoint of the
-    /// fabric.
-    trace: CtrlFilterTrace,
+    tx: [Cell<u64>; CtrlMsg::ROWS],
+    rx: [Cell<u64>; CtrlMsg::ROWS],
 }
 
-struct CtrlFilterTrace {
-    stale: Counter,
-    duplicates: Counter,
-    malformed: Counter,
-    corrupt: Counter,
-}
+impl CtrlCounts {
+    /// Counts `msg` (and a `Seg`'s inner message) in `by_name`.
+    fn count(by_name: &[Cell<u64>; CtrlMsg::ROWS], msg: &CtrlMsg) {
+        let c = &by_name[msg.row()];
+        c.set(c.get() + 1);
+        if let CtrlMsg::Seg { inner, .. } = msg {
+            Self::count(by_name, inner);
+        }
+    }
 
-/// Why a frame was dropped (the fields of [`CtrlFilterStats`]).
-#[derive(Clone, Copy)]
-enum Dropped {
-    Stale,
-    Duplicate,
-    Malformed,
-    Corrupt,
+    /// Every count under its registry name.
+    fn facts(&self) -> Vec<(&'static str, u64)> {
+        let d = self.drops.get();
+        let tx = CtrlMsg::TX_NAMES.into_iter().zip(&self.tx);
+        let per_tag = tx.chain(CtrlMsg::RX_NAMES.into_iter().zip(&self.rx));
+        let mut facts = vec![
+            ("ctrl.sent", self.sent.get()),
+            ("ctrl.stale", d.stale),
+            ("ctrl.duplicates", d.duplicates),
+            ("ctrl.malformed", d.malformed),
+            ("ctrl.corrupt", d.corrupt),
+        ];
+        facts.extend(per_tag.map(|(name, c)| (name, c.get())));
+        facts
+    }
 }
 
 impl RxFilter {
-    /// Counts one dropped frame.
-    fn dropped(&self, class: Dropped) -> Option<(CtrlStamp, CtrlMsg)> {
-        let mut d = self.drops.get();
-        let (count, mirror) = match class {
-            Dropped::Stale => (&mut d.stale, &self.trace.stale),
-            Dropped::Duplicate => (&mut d.duplicates, &self.trace.duplicates),
-            Dropped::Malformed => (&mut d.malformed, &self.trace.malformed),
-            Dropped::Corrupt => (&mut d.corrupt, &self.trace.corrupt),
-        };
-        *count += 1;
-        mirror.inc();
-        self.drops.set(d);
+    /// Counts one dropped frame in the field of the drop counters `class` picks.
+    fn dropped(&self, class: fn(&mut CtrlFilterStats) -> &mut u64) -> Option<(CtrlStamp, CtrlMsg)> {
+        let mut d = self.counts.drops.get();
+        *class(&mut d) += 1;
+        self.counts.drops.set(d);
         None
     }
 
@@ -244,15 +258,15 @@ impl RxFilter {
         // bits at all — not even the stamp — so it dies before the replay
         // filter and never reaches a handler.
         let Some((mut body, crc)) = frame.split_last_chunk::<CTRL_CRC_BYTES>() else {
-            return self.dropped(Dropped::Corrupt);
+            return self.dropped(|d| &mut d.corrupt);
         };
         if sdr_erasure::crc32c(body) != u32::from_le_bytes(*crc) {
-            return self.dropped(Dropped::Corrupt);
+            return self.dropped(|d| &mut d.corrupt);
         }
         // Stamp filter next: stale-incarnation traffic and duplicates die
         // before the decoder even runs.
         let Some(stamp) = CtrlStamp::take(&mut body) else {
-            return self.dropped(Dropped::Malformed);
+            return self.dropped(|d| &mut d.malformed);
         };
         let verdict = {
             use std::collections::hash_map::Entry;
@@ -278,18 +292,18 @@ impl RxFilter {
         };
         match verdict {
             Admit::Accept => {}
-            Admit::Stale => return self.dropped(Dropped::Stale),
-            Admit::Duplicate => return self.dropped(Dropped::Duplicate),
+            Admit::Stale => return self.dropped(|d| &mut d.stale),
+            Admit::Duplicate => return self.dropped(|d| &mut d.duplicates),
         }
         let Some(msg) = CtrlMsg::decode(body) else {
-            return self.dropped(Dropped::Malformed);
+            return self.dropped(|d| &mut d.malformed);
         };
         // Incarnation echo: a datagram addressed to this endpoint's
         // previous life was sent before the peer observed the crash — only
         // the read-only resume probe may cross that boundary (it is how
         // the peer learns the live incarnation).
         if stamp.dst_inc != self.inc.get() && msg != CtrlMsg::ResumeQuery {
-            return self.dropped(Dropped::Stale);
+            return self.dropped(|d| &mut d.stale);
         }
         self.peers
             .borrow_mut()
@@ -302,6 +316,7 @@ impl RxFilter {
                 }
             })
             .or_insert(PeerState::first(stamp));
+        CtrlCounts::count(&self.counts.rx, &msg);
         Some((stamp, msg))
     }
 }
@@ -316,8 +331,6 @@ pub struct ControlEndpoint {
     handler: Rc<RefCell<Option<CtrlHandler>>>,
     /// Demultiplexed handler for [`FLOW_XFER_BIT`]-stamped datagrams.
     flow_handler: Rc<RefCell<Option<FlowCtrlHandler>>>,
-    /// ACK datagrams sent (diagnostics).
-    sent: Rc<RefCell<u64>>,
     /// First receive-buffer address (for re-posting after a restart).
     buf_base: u64,
     /// Where [`send`](Self::send) assembles stamp + body + trailer; the
@@ -326,7 +339,7 @@ pub struct ControlEndpoint {
     /// Stamp state for outgoing datagrams.
     xfer: Cell<u64>,
     next_seq: Cell<u32>,
-    /// Incarnation, learned peer state, replay filters, drop counters.
+    /// Incarnation, learned peer state, replay filters, counts.
     rx: Rc<RxFilter>,
     /// This node's flight recorder (shared with every layer on the node);
     /// exposed so the adaptive machinery above can record its decisions.
@@ -340,19 +353,13 @@ impl ControlEndpoint {
     pub fn new(fabric: &Fabric, node: NodeId) -> Self {
         let handler: Rc<RefCell<Option<CtrlHandler>>> = Rc::new(RefCell::new(None));
         let flow_handler: Rc<RefCell<Option<FlowCtrlHandler>>> = Rc::new(RefCell::new(None));
-        let metrics = fabric.metrics();
         let rx = Rc::new(RxFilter {
             inc: Cell::new(0),
             peers: RefCell::default(),
             filters: RefCell::default(),
-            drops: Cell::default(),
-            trace: CtrlFilterTrace {
-                stale: metrics.counter("ctrl.stale"),
-                duplicates: metrics.counter("ctrl.duplicates"),
-                malformed: metrics.counter("ctrl.malformed"),
-                corrupt: metrics.counter("ctrl.corrupt"),
-            },
+            counts: CtrlCounts::default(),
         });
+        fabric.metrics().source(&rx, |rx| rx.counts.facts());
         let (qp, cq, buf_base) = fabric.node_mut(node, |n| {
             let cq = n.create_cq();
             let qp = n.create_qp(QpType::Ud, cq, cq);
@@ -442,7 +449,6 @@ impl ControlEndpoint {
             qp,
             handler,
             flow_handler,
-            sent: Rc::new(RefCell::new(0)),
             buf_base,
             scratch: RefCell::new(BytesMut::with_capacity(128)),
             xfer: Cell::new(0),
@@ -504,7 +510,9 @@ impl ControlEndpoint {
 
     /// [`send`](Self::send) with the stamp naming transfer `xfer`.
     fn send_as(&self, eng: &mut Engine, dst: QpAddr, xfer: u64, msg: &CtrlMsg) {
-        *self.sent.borrow_mut() += 1;
+        let counts = &self.rx.counts;
+        counts.sent.set(counts.sent.get() + 1);
+        CtrlCounts::count(&counts.tx, msg);
         let seq = self.next_seq.get();
         self.next_seq.set(seq.wrapping_add(1));
         let stamp = CtrlStamp {
@@ -534,7 +542,7 @@ impl ControlEndpoint {
 
     /// Control datagrams sent so far.
     pub fn sent_count(&self) -> u64 {
-        *self.sent.borrow()
+        self.rx.counts.sent.get()
     }
 
     /// Binds this endpoint's outgoing stamps to transfer `xfer`. Both ends
@@ -611,7 +619,7 @@ impl ControlEndpoint {
 
     /// Wire-filter drop counters (stale, duplicate, malformed).
     pub fn filter_stats(&self) -> CtrlFilterStats {
-        self.rx.drops.get()
+        self.rx.counts.drops.get()
     }
 }
 
@@ -873,7 +881,7 @@ mod tests {
         assert_eq!(
             fabric.metrics().counter_value("ctrl.corrupt"),
             stats.corrupt,
-            "registry mirror tracks the endpoint counter"
+            "the registry reads the endpoint's count"
         );
     }
 

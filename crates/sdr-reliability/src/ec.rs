@@ -323,13 +323,14 @@ impl ParityStager {
     /// Encodes submessage `idx` inside one borrow of node memory: its data
     /// chunks are read where they lie in the user buffer and its parity is
     /// written straight into the staging region, column-striped over the
-    /// [`EncodePool`].
+    /// [`EncodePool`]. Only the parity pages are stamped written, so the
+    /// data packets still in flight keep their carried checksums.
     fn encode(&self, idx: usize) {
         let chunk = self.chunk_bytes as usize;
         let ((data_addr, data_len), (parity_addr, parity_len)) = (self.data(idx), self.parity(idx));
         let code = &*self.codes[idx];
         self.ctx.fabric().node_mut(self.ctx.node(), |n| {
-            let [data, parity] = n.mem_mut().regions_mut(
+            let (data, parity) = n.mem_mut().read_write(
                 (data_addr, data_len as usize),
                 (parity_addr, parity_len as usize),
             );
@@ -365,12 +366,32 @@ impl ParityStager {
 /// the user buffer, then parity `L..2L` out of the stager, each encoded
 /// when its credit lands — and a fallback that re-injects a NACKed data
 /// submessage whole. No timer: the FTO is the receiver's.
+///
+/// One loss the receiver cannot time: a send none of whose packets
+/// landed. The receiver keeps re-crediting that slot instead (until
+/// anything at or past it lands). A re-credit arriving more than a round
+/// trip plus one margin (`rtt /` [`REPAIR_MARGIN_DIV`], SR's overdue
+/// test) after the send's latest departure left after the send would have
+/// landed, so it proves the send lost: the sender re-injects it whole. A
+/// younger one may have crossed the packets (the heal clock starts at
+/// `rtt / 8`) and is ignored.
 pub struct EcTx {
     stager: ParityStager,
+    rtt: SimTime,
+    /// Per send, when its latest copy leaves the wire.
+    departed: Vec<SimTime>,
     started_wall: Instant,
     ttfb_wall: Duration,
     staged_at_first_byte: usize,
     fallback_rounds: u64,
+}
+
+impl EcTx {
+    /// Injects send `send` whole again, restamping its departure.
+    fn reinject(&mut self, eng: &mut Engine, stream: &StreamTx, send: usize) {
+        let last = &mut self.departed[send];
+        stream.inject_all(eng, send, |_, at| *last = (*last).max(at));
+    }
 }
 
 impl TxScheme for EcTx {
@@ -389,6 +410,10 @@ impl TxScheme for EcTx {
         }
     }
 
+    fn on_sent(&mut self, send: usize, _chunk: usize, departs: SimTime) {
+        self.departed[send] = self.departed[send].max(departs);
+    }
+
     fn on_begin(&mut self, _now: SimTime) -> Option<SimTime> {
         self.ttfb_wall = self.started_wall.elapsed();
         self.staged_at_first_byte = self.stager.encoded;
@@ -405,12 +430,19 @@ impl TxScheme for EcTx {
                 self.fallback_rounds += 1;
                 let l = self.stager.submessages();
                 for f in failed.into_iter().map(|f| f as usize).filter(|&f| f < l) {
-                    stream.inject_all(eng, f, |_, _| {});
+                    self.reinject(eng, stream, f);
                 }
             }
             _ => {}
         }
         progress
+    }
+
+    fn on_recredit(&mut self, eng: &mut Engine, stream: &StreamTx, send: usize) {
+        let overdue = self.rtt + self.rtt / REPAIR_MARGIN_DIV;
+        if eng.now() >= self.departed[send].saturating_add(overdue) {
+            self.reinject(eng, stream, send);
+        }
     }
 
     /// The parity staging goes back to node memory.
@@ -460,9 +492,12 @@ impl TxDriver<EcTx> {
         let chunk_bytes = qp.config().chunk_bytes;
         // Parity is encoded into the stager's region as each parity
         // submessage opens.
+        let stager = ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg);
         let scheme = EcTx {
             started_wall: Instant::now(),
-            stager: ParityStager::new(ctx, local_addr, msg_bytes, chunk_bytes, &cfg),
+            rtt: cfg.rtt,
+            departed: vec![SimTime::ZERO; 2 * stager.submessages()],
+            stager,
             ttfb_wall: Duration::ZERO,
             staged_at_first_byte: 0,
             fallback_rounds: 0,
@@ -906,13 +941,13 @@ impl EcRxScheme {
         // and only the missing data chunks are written — straight into the
         // user buffer.
         let data_addr = self.buf_addr + g.chunk_start * self.chunk_bytes;
-        let regions = (
+        let (data, parity) = (
             (data_addr, k * chunk_len),
             (self.parity_addrs[s], m * chunk_len),
         );
         let code = &*self.codes[s];
         self.ctx.fabric().node_mut(self.ctx.node(), |n| {
-            let [data, parity] = n.mem_mut().regions_mut(regions.0, regions.1);
+            let (parity, data) = n.mem_mut().read_write(parity, data);
             decode_in_place(code, data, parity, present, chunk_len);
         });
         self.subs[s].resolved = true;

@@ -491,7 +491,9 @@ pub struct RxFlowDone {
     pub decoded: bool,
 }
 
-/// Aggregate manager counters (diagnostics and benches).
+/// Aggregate manager counters (diagnostics and benches) — the one store of
+/// these facts; the fabric's registry reads four of them, summed over its
+/// managers, under the `flow.*` names of [`facts`](Self::facts).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowStats {
     /// Flows opened on this node (sender side).
@@ -518,6 +520,18 @@ pub struct FlowStats {
     pub delivered: u64,
     /// Message bytes across delivered sender flows, ditto.
     pub bytes_delivered: u64,
+}
+
+impl FlowStats {
+    /// The fields the registry reads, under their registry names.
+    pub fn facts(&self) -> [(&'static str, u64); 4] {
+        [
+            ("flow.opened", self.opened),
+            ("flow.injected", self.injected),
+            ("flow.urgent", self.retransmits),
+            ("flow.parked", self.parked_opens),
+        ]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -622,18 +636,10 @@ struct Port {
 /// flight recorder. Increments are lock-free and allocation-free; the
 /// whole family is a no-op under the `sdr-trace` kill-switch.
 struct FlowTrace {
-    /// `flow.opened`: sender flows opened.
-    opened: Counter,
     /// `flow.admitted`: receiver admissions granted (posts + FlowAck).
     admitted: Counter,
-    /// `flow.parked`: opens parked for lack of receive slots.
-    parked: Counter,
     /// `flow.drained`: parked opens later admitted.
     drained: Counter,
-    /// `flow.injected`: work items injected by the DRR pump.
-    injected: Counter,
-    /// `flow.urgent`: repairs queued through the urgent fast lane.
-    urgent: Counter,
     /// `flow.ack.news`: receive steps an arrival asked for that spoke.
     ack_news: Counter,
     /// `flow.ack.repeat`: receive steps that spoke with nothing new to say
@@ -642,8 +648,6 @@ struct FlowTrace {
     /// `flow.heal.handshake`: `FlowAck`s re-sent (with the CTS) because no
     /// packet of an admitted flow has landed yet.
     heal_handshake: Counter,
-    /// `flow.open.parked`: `FlowParked` datagrams sent.
-    open_parked: Counter,
     /// `flow.open.probe`: liveness probes sent for opens known parked.
     open_probe: Counter,
     /// `flow.completion_us`: per-flow open→final-ACK time (delivered
@@ -660,16 +664,11 @@ impl FlowTrace {
     fn new(fabric: &Fabric, node: NodeId) -> FlowTrace {
         let reg = fabric.metrics();
         FlowTrace {
-            opened: reg.counter("flow.opened"),
             admitted: reg.counter("flow.admitted"),
-            parked: reg.counter("flow.parked"),
             drained: reg.counter("flow.drained"),
-            injected: reg.counter("flow.injected"),
-            urgent: reg.counter("flow.urgent"),
             ack_news: reg.counter("flow.ack.news"),
             ack_repeat: reg.counter("flow.ack.repeat"),
             heal_handshake: reg.counter("flow.heal.handshake"),
-            open_parked: reg.counter("flow.open.parked"),
             open_probe: reg.counter("flow.open.probe"),
             completion_us: reg.histogram("flow.completion_us"),
             sr: SrTrace::new(reg),
@@ -781,6 +780,9 @@ impl FlowManager {
                 trace: FlowTrace::new(fabric, node),
             }),
         });
+        fabric
+            .metrics()
+            .source(&core, |c| c.inner.borrow().stats.facts());
         // The endpoint is the core's own, so its handler reaches the core
         // through a `Weak`: a strong capture would close a core →
         // endpoint → handler → core cycle and keep the deployment alive.
@@ -953,7 +955,6 @@ impl FlowManager {
             };
             inner.tx_flows.insert(id, flow);
             inner.stats.opened += 1;
-            inner.trace.opened.inc();
             let at = now.saturating_add(inner.tx_open_retry(core));
             inner.schedule(FlowKey::Tx(id), at);
             (id, peer_ctrl, at)
@@ -1274,7 +1275,6 @@ impl FlowManager {
                 continue; // its stream is not open
             }
             inner.stats.injected += 1;
-            inner.trace.injected.inc();
             if flow.uninjected > 0 {
                 flow.uninjected -= 1;
                 if flow.uninjected == 0 && !flow.spec.is_ec() {
@@ -1455,7 +1455,6 @@ impl Inner {
         });
         let queued = flow.sr.retransmitted() - before;
         self.stats.retransmits += queued;
-        self.trace.urgent.add(queued);
         r
     }
 
@@ -1770,7 +1769,7 @@ impl Inner {
         if self.parked.contains(&(peer_node, id)) {
             // Still queued: say so again (the first answer was lost, or
             // this is the sender's liveness probe).
-            self.send_parked(core, eng, src, id);
+            core.ep.send_flow(eng, src, id, &CtrlMsg::FlowParked);
             return;
         }
         let open = PendingOpen {
@@ -1786,21 +1785,15 @@ impl Inner {
                 port.shards[shard].pending.push_back(open);
                 self.parked.insert((peer_node, id));
                 self.stats.parked_opens += 1;
-                self.trace.parked.inc();
                 self.trace.recorder.record(
                     eng.now().as_picos(),
                     EventKind::SlotPark,
                     id,
                     shard as u64,
                 );
-                self.send_parked(core, eng, src, id);
+                core.ep.send_flow(eng, src, id, &CtrlMsg::FlowParked);
             }
         }
-    }
-
-    fn send_parked(&self, core: &ManagerCore, eng: &mut Engine, dst: QpAddr, id: u64) {
-        core.ep.send_flow(eng, dst, id, &CtrlMsg::FlowParked);
-        self.trace.open_parked.inc();
     }
 
     /// Attempts to admit one open: posts the receive buffers, subscribes

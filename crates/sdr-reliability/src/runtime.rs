@@ -655,6 +655,12 @@ impl StreamTx {
         }
     }
 
+    /// The index of the open send whose send sequence is `seq`, if any.
+    fn opened(&self, seq: u64) -> Option<usize> {
+        let mut sends = self.first.iter().chain(&self.rest);
+        sends.position(|s| s.hdl.id() == seq)
+    }
+
     /// Injects `[off, off + len)` of send `i` — first pass or repair;
     /// `departed(chunk, at)` hears when each chunk's copy will have left the
     /// wire. Returns `false`, having done nothing, when send `i` is not
@@ -836,6 +842,11 @@ pub trait TxScheme: 'static {
     /// One control message from the peer.
     fn on_ctrl(&mut self, eng: &mut Engine, stream: &StreamTx, msg: CtrlMsg) -> TxProgress;
 
+    /// The receiver re-issued the credit of send `send`, which is open
+    /// already: a CTS heal, sent because nothing of that slot had landed
+    /// when the heal left — or because the heal crossed the first packets.
+    fn on_recredit(&mut self, _eng: &mut Engine, _stream: &StreamTx, _send: usize) {}
+
     /// The transfer ended, delivered or aborted, and its sends are closed:
     /// the scheme gives back what it held for them.
     fn on_end(&mut self) {}
@@ -898,7 +909,7 @@ impl<S: TxScheme> TxDriver<S> {
         Self::pump(&inner, eng);
         if !inner.borrow().stream.is_open() {
             let me = inner.clone();
-            qp.set_cts_callback(move |eng, _seq, _len| Self::pump(&me, eng));
+            qp.set_cts_callback(move |eng, seq, _len| Self::on_cts(&me, eng, seq));
         }
         TxDriver { inner }
     }
@@ -967,6 +978,18 @@ impl<S: TxScheme> TxDriver<S> {
             scheme.on_tick(eng, stream).map_or(Tick::Stop, Tick::Until)
         });
         inner.borrow_mut().tick = Some(h);
+    }
+
+    /// A credit landed: it opens more sends, or re-credits an open one.
+    fn on_cts(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine, seq: u64) {
+        {
+            let mut i = inner.borrow_mut();
+            let TxState { stream, scheme, .. } = &mut *i;
+            if let Some(send) = stream.opened(seq) {
+                return scheme.on_recredit(eng, stream, send);
+            }
+        }
+        Self::pump(inner, eng);
     }
 
     fn on_ctrl(inner: &Rc<RefCell<TxState<S>>>, eng: &mut Engine, msg: CtrlMsg) {

@@ -403,3 +403,37 @@ fn a_slot_passed_by_a_later_sequence_is_settled() {
     assert!(observed, "a passed slot is observed");
     assert_eq!(next, None, "nothing is left to heal");
 }
+
+/// An EC transfer whose whole first pass dies — data and parity alike —
+/// still completes: nothing lands, so the receiver can observe nothing
+/// and its FTO never arms, but it keeps healing the credits of its
+/// unsettled slots, and a heal that reaches the sender more than a round
+/// trip (plus one margin) after a send left proves that send lost. The
+/// sender re-injects each such send once; younger heals, which cross the
+/// first pass on a doubling clock from `rtt / 8`, resend nothing.
+#[test]
+fn an_ec_transfer_whose_whole_first_pass_died_completes() {
+    const KM: f64 = 1000.0;
+    const BW: f64 = 8e9;
+    let cfg = SdrConfig {
+        max_msg_bytes: 2 << 20,
+        msg_slots: 32,
+        mtu_bytes: MTU,
+        chunk_bytes: CHUNK,
+        ..SdrConfig::default()
+    };
+    let msg = 1 << 20;
+    let mut h = ProtoHarness::new(LinkConfig::wan(KM, BW, 0.0), cfg, msg, 9);
+    let rtt = h.rtt;
+    h.black_out_forward(SimTime::ZERO, rtt * 3);
+    let (_tx, rx) = h.start_scheme(SchemeSpec::EcMds { k: 32, m: 8 }, BW, |_e, _n| {});
+    h.run(5_000_000);
+    let wire = h.p.fabric.link_stats(h.p.node_a, h.p.node_b).unwrap();
+    // 16 data chunks and 8 parity chunks of 16 packets each.
+    let first_pass = msg / MTU + 8 * PKTS_PER_CHUNK;
+    assert_eq!(wire.dropped, first_pass, "the whole first pass died");
+    assert!(rx.is_complete(), "the transfer completes");
+    assert!(h.delivered_ok(), "delivery intact");
+    assert_eq!(wire.sent, 2 * first_pass, "each send is re-injected once");
+    h.teardown().unwrap();
+}

@@ -190,7 +190,7 @@ fn a_clean_population_has_no_datagram_per_interval() {
     assert_eq!(news, N * (CHUNKS - 1), "one ACK per non-completing chunk");
     // (A repeat is dropped when the flow's next chunk gets there first.)
     assert!(repeat <= news, "each repeated at most once");
-    assert_eq!(counter(&w, "flow.open.parked"), 0);
+    assert_eq!(counter(&w, "ctrl.tx.FlowParked"), 0);
     assert_eq!(counter(&w, "flow.open.probe"), 0);
     assert_eq!(w.mgr_a.stats().open_retries, 0);
     assert_eq!(w.mgr_a.stats().retransmits, 0);
@@ -297,7 +297,7 @@ fn a_lost_admission_ack_is_healed_by_the_receiver() {
     finish(&mut w, &cap, 3, 8 * CHUNK);
     assert_eq!(w.fabric.link_stats(b, a).unwrap().dropped, 1);
     assert!(counter(&w, "flow.heal.handshake") >= 1);
-    assert_eq!(counter(&w, "flow.open.parked"), 1);
+    assert_eq!(counter(&w, "ctrl.tx.FlowParked"), 1);
     assert_eq!(
         w.ctrl_a.sent_count(),
         6,
@@ -313,13 +313,13 @@ fn a_lost_admission_ack_is_healed_by_the_receiver() {
 fn a_lost_flow_parked_is_answered_again_on_the_next_retry() {
     let (mut w, _cap) = three_over_two();
     let (a, b) = nodes(&w);
-    let parked = lands_after(&mut w, "flow.open.parked", 1, b, a);
+    let parked = lands_after(&mut w, "ctrl.tx.FlowParked", 1, b, a);
     let (mut w, cap) = three_over_two();
     w.swallow_at(b, a, parked);
     finish(&mut w, &cap, 3, 8 * CHUNK);
     assert_eq!(w.fabric.link_stats(b, a).unwrap().dropped, 1);
     assert_eq!(
-        counter(&w, "flow.open.parked"),
+        counter(&w, "ctrl.tx.FlowParked"),
         2,
         "asked twice, told twice"
     );

@@ -16,6 +16,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::iter::once;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -26,7 +27,7 @@ use crate::fault::{FaultEvent, FaultHandle, FaultPlan, RestartSide};
 use crate::hash::IntMap;
 use crate::link::{Link, LinkConfig, LinkStats, TxOutcome};
 use crate::loss::LossModel;
-use crate::nic::{Cqe, CqeOp, Node, PayloadCheck, QpType};
+use crate::nic::{Cqe, CqeOp, Node, NodeStats, PayloadCheck, QpType};
 use crate::packet::{MkeyId, NodeId, Packet, PacketKind, Payload, QpAddr, QpNum, WriteSeg};
 use crate::time::SimTime;
 
@@ -133,8 +134,8 @@ pub struct Fabric {
     /// Restart observers, outside `inner` so a hook can re-enter the
     /// fabric freely.
     restart_hooks: Rc<RefCell<HashMap<NodeId, RestartHook>>>,
-    /// Stack-wide metrics registry (`link.*` wire counters here; the
-    /// layers above register their own `ctrl.*`/`flow.*`/… families).
+    /// Stack-wide metrics registry (`link.*` / `nic.*` read from `inner`;
+    /// the layers above register their own `ctrl.*`/`flow.*`/… families).
     metrics: Registry,
     /// One flight recorder per node, created in [`add_node`](Self::add_node);
     /// every layer on that node records into the same ring.
@@ -153,23 +154,35 @@ const RECORDER_CAPACITY: usize = 1024;
 impl Fabric {
     /// Creates an empty fabric.
     pub fn new() -> Self {
+        let inner = Rc::new(RefCell::new(FabricInner {
+            nodes: Vec::new(),
+            links: IntMap::default(),
+            incarnations: Vec::new(),
+            attached: Vec::new(),
+            restart_drops: Vec::new(),
+        }));
+        let metrics = Registry::new();
+        metrics.source(&inner, |inner| {
+            let inner = inner.borrow();
+            // Zeroed stats lead, so an empty fabric names every fact too.
+            let links = once(LinkStats::default()).chain(inner.links.values().map(Link::stats));
+            let nodes = once(NodeStats::default()).chain(inner.nodes.iter().map(Node::stats));
+            let mut facts: Vec<_> = links.flat_map(|s| s.facts()).collect();
+            facts.extend(nodes.flat_map(|s| s.facts()));
+            facts
+        });
         Fabric {
-            inner: Rc::new(RefCell::new(FabricInner {
-                nodes: Vec::new(),
-                links: IntMap::default(),
-                incarnations: Vec::new(),
-                attached: Vec::new(),
-                restart_drops: Vec::new(),
-            })),
+            inner,
             restart_hooks: Rc::new(RefCell::new(HashMap::new())),
-            metrics: Registry::new(),
+            metrics,
             recorders: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
-    /// The fabric's metrics registry: `link.*` wire counters live here,
-    /// and the reliability layers register their own families into it so
-    /// one snapshot covers the whole stack.
+    /// The fabric's metrics registry: it reads `link.*` (Σ links'
+    /// [`LinkStats`]) and `nic.*` (Σ nodes' [`NodeStats`]), and the
+    /// reliability layers register their own families into it, so one
+    /// snapshot covers the whole stack.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -184,9 +197,7 @@ impl Fabric {
     pub fn add_node(&self, mem_capacity: usize) -> NodeId {
         let mut inner = self.inner.borrow_mut();
         let id = NodeId(inner.nodes.len() as u32);
-        let mut node = Node::new(id, mem_capacity);
-        node.bind_metrics(&self.metrics);
-        inner.nodes.push(node);
+        inner.nodes.push(Node::new(id, mem_capacity));
         inner.incarnations.push(0);
         inner.attached.push(true);
         inner.restart_drops.push(0);
@@ -262,8 +273,7 @@ impl Fabric {
     /// installing nothing) when the configuration is invalid (see
     /// [`Link::try_new`]).
     pub fn try_link(&self, a: NodeId, b: NodeId, cfg: LinkConfig) -> Result<(), String> {
-        let mut link = Link::try_new(cfg)?;
-        link.bind_metrics(&self.metrics);
+        let link = Link::try_new(cfg)?;
         self.inner.borrow_mut().links.insert((a, b), link);
         Ok(())
     }

@@ -33,7 +33,6 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sdr_trace::{Counter, Registry};
 
 use crate::equeue::TimerHandle;
 use crate::loss::{LossModel, LossProcess};
@@ -194,7 +193,8 @@ impl LinkConfig {
     }
 }
 
-/// Counters exported by a link.
+/// Counters exported by a link — the one store of these facts; a fabric's
+/// registry reads their sum under the `link.*` names of [`facts`](Self::facts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets accepted for transmission.
@@ -214,29 +214,18 @@ pub struct LinkStats {
     pub corrupted: u64,
 }
 
-/// Registry-bound aggregate wire counters (`link.*`): every link of a
-/// fabric shares the same handles, so they sum across links. Mirrors the
-/// per-link [`LinkStats`]; increments are kill-switch gated inside
-/// `sdr-trace` and never allocate.
-pub(crate) struct LinkTrace {
-    sent: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    duplicated: Counter,
-    reordered: Counter,
-    corrupted: Counter,
-}
-
-impl LinkTrace {
-    pub(crate) fn new(reg: &Registry) -> LinkTrace {
-        LinkTrace {
-            sent: reg.counter("link.sent"),
-            delivered: reg.counter("link.delivered"),
-            dropped: reg.counter("link.dropped"),
-            duplicated: reg.counter("link.duplicated"),
-            reordered: reg.counter("link.reordered"),
-            corrupted: reg.counter("link.corrupted"),
-        }
+impl LinkStats {
+    /// Every field under its registry name.
+    pub fn facts(&self) -> [(&'static str, u64); 7] {
+        [
+            ("link.sent", self.sent),
+            ("link.dropped", self.dropped),
+            ("link.delivered", self.delivered),
+            ("link.bytes", self.bytes),
+            ("link.duplicated", self.duplicated),
+            ("link.reordered", self.reordered),
+            ("link.corrupted", self.corrupted),
+        ]
     }
 }
 
@@ -287,9 +276,6 @@ pub struct Link {
     /// instant is dropped (without consuming the loss process's RNG
     /// stream, so the post-heal drop pattern is unperturbed).
     down: bool,
-    /// Fabric-wide registry counters, bound when the link is installed
-    /// into a [`Fabric`](crate::Fabric) (absent for standalone links).
-    trace: Option<LinkTrace>,
 }
 
 impl Link {
@@ -338,13 +324,7 @@ impl Link {
             pending: VecDeque::new(),
             drain: None,
             down: false,
-            trace: None,
         })
-    }
-
-    /// Binds the fabric-wide `link.*` registry counters (see [`LinkTrace`]).
-    pub(crate) fn bind_metrics(&mut self, reg: &Registry) {
-        self.trace = Some(LinkTrace::new(reg));
     }
 
     /// Builds a link from its configuration.
@@ -388,9 +368,6 @@ impl Link {
         self.next_free = start + serialize;
         self.stats.sent += 1;
         self.stats.bytes += wire_bytes;
-        if let Some(t) = &self.trace {
-            t.sent.inc();
-        }
 
         let mut arrival = self.next_free + self.cfg.one_way_delay;
         if let Some(jitter) = self.cfg.reorder_jitter {
@@ -404,9 +381,6 @@ impl Link {
             let span = self.rng.random_range(1..=self.cfg.reorder_span) as u64;
             arrival += serialize * span;
             self.stats.reordered += 1;
-            if let Some(t) = &self.trace {
-                t.reordered.inc();
-            }
         }
         // Wire duplication: a second copy trails the original by one
         // serialization quantum and draws its own delivery fate.
@@ -414,10 +388,6 @@ impl Link {
             let copy_at = arrival + serialize;
             self.stats.sent += 1;
             self.stats.duplicated += 1;
-            if let Some(t) = &self.trace {
-                t.sent.inc();
-                t.duplicated.inc();
-            }
             self.file_arrival(copy_at, pkt.clone());
         }
         self.file_arrival(arrival, pkt);
@@ -474,22 +444,13 @@ impl Link {
             let (_, mut pkt) = self.pending.pop_front().expect("front checked");
             if self.down || self.loss.drops_next() {
                 self.stats.dropped += 1;
-                if let Some(t) = &self.trace {
-                    t.dropped.inc();
-                }
                 continue;
             }
             self.stats.delivered += 1;
-            if let Some(t) = &self.trace {
-                t.delivered.inc();
-            }
             // Corruption is drawn at delivery time like loss, so a
             // corruption step applied mid-flight strikes the pipeline.
             if self.cfg.corrupt_p > 0.0 && self.corrupt_payload(&mut pkt, src) {
                 self.stats.corrupted += 1;
-                if let Some(t) = &self.trace {
-                    t.corrupted.inc();
-                }
             }
             return Some(pkt);
         }

@@ -66,7 +66,7 @@
 //! storing thread issued an `sfence`. The fence is deferred, not paid
 //! per copy: `Memory` notes that streamed stores are outstanding, and
 //! every access to the bytes — [`read`](Memory::read),
-//! [`write`](Memory::write), [`regions_mut`](Memory::regions_mut),
+//! [`write`](Memory::write), [`read_write`](Memory::read_write),
 //! [`fill`](Memory::fill), the next `dma_write` and `Drop` — fences
 //! first when they are. The bytes are private to `Memory`, so nothing
 //! (the encode pool's slices included) reaches them unfenced. Fencing
@@ -83,13 +83,14 @@
 //!
 //! `Memory` keeps a write clock and, for every [`PAGE`]-byte page, the
 //! clock of the last mutating access that covered it. Every mutator —
-//! [`write`](Memory::write), [`dma_write`](Memory::dma_write), both
-//! regions of [`regions_mut`](Memory::regions_mut) and
+//! [`write`](Memory::write), [`dma_write`](Memory::dma_write), the
+//! written region of [`read_write`](Memory::read_write) and
 //! [`fill`](Memory::fill) — reaches the bytes through one private
-//! accessor that takes the ranges it hands out, bumps the clock and
-//! stamps their pages *before* returning them, so no mutator can skip the
-//! stamp. [`read`](Memory::read), [`alloc`](Memory::alloc),
-//! [`free`](Memory::free) and zero-length calls stamp nothing.
+//! accessor that takes the ranges it hands out writable, bumps the clock
+//! and stamps their pages *before* returning them, so no mutator can skip
+//! the stamp. [`read`](Memory::read), `read_write`'s read region,
+//! [`alloc`](Memory::alloc), [`free`](Memory::free) and zero-length calls
+//! stamp nothing.
 //!
 //! **The invariant.** If no page of `[addr, addr + len)` carries a stamp
 //! newer than a clock reading `c`, those bytes are exactly what they were
@@ -103,7 +104,7 @@
 //!
 //! **It is conservative.** A stamp says a page *may* differ, never that it
 //! does: a write of the same bytes, a write to another part of the page,
-//! or a `regions_mut` caller that only reads all stamp it. A stamped page
+//! or a written region a caller only reads all stamp it. A stamped page
 //! costs the NIC one hash (which then decides), never a wrong verdict.
 //!
 //! **Node memory is never replaced** while packets name it: a `Node`
@@ -242,16 +243,20 @@ impl Memory {
         &self.arena()[a..a + len]
     }
 
-    /// Two disjoint regions `(addr, len)`, both writable at once — e.g. a
-    /// decode reading one and rebuilding into the other in place.
+    /// Two disjoint regions `(addr, len)` at once: `read`, read-only, and
+    /// `write`, writable — e.g. an encode reading data rows and writing
+    /// parity, or a decode reading parity and rebuilding data in place.
+    /// Only `write`'s pages are stamped.
     ///
     /// # Panics
     /// Panics when the regions overlap or either lies outside the memory.
-    pub fn regions_mut(&mut self, a: (u64, usize), b: (u64, usize)) -> [&mut [u8]; 2] {
-        let ranges = [span(a.0, a.1), span(b.0, b.1)];
-        self.arena_mut(&ranges)
-            .get_disjoint_mut(ranges)
-            .unwrap_or_else(|e| panic!("regions {a:?} and {b:?}: {e}"))
+    pub fn read_write(&mut self, read: (u64, usize), write: (u64, usize)) -> (&[u8], &mut [u8]) {
+        let (r, w) = (span(read.0, read.1), span(write.0, write.1));
+        let [r, w] = self
+            .arena_mut(std::slice::from_ref(&w))
+            .get_disjoint_mut([r, w])
+            .unwrap_or_else(|e| panic!("regions {read:?} and {write:?}: {e}"));
+        (r, w)
     }
 
     /// Fills a region with a byte value (used to model repost cleanup).
@@ -290,7 +295,7 @@ impl Memory {
     }
 
     /// [`arena`](Self::arena), writable, after every page of `ranges` —
-    /// the bytes the caller will hand out — was stamped with a fresh
+    /// the bytes the caller will hand out writable — was stamped with a fresh
     /// clock: the one way to write the node's bytes.
     fn arena_mut(&mut self, ranges: &[Range<usize>]) -> &mut [u8] {
         self.fence();
@@ -692,8 +697,8 @@ mod tests {
                 match (len + off) % 3 {
                     0 => assert_eq!(m.read(lo as u64, hi - lo), &model[lo..hi]),
                     1 => {
-                        let [got, _] = m.regions_mut((lo as u64, hi - lo), (0, 0));
-                        assert_eq!(&*got, &model[lo..hi]);
+                        let (got, _) = m.read_write((lo as u64, hi - lo), (0, 0));
+                        assert_eq!(got, &model[lo..hi]);
                     }
                     _ => {
                         let (mid, n) = (a + len / 2, len.min(1));
@@ -735,14 +740,14 @@ mod tests {
         (addr / PAGE..=(addr + len - 1) / PAGE).collect()
     }
 
-    /// Each mutator marks exactly the pages of the range(s) it hands out
-    /// — no neighbour, none missing — and only as news after the clock
-    /// reading it follows.
+    /// Each mutator marks exactly the pages of the range it hands out
+    /// writable — no neighbour, none missing, not `read_write`'s read
+    /// range — and only as news after the clock reading it follows.
     #[test]
     fn each_mutator_stamps_exactly_the_pages_of_its_ranges() {
-        let far = (6 * PAGE + 10, 3); // regions_mut's second region
+        let far = (6 * PAGE + 10, 3); // read_write's other region
         for (i, &(addr, len)) in EDGES.iter().enumerate() {
-            for mutator in 0..4 {
+            for mutator in 0..5 {
                 let mut m = Memory::new(8 * PAGE + 100);
                 m.write(0, &vec![1; m.capacity()]);
                 let before = m.clock();
@@ -753,13 +758,16 @@ mod tests {
                     0 => m.write(addr as u64, &data),
                     1 => m.dma_write(addr as u64, &data),
                     2 => m.fill(addr as u64, len, 9),
-                    _ if addr + len <= far.0 => {
-                        let [a, b] = m.regions_mut((addr as u64, len), (far.0 as u64, far.1));
-                        a.fill(3);
-                        b.fill(4);
-                        want.extend(pages_of(far));
+                    _ if addr + len > far.0 => continue,
+                    3 => {
+                        let (_, w) = m.read_write((far.0 as u64, far.1), (addr as u64, len));
+                        w.fill(3);
                     }
-                    _ => continue,
+                    _ => {
+                        let (_, w) = m.read_write((addr as u64, len), (far.0 as u64, far.1));
+                        w.fill(4);
+                        want = pages_of(far);
+                    }
                 }
                 assert_eq!(
                     marked(&m, before),
@@ -785,7 +793,7 @@ mod tests {
         m.write(PAGE as u64, &[]);
         m.dma_write(PAGE as u64, &[]);
         m.fill(PAGE as u64, 0, 7);
-        let _ = m.regions_mut((0, 0), (2 * PAGE as u64, 0));
+        let _ = m.read_write((0, 0), (2 * PAGE as u64, 0));
         assert!(marked(&m, before).is_empty());
         assert!(
             !m.written_since(0, 0, before),
@@ -825,15 +833,17 @@ mod tests {
     }
 
     #[test]
-    fn regions_mut_hands_out_two_disjoint_regions_in_either_order() {
+    fn read_write_hands_out_two_disjoint_regions_in_either_order() {
         let mut m = Memory::new(256);
-        let [lo, hi] = m.regions_mut((16, 8), (64, 4));
-        lo.fill(1);
+        let (lo, hi) = m.read_write((16, 8), (64, 4));
+        assert_eq!(lo, &[0u8; 8]);
         hi.fill(2);
-        let [hi, lo] = m.regions_mut((64, 4), (16, 8));
-        assert_eq!((&*hi, &*lo), (&[2u8; 4][..], &[1u8; 8][..]));
+        let (hi, lo) = m.read_write((64, 4), (16, 8));
+        assert_eq!(hi, &[2u8; 4]);
+        lo.fill(1);
+        assert_eq!(m.read(16, 8), &[1u8; 8]);
         // Adjacent and empty regions do not overlap.
-        let [a, b] = m.regions_mut((0, 16), (16, 0));
+        let (a, b) = m.read_write((0, 16), (16, 0));
         assert_eq!((a.len(), b.len()), (16, 0));
     }
 
@@ -841,7 +851,7 @@ mod tests {
     #[should_panic(expected = "overlap")]
     fn overlapping_regions_panic() {
         let mut m = Memory::new(256);
-        m.regions_mut((16, 8), (23, 4));
+        m.read_write((16, 8), (23, 4));
     }
 
     #[test]

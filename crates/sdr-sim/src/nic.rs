@@ -16,8 +16,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use sdr_trace::{Counter, Registry};
-
 use crate::engine::Engine;
 use crate::memory::{Memory, MkeyTable, Resolved};
 use crate::packet::{CqId, MkeyId, NodeId, Packet, PacketKind, QpAddr, QpNum, WriteSeg};
@@ -181,7 +179,8 @@ struct Qp {
     rq: VecDeque<RecvWqe>,
 }
 
-/// Counters exported by a node.
+/// Counters exported by a node — the one store of these facts; a fabric's
+/// registry reads their sum under the `nic.*` names of [`facts`](Self::facts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Write packets whose payload landed in memory.
@@ -201,6 +200,25 @@ pub struct NodeStats {
     pub poisoned_msgs: u64,
     /// Completions generated.
     pub cqes: u64,
+    /// Checked payloads the NIC had to hash itself (owned bytes, or a
+    /// source written since the post); the rest reuse the carried CRC.
+    pub crc_rehashed: u64,
+}
+
+impl NodeStats {
+    /// Every field under its registry name.
+    pub fn facts(&self) -> [(&'static str, u64); 8] {
+        [
+            ("nic.writes_landed", self.writes_landed),
+            ("nic.null_writes", self.null_writes),
+            ("nic.crc.skipped", self.crc_skipped),
+            ("nic.access_faults", self.access_faults),
+            ("nic.rnr_drops", self.rnr_drops),
+            ("nic.poisoned_msgs", self.poisoned_msgs),
+            ("nic.cqes", self.cqes),
+            ("nic.crc.rehashed", self.crc_rehashed),
+        ]
+    }
 }
 
 /// A host + NIC endpoint: memory, key tables, CQs and QPs.
@@ -211,10 +229,6 @@ pub struct Node {
     cqs: Vec<Cq>,
     qps: Vec<Qp>,
     stats: NodeStats,
-    /// `nic.crc.rehashed`: checked payloads the NIC had to hash itself
-    /// (owned bytes, or a source written since the post). Unbound until
-    /// the fabric binds it; never touched on the shortcut.
-    rehashed: Counter,
 }
 
 /// A registered memory region.
@@ -238,13 +252,7 @@ impl Node {
             cqs: Vec::new(),
             qps: Vec::new(),
             stats: NodeStats::default(),
-            rehashed: Counter::default(),
         }
-    }
-
-    /// Binds this NIC's counters to the fabric's registry.
-    pub(crate) fn bind_metrics(&mut self, reg: &Registry) {
-        self.rehashed = reg.counter("nic.crc.rehashed");
     }
 
     /// This node's id.
@@ -504,7 +512,7 @@ impl Node {
                                 );
                                 carried
                             } else {
-                                self.rehashed.inc();
+                                self.stats.crc_rehashed += 1;
                                 sdr_erasure::crc32c(payload)
                             }
                         });

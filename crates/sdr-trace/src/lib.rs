@@ -4,13 +4,10 @@
 //!
 //! The paper's whole premise (§5.2, Fig. 2) is that WAN channel behavior
 //! drifts three orders of magnitude over hours; a stack that *adapts* to
-//! that drift is only operable if its internal decisions are observable.
-//! Before this crate the workspace had eleven disjoint `*Stats` structs
-//! and, when a chaos case failed, the only evidence was a replay seed and
-//! a panic message — the rich state (estimator trajectories, switch
-//! decisions, RTO fires, DRR occupancy, slot parks) evaporated. This
-//! crate is the one observability layer every other crate threads
-//! through:
+//! that drift is only operable if each layer's decisions are observable
+//! — as one named set of numbers, and, when a chaos case fails, as a
+//! readable history next to the replay seed. This crate is the one
+//! observability layer every other crate threads through:
 //!
 //! * [`Registry`] — a named set of [`Counter`]s, [`Gauge`]s and
 //!   log-linear [`Histogram`]s. Handles are registered once at setup
@@ -18,6 +15,10 @@
 //!   increment is a branch on a relaxed atomic (the kill switch) plus a
 //!   relaxed `fetch_add`. Warm paths allocate **nothing** — asserted by
 //!   the counting-allocator suite in `sdr-reliability/tests/flow_alloc.rs`.
+//! * **Sources** ([`Registry::source`]) — the registry also *reads* the
+//!   plain stats structs a layer keeps anyway (a link's `LinkStats`, a
+//!   flow manager's `FlowStats`, …), so each fact has one store: a plain
+//!   add on the hot path, never also a counter.
 //! * [`Histogram`] — HDR-style log-linear buckets: 32 linear sub-buckets
 //!   per power of two over the full `u64` range (1920 fixed buckets,
 //!   ≤ 1/32 relative error), with `p50`/`p99`/`p999` quantile queries by
@@ -32,8 +33,10 @@
 //!   are dumped next to the replay key ([`FlightRecorder::timeline`]),
 //!   turning "case 1234 failed" into a readable two-node causal history.
 //! * **Kill switch** — [`set_enabled`] / the `SDR_TRACE` environment
-//!   variable (`SDR_TRACE=0` disables). Disabled, every record call
-//!   compiles down to one relaxed atomic load and a branch. Recording
+//!   variable (`SDR_TRACE=0` disables). It gates counters, gauges,
+//!   histograms and the recorder — disabled, each record call compiles
+//!   down to one relaxed atomic load and a branch — but not sources: the
+//!   stack's own bookkeeping reads the same either way. Recording
 //!   never perturbs the simulation: CI runs the `sim_fingerprint` table
 //!   under `SDR_TRACE=0` and every row must hash as it does traced.
 //!   What tracing costs in wall time is the benchmark's
@@ -57,7 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Kill switch
@@ -316,15 +319,21 @@ enum Slot {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    /// A fact registered sources own: its value is their sum.
+    Sourced,
 }
 
 /// A named set of metrics. Registration (`counter`/`gauge`/`histogram`)
 /// is the cold path and idempotent: re-registering a name returns the
 /// existing handle, so independent subsystems can share a metric without
-/// coordination. Cloning the registry shares the set.
+/// coordination. Cloning the registry shares the set. Its sources
+/// ([`source`](Self::source)) hold `Weak` handles, so it is not `Send`;
+/// the [`Counter`] and [`Histogram`] handles it gives out are.
 #[derive(Clone, Default)]
 pub struct Registry {
-    slots: Arc<Mutex<BTreeMap<String, Slot>>>,
+    slots: Rc<RefCell<BTreeMap<String, Slot>>>,
+    /// Per source, a reader handing its facts on (none once it is gone).
+    sources: Rc<RefCell<Vec<Box<dyn Fn(&mut dyn FnMut(&'static str, u64))>>>>,
 }
 
 impl Registry {
@@ -336,9 +345,10 @@ impl Registry {
     /// Registers (or retrieves) the counter `name`.
     ///
     /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
+    /// Panics if `name` is already registered as a different metric kind
+    /// (a source's fact included).
     pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = self.slots.borrow_mut();
         // Retrieval is the common case — per-transfer objects bind their
         // handles every time one starts — and allocates nothing.
         match slots.get(name) {
@@ -357,7 +367,7 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = self.slots.borrow_mut();
         match slots
             .entry(name.to_string())
             .or_insert_with(|| Slot::Gauge(Gauge::default()))
@@ -372,7 +382,7 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut slots = self.slots.lock().unwrap();
+        let mut slots = self.slots.borrow_mut();
         match slots
             .entry(name.to_string())
             .or_insert_with(|| Slot::Histogram(Histogram::default()))
@@ -382,24 +392,66 @@ impl Registry {
         }
     }
 
-    /// Current value of counter `name` (0 when unregistered) — a
+    /// Registers `owner`, held by `Weak`, as a source: while it lives,
+    /// every read adds the `(name, value)` facts `read(owner)` lists, kill
+    /// switch or not; owners of one name sum. `read` runs once here to
+    /// learn the names, so it must list all of them every time. A dropped
+    /// owner's facts leave the sums: only deployment-lived owners register.
+    ///
+    /// # Panics
+    /// Panics if a listed name is registered as another metric kind.
+    pub fn source<T: 'static, F>(&self, owner: &Rc<T>, read: impl Fn(&T) -> F + 'static)
+    where
+        F: IntoIterator<Item = (&'static str, u64)>,
+    {
+        let mut slots = self.slots.borrow_mut();
+        for (name, _) in read(owner) {
+            let slot = slots.entry(name.to_string()).or_insert(Slot::Sourced);
+            assert!(
+                matches!(slot, Slot::Sourced),
+                "metric {name} is not a source's fact"
+            );
+        }
+        let owner = Rc::downgrade(owner);
+        self.sources.borrow_mut().push(Box::new(move |emit| {
+            if let Some(o) = owner.upgrade() {
+                read(&o).into_iter().for_each(|(name, v)| emit(name, v));
+            }
+        }));
+    }
+
+    /// Every live source's facts, summed by name.
+    fn sourced(&self) -> BTreeMap<&'static str, u64> {
+        let mut sum = BTreeMap::new();
+        for read in self.sources.borrow().iter() {
+            read(&mut |name, v| *sum.entry(name).or_default() += v);
+        }
+        sum
+    }
+
+    /// Current value of counter `name` — its count, or the sum of what
+    /// the live sources owning it report (0 when unregistered): a
     /// convenience for reports that read someone else's metric.
     pub fn counter_value(&self, name: &str) -> u64 {
-        match self.slots.lock().unwrap().get(name) {
+        match self.slots.borrow().get(name) {
             Some(Slot::Counter(c)) => c.get(),
+            Some(Slot::Sourced) => self.sourced().get(name).copied().unwrap_or(0),
             _ => 0,
         }
     }
 
-    /// A point-in-time copy of every metric, sorted by name.
+    /// A point-in-time copy of every metric, sorted by name (a source's
+    /// facts are counters).
     pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.lock().unwrap();
+        let sourced = self.sourced();
+        let slots = self.slots.borrow();
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for (name, slot) in slots.iter() {
             match slot {
                 Slot::Counter(c) => counters.push((name.clone(), c.get())),
+                Slot::Sourced => counters.push((name.clone(), *sourced.get(&**name).unwrap_or(&0))),
                 Slot::Gauge(g) => gauges.push((name.clone(), g.get())),
                 Slot::Histogram(h) => histograms.push((
                     name.clone(),
@@ -703,6 +755,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// The kill switch is process-wide and the harness runs tests on
     /// parallel threads: every test that records, and the one that flips
